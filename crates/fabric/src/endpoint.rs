@@ -236,12 +236,14 @@ impl Endpoint {
         data: &[u8],
         publish: bool,
     ) -> FabricResult<()> {
-        region.write(offset, data)?;
-        if publish {
-            let last = offset + data.len() - 1;
-            region.store_release_u8(last, data[data.len() - 1])?;
+        if !publish {
+            return region.write(offset, data);
         }
-        Ok(())
+        // The signal byte is written once, by the release: a relaxed copy of it
+        // would let a reader's acquire load pair with that copy instead.
+        let (signal, body) = data.split_last().expect("puts are never empty");
+        region.write(offset, body)?;
+        region.store_release_u8(offset + body.len(), *signal)
     }
 
     /// The delivery half of a put on a faulty link. The transmit side has

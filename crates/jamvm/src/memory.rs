@@ -165,13 +165,13 @@ impl AddressSpace {
     /// Unmap a segment by name, returning it (so the runtime can copy results out).
     pub fn unmap(&mut self, name: &str) -> Option<Segment> {
         let idx = self.by_name.remove(name)?;
-        let seg = self.segments.remove(idx);
-        // Reindex.
-        self.by_name.clear();
-        for (i, s) in self.segments.iter().enumerate() {
-            self.by_name.insert(s.name.clone(), i);
+        // The segments behind it each move down one place.
+        for i in self.by_name.values_mut() {
+            if *i > idx {
+                *i -= 1;
+            }
         }
-        Some(seg)
+        Some(self.segments.remove(idx))
     }
 
     /// Borrow a segment by name.
@@ -550,6 +550,90 @@ mod tests {
         );
         assert!(s.unmap("payload").is_none());
         assert_eq!(s.segment_names().len(), 2);
+    }
+
+    #[test]
+    fn unmap_from_the_middle_keeps_every_later_segment_addressable() {
+        // Six one-byte-tagged segments; take out each position in turn.
+        let names = ["s0", "s1", "s2", "s3", "s4", "s5"];
+        for gone in 0..names.len() {
+            let mut s = AddressSpace::new();
+            for (i, name) in names.iter().enumerate() {
+                let base = 0x1000 * (i as u64 + 1);
+                s.map(Segment::new(
+                    name,
+                    base,
+                    vec![i as u8; 16],
+                    true,
+                    SegmentKind::Heap,
+                ))
+                .unwrap();
+            }
+            assert_eq!(s.unmap(names[gone]).unwrap().data, vec![gone as u8; 16]);
+            assert_eq!(s.len(), names.len() - 1);
+            for (i, name) in names.iter().enumerate() {
+                let base = 0x1000 * (i as u64 + 1);
+                if i == gone {
+                    assert!(s.segment(name).is_none() && s.segment_mut(name).is_none());
+                    assert!(matches!(s.read(base, 1), Err(MemFault::Unmapped { .. })));
+                    continue;
+                }
+                assert_eq!(s.segment(name).unwrap().base, base, "{name} after {gone}");
+                s.segment_mut(name).unwrap().data[0] = 0xF0 | i as u8;
+                assert_eq!(s.read(base, 2).unwrap(), [0xF0 | i as u8, i as u8]);
+            }
+            // The name is free again and lands behind the others.
+            s.map(Segment::new(
+                names[gone],
+                0x9000,
+                vec![9; 4],
+                false,
+                SegmentKind::Args,
+            ))
+            .unwrap();
+            assert_eq!(s.segment(names[gone]).unwrap().base, 0x9000);
+            assert_eq!(*s.segment_names().last().unwrap(), names[gone]);
+        }
+    }
+
+    #[test]
+    fn per_message_map_unmap_cycles_leave_the_space_unchanged() {
+        // What a receiver shard does per message (two segments) and per chain
+        // stage (three), over resident segments mapped before and between them.
+        let mut s = space();
+        let resident = s.segment_names().join(",");
+        let scratch = |name: &str, base: u64, fill: u8| {
+            Segment::new(name, base, vec![fill; 32], true, SegmentKind::Args)
+        };
+        for round in 0..10_000u32 {
+            let fill = round as u8;
+            s.map(scratch("msg.args", 0x4_0000, fill)).unwrap();
+            s.map(scratch("msg.usr", 0x5_0000, !fill)).unwrap();
+            if round % 3 == 0 {
+                for (name, base) in [
+                    ("chain.ctx", 0x6_0000),
+                    ("chain.args", 0x7_0000),
+                    ("chain.usr", 0x8_0000),
+                ] {
+                    s.map(scratch(name, base, fill)).unwrap();
+                }
+                assert_eq!(s.read(0x7_0000, 1).unwrap(), [fill]);
+                // Stage segments go first, in mapping order: each unmap is from
+                // the middle of the list.
+                for name in ["chain.ctx", "chain.args", "chain.usr"] {
+                    assert_eq!(s.unmap(name).unwrap().data[0], fill);
+                }
+            }
+            assert_eq!(s.segment("msg.usr").unwrap().data[0], !fill);
+            assert_eq!(s.unmap("msg.args").unwrap().data[0], fill);
+            assert_eq!(s.unmap("msg.usr").unwrap().data[0], !fill);
+        }
+        assert_eq!(s.len(), 3);
+        assert_eq!(s.segment_names().join(","), resident);
+        assert_eq!(s.segment("heap").unwrap().base, 0x10000);
+        assert_eq!(s.segment("payload").unwrap().data.len(), 256);
+        assert!(s.segment("msg.args").is_none() && s.segment("chain.ctx").is_none());
+        assert!(s.read(0x2000, 256).unwrap().iter().all(|&b| b == 7));
     }
 
     #[test]

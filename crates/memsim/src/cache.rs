@@ -36,25 +36,9 @@ pub struct FillOutcome {
     pub dirty_victim: Option<u64>,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Way {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// LRU timestamp: larger = more recently used.
-    stamp: u64,
-}
-
-impl Way {
-    const fn empty() -> Self {
-        Way {
-            tag: 0,
-            valid: false,
-            dirty: false,
-            stamp: 0,
-        }
-    }
-}
+/// Tag of a way that holds no line. Line indices are byte addresses shifted right
+/// by the line size, so no real line reaches it.
+const EMPTY: u64 = u64::MAX;
 
 /// Per-level hit/miss statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -87,13 +71,21 @@ impl CacheStats {
 }
 
 /// A set-associative, write-back, write-allocate cache model (tags only).
+///
+/// Way `w` of set `s` is index `s * ways_per_set + w` of three parallel arrays, so a
+/// lookup scans one contiguous run of tags; stamps and dirty bits are touched only
+/// on a hit or a fill.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     cfg: CacheLevelConfig,
     sets: usize,
     ways_per_set: usize,
     line_shift: u32,
-    ways: Vec<Way>,
+    /// Line index held by each way, [`EMPTY`] if none.
+    tags: Vec<u64>,
+    /// LRU timestamps: larger = more recently used.
+    stamps: Vec<u64>,
+    dirty: Vec<bool>,
     tick: u64,
     stats: CacheStats,
 }
@@ -112,7 +104,9 @@ impl SetAssocCache {
             sets,
             ways_per_set,
             line_shift: cfg.line_size.trailing_zeros(),
-            ways: vec![Way::empty(); sets * ways_per_set],
+            tags: vec![EMPTY; sets * ways_per_set],
+            stamps: vec![0; sets * ways_per_set],
+            dirty: vec![false; sets * ways_per_set],
             tick: 0,
             stats: CacheStats::default(),
         }
@@ -136,9 +130,9 @@ impl SetAssocCache {
 
     /// Drop all lines and statistics.
     pub fn clear(&mut self) {
-        for w in &mut self.ways {
-            *w = Way::empty();
-        }
+        self.tags.fill(EMPTY);
+        self.stamps.fill(0);
+        self.dirty.fill(false);
         self.tick = 0;
         self.stats = CacheStats::default();
     }
@@ -148,25 +142,60 @@ impl SetAssocCache {
         addr >> self.line_shift
     }
 
+    /// The ways of the set `line` maps to, as a range of the parallel arrays.
     #[inline]
-    fn set_of(&self, line: u64) -> usize {
-        (line as usize) % self.sets
-    }
-
-    #[inline]
-    fn set_slice(&mut self, set: usize) -> &mut [Way] {
-        let start = set * self.ways_per_set;
-        &mut self.ways[start..start + self.ways_per_set]
+    fn set_of(&self, line: u64) -> std::ops::Range<usize> {
+        let set = if self.sets.is_power_of_two() {
+            line as usize & (self.sets - 1)
+        } else {
+            line as usize % self.sets
+        };
+        set * self.ways_per_set..(set + 1) * self.ways_per_set
     }
 
     /// Probe for the line containing `addr` without changing LRU state or stats.
     pub fn contains(&self, addr: u64) -> bool {
-        let line = self.line_of(addr);
+        self.contains_line(self.line_of(addr))
+    }
+
+    /// [`SetAssocCache::contains`] by pre-computed line index.
+    pub fn contains_line(&self, line: u64) -> bool {
+        self.tags[self.set_of(line)].contains(&line)
+    }
+
+    /// Look `line` up and fill it on a miss, choosing an invalid way first, otherwise
+    /// the LRU victim. Returns whether it hit and the dirty victim a fill evicted.
+    fn touch(&mut self, line: u64, mark_dirty: bool) -> FillOutcome {
+        debug_assert_ne!(line, EMPTY, "line index collides with the empty tag");
+        self.tick += 1;
         let set = self.set_of(line);
-        let start = set * self.ways_per_set;
-        self.ways[start..start + self.ways_per_set]
-            .iter()
-            .any(|w| w.valid && w.tag == line)
+        let tags = &self.tags[set.clone()];
+        if let Some(way) = tags.iter().position(|&t| t == line) {
+            self.stamps[set.start + way] = self.tick;
+            self.dirty[set.start + way] |= mark_dirty;
+            return FillOutcome {
+                hit: true,
+                dirty_victim: None,
+            };
+        }
+        let way = tags.iter().position(|&t| t == EMPTY).unwrap_or_else(|| {
+            let stamps = &self.stamps[set.clone()];
+            (0..stamps.len())
+                .min_by_key(|&way| stamps[way])
+                .expect("set has at least one way")
+        });
+        let idx = set.start + way;
+        let dirty_victim = (self.tags[idx] != EMPTY && self.dirty[idx]).then_some(self.tags[idx]);
+        self.tags[idx] = line;
+        self.stamps[idx] = self.tick;
+        self.dirty[idx] = mark_dirty;
+        if dirty_victim.is_some() {
+            self.stats.writebacks += 1;
+        }
+        FillOutcome {
+            hit: false,
+            dirty_victim,
+        }
     }
 
     /// Access the line containing `addr`. On a miss the line is filled (allocate on
@@ -179,121 +208,44 @@ impl SetAssocCache {
 
     /// Access by pre-computed line index (byte address / line size).
     pub fn access_line(&mut self, line: u64, kind: AccessKind) -> FillOutcome {
-        self.tick += 1;
-        let tick = self.tick;
-        let set = self.set_of(line);
-        let ways = self.set_slice(set);
-
-        // Hit path.
-        if let Some(w) = ways.iter_mut().find(|w| w.valid && w.tag == line) {
-            w.stamp = tick;
-            if kind.is_write() {
-                w.dirty = true;
-            }
+        let out = self.touch(line, kind.is_write());
+        if out.hit {
             self.stats.hits += 1;
-            return FillOutcome {
-                hit: true,
-                dirty_victim: None,
-            };
-        }
-
-        // Miss: fill, choosing an invalid way first, otherwise the LRU victim.
-        let victim_idx = {
-            if let Some((i, _)) = ways.iter().enumerate().find(|(_, w)| !w.valid) {
-                i
-            } else {
-                ways.iter()
-                    .enumerate()
-                    .min_by_key(|(_, w)| w.stamp)
-                    .map(|(i, _)| i)
-                    .expect("set has at least one way")
-            }
-        };
-        let victim = ways[victim_idx];
-        let dirty_victim = if victim.valid && victim.dirty {
-            Some(victim.tag)
         } else {
-            None
-        };
-        ways[victim_idx] = Way {
-            tag: line,
-            valid: true,
-            dirty: kind.is_write(),
-            stamp: tick,
-        };
-        self.stats.misses += 1;
-        if dirty_victim.is_some() {
-            self.stats.writebacks += 1;
+            self.stats.misses += 1;
         }
-        FillOutcome {
-            hit: false,
-            dirty_victim,
-        }
+        out
     }
 
     /// Install a line without it being a demand access — the *stash port*. The line is
     /// installed clean-from-the-core's-perspective but marked dirty, because stashed
     /// data arrived from the device and has not been written back to DRAM yet (the
     /// paper notes stashed traffic is "eventually written back to the main memory").
+    /// A line already tracked is refreshed: the device overwrote it.
     ///
     /// Returns the dirty victim line if one had to be evicted.
     pub fn stash_line(&mut self, line: u64) -> Option<u64> {
-        self.tick += 1;
-        let tick = self.tick;
-        let set = self.set_of(line);
-        let ways = self.set_slice(set);
-        if let Some(w) = ways.iter_mut().find(|w| w.valid && w.tag == line) {
-            // Device overwrote a line we already track: refresh it.
-            w.stamp = tick;
-            w.dirty = true;
-            self.stats.stashed_lines += 1;
-            return None;
-        }
-        let victim_idx = if let Some((i, _)) = ways.iter().enumerate().find(|(_, w)| !w.valid) {
-            i
-        } else {
-            ways.iter()
-                .enumerate()
-                .min_by_key(|(_, w)| w.stamp)
-                .map(|(i, _)| i)
-                .unwrap()
-        };
-        let victim = ways[victim_idx];
-        let dirty_victim = if victim.valid && victim.dirty {
-            Some(victim.tag)
-        } else {
-            None
-        };
-        ways[victim_idx] = Way {
-            tag: line,
-            valid: true,
-            dirty: true,
-            stamp: tick,
-        };
         self.stats.stashed_lines += 1;
-        if dirty_victim.is_some() {
-            self.stats.writebacks += 1;
-        }
-        dirty_victim
+        self.touch(line, true).dirty_victim
     }
 
     /// Invalidate the line containing `addr` if present; returns true if it was dirty.
     pub fn invalidate(&mut self, addr: u64) -> bool {
-        let line = self.line_of(addr);
+        self.evict_line(self.line_of(addr)) == Some(true)
+    }
+
+    /// Drop `line` (a pre-computed line index) if present; reports whether it was
+    /// dirty, or `None` if the cache did not hold it.
+    pub fn evict_line(&mut self, line: u64) -> Option<bool> {
         let set = self.set_of(line);
-        let ways = self.set_slice(set);
-        if let Some(w) = ways.iter_mut().find(|w| w.valid && w.tag == line) {
-            let was_dirty = w.dirty;
-            *w = Way::empty();
-            was_dirty
-        } else {
-            false
-        }
+        let way = self.tags[set.clone()].iter().position(|&t| t == line)?;
+        self.tags[set.start + way] = EMPTY;
+        Some(std::mem::take(&mut self.dirty[set.start + way]))
     }
 
     /// Number of valid lines currently resident (for tests and introspection).
     pub fn resident_lines(&self) -> usize {
-        self.ways.iter().filter(|w| w.valid).count()
+        self.tags.iter().filter(|&&t| t != EMPTY).count()
     }
 
     /// Line size in bytes.
@@ -379,6 +331,37 @@ mod tests {
         assert!(c.invalidate(0x80), "dirty line invalidation reports dirty");
         assert!(!c.contains(0x80));
         assert!(!c.invalidate(0x80), "second invalidation is a no-op");
+    }
+
+    #[test]
+    fn victim_is_an_invalid_way_first_then_the_oldest_stamp() {
+        // 4 sets (index masked) and 3 sets (index by remainder), 3 ways each.
+        for sets in [4u64, 3] {
+            let mut c = SetAssocCache::new(CacheLevelConfig::new(sets as usize * 3 * 64, 3, 64));
+            // Five lines of set 1; the neighbouring sets hold a dirty line each
+            // that nothing below may disturb.
+            let [a, b, d, e, f] = [0, 1, 2, 3, 4].map(|k| 1 + k * sets);
+            c.access_line(0, AccessKind::Write);
+            c.access_line(2, AccessKind::Write);
+            for line in [a, b, d] {
+                assert_eq!(c.access_line(line, AccessKind::Write).dirty_victim, None);
+            }
+            // A hit refreshes `a`, so the full set gives up `b`, its oldest.
+            assert!(c.access_line(a, AccessKind::Read).hit);
+            assert_eq!(c.access_line(e, AccessKind::Read).dirty_victim, Some(b));
+            // A freed way is refilled before any valid line is displaced, however
+            // old: `d` is now the oldest and survives the next fill.
+            assert_eq!(c.evict_line(a), Some(true));
+            assert_eq!(c.evict_line(a), None);
+            assert_eq!(c.stash_line(f), None);
+            assert!(c.contains_line(d) && c.contains_line(e) && !c.contains_line(a));
+            // With the set full again the oldest goes: `d`, then `e` (clean).
+            assert_eq!(c.stash_line(a), Some(d));
+            assert_eq!(c.stash_line(b), None);
+            assert!(!c.contains_line(e));
+            assert!(c.contains_line(0) && c.contains_line(2), "{sets} sets");
+            assert_eq!(c.resident_lines(), 5);
+        }
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //! **Invalidation contract:** inbound DMA makes the LLC (stash path) or DRAM
 //! (non-stash path) copy authoritative, so any private L1/L2 copy of a delivered
 //! line is stale. The monolithic model invalidates private levels inline in
-//! [`CacheHierarchy::dma_write`]; the sharded model posts the same line set to each
-//! core's invalidation inbox, drained at the start of that core's next access —
+//! [`CacheHierarchy::dma_write`]; the sharded model posts the same lines, as one run, to
+//! each core's invalidation inbox, drained at the start of that core's next access —
 //! before the core can observe a stale line.
 
 use std::collections::HashSet;

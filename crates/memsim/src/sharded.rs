@@ -21,18 +21,25 @@
 //!
 //! # Invalidation contract
 //!
-//! Inbound DMA ([`SharedHierarchy::dma_write`]) makes the LLC (stash path) or
-//! DRAM (non-stash path) copy of each delivered line authoritative; any private
-//! L1/L2 copy is stale from that instant. Because the private levels are
-//! lock-free, DMA cannot reach into them — instead it posts the line set to
-//! every core's *invalidation inbox* and raises that core's flag.
-//! [`CoreBus::access`] drains its inbox before touching its private caches, so
-//! a core can never observe a line it cached before the DMA overwrote it. This
-//! is the same hook the receiver's cross-shard injection-cache invalidation
-//! rides on: package reinstalls invalidate the (shared) decoded-program caches
-//! directly, and the per-core *hardware* state follows through the inbox on the
-//! next access. An inbox that outgrows [`INVAL_INBOX_LIMIT`] degrades to a full
-//! private-cache flush — correct, just conservatively slow.
+//! A delivery is a *run*: the consecutive cache lines `first..first + count` that
+//! one put covers. Inbound DMA ([`SharedHierarchy::dma_write`]) makes the LLC
+//! (stash path) or DRAM (non-stash path) copy of every line of the run
+//! authoritative; any private L1/L2 copy is stale from that instant. It takes each
+//! LLC stripe's lock once and walks that stripe's lines of the run in ascending
+//! order — the order a line-by-line walk would have visited that stripe, so LRU
+//! state, victims and cost are those of the line-by-line model — then each L3
+//! slice's lock once, and charges the displaced dirty lines' write-backs in line
+//! order. Because the private levels are lock-free, DMA cannot reach into them —
+//! instead it posts the run, as `(first line, count)`, to every core's
+//! *invalidation inbox* and raises that core's flag. [`CoreBus::access`] drains its
+//! inbox before touching its private caches, evicting each line of each run from
+//! L1 and L2, so a core can never observe a line it cached before the DMA
+//! overwrote it. This is the same hook the receiver's cross-shard
+//! injection-cache invalidation rides on: package reinstalls invalidate the
+//! (shared) decoded-program caches directly, and the per-core *hardware* state
+//! follows through the inbox on the next access. An inbox whose runs add up to
+//! more than [`INVAL_INBOX_LIMIT`] *lines* degrades to a full private-cache
+//! flush — correct, just conservatively slow.
 //!
 //! # Statistics
 //!
@@ -101,8 +108,10 @@ struct InvalInbox {
 
 #[derive(Debug, Default)]
 struct PendingInvals {
-    /// Byte addresses (line-aligned) to invalidate.
-    lines: Vec<u64>,
+    /// Delivered runs to invalidate, each `(first line, line count)`.
+    runs: Vec<(u64, u64)>,
+    /// Lines in `runs`, held against [`INVAL_INBOX_LIMIT`].
+    lines: u64,
     /// Drop everything (hierarchy clear, or an overflowed inbox).
     flush_all: bool,
 }
@@ -136,14 +145,8 @@ impl LlcStripe {
         self.cache.stash_line(Self::fold(line))
     }
 
-    fn invalidate_line(&mut self, line: u64) -> bool {
-        let byte = Self::fold(line) * self.cache.line_size() as u64;
-        self.cache.invalidate(byte)
-    }
-
     fn contains_line(&self, line: u64) -> bool {
-        let byte = Self::fold(line) * self.cache.line_size() as u64;
-        self.cache.contains(byte)
+        self.cache.contains_line(Self::fold(line))
     }
 }
 
@@ -414,7 +417,8 @@ impl SharedHierarchy {
         }
         for inbox in &self.invals {
             let mut pending = inbox.pending.lock();
-            pending.lines.clear();
+            pending.runs.clear();
+            pending.lines = 0;
             pending.flush_all = true;
             inbox.flag.store(true, Ordering::Release);
         }
@@ -452,20 +456,19 @@ impl SharedHierarchy {
         (first, last)
     }
 
-    /// Post a batch of line invalidations to every core's inbox — one lock
-    /// round-trip per core per delivery, not per line.
-    fn post_invalidations(&self, byte_addrs: &[u64]) {
-        if byte_addrs.is_empty() {
-            return;
-        }
+    /// Post one delivered run to every core's inbox — one lock round-trip per
+    /// core per delivery, not per line.
+    fn post_invalidations(&self, first: u64, count: u64) {
         for inbox in &self.invals {
             let mut pending = inbox.pending.lock();
             if !pending.flush_all {
-                if pending.lines.len() + byte_addrs.len() > INVAL_INBOX_LIMIT {
-                    pending.lines.clear();
+                if pending.lines + count > INVAL_INBOX_LIMIT as u64 {
+                    pending.runs.clear();
+                    pending.lines = 0;
                     pending.flush_all = true;
                 } else {
-                    pending.lines.extend_from_slice(byte_addrs);
+                    pending.runs.push((first, count));
+                    pending.lines += count;
                 }
             }
             inbox.flag.store(true, Ordering::Release);
@@ -476,42 +479,60 @@ impl SharedHierarchy {
     /// contract as the monolithic
     /// [`CacheHierarchy::dma_write`](crate::hierarchy::CacheHierarchy::dma_write),
     /// with private-level invalidation delivered through the per-core inboxes.
+    /// The covered lines are handled as one run (see the module docs).
     pub fn dma_write(&self, addr: u64, len: usize) -> SimTime {
         let (first, last) = self.lines_covering(addr, len);
-        let mut cost = SimTime::ZERO;
+        let count = last - first + 1;
         let stashing = self.stashing_enabled();
-        let mut delivered = Vec::with_capacity((last - first + 1) as usize);
-        for line in first..=last {
-            let byte = line * self.line_size as u64;
-            delivered.push(byte);
-            if stashing {
-                let victim = self.llc[Self::stripe_of(line)].lock().stash_line(line);
-                if let Some(victim) = victim {
-                    // The displaced dirty line writes back on *its* channel
-                    // (same stripe as `line`, so unfolding recovers it).
-                    let victim_line = victim * LLC_STRIPES as u64 + line % LLC_STRIPES as u64;
-                    cost += self.dram_writeback(victim_line);
-                    self.stats.writebacks.fetch_add(1, Ordering::Relaxed);
-                }
-                self.stats.stashed_lines.fetch_add(1, Ordering::Relaxed);
-                cost += self.cfg.latency.stash_install;
-                for l3 in &self.l3 {
-                    l3.lock().invalidate(byte);
-                }
-            } else {
-                for l3 in &self.l3 {
-                    l3.lock().invalidate(byte);
-                }
-                {
-                    let mut stripe = self.llc[Self::stripe_of(line)].lock();
-                    stripe.invalidate_line(line);
+
+        // Each stripe once: stripe `k`'s lines of the run are every
+        // `LLC_STRIPES`-th line from the first one that maps to `k`.
+        let mut victims = Vec::new();
+        for start in first..=last.min(first + LLC_STRIPES as u64 - 1) {
+            let mut stripe = self.llc[Self::stripe_of(start)].lock();
+            for line in (start..=last).step_by(LLC_STRIPES) {
+                if stashing {
+                    if let Some(victim) = stripe.stash_line(line) {
+                        // The displaced dirty line shares `line`'s stripe, so
+                        // unfolding recovers it.
+                        let victim_line = victim * LLC_STRIPES as u64 + line % LLC_STRIPES as u64;
+                        victims.push((line, victim_line));
+                    }
+                } else {
+                    stripe.cache.evict_line(LlcStripe::fold(line));
                     stripe.prefetched.remove(&LlcStripe::fold(line));
                 }
-                self.stats.dma_dram_lines.fetch_add(1, Ordering::Relaxed);
-                cost += self.dram_writeback(line);
             }
         }
-        self.post_invalidations(&delivered);
+        for l3 in &self.l3 {
+            let mut l3 = l3.lock();
+            for line in first..=last {
+                l3.evict_line(line);
+            }
+        }
+
+        let mut cost = SimTime::ZERO;
+        if stashing {
+            // Write-backs in line order, each on its victim's own channel.
+            victims.sort_unstable();
+            for &(_, victim_line) in &victims {
+                cost += self.dram_writeback(victim_line);
+            }
+            let writebacks = victims.len() as u64;
+            self.stats
+                .writebacks
+                .fetch_add(writebacks, Ordering::Relaxed);
+            self.stats.stashed_lines.fetch_add(count, Ordering::Relaxed);
+            cost += self.cfg.latency.stash_install * count;
+        } else {
+            for line in first..=last {
+                cost += self.dram_writeback(line);
+            }
+            self.stats
+                .dma_dram_lines
+                .fetch_add(count, Ordering::Relaxed);
+        }
+        self.post_invalidations(first, count);
         cost
     }
 
@@ -663,11 +684,12 @@ impl CoreBus {
         if !inbox.flag.load(Ordering::Acquire) {
             return;
         }
-        let (lines, flush_all) = {
+        let (runs, flush_all) = {
             let mut pending = inbox.pending.lock();
             inbox.flag.store(false, Ordering::Release);
+            pending.lines = 0;
             (
-                std::mem::take(&mut pending.lines),
+                std::mem::take(&mut pending.runs),
                 std::mem::replace(&mut pending.flush_all, false),
             )
         };
@@ -678,14 +700,13 @@ impl CoreBus {
             self.stats.invalidations_applied += 1;
             return;
         }
-        for byte in lines {
-            // `invalidate` reports dirtiness, not presence: probe first so the
-            // counter reflects every stale line actually dropped.
-            let present = self.l1.contains(byte) || self.l2.contains(byte);
-            self.l1.invalidate(byte);
-            self.l2.invalidate(byte);
-            if present {
-                self.stats.invalidations_applied += 1;
+        for (first, count) in runs {
+            for line in first..first + count {
+                // Both levels are walked whatever the first one held; the counter
+                // reflects every stale line actually dropped.
+                let in_l1 = self.l1.evict_line(line).is_some();
+                let in_l2 = self.l2.evict_line(line).is_some();
+                self.stats.invalidations_applied += u64::from(in_l1 || in_l2);
             }
         }
     }
@@ -773,6 +794,7 @@ impl MemoryBus for CoreBus {
 mod tests {
     use super::*;
     use crate::hierarchy::CacheHierarchy;
+    use rand::prelude::*;
 
     fn shared() -> Arc<SharedHierarchy> {
         Arc::new(SharedHierarchy::new(TestbedConfig::tiny_for_tests()))
@@ -1095,5 +1117,235 @@ mod tests {
     fn core_bounds_are_checked() {
         let h = shared();
         let _ = h.core_bus(99);
+    }
+
+    /// The line-by-line model the run-based [`SharedHierarchy::dma_write`] and
+    /// inbox replaced, kept as the oracle: every delivered line takes its stripe
+    /// and L3 locks on its own, in line order, and the inbox is a list of byte
+    /// addresses drained by probing both private levels and then invalidating
+    /// them. It never posts to the real inboxes, so its buses' own drain is idle.
+    struct LineByLine {
+        shared: Arc<SharedHierarchy>,
+        buses: Vec<CoreBus>,
+        /// Per core: pending line-aligned byte addresses, and the flush-all mark.
+        inboxes: Vec<(Vec<u64>, bool)>,
+    }
+
+    impl LineByLine {
+        fn new(cfg: TestbedConfig, cores: usize) -> Self {
+            let shared = Arc::new(SharedHierarchy::new(cfg));
+            LineByLine {
+                buses: (0..cores).map(|c| shared.core_bus(c)).collect(),
+                inboxes: vec![(Vec::new(), false); cores],
+                shared,
+            }
+        }
+
+        fn dma_write(&mut self, addr: u64, len: usize) -> SimTime {
+            let sh = &self.shared;
+            let (first, last) = sh.lines_covering(addr, len);
+            let mut cost = SimTime::ZERO;
+            let stashing = sh.stashing_enabled();
+            let mut delivered = Vec::new();
+            for line in first..=last {
+                let byte = line * sh.line_size as u64;
+                delivered.push(byte);
+                if stashing {
+                    let victim = sh.llc[SharedHierarchy::stripe_of(line)]
+                        .lock()
+                        .stash_line(line);
+                    if let Some(victim) = victim {
+                        let victim_line = victim * LLC_STRIPES as u64 + line % LLC_STRIPES as u64;
+                        cost += sh.dram_writeback(victim_line);
+                        sh.stats.writebacks.fetch_add(1, Ordering::Relaxed);
+                    }
+                    sh.stats.stashed_lines.fetch_add(1, Ordering::Relaxed);
+                    cost += sh.cfg.latency.stash_install;
+                } else {
+                    {
+                        let mut stripe = sh.llc[SharedHierarchy::stripe_of(line)].lock();
+                        stripe.cache.evict_line(LlcStripe::fold(line));
+                        stripe.prefetched.remove(&LlcStripe::fold(line));
+                    }
+                    sh.stats.dma_dram_lines.fetch_add(1, Ordering::Relaxed);
+                    cost += sh.dram_writeback(line);
+                }
+                for l3 in &sh.l3 {
+                    l3.lock().invalidate(byte);
+                }
+            }
+            for (lines, flush_all) in &mut self.inboxes {
+                if !*flush_all {
+                    if lines.len() + delivered.len() > INVAL_INBOX_LIMIT {
+                        lines.clear();
+                        *flush_all = true;
+                    } else {
+                        lines.extend_from_slice(&delivered);
+                    }
+                }
+            }
+            cost
+        }
+
+        fn access(&mut self, core: usize, addr: u64, len: usize, kind: AccessKind) -> SimTime {
+            let bus = &mut self.buses[core];
+            let (lines, flush_all) = std::mem::take(&mut self.inboxes[core]);
+            if flush_all {
+                bus.l1.clear();
+                bus.l2.clear();
+                bus.prefetcher.reset();
+                bus.stats.invalidations_applied += 1;
+            }
+            for byte in lines {
+                let present = bus.l1.contains(byte) || bus.l2.contains(byte);
+                bus.l1.invalidate(byte);
+                bus.l2.invalidate(byte);
+                if present {
+                    bus.stats.invalidations_applied += 1;
+                }
+            }
+            bus.access(core, addr, len, kind)
+        }
+    }
+
+    /// One step of a seeded interleaving: a delivery, or an access from one of
+    /// the two cores, over a footprint small enough that deliveries overlap each
+    /// other and the lines the cores hold.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Dma {
+            addr: u64,
+            len: usize,
+        },
+        Access {
+            core: usize,
+            addr: u64,
+            len: usize,
+            kind: AccessKind,
+        },
+    }
+
+    fn random_step(rng: &mut StdRng) -> Step {
+        // Unaligned starts inside 64 KiB; lengths from one byte to 16 KiB, short
+        // ones most often.
+        let addr = 0x10_0000 + rng.gen_range(0..0x1_0000u64);
+        let len = match rng.gen_range(0..4u32) {
+            0 => rng.gen_range(1..16 * 1024 + 1usize),
+            1 => rng.gen_range(1..2048usize),
+            _ => rng.gen_range(1..200usize),
+        };
+        if rng.gen_range(0..3u32) == 0 {
+            Step::Dma { addr, len }
+        } else {
+            let kind =
+                [AccessKind::Read, AccessKind::Write, AccessKind::Fetch][rng.gen_range(0..3usize)];
+            Step::Access {
+                core: rng.gen_range(0..2usize),
+                addr,
+                len: len.min(1024),
+                kind,
+            }
+        }
+    }
+
+    /// Everything observable about a hierarchy and its two buses.
+    fn observe(
+        sh: &SharedHierarchy,
+        buses: &[CoreBus],
+    ) -> (
+        HierarchyStats,
+        CacheStats,
+        u64,
+        Vec<CoreCacheStats>,
+        Vec<bool>,
+    ) {
+        let resident = (0..0x1_0000u64 / 64 + 260)
+            .map(|l| sh.llc_contains(0x10_0000 + l * 64))
+            .collect();
+        (
+            sh.stats(),
+            sh.llc_stats(),
+            sh.dram_model_accesses(),
+            buses.iter().map(CoreBus::stats).collect(),
+            resident,
+        )
+    }
+
+    #[test]
+    fn run_delivery_matches_the_line_by_line_model() {
+        for seed in 0..6u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut cfg = TestbedConfig::tiny_for_tests();
+            cfg.prefetch.enabled = seed % 2 == 0;
+            let mut reference = LineByLine::new(cfg.clone(), 2);
+            let sh = Arc::new(SharedHierarchy::new(cfg));
+            let mut buses = vec![sh.core_bus(0), sh.core_bus(1)];
+            for step in 0..3000 {
+                if step % 500 == 0 {
+                    let stashing = rng.gen::<bool>();
+                    sh.set_stashing(stashing);
+                    reference.shared.set_stashing(stashing);
+                }
+                let what = random_step(&mut rng);
+                let (got, want) = match what {
+                    Step::Dma { addr, len } => {
+                        (sh.dma_write(addr, len), reference.dma_write(addr, len))
+                    }
+                    Step::Access {
+                        core,
+                        addr,
+                        len,
+                        kind,
+                    } => (
+                        buses[core].access(core, addr, len, kind),
+                        reference.access(core, addr, len, kind),
+                    ),
+                };
+                assert_eq!(got, want, "seed {seed} step {step}: cost of {what:?}");
+                if step % 50 == 0 {
+                    assert_eq!(
+                        observe(&sh, &buses),
+                        observe(&reference.shared, &reference.buses),
+                        "seed {seed} step {step}"
+                    );
+                }
+            }
+            assert_eq!(
+                observe(&sh, &buses),
+                observe(&reference.shared, &reference.buses),
+                "seed {seed}"
+            );
+            assert!(buses.iter().any(|b| b.stats().invalidations_applied > 0));
+        }
+    }
+
+    #[test]
+    fn inbox_overflows_at_the_same_line_count_as_the_address_list_did() {
+        // Exactly INVAL_INBOX_LIMIT pending lines are still dropped one by one;
+        // one more degrades to the full flush, which counts as one invalidation
+        // and also takes the untouched line 0x9000 with it.
+        for (extra, flushed) in [(0usize, false), (1, true)] {
+            let mut reference = LineByLine::new(TestbedConfig::tiny_for_tests(), 1);
+            let sh = shared();
+            let mut bus = sh.core_bus(0);
+            for addr in [0x9000u64, 0x20_0000] {
+                bus.access(0, addr, 64, AccessKind::Read);
+                reference.access(0, addr, 64, AccessKind::Read);
+            }
+            // 2048 + 2047 lines, unaligned, then one line or two.
+            let half = INVAL_INBOX_LIMIT / 2 * 64;
+            for (addr, len) in [
+                (0x20_0010u64, half - 64),
+                (0x40_0010, half - 128),
+                (0x60_0000, 64 + extra),
+            ] {
+                assert_eq!(sh.dma_write(addr, len), reference.dma_write(addr, len));
+            }
+            bus.access(0, 0x9000, 64, AccessKind::Read);
+            reference.access(0, 0x9000, 64, AccessKind::Read);
+            assert_eq!(bus.stats(), reference.buses[0].stats());
+            assert_eq!(bus.stats().invalidations_applied, 1);
+            assert_eq!(bus.stats().l1_hits, u64::from(!flushed));
+        }
     }
 }
