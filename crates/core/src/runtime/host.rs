@@ -1,17 +1,45 @@
-//! The receiver-side host: shared state, the dispatch engine, and the public
+//! The receiver-side host: shared state, the receive pipeline, and the public
 //! [`TwoChainsHost`] facade over the sharded receive path.
 //!
-//! The dispatch engine lives on [`HostCore`] and takes `&self` plus one
+//! The pipeline lives on [`HostCore`] and takes `&self` plus one
 //! `&mut ReceiverShard`: everything shared is either read-mostly (namespace,
 //! Local Function library, banks, config, the `Arc`-shared read-only segment
 //! base) or behind its own fine-grained synchronisation (striped cache levels,
 //! the injection caches, the exclusive jam space), so any number of shards can
-//! run the engine concurrently. Simulated memory is charged through the shard's
-//! own per-core bus (private L1/L2, no lock on a private hit), and execution
+//! run it concurrently. Simulated memory is charged through the shard's own
+//! per-core bus (private L1/L2, no lock on a private hit), and execution
 //! takes the exclusive address-space lock only in
 //! [`SpaceMode::Exclusive`] or for jams that declare cross-shard writes — in
 //! [`SpaceMode::ShardLocal`] everything else runs against the shard's private
 //! segments and the lock-free read-only base.
+//!
+//! # The receive pipeline
+//!
+//! The paper's receiver is a short fixed path — wait on the signal byte, read
+//! the header, patch the GOT, jump (§IV–§VI). Here it is seven stages over
+//! one borrowed [`DrainCtx`] (the shard's core, bus, space, cache handle,
+//! stats and armed replay filter — [`ReceiverShard::stages`] splits it off
+//! from the scratch buffer the parsed frame borrows), each a function on
+//! [`HostCore`]; a stage boundary is where a per-layer charge or a trace
+//! hook belongs:
+//!
+//! | stage | function | what happens |
+//! |---|---|---|
+//! | 1 scan | `receive_burst_inner` (one poll over the shard's banks, poisoned slots quarantined) or `receive_owned` (one mailbox, the wait model charged) | which mailboxes hold a frame |
+//! | 2 parse / unbatch | `drain_slot` | readiness check, read into scratch, a plain frame or a batch container's header prologue and inner frames |
+//! | 3 admit | `admit` | destination slot validated, replay filter probed, the frame accounted and its [`ReceiveOutcome`] built |
+//! | 4 resolve image | `resolve_image` (`injected_got`, `injected_program`, `local_image`) | GOT and executable image, through the injection caches or the Local Function library |
+//! | 5 execute | `execute_stage` | space picked once, sections mapped, image run, sections unmapped |
+//! | 6 continue chain | `continue_chain` | each continuation stage is stage 5 again, with `chain.*` sections and the context cell |
+//! | 7 retire | `retire` | gap watcher noted, drain clock advanced, credit returned (`return_credit` / `return_replay_credit`) |
+//!
+//! Stages 2–6 leave one `Retired` entry per frame; both callers loop over
+//! what a slot produced and retire each entry the same way. Three orderings
+//! are part of the model (the golden trace in `tests/receive_trace.rs` pins
+//! them): the bus is charged header read → GOT probe → code probe / slab
+//! write → execution → per chain stage context-cell write → execution; cycle
+//! counts round once per frame (plus once for a container's prologue); and a
+//! container executes all its inner frames before any is retired.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -26,19 +54,20 @@ use twochains_jamvm::{
 use twochains_linker::{ElementId, LinkerNamespace, Package, Ried};
 use twochains_memsim::cycles::WaitOutcome;
 use twochains_memsim::{
-    AccessKind, CoreBus, CoreCacheStats, HierarchyStats, MemoryBus, MemoryStressor,
-    SharedHierarchy, SimTime,
+    AccessKind, CoreCacheStats, HierarchyStats, MemoryBus, MemoryStressor, SharedHierarchy, SimTime,
 };
 
-use super::credit::{CreditHandshake, CreditReturn, FlushOutcome};
+use super::credit::{CreditHandshake, CreditPutOutcome, CreditReturn, FlushOutcome};
 use super::injection_cache::{CachedGot, CachedProgram, CachedResolved, InjectionCache};
-use super::shard::{ReceiverShard, ShardDrain};
+use super::shard::{DrainCtx, ReceiverShard, ShardDrain};
 use super::{BurstFrame, BurstOutcome, ReceiveOutcome};
 use crate::bank::MailboxBank;
 use crate::builtin::BuiltinJam;
-use crate::config::{CreditFlushPolicy, ExecutionPolicy, InvocationMode, RuntimeConfig, SpaceMode};
+use crate::config::{CreditFlushPolicy, ExecutionPolicy, RuntimeConfig, SpaceMode};
 use crate::error::{AmError, AmResult};
-use crate::frame::{is_batch, BatchView, ChainArgMap, FrameView, FRAME_HEADER_SIZE};
+use crate::frame::{
+    is_batch, BatchView, ChainArgMap, ChainDescriptor, FrameView, FRAME_HEADER_SIZE,
+};
 use crate::mailbox::MailboxTarget;
 use crate::stats::RuntimeStats;
 
@@ -90,54 +119,48 @@ const CHAIN_CTX_BASE: u64 = 0x9E00_0000;
 /// Address stride between consecutive cores' chain-context cells.
 const CHAIN_CTX_STRIDE: u64 = 0x100;
 
-/// What the dispatch engine did with one occupied slot (internal: the public
-/// burst/single-slot wrappers translate it).
+/// What the receive pipeline did with one frame, tagged with the slot whose
+/// flow-control credit it retires: its own mailbox for a plain frame, its
+/// *declared* destination slot for an inner frame of a batch container.
 #[derive(Debug)]
-enum SlotOutcome {
+enum Retired {
     /// The frame was dispatched (and executed, unless execution is skipped).
     Executed {
+        slot: usize,
         /// The frame's header sequence number, for the shard's gap watcher.
         sn: u32,
         outcome: ReceiveOutcome,
     },
     /// The frame was a duplicate or stale replay of a sequence number this
-    /// slot already executed: silently retired (slot cleared, credit
-    /// re-published idempotently, nothing executed). Only produced when the
-    /// shard's reliability layer is armed.
-    Replayed { sn: u32 },
-    /// The slot held a multi-frame batch container: every inner frame was
-    /// processed in order (executed, replay-suppressed, or rejected — each
-    /// against its *declared* destination slot) and the carrier mailbox was
-    /// cleared once. The caller folds each inner entry through the same
-    /// sequence-watch and credit bookkeeping a standalone frame gets. (The
-    /// container's own sequence number — its first inner frame's — needs no
-    /// slot here: every inner outcome carries its declared sn.)
-    Batch { frames: Vec<InnerOutcome> },
+    /// slot already executed: retired silently (credit re-published
+    /// idempotently, nothing executed). Only produced when the shard's
+    /// reliability layer is armed.
+    Replayed { slot: usize, sn: u32 },
+    /// The frame could not be admitted or its dispatch failed. `slot` is
+    /// reported as declared, even when the bank has no such slot (in which
+    /// case there is no credit to return).
+    Rejected { slot: usize, err: AmError },
 }
 
-/// What the dispatch engine did with one inner frame of a batch container.
-/// Mirrors the single-slot outcomes, tagged with the frame's declared
-/// destination slot — the slot whose flow-control credit it retires.
-#[derive(Debug)]
-enum InnerOutcome {
-    Executed {
-        slot: usize,
-        sn: u32,
-        outcome: ReceiveOutcome,
-    },
-    Replayed {
-        slot: usize,
-        sn: u32,
-    },
-    Rejected {
-        slot: usize,
-        err: AmError,
-    },
+/// One occupied mailbox as a caller hands it to the pipeline: coordinates
+/// plus the frame length its scan observed (`None`: discover it with the
+/// variable-frame two-step protocol).
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    bank: usize,
+    slot: usize,
+    frame_len: Option<usize>,
 }
 
-/// The dispatch core's answer for one parsed frame (single or batched):
-/// everything `receive_frame`/the batch loop needs to account the frame and
-/// build its [`ReceiveOutcome`].
+/// The wait of a frame whose readiness somebody else already paid for: a
+/// burst scan's single poll, or the container an inner frame arrived in.
+const NO_WAIT: WaitOutcome = WaitOutcome {
+    elapsed: SimTime::ZERO,
+    cycles: 0,
+};
+
+/// The dispatch stages' answer for one admitted frame: everything `admit`
+/// needs to account the frame and build its [`ReceiveOutcome`].
 #[derive(Debug)]
 struct DispatchedFrame {
     handler_time: SimTime,
@@ -146,15 +169,17 @@ struct DispatchedFrame {
     exec_stats: Option<ExecStats>,
 }
 
-/// How the wait preceding a frame's processing is charged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WaitCharge {
-    /// The receiver waited on this mailbox's signal byte (the single-slot
-    /// `receive` path): charge the full wait model for `arrival - ready_since`.
-    Signal,
-    /// Readiness was observed by a burst scan that already charged its (single)
-    /// poll: charge no per-frame wait.
-    Scanned,
+impl DispatchedFrame {
+    /// Account one finished execution of the frame (its primary jam or a
+    /// chain stage): its time, its result — the running value a chain
+    /// threads forward — and its counters.
+    fn ran(&mut self, stats: &mut RuntimeStats, exec: &ExecStats) {
+        self.exec_time += exec.total_time();
+        self.handler_time += exec.total_time();
+        self.result = exec.result;
+        stats.superinstructions_executed += exec.superinstructions;
+        stats.executions += 1;
+    }
 }
 
 /// One entry of the Local Function library: the program as loaded from the package,
@@ -195,6 +220,26 @@ fn run_image(
     }
 }
 
+/// The resolve stage's answer, and the execute stage's input: what to run,
+/// the GOT it runs against and where its code lives in simulated memory.
+struct StageImage {
+    image: ExecImage,
+    got: Arc<GotImage>,
+    code_base: u64,
+}
+
+/// One section of the frame as a stage sees it: mapped (as a fresh copy, so a
+/// stage cannot corrupt another's view) at the mailbox address the NIC
+/// delivered it to, for exactly the stage's execution.
+#[derive(Clone, Copy)]
+struct Section<'a> {
+    name: &'static str,
+    base: u64,
+    bytes: &'a [u8],
+    writable: bool,
+    kind: SegmentKind,
+}
+
 /// Everything the receive path shares between shards. Split out of
 /// [`TwoChainsHost`] so a `&HostCore` can coexist with disjoint
 /// `&mut ReceiverShard` borrows (that split is what [`ShardDrain`] packages).
@@ -202,7 +247,7 @@ fn run_image(
 pub(crate) struct HostCore {
     handle: HostHandle,
     /// The host's shared cache levels (striped L3/LLC/DRAM); per-core private
-    /// L1/L2 live on each shard's [`CoreBus`].
+    /// L1/L2 live on each shard's `CoreBus`.
     hierarchy: Arc<SharedHierarchy>,
     config: RuntimeConfig,
     namespace: LinkerNamespace,
@@ -628,51 +673,33 @@ impl TwoChainsHost {
             missing.push(format!(
                 "sender_streams ({}) != num_shards ({shards}): the session's one-sided \
                  credit and NACK paths need the closed stream<->shard pairing \
-                 (configure with with_sender_streams({shards}) or connect with the \
-                 deprecated partial-wiring paths)",
+                 (configure with with_sender_streams({shards}))",
                 self.core.config.sender_streams
             ));
         }
-        if !missing.is_empty() {
+        let (Some(package), true) = (self.core.package.as_ref(), missing.is_empty()) else {
             return Err(AmError::InvalidConfig(format!(
                 "connect_fleet cannot wire the session: {}",
                 missing.join("; ")
             )));
-        }
+        };
         Ok(super::SessionHandshake {
-            streams: self.stream_handshakes(shards)?,
+            streams: self.stream_handshakes(package)?,
             shards,
         })
     }
 
-    /// The forward half of the exchange on its own: one
-    /// [`StreamHandshake`](super::StreamHandshake) per sender stream, each
+    /// The forward half of the exchange: one
+    /// [`StreamHandshake`](super::StreamHandshake) per receiver shard, each
     /// carrying the mailbox targets of the banks that stream owns
     /// (`bank % streams == stream`, the same deterministic map the receiver
     /// shards drain by) plus the GOT image of every element in the installed
-    /// package, resolved against *this* process's namespace. Everything in it
-    /// travels by value, so it could cross a real bootstrap channel unchanged.
-    pub(crate) fn stream_handshakes(
-        &self,
-        streams: usize,
-    ) -> AmResult<Vec<super::StreamHandshake>> {
-        if streams == 0 {
-            return Err(AmError::InvalidConfig(
-                "need at least one sender stream".into(),
-            ));
-        }
-        if streams > self.core.config.banks {
-            return Err(AmError::InvalidConfig(format!(
-                "{streams} sender streams but only {} banks: a stream would own no bank",
-                self.core.config.banks
-            )));
-        }
-        let pkg = self
-            .core
-            .package
-            .as_ref()
-            .ok_or_else(|| AmError::InvalidConfig("no package installed to hand out".into()))?;
-        let gots = pkg
+    /// `package`, resolved against *this* process's namespace. Everything in
+    /// it travels by value, so it could cross a real bootstrap channel
+    /// unchanged.
+    fn stream_handshakes(&self, package: &Package) -> AmResult<Vec<super::StreamHandshake>> {
+        let streams = self.num_shards();
+        let gots = package
             .jams()
             .map(|(id, jam)| Ok((id, self.core.namespace.resolve_got(&jam.got)?)))
             .collect::<AmResult<Vec<_>>>()?;
@@ -702,17 +729,6 @@ impl TwoChainsHost {
             .collect()
     }
 
-    /// Deprecated spelling of the forward half-exchange.
-    #[deprecated(
-        since = "0.2.0",
-        note = "export the whole session with session_handshake() and connect with \
-                SenderFleet::connect_fleet — the split handshake can leave the \
-                session partially wired (see the migration notes in CHANGES.md)"
-    )]
-    pub fn sender_handshake(&self, streams: usize) -> AmResult<Vec<super::StreamHandshake>> {
-        self.stream_handshakes(streams)
-    }
-
     /// Install the reverse half of the fleet connection: the one-sided
     /// credit-return path (§VI-A2). Each [`CreditHandshake`] carries the
     /// descriptor of one stream's [`BankFlags`](crate::bank::BankFlags) credit
@@ -728,7 +744,7 @@ impl TwoChainsHost {
     /// every drain shard exactly one stream to credit.
     /// [`SenderFleet::connect_fleet`](super::SenderFleet::connect_fleet) calls
     /// this as the reverse half of its exchange.
-    pub(crate) fn install_credit_returns_inner(
+    pub(crate) fn install_credit_returns(
         &mut self,
         fabric: &SimFabric,
         handshakes: Vec<CreditHandshake>,
@@ -805,21 +821,6 @@ impl TwoChainsHost {
             shard.watch = super::shard::SeqWatch::default();
         }
         Ok(())
-    }
-
-    /// Deprecated spelling of the reverse half-exchange.
-    #[deprecated(
-        since = "0.2.0",
-        note = "connect with SenderFleet::connect_fleet, which installs the credit \
-                returns as part of the one session exchange (see the migration \
-                notes in CHANGES.md)"
-    )]
-    pub fn install_credit_returns(
-        &mut self,
-        fabric: &SimFabric,
-        handshakes: Vec<CreditHandshake>,
-    ) -> AmResult<()> {
-        self.install_credit_returns_inner(fabric, handshakes)
     }
 
     /// Whether every shard has its one-sided credit-return path installed
@@ -974,6 +975,910 @@ impl TwoChainsHost {
 }
 
 impl HostCore {
+    // ---- callers: the two scans that feed the pipeline ---------------------
+
+    /// Single-slot receive through `shard`, charging the wait model: a scan
+    /// of one. Whatever the slot held is retired — its credit returned (see
+    /// [`HostCore::return_credit`]) and the pending set flushed — before the
+    /// call returns, so its token is never left withheld. The credit posting
+    /// cost is charged to the shard's counters but not folded into the
+    /// returned outcome's handler time — it belongs to the drain core's next
+    /// activity, exactly like the burst path's clock advance.
+    ///
+    /// The single-outcome contract: the caller sees the *last executed*
+    /// frame's outcome (for a container, its `handler_done` is when the whole
+    /// batch finished on the drain core); if nothing executed, the first
+    /// rejection — the frame is still retired: slot cleared, counted in
+    /// `frames_rejected`, credited; and [`AmError::Empty`] when the slot held
+    /// nothing (which retires nothing) or only suppressed replays — a
+    /// duplicate must be observationally invisible.
+    pub(crate) fn receive_owned(
+        &self,
+        shard: &mut ReceiverShard,
+        bank: usize,
+        slot: usize,
+        frame_len: Option<usize>,
+        arrival: SimTime,
+        ready_since: SimTime,
+    ) -> AmResult<ReceiveOutcome> {
+        let wait = self
+            .config
+            .wait_model
+            .wait(self.config.wait_mode, arrival.saturating_sub(ready_since));
+        let at = Slot {
+            bank,
+            slot,
+            frame_len,
+        };
+        let mut retired = Vec::new();
+        let (scratch, mut ctx) = shard.stages();
+        self.drain_slot(scratch, &mut ctx, at, ready_since, wait, &mut retired)?;
+        let mut clock = arrival;
+        let credited = retired
+            .iter()
+            .try_for_each(|r| self.retire(shard, &mut clock, bank, r));
+        // The abort-safe flush runs whatever happened above: a retired
+        // frame's token must not stay withheld behind an error.
+        let flushed = Self::flush_credits(shard, &mut clock);
+        let mut answer = Err(AmError::Empty);
+        for r in retired {
+            match r {
+                Retired::Executed { outcome, .. } => answer = Ok(outcome),
+                Retired::Rejected { err, .. } if matches!(answer, Err(AmError::Empty)) => {
+                    answer = Err(err)
+                }
+                _ => {}
+            }
+        }
+        // A rejection is the caller's answer; a credit-put failure on top of
+        // it would only mask the root cause.
+        if matches!(answer, Ok(_) | Err(AmError::Empty)) {
+            credited?;
+            flushed?;
+        }
+        answer
+    }
+
+    /// One-scan burst drain of the banks `shard` owns (see
+    /// [`TwoChainsHost::receive_burst`]).
+    ///
+    /// Every exit — drained, empty scan, or a propagated credit error — runs
+    /// the idle/abort credit flush, so a token accumulated for any retired
+    /// frame is published before control leaves the burst engine: an aborted
+    /// burst may drop its already-executed outcomes, but never a credit. On
+    /// an error the original error takes precedence over any flush failure.
+    pub(crate) fn receive_burst(
+        &self,
+        shard: &mut ReceiverShard,
+        max_frames: usize,
+        now: SimTime,
+    ) -> AmResult<BurstOutcome> {
+        let mut clock = now;
+        let result = self.receive_burst_inner(shard, max_frames, &mut clock);
+        let flushed = Self::flush_credits(shard, &mut clock);
+        let mut outcome = result?;
+        flushed?;
+        outcome.drained_at = clock;
+        Ok(outcome)
+    }
+
+    /// The burst scan proper: poll, quarantine, then drain and retire slot by
+    /// slot. `clock` tracks drain-virtual time even across an error return,
+    /// so the caller's abort-safe flush charges its posting at the right
+    /// instant.
+    fn receive_burst_inner(
+        &self,
+        shard: &mut ReceiverShard,
+        max_frames: usize,
+        clock: &mut SimTime,
+    ) -> AmResult<BurstOutcome> {
+        // A single poll pass over the shard's banks: ready frames to drain, plus
+        // poisoned slots (header magic set but an out-of-range declared length)
+        // quarantined on the spot — a burst-only receiver would otherwise never
+        // reclaim them.
+        let (ready, mut rejected) = self.banks.scan_burst(shard.mask(), max_frames);
+        // Quarantined poisoned slots are counted in the shard's stats (and so
+        // survive the host-wide merge) as well as reported per burst.
+        shard.stats.poisoned_quarantined += rejected.len() as u64;
+        // That one scan observes readiness for every frame at once: charge a
+        // single zero-length wait (one poll boundary) instead of the per-message
+        // wait the single-slot path pays.
+        let scan = self
+            .config
+            .wait_model
+            .wait(self.config.wait_mode, SimTime::ZERO);
+        shard.stats.wait_time += scan.elapsed;
+        shard.stats.cycles.add_wait(scan.cycles);
+        *clock += scan.elapsed;
+        // A quarantined slot was cleared by the scan, so its credit goes back
+        // right away: the paired lane must be able to reuse the slot even
+        // though no frame was ever dispatched from it — otherwise a single
+        // poisoning put would wedge the lane forever.
+        for (bank, slot, _) in &rejected {
+            self.return_credit(shard, clock, *bank, *slot)?;
+        }
+        let mut frames = Vec::with_capacity(ready.len());
+        // What one slot retired, reused across the scan: a plain frame yields
+        // one entry, a container one per inner frame.
+        let mut retired = Vec::new();
+        for (bank, slot, frame_len) in ready {
+            let at = Slot {
+                bank,
+                slot,
+                frame_len: Some(frame_len),
+            };
+            let (scratch, mut ctx) = shard.stages();
+            if let Err(err) = self.drain_slot(scratch, &mut ctx, at, *clock, NO_WAIT, &mut retired)
+            {
+                // The scan saw a frame here; if it is gone again the slot
+                // still has to earn its flow-control credit back.
+                self.reject_slot(at, err, &mut retired);
+            }
+            // Each entry gets the bookkeeping a standalone frame gets — its
+            // own gap-watch note, its own credit token the moment the slot is
+            // clear again, its own rejection record — against the slot it
+            // names. A suppressed replay is invisible to the burst outcome.
+            for r in retired.drain(..) {
+                self.retire(shard, clock, bank, &r)?;
+                match r {
+                    Retired::Executed { slot, outcome, .. } => frames.push(BurstFrame {
+                        bank,
+                        slot,
+                        outcome,
+                    }),
+                    Retired::Rejected { slot, err } => rejected.push((bank, slot, err)),
+                    Retired::Replayed { .. } => {}
+                }
+            }
+        }
+        // The scan is complete: age the gap watcher and report anything that
+        // has now outlived the scan-jumble horizon.
+        Self::post_due_nacks(shard, clock)?;
+        Ok(BurstOutcome {
+            frames,
+            rejected,
+            drained_at: *clock,
+        })
+    }
+
+    // ---- stages 1–3: scan → parse/unbatch → admit --------------------------
+
+    /// Drain one mailbox: observe it (the caller's `wait` plus scheduler
+    /// jitter), check and read it into `scratch`, parse it — a plain frame or
+    /// a batch container — and admit every frame it carries, pushing what
+    /// became of each onto `out`. `Err` means nothing was retired: no such
+    /// mailbox, or nothing in it ([`AmError::Empty`]). Anything else the
+    /// slot held that cannot be admitted is retired as a rejection.
+    ///
+    /// A plain frame is the one-frame case: its own wait, its own mailbox
+    /// cleared. A container pays one readiness check and one header-read
+    /// prologue for all its inner frames, each then admitted back-to-back
+    /// against its *declared* destination slot (the slot whose credit the
+    /// sender consumed for it). Only the carrier mailbox is cleared, once:
+    /// the declared slots were never written. All inner frames execute before
+    /// any is retired, so a credit flush in the middle of a container cannot
+    /// delay the next inner frame. A retransmitted container re-executes
+    /// nothing — every inner frame hits its slot's replay filter.
+    fn drain_slot(
+        &self,
+        scratch: &mut Vec<u8>,
+        ctx: &mut DrainCtx<'_>,
+        at: Slot,
+        ready_since: SimTime,
+        wait: WaitOutcome,
+        out: &mut Vec<Retired>,
+    ) -> AmResult<()> {
+        let mailbox = self.banks.mailbox(at.bank, at.slot)?;
+        // `stressed()` is one atomic load; the stressor lock is only taken when
+        // a stressor is actually attached. Drawn before anything is charged:
+        // jitter and DRAM queueing share the stressor's random stream.
+        let detected_at = ready_since + wait.elapsed + self.hierarchy.scheduler_jitter();
+        let admitted = (|| -> AmResult<()> {
+            let frame_len = match at.frame_len {
+                Some(len) => {
+                    if !mailbox.poll_fixed(len)? {
+                        return Err(AmError::Empty);
+                    }
+                    len
+                }
+                None => mailbox.poll_variable()?.ok_or(AmError::Empty)?,
+            };
+            mailbox.read_frame_into(frame_len, scratch)?;
+            let base = mailbox.base_addr();
+            if !is_batch(scratch) {
+                let frame = FrameView::parse(scratch)?;
+                let retired = self.admit(ctx, at.bank, at.slot, &frame, base, detected_at, wait)?;
+                mailbox.clear(frame_len)?;
+                out.push(retired);
+                return Ok(());
+            }
+            let view = BatchView::parse(scratch)?;
+            // One container-header read is the whole prologue: inner headers
+            // are still read per frame (that work is real), but readiness was
+            // checked once and the outer parse validated the whole envelope.
+            let prologue = ctx
+                .bus
+                .access(ctx.core, base, FRAME_HEADER_SIZE, AccessKind::Read);
+            ctx.stats.exec_time += prologue;
+            ctx.stats.wait_time += wait.elapsed;
+            ctx.stats.cycles.add_wait(wait.cycles);
+            ctx.stats
+                .cycles
+                .add_work_time(prologue, self.config.wait_model.core_freq_ghz);
+            let mut clock = detected_at + prologue;
+            for (ix, &(dest, bytes)) in view.frames().iter().enumerate() {
+                let dest = dest as usize;
+                // The inner frame's bytes live inside the carrier slot's
+                // memory, so its charged addresses are carrier-relative.
+                let inner_base =
+                    base + (bytes.as_ptr() as usize - scratch.as_ptr() as usize) as u64;
+                let retired = FrameView::parse(bytes)
+                    .map_err(|err| AmError::BadFrame(format!("batch inner frame {ix}: {err}")))
+                    .and_then(|frame| {
+                        self.admit(ctx, at.bank, dest, &frame, inner_base, clock, NO_WAIT)
+                    })
+                    .unwrap_or_else(|err| Retired::Rejected { slot: dest, err });
+                if let Retired::Executed { outcome, .. } = &retired {
+                    ctx.stats.batch_frames_received += 1;
+                    clock = outcome.handler_done;
+                }
+                out.push(retired);
+            }
+            // One clear retires the whole container: the release header the
+            // sender published covers every inner frame.
+            mailbox.clear(frame_len)?;
+            ctx.stats.batches_received += 1;
+            Ok(())
+        })();
+        match admitted {
+            Err(AmError::Empty) => Err(AmError::Empty),
+            Err(err) => {
+                self.reject_slot(at, err, out);
+                Ok(())
+            }
+            Ok(()) => Ok(()),
+        }
+    }
+
+    /// Retire a mailbox whose contents the pipeline refused (malformed
+    /// header or envelope, policy violation, unknown element, a failed chain
+    /// stage, ...): free it so the bank cannot wedge. Without a trustworthy
+    /// length, clearing the header magic alone makes the slot poll empty
+    /// again (the same gate the quarantine path clears).
+    fn reject_slot(&self, at: Slot, err: AmError, out: &mut Vec<Retired>) {
+        if let Ok(mailbox) = self.banks.mailbox(at.bank, at.slot) {
+            let _ = mailbox.clear(at.frame_len.unwrap_or(FRAME_HEADER_SIZE));
+        }
+        out.push(Retired::Rejected { slot: at.slot, err });
+    }
+
+    /// Admit one parsed frame whose wire bytes live at `base_addr` and whose
+    /// credit belongs to (`bank`, `slot`), and account it: validate the
+    /// slot, probe the replay filter, run the dispatch stages from `start`,
+    /// charge the shard's counters, and build the frame's [`ReceiveOutcome`].
+    /// `wait` is charged only if the frame executes. `Err` is a rejection
+    /// (the frame's slot is the caller's to free).
+    ///
+    /// The slot comes off the wire for an inner frame of a container, so it
+    /// is checked before anything is indexed by it: a slot the bank does not
+    /// have would otherwise land in another mailbox's replay entry.
+    ///
+    /// Idempotent replay suppression (armed flows only): a frame whose
+    /// sequence number is not strictly newer than the last one executed from
+    /// its slot is a duplicate delivery or a stale retransmit — the original
+    /// already executed and was credited, so the copy retires silently (no
+    /// dispatch, no stats that would diverge from the lossless run). `0` is
+    /// the never-executed sentinel; the sender's sequence space starts at 1,
+    /// so it cannot collide.
+    #[allow(clippy::too_many_arguments)]
+    fn admit(
+        &self,
+        ctx: &mut DrainCtx<'_>,
+        bank: usize,
+        slot: usize,
+        frame: &FrameView<'_>,
+        base_addr: u64,
+        start: SimTime,
+        wait: WaitOutcome,
+    ) -> AmResult<Retired> {
+        let per_bank = self.banks.per_bank();
+        if slot >= per_bank {
+            return Err(AmError::BadFrame(format!(
+                "frame declares destination slot {slot} of a {per_bank}-slot bank"
+            )));
+        }
+        let sn = frame.header.sn;
+        if let Some(&mut last) = ctx.replay_entry(per_bank, bank, slot) {
+            if last != 0 && !super::shard::sn_newer(sn, last) {
+                ctx.stats.replays_suppressed += 1;
+                return Ok(Retired::Replayed { slot, sn });
+            }
+        }
+        let dispatched = self.dispatch(ctx, frame, base_addr)?;
+        ctx.stats.messages_received += 1;
+        ctx.stats.wait_time += wait.elapsed;
+        ctx.stats.exec_time += dispatched.handler_time;
+        ctx.stats.cycles.add_wait(wait.cycles);
+        // One rounding per frame: cycles are charged on the whole handler time.
+        ctx.stats.cycles.add_work_time(
+            dispatched.handler_time,
+            self.config.wait_model.core_freq_ghz,
+        );
+        if let Some(last) = ctx.replay_entry(per_bank, bank, slot) {
+            *last = sn;
+        }
+        Ok(Retired::Executed {
+            slot,
+            sn,
+            outcome: ReceiveOutcome {
+                detected_at: start,
+                handler_done: start + dispatched.handler_time,
+                wait,
+                exec: dispatched.exec_stats,
+                result: dispatched.result,
+                handler_time: dispatched.handler_time,
+                dispatch_time: dispatched.handler_time - dispatched.exec_time,
+            },
+        })
+    }
+
+    // ---- stages 4–6: resolve image → execute → continue chain --------------
+
+    /// The dispatch stages for one admitted frame: header read, mode split,
+    /// policy check, image resolution, the primary execution and the chain's
+    /// continuation stages. Charges everything to `ctx.stats` except the
+    /// per-frame accounting (`messages_received`, wait, cycles), which is
+    /// [`HostCore::admit`]'s.
+    fn dispatch(
+        &self,
+        ctx: &mut DrainCtx<'_>,
+        frame: &FrameView<'_>,
+        base_addr: u64,
+    ) -> AmResult<DispatchedFrame> {
+        // Read the header, charged through this shard's own core bus —
+        // private L1/L2 lookups take no lock; only misses touch the striped
+        // shared levels.
+        let header = ctx
+            .bus
+            .access(ctx.core, base_addr, FRAME_HEADER_SIZE, AccessKind::Read);
+        let injected = frame.header.injected;
+        let mut done = DispatchedFrame {
+            handler_time: header
+                + SimTime::from_ns_f64(if injected {
+                    self.config.injected_dispatch_ns
+                } else {
+                    self.config.local_dispatch_ns
+                }),
+            exec_time: SimTime::ZERO,
+            result: 0,
+            exec_stats: None,
+        };
+        if self.config.skip_execution {
+            return Ok(done);
+        }
+        if injected
+            && self.config.security.require_execute_permission
+            && !self.mailbox_region.flags().remote_execute
+        {
+            return Err(AmError::PolicyViolation(
+                "mailbox region lacks remote-execute permission".into(),
+            ));
+        }
+        let primary = self.resolve_image(ctx, frame, base_addr, &mut done.handler_time)?;
+
+        // The message's ARGS and USR sections map at their mailbox addresses
+        // so every access is charged against the lines the NIC delivered.
+        // These are the only sections copied out of the receive buffer — the
+        // jam may write to them (subject to policy), so they need their own
+        // backing store.
+        let args = Section {
+            name: "msg.args",
+            base: base_addr + frame.args_offset() as u64,
+            bytes: frame.args,
+            writable: !self.config.security.read_only_args,
+            kind: SegmentKind::Args,
+        };
+        let usr = Section {
+            name: "msg.usr",
+            base: base_addr + frame.usr_offset() as u64,
+            bytes: frame.usr,
+            writable: !self.config.security.read_only_payload,
+            kind: SegmentKind::Payload,
+        };
+        // The primary jam: the first call of the stage executor.
+        let exec = self.execute_stage(
+            ctx,
+            frame.header.elem_id,
+            &primary,
+            &[args, usr],
+            [args.base, usr.base, usr.bytes.len() as u64],
+        )?;
+        done.ran(ctx.stats, &exec);
+        if injected {
+            ctx.stats.injected_executions += 1;
+        } else {
+            ctx.stats.local_executions += 1;
+        }
+        done.exec_stats = Some(exec);
+        if let Some(chain) = frame.chain.filter(|c| !c.is_empty()) {
+            self.continue_chain(ctx, &chain, args, usr, &mut done)?;
+        }
+        Ok(done)
+    }
+
+    /// The chain stage: run a frame's continuation stages after its primary
+    /// jam — each the same call of the stage executor, with `chain.*`
+    /// sections and the context cell. Jam k's result registers feed jam
+    /// k+1's entry registers through the per-chain context cell: the running
+    /// result is stored there (one charged 8-byte write), the next stage is
+    /// resolved through the Local Function library and dispatched for the
+    /// per-stage table-lookup cost — no new frame, no new wait, no re-parse.
+    /// The frame stays in its mailbox until the whole chain retires, so a
+    /// failing stage propagates `ChainStageFailed` (stages counted from the
+    /// first *continuation*) into the ordinary rejection path: the frame is
+    /// retired as a whole, one `frames_rejected`, one credit.
+    fn continue_chain(
+        &self,
+        ctx: &mut DrainCtx<'_>,
+        chain: &ChainDescriptor,
+        args: Section<'_>,
+        usr: Section<'_>,
+        done: &mut DispatchedFrame,
+    ) -> AmResult<()> {
+        let ctx_base = CHAIN_CTX_BASE + ctx.core as u64 * CHAIN_CTX_STRIDE;
+        for (idx, stage) in chain.stages().iter().enumerate() {
+            let fail = |reason: String| AmError::ChainStageFailed { stage: idx, reason };
+            let entry = self
+                .local_lib
+                .get(&stage.elem_id)
+                .ok_or_else(|| fail(AmError::UnknownElement(stage.elem_id).to_string()))?;
+            // Per-stage dispatch: a function-pointer table lookup by element
+            // id, exactly the Local Function dispatch cost.
+            done.handler_time += SimTime::from_ns_f64(self.config.local_dispatch_ns);
+            // Publish the running result into the chain context cell.
+            done.handler_time += ctx.bus.access(ctx.core, ctx_base, 8, AccessKind::Write);
+            let cell = done.result.to_le_bytes();
+            let context = Section {
+                name: "chain.ctx",
+                base: ctx_base,
+                bytes: &cell,
+                writable: true,
+                kind: SegmentKind::Args,
+            };
+            // Entry-register contract (see `runtime` module docs): the
+            // default Result map hands the stage the context cell where a
+            // standalone send would hand it the ARGS block, so a stage
+            // observes bit-identical operands either way.
+            let entry_regs = match stage.map {
+                ChainArgMap::Result => [ctx_base, usr.base, usr.bytes.len() as u64],
+                ChainArgMap::KeepArgs => [args.base, ctx_base, 8],
+            };
+            let sections = [
+                context,
+                Section {
+                    name: "chain.args",
+                    ..args
+                },
+                Section {
+                    name: "chain.usr",
+                    ..usr
+                },
+            ];
+            let exec = self
+                .execute_stage(
+                    ctx,
+                    stage.elem_id,
+                    &self.local_image(entry),
+                    &sections,
+                    entry_regs,
+                )
+                .map_err(|e| fail(e.to_string()))?;
+            done.ran(ctx.stats, &exec);
+            ctx.stats.local_executions += 1;
+            ctx.stats.chain_stages_executed += 1;
+        }
+        ctx.stats.chain_frames += 1;
+        Ok(())
+    }
+
+    /// The resolve stage: the GOT and the executable image a frame's primary
+    /// element runs as — through the shared injection caches for an Injected
+    /// frame, by `Arc`-shared Local Function entry otherwise. Resolution work
+    /// is charged to `handler_time`.
+    ///
+    /// Under the resolved policy the warm injected path is keyed by the *NIC
+    /// delivery digest*: the DMA engine hashes the code section as the bytes
+    /// stream through at delivery (receive-side hash offload — the same
+    /// cut-through install engine that keeps up with line rate), so a warm
+    /// dispatch never reads the code section on the receiver core at all.
+    /// The digest is receiver-computed (by the receiver's own NIC), so
+    /// trusting it is security-equivalent to hashing on the core; the GOT
+    /// section is still read and hashed per message.
+    fn resolve_image(
+        &self,
+        ctx: &mut DrainCtx<'_>,
+        frame: &FrameView<'_>,
+        base_addr: u64,
+        handler_time: &mut SimTime,
+    ) -> AmResult<StageImage> {
+        let elem_id = frame.header.elem_id;
+        if !frame.header.injected {
+            let entry = self
+                .local_lib
+                .get(&elem_id)
+                .ok_or(AmError::UnknownElement(elem_id))?;
+            return Ok(self.local_image(entry));
+        }
+        let got = self.injected_got(ctx, frame, base_addr, handler_time)?;
+        if self.config.execution_policy == ExecutionPolicy::Interpret {
+            let (program, _) =
+                self.injected_program(ctx, frame, got.len(), base_addr, handler_time)?;
+            return Ok(StageImage {
+                image: ExecImage::Interpreted(program),
+                got,
+                code_base: base_addr + frame.code_offset() as u64,
+            });
+        }
+        let rkey = (elem_id, hash64_bytes(frame.code), frame.code.len());
+        if let Some(entry) = ctx.cache.lookup_resolved(rkey, &got) {
+            // The GOT is pointer-identical to the one the image was lowered
+            // against, but the verifier floor is re-checked for parity with
+            // the interpreted warm path.
+            if got.len() < entry.min_got_slots {
+                return Err(AmError::BadFrame(format!(
+                    "cached program references GOT slot {} but the \
+                     message GOT has only {} slots",
+                    entry.min_got_slots - 1,
+                    got.len()
+                )));
+            }
+            ctx.stats.resolved_cache_hits += 1;
+            // The resolved image subsumes the decoded program: a resolved hit
+            // is a code-cache hit.
+            ctx.stats.injected_code_cache_hits += 1;
+            return Ok(StageImage {
+                image: ExecImage::Resolved(entry.image),
+                got,
+                code_base: entry.code_base,
+            });
+        }
+        ctx.stats.resolved_cache_misses += 1;
+        let (program, min_got_slots) =
+            self.injected_program(ctx, frame, got.len(), base_addr, handler_time)?;
+        let image = Arc::new(resolve(&program, &got));
+        let slab = resolved_slab_base(rkey);
+        // Lowering walks the decoded program once, then the image is written
+        // into its slab (which installs its lines hot for the execution that
+        // follows and every warm re-run).
+        *handler_time += SimTime::from_ns_f64(frame.code.len() as f64 * RESOLVE_NS_PER_BYTE);
+        *handler_time += ctx.bus.access(
+            ctx.core,
+            slab,
+            image.image_bytes().max(1),
+            AccessKind::Write,
+        );
+        ctx.cache.store_resolved(
+            rkey,
+            CachedResolved {
+                got: Arc::clone(&got),
+                image: Arc::clone(&image),
+                code_base: slab,
+                min_got_slots,
+            },
+        );
+        Ok(StageImage {
+            image: ExecImage::Resolved(image),
+            got,
+            code_base: slab,
+        })
+    }
+
+    /// A Local Function entry as the execute stage runs it — the one place
+    /// the [`ExecutionPolicy`] picks between an entry's two forms. Entries
+    /// are pre-lowered at install time, so the split costs no per-message (or
+    /// per-chain-stage) work either way.
+    fn local_image(&self, entry: &LocalEntry) -> StageImage {
+        StageImage {
+            image: match self.config.execution_policy {
+                ExecutionPolicy::Resolved => ExecImage::Resolved(Arc::clone(&entry.resolved)),
+                ExecutionPolicy::Interpret => ExecImage::Interpreted(Arc::clone(&entry.program)),
+            },
+            got: Arc::clone(&entry.got),
+            code_base: entry.code_base,
+        }
+    }
+
+    /// The execute stage: map `sections` (fresh copies, for exactly this
+    /// execution), run element `elem_id`'s image with `entry_regs`, unmap. A
+    /// partial mapping never outlives the stage.
+    ///
+    /// Which space the sections map into is the [`SpaceMode`] split, picked
+    /// once: the exclusive space, under its mutex for the whole
+    /// map → execute → unmap window, or the shard's own local space with no
+    /// lock at all (reads of ried rodata go through the `Arc`-shared
+    /// read-only base; writes land in the shard's private instances). A jam
+    /// that declares cross-shard writes must see the canonical (exclusive)
+    /// instances even in shard-local mode, and the GOT scan is the runtime
+    /// backstop for messages the install-time contract check cannot see
+    /// (injected frames for elements outside the installed package, rieds
+    /// loaded without a package): a resolved Data reference into a writable
+    /// object's canonical range only works on the exclusive path, so such
+    /// messages are routed there instead of faulting Unmapped on the
+    /// lock-free one.
+    fn execute_stage(
+        &self,
+        ctx: &mut DrainCtx<'_>,
+        elem_id: u32,
+        jam: &StageImage,
+        sections: &[Section<'_>],
+        entry_regs: [u64; 3],
+    ) -> AmResult<ExecStats> {
+        let vm_cfg = VmConfig {
+            core: ctx.core,
+            code_base: jam.code_base,
+            fuel: 50_000_000,
+            freq_ghz: self.config.wait_model.core_freq_ghz,
+            ipc: 2.0,
+            extern_call_overhead: SimTime::from_ns(6),
+            entry_regs,
+        };
+        let exclusive = match self.config.space_mode {
+            SpaceMode::Exclusive => true,
+            SpaceMode::ShardLocal => {
+                self.package
+                    .as_ref()
+                    .and_then(|p| p.jam(ElementId(elem_id)).ok())
+                    .is_some_and(|j| j.cross_shard_writes)
+                    || self.got_addresses_writable_data(&jam.got)
+            }
+        };
+        let mut guard = exclusive.then(|| self.space.lock());
+        let segments: &mut AddressSpace = match guard.as_deref_mut() {
+            Some(space) => space,
+            None => &mut ctx.space.local,
+        };
+        for (i, s) in sections.iter().enumerate() {
+            let segment = Segment::new(s.name, s.base, s.bytes.to_vec(), s.writable, s.kind);
+            if let Err(e) = segments.map(segment) {
+                for mapped in &sections[..i] {
+                    segments.unmap(mapped.name);
+                }
+                return Err(AmError::Exec(e.to_string()));
+            }
+        }
+        let space: &mut dyn JamSpace = match guard.as_deref_mut() {
+            Some(space) => space,
+            None => &mut *ctx.space,
+        };
+        let exec = run_image(
+            &jam.image,
+            &jam.got,
+            self.namespace.externs(),
+            space,
+            ctx.bus,
+            &vm_cfg,
+        );
+        let segments: &mut AddressSpace = match guard.as_deref_mut() {
+            Some(space) => space,
+            None => &mut ctx.space.local,
+        };
+        for s in sections {
+            segments.unmap(s.name);
+        }
+        Ok(exec?)
+    }
+
+    /// Whether a resolved GOT image holds a `Data` reference into the
+    /// canonical address range of a writable ried object (only the exclusive
+    /// space maps those addresses; see `writable_ranges`).
+    fn got_addresses_writable_data(&self, got: &GotImage) -> bool {
+        if self.writable_ranges.is_empty() {
+            return false;
+        }
+        (0..got.len()).any(|slot| match got.get(slot) {
+            twochains_jamvm::ExternRef::Data(addr) => self
+                .writable_ranges
+                .iter()
+                .any(|&(start, end)| addr >= start && addr < end),
+            _ => false,
+        })
+    }
+
+    /// Resolve the GOT image of an injected frame, through the shared GOT caches.
+    fn injected_got(
+        &self,
+        ctx: &mut DrainCtx<'_>,
+        frame: &FrameView<'_>,
+        mailbox_base: u64,
+        handler_time: &mut SimTime,
+    ) -> AmResult<Arc<GotImage>> {
+        let elem_id = frame.header.elem_id;
+        if self.config.security.accept_sender_got {
+            // Hash (and, on a candidate hit, compare) the sender-provided image in
+            // place; like the code hash this streams the arrived bytes, so it is
+            // charged as a read of the section wherever the frame landed.
+            *handler_time += SimTime::from_ns_f64(frame.got.len() as f64 * HASH_NS_PER_BYTE);
+            *handler_time += ctx.bus.access(
+                ctx.core,
+                mailbox_base + frame.got_offset() as u64,
+                frame.got.len().max(1),
+                AccessKind::Read,
+            );
+            let key = (elem_id, hash64_bytes(frame.got));
+            if let Some(image) = ctx.cache.lookup_sender_got(key, frame.got) {
+                ctx.stats.got_cache_hits += 1;
+                return Ok(image);
+            }
+            // Miss, or a 64-bit hash collision with different bytes: re-parse and
+            // (re)place the entry.
+            ctx.stats.got_cache_misses += 1;
+            let image = Arc::new(
+                GotImage::from_bytes(frame.got)
+                    .ok_or_else(|| AmError::BadFrame("bad GOT image".into()))?,
+            );
+            *handler_time += SimTime::from_ns_f64(frame.got.len() as f64 * GOT_PARSE_NS_PER_BYTE);
+            ctx.stats.got_cache_evictions += ctx.cache.store_sender_got(
+                key,
+                CachedGot {
+                    bytes: frame.got.into(),
+                    image: Arc::clone(&image),
+                },
+            );
+            Ok(image)
+        } else {
+            // Hardened mode: ignore the sender's GOT, re-resolve locally. The cache
+            // amortises the resolution *work* (building the slot vector), but the
+            // policy's modelled per-message cost is charged on every message — the
+            // hardening of §V is a per-message check, and the cost model must keep
+            // saying so whether or not the host reuses the resolved image.
+            if let Some(got) = ctx.cache.lookup_resolved_got(elem_id) {
+                ctx.stats.got_cache_hits += 1;
+                *handler_time += self.config.security.per_message_overhead(got.len());
+                return Ok(got);
+            }
+            ctx.stats.got_cache_misses += 1;
+            let pkg = self
+                .package
+                .as_ref()
+                .ok_or(AmError::UnknownElement(elem_id))?;
+            let jam = pkg.jam(ElementId(elem_id))?;
+            *handler_time += self.config.security.per_message_overhead(jam.got.len());
+            let got = Arc::new(self.namespace.resolve_got(&jam.got)?);
+            ctx.stats.got_cache_evictions +=
+                ctx.cache.store_resolved_got(elem_id, Arc::clone(&got));
+            Ok(got)
+        }
+    }
+
+    /// Resolve the decoded program of an injected frame, through the shared code
+    /// cache. Returns the program and its verifier floor (smallest GOT slot
+    /// count it verifies against).
+    fn injected_program(
+        &self,
+        ctx: &mut DrainCtx<'_>,
+        frame: &FrameView<'_>,
+        got_slots: usize,
+        mailbox_base: u64,
+        handler_time: &mut SimTime,
+    ) -> AmResult<(Arc<[Instr]>, usize)> {
+        let code_base = mailbox_base + frame.code_offset() as u64;
+        let code_len = frame.code.len().max(1);
+        // Content hash over the arrived code: the cache-key computation. The hash
+        // streams every code byte through the receiver core, so it is charged as a
+        // full read of the section — these reads hit the LLC when the frame was
+        // stashed and go to DRAM otherwise, which keeps the stash benefit visible on
+        // the warm path too (and leaves the lines hot for the VM's fetches).
+        *handler_time += SimTime::from_ns_f64(frame.code.len() as f64 * HASH_NS_PER_BYTE);
+        *handler_time += ctx
+            .bus
+            .access(ctx.core, code_base, code_len, AccessKind::Read);
+        let key = (frame.header.elem_id, hash64_bytes(frame.code));
+        if let Some((program, min_got_slots)) = ctx.cache.lookup_program(key, frame.code) {
+            // Verification depends on the GOT size, which varies per message: the
+            // cached program must still fit inside *this* message's GOT, or a warm
+            // hit would execute a program the cold path rejects.
+            if got_slots < min_got_slots {
+                return Err(AmError::BadFrame(format!(
+                    "cached program references GOT slot {} but the message GOT has only {} slots",
+                    min_got_slots - 1,
+                    got_slots
+                )));
+            }
+            ctx.stats.injected_code_cache_hits += 1;
+            return Ok((program, min_got_slots));
+        }
+        // Miss, or a 64-bit hash collision with different bytes: re-decode and
+        // (re)place the entry.
+        ctx.stats.injected_code_cache_misses += 1;
+
+        // Cold miss: the receiver walks the freshly arrived code (relocation check +
+        // landing-pad setup), then decodes and verifies the bytecode before caching
+        // the result. Together with the hash stream above, these reads are the
+        // dominant term of the stash benefit for Injected Function messages
+        // (Figs. 9–10).
+        *handler_time += ctx
+            .bus
+            .access(ctx.core, code_base, code_len, AccessKind::Fetch);
+        let program = decode_program(frame.code).map_err(|e| AmError::BadFrame(e.to_string()))?;
+        verify(&program, got_slots).map_err(|e| AmError::BadFrame(e.to_string()))?;
+        *handler_time += SimTime::from_ns_f64(
+            frame.code.len() as f64 * (DECODE_NS_PER_BYTE + VERIFY_NS_PER_BYTE),
+        );
+        // The smallest GOT this program verifies against: later hits re-check it
+        // against their own message's GOT size in O(1).
+        let min_got_slots = program
+            .iter()
+            .filter_map(|i| match *i {
+                Instr::CallExtern { slot, .. } => Some(slot as usize + 1),
+                _ => None,
+            })
+            .max()
+            .unwrap_or(0);
+        let program: Arc<[Instr]> = program.into();
+        ctx.stats.injected_code_cache_evictions += ctx.cache.store_program(
+            key,
+            CachedProgram {
+                code: frame.code.into(),
+                program: Arc::clone(&program),
+                min_got_slots,
+            },
+        );
+        Ok((program, min_got_slots))
+    }
+
+    // ---- stage 7: retire (sequence, credit) --------------------------------
+
+    /// Retire one frame of `bank`: feed its sequence number to the gap
+    /// watcher, advance the drain clock past its handler, and return its
+    /// slot's credit — a fresh token for an executed or rejected frame, the
+    /// current one re-published for a suppressed replay. A rejected frame
+    /// naming a slot the bank does not have returns none: there is no such
+    /// slot to free.
+    ///
+    /// An executed frame *resets* `clock` to its `handler_done`: the frames
+    /// of a container execute back-to-back before any is retired, so a credit
+    /// flush posted while retiring one does not push the next one's (already
+    /// final) times back — its cost still lands in `credit_put_time`.
+    fn retire(
+        &self,
+        shard: &mut ReceiverShard,
+        clock: &mut SimTime,
+        bank: usize,
+        retired: &Retired,
+    ) -> AmResult<()> {
+        match *retired {
+            Retired::Executed {
+                slot,
+                sn,
+                ref outcome,
+            } => {
+                Self::note_sequence(shard, sn);
+                *clock = outcome.handler_done;
+                self.return_credit(shard, clock, bank, slot)
+            }
+            Retired::Replayed { slot, sn } => {
+                Self::note_sequence(shard, sn);
+                Self::return_replay_credit(shard, clock, bank, slot)
+            }
+            Retired::Rejected { slot, .. } => {
+                shard.stats.frames_rejected += 1;
+                if slot < self.banks.per_bank() {
+                    self.return_credit(shard, clock, bank, slot)
+                } else {
+                    Ok(())
+                }
+            }
+        }
+    }
+
+    /// Feed one processed sequence number (executed or suppressed) to the
+    /// shard's gap watcher, when the reliability layer is armed.
+    fn note_sequence(shard: &mut ReceiverShard, sn: u32) {
+        if shard.nack_armed() {
+            shard.watch.note(sn);
+        }
+    }
+
     /// Return the flow-control credit for a just-retired slot: mint its next
     /// token into the shard's pending row ([`CreditReturn::accumulate`]) and
     /// flush per the configured [`CreditFlushPolicy`] — immediately under
@@ -992,7 +1897,8 @@ impl HostCore {
     ///
     /// A failure here is an invariant break, not a routine condition:
     /// [`TwoChainsHost::install_credit_returns`] vets the table's geometry,
-    /// writability and disjointness up front, so the only ways a drain-time
+    /// writability and disjointness up front, and the admit stage never lets
+    /// a slot the bank does not have this far, so the only ways a drain-time
     /// credit put can fail are things like a region deregistered mid-flight.
     /// Callers propagate it (even at the cost of dropping a burst's
     /// already-executed outcomes) — losing a credit silently would wedge the
@@ -1022,7 +1928,6 @@ impl HostCore {
                 // must yield to latency. The watermark itself follows the
                 // observed retire rate (EWMA in `CreditReturn`) unless the
                 // config pinned the static knob as an override.
-                let credit = shard.credit.as_ref().expect("accumulate ran above");
                 let watermark = if self.config.adaptive_credit_watermark {
                     credit.adaptive_watermark(
                         self.config.completion_window,
@@ -1083,19 +1988,9 @@ impl HostCore {
     ) -> AmResult<()> {
         if let Some(credit) = shard.credit.as_mut() {
             let out = credit.put_credit_replay(*clock, bank, slot)?;
-            shard.stats.credit_put_bytes += out.bytes as u64;
-            shard.stats.credit_put_time += out.sender_free - *clock;
-            *clock = out.sender_free;
+            Self::fold_put(&mut shard.stats, clock, out);
         }
         Ok(())
-    }
-
-    /// Feed one processed sequence number (executed or suppressed) to the
-    /// shard's gap watcher, when the reliability layer is armed.
-    fn note_sequence(shard: &mut ReceiverShard, sn: u32) {
-        if shard.credit.as_ref().is_some_and(|c| c.nack_armed()) {
-            shard.watch.note(sn);
-        }
     }
 
     /// Close one full bank scan for the gap watcher and post every suspected
@@ -1104,1202 +1999,24 @@ impl HostCore {
     /// gaps, since the coalescing. On a lossless fabric the watcher never
     /// ages anything out, so this posts nothing.
     fn post_due_nacks(shard: &mut ReceiverShard, clock: &mut SimTime) -> AmResult<()> {
-        if !shard.credit.as_ref().is_some_and(|c| c.nack_armed()) {
+        let Some(credit) = shard.credit.as_mut().filter(|c| c.nack_armed()) else {
             return Ok(());
-        }
+        };
         let due = shard.watch.end_scan();
         if due.is_empty() {
             return Ok(());
         }
-        let credit = shard.credit.as_mut().expect("armed implies credit");
         let out = credit.put_nacks(*clock, &due)?;
         shard.stats.nacks_posted += 1;
-        shard.stats.credit_put_bytes += out.bytes as u64;
-        shard.stats.credit_put_time += out.sender_free - *clock;
-        *clock = out.sender_free;
+        Self::fold_put(&mut shard.stats, clock, out);
         Ok(())
     }
 
-    /// Single-slot receive through `shard`, charging the wait model. The
-    /// slot's credit is returned once the frame retired (see
-    /// [`HostCore::return_credit`]) and the pending set is flushed before the
-    /// call returns — a single-slot receive is a scan of one, so its token is
-    /// never left withheld. The credit posting cost is charged to the shard's
-    /// counters but not folded into the returned outcome's handler time — it
-    /// belongs to the drain core's next activity, exactly like the burst
-    /// path's clock advance.
-    ///
-    /// Like the burst engine (this is its single-frame case), a frame the
-    /// dispatch *rejects* is still retired: the slot is cleared, counted in
-    /// `frames_rejected`, and its credit returned — then the error surfaces.
-    /// An [`AmError::Empty`] poll (no frame present) retires nothing.
-    pub(crate) fn receive_owned(
-        &self,
-        shard: &mut ReceiverShard,
-        bank: usize,
-        slot: usize,
-        frame_len: Option<usize>,
-        arrival: SimTime,
-        ready_since: SimTime,
-    ) -> AmResult<ReceiveOutcome> {
-        let outcome = match self.receive_slot(
-            shard,
-            bank,
-            slot,
-            frame_len,
-            arrival,
-            ready_since,
-            WaitCharge::Signal,
-        ) {
-            Ok(SlotOutcome::Executed { sn, outcome }) => {
-                Self::note_sequence(shard, sn);
-                outcome
-            }
-            Ok(SlotOutcome::Replayed { sn }) => {
-                // A suppressed replay retires silently: its slot was cleared,
-                // its credit is re-published idempotently, and the caller sees
-                // the same `Empty` an unoccupied slot produces — a duplicate
-                // must be observationally invisible.
-                Self::note_sequence(shard, sn);
-                let mut clock = arrival;
-                Self::return_replay_credit(shard, &mut clock, bank, slot)?;
-                return Err(AmError::Empty);
-            }
-            Ok(SlotOutcome::Batch { frames }) => {
-                // A container retires every inner frame in one call. The
-                // single-outcome contract hands back the *last executed*
-                // frame's outcome — its `handler_done` is when the whole
-                // batch finished on the drain core. If nothing executed the
-                // caller sees the first inner rejection, or `Empty` when the
-                // container was a pure replay.
-                let mut clock = arrival;
-                let mut last_outcome = None;
-                let mut first_err = None;
-                for entry in frames {
-                    match entry {
-                        InnerOutcome::Executed { slot, sn, outcome } => {
-                            Self::note_sequence(shard, sn);
-                            clock = outcome.handler_done;
-                            self.return_credit(shard, &mut clock, bank, slot)?;
-                            last_outcome = Some(outcome);
-                        }
-                        InnerOutcome::Replayed { slot, sn } => {
-                            Self::note_sequence(shard, sn);
-                            Self::return_replay_credit(shard, &mut clock, bank, slot)?;
-                        }
-                        InnerOutcome::Rejected { slot, err } => {
-                            shard.stats.frames_rejected += 1;
-                            if first_err.is_none() {
-                                first_err = Some(err);
-                            }
-                            self.return_credit(shard, &mut clock, bank, slot)?;
-                        }
-                    }
-                }
-                Self::flush_credits(shard, &mut clock)?;
-                return match last_outcome {
-                    Some(outcome) => Ok(outcome),
-                    None => Err(first_err.unwrap_or(AmError::Empty)),
-                };
-            }
-            Err(AmError::Empty) => return Err(AmError::Empty),
-            Err(err) => {
-                // The slot held something the dispatch rejected (malformed
-                // header, policy violation, unknown element, ...): free it so
-                // the bank cannot wedge. Without a trustworthy length,
-                // clearing the header magic alone makes the slot poll empty
-                // again (the same gate the quarantine path clears).
-                if let Ok(mailbox) = self.banks.mailbox(bank, slot) {
-                    let _ = mailbox.clear(frame_len.unwrap_or(FRAME_HEADER_SIZE));
-                    shard.stats.frames_rejected += 1;
-                    let mut clock = arrival;
-                    // The dispatch error is the caller's answer; a credit-put
-                    // failure on top of it would only mask the root cause.
-                    // The abort-safe flush still runs — the rejected frame's
-                    // token must not stay withheld behind the error.
-                    let _ = self.return_credit(shard, &mut clock, bank, slot);
-                    let _ = Self::flush_credits(shard, &mut clock);
-                }
-                return Err(err);
-            }
-        };
-        let mut clock = outcome.handler_done;
-        self.return_credit(shard, &mut clock, bank, slot)?;
-        Self::flush_credits(shard, &mut clock)?;
-        Ok(outcome)
-    }
-
-    /// One-scan burst drain of the banks `shard` owns (see
-    /// [`TwoChainsHost::receive_burst`]).
-    ///
-    /// Every exit — drained, empty scan, or a propagated dispatch/credit
-    /// error — runs the idle/abort credit flush, so a token accumulated for
-    /// any retired frame is published before control leaves the burst engine:
-    /// an aborted burst may drop its already-executed outcomes, but never a
-    /// credit. On an error the original error takes precedence over any
-    /// flush failure.
-    pub(crate) fn receive_burst(
-        &self,
-        shard: &mut ReceiverShard,
-        max_frames: usize,
-        now: SimTime,
-    ) -> AmResult<BurstOutcome> {
-        let mut clock = now;
-        let result = self.receive_burst_inner(shard, max_frames, &mut clock);
-        let flushed = Self::flush_credits(shard, &mut clock);
-        let mut outcome = result?;
-        flushed?;
-        outcome.drained_at = clock;
-        Ok(outcome)
-    }
-
-    /// The burst scan proper: poll, quarantine, dispatch, retire. `clock`
-    /// tracks drain-virtual time even across an error return, so the caller's
-    /// abort-safe flush charges its posting at the right instant.
-    fn receive_burst_inner(
-        &self,
-        shard: &mut ReceiverShard,
-        max_frames: usize,
-        clock: &mut SimTime,
-    ) -> AmResult<BurstOutcome> {
-        // A single poll pass over the shard's banks: ready frames to drain, plus
-        // poisoned slots (header magic set but an out-of-range declared length)
-        // quarantined on the spot — a burst-only receiver would otherwise never
-        // reclaim them.
-        let (ready, mut rejected) = self.banks.scan_burst(shard.mask(), max_frames);
-        // Quarantined poisoned slots are counted in the shard's stats (and so
-        // survive the host-wide merge) as well as reported per burst.
-        shard.stats.poisoned_quarantined += rejected.len() as u64;
-        // That one scan observes readiness for every frame at once: charge a
-        // single zero-length wait (one poll boundary) instead of the per-message
-        // wait the single-slot path pays.
-        let scan = self
-            .config
-            .wait_model
-            .wait(self.config.wait_mode, SimTime::ZERO);
-        shard.stats.wait_time += scan.elapsed;
-        shard.stats.cycles.add_wait(scan.cycles);
-        *clock += scan.elapsed;
-        // A quarantined slot was cleared by the scan, so its credit goes back
-        // right away: the paired lane must be able to reuse the slot even
-        // though no frame was ever dispatched from it — otherwise a single
-        // poisoning put would wedge the lane forever.
-        for (bank, slot, _) in &rejected {
-            self.return_credit(shard, clock, *bank, *slot)?;
-        }
-        let mut frames = Vec::with_capacity(ready.len());
-        for (bank, slot, frame_len) in ready {
-            match self.receive_slot(
-                shard,
-                bank,
-                slot,
-                Some(frame_len),
-                *clock,
-                *clock,
-                WaitCharge::Scanned,
-            ) {
-                Ok(SlotOutcome::Executed { sn, outcome }) => {
-                    Self::note_sequence(shard, sn);
-                    *clock = outcome.handler_done;
-                    frames.push(BurstFrame {
-                        bank,
-                        slot,
-                        outcome,
-                    });
-                    // One credit token per retired frame, minted the moment
-                    // the slot is clear again, on the drain core's clock.
-                    self.return_credit(shard, clock, bank, slot)?;
-                }
-                Ok(SlotOutcome::Replayed { sn }) => {
-                    // A suppressed replay is invisible to the burst outcome
-                    // (neither drained nor rejected): the duplicate's slot was
-                    // cleared and its credit re-published idempotently, so it
-                    // cannot leak a slot or double-execute.
-                    Self::note_sequence(shard, sn);
-                    Self::return_replay_credit(shard, clock, bank, slot)?;
-                }
-                Ok(SlotOutcome::Batch { frames: inner }) => {
-                    // One container, N frames: each inner entry runs the exact
-                    // per-frame bookkeeping a standalone slot gets — its own
-                    // gap-watch note, its own credit token, its own rejection
-                    // record — against its declared destination slot. The
-                    // carrier mailbox was already cleared by the unbatcher.
-                    for entry in inner {
-                        match entry {
-                            InnerOutcome::Executed { slot, sn, outcome } => {
-                                Self::note_sequence(shard, sn);
-                                *clock = outcome.handler_done;
-                                frames.push(BurstFrame {
-                                    bank,
-                                    slot,
-                                    outcome,
-                                });
-                                self.return_credit(shard, clock, bank, slot)?;
-                            }
-                            InnerOutcome::Replayed { slot, sn } => {
-                                Self::note_sequence(shard, sn);
-                                Self::return_replay_credit(shard, clock, bank, slot)?;
-                            }
-                            InnerOutcome::Rejected { slot, err } => {
-                                shard.stats.frames_rejected += 1;
-                                rejected.push((bank, slot, err));
-                                self.return_credit(shard, clock, bank, slot)?;
-                            }
-                        }
-                    }
-                }
-                Err(err) => {
-                    // A frame the dispatch rejects must still free its slot, or the
-                    // bank would never earn its flow-control credit back.
-                    if let Ok(mailbox) = self.banks.mailbox(bank, slot) {
-                        let _ = mailbox.clear(frame_len);
-                    }
-                    shard.stats.frames_rejected += 1;
-                    rejected.push((bank, slot, err));
-                    self.return_credit(shard, clock, bank, slot)?;
-                }
-            }
-        }
-        // The scan is complete: age the gap watcher and report anything that
-        // has now outlived the scan-jumble horizon.
-        Self::post_due_nacks(shard, clock)?;
-        Ok(BurstOutcome {
-            frames,
-            rejected,
-            drained_at: *clock,
-        })
-    }
-
-    /// The dispatch engine: wait (per `charge`), poll, parse, resolve through the
-    /// shared caches, execute, clear the slot, account.
-    #[allow(clippy::too_many_arguments)]
-    fn receive_slot(
-        &self,
-        shard: &mut ReceiverShard,
-        bank: usize,
-        slot: usize,
-        frame_len: Option<usize>,
-        arrival: SimTime,
-        ready_since: SimTime,
-        charge: WaitCharge,
-    ) -> AmResult<SlotOutcome> {
-        // Disjoint field borrows: the shared cache, the stats, the scratch
-        // buffer (which the FrameView borrows), the per-core bus, the
-        // shard-local space and the replay filter are separate fields of the
-        // shard.
-        let ReceiverShard {
-            core,
-            bus,
-            space: shard_space,
-            cache,
-            scratch,
-            stats,
-            credit,
-            replay,
-            num_shards,
-            ..
-        } = shard;
-        // The replay filter is armed only when this shard's stream handshake
-        // carried a NACK table: legacy flows (no reliability layer) keep their
-        // exact pre-reliability semantics, including re-executing a slot a
-        // test refills with the same sequence number. The whole filter is
-        // handed down (not one slot's entry): a batch container retires inner
-        // frames against several declared slots of the bank.
-        let replay = if credit.as_ref().is_some_and(|c| c.nack_armed()) {
-            Some((&mut *replay, *num_shards))
-        } else {
-            None
-        };
-        self.receive_frame(
-            cache,
-            stats,
-            scratch,
-            *core,
-            bus,
-            shard_space,
-            replay,
-            bank,
-            slot,
-            frame_len,
-            arrival,
-            ready_since,
-            charge,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn receive_frame(
-        &self,
-        cache: &InjectionCache,
-        stats: &mut RuntimeStats,
-        scratch: &mut Vec<u8>,
-        core: usize,
-        bus: &mut CoreBus,
-        shard_space: &mut ShardSpace,
-        replay: Option<(&mut Vec<u32>, usize)>,
-        bank: usize,
-        slot: usize,
-        frame_len: Option<usize>,
-        arrival: SimTime,
-        ready_since: SimTime,
-        charge: WaitCharge,
-    ) -> AmResult<SlotOutcome> {
-        let mailbox = self.banks.mailbox(bank, slot)?.clone();
-
-        // 1. Wait for the signal byte (or inherit the burst scan's observation).
-        let wait = match charge {
-            WaitCharge::Signal => {
-                let wait_dur = arrival.saturating_sub(ready_since);
-                self.config.wait_model.wait(self.config.wait_mode, wait_dur)
-            }
-            WaitCharge::Scanned => WaitOutcome {
-                elapsed: SimTime::ZERO,
-                cycles: 0,
-            },
-        };
-        // `stressed()` is one atomic load; the stressor lock is only taken when
-        // a stressor is actually attached.
-        let jitter = self.hierarchy.scheduler_jitter();
-        let detected_at = ready_since + wait.elapsed + jitter;
-
-        // Functional check + frame length discovery.
-        let frame_len = match frame_len {
-            Some(len) => {
-                if !mailbox.poll_fixed(len)? {
-                    return Err(AmError::Empty);
-                }
-                len
-            }
-            None => mailbox.poll_variable()?.ok_or(AmError::Empty)?,
-        };
-        mailbox.read_frame_into(frame_len, scratch)?;
-        if is_batch(scratch) {
-            return self.receive_batch(
-                cache,
-                stats,
-                scratch,
-                core,
-                bus,
-                shard_space,
-                replay,
-                bank,
-                &mailbox,
-                frame_len,
-                detected_at,
-                wait,
-            );
-        }
-        let frame = FrameView::parse(scratch)?;
-
-        // Idempotent replay suppression (armed flows only): a frame whose
-        // sequence number is not strictly newer than the last one executed
-        // from this slot is a duplicate delivery or a stale retransmit — the
-        // original already executed and was credited, so the copy is retired
-        // silently (slot cleared, no dispatch, no stats that would diverge
-        // from the lossless run). `0` is the never-executed sentinel; the
-        // sender's sequence space starts at 1, so it cannot collide.
-        let sn = frame.header.sn;
-        let last_sn = replay.map(|(filter, num_shards)| {
-            Self::replay_entry(
-                filter,
-                num_shards,
-                self.config.mailboxes_per_bank,
-                bank,
-                slot,
-            )
-        });
-        if let Some(last) = &last_sn {
-            if **last != 0 && !super::shard::sn_newer(sn, **last) {
-                mailbox.clear(frame_len)?;
-                stats.replays_suppressed += 1;
-                return Ok(SlotOutcome::Replayed { sn });
-            }
-        }
-
-        let dispatched = self.dispatch_frame(
-            cache,
-            stats,
-            core,
-            bus,
-            shard_space,
-            &frame,
-            mailbox.base_addr(),
-        )?;
-
-        // 6. Reset the mailbox for reuse.
-        mailbox.clear(frame_len)?;
-
-        let handler_done = detected_at + dispatched.handler_time;
-        stats.messages_received += 1;
-        stats.wait_time += wait.elapsed;
-        stats.exec_time += dispatched.handler_time;
-        stats.cycles.add_wait(wait.cycles);
-        stats.cycles.add_work_time(
-            dispatched.handler_time,
-            self.config.wait_model.core_freq_ghz,
-        );
-
-        if let Some(last) = last_sn {
-            *last = sn;
-        }
-        Ok(SlotOutcome::Executed {
-            sn,
-            outcome: ReceiveOutcome {
-                detected_at,
-                handler_done,
-                wait,
-                exec: dispatched.exec_stats,
-                result: dispatched.result,
-                handler_time: dispatched.handler_time,
-                dispatch_time: dispatched.handler_time - dispatched.exec_time,
-            },
-        })
-    }
-
-    /// The replay-filter entry guarding mailbox (`bank`, `slot`), growing the
-    /// filter on first touch. Rows are indexed like [`CreditReturn`]'s: the
-    /// shard sees every `num_shards`-th bank, so `bank / num_shards` is its
-    /// local row.
-    fn replay_entry(
-        filter: &mut Vec<u32>,
-        num_shards: usize,
-        per_bank: usize,
-        bank: usize,
-        slot: usize,
-    ) -> &mut u32 {
-        let idx = (bank / num_shards) * per_bank + slot;
-        if filter.len() <= idx {
-            filter.resize(idx + 1, 0);
-        }
-        &mut filter[idx]
-    }
-
-    /// Unbatch one multi-frame container sitting in the carrier mailbox of
-    /// `bank`: one readiness check and one parse prologue amortized over all
-    /// inner frames, then each inner frame dispatched back-to-back through
-    /// the same engine a standalone frame uses — replay-filtered, executed,
-    /// and accounted against its *declared* destination slot (the slot whose
-    /// flow-control credit the sender consumed for it). Only the carrier
-    /// mailbox is cleared: the declared slots were never written, their
-    /// tokens simply come back through the per-inner credit returns the
-    /// caller folds in. A retransmitted container re-executes nothing — every
-    /// inner frame hits its slot's replay filter and retires as `Replayed`.
-    #[allow(clippy::too_many_arguments)]
-    fn receive_batch(
-        &self,
-        cache: &InjectionCache,
-        stats: &mut RuntimeStats,
-        container: &[u8],
-        core: usize,
-        bus: &mut CoreBus,
-        shard_space: &mut ShardSpace,
-        mut replay: Option<(&mut Vec<u32>, usize)>,
-        bank: usize,
-        mailbox: &crate::mailbox::ReactiveMailbox,
-        frame_len: usize,
-        detected_at: SimTime,
-        wait: WaitOutcome,
-    ) -> AmResult<SlotOutcome> {
-        let view = BatchView::parse(container)?;
-        let base = mailbox.base_addr();
-        // One container-header read is the whole prologue: inner headers are
-        // still read per frame below (that work is real), but readiness was
-        // checked once and the outer parse validated the whole envelope.
-        let prologue = bus.access(core, base, FRAME_HEADER_SIZE, AccessKind::Read);
-        stats.exec_time += prologue;
-        stats.wait_time += wait.elapsed;
-        stats.cycles.add_wait(wait.cycles);
-        stats
-            .cycles
-            .add_work_time(prologue, self.config.wait_model.core_freq_ghz);
-        let mut clock = detected_at + prologue;
-        let mut frames = Vec::with_capacity(view.frames().len());
-        for (ix, &(dest, bytes)) in view.frames().iter().enumerate() {
-            let dest = dest as usize;
-            // The inner frame's bytes live inside the carrier slot's memory,
-            // so its charged addresses are carrier-relative.
-            let offset = bytes.as_ptr() as usize - container.as_ptr() as usize;
-            let inner_base = base + offset as u64;
-            let frame = match FrameView::parse(bytes) {
-                Ok(frame) => frame,
-                Err(err) => {
-                    frames.push(InnerOutcome::Rejected {
-                        slot: dest,
-                        err: AmError::BadFrame(format!("batch inner frame {ix}: {err}")),
-                    });
-                    continue;
-                }
-            };
-            let sn = frame.header.sn;
-            let last_sn = replay.as_mut().map(|(filter, num_shards)| {
-                Self::replay_entry(
-                    filter,
-                    *num_shards,
-                    self.config.mailboxes_per_bank,
-                    bank,
-                    dest,
-                )
-            });
-            if let Some(last) = &last_sn {
-                if **last != 0 && !super::shard::sn_newer(sn, **last) {
-                    stats.replays_suppressed += 1;
-                    frames.push(InnerOutcome::Replayed { slot: dest, sn });
-                    continue;
-                }
-            }
-            match self.dispatch_frame(cache, stats, core, bus, shard_space, &frame, inner_base) {
-                Ok(dispatched) => {
-                    let handler_done = clock + dispatched.handler_time;
-                    stats.messages_received += 1;
-                    stats.batch_frames_received += 1;
-                    stats.exec_time += dispatched.handler_time;
-                    stats.cycles.add_work_time(
-                        dispatched.handler_time,
-                        self.config.wait_model.core_freq_ghz,
-                    );
-                    if let Some(last) = last_sn {
-                        *last = sn;
-                    }
-                    frames.push(InnerOutcome::Executed {
-                        slot: dest,
-                        sn,
-                        outcome: ReceiveOutcome {
-                            detected_at: clock,
-                            handler_done,
-                            wait: WaitOutcome {
-                                elapsed: SimTime::ZERO,
-                                cycles: 0,
-                            },
-                            exec: dispatched.exec_stats,
-                            result: dispatched.result,
-                            handler_time: dispatched.handler_time,
-                            dispatch_time: dispatched.handler_time - dispatched.exec_time,
-                        },
-                    });
-                    clock = handler_done;
-                }
-                Err(err) => {
-                    frames.push(InnerOutcome::Rejected { slot: dest, err });
-                }
-            }
-        }
-        // One clear retires the whole container: the release header the
-        // sender published covers every inner frame.
-        mailbox.clear(frame_len)?;
-        stats.batches_received += 1;
-        Ok(SlotOutcome::Batch { frames })
-    }
-
-    /// The dispatch core shared by the single-frame and batch paths: header
-    /// read, mode split, policy check, cache resolution, execution and
-    /// continuation stages for one parsed frame whose wire bytes live at
-    /// `base_addr`. Charges everything to `stats` except the per-frame
-    /// retirement bookkeeping (`messages_received`, wait, mailbox clear),
-    /// which stays with the caller — the batch path amortizes those.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_frame(
-        &self,
-        cache: &InjectionCache,
-        stats: &mut RuntimeStats,
-        core: usize,
-        bus: &mut CoreBus,
-        shard_space: &mut ShardSpace,
-        frame: &FrameView<'_>,
-        base_addr: u64,
-    ) -> AmResult<DispatchedFrame> {
-        // 2. Read the header, charged through this shard's own core bus —
-        // private L1/L2 lookups take no lock; only misses touch the striped
-        // shared levels.
-        let mut handler_time = SimTime::ZERO;
-        handler_time += bus.access(core, base_addr, FRAME_HEADER_SIZE, AccessKind::Read);
-
-        let mode = if frame.header.injected {
-            InvocationMode::Injected
-        } else {
-            InvocationMode::Local
-        };
-        handler_time += SimTime::from_ns_f64(match mode {
-            InvocationMode::Injected => self.config.injected_dispatch_ns,
-            InvocationMode::Local => self.config.local_dispatch_ns,
-        });
-
-        let mut exec_stats = None;
-        let mut result = 0u64;
-        let mut exec_time = SimTime::ZERO;
-
-        if !self.config.skip_execution {
-            // 3. Security policy.
-            if mode == InvocationMode::Injected
-                && self.config.security.require_execute_permission
-                && !self.mailbox_region.flags().remote_execute
-            {
-                return Err(AmError::PolicyViolation(
-                    "mailbox region lacks remote-execute permission".into(),
-                ));
-            }
-
-            // 4. Resolve the GOT and the executable image, through the shared
-            // injection caches for Injected mode and by Arc-shared Local
-            // Function entries otherwise. Under the resolved policy the warm
-            // injected path is keyed by the *NIC delivery digest*: the DMA
-            // engine hashes the code section as the bytes stream through at
-            // delivery (receive-side hash offload — the same cut-through
-            // install engine that keeps up with line rate), so a warm dispatch
-            // never reads the code section on the receiver core at all. The
-            // digest is receiver-computed (by the receiver's own NIC), so
-            // trusting it is security-equivalent to hashing on the core; the
-            // GOT section is still read and hashed per message as before.
-            let (image, got, code_base) = match mode {
-                InvocationMode::Injected => {
-                    let got = self.injected_got(
-                        cache,
-                        stats,
-                        bus,
-                        core,
-                        frame,
-                        base_addr,
-                        &mut handler_time,
-                    )?;
-                    match self.config.execution_policy {
-                        ExecutionPolicy::Resolved => {
-                            let rkey = (
-                                frame.header.elem_id,
-                                hash64_bytes(frame.code),
-                                frame.code.len(),
-                            );
-                            if let Some(entry) = cache.lookup_resolved(rkey, &got) {
-                                // The GOT is pointer-identical to the one the
-                                // image was lowered against, but the verifier
-                                // floor is re-checked for parity with the
-                                // interpreted warm path.
-                                if got.len() < entry.min_got_slots {
-                                    return Err(AmError::BadFrame(format!(
-                                        "cached program references GOT slot {} but the \
-                                         message GOT has only {} slots",
-                                        entry.min_got_slots - 1,
-                                        got.len()
-                                    )));
-                                }
-                                stats.resolved_cache_hits += 1;
-                                // The resolved image subsumes the decoded
-                                // program: a resolved hit is a code-cache hit.
-                                stats.injected_code_cache_hits += 1;
-                                (ExecImage::Resolved(entry.image), got, entry.code_base)
-                            } else {
-                                stats.resolved_cache_misses += 1;
-                                let (program, min_got_slots) = self.injected_program(
-                                    cache,
-                                    stats,
-                                    bus,
-                                    core,
-                                    frame,
-                                    got.len(),
-                                    base_addr,
-                                    &mut handler_time,
-                                )?;
-                                let image = Arc::new(resolve(&program, &got));
-                                let slab = resolved_slab_base(rkey);
-                                // Lowering walks the decoded program once, then
-                                // the image is written into its slab (which
-                                // installs its lines hot for the execution that
-                                // follows and every warm re-run).
-                                handler_time += SimTime::from_ns_f64(
-                                    frame.code.len() as f64 * RESOLVE_NS_PER_BYTE,
-                                );
-                                handler_time += bus.access(
-                                    core,
-                                    slab,
-                                    image.image_bytes().max(1),
-                                    AccessKind::Write,
-                                );
-                                cache.store_resolved(
-                                    rkey,
-                                    CachedResolved {
-                                        got: Arc::clone(&got),
-                                        image: Arc::clone(&image),
-                                        code_base: slab,
-                                        min_got_slots,
-                                    },
-                                );
-                                (ExecImage::Resolved(image), got, slab)
-                            }
-                        }
-                        ExecutionPolicy::Interpret => {
-                            let (program, _) = self.injected_program(
-                                cache,
-                                stats,
-                                bus,
-                                core,
-                                frame,
-                                got.len(),
-                                base_addr,
-                                &mut handler_time,
-                            )?;
-                            let code_base = base_addr + frame.code_offset() as u64;
-                            (ExecImage::Interpreted(program), got, code_base)
-                        }
-                    }
-                }
-                InvocationMode::Local => {
-                    let entry = self
-                        .local_lib
-                        .get(&frame.header.elem_id)
-                        .ok_or(AmError::UnknownElement(frame.header.elem_id))?;
-                    let image = match self.config.execution_policy {
-                        ExecutionPolicy::Resolved => {
-                            ExecImage::Resolved(Arc::clone(&entry.resolved))
-                        }
-                        ExecutionPolicy::Interpret => {
-                            ExecImage::Interpreted(Arc::clone(&entry.program))
-                        }
-                    };
-                    (image, Arc::clone(&entry.got), entry.code_base)
-                }
-            };
-
-            // 5. Map the message's ARGS and USR sections at their mailbox addresses
-            // so every access is charged against the lines the NIC delivered. These
-            // are the only sections copied out of the receive buffer — the jam may
-            // write to them (subject to policy), so they need their own backing
-            // store. Which space they map into is the mode split: the exclusive
-            // space under its mutex, or the shard's own local space with no lock
-            // at all.
-            let args_base = base_addr + frame.args_offset() as u64;
-            let usr_base = base_addr + frame.usr_offset() as u64;
-            let args_writable = !self.config.security.read_only_args;
-            let usr_writable = !self.config.security.read_only_payload;
-            let args_seg = Segment::new(
-                "msg.args",
-                args_base,
-                frame.args.to_vec(),
-                args_writable,
-                SegmentKind::Args,
-            );
-            let usr_seg = Segment::new(
-                "msg.usr",
-                usr_base,
-                frame.usr.to_vec(),
-                usr_writable,
-                SegmentKind::Payload,
-            );
-
-            let vm_cfg = VmConfig {
-                core,
-                code_base,
-                fuel: 50_000_000,
-                freq_ghz: self.config.wait_model.core_freq_ghz,
-                ipc: 2.0,
-                extern_call_overhead: SimTime::from_ns(6),
-                entry_regs: [args_base, usr_base, frame.usr.len() as u64],
-            };
-
-            // A jam that declares cross-shard writes must see the canonical
-            // (exclusive) instances even in shard-local mode. The GOT scan is
-            // the runtime backstop for messages the install-time contract
-            // check cannot see (injected frames for elements outside the
-            // installed package, rieds loaded without a package): a resolved
-            // Data reference into a writable object's canonical range only
-            // works on the exclusive path, so such messages are routed there
-            // instead of faulting Unmapped on the lock-free one.
-            let use_exclusive = match self.config.space_mode {
-                SpaceMode::Exclusive => true,
-                SpaceMode::ShardLocal => {
-                    self.package
-                        .as_ref()
-                        .and_then(|p| p.jam(ElementId(frame.header.elem_id)).ok())
-                        .is_some_and(|j| j.cross_shard_writes)
-                        || self.got_addresses_writable_data(&got)
-                }
-            };
-
-            let exec = if use_exclusive {
-                // Exclusive path: the whole map → execute → unmap window holds
-                // the process-wide space lock (the PR-2 behaviour).
-                let mut space = self.space.lock();
-                space
-                    .map(args_seg)
-                    .map_err(|e| AmError::Exec(e.to_string()))?;
-                if let Err(e) = space.map(usr_seg) {
-                    space.unmap("msg.args");
-                    return Err(AmError::Exec(e.to_string()));
-                }
-                let exec_result = run_image(
-                    &image,
-                    &got,
-                    self.namespace.externs(),
-                    &mut *space,
-                    bus,
-                    &vm_cfg,
-                );
-                space.unmap("msg.args");
-                space.unmap("msg.usr");
-                drop(space);
-                exec_result?
-            } else {
-                // Shard-local path: per-message sections map into the shard's
-                // own space; reads of ried rodata go through the Arc-shared
-                // read-only base; writes land in the shard's private heap
-                // instances. No lock anywhere on this path.
-                shard_space
-                    .local
-                    .map(args_seg)
-                    .map_err(|e| AmError::Exec(e.to_string()))?;
-                if let Err(e) = shard_space.local.map(usr_seg) {
-                    shard_space.local.unmap("msg.args");
-                    return Err(AmError::Exec(e.to_string()));
-                }
-                let exec_result = run_image(
-                    &image,
-                    &got,
-                    self.namespace.externs(),
-                    shard_space,
-                    bus,
-                    &vm_cfg,
-                );
-                shard_space.local.unmap("msg.args");
-                shard_space.local.unmap("msg.usr");
-                exec_result?
-            };
-            exec_time = exec.total_time();
-            handler_time += exec_time;
-            result = exec.result;
-            stats.superinstructions_executed += exec.superinstructions;
-            exec_stats = Some(exec);
-            stats.executions += 1;
-            match mode {
-                InvocationMode::Injected => stats.injected_executions += 1,
-                InvocationMode::Local => stats.local_executions += 1,
-            }
-
-            // 5b. Continuation stages. Jam k's result registers feed jam k+1's
-            // entry registers through the per-chain context cell: the running
-            // result is stored there (one charged 8-byte write), the next stage
-            // is resolved through the Local Function library and dispatched for
-            // the per-stage table-lookup cost — no new frame, no new wait, no
-            // re-parse. The frame stays in its mailbox until the whole chain
-            // retires, so a failing stage propagates ChainStageFailed into the
-            // ordinary rejection path: the frame is retired as a whole, one
-            // `frames_rejected`, one credit.
-            if let Some(chain) = frame.chain.filter(|c| !c.is_empty()) {
-                let ctx_base = CHAIN_CTX_BASE + core as u64 * CHAIN_CTX_STRIDE;
-                for (idx, stage) in chain.stages().iter().enumerate() {
-                    let fail = |reason: String| AmError::ChainStageFailed { stage: idx, reason };
-                    let entry = self
-                        .local_lib
-                        .get(&stage.elem_id)
-                        .ok_or_else(|| fail(AmError::UnknownElement(stage.elem_id).to_string()))?;
-                    // Per-stage dispatch: a function-pointer table lookup by
-                    // element id, exactly the Local Function dispatch cost.
-                    handler_time += SimTime::from_ns_f64(self.config.local_dispatch_ns);
-                    // Publish the running result into the chain context cell.
-                    handler_time += bus.access(core, ctx_base, 8, AccessKind::Write);
-                    // Entry-register contract (see `runtime` module docs): the
-                    // default Result map hands the stage the context cell where
-                    // a standalone send would hand it the ARGS block, so a
-                    // stage observes bit-identical operands either way.
-                    let entry_regs = match stage.map {
-                        ChainArgMap::Result => [ctx_base, usr_base, frame.usr.len() as u64],
-                        ChainArgMap::KeepArgs => [args_base, ctx_base, 8],
-                    };
-                    let ctx_seg = Segment::new(
-                        "chain.ctx",
-                        ctx_base,
-                        result.to_le_bytes().to_vec(),
-                        true,
-                        SegmentKind::Args,
-                    );
-                    let stage_args = Segment::new(
-                        "chain.args",
-                        args_base,
-                        frame.args.to_vec(),
-                        args_writable,
-                        SegmentKind::Args,
-                    );
-                    let stage_usr = Segment::new(
-                        "chain.usr",
-                        usr_base,
-                        frame.usr.to_vec(),
-                        usr_writable,
-                        SegmentKind::Payload,
-                    );
-                    let exec = self
-                        .execute_chain_stage(
-                            shard_space,
-                            bus,
-                            core,
-                            stage.elem_id,
-                            entry,
-                            [ctx_seg, stage_args, stage_usr],
-                            entry_regs,
-                        )
-                        .map_err(|e| fail(e.to_string()))?;
-                    exec_time += exec.total_time();
-                    handler_time += exec.total_time();
-                    result = exec.result;
-                    stats.superinstructions_executed += exec.superinstructions;
-                    stats.executions += 1;
-                    stats.local_executions += 1;
-                    stats.chain_stages_executed += 1;
-                }
-                stats.chain_frames += 1;
-            }
-        }
-
-        Ok(DispatchedFrame {
-            handler_time,
-            exec_time,
-            result,
-            exec_stats,
-        })
-    }
-
-    /// Whether a resolved GOT image holds a `Data` reference into the
-    /// canonical address range of a writable ried object (only the exclusive
-    /// space maps those addresses; see `writable_ranges`).
-    fn got_addresses_writable_data(&self, got: &GotImage) -> bool {
-        if self.writable_ranges.is_empty() {
-            return false;
-        }
-        (0..got.len()).any(|slot| match got.get(slot) {
-            twochains_jamvm::ExternRef::Data(addr) => self
-                .writable_ranges
-                .iter()
-                .any(|&(start, end)| addr >= start && addr < end),
-            _ => false,
-        })
-    }
-
-    /// Execute one continuation stage of a chain: map the stage's view of the
-    /// frame (`chain.ctx`, `chain.args`, `chain.usr` — fresh copies, so stages
-    /// cannot corrupt the primary's retired sections) into the same space the
-    /// primary's routing rules pick, run the Local Function entry, and unmap.
-    /// The space split mirrors the primary dispatch exactly: exclusive mode
-    /// (or a stage declaring cross-shard writes, or a GOT addressing writable
-    /// canonical state) takes the process-wide lock for its whole
-    /// map → execute → unmap window; everything else runs lock-free against
-    /// the shard's own space.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_chain_stage(
-        &self,
-        shard_space: &mut ShardSpace,
-        bus: &mut CoreBus,
-        core: usize,
-        elem_id: u32,
-        entry: &LocalEntry,
-        segs: [Segment; 3],
-        entry_regs: [u64; 3],
-    ) -> AmResult<ExecStats> {
-        const NAMES: [&str; 3] = ["chain.ctx", "chain.args", "chain.usr"];
-        let vm_cfg = VmConfig {
-            core,
-            code_base: entry.code_base,
-            fuel: 50_000_000,
-            freq_ghz: self.config.wait_model.core_freq_ghz,
-            ipc: 2.0,
-            extern_call_overhead: SimTime::from_ns(6),
-            entry_regs,
-        };
-        // Continuation stages are Local Function entries, pre-lowered at
-        // install time — the policy split costs no per-stage work either way.
-        let image = match self.config.execution_policy {
-            ExecutionPolicy::Resolved => ExecImage::Resolved(Arc::clone(&entry.resolved)),
-            ExecutionPolicy::Interpret => ExecImage::Interpreted(Arc::clone(&entry.program)),
-        };
-        let use_exclusive = match self.config.space_mode {
-            SpaceMode::Exclusive => true,
-            SpaceMode::ShardLocal => {
-                self.package
-                    .as_ref()
-                    .and_then(|p| p.jam(ElementId(elem_id)).ok())
-                    .is_some_and(|j| j.cross_shard_writes)
-                    || self.got_addresses_writable_data(&entry.got)
-            }
-        };
-        // Map with rollback: a partial mapping must never outlive the stage.
-        fn map_all(space: &mut AddressSpace, segs: [Segment; 3]) -> AmResult<()> {
-            for (i, seg) in segs.into_iter().enumerate() {
-                if let Err(e) = space.map(seg) {
-                    for name in &NAMES[..i] {
-                        space.unmap(name);
-                    }
-                    return Err(AmError::Exec(e.to_string()));
-                }
-            }
-            Ok(())
-        }
-        if use_exclusive {
-            let mut space = self.space.lock();
-            map_all(&mut space, segs)?;
-            let exec_result = run_image(
-                &image,
-                &entry.got,
-                self.namespace.externs(),
-                &mut *space,
-                bus,
-                &vm_cfg,
-            );
-            for name in NAMES {
-                space.unmap(name);
-            }
-            Ok(exec_result?)
-        } else {
-            map_all(&mut shard_space.local, segs)?;
-            let exec_result = run_image(
-                &image,
-                &entry.got,
-                self.namespace.externs(),
-                shard_space,
-                bus,
-                &vm_cfg,
-            );
-            for name in NAMES {
-                shard_space.local.unmap(name);
-            }
-            Ok(exec_result?)
-        }
-    }
-
-    /// Resolve the GOT image of an injected frame, through the shared GOT caches.
-    #[allow(clippy::too_many_arguments)]
-    fn injected_got(
-        &self,
-        cache: &InjectionCache,
-        stats: &mut RuntimeStats,
-        bus: &mut CoreBus,
-        core: usize,
-        frame: &FrameView<'_>,
-        mailbox_base: u64,
-        handler_time: &mut SimTime,
-    ) -> AmResult<Arc<GotImage>> {
-        let elem_id = frame.header.elem_id;
-        if self.config.security.accept_sender_got {
-            // Hash (and, on a candidate hit, compare) the sender-provided image in
-            // place; like the code hash this streams the arrived bytes, so it is
-            // charged as a read of the section wherever the frame landed.
-            *handler_time += SimTime::from_ns_f64(frame.got.len() as f64 * HASH_NS_PER_BYTE);
-            *handler_time += bus.access(
-                core,
-                mailbox_base + frame.got_offset() as u64,
-                frame.got.len().max(1),
-                AccessKind::Read,
-            );
-            let key = (elem_id, hash64_bytes(frame.got));
-            if let Some(image) = cache.lookup_sender_got(key, frame.got) {
-                stats.got_cache_hits += 1;
-                return Ok(image);
-            }
-            // Miss, or a 64-bit hash collision with different bytes: re-parse and
-            // (re)place the entry.
-            stats.got_cache_misses += 1;
-            let image = Arc::new(
-                GotImage::from_bytes(frame.got)
-                    .ok_or_else(|| AmError::BadFrame("bad GOT image".into()))?,
-            );
-            *handler_time += SimTime::from_ns_f64(frame.got.len() as f64 * GOT_PARSE_NS_PER_BYTE);
-            stats.got_cache_evictions += cache.store_sender_got(
-                key,
-                CachedGot {
-                    bytes: frame.got.into(),
-                    image: Arc::clone(&image),
-                },
-            );
-            Ok(image)
-        } else {
-            // Hardened mode: ignore the sender's GOT, re-resolve locally. The cache
-            // amortises the resolution *work* (building the slot vector), but the
-            // policy's modelled per-message cost is charged on every message — the
-            // hardening of §V is a per-message check, and the cost model must keep
-            // saying so whether or not the host reuses the resolved image.
-            if let Some(got) = cache.lookup_resolved_got(elem_id) {
-                stats.got_cache_hits += 1;
-                *handler_time += self.config.security.per_message_overhead(got.len());
-                return Ok(got);
-            }
-            stats.got_cache_misses += 1;
-            let pkg = self
-                .package
-                .as_ref()
-                .ok_or(AmError::UnknownElement(elem_id))?;
-            let jam = pkg.jam(ElementId(elem_id))?;
-            *handler_time += self.config.security.per_message_overhead(jam.got.len());
-            let got = Arc::new(self.namespace.resolve_got(&jam.got)?);
-            stats.got_cache_evictions += cache.store_resolved_got(elem_id, Arc::clone(&got));
-            Ok(got)
-        }
-    }
-
-    /// Resolve the decoded program of an injected frame, through the shared code
-    /// cache. Returns the program and its verifier floor (smallest GOT slot
-    /// count it verifies against).
-    #[allow(clippy::too_many_arguments)]
-    fn injected_program(
-        &self,
-        cache: &InjectionCache,
-        stats: &mut RuntimeStats,
-        bus: &mut CoreBus,
-        core: usize,
-        frame: &FrameView<'_>,
-        got_slots: usize,
-        mailbox_base: u64,
-        handler_time: &mut SimTime,
-    ) -> AmResult<(Arc<[Instr]>, usize)> {
-        let code_base = mailbox_base + frame.code_offset() as u64;
-        // Content hash over the arrived code: the cache-key computation. The hash
-        // streams every code byte through the receiver core, so it is charged as a
-        // full read of the section — these reads hit the LLC when the frame was
-        // stashed and go to DRAM otherwise, which keeps the stash benefit visible on
-        // the warm path too (and leaves the lines hot for the VM's fetches).
-        *handler_time += SimTime::from_ns_f64(frame.code.len() as f64 * HASH_NS_PER_BYTE);
-        *handler_time += bus.access(core, code_base, frame.code.len().max(1), AccessKind::Read);
-        let key = (frame.header.elem_id, hash64_bytes(frame.code));
-        if let Some((program, min_got_slots)) = cache.lookup_program(key, frame.code) {
-            // Verification depends on the GOT size, which varies per message: the
-            // cached program must still fit inside *this* message's GOT, or a warm
-            // hit would execute a program the cold path rejects.
-            if got_slots < min_got_slots {
-                return Err(AmError::BadFrame(format!(
-                    "cached program references GOT slot {} but the message GOT has only {} slots",
-                    min_got_slots - 1,
-                    got_slots
-                )));
-            }
-            stats.injected_code_cache_hits += 1;
-            return Ok((program, min_got_slots));
-        }
-        // Miss, or a 64-bit hash collision with different bytes: re-decode and
-        // (re)place the entry.
-        stats.injected_code_cache_misses += 1;
-
-        // Cold miss: the receiver walks the freshly arrived code (relocation check +
-        // landing-pad setup), then decodes and verifies the bytecode before caching
-        // the result. Together with the hash stream above, these reads are the
-        // dominant term of the stash benefit for Injected Function messages
-        // (Figs. 9–10).
-        *handler_time += bus.access(core, code_base, frame.code.len().max(1), AccessKind::Fetch);
-        let program = decode_program(frame.code).map_err(|e| AmError::BadFrame(e.to_string()))?;
-        verify(&program, got_slots).map_err(|e| AmError::BadFrame(e.to_string()))?;
-        *handler_time += SimTime::from_ns_f64(
-            frame.code.len() as f64 * (DECODE_NS_PER_BYTE + VERIFY_NS_PER_BYTE),
-        );
-        // The smallest GOT this program verifies against: later hits re-check it
-        // against their own message's GOT size in O(1).
-        let min_got_slots = program
-            .iter()
-            .filter_map(|i| match *i {
-                Instr::CallExtern { slot, .. } => Some(slot as usize + 1),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(0);
-        let program: Arc<[Instr]> = program.into();
-        stats.injected_code_cache_evictions += cache.store_program(
-            key,
-            CachedProgram {
-                code: frame.code.into(),
-                program: Arc::clone(&program),
-                min_got_slots,
-            },
-        );
-        Ok((program, min_got_slots))
+    /// Charge one credit-path put that is not a token flush (a replay
+    /// re-publication, a NACK span): its wire bytes and its posting cost.
+    fn fold_put(stats: &mut RuntimeStats, clock: &mut SimTime, put: CreditPutOutcome) {
+        stats.credit_put_bytes += put.bytes as u64;
+        stats.credit_put_time += put.sender_free - *clock;
+        *clock = put.sender_free;
     }
 }

@@ -70,6 +70,44 @@
 //! * [`TwoChainsHost::shard_drains`] — splits the host into independently movable
 //!   per-shard drain handles for genuinely parallel (multi-threaded) draining.
 //!
+//! # The receive pipeline (the dispatch contract)
+//!
+//! Whatever a mailbox holds goes through the same seven stages, whether it
+//! was found by a burst scan or waited for on one slot, and whether it is a
+//! plain frame or an inner frame of a batch container (`runtime/host.rs`
+//! names the function behind each stage):
+//!
+//! 1. **Scan** — which mailboxes hold a frame: one poll over the shard's
+//!    banks (poisoned slots quarantined, their credit returned), or the wait
+//!    model on a single slot.
+//! 2. **Parse / unbatch** — the slot is re-checked, read into the shard's
+//!    scratch buffer and parsed by borrow. A container pays one header-read
+//!    prologue and yields its inner frames with their declared destination
+//!    slots; only the carrier mailbox is cleared.
+//! 3. **Admit** — the destination slot must exist in the bank (it comes off
+//!    the wire for an inner frame), then the replay filter is probed (armed
+//!    sessions only): a duplicate retires silently. An admitted frame is
+//!    accounted and gets its [`ReceiveOutcome`].
+//! 4. **Resolve image** — the GOT and the executable image, through the
+//!    injection caches for an Injected frame or the Local Function library
+//!    otherwise.
+//! 5. **Execute** — the address space is picked once
+//!    ([`SpaceMode`](crate::config::SpaceMode)), the frame's sections are
+//!    mapped as fresh copies, the image runs, the sections are unmapped.
+//! 6. **Continue chain** — each continuation stage is stage 5 again, with the
+//!    per-chain context cell carrying the running result.
+//! 7. **Retire** — per frame: the gap watcher notes its sequence number, the
+//!    drain clock moves past its handler, and its slot's credit goes back —
+//!    a fresh token for an executed or rejected frame, the current token
+//!    re-published for a suppressed replay, none for a slot the bank does not
+//!    have. A container executes all its inner frames before any is retired.
+//!
+//! A frame that fails in stages 2–6 is *rejected*, never dropped on the
+//! floor: its mailbox is cleared, it counts in `frames_rejected`, it is
+//! reported ([`BurstOutcome::rejected`], or as `receive`'s error) and its
+//! credit is returned, so a hostile or torn frame can neither wedge a bank
+//! nor starve a lane.
+//!
 //! # Fast-path architecture (zero-copy steady state)
 //!
 //! The send→receive hot path is allocation-free in steady state. Both sides keep
@@ -111,8 +149,8 @@
 //! [`ChainDescriptor`](crate::frame::ChainDescriptor)), so unchained frames are
 //! byte-identical to the legacy format and old receivers reject — not
 //! misparse — chained ones. Dispatch executes the primary element exactly as
-//! an unchained send would, then runs each continuation stage in descriptor
-//! order under this contract:
+//! an unchained send would, then runs each continuation stage through the
+//! same stage executor, in descriptor order, under this contract:
 //!
 //! * **Result threading.** Stage *k*'s result registers feed stage *k+1*'s
 //!   entry registers through a *per-chain context cell* in the executing

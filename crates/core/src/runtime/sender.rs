@@ -229,44 +229,6 @@ impl TwoChainsSender {
         )
     }
 
-    /// Deprecated single-element send. Thin wrapper over the [`MessageSpec`]
-    /// path (identical wire bytes, costs and counters).
-    #[deprecated(
-        note = "construct the message with spec(elem).mode(..).args(..).usr(..) and \
-                send it with send_spec (see the migration notes in CHANGES.md)"
-    )]
-    pub fn send_message(
-        &mut self,
-        now: SimTime,
-        elem: ElementId,
-        mode: InvocationMode,
-        args: &[u8],
-        usr: &[u8],
-        target: &MailboxTarget,
-    ) -> AmResult<AmSendOutcome> {
-        self.send_raw(now, elem, mode, None, args, usr, target, None)
-    }
-
-    /// Deprecated tracked single-element send. Thin wrapper over the
-    /// [`MessageSpec`] path (identical wire bytes, costs and counters).
-    #[deprecated(
-        note = "construct the message with spec(elem).mode(..).args(..).usr(..).tracked() \
-                and send it with send_spec_tracked (see the migration notes in CHANGES.md)"
-    )]
-    #[allow(clippy::too_many_arguments)]
-    pub fn send_message_tracked(
-        &mut self,
-        now: SimTime,
-        elem: ElementId,
-        mode: InvocationMode,
-        args: &[u8],
-        usr: &[u8],
-        target: &MailboxTarget,
-        cq: &mut CompletionQueue,
-    ) -> AmResult<AmSendOutcome> {
-        self.send_raw(now, elem, mode, None, args, usr, target, Some(cq))
-    }
-
     /// The single allocation-free send core every path funnels through:
     /// validate, stamp the next sequence number, encode into the parked
     /// scratch buffer, put (completion-tracked through `cq` when given).

@@ -59,12 +59,12 @@ pub struct ReceiverShard {
     pub(crate) scratch: Vec<u8>,
     pub(crate) stats: RuntimeStats,
     /// The one-sided credit-return path for this shard's paired sender stream
-    /// (§VI-A2): installed by
-    /// [`TwoChainsHost::install_credit_returns`](super::TwoChainsHost::install_credit_returns)
-    /// when the fleet's stream count matches the shard count; `None` until
-    /// then (pre-fleet drains and raw-sender benchmarks pay no credit
-    /// traffic). Owned by the shard so drain threads return credits without a
-    /// lock — the endpoint serializes on the NIC models like any other put.
+    /// (§VI-A2): installed as the reverse half of
+    /// [`SenderFleet::connect_fleet`](super::SenderFleet::connect_fleet);
+    /// `None` until then (pre-fleet drains and raw-sender benchmarks pay no
+    /// credit traffic). Owned by the shard so drain threads return credits
+    /// without a lock — the endpoint serializes on the NIC models like any
+    /// other put.
     pub(crate) credit: Option<CreditReturn>,
     /// Per-slot last-executed sequence number, indexed `bank_row * per_bank +
     /// slot` and lazily sized on first use (idempotent replay suppression).
@@ -77,6 +77,42 @@ pub struct ReceiverShard {
     /// when the stream's handshake carried a NACK table). Persists across
     /// stats resets for the same reason `replay` does.
     pub(crate) watch: SeqWatch,
+}
+
+/// One shard's parts as the receive pipeline's stages borrow them for a scan:
+/// everything a stage charges or mutates, split off from the scratch buffer
+/// the parsed frame borrows (see [`ReceiverShard::stages`]).
+pub(crate) struct DrainCtx<'s> {
+    pub(crate) core: usize,
+    pub(crate) bus: &'s mut CoreBus,
+    pub(crate) space: &'s mut ShardSpace,
+    pub(crate) cache: &'s InjectionCache,
+    pub(crate) stats: &'s mut RuntimeStats,
+    /// The replay filter — `Some` only while the reliability layer is armed.
+    replay: Option<&'s mut Vec<u32>>,
+    num_shards: usize,
+}
+
+impl DrainCtx<'_> {
+    /// The replay-filter entry guarding mailbox (`bank`, `slot`) of a bank
+    /// with `per_bank` slots, growing the filter on first touch; `None` when
+    /// the filter is not armed. Rows are indexed like `CreditReturn`'s: the
+    /// shard sees every `num_shards`-th bank, so `bank / num_shards` is its
+    /// local row. `slot` must be below `per_bank`, or the index is another
+    /// mailbox's.
+    pub(crate) fn replay_entry(
+        &mut self,
+        per_bank: usize,
+        bank: usize,
+        slot: usize,
+    ) -> Option<&mut u32> {
+        let filter = self.replay.as_deref_mut()?;
+        let idx = (bank / self.num_shards) * per_bank + slot;
+        if filter.len() <= idx {
+            filter.resize(idx + 1, 0);
+        }
+        Some(&mut filter[idx])
+    }
 }
 
 /// Receiver-side sequence-gap detection for one shard's paired sender stream.
@@ -185,6 +221,33 @@ impl ReceiverShard {
             replay: Vec::new(),
             watch: SeqWatch::default(),
         }
+    }
+
+    /// Split the shard for one pass of the receive pipeline: the scratch
+    /// buffer (frames are read into it and parsed by borrow) and a
+    /// [`DrainCtx`] over everything else the stages touch. The replay filter
+    /// is handed over only when this shard's stream handshake carried a NACK
+    /// table: flows without the reliability layer keep their exact
+    /// pre-reliability semantics, including re-executing a slot a test
+    /// refills with the same sequence number.
+    pub(crate) fn stages(&mut self) -> (&mut Vec<u8>, DrainCtx<'_>) {
+        let armed = self.nack_armed();
+        let ctx = DrainCtx {
+            core: self.core,
+            bus: &mut self.bus,
+            space: &mut self.space,
+            cache: &self.cache,
+            stats: &mut self.stats,
+            replay: armed.then_some(&mut self.replay),
+            num_shards: self.num_shards,
+        };
+        (&mut self.scratch, ctx)
+    }
+
+    /// Whether the receiver half of the reliability layer is armed for this
+    /// shard (its stream's handshake carried a NACK table).
+    pub(crate) fn nack_armed(&self) -> bool {
+        self.credit.as_ref().is_some_and(|c| c.nack_armed())
     }
 
     /// This shard's index.

@@ -1,19 +1,12 @@
 //! Runtime tests: the end-to-end receive/send paths, the fast-path cache
 //! behaviour, and the sharded burst-draining layer.
-//!
-//! The deprecated send/handshake spellings (`send_message`, `sender_handshake`,
-//! `install_credit_returns`, `connect`, ...) are exercised here on purpose —
-//! they must stay behaviourally pinned for as long as the thin wrappers exist.
-//! Everything outside this module constructs messages and sessions through
-//! `spec()`/`send_spec`/`connect_fleet`.
-#![allow(deprecated)]
 
 use twochains_fabric::SimFabric;
 use twochains_jamvm::{encode_program, GotImage, Instr};
 use twochains_linker::ElementId;
 use twochains_memsim::{SimTime, TestbedConfig};
 
-use super::{ReceiveOutcome, TwoChainsHost, TwoChainsSender};
+use super::{MessageSpec, ReceiveOutcome, TwoChainsHost, TwoChainsSender};
 use crate::builtin::{benchmark_package, indirect_put_args, ssum_args, BuiltinJam};
 use crate::config::{InvocationMode, RuntimeConfig};
 use crate::error::AmError;
@@ -36,6 +29,11 @@ fn testbed(cfg: RuntimeConfig) -> (TwoChainsHost, TwoChainsSender) {
         sender.set_remote_got(id, &got);
     }
     (receiver, sender)
+}
+
+/// A one-element message from loose sections.
+fn msg(elem: ElementId, mode: InvocationMode, args: &[u8], usr: &[u8]) -> MessageSpec {
+    super::spec(elem).mode(mode).args(args).usr(usr)
 }
 
 fn payload(n_ints: usize) -> Vec<u8> {
@@ -338,12 +336,9 @@ fn pump_injected_into(
         let args = ssum_args(4);
         let usr = payload(4);
         let send = tx
-            .send_message(
+            .send_spec(
                 SimTime::ZERO,
-                elem,
-                InvocationMode::Injected,
-                &args,
-                &usr,
+                &msg(elem, InvocationMode::Injected, &args, &usr),
                 &target,
             )
             .unwrap();
@@ -454,12 +449,9 @@ fn repeat_sends_are_byte_identical_without_repatching() {
     for slot in 0..2 {
         let target = rx.mailbox_target(0, slot).unwrap();
         let send = tx
-            .send_message(
+            .send_spec(
                 SimTime::ZERO,
-                id,
-                InvocationMode::Injected,
-                &args,
-                &usr,
+                &msg(id, InvocationMode::Injected, &args, &usr),
                 &target,
             )
             .unwrap();
@@ -492,7 +484,7 @@ fn repeat_sends_are_byte_identical_without_repatching() {
 }
 
 #[test]
-fn send_message_matches_pack_plus_send() {
+fn send_spec_matches_pack_plus_send() {
     let (mut rx, mut tx) = testbed(RuntimeConfig::paper_default());
     let id = rx.builtin_id(BuiltinJam::ServerSideSum).unwrap();
     let args = ssum_args(8);
@@ -500,12 +492,9 @@ fn send_message_matches_pack_plus_send() {
     // Fast path into slot 0.
     let t0 = rx.mailbox_target(0, 0).unwrap();
     let fast = tx
-        .send_message(
+        .send_spec(
             SimTime::ZERO,
-            id,
-            InvocationMode::Injected,
-            &args,
-            &usr,
+            &msg(id, InvocationMode::Injected, &args, &usr),
             &t0,
         )
         .unwrap();
@@ -598,7 +587,11 @@ fn oversized_args_rejected_at_the_sender() {
         .unwrap_err();
     assert!(matches!(&err, AmError::BadFrame(m) if m.contains("ARGS")));
     let err = tx
-        .send_message(SimTime::ZERO, id, InvocationMode::Local, &big, &[], &target)
+        .send_spec(
+            SimTime::ZERO,
+            &msg(id, InvocationMode::Local, &big, &[]),
+            &target,
+        )
         .unwrap_err();
     assert!(matches!(&err, AmError::BadFrame(m) if m.contains("ARGS")));
 }
@@ -686,12 +679,9 @@ fn receive_burst_drains_a_shards_banks_in_one_call() {
         for slot in 0..2 {
             let target = rx.mailbox_target(bank, slot).unwrap();
             let send = tx
-                .send_message(
+                .send_spec(
                     SimTime::ZERO,
-                    id,
-                    InvocationMode::Injected,
-                    &ssum_args(4),
-                    &payload(4),
+                    &msg(id, InvocationMode::Injected, &ssum_args(4), &payload(4)),
                     &target,
                 )
                 .unwrap();
@@ -733,12 +723,9 @@ fn receive_burst_respects_max_frames() {
     let id = rx.builtin_id(BuiltinJam::ServerSideSum).unwrap();
     for slot in 0..3 {
         let target = rx.mailbox_target(0, slot).unwrap();
-        tx.send_message(
+        tx.send_spec(
             SimTime::ZERO,
-            id,
-            InvocationMode::Injected,
-            &ssum_args(4),
-            &payload(4),
+            &msg(id, InvocationMode::Injected, &ssum_args(4), &payload(4)),
             &target,
         )
         .unwrap();
@@ -763,12 +750,9 @@ fn receive_burst_amortises_the_per_message_wait() {
         for slot in 0..5 {
             let target = rx.mailbox_target(0, slot).unwrap();
             let send = tx
-                .send_message(
+                .send_spec(
                     SimTime::ZERO,
-                    id,
-                    InvocationMode::Injected,
-                    &ssum_args(4),
-                    &payload(4),
+                    &msg(id, InvocationMode::Injected, &ssum_args(4), &payload(4)),
                     &target,
                 )
                 .unwrap();
@@ -807,12 +791,9 @@ fn receive_burst_drops_malformed_frames_and_frees_their_slots() {
     let id = rx.builtin_id(BuiltinJam::ServerSideSum).unwrap();
     // Slot 0: good frame. Slot 1: garbage code of the declared length.
     let t0 = rx.mailbox_target(0, 0).unwrap();
-    tx.send_message(
+    tx.send_spec(
         SimTime::ZERO,
-        id,
-        InvocationMode::Injected,
-        &ssum_args(4),
-        &payload(4),
+        &msg(id, InvocationMode::Injected, &ssum_args(4), &payload(4)),
         &t0,
     )
     .unwrap();
@@ -849,12 +830,9 @@ fn shard_drains_split_the_host_for_parallel_draining() {
     pump_injected_into(&mut rx, &mut tx, id, 0, 1);
     for bank in 0..4 {
         let target = rx.mailbox_target(bank, 0).unwrap();
-        tx.send_message(
+        tx.send_spec(
             SimTime::ZERO,
-            id,
-            InvocationMode::Injected,
-            &ssum_args(4),
-            &payload(4),
+            &msg(id, InvocationMode::Injected, &ssum_args(4), &payload(4)),
             &target,
         )
         .unwrap();
@@ -886,12 +864,9 @@ fn receive_burst_quarantines_poisoned_slots() {
     // larger than the mailbox — invisible to the readiness scan, and without the
     // quarantine sweep it would occupy the slot forever.
     let t0 = rx.mailbox_target(0, 0).unwrap();
-    tx.send_message(
+    tx.send_spec(
         SimTime::ZERO,
-        id,
-        InvocationMode::Injected,
-        &ssum_args(4),
-        &payload(4),
+        &msg(id, InvocationMode::Injected, &ssum_args(4), &payload(4)),
         &t0,
     )
     .unwrap();
@@ -916,12 +891,9 @@ fn receive_burst_quarantines_poisoned_slots() {
         .unwrap()
         .is_empty());
     let send = tx
-        .send_message(
+        .send_spec(
             SimTime::ZERO,
-            id,
-            InvocationMode::Injected,
-            &ssum_args(4),
-            &payload(4),
+            &msg(id, InvocationMode::Injected, &ssum_args(4), &payload(4)),
             &t1,
         )
         .unwrap();
@@ -937,12 +909,9 @@ fn shard_drain_rejects_foreign_banks() {
     // A frame sits in bank 1 (owned by shard 1).
     let target = rx.mailbox_target(1, 0).unwrap();
     let send = tx
-        .send_message(
+        .send_spec(
             SimTime::ZERO,
-            id,
-            InvocationMode::Injected,
-            &ssum_args(4),
-            &payload(4),
+            &msg(id, InvocationMode::Injected, &ssum_args(4), &payload(4)),
             &target,
         )
         .unwrap();
@@ -974,12 +943,14 @@ fn shard_local_space_partitions_writable_state_per_shard() {
     for bank in [0usize, 1] {
         let target = rx.mailbox_target(bank, 0).unwrap();
         let send = tx
-            .send_message(
+            .send_spec(
                 SimTime::ZERO,
-                id,
-                InvocationMode::Injected,
-                &indirect_put_args(42, 4, 4),
-                &payload(4),
+                &msg(
+                    id,
+                    InvocationMode::Injected,
+                    &indirect_put_args(42, 4, 4),
+                    &payload(4),
+                ),
                 &target,
             )
             .unwrap();
@@ -1008,12 +979,14 @@ fn shard_local_space_partitions_writable_state_per_shard() {
     // Re-putting the key through the same shard reuses that shard's slot.
     let target = rx.mailbox_target(0, 1).unwrap();
     let send = tx
-        .send_message(
+        .send_spec(
             SimTime::ZERO,
-            id,
-            InvocationMode::Injected,
-            &indirect_put_args(42, 4, 4),
-            &payload(4),
+            &msg(
+                id,
+                InvocationMode::Injected,
+                &indirect_put_args(42, 4, 4),
+                &payload(4),
+            ),
             &target,
         )
         .unwrap();
@@ -1062,12 +1035,9 @@ fn cross_shard_jam_falls_back_to_the_exclusive_space() {
     for bank in [0usize, 1] {
         let target = rx.mailbox_target(bank, 0).unwrap();
         let send = tx
-            .send_message(
+            .send_spec(
                 SimTime::ZERO,
-                id,
-                InvocationMode::Injected,
-                &[0u8; 20],
-                &[],
+                &msg(id, InvocationMode::Injected, &[0u8; 20], &[]),
                 &target,
             )
             .unwrap();
@@ -1235,12 +1205,9 @@ fn quarantine_and_rejection_counters_reach_the_merged_stats() {
     // Slot 0: good. Slot 1: rejected at dispatch (garbage code). Slot 2: a
     // poisoned header quarantined by the scan.
     let t0 = rx.mailbox_target(0, 0).unwrap();
-    tx.send_message(
+    tx.send_spec(
         SimTime::ZERO,
-        id,
-        InvocationMode::Injected,
-        &ssum_args(4),
-        &payload(4),
+        &msg(id, InvocationMode::Injected, &ssum_args(4), &payload(4)),
         &t0,
     )
     .unwrap();
@@ -1343,7 +1310,8 @@ fn fleet_testbed_with(
     let mut host = TwoChainsHost::new(&fabric, b, cfg).unwrap();
     host.install_package(benchmark_package().unwrap()).unwrap();
     let fleet =
-        super::SenderFleet::connect(&fabric, a, &mut host, benchmark_package().unwrap()).unwrap();
+        super::SenderFleet::connect_fleet(&fabric, a, &mut host, benchmark_package().unwrap())
+            .unwrap();
     (host, fleet)
 }
 
@@ -1445,9 +1413,11 @@ fn fleet_payload(ctx: super::SlotCtx) -> (Vec<u8>, Vec<u8>) {
 }
 
 #[test]
-fn sender_handshake_partitions_banks_and_exports_gots() {
+fn session_handshake_partitions_banks_and_exports_gots() {
     let (host, _) = fleet_testbed(2, 64);
-    let handshakes = host.sender_handshake(2).unwrap();
+    let session = host.session_handshake().unwrap();
+    assert_eq!(session.shards, 2);
+    let handshakes = session.streams;
     assert_eq!(handshakes.len(), 2);
     let total: usize = handshakes.iter().map(|h| h.targets.len()).sum();
     assert_eq!(total, host.config().total_mailboxes());
@@ -1467,9 +1437,6 @@ fn sender_handshake_partitions_banks_and_exports_gots() {
             assert_eq!(host.export_got(*id).unwrap(), *got);
         }
     }
-    // Degenerate stream counts are rejected with actionable errors.
-    assert!(host.sender_handshake(0).is_err());
-    assert!(host.sender_handshake(host.config().banks + 1).is_err());
 }
 
 #[test]
@@ -1477,7 +1444,7 @@ fn handshake_without_package_is_rejected() {
     let (fabric, _, b) = SimFabric::back_to_back(TestbedConfig::cluster2021());
     let host = TwoChainsHost::new(&fabric, b, RuntimeConfig::paper_default()).unwrap();
     assert!(matches!(
-        host.sender_handshake(1),
+        host.session_handshake(),
         Err(AmError::InvalidConfig(_))
     ));
 }
@@ -1518,12 +1485,9 @@ fn fleet_fill_drains_to_the_same_results_as_a_single_sender() {
             });
             let target = rx.mailbox_target(bank, slot).unwrap();
             let sent = tx
-                .send_message(
+                .send_spec(
                     SimTime::ZERO,
-                    elem,
-                    InvocationMode::Injected,
-                    &args,
-                    &usr,
+                    &msg(elem, InvocationMode::Injected, &args, &usr),
                     &target,
                 )
                 .unwrap();
@@ -1644,7 +1608,7 @@ fn backpressure_pauses_only_the_saturated_stream() {
 }
 
 #[test]
-fn connect_installs_the_credit_path_only_for_the_closed_pairing() {
+fn connect_fleet_installs_the_credit_path() {
     let mut cfg = RuntimeConfig::paper_default()
         .with_shards(2)
         .with_sender_streams(2);
@@ -1653,30 +1617,9 @@ fn connect_installs_the_credit_path_only_for_the_closed_pairing() {
     let mut host = TwoChainsHost::new(&fabric, b, cfg).unwrap();
     host.install_package(benchmark_package().unwrap()).unwrap();
     assert!(!host.credit_path_installed());
-    // One stream over a two-shard host: no drain->lane credit route exists,
-    // so the fleet connects without the credit path (phased schedules only).
-    let single = super::SenderFleet::connect_streams(
-        &fabric,
-        a,
-        &mut host,
-        benchmark_package().unwrap(),
-        1,
-        64,
-    )
-    .unwrap();
-    assert_eq!(single.lane_count(), 1);
-    assert!(!host.credit_path_installed());
-    drop(single);
-    // The closed pairing wires it.
-    let _fleet = super::SenderFleet::connect_streams(
-        &fabric,
-        a,
-        &mut host,
-        benchmark_package().unwrap(),
-        2,
-        64,
-    )
-    .unwrap();
+    let _fleet =
+        super::SenderFleet::connect_fleet(&fabric, a, &mut host, benchmark_package().unwrap())
+            .unwrap();
     assert!(host.credit_path_installed());
 }
 
@@ -1764,13 +1707,15 @@ fn single_slot_receive_returns_the_credit_over_the_fabric() {
     let elem = host.builtin_id(BuiltinJam::IndirectPut).unwrap();
     let mut handles = fleet.handles();
     let sent = handles[0]
-        .send_to(
+        .send_spec(
             0,
             0,
-            elem,
-            InvocationMode::Injected,
-            &indirect_put_args(3, 4, 4),
-            &payload(4),
+            &msg(
+                elem,
+                InvocationMode::Injected,
+                &indirect_put_args(3, 4, 4),
+                &payload(4),
+            ),
         )
         .unwrap();
     drop(handles);
@@ -1796,13 +1741,10 @@ fn rejected_single_slot_receive_still_retires_and_credits() {
     let (mut host, mut fleet) = fleet_testbed(2, 64);
     let mut handles = fleet.handles();
     let sent = handles[0]
-        .send_to(
+        .send_spec(
             0,
             0,
-            ElementId(9999),
-            InvocationMode::Local,
-            &[],
-            &payload(4),
+            &msg(ElementId(9999), InvocationMode::Local, &[], &payload(4)),
         )
         .unwrap();
     drop(handles);
@@ -1843,9 +1785,11 @@ fn drive_pipeline_rejects_a_fleet_whose_credit_tables_were_replaced() {
     let mut host = TwoChainsHost::new(&fabric, b, cfg).unwrap();
     host.install_package(benchmark_package().unwrap()).unwrap();
     let mut stale =
-        super::SenderFleet::connect(&fabric, a, &mut host, benchmark_package().unwrap()).unwrap();
+        super::SenderFleet::connect_fleet(&fabric, a, &mut host, benchmark_package().unwrap())
+            .unwrap();
     let mut fresh =
-        super::SenderFleet::connect(&fabric, a, &mut host, benchmark_package().unwrap()).unwrap();
+        super::SenderFleet::connect_fleet(&fabric, a, &mut host, benchmark_package().unwrap())
+            .unwrap();
     let elem = host.builtin_id(BuiltinJam::IndirectPut).unwrap();
     let err = super::drive_pipeline(
         &mut host,
@@ -1886,7 +1830,8 @@ fn drive_pipeline_requires_the_credit_path() {
     let mut host = TwoChainsHost::new(&fabric, b, cfg.clone()).unwrap();
     host.install_package(benchmark_package().unwrap()).unwrap();
     let mut fleet =
-        super::SenderFleet::connect(&fabric, a, &mut host, benchmark_package().unwrap()).unwrap();
+        super::SenderFleet::connect_fleet(&fabric, a, &mut host, benchmark_package().unwrap())
+            .unwrap();
     assert!(host.credit_path_installed());
     let mut fresh = TwoChainsHost::new(&fabric, b, cfg).unwrap();
     fresh.install_package(benchmark_package().unwrap()).unwrap();
@@ -1918,15 +1863,10 @@ fn fleet_lanes_are_send() {
 
 #[test]
 fn drive_pipeline_requires_one_lane_per_shard() {
-    let mut cfg = RuntimeConfig::paper_default()
-        .with_shards(2)
-        .with_sender_streams(1);
-    cfg.frame_capacity = 4096;
-    let (fabric, a, b) = SimFabric::back_to_back(TestbedConfig::cluster2021());
-    let mut host = TwoChainsHost::new(&fabric, b, cfg).unwrap();
-    host.install_package(benchmark_package().unwrap()).unwrap();
-    let mut fleet =
-        super::SenderFleet::connect(&fabric, a, &mut host, benchmark_package().unwrap()).unwrap();
+    // A one-lane fleet (connected to a one-shard host) driven against a
+    // two-shard host: no closed stream<->shard pairing, refused up front.
+    let (_, mut fleet) = fleet_testbed(1, 64);
+    let (mut host, _) = fleet_testbed(2, 64);
     let elem = host.builtin_id(BuiltinJam::IndirectPut).unwrap();
     let err = super::drive_pipeline(
         &mut host,
@@ -1937,7 +1877,10 @@ fn drive_pipeline_requires_one_lane_per_shard() {
         &fleet_payload,
     )
     .unwrap_err();
-    assert!(matches!(err, AmError::InvalidConfig(_)));
+    match err {
+        AmError::InvalidConfig(msg) => assert!(msg.contains("one sender lane per shard"), "{msg}"),
+        other => panic!("expected InvalidConfig, got {other:?}"),
+    }
 }
 
 #[test]
@@ -1964,29 +1907,23 @@ fn builtin_id_reports_the_missing_name() {
 }
 
 #[test]
-fn send_message_tracked_applies_window_backpressure() {
+fn send_spec_tracked_applies_window_backpressure() {
     let (rx, mut tx) = testbed(RuntimeConfig::paper_default());
     let elem = rx.builtin_id(BuiltinJam::IndirectPut).unwrap();
     let target = rx.mailbox_target(0, 0).unwrap();
     let mut cq = twochains_fabric::CompletionQueue::new(2, SimTime::from_ns(5));
     let args = indirect_put_args(1, 4, 4);
     let first = tx
-        .send_message_tracked(
+        .send_spec_tracked(
             SimTime::ZERO,
-            elem,
-            InvocationMode::Injected,
-            &args,
-            &payload(4),
+            &msg(elem, InvocationMode::Injected, &args, &payload(4)),
             &target,
             &mut cq,
         )
         .unwrap();
-    tx.send_message_tracked(
+    tx.send_spec_tracked(
         first.sender_free(),
-        elem,
-        InvocationMode::Injected,
-        &args,
-        &payload(4),
+        &msg(elem, InvocationMode::Injected, &args, &payload(4)),
         &target,
         &mut cq,
     )
@@ -1995,12 +1932,9 @@ fn send_message_tracked_applies_window_backpressure() {
     // Window full: the third tracked send is refused before any bytes move.
     let sent_before = tx.stats().messages_sent;
     let err = tx
-        .send_message_tracked(
+        .send_spec_tracked(
             SimTime::ZERO,
-            elem,
-            InvocationMode::Injected,
-            &args,
-            &payload(4),
+            &msg(elem, InvocationMode::Injected, &args, &payload(4)),
             &target,
             &mut cq,
         )
@@ -2010,14 +1944,11 @@ fn send_message_tracked_applies_window_backpressure() {
     // Harvesting reopens the window.
     cq.poll(SimTime::from_us(1_000));
     assert!(tx
-        .send_message_tracked(
+        .send_spec_tracked(
             SimTime::ZERO,
-            elem,
-            InvocationMode::Injected,
-            &args,
-            &payload(4),
+            &msg(elem, InvocationMode::Injected, &args, &payload(4)),
             &target,
-            &mut cq,
+            &mut cq
         )
         .is_ok());
 }

@@ -168,6 +168,104 @@ proptest! {
         );
     }
 
+    /// A container's declared destination slots are hostile input. Whatever
+    /// mix of valid inner frames, unparseable inner frames and slots the bank
+    /// does not have arrives, the burst completes, exactly the inner frames
+    /// whose declared slot exists earn a credit, and no mailbox other than a
+    /// declared one has its credit token or its replay entry touched.
+    #[test]
+    fn hostile_container_slots_touch_only_the_slots_they_name(
+        inner in prop::collection::vec(
+            (prop_oneof![0u16..16, 16u16..64, Just(u16::MAX)], any::<bool>()),
+            1..12,
+        ),
+    ) {
+        use std::collections::BTreeSet;
+        use two_chains_suite::fabric::SimFabric;
+        use twochains::builtin::{benchmark_package, ssum_args, BuiltinJam};
+        use twochains::frame::FrameBatch;
+        use twochains::{RuntimeConfig, SenderFleet, TwoChainsHost};
+
+        let (fabric, a, b) = SimFabric::back_to_back(TestbedConfig::cluster2021());
+        let mut host = TwoChainsHost::new(&fabric, b, RuntimeConfig::paper_default()).unwrap();
+        host.install_package(benchmark_package().unwrap()).unwrap();
+        // The session installs the credit path and arms the replay filter.
+        let fleet = SenderFleet::connect_fleet(&fabric, a, &mut host, benchmark_package().unwrap())
+            .unwrap();
+        let (banks, per_bank) = (host.config().banks, host.config().mailboxes_per_bank);
+        let elem = host.builtin_id(BuiltinJam::ServerSideSum).unwrap().0;
+        let frame = |sn: u32| Frame::local(sn, elem, ssum_args(1), sn.to_le_bytes().to_vec()).encode();
+        let mut raw = fabric.endpoint(a, b).unwrap();
+
+        // Inner frames sn 2, 3, ...; an unparseable one has a torn sequence echo
+        // (it still passes the builder's and the envelope's cheap checks).
+        let mut batch = FrameBatch::new();
+        for (i, &(slot, parses)) in inner.iter().enumerate() {
+            let mut wire = frame(i as u32 + 2);
+            if !parses {
+                let echo = wire.len() - 3;
+                wire[echo] ^= 0xFF;
+            }
+            batch.push(slot, &wire).unwrap();
+        }
+        let mut container = Vec::new();
+        batch.finish_into(&mut container).unwrap();
+        let carrier = host.mailbox_target(0, 0).unwrap();
+        let put = raw.put(SimTime::ZERO, &container, &carrier.region, carrier.offset).unwrap();
+
+        let out = host.receive_burst(0, usize::MAX, put.delivered);
+        prop_assert!(out.is_ok(), "the burst must not abort: {:?}", out.err());
+        let out = out.unwrap();
+        let exists = |slot: u16| (slot as usize) < per_bank;
+        let executes = inner.iter().filter(|&&(slot, parses)| parses && exists(slot)).count();
+        prop_assert_eq!(out.frames.len(), executes);
+        prop_assert_eq!(out.rejected.len(), inner.len() - executes);
+        let credited = inner.iter().filter(|&&(slot, _)| exists(slot)).count();
+        prop_assert_eq!(host.stats().credits_returned, credited as u64);
+        prop_assert_eq!(host.stats().executions, executes as u64);
+
+        // Credit tokens: exactly the declared slots that exist, in bank 0.
+        let declared: BTreeSet<usize> =
+            inner.iter().filter(|&&(slot, _)| exists(slot)).map(|&(slot, _)| slot as usize).collect();
+        let lane = fleet.lane(0).unwrap();
+        for bank in 0..banks {
+            for slot in 0..per_bank {
+                prop_assert_eq!(
+                    lane.credit_pending(bank, slot).unwrap(),
+                    bank == 0 && declared.contains(&slot),
+                    "credit token of ({}, {})", bank, slot
+                );
+            }
+        }
+
+        // Replay entries: an sn-1 frame into every mailbox executes unless an
+        // inner frame (sn >= 2) executed against that very slot.
+        let executed: BTreeSet<(usize, usize)> = inner
+            .iter()
+            .filter(|&&(slot, parses)| parses && exists(slot))
+            .map(|&(slot, _)| (0, slot as usize))
+            .collect();
+        let mut now = out.drained_at;
+        for bank in 0..banks {
+            for slot in 0..per_bank {
+                let target = host.mailbox_target(bank, slot).unwrap();
+                now = raw.put(now, &frame(1), &target.region, target.offset).unwrap().delivered;
+            }
+        }
+        let probe = host.receive_burst(0, usize::MAX, now).unwrap();
+        prop_assert!(probe.rejected.is_empty(), "{:?}", probe.rejected);
+        let ran: BTreeSet<(usize, usize)> = probe.frames.iter().map(|f| (f.bank, f.slot)).collect();
+        for bank in 0..banks {
+            for slot in 0..per_bank {
+                prop_assert_eq!(
+                    ran.contains(&(bank, slot)),
+                    !executed.contains(&(bank, slot)),
+                    "replay entry of ({}, {})", bank, slot
+                );
+            }
+        }
+    }
+
     /// Chain descriptors survive the wire for every stage count the header can
     /// express — including the zero-stage descriptor, which must stay distinct
     /// from the unchained frame — with stage IDs and arg maps intact.

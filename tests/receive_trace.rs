@@ -302,7 +302,7 @@ fn stats_lines(stats: &RuntimeStats) -> String {
         exec_time,
         cycles,
     } = stats;
-    let pairs: [(&str, u64); 30] = [
+    let pairs = [
         ("messages_received", *messages_received),
         ("executions", *executions),
         ("injected_executions", *injected_executions),
@@ -336,13 +336,13 @@ fn stats_lines(stats: &RuntimeStats) -> String {
         ("wait_time_ps", wait_time.as_ps()),
         ("exec_time_ps", exec_time.as_ps()),
         ("cycles_total", cycles.total()),
+        ("cycles_waiting", cycles.waiting()),
+        ("cycles_working", cycles.working()),
     ];
     let mut out = String::new();
     for (name, value) in pairs {
         out.push_str(&format!("stat {name} {value}\n"));
     }
-    out.push_str(&format!("stat cycles_waiting {}\n", cycles.waiting()));
-    out.push_str(&format!("stat cycles_working {}\n", cycles.working()));
     out
 }
 
