@@ -60,11 +60,11 @@ pub enum CreditFlushPolicy {
     /// equivalence tests.
     PerFrame,
     /// Batch tokens per bank row and flush one multi-byte span put when a row
-    /// fills, when the withheld total reaches the headroom watermark
-    /// ([`RuntimeConfig::credit_flush_watermark`]), or when the shard goes
-    /// idle at the end of a burst scan. The default: it takes the per-put
-    /// fixed cost off the drain hot path without letting a lightly loaded
-    /// sender starve for credits.
+    /// fills, when the withheld total leaves the sender within a headroom
+    /// watermark of exhausting its completion window (the watermark follows
+    /// the observed retire rate), or when the shard goes idle at the end of a
+    /// burst scan. The default: it takes the per-put fixed cost off the drain
+    /// hot path without letting a lightly loaded sender starve for credits.
     #[default]
     Adaptive,
 }
@@ -78,12 +78,11 @@ pub enum AggregationPolicy {
     /// behaviour. Useful as a latency baseline and for equivalence tests.
     PerFrame,
     /// Accumulate spec-built frames per (stream, bank) and post one contiguous
-    /// put covering the whole batch. A batch flushes when it fills
-    /// ([`RuntimeConfig::batch_max_frames`] frames or the carrier mailbox's
-    /// byte capacity), when the oldest accumulated frame has waited past the
-    /// latency watermark ([`RuntimeConfig::batch_latency_watermark_ns`]), and
-    /// unconditionally at every burst boundary — so aggregation never
-    /// withholds a built frame across an idle gap.
+    /// put covering the whole batch. A batch flushes when it fills (eight
+    /// frames or the carrier mailbox's byte capacity), when the oldest
+    /// accumulated frame has waited past the latency watermark (2 µs of
+    /// lane-virtual time), and unconditionally at every burst boundary — so
+    /// aggregation never withholds a built frame across an idle gap.
     #[default]
     Adaptive,
 }
@@ -136,32 +135,8 @@ pub struct RuntimeConfig {
     /// When drain shards flush accumulated credit tokens back to the sender
     /// (see [`CreditFlushPolicy`]).
     pub credit_flush_policy: CreditFlushPolicy,
-    /// Headroom watermark for [`CreditFlushPolicy::Adaptive`]: when the
-    /// tokens a shard is withholding leave the sender at most this many
-    /// credits of headroom under the completion window, the shard flushes
-    /// immediately instead of waiting for a row to fill — so batching never
-    /// turns into a light-load latency stall. Must be at least 1.
-    pub credit_flush_watermark: usize,
-    /// Whether the headroom watermark adapts at runtime: each drain shard
-    /// tracks an EWMA of the interval at which the sender's frames retire (the
-    /// observable proxy for the sender's credit-acquire latency) and sizes the
-    /// watermark so tokens are never withheld longer than a fixed horizon.
-    /// Defaults to true; calling
-    /// [`RuntimeConfig::with_credit_flush_watermark`] pins the static knob
-    /// as an explicit override instead.
-    pub adaptive_credit_watermark: bool,
     /// How sender lanes batch the data path (see [`AggregationPolicy`]).
     pub aggregation_policy: AggregationPolicy,
-    /// Batch-fill bound for [`AggregationPolicy::Adaptive`]: a lane flushes
-    /// its accumulated batch once it holds this many frames. Must be between
-    /// 1 and [`crate::frame::BATCH_MAX_FRAMES`]; 1 degenerates to per-frame
-    /// puts that still ride the container format.
-    pub batch_max_frames: usize,
-    /// Latency watermark for [`AggregationPolicy::Adaptive`]: when the oldest
-    /// frame in a lane's accumulating batch has waited this long (virtual
-    /// nanoseconds), the batch flushes before accepting the next frame. Must
-    /// be positive and finite.
-    pub batch_latency_watermark_ns: f64,
     /// Which core the receiver thread runs on. With `n` shards, shard `s`
     /// drains on core `(receiver_core + s) % num_cores`, each with its own
     /// private L1/L2 over the host's shared cache levels.
@@ -203,11 +178,7 @@ impl RuntimeConfig {
             sender_streams: 1,
             completion_window: 256,
             credit_flush_policy: CreditFlushPolicy::Adaptive,
-            credit_flush_watermark: 4,
-            adaptive_credit_watermark: true,
             aggregation_policy: AggregationPolicy::Adaptive,
-            batch_max_frames: 8,
-            batch_latency_watermark_ns: 2_000.0,
             receiver_core: 0,
             wait_mode: WaitMode::Polling,
             wait_model: WaitModel::cluster2021(),
@@ -255,29 +226,11 @@ impl RuntimeConfig {
         self
     }
 
-    /// Same configuration but with an explicit adaptive-flush headroom
-    /// watermark (see [`RuntimeConfig::credit_flush_watermark`]). Pinning the
-    /// knob disables the runtime EWMA adaptation — the static value becomes
-    /// an override.
-    pub fn with_credit_flush_watermark(mut self, n: usize) -> Self {
-        self.credit_flush_watermark = n;
-        self.adaptive_credit_watermark = false;
-        self
-    }
-
     /// Same configuration but posting one put per frame
     /// ([`AggregationPolicy::PerFrame`]) — the pre-aggregation wire
     /// behaviour, byte-identical on the fabric.
     pub fn with_per_frame_aggregation(mut self) -> Self {
         self.aggregation_policy = AggregationPolicy::PerFrame;
-        self
-    }
-
-    /// Same configuration but with an explicit batch-fill bound for
-    /// [`AggregationPolicy::Adaptive`] (see
-    /// [`RuntimeConfig::batch_max_frames`]).
-    pub fn with_batch_max_frames(mut self, n: usize) -> Self {
-        self.batch_max_frames = n;
         self
     }
 
@@ -342,24 +295,6 @@ impl RuntimeConfig {
         }
         if self.completion_window == 0 {
             return Err("completion window needs at least one entry".into());
-        }
-        if self.credit_flush_watermark == 0 {
-            // A zero watermark would only flush on row-fill or idle: a sender
-            // down to its last credit could sit unrefilled for a whole scan.
-            return Err("credit flush watermark must be at least 1".into());
-        }
-        if self.batch_max_frames == 0 || self.batch_max_frames > crate::frame::BATCH_MAX_FRAMES {
-            return Err(format!(
-                "batch_max_frames must be in 1..={}, got {}",
-                crate::frame::BATCH_MAX_FRAMES,
-                self.batch_max_frames
-            ));
-        }
-        if !self.batch_latency_watermark_ns.is_finite() || self.batch_latency_watermark_ns <= 0.0 {
-            return Err(format!(
-                "batch latency watermark must be positive and finite, got {}",
-                self.batch_latency_watermark_ns
-            ));
         }
         Ok(())
     }
@@ -429,55 +364,25 @@ mod tests {
         let mut c = RuntimeConfig::paper_default();
         c.completion_window = 0;
         assert!(c.validate().is_err(), "zero completion window");
-        let c = RuntimeConfig::paper_default().with_credit_flush_watermark(0);
-        assert!(c.validate().is_err(), "zero credit flush watermark");
-        let c = RuntimeConfig::paper_default().with_batch_max_frames(0);
-        assert!(c.validate().is_err(), "zero batch fill bound");
-        let c = RuntimeConfig::paper_default()
-            .with_batch_max_frames(crate::frame::BATCH_MAX_FRAMES + 1);
-        assert!(
-            c.validate().is_err(),
-            "batch fill bound past the wire count field"
-        );
-        let mut c = RuntimeConfig::paper_default();
-        c.batch_latency_watermark_ns = 0.0;
-        assert!(c.validate().is_err(), "zero batch latency watermark");
     }
 
     #[test]
     fn aggregation_defaults_are_adaptive() {
         let c = RuntimeConfig::paper_default();
         assert_eq!(c.aggregation_policy, AggregationPolicy::Adaptive);
-        assert_eq!(c.batch_max_frames, 8);
-        assert!(c.batch_latency_watermark_ns > 0.0);
         assert!(c.validate().is_ok());
-        let c = c.with_per_frame_aggregation().with_batch_max_frames(3);
+        let c = c.with_per_frame_aggregation();
         assert_eq!(c.aggregation_policy, AggregationPolicy::PerFrame);
-        assert_eq!(c.batch_max_frames, 3);
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn pinning_the_credit_watermark_disables_runtime_adaptation() {
-        let c = RuntimeConfig::paper_default();
-        assert!(
-            c.adaptive_credit_watermark,
-            "EWMA adaptation is the default"
-        );
-        let c = c.with_credit_flush_watermark(7);
-        assert!(!c.adaptive_credit_watermark, "explicit knob is an override");
-        assert_eq!(c.credit_flush_watermark, 7);
     }
 
     #[test]
     fn credit_flush_defaults_are_adaptive() {
         let c = RuntimeConfig::paper_default();
         assert_eq!(c.credit_flush_policy, CreditFlushPolicy::Adaptive);
-        assert_eq!(c.credit_flush_watermark, 4);
         assert!(c.validate().is_ok());
-        let c = c.with_per_frame_credits().with_credit_flush_watermark(9);
+        let c = c.with_per_frame_credits();
         assert_eq!(c.credit_flush_policy, CreditFlushPolicy::PerFrame);
-        assert_eq!(c.credit_flush_watermark, 9);
         assert!(c.validate().is_ok());
     }
 

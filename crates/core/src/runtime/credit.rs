@@ -35,9 +35,10 @@
 //!    longer buys nothing.
 //! 3. **Headroom watermark** (adaptive): the tokens a shard withholds are
 //!    credits the sender cannot spend; when the withheld total leaves the
-//!    sender within [`RuntimeConfig::credit_flush_watermark`](crate::config::RuntimeConfig)
-//!    credits of exhausting its window, the host flushes immediately so
-//!    batching never becomes a light-load latency stall.
+//!    sender within a watermark of exhausting its window, the host flushes
+//!    immediately so batching never becomes a light-load latency stall. The
+//!    watermark follows the observed retire rate
+//!    ([`CreditReturn::adaptive_watermark`]).
 //! 4. **Idle / abort** (unconditional): the end of every burst scan — and
 //!    every error exit from one — flushes whatever is pending, so a token
 //!    can never be stranded by an empty bank or a failed dispatch.
@@ -355,8 +356,8 @@ impl CreditReturn {
     /// to keep before forcing a credit flush. Derived from the EWMA of the
     /// retire interval — the receiver-side proxy for the sender's observed
     /// acquire latency (the faster tokens mint, the hotter the sender is
-    /// spinning on credits, the earlier we should publish). Falls back to
-    /// `fallback` (the static config knob) until the EWMA has a sample.
+    /// spinning on credits, the earlier we should publish). `fallback` stands
+    /// in until the EWMA has a sample.
     pub(crate) fn adaptive_watermark(&self, window: usize, fallback: usize) -> usize {
         adaptive_watermark_for(self.ewma_retire_gap_ns, window, fallback)
     }
@@ -539,7 +540,7 @@ const ADAPTIVE_WATERMARK_HORIZON_NS: f64 = 32_768.0;
 
 /// Pure watermark math, split out so the policy is testable without a
 /// [`CreditReturn`]. With no EWMA sample yet (`ewma_gap_ns == 0`), returns
-/// the static `fallback` knob. Otherwise: tokens expected to mint within the
+/// `fallback`. Otherwise: tokens expected to mint within the
 /// horizon bound how many we may hold back (`allowed`, clamped to
 /// `1..=window-1`), and the watermark is the rest of the window — fast
 /// retiring (small gap) allows a large backlog and a low watermark; slow
@@ -577,7 +578,7 @@ mod tests {
 
     #[test]
     fn adaptive_watermark_tracks_the_retire_rate() {
-        // No sample yet: the static knob stands.
+        // No sample yet: the fallback stands.
         assert_eq!(adaptive_watermark_for(0.0, 64, 5), 5);
         // Fast retiring (small gap): many tokens mint inside the horizon,
         // so the backlog may grow and the watermark drops to the floor.

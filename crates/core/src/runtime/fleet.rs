@@ -111,21 +111,40 @@
 //! [`RuntimeStats::completions_harvested`]) before posting more. Back-pressure
 //! therefore pauses only the affected stream; sibling lanes never observe it.
 //!
-//! # Pipelined fill + drain
+//! # The send pipeline
 //!
-//! [`SenderFleet::fill_parallel`] runs one OS thread per lane (a barrier-style
-//! parallel fill), and [`drive_pipeline`] goes further: sender threads and
-//! shard-drain threads run *concurrently*, coupled only by the one-sided
+//! The paper's initiator is as short as its receiver — pack, one put into a
+//! mailbox bank, wait for the slot's flag to come back (§III-A, §VI-A2). Here
+//! it is six stages, each a function on [`SenderLane`] or on the pipeline's
+//! per-lane state machine; a stage boundary is where a per-layer charge or a
+//! trace hook belongs:
+//!
+//! | stage | function | what happens |
+//! |---|---|---|
+//! | 1 build | `SenderLane::build` | the payload generator turns a [`SlotCtx`] into a [`MessageSpec`] |
+//! | 2 encode | `TwoChainsSender::encode_next` | sections validated, template looked up, sequence number stamped, wire bytes written into the lane's scratch |
+//! | 3 accumulate | `SenderLane::post` | flush triggers (bank boundary, `BATCH_FILL`, latency watermark, then carrier capacity), append to the open container — or hand a frame that may not share one to stage 4 alone |
+//! | 4 post | `post_standalone` / `flush` → `post_container` | window (`harvest_if_full`), one put (`put_frame` / `put_batch`), `remember` on an armed lane |
+//! | 5 await credit | `LaneRun::acquire` / `collect_final_credits` (`try_acquire_slot`), and while starved `CreditWait::idle` (`poll_nacks`, watchdog, spin / park) | which slots may be refilled |
+//! | 6 retransmit | `SenderLane::retransmit` | live posted entries re-put byte-identically: the one a NACK names, or all of them |
+//!
+//! [`SenderLane::fill`] (the phased, deterministic schedule) is stages 1–4
+//! over every owned slot and a closing flush. [`drive_pipeline`] runs all six
+//! with fill and drain overlapping in wall clock: a lane's side of the run is
+//! a `LaneRun` whose `step()` never blocks — it reports `Progressed`,
+//! `Starved` or `Done` — so *waiting* is the driver's business. The OS-thread
+//! driver parks a starved lane in a `CreditWait` (the only place the sender
+//! side yields, sleeps or reads wall time); a single-threaded driver can
+//! interleave lanes and shards in any order and reproduce a run bit for bit.
+//! Sender threads and shard-drain threads are coupled only by the one-sided
 //! credit path — no channels, no shared queues. As each frame retires, the
 //! drain thread puts the slot's next credit token into the paired lane's flag
-//! region; the lane spins/parks on acquire loads of its own region and
-//! refills a slot the moment its token changes — fill and drain genuinely
-//! overlap in wall clock, bounded by the per-slot credit loop instead of a
-//! phase barrier. Results and order-independent runtime counters are
-//! observationally equal to the sequential fill-then-drain schedule (pinned
-//! by `tests/fleet_pipeline.rs`); *time* counters are not comparable, because
-//! the pipelined drain polls its banks repeatedly (each scan charges one
-//! poll) where the phased schedule scans once per round.
+//! region, and the lane refills a slot the moment its token changes. Results
+//! and order-independent runtime counters are observationally equal to the
+//! sequential fill-then-drain schedule (pinned by `tests/fleet_pipeline.rs`);
+//! *time* counters are not comparable, because the pipelined drain polls its
+//! banks repeatedly (each scan charges one poll) where the phased schedule
+//! scans once per round.
 //!
 //! [`RuntimeConfig::completion_window`]: crate::config::RuntimeConfig::completion_window
 //! [`RuntimeStats::sends_backpressured`]: crate::stats::RuntimeStats::sends_backpressured
@@ -143,14 +162,25 @@ use twochains_memsim::{AccessKind, CoreBus, MemoryBus, SimTime};
 use super::credit::CreditHandshake;
 use super::retry::ClampedFibonacci;
 use super::spec::MessageSpec;
-use super::{AmSendOutcome, TwoChainsHost, TwoChainsSender};
+use super::{AmSendOutcome, ShardDrain, TwoChainsHost, TwoChainsSender};
 use crate::bank::{BankFlags, NackFlags};
-use crate::config::{AggregationPolicy, InvocationMode, RuntimeConfig};
+use crate::config::{AggregationPolicy, InvocationMode};
 use crate::error::{AmError, AmResult};
 use crate::frame::FrameBatch;
 use crate::mailbox::MailboxTarget;
 use crate::stats::RuntimeStats;
 
+/// A lane posts its open container once it holds this many frames (the wire
+/// format itself carries up to [`BATCH_MAX_FRAMES`](crate::frame::BATCH_MAX_FRAMES)).
+const BATCH_FILL: usize = 8;
+const _: () = assert!(BATCH_FILL >= 1 && BATCH_FILL <= crate::frame::BATCH_MAX_FRAMES);
+/// A lane posts its open container before accepting another frame once the
+/// first one has waited this long, in lane-virtual nanoseconds.
+const BATCH_LATENCY_NS: f64 = 2_000.0;
+/// Fruitless credit scans a starved lane thread only yields through before
+/// it starts parking, and how long it parks between scans after that.
+const SPIN_SCANS: u32 = 128;
+const PARK: Duration = Duration::from_micros(20);
 /// First watchdog delay after a stall with frames in flight begins; the
 /// schedule then follows [`ClampedFibonacci`]. Credit round-trips complete in
 /// microseconds of wall clock on a healthy link, so a stall this long with no
@@ -227,20 +257,54 @@ pub struct SlotCtx {
     pub round: u64,
 }
 
-/// One posted batch container an armed lane keeps for retransmission: the
-/// exact container wire bytes, the inner sequence numbers it carries (NACK
-/// lookup key), and the covered target indices (the entry is dead — and
-/// garbage-collected at the next flush — once every member's credit came
-/// back). The container is the retransmit unit: re-putting it re-delivers
-/// every inner frame, and the receiver's per-slot replay filters retire the
-/// already-executed ones silently.
+/// One data-path put an armed lane keeps for retransmission. A batch
+/// container is the retransmit unit — re-putting it re-delivers every inner
+/// frame, and the receiver's per-slot replay filters retire the ones that did
+/// land — and a standalone frame is simply the one-member entry.
+#[derive(Debug)]
+pub(super) struct Posted {
+    /// The exact wire bytes that were put.
+    pub(super) bytes: Vec<u8>,
+    /// The sequence numbers the bytes carry (the NACK lookup key).
+    pub(super) sns: Vec<u32>,
+    /// Target indices whose *current* frame travelled in this put; the entry
+    /// is live while any of them is in flight.
+    pub(super) members: Vec<usize>,
+    /// Target index of the mailbox the bytes were put into.
+    pub(super) carrier: usize,
+}
+
+/// Stage *post*, last step: record a put that was just issued and mark its
+/// members in flight. A slot is only re-sent after its credit came back, so
+/// the new put ends every older entry's claim on the slots it covers (without
+/// this a container stays "alive" through a *newer* frame on one of its slots
+/// and the watchdog re-puts it over a live mailbox). Entries left with no
+/// member in flight have nothing to repair and are dropped — before the new
+/// members are marked, or nothing would ever die.
+pub(super) fn remember(posted: &mut Vec<Posted>, in_flight: &mut [bool], entry: Posted) {
+    posted.retain_mut(|old| {
+        old.members.retain(|m| !entry.members.contains(m));
+        old.members.iter().any(|&m| in_flight[m])
+    });
+    for &m in &entry.members {
+        in_flight[m] = true;
+    }
+    posted.push(entry);
+}
+
+/// The open (not yet posted) batch container of a lane: frames destined for
+/// one bank accumulate here until a flush trigger posts them with one put
+/// into the mailbox of the first (`members[0]`, the carrier). Open exactly
+/// when `members` is non-empty.
 #[derive(Debug, Default)]
-struct CachedBatch {
-    bytes: Vec<u8>,
+struct OpenBatch {
+    frames: FrameBatch,
+    /// Sequence number and target index of each accumulated frame.
     sns: Vec<u32>,
     members: Vec<usize>,
-    /// Target index of the carrier mailbox the container was put into.
-    carrier: usize,
+    /// Lane-virtual time the first frame was accepted (the latency watermark
+    /// bounds how long the container may stay open).
+    opened: SimTime,
 }
 
 /// One stream's complete sender context: its own [`TwoChainsSender`] (endpoint,
@@ -265,47 +329,30 @@ pub struct SenderLane {
     /// receiver's sequence-gap reports ([`NackFlags`]). Registered alongside
     /// the credit table and handed over in the same [`CreditHandshake`].
     nacks: NackFlags,
-    /// Exact wire bytes of the most recent send per owned slot, kept so a
-    /// NACK or watchdog timeout can retransmit byte-identically. Filled only
-    /// while the reliability layer is armed (the lane's endpoint has a fault
-    /// plan); lossless runs never copy a byte here.
-    wire_cache: Vec<Vec<u8>>,
+    /// Whether this lane's endpoint was created under a fault plan — the
+    /// switch that arms the sender half of the reliability layer. On a
+    /// pristine link nothing is remembered, no NACK row is polled and no
+    /// watchdog fires, so the lossless path pays nothing for the machinery.
+    armed: bool,
+    /// Every put still owed a credit, oldest first (armed lanes only).
+    pub(super) posted: Vec<Posted>,
     /// Whether the most recent frame sent to each owned slot is still
-    /// awaiting its credit (armed runs only).
-    in_flight: Vec<bool>,
+    /// awaiting its credit (armed lanes only).
+    pub(super) in_flight: Vec<bool>,
     /// The sender-host core this lane runs on; its private L1/L2 cache the
     /// flag words between credit puts (each put's DMA invalidates the line
     /// through the core's inbox, so the next poll re-fetches honestly).
     bus: CoreBus,
     core: usize,
     clock: SimTime,
-    /// Aggregation knobs copied from the host's [`RuntimeConfig`] at connect
-    /// time (the lane has no config access afterwards).
-    agg_policy: AggregationPolicy,
-    batch_max_frames: usize,
-    batch_latency_ns: f64,
-    /// The open (not yet posted) batch container, its inner sequence numbers
-    /// and covered target indices. Frames destined for one bank accumulate
-    /// here until a flush trigger posts the whole container with one put.
-    batch: FrameBatch,
-    batch_sns: Vec<u32>,
-    batch_members: Vec<usize>,
-    /// Target index of the open container's carrier mailbox (its first
-    /// frame's slot); `None` while no container is open.
-    batch_carrier: Option<usize>,
-    /// Bank the open container's frames are destined for — a frame for a
-    /// different bank closes the container first (inner slots are declared
-    /// relative to the carrier's bank).
-    batch_bank: Option<usize>,
-    /// Lane-virtual time the open container's first frame was encoded; the
-    /// latency watermark bounds how long the container may stay open.
-    batch_opened: SimTime,
-    /// Scratch buffers (one encoded inner frame / one finished container),
-    /// parked here so steady-state batching never allocates.
+    /// Whether frames may share a container: the host's
+    /// `aggregation_policy`, copied at connect time.
+    policy: AggregationPolicy,
+    open: OpenBatch,
+    /// Scratch buffers (one encoded frame / one finished container), so
+    /// steady-state sending never allocates.
     frame_buf: Vec<u8>,
     batch_buf: Vec<u8>,
-    /// Posted containers awaiting their members' credits (armed runs only).
-    batch_cache: Vec<CachedBatch>,
 }
 
 impl SenderLane {
@@ -316,51 +363,38 @@ impl SenderLane {
         nacks: NackFlags,
         bus: CoreBus,
         core: usize,
-        config: &RuntimeConfig,
+        policy: AggregationPolicy,
     ) -> Self {
         for (id, got) in &handshake.gots {
             sender.set_remote_got(*id, got);
         }
+        let owns = |t: &StreamTarget| t.bank % handshake.streams == handshake.stream;
+        debug_assert!(handshake.targets.iter().all(owns), "foreign bank");
         let index = handshake
             .targets
             .iter()
             .enumerate()
             .map(|(i, t)| ((t.bank, t.slot), i))
             .collect();
-        let slots = handshake.targets.len();
         SenderLane {
             stream: handshake.stream,
             streams: handshake.streams,
+            armed: sender.endpoint_mut().faults_enabled(),
             sender,
+            in_flight: vec![false; handshake.targets.len()],
             targets: handshake.targets,
             index,
             flags,
             nacks,
-            wire_cache: vec![Vec::new(); slots],
-            in_flight: vec![false; slots],
+            posted: Vec::new(),
             bus,
             core,
             clock: SimTime::ZERO,
-            agg_policy: config.aggregation_policy,
-            batch_max_frames: config.batch_max_frames,
-            batch_latency_ns: config.batch_latency_watermark_ns,
-            batch: FrameBatch::new(),
-            batch_sns: Vec::new(),
-            batch_members: Vec::new(),
-            batch_carrier: None,
-            batch_bank: None,
-            batch_opened: SimTime::ZERO,
+            policy,
+            open: OpenBatch::default(),
             frame_buf: Vec::new(),
             batch_buf: Vec::new(),
-            batch_cache: Vec::new(),
         }
-    }
-
-    /// Whether this lane aggregates frames into batch containers. `PerFrame`
-    /// lanes run the pre-aggregation send paths untouched — byte-identical
-    /// wire behaviour, pinned by test.
-    fn aggregating(&self) -> bool {
-        matches!(self.agg_policy, AggregationPolicy::Adaptive)
     }
 
     /// The credit-table row of one of this lane's banks (`bank / streams` —
@@ -369,33 +403,40 @@ impl SenderLane {
         bank / self.streams.max(1)
     }
 
-    /// Consume one pending credit for the `idx`-th owned slot: an acquire
-    /// load of the slot's token byte, charged through this lane's core bus
-    /// when a fresh token is observed (after the credit put's DMA invalidated
-    /// the cached line, the observing poll is the one that re-fetches it).
+    /// Index into `targets` of owned mailbox (`bank`, `slot`); rejected when
+    /// the mailbox is not one of this stream's.
+    fn owned(&self, bank: usize, slot: usize) -> AmResult<usize> {
+        self.index.get(&(bank, slot)).copied().ok_or_else(|| {
+            AmError::InvalidConfig(format!(
+                "mailbox ({bank}, {slot}) is not owned by stream {}",
+                self.stream
+            ))
+        })
+    }
+
+    /// Stage *await credit*, acquire: consume one pending credit for the
+    /// `idx`-th owned slot — an acquire load of the slot's token byte, charged
+    /// through this lane's core bus when a fresh token is observed (after the
+    /// credit put's DMA invalidated the cached line, the observing poll is the
+    /// one that re-fetches it). The credit retires the frame in flight on the
+    /// slot: its posted entry stops being a retransmit candidate.
     fn try_acquire_slot(&mut self, idx: usize) -> AmResult<bool> {
         let t = &self.targets[idx];
         let row = self.credit_row(t.bank);
-        if self.flags.try_acquire(row, t.slot)? {
-            let addr = self.flags.slot_addr(row, t.slot)?;
-            self.clock += self.bus.access(self.core, addr, 1, AccessKind::Read);
-            Ok(true)
-        } else {
-            Ok(false)
+        if !self.flags.try_acquire(row, t.slot)? {
+            return Ok(false);
         }
+        let addr = self.flags.slot_addr(row, t.slot)?;
+        self.clock += self.bus.access(self.core, addr, 1, AccessKind::Read);
+        self.in_flight[idx] = false;
+        Ok(true)
     }
 
     /// Whether a credit is pending for owned mailbox (`bank`, `slot`), without
     /// consuming it. Rejected when the mailbox is not one of this stream's
     /// targets.
     pub fn credit_pending(&self, bank: usize, slot: usize) -> AmResult<bool> {
-        let idx = *self.index.get(&(bank, slot)).ok_or_else(|| {
-            AmError::InvalidConfig(format!(
-                "mailbox ({bank}, {slot}) is not owned by stream {}",
-                self.stream
-            ))
-        })?;
-        let t = &self.targets[idx];
+        let t = &self.targets[self.owned(bank, slot)?];
         self.flags.credit_pending(self.credit_row(t.bank), t.slot)
     }
 
@@ -409,175 +450,154 @@ impl SenderLane {
         self.nacks.sync()
     }
 
-    /// Whether this lane's endpoint carries an installed fault plan — the
-    /// switch that arms the sender half of the reliability layer. On a
-    /// pristine link the wire cache, the NACK polls and the watchdog are all
-    /// skipped, so the lossless fast path pays nothing for the machinery.
-    fn faults_enabled(&mut self) -> bool {
-        self.sender.endpoint_mut().faults_enabled()
+    /// Stage *build*: the message for the `idx`-th owned slot's `round`-th
+    /// fill, from the caller's payload generator.
+    fn build<F>(
+        &self,
+        elem: ElementId,
+        mode: InvocationMode,
+        idx: usize,
+        round: u64,
+        make: &F,
+    ) -> MessageSpec
+    where
+        F: Fn(SlotCtx) -> (Vec<u8>, Vec<u8>),
+    {
+        let t = &self.targets[idx];
+        let (args, usr) = make(SlotCtx {
+            stream: self.stream,
+            bank: t.bank,
+            slot: t.slot,
+            round,
+        });
+        super::spec::spec(elem).mode(mode).args(args).usr(usr)
     }
 
-    /// Snapshot the wire bytes of the send that just completed into the
-    /// `idx`-th slot's retransmit cache and mark the frame in flight. The
-    /// per-slot buffer is reused, so steady state copies without allocating.
-    fn cache_wire(&mut self, idx: usize) {
-        let wire = self.sender.last_wire();
-        let cached = &mut self.wire_cache[idx];
-        cached.clear();
-        cached.extend_from_slice(wire);
-        self.in_flight[idx] = true;
-    }
-
-    /// Append the next message for owned slot `idx` to the open batch
-    /// container, posting the container first whenever a flush trigger fires:
-    /// bank boundary (inner slots are declared within the carrier's bank),
-    /// batch-fill (`batch_max_frames`), the latency watermark (an open
-    /// container older than `batch_latency_ns` of lane-virtual time), or
-    /// carrier capacity (the container plus this frame would overrun the
-    /// carrier mailbox). A frame too large to batch even alone is posted
-    /// standalone from the already-encoded bytes — byte-identical to a
-    /// per-frame send. Returns the outcome of whichever put this append
-    /// performed, `None` when the frame only accumulated.
-    fn append_to_batch(
+    /// Stages *encode → accumulate*: encode the next message for owned slot
+    /// `idx` and append it to the open container, posting the container first
+    /// whenever a flush trigger fires — before encoding: bank boundary (inner
+    /// slots are declared within the carrier's bank), [`BATCH_FILL`], the
+    /// latency watermark; after it (the frame's length is needed): carrier
+    /// capacity. A frame that may not share a container — the lane does not
+    /// aggregate, or the frame would overrun its mailbox even as a
+    /// container's only member — is posted standalone. Returns the outcome of
+    /// whichever put this call performed (the later-delivered when it made
+    /// two), `None` when the frame only accumulated.
+    fn post(
         &mut self,
         cq: &mut CompletionQueue,
         idx: usize,
         spec: &MessageSpec,
     ) -> AmResult<Option<AmSendOutcome>> {
-        let bank = self.targets[idx].bank;
         let mut flushed = None;
-        if self.batch_carrier.is_some()
-            && (self.batch_bank != Some(bank)
-                || self.batch.len() >= self.batch_max_frames
-                || (self.clock - self.batch_opened).as_ns() >= self.batch_latency_ns)
-        {
-            flushed = self.flush_batch(cq)?;
-        }
-        let mut buf = std::mem::take(&mut self.frame_buf);
-        buf.clear();
-        let encoded = self.sender.encode_next(spec, &mut buf);
-        let sn = match encoded {
-            Ok(sn) => sn,
-            Err(e) => {
-                self.frame_buf = buf;
-                return Err(e);
-            }
-        };
-        if let Some(carrier) = self.batch_carrier {
-            if self.batch.wire_size_with(buf.len()) > self.targets[carrier].target.capacity {
-                flushed = self.flush_batch(cq)?;
+        if let Some(&carrier) = self.open.members.first() {
+            if self.targets[carrier].bank != self.targets[idx].bank
+                || self.open.frames.len() >= BATCH_FILL
+                || (self.clock - self.open.opened).as_ns() >= BATCH_LATENCY_NS
+            {
+                flushed = self.flush(cq)?;
             }
         }
-        if self.batch_carrier.is_none() {
-            if FrameBatch::new().wire_size_with(buf.len()) > self.targets[idx].target.capacity {
-                // Too large for any container over this carrier: send it
-                // standalone (the wire bytes are exactly a per-frame send's).
-                self.harvest_if_full(cq);
-                let sent =
-                    self.sender
-                        .put_frame(self.clock, &buf, &self.targets[idx].target, Some(cq));
-                let sent = match sent {
-                    Ok(sent) => sent,
-                    Err(e) => {
-                        self.frame_buf = buf;
-                        return Err(e);
-                    }
-                };
-                self.clock = sent.sender_free();
-                if self.faults_enabled() {
-                    let cached = &mut self.wire_cache[idx];
-                    cached.clear();
-                    cached.extend_from_slice(&buf);
-                    self.in_flight[idx] = true;
-                }
-                self.frame_buf = buf;
-                // Keep the later horizon: both puts rode this append.
-                return Ok(match flushed {
-                    Some(f) if f.delivered() > sent.delivered() => Some(f),
-                    _ => Some(sent),
-                });
+        let sn = self.sender.encode_next(spec, &mut self.frame_buf)?;
+        let len = self.frame_buf.len();
+        if let Some(&carrier) = self.open.members.first() {
+            if self.open.frames.wire_size_with(len) > self.targets[carrier].target.capacity {
+                flushed = self.flush(cq)?;
             }
-            self.batch_carrier = Some(idx);
-            self.batch_bank = Some(bank);
-            self.batch_opened = self.clock;
         }
-        let pushed = self.batch.push(self.targets[idx].slot as u16, &buf);
-        self.frame_buf = buf;
-        pushed?;
-        self.batch_sns.push(sn);
-        self.batch_members.push(idx);
+        if self.open.members.is_empty() {
+            let fits = FrameBatch::new().wire_size_with(len) <= self.targets[idx].target.capacity;
+            if !(fits && matches!(self.policy, AggregationPolicy::Adaptive)) {
+                let sent = self.post_standalone(cq, idx, sn)?;
+                return Ok(Some(match flushed {
+                    Some(f) if f.delivered() > sent.delivered() => f,
+                    _ => sent,
+                }));
+            }
+            self.open.opened = self.clock;
+        }
+        self.open
+            .frames
+            .push(self.targets[idx].slot as u16, &self.frame_buf)?;
+        self.open.sns.push(sn);
+        self.open.members.push(idx);
         Ok(flushed)
     }
 
-    /// Post the open batch container with one put into its carrier mailbox
-    /// (no-op when no container is open). Armed lanes snapshot the container
-    /// bytes, its inner sequence numbers and its covered slots into the
-    /// retransmit cache — the container is the retransmit unit — after
-    /// garbage-collecting entries whose members have all been credited.
-    fn flush_batch(&mut self, cq: &mut CompletionQueue) -> AmResult<Option<AmSendOutcome>> {
-        let Some(carrier) = self.batch_carrier.take() else {
+    /// Stage *post*, standalone: the frame in `frame_buf` (sequence number
+    /// `sn`) goes into the `idx`-th owned mailbox with a put of its own —
+    /// window, put, remember.
+    fn post_standalone(
+        &mut self,
+        cq: &mut CompletionQueue,
+        idx: usize,
+        sn: u32,
+    ) -> AmResult<AmSendOutcome> {
+        self.harvest_if_full(cq);
+        let target = &self.targets[idx].target;
+        let sent = self
+            .sender
+            .put_frame(self.clock, &self.frame_buf, target, Some(cq))?;
+        self.clock = sent.sender_free();
+        if self.armed {
+            let entry = Posted {
+                bytes: self.frame_buf.clone(),
+                sns: vec![sn],
+                members: vec![idx],
+                carrier: idx,
+            };
+            remember(&mut self.posted, &mut self.in_flight, entry);
+        }
+        Ok(sent)
+    }
+
+    /// Stage *post*, container: close the open container with one put into
+    /// its carrier mailbox (no-op when none is open). Posted or refused, the
+    /// container is closed afterwards.
+    fn flush(&mut self, cq: &mut CompletionQueue) -> AmResult<Option<AmSendOutcome>> {
+        let Some(&carrier) = self.open.members.first() else {
             return Ok(None);
         };
-        self.batch_bank = None;
-        let frames = self.batch.len();
-        let mut buf = std::mem::take(&mut self.batch_buf);
-        let finished = self.batch.finish_into(&mut buf);
-        self.batch.clear();
-        if let Err(e) = finished {
-            self.batch_sns.clear();
-            self.batch_members.clear();
-            self.batch_buf = buf;
-            return Err(e);
-        }
+        let sent = self.post_container(cq, carrier);
+        self.open.frames.clear();
+        self.open.sns.clear();
+        self.open.members.clear();
+        sent.map(Some)
+    }
+
+    /// Finish the open container and post it — window, put, remember.
+    fn post_container(
+        &mut self,
+        cq: &mut CompletionQueue,
+        carrier: usize,
+    ) -> AmResult<AmSendOutcome> {
+        self.open.frames.finish_into(&mut self.batch_buf)?;
         self.harvest_if_full(cq);
         let sent = self.sender.put_batch(
             self.clock,
-            &buf,
-            frames,
+            &self.batch_buf,
+            self.open.frames.len(),
             &self.targets[carrier].target,
             Some(cq),
-        );
-        let sent = match sent {
-            Ok(sent) => sent,
-            Err(e) => {
-                self.batch_sns.clear();
-                self.batch_members.clear();
-                self.batch_buf = buf;
-                return Err(e);
-            }
-        };
+        )?;
         self.clock = sent.sender_free();
-        let sns = std::mem::take(&mut self.batch_sns);
-        let members = std::mem::take(&mut self.batch_members);
-        if self.faults_enabled() {
-            let in_flight = &self.in_flight;
-            self.batch_cache
-                .retain(|e| e.members.iter().any(|&m| in_flight[m]));
-            for &m in &members {
-                self.in_flight[m] = true;
-                // The frame now in flight on this slot lives in the container
-                // cache; a stale standalone snapshot must not ride a watchdog.
-                self.wire_cache[m].clear();
-            }
-            self.batch_cache.push(CachedBatch {
-                bytes: buf.clone(),
-                sns,
-                members,
+        if self.armed {
+            let entry = Posted {
+                bytes: self.batch_buf.clone(),
+                sns: self.open.sns.clone(),
+                members: self.open.members.clone(),
                 carrier,
-            });
+            };
+            remember(&mut self.posted, &mut self.in_flight, entry);
         }
-        self.batch_buf = buf;
-        Ok(Some(sent))
+        Ok(sent)
     }
 
-    /// Drain this lane's NACK table and retransmit every reported frame that
-    /// is still in flight, byte-identically from the wire cache. Returns how
-    /// many puts were re-posted. A report whose sequence number matches no
-    /// in-flight slot is ignored: its frame's credit already arrived (the NACK
-    /// raced the recovery), so there is nothing left to repair. A sequence
-    /// number that travelled inside a batch container retransmits the whole
-    /// cached container — the receiver's replay filters retire the inner
-    /// frames that did land.
+    /// Stage *await credit*, NACK: drain this lane's NACK table and retransmit
+    /// the put carrying each reported sequence number. Returns how many puts
+    /// were re-posted. A report matching no live entry is ignored: its
+    /// frame's credit already arrived (the NACK raced the recovery), so there
+    /// is nothing left to repair.
     fn poll_nacks(&mut self) -> AmResult<usize> {
         let mut retransmitted = 0usize;
         for row in 0..self.nacks.rows() {
@@ -586,67 +606,32 @@ impl SenderLane {
                 // mirroring the credit-acquire charge.
                 let addr = self.nacks.row_addr(row)?;
                 self.clock += self.bus.access(self.core, addr, 8, AccessKind::Read);
-                let needle = missing.to_le_bytes();
-                let hit = (0..self.targets.len()).find(|&i| {
-                    self.in_flight[i] && self.wire_cache[i].get(4..8) == Some(&needle[..])
-                });
-                if let Some(idx) = hit {
-                    self.clock = self.sender.retransmit_frame(
-                        self.clock,
-                        &self.wire_cache[idx],
-                        &self.targets[idx].target,
-                    )?;
-                    retransmitted += 1;
-                    continue;
-                }
-                let batch_hit = self.batch_cache.iter().position(|e| {
-                    e.sns.contains(&missing) && e.members.iter().any(|&m| self.in_flight[m])
-                });
-                if let Some(k) = batch_hit {
-                    let entry = &self.batch_cache[k];
-                    self.clock = self.sender.retransmit_frame(
-                        self.clock,
-                        &entry.bytes,
-                        &self.targets[entry.carrier].target,
-                    )?;
-                    retransmitted += 1;
-                }
+                retransmitted += self.retransmit(Some(missing))?;
             }
         }
         Ok(retransmitted)
     }
 
-    /// Watchdog action: retransmit every in-flight frame from the wire cache
-    /// — standalone frames from their slot's cache, batched frames as their
-    /// whole cached container (each container once, however many of its
-    /// members are outstanding). Retransmits are byte-identical, so the
-    /// receiver's replay filter makes a spuriously early firing harmless (the
-    /// duplicate is suppressed and its credit re-published idempotently).
-    fn retransmit_in_flight(&mut self) -> AmResult<usize> {
+    /// Stage *retransmit*: re-put live posted entries byte-identically — the
+    /// first one carrying sequence number `only` (a NACK names a lost frame
+    /// precisely), or every one (`None`: the watchdog, each container once
+    /// however many of its members are outstanding). The receiver's replay
+    /// filter makes a spuriously early firing harmless: the duplicate is
+    /// suppressed and its credit re-published idempotently.
+    pub(super) fn retransmit(&mut self, only: Option<u32>) -> AmResult<usize> {
         let mut retransmitted = 0usize;
-        for idx in 0..self.targets.len() {
-            if self.in_flight[idx] && !self.wire_cache[idx].is_empty() {
-                self.clock = self.sender.retransmit_frame(
-                    self.clock,
-                    &self.wire_cache[idx],
-                    &self.targets[idx].target,
-                )?;
-                retransmitted += 1;
+        for entry in &self.posted {
+            let live = entry.members.iter().any(|&m| self.in_flight[m]);
+            if !live || only.is_some_and(|sn| !entry.sns.contains(&sn)) {
+                continue;
             }
-        }
-        for k in 0..self.batch_cache.len() {
-            let alive = self.batch_cache[k]
-                .members
-                .iter()
-                .any(|&m| self.in_flight[m]);
-            if alive && !self.batch_cache[k].bytes.is_empty() {
-                let entry = &self.batch_cache[k];
-                self.clock = self.sender.retransmit_frame(
-                    self.clock,
-                    &entry.bytes,
-                    &self.targets[entry.carrier].target,
-                )?;
-                retransmitted += 1;
+            let target = &self.targets[entry.carrier].target;
+            self.clock = self
+                .sender
+                .retransmit_frame(self.clock, &entry.bytes, target)?;
+            retransmitted += 1;
+            if only.is_some() {
+                break;
             }
         }
         Ok(retransmitted)
@@ -673,10 +658,10 @@ impl SenderLane {
         self.sender.stats()
     }
 
-    /// Per-stream flow control shared by every lane send: a full completion
-    /// window first harvests this lane's own queue (never a sibling's) at the
-    /// earliest completion horizon, charging the harvest cost to this lane's
-    /// clock and counting the stall.
+    /// Stage *post*, window: per-stream flow control shared by every put. A
+    /// full completion window first harvests this lane's own queue (never a
+    /// sibling's) at the earliest completion horizon, charging the harvest
+    /// cost to this lane's clock and counting the stall.
     fn harvest_if_full(&mut self, cq: &mut CompletionQueue) {
         if cq.outstanding() >= cq.capacity() {
             let ready_at = cq.earliest_ready(self.clock);
@@ -688,55 +673,12 @@ impl SenderLane {
         }
     }
 
-    /// Send one message to the `idx`-th owned slot, under the lane's
-    /// flow-control window.
-    fn send_slot<F>(
-        &mut self,
-        cq: &mut CompletionQueue,
-        elem: ElementId,
-        mode: InvocationMode,
-        idx: usize,
-        round: u64,
-        make: &F,
-    ) -> AmResult<AmSendOutcome>
-    where
-        F: Fn(SlotCtx) -> (Vec<u8>, Vec<u8>),
-    {
-        self.harvest_if_full(cq);
-        let t = &self.targets[idx];
-        debug_assert_eq!(
-            t.bank % self.streams,
-            self.stream,
-            "lane {} holds a target in bank {} it does not own",
-            self.stream,
-            t.bank
-        );
-        let ctx = SlotCtx {
-            stream: self.stream,
-            bank: t.bank,
-            slot: t.slot,
-            round,
-        };
-        let (args, usr) = make(ctx);
-        let sent = self.sender.send_raw(
-            self.clock,
-            elem,
-            mode,
-            None,
-            &args,
-            &usr,
-            &t.target,
-            Some(cq),
-        )?;
-        self.clock = sent.sender_free();
-        Ok(sent)
-    }
-
     /// Send one [`MessageSpec`] — single-element or chained — to a specific
-    /// owned mailbox, under the same per-stream flow control as a fill.
-    /// Rejected when (`bank`, `slot`) is not one of this stream's targets.
-    /// Every fleet send is completion-tracked by the lane's own window, so the
-    /// spec's [`tracked`](MessageSpec::tracked) marker is satisfied either way.
+    /// owned mailbox with a put of its own, under the same per-stream flow
+    /// control as a fill. Rejected when (`bank`, `slot`) is not one of this
+    /// stream's targets. Every fleet send is completion-tracked by the lane's
+    /// own window, so the spec's [`tracked`](MessageSpec::tracked) marker is
+    /// satisfied either way.
     pub fn send_spec(
         &mut self,
         cq: &mut CompletionQueue,
@@ -744,37 +686,19 @@ impl SenderLane {
         slot: usize,
         spec: &MessageSpec,
     ) -> AmResult<AmSendOutcome> {
-        let idx = *self.index.get(&(bank, slot)).ok_or_else(|| {
-            AmError::InvalidConfig(format!(
-                "mailbox ({bank}, {slot}) is not owned by stream {}",
-                self.stream
-            ))
-        })?;
-        self.harvest_if_full(cq);
-        let chain = spec.chain_descriptor()?;
-        let t = &self.targets[idx];
-        let sent = self.sender.send_raw(
-            self.clock,
-            spec.elem(),
-            spec.invocation(),
-            chain.as_ref(),
-            spec.args_bytes(),
-            spec.usr_bytes(),
-            &t.target,
-            Some(cq),
-        )?;
-        self.clock = sent.sender_free();
-        Ok(sent)
+        let idx = self.owned(bank, slot)?;
+        let sn = self.sender.encode_next(spec, &mut self.frame_buf)?;
+        self.post_standalone(cq, idx, sn)
     }
 
     /// Fill every owned slot once (round `round`), returning this stream's
     /// delivery horizon — when its last frame became visible at the receiver.
     ///
-    /// Under the `Adaptive` aggregation policy the fill accumulates the
-    /// bank-major target walk into batch containers — contiguous same-bank
-    /// slots share one put, closed on bank boundary, batch-fill, capacity or
-    /// the latency watermark, and unconditionally at the end of the round
-    /// (the burst boundary). `PerFrame` runs the per-slot sends untouched.
+    /// Under the `Adaptive` aggregation policy the bank-major target walk
+    /// accumulates into batch containers — contiguous same-bank slots share
+    /// one put, closed on bank boundary, batch-fill, capacity or the latency
+    /// watermark, and unconditionally at the end of the round (the burst
+    /// boundary). Under `PerFrame` every frame is posted standalone.
     pub fn fill<F>(
         &mut self,
         cq: &mut CompletionQueue,
@@ -787,28 +711,13 @@ impl SenderLane {
         F: Fn(SlotCtx) -> (Vec<u8>, Vec<u8>),
     {
         let mut horizon = SimTime::ZERO;
-        if !self.aggregating() {
-            for idx in 0..self.targets.len() {
-                let sent = self.send_slot(cq, elem, mode, idx, round, make)?;
-                horizon = horizon.max(sent.delivered());
-            }
-            return Ok(horizon);
-        }
         for idx in 0..self.targets.len() {
-            let t = &self.targets[idx];
-            let ctx = SlotCtx {
-                stream: self.stream,
-                bank: t.bank,
-                slot: t.slot,
-                round,
-            };
-            let (args, usr) = make(ctx);
-            let spec = super::spec::spec(elem).mode(mode).args(args).usr(usr);
-            if let Some(sent) = self.append_to_batch(cq, idx, &spec)? {
+            let spec = self.build(elem, mode, idx, round, make);
+            if let Some(sent) = self.post(cq, idx, &spec)? {
                 horizon = horizon.max(sent.delivered());
             }
         }
-        if let Some(sent) = self.flush_batch(cq)? {
+        if let Some(sent) = self.flush(cq)? {
             horizon = horizon.max(sent.delivered());
         }
         Ok(horizon)
@@ -867,7 +776,7 @@ impl FleetLane<'_> {
 /// windows. See the module docs for the handshake and flow-control contract.
 #[derive(Debug)]
 pub struct SenderFleet {
-    lanes: Vec<SenderLane>,
+    pub(super) lanes: Vec<SenderLane>,
     completions: ShardedCompletions,
 }
 
@@ -955,7 +864,7 @@ impl SenderFleet {
                     nacks,
                     bus,
                     core,
-                    host.config(),
+                    host.config().aggregation_policy,
                 ))
             })
             .collect::<AmResult<Vec<_>>>()?;
@@ -1008,11 +917,6 @@ impl SenderFleet {
         }
     }
 
-    /// Puts posted but not yet harvested, across all streams.
-    pub fn outstanding_completions(&self) -> usize {
-        self.completions.outstanding_total()
-    }
-
     /// Harvest every completion on every stream's queue (bench housekeeping
     /// between phases). Each lane's clock waits to each entry's own readiness
     /// horizon and pays the per-entry harvest cost, same as a back-pressure
@@ -1063,34 +967,56 @@ impl SenderFleet {
             .collect()
     }
 
-    /// Fill every stream's slots once, one OS thread per lane. Same wire
-    /// content and results as [`SenderFleet::fill_all`]; the virtual delivery
-    /// horizons may differ (the shared NIC serializes whichever lane reaches
-    /// it first), which is why the deterministic benchmarks use the sequential
-    /// schedule and the wall-clock ones use this.
-    pub fn fill_parallel<F>(
-        &mut self,
+    /// What a pipeline run requires of the session: one lane per shard, the
+    /// one-sided credit path installed, and installed for *this* fleet's
+    /// tables — a later connect replaces the credit returns, and driving an
+    /// earlier fleet would put every token into the newer fleet's regions
+    /// while these lanes spin forever.
+    fn check_paired(&self, host: &TwoChainsHost) -> AmResult<()> {
+        let shards = host.num_shards();
+        if self.lane_count() != shards {
+            return Err(AmError::InvalidConfig(format!(
+                "pipeline needs one sender lane per shard ({} lanes, {shards} shards)",
+                self.lane_count()
+            )));
+        }
+        if !host.credit_path_installed() {
+            return Err(AmError::InvalidConfig(
+                "pipeline needs the one-sided credit path: connect the fleet with \
+                 SenderFleet::connect_fleet so the credit tables are installed"
+                    .into(),
+            ));
+        }
+        for lane in &self.lanes {
+            if host.credit_descriptor(lane.stream) != Some(lane.flags.descriptor()) {
+                return Err(AmError::InvalidConfig(format!(
+                    "the host's credit path targets another fleet's tables (stream {}): \
+                     a later connect replaced the credit returns — drive the most \
+                     recently connected fleet, or re-connect this one",
+                    lane.stream
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// Start a pipeline run of `rounds` fills per slot: one steppable
+    /// [`LaneRun`] per lane, each over its own completion queue.
+    pub(super) fn lane_runs<'a, F>(
+        &'a mut self,
         elem: ElementId,
         mode: InvocationMode,
-        round: u64,
-        make: &F,
-    ) -> AmResult<Vec<SimTime>>
+        rounds: usize,
+        make: &'a F,
+    ) -> AmResult<Vec<LaneRun<'a, F>>>
     where
-        F: Fn(SlotCtx) -> (Vec<u8>, Vec<u8>) + Sync,
+        F: Fn(SlotCtx) -> (Vec<u8>, Vec<u8>),
     {
-        let results: Vec<AmResult<SimTime>> = std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .lanes
-                .iter_mut()
-                .zip(self.completions.queues_mut())
-                .map(|(lane, cq)| s.spawn(move || lane.fill(cq, elem, mode, round, make)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("sender lane thread panicked"))
-                .collect()
-        });
-        results.into_iter().collect()
+        self.lanes
+            .iter_mut()
+            .zip(self.completions.queues_mut())
+            .map(|(lane, cq)| LaneRun::new(lane, cq, elem, mode, rounds, make))
+            .collect()
     }
 }
 
@@ -1124,6 +1050,348 @@ pub struct PipelineOutcome {
     pub rejected: usize,
 }
 
+/// What one [`LaneRun::step`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Step {
+    /// Frames were posted or credits collected: step again.
+    Progressed,
+    /// Nothing to do until a credit arrives. Waiting is the caller's
+    /// business: a thread idles in a [`CreditWait`], a single-threaded driver
+    /// steps something else.
+    Starved,
+    /// Every frame is sent and, on an armed lane, every final credit is in.
+    Done,
+}
+
+/// One lane's side of a pipeline run, as a state machine: each
+/// [`step`](LaneRun::step) does a bounded amount of work — it never blocks,
+/// sleeps or reads wall time — so any driver can interleave lanes and shards
+/// in any order.
+pub(super) struct LaneRun<'a, F> {
+    lane: &'a mut SenderLane,
+    cq: &'a mut CompletionQueue,
+    elem: ElementId,
+    mode: InvocationMode,
+    rounds: u64,
+    make: &'a F,
+    /// How many times each owned slot has been filled.
+    rounds_sent: Vec<u64>,
+    /// Slots whose credit is in hand, in the order they will be sent.
+    free: VecDeque<usize>,
+    /// Where the next credit scan starts (round-robin over the slots).
+    cursor: usize,
+    /// Frames still to send.
+    unsent: usize,
+    /// Whether the current stall episode has been counted.
+    stalled: bool,
+    /// The slots one step sends together (scratch).
+    group: Vec<usize>,
+}
+
+impl<'a, F> LaneRun<'a, F>
+where
+    F: Fn(SlotCtx) -> (Vec<u8>, Vec<u8>),
+{
+    /// Start a run of `rounds` fills of every slot `lane` owns. Credits and
+    /// NACK records left over from earlier phased schedules (which consume
+    /// none) are discarded: every slot starts empty, so round 0 needs no
+    /// credit and anything pending in the tables is stale.
+    fn new(
+        lane: &'a mut SenderLane,
+        cq: &'a mut CompletionQueue,
+        elem: ElementId,
+        mode: InvocationMode,
+        rounds: usize,
+        make: &'a F,
+    ) -> AmResult<Self> {
+        lane.sync_credits()?;
+        lane.in_flight.fill(false);
+        let slots = lane.targets.len();
+        Ok(LaneRun {
+            lane,
+            cq,
+            elem,
+            mode,
+            rounds: rounds as u64,
+            make,
+            rounds_sent: vec![0; slots],
+            free: (0..slots).collect(),
+            cursor: 0,
+            unsent: rounds * slots,
+            stalled: false,
+            group: Vec::new(),
+        })
+    }
+
+    /// Advance the run: send the next group of frames if a credit is in hand
+    /// or a scan of the credit table finds one, otherwise report starvation;
+    /// once everything is sent, collect the final credits.
+    pub(super) fn step(&mut self) -> AmResult<Step> {
+        if self.unsent == 0 {
+            return self.collect_final_credits();
+        }
+        let first = match self.free.pop_front() {
+            None => self.acquire()?,
+            in_hand => in_hand,
+        };
+        let Some(first) = first else {
+            if !self.stalled {
+                // One stall *episode*, however many fruitless scans it takes.
+                self.lane.sender.stats_mut().credit_stall_events += 1;
+                self.stalled = true;
+            }
+            return Ok(Step::Starved);
+        };
+        self.stalled = false;
+        self.send_group(first)?;
+        Ok(Step::Progressed)
+    }
+
+    /// Stage *await credit*, acquire: one round-robin scan of the slots that
+    /// still owe rounds. One coalesced credit flush can refill several slots
+    /// at once, so the scan harvests every token it finds — the first is
+    /// returned (sent first, and the cursor moves behind it), the rest queue
+    /// up — and one wakeup never costs more stall episodes than the flush
+    /// that caused it.
+    fn acquire(&mut self) -> AmResult<Option<usize>> {
+        let slots = self.rounds_sent.len();
+        let mut first = None;
+        for step in 0..slots {
+            // The origin is read every step, so it jumps with the cursor when
+            // the first token is found and the slot right behind that one
+            // waits for the next scan. Kept as `drive_pipeline` always had it:
+            // the scan order decides how credits group into containers, and
+            // with that every schedule-dependent counter of a pipelined run.
+            let i = (self.cursor + step) % slots;
+            if self.rounds_sent[i] < self.rounds && self.lane.try_acquire_slot(i)? {
+                if first.is_none() {
+                    first = Some(i);
+                    self.cursor = (i + 1) % slots;
+                } else {
+                    self.free.push_back(i);
+                    self.lane.sender.stats_mut().credit_refills_coalesced += 1;
+                }
+            }
+        }
+        Ok(first)
+    }
+
+    /// Stages *build → post*: opportunistic grouping — every already-free
+    /// slot of `first`'s bank rides along (their credits are in hand), up to
+    /// the batch-fill bound, so one coalesced credit span refilling a row
+    /// turns into one put. Ends on the burst boundary: the lane goes back to
+    /// waiting on credits next, and frames must not sit unpublished across a
+    /// wait.
+    fn send_group(&mut self, first: usize) -> AmResult<()> {
+        let targets = &self.lane.targets;
+        let bank = targets[first].bank;
+        let group = &mut self.group;
+        group.clear();
+        group.push(first);
+        self.free.retain(|&j| {
+            let joins = group.len() < BATCH_FILL && targets[j].bank == bank;
+            if joins {
+                group.push(j);
+            }
+            !joins
+        });
+        for &j in &self.group {
+            let spec = self
+                .lane
+                .build(self.elem, self.mode, j, self.rounds_sent[j], self.make);
+            self.lane.post(self.cq, j, &spec)?;
+            self.rounds_sent[j] += 1;
+            self.unsent -= 1;
+        }
+        self.lane.flush(self.cq)?;
+        Ok(())
+    }
+
+    /// Every frame is sent, but on an armed lane the last one per slot may
+    /// still be in flight — and on a lossy link "in flight" can mean "gone".
+    /// A lossless lane is done after its last put (the drain side owes it
+    /// nothing it will act on); an armed lane holds the retransmit machinery
+    /// open until every final credit lands, or a dropped final frame would
+    /// deadlock the drain with no sender left to repair it.
+    fn collect_final_credits(&mut self) -> AmResult<Step> {
+        if !self.lane.in_flight.contains(&true) {
+            return Ok(Step::Done);
+        }
+        let mut progressed = false;
+        for i in 0..self.lane.in_flight.len() {
+            if self.lane.in_flight[i] && self.lane.try_acquire_slot(i)? {
+                progressed = true;
+            }
+        }
+        Ok(if progressed {
+            Step::Progressed
+        } else {
+            Step::Starved
+        })
+    }
+}
+
+/// Stage *await credit*, wait: what a lane thread does between fruitless
+/// steps of one stall episode — the only place the sender side yields,
+/// sleeps or reads wall time. A fresh one per episode (progress ends it).
+struct CreditWait {
+    fruitless: u32,
+    /// Watchdog state (armed lanes only): if neither a credit nor a NACK
+    /// shows up for a clamped-Fibonacci backoff interval, every live posted
+    /// entry is retransmitted, on a bounded budget.
+    backoff: ClampedFibonacci,
+    deadline: Instant,
+    budget: u32,
+}
+
+impl CreditWait {
+    fn new() -> Self {
+        let mut backoff = ClampedFibonacci::new(WATCHDOG_BASE, WATCHDOG_CLAMP);
+        CreditWait {
+            fruitless: 0,
+            deadline: Instant::now() + backoff.next_delay(),
+            backoff,
+            budget: RETRY_BUDGET,
+        }
+    }
+
+    /// One fruitless step: bail out if the other side died, let an armed lane
+    /// answer NACKs and run its watchdog, then spin or park. The first
+    /// [`SPIN_SCANS`] times the thread only yields (credits normally arrive
+    /// within a burst); after that it parks briefly, so a stalled lane on an
+    /// oversubscribed host stops stealing quanta from the very drain threads
+    /// it is waiting on.
+    fn idle(&mut self, lane: &mut SenderLane, abort: &AtomicBool) -> AmResult<()> {
+        if abort.load(Ordering::Relaxed) {
+            return Err(AmError::Exec(
+                "pipeline aborted: a drain shard failed before returning all credits".into(),
+            ));
+        }
+        if lane.armed {
+            // A NACK names a lost frame precisely — it was retransmitted just
+            // now, so push the (coarser) timeout watchdog back.
+            if lane.poll_nacks()? > 0 {
+                self.deadline = Instant::now() + self.backoff.next_delay();
+            }
+            if Instant::now() >= self.deadline {
+                if self.budget == 0 {
+                    return Err(AmError::Exec(format!(
+                        "lane {} exhausted its {RETRY_BUDGET}-retry reliability budget: \
+                         frames are being lost faster than the retransmit path can \
+                         recover them",
+                        lane.stream
+                    )));
+                }
+                self.budget -= 1;
+                lane.retransmit(None)?;
+                self.deadline = Instant::now() + self.backoff.next_delay();
+            }
+        }
+        self.fruitless = self.fruitless.saturating_add(1);
+        if self.fruitless < SPIN_SCANS {
+            std::thread::yield_now();
+        } else {
+            std::thread::sleep(PARK);
+        }
+        Ok(())
+    }
+}
+
+/// A sender thread's body: step the lane to completion, idling in a
+/// [`CreditWait`] while it is starved.
+fn run_lane<F>(mut run: LaneRun<'_, F>, abort: &AtomicBool) -> AmResult<()>
+where
+    F: Fn(SlotCtx) -> (Vec<u8>, Vec<u8>),
+{
+    let mut wait: Option<CreditWait> = None;
+    loop {
+        match run.step()? {
+            Step::Done => return Ok(()),
+            Step::Progressed => wait = None,
+            Step::Starved => wait
+                .get_or_insert_with(CreditWait::new)
+                .idle(run.lane, abort)?,
+        }
+    }
+}
+
+/// A drain thread's body: burst-drain `drain`'s banks until `want` frames
+/// executed. Credits for everything a burst retires are put back inside the
+/// burst engine itself, the moment each slot is clear.
+///
+/// The quota counts *executed* frames only. A frame torn by an in-flight
+/// fault is rejected (its credit returns immediately), then usually comes
+/// back: its sequence gap ages out of the scan-jumble watcher, the coalesced
+/// NACK reaches the paired lane, and the retransmit drains like any other
+/// frame. Counting the rejection against the quota would end the drain one
+/// retirement early when that recovery lands, stranding the final round's
+/// credits and starving the lane. When the tear hits the run's tail the lane
+/// may already have exited (no credit is owed), so once every outstanding
+/// frame is accounted for by a rejection, a bounded run of empty scans
+/// retires the gap as lost instead of spinning.
+fn drain_shard(
+    mut drain: ShardDrain<'_>,
+    want: usize,
+    abort: &AtomicBool,
+) -> AmResult<(Vec<PipelineFrame>, usize)> {
+    const GIVE_UP_SCANS: usize = 512;
+    let mut results = Vec::with_capacity(want);
+    let mut rejected = 0usize;
+    let mut clock = SimTime::ZERO;
+    let mut idle_scans = 0usize;
+    while results.len() < want {
+        let out = drain.receive_burst(usize::MAX, clock)?;
+        if out.is_empty() {
+            if abort.load(Ordering::Relaxed) {
+                return Err(AmError::Exec(
+                    "pipeline aborted: a sender lane failed".into(),
+                ));
+            }
+            if results.len() + rejected >= want {
+                idle_scans += 1;
+                if idle_scans >= GIVE_UP_SCANS {
+                    break;
+                }
+            }
+            std::thread::yield_now();
+            continue;
+        }
+        idle_scans = 0;
+        clock = out.drained_at;
+        results.extend(out.frames.iter().map(|f| PipelineFrame {
+            bank: f.bank,
+            slot: f.slot,
+            result: f.outcome.result,
+        }));
+        rejected += out.rejected.len();
+    }
+    Ok((results, rejected))
+}
+
+/// Run one pipeline thread's `body` with the abort flag armed against both
+/// ways it can die. A dead sender leaves the drains with an unreachable frame
+/// quota, a dead drain leaves the lanes spinning on credits that will never
+/// be put — whichever side is still alive must bail out instead of spinning
+/// forever — so the flag is raised on an error *and* on unwinding: a panic in
+/// the payload generator (or anywhere in either loop) must release the other
+/// side, or `thread::scope` would block on it forever instead of propagating
+/// the panic. Clean completion leaves the flag alone: everything this thread
+/// owed the other side is already in place.
+fn aborting<T>(abort: &AtomicBool, body: impl FnOnce() -> AmResult<T>) -> AmResult<T> {
+    struct AbortOnDrop<'a>(&'a AtomicBool);
+    impl Drop for AbortOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+    let guard = AbortOnDrop(abort);
+    let result = body();
+    if result.is_ok() {
+        std::mem::forget(guard);
+    }
+    result
+}
+
 /// Run `rounds` full fill+drain cycles with fill and drain overlapping in wall
 /// clock: one sender thread per lane, one drain thread per receiver shard,
 /// coupled *only* by the one-sided credit path — as each frame retires, the
@@ -1151,397 +1419,37 @@ pub fn drive_pipeline<F>(
 where
     F: Fn(SlotCtx) -> (Vec<u8>, Vec<u8>) + Sync,
 {
-    let shards = host.num_shards();
-    if fleet.lane_count() != shards {
-        return Err(AmError::InvalidConfig(format!(
-            "pipeline needs one sender lane per shard ({} lanes, {shards} shards)",
-            fleet.lane_count()
-        )));
-    }
-    if !host.credit_path_installed() {
-        return Err(AmError::InvalidConfig(
-            "pipeline needs the one-sided credit path: connect the fleet with \
-             SenderFleet::connect_fleet so the credit tables are installed"
-                .into(),
-        ));
-    }
-    // The installed credit returns must target *this* fleet's tables: a later
-    // connect replaces them, and driving an earlier fleet would put every
-    // token into the newer fleet's regions while these lanes spin forever.
-    for lane in &fleet.lanes {
-        if host.credit_descriptor(lane.stream) != Some(lane.flags.descriptor()) {
-            return Err(AmError::InvalidConfig(format!(
-                "the host's credit path targets another fleet's tables (stream {}): \
-                 a later connect replaced the credit returns — drive the most \
-                 recently connected fleet, or re-connect this one",
-                lane.stream
-            )));
-        }
-    }
-    if rounds == 0 {
-        return Ok(PipelineOutcome {
-            results: Vec::new(),
-            drained: 0,
-            rejected: 0,
-        });
-    }
-    let lane_slots: Vec<usize> = fleet.lanes.iter().map(|l| l.targets.len()).collect();
-    // Raised when either side fails: a dead sender leaves the drains with an
-    // unreachable frame quota, a dead drain leaves the lanes spinning on
-    // credits that will never be put — whichever side is still alive bails
-    // out instead of spinning forever.
-    let abort = AtomicBool::new(false);
-    let abort = &abort;
-    // Arms the abort flag against *unwinding* too: a panic in the payload
-    // generator (or anywhere in either loop) must release the other side, or
-    // `thread::scope` would block on it forever instead of propagating the
-    // panic. Defused with `mem::forget` on clean completion.
-    struct AbortOnDrop<'a>(&'a AtomicBool);
-    impl Drop for AbortOnDrop<'_> {
-        fn drop(&mut self) {
-            self.0.store(true, Ordering::Relaxed);
-        }
-    }
-
-    std::thread::scope(|scope| -> AmResult<PipelineOutcome> {
-        let drain_handles: Vec<_> = host
+    fleet.check_paired(host)?;
+    let wants: Vec<usize> = fleet.lanes.iter().map(|l| rounds * l.slots()).collect();
+    let runs = fleet.lane_runs(elem, mode, rounds, make)?;
+    let abort = &AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let drains: Vec<_> = host
             .shard_drains()
             .into_iter()
-            .map(|mut drain| {
-                let want = rounds * lane_slots[drain.shard_id()];
-                scope.spawn(move || -> AmResult<(Vec<PipelineFrame>, usize)> {
-                    let guard = AbortOnDrop(abort);
-                    let result = (|| -> AmResult<(Vec<PipelineFrame>, usize)> {
-                        let mut results = Vec::with_capacity(want);
-                        let mut rejected = 0usize;
-                        let mut clock = SimTime::ZERO;
-                        // The quota counts *executed* frames only. A frame
-                        // torn by an in-flight fault is rejected (its credit
-                        // returns immediately), then usually comes back: its
-                        // sequence gap ages out of the scan-jumble watcher,
-                        // the coalesced NACK reaches the paired lane, and the
-                        // retransmit drains like any other frame. Counting
-                        // the rejection against the quota would end the drain
-                        // one retirement early when that recovery lands,
-                        // stranding the final round's credits and starving
-                        // the lane. When the tear hits the run's tail the
-                        // lane may already have exited (no credit is owed),
-                        // so once every outstanding frame is accounted for
-                        // by a rejection, a bounded run of empty scans
-                        // retires the gap as lost instead of spinning.
-                        const GIVE_UP_SCANS: usize = 512;
-                        let mut idle_scans = 0usize;
-                        while results.len() < want {
-                            // Credits for everything this burst retires are
-                            // put back inside the burst engine itself, the
-                            // moment each slot is clear.
-                            let out = drain.receive_burst(usize::MAX, clock)?;
-                            if out.is_empty() {
-                                if abort.load(Ordering::Relaxed) {
-                                    return Err(AmError::Exec(
-                                        "pipeline aborted: a sender lane failed".into(),
-                                    ));
-                                }
-                                if results.len() + rejected >= want {
-                                    idle_scans += 1;
-                                    if idle_scans >= GIVE_UP_SCANS {
-                                        break;
-                                    }
-                                }
-                                std::thread::yield_now();
-                                continue;
-                            }
-                            idle_scans = 0;
-                            clock = out.drained_at;
-                            for f in &out.frames {
-                                results.push(PipelineFrame {
-                                    bank: f.bank,
-                                    slot: f.slot,
-                                    result: f.outcome.result,
-                                });
-                            }
-                            rejected += out.rejected.len();
-                        }
-                        Ok((results, rejected))
-                    })();
-                    if result.is_ok() {
-                        // Clean completion: every credit this shard owed is in
-                        // the lane's table, so the paired lane can finish on
-                        // its own — don't trip the abort.
-                        std::mem::forget(guard);
-                    }
-                    result
-                })
+            .map(|drain| {
+                let want = wants[drain.shard_id()];
+                scope.spawn(move || aborting(abort, || drain_shard(drain, want, abort)))
             })
             .collect();
-
-        let sender_handles: Vec<_> = fleet
-            .lanes
-            .iter_mut()
-            .zip(fleet.completions.queues_mut())
-            .map(|(lane, cq)| {
-                scope.spawn(move || -> AmResult<()> {
-                    let guard = AbortOnDrop(abort);
-                    let result = (|| -> AmResult<()> {
-                        let slots = lane.targets.len();
-                        let total = rounds * slots;
-                        // Discard credits (and NACK records) left over from
-                        // earlier phased schedules (they consume none): every
-                        // slot starts empty, so round 0 needs no credit and
-                        // anything pending in the tables is stale.
-                        lane.sync_credits()?;
-                        // The sender half of the reliability layer is armed
-                        // only when this lane's endpoint carries a fault
-                        // plan: on a pristine link no wire bytes are cached,
-                        // no NACK row is polled and no watchdog ever fires.
-                        let armed = lane.faults_enabled();
-                        lane.in_flight.iter_mut().for_each(|f| *f = false);
-                        let mut rounds_sent = vec![0u64; slots];
-                        let mut free: VecDeque<usize> = (0..slots).collect();
-                        let mut sent = 0usize;
-                        let mut cursor = 0usize;
-                        while sent < total {
-                            let idx = match free.pop_front() {
-                                Some(idx) => idx,
-                                None => {
-                                    // Spin, then park, on acquire loads of
-                                    // this lane's own flag region:
-                                    // round-robin over the slots that still
-                                    // owe rounds until one's token changes.
-                                    // The first SPIN_SCANS fruitless passes
-                                    // only yield (credits normally arrive
-                                    // within a burst); after that the lane
-                                    // parks briefly between polls so a
-                                    // stalled lane on an oversubscribed host
-                                    // stops stealing quanta from the very
-                                    // drain threads it is waiting on.
-                                    const SPIN_SCANS: u32 = 128;
-                                    const PARK: std::time::Duration =
-                                        std::time::Duration::from_micros(20);
-                                    let mut fruitless = 0u32;
-                                    // Watchdog state for this stall episode
-                                    // (armed lanes only): if neither a credit
-                                    // nor a NACK shows up for a clamped-
-                                    // Fibonacci backoff interval, every
-                                    // in-flight frame is retransmitted from
-                                    // the wire cache, on a bounded budget.
-                                    let mut backoff =
-                                        ClampedFibonacci::new(WATCHDOG_BASE, WATCHDOG_CLAMP);
-                                    let mut deadline = Instant::now() + backoff.next_delay();
-                                    let mut budget = RETRY_BUDGET;
-                                    'wait: loop {
-                                        // One coalesced credit flush can
-                                        // refill several of this lane's slots
-                                        // at once: harvest *every* token the
-                                        // scan finds, send on the first and
-                                        // queue the rest, so one wakeup never
-                                        // costs more spin episodes than the
-                                        // flush that caused it.
-                                        let mut first: Option<usize> = None;
-                                        for step in 0..slots {
-                                            let i = (cursor + step) % slots;
-                                            if (rounds_sent[i] as usize) < rounds
-                                                && lane.try_acquire_slot(i)?
-                                            {
-                                                // The credit retires the
-                                                // frame in flight on this
-                                                // slot: the wire cache entry
-                                                // is now dead weight, not a
-                                                // retransmit candidate.
-                                                lane.in_flight[i] = false;
-                                                if first.is_none() {
-                                                    first = Some(i);
-                                                    cursor = (i + 1) % slots;
-                                                } else {
-                                                    free.push_back(i);
-                                                    lane.sender
-                                                        .stats_mut()
-                                                        .credit_refills_coalesced += 1;
-                                                }
-                                            }
-                                        }
-                                        if let Some(i) = first {
-                                            break 'wait i;
-                                        }
-                                        if abort.load(Ordering::Relaxed) {
-                                            return Err(AmError::Exec(
-                                                "pipeline aborted: a drain shard failed \
-                                                 before returning all credits"
-                                                    .into(),
-                                            ));
-                                        }
-                                        if armed {
-                                            // A NACK names a lost frame
-                                            // precisely — retransmit it now
-                                            // and push the (coarser) timeout
-                                            // watchdog back.
-                                            if lane.poll_nacks()? > 0 {
-                                                deadline = Instant::now() + backoff.next_delay();
-                                            }
-                                            if Instant::now() >= deadline {
-                                                if budget == 0 {
-                                                    return Err(AmError::Exec(format!(
-                                                        "lane {} exhausted its {RETRY_BUDGET}\
-                                                         -retry reliability budget: frames \
-                                                         are being lost faster than the \
-                                                         retransmit path can recover them",
-                                                        lane.stream
-                                                    )));
-                                                }
-                                                budget -= 1;
-                                                lane.retransmit_in_flight()?;
-                                                deadline = Instant::now() + backoff.next_delay();
-                                            }
-                                        }
-                                        if fruitless == 0 {
-                                            // One stall *episode*, however many
-                                            // fruitless polls it takes.
-                                            lane.sender.stats_mut().credit_stall_events += 1;
-                                        }
-                                        fruitless = fruitless.saturating_add(1);
-                                        if fruitless < SPIN_SCANS {
-                                            std::thread::yield_now();
-                                        } else {
-                                            std::thread::sleep(PARK);
-                                        }
-                                    }
-                                }
-                            };
-                            if lane.aggregating() {
-                                // Opportunistic grouping: every already-free
-                                // slot of the same bank rides this container
-                                // (their credits are in hand), up to the
-                                // batch-fill bound — one coalesced credit
-                                // span refilling a row turns into one put.
-                                let bank = lane.targets[idx].bank;
-                                let mut group = vec![idx];
-                                let mut rest = VecDeque::with_capacity(free.len());
-                                while let Some(j) = free.pop_front() {
-                                    if group.len() < lane.batch_max_frames
-                                        && lane.targets[j].bank == bank
-                                    {
-                                        group.push(j);
-                                    } else {
-                                        rest.push_back(j);
-                                    }
-                                }
-                                free = rest;
-                                for j in group {
-                                    let t = &lane.targets[j];
-                                    let ctx = SlotCtx {
-                                        stream: lane.stream,
-                                        bank: t.bank,
-                                        slot: t.slot,
-                                        round: rounds_sent[j],
-                                    };
-                                    let (args, usr) = make(ctx);
-                                    let spec =
-                                        super::spec::spec(elem).mode(mode).args(args).usr(usr);
-                                    lane.append_to_batch(cq, j, &spec)?;
-                                    rounds_sent[j] += 1;
-                                    sent += 1;
-                                }
-                                // Burst boundary: the lane goes back to
-                                // waiting on credits next — frames must not
-                                // sit unpublished across a wait.
-                                lane.flush_batch(cq)?;
-                            } else {
-                                lane.send_slot(cq, elem, mode, idx, rounds_sent[idx], make)?;
-                                if armed {
-                                    lane.cache_wire(idx);
-                                }
-                                rounds_sent[idx] += 1;
-                                sent += 1;
-                            }
-                        }
-                        if armed {
-                            // Every frame is sent, but the last one per slot
-                            // may still be in flight — and on a lossy link
-                            // "in flight" can mean "gone". A lossless lane
-                            // exits after its last put (the drain side owes
-                            // it nothing it will act on), but an armed lane
-                            // must hold the retransmit machinery open until
-                            // every final credit lands, or a dropped final
-                            // frame would deadlock the drain with no sender
-                            // left to repair it.
-                            const PARK: std::time::Duration = std::time::Duration::from_micros(20);
-                            let mut fruitless = 0u32;
-                            let mut backoff = ClampedFibonacci::new(WATCHDOG_BASE, WATCHDOG_CLAMP);
-                            let mut deadline = Instant::now() + backoff.next_delay();
-                            let mut budget = RETRY_BUDGET;
-                            while lane.in_flight.iter().any(|&f| f) {
-                                let mut progressed = false;
-                                for i in 0..slots {
-                                    if lane.in_flight[i] && lane.try_acquire_slot(i)? {
-                                        lane.in_flight[i] = false;
-                                        progressed = true;
-                                    }
-                                }
-                                if progressed {
-                                    backoff.reset();
-                                    deadline = Instant::now() + backoff.next_delay();
-                                    budget = RETRY_BUDGET;
-                                    fruitless = 0;
-                                    continue;
-                                }
-                                if abort.load(Ordering::Relaxed) {
-                                    return Err(AmError::Exec(
-                                        "pipeline aborted: a drain shard failed \
-                                         before returning all credits"
-                                            .into(),
-                                    ));
-                                }
-                                if lane.poll_nacks()? > 0 {
-                                    deadline = Instant::now() + backoff.next_delay();
-                                }
-                                if Instant::now() >= deadline {
-                                    if budget == 0 {
-                                        return Err(AmError::Exec(format!(
-                                            "lane {} exhausted its {RETRY_BUDGET}-retry \
-                                             reliability budget waiting for its final \
-                                             credits",
-                                            lane.stream
-                                        )));
-                                    }
-                                    budget -= 1;
-                                    lane.retransmit_in_flight()?;
-                                    deadline = Instant::now() + backoff.next_delay();
-                                }
-                                fruitless = fruitless.saturating_add(1);
-                                if fruitless < 128 {
-                                    std::thread::yield_now();
-                                } else {
-                                    std::thread::sleep(PARK);
-                                }
-                            }
-                        }
-                        Ok(())
-                    })();
-                    if result.is_ok() {
-                        // Clean completion: every frame this lane owed is in
-                        // its mailbox, so the paired drain can finish on its
-                        // own — don't trip the abort.
-                        std::mem::forget(guard);
-                    }
-                    result
-                })
-            })
+        let lanes: Vec<_> = runs
+            .into_iter()
+            .map(|run| scope.spawn(move || aborting(abort, || run_lane(run, abort))))
             .collect();
-
         // Join *both* sides before reporting: after an abort, one side holds
         // the root-cause error and the other holds only the secondary
         // "pipeline aborted: ..." it raised when released, and either side
         // may be the one that actually failed (a lane's send, or a drain's
         // dispatch/credit put).
         let mut errors: Vec<AmError> = Vec::new();
-        for h in sender_handles {
+        for h in lanes {
             if let Err(e) = h.join().expect("sender lane thread panicked") {
                 errors.push(e);
             }
         }
         let mut results = Vec::new();
         let mut rejected = 0usize;
-        for h in drain_handles {
+        for h in drains {
             match h.join().expect("drain thread panicked") {
                 Ok((r, rej)) => {
                     results.extend(r);
@@ -1550,20 +1458,20 @@ where
                 Err(e) => errors.push(e),
             }
         }
-        if !errors.is_empty() {
-            // Surface the root cause, not a released thread's abort notice
-            // (the only errors prefixed "pipeline aborted" are the ones this
-            // function itself raises on the released side).
-            let root = errors
-                .iter()
-                .position(|e| !matches!(e, AmError::Exec(m) if m.starts_with("pipeline aborted")))
-                .unwrap_or(0);
-            return Err(errors.swap_remove(root));
+        if errors.is_empty() {
+            return Ok(PipelineOutcome {
+                drained: results.len(),
+                results,
+                rejected,
+            });
         }
-        Ok(PipelineOutcome {
-            drained: results.len(),
-            results,
-            rejected,
-        })
+        // Surface the root cause, not a released thread's abort notice (the
+        // only errors prefixed "pipeline aborted" are the ones raised here on
+        // the released side).
+        let root = errors
+            .iter()
+            .position(|e| !matches!(e, AmError::Exec(m) if m.starts_with("pipeline aborted")))
+            .unwrap_or(0);
+        Err(errors.swap_remove(root))
     })
 }

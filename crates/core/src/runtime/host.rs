@@ -71,6 +71,10 @@ use crate::frame::{
 use crate::mailbox::MailboxTarget;
 use crate::stats::RuntimeStats;
 
+/// The adaptive credit-flush headroom watermark a drain shard starts from,
+/// until its retire-rate EWMA has a first sample to size it by.
+const CREDIT_WATERMARK_FLOOR: usize = 4;
+
 /// Software cost models for the receiver's injected-dispatch path, in ns per byte.
 ///
 /// The content hash is charged on every injected message — it is the cache-key
@@ -1926,19 +1930,10 @@ impl HostCore {
                 // the withheld tokens leave the sender within `watermark`
                 // credits of exhausting its completion window, so batching
                 // must yield to latency. The watermark itself follows the
-                // observed retire rate (EWMA in `CreditReturn`) unless the
-                // config pinned the static knob as an override.
-                let watermark = if self.config.adaptive_credit_watermark {
-                    credit.adaptive_watermark(
-                        self.config.completion_window,
-                        self.config.credit_flush_watermark,
-                    )
-                } else {
-                    self.config.credit_flush_watermark
-                };
-                out.row_full
-                    || credit.pending_total()
-                        >= self.config.completion_window.saturating_sub(watermark)
+                // observed retire rate (EWMA in `CreditReturn`).
+                let window = self.config.completion_window;
+                let watermark = credit.adaptive_watermark(window, CREDIT_WATERMARK_FLOOR);
+                out.row_full || credit.pending_total() >= window.saturating_sub(watermark)
             }
         };
         if flush_now {

@@ -212,14 +212,18 @@
 //! rejected with an error naming the victim inner frame's sn.
 //!
 //! **Flush policy.** An adaptive lane flushes its open batch when any of
-//! these trips: the batch reaches
-//! [`BATCH_MAX_FRAMES`](crate::frame::BATCH_MAX_FRAMES); appending the next
+//! these trips: the batch holds eight frames (the fill bound — the wire
+//! format itself carries up to
+//! [`BATCH_MAX_FRAMES`](crate::frame::BATCH_MAX_FRAMES)); appending the next
 //! frame would exceed the destination mailbox capacity
 //! (`frame_capacity`); the next frame targets a *different bank* (a container
 //! lands in one contiguous mailbox span, never straddling banks); the oldest
-//! buffered frame would exceed the latency watermark; and unconditionally at
-//! a burst boundary — `fill_all`/`drive_pipeline` never return with frames
-//! still buffered, so aggregation is invisible to the phased schedules.
+//! buffered frame has waited 2 µs of lane-virtual time (the latency
+//! watermark); and unconditionally at a burst boundary —
+//! `fill_all`/`drive_pipeline` never return with frames still buffered, so
+//! aggregation is invisible to the phased schedules. Both bounds are
+//! constants beside their one user in `fleet.rs`. A frame too large to share
+//! a container even alone is posted standalone, exactly as under `PerFrame`.
 //!
 //! **Reliability contract.** Each inner frame retires individually — its own
 //! credit token, its own `SeqWatch` entry — so token conservation holds

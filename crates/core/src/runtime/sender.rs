@@ -20,7 +20,7 @@ use super::AmSendOutcome;
 use crate::builtin::BuiltinJam;
 use crate::config::InvocationMode;
 use crate::error::{AmError, AmResult};
-use crate::frame::{encode_wire_into, ChainDescriptor, Frame, BATCH_OVERHEAD, BATCH_PREFIX_SIZE};
+use crate::frame::{encode_wire_into, Frame, BATCH_OVERHEAD, BATCH_PREFIX_SIZE};
 use crate::mailbox::MailboxTarget;
 use crate::stats::RuntimeStats;
 
@@ -160,11 +160,10 @@ impl TwoChainsSender {
         frame: &Frame,
         target: &MailboxTarget,
     ) -> AmResult<AmSendOutcome> {
-        let mut buf = std::mem::take(&mut self.encode_buf);
-        frame.encode_into(&mut buf);
-        let result = self.put_frame(now, &buf, target, None);
-        self.encode_buf = buf;
-        result
+        self.with_scratch(|sender, buf| {
+            frame.encode_into(buf);
+            sender.put_frame(now, buf, target, None)
+        })
     }
 
     /// The allocation-free send path for a [`MessageSpec`]: encode the spec's
@@ -189,17 +188,10 @@ impl TwoChainsSender {
                     .into(),
             ));
         }
-        let chain = spec.chain_descriptor()?;
-        self.send_raw(
-            now,
-            spec.elem(),
-            spec.invocation(),
-            chain.as_ref(),
-            spec.args_bytes(),
-            spec.usr_bytes(),
-            target,
-            None,
-        )
+        self.with_scratch(|sender, buf| {
+            sender.encode_next(spec, buf)?;
+            sender.put_frame(now, buf, target, None)
+        })
     }
 
     /// [`TwoChainsSender::send_spec`] with software completion tracking: the
@@ -216,79 +208,58 @@ impl TwoChainsSender {
         target: &MailboxTarget,
         cq: &mut CompletionQueue,
     ) -> AmResult<AmSendOutcome> {
-        let chain = spec.chain_descriptor()?;
-        self.send_raw(
-            now,
-            spec.elem(),
-            spec.invocation(),
-            chain.as_ref(),
-            spec.args_bytes(),
-            spec.usr_bytes(),
-            target,
-            Some(cq),
-        )
+        self.with_scratch(|sender, buf| {
+            sender.encode_next(spec, buf)?;
+            sender.put_frame(now, buf, target, Some(cq))
+        })
     }
 
-    /// The single allocation-free send core every path funnels through:
-    /// validate, stamp the next sequence number, encode into the parked
-    /// scratch buffer, put (completion-tracked through `cq` when given).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn send_raw(
+    /// Run `body` with the reusable wire-encode buffer lent out of `self`, so
+    /// the sender's own sends can encode into it and put from it; the buffer
+    /// (and its capacity) comes back whether `body` succeeds or not.
+    fn with_scratch<T>(
         &mut self,
-        now: SimTime,
-        elem: ElementId,
-        mode: InvocationMode,
-        chain: Option<&ChainDescriptor>,
-        args: &[u8],
-        usr: &[u8],
-        target: &MailboxTarget,
-        cq: Option<&mut CompletionQueue>,
-    ) -> AmResult<AmSendOutcome> {
-        crate::frame::validate_section_lens(&[], &[], args, usr)?;
-        self.sn = self.sn.wrapping_add(1);
-        let sn = self.sn;
+        body: impl FnOnce(&mut Self, &mut Vec<u8>) -> AmResult<T>,
+    ) -> AmResult<T> {
         let mut buf = std::mem::take(&mut self.encode_buf);
-        let result = self
-            .encode_message(sn, elem, mode, chain, args, usr, &mut buf)
-            .and_then(|()| self.put_frame(now, &buf, target, cq));
+        let result = body(self, &mut buf);
         self.encode_buf = buf;
         result
     }
 
-    /// Encode one message into `buf` (the fallible half of
-    /// [`TwoChainsSender::send_raw`], factored out so `?` can unwind it
-    /// while the scratch buffer is parked outside `self`).
-    #[allow(clippy::too_many_arguments)]
-    fn encode_message(
-        &mut self,
-        sn: u32,
-        elem: ElementId,
-        mode: InvocationMode,
-        chain: Option<&ChainDescriptor>,
-        args: &[u8],
-        usr: &[u8],
-        buf: &mut Vec<u8>,
-    ) -> AmResult<()> {
-        match mode {
+    /// Encode the next message for `spec` into `buf` (cleared first) without
+    /// sending it — the one encoder every spec-built frame goes through, the
+    /// sender's own sends and the fleet's lanes alike. Validates the sections
+    /// (against the wire fields, then together with the element's template),
+    /// builds the chain descriptor and only then stamps the next sequence
+    /// number, so a refused spec burns none. Returns the stamped number.
+    pub(crate) fn encode_next(&mut self, spec: &MessageSpec, buf: &mut Vec<u8>) -> AmResult<u32> {
+        let (elem, args, usr) = (spec.elem(), spec.args_bytes(), spec.usr_bytes());
+        crate::frame::validate_section_lens(&[], &[], args, usr)?;
+        let chain = spec.chain_descriptor()?;
+        let sn = self.sn.wrapping_add(1);
+        match spec.invocation() {
             InvocationMode::Local => {
-                encode_wire_into(sn, elem.0, false, chain, &[], &[], args, usr, buf);
+                encode_wire_into(sn, elem.0, false, chain.as_ref(), &[], &[], args, usr, buf);
             }
             InvocationMode::Injected => {
                 let tpl = self.template(elem)?;
                 crate::frame::validate_section_lens(&tpl.got, &tpl.code, args, usr)?;
-                encode_wire_into(sn, elem.0, true, chain, &tpl.got, &tpl.code, args, usr, buf);
+                let (got, code) = (&tpl.got, &tpl.code);
+                encode_wire_into(sn, elem.0, true, chain.as_ref(), got, code, args, usr, buf);
             }
         }
-        Ok(())
+        self.sn = sn;
+        Ok(sn)
     }
 
-    /// Common tail of every send path: capacity check, pack-cost model, one put
-    /// (completion-tracked through `cq` when given). `pub(crate)` for the
-    /// fleet's aggregation path, which posts an already-encoded frame
-    /// standalone when it is too large to share a container.
-    pub(crate) fn put_frame(
+    /// The one place a data-path put is issued: capacity check, then one put
+    /// `pack_cost` after `now` (completion-tracked through `cq` when given).
+    /// Touches no counter — the two callers below count differently.
+    fn put(
         &mut self,
         now: SimTime,
+        pack_cost: SimTime,
         bytes: &[u8],
         target: &MailboxTarget,
         cq: Option<&mut CompletionQueue>,
@@ -299,7 +270,6 @@ impl TwoChainsSender {
                 capacity: target.capacity,
             });
         }
-        let pack_cost = self.pack_cost_for_len(bytes.len());
         let issue_at = now + pack_cost;
         let put = match cq {
             Some(cq) => {
@@ -311,8 +281,6 @@ impl TwoChainsSender {
                 .endpoint
                 .put(issue_at, bytes, &target.region, target.offset)?,
         };
-        self.stats.messages_sent += 1;
-        self.stats.bytes_sent += bytes.len() as u64;
         Ok(AmSendOutcome {
             pack_cost,
             put,
@@ -320,27 +288,19 @@ impl TwoChainsSender {
         })
     }
 
-    /// Encode the next message for `spec` into `buf` without sending it:
-    /// validate, stamp the next sequence number, encode. This is the first
-    /// half of the aggregation path — the fleet accumulates several encoded
-    /// frames into one batch container and posts it with a single
-    /// [`TwoChainsSender::put_batch`]. Returns the stamped sequence number
-    /// (the container inherits its first frame's).
-    pub(crate) fn encode_next(&mut self, spec: &MessageSpec, buf: &mut Vec<u8>) -> AmResult<u32> {
-        crate::frame::validate_section_lens(&[], &[], spec.args_bytes(), spec.usr_bytes())?;
-        let chain = spec.chain_descriptor()?;
-        self.sn = self.sn.wrapping_add(1);
-        let sn = self.sn;
-        self.encode_message(
-            sn,
-            spec.elem(),
-            spec.invocation(),
-            chain.as_ref(),
-            spec.args_bytes(),
-            spec.usr_bytes(),
-            buf,
-        )?;
-        Ok(sn)
+    /// Post one encoded frame standalone, charged the §III-A packing cost of
+    /// one message.
+    pub(crate) fn put_frame(
+        &mut self,
+        now: SimTime,
+        bytes: &[u8],
+        target: &MailboxTarget,
+        cq: Option<&mut CompletionQueue>,
+    ) -> AmResult<AmSendOutcome> {
+        let sent = self.put(now, self.pack_cost_for_len(bytes.len()), bytes, target, cq)?;
+        self.stats.messages_sent += 1;
+        self.stats.bytes_sent += bytes.len() as u64;
+        Ok(sent)
     }
 
     /// Post one multi-frame batch container (built by the fleet from frames
@@ -360,26 +320,10 @@ impl TwoChainsSender {
         target: &MailboxTarget,
         cq: Option<&mut CompletionQueue>,
     ) -> AmResult<AmSendOutcome> {
-        if bytes.len() > target.capacity {
-            return Err(AmError::FrameTooLarge {
-                needed: bytes.len(),
-                capacity: target.capacity,
-            });
-        }
         let pack_cost = SimTime::from_ns_f64(
             self.pack_fixed.as_ns() * frames as f64 + bytes.len() as f64 * self.pack_ns_per_byte,
         );
-        let issue_at = now + pack_cost;
-        let put = match cq {
-            Some(cq) => {
-                self.endpoint
-                    .put_tracked(issue_at, bytes, &target.region, target.offset, cq)?
-                    .1
-            }
-            None => self
-                .endpoint
-                .put(issue_at, bytes, &target.region, target.offset)?,
-        };
+        let sent = self.put(now, pack_cost, bytes, target, cq)?;
         // `bytes_sent` counts the *frame* bytes (what a per-frame schedule
         // would have counted), so the counter stays schedule-invariant — how
         // frames grouped into containers depends on credit arrival timing.
@@ -390,11 +334,7 @@ impl TwoChainsSender {
         self.stats.bytes_sent += bytes.len().saturating_sub(envelope) as u64;
         self.stats.batch_puts += 1;
         self.stats.batched_frames += frames as u64;
-        Ok(AmSendOutcome {
-            pack_cost,
-            put,
-            wire_bytes: bytes.len(),
-        })
+        Ok(sent)
     }
 
     /// Element id helper for the builtin benchmark jams. A package without the
@@ -411,15 +351,6 @@ impl TwoChainsSender {
     /// flow-control events here so a host-wide `merge()` sees them).
     pub(crate) fn stats_mut(&mut self) -> &mut RuntimeStats {
         &mut self.stats
-    }
-
-    /// The exact wire bytes of the most recent send: every send path encodes
-    /// into (and then restores) the reusable scratch buffer, so after a send
-    /// returns, the buffer *is* the frame as it went onto the fabric. The
-    /// fleet's reliability layer snapshots this into its per-slot wire cache
-    /// so a NACK or watchdog timeout can retransmit byte-identical frames.
-    pub(crate) fn last_wire(&self) -> &[u8] {
-        &self.encode_buf
     }
 
     /// Re-put previously sent wire bytes (reliability-layer retransmit). The

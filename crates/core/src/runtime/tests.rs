@@ -1521,49 +1521,6 @@ fn fleet_fill_drains_to_the_same_results_as_a_single_sender() {
 }
 
 #[test]
-fn fill_parallel_matches_sequential_fill_observationally() {
-    let elem_of = |host: &TwoChainsHost| host.builtin_id(BuiltinJam::IndirectPut).unwrap();
-    let (mut seq_host, mut seq_fleet) = fleet_testbed(2, 64);
-    let (mut par_host, mut par_fleet) = fleet_testbed(2, 64);
-    let seq_h = seq_fleet
-        .fill_all(
-            elem_of(&seq_host),
-            InvocationMode::Injected,
-            3,
-            &fleet_payload,
-        )
-        .unwrap();
-    let par_h = par_fleet
-        .fill_parallel(
-            elem_of(&par_host),
-            InvocationMode::Injected,
-            3,
-            &fleet_payload,
-        )
-        .unwrap();
-    assert_eq!(seq_h.len(), par_h.len());
-    let drain = |host: &mut TwoChainsHost| {
-        let mut results = Vec::new();
-        for shard in 0..2 {
-            let out = host
-                .receive_burst(shard, usize::MAX, SimTime::ZERO)
-                .unwrap();
-            assert!(out.rejected.is_empty());
-            results.extend(out.frames.iter().map(|f| f.outcome.result));
-        }
-        results.sort_unstable();
-        results
-    };
-    assert_eq!(drain(&mut seq_host), drain(&mut par_host));
-    // Sender counters agree too (the parallel schedule changes virtual
-    // timing, never what was sent).
-    let (a, b) = (seq_fleet.stats(), par_fleet.stats());
-    assert_eq!(a.messages_sent, b.messages_sent);
-    assert_eq!(a.bytes_sent, b.bytes_sent);
-    assert_eq!(a.template_misses, b.template_misses);
-}
-
-#[test]
 fn backpressure_pauses_only_the_saturated_stream() {
     // Window of 1: every send after a stream's first must harvest its own
     // completion queue. Drive lane 0 through three rounds while lane 1 sends
@@ -2176,4 +2133,190 @@ fn fleet_send_spec_delivers_chained_frames() {
     let v1 = hash64(key);
     assert_eq!(out.result, if v1.is_multiple_of(2) { v1 } else { 0 });
     assert_eq!(host.stats().chain_frames, 1);
+}
+
+// --- The send pipeline's stages, driven directly ------------------------------
+
+#[test]
+fn a_posted_entrys_claim_on_a_slot_ends_when_the_slot_is_resent() {
+    let (_host, mut fleet) = fleet_testbed(1, 64);
+    let lane = &mut fleet.lanes[0];
+    let (a, b) = (0, 1);
+    // Container one covers slots {a, b}; a's credit returns and a is re-sent
+    // in container two; then b's credit returns.
+    let (posted, in_flight) = (&mut lane.posted, &mut lane.in_flight);
+    let entry = |bytes: &[u8], sns: &[u32], members: &[usize]| super::fleet::Posted {
+        bytes: bytes.to_vec(),
+        sns: sns.to_vec(),
+        members: members.to_vec(),
+        carrier: a,
+    };
+    super::fleet::remember(posted, in_flight, entry(b"container one", &[1, 2], &[a, b]));
+    in_flight[a] = false;
+    super::fleet::remember(posted, in_flight, entry(b"container two", &[3], &[a]));
+    in_flight[b] = false;
+    // Container one has no frame of its own outstanding. `in_flight[a]` is
+    // true again, but through container two's frame: a retransmit of
+    // container one would put stale bytes over a live mailbox.
+    let live: Vec<&[u8]> = posted
+        .iter()
+        .filter(|entry| entry.members.iter().any(|&m| in_flight[m]))
+        .map(|entry| &entry.bytes[..])
+        .collect();
+    assert_eq!(live, [&b"container two"[..]]);
+    assert_eq!(
+        lane.retransmit(None).unwrap(),
+        1,
+        "the watchdog re-puts it alone"
+    );
+    assert_eq!(lane.stats().frames_retransmitted, 1);
+    assert_eq!(
+        lane.retransmit(Some(2)).unwrap(),
+        0,
+        "a NACK for a dead entry's frame"
+    );
+    assert_eq!(lane.retransmit(Some(3)).unwrap(), 1);
+}
+
+/// A Server-Side Sum whose result is a pure function of the slot and round
+/// (unlike Indirect Put, whose bump-allocated result depends on the order of
+/// first probes — exactly what a schedule reshuffles).
+fn ssum_payload(ctx: super::SlotCtx) -> (Vec<u8>, Vec<u8>) {
+    let n = 1 + (ctx.bank * 16 + ctx.slot + ctx.round as usize) % 6;
+    let usr = (0..n as u32)
+        .flat_map(|i| (i * 7 + ctx.slot as u32 + 100 * ctx.round as u32).to_le_bytes())
+        .collect();
+    (ssum_args(n as u32), usr)
+}
+
+const STEPPED_ROUNDS: usize = 3;
+
+/// Everything one single-threaded pipeline run produced, in a form two runs
+/// can be compared by: per-shard frames in drain order, every clock, every
+/// counter.
+#[derive(Debug, PartialEq)]
+struct SteppedRun {
+    frames: Vec<Vec<(usize, usize, u64)>>,
+    shard_clocks: Vec<SimTime>,
+    lane_clocks: Vec<SimTime>,
+    fleet_stats: String,
+    host_stats: String,
+    messages_sent: u64,
+    credits_returned: u64,
+}
+
+impl SteppedRun {
+    fn result_multiset(&self) -> Vec<u64> {
+        let mut results: Vec<u64> = self.frames.iter().flatten().map(|f| f.2).collect();
+        results.sort_unstable();
+        results
+    }
+}
+
+/// The pipeline on one thread: each lane's `LaneRun::step` and each shard's
+/// `receive_burst`, one at a time, in an order a seeded LCG picks — no
+/// thread, no sleep, no spin, no wall clock.
+fn run_stepped(seed: u64) -> SteppedRun {
+    use super::fleet::Step;
+    let (mut host, mut fleet) = fleet_testbed(2, 64);
+    let elem = host.builtin_id(BuiltinJam::ServerSideSum).unwrap();
+    let wants: Vec<usize> = (0..fleet.lane_count())
+        .map(|s| STEPPED_ROUNDS * fleet.lane(s).unwrap().slots())
+        .collect();
+    let mut frames = vec![Vec::new(); wants.len()];
+    let mut shard_clocks = vec![SimTime::ZERO; wants.len()];
+    {
+        let mut lanes = fleet
+            .lane_runs(
+                elem,
+                InvocationMode::Injected,
+                STEPPED_ROUNDS,
+                &ssum_payload,
+            )
+            .unwrap();
+        let mut drains = host.shard_drains();
+        let mut done = vec![false; lanes.len()];
+        let mut lcg = seed;
+        let mut steps = 0usize;
+        while done.contains(&false) || frames.iter().zip(&wants).any(|(f, &w)| f.len() < w) {
+            steps += 1;
+            assert!(
+                steps < 100_000,
+                "the stepped pipeline stopped making progress"
+            );
+            lcg = lcg
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let pick = (lcg >> 33) as usize % (lanes.len() + drains.len());
+            if let Some(lane) = lanes.get_mut(pick) {
+                if !done[pick] {
+                    done[pick] = lane.step().unwrap() == Step::Done;
+                }
+                continue;
+            }
+            let shard = pick - lanes.len();
+            if frames[shard].len() == wants[shard] {
+                continue;
+            }
+            let out = drains[shard]
+                .receive_burst(usize::MAX, shard_clocks[shard])
+                .unwrap();
+            assert!(out.rejected.is_empty());
+            if !out.is_empty() {
+                shard_clocks[shard] = out.drained_at;
+                frames[shard].extend(
+                    out.frames
+                        .iter()
+                        .map(|f| (f.bank, f.slot, f.outcome.result)),
+                );
+            }
+        }
+    }
+    SteppedRun {
+        frames,
+        shard_clocks,
+        lane_clocks: (0..fleet.lane_count())
+            .map(|s| fleet.lane(s).unwrap().clock())
+            .collect(),
+        fleet_stats: format!("{:?}", fleet.stats()),
+        host_stats: format!("{:?}", host.stats()),
+        messages_sent: fleet.stats().messages_sent,
+        credits_returned: host.stats().credits_returned,
+    }
+}
+
+#[test]
+fn the_pipeline_stepped_on_one_thread_is_live_and_bit_reproducible() {
+    let first = run_stepped(0xC0FFEE);
+    assert_eq!(
+        first,
+        run_stepped(0xC0FFEE),
+        "one seed, one schedule: results, clocks and counters repeat exactly"
+    );
+    let other = run_stepped(0x5EED_0002);
+    assert_ne!(
+        first.frames, other.frames,
+        "another seed is another schedule"
+    );
+    assert_eq!(first.result_multiset(), other.result_multiset());
+
+    // The threaded driver runs the same state machines: same multiset, same
+    // order-independent counters.
+    let (mut host, mut fleet) = fleet_testbed(2, 64);
+    let elem = host.builtin_id(BuiltinJam::ServerSideSum).unwrap();
+    let out = super::drive_pipeline(
+        &mut host,
+        &mut fleet,
+        elem,
+        InvocationMode::Injected,
+        STEPPED_ROUNDS,
+        &ssum_payload,
+    )
+    .unwrap();
+    assert_eq!(out.rejected, 0);
+    let mut threaded: Vec<u64> = out.results.iter().map(|f| f.result).collect();
+    threaded.sort_unstable();
+    assert_eq!(first.result_multiset(), threaded);
+    assert_eq!(first.messages_sent, fleet.stats().messages_sent);
+    assert_eq!(first.credits_returned, host.stats().credits_returned);
 }
