@@ -40,6 +40,31 @@
 //! write → execution → per chain stage context-cell write → execution; cycle
 //! counts round once per frame (plus once for a container's prologue); and a
 //! container executes all its inner frames before any is retired.
+//!
+//! # What a warm message costs the host
+//!
+//! The model charges a warm injected message a header read, two cache probes
+//! and the jump; the stages do no host work per message beyond that which
+//! the model does not charge for either.
+//!
+//! *Resolve.* The code digest that keys the injection caches is computed
+//! once per distinct code section per shard: the shard remembers the section
+//! it hashed last ([`CodeDigest`](super::shard::CodeDigest)) and a frame
+//! whose code bytes are equal reuses its digest — the eight frames of a
+//! container, and every put of the same function after it. That is what the
+//! model assumed all along: the warm path is keyed by a digest the NIC
+//! computed at delivery (see `resolve_image`), so the receiver core never
+//! streams a warm code section, and the simulator should not either. The
+//! memo stands in for the hash only — every cache is still probed, because a
+//! probe moves recency and promotion state that later evictions depend on —
+//! and it compares all the bytes, so the digest it returns is
+//! `hash64_bytes(code)` for any input.
+//!
+//! *Execute.* A frame's sections are mapped in segments the shard unmapped
+//! earlier (`ReceiverShard::spare_sections`), refilled whole by
+//! `Section::segment`: name, base, permissions and bytes are all replaced, so
+//! nothing of a previous message is readable through a recycled segment, and
+//! a warm map → run → unmap allocates nothing.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -242,6 +267,23 @@ struct Section<'a> {
     bytes: &'a [u8],
     writable: bool,
     kind: SegmentKind,
+}
+
+impl Section<'_> {
+    /// This section as a mappable segment, built in `spare`'s buffers when
+    /// there is one. Every field is set and the bytes replaced whole: nothing
+    /// of the section the spare last held can be read through the new one.
+    fn segment(&self, spare: Option<Segment>) -> Segment {
+        let mut seg = spare.unwrap_or_else(|| Segment::new("", 0, Vec::new(), false, self.kind));
+        seg.name.clear();
+        seg.name.push_str(self.name);
+        seg.base = self.base;
+        seg.data.clear();
+        seg.data.extend_from_slice(self.bytes);
+        seg.writable = self.writable;
+        seg.kind = self.kind;
+        seg
+    }
 }
 
 /// Everything the receive path shares between shards. Split out of
@@ -1523,7 +1565,7 @@ impl HostCore {
                 code_base: base_addr + frame.code_offset() as u64,
             });
         }
-        let rkey = (elem_id, hash64_bytes(frame.code), frame.code.len());
+        let rkey = (elem_id, ctx.code_digest.of(frame.code), frame.code.len());
         if let Some(entry) = ctx.cache.lookup_resolved(rkey, &got) {
             // The GOT is pointer-identical to the one the image was lowered
             // against, but the verifier floor is re-checked for parity with
@@ -1593,8 +1635,9 @@ impl HostCore {
     }
 
     /// The execute stage: map `sections` (fresh copies, for exactly this
-    /// execution), run element `elem_id`'s image with `entry_regs`, unmap. A
-    /// partial mapping never outlives the stage.
+    /// execution, in the shard's spare segments), run element `elem_id`'s
+    /// image with `entry_regs`, unmap. A partial mapping never outlives the
+    /// stage.
     ///
     /// Which space the sections map into is the [`SpaceMode`] split, picked
     /// once: the exclusive space, under its mutex for the whole
@@ -1642,10 +1685,9 @@ impl HostCore {
             None => &mut ctx.space.local,
         };
         for (i, s) in sections.iter().enumerate() {
-            let segment = Segment::new(s.name, s.base, s.bytes.to_vec(), s.writable, s.kind);
-            if let Err(e) = segments.map(segment) {
+            if let Err(e) = segments.map(s.segment(ctx.spare_sections.pop())) {
                 for mapped in &sections[..i] {
-                    segments.unmap(mapped.name);
+                    ctx.spare_sections.extend(segments.unmap(mapped.name));
                 }
                 return Err(AmError::Exec(e.to_string()));
             }
@@ -1667,7 +1709,7 @@ impl HostCore {
             None => &mut ctx.space.local,
         };
         for s in sections {
-            segments.unmap(s.name);
+            ctx.spare_sections.extend(segments.unmap(s.name));
         }
         Ok(exec?)
     }
@@ -1776,7 +1818,7 @@ impl HostCore {
         *handler_time += ctx
             .bus
             .access(ctx.core, code_base, code_len, AccessKind::Read);
-        let key = (frame.header.elem_id, hash64_bytes(frame.code));
+        let key = (frame.header.elem_id, ctx.code_digest.of(frame.code));
         if let Some((program, min_got_slots)) = ctx.cache.lookup_program(key, frame.code) {
             // Verification depends on the GOT size, which varies per message: the
             // cached program must still fit inside *this* message's GOT, or a warm

@@ -33,6 +33,7 @@
 //! hash in the key is not collision-proof, so a candidate whose bytes differ is
 //! treated as a miss and re-decoded (replacing the entry).
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::Arc;
@@ -61,11 +62,13 @@ pub(crate) trait ContentCache<K, V> {
     fn len(&self) -> usize;
 }
 
+/// Recency and segment are `Cell`s so a lookup can stamp the entry it found
+/// and demote another through shared borrows of the map, under one probe.
 #[derive(Debug)]
 struct Entry<V> {
     value: V,
-    last_used: u64,
-    protected: bool,
+    last_used: Cell<u64>,
+    protected: Cell<bool>,
 }
 
 /// A segmented-LRU map implementing [`ContentCache`]. Eviction scans are O(n) in
@@ -106,37 +109,22 @@ impl<K: Eq + Hash + Clone, V> SegmentedCache<K, V> {
         self.evictions
     }
 
-    fn demote_coldest_protected(&mut self) {
-        if let Some(key) = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.protected)
-            .min_by_key(|(_, e)| e.last_used)
-            .map(|(k, _)| k.clone())
-        {
-            if let Some(e) = self.entries.get_mut(&key) {
-                e.protected = false;
-                self.protected_len -= 1;
-            }
-        }
-    }
-
     fn evict_one(&mut self) {
         let victim = self
             .entries
             .iter()
-            .filter(|(_, e)| !e.protected)
-            .min_by_key(|(_, e)| e.last_used)
+            .filter(|(_, e)| !e.protected.get())
+            .min_by_key(|(_, e)| e.last_used.get())
             .map(|(k, _)| k.clone())
             .or_else(|| {
                 self.entries
                     .iter()
-                    .min_by_key(|(_, e)| e.last_used)
+                    .min_by_key(|(_, e)| e.last_used.get())
                     .map(|(k, _)| k.clone())
             });
         if let Some(key) = victim {
             if let Some(e) = self.entries.remove(&key) {
-                if e.protected {
+                if e.protected.get() {
                     self.protected_len -= 1;
                 }
                 self.evictions += 1;
@@ -148,22 +136,25 @@ impl<K: Eq + Hash + Clone, V> SegmentedCache<K, V> {
 impl<K: Eq + Hash + Clone, V> ContentCache<K, V> for SegmentedCache<K, V> {
     fn lookup(&mut self, key: &K) -> Option<&V> {
         self.tick += 1;
-        let tick = self.tick;
-        let needs_demotion = {
-            let e = self.entries.get_mut(key)?;
-            e.last_used = tick;
-            if !e.protected {
-                e.protected = true;
-                self.protected_len += 1;
-                self.protected_len > self.protected_cap
-            } else {
-                false
+        let found = self.entries.get(key)?;
+        found.last_used.set(self.tick);
+        if !found.protected.replace(true) {
+            self.protected_len += 1;
+            if self.protected_len > self.protected_cap {
+                // Demote the coldest protected entry — never `found`, which
+                // carries the newest tick among at least two.
+                let coldest = self
+                    .entries
+                    .values()
+                    .filter(|e| e.protected.get())
+                    .min_by_key(|e| e.last_used.get());
+                if let Some(e) = coldest {
+                    e.protected.set(false);
+                    self.protected_len -= 1;
+                }
             }
-        };
-        if needs_demotion {
-            self.demote_coldest_protected();
         }
-        self.entries.get(key).map(|e| &e.value)
+        Some(&found.value)
     }
 
     fn store(&mut self, key: K, value: V) -> u64 {
@@ -172,7 +163,7 @@ impl<K: Eq + Hash + Clone, V> ContentCache<K, V> for SegmentedCache<K, V> {
             // Replacement (hash collision with different bytes): keep the entry's
             // segment, refresh its recency.
             e.value = value;
-            e.last_used = self.tick;
+            e.last_used.set(self.tick);
             return 0;
         }
         let before = self.evictions;
@@ -183,8 +174,8 @@ impl<K: Eq + Hash + Clone, V> ContentCache<K, V> for SegmentedCache<K, V> {
             key,
             Entry {
                 value,
-                last_used: self.tick,
-                protected: false,
+                last_used: Cell::new(self.tick),
+                protected: Cell::new(false),
             },
         );
         self.evictions - before

@@ -127,7 +127,9 @@
 //!   buffer ([`ReactiveMailbox::read_frame_into`](crate::mailbox::ReactiveMailbox::read_frame_into))
 //!   and are parsed as a [`FrameView`](crate::frame::FrameView) whose sections
 //!   borrow that buffer. Only ARGS and USR are copied out (the jam may mutate
-//!   them); GOT and code bytes are hashed in place and never cloned.
+//!   them), into the buffers of segments the shard unmapped earlier; GOT and
+//!   code bytes are hashed in place — a code section once per distinct
+//!   section per shard, see the `host` module docs — and never cloned.
 //! * *Register-seeded entry* — the jam entry convention (`r0`=ARGS, `r1`=USR,
 //!   `r2`=USR length) is passed through `VmConfig::entry_regs`, so the cached
 //!   program runs as-is instead of being re-materialised with a prologue per message.

@@ -28,7 +28,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use twochains_jamvm::ShardSpace;
+use twochains_jamvm::{hash64_bytes, Segment, ShardSpace};
 use twochains_memsim::{CoreBus, CoreCacheStats, SimTime};
 
 use super::credit::CreditReturn;
@@ -77,6 +77,42 @@ pub struct ReceiverShard {
     /// when the stream's handshake carried a NACK table). Persists across
     /// stats resets for the same reason `replay` does.
     pub(crate) watch: SeqWatch,
+    /// The code section this shard hashed last, and its digest.
+    pub(crate) code_digest: CodeDigest,
+    /// Unmapped message sections (`msg.*`, `chain.*`), kept for their buffers:
+    /// the execute stage refills one per section it maps, so a warm message
+    /// allocates nothing. At most as many as one stage maps at once.
+    pub(crate) spare_sections: Vec<Segment>,
+}
+
+/// The digest of the code section a shard saw last. A hot function arrives as
+/// the same bytes message after message (eight times in one batch container),
+/// so comparing them to the last section hashed — all of them, never a length
+/// or an address — replaces all but the first hash. Host time only: the model
+/// charges the digest wherever it always did, hit or miss.
+#[derive(Debug)]
+pub(crate) struct CodeDigest {
+    code: Vec<u8>,
+    digest: u64,
+}
+
+impl CodeDigest {
+    fn new() -> Self {
+        CodeDigest {
+            code: Vec::new(),
+            digest: hash64_bytes(&[]),
+        }
+    }
+
+    /// `hash64_bytes(code)`.
+    pub(crate) fn of(&mut self, code: &[u8]) -> u64 {
+        if self.code != code {
+            self.code.clear();
+            self.code.extend_from_slice(code);
+            self.digest = hash64_bytes(code);
+        }
+        self.digest
+    }
 }
 
 /// One shard's parts as the receive pipeline's stages borrow them for a scan:
@@ -88,6 +124,8 @@ pub(crate) struct DrainCtx<'s> {
     pub(crate) space: &'s mut ShardSpace,
     pub(crate) cache: &'s InjectionCache,
     pub(crate) stats: &'s mut RuntimeStats,
+    pub(crate) code_digest: &'s mut CodeDigest,
+    pub(crate) spare_sections: &'s mut Vec<Segment>,
     /// The replay filter — `Some` only while the reliability layer is armed.
     replay: Option<&'s mut Vec<u32>>,
     num_shards: usize,
@@ -220,6 +258,8 @@ impl ReceiverShard {
             credit: None,
             replay: Vec::new(),
             watch: SeqWatch::default(),
+            code_digest: CodeDigest::new(),
+            spare_sections: Vec::new(),
         }
     }
 
@@ -238,6 +278,8 @@ impl ReceiverShard {
             space: &mut self.space,
             cache: &self.cache,
             stats: &mut self.stats,
+            code_digest: &mut self.code_digest,
+            spare_sections: &mut self.spare_sections,
             replay: armed.then_some(&mut self.replay),
             num_shards: self.num_shards,
         };
@@ -341,6 +383,44 @@ mod tests {
         fn assert_send<T: Send>() {}
         assert_send::<ShardDrain<'static>>();
         assert_send::<ReceiverShard>();
+    }
+
+    /// The memo may only ever answer `hash64_bytes(code)`: for two programs
+    /// of one length taking turns, a single flipped byte, the empty section
+    /// (a fresh memo holds no bytes and must not invent a digest for that),
+    /// and seeded random sections with seeded repeats.
+    #[test]
+    fn the_code_digest_memo_answers_hash64_bytes_of_the_code_it_is_asked_about() {
+        let mut x = 0x2C4A_1B5Eu64;
+        let mut next = || {
+            x = twochains_jamvm::hash64(x);
+            x
+        };
+        let mut section = |len: usize| (0..len).map(|_| next() as u8).collect::<Vec<u8>>();
+        let (a, b) = (section(1408), section(1408));
+        let mut flipped = a.clone();
+        flipped[1407] ^= 1;
+        let mut sequence: Vec<Vec<u8>> = vec![vec![]];
+        for _ in 0..4 {
+            sequence.extend([a.clone(), a.clone(), b.clone(), flipped.clone(), a.clone()]);
+        }
+        sequence.extend([
+            vec![],
+            vec![],
+            vec![0],
+            vec![0, 0],
+            a[..1407].to_vec(),
+            a.clone(),
+        ]);
+        for i in 0..200 {
+            let len = i % 97;
+            let fresh = section(len);
+            sequence.extend([fresh.clone(), fresh]);
+        }
+        let mut memo = CodeDigest::new();
+        for (i, code) in sequence.iter().enumerate() {
+            assert_eq!(memo.of(code), hash64_bytes(code), "section {i}");
+        }
     }
 
     #[test]

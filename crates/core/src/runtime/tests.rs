@@ -1289,6 +1289,114 @@ fn segmented_eviction_keeps_the_cache_bounded_and_counts_evictions() {
     assert_eq!(rx.stats().got_cache_evictions, 0);
 }
 
+/// The shard's code-digest memo replaces a hash, never a probe: a stream that
+/// interleaves two injected elements — runs of one, strict alternation, and a
+/// cache invalidation in the middle of a run, where the memo still holds the
+/// code whose cache entries are gone — reads the results and the cache
+/// counters this scenario read before the memo existed (the constants were
+/// captured on the parent commit). `tests/receive_trace.rs` pins the same
+/// property against unedited goldens: its `burst-mixed` container interleaves
+/// injected Server-Side Sum frames with Local ones behind an injected
+/// Indirect Put.
+#[test]
+fn interleaved_injected_elements_read_the_same_results_and_cache_counters_as_without_a_memo() {
+    let (mut rx, mut tx) = testbed(RuntimeConfig::paper_default());
+    let ssum = rx.builtin_id(BuiltinJam::ServerSideSum).unwrap();
+    let iput = rx.builtin_id(BuiltinJam::IndirectPut).unwrap();
+    let mut results = Vec::new();
+    for (i, which) in b"SSPSPPSPSSSPPSPSPPSSPSPS".iter().enumerate() {
+        if i == 10 {
+            rx.invalidate_injection_caches();
+        }
+        let n = i % 7 + 1;
+        let spec = match which {
+            b'S' => msg(
+                ssum,
+                InvocationMode::Injected,
+                &ssum_args(n as u32),
+                &payload(n),
+            ),
+            _ => msg(
+                iput,
+                InvocationMode::Injected,
+                &indirect_put_args(i as u64 % 5, n as u32, 4),
+                &payload(n),
+            ),
+        };
+        let slot = i % 16;
+        let target = rx.mailbox_target(0, slot).unwrap();
+        let sent = tx.send_spec(SimTime::ZERO, &spec, &target).unwrap();
+        let out = rx
+            .receive(
+                0,
+                slot,
+                Some(sent.wire_bytes),
+                sent.delivered(),
+                SimTime::ZERO,
+            )
+            .unwrap();
+        results.push(out.result);
+    }
+    let stats = rx.stats();
+    let counters = [
+        stats.resolved_cache_hits,
+        stats.resolved_cache_misses,
+        stats.injected_code_cache_hits,
+        stats.injected_code_cache_misses,
+        stats.injected_code_cache_evictions,
+        stats.got_cache_hits,
+        stats.got_cache_misses,
+        stats.got_cache_evictions,
+    ];
+    // Two elements, two cache epochs: four cold messages, twenty warm ones.
+    assert_eq!(counters, [20, 4, 20, 4, 0, 20, 4, 0]);
+    // Sums of `1..=n`; the bucket address each Indirect Put key landed at.
+    let (k0, k1, k2, k4) = (1073885232, 1073885256, 1073885200, 1073885212);
+    assert_eq!(
+        results,
+        [1, 3, k2, 10, k4, k0, 28, k2, 3, 6, 10, k1, k2, 28, k4, 3, k1, k2, 15, 21, k0, 1, k2, 6]
+    );
+}
+
+/// A message section is mapped in the buffers of one the shard unmapped
+/// earlier. Nothing of that earlier section may be readable through it: a jam
+/// reading past the end of its own 8-byte USR — at the very address where the
+/// previous frame's 64-byte USR had its marker — faults as unmapped.
+#[test]
+fn a_recycled_section_holds_nothing_of_the_message_before_it() {
+    use twochains_jamvm::{isa::Width, Assembler, Reg};
+    for cfg in [
+        RuntimeConfig::paper_default(),
+        RuntimeConfig::paper_default().with_shard_local_space(),
+    ] {
+        let (mut rx, mut tx) = testbed(cfg);
+        // r1 is the USR base on entry: read the second word of USR.
+        let mut asm = Assembler::new();
+        asm.load(Width::B8, Reg(0), Reg(1), 8).ret();
+        let code = encode_program(&asm.finish().unwrap());
+        let target = rx.mailbox_target(0, 0).unwrap();
+        let mut run = |sn: u32, usr: Vec<u8>| {
+            let got = GotImage::with_slots(0).to_bytes();
+            let frame = Frame::injected(sn, 999, got, code.clone(), vec![0; 20], usr);
+            let sent = tx.send(SimTime::ZERO, &frame, &target).unwrap();
+            rx.receive(
+                0,
+                0,
+                Some(frame.wire_size()),
+                sent.delivered(),
+                SimTime::ZERO,
+            )
+            .map(|out| out.result)
+        };
+        assert_eq!(run(1, vec![0xAA; 64]).unwrap(), 0xAAAA_AAAA_AAAA_AAAA);
+        match run(2, vec![0xBB; 8]) {
+            Err(AmError::Exec(why)) => assert!(why.contains("unmapped"), "{why}"),
+            other => panic!("read past an 8-byte USR: {other:?}"),
+        }
+        assert_eq!(run(3, vec![0xCC; 16]).unwrap(), 0xCCCC_CCCC_CCCC_CCCC);
+    }
+}
+
 // --- Sender fleet -----------------------------------------------------------
 
 /// Build a host plus a connected [`SenderFleet`](super::SenderFleet) with the

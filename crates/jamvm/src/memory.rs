@@ -34,8 +34,23 @@
 //!
 //! The [`JamSpace`] trait is the VM- and extern-facing abstraction both forms
 //! implement, so the interpreter is agnostic about which mode a message runs in.
+//!
+//! # Names are scanned, message segments are recycled
+//!
+//! A space holds about ten segments, and every access already finds its
+//! segment by scanning them for the address; a name is found the same way.
+//! There is no name index to keep in step, so [`AddressSpace::unmap`] is one
+//! `Vec::remove` and [`AddressSpace::map`] allocates nothing.
+//!
+//! `unmap` hands the segment back whole. The runtime maps two or three
+//! per-message segments (`msg.*`, `chain.*`) around every execution and keeps
+//! the ones it unmapped to build the next message's in: it clears and refills
+//! the name and the bytes and sets base, permission and kind again, so the
+//! buffers are reused but nothing of a previous occupant survives — a segment
+//! is exactly as long as the section it was last filled with, and an access
+//! past that is [`MemFault::Unmapped`]. So is an access whose range wraps the
+//! address space, whatever is mapped.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// What a segment holds; used for permissions and for statistics.
@@ -86,9 +101,13 @@ impl Segment {
         self.base + self.data.len() as u64
     }
 
-    /// Whether `[addr, addr+len)` lies entirely inside this segment.
+    /// Whether `[addr, addr+len)` lies entirely inside this segment. A range
+    /// that wraps the address space lies inside nothing.
     pub fn contains(&self, addr: u64, len: usize) -> bool {
-        addr >= self.base && addr + len as u64 <= self.end()
+        addr >= self.base
+            && addr
+                .checked_add(len as u64)
+                .is_some_and(|end| end <= self.end())
     }
 }
 
@@ -137,7 +156,6 @@ impl std::error::Error for MemFault {}
 #[derive(Debug, Default, Clone)]
 pub struct AddressSpace {
     segments: Vec<Segment>,
-    by_name: HashMap<String, usize>,
 }
 
 impl AddressSpace {
@@ -148,7 +166,7 @@ impl AddressSpace {
 
     /// Map a segment. Fails on name collision or address overlap.
     pub fn map(&mut self, seg: Segment) -> Result<(), MemFault> {
-        if self.by_name.contains_key(&seg.name) {
+        if self.segment(&seg.name).is_some() {
             return Err(MemFault::DuplicateName(seg.name));
         }
         for existing in &self.segments {
@@ -157,32 +175,25 @@ impl AddressSpace {
                 return Err(MemFault::Overlap { name: seg.name });
             }
         }
-        self.by_name.insert(seg.name.clone(), self.segments.len());
         self.segments.push(seg);
         Ok(())
     }
 
-    /// Unmap a segment by name, returning it (so the runtime can copy results out).
+    /// Unmap a segment by name, returning it whole: the runtime copies results
+    /// out of it, or refills its buffers for the next message's section.
     pub fn unmap(&mut self, name: &str) -> Option<Segment> {
-        let idx = self.by_name.remove(name)?;
-        // The segments behind it each move down one place.
-        for i in self.by_name.values_mut() {
-            if *i > idx {
-                *i -= 1;
-            }
-        }
+        let idx = self.segments.iter().position(|s| s.name == name)?;
         Some(self.segments.remove(idx))
     }
 
     /// Borrow a segment by name.
     pub fn segment(&self, name: &str) -> Option<&Segment> {
-        self.by_name.get(name).map(|&i| &self.segments[i])
+        self.segments.iter().find(|s| s.name == name)
     }
 
     /// Mutably borrow a segment by name.
     pub fn segment_mut(&mut self, name: &str) -> Option<&mut Segment> {
-        let idx = *self.by_name.get(name)?;
-        Some(&mut self.segments[idx])
+        self.segments.iter_mut().find(|s| s.name == name)
     }
 
     /// Names of all mapped segments.
@@ -244,13 +255,34 @@ impl AddressSpace {
         self.write(addr, &bytes[..width])
     }
 
-    /// Copy `len` bytes from `src` to `dst` within the address space.
+    /// Copy `len` bytes from `src` to `dst` within the address space (the
+    /// ranges may overlap; the source is read whole before anything lands).
     pub fn copy(&mut self, dst: u64, src: u64, len: usize) -> Result<(), MemFault> {
         if len == 0 {
             return Ok(());
         }
-        let data = self.read(src, len)?.to_vec();
-        self.write(dst, &data)
+        let from = self.find(src, len)?;
+        let to = self.find(dst, len)?;
+        if !self.segments[to].writable {
+            return Err(MemFault::ReadOnly {
+                addr: dst,
+                segment: self.segments[to].name.clone(),
+            });
+        }
+        let src_off = (src - self.segments[from].base) as usize;
+        let dst_off = (dst - self.segments[to].base) as usize;
+        if from == to {
+            self.segments[to]
+                .data
+                .copy_within(src_off..src_off + len, dst_off);
+        } else {
+            let [source, dest] = self
+                .segments
+                .get_disjoint_mut([from, to])
+                .expect("two distinct indices `find` returned");
+            dest.data[dst_off..dst_off + len].copy_from_slice(&source.data[src_off..src_off + len]);
+        }
+        Ok(())
     }
 }
 
@@ -370,11 +402,16 @@ impl ShardSpace {
         &self.shared_ro
     }
 
-    fn find_shared(&self, addr: u64, len: usize) -> Option<&Segment> {
-        self.shared_ro
-            .segments
-            .iter()
-            .find(|s| s.contains(addr, len))
+    /// The fault of a write the local space does not map: read-only if the
+    /// shared base holds the range, unmapped otherwise.
+    fn shared_write_fault(&self, addr: u64, len: usize) -> MemFault {
+        match self.shared_ro.find(addr, len) {
+            Ok(idx) => MemFault::ReadOnly {
+                addr,
+                segment: self.shared_ro.segments[idx].name.clone(),
+            },
+            Err(unmapped) => unmapped,
+        }
     }
 }
 
@@ -388,13 +425,7 @@ impl JamSpace for ShardSpace {
 
     fn write_scalar(&mut self, addr: u64, value: u64, width: usize) -> Result<(), MemFault> {
         match self.local.write_scalar(addr, value, width) {
-            Err(MemFault::Unmapped { .. }) => match self.find_shared(addr, width) {
-                Some(seg) => Err(MemFault::ReadOnly {
-                    addr,
-                    segment: seg.name.clone(),
-                }),
-                None => Err(MemFault::Unmapped { addr, len: width }),
-            },
+            Err(MemFault::Unmapped { .. }) => Err(self.shared_write_fault(addr, width)),
             other => other,
         }
     }
@@ -409,16 +440,7 @@ impl JamSpace for ShardSpace {
 
     fn write_bytes(&mut self, addr: u64, data: &[u8]) -> Result<(), MemFault> {
         match self.local.write(addr, data) {
-            Err(MemFault::Unmapped { .. }) => match self.find_shared(addr, data.len()) {
-                Some(seg) => Err(MemFault::ReadOnly {
-                    addr,
-                    segment: seg.name.clone(),
-                }),
-                None => Err(MemFault::Unmapped {
-                    addr,
-                    len: data.len(),
-                }),
-            },
+            Err(MemFault::Unmapped { .. }) => Err(self.shared_write_fault(addr, data.len())),
             other => other,
         }
     }
@@ -427,8 +449,17 @@ impl JamSpace for ShardSpace {
         if len == 0 {
             return Ok(());
         }
-        let data = self.read_bytes(src, len)?;
-        self.write_bytes(dst, &data)
+        let copied = if self.local.find(src, len).is_ok() {
+            self.local.copy(dst, src, len)
+        } else {
+            let bytes = self.shared_ro.read(src, len)?;
+            self.local.write(dst, bytes)
+        };
+        match copied {
+            // The source is mapped, so the range nothing local maps is `dst`.
+            Err(MemFault::Unmapped { .. }) => Err(self.shared_write_fault(dst, len)),
+            other => other,
+        }
     }
 
     fn segment_meta(&self, name: &str) -> Option<SegmentMeta> {

@@ -727,7 +727,6 @@ impl Vm {
                 ResolvedOp::CallDirect { index, nargs } => {
                     stats.extern_calls += 1;
                     stats.compute_time += cfg.extern_call_overhead;
-                    let args: Vec<u64> = regs[..nargs as usize].to_vec();
                     let mut ctx = ExternCtx {
                         space,
                         bus,
@@ -735,7 +734,7 @@ impl Vm {
                         elapsed: SimTime::ZERO,
                     };
                     let r = externs
-                        .call(index, &mut ctx, &args)
+                        .call(index, &mut ctx, &regs[..nargs as usize])
                         .map_err(ExecError::ExternFailed)?;
                     stats.memory_time += ctx.elapsed;
                     regs[0] = r;

@@ -255,7 +255,6 @@ impl Vm {
                         ExternRef::Unresolved => return Err(ExecError::UnresolvedGot { slot }),
                         ExternRef::Data(_) => return Err(ExecError::NotCallable { slot }),
                     };
-                    let args: Vec<u64> = regs[..nargs as usize].to_vec();
                     let mut ctx = ExternCtx {
                         space,
                         bus,
@@ -263,7 +262,7 @@ impl Vm {
                         elapsed: SimTime::ZERO,
                     };
                     let r = externs
-                        .call(idx, &mut ctx, &args)
+                        .call(idx, &mut ctx, &regs[..nargs as usize])
                         .map_err(ExecError::ExternFailed)?;
                     stats.memory_time += ctx.elapsed;
                     regs[0] = r;

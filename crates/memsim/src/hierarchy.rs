@@ -260,7 +260,9 @@ impl CacheHierarchy {
     #[inline]
     fn lines_covering(&self, addr: u64, len: usize) -> (u64, u64) {
         let first = addr / self.line_size as u64;
-        let last = (addr + len.max(1) as u64 - 1) / self.line_size as u64;
+        // A range that wraps the address space (a jam computes addresses
+        // freely) is charged up to the top line, never around to line 0.
+        let last = addr.saturating_add(len.max(1) as u64 - 1) / self.line_size as u64;
         (first, last)
     }
 

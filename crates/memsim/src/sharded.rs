@@ -278,6 +278,7 @@ impl SharedHierarchy {
             prefetcher: StridePrefetcher::new(prefetch_cfg),
             prefetch_gen_seen: self.prefetch_gen.load(Ordering::Acquire),
             stats: CoreCacheStats::default(),
+            inval_runs: Vec::new(),
             shared: Arc::clone(self),
         }
     }
@@ -452,7 +453,9 @@ impl SharedHierarchy {
     #[inline]
     fn lines_covering(&self, addr: u64, len: usize) -> (u64, u64) {
         let first = addr / self.line_size as u64;
-        let last = (addr + len.max(1) as u64 - 1) / self.line_size as u64;
+        // A range that wraps the address space (a jam computes addresses
+        // freely) is charged up to the top line, never around to line 0.
+        let last = addr.saturating_add(len.max(1) as u64 - 1) / self.line_size as u64;
         (first, last)
     }
 
@@ -640,6 +643,9 @@ pub struct CoreBus {
     prefetcher: StridePrefetcher,
     prefetch_gen_seen: u64,
     stats: CoreCacheStats,
+    /// The buffer `drain_invalidations` trades with the inbox's: empty
+    /// between drains, its capacity kept.
+    inval_runs: Vec<(u64, u64)>,
     shared: Arc<SharedHierarchy>,
 }
 
@@ -684,14 +690,14 @@ impl CoreBus {
         if !inbox.flag.load(Ordering::Acquire) {
             return;
         }
-        let (runs, flush_all) = {
+        let flush_all = {
             let mut pending = inbox.pending.lock();
             inbox.flag.store(false, Ordering::Release);
             pending.lines = 0;
-            (
-                std::mem::take(&mut pending.runs),
-                std::mem::replace(&mut pending.flush_all, false),
-            )
+            // The inbox keeps filling the (empty) buffer this bus applied last
+            // time: the two trade places, and neither is reallocated per put.
+            std::mem::swap(&mut pending.runs, &mut self.inval_runs);
+            std::mem::replace(&mut pending.flush_all, false)
         };
         if flush_all {
             self.l1.clear();
@@ -700,7 +706,7 @@ impl CoreBus {
             self.stats.invalidations_applied += 1;
             return;
         }
-        for (first, count) in runs {
+        for (first, count) in self.inval_runs.drain(..) {
             for line in first..first + count {
                 // Both levels are walked whatever the first one held; the counter
                 // reflects every stale line actually dropped.

@@ -60,6 +60,12 @@ fn arb_instr() -> impl Strategy<Value = Instr> {
         // Small immediates keep heap-relative address arithmetic in range
         // often enough that some stores land instead of all faulting.
         (0u8..16, 0u64..128).prop_map(|(r, imm)| Instr::LoadImm { dst: Reg(r), imm }),
+        // Address registers within 16 bytes of the top of the address space:
+        // an access through one wraps, and must fault alike on both paths.
+        (0u8..4, 0u64..16).prop_map(|(r, below)| Instr::LoadImm {
+            dst: Reg(r),
+            imm: u64::MAX - below
+        }),
         (0u8..16, 0u8..16).prop_map(|(d, s)| Instr::Mov {
             dst: Reg(d),
             src: Reg(s)

@@ -1,0 +1,203 @@
+//! An access whose byte range wraps the address space is a fault.
+//!
+//! The VM forms effective addresses with wrapping arithmetic, so a
+//! verifier-passing jam can name `[u64::MAX - 3, u64::MAX + 5)`. The segment
+//! containment test and the cache models' line-range computation used to add
+//! the length unchecked: such an access indexed a segment's bytes at offset
+//! ~2^64 and panicked (release), or overflowed (debug). A mailbox is memory a
+//! remote party writes and the receiver executes — it may reject what it
+//! finds there, never panic on it.
+
+use two_chains_suite::fabric::SimFabric;
+use two_chains_suite::jamvm::isa::Width;
+use two_chains_suite::jamvm::{
+    encode_program, resolve, verify, AddressSpace, Assembler, ExecError, ExternTable, GotImage,
+    Instr, Reg, Segment, SegmentKind, Vm, VmConfig,
+};
+use two_chains_suite::memsim::{SharedHierarchy, SimTime, TestbedConfig};
+use twochains::builtin::benchmark_package;
+use twochains::{AmError, Frame, RuntimeConfig, SenderFleet, TwoChainsHost};
+
+use std::sync::Arc;
+
+const HEAP_BASE: u64 = 0x5000;
+
+/// `load_imm r1, u64::MAX - 3; load.b8 r0, [r1]; ret` and its store and
+/// memcpy siblings: every one passes the verifier.
+fn wrapping_programs() -> Vec<(&'static str, Vec<Instr>)> {
+    let near_top = u64::MAX - 3;
+    let program = |build: &dyn Fn(&mut Assembler)| {
+        let mut asm = Assembler::new();
+        build(&mut asm);
+        asm.ret();
+        let program = asm.finish().unwrap();
+        verify(&program, 0).expect("the verifier passes it");
+        program
+    };
+    vec![
+        (
+            "load",
+            program(&|a| {
+                a.load_imm(Reg(1), near_top)
+                    .load(Width::B8, Reg(0), Reg(1), 0);
+            }),
+        ),
+        (
+            "load through the offset",
+            program(&|a| {
+                a.load_imm(Reg(1), u64::MAX - 40)
+                    .load(Width::B8, Reg(0), Reg(1), 36);
+            }),
+        ),
+        (
+            "store",
+            program(&|a| {
+                a.load_imm(Reg(1), near_top)
+                    .store(Width::B8, Reg(0), Reg(1), 0);
+            }),
+        ),
+        (
+            "memcpy from a wrapping source",
+            program(&|a| {
+                a.load_imm(Reg(1), HEAP_BASE)
+                    .load_imm(Reg(2), near_top)
+                    .load_imm(Reg(3), 16)
+                    .memcpy(Reg(1), Reg(2), Reg(3));
+            }),
+        ),
+        (
+            "memcpy to a wrapping destination",
+            program(&|a| {
+                a.load_imm(Reg(1), near_top)
+                    .load_imm(Reg(2), HEAP_BASE)
+                    .load_imm(Reg(3), 16)
+                    .memcpy(Reg(1), Reg(2), Reg(3));
+            }),
+        ),
+    ]
+}
+
+#[test]
+fn both_engines_fault_on_a_range_that_wraps_the_address_space() {
+    let got = GotImage::with_slots(0);
+    let externs = ExternTable::new();
+    let hierarchy = Arc::new(SharedHierarchy::new(TestbedConfig::tiny_for_tests()));
+    // A real per-core bus, so the cache model's line range is computed too.
+    let mut bus = hierarchy.core_bus(0);
+    let cfg = VmConfig {
+        code_base: 0x4000_0000,
+        ..VmConfig::default()
+    };
+    for (what, program) in wrapping_programs() {
+        let mut space = AddressSpace::new();
+        space
+            .map(Segment::new(
+                "heap",
+                HEAP_BASE,
+                vec![7; 64],
+                true,
+                SegmentKind::Heap,
+            ))
+            .unwrap();
+        let interpreted = Vm::execute(&program, &got, &externs, &mut space, &mut bus, &cfg);
+        assert!(
+            matches!(interpreted, Err(ExecError::Fault(_))),
+            "{what}, interpreted: {interpreted:?}"
+        );
+        let image = resolve(&program, &got);
+        let resolved = Vm::execute_resolved(&image, &externs, &mut space, &mut bus, &cfg);
+        assert_eq!(resolved, interpreted, "{what}");
+        assert_eq!(space.segment("heap").unwrap().data, vec![7; 64], "{what}");
+    }
+}
+
+/// An injected frame for an element outside the installed package, carrying
+/// an empty GOT and `program`.
+fn injected(sn: u32, program: &[Instr]) -> Vec<u8> {
+    Frame::injected(
+        sn,
+        999,
+        GotImage::with_slots(0).to_bytes(),
+        encode_program(program),
+        vec![0; 20],
+        vec![0; 8],
+    )
+    .encode()
+}
+
+fn a_wrapping_frame_is_rejected_alone(cfg: RuntimeConfig) {
+    let (fabric, a, b) = SimFabric::back_to_back(TestbedConfig::cluster2021());
+    let mut host = TwoChainsHost::new(&fabric, b, cfg).unwrap();
+    host.install_package(benchmark_package().unwrap()).unwrap();
+    // The session installs the credit path.
+    let fleet =
+        SenderFleet::connect_fleet(&fabric, a, &mut host, benchmark_package().unwrap()).unwrap();
+    let mut raw = fabric.endpoint(a, b).unwrap();
+
+    let mut good = Assembler::new();
+    good.load_imm(Reg(0), 77).ret();
+    let good = good.finish().unwrap();
+    let hostile = wrapping_programs();
+    // One hostile frame per slot, the well-behaved one behind them.
+    let mut arrival = SimTime::ZERO;
+    let programs = hostile.iter().map(|(_, program)| program).chain([&good]);
+    for (slot, program) in programs.enumerate() {
+        let target = host.mailbox_target(0, slot).unwrap();
+        let frame = injected(slot as u32 + 1, program);
+        let put = raw
+            .put(arrival, &frame, &target.region, target.offset)
+            .unwrap();
+        arrival = put.delivered;
+    }
+
+    let out = host
+        .receive_burst(0, usize::MAX, arrival)
+        .expect("a faulting jam must not abort the burst");
+    let drained: Vec<_> = out
+        .frames
+        .iter()
+        .map(|f| (f.bank, f.slot, f.outcome.result))
+        .collect();
+    assert_eq!(drained, vec![(0, hostile.len(), 77)]);
+    assert_eq!(out.rejected.len(), hostile.len());
+    for (slot, (bank, rejected_slot, err)) in out.rejected.iter().enumerate() {
+        assert_eq!((*bank, *rejected_slot), (0, slot));
+        assert!(
+            matches!(err, AmError::Exec(why) if why.contains("unmapped")),
+            "{err:?}"
+        );
+    }
+    let stats = host.stats();
+    let frames = hostile.len() as u64 + 1;
+    assert_eq!(
+        (
+            stats.executions,
+            stats.frames_rejected,
+            stats.credits_returned
+        ),
+        (1, frames - 1, frames),
+        "one credit per retired frame, executed or rejected"
+    );
+    let lane = fleet.lane(0).unwrap();
+    for slot in 0..host.config().mailboxes_per_bank {
+        assert_eq!(
+            lane.credit_pending(0, slot).unwrap(),
+            slot < frames as usize,
+            "credit token of (0, {slot})"
+        );
+    }
+}
+
+#[test]
+fn receive_burst_rejects_a_wrapping_jam_and_executes_the_next_frame() {
+    a_wrapping_frame_is_rejected_alone(RuntimeConfig::paper_default());
+}
+
+#[test]
+fn receive_burst_rejects_a_wrapping_jam_under_the_interpreter_and_shard_local_space() {
+    a_wrapping_frame_is_rejected_alone(
+        RuntimeConfig::paper_default()
+            .with_interpreted_execution()
+            .with_shard_local_space(),
+    );
+}
