@@ -64,7 +64,15 @@
 //! earlier (`ReceiverShard::spare_sections`), refilled whole by
 //! `Section::segment`: name, base, permissions and bytes are all replaced, so
 //! nothing of a previous message is readable through a recycled segment, and
-//! a warm map → run → unmap allocates nothing.
+//! a warm map → run → unmap allocates nothing. The run itself is
+//! `Vm::execute_resolved` compiled against the types it is handed — the
+//! shard's `CoreBus`, and its `ShardSpace` or the exclusive `AddressSpace` —
+//! not against two trait objects: a jam's loop is where a payload-sized
+//! message spends its host time (a load per four bytes, a block fetch per
+//! iteration), and with the types named the bus's private-hit path and the
+//! space's scalar read are inlined into that loop. Extern functions still get
+//! both as `dyn`, and the interpreter (`ExecutionPolicy::Interpret`, the
+//! differential suite's reference) takes them that way too.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -79,7 +87,8 @@ use twochains_jamvm::{
 use twochains_linker::{ElementId, LinkerNamespace, Package, Ried};
 use twochains_memsim::cycles::WaitOutcome;
 use twochains_memsim::{
-    AccessKind, CoreCacheStats, HierarchyStats, MemoryBus, MemoryStressor, SharedHierarchy, SimTime,
+    AccessKind, CoreBus, CoreCacheStats, HierarchyStats, MemoryBus, MemoryStressor,
+    SharedHierarchy, SimTime,
 };
 
 use super::credit::{CreditHandshake, CreditPutOutcome, CreditReturn, FlushOutcome};
@@ -233,14 +242,15 @@ enum ExecImage {
     Resolved(Arc<ResolvedProgram>),
 }
 
-/// Run an execution image against the chosen space/bus — the single seam where
-/// the [`ExecutionPolicy`] split reaches the VM.
-fn run_image(
+/// Run an execution image against the chosen space and the shard's bus — the
+/// single seam where the [`ExecutionPolicy`] split reaches the VM. The resolved
+/// executor is compiled once per space type, against the concrete bus.
+fn run_image<S: JamSpace>(
     image: &ExecImage,
     got: &GotImage,
     externs: &ExternTable,
-    space: &mut dyn JamSpace,
-    bus: &mut dyn MemoryBus,
+    space: &mut S,
+    bus: &mut CoreBus,
     cfg: &VmConfig,
 ) -> Result<ExecStats, ExecError> {
     match image {
@@ -1692,18 +1702,11 @@ impl HostCore {
                 return Err(AmError::Exec(e.to_string()));
             }
         }
-        let space: &mut dyn JamSpace = match guard.as_deref_mut() {
-            Some(space) => space,
-            None => &mut *ctx.space,
+        let externs = self.namespace.externs();
+        let exec = match guard.as_deref_mut() {
+            Some(space) => run_image(&jam.image, &jam.got, externs, space, ctx.bus, &vm_cfg),
+            None => run_image(&jam.image, &jam.got, externs, ctx.space, ctx.bus, &vm_cfg),
         };
-        let exec = run_image(
-            &jam.image,
-            &jam.got,
-            self.namespace.externs(),
-            space,
-            ctx.bus,
-            &vm_cfg,
-        );
         let segments: &mut AddressSpace = match guard.as_deref_mut() {
             Some(space) => space,
             None => &mut ctx.space.local,

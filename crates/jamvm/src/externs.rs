@@ -42,14 +42,17 @@ impl<'a> ExternCtx<'a> {
             .map_err(|e| e.to_string())
     }
 
-    /// Copy `len` bytes from `src` to `dst`, charging the bus for both sides.
+    /// Copy `len` bytes from `src` to `dst`, charging the bus for both sides
+    /// of a copy the space accepted (a faulting one is charged nothing: the
+    /// length may be the jam's to choose).
     pub fn memcpy(&mut self, dst: u64, src: u64, len: usize) -> Result<(), String> {
         if len == 0 {
             return Ok(());
         }
+        self.space.copy(dst, src, len).map_err(|e| e.to_string())?;
         self.elapsed += self.bus.access(self.core, src, len, AccessKind::Read);
         self.elapsed += self.bus.access(self.core, dst, len, AccessKind::Write);
-        self.space.copy(dst, src, len).map_err(|e| e.to_string())
+        Ok(())
     }
 
     /// Charge extra computation time (for extern functions that model non-memory work).
@@ -324,6 +327,29 @@ mod tests {
         ctx.charge(SimTime::from_ns(100));
         assert!(ctx.elapsed >= SimTime::from_ns(125));
         assert!(ctx.read_u64(0xdead_0000).is_err());
+    }
+
+    #[test]
+    fn an_oversized_memcpy_faults_before_it_is_charged() {
+        // Charged first, either copy walks 2^30 / 2^40 bytes of a real bus
+        // line by line — minutes to days — before returning the same fault.
+        let (mut space, mut bus) = ctx_parts();
+        bus.per_access = SimTime::from_ns(5);
+        let mut ctx = ExternCtx {
+            space: &mut space,
+            bus: &mut bus,
+            core: 0,
+            elapsed: SimTime::ZERO,
+        };
+        let from_heap = ctx.memcpy(0x1080, 0x1000, 1 << 30).unwrap_err();
+        assert!(from_heap.contains("unmapped"), "{from_heap}");
+        let to_heap = ctx.memcpy(0x1000, 0x9000_0000, 1 << 40).unwrap_err();
+        assert!(to_heap.contains("unmapped"), "{to_heap}");
+        assert_eq!(ctx.elapsed, SimTime::ZERO);
+        // A copy that lands is charged for both sides, as ever.
+        ctx.memcpy(0x1080, 0x1000, 64).unwrap();
+        assert_eq!(ctx.elapsed, SimTime::from_ns(10));
+        assert_eq!(bus.accesses, 2);
     }
 
     #[test]

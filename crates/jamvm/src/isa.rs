@@ -57,6 +57,7 @@ pub enum Width {
 
 impl Width {
     /// Size in bytes.
+    #[inline]
     pub fn bytes(self) -> usize {
         match self {
             Width::B1 => 1,
@@ -260,6 +261,7 @@ impl Instr {
 
 /// The well-known hash finalizer used by [`Instr::Hash`]; exposed so that receiver
 /// side code (rieds, tests, examples) can compute the same bucket a jam will compute.
+#[inline]
 pub fn hash64(x: u64) -> u64 {
     // splitmix64 finalizer
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);

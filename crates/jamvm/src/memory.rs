@@ -42,6 +42,18 @@
 //! There is no name index to keep in step, so [`AddressSpace::unmap`] is one
 //! `Vec::remove` and [`AddressSpace::map`] allocates nothing.
 //!
+//! The scan for a non-empty range runs last-mapped-first. [`AddressSpace::map`]
+//! keeps segments disjoint, so such a range lies inside at most one of them
+//! and the order cannot change which — but the per-message sections are
+//! mapped last and are what a jam's loop reads, so they are found at once. An
+//! *empty* range is different: `[x, x)` at an address where one segment ends
+//! and the next begins (or where a zero-length segment sits) lies "inside"
+//! each of them, and which one answers decides whether an empty write is
+//! `Ok` or [`MemFault::ReadOnly`]. Empty ranges are therefore still scanned
+//! first-mapped-first. Scalars of the ISA's widths (1, 4, 8 bytes) are
+//! fixed-size loads and stores, and the read a [`ShardSpace`] tries on its
+//! local space first builds no fault it would then throw away.
+//!
 //! `unmap` hands the segment back whole. The runtime maps two or three
 //! per-message segments (`msg.*`, `chain.*`) around every execution and keeps
 //! the ones it unmapped to build the next message's in: it clears and refills
@@ -97,12 +109,14 @@ impl Segment {
     }
 
     /// End address (exclusive).
+    #[inline]
     pub fn end(&self) -> u64 {
         self.base + self.data.len() as u64
     }
 
     /// Whether `[addr, addr+len)` lies entirely inside this segment. A range
     /// that wraps the address space lies inside nothing.
+    #[inline]
     pub fn contains(&self, addr: u64, len: usize) -> bool {
         addr >= self.base
             && addr
@@ -211,24 +225,53 @@ impl AddressSpace {
         self.segments.is_empty()
     }
 
+    /// Index of the segment that holds `[addr, addr + len)`.
+    ///
+    /// Mapped segments are disjoint, so a non-empty range lies inside at most
+    /// one and the scan may run in any order: it runs last-mapped-first, the
+    /// per-message sections being mapped last and read most. An empty range
+    /// at a boundary two segments share lies "inside" both, and which one
+    /// answers decides an empty write's permission fault — there the
+    /// first-mapped answers.
+    ///
+    /// The scalar read's chain (this, `bytes`, `load`, `read_scalar`) is
+    /// `inline(always)`: the resolved executor reads from several places in
+    /// one loop, and with a plain hint one link or another stays a call.
+    #[inline(always)]
+    fn locate(&self, addr: u64, len: usize) -> Option<usize> {
+        if len == 0 {
+            self.segments.iter().position(|s| s.contains(addr, 0))
+        } else {
+            self.segments.iter().rposition(|s| s.contains(addr, len))
+        }
+    }
+
+    #[inline]
     fn find(&self, addr: u64, len: usize) -> Result<usize, MemFault> {
-        self.segments
-            .iter()
-            .position(|s| s.contains(addr, len))
+        self.locate(addr, len)
             .ok_or(MemFault::Unmapped { addr, len })
     }
 
     /// Read `len` bytes at `addr`.
+    #[inline]
     pub fn read(&self, addr: u64, len: usize) -> Result<&[u8], MemFault> {
-        let idx = self.find(addr, len)?;
-        let seg = &self.segments[idx];
-        let off = (addr - seg.base) as usize;
-        Ok(&seg.data[off..off + len])
+        self.bytes(addr, len)
+            .ok_or(MemFault::Unmapped { addr, len })
     }
 
-    /// Write `data` at `addr`, honouring the segment's write permission.
-    pub fn write(&mut self, addr: u64, data: &[u8]) -> Result<(), MemFault> {
-        let idx = self.find(addr, data.len())?;
+    /// [`AddressSpace::read`] with no fault built for an unmapped range.
+    #[inline(always)]
+    fn bytes(&self, addr: u64, len: usize) -> Option<&[u8]> {
+        let seg = &self.segments[self.locate(addr, len)?];
+        let off = (addr - seg.base) as usize;
+        Some(&seg.data[off..off + len])
+    }
+
+    /// The bytes of `[addr, addr + len)` for writing, honouring the
+    /// segment's write permission.
+    #[inline]
+    fn bytes_mut(&mut self, addr: u64, len: usize) -> Result<&mut [u8], MemFault> {
+        let idx = self.find(addr, len)?;
         let seg = &mut self.segments[idx];
         if !seg.writable {
             return Err(MemFault::ReadOnly {
@@ -237,22 +280,52 @@ impl AddressSpace {
             });
         }
         let off = (addr - seg.base) as usize;
-        seg.data[off..off + data.len()].copy_from_slice(data);
+        Ok(&mut seg.data[off..off + len])
+    }
+
+    /// Write `data` at `addr`, honouring the segment's write permission.
+    pub fn write(&mut self, addr: u64, data: &[u8]) -> Result<(), MemFault> {
+        self.bytes_mut(addr, data.len())?.copy_from_slice(data);
         Ok(())
     }
 
     /// Read a little-endian scalar of `width` bytes, zero-extended to u64.
+    #[inline(always)]
     pub fn read_scalar(&self, addr: u64, width: usize) -> Result<u64, MemFault> {
-        let bytes = self.read(addr, width)?;
-        let mut buf = [0u8; 8];
-        buf[..width].copy_from_slice(bytes);
-        Ok(u64::from_le_bytes(buf))
+        self.load(addr, width)
+            .ok_or(MemFault::Unmapped { addr, len: width })
+    }
+
+    /// [`AddressSpace::read_scalar`] with no fault built for an unmapped
+    /// range. The widths the ISA has are fixed-size loads.
+    #[inline(always)]
+    fn load(&self, addr: u64, width: usize) -> Option<u64> {
+        let bytes = self.bytes(addr, width)?;
+        Some(match width {
+            1 => u64::from(bytes[0]),
+            4 => u64::from(u32::from_le_bytes(bytes.try_into().expect("four bytes"))),
+            8 => u64::from_le_bytes(bytes.try_into().expect("eight bytes")),
+            _ => {
+                let mut buf = [0u8; 8];
+                buf[..width].copy_from_slice(bytes);
+                u64::from_le_bytes(buf)
+            }
+        })
     }
 
     /// Write the low `width` bytes of `value` little-endian at `addr`.
+    #[inline]
     pub fn write_scalar(&mut self, addr: u64, value: u64, width: usize) -> Result<(), MemFault> {
-        let bytes = value.to_le_bytes();
-        self.write(addr, &bytes[..width])
+        let bytes = self.bytes_mut(addr, width)?;
+        match width {
+            1 => bytes[0] = value as u8,
+            4 => {
+                *<&mut [u8; 4]>::try_from(bytes).expect("four bytes") = (value as u32).to_le_bytes()
+            }
+            8 => *<&mut [u8; 8]>::try_from(bytes).expect("eight bytes") = value.to_le_bytes(),
+            _ => bytes.copy_from_slice(&value.to_le_bytes()[..width]),
+        }
+        Ok(())
     }
 
     /// Copy `len` bytes from `src` to `dst` within the address space (the
@@ -331,10 +404,12 @@ pub trait JamSpace {
 }
 
 impl JamSpace for AddressSpace {
+    #[inline(always)]
     fn read_scalar(&self, addr: u64, width: usize) -> Result<u64, MemFault> {
         AddressSpace::read_scalar(self, addr, width)
     }
 
+    #[inline]
     fn write_scalar(&mut self, addr: u64, value: u64, width: usize) -> Result<(), MemFault> {
         AddressSpace::write_scalar(self, addr, value, width)
     }
@@ -416,13 +491,15 @@ impl ShardSpace {
 }
 
 impl JamSpace for ShardSpace {
+    #[inline(always)]
     fn read_scalar(&self, addr: u64, width: usize) -> Result<u64, MemFault> {
-        match self.local.read_scalar(addr, width) {
-            Err(MemFault::Unmapped { .. }) => self.shared_ro.read_scalar(addr, width),
-            other => other,
+        match self.local.load(addr, width) {
+            Some(value) => Ok(value),
+            None => self.shared_ro.read_scalar(addr, width),
         }
     }
 
+    #[inline]
     fn write_scalar(&mut self, addr: u64, value: u64, width: usize) -> Result<(), MemFault> {
         match self.local.write_scalar(addr, value, width) {
             Err(MemFault::Unmapped { .. }) => Err(self.shared_write_fault(addr, width)),
@@ -772,5 +849,288 @@ mod tests {
         }
         .to_string()
         .contains("read-only"));
+    }
+
+    /// The look-up as it was before non-empty ranges were scanned
+    /// last-mapped-first and scalars became fixed-size loads: every range is
+    /// found first-mapped-first, every scalar goes through a byte copy.
+    struct ForwardScan(Vec<Segment>);
+
+    impl ForwardScan {
+        fn find(&self, addr: u64, len: usize) -> Result<usize, MemFault> {
+            self.0
+                .iter()
+                .position(|s| s.contains(addr, len))
+                .ok_or(MemFault::Unmapped { addr, len })
+        }
+    }
+
+    impl JamSpace for ForwardScan {
+        fn read_bytes(&self, addr: u64, len: usize) -> Result<Vec<u8>, MemFault> {
+            let seg = &self.0[self.find(addr, len)?];
+            let off = (addr - seg.base) as usize;
+            Ok(seg.data[off..off + len].to_vec())
+        }
+
+        fn write_bytes(&mut self, addr: u64, data: &[u8]) -> Result<(), MemFault> {
+            let idx = self.find(addr, data.len())?;
+            let seg = &mut self.0[idx];
+            if !seg.writable {
+                return Err(MemFault::ReadOnly {
+                    addr,
+                    segment: seg.name.clone(),
+                });
+            }
+            let off = (addr - seg.base) as usize;
+            seg.data[off..off + data.len()].copy_from_slice(data);
+            Ok(())
+        }
+
+        fn read_scalar(&self, addr: u64, width: usize) -> Result<u64, MemFault> {
+            let mut buf = [0u8; 8];
+            buf[..width].copy_from_slice(&self.read_bytes(addr, width)?);
+            Ok(u64::from_le_bytes(buf))
+        }
+
+        fn write_scalar(&mut self, addr: u64, value: u64, width: usize) -> Result<(), MemFault> {
+            self.write_bytes(addr, &value.to_le_bytes()[..width])
+        }
+
+        fn copy(&mut self, dst: u64, src: u64, len: usize) -> Result<(), MemFault> {
+            if len == 0 {
+                return Ok(());
+            }
+            let bytes = self.read_bytes(src, len)?;
+            self.write_bytes(dst, &bytes)
+        }
+
+        fn segment_meta(&self, name: &str) -> Option<SegmentMeta> {
+            self.0.iter().find(|s| s.name == name).map(SegmentMeta::of)
+        }
+    }
+
+    /// [`ShardSpace`]'s layering over two [`ForwardScan`]s: local first, the
+    /// shared base for what nothing local maps, read-only.
+    struct ForwardShard {
+        local: ForwardScan,
+        shared: ForwardScan,
+    }
+
+    impl JamSpace for ForwardShard {
+        fn read_bytes(&self, addr: u64, len: usize) -> Result<Vec<u8>, MemFault> {
+            self.local
+                .read_bytes(addr, len)
+                .or_else(|_| self.shared.read_bytes(addr, len))
+        }
+
+        fn write_bytes(&mut self, addr: u64, data: &[u8]) -> Result<(), MemFault> {
+            match self.local.write_bytes(addr, data) {
+                Err(MemFault::Unmapped { addr, len }) => Err(match self.shared.find(addr, len) {
+                    Ok(idx) => MemFault::ReadOnly {
+                        addr,
+                        segment: self.shared.0[idx].name.clone(),
+                    },
+                    Err(unmapped) => unmapped,
+                }),
+                other => other,
+            }
+        }
+
+        fn read_scalar(&self, addr: u64, width: usize) -> Result<u64, MemFault> {
+            self.local
+                .read_scalar(addr, width)
+                .or_else(|_| self.shared.read_scalar(addr, width))
+        }
+
+        fn write_scalar(&mut self, addr: u64, value: u64, width: usize) -> Result<(), MemFault> {
+            self.write_bytes(addr, &value.to_le_bytes()[..width])
+        }
+
+        fn copy(&mut self, dst: u64, src: u64, len: usize) -> Result<(), MemFault> {
+            if len == 0 {
+                return Ok(());
+            }
+            let bytes = self.read_bytes(src, len)?;
+            self.write_bytes(dst, &bytes)
+        }
+
+        fn segment_meta(&self, name: &str) -> Option<SegmentMeta> {
+            self.local
+                .segment_meta(name)
+                .or_else(|| self.shared.segment_meta(name))
+        }
+    }
+
+    /// A seeded stream of small numbers.
+    struct Seeded(u64);
+
+    impl Seeded {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = crate::isa::hash64(self.0);
+            self.0 % n
+        }
+    }
+
+    /// 1–12 disjoint segments laid out upwards from `origin` — adjacent or a
+    /// few bytes apart, some zero-length, read-only beside writable — in a
+    /// seeded mapping order, so the last-mapped is anywhere in the layout.
+    fn seeded_segments(rng: &mut Seeded, origin: u64, prefix: &str) -> Vec<Segment> {
+        let mut cursor = origin;
+        let mut segments: Vec<Segment> = (0..1 + rng.below(12))
+            .map(|i| {
+                cursor += [0, 0, 1, 5, 40][rng.below(5) as usize];
+                let len = [0, 1, 3, 8, 17, 33][rng.below(6) as usize];
+                let fill = (i as u8 + 1) * 16;
+                let data = (0..len).map(|b| fill + b as u8 % 16).collect();
+                let seg = Segment::new(
+                    &format!("{prefix}{i}"),
+                    cursor,
+                    data,
+                    rng.below(3) != 0,
+                    SegmentKind::Heap,
+                );
+                cursor += len;
+                seg
+            })
+            .collect();
+        for i in (1..segments.len()).rev() {
+            segments.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        segments
+    }
+
+    /// Every range of 0..=16 bytes that ends at, crosses or starts one byte
+    /// past a boundary of `segments`.
+    fn boundary_ranges(segments: &[Segment]) -> Vec<(u64, usize)> {
+        let mut ranges = Vec::new();
+        for boundary in segments.iter().flat_map(|s| [s.base, s.end()]) {
+            for len in 0..=16u64 {
+                for addr in boundary - len - 1..=boundary + 1 {
+                    ranges.push((addr, len as usize));
+                }
+            }
+        }
+        ranges.sort_unstable();
+        ranges.dedup();
+        ranges
+    }
+
+    /// Drive `space` and `oracle` through the same reads, writes, scalars and
+    /// copies over `ranges`; every answer — value or fault, with its address
+    /// and segment name — must agree.
+    fn sweep(
+        space: &mut dyn JamSpace,
+        oracle: &mut dyn JamSpace,
+        ranges: &[(u64, usize)],
+        seed: u64,
+    ) {
+        let mut rng = Seeded(seed);
+        for &(addr, len) in ranges {
+            let what = format!("seed {seed}: [{addr:#x}, +{len})");
+            assert_eq!(
+                space.read_bytes(addr, len),
+                oracle.read_bytes(addr, len),
+                "{what}"
+            );
+            let data: Vec<u8> = (0..len).map(|_| rng.below(256) as u8).collect();
+            assert_eq!(
+                space.write_bytes(addr, &data),
+                oracle.write_bytes(addr, &data),
+                "{what}"
+            );
+            if [1, 4, 8].contains(&len) {
+                assert_eq!(
+                    space.read_scalar(addr, len),
+                    oracle.read_scalar(addr, len),
+                    "{what}"
+                );
+                let value = rng.below(u64::MAX);
+                assert_eq!(
+                    space.write_scalar(addr, value, len),
+                    oracle.write_scalar(addr, value, len),
+                    "{what} <- {value:#x}"
+                );
+                assert_eq!(
+                    space.read_scalar(addr, len),
+                    oracle.read_scalar(addr, len),
+                    "{what}"
+                );
+            }
+            let (other, _) = ranges[rng.below(ranges.len() as u64) as usize];
+            for (dst, src) in [(addr, other), (other, addr)] {
+                assert_eq!(
+                    space.copy(dst, src, len),
+                    oracle.copy(dst, src, len),
+                    "{what}: copy {dst:#x} <- {src:#x}"
+                );
+            }
+        }
+        // Whatever landed, landed in the same bytes.
+        for &(addr, len) in ranges {
+            assert_eq!(space.read_bytes(addr, len), oracle.read_bytes(addr, len));
+        }
+    }
+
+    #[test]
+    fn scan_order_and_scalar_widths_are_invisible() {
+        let mut covered = [0u32; 4];
+        for seed in 1..=40u64 {
+            let mut rng = Seeded(seed);
+            let segments = seeded_segments(&mut rng, 0x1000, "s");
+            let ranges = boundary_ranges(&segments);
+            let mut space = AddressSpace::new();
+            for seg in &segments {
+                space.map(seg.clone()).unwrap();
+            }
+            let mut oracle = ForwardScan(segments.clone());
+            for &(addr, len) in &ranges {
+                let found = oracle.find(addr, len);
+                covered[0] += u32::from(found.is_ok());
+                covered[1] += u32::from(found.is_ok_and(|idx| !segments[idx].writable));
+                // An empty range that a read-only and a writable segment
+                // both hold: which one answers shows.
+                let mut holders = segments.iter().filter(|s| s.contains(addr, len));
+                let first = holders.next().map(|s| s.writable);
+                covered[2] += u32::from(holders.any(|s| Some(s.writable) != first));
+            }
+            sweep(&mut space, &mut oracle, &ranges, seed);
+
+            // The same layout as a shard's local space, over a read-only base
+            // laid out from a nearby origin (so the two interleave and
+            // overlap) that also maps a segment called `s0`.
+            let origin = 0x1000 + rng.below(64);
+            let mut shared = seeded_segments(&mut rng, origin, "ro");
+            for seg in &mut shared {
+                seg.writable = false;
+            }
+            shared[0].name = "s0".into();
+            let mut base = AddressSpace::new();
+            for seg in &shared {
+                base.map(seg.clone()).unwrap();
+            }
+            let mut shard = ShardSpace::new(Arc::new(base)).unwrap();
+            for seg in &segments {
+                shard.local.map(seg.clone()).unwrap();
+            }
+            let mut oracle = ForwardShard {
+                local: ForwardScan(segments),
+                shared: ForwardScan(shared.clone()),
+            };
+            for name in ["s0", "s1", "ro1", "nothing"] {
+                assert_eq!(shard.segment_meta(name), oracle.segment_meta(name));
+            }
+            assert_eq!(shard.segment_meta("s0"), oracle.local.segment_meta("s0"));
+            let mut ranges = ranges;
+            ranges.extend(boundary_ranges(&shared));
+            for &(addr, len) in &ranges {
+                covered[3] += u32::from(
+                    oracle.local.find(addr, len).is_err() && oracle.shared.find(addr, len).is_ok(),
+                );
+            }
+            sweep(&mut shard, &mut oracle, &ranges, seed);
+        }
+        // Mapped reads, read-only writes, contested empty ranges and ranges
+        // only the shared base maps all occurred.
+        assert!(covered.iter().all(|&n| n >= 20), "{covered:?}");
     }
 }

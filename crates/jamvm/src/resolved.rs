@@ -38,6 +38,10 @@
 //! ## Timing contract
 //!
 //! Compute and data-memory time are charged identically to the interpreter.
+//! Compute time is a function of two counts — one issue slot per retired
+//! instruction, one call overhead per extern call, in integer picoseconds —
+//! so the executor keeps the counts and derives `compute_time` once, when the
+//! jam returns (an execution that ends in an error reports no times at all).
 //! Fetch time differs by construction: the resolved executor issues one fetch
 //! access per block *entry* where the interpreter issues one per *instruction*,
 //! so on a uniform-cost bus `resolved.total_time()` is bounded above by the
@@ -598,6 +602,7 @@ fn lower_one(instr: &Instr, got: &GotImage, remap: &dyn Fn(u32) -> u32) -> Resol
     }
 }
 
+#[inline]
 fn branch_taken(cond: Cond, x: u64, y: u64) -> bool {
     match cond {
         Cond::Zero => x == 0,
@@ -618,11 +623,15 @@ impl Vm {
     /// fetch time is charged per straight-line-block entry against
     /// `cfg.code_base` (the resolved image's install address) — see the module
     /// docs for the tolerance contract.
-    pub fn execute_resolved(
+    ///
+    /// Generic over the space and the bus, so that a caller which names both
+    /// types gets a loop with the scalar read and the bus's hit path inlined
+    /// into it; extern functions still see them as trait objects.
+    pub fn execute_resolved<S: JamSpace, B: MemoryBus>(
         resolved: &ResolvedProgram,
         externs: &ExternTable,
-        space: &mut dyn JamSpace,
-        bus: &mut dyn MemoryBus,
+        space: &mut S,
+        bus: &mut B,
         cfg: &VmConfig,
     ) -> Result<ExecStats, ExecError> {
         let mut regs = [0u64; NUM_REGS];
@@ -640,6 +649,7 @@ impl Vm {
         let cycle = SimTime::from_cycles(1, cfg.freq_ghz);
         let issue_cost = cycle * (1.0 / cfg.ipc);
         let ops = &resolved.ops;
+        let charge_fetch = cfg.code_base != 0;
 
         macro_rules! load {
             ($width:expr, $dst:expr, $addr:expr, $offset:expr) => {{
@@ -650,22 +660,27 @@ impl Vm {
                     .map_err(|e| ExecError::Fault(e.to_string()))?;
             }};
         }
+        // The second half of a fused op retires as an instruction of its own.
+        macro_rules! retire_second_half {
+            () => {{
+                if stats.instructions >= cfg.fuel {
+                    return Err(ExecError::FuelExhausted);
+                }
+                stats.instructions += 1;
+            }};
+        }
 
         loop {
             if stats.instructions >= cfg.fuel {
                 return Err(ExecError::FuelExhausted);
             }
-            let op = match ops.get(pc) {
-                Some(op) => *op,
-                None => {
-                    return Err(ExecError::PcOutOfBounds {
-                        pc: resolved.oob_orig_pc(pc),
-                    })
-                }
+            let Some(op) = ops.get(pc) else {
+                return Err(ExecError::PcOutOfBounds {
+                    pc: resolved.oob_orig_pc(pc),
+                });
             };
             stats.instructions += 1;
-            stats.compute_time += issue_cost;
-            if cfg.code_base != 0 {
+            if charge_fetch {
                 let span = resolved.block_len[pc];
                 if span > 0 {
                     stats.fetch_time += bus.access(
@@ -677,7 +692,7 @@ impl Vm {
                 }
             }
             let mut next_pc = pc + 1;
-            match op {
+            match *op {
                 ResolvedOp::LoadImm { dst, imm } => regs[dst as usize] = imm,
                 ResolvedOp::Mov { dst, src } => regs[dst as usize] = regs[src as usize],
                 ResolvedOp::Alu { op, dst, a, b } => {
@@ -711,11 +726,13 @@ impl Vm {
                         regs[len as usize] as usize,
                     );
                     if n > 0 {
-                        stats.memory_time += bus.access(cfg.core, s, n, AccessKind::Read);
-                        stats.memory_time += bus.access(cfg.core, d, n, AccessKind::Write);
+                        // The length is the jam's to choose: only a copy the
+                        // space accepted is charged, line by line.
                         space
                             .copy(d, s, n)
                             .map_err(|e| ExecError::Fault(e.to_string()))?;
+                        stats.memory_time += bus.access(cfg.core, s, n, AccessKind::Read);
+                        stats.memory_time += bus.access(cfg.core, d, n, AccessKind::Write);
                     }
                 }
                 ResolvedOp::Jump { target } => next_pc = target as usize,
@@ -726,7 +743,6 @@ impl Vm {
                 }
                 ResolvedOp::CallDirect { index, nargs } => {
                     stats.extern_calls += 1;
-                    stats.compute_time += cfg.extern_call_overhead;
                     let mut ctx = ExternCtx {
                         space,
                         bus,
@@ -740,19 +756,19 @@ impl Vm {
                     regs[0] = r;
                 }
                 ResolvedOp::CallUnresolved { slot } => {
-                    stats.extern_calls += 1;
-                    stats.compute_time += cfg.extern_call_overhead;
                     return Err(ExecError::UnresolvedGot { slot });
                 }
                 ResolvedOp::CallNotCallable { slot } => {
-                    stats.extern_calls += 1;
-                    stats.compute_time += cfg.extern_call_overhead;
                     return Err(ExecError::NotCallable { slot });
                 }
                 ResolvedOp::Hash { dst, src } => regs[dst as usize] = hash64(regs[src as usize]),
                 ResolvedOp::Nop => {}
                 ResolvedOp::Ret => {
                     stats.result = regs[0];
+                    // Every retired instruction costs one issue slot and every
+                    // extern call its overhead, whatever order they came in.
+                    stats.compute_time = issue_cost * stats.instructions
+                        + cfg.extern_call_overhead * stats.extern_calls;
                     return Ok(stats);
                 }
                 ResolvedOp::LoadAlu {
@@ -767,11 +783,7 @@ impl Vm {
                 } => {
                     stats.superinstructions += 1;
                     load!(width, ldst, addr, offset);
-                    if stats.instructions >= cfg.fuel {
-                        return Err(ExecError::FuelExhausted);
-                    }
-                    stats.instructions += 1;
-                    stats.compute_time += issue_cost;
+                    retire_second_half!();
                     regs[adst as usize] = alu(op, regs[a as usize], regs[b as usize]);
                 }
                 ResolvedOp::AluBranch {
@@ -786,11 +798,7 @@ impl Vm {
                 } => {
                     stats.superinstructions += 1;
                     regs[dst as usize] = alu(op, regs[a as usize], regs[b as usize]);
-                    if stats.instructions >= cfg.fuel {
-                        return Err(ExecError::FuelExhausted);
-                    }
-                    stats.instructions += 1;
-                    stats.compute_time += issue_cost;
+                    retire_second_half!();
                     if branch_taken(cond, regs[ba as usize], regs[bb as usize]) {
                         next_pc = target as usize;
                     }
@@ -807,11 +815,7 @@ impl Vm {
                 } => {
                     stats.superinstructions += 1;
                     regs[dst as usize] = alu(op, regs[src as usize], imm);
-                    if stats.instructions >= cfg.fuel {
-                        return Err(ExecError::FuelExhausted);
-                    }
-                    stats.instructions += 1;
-                    stats.compute_time += issue_cost;
+                    retire_second_half!();
                     if branch_taken(cond, regs[ba as usize], regs[bb as usize]) {
                         next_pc = target as usize;
                     }
@@ -819,11 +823,7 @@ impl Vm {
                 ResolvedOp::MovMov { d1, s1, d2, s2 } => {
                     stats.superinstructions += 1;
                     regs[d1 as usize] = regs[s1 as usize];
-                    if stats.instructions >= cfg.fuel {
-                        return Err(ExecError::FuelExhausted);
-                    }
-                    stats.instructions += 1;
-                    stats.compute_time += issue_cost;
+                    retire_second_half!();
                     regs[d2 as usize] = regs[s2 as usize];
                 }
             }

@@ -227,11 +227,13 @@ impl Vm {
                         regs[len.0 as usize] as usize,
                     );
                     if n > 0 {
-                        stats.memory_time += bus.access(cfg.core, s, n, AccessKind::Read);
-                        stats.memory_time += bus.access(cfg.core, d, n, AccessKind::Write);
+                        // The length is the jam's to choose: only a copy the
+                        // space accepted is charged, line by line.
                         space
                             .copy(d, s, n)
                             .map_err(|e| ExecError::Fault(e.to_string()))?;
+                        stats.memory_time += bus.access(cfg.core, s, n, AccessKind::Read);
+                        stats.memory_time += bus.access(cfg.core, d, n, AccessKind::Write);
                     }
                 }
                 Instr::Jump { target } => next_pc = target as usize,
@@ -279,6 +281,7 @@ impl Vm {
     }
 }
 
+#[inline]
 pub(crate) fn alu(op: AluOp, a: u64, b: u64) -> u64 {
     match op {
         AluOp::Add => a.wrapping_add(b),

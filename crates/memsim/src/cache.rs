@@ -79,6 +79,9 @@ impl CacheStats {
 pub struct SetAssocCache {
     cfg: CacheLevelConfig,
     sets: usize,
+    /// `sets - 1` when the set count is a power of two and the index is a mask of
+    /// the line; `None` when it is the remainder.
+    set_mask: Option<usize>,
     ways_per_set: usize,
     line_shift: u32,
     /// Line index held by each way, [`EMPTY`] if none.
@@ -102,6 +105,7 @@ impl SetAssocCache {
         SetAssocCache {
             cfg,
             sets,
+            set_mask: sets.is_power_of_two().then(|| sets - 1),
             ways_per_set,
             line_shift: cfg.line_size.trailing_zeros(),
             tags: vec![EMPTY; sets * ways_per_set],
@@ -145,10 +149,9 @@ impl SetAssocCache {
     /// The ways of the set `line` maps to, as a range of the parallel arrays.
     #[inline]
     fn set_of(&self, line: u64) -> std::ops::Range<usize> {
-        let set = if self.sets.is_power_of_two() {
-            line as usize & (self.sets - 1)
-        } else {
-            line as usize % self.sets
+        let set = match self.set_mask {
+            Some(mask) => line as usize & mask,
+            None => line as usize % self.sets,
         };
         set * self.ways_per_set..(set + 1) * self.ways_per_set
     }
@@ -163,21 +166,33 @@ impl SetAssocCache {
         self.tags[self.set_of(line)].contains(&line)
     }
 
-    /// Look `line` up and fill it on a miss, choosing an invalid way first, otherwise
-    /// the LRU victim. Returns whether it hit and the dirty victim a fill evicted.
+    /// Look `line` up and fill it on a miss. Returns whether it hit and the dirty
+    /// victim a fill evicted. The hit — one scan of the set's tags — is inlined
+    /// into every caller (`always`: as a hint it is ignored in the per-line
+    /// loops); the fill is a call.
+    #[inline(always)]
     fn touch(&mut self, line: u64, mark_dirty: bool) -> FillOutcome {
         debug_assert_ne!(line, EMPTY, "line index collides with the empty tag");
         self.tick += 1;
         let set = self.set_of(line);
-        let tags = &self.tags[set.clone()];
-        if let Some(way) = tags.iter().position(|&t| t == line) {
-            self.stamps[set.start + way] = self.tick;
-            self.dirty[set.start + way] |= mark_dirty;
+        if let Some(way) = self.tags[set.clone()].iter().position(|&t| t == line) {
+            let idx = set.start + way;
+            self.stamps[idx] = self.tick;
+            self.dirty[idx] |= mark_dirty;
             return FillOutcome {
                 hit: true,
                 dirty_victim: None,
             };
         }
+        self.fill(set, line, mark_dirty)
+    }
+
+    /// Install `line`, which `set` does not hold, stamped with the current tick:
+    /// in the first invalid way, otherwise over the LRU victim (the smallest
+    /// stamp, the first on ties).
+    #[inline(never)]
+    fn fill(&mut self, set: std::ops::Range<usize>, line: u64, mark_dirty: bool) -> FillOutcome {
+        let tags = &self.tags[set.clone()];
         let way = tags.iter().position(|&t| t == EMPTY).unwrap_or_else(|| {
             let stamps = &self.stamps[set.clone()];
             (0..stamps.len())
@@ -207,6 +222,7 @@ impl SetAssocCache {
     }
 
     /// Access by pre-computed line index (byte address / line size).
+    #[inline(always)]
     pub fn access_line(&mut self, line: u64, kind: AccessKind) -> FillOutcome {
         let out = self.touch(line, kind.is_write());
         if out.hit {
@@ -258,6 +274,7 @@ impl SetAssocCache {
 mod tests {
     use super::*;
     use crate::config::CacheLevelConfig;
+    use rand::prelude::*;
 
     fn small_cache() -> SetAssocCache {
         // 4 sets x 2 ways x 64B lines = 512B
@@ -395,5 +412,146 @@ mod tests {
         }
         assert!(c.resident_lines() <= 8);
         assert_eq!(c.resident_lines(), 8);
+    }
+
+    /// The cache as one list of `(tag, stamp, dirty)` per set, valid lines only:
+    /// the model [`SetAssocCache`] is held to, sharing none of its code. Valid
+    /// lines never tie on a stamp, so which way a line sits in cannot show.
+    struct NaiveCache {
+        sets: Vec<Vec<(u64, u64, bool)>>,
+        ways: usize,
+        tick: u64,
+        stats: CacheStats,
+    }
+
+    impl NaiveCache {
+        fn new(sets: usize, ways: usize) -> Self {
+            NaiveCache {
+                sets: vec![Vec::new(); sets],
+                ways,
+                tick: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn set_mut(&mut self, line: u64) -> &mut Vec<(u64, u64, bool)> {
+            let set = line % self.sets.len() as u64;
+            &mut self.sets[set as usize]
+        }
+
+        fn touch(&mut self, line: u64, mark_dirty: bool) -> FillOutcome {
+            self.tick += 1;
+            let (tick, ways) = (self.tick, self.ways);
+            let set = self.set_mut(line);
+            if let Some(entry) = set.iter_mut().find(|e| e.0 == line) {
+                entry.1 = tick;
+                entry.2 |= mark_dirty;
+                return FillOutcome {
+                    hit: true,
+                    dirty_victim: None,
+                };
+            }
+            let mut dirty_victim = None;
+            if set.len() == ways {
+                let oldest = (0..ways).min_by_key(|&i| set[i].1).unwrap();
+                let (tag, _, dirty) = set.remove(oldest);
+                dirty_victim = dirty.then_some(tag);
+            }
+            set.push((line, tick, mark_dirty));
+            self.stats.writebacks += u64::from(dirty_victim.is_some());
+            FillOutcome {
+                hit: false,
+                dirty_victim,
+            }
+        }
+
+        fn access_line(&mut self, line: u64, kind: AccessKind) -> FillOutcome {
+            let out = self.touch(line, kind == AccessKind::Write);
+            if out.hit {
+                self.stats.hits += 1;
+            } else {
+                self.stats.misses += 1;
+            }
+            out
+        }
+
+        fn stash_line(&mut self, line: u64) -> Option<u64> {
+            self.stats.stashed_lines += 1;
+            self.touch(line, true).dirty_victim
+        }
+
+        fn evict_line(&mut self, line: u64) -> Option<bool> {
+            let set = self.set_mut(line);
+            let at = set.iter().position(|e| e.0 == line)?;
+            Some(set.remove(at).2)
+        }
+
+        fn clear(&mut self) {
+            *self = NaiveCache::new(self.sets.len(), self.ways);
+        }
+
+        fn contains_line(&self, line: u64) -> bool {
+            self.sets[(line % self.sets.len() as u64) as usize]
+                .iter()
+                .any(|e| e.0 == line)
+        }
+
+        fn resident_lines(&self) -> usize {
+            self.sets.iter().map(Vec::len).sum()
+        }
+    }
+
+    #[test]
+    fn random_operations_match_a_naive_model() {
+        // (sets, ways): masked and remainder set indices, narrow and wide sets.
+        for (sets, ways) in [(4usize, 2usize), (3, 3), (8, 4), (2, 16)] {
+            let footprint = 4 * (sets * ways) as u64;
+            for seed in 0..6u64 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut cache =
+                    SetAssocCache::new(CacheLevelConfig::new(sets * ways * 64, ways, 64));
+                let mut naive = NaiveCache::new(sets, ways);
+                let (mut hits, mut dirty_victims) = (0, 0);
+                for step in 0..5000 {
+                    let line = rng.gen_range(0..footprint);
+                    let what = format!("{sets}x{ways} seed {seed} step {step} line {line}");
+                    match rng.gen_range(0..1000u32) {
+                        0..=599 => {
+                            let kind = [AccessKind::Read, AccessKind::Write, AccessKind::Fetch]
+                                [rng.gen_range(0..3usize)];
+                            let out = cache.access_line(line, kind);
+                            assert_eq!(out, naive.access_line(line, kind), "{what} {kind:?}");
+                            hits += u32::from(out.hit);
+                            dirty_victims += u32::from(out.dirty_victim.is_some());
+                        }
+                        600..=799 => {
+                            let victim = cache.stash_line(line);
+                            assert_eq!(victim, naive.stash_line(line), "{what}");
+                            dirty_victims += u32::from(victim.is_some());
+                        }
+                        800..=997 => {
+                            assert_eq!(cache.evict_line(line), naive.evict_line(line), "{what}");
+                        }
+                        _ => {
+                            cache.clear();
+                            naive.clear();
+                        }
+                    }
+                    for l in 0..footprint {
+                        assert_eq!(
+                            cache.contains_line(l),
+                            naive.contains_line(l),
+                            "{what}: {l}"
+                        );
+                    }
+                    assert_eq!(cache.resident_lines(), naive.resident_lines(), "{what}");
+                    assert_eq!(cache.stats(), naive.stats, "{what}");
+                }
+                assert!(
+                    hits > 100 && dirty_victims > 100,
+                    "{sets}x{ways} seed {seed}"
+                );
+            }
+        }
     }
 }

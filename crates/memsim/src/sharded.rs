@@ -10,7 +10,8 @@
 //! * [`CoreBus`] — one per core (one per receiver shard). It **owns** that
 //!   core's private L1, L2 and stride prefetcher outright: a private-cache hit
 //!   costs zero locks and zero atomic RMWs — the only synchronisation on the
-//!   hot path is one `Acquire` load of the core's invalidation-inbox flag.
+//!   hot path is two `Acquire` loads, of the prefetcher generation and of the
+//!   core's invalidation-inbox flag (see "The private-hit path").
 //! * [`SharedHierarchy`] — the shared outer levels. The per-cluster L3 slices
 //!   each sit behind their own mutex, the LLC is split into
 //!   [`LLC_STRIPES`] lock stripes selected by line index, and the DRAM model is
@@ -40,6 +41,28 @@
 //! follows through the inbox on the next access. An inbox whose runs add up to
 //! more than [`INVAL_INBOX_LIMIT`] *lines* degrades to a full private-cache
 //! flush — correct, just conservatively slow.
+//!
+//! # The private-hit path
+//!
+//! Most accesses a jam makes are to one line its core already holds, so
+//! [`CoreBus::access`](MemoryBus::access) is a fast path that is always
+//! inlined: its callers (the resolved executor's loop above all) compile it
+//! into themselves. Per access it does, in this order: one `Acquire` load of the
+//! prefetcher generation, one `Acquire` load of the core's inbox flag, the
+//! first and last line of the range by shift, and — for a single line — one
+//! scan of the L1 set's tags ([`SetAssocCache`]'s own inlined hit: bump the
+//! tick, stamp the way, OR the dirty bit, count the hit). Everything else is a
+//! call: rebuilding the prefetcher when the generation moved, draining the
+//! inbox when the flag is up, an L1 miss's fill and its walk through L2 and the
+//! shared levels, and a range of more than one line.
+//!
+//! What the fast path may never skip is the two loads: both are observed
+//! *before any private look-up, on every access*, single-line or not. A hit
+//! served before the inbox flag was read could be a line a delivery has
+//! already overwritten (the contract above); one served before the generation
+//! was read could train a prefetcher that was switched off. Nothing is
+//! remembered between accesses — no last line, no last way — so a hit costs
+//! what it costs whatever came before it.
 //!
 //! # Statistics
 //!
@@ -198,7 +221,8 @@ pub struct SharedHierarchy {
     dram: DramBanks,
     invals: Vec<InvalInbox>,
     stats: SharedStats,
-    line_size: usize,
+    /// `log2` of the line size, which every level asserts is a power of two.
+    line_shift: u32,
 }
 
 impl SharedHierarchy {
@@ -230,7 +254,7 @@ impl SharedHierarchy {
         let invals = (0..cfg.caches.num_cores)
             .map(|_| InvalInbox::default())
             .collect();
-        let line_size = cfg.caches.llc.line_size;
+        let line_shift = cfg.caches.llc.line_size.trailing_zeros();
         SharedHierarchy {
             llc_stashing: AtomicBool::new(cfg.llc_stashing),
             prefetch_enabled: AtomicBool::new(cfg.prefetch.enabled),
@@ -242,7 +266,7 @@ impl SharedHierarchy {
             dram,
             invals,
             stats: SharedStats::default(),
-            line_size,
+            line_shift,
         }
     }
 
@@ -258,7 +282,7 @@ impl SharedHierarchy {
 
     /// Line size in bytes.
     pub fn line_size(&self) -> usize {
-        self.line_size
+        1 << self.line_shift
     }
 
     /// Build the private-level bus for `core`. One live bus per core: a second
@@ -441,7 +465,7 @@ impl SharedHierarchy {
 
     /// Check whether the line containing `addr` currently resides in the LLC.
     pub fn llc_contains(&self, addr: u64) -> bool {
-        let line = addr / self.line_size as u64;
+        let line = addr >> self.line_shift;
         self.llc[Self::stripe_of(line)].lock().contains_line(line)
     }
 
@@ -452,10 +476,10 @@ impl SharedHierarchy {
 
     #[inline]
     fn lines_covering(&self, addr: u64, len: usize) -> (u64, u64) {
-        let first = addr / self.line_size as u64;
+        let first = addr >> self.line_shift;
         // A range that wraps the address space (a jam computes addresses
         // freely) is charged up to the top line, never around to line 0.
-        let last = addr.saturating_add(len.max(1) as u64 - 1) / self.line_size as u64;
+        let last = addr.saturating_add(len.max(1) as u64 - 1) >> self.line_shift;
         (first, last)
     }
 
@@ -683,13 +707,22 @@ impl CoreBus {
         }
     }
 
-    /// Drain pending DMA invalidations before touching the private levels.
-    #[inline]
+    /// Rebuild the prefetcher for the configuration generation `gen`, which
+    /// [`MemoryBus::access`] just observed to be newer than this bus's.
+    #[cold]
+    #[inline(never)]
+    fn rebuild_prefetcher(&mut self, gen: u64) {
+        self.prefetch_gen_seen = gen;
+        let mut cfg = self.shared.cfg.prefetch;
+        cfg.enabled = self.shared.prefetching_enabled();
+        self.prefetcher = StridePrefetcher::new(cfg);
+    }
+
+    /// Apply the pending DMA invalidations [`MemoryBus::access`] just saw
+    /// flagged, before it touches the private levels.
+    #[inline(never)]
     fn drain_invalidations(&mut self) {
         let inbox = &self.shared.invals[self.core];
-        if !inbox.flag.load(Ordering::Acquire) {
-            return;
-        }
         let flush_all = {
             let mut pending = inbox.pending.lock();
             inbox.flag.store(false, Ordering::Release);
@@ -717,18 +750,26 @@ impl CoreBus {
         }
     }
 
-    /// Charge a single-line demand access.
+    /// Charge a single-line demand access: the L1 look-up here, everything an
+    /// L1 miss sets off in [`CoreBus::miss_line`].
+    #[inline(always)]
     fn access_line(&mut self, line: u64, kind: AccessKind) -> SimTime {
-        let lat = self.shared.cfg.latency;
-
         // L1 (no lock).
         let out1 = self.l1.access_line(line, kind);
         if out1.hit {
             self.stats.l1_hits += 1;
-            return lat.l1_hit;
+            return self.shared.cfg.latency.l1_hit;
         }
+        self.miss_line(line, kind, out1.dirty_victim.is_some())
+    }
+
+    /// The rest of a demand access that missed L1 (which has filled the line
+    /// already, displacing a dirty victim or not): L2, then the shared levels.
+    #[inline(never)]
+    fn miss_line(&mut self, line: u64, kind: AccessKind, l1_dirty_victim: bool) -> SimTime {
+        let lat = self.shared.cfg.latency;
         let mut cost = lat.l1_hit;
-        if out1.dirty_victim.is_some() {
+        if l1_dirty_victim {
             cost += lat.writeback;
             self.stats.writebacks += 1;
         }
@@ -768,9 +809,22 @@ impl CoreBus {
         }
         cost
     }
+
+    /// A demand access that covers more than one line, charged line by line.
+    #[inline(never)]
+    fn access_run(&mut self, first: u64, last: u64, kind: AccessKind) -> SimTime {
+        let mut total = SimTime::ZERO;
+        for line in first..=last {
+            total += self.access_line(line, kind);
+        }
+        total
+    }
 }
 
 impl MemoryBus for CoreBus {
+    // `always`: the resolved executor charges the bus from a dozen places in
+    // one loop, and with a plain hint every one of them stays a call.
+    #[inline(always)]
     fn access(&mut self, core: usize, addr: u64, len: usize, kind: AccessKind) -> SimTime {
         debug_assert_eq!(
             core, self.core,
@@ -778,21 +832,21 @@ impl MemoryBus for CoreBus {
             self.core
         );
         // Prefetcher reconfiguration (generation bump) and pending DMA
-        // invalidations are observed at access boundaries.
+        // invalidations are observed at access boundaries — both, on every
+        // access, before any private look-up.
         let gen = self.shared.prefetch_gen.load(Ordering::Acquire);
         if gen != self.prefetch_gen_seen {
-            self.prefetch_gen_seen = gen;
-            let mut cfg = self.shared.cfg.prefetch;
-            cfg.enabled = self.shared.prefetching_enabled();
-            self.prefetcher = StridePrefetcher::new(cfg);
+            self.rebuild_prefetcher(gen);
         }
-        self.drain_invalidations();
+        if self.shared.invals[self.core].flag.load(Ordering::Acquire) {
+            self.drain_invalidations();
+        }
         let (first, last) = self.shared.lines_covering(addr, len);
-        let mut total = SimTime::ZERO;
-        for line in first..=last {
-            total += self.access_line(line, kind);
+        if first == last {
+            self.access_line(first, kind)
+        } else {
+            self.access_run(first, last, kind)
         }
-        total
     }
 }
 
@@ -1154,7 +1208,7 @@ mod tests {
             let stashing = sh.stashing_enabled();
             let mut delivered = Vec::new();
             for line in first..=last {
-                let byte = line * sh.line_size as u64;
+                let byte = line * sh.line_size() as u64;
                 delivered.push(byte);
                 if stashing {
                     let victim = sh.llc[SharedHierarchy::stripe_of(line)]

@@ -7,6 +7,16 @@
 //! ~2^64 and panicked (release), or overflowed (debug). A mailbox is memory a
 //! remote party writes and the receiver executes — it may reject what it
 //! finds there, never panic on it.
+//!
+//! Nor may it stall on it. A `memcpy`'s length is a register the jam loads
+//! freely, and both engines (and `ExternCtx::memcpy`) used to charge the bus
+//! for `n` bytes on either side before asking the space whether the range
+//! exists: `n = 2^30` from a 4 KiB heap walked 33.5 M modelled DRAM lines and
+//! held the drain thread for 267 s before the fault it was always going to
+//! return, burning no fuel; `2^40` would take days. The oversized-copy cases
+//! below therefore do not *fail* on the code before that fix, they do not
+//! finish — which is why they assert a fault and an untouched bus instead of
+//! carrying a `should_panic`.
 
 use two_chains_suite::fabric::SimFabric;
 use two_chains_suite::jamvm::isa::Width;
@@ -14,7 +24,8 @@ use two_chains_suite::jamvm::{
     encode_program, resolve, verify, AddressSpace, Assembler, ExecError, ExternTable, GotImage,
     Instr, Reg, Segment, SegmentKind, Vm, VmConfig,
 };
-use two_chains_suite::memsim::{SharedHierarchy, SimTime, TestbedConfig};
+use two_chains_suite::memsim::hierarchy::FlatMemory;
+use two_chains_suite::memsim::{CoreCacheStats, SharedHierarchy, SimTime, TestbedConfig};
 use twochains::builtin::benchmark_package;
 use twochains::{AmError, Frame, RuntimeConfig, SenderFleet, TwoChainsHost};
 
@@ -111,6 +122,87 @@ fn both_engines_fault_on_a_range_that_wraps_the_address_space() {
     }
 }
 
+/// `memcpy` of `2^30` and `2^40` bytes out of a mapped segment and into one,
+/// three or four instructions each, every one passing the verifier. `r0` and
+/// `r1` enter holding two mapped addresses (the jam entry convention: ARGS
+/// base, USR base).
+fn oversized_copies() -> Vec<(&'static str, Vec<Instr>)> {
+    // Copy `len` bytes to `[r1]`: from `[r0]`, or from an address nothing maps.
+    let copy = |from_nowhere: bool, len: u64| {
+        let mut asm = Assembler::new();
+        asm.load_imm(Reg(3), len);
+        let src = if from_nowhere {
+            asm.load_imm(Reg(4), 0x9000_0000_0000);
+            Reg(4)
+        } else {
+            Reg(0)
+        };
+        asm.memcpy(Reg(1), src, Reg(3)).ret();
+        let program = asm.finish().unwrap();
+        verify(&program, 0).expect("the verifier passes it");
+        program
+    };
+    vec![
+        ("2^30 bytes from a mapped base", copy(false, 1 << 30)),
+        ("2^30 bytes to a mapped base", copy(true, 1 << 30)),
+        ("2^40 bytes from a mapped base", copy(false, 1 << 40)),
+        ("2^40 bytes to a mapped base", copy(true, 1 << 40)),
+    ]
+}
+
+#[test]
+fn both_engines_fault_on_an_oversized_copy_before_charging_it() {
+    let got = GotImage::with_slots(0);
+    let externs = ExternTable::new();
+    let hierarchy = Arc::new(SharedHierarchy::new(TestbedConfig::cluster2021()));
+    let mut core_bus = hierarchy.core_bus(0);
+    // No fetch charging, so any access either bus sees is the copy's.
+    let cfg = VmConfig {
+        code_base: 0,
+        entry_regs: [HEAP_BASE, HEAP_BASE + 2048, 0],
+        ..VmConfig::default()
+    };
+    let heap: Vec<u8> = (0..4096u32).map(|i| i as u8).collect();
+    for (what, program) in oversized_copies() {
+        let mut space = AddressSpace::new();
+        space
+            .map(Segment::new(
+                "heap",
+                HEAP_BASE,
+                heap.clone(),
+                true,
+                SegmentKind::Heap,
+            ))
+            .unwrap();
+        let image = resolve(&program, &got);
+
+        let mut counting = FlatMemory::free();
+        let interpreted = Vm::execute(&program, &got, &externs, &mut space, &mut counting, &cfg);
+        assert!(
+            matches!(&interpreted, Err(ExecError::Fault(why)) if why.contains("unmapped")),
+            "{what}, interpreted: {interpreted:?}"
+        );
+        let resolved = Vm::execute_resolved(&image, &externs, &mut space, &mut counting, &cfg);
+        assert_eq!(resolved, interpreted, "{what}");
+        assert_eq!(counting.accesses, 0, "{what}: charged a copy that faulted");
+
+        let on_core = Vm::execute(&program, &got, &externs, &mut space, &mut core_bus, &cfg);
+        assert_eq!(on_core, interpreted, "{what}");
+        let on_core = Vm::execute_resolved(&image, &externs, &mut space, &mut core_bus, &cfg);
+        assert_eq!(on_core, interpreted, "{what}");
+        assert_eq!(core_bus.stats(), CoreCacheStats::default(), "{what}");
+        assert_eq!(
+            (
+                hierarchy.stats().dram_accesses,
+                hierarchy.dram_model_accesses()
+            ),
+            (0, 0),
+            "{what}"
+        );
+        assert_eq!(space.segment("heap").unwrap().data, heap, "{what}");
+    }
+}
+
 /// An injected frame for an element outside the installed package, carrying
 /// an empty GOT and `program`.
 fn injected(sn: u32, program: &[Instr]) -> Vec<u8> {
@@ -125,7 +217,10 @@ fn injected(sn: u32, program: &[Instr]) -> Vec<u8> {
     .encode()
 }
 
-fn a_wrapping_frame_is_rejected_alone(cfg: RuntimeConfig) {
+/// Each of `hostile` lands in a slot of its own with a well-behaved frame
+/// behind them: every hostile one retires as a rejection with its credit, the
+/// last frame executes.
+fn hostile_frames_are_rejected_alone(cfg: RuntimeConfig, hostile: Vec<(&'static str, Vec<Instr>)>) {
     let (fabric, a, b) = SimFabric::back_to_back(TestbedConfig::cluster2021());
     let mut host = TwoChainsHost::new(&fabric, b, cfg).unwrap();
     host.install_package(benchmark_package().unwrap()).unwrap();
@@ -137,7 +232,6 @@ fn a_wrapping_frame_is_rejected_alone(cfg: RuntimeConfig) {
     let mut good = Assembler::new();
     good.load_imm(Reg(0), 77).ret();
     let good = good.finish().unwrap();
-    let hostile = wrapping_programs();
     // One hostile frame per slot, the well-behaved one behind them.
     let mut arrival = SimTime::ZERO;
     let programs = hostile.iter().map(|(_, program)| program).chain([&good]);
@@ -190,14 +284,30 @@ fn a_wrapping_frame_is_rejected_alone(cfg: RuntimeConfig) {
 
 #[test]
 fn receive_burst_rejects_a_wrapping_jam_and_executes_the_next_frame() {
-    a_wrapping_frame_is_rejected_alone(RuntimeConfig::paper_default());
+    hostile_frames_are_rejected_alone(RuntimeConfig::paper_default(), wrapping_programs());
 }
 
 #[test]
 fn receive_burst_rejects_a_wrapping_jam_under_the_interpreter_and_shard_local_space() {
-    a_wrapping_frame_is_rejected_alone(
+    hostile_frames_are_rejected_alone(
         RuntimeConfig::paper_default()
             .with_interpreted_execution()
             .with_shard_local_space(),
+        wrapping_programs(),
+    );
+}
+
+#[test]
+fn receive_burst_rejects_an_oversized_copy_and_executes_the_next_frame() {
+    hostile_frames_are_rejected_alone(RuntimeConfig::paper_default(), oversized_copies());
+}
+
+#[test]
+fn receive_burst_rejects_an_oversized_copy_under_the_interpreter_and_shard_local_space() {
+    hostile_frames_are_rejected_alone(
+        RuntimeConfig::paper_default()
+            .with_interpreted_execution()
+            .with_shard_local_space(),
+        oversized_copies(),
     );
 }
