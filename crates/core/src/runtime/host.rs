@@ -80,9 +80,9 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use twochains_fabric::{AccessFlags, HostHandle, HostId, MemoryRegion, SimFabric};
 use twochains_jamvm::{
-    decode_program, hash64, hash64_bytes, resolve, verify, AddressSpace, ExecError, ExecStats,
-    ExternTable, GotImage, Instr, JamSpace, ResolvedProgram, Segment, SegmentKind, ShardSpace, Vm,
-    VmConfig,
+    decode_program, hash64, hash64_bytes, resolve, verify_with_floor, AddressSpace, ExecError,
+    ExecStats, ExternTable, GotImage, Instr, JamSpace, ResolvedProgram, Segment, SegmentKind,
+    ShardSpace, Vm, VmConfig,
 };
 use twochains_linker::{ElementId, LinkerNamespace, Package, Ried};
 use twochains_memsim::cycles::WaitOutcome;
@@ -1849,20 +1849,17 @@ impl HostCore {
             .bus
             .access(ctx.core, code_base, code_len, AccessKind::Fetch);
         let program = decode_program(frame.code).map_err(|e| AmError::BadFrame(e.to_string()))?;
-        verify(&program, got_slots).map_err(|e| AmError::BadFrame(e.to_string()))?;
+        // The verifier's pass also yields the smallest GOT this program verifies
+        // against: later hits re-check it against their own message's GOT size
+        // in O(1).
+        let min_got_slots =
+            verify_with_floor(&program, got_slots).map_err(|e| AmError::BadFrame(e.to_string()))?;
         *handler_time += SimTime::from_ns_f64(
             frame.code.len() as f64 * (DECODE_NS_PER_BYTE + VERIFY_NS_PER_BYTE),
         );
-        // The smallest GOT this program verifies against: later hits re-check it
-        // against their own message's GOT size in O(1).
-        let min_got_slots = program
-            .iter()
-            .filter_map(|i| match *i {
-                Instr::CallExtern { slot, .. } => Some(slot as usize + 1),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(0);
+        // An `Arc<[Instr]>` keeps its counts in front of its elements, so this is
+        // a second allocation and a copy of the decoded program, not a move:
+        // ≈ 0.4–0.9 µs of host time for the 21 KB Indirect Put jam.
         let program: Arc<[Instr]> = program.into();
         ctx.stats.injected_code_cache_evictions += ctx.cache.store_program(
             key,

@@ -75,8 +75,10 @@ struct Entry<V> {
 /// the entry count: a working set below capacity never pays them, while a sender
 /// churning keys with the cache full pays one bounded scan (≤ cap entries, under
 /// the shared lock) per miss-insert — an accepted cost, since that sender is
-/// already paying a full decode+verify per message; an O(1) recency list is the
-/// upgrade path if churn-resistance ever needs to be cheaper.
+/// already paying a full decode+verify (and, under the resolved policy, a
+/// lowering) per message: ≈ 3 µs of host time for the 1.4 KB Indirect Put jam,
+/// ≈ 7.6 µs for the whole cold drain (measured, `cold_churn`); an O(1) recency
+/// list is the upgrade path if churn-resistance ever needs to be cheaper.
 #[derive(Debug)]
 pub(crate) struct SegmentedCache<K, V> {
     entries: HashMap<K, Entry<V>>,

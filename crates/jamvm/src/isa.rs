@@ -217,39 +217,6 @@ pub enum Instr {
 }
 
 impl Instr {
-    /// Registers read by this instruction (for the verifier and for tests).
-    pub fn reads(&self) -> Vec<Reg> {
-        match *self {
-            Instr::LoadImm { .. } | Instr::Jump { .. } | Instr::Nop | Instr::Ret => vec![],
-            Instr::Mov { src, .. } => vec![src],
-            Instr::Alu { a, b, .. } => vec![a, b],
-            Instr::AluImm { src, .. } => vec![src],
-            Instr::Load { addr, .. } => vec![addr],
-            Instr::Store { src, addr, .. } => vec![src, addr],
-            Instr::Memcpy { dst, src, len } => vec![dst, src, len],
-            Instr::Branch { a, b, cond, .. } => match cond {
-                Cond::Zero | Cond::NotZero => vec![a],
-                _ => vec![a, b],
-            },
-            Instr::CallExtern { nargs, .. } => (0..nargs).map(Reg).collect(),
-            Instr::Hash { src, .. } => vec![src],
-        }
-    }
-
-    /// The register written by this instruction, if any.
-    pub fn writes(&self) -> Option<Reg> {
-        match *self {
-            Instr::LoadImm { dst, .. }
-            | Instr::Mov { dst, .. }
-            | Instr::Alu { dst, .. }
-            | Instr::AluImm { dst, .. }
-            | Instr::Load { dst, .. }
-            | Instr::Hash { dst, .. } => Some(dst),
-            Instr::CallExtern { .. } => Some(Reg::R0),
-            _ => None,
-        }
-    }
-
     /// Branch target, if this is a control-flow instruction.
     pub fn target(&self) -> Option<u32> {
         match *self {
@@ -359,32 +326,6 @@ mod tests {
         assert_eq!(Width::B1.bytes(), 1);
         assert_eq!(Width::B4.bytes(), 4);
         assert_eq!(Width::B8.bytes(), 8);
-    }
-
-    #[test]
-    fn reads_and_writes_are_reported() {
-        let i = Instr::Alu {
-            op: AluOp::Add,
-            dst: Reg(2),
-            a: Reg(3),
-            b: Reg(4),
-        };
-        assert_eq!(i.reads(), vec![Reg(3), Reg(4)]);
-        assert_eq!(i.writes(), Some(Reg(2)));
-
-        let c = Instr::CallExtern { slot: 1, nargs: 3 };
-        assert_eq!(c.reads(), vec![Reg(0), Reg(1), Reg(2)]);
-        assert_eq!(c.writes(), Some(Reg::R0));
-
-        let b = Instr::Branch {
-            cond: Cond::Zero,
-            a: Reg(1),
-            b: Reg(9),
-            target: 4,
-        };
-        assert_eq!(b.reads(), vec![Reg(1)], "Zero condition ignores b");
-        assert_eq!(b.target(), Some(4));
-        assert_eq!(Instr::Ret.target(), None);
     }
 
     #[test]

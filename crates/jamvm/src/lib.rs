@@ -58,5 +58,5 @@ pub use externs::{ExternRef, ExternTable, GotImage};
 pub use isa::{hash64, hash64_bytes, Instr, Reg};
 pub use memory::{AddressSpace, JamSpace, Segment, SegmentKind, SegmentMeta, ShardSpace};
 pub use resolved::{resolve, ResolvedOp, ResolvedProgram, RESOLVED_OP_BYTES};
-pub use verify::{verify, VerifyError};
+pub use verify::{verify, verify_with_floor, VerifyError};
 pub use vm::{ExecError, ExecStats, Vm, VmConfig};

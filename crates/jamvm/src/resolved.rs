@@ -35,6 +35,26 @@
 //!   the resolved image) instead of once per instruction. Block leaders are the
 //!   entry op, every branch target and every op that follows a control-flow op.
 //!
+//! ## What lowering costs the host
+//!
+//! Lowering is host work the model charges by the byte, so it should cost
+//! what the work is. [`resolve`] makes two passes over the program and five
+//! allocations: the first pass marks the in-bounds branch targets; the second
+//! fuses, lowers, extends the pc map and closes each block as the next one's
+//! leader appears, and the few ops that carry a target are patched through
+//! the finished pc map from a list. Every packaged jam is over nine tenths
+//! trailing `Nop` padding (the toolchain pads `.text` to the paper's fixed
+//! frame sizes: 1 345 of the Indirect Put jam's 1 359 instructions), so a run
+//! of `Nop`s is appended to the ops, the block lengths and the pc map with one
+//! `resize` / `extend` each — ≈ 2.1 µs for that jam where an op at a time
+//! took 7.4 µs. What the run path may never do is skip: the image's size is
+//! modelled (one [`RESOLVED_OP_BYTES`] op per lowered instruction is what the
+//! slab write and every fetch address are computed from), a jump into the
+//! padding must find an op there, and a `Nop` that *is* a branch target leads
+//! a block — the run stops in front of it. A sender picks its own mix, so
+//! nothing depends on the padding being there: without a single `Nop` the
+//! same two passes run an instruction at a time.
+//!
 //! ## Timing contract
 //!
 //! Compute and data-memory time are charged identically to the interpreter.
@@ -278,6 +298,17 @@ impl ResolvedOp {
         )
     }
 
+    /// The op's control-flow target, if it has one.
+    fn target_mut(&mut self) -> Option<&mut u32> {
+        match self {
+            ResolvedOp::Jump { target }
+            | ResolvedOp::Branch { target, .. }
+            | ResolvedOp::AluBranch { target, .. }
+            | ResolvedOp::AluImmBranch { target, .. } => Some(target),
+            _ => None,
+        }
+    }
+
     /// Whether the op is a fused superinstruction (retires two instructions).
     fn is_fused(&self) -> bool {
         matches!(
@@ -355,89 +386,80 @@ fn map_target(target: u32, pc_map: &[u32], orig_len: usize, resolved_len: usize)
 /// targets. The result is only valid for the exact `(program, got)` pair it
 /// was lowered from — see the module docs for the invalidation contract.
 pub fn resolve(program: &[Instr], got: &GotImage) -> ResolvedProgram {
-    // Pass 1: collect branch targets — a pair whose second half is a target
-    // must not fuse, so every control transfer lands on an op boundary.
+    // Pass 1: mark the in-bounds branch targets — a pair whose second half is
+    // a target must not fuse, so every control transfer lands on an op
+    // boundary — and count the branches, to size their list once.
     let mut is_target = vec![false; program.len()];
+    let mut branches = 0usize;
     for instr in program {
         if let Some(t) = instr.target() {
-            if (t as usize) < program.len() {
-                is_target[t as usize] = true;
+            branches += 1;
+            if let Some(mark) = is_target.get_mut(t as usize) {
+                *mark = true;
             }
         }
     }
 
-    // Pass 2: decide fusion greedily left-to-right and build the pc map
-    // (original pc -> resolved op index).
-    let mut pc_map = vec![0u32; program.len()];
-    let mut fused_with_next = vec![false; program.len()];
-    let mut ridx = 0u32;
+    // Pass 2: fuse greedily left to right, lower, extend the pc map (original
+    // pc -> resolved op index) and close a block each time the next one's
+    // leader appears. An op leads a block iff it is the entry op, its first
+    // half is a marked target, or the op before it ends a block; a fused
+    // pair's second half is never a target, so the marks of pass 1 are the
+    // leaders among the resolved ops too.
+    let mut ops: Vec<ResolvedOp> = Vec::with_capacity(program.len());
+    let mut block_len: Vec<u32> = Vec::with_capacity(program.len());
+    let mut pc_map: Vec<u32> = Vec::with_capacity(program.len());
+    let mut branch_ops: Vec<usize> = Vec::with_capacity(branches);
+    let mut leader = 0usize;
     let mut i = 0usize;
     while i < program.len() {
-        pc_map[i] = ridx;
-        let fuse = program
+        let ridx = ops.len();
+        if ridx > 0 && (is_target[i] || ops[ridx - 1].ends_block()) {
+            block_len[leader] = (ridx - leader) as u32;
+            leader = ridx;
+        }
+        let instr = &program[i];
+        if matches!(instr, Instr::Nop) {
+            // Padding: a `Nop` fuses with nothing and ends no block, so a run
+            // of them that no branch lands *inside* is one block interior. A
+            // marked `Nop` leads a block: the run stops in front of it.
+            let run = 1 + program[i + 1..]
+                .iter()
+                .zip(&is_target[i + 1..])
+                .take_while(|&(next, &marked)| matches!(next, Instr::Nop) && !marked)
+                .count();
+            ops.resize(ridx + run, ResolvedOp::Nop);
+            block_len.resize(ridx + run, 0);
+            pc_map.extend(ridx as u32..(ridx + run) as u32);
+            i += run;
+            continue;
+        }
+        let fused_with = program
             .get(i + 1)
-            .filter(|_| !is_target[i + 1])
-            .is_some_and(|next| can_fuse(&program[i], next));
-        if fuse {
-            fused_with_next[i] = true;
-            pc_map[i + 1] = ridx;
-            i += 2;
-        } else {
-            i += 1;
-        }
-        ridx += 1;
-    }
-    let resolved_len = ridx as usize;
-
-    // Pass 3: lower, remapping control-flow targets through the pc map.
-    let mut ops = Vec::with_capacity(resolved_len);
-    let remap = |t: u32| map_target(t, &pc_map, program.len(), resolved_len);
-    let mut i = 0usize;
-    while i < program.len() {
-        if fused_with_next[i] {
-            ops.push(lower_fused(&program[i], &program[i + 1], &remap));
-            i += 2;
-        } else {
-            ops.push(lower_one(&program[i], got, &remap));
-            i += 1;
-        }
-    }
-    debug_assert_eq!(ops.len(), resolved_len);
-
-    // Pass 4: block leaders and per-leader block lengths. Leaders are the
-    // entry op, every in-bounds control-flow target, and every op following a
-    // block-ending op.
-    let mut leader = vec![false; ops.len()];
-    if !ops.is_empty() {
-        leader[0] = true;
-    }
-    for (idx, op) in ops.iter().enumerate() {
-        let target = match *op {
-            ResolvedOp::Jump { target }
-            | ResolvedOp::Branch { target, .. }
-            | ResolvedOp::AluBranch { target, .. }
-            | ResolvedOp::AluImmBranch { target, .. } => Some(target),
-            _ => None,
+            .filter(|next| !is_target[i + 1] && can_fuse(instr, next));
+        let mut op = match fused_with {
+            Some(next) => lower_fused(instr, next),
+            None => lower_one(instr, got),
         };
-        if let Some(t) = target {
-            if (t as usize) < ops.len() {
-                leader[t as usize] = true;
-            }
+        if op.target_mut().is_some() {
+            branch_ops.push(ridx);
         }
-        if op.ends_block() && idx + 1 < ops.len() {
-            leader[idx + 1] = true;
-        }
+        ops.push(op);
+        block_len.push(0);
+        let halves = 1 + usize::from(fused_with.is_some());
+        pc_map.resize(i + halves, ridx as u32);
+        i += halves;
     }
-    let mut block_len = vec![0u32; ops.len()];
-    let mut idx = 0usize;
-    while idx < ops.len() {
-        debug_assert!(leader[idx]);
-        let mut end = idx + 1;
-        while end < ops.len() && !leader[end] {
-            end += 1;
-        }
-        block_len[idx] = (end - idx) as u32;
-        idx = end;
+    if let Some(open) = block_len.get_mut(leader) {
+        *open = (ops.len() - leader) as u32;
+    }
+
+    // The ops were lowered carrying original targets: now that the pc map is
+    // whole, patch the few that have one.
+    let resolved_len = ops.len();
+    for idx in branch_ops {
+        let target = ops[idx].target_mut().expect("listed for its target");
+        *target = map_target(*target, &pc_map, program.len(), resolved_len);
     }
 
     ResolvedProgram {
@@ -462,7 +484,9 @@ fn can_fuse(a: &Instr, b: &Instr) -> bool {
     }
 }
 
-fn lower_fused(a: &Instr, b: &Instr, remap: &dyn Fn(u32) -> u32) -> ResolvedOp {
+/// Lower a pair [`can_fuse`] accepted; a branch half keeps its *original*
+/// target, which [`resolve`] patches once the pc map is whole.
+fn lower_fused(a: &Instr, b: &Instr) -> ResolvedOp {
     match (a, b) {
         (
             Instr::Load {
@@ -503,7 +527,7 @@ fn lower_fused(a: &Instr, b: &Instr, remap: &dyn Fn(u32) -> u32) -> ResolvedOp {
             cond: *cond,
             ba: ba.0,
             bb: bb.0,
-            target: remap(*target),
+            target: *target,
         },
         (
             Instr::AluImm { op, dst, src, imm },
@@ -521,7 +545,7 @@ fn lower_fused(a: &Instr, b: &Instr, remap: &dyn Fn(u32) -> u32) -> ResolvedOp {
             cond: *cond,
             ba: ba.0,
             bb: bb.0,
-            target: remap(*target),
+            target: *target,
         },
         (Instr::Mov { dst: d1, src: s1 }, Instr::Mov { dst: d2, src: s2 }) => ResolvedOp::MovMov {
             d1: d1.0,
@@ -533,7 +557,9 @@ fn lower_fused(a: &Instr, b: &Instr, remap: &dyn Fn(u32) -> u32) -> ResolvedOp {
     }
 }
 
-fn lower_one(instr: &Instr, got: &GotImage, remap: &dyn Fn(u32) -> u32) -> ResolvedOp {
+/// Lower one instruction; a jump or branch keeps its *original* target, as
+/// in [`lower_fused`].
+fn lower_one(instr: &Instr, got: &GotImage) -> ResolvedOp {
     match *instr {
         Instr::LoadImm { dst, imm } => ResolvedOp::LoadImm { dst: dst.0, imm },
         Instr::Mov { dst, src } => ResolvedOp::Mov {
@@ -579,14 +605,12 @@ fn lower_one(instr: &Instr, got: &GotImage, remap: &dyn Fn(u32) -> u32) -> Resol
             src: src.0,
             len: len.0,
         },
-        Instr::Jump { target } => ResolvedOp::Jump {
-            target: remap(target),
-        },
+        Instr::Jump { target } => ResolvedOp::Jump { target },
         Instr::Branch { cond, a, b, target } => ResolvedOp::Branch {
             cond,
             a: a.0,
             b: b.0,
-            target: remap(target),
+            target,
         },
         Instr::CallExtern { slot, nargs } => match got.get(slot as usize) {
             ExternRef::Resolved(index) => ResolvedOp::CallDirect { index, nargs },
@@ -832,12 +856,118 @@ impl Vm {
     }
 }
 
+/// `resolve` as it stood while it made five passes (targets, fusion and pc
+/// map, lowering, leaders, block lengths) over six vectors — but for its
+/// lowering step, which now remaps the target `lower_*` leave original. The
+/// reference the property test below compares whole [`ResolvedProgram`]s with.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    pub(super) fn resolve(program: &[Instr], got: &GotImage) -> ResolvedProgram {
+        // Pass 1: collect branch targets — a pair whose second half is a target
+        // must not fuse, so every control transfer lands on an op boundary.
+        let mut is_target = vec![false; program.len()];
+        for instr in program {
+            if let Some(t) = instr.target() {
+                if (t as usize) < program.len() {
+                    is_target[t as usize] = true;
+                }
+            }
+        }
+
+        // Pass 2: decide fusion greedily left-to-right and build the pc map
+        // (original pc -> resolved op index).
+        let mut pc_map = vec![0u32; program.len()];
+        let mut fused_with_next = vec![false; program.len()];
+        let mut ridx = 0u32;
+        let mut i = 0usize;
+        while i < program.len() {
+            pc_map[i] = ridx;
+            let fuse = program
+                .get(i + 1)
+                .filter(|_| !is_target[i + 1])
+                .is_some_and(|next| can_fuse(&program[i], next));
+            if fuse {
+                fused_with_next[i] = true;
+                pc_map[i + 1] = ridx;
+                i += 2;
+            } else {
+                i += 1;
+            }
+            ridx += 1;
+        }
+        let resolved_len = ridx as usize;
+
+        // Pass 3: lower, remapping control-flow targets through the pc map.
+        let mut ops = Vec::with_capacity(resolved_len);
+        let remap = |t: u32| map_target(t, &pc_map, program.len(), resolved_len);
+        let mut i = 0usize;
+        while i < program.len() {
+            let (mut op, halves) = if fused_with_next[i] {
+                (lower_fused(&program[i], &program[i + 1]), 2)
+            } else {
+                (lower_one(&program[i], got), 1)
+            };
+            if let Some(target) = op.target_mut() {
+                *target = remap(*target);
+            }
+            ops.push(op);
+            i += halves;
+        }
+        debug_assert_eq!(ops.len(), resolved_len);
+
+        // Pass 4: block leaders and per-leader block lengths. Leaders are the
+        // entry op, every in-bounds control-flow target, and every op following a
+        // block-ending op.
+        let mut leader = vec![false; ops.len()];
+        if !ops.is_empty() {
+            leader[0] = true;
+        }
+        for (idx, op) in ops.iter().enumerate() {
+            let target = match *op {
+                ResolvedOp::Jump { target }
+                | ResolvedOp::Branch { target, .. }
+                | ResolvedOp::AluBranch { target, .. }
+                | ResolvedOp::AluImmBranch { target, .. } => Some(target),
+                _ => None,
+            };
+            if let Some(t) = target {
+                if (t as usize) < ops.len() {
+                    leader[t as usize] = true;
+                }
+            }
+            if op.ends_block() && idx + 1 < ops.len() {
+                leader[idx + 1] = true;
+            }
+        }
+        let mut block_len = vec![0u32; ops.len()];
+        let mut idx = 0usize;
+        while idx < ops.len() {
+            debug_assert!(leader[idx]);
+            let mut end = idx + 1;
+            while end < ops.len() && !leader[end] {
+                end += 1;
+            }
+            block_len[idx] = (end - idx) as u32;
+            idx = end;
+        }
+
+        ResolvedProgram {
+            ops,
+            block_len,
+            orig_len: program.len() as u32,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::asm::Assembler;
     use crate::isa::Reg;
     use crate::memory::{AddressSpace, Segment, SegmentKind};
+    use proptest::prelude::*;
     use std::sync::Arc;
     use twochains_memsim::hierarchy::FlatMemory;
 
@@ -1085,6 +1215,109 @@ mod tests {
         // The tolerance sandwich the differential suite pins.
         assert!(interp.compute_time + interp.memory_time <= res.total_time());
         assert!(res.total_time() <= interp.total_time());
+    }
+
+    #[test]
+    fn a_nop_run_stops_in_front_of_a_branch_target() {
+        // 0: jump 4 | 1-3: nop | 4-5: nop (4 is the target) | 6: ret
+        let mut prog = vec![Instr::Nop; 7];
+        prog[0] = Instr::Jump { target: 4 };
+        prog[6] = Instr::Ret;
+        let resolved = resolve(&prog, &GotImage::default());
+        assert_eq!(resolved.block_len, vec![1, 3, 0, 0, 3, 0, 0]);
+        assert_eq!(resolved.ops[0], ResolvedOp::Jump { target: 4 });
+        assert_eq!(resolved, oracle::resolve(&prog, &GotImage::default()));
+    }
+
+    /// What a lowering has to get right, as one instruction or an adjacent
+    /// pair: the four fusible idioms, calls through each kind of GOT slot,
+    /// block enders, and branches whose targets `arb_program` places.
+    fn arb_piece() -> impl Strategy<Value = Vec<Instr>> {
+        let reg = || (0u8..4).prop_map(Reg);
+        let branch = || {
+            (0u8..4, reg(), reg(), any::<u32>()).prop_map(|(cond, a, b, target)| Instr::Branch {
+                cond: [Cond::Zero, Cond::NotZero, Cond::Less, Cond::GreaterEq][cond as usize],
+                a,
+                b,
+                target,
+            })
+        };
+        let alu = || {
+            (reg(), reg(), reg()).prop_map(|(dst, a, b)| Instr::Alu {
+                op: AluOp::Add,
+                dst,
+                a,
+                b,
+            })
+        };
+        let alu_imm = (reg(), reg()).prop_map(|(dst, src)| Instr::AluImm {
+            op: AluOp::Sub,
+            dst,
+            src,
+            imm: 1,
+        });
+        let load = (reg(), reg()).prop_map(|(dst, addr)| Instr::Load {
+            width: Width::B4,
+            dst,
+            addr,
+            offset: 0,
+        });
+        let mov = || (reg(), reg()).prop_map(|(dst, src)| Instr::Mov { dst, src });
+        prop_oneof![
+            (load, alu()).prop_map(|(a, b)| vec![a, b]),
+            (alu(), branch()).prop_map(|(a, b)| vec![a, b]),
+            (alu_imm, branch()).prop_map(|(a, b)| vec![a, b]),
+            (mov(), mov()).prop_map(|(a, b)| vec![a, b]),
+            branch().prop_map(|b| vec![b]),
+            any::<u32>().prop_map(|target| vec![Instr::Jump { target }]),
+            (0u16..4, 0u8..3).prop_map(|(slot, nargs)| vec![Instr::CallExtern { slot, nargs }]),
+            Just(vec![Instr::Ret]),
+            Just(vec![Instr::Nop]),
+        ]
+    }
+
+    /// 1–200 instructions, about two thirds of them `Nop` runs, with every
+    /// branch target drawn evenly from: anywhere in bounds (so, mostly inside
+    /// a run); the first `Nop` of a run and the instruction one past its end;
+    /// either half of an adjacent fusible pair; the entry; and past the end —
+    /// by 0, by 1, by 77 and by as far as a `u32` goes.
+    fn arb_program() -> impl Strategy<Value = Vec<Instr>> {
+        let nops = || (1usize..30).prop_map(|n| vec![Instr::Nop; n]);
+        let piece = prop_oneof![arb_piece(), arb_piece(), nops()];
+        prop::collection::vec(piece, 1..24).prop_map(|pieces| {
+            let mut program = pieces.concat();
+            program.truncate(200);
+            let len = program.len() as u32;
+            let is_nop = |at: usize| matches!(program.get(at), Some(Instr::Nop));
+            let mut edges = vec![0, len, len + 1, len + 77, u32::MAX];
+            for at in 1..program.len() {
+                if is_nop(at) != is_nop(at - 1) || can_fuse(&program[at - 1], &program[at]) {
+                    edges.extend([at as u32 - 1, at as u32]);
+                }
+            }
+            for instr in &mut program {
+                if let Instr::Jump { target } | Instr::Branch { target, .. } = instr {
+                    let pick = *target as usize / 2;
+                    *target = match *target % 2 {
+                        0 => pick as u32 % len,
+                        _ => edges[pick % edges.len()],
+                    };
+                }
+            }
+            program
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn lowers_to_exactly_what_its_predecessor_did(program in arb_program()) {
+            let mut got = GotImage::with_slots(3);
+            got.set(0, ExternRef::Resolved(5));
+            got.set(2, ExternRef::Data(0x1234));
+            prop_assert_eq!(resolve(&program, &got), oracle::resolve(&program, &got));
+        }
     }
 
     #[test]

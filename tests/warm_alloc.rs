@@ -8,6 +8,12 @@
 //! (the scan's slot list, the outcome vectors) and per batch container (its
 //! index of inner frames), never per message or per chain stage.
 //!
+//! A cold message — the first arrival of a function's bytes — has to allocate:
+//! it keeps a copy of the code, the decoded program and the lowered one. The
+//! last test holds one cold `receive` to those, in calls and in requested
+//! bytes, so that a translation step which grows a vector from empty or builds
+//! one per instruction shows up here rather than on a wall clock.
+//!
 //! The count is a property of the program, not of the machine: it repeats
 //! exactly from run to run. It is a count, not a speed-up.
 
@@ -24,9 +30,40 @@ use twochains::{spec, InvocationMode, RuntimeConfig, SenderFleet, TwoChainsHost}
 /// its parent read 532–536 (8.3 per message) and 1 547–1 551 (8.1 per stage).
 const BURST_BUDGET: u64 = 32;
 
+/// Allocator calls and requested bytes one cold 1.5 KB Indirect Put `receive`
+/// may make. The change that added this test reads 13–17 calls requesting
+/// 91.1–91.6 KB; its parent read 36–40 calls requesting 137 KB. What is left is
+/// what a cold message keeps or lowers through: the code copy, the decoded
+/// program (twice: a `Vec`, then the `Arc<[Instr]>` the cache shares), the
+/// lowered ops, `block_len`, the pc map, the target marks and the GOT image.
+const COLD_BUDGET: Heap = Heap {
+    calls: 20,
+    bytes: 96 * 1024,
+};
+
+/// What a stretch of code asked of the allocator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Heap {
+    /// `alloc` and `realloc` calls.
+    calls: u64,
+    /// Bytes those calls requested (a `realloc` counts its whole new size).
+    bytes: u64,
+}
+
 thread_local! {
-    /// Allocations made by this thread (tests run on threads of their own).
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// What this thread has asked of the allocator (tests run on threads of
+    /// their own).
+    static HEAP: Cell<Heap> = const { Cell::new(Heap { calls: 0, bytes: 0 }) };
+}
+
+fn note(size: usize) {
+    HEAP.with(|heap| {
+        let Heap { calls, bytes } = heap.get();
+        heap.set(Heap {
+            calls: calls + 1,
+            bytes: bytes + size as u64,
+        });
+    });
 }
 
 struct Counting;
@@ -36,7 +73,7 @@ struct Counting;
 // neither allocates nor runs during thread teardown.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        note(layout.size());
         System.alloc(layout)
     }
 
@@ -45,7 +82,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        note(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -53,10 +90,15 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-fn counted<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATIONS.with(Cell::get);
+fn counted<R>(f: impl FnOnce() -> R) -> (Heap, R) {
+    let before = HEAP.with(Cell::get);
     let out = f();
-    (ALLOCATIONS.with(Cell::get) - before, out)
+    let after = HEAP.with(Cell::get);
+    let heap = Heap {
+        calls: after.calls - before.calls,
+        bytes: after.bytes - before.bytes,
+    };
+    (heap, out)
 }
 
 /// 4 banks × 16 mailboxes of 16 KiB, one shard, one lane, shard-local
@@ -88,13 +130,13 @@ fn warm_burst_allocations(
     let mut counts = Vec::new();
     for round in 0..rounds {
         let horizon = fill(fleet, round);
-        let (allocations, burst) = counted(|| host.receive_burst(0, usize::MAX, horizon).unwrap());
+        let (heap, burst) = counted(|| host.receive_burst(0, usize::MAX, horizon).unwrap());
         assert_eq!(burst.frames.len(), 64, "round {round}");
         assert!(burst.rejected.is_empty(), "round {round}");
         drop(burst);
         fleet.harvest_completions();
         if round > 0 {
-            counts.push(allocations);
+            counts.push(heap.calls);
         }
     }
     counts
@@ -164,4 +206,47 @@ fn a_warm_burst_of_three_stage_chains_allocates_per_burst_not_per_stage() {
         "allocations per warm burst of 64 three-stage chains: {counts:?}"
     );
     println!("allocations per warm burst of 64 three-stage chains: {counts:?}");
+}
+
+#[test]
+fn a_cold_injected_put_allocates_what_it_keeps_and_lowers_through() {
+    let (mut host, mut fleet) = build();
+    let elem = host.builtin_id(BuiltinJam::IndirectPut).unwrap();
+    let mut now = SimTime::ZERO;
+    let mut reads = Vec::new();
+    let messages = 5u64;
+    for n in 0..messages {
+        // As `cold_churn` does: the caches are emptied before every message.
+        host.invalidate_injection_caches();
+        let usr: Vec<u8> = (0..8u32)
+            .flat_map(|i| (i + n as u32).to_le_bytes())
+            .collect();
+        let msg = spec(elem).args(indirect_put_args(n + 1, 8, 4)).usr(usr);
+        let mut lane = fleet.handles().pop().unwrap();
+        let sent = lane.send_spec(0, 0, &msg).unwrap();
+        let (heap, out) = counted(|| host.receive(0, 0, None, sent.delivered(), now).unwrap());
+        now = out.handler_done;
+        fleet.harvest_completions();
+        // The first message also sizes the shard's scratch and spare sections.
+        if n > 0 {
+            reads.push(heap);
+        }
+    }
+    let stats = host.stats();
+    assert_eq!(stats.injected_executions, messages);
+    assert_eq!(
+        (
+            stats.resolved_cache_misses,
+            stats.injected_code_cache_misses
+        ),
+        (messages, messages),
+        "every message is cold"
+    );
+    assert!(
+        reads
+            .iter()
+            .all(|heap| heap.calls <= COLD_BUDGET.calls && heap.bytes <= COLD_BUDGET.bytes),
+        "allocations of a cold 1.5 KB injected put: {reads:?}"
+    );
+    println!("allocations of a cold 1.5 KB injected put: {reads:?}");
 }

@@ -17,12 +17,20 @@
 //! below therefore do not *fail* on the code before that fix, they do not
 //! finish — which is why they assert a fault and an untouched bus instead of
 //! carrying a `should_panic`.
+//!
+//! Nor may the verifier pass an index the engines will use. It used to check
+//! the registers an instruction's semantics *read*, and a `branch.zero` does
+//! not read its second operand — but both engines (and the fused
+//! `AluBranch` / `AluImmBranch` ops) index `regs[b]` before they look at the
+//! condition, so the nine bytes of `branch.zero r0, r200, 1; ret` verified and
+//! then panicked the drain thread with "the len is 16 but the index is 200".
+//! The verifier now range-checks every register *field* of every form.
 
 use two_chains_suite::fabric::SimFabric;
-use two_chains_suite::jamvm::isa::Width;
+use two_chains_suite::jamvm::isa::{AluOp, Cond, Width};
 use two_chains_suite::jamvm::{
     encode_program, resolve, verify, AddressSpace, Assembler, ExecError, ExternTable, GotImage,
-    Instr, Reg, Segment, SegmentKind, Vm, VmConfig,
+    Instr, Reg, Segment, SegmentKind, VerifyError, Vm, VmConfig,
 };
 use two_chains_suite::memsim::hierarchy::FlatMemory;
 use two_chains_suite::memsim::{CoreCacheStats, SharedHierarchy, SimTime, TestbedConfig};
@@ -217,10 +225,19 @@ fn injected(sn: u32, program: &[Instr]) -> Vec<u8> {
     .encode()
 }
 
+/// What the jams above are rejected with: a fault raised while executing.
+fn faults_unmapped(err: &AmError) -> bool {
+    matches!(err, AmError::Exec(why) if why.contains("unmapped"))
+}
+
 /// Each of `hostile` lands in a slot of its own with a well-behaved frame
-/// behind them: every hostile one retires as a rejection with its credit, the
-/// last frame executes.
-fn hostile_frames_are_rejected_alone(cfg: RuntimeConfig, hostile: Vec<(&'static str, Vec<Instr>)>) {
+/// behind them: every hostile one retires as a rejection (one `rejection`
+/// accepts) with its credit, the last frame executes.
+fn hostile_frames_are_rejected_alone(
+    cfg: RuntimeConfig,
+    hostile: Vec<(&'static str, Vec<Instr>)>,
+    rejection: fn(&AmError) -> bool,
+) {
     let (fabric, a, b) = SimFabric::back_to_back(TestbedConfig::cluster2021());
     let mut host = TwoChainsHost::new(&fabric, b, cfg).unwrap();
     host.install_package(benchmark_package().unwrap()).unwrap();
@@ -256,10 +273,7 @@ fn hostile_frames_are_rejected_alone(cfg: RuntimeConfig, hostile: Vec<(&'static 
     assert_eq!(out.rejected.len(), hostile.len());
     for (slot, (bank, rejected_slot, err)) in out.rejected.iter().enumerate() {
         assert_eq!((*bank, *rejected_slot), (0, slot));
-        assert!(
-            matches!(err, AmError::Exec(why) if why.contains("unmapped")),
-            "{err:?}"
-        );
+        assert!(rejection(err), "{}: {err:?}", hostile[slot].0);
     }
     let stats = host.stats();
     let frames = hostile.len() as u64 + 1;
@@ -284,7 +298,11 @@ fn hostile_frames_are_rejected_alone(cfg: RuntimeConfig, hostile: Vec<(&'static 
 
 #[test]
 fn receive_burst_rejects_a_wrapping_jam_and_executes_the_next_frame() {
-    hostile_frames_are_rejected_alone(RuntimeConfig::paper_default(), wrapping_programs());
+    hostile_frames_are_rejected_alone(
+        RuntimeConfig::paper_default(),
+        wrapping_programs(),
+        faults_unmapped,
+    );
 }
 
 #[test]
@@ -294,12 +312,17 @@ fn receive_burst_rejects_a_wrapping_jam_under_the_interpreter_and_shard_local_sp
             .with_interpreted_execution()
             .with_shard_local_space(),
         wrapping_programs(),
+        faults_unmapped,
     );
 }
 
 #[test]
 fn receive_burst_rejects_an_oversized_copy_and_executes_the_next_frame() {
-    hostile_frames_are_rejected_alone(RuntimeConfig::paper_default(), oversized_copies());
+    hostile_frames_are_rejected_alone(
+        RuntimeConfig::paper_default(),
+        oversized_copies(),
+        faults_unmapped,
+    );
 }
 
 #[test]
@@ -309,5 +332,187 @@ fn receive_burst_rejects_an_oversized_copy_under_the_interpreter_and_shard_local
             .with_interpreted_execution()
             .with_shard_local_space(),
         oversized_copies(),
+        faults_unmapped,
+    );
+}
+
+/// Branches on zero / non-zero whose *second* register field — the one the
+/// condition ignores — names a register that does not exist: alone, and
+/// behind an ALU op it fuses with in the resolved image.
+fn unread_register_programs() -> Vec<(&'static str, Vec<Instr>)> {
+    let branch = |cond, b, target| Instr::Branch {
+        cond,
+        a: Reg(0),
+        b: Reg(b),
+        target,
+    };
+    vec![
+        (
+            "branch.zero r0, r200, 1; ret",
+            vec![branch(Cond::Zero, 200, 1), Instr::Ret],
+        ),
+        (
+            "add r0, r0, r0; branch.notzero r0, r16, 2; ret",
+            vec![
+                Instr::Alu {
+                    op: AluOp::Add,
+                    dst: Reg(0),
+                    a: Reg(0),
+                    b: Reg(0),
+                },
+                branch(Cond::NotZero, 16, 2),
+                Instr::Ret,
+            ],
+        ),
+        (
+            "sub r0, r0, 1; branch.zero r0, r255, 2; ret",
+            vec![
+                Instr::AluImm {
+                    op: AluOp::Sub,
+                    dst: Reg(0),
+                    src: Reg(0),
+                    imm: 1,
+                },
+                branch(Cond::Zero, 255, 2),
+                Instr::Ret,
+            ],
+        ),
+    ]
+}
+
+#[test]
+fn the_verifier_rejects_a_register_field_the_condition_does_not_read() {
+    for (what, program) in unread_register_programs() {
+        let at = program.len() - 2;
+        assert!(matches!(program[at], Instr::Branch { .. }), "{what}");
+        assert_eq!(
+            verify(&program, 0),
+            Err(VerifyError::BadRegister { at }),
+            "{what}"
+        );
+    }
+    assert_eq!(
+        encode_program(&unread_register_programs()[0].1),
+        [0x09, 0x00, 0x00, 0xc8, 0x01, 0x00, 0x00, 0x00, 0x0d],
+        "the nine bytes that took a drain thread down"
+    );
+}
+
+/// Every instruction form × every register field it encodes, set to the first
+/// index past the file (16) and to the last a byte holds (255): no form is
+/// exempt, each is `BadRegister` — so neither engine ever sees one.
+#[test]
+fn every_register_field_of_every_form_is_range_checked() {
+    type Form = (&'static str, usize, fn(&[Reg]) -> Instr);
+    let forms: [Form; 12] = [
+        ("load_imm", 1, |r| Instr::LoadImm { dst: r[0], imm: 1 }),
+        ("mov", 2, |r| Instr::Mov {
+            dst: r[0],
+            src: r[1],
+        }),
+        ("hash", 2, |r| Instr::Hash {
+            dst: r[0],
+            src: r[1],
+        }),
+        ("alu", 3, |r| Instr::Alu {
+            op: AluOp::Add,
+            dst: r[0],
+            a: r[1],
+            b: r[2],
+        }),
+        ("alu_imm", 2, |r| Instr::AluImm {
+            op: AluOp::Add,
+            dst: r[0],
+            src: r[1],
+            imm: 1,
+        }),
+        ("load", 2, |r| Instr::Load {
+            width: Width::B8,
+            dst: r[0],
+            addr: r[1],
+            offset: 0,
+        }),
+        ("store", 2, |r| Instr::Store {
+            width: Width::B8,
+            src: r[0],
+            addr: r[1],
+            offset: 0,
+        }),
+        ("memcpy", 3, |r| Instr::Memcpy {
+            dst: r[0],
+            src: r[1],
+            len: r[2],
+        }),
+        ("branch.zero", 2, |r| Instr::Branch {
+            cond: Cond::Zero,
+            a: r[0],
+            b: r[1],
+            target: 1,
+        }),
+        ("branch.notzero", 2, |r| Instr::Branch {
+            cond: Cond::NotZero,
+            a: r[0],
+            b: r[1],
+            target: 1,
+        }),
+        ("branch.less", 2, |r| Instr::Branch {
+            cond: Cond::Less,
+            a: r[0],
+            b: r[1],
+            target: 1,
+        }),
+        ("branch.greater_eq", 2, |r| Instr::Branch {
+            cond: Cond::GreaterEq,
+            a: r[0],
+            b: r[1],
+            target: 1,
+        }),
+    ];
+    for (what, fields, form) in forms {
+        let mut regs = [Reg(1), Reg(2), Reg(3)];
+        assert_eq!(verify(&[form(&regs), Instr::Ret], 0), Ok(()), "{what}");
+        for field in 0..fields {
+            for index in [16, 255] {
+                regs[field] = Reg(index);
+                assert_eq!(
+                    verify(&[form(&regs), Instr::Ret], 0),
+                    Err(VerifyError::BadRegister { at: 0 }),
+                    "{what}, field {field} = r{index}"
+                );
+            }
+            regs[field] = Reg(1);
+        }
+    }
+    // A call names `r0..nargs`: r15 is the last there is.
+    for nargs in [17, 255] {
+        assert_eq!(
+            verify(&[Instr::CallExtern { slot: 0, nargs }, Instr::Ret], 1),
+            Err(VerifyError::BadRegister { at: 0 }),
+            "call_extern with {nargs} arguments"
+        );
+    }
+}
+
+fn names_an_invalid_register(err: &AmError) -> bool {
+    matches!(err, AmError::BadFrame(why) if why.contains("invalid register"))
+}
+
+#[test]
+fn receive_burst_rejects_an_unread_bad_register_and_executes_the_next_frame() {
+    hostile_frames_are_rejected_alone(
+        RuntimeConfig::paper_default(),
+        unread_register_programs(),
+        names_an_invalid_register,
+    );
+}
+
+#[test]
+fn receive_burst_rejects_an_unread_bad_register_under_the_interpreter_and_shard_local_space() {
+    hostile_frames_are_rejected_alone(
+        RuntimeConfig::paper_default()
+            .with_interpreted_execution()
+            .with_shard_local_space(),
+        unread_register_programs(),
+        names_an_invalid_register,
     );
 }
