@@ -1,54 +1,31 @@
-//! Emit the cold-vs-warm fast-path comparison (plus the shard-scaling burst
-//! sweep) as `BENCH_fastpath.json`.
+//! Measure the fast path — cold vs warm dispatch, chain amortization, the
+//! shard-scaling burst sweep, the loss sweep — write the report as JSON, then
+//! hold it against the perf gate's bars ([`twochains_bench::gate`]) in the same
+//! process.
 //!
 //! ```text
-//! cargo run --release -p twochains-bench --bin fastpath                 # 1000 messages, shards 1,2,4
-//! cargo run --release -p twochains-bench --bin fastpath -- 200          # custom count
-//! cargo run --release -p twochains-bench --bin fastpath -- 200 out.json
-//! cargo run --release -p twochains-bench --bin fastpath -- 200 out.json --shards 1,4
+//! cargo run --release -p twochains-bench --bin fastpath               # writes BENCH_fastpath.json
+//! cargo run --release -p twochains-bench --bin fastpath -- out.json
 //! ```
+//!
+//! The output path is the only argument: the message count and the shard sweep
+//! are the ones the bars are calibrated for. Exit status 0 when every enforced
+//! bar holds, 1 when one fails (the report is written first, so CI still
+//! uploads it), 2 on a usage error.
 
 use twochains_bench::fastpath::compare_with_burst;
+use twochains_bench::gate;
 
 fn main() {
-    let mut messages: usize = 1000;
-    let mut out_path = "BENCH_fastpath.json".to_string();
-    let mut shard_counts: Vec<usize> = vec![1, 2, 4];
-
     let mut args = std::env::args().skip(1);
-    let mut positional = 0usize;
-    while let Some(arg) = args.next() {
-        let shard_list = if arg == "--shards" {
-            Some(args.next().unwrap_or_default())
-        } else {
-            arg.strip_prefix("--shards=").map(str::to_string)
-        };
-        if let Some(list) = shard_list {
-            shard_counts = list
-                .split(',')
-                .filter_map(|s| s.trim().parse().ok())
-                .filter(|&n| n > 0)
-                .collect();
-            if shard_counts.is_empty() {
-                eprintln!("--shards needs a comma-separated list like 1,4");
-                std::process::exit(2);
-            }
-        } else if arg.starts_with("--") {
-            // A typo'd flag must not be silently swallowed as an output path.
-            eprintln!("unknown option {arg}; usage: fastpath [messages] [out.json] [--shards 1,4]");
-            std::process::exit(2);
-        } else if positional == 0 {
-            if let Ok(n) = arg.parse() {
-                messages = n;
-            }
-            positional += 1;
-        } else {
-            out_path = arg;
-            positional += 1;
-        }
+    let out_path = args.next().unwrap_or_else(|| "BENCH_fastpath.json".into());
+    if out_path.starts_with('-') || args.next().is_some() {
+        // A typo'd flag must not be silently swallowed as an output path.
+        eprintln!("usage: fastpath [out.json]");
+        std::process::exit(2);
     }
 
-    let report = compare_with_burst(messages, &shard_counts);
+    let report = compare_with_burst(gate::MESSAGES, &gate::SHARD_COUNTS);
     let json = report.to_json();
     print!("{json}");
     eprintln!(
@@ -93,26 +70,21 @@ fn main() {
             row.nacks_posted,
         );
     }
-    if report.dispatch_speedup() < 2.0 {
-        eprintln!("WARNING: warm path is less than 2x faster than cold — fast-path regression?");
-    }
-    // The 2x bar only means something against a 1-shard baseline (the sweep's
-    // first row defines model_speedup's denominator).
-    if report.burst.first().map(|r| r.shards) == Some(1) {
-        if let Some(four) = report.burst.iter().find(|r| r.shards == 4) {
-            if four.model_speedup < 2.0 {
-                eprintln!(
-                    "WARNING: 4-shard modelled speedup {:.2} below the 2x bar — sharding regression?",
-                    four.model_speedup
-                );
-            }
-        }
-    }
     match std::fs::write(&out_path, &json) {
         Ok(()) => eprintln!("wrote {out_path}"),
         Err(e) => {
             eprintln!("failed to write {out_path}: {e}");
             std::process::exit(1);
         }
+    }
+
+    let outcome = gate::evaluate(&report).expect("the sweep covers every shard row a bar reads");
+    println!("perf gate: {out_path}");
+    print!("{}", outcome.table());
+    if outcome.passed() {
+        println!("perf gate: OK");
+    } else {
+        println!("perf gate: REGRESSION — an enforced bar failed");
+        std::process::exit(1);
     }
 }

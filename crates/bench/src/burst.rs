@@ -19,8 +19,8 @@
 //!   and the virtual-time share the drain cores spent posting credits).
 //! * **Wall (drain-only)**: the drain executed with one OS thread per shard via
 //!   [`TwoChainsHost::shard_drains`] + `std::thread::scope`, timing only the
-//!   drain phase on the host CPU (the PR-3 lock-split metric; the CI perf gate
-//!   enforces ≥ 2x at 4 shards on a ≥ 4-core runner).
+//!   drain phase on the host CPU (the PR-3 lock-split metric; the perf gate
+//!   bars its 4-shard over 1-shard ratio on a parallel runner).
 //! * **Wall (fill-then-drain)**: one full round timed end to end with the send
 //!   phase *serialized* on the driver thread before the threaded drain starts —
 //!   the schedule every wall measurement used before the fleet existed.
@@ -31,10 +31,11 @@
 //!   The row reports the pipelined run's credit traffic too
 //!   (`pipe_credit_ops`/`_bytes` — the perf gate requires it nonzero — plus
 //!   `pipe_credit_stall_events`, the sender-side stall episodes the gate
-//!   bars against its baseline so coalescing can never starve the lanes). The
-//!   perf gate holds 4-shard pipelined ≥ 1.3× fill-then-drain on a ≥ 4-core
-//!   runner; on fewer cores all the wall columns are informational, which is
-//!   why the report records `host_parallelism` next to them.
+//!   bars so coalescing can never starve the lanes). The perf gate bars
+//!   4-shard pipelined over fill-then-drain on a parallel runner; on fewer
+//!   cores all the wall columns are informational, which is why the report
+//!   records `host_parallelism` next to them. Every bar, its number and the
+//!   reason for it is a row of [`crate::gate::BARS`].
 //!
 //! The sweep runs in [`SpaceMode::ShardLocal`](twochains::SpaceMode) over the
 //! per-core cache hierarchy, so the whole drain path — dispatch, simulated
@@ -89,8 +90,8 @@ pub struct BurstRow {
     pub pipe_credit_bytes: u64,
     /// Sender-lane credit-stall episodes during one pipelined wall rep: how
     /// often a lane found no refillable slot and had to spin on its flag
-    /// region. The perf gate bars this against the baseline so credit
-    /// coalescing cannot trade drain-core time for sender starvation.
+    /// region. The perf gate bars this so credit coalescing cannot trade
+    /// drain-core time for sender starvation.
     pub pipe_credit_stall_events: u64,
     /// Average inner frames carried per forward data put in the modelled run
     /// under the default adaptive aggregation (1.0 when nothing batched).
@@ -703,15 +704,9 @@ mod tests {
         let row = rows[0];
         assert_eq!(row.model_credit_ops as usize, row.messages);
         assert_eq!(row.model_credit_bytes, row.model_credit_ops);
+        // How small coalescing must keep the share is a gate bar on every
+        // swept row (`gate::BARS`).
         assert!(row.model_credit_time_share > 0.0 && row.model_credit_time_share < 1.0);
-        // Coalescing is the whole point of the adaptive policy: the modelled
-        // (deterministic) credit share must sit well below the ~0.16 the
-        // per-frame wire behaviour cost.
-        assert!(
-            row.model_credit_time_share <= 0.08,
-            "coalesced credit share {:.4} above the 0.08 bar",
-            row.model_credit_time_share
-        );
         assert_eq!(row.pipe_credit_ops as usize, row.messages);
         assert_eq!(row.pipe_credit_bytes, row.pipe_credit_ops);
     }
@@ -720,19 +715,12 @@ mod tests {
     fn aggregation_amortizes_the_nic_posting_path() {
         let rows = sweep(&[4], 128);
         let row = rows[0];
-        // The tentpole's acceptance bar: the default adaptive policy packs
-        // enough frames behind each forward put that the modelled 4-shard
-        // run posts at most a quarter put per frame (the perf gate enforces
-        // the same number from the persisted report).
+        // The default adaptive policy packs frames behind each forward put;
+        // how many it must pack is a gate bar (`gate::BARS`).
         assert!(
-            row.batch_frames_per_put > 1.0,
+            row.batch_frames_per_put > 1.0 && row.model_puts_per_frame < 1.0,
             "adaptive sweep never batched (frames/put {:.2})",
             row.batch_frames_per_put
-        );
-        assert!(
-            row.model_puts_per_frame <= 0.25,
-            "modelled puts per frame {:.3} above the 0.25 bar",
-            row.model_puts_per_frame
         );
         // And the posting share moves the right way: batching can only
         // shrink the size-independent post+doorbell term.
@@ -800,13 +788,12 @@ mod tests {
 
     #[test]
     fn pipelined_beats_fill_then_drain_on_parallel_hosts() {
-        // The acceptance bar for the sender fleet: with fill and drain
-        // overlapped, a 4-shard round completes >= 1.3x faster than the
-        // phased schedule that serializes the whole send phase first. The
-        // *enforced* home of this bar is perf_gate (which downgrades to
-        // informational on small runners); this unit test only asserts it
-        // where all 8 threads (4 lanes + 4 drains) have real cores, so a
-        // time-sliced CI box cannot flake the functional suite on a
+        // With fill and drain overlapped, a 4-shard round completes faster
+        // than the phased schedule that serializes the whole send phase
+        // first. By how much is a gate bar (`gate::BARS`, informational on
+        // small runners); this unit test only asserts the direction, and
+        // only where all 8 threads (4 lanes + 4 drains) have real cores, so
+        // a time-sliced CI box cannot flake the functional suite on a
         // wall-clock number.
         if host_parallelism() < 8 {
             eprintln!("skipping: host_parallelism < 8, the 8 pipeline threads would time-slice");
@@ -814,8 +801,8 @@ mod tests {
         }
         let rows = sweep(&[4], 256);
         assert!(
-            rows[0].pipeline_ratio() >= 1.3,
-            "pipelined {:.0} msg/s vs fill-then-drain {:.0} msg/s (ratio {:.2}) below 1.3x",
+            rows[0].pipeline_ratio() > 1.0,
+            "pipelined {:.0} msg/s vs fill-then-drain {:.0} msg/s (ratio {:.2}): no overlap",
             rows[0].pipelined_wall_msgs_per_sec,
             rows[0].fill_drain_wall_msgs_per_sec,
             rows[0].pipeline_ratio()

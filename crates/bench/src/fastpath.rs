@@ -24,6 +24,7 @@ use twochains::{spec, InvocationMode, RuntimeConfig, TwoChainsHost, TwoChainsSen
 use twochains_fabric::SimFabric;
 use twochains_memsim::{SimTime, TestbedConfig};
 
+use crate::burst::{BurstRow, LossRow};
 use crate::harness::TestbedOptions;
 
 /// One measured regime (cold or warm).
@@ -79,23 +80,34 @@ pub struct FastpathReport {
     pub chain_per_stage_dispatch_ns: f64,
     /// `chain_sequential_dispatch_ns / chain_per_stage_dispatch_ns` — how many
     /// times cheaper a stage's share of dispatch is when it rides a chained
-    /// frame instead of its own message. The perf gate holds this at >= 2x.
+    /// frame instead of its own message (a bar of [`crate::gate::BARS`]).
     pub chain_amortization: f64,
     /// Shard-scaling rows from the burst-drain sweep ([`crate::burst::sweep`]):
     /// modelled rate plus three wall views per shard count (drain-only,
     /// phased fill-then-drain, and the overlapped sender-fleet pipeline).
     /// Empty when the sweep was not run.
-    pub burst: Vec<crate::burst::BurstRow>,
+    pub burst: Vec<BurstRow>,
     /// Lossy-fabric rows from [`crate::burst::loss_sweep`]: goodput and
     /// retransmit overhead of the pipelined engine per injected fault rate
     /// (the `0.0` row proves the reliability layer costs nothing on a
     /// pristine link). Empty when the sweep was not run.
-    pub loss: Vec<crate::burst::LossRow>,
+    pub loss: Vec<LossRow>,
     /// Hardware threads available to the wall-clock measurements. The perf
-    /// gate only enforces the wall-rate scaling bar when this is at least the
-    /// largest swept shard count (on a 1-core runner, N drain threads
+    /// gate enforces its wall-clock bars only from
+    /// [`crate::gate::MIN_PARALLELISM`] (on a 1-core runner, N drain threads
     /// time-slice and the wall column cannot scale).
     pub host_parallelism: usize,
+}
+
+/// The column of a field whose JSON key is its own name: a count, or a real
+/// with the decimals it keeps.
+macro_rules! col {
+    ($row:ident.$field:ident) => {
+        (stringify!($field), Count($row.$field as u64))
+    };
+    ($row:ident.$field:ident, $decimals:literal) => {
+        (stringify!($field), Real($row.$field, $decimals))
+    };
 }
 
 impl FastpathReport {
@@ -109,143 +121,122 @@ impl FastpathReport {
         self.cold.wall_ns / self.warm.wall_ns.max(f64::EPSILON)
     }
 
-    /// Serialize as a stable, hand-rolled JSON object (no serde in this workspace).
+    /// Serialize as a stable, hand-rolled JSON object (no serde in this workspace):
+    /// a write-only artifact, its keys, order and number formats fixed by the
+    /// three column lists below.
     pub fn to_json(&self) -> String {
-        let burst_rows = self
-            .burst
-            .iter()
-            .map(|r| {
-                format!(
-                    concat!(
-                        "    {{\"shards\": {}, \"messages\": {}, ",
-                        "\"model_msgs_per_sec\": {:.0}, \"model_speedup\": {:.2}, ",
-                        "\"wall_msgs_per_sec\": {:.0}, ",
-                        "\"fill_drain_wall_msgs_per_sec\": {:.0}, ",
-                        "\"pipelined_wall_msgs_per_sec\": {:.0}, ",
-                        "\"model_credit_ops\": {}, \"model_credit_bytes\": {}, ",
-                        "\"model_credit_time_share\": {:.4}, ",
-                        "\"pipe_credit_ops\": {}, \"pipe_credit_bytes\": {}, ",
-                        "\"pipe_credit_stall_events\": {}, ",
-                        "\"batch_frames_per_put\": {:.2}, ",
-                        "\"model_puts_per_frame\": {:.4}, ",
-                        "\"model_posting_share_per_frame\": {:.4}, ",
-                        "\"model_posting_share_batched\": {:.4}}}"
-                    ),
-                    r.shards,
-                    r.messages,
-                    r.model_msgs_per_sec,
-                    r.model_speedup,
-                    r.wall_msgs_per_sec,
-                    r.fill_drain_wall_msgs_per_sec,
-                    r.pipelined_wall_msgs_per_sec,
-                    r.model_credit_ops,
-                    r.model_credit_bytes,
-                    r.model_credit_time_share,
-                    r.pipe_credit_ops,
-                    r.pipe_credit_bytes,
-                    r.pipe_credit_stall_events,
-                    r.batch_frames_per_put,
-                    r.model_puts_per_frame,
-                    r.model_posting_share_per_frame,
-                    r.model_posting_share_batched,
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        let burst_json = if burst_rows.is_empty() {
-            "[]".to_string()
-        } else {
-            format!("[\n{burst_rows}\n  ]")
-        };
-        let loss_rows = self
-            .loss
-            .iter()
-            .map(|r| {
-                format!(
-                    concat!(
-                        "    {{\"loss_rate\": {:.4}, \"messages\": {}, ",
-                        "\"goodput_msgs_per_sec\": {:.0}, ",
-                        "\"frames_sent\": {}, \"frames_retransmitted\": {}, ",
-                        "\"frames_dropped\": {}, \"replays_suppressed\": {}, ",
-                        "\"nacks_posted\": {}, \"frames_rejected\": {}, ",
-                        "\"retransmit_overhead\": {:.4}}}"
-                    ),
-                    r.loss_rate,
-                    r.messages,
-                    r.goodput_msgs_per_sec,
-                    r.frames_sent,
-                    r.frames_retransmitted,
-                    r.frames_dropped,
-                    r.replays_suppressed,
-                    r.nacks_posted,
-                    r.frames_rejected,
-                    r.retransmit_overhead(),
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        let loss_json = if loss_rows.is_empty() {
-            "[]".to_string()
-        } else {
-            format!("[\n{loss_rows}\n  ]")
-        };
-        format!(
-            concat!(
-                "{{\n",
-                "  \"benchmark\": \"fastpath_injected_dispatch\",\n",
-                "  \"jam\": \"indirect_put\",\n",
-                "  \"messages\": {},\n",
-                "  \"frame_bytes\": {},\n",
-                "  \"cold_dispatch_ns\": {:.1},\n",
-                "  \"warm_dispatch_ns\": {:.1},\n",
-                "  \"dispatch_speedup\": {:.2},\n",
-                "  \"cold_handler_ns\": {:.1},\n",
-                "  \"warm_handler_ns\": {:.1},\n",
-                "  \"cold_wall_ns\": {:.1},\n",
-                "  \"warm_wall_ns\": {:.1},\n",
-                "  \"wall_speedup\": {:.2},\n",
-                "  \"warm_code_cache_hits\": {},\n",
-                "  \"warm_code_cache_misses\": {},\n",
-                "  \"warm_got_cache_hits\": {},\n",
-                "  \"warm_template_hits\": {},\n",
-                "  \"warm_resolved_cache_hits\": {},\n",
-                "  \"warm_resolved_cache_misses\": {},\n",
-                "  \"superinstructions_executed\": {},\n",
-                "  \"chain_stages\": {},\n",
-                "  \"chain_sequential_dispatch_ns\": {:.1},\n",
-                "  \"chain_per_stage_dispatch_ns\": {:.1},\n",
-                "  \"chain_amortization\": {:.2},\n",
-                "  \"host_parallelism\": {},\n",
-                "  \"burst_shard_rows\": {},\n",
-                "  \"burst_loss_rows\": {}\n",
-                "}}\n",
-            ),
-            self.messages,
-            self.frame_bytes,
-            self.cold.dispatch_ns,
-            self.warm.dispatch_ns,
-            self.dispatch_speedup(),
-            self.cold.handler_ns,
-            self.warm.handler_ns,
-            self.cold.wall_ns,
-            self.warm.wall_ns,
-            self.wall_speedup(),
-            self.warm_code_cache_hits,
-            self.warm_code_cache_misses,
-            self.warm_got_cache_hits,
-            self.warm_template_hits,
-            self.warm_resolved_cache_hits,
-            self.warm_resolved_cache_misses,
-            self.superinstructions_executed,
-            self.chain_stages,
-            self.chain_sequential_dispatch_ns,
-            self.chain_per_stage_dispatch_ns,
-            self.chain_amortization,
-            self.host_parallelism,
-            burst_json,
-            loss_json,
-        )
+        format!("{{\n  {}\n}}\n", members(&self.columns(), ",\n  "))
     }
+
+    fn columns(&self) -> Vec<(&'static str, Cell)> {
+        vec![
+            ("benchmark", Raw("\"fastpath_injected_dispatch\"".into())),
+            ("jam", Raw("\"indirect_put\"".into())),
+            col!(self.messages),
+            col!(self.frame_bytes),
+            ("cold_dispatch_ns", Real(self.cold.dispatch_ns, 1)),
+            ("warm_dispatch_ns", Real(self.warm.dispatch_ns, 1)),
+            ("dispatch_speedup", Real(self.dispatch_speedup(), 2)),
+            ("cold_handler_ns", Real(self.cold.handler_ns, 1)),
+            ("warm_handler_ns", Real(self.warm.handler_ns, 1)),
+            ("cold_wall_ns", Real(self.cold.wall_ns, 1)),
+            ("warm_wall_ns", Real(self.warm.wall_ns, 1)),
+            ("wall_speedup", Real(self.wall_speedup(), 2)),
+            col!(self.warm_code_cache_hits),
+            col!(self.warm_code_cache_misses),
+            col!(self.warm_got_cache_hits),
+            col!(self.warm_template_hits),
+            col!(self.warm_resolved_cache_hits),
+            col!(self.warm_resolved_cache_misses),
+            col!(self.superinstructions_executed),
+            col!(self.chain_stages),
+            col!(self.chain_sequential_dispatch_ns, 1),
+            col!(self.chain_per_stage_dispatch_ns, 1),
+            col!(self.chain_amortization, 2),
+            col!(self.host_parallelism),
+            ("burst_shard_rows", rows(&self.burst, burst_columns)),
+            ("burst_loss_rows", rows(&self.loss, loss_columns)),
+        ]
+    }
+}
+
+/// One report value and how it prints.
+enum Cell {
+    /// An integer column.
+    Count(u64),
+    /// A real column and the decimals it keeps.
+    Real(f64, usize),
+    /// Already JSON: a quoted string or an array of row objects.
+    Raw(String),
+}
+use Cell::{Count, Raw, Real};
+
+impl std::fmt::Display for Cell {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Count(count) => write!(f, "{count}"),
+            Real(value, decimals) => write!(f, "{value:.decimals$}"),
+            Raw(json) => f.write_str(json),
+        }
+    }
+}
+
+/// `"key": value` for every column, joined by `separator`.
+fn members(columns: &[(&str, Cell)], separator: &str) -> String {
+    let members: Vec<String> = columns
+        .iter()
+        .map(|(key, value)| format!("\"{key}\": {value}"))
+        .collect();
+    members.join(separator)
+}
+
+/// An array of one-line row objects (`[]` when the sweep was not run).
+fn rows<R>(rows: &[R], columns: fn(&R) -> Vec<(&'static str, Cell)>) -> Cell {
+    if rows.is_empty() {
+        return Raw("[]".into());
+    }
+    let lines: Vec<String> = rows
+        .iter()
+        .map(|row| format!("    {{{}}}", members(&columns(row), ", ")))
+        .collect();
+    Raw(format!("[\n{}\n  ]", lines.join(",\n")))
+}
+
+fn burst_columns(r: &BurstRow) -> Vec<(&'static str, Cell)> {
+    vec![
+        col!(r.shards),
+        col!(r.messages),
+        col!(r.model_msgs_per_sec, 0),
+        col!(r.model_speedup, 2),
+        col!(r.wall_msgs_per_sec, 0),
+        col!(r.fill_drain_wall_msgs_per_sec, 0),
+        col!(r.pipelined_wall_msgs_per_sec, 0),
+        col!(r.model_credit_ops),
+        col!(r.model_credit_bytes),
+        col!(r.model_credit_time_share, 4),
+        col!(r.pipe_credit_ops),
+        col!(r.pipe_credit_bytes),
+        col!(r.pipe_credit_stall_events),
+        col!(r.batch_frames_per_put, 2),
+        col!(r.model_puts_per_frame, 4),
+        col!(r.model_posting_share_per_frame, 4),
+        col!(r.model_posting_share_batched, 4),
+    ]
+}
+
+fn loss_columns(r: &LossRow) -> Vec<(&'static str, Cell)> {
+    vec![
+        col!(r.loss_rate, 4),
+        col!(r.messages),
+        col!(r.goodput_msgs_per_sec, 0),
+        col!(r.frames_sent),
+        col!(r.frames_retransmitted),
+        col!(r.frames_dropped),
+        col!(r.replays_suppressed),
+        col!(r.nacks_posted),
+        col!(r.frames_rejected),
+        ("retransmit_overhead", Real(r.retransmit_overhead(), 4)),
+    ]
 }
 
 fn build_testbed(opts: &TestbedOptions) -> (TwoChainsHost, TwoChainsSender) {
@@ -453,21 +444,101 @@ pub fn compare_with_burst(messages: usize, shard_counts: &[usize]) -> FastpathRe
     report
 }
 
+/// A report every gate bar passes with room to spare, in the exact shape
+/// [`compare_with_burst`] returns: the one fixture of the gate's table-driven
+/// tests and of the JSON tests below.
+#[cfg(test)]
+pub(crate) fn healthy_report(host_parallelism: usize) -> FastpathReport {
+    let one = BurstRow {
+        shards: 1,
+        messages: 64,
+        model_msgs_per_sec: 8e5,
+        model_speedup: 1.0,
+        wall_msgs_per_sec: 1.5e5,
+        fill_drain_wall_msgs_per_sec: 1.1e5,
+        pipelined_wall_msgs_per_sec: 1.6e5,
+        model_credit_ops: 64,
+        model_credit_bytes: 64,
+        model_credit_time_share: 0.04,
+        pipe_credit_ops: 64,
+        pipe_credit_bytes: 64,
+        pipe_credit_stall_events: 1,
+        batch_frames_per_put: 7.5,
+        model_puts_per_frame: 0.133,
+        model_posting_share_per_frame: 0.2,
+        model_posting_share_batched: 0.03,
+    };
+    let four = BurstRow {
+        shards: 4,
+        model_speedup: 4.0,
+        wall_msgs_per_sec: 3.2e5,
+        ..one
+    };
+    let pristine = LossRow {
+        loss_rate: 0.0,
+        messages: 128,
+        goodput_msgs_per_sec: 2e5,
+        frames_sent: 128,
+        frames_retransmitted: 0,
+        frames_dropped: 0,
+        replays_suppressed: 0,
+        nacks_posted: 0,
+        frames_rejected: 0,
+    };
+    let faulted = LossRow {
+        loss_rate: 0.05,
+        goodput_msgs_per_sec: 1.5e5,
+        frames_retransmitted: 6,
+        frames_dropped: 3,
+        replays_suppressed: 2,
+        nacks_posted: 3,
+        ..pristine
+    };
+    FastpathReport {
+        messages: 10,
+        frame_bytes: 1500,
+        cold: RegimeResult {
+            dispatch_ns: 2400.0,
+            handler_ns: 2500.0,
+            wall_ns: 20000.0,
+        },
+        warm: RegimeResult {
+            dispatch_ns: 76.0,
+            handler_ns: 176.0,
+            wall_ns: 8000.0,
+        },
+        warm_code_cache_hits: 10,
+        warm_code_cache_misses: 0,
+        warm_got_cache_hits: 10,
+        warm_template_hits: 10,
+        warm_resolved_cache_hits: 500,
+        warm_resolved_cache_misses: 0,
+        superinstructions_executed: 20,
+        chain_stages: 3,
+        chain_sequential_dispatch_ns: 120.0,
+        chain_per_stage_dispatch_ns: 40.0,
+        chain_amortization: 2.9,
+        burst: vec![one, BurstRow { shards: 2, ..one }, four],
+        loss: vec![pristine, faulted],
+        host_parallelism,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn warm_dispatch_is_at_least_twice_as_fast_as_cold() {
+    fn warm_dispatch_beats_cold_and_hits_every_cache() {
         let report = compare(50);
-        // The acceptance bar for the zero-copy fast path: steady-state injected
-        // dispatch at least 2x faster than the decode-every-message cold path.
+        // How much cheaper is the gate's bar (`gate::BARS`, held at the
+        // calibrated size by tests/perf_bars.rs); that it is cheaper at all
+        // is this regime's reason to exist.
         assert!(
-            report.dispatch_speedup() >= 2.0,
-            "warm dispatch {}ns must be >=2x faster than cold {}ns (speedup {:.2})",
+            report.warm.dispatch_ns < report.cold.dispatch_ns,
+            "warm dispatch {}ns is not cheaper than cold {}ns",
             report.warm.dispatch_ns,
-            report.cold.dispatch_ns,
-            report.dispatch_speedup()
+            report.cold.dispatch_ns
         );
         // Steady state performs zero decodes: every measured message hit the caches.
         assert_eq!(report.warm_code_cache_misses, 0);
@@ -487,30 +558,18 @@ mod tests {
     #[test]
     fn chained_dispatch_amortizes_across_stages() {
         let report = compare(50);
-        // The acceptance bar for receiver-side chains: a stage's share of
-        // dispatch on a chained frame is markedly cheaper than giving that
-        // stage its own message, because the frame parse + mailbox wait are
-        // paid once for the whole lookup -> filter -> aggregate pipeline.
-        // Resolved execution compressed this ratio: the per-message baseline
-        // lost its code-section reads (the numerator shrank ~2.3x) while a
-        // continuation was already at the Local-dispatch floor, so the old
-        // >=2.0 bar is recalibrated to >=1.8 alongside an absolute bound on
-        // the per-stage cost itself.
+        // A stage's share of dispatch on a chained frame is cheaper than
+        // giving that stage its own message, because the frame parse + mailbox
+        // wait are paid once for the whole lookup -> filter -> aggregate
+        // pipeline. By how much, and in absolute terms, are two gate bars.
         assert_eq!(report.chain_stages, CHAIN_REGIME_STAGES);
         assert!(
-            report.chain_amortization >= 1.8,
-            "chained per-stage dispatch {}ns must be >=1.8x cheaper than one \
-             message per stage ({}ns/msg): amortization {:.2}",
+            report.chain_per_stage_dispatch_ns < report.chain_sequential_dispatch_ns,
+            "chained per-stage dispatch {}ns is not cheaper than one message \
+             per stage ({}ns/msg): amortization {:.2}",
             report.chain_per_stage_dispatch_ns,
             report.chain_sequential_dispatch_ns,
             report.chain_amortization
-        );
-        // The resolved path must improve the chained stages too: the pre-PR
-        // per-stage share was ~70 ns.
-        assert!(
-            report.chain_per_stage_dispatch_ns <= 55.0,
-            "chained per-stage dispatch {}ns regressed past 55 ns",
-            report.chain_per_stage_dispatch_ns
         );
     }
 
@@ -533,32 +592,7 @@ mod tests {
 
     #[test]
     fn json_includes_loss_rows_when_swept() {
-        let mut report = compare(2);
-        report.loss = vec![
-            crate::burst::LossRow {
-                loss_rate: 0.0,
-                messages: 128,
-                goodput_msgs_per_sec: 200_000.0,
-                frames_sent: 128,
-                frames_retransmitted: 0,
-                frames_dropped: 0,
-                replays_suppressed: 0,
-                nacks_posted: 0,
-                frames_rejected: 0,
-            },
-            crate::burst::LossRow {
-                loss_rate: 0.05,
-                messages: 128,
-                goodput_msgs_per_sec: 150_000.0,
-                frames_sent: 128,
-                frames_retransmitted: 6,
-                frames_dropped: 3,
-                replays_suppressed: 2,
-                nacks_posted: 3,
-                frames_rejected: 0,
-            },
-        ];
-        let json = report.to_json();
+        let json = healthy_report(4).to_json();
         assert!(json.contains("\"burst_loss_rows\": [\n"));
         assert!(json.contains("{\"loss_rate\": 0.0000, \"messages\": 128,"));
         assert!(json.contains("\"goodput_msgs_per_sec\": 150000"));
@@ -571,59 +605,19 @@ mod tests {
 
     #[test]
     fn json_includes_burst_rows_when_swept() {
-        let mut report = compare(2);
-        report.burst = vec![
-            crate::burst::BurstRow {
-                shards: 1,
-                messages: 64,
-                model_msgs_per_sec: 1_000_000.0,
-                model_speedup: 1.0,
-                wall_msgs_per_sec: 50_000.0,
-                fill_drain_wall_msgs_per_sec: 40_000.0,
-                pipelined_wall_msgs_per_sec: 44_000.0,
-                model_credit_ops: 64,
-                model_credit_bytes: 64,
-                model_credit_time_share: 0.05,
-                pipe_credit_ops: 64,
-                pipe_credit_bytes: 64,
-                pipe_credit_stall_events: 2,
-                batch_frames_per_put: 7.53,
-                model_puts_per_frame: 0.1328,
-                model_posting_share_per_frame: 0.21,
-                model_posting_share_batched: 0.03,
-            },
-            crate::burst::BurstRow {
-                shards: 4,
-                messages: 64,
-                model_msgs_per_sec: 4_000_000.0,
-                model_speedup: 4.0,
-                wall_msgs_per_sec: 120_000.0,
-                fill_drain_wall_msgs_per_sec: 90_000.0,
-                pipelined_wall_msgs_per_sec: 150_000.0,
-                model_credit_ops: 64,
-                model_credit_bytes: 64,
-                model_credit_time_share: 0.05,
-                pipe_credit_ops: 64,
-                pipe_credit_bytes: 64,
-                pipe_credit_stall_events: 0,
-                batch_frames_per_put: 8.0,
-                model_puts_per_frame: 0.125,
-                model_posting_share_per_frame: 0.21,
-                model_posting_share_batched: 0.03,
-            },
-        ];
-        let json = report.to_json();
+        let json = healthy_report(4).to_json();
         assert!(json.contains("\"burst_shard_rows\": [\n"));
         assert!(json.contains("{\"shards\": 1, \"messages\": 64,"));
         assert!(json.contains("\"model_speedup\": 4.00"));
-        assert!(json.contains("\"fill_drain_wall_msgs_per_sec\": 90000"));
-        assert!(json.contains("\"pipelined_wall_msgs_per_sec\": 150000"));
-        assert!(json.contains("\"model_credit_time_share\": 0.0500"));
+        assert!(json.contains("\"wall_msgs_per_sec\": 320000"));
+        assert!(json.contains("\"fill_drain_wall_msgs_per_sec\": 110000"));
+        assert!(json.contains("\"pipelined_wall_msgs_per_sec\": 160000"));
+        assert!(json.contains("\"model_credit_time_share\": 0.0400"));
         assert!(json.contains("\"pipe_credit_ops\": 64"));
-        assert!(json.contains("\"pipe_credit_stall_events\": 2"));
-        assert!(json.contains("\"batch_frames_per_put\": 8.00"));
-        assert!(json.contains("\"model_puts_per_frame\": 0.1250"));
-        assert!(json.contains("\"model_posting_share_per_frame\": 0.2100"));
+        assert!(json.contains("\"pipe_credit_stall_events\": 1"));
+        assert!(json.contains("\"batch_frames_per_put\": 7.50"));
+        assert!(json.contains("\"model_puts_per_frame\": 0.1330"));
+        assert!(json.contains("\"model_posting_share_per_frame\": 0.2000"));
         assert!(json.contains("\"model_posting_share_batched\": 0.0300"));
         assert!(json.ends_with("}\n"));
     }

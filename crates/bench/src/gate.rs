@@ -1,160 +1,331 @@
-//! The CI perf-regression gate: thresholds, report parsing and evaluation.
+//! The perf gate: every bar this reproduction holds itself to, declared once.
 //!
-//! The `perf_gate` binary diffs a freshly generated `BENCH_fastpath.json`
-//! against the committed baseline thresholds (`perf_baseline.json` at the repo
-//! root) and fails the build with a readable table when a metric regresses.
-//! The logic lives here, in the library, so it is unit-tested like everything
-//! else; the binary is a thin argv wrapper.
+//! A bar is one [`Bar`] row: the name the verdict table prints, a reader that
+//! takes the measured value out of the typed report, the bound it is held to,
+//! the runner it is enforced on and the note the table shows — with the
+//! *reason* for the number in the comment on the row. [`BARS`] reads the
+//! [`FastpathReport`]; [`PRISTINE_LINK_BARS`] and [`FAULTED_LINK_BARS`] read
+//! each [`LossRow`] of it. [`evaluate`] holds a report against all of them and
+//! the `fastpath` binary runs it in the process that measured the report, so
+//! there is no second copy of a bar to keep in step: no thresholds file, no
+//! re-parsed JSON, no prose list in CI.
 //!
-//! No serde exists in this workspace, so both files are parsed with a small
-//! scanner that understands exactly the flat shapes our own reports emit.
+//! To add a bar, add a row (and, in this file's tests, the poke that pushes a
+//! healthy report just past it: the table-driven test fails until every row
+//! has one). A reader returns `None` only when the burst row it reads was not
+//! swept, and that is an error naming the bar, never a pass. The bars are
+//! calibrated at [`MESSAGES`] messages over the [`SHARD_COUNTS`] sweep — at
+//! 500 messages the 4-shard modelled speedup reads 3.00 — which is why the
+//! binary takes neither as an argument.
 
-/// Baseline thresholds the fresh report is held against.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GateThresholds {
-    /// Warm-over-cold modelled dispatch speedup must stay at least this.
-    pub min_dispatch_speedup: f64,
-    /// Warm 1-shard modelled dispatch must stay at or below this many ns
-    /// (the "within 10% of the recorded baseline" bound, precomputed).
-    pub max_warm_dispatch_ns: f64,
-    /// Modelled 4-shard drain speedup over 1 shard must stay at least this.
-    pub min_model_speedup_4shard: f64,
-    /// Wall-clock 4-shard rate must be at least this multiple of the 1-shard
-    /// wall rate — enforced only on a sufficiently parallel runner.
-    pub min_wall_ratio_4shard: f64,
-    /// The 4-shard *pipelined* wall rate (sender fleet filling concurrently
-    /// with the shard drain) must be at least this multiple of the 4-shard
-    /// fill-then-drain wall rate — enforced under the same parallelism guard
-    /// (overlap cannot manifest when 8 threads time-slice one core).
-    pub min_pipeline_ratio_4shard: f64,
-    /// Minimum `host_parallelism` for the wall-ratio and pipeline-ratio
-    /// checks to be enforced (below it the threads time-slice one core and
-    /// the ratios are physically capped at ~1x, so the checks are reported
-    /// but not enforced).
-    pub wall_gate_min_parallelism: usize,
-    /// The 4-shard modelled `model_credit_time_share` must stay at or below
-    /// this — the coalesced-credit bar (flow control cost ~0.16 of drain
-    /// virtual time per-frame; batching must keep it under this share).
-    /// Deterministic modelled metric, enforced on any runner.
-    pub max_credit_time_share_4shard: f64,
-    /// The 4-shard pipelined run's sender `credit_stall_events` must stay at
-    /// or below this: coalescing credits must not trade drain-core time for
-    /// sender starvation. Stall counts are schedule-dependent, so this is
-    /// enforced only on a sufficiently parallel runner (same guard as the
-    /// wall checks).
-    pub max_credit_stall_events: f64,
-    /// A stage of the lookup → filter → aggregate chain must dispatch at
-    /// least this many times cheaper on a chained frame than as its own
-    /// message (`chain_amortization` in the report). Deterministic modelled
-    /// metric, enforced on any runner.
-    pub min_chain_amortization: f64,
-    /// A chained stage's absolute dispatch share
-    /// (`chain_per_stage_dispatch_ns`) must stay at or below this many ns —
-    /// the companion bar to the amortization ratio, so the chained path must
-    /// improve in absolute terms even as resolved execution shrinks the
-    /// per-message baseline the ratio divides by. Deterministic modelled
-    /// metric, enforced on any runner.
-    pub max_chain_stage_dispatch_ns: f64,
-    /// The warm regime's `warm_resolved_cache_hits` must be at least this:
-    /// under the default `ExecutionPolicy::Resolved`, every warm dispatch
-    /// must run the pre-lowered image. A report showing fewer hits than this
-    /// means the resolved path silently fell back to per-message
-    /// interpretation. Deterministic counter, enforced on any runner.
-    pub min_resolved_cache_hits: f64,
-    /// The 4-shard modelled run's forward data puts per injected frame
-    /// (`model_puts_per_frame`) must stay at or below this — the
-    /// frame-aggregation bar: the adaptive policy must keep at least four
-    /// frames behind each NIC posting on average (per-frame wire behaviour
-    /// is 1.0). Deterministic modelled metric, enforced on any runner.
-    pub max_model_puts_per_frame_4shard: f64,
+use crate::burst::{BurstRow, LossRow};
+use crate::fastpath::FastpathReport;
+use Bound::{AtLeast, AtLeastColumn, AtMost};
+use Runner::{AnyRunner, ParallelRunner};
+
+/// Messages per regime the bars are calibrated at.
+pub const MESSAGES: usize = 1000;
+/// The shard sweep the bars read.
+pub const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
+/// `host_parallelism` from which a [`ParallelRunner`] bar is enforced. Below
+/// it the sweep's 4 drain threads (and 4 sender lanes) time-slice the cores,
+/// wall ratios are physically capped near 1x and stall counts measure the
+/// scheduler, so those bars are printed but cannot fail the gate.
+pub const MIN_PARALLELISM: usize = 4;
+
+/// Where a bar is enforced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Runner {
+    /// Deterministic (virtual time or an exact count): enforced everywhere.
+    AnyRunner,
+    /// Wall-clock or schedule-dependent: enforced from [`MIN_PARALLELISM`].
+    ParallelRunner,
 }
 
-impl Default for GateThresholds {
-    fn default() -> Self {
-        GateThresholds {
-            min_dispatch_speedup: 2.0,
-            // 76.1 ns measured with resolved execution + 10% (1108 ns before
-            // the pre-resolved image path; the issue's target was <= 750 ns).
-            max_warm_dispatch_ns: 83.7,
-            // Recalibrated from 3.5 when resolved execution landed: the
-            // absolute 4-shard modelled drain rate rose 3.19 -> 17.8 M msg/s,
-            // but the ratio against 1 shard compressed (3.92 -> 3.43) because
-            // the resolved path shrank exactly the per-message execution work
-            // that scaled linearly, leaving the fixed per-round fabric costs
-            // a larger share. Same Amdahl adaptation as the chain bars.
-            min_model_speedup_4shard: 3.2,
-            min_wall_ratio_4shard: 2.0,
-            min_pipeline_ratio_4shard: 1.3,
-            wall_gate_min_parallelism: 4,
-            max_credit_time_share_4shard: 0.08,
-            // Measured 60 on the 4-shard 1024-message sweep; 2x headroom for
-            // runner-to-runner scheduling noise, still an order of magnitude
-            // below a starved-sender pathology (one stall per message = 1024).
-            max_credit_stall_events: 128.0,
-            // Recalibrated from 2.0 when resolved execution landed: the
-            // per-message baseline lost its code-section reads (~2.3x
-            // cheaper), while a chained continuation was already at the
-            // Local-dispatch floor, so the achievable ratio compressed to
-            // ~2.0; the absolute per-stage bar below keeps the chained path
-            // itself honest.
-            min_chain_amortization: 1.8,
-            // 38.1 ns measured; generous headroom still far below the ~70 ns
-            // pre-resolved per-stage share.
-            max_chain_stage_dispatch_ns: 55.0,
-            // The shipped report measures 1000 warm messages; 400 still
-            // covers a halved sweep while catching a resolved path that
-            // stopped hitting at all.
-            min_resolved_cache_hits: 400.0,
-            // The sweep's default containers pack 8 x ~1508-byte injected
-            // frames (0.125 puts/frame); 0.25 leaves room for geometry
-            // changes while still demanding 4x put amortization.
-            max_model_puts_per_frame_4shard: 0.25,
-        }
-    }
+/// What a bar holds its value to.
+pub enum Bound<R: 'static> {
+    /// The value must be at least this.
+    AtLeast(f64),
+    /// The value must be at most this.
+    AtMost(f64),
+    /// The value must be at least another column of the same row.
+    AtLeastColumn(fn(&R) -> f64),
 }
 
-impl GateThresholds {
-    /// Parse thresholds from the committed baseline file. Unknown keys are
-    /// ignored; missing keys keep their defaults.
-    pub fn from_json(json: &str) -> Self {
-        let mut t = GateThresholds::default();
-        if let Some(v) = json_f64(json, "min_dispatch_speedup") {
-            t.min_dispatch_speedup = v;
-        }
-        if let Some(v) = json_f64(json, "max_warm_dispatch_ns") {
-            t.max_warm_dispatch_ns = v;
-        }
-        if let Some(v) = json_f64(json, "min_model_speedup_4shard") {
-            t.min_model_speedup_4shard = v;
-        }
-        if let Some(v) = json_f64(json, "min_wall_ratio_4shard") {
-            t.min_wall_ratio_4shard = v;
-        }
-        if let Some(v) = json_f64(json, "min_pipeline_ratio_4shard") {
-            t.min_pipeline_ratio_4shard = v;
-        }
-        if let Some(v) = json_f64(json, "wall_gate_min_parallelism") {
-            t.wall_gate_min_parallelism = v as usize;
-        }
-        if let Some(v) = json_f64(json, "max_credit_time_share_4shard") {
-            t.max_credit_time_share_4shard = v;
-        }
-        if let Some(v) = json_f64(json, "max_credit_stall_events") {
-            t.max_credit_stall_events = v;
-        }
-        if let Some(v) = json_f64(json, "min_chain_amortization") {
-            t.min_chain_amortization = v;
-        }
-        if let Some(v) = json_f64(json, "max_chain_stage_dispatch_ns") {
-            t.max_chain_stage_dispatch_ns = v;
-        }
-        if let Some(v) = json_f64(json, "min_resolved_cache_hits") {
-            t.min_resolved_cache_hits = v;
-        }
-        if let Some(v) = json_f64(json, "max_model_puts_per_frame_4shard") {
-            t.max_model_puts_per_frame_4shard = v;
-        }
-        t
+/// One bar over a row of type `R`.
+pub struct Bar<R: 'static> {
+    /// The metric name the verdict table prints.
+    pub name: &'static str,
+    /// Takes the measured value out of the row; `None` when the burst row it
+    /// reads was not swept.
+    pub read: fn(&R) -> Option<f64>,
+    /// The bound, threshold included.
+    pub bound: Bound<R>,
+    /// The runner guard.
+    pub runner: Runner,
+    /// Context the verdict table prints beside an enforced verdict.
+    pub note: &'static str,
+}
+
+fn shard(report: &FastpathReport, shards: usize) -> Option<&BurstRow> {
+    report.burst.iter().find(|row| row.shards == shards)
+}
+
+/// The coalesced-credit ceiling: flow control cost 0.1625 of the drain cores'
+/// virtual time when every retired frame posted its own credit put and 0.0120
+/// with row-span flushes; PR 10 then cut dispatch 15x and the same puts became
+/// 0.067–0.078 of a much shorter drain without anyone noticing, because only
+/// the 4-shard row was barred and the table was not regenerated. Every swept
+/// row is barred now; the 1-shard row (0.0779) is the tightest.
+const MAX_CREDIT_SHARE: f64 = 0.08;
+
+/// The bars over the report as a whole, in the order the table prints them.
+pub const BARS: [Bar<FastpathReport>; 15] = [
+    // The zero-copy fast path's acceptance bar: a steady-state injected
+    // dispatch (hash, cache probes, jump) at least twice as cheap as the
+    // decode-every-message cold path.
+    Bar {
+        name: "warm/cold dispatch speedup",
+        read: |r| Some(r.dispatch_speedup()),
+        bound: AtLeast(2.0),
+        runner: AnyRunner,
+        note: "",
+    },
+    // 76.1 ns measured with resolved execution, + 10 %. It read 1108 ns before
+    // the pre-resolved image path, whose issue asked for <= 750 ns; that
+    // target is far behind, so the bar pins the level reached instead.
+    Bar {
+        name: "warm 1-shard dispatch (ns)",
+        read: |r| Some(r.warm.dispatch_ns),
+        bound: AtMost(83.7),
+        runner: AnyRunner,
+        note: "",
+    },
+    // 187.6 ns measured, + 10 %: dispatch plus execution is the number a user
+    // of the paper's system would feel, and no bar watched it before PR 19.
+    Bar {
+        name: "warm handler (ns)",
+        read: |r| Some(r.warm.handler_ns),
+        bound: AtMost(206.4),
+        runner: AnyRunner,
+        note: "dispatch + execution, what a caller waits for",
+    },
+    // A stage of the lookup -> filter -> aggregate chain must dispatch this
+    // many times cheaper on a chained frame than as its own message. It was
+    // 2.0 until resolved execution made the per-message baseline ~2.3x cheaper
+    // (no code-section reads) while a continuation was already at the
+    // Local-dispatch floor (table lookup + context write): the achievable
+    // ratio compressed to ~2.0 even as the absolute cost improved.
+    Bar {
+        name: "chained per-stage amortization",
+        read: |r| Some(r.chain_amortization),
+        bound: AtLeast(1.8),
+        runner: AnyRunner,
+        note: "one frame parse per chain, not per stage",
+    },
+    // The ratio above is a quotient of two numbers a uniform slowdown moves
+    // together, so the chained stage is also held in absolute terms: 38.1 ns
+    // measured, with headroom still far below the ~70 ns it cost before the
+    // resolved path.
+    Bar {
+        name: "chained per-stage dispatch (ns)",
+        read: |r| Some(r.chain_per_stage_dispatch_ns),
+        bound: AtMost(55.0),
+        runner: AnyRunner,
+        note: "absolute companion to the amortization ratio",
+    },
+    // Under the default `ExecutionPolicy::Resolved` every warm dispatch runs
+    // the pre-lowered image; fewer hits mean the warm loop silently fell back
+    // to per-message interpretation. The regime measures 1000 warm messages:
+    // 400 would still cover a halved sweep while catching a path that stopped
+    // hitting at all.
+    Bar {
+        name: "warm resolved-image cache hits",
+        read: |r| Some(r.warm_resolved_cache_hits as f64),
+        bound: AtLeast(400.0),
+        runner: AnyRunner,
+        note: "resolved execution must never fall back to interpretation",
+    },
+    // 3.5 until resolved execution landed: the absolute 4-shard modelled drain
+    // rate rose 3.19 -> 17.8 M msg/s, but the ratio over 1 shard compressed
+    // 3.92 -> 3.43, because the resolved path shrank exactly the per-message
+    // execution work that scaled linearly and left the fixed per-round fabric
+    // costs a larger share. The same Amdahl shift as the chain bars.
+    Bar {
+        name: "4-shard modelled speedup",
+        read: |r| shard(r, 4).map(|four| four.model_speedup),
+        bound: AtLeast(3.2),
+        runner: AnyRunner,
+        note: "",
+    },
+    // The lock-split receive path: four drain threads over the striped shared
+    // hierarchy must drain at least twice as fast in wall clock as one.
+    Bar {
+        name: "4-shard wall rate / 1-shard",
+        read: |r| {
+            let one = shard(r, 1)?.wall_msgs_per_sec.max(f64::EPSILON);
+            Some(shard(r, 4)?.wall_msgs_per_sec / one)
+        },
+        bound: AtLeast(2.0),
+        runner: ParallelRunner,
+        note: "",
+    },
+    // The sender fleet's bar: fill overlapped with drain must beat the phased
+    // schedule that serializes the whole send phase first. Eight threads on
+    // fewer cores cannot overlap in wall clock, hence the guard.
+    Bar {
+        name: "4-shard pipelined / fill-then-drain",
+        read: |r| shard(r, 4).map(BurstRow::pipeline_ratio),
+        bound: AtLeast(1.3),
+        runner: ParallelRunner,
+        note: "",
+    },
+    // §VI-A2: mailbox credits return as one-sided fabric puts. Zero ops means
+    // flow control regressed to a host-side channel that charges nothing in
+    // virtual time. Credits flow however the threads are scheduled, so this
+    // column of the threaded run is enforced everywhere.
+    Bar {
+        name: "4-shard pipelined credit ops",
+        read: |r| shard(r, 4).map(|four| four.pipe_credit_ops as f64),
+        bound: AtLeast(1.0),
+        runner: AnyRunner,
+        note: "credit returns must ride the fabric",
+    },
+    Bar {
+        name: "1-shard modelled credit share",
+        read: |r| shard(r, 1).map(|one| one.model_credit_time_share),
+        bound: AtMost(MAX_CREDIT_SHARE),
+        runner: AnyRunner,
+        note: "coalesced flow control stays off the drain hot path",
+    },
+    Bar {
+        name: "2-shard modelled credit share",
+        read: |r| shard(r, 2).map(|two| two.model_credit_time_share),
+        bound: AtMost(MAX_CREDIT_SHARE),
+        runner: AnyRunner,
+        note: "coalesced flow control stays off the drain hot path",
+    },
+    Bar {
+        name: "4-shard modelled credit share",
+        read: |r| shard(r, 4).map(|four| four.model_credit_time_share),
+        bound: AtMost(MAX_CREDIT_SHARE),
+        runner: AnyRunner,
+        note: "coalesced flow control stays off the drain hot path",
+    },
+    // Coalescing must not trade drain-core time for sender starvation. 60
+    // measured on the 4-shard 1024-message sweep; 2x headroom for
+    // runner-to-runner scheduling noise, still an order of magnitude below a
+    // starved sender (one stall per message = 1024). Stall episodes depend on
+    // how the OS schedules the lane and drain threads — a time-sliced runner
+    // parks lanes constantly — hence the guard.
+    Bar {
+        name: "4-shard pipelined credit stalls",
+        read: |r| shard(r, 4).map(|four| four.pipe_credit_stall_events as f64),
+        bound: AtMost(128.0),
+        runner: ParallelRunner,
+        note: "batched credits must not starve the sender lanes",
+    },
+    // Frame aggregation: the sweep's containers pack 8 x ~1508-byte injected
+    // frames behind one NIC posting (0.125 puts per frame; the per-frame wire
+    // behaviour is 1.0). 0.25 leaves room for geometry changes while still
+    // demanding four frames behind each put.
+    Bar {
+        name: "4-shard modelled puts per frame",
+        read: |r| shard(r, 4).map(|four| four.model_puts_per_frame),
+        bound: AtMost(0.25),
+        runner: AnyRunner,
+        note: "aggregation amortizes the NIC posting path",
+    },
+];
+
+/// The bar over the loss sweep's `loss_rate == 0.0` row.
+pub const PRISTINE_LINK_BARS: [Bar<LossRow>; 1] = [
+    // The reliability layer is free on a pristine link: with no `FaultPlan`
+    // installed, a retransmit, drop, suppressed replay or NACK means it fired
+    // spuriously.
+    Bar {
+        name: "lossless sweep reliability residue",
+        read: |row| {
+            let fired = row.frames_retransmitted + row.frames_dropped;
+            Some((fired + row.replays_suppressed + row.nacks_posted) as f64)
+        },
+        bound: AtMost(0.0),
+        runner: AnyRunner,
+        note: "no FaultPlan => retransmit/NACK/replay counters all zero",
+    },
+];
+
+/// The bars over each faulted row of the loss sweep.
+pub const FAULTED_LINK_BARS: [Bar<LossRow>; 4] = [
+    // Statistical honesty first: a faulted row whose fault counters are all
+    // zero ran below the fault plan's resolution (too few puts for the rate)
+    // and would pass the coverage bar vacuously at 0 >= 0. The sweep must run
+    // enough volume that the injected faults actually bite.
+    Bar {
+        name: "lossy sweep observed drops",
+        read: |row| Some(row.frames_dropped as f64),
+        bound: AtLeast(1.0),
+        runner: AnyRunner,
+        note: "a faulted row must actually drop frames",
+    },
+    Bar {
+        name: "lossy sweep gap NACKs",
+        read: |row| Some(row.nacks_posted as f64),
+        bound: AtLeast(1.0),
+        runner: AnyRunner,
+        note: "dropped frames must surface as NACKs",
+    },
+    // Every drop consumes a delivery attempt and attempts beyond the
+    // first-time sends are retransmits, so a run that completed honestly
+    // retransmitted at least as often as the link dropped.
+    Bar {
+        name: "lossy sweep retransmit coverage",
+        read: |row| Some(row.frames_retransmitted as f64),
+        bound: AtLeastColumn(|row| row.frames_dropped as f64),
+        runner: AnyRunner,
+        note: "retransmits must cover drops",
+    },
+    Bar {
+        name: "lossy sweep goodput (msg/s)",
+        read: |row| Some(row.goodput_msgs_per_sec),
+        bound: AtLeast(1.0),
+        runner: AnyRunner,
+        note: "the run must still complete",
+    },
+];
+
+impl<R> Bar<R> {
+    /// Hold `row` against this bar on a runner of `parallelism` threads.
+    fn check(&self, row: &R, parallelism: usize) -> Result<GateCheck, String> {
+        let unswept = || format!("`{}` reads a shard row outside the sweep", self.name);
+        let value = (self.read)(row).ok_or_else(unswept)?;
+        let threshold = match self.bound {
+            AtLeast(threshold) | AtMost(threshold) => threshold,
+            AtLeastColumn(column) => column(row),
+        };
+        let at_most = matches!(self.bound, AtMost(_));
+        let pass = if at_most {
+            value <= threshold
+        } else {
+            value >= threshold
+        };
+        let enforced = self.runner == AnyRunner || parallelism >= MIN_PARALLELISM;
+        let note = if !enforced {
+            format!("informational: host_parallelism={parallelism} < {MIN_PARALLELISM}")
+        } else if self.note.is_empty() && self.runner == ParallelRunner {
+            format!("host_parallelism={parallelism}")
+        } else {
+            self.note.to_string()
+        };
+        Ok(GateCheck {
+            name: self.name,
+            value,
+            threshold,
+            op: if at_most { "<=" } else { ">=" },
+            pass,
+            enforced,
+            note,
+        })
     }
 }
 
@@ -163,7 +334,7 @@ impl GateThresholds {
 pub struct GateCheck {
     /// Human-readable metric name.
     pub name: &'static str,
-    /// Measured value from the fresh report.
+    /// Measured value from the report.
     pub value: f64,
     /// The bound it is held against (rendered with `op`).
     pub threshold: f64,
@@ -171,8 +342,8 @@ pub struct GateCheck {
     pub op: &'static str,
     /// Whether the measured value satisfies the bound.
     pub pass: bool,
-    /// Whether a failure of this check fails the build (the wall-ratio check
-    /// is informational on an under-provisioned runner).
+    /// Whether a failure of this check fails the gate (a [`ParallelRunner`]
+    /// bar is informational on an under-provisioned runner).
     pub enforced: bool,
     /// Extra context shown in the table (e.g. why a check is not enforced).
     pub note: String,
@@ -181,7 +352,7 @@ pub struct GateCheck {
 /// The gate verdict: every check, plus the overall pass/fail.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GateOutcome {
-    /// All evaluated checks, in report order.
+    /// All evaluated checks, in table order.
     pub checks: Vec<GateCheck>,
 }
 
@@ -213,1024 +384,168 @@ impl GateOutcome {
     }
 }
 
-/// One row of `burst_shard_rows` as the gate needs it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GateBurstRow {
-    /// Shard count of the row.
-    pub shards: usize,
-    /// Deterministic modelled speedup over the 1-shard row.
-    pub model_speedup: f64,
-    /// Wall-clock drain rate of the threaded measurement.
-    pub wall_msgs_per_sec: f64,
-    /// Wall rate of the phased fill-then-drain schedule (absent in reports
-    /// generated before the sender fleet existed).
-    pub fill_drain_wall_msgs_per_sec: Option<f64>,
-    /// Wall rate of the overlapped fill/drain pipeline (absent in pre-fleet
-    /// reports).
-    pub pipelined_wall_msgs_per_sec: Option<f64>,
-    /// One-sided credit-return puts issued during the pipelined run (absent
-    /// in reports generated before flow control rode the fabric).
-    pub pipe_credit_ops: Option<f64>,
-    /// Virtual-time share the modelled drain cores spent posting credits
-    /// (absent in pre-flow-control reports).
-    pub model_credit_time_share: Option<f64>,
-    /// Sender credit-stall episodes during the pipelined run (absent in
-    /// reports generated before credit coalescing).
-    pub pipe_credit_stall_events: Option<f64>,
-    /// Forward data puts per injected frame in the modelled run (absent in
-    /// reports generated before frame aggregation).
-    pub model_puts_per_frame: Option<f64>,
-}
-
-/// Extract a numeric field `"key": <number>` from a flat JSON object.
-pub fn json_f64(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let start = json.find(&needle)? + needle.len();
-    let rest = json[start..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// One row of `burst_loss_rows` as the gate needs it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GateLossRow {
-    /// Injected total fault probability (`0.0` = no plan installed).
-    pub loss_rate: f64,
-    /// Completed messages per wall second under this fault rate.
-    pub goodput_msgs_per_sec: f64,
-    /// Frame retransmits the sender lanes issued.
-    pub frames_retransmitted: f64,
-    /// Puts the fabric dropped on the faulted link.
-    pub frames_dropped: f64,
-    /// Stale deliveries retired without re-execution.
-    pub replays_suppressed: f64,
-    /// Gap NACKs the receiver posted.
-    pub nacks_posted: f64,
-}
-
-/// Extract the lossy-fabric rows from a fast-path report. Reports generated
-/// before the reliability layer existed have no `burst_loss_rows` key and
-/// yield an empty list — the loss checks are only evaluated when present.
-pub fn parse_loss_rows(json: &str) -> Vec<GateLossRow> {
-    let Some(start) = json.find("\"burst_loss_rows\":") else {
-        return Vec::new();
-    };
-    json[start..]
-        .split('{')
-        .skip(1)
-        .filter_map(|row| {
-            Some(GateLossRow {
-                loss_rate: json_f64(row, "loss_rate")?,
-                goodput_msgs_per_sec: json_f64(row, "goodput_msgs_per_sec")?,
-                frames_retransmitted: json_f64(row, "frames_retransmitted")?,
-                frames_dropped: json_f64(row, "frames_dropped")?,
-                replays_suppressed: json_f64(row, "replays_suppressed")?,
-                nacks_posted: json_f64(row, "nacks_posted")?,
-            })
-        })
-        .collect()
-}
-
-/// Extract the burst rows from a fast-path report.
-pub fn parse_burst_rows(json: &str) -> Vec<GateBurstRow> {
-    let Some(start) = json.find("\"burst_shard_rows\":") else {
-        return Vec::new();
-    };
-    json[start..]
-        .split('{')
-        .skip(1)
-        .filter_map(|row| {
-            Some(GateBurstRow {
-                shards: json_f64(row, "shards")? as usize,
-                model_speedup: json_f64(row, "model_speedup")?,
-                wall_msgs_per_sec: json_f64(row, "wall_msgs_per_sec")?,
-                fill_drain_wall_msgs_per_sec: json_f64(row, "fill_drain_wall_msgs_per_sec"),
-                pipelined_wall_msgs_per_sec: json_f64(row, "pipelined_wall_msgs_per_sec"),
-                pipe_credit_ops: json_f64(row, "pipe_credit_ops"),
-                model_credit_time_share: json_f64(row, "model_credit_time_share"),
-                pipe_credit_stall_events: json_f64(row, "pipe_credit_stall_events"),
-                model_puts_per_frame: json_f64(row, "model_puts_per_frame"),
-            })
-        })
-        .collect()
-}
-
-/// Evaluate a fresh fast-path report against the thresholds.
-pub fn evaluate(report_json: &str, t: &GateThresholds) -> Result<GateOutcome, String> {
-    let dispatch_speedup =
-        json_f64(report_json, "dispatch_speedup").ok_or("report is missing dispatch_speedup")?;
-    let warm_dispatch_ns =
-        json_f64(report_json, "warm_dispatch_ns").ok_or("report is missing warm_dispatch_ns")?;
-    let parallelism = json_f64(report_json, "host_parallelism").unwrap_or(1.0) as usize;
-    let rows = parse_burst_rows(report_json);
-    let one = rows.iter().find(|r| r.shards == 1);
-    let four = rows.iter().find(|r| r.shards == 4);
-
-    // The chained-dispatch bar: a stage riding a chained frame must cost at
-    // most half the dispatch of a stage shipped as its own message. The metric
-    // is deterministic virtual time, so any runner enforces it; reports
-    // predating receiver-side chains must be regenerated, not waved through.
-    let chain_amortization = json_f64(report_json, "chain_amortization").ok_or(
-        "report is missing chain_amortization (regenerate the report with the current fastpath)",
-    )?;
-    let chain_stage_ns = json_f64(report_json, "chain_per_stage_dispatch_ns").ok_or(
-        "report is missing chain_per_stage_dispatch_ns (regenerate the report with the current fastpath)",
-    )?;
-    // The resolved-execution bar: a report predating the resolved image path
-    // lacks the column and must be regenerated, never waved through — a
-    // missing counter is indistinguishable from a path that stopped hitting.
-    let resolved_hits = json_f64(report_json, "warm_resolved_cache_hits").ok_or(
-        "report is missing warm_resolved_cache_hits (regenerate the report with the current fastpath)",
-    )?;
-
-    let mut checks = vec![
-        GateCheck {
-            name: "warm/cold dispatch speedup",
-            value: dispatch_speedup,
-            threshold: t.min_dispatch_speedup,
-            op: ">=",
-            pass: dispatch_speedup >= t.min_dispatch_speedup,
-            enforced: true,
-            note: String::new(),
-        },
-        GateCheck {
-            name: "warm 1-shard dispatch (ns)",
-            value: warm_dispatch_ns,
-            threshold: t.max_warm_dispatch_ns,
-            op: "<=",
-            pass: warm_dispatch_ns <= t.max_warm_dispatch_ns,
-            enforced: true,
-            note: String::new(),
-        },
-        GateCheck {
-            name: "chained per-stage amortization",
-            value: chain_amortization,
-            threshold: t.min_chain_amortization,
-            op: ">=",
-            pass: chain_amortization >= t.min_chain_amortization,
-            enforced: true,
-            note: "one frame parse per chain, not per stage".into(),
-        },
-        GateCheck {
-            name: "chained per-stage dispatch (ns)",
-            value: chain_stage_ns,
-            threshold: t.max_chain_stage_dispatch_ns,
-            op: "<=",
-            pass: chain_stage_ns <= t.max_chain_stage_dispatch_ns,
-            enforced: true,
-            note: "absolute companion to the amortization ratio".into(),
-        },
-        GateCheck {
-            name: "warm resolved-image cache hits",
-            value: resolved_hits,
-            threshold: t.min_resolved_cache_hits,
-            op: ">=",
-            pass: resolved_hits >= t.min_resolved_cache_hits,
-            enforced: true,
-            note: "resolved execution must never fall back to interpretation".into(),
-        },
-    ];
-
-    match four {
-        Some(four) => {
-            checks.push(GateCheck {
-                name: "4-shard modelled speedup",
-                value: four.model_speedup,
-                threshold: t.min_model_speedup_4shard,
-                op: ">=",
-                pass: four.model_speedup >= t.min_model_speedup_4shard,
-                enforced: true,
-                note: String::new(),
-            });
-            let one = one.ok_or("report has a 4-shard burst row but no 1-shard baseline")?;
-            let wall_ratio = four.wall_msgs_per_sec / one.wall_msgs_per_sec.max(f64::EPSILON);
-            let enforced = parallelism >= t.wall_gate_min_parallelism;
-            checks.push(GateCheck {
-                name: "4-shard wall rate / 1-shard",
-                value: wall_ratio,
-                threshold: t.min_wall_ratio_4shard,
-                op: ">=",
-                pass: wall_ratio >= t.min_wall_ratio_4shard,
-                enforced,
-                note: if enforced {
-                    format!("host_parallelism={parallelism}")
-                } else {
-                    format!(
-                        "informational: host_parallelism={parallelism} < {}",
-                        t.wall_gate_min_parallelism
-                    )
-                },
-            });
-            // The sender-fleet bar: overlapped fill/drain must beat the phased
-            // schedule. Same parallelism guard as the wall-ratio check (8
-            // threads on one core cannot overlap in wall clock).
-            let (phased, pipelined) = (
-                four.fill_drain_wall_msgs_per_sec
-                    .ok_or("4-shard burst row is missing fill_drain_wall_msgs_per_sec (regenerate the report with the current fastpath)")?,
-                four.pipelined_wall_msgs_per_sec
-                    .ok_or("4-shard burst row is missing pipelined_wall_msgs_per_sec (regenerate the report with the current fastpath)")?,
-            );
-            let pipeline_ratio = pipelined / phased.max(f64::EPSILON);
-            checks.push(GateCheck {
-                name: "4-shard pipelined / fill-then-drain",
-                value: pipeline_ratio,
-                threshold: t.min_pipeline_ratio_4shard,
-                op: ">=",
-                pass: pipeline_ratio >= t.min_pipeline_ratio_4shard,
-                enforced,
-                note: if enforced {
-                    format!("host_parallelism={parallelism}")
-                } else {
-                    format!(
-                        "informational: host_parallelism={parallelism} < {}",
-                        t.wall_gate_min_parallelism
-                    )
-                },
-            });
-            // The §VI-A2 flow-control bar: the pipelined run must have
-            // returned its mailbox credits as one-sided fabric puts. Zero ops
-            // means flow control regressed to a host-side side channel that
-            // charges nothing in virtual time — enforced regardless of
-            // runner parallelism, because credits flow however the threads
-            // are scheduled.
-            let credit_ops = four.pipe_credit_ops.ok_or(
-                "4-shard burst row is missing pipe_credit_ops (regenerate the report with the current fastpath)",
-            )?;
-            checks.push(GateCheck {
-                name: "4-shard pipelined credit ops",
-                value: credit_ops,
-                threshold: 1.0,
-                op: ">=",
-                pass: credit_ops >= 1.0,
-                enforced: true,
-                note: "credit returns must ride the fabric".into(),
-            });
-            // The coalesced-credit bar: the modelled drain cores' virtual-time
-            // share spent posting credit puts must stay batched down. The
-            // metric is deterministic (virtual time, not wall clock), so it
-            // is enforced on any runner.
-            let credit_share = four.model_credit_time_share.ok_or(
-                "4-shard burst row is missing model_credit_time_share (regenerate the report with the current fastpath)",
-            )?;
-            checks.push(GateCheck {
-                name: "4-shard modelled credit share",
-                value: credit_share,
-                threshold: t.max_credit_time_share_4shard,
-                op: "<=",
-                pass: credit_share <= t.max_credit_time_share_4shard,
-                enforced: true,
-                note: "coalesced flow control stays off the drain hot path".into(),
-            });
-            // Coalescing must not starve the senders: the pipelined run's
-            // stall episodes stay at or below the baseline. Stall counts
-            // depend on how the OS schedules the lane/drain threads, so the
-            // bar shares the wall checks' parallelism guard.
-            let stalls = four.pipe_credit_stall_events.ok_or(
-                "4-shard burst row is missing pipe_credit_stall_events (regenerate the report with the current fastpath)",
-            )?;
-            checks.push(GateCheck {
-                name: "4-shard pipelined credit stalls",
-                value: stalls,
-                threshold: t.max_credit_stall_events,
-                op: "<=",
-                pass: stalls <= t.max_credit_stall_events,
-                enforced,
-                note: if enforced {
-                    "batched credits must not starve the sender lanes".into()
-                } else {
-                    format!(
-                        "informational: host_parallelism={parallelism} < {}",
-                        t.wall_gate_min_parallelism
-                    )
-                },
-            });
-            // The frame-aggregation bar: the modelled run's forward puts per
-            // injected frame must stay batched down. Deterministic modelled
-            // metric, enforced on any runner; reports predating aggregation
-            // must be regenerated, not waved through.
-            let puts_per_frame = four.model_puts_per_frame.ok_or(
-                "4-shard burst row is missing model_puts_per_frame (regenerate the report with the current fastpath)",
-            )?;
-            checks.push(GateCheck {
-                name: "4-shard modelled puts per frame",
-                value: puts_per_frame,
-                threshold: t.max_model_puts_per_frame_4shard,
-                op: "<=",
-                pass: puts_per_frame <= t.max_model_puts_per_frame_4shard,
-                enforced: true,
-                note: "aggregation amortizes the NIC posting path".into(),
-            });
-        }
-        None => {
-            return Err("report has no 4-shard burst row (run fastpath with --shards 1,2,4)".into())
-        }
+/// Hold a report against every bar: [`BARS`], then each loss row (when the
+/// loss sweep ran) against the table for its link. An `Err` names a bar whose
+/// burst row was not swept.
+pub fn evaluate(report: &FastpathReport) -> Result<GateOutcome, String> {
+    let parallelism = report.host_parallelism;
+    let mut checks = Vec::new();
+    for bar in &BARS {
+        checks.push(bar.check(report, parallelism)?);
     }
-
-    // The 2-shard row anchors the scaling curve between the baseline and the
-    // 4-shard bar; a sweep that silently dropped it must be regenerated, not
-    // gated on a sparser curve.
-    if !rows.iter().any(|r| r.shards == 2) {
-        return Err("report has no 2-shard burst row (run fastpath with --shards 1,2,4)".into());
-    }
-
-    // Lossy-fabric bars, evaluated only when the report carries loss rows.
-    // The 0.0 row proves the reliability layer is free on a pristine link:
-    // with no FaultPlan installed, every one of its counters must be exactly
-    // zero. Faulted rows must show the recovery actually covering the loss
-    // (every drop consumes a delivery attempt; attempts beyond the first-time
-    // sends are retransmits) while still completing the workload.
-    for row in parse_loss_rows(report_json) {
-        if row.loss_rate == 0.0 {
-            let residue = row.frames_retransmitted
-                + row.frames_dropped
-                + row.replays_suppressed
-                + row.nacks_posted;
-            checks.push(GateCheck {
-                name: "lossless sweep reliability residue",
-                value: residue,
-                threshold: 0.0,
-                op: "<=",
-                pass: residue <= 0.0,
-                enforced: true,
-                note: "no FaultPlan => retransmit/NACK/replay counters all zero".into(),
-            });
+    for row in &report.loss {
+        let (bars, link): (&[Bar<LossRow>], String) = if row.loss_rate == 0.0 {
+            (&PRISTINE_LINK_BARS, String::new())
         } else {
-            // Statistical honesty first: a faulted row whose fault counters
-            // are all zero ran below the fault plan's resolution (too few
-            // puts for the rate), and the coverage check below would pass
-            // vacuously at 0 >= 0. The sweep must be regenerated with enough
-            // volume that the injected faults actually bite.
-            checks.push(GateCheck {
-                name: "lossy sweep observed drops",
-                value: row.frames_dropped,
-                threshold: 1.0,
-                op: ">=",
-                pass: row.frames_dropped >= 1.0,
-                enforced: true,
-                note: format!(
-                    "loss_rate={}: a faulted row must actually drop frames",
-                    row.loss_rate
-                ),
-            });
-            checks.push(GateCheck {
-                name: "lossy sweep gap NACKs",
-                value: row.nacks_posted,
-                threshold: 1.0,
-                op: ">=",
-                pass: row.nacks_posted >= 1.0,
-                enforced: true,
-                note: format!(
-                    "loss_rate={}: dropped frames must surface as NACKs",
-                    row.loss_rate
-                ),
-            });
-            checks.push(GateCheck {
-                name: "lossy sweep retransmit coverage",
-                value: row.frames_retransmitted,
-                threshold: row.frames_dropped,
-                op: ">=",
-                pass: row.frames_retransmitted >= row.frames_dropped,
-                enforced: true,
-                note: format!("loss_rate={}: retransmits must cover drops", row.loss_rate),
-            });
-            checks.push(GateCheck {
-                name: "lossy sweep goodput (msg/s)",
-                value: row.goodput_msgs_per_sec,
-                threshold: 1.0,
-                op: ">=",
-                pass: row.goodput_msgs_per_sec >= 1.0,
-                enforced: true,
-                note: format!("loss_rate={}: the run must still complete", row.loss_rate),
-            });
+            (&FAULTED_LINK_BARS, format!("loss_rate={}: ", row.loss_rate))
+        };
+        for bar in bars {
+            let mut check = bar.check(row, parallelism)?;
+            check.note.insert_str(0, &link);
+            checks.push(check);
         }
     }
-
     Ok(GateOutcome { checks })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fastpath::healthy_report as healthy;
 
-    /// The fixture's 2-shard row: constant, so tests can delete it verbatim
-    /// to exercise the missing-row error. The gate only checks its presence.
-    const TWO_SHARD_ROW: &str = concat!(
-        "    {\"shards\": 2, \"model_speedup\": 1.80, \"wall_msgs_per_sec\": 150000, ",
-        "\"fill_drain_wall_msgs_per_sec\": 120000, \"pipelined_wall_msgs_per_sec\": 160000, ",
-        "\"model_credit_time_share\": 0.0500, \"model_puts_per_frame\": 0.13, ",
-        "\"pipe_credit_ops\": 256, \"pipe_credit_stall_events\": 3},\n"
-    );
-
-    #[allow(clippy::too_many_arguments)]
-    fn report_full(
-        dispatch_speedup: f64,
-        warm_ns: f64,
-        model4: f64,
-        wall1: f64,
-        wall4: f64,
-        phased4: f64,
-        pipe4: f64,
-        par: usize,
-    ) -> String {
-        format!(
-            concat!(
-                "{{\n  \"warm_dispatch_ns\": {},\n  \"dispatch_speedup\": {},\n",
-                "  \"warm_resolved_cache_hits\": 800,\n",
-                "  \"chain_amortization\": 2.90,\n",
-                "  \"chain_per_stage_dispatch_ns\": 38.0,\n",
-                "  \"host_parallelism\": {},\n",
-                "  \"burst_shard_rows\": [\n",
-                "    {{\"shards\": 1, \"model_speedup\": 1.00, \"wall_msgs_per_sec\": {}, ",
-                "\"fill_drain_wall_msgs_per_sec\": {}, \"pipelined_wall_msgs_per_sec\": {}, ",
-                "\"model_credit_time_share\": 0.0500, \"model_puts_per_frame\": 0.13, ",
-                "\"pipe_credit_ops\": 256, \"pipe_credit_stall_events\": 3}},\n",
-                "{}",
-                "    {{\"shards\": 4, \"model_speedup\": {}, \"wall_msgs_per_sec\": {}, ",
-                "\"fill_drain_wall_msgs_per_sec\": {}, \"pipelined_wall_msgs_per_sec\": {}, ",
-                "\"model_credit_time_share\": 0.0500, \"model_puts_per_frame\": 0.13, ",
-                "\"pipe_credit_ops\": 256, \"pipe_credit_stall_events\": 3}}\n  ]\n}}\n"
-            ),
-            warm_ns,
-            dispatch_speedup,
-            par,
-            wall1,
-            wall1 * 0.8,
-            wall1 * 0.9,
-            TWO_SHARD_ROW,
-            model4,
-            wall4,
-            phased4,
-            pipe4
-        )
+    /// Writes `v` where the bar called `bar` reads it; a count rounds away
+    /// from the healthy side. A new row needs an arm here.
+    fn poke(r: &mut FastpathReport, bar: &str, v: f64) {
+        let (below, above) = (v as u64, v.ceil() as u64);
+        match bar {
+            "warm/cold dispatch speedup" => r.cold.dispatch_ns = v * r.warm.dispatch_ns,
+            "warm 1-shard dispatch (ns)" => r.warm.dispatch_ns = v,
+            "warm handler (ns)" => r.warm.handler_ns = v,
+            "chained per-stage amortization" => r.chain_amortization = v,
+            "chained per-stage dispatch (ns)" => r.chain_per_stage_dispatch_ns = v,
+            "warm resolved-image cache hits" => r.warm_resolved_cache_hits = below,
+            "4-shard modelled speedup" => r.burst[2].model_speedup = v,
+            "4-shard wall rate / 1-shard" => {
+                r.burst[2].wall_msgs_per_sec = v * r.burst[0].wall_msgs_per_sec
+            }
+            "4-shard pipelined / fill-then-drain" => {
+                r.burst[2].pipelined_wall_msgs_per_sec = v * r.burst[2].fill_drain_wall_msgs_per_sec
+            }
+            "4-shard pipelined credit ops" => r.burst[2].pipe_credit_ops = below,
+            "1-shard modelled credit share" => r.burst[0].model_credit_time_share = v,
+            "2-shard modelled credit share" => r.burst[1].model_credit_time_share = v,
+            "4-shard modelled credit share" => r.burst[2].model_credit_time_share = v,
+            "4-shard pipelined credit stalls" => r.burst[2].pipe_credit_stall_events = above,
+            "4-shard modelled puts per frame" => r.burst[2].model_puts_per_frame = v,
+            "lossless sweep reliability residue" => r.loss[0].replays_suppressed = above,
+            "lossy sweep observed drops" => r.loss[1].frames_dropped = below,
+            "lossy sweep gap NACKs" => r.loss[1].nacks_posted = below,
+            "lossy sweep retransmit coverage" => r.loss[1].frames_retransmitted = below,
+            "lossy sweep goodput (msg/s)" => r.loss[1].goodput_msgs_per_sec = v,
+            other => panic!("no poke for `{other}`"),
+        }
     }
 
-    fn report(
-        dispatch_speedup: f64,
-        warm_ns: f64,
-        model4: f64,
-        wall1: f64,
-        wall4: f64,
-        par: usize,
-    ) -> String {
-        // Healthy pipeline columns by default: phased a bit under the
-        // drain-only rate, pipelined 1.5x the phased rate.
-        report_full(
-            dispatch_speedup,
-            warm_ns,
-            model4,
-            wall1,
-            wall4,
-            wall4 * 0.8,
-            wall4 * 0.8 * 1.5,
-            par,
-        )
+    fn failed(out: &GateOutcome) -> Vec<&'static str> {
+        let failed = out.checks.iter().filter(|c| !c.pass);
+        failed.map(|c| c.name).collect()
+    }
+
+    /// A healthy report poked just past each of `bars` in turn fails that bar
+    /// and no other: `FAIL` where it is enforced, `skip` below its guard.
+    fn each_trips_alone<R>(bars: &[Bar<R>], row: fn(&FastpathReport) -> &R) {
+        for bar in bars {
+            for parallelism in [2, MIN_PARALLELISM] {
+                let mut report = healthy(parallelism);
+                let (threshold, side) = match bar.bound {
+                    AtLeast(threshold) => (threshold, -1.0),
+                    AtMost(threshold) => (threshold, 1.0),
+                    AtLeastColumn(column) => (column(row(&report)), -1.0),
+                };
+                let past = threshold + side * threshold.abs().max(1.0) * 1e-3;
+                poke(&mut report, bar.name, past);
+                let out = evaluate(&report).unwrap();
+                assert_eq!(failed(&out), [bar.name], "{}", out.table());
+                let enforced = bar.runner == AnyRunner || parallelism == MIN_PARALLELISM;
+                assert_eq!(out.passed(), !enforced, "{}", bar.name);
+                let status = if enforced { "  FAIL " } else { "  skip " };
+                assert_eq!(out.table().matches(status).count(), 1, "{}", out.table());
+            }
+        }
     }
 
     #[test]
-    fn healthy_report_passes() {
-        let out = evaluate(
-            &report(2.16, 76.1, 4.0, 100_000.0, 260_000.0, 4),
-            &GateThresholds::default(),
-        )
-        .unwrap();
-        assert!(out.passed(), "{}", out.table());
-        assert_eq!(out.checks.len(), 12);
-        assert!(out.checks.iter().all(|c| c.enforced));
+    fn every_bar_trips_alone_and_a_guarded_one_only_on_a_parallel_runner() {
+        each_trips_alone(&BARS, |report| report);
+        each_trips_alone(&PRISTINE_LINK_BARS, |report| &report.loss[0]);
+        each_trips_alone(&FAULTED_LINK_BARS, |report| &report.loss[1]);
+        let guarded = BARS.iter().filter(|bar| bar.runner == ParallelRunner);
+        assert_eq!(guarded.count(), 3, "two wall ratios and the stall count");
     }
 
     #[test]
-    fn puts_per_frame_regression_fails_on_any_runner() {
-        // Aggregation falling apart shows up as the modelled put count
-        // climbing back toward one per frame; the metric is deterministic,
-        // so even a 1-core runner enforces it.
-        let json = report(2.2, 76.0, 4.0, 1e5, 3e5, 1).replace(
-            "\"model_puts_per_frame\": 0.13",
-            "\"model_puts_per_frame\": 0.80",
-        );
-        let out = evaluate(&json, &GateThresholds::default()).unwrap();
-        let puts = out
-            .checks
-            .iter()
-            .find(|c| c.name.contains("puts per frame"))
-            .unwrap();
-        assert!(!puts.pass && puts.enforced);
-        assert!(!out.passed());
+    fn a_healthy_report_passes_and_prints_the_table_ci_has_always_shown() {
+        let mut report = healthy(2);
+        let out = evaluate(&report).unwrap();
+        assert!(out.passed() && failed(&out).is_empty(), "{}", out.table());
+        // The report's bars, the pristine row's one, the faulted row's four.
+        assert_eq!(out.checks.len(), BARS.len() + 1 + 4);
+        assert!(out.table().starts_with(
+            "metric                                 measured         threshold  status note\n"
+        ));
+        // A guarded bar that passes below its guard still says it was not enforced.
+        assert!(out.table().contains(
+            "4-shard pipelined credit stalls            1.00   <=       128.00  PASS   informational: host_parallelism=2 < 4\n"
+        ));
+        assert!(out.table().contains(
+            "lossy sweep retransmit coverage            6.00   >=         3.00  PASS   loss_rate=0.05: retransmits must cover drops\n"
+        ));
+        // The loss bars run only when the loss sweep did.
+        report.loss.clear();
+        report.host_parallelism = MIN_PARALLELISM;
+        let out = evaluate(&report).unwrap();
+        assert!(out.passed() && out.checks.len() == BARS.len());
+        assert!(out.table().contains(
+            "4-shard wall rate / 1-shard                2.13   >=         2.00  PASS   host_parallelism=4\n"
+        ));
     }
 
     #[test]
-    fn reports_without_puts_per_frame_are_an_error_not_a_pass() {
-        // A report predating frame aggregation lacks the column; the gate
-        // must demand a regenerated report, not skip the new bar.
-        let json =
-            report(2.2, 76.0, 4.0, 1e5, 3e5, 4).replace("\"model_puts_per_frame\": 0.13, ", "");
-        let err = evaluate(&json, &GateThresholds::default()).unwrap_err();
-        assert!(err.contains("model_puts_per_frame"), "{err}");
-        assert!(err.contains("regenerate"), "{err}");
+    fn an_unswept_shard_row_is_an_error_that_names_the_bar() {
+        for (index, shards) in ["1-shard", "2-shard", "4-shard"].into_iter().enumerate() {
+            let mut report = healthy(MIN_PARALLELISM);
+            report.burst.remove(index);
+            let err = evaluate(&report).unwrap_err();
+            assert!(err.contains(shards), "{err}");
+        }
     }
 
     #[test]
-    fn missing_two_shard_row_is_an_error_not_a_pass() {
-        // The sweep documents --shards 1,2,4; a report whose 2-shard row
-        // silently vanished must be regenerated, not gated without it.
-        let json = report(2.2, 76.0, 4.0, 1e5, 3e5, 4).replace(TWO_SHARD_ROW, "");
-        let err = evaluate(&json, &GateThresholds::default()).unwrap_err();
-        assert!(err.contains("2-shard"), "{err}");
-        assert!(err.contains("1,2,4"), "{err}");
-    }
-
-    #[test]
-    fn chain_amortization_regression_fails_on_any_runner() {
-        // Chained dispatch collapsing to per-message cost (amortization ~1x)
-        // means the chain executor regressed to re-parsing per stage.
-        let json = report(2.2, 76.0, 4.0, 1e5, 3e5, 1).replace(
-            "\"chain_amortization\": 2.90",
-            "\"chain_amortization\": 1.10",
-        );
-        let out = evaluate(&json, &GateThresholds::default()).unwrap();
-        let chain = out
-            .checks
-            .iter()
-            .find(|c| c.name.contains("amortization"))
-            .unwrap();
-        assert!(!chain.pass && chain.enforced);
-        assert!(!out.passed());
-    }
-
-    #[test]
-    fn reports_without_chain_amortization_are_an_error_not_a_pass() {
-        // A report predating receiver-side chains lacks the amortization
-        // column; the gate must demand a regenerated report, not skip the bar.
-        let json =
-            report(2.2, 76.0, 4.0, 1e5, 3e5, 4).replace("  \"chain_amortization\": 2.90,\n", "");
-        let err = evaluate(&json, &GateThresholds::default()).unwrap_err();
-        assert!(err.contains("chain_amortization"), "{err}");
-        assert!(err.contains("regenerate"), "{err}");
-    }
-
-    #[test]
-    fn resolved_cache_hit_regression_fails_on_any_runner() {
-        // The warm loop falling back to interpretation shows up as the
-        // resolved-image hit counter collapsing; the counter is deterministic,
-        // so even a 1-core runner enforces it.
-        let json = report(2.2, 76.0, 4.0, 1e5, 3e5, 1).replace(
-            "\"warm_resolved_cache_hits\": 800",
-            "\"warm_resolved_cache_hits\": 0",
-        );
-        let out = evaluate(&json, &GateThresholds::default()).unwrap();
-        let hits = out
-            .checks
-            .iter()
-            .find(|c| c.name.contains("resolved-image"))
-            .unwrap();
-        assert!(!hits.pass && hits.enforced);
-        assert!(!out.passed());
-    }
-
-    #[test]
-    fn reports_without_resolved_hits_are_an_error_not_a_pass() {
-        // A report predating resolved execution lacks the counter; the gate
-        // must demand a regenerated report, not skip the new bar.
-        let json = report(2.2, 76.0, 4.0, 1e5, 3e5, 4)
-            .replace("  \"warm_resolved_cache_hits\": 800,\n", "");
-        let err = evaluate(&json, &GateThresholds::default()).unwrap_err();
-        assert!(err.contains("warm_resolved_cache_hits"), "{err}");
-        assert!(err.contains("regenerate"), "{err}");
-    }
-
-    #[test]
-    fn chain_stage_dispatch_regression_fails_on_any_runner() {
-        // The absolute per-stage bar catches a uniform slowdown that the
-        // amortization ratio (a quotient of two regressed numbers) hides.
-        let json = report(2.2, 76.0, 4.0, 1e5, 3e5, 1).replace(
-            "\"chain_per_stage_dispatch_ns\": 38.0",
-            "\"chain_per_stage_dispatch_ns\": 120.0",
-        );
-        let out = evaluate(&json, &GateThresholds::default()).unwrap();
-        let stage = out
-            .checks
-            .iter()
-            .find(|c| c.name.contains("per-stage dispatch"))
-            .unwrap();
-        assert!(!stage.pass && stage.enforced);
-        assert!(!out.passed());
-    }
-
-    #[test]
-    fn vacuously_clean_faulted_loss_rows_fail_the_gate() {
-        // A 5% row with zero drops and zero NACKs ran below the fault plan's
-        // resolution; its retransmit coverage would pass vacuously at 0 >= 0.
-        let json = format!(
-            concat!(
-                "{}",
-                ",\n  \"burst_loss_rows\": [\n",
-                "    {{\"loss_rate\": 0.0500, \"messages\": 128, ",
-                "\"goodput_msgs_per_sec\": 200000, \"frames_sent\": 128, ",
-                "\"frames_retransmitted\": 0, \"frames_dropped\": 0, ",
-                "\"replays_suppressed\": 0, \"nacks_posted\": 0, ",
-                "\"retransmit_overhead\": 0.0}}\n  ]\n}}\n"
-            ),
-            report(2.2, 76.0, 4.0, 1e5, 3e5, 4)
-                .trim_end()
-                .trim_end_matches("}")
-        );
-        let out = evaluate(&json, &GateThresholds::default()).unwrap();
-        let drops = out
-            .checks
-            .iter()
-            .find(|c| c.name.contains("observed drops"))
-            .unwrap();
-        assert!(!drops.pass && drops.enforced);
-        let nacks = out
-            .checks
-            .iter()
-            .find(|c| c.name.contains("gap NACKs"))
-            .unwrap();
-        assert!(!nacks.pass && nacks.enforced);
-        assert!(!out.passed());
-    }
-
-    #[test]
-    fn zero_credit_ops_fail_the_gate_on_any_runner() {
-        // Flow control regressing to a host-side channel shows up as zero
-        // credit puts; that must fail even where the wall checks are
-        // informational (parallelism 1).
-        let json = report(2.2, 76.0, 4.0, 1e5, 3e5, 1)
-            .replace("\"pipe_credit_ops\": 256", "\"pipe_credit_ops\": 0");
-        let out = evaluate(&json, &GateThresholds::default()).unwrap();
-        let credit = out
-            .checks
-            .iter()
-            .find(|c| c.name.contains("credit"))
-            .unwrap();
-        assert!(!credit.pass && credit.enforced);
-        assert!(!out.passed());
-    }
-
-    #[test]
-    fn each_regression_is_caught() {
-        let t = GateThresholds::default();
-        // Dispatch speedup collapse.
-        assert!(!evaluate(&report(1.4, 76.0, 4.0, 1e5, 3e5, 4), &t)
-            .unwrap()
-            .passed());
-        // Warm dispatch regression beyond the 10% band.
-        assert!(!evaluate(&report(2.2, 95.0, 4.0, 1e5, 3e5, 4), &t)
-            .unwrap()
-            .passed());
-        // Modelled scaling regression.
-        assert!(!evaluate(&report(2.2, 76.0, 3.0, 1e5, 3e5, 4), &t)
-            .unwrap()
-            .passed());
-        // Wall scaling regression on a 4-core runner.
-        assert!(!evaluate(&report(2.2, 76.0, 4.0, 1e5, 1.2e5, 4), &t)
-            .unwrap()
-            .passed());
-        // Pipeline regression: overlapped fill/drain slower than 1.3x phased.
-        assert!(
-            !evaluate(&report_full(2.2, 76.0, 4.0, 1e5, 3e5, 2.5e5, 2.6e5, 4), &t)
-                .unwrap()
-                .passed()
-        );
-    }
-
-    #[test]
-    fn pipeline_ratio_is_informational_on_a_small_runner() {
-        let out = evaluate(
-            &report_full(2.2, 76.0, 4.0, 1e5, 9e4, 8e4, 8.1e4, 1),
-            &GateThresholds::default(),
-        )
-        .unwrap();
-        let pipe = out
-            .checks
-            .iter()
-            .find(|c| c.name.contains("pipelined"))
-            .unwrap();
-        assert!(!pipe.pass && !pipe.enforced);
-        assert!(
-            out.passed(),
-            "unenforced pipeline check must not fail the gate"
-        );
-    }
-
-    #[test]
-    fn credit_share_regression_fails_on_any_runner() {
-        // Coalescing falling apart shows up as the modelled credit share
-        // climbing back toward the ~0.16 per-frame cost; the metric is
-        // deterministic, so even a 1-core runner enforces it.
-        let json = report(2.2, 76.0, 4.0, 1e5, 3e5, 1).replace(
-            "\"model_credit_time_share\": 0.0500",
-            "\"model_credit_time_share\": 0.1600",
-        );
-        let out = evaluate(&json, &GateThresholds::default()).unwrap();
-        let share = out
-            .checks
-            .iter()
-            .find(|c| c.name.contains("credit share"))
-            .unwrap();
-        assert!(!share.pass && share.enforced);
-        assert!(!out.passed());
-    }
-
-    #[test]
-    fn sender_stall_regression_fails_on_a_parallel_runner() {
-        let json = report(2.2, 76.0, 4.0, 1e5, 3e5, 4).replace(
-            "\"pipe_credit_stall_events\": 3}\n  ]",
-            "\"pipe_credit_stall_events\": 5000}\n  ]",
-        );
-        let out = evaluate(&json, &GateThresholds::default()).unwrap();
-        let stalls = out
-            .checks
-            .iter()
-            .find(|c| c.name.contains("stalls"))
-            .unwrap();
-        assert!(!stalls.pass && stalls.enforced);
-        assert!(!out.passed());
-    }
-
-    #[test]
-    fn sender_stalls_are_informational_on_a_small_runner() {
-        // Stall counts are schedule-dependent: a time-sliced runner parks
-        // lanes constantly, so the bar reports but does not enforce there.
-        let json = report(2.2, 76.0, 4.0, 1e5, 3e5, 1).replace(
-            "\"pipe_credit_stall_events\": 3}\n  ]",
-            "\"pipe_credit_stall_events\": 5000}\n  ]",
-        );
-        let out = evaluate(&json, &GateThresholds::default()).unwrap();
-        let stalls = out
-            .checks
-            .iter()
-            .find(|c| c.name.contains("stalls"))
-            .unwrap();
-        assert!(!stalls.pass && !stalls.enforced);
-        assert!(
-            out.passed(),
-            "unenforced stall check must not fail the gate"
-        );
-    }
-
-    #[test]
-    fn reports_without_credit_share_are_an_error_not_a_pass() {
-        // A report predating credit coalescing lacks the share column; the
-        // gate must demand a regenerated report, not skip the new bar.
-        let json = report(2.2, 76.0, 4.0, 1e5, 3e5, 4)
-            .replace("\"model_credit_time_share\": 0.0500, ", "");
-        let err = evaluate(&json, &GateThresholds::default()).unwrap_err();
-        assert!(err.contains("model_credit_time_share"), "{err}");
-        let json =
-            report(2.2, 76.0, 4.0, 1e5, 3e5, 4).replace(", \"pipe_credit_stall_events\": 3", "");
-        let err = evaluate(&json, &GateThresholds::default()).unwrap_err();
-        assert!(err.contains("pipe_credit_stall_events"), "{err}");
-    }
-
-    #[test]
-    fn pre_fleet_reports_are_an_error_not_a_pass() {
-        // A report whose 4-shard row lacks the pipeline columns must fail
-        // loudly (regenerate it), not silently skip the new bar.
-        let json = concat!(
-            "{\"warm_dispatch_ns\": 76.0, \"dispatch_speedup\": 2.2, ",
-            "\"warm_resolved_cache_hits\": 800, ",
-            "\"chain_amortization\": 2.9, \"chain_per_stage_dispatch_ns\": 38.0, ",
-            "\"host_parallelism\": 4, \"burst_shard_rows\": [",
-            "{\"shards\": 1, \"model_speedup\": 1.0, \"wall_msgs_per_sec\": 100000}, ",
-            "{\"shards\": 4, \"model_speedup\": 4.0, \"wall_msgs_per_sec\": 300000}]}"
-        );
-        let err = evaluate(json, &GateThresholds::default()).unwrap_err();
-        assert!(err.contains("fill_drain_wall_msgs_per_sec"), "{err}");
-    }
-
-    #[test]
-    fn wall_ratio_is_informational_on_a_small_runner() {
-        let out = evaluate(
-            &report(2.2, 76.0, 4.0, 100_000.0, 90_000.0, 1),
-            &GateThresholds::default(),
-        )
-        .unwrap();
-        let wall = out.checks.iter().find(|c| c.name.contains("wall")).unwrap();
-        assert!(!wall.pass && !wall.enforced);
-        assert!(out.passed(), "unenforced wall check must not fail the gate");
-        assert!(out.table().contains("skip"));
-    }
-
-    #[test]
-    fn missing_rows_are_an_error_not_a_pass() {
-        let json = "{\"warm_dispatch_ns\": 1100.0, \"dispatch_speedup\": 2.2, \"chain_amortization\": 2.9, \"burst_shard_rows\": []}";
-        assert!(evaluate(json, &GateThresholds::default()).is_err());
-    }
-
-    #[test]
-    fn thresholds_parse_from_baseline_json() {
-        let t = GateThresholds::from_json(
-            "{\"min_dispatch_speedup\": 2.5, \"max_warm_dispatch_ns\": 900, \"min_pipeline_ratio_4shard\": 1.5, \"wall_gate_min_parallelism\": 8, \"max_credit_time_share_4shard\": 0.07, \"max_credit_stall_events\": 48, \"min_chain_amortization\": 2.4, \"max_chain_stage_dispatch_ns\": 50, \"min_resolved_cache_hits\": 500, \"max_model_puts_per_frame_4shard\": 0.2}",
-        );
-        assert_eq!(t.min_dispatch_speedup, 2.5);
-        assert_eq!(t.max_warm_dispatch_ns, 900.0);
-        assert_eq!(t.min_pipeline_ratio_4shard, 1.5);
-        assert_eq!(t.wall_gate_min_parallelism, 8);
-        assert_eq!(t.max_credit_time_share_4shard, 0.07);
-        assert_eq!(t.max_credit_stall_events, 48.0);
-        assert_eq!(t.min_chain_amortization, 2.4);
-        assert_eq!(t.max_chain_stage_dispatch_ns, 50.0);
-        assert_eq!(t.min_resolved_cache_hits, 500.0);
-        assert_eq!(t.max_model_puts_per_frame_4shard, 0.2);
-        assert_eq!(
-            t.min_model_speedup_4shard,
-            GateThresholds::default().min_model_speedup_4shard,
-            "missing keys keep defaults"
-        );
-    }
-
-    #[test]
-    fn real_report_shape_parses() {
-        // The exact shape FastpathReport::to_json emits.
-        let report = crate::fastpath::FastpathReport {
-            messages: 10,
-            frame_bytes: 1500,
-            cold: crate::fastpath::RegimeResult {
-                dispatch_ns: 2400.0,
-                handler_ns: 2500.0,
-                wall_ns: 20000.0,
-            },
-            warm: crate::fastpath::RegimeResult {
-                dispatch_ns: 76.0,
-                handler_ns: 176.0,
-                wall_ns: 8000.0,
-            },
-            warm_code_cache_hits: 10,
-            warm_code_cache_misses: 0,
-            warm_got_cache_hits: 10,
-            warm_template_hits: 10,
-            warm_resolved_cache_hits: 500,
-            warm_resolved_cache_misses: 0,
-            superinstructions_executed: 20,
-            chain_stages: 3,
-            chain_sequential_dispatch_ns: 120.0,
-            chain_per_stage_dispatch_ns: 40.0,
-            chain_amortization: 2.9,
-            burst: vec![
-                crate::burst::BurstRow {
-                    shards: 1,
-                    messages: 64,
-                    model_msgs_per_sec: 8e5,
-                    model_speedup: 1.0,
-                    wall_msgs_per_sec: 1.5e5,
-                    fill_drain_wall_msgs_per_sec: 1.1e5,
-                    pipelined_wall_msgs_per_sec: 1.2e5,
-                    model_credit_ops: 64,
-                    model_credit_bytes: 64,
-                    model_credit_time_share: 0.04,
-                    pipe_credit_ops: 64,
-                    pipe_credit_bytes: 64,
-                    pipe_credit_stall_events: 1,
-                    batch_frames_per_put: 7.5,
-                    model_puts_per_frame: 0.133,
-                    model_posting_share_per_frame: 0.2,
-                    model_posting_share_batched: 0.03,
-                },
-                crate::burst::BurstRow {
-                    shards: 2,
-                    messages: 64,
-                    model_msgs_per_sec: 1.6e6,
-                    model_speedup: 2.0,
-                    wall_msgs_per_sec: 2.4e5,
-                    fill_drain_wall_msgs_per_sec: 1.8e5,
-                    pipelined_wall_msgs_per_sec: 2.6e5,
-                    model_credit_ops: 64,
-                    model_credit_bytes: 64,
-                    model_credit_time_share: 0.04,
-                    pipe_credit_ops: 64,
-                    pipe_credit_bytes: 64,
-                    pipe_credit_stall_events: 2,
-                    batch_frames_per_put: 7.8,
-                    model_puts_per_frame: 0.128,
-                    model_posting_share_per_frame: 0.2,
-                    model_posting_share_batched: 0.03,
-                },
-                crate::burst::BurstRow {
-                    shards: 4,
-                    messages: 64,
-                    model_msgs_per_sec: 3.2e6,
-                    model_speedup: 4.0,
-                    wall_msgs_per_sec: 3.2e5,
-                    fill_drain_wall_msgs_per_sec: 2.4e5,
-                    pipelined_wall_msgs_per_sec: 3.6e5,
-                    model_credit_ops: 64,
-                    model_credit_bytes: 64,
-                    model_credit_time_share: 0.04,
-                    pipe_credit_ops: 64,
-                    pipe_credit_bytes: 64,
-                    pipe_credit_stall_events: 4,
-                    batch_frames_per_put: 8.0,
-                    model_puts_per_frame: 0.125,
-                    model_posting_share_per_frame: 0.2,
-                    model_posting_share_batched: 0.03,
-                },
-            ],
-            loss: vec![
-                crate::burst::LossRow {
-                    loss_rate: 0.0,
-                    messages: 128,
-                    goodput_msgs_per_sec: 2e5,
-                    frames_sent: 128,
-                    frames_retransmitted: 0,
-                    frames_dropped: 0,
-                    replays_suppressed: 0,
-                    nacks_posted: 0,
-                    frames_rejected: 0,
-                },
-                crate::burst::LossRow {
-                    loss_rate: 0.05,
-                    messages: 128,
-                    goodput_msgs_per_sec: 1.5e5,
-                    frames_sent: 128,
-                    frames_retransmitted: 6,
-                    frames_dropped: 3,
-                    replays_suppressed: 2,
-                    nacks_posted: 3,
-                    frames_rejected: 0,
-                },
-            ],
-            host_parallelism: 4,
-        };
-        let json = report.to_json();
-        let rows = parse_loss_rows(&json);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].loss_rate, 0.0);
-        assert_eq!(rows[1].frames_retransmitted, 6.0);
-        assert_eq!(rows[1].frames_dropped, 3.0);
-        let out = evaluate(&json, &GateThresholds::default()).unwrap();
-        assert!(out.passed(), "{}", out.table());
-        // 12 base checks + 1 lossless residue + 4 per faulted row.
-        assert_eq!(out.checks.len(), 17);
-    }
-
-    #[test]
-    fn lossless_reliability_residue_fails_the_gate() {
-        // Retransmits on a link with no FaultPlan mean the reliability layer
-        // fired spuriously — the "pristine link pays nothing" contract broke.
-        let json = format!(
-            concat!(
-                "{}",
-                ",\n  \"burst_loss_rows\": [\n",
-                "    {{\"loss_rate\": 0.0000, \"messages\": 128, ",
-                "\"goodput_msgs_per_sec\": 200000, \"frames_sent\": 128, ",
-                "\"frames_retransmitted\": 2, \"frames_dropped\": 0, ",
-                "\"replays_suppressed\": 0, \"nacks_posted\": 0, ",
-                "\"retransmit_overhead\": 0.0156}}\n  ]\n}}\n"
-            ),
-            report(2.2, 76.0, 4.0, 1e5, 3e5, 4)
-                .trim_end()
-                .trim_end_matches("}")
-        );
-        let out = evaluate(&json, &GateThresholds::default()).unwrap();
-        let residue = out
-            .checks
-            .iter()
-            .find(|c| c.name.contains("residue"))
-            .unwrap();
-        assert!(!residue.pass && residue.enforced);
-        assert!(!out.passed());
-    }
-
-    #[test]
-    fn uncovered_drops_fail_the_gate() {
-        // A faulted row whose drops exceed its retransmits cannot have
-        // completed honestly — recovery regressed.
-        let json = format!(
-            concat!(
-                "{}",
-                ",\n  \"burst_loss_rows\": [\n",
-                "    {{\"loss_rate\": 0.0500, \"messages\": 128, ",
-                "\"goodput_msgs_per_sec\": 150000, \"frames_sent\": 128, ",
-                "\"frames_retransmitted\": 1, \"frames_dropped\": 5, ",
-                "\"replays_suppressed\": 0, \"nacks_posted\": 2, ",
-                "\"retransmit_overhead\": 0.0078}}\n  ]\n}}\n"
-            ),
-            report(2.2, 76.0, 4.0, 1e5, 3e5, 4)
-                .trim_end()
-                .trim_end_matches("}")
-        );
-        let out = evaluate(&json, &GateThresholds::default()).unwrap();
-        let coverage = out
-            .checks
-            .iter()
-            .find(|c| c.name.contains("retransmit coverage"))
-            .unwrap();
-        assert!(!coverage.pass && coverage.enforced);
-        assert!(!out.passed());
-    }
-
-    #[test]
-    fn reports_without_loss_rows_skip_the_loss_checks() {
-        // Pre-reliability reports (and sweeps run without the loss pass) are
-        // still gateable on their own metrics.
-        let out = evaluate(
-            &report(2.16, 76.1, 4.0, 100_000.0, 260_000.0, 4),
-            &GateThresholds::default(),
-        )
-        .unwrap();
-        assert!(out.checks.iter().all(|c| !c.name.contains("loss")));
-        assert!(out.passed());
+    fn loss_rows_that_did_not_recover_honestly_fail_by_name() {
+        let residue = PRISTINE_LINK_BARS[0].name;
+        let [drops, nacks, coverage, _] = FAULTED_LINK_BARS.each_ref().map(|bar| bar.name);
+        // (loss row, [retransmitted, dropped, replays suppressed, NACKs]) and
+        // the bars that must fail on it.
+        let cases: [(usize, [u64; 4], &[&str]); 6] = [
+            // Anything fired on a link with no FaultPlan: spurious.
+            (0, [2, 0, 0, 0], &[residue]),
+            (0, [0, 1, 0, 0], &[residue]),
+            (0, [0, 0, 1, 0], &[residue]),
+            (0, [0, 0, 0, 1], &[residue]),
+            // A faulted row with no faults ran below the plan's resolution;
+            // its retransmit coverage passes vacuously at 0 >= 0.
+            (1, [0, 0, 2, 0], &[drops, nacks]),
+            // Drops exceed retransmits: the run cannot have completed honestly.
+            (1, [1, 5, 2, 3], &[coverage]),
+        ];
+        for (row, [retransmitted, dropped, replays, nacked], want) in cases {
+            let mut report = healthy(2);
+            let r = &mut report.loss[row];
+            (r.frames_retransmitted, r.frames_dropped) = (retransmitted, dropped);
+            (r.replays_suppressed, r.nacks_posted) = (replays, nacked);
+            let out = evaluate(&report).unwrap();
+            assert_eq!(failed(&out), want, "{}", out.table());
+            assert!(!out.passed());
+        }
     }
 }

@@ -5,8 +5,15 @@
 //!
 //! * the two benchmark *shapes* — ping-pong (half-round-trip latency) and injection
 //!   rate (banked flow control) — in [`harness`];
-//! * the shard-scaling burst-drain driver (modelled + multi-threaded) in
-//!   [`burst`], whose rows extend `BENCH_fastpath.json`;
+//! * the cold-vs-warm and chained dispatch regimes in [`fastpath`] and the
+//!   shard-scaling burst-drain driver (modelled + multi-threaded) in [`burst`],
+//!   which the `fastpath` binary measures into `BENCH_fastpath.json`;
+//! * the perf gate in [`gate`]: every bar those numbers are held to is one row
+//!   of one `const` table — name, reader over the typed report, bound, runner
+//!   guard, with the reason for the number on the row — evaluated by the
+//!   `fastpath` binary in the process that measured the report and, for the
+//!   deterministic rows, by the root `tests/perf_bars.rs` on every
+//!   `cargo test`. A new bar is a new row there and nowhere else;
 //! * percentile statistics, including the paper's *tail latency spread* (Eq. 1), in
 //!   [`mod@percentile`];
 //! * one reproduction routine per figure (5–14) in [`figures`], printed by the

@@ -255,95 +255,29 @@ fn kind(e: &AmError) -> String {
     }
 }
 
-/// Every receiver-side counter, one `name value` pair per line. Exhaustive
-/// destructuring: a new `RuntimeStats` field must decide whether it belongs
-/// in the golden trace.
+/// Every receiver-side counter, one `name value` pair per line, in the order
+/// `RuntimeStats` declares them: a new counter joins the golden trace unless
+/// it is named sender-side here.
 fn stats_lines(stats: &RuntimeStats) -> String {
-    let RuntimeStats {
-        messages_sent: _,
-        bytes_sent: _,
-        messages_received,
-        executions,
-        injected_executions,
-        local_executions,
-        injected_code_cache_hits,
-        injected_code_cache_misses,
-        got_cache_hits,
-        got_cache_misses,
-        injected_code_cache_evictions,
-        got_cache_evictions,
-        template_hits: _,
-        template_misses: _,
-        sends_backpressured: _,
-        completions_harvested: _,
-        frames_rejected,
-        poisoned_quarantined,
-        credits_returned,
-        credit_put_bytes,
-        credit_flushes,
-        credit_flush_bytes,
-        credit_flush_max_span,
-        credit_stall_events: _,
-        credit_refills_coalesced: _,
-        frames_retransmitted: _,
-        replays_suppressed,
-        nacks_posted,
-        chain_frames,
-        chain_stages_executed,
-        batch_puts: _,
-        batched_frames: _,
-        batches_received,
-        batch_frames_received,
-        resolved_cache_hits,
-        resolved_cache_misses,
-        superinstructions_executed,
-        credit_put_time,
-        wait_time,
-        exec_time,
-        cycles,
-    } = stats;
-    let pairs = [
-        ("messages_received", *messages_received),
-        ("executions", *executions),
-        ("injected_executions", *injected_executions),
-        ("local_executions", *local_executions),
-        ("injected_code_cache_hits", *injected_code_cache_hits),
-        ("injected_code_cache_misses", *injected_code_cache_misses),
-        ("got_cache_hits", *got_cache_hits),
-        ("got_cache_misses", *got_cache_misses),
-        (
-            "injected_code_cache_evictions",
-            *injected_code_cache_evictions,
-        ),
-        ("got_cache_evictions", *got_cache_evictions),
-        ("frames_rejected", *frames_rejected),
-        ("poisoned_quarantined", *poisoned_quarantined),
-        ("credits_returned", *credits_returned),
-        ("credit_put_bytes", *credit_put_bytes),
-        ("credit_flushes", *credit_flushes),
-        ("credit_flush_bytes", *credit_flush_bytes),
-        ("credit_flush_max_span", *credit_flush_max_span),
-        ("replays_suppressed", *replays_suppressed),
-        ("nacks_posted", *nacks_posted),
-        ("chain_frames", *chain_frames),
-        ("chain_stages_executed", *chain_stages_executed),
-        ("batches_received", *batches_received),
-        ("batch_frames_received", *batch_frames_received),
-        ("resolved_cache_hits", *resolved_cache_hits),
-        ("resolved_cache_misses", *resolved_cache_misses),
-        ("superinstructions_executed", *superinstructions_executed),
-        ("credit_put_time_ps", credit_put_time.as_ps()),
-        ("wait_time_ps", wait_time.as_ps()),
-        ("exec_time_ps", exec_time.as_ps()),
-        ("cycles_total", cycles.total()),
-        ("cycles_waiting", cycles.waiting()),
-        ("cycles_working", cycles.working()),
+    const SENDER_SIDE: [&str; 11] = [
+        "messages_sent",
+        "bytes_sent",
+        "template_hits",
+        "template_misses",
+        "sends_backpressured",
+        "completions_harvested",
+        "credit_stall_events",
+        "credit_refills_coalesced",
+        "frames_retransmitted",
+        "batch_puts",
+        "batched_frames",
     ];
-    let mut out = String::new();
-    for (name, value) in pairs {
-        out.push_str(&format!("stat {name} {value}\n"));
-    }
-    out
+    stats
+        .fields()
+        .into_iter()
+        .filter(|(name, _)| !SENDER_SIDE.contains(name))
+        .map(|(name, value)| format!("stat {name} {value}\n"))
+        .collect()
 }
 
 /// A poisoned header: magic set, declared length far out of range.

@@ -110,105 +110,14 @@ fn payload(round: u64, ctx: SlotCtx, overhead: usize) -> (Vec<u8>, Vec<u8>) {
     (ssum_args(n as u32), usr)
 }
 
-/// Every counter, one `name value` pair per line. Exhaustive destructuring:
-/// a new `RuntimeStats` field must decide whether it belongs in the trace.
+/// Every counter, one `name value` pair per line, in the order
+/// `RuntimeStats` declares them: a new counter joins the trace.
 fn stats_lines(who: &str, stats: &RuntimeStats) -> String {
-    let RuntimeStats {
-        messages_sent,
-        bytes_sent,
-        messages_received,
-        executions,
-        injected_executions,
-        local_executions,
-        injected_code_cache_hits,
-        injected_code_cache_misses,
-        got_cache_hits,
-        got_cache_misses,
-        injected_code_cache_evictions,
-        got_cache_evictions,
-        template_hits,
-        template_misses,
-        sends_backpressured,
-        completions_harvested,
-        frames_rejected,
-        poisoned_quarantined,
-        credits_returned,
-        credit_put_bytes,
-        credit_flushes,
-        credit_flush_bytes,
-        credit_flush_max_span,
-        credit_stall_events,
-        credit_refills_coalesced,
-        frames_retransmitted,
-        replays_suppressed,
-        nacks_posted,
-        chain_frames,
-        chain_stages_executed,
-        batch_puts,
-        batched_frames,
-        batches_received,
-        batch_frames_received,
-        resolved_cache_hits,
-        resolved_cache_misses,
-        superinstructions_executed,
-        credit_put_time,
-        wait_time,
-        exec_time,
-        cycles,
-    } = stats;
-    let pairs = [
-        ("messages_sent", *messages_sent),
-        ("bytes_sent", *bytes_sent),
-        ("messages_received", *messages_received),
-        ("executions", *executions),
-        ("injected_executions", *injected_executions),
-        ("local_executions", *local_executions),
-        ("injected_code_cache_hits", *injected_code_cache_hits),
-        ("injected_code_cache_misses", *injected_code_cache_misses),
-        ("got_cache_hits", *got_cache_hits),
-        ("got_cache_misses", *got_cache_misses),
-        (
-            "injected_code_cache_evictions",
-            *injected_code_cache_evictions,
-        ),
-        ("got_cache_evictions", *got_cache_evictions),
-        ("template_hits", *template_hits),
-        ("template_misses", *template_misses),
-        ("sends_backpressured", *sends_backpressured),
-        ("completions_harvested", *completions_harvested),
-        ("frames_rejected", *frames_rejected),
-        ("poisoned_quarantined", *poisoned_quarantined),
-        ("credits_returned", *credits_returned),
-        ("credit_put_bytes", *credit_put_bytes),
-        ("credit_flushes", *credit_flushes),
-        ("credit_flush_bytes", *credit_flush_bytes),
-        ("credit_flush_max_span", *credit_flush_max_span),
-        ("credit_stall_events", *credit_stall_events),
-        ("credit_refills_coalesced", *credit_refills_coalesced),
-        ("frames_retransmitted", *frames_retransmitted),
-        ("replays_suppressed", *replays_suppressed),
-        ("nacks_posted", *nacks_posted),
-        ("chain_frames", *chain_frames),
-        ("chain_stages_executed", *chain_stages_executed),
-        ("batch_puts", *batch_puts),
-        ("batched_frames", *batched_frames),
-        ("batches_received", *batches_received),
-        ("batch_frames_received", *batch_frames_received),
-        ("resolved_cache_hits", *resolved_cache_hits),
-        ("resolved_cache_misses", *resolved_cache_misses),
-        ("superinstructions_executed", *superinstructions_executed),
-        ("credit_put_time_ps", credit_put_time.as_ps()),
-        ("wait_time_ps", wait_time.as_ps()),
-        ("exec_time_ps", exec_time.as_ps()),
-        ("cycles_total", cycles.total()),
-        ("cycles_waiting", cycles.waiting()),
-        ("cycles_working", cycles.working()),
-    ];
-    let mut out = String::new();
-    for (name, value) in pairs {
-        out.push_str(&format!("stat {who} {name} {value}\n"));
-    }
-    out
+    stats
+        .fields()
+        .into_iter()
+        .map(|(name, value)| format!("stat {who} {name} {value}\n"))
+        .collect()
 }
 
 struct Rig {
