@@ -148,7 +148,10 @@ impl Endpoint {
         // checks the granted permissions before touching memory.
         region.rkey().validate(desc.rkey)?;
         check_permission(region.flags(), op)?;
-        if offset + len > region.len() {
+        // Checked before any model state moves: an offset that wraps must not
+        // slip past as a small sum, charge the pipelines and stash lines at a
+        // wrapped address before the region refuses it.
+        if offset.checked_add(len).is_none_or(|end| end > region.len()) {
             return Err(FabricError::OutOfBounds {
                 offset,
                 len,
@@ -533,6 +536,37 @@ mod tests {
             Err(FabricError::OutOfBounds { .. })
         ));
         assert!(ep.put(SimTime::ZERO, &[0u8; 64], &desc, 0).is_ok());
+    }
+
+    #[test]
+    fn a_wrapping_offset_is_refused_before_any_model_state_moves() {
+        // `offset + len` wraps to 1, 1 and 6: unchecked, the sum passes in a
+        // release build (tx pipeline charged, two lines stashed at a wrapped
+        // address, then `MemoryRegion::write` refuses) and panics in a debug one.
+        let valid_put_delivered = |poisoned: bool| {
+            let (fabric, a, b) = setup();
+            let host = fabric.host(b).unwrap();
+            let desc = host.register(64, AccessFlags::rwx()).unwrap().descriptor();
+            let mut ep = fabric.endpoint(a, b).unwrap();
+            if poisoned {
+                let at = usize::MAX - 1;
+                let refused = [
+                    ep.put(SimTime::ZERO, b"abc", &desc, at).err(),
+                    ep.get(SimTime::ZERO, &desc, at, 3).err(),
+                    ep.atomic_add(SimTime::ZERO, &desc, at, 1).err(),
+                ];
+                for err in refused {
+                    assert!(
+                        matches!(err, Some(FabricError::OutOfBounds { .. })),
+                        "{err:?}"
+                    );
+                }
+                assert_eq!(host.hierarchy().stats().stashed_lines, 0);
+                assert_eq!(ep.ops(), 0);
+            }
+            ep.put(SimTime::ZERO, b"abc", &desc, 0).unwrap().delivered
+        };
+        assert_eq!(valid_put_delivered(true), valid_put_delivered(false));
     }
 
     #[test]

@@ -18,8 +18,9 @@ use twochains_memsim::{SharedHierarchy, SimTime};
 
 use crate::link::{LinkModel, LinkTiming};
 
-/// Per-host NIC state: transmit/receive serialization points and the stashing toggle
-/// for inbound DMA.
+/// Per-host NIC state: transmit/receive serialization points. The stashing toggle
+/// for inbound DMA (the firmware toggle for the ConnectX-6 device in the paper's
+/// experiments) is the destination hierarchy's own: [`NicModel::stashing`] reads it.
 #[derive(Debug)]
 pub struct NicModel {
     link: LinkModel,
@@ -27,9 +28,6 @@ pub struct NicModel {
     tx_busy_until: Mutex<SimTime>,
     /// Time until which the receive/DMA path is busy.
     rx_busy_until: Mutex<SimTime>,
-    /// Whether inbound DMA is stashed into the LLC (the firmware toggle for the
-    /// ConnectX-6 device in the paper's experiments).
-    stash_inbound: Mutex<bool>,
     /// The destination memory hierarchy this NIC delivers into (internally
     /// synchronized: the DMA engine stripes into the shared LLC without a
     /// hierarchy-wide lock).
@@ -48,15 +46,12 @@ pub struct DeliveryTiming {
 }
 
 impl NicModel {
-    /// Create a NIC attached to `hierarchy`, honouring the hierarchy's configured
-    /// stashing capability as the initial inbound-stash setting.
+    /// Create a NIC attached to `hierarchy`, whose stashing setting is the NIC's.
     pub fn new(link: LinkModel, hierarchy: Arc<SharedHierarchy>) -> Self {
-        let stash = hierarchy.stashing_enabled();
         NicModel {
             link,
             tx_busy_until: Mutex::new(SimTime::ZERO),
             rx_busy_until: Mutex::new(SimTime::ZERO),
-            stash_inbound: Mutex::new(stash),
             hierarchy,
         }
     }
@@ -69,13 +64,12 @@ impl NicModel {
     /// Enable or disable LLC stashing for inbound traffic (the per-device low-level
     /// control the paper uses to toggle the feature for the ConnectX-6).
     pub fn set_stashing(&self, enabled: bool) {
-        *self.stash_inbound.lock() = enabled;
         self.hierarchy.set_stashing(enabled);
     }
 
     /// Whether inbound stashing is currently enabled.
     pub fn stashing(&self) -> bool {
-        *self.stash_inbound.lock()
+        self.hierarchy.stashing_enabled()
     }
 
     /// The destination memory hierarchy (shared with the host's compute side).
@@ -147,6 +141,20 @@ mod tests {
         assert!(!n.hierarchy().stashing_enabled());
         n.set_stashing(true);
         assert!(n.hierarchy().stashing_enabled());
+    }
+
+    #[test]
+    fn a_toggle_made_on_the_hierarchy_is_the_nics_answer_too() {
+        // The hierarchy is handed out (`HostHandle::hierarchy()`) and its toggle is
+        // public: the NIC keeps no copy that could disagree with the path
+        // deliveries actually take.
+        let n = nic(true);
+        n.hierarchy().set_stashing(false);
+        n.deliver(SimTime::ZERO, 0x8000, 256);
+        assert_eq!(n.hierarchy().stats().dma_dram_lines, 4);
+        assert!(!n.stashing(), "deliveries took the DRAM path");
+        n.hierarchy().set_stashing(true);
+        assert!(n.stashing());
     }
 
     #[test]

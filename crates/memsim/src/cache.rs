@@ -40,6 +40,10 @@ pub struct FillOutcome {
 /// by the line size, so no real line reaches it.
 const EMPTY: u64 = u64::MAX;
 
+/// The bits of a way's state byte.
+const DIRTY: u8 = 1;
+const MARKED: u8 = 2;
+
 /// Per-level hit/miss statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -74,7 +78,15 @@ impl CacheStats {
 ///
 /// Way `w` of set `s` is index `s * ways_per_set + w` of three parallel arrays, so a
 /// lookup scans one contiguous run of tags; stamps and dirty bits are touched only
-/// on a hit or a fill.
+/// on a hit or a fill. That index is the way's *slot*: below
+/// [`CacheLevelConfig::lines`], and a line's for as long as it stays resident.
+///
+/// Each way also carries a *mark*: one bit kept for the cache's owner (the LLC
+/// stripes' held-above flag) in the byte that holds the dirty bit, so that reading
+/// or writing it right after a touch of the same way costs no memory access of its
+/// own. A fill leaves its way unmarked and an eviction clears the mark; between the
+/// two only [`SetAssocCache::set_marked`] changes it, on the slot that the `*_slot`
+/// form of an operation reports.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     cfg: CacheLevelConfig,
@@ -88,7 +100,8 @@ pub struct SetAssocCache {
     tags: Vec<u64>,
     /// LRU timestamps: larger = more recently used.
     stamps: Vec<u64>,
-    dirty: Vec<bool>,
+    /// [`DIRTY`] and [`MARKED`] of each way.
+    bits: Vec<u8>,
     tick: u64,
     stats: CacheStats,
 }
@@ -110,7 +123,7 @@ impl SetAssocCache {
             line_shift: cfg.line_size.trailing_zeros(),
             tags: vec![EMPTY; sets * ways_per_set],
             stamps: vec![0; sets * ways_per_set],
-            dirty: vec![false; sets * ways_per_set],
+            bits: vec![0; sets * ways_per_set],
             tick: 0,
             stats: CacheStats::default(),
         }
@@ -136,7 +149,7 @@ impl SetAssocCache {
     pub fn clear(&mut self) {
         self.tags.fill(EMPTY);
         self.stamps.fill(0);
-        self.dirty.fill(false);
+        self.bits.fill(0);
         self.tick = 0;
         self.stats = CacheStats::default();
     }
@@ -166,23 +179,24 @@ impl SetAssocCache {
         self.tags[self.set_of(line)].contains(&line)
     }
 
-    /// Look `line` up and fill it on a miss. Returns whether it hit and the dirty
-    /// victim a fill evicted. The hit — one scan of the set's tags — is inlined
-    /// into every caller (`always`: as a hint it is ignored in the per-line
-    /// loops); the fill is a call.
+    /// Look `line` up and fill it on a miss. Returns whether it hit, the dirty
+    /// victim a fill evicted and the slot that holds the line now. The hit — one
+    /// scan of the set's tags — is inlined into every caller (`always`: as a hint
+    /// it is ignored in the per-line loops); the fill is a call.
     #[inline(always)]
-    fn touch(&mut self, line: u64, mark_dirty: bool) -> FillOutcome {
+    fn touch(&mut self, line: u64, mark_dirty: bool) -> (FillOutcome, usize) {
         debug_assert_ne!(line, EMPTY, "line index collides with the empty tag");
         self.tick += 1;
         let set = self.set_of(line);
         if let Some(way) = self.tags[set.clone()].iter().position(|&t| t == line) {
             let idx = set.start + way;
             self.stamps[idx] = self.tick;
-            self.dirty[idx] |= mark_dirty;
-            return FillOutcome {
+            self.bits[idx] |= u8::from(mark_dirty) * DIRTY;
+            let hit = FillOutcome {
                 hit: true,
                 dirty_victim: None,
             };
+            return (hit, idx);
         }
         self.fill(set, line, mark_dirty)
     }
@@ -191,7 +205,12 @@ impl SetAssocCache {
     /// in the first invalid way, otherwise over the LRU victim (the smallest
     /// stamp, the first on ties).
     #[inline(never)]
-    fn fill(&mut self, set: std::ops::Range<usize>, line: u64, mark_dirty: bool) -> FillOutcome {
+    fn fill(
+        &mut self,
+        set: std::ops::Range<usize>,
+        line: u64,
+        mark_dirty: bool,
+    ) -> (FillOutcome, usize) {
         let tags = &self.tags[set.clone()];
         let way = tags.iter().position(|&t| t == EMPTY).unwrap_or_else(|| {
             let stamps = &self.stamps[set.clone()];
@@ -200,17 +219,19 @@ impl SetAssocCache {
                 .expect("set has at least one way")
         });
         let idx = set.start + way;
-        let dirty_victim = (self.tags[idx] != EMPTY && self.dirty[idx]).then_some(self.tags[idx]);
+        let dirty_victim =
+            (self.tags[idx] != EMPTY && self.bits[idx] & DIRTY != 0).then_some(self.tags[idx]);
         self.tags[idx] = line;
         self.stamps[idx] = self.tick;
-        self.dirty[idx] = mark_dirty;
+        self.bits[idx] = u8::from(mark_dirty) * DIRTY;
         if dirty_victim.is_some() {
             self.stats.writebacks += 1;
         }
-        FillOutcome {
+        let filled = FillOutcome {
             hit: false,
             dirty_victim,
-        }
+        };
+        (filled, idx)
     }
 
     /// Access the line containing `addr`. On a miss the line is filled (allocate on
@@ -224,13 +245,19 @@ impl SetAssocCache {
     /// Access by pre-computed line index (byte address / line size).
     #[inline(always)]
     pub fn access_line(&mut self, line: u64, kind: AccessKind) -> FillOutcome {
-        let out = self.touch(line, kind.is_write());
+        self.access_line_slot(line, kind).0
+    }
+
+    /// [`SetAssocCache::access_line`], also reporting the slot that holds `line` now.
+    #[inline(always)]
+    pub fn access_line_slot(&mut self, line: u64, kind: AccessKind) -> (FillOutcome, usize) {
+        let (out, slot) = self.touch(line, kind.is_write());
         if out.hit {
             self.stats.hits += 1;
         } else {
             self.stats.misses += 1;
         }
-        out
+        (out, slot)
     }
 
     /// Install a line without it being a demand access — the *stash port*. The line is
@@ -241,8 +268,15 @@ impl SetAssocCache {
     ///
     /// Returns the dirty victim line if one had to be evicted.
     pub fn stash_line(&mut self, line: u64) -> Option<u64> {
+        self.stash_line_slot(line).0.dirty_victim
+    }
+
+    /// [`SetAssocCache::stash_line`], also reporting whether the line was already
+    /// tracked (`hit`) and the slot that holds it now.
+    #[inline]
+    pub fn stash_line_slot(&mut self, line: u64) -> (FillOutcome, usize) {
         self.stats.stashed_lines += 1;
-        self.touch(line, true).dirty_victim
+        self.touch(line, true)
     }
 
     /// Invalidate the line containing `addr` if present; returns true if it was dirty.
@@ -253,10 +287,46 @@ impl SetAssocCache {
     /// Drop `line` (a pre-computed line index) if present; reports whether it was
     /// dirty, or `None` if the cache did not hold it.
     pub fn evict_line(&mut self, line: u64) -> Option<bool> {
+        self.evict_line_marked(line).map(|(dirty, _)| dirty)
+    }
+
+    /// [`SetAssocCache::evict_line`], also reporting whether the way the line just
+    /// left was marked.
+    #[inline]
+    pub fn evict_line_marked(&mut self, line: u64) -> Option<(bool, bool)> {
         let set = self.set_of(line);
         let way = self.tags[set.clone()].iter().position(|&t| t == line)?;
-        self.tags[set.start + way] = EMPTY;
-        Some(std::mem::take(&mut self.dirty[set.start + way]))
+        let idx = set.start + way;
+        self.tags[idx] = EMPTY;
+        let bits = std::mem::take(&mut self.bits[idx]);
+        Some((bits & DIRTY != 0, bits & MARKED != 0))
+    }
+
+    /// Whether the way at `slot` is marked.
+    #[inline]
+    pub fn marked(&self, slot: usize) -> bool {
+        self.bits[slot] & MARKED != 0
+    }
+
+    /// Mark or unmark the way at `slot`, which holds a line.
+    #[inline]
+    pub fn set_marked(&mut self, slot: usize, marked: bool) {
+        debug_assert_ne!(self.tags[slot], EMPTY, "marking an empty way");
+        if marked {
+            self.bits[slot] |= MARKED;
+        } else {
+            self.bits[slot] &= !MARKED;
+        }
+    }
+
+    /// The line held by each slot and whether it is marked; `None` for an empty way.
+    #[cfg(test)]
+    pub(crate) fn slots(&self) -> impl Iterator<Item = Option<(u64, bool)>> + '_ {
+        let ways = self.tags.iter().zip(&self.bits);
+        ways.map(|(&t, &bits)| {
+            assert!(t != EMPTY || bits == 0, "an empty way keeps no state");
+            (t != EMPTY).then_some((t, bits & MARKED != 0))
+        })
     }
 
     /// Number of valid lines currently resident (for tests and introspection).
@@ -511,6 +581,8 @@ mod tests {
                 let mut cache =
                     SetAssocCache::new(CacheLevelConfig::new(sets * ways * 64, ways, 64));
                 let mut naive = NaiveCache::new(sets, ways);
+                // The lines the test has marked and the cache still holds.
+                let mut marked = std::collections::HashSet::new();
                 let (mut hits, mut dirty_victims) = (0, 0);
                 for step in 0..5000 {
                     let line = rng.gen_range(0..footprint);
@@ -519,18 +591,33 @@ mod tests {
                         0..=599 => {
                             let kind = [AccessKind::Read, AccessKind::Write, AccessKind::Fetch]
                                 [rng.gen_range(0..3usize)];
-                            let out = cache.access_line(line, kind);
+                            let (out, slot) = cache.access_line_slot(line, kind);
                             assert_eq!(out, naive.access_line(line, kind), "{what} {kind:?}");
+                            let mark = rng.gen::<bool>();
+                            cache.set_marked(slot, mark);
+                            assert_eq!(cache.marked(slot), mark);
+                            if mark {
+                                marked.insert(line);
+                            } else {
+                                marked.remove(&line);
+                            }
                             hits += u32::from(out.hit);
                             dirty_victims += u32::from(out.dirty_victim.is_some());
                         }
                         600..=799 => {
-                            let victim = cache.stash_line(line);
+                            let resident = naive.contains_line(line);
+                            let (out, slot) = cache.stash_line_slot(line);
+                            let victim = out.dirty_victim;
                             assert_eq!(victim, naive.stash_line(line), "{what}");
+                            assert_eq!(out.hit, resident, "{what}");
+                            // A stash keeps the mark of a line it finds; a fill has none.
+                            assert_eq!(cache.marked(slot), marked.contains(&line), "{what}");
                             dirty_victims += u32::from(victim.is_some());
                         }
                         800..=997 => {
-                            assert_eq!(cache.evict_line(line), naive.evict_line(line), "{what}");
+                            let evicted = cache.evict_line_marked(line);
+                            assert_eq!(evicted.map(|e| e.0), naive.evict_line(line), "{what}");
+                            assert_eq!(evicted.map(|e| e.1), evicted.map(|_| marked.remove(&line)));
                         }
                         _ => {
                             cache.clear();
@@ -543,6 +630,13 @@ mod tests {
                             naive.contains_line(l),
                             "{what}: {l}"
                         );
+                    }
+                    // A mark goes with its line, wherever a fill or an eviction took it.
+                    marked.retain(|&l| naive.contains_line(l));
+                    let held: Vec<(u64, bool)> = cache.slots().flatten().collect();
+                    assert_eq!(held.len(), naive.resident_lines(), "{what}");
+                    for (l, mark) in held {
+                        assert_eq!(mark, marked.contains(&l), "{what}: mark of {l}");
                     }
                     assert_eq!(cache.resident_lines(), naive.resident_lines(), "{what}");
                     assert_eq!(cache.stats(), naive.stats, "{what}");

@@ -23,9 +23,10 @@
 //! **Invalidation contract:** inbound DMA makes the LLC (stash path) or DRAM
 //! (non-stash path) copy authoritative, so any private L1/L2 copy of a delivered
 //! line is stale. The monolithic model invalidates private levels inline in
-//! [`CacheHierarchy::dma_write`]; the sharded model posts the same lines, as one run, to
-//! each core's invalidation inbox, drained at the start of that core's next access —
-//! before the core can observe a stale line.
+//! [`CacheHierarchy::dma_write`]; the sharded model posts those of the same lines that
+//! a level above its LLC can still hold (it keeps one held-above flag per LLC way to
+//! know), as runs, to each core's invalidation inbox, drained at the start of that
+//! core's next access — before the core can observe a stale line.
 
 use std::collections::HashSet;
 

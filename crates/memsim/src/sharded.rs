@@ -25,22 +25,84 @@
 //! A delivery is a *run*: the consecutive cache lines `first..first + count` that
 //! one put covers. Inbound DMA ([`SharedHierarchy::dma_write`]) makes the LLC
 //! (stash path) or DRAM (non-stash path) copy of every line of the run
-//! authoritative; any private L1/L2 copy is stale from that instant. It takes each
-//! LLC stripe's lock once and walks that stripe's lines of the run in ascending
-//! order — the order a line-by-line walk would have visited that stripe, so LRU
-//! state, victims and cost are those of the line-by-line model — then each L3
-//! slice's lock once, and charges the displaced dirty lines' write-backs in line
-//! order. Because the private levels are lock-free, DMA cannot reach into them —
-//! instead it posts the run, as `(first line, count)`, to every core's
-//! *invalidation inbox* and raises that core's flag. [`CoreBus::access`] drains its
-//! inbox before touching its private caches, evicting each line of each run from
-//! L1 and L2, so a core can never observe a line it cached before the DMA
-//! overwrote it. This is the same hook the receiver's cross-shard
-//! injection-cache invalidation rides on: package reinstalls invalidate the
-//! (shared) decoded-program caches directly, and the per-core *hardware* state
-//! follows through the inbox on the next access. An inbox whose runs add up to
-//! more than [`INVAL_INBOX_LIMIT`] *lines* degrades to a full private-cache
-//! flush — correct, just conservatively slow.
+//! authoritative; any copy above the LLC — in an L3 slice, in a private L1/L2 — is
+//! stale from that instant. It takes each LLC stripe's lock once and walks that
+//! stripe's lines of the run in ascending order — the order a line-by-line walk
+//! would have visited that stripe, so LRU state, victims and cost are those of the
+//! line-by-line model — and in the same touch learns from the line's *held-above
+//! flag* (next section) whether any level above can hold a copy at all. Only if
+//! some line of the run is held does it take each L3 slice's lock, once, to evict
+//! those lines; it charges the displaced dirty lines' write-backs in line order.
+//! Because the private levels are lock-free, DMA cannot reach into them — instead
+//! it posts the held lines, 64 consecutive lines to a `(first line, mask)` word, to
+//! every core's *invalidation inbox* and raises that core's flag.
+//! [`CoreBus::access`] drains its inbox before touching its private caches,
+//! evicting each posted line from L1 and L2, so a core can never observe a line it
+//! cached before the DMA overwrote it. This is the same hook the receiver's
+//! cross-shard injection-cache invalidation rides on: package reinstalls
+//! invalidate the (shared) decoded-program caches directly, and the per-core
+//! *hardware* state follows through the inbox on the next access. An inbox counts
+//! every *delivered* line, held or not, and once the count passes
+//! [`INVAL_INBOX_LIMIT`] it degrades to a full private-cache flush — correct, just
+//! conservatively slow. The count and the flag are the unfiltered model's on
+//! purpose: where an inbox overflows, and when a core drains it, are part of the
+//! model.
+//!
+//! # The held-above flag
+//!
+//! A warm receiver reads a frame's header and arguments and never its code
+//! section, so most delivered lines are held by nothing above the LLC when the
+//! next delivery overwrites them, and an eviction probe for them finds nothing.
+//! Each LLC way therefore carries the one bit a home node keeps (the way's *mark*
+//! in [`SetAssocCache`], under its stripe's lock): *set* means an L3 slice or some
+//! core's L1/L2 may hold the line in that way; *clear* means none can without an
+//! invalidation for it already sitting in that core's inbox. The invariant
+//! (checked slot by slot after every step of the interleaving test against the
+//! always-snooping line-by-line model):
+//!
+//! > If an L3 slice holds line `L`, or a core's L1 or L2 holds `L` while no
+//! > posted, undrained word (or pending flush-all) of that core's inbox covers
+//! > `L`, then `L` is absent from the LLC or its way's flag is set.
+//!
+//! A skipped probe is then a probe that would have found nothing, and evicting an
+//! absent line changes no state (no tick, no counter): every cost, counter, LRU
+//! order and residency is the unfiltered model's. The transitions that keep it:
+//!
+//! | event | flag of the way that holds the line afterwards |
+//! |---|---|
+//! | demand access that reaches the stripe, hit or fill | set: whoever asked now holds it (a second core of the cluster that then hits L3 never reaches the stripe, and need not) |
+//! | delivery, stash path | `held = !hit \|\| flag`, then cleared — a line the LLC did not track may have outlived its LLC copy above (a capacity victim), so a stash that *fills* always snoops |
+//! | delivery, non-stash path | the line leaves the LLC, and its way's flag goes with it; `held = !was_resident \|\| flag` |
+//! | prefetch install | set if the install *filled* (same reason), untouched on a hit |
+//! | [`CoreBus::warm`] | set: it fills L1/L2 right after, without a shared-level access |
+//! | [`SharedHierarchy::clear`] | none left: the LLC is empty (and every level above is flushed) |
+//!
+//! A flag never outlives its line: a fill starts its way unmarked, before the row
+//! above that made the fill applies, and an eviction takes the mark with the line.
+//! The flag is read and written only under its stripe's lock, and the
+//! lock order (stripe → L3 slice → inbox) is unchanged; a core that demands a line
+//! between a delivery's stash and its post sets the flag again after the delivery
+//! cleared it, which is conservative.
+//!
+//! **Warm-ups.** [`CoreBus::warm`] is the one private fill that does not drain the
+//! inbox first. When every delivered line was posted, a delivery still pending
+//! from *before* the warm-up took the freshly warmed lines at the core's next
+//! access, although they were the delivered data; a line that was never posted (it
+//! was not held when it was delivered) is not taken, and that copy survives — the
+//! one sequence on which the filter shows
+//! (`a_warm_up_behind_an_unposted_delivery_keeps_its_lines`). The runtime warms
+//! only the Local Function library's range, which no delivery covers.
+//!
+//! **What a delivery costs the host.** Per delivered line: one LLC touch (the
+//! stash, or the drop), which also reads and clears the flag. Per *held* line: one
+//! eviction probe in each L3 slice and, at the next access of each core, one in
+//! its L1 and one in its L2. Per delivery: one lock round-trip per touched stripe
+//! and per inbox, the slice locks only if a line is held, and no heap allocation
+//! (a run is walked 512 consecutive lines at a time over a mask on the stack)
+//! unless a stash displaces a dirty victim or an inbox's buffer, which keeps its
+//! capacity across drains, has to grow.
+//! [`SharedHierarchy::delivery_stats`] counts both kinds of line (the held ones
+//! under the stripe lock the touch already holds).
 //!
 //! # The private-hit path
 //!
@@ -79,7 +141,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::cache::{AccessKind, CacheStats, SetAssocCache};
+use crate::cache::{AccessKind, CacheStats, FillOutcome, SetAssocCache};
 use crate::clock::SimTime;
 use crate::config::TestbedConfig;
 use crate::hierarchy::{HierarchyStats, MemoryBus};
@@ -131,9 +193,10 @@ struct InvalInbox {
 
 #[derive(Debug, Default)]
 struct PendingInvals {
-    /// Delivered runs to invalidate, each `(first line, line count)`.
-    runs: Vec<(u64, u64)>,
-    /// Lines in `runs`, held against [`INVAL_INBOX_LIMIT`].
+    /// The delivered lines to invalidate: those some level above the LLC may hold.
+    held: Vec<HeldLines>,
+    /// Lines delivered since the last drain, held or not, against
+    /// [`INVAL_INBOX_LIMIT`].
     lines: u64,
     /// Drop everything (hierarchy clear, or an overflowed inbox).
     flush_all: bool,
@@ -148,7 +211,12 @@ struct PendingInvals {
 /// index, so conflict behaviour matches the unsharded model exactly.
 #[derive(Debug)]
 struct LlcStripe {
+    /// A way's *mark* is its held-above flag: whether an L3 slice or a core's
+    /// private levels may hold the line in that way (the invariant of the module
+    /// docs). It sits in the byte a touch of the way reads anyway.
     cache: SetAssocCache,
+    /// Delivered lines found held ([`DeliveryStats::held_lines`]).
+    held_delivered: u64,
     /// Prefetched-not-yet-demanded lines, stored *folded* (like the cache tags,
     /// so victim tags from the cache compare directly).
     prefetched: HashSet<u64>,
@@ -160,16 +228,89 @@ impl LlcStripe {
         line / LLC_STRIPES as u64
     }
 
-    fn access_line(&mut self, line: u64, kind: AccessKind) -> crate::cache::FillOutcome {
-        self.cache.access_line(Self::fold(line), kind)
+    /// A demand access, hit or fill: whoever asked holds the line from here on.
+    fn access_line(&mut self, line: u64, kind: AccessKind) -> FillOutcome {
+        let (out, slot) = self.cache.access_line_slot(Self::fold(line), kind);
+        self.cache.set_marked(slot, true);
+        out
     }
 
-    fn stash_line(&mut self, line: u64) -> Option<u64> {
-        self.cache.stash_line(Self::fold(line))
+    /// Stash one delivered line. Returns whether a level above may hold a copy —
+    /// which the delivery, about to snoop it or not, leaves no longer true — and
+    /// the dirty victim the stash displaced.
+    fn deliver_line(&mut self, line: u64) -> (bool, Option<u64>) {
+        let (out, slot) = self.cache.stash_line_slot(Self::fold(line));
+        // A line the LLC did not track may have outlived its LLC copy above (a
+        // capacity victim), so a stash that fills always snoops.
+        let held = !out.hit || self.cache.marked(slot);
+        self.cache.set_marked(slot, false);
+        self.held_delivered += u64::from(held);
+        (held, out.dirty_victim)
+    }
+
+    /// Drop one line delivered on the non-stash path. Returns whether a level
+    /// above may hold a copy; a line the LLC did not track may be held anywhere.
+    fn drop_delivered_line(&mut self, line: u64) -> bool {
+        let folded = Self::fold(line);
+        self.prefetched.remove(&folded);
+        let evicted = self.cache.evict_line_marked(folded);
+        let held = evicted.is_none_or(|(_, marked)| marked);
+        self.held_delivered += u64::from(held);
+        held
+    }
+
+    /// Install a line off the demand path. `held_above` says the installer fills
+    /// a private level without a shared-level access (a warm-up); a prefetch does
+    /// not, but a line it *fills* may still be held from before the LLC lost it.
+    /// Returns the dirty victim displaced.
+    fn install_line(&mut self, line: u64, held_above: bool) -> Option<u64> {
+        let (out, slot) = self.cache.stash_line_slot(Self::fold(line));
+        if held_above || !out.hit {
+            self.cache.set_marked(slot, true);
+        }
+        out.dirty_victim
     }
 
     fn contains_line(&self, line: u64) -> bool {
         self.cache.contains_line(Self::fold(line))
+    }
+}
+
+/// Lines of a delivered run handled at a time: the size of the held-above mask
+/// [`SharedHierarchy::dma_write`] keeps on its stack.
+const DELIVERY_CHUNK: usize = 512;
+
+/// Up to 64 consecutive delivered lines of which some level above the LLC may
+/// hold those whose bit is set: bit `i` stands for line `first + i`.
+#[derive(Debug, Clone, Copy)]
+struct HeldLines {
+    first: u64,
+    mask: u64,
+}
+
+impl HeldLines {
+    /// The held lines of a chunk of a delivered run that starts at line `chunk`,
+    /// bit `i % 64` of `masks[i / 64]` standing for its line `i`.
+    #[inline]
+    fn of_chunk(chunk: u64, masks: &[u64]) -> impl Iterator<Item = HeldLines> + '_ {
+        let words = masks.iter().enumerate().filter(|(_, &mask)| mask != 0);
+        words.map(move |(k, &mask)| HeldLines {
+            first: chunk + 64 * k as u64,
+            mask,
+        })
+    }
+
+    /// The held lines, ascending.
+    #[inline]
+    fn lines(self) -> impl Iterator<Item = u64> {
+        let mut mask = self.mask;
+        std::iter::from_fn(move || {
+            (mask != 0).then(|| {
+                let line = self.first + u64::from(mask.trailing_zeros());
+                mask &= mask - 1;
+                line
+            })
+        })
     }
 }
 
@@ -192,6 +333,18 @@ struct SharedStats {
     stashed_lines: AtomicU64,
     dma_dram_lines: AtomicU64,
     writebacks: AtomicU64,
+}
+
+/// What the held-above filter made of the lines delivered so far
+/// ([`SharedHierarchy::delivery_stats`]). Not part of [`HierarchyStats`]: these
+/// count host work the model does not charge for.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DeliveryStats {
+    /// Lines covered by [`SharedHierarchy::dma_write`] calls.
+    pub delivered_lines: u64,
+    /// Those an L3 slice or a private cache could still hold: evicted from the
+    /// slices and posted to the inboxes. The rest cost one LLC touch each.
+    pub held_lines: u64,
 }
 
 /// The striped DRAM bottom: one short-hold mutex per channel, plus the (rarely
@@ -241,6 +394,7 @@ impl SharedHierarchy {
             .map(|_| {
                 Mutex::new(LlcStripe {
                     cache: SetAssocCache::new(stripe_cfg),
+                    held_delivered: 0,
                     prefetched: HashSet::new(),
                 })
             })
@@ -302,7 +456,7 @@ impl SharedHierarchy {
             prefetcher: StridePrefetcher::new(prefetch_cfg),
             prefetch_gen_seen: self.prefetch_gen.load(Ordering::Acquire),
             stats: CoreCacheStats::default(),
-            inval_runs: Vec::new(),
+            inval_held: Vec::new(),
             shared: Arc::clone(self),
         }
     }
@@ -412,6 +566,17 @@ impl SharedHierarchy {
         }
     }
 
+    /// How many delivered lines the held-above filter passed on to the slice and
+    /// inbox snoops (see "What a delivery costs the host" in the module docs).
+    pub fn delivery_stats(&self) -> DeliveryStats {
+        // Every delivered line is counted once already, by the path it took.
+        DeliveryStats {
+            delivered_lines: self.stats.stashed_lines.load(Ordering::Relaxed)
+                + self.stats.dma_dram_lines.load(Ordering::Relaxed),
+            held_lines: self.llc.iter().map(|s| s.lock().held_delivered).sum(),
+        }
+    }
+
     /// Reset the shared-level statistics (cache contents are preserved).
     /// Per-core counters are reset by [`CoreBus::reset_stats`].
     pub fn reset_stats(&self) {
@@ -425,7 +590,9 @@ impl SharedHierarchy {
             l3.lock().reset_stats();
         }
         for stripe in &self.llc {
-            stripe.lock().cache.reset_stats();
+            let mut s = stripe.lock();
+            s.cache.reset_stats();
+            s.held_delivered = 0;
         }
     }
 
@@ -442,7 +609,7 @@ impl SharedHierarchy {
         }
         for inbox in &self.invals {
             let mut pending = inbox.pending.lock();
-            pending.runs.clear();
+            pending.held.clear();
             pending.lines = 0;
             pending.flush_all = true;
             inbox.flag.store(true, Ordering::Release);
@@ -483,19 +650,23 @@ impl SharedHierarchy {
         (first, last)
     }
 
-    /// Post one delivered run to every core's inbox — one lock round-trip per
-    /// core per delivery, not per line.
-    fn post_invalidations(&self, first: u64, count: u64) {
+    /// Post the held lines of one chunk of a delivered run to every core's inbox
+    /// — one lock round-trip per core per chunk, not per line. The run's first
+    /// chunk carries `run_lines`, the *whole* run's line count: that is what an
+    /// inbox holds against [`INVAL_INBOX_LIMIT`], held or not, and the flag goes up
+    /// even when nothing is pushed — a core drains, and an inbox overflows,
+    /// exactly where an unfiltered post would have made it.
+    fn post_invalidations(&self, chunk: u64, masks: &[u64], run_lines: Option<u64>) {
         for inbox in &self.invals {
             let mut pending = inbox.pending.lock();
             if !pending.flush_all {
-                if pending.lines + count > INVAL_INBOX_LIMIT as u64 {
-                    pending.runs.clear();
+                pending.lines += run_lines.unwrap_or(0);
+                if pending.lines > INVAL_INBOX_LIMIT as u64 {
+                    pending.held.clear();
                     pending.lines = 0;
                     pending.flush_all = true;
                 } else {
-                    pending.runs.push((first, count));
-                    pending.lines += count;
+                    pending.held.extend(HeldLines::of_chunk(chunk, masks));
                 }
             }
             inbox.flag.store(true, Ordering::Release);
@@ -506,36 +677,53 @@ impl SharedHierarchy {
     /// contract as the monolithic
     /// [`CacheHierarchy::dma_write`](crate::hierarchy::CacheHierarchy::dma_write),
     /// with private-level invalidation delivered through the per-core inboxes.
-    /// The covered lines are handled as one run (see the module docs).
+    /// The covered lines are handled as one run, and only those a level above the
+    /// LLC may hold are snooped (see the module docs).
     pub fn dma_write(&self, addr: u64, len: usize) -> SimTime {
         let (first, last) = self.lines_covering(addr, len);
         let count = last - first + 1;
         let stashing = self.stashing_enabled();
 
-        // Each stripe once: stripe `k`'s lines of the run are every
-        // `LLC_STRIPES`-th line from the first one that maps to `k`.
         let mut victims = Vec::new();
-        for start in first..=last.min(first + LLC_STRIPES as u64 - 1) {
-            let mut stripe = self.llc[Self::stripe_of(start)].lock();
-            for line in (start..=last).step_by(LLC_STRIPES) {
-                if stashing {
-                    if let Some(victim) = stripe.stash_line(line) {
-                        // The displaced dirty line shares `line`'s stripe, so
-                        // unfolding recovers it.
-                        let victim_line = victim * LLC_STRIPES as u64 + line % LLC_STRIPES as u64;
-                        victims.push((line, victim_line));
-                    }
-                } else {
-                    stripe.cache.evict_line(LlcStripe::fold(line));
-                    stripe.prefetched.remove(&LlcStripe::fold(line));
+        // A chunk of consecutive lines at a time, so the mask is a fixed buffer:
+        // a stripe still sees its lines of the run in ascending order.
+        for chunk in (first..=last).step_by(DELIVERY_CHUNK) {
+            let end = last.min(chunk + DELIVERY_CHUNK as u64 - 1);
+            let mut masks = [0u64; DELIVERY_CHUNK / 64];
+            // Each stripe once: stripe `k`'s lines of the chunk are every
+            // `LLC_STRIPES`-th line from the first one that maps to `k`.
+            for start in chunk..=end.min(chunk + LLC_STRIPES as u64 - 1) {
+                let mut stripe = self.llc[Self::stripe_of(start)].lock();
+                for line in (start..=end).step_by(LLC_STRIPES) {
+                    let line_held = if stashing {
+                        let (line_held, victim) = stripe.deliver_line(line);
+                        if let Some(victim) = victim {
+                            // The displaced dirty line shares `line`'s stripe, so
+                            // unfolding recovers it.
+                            let victim_line =
+                                victim * LLC_STRIPES as u64 + line % LLC_STRIPES as u64;
+                            victims.push((line, victim_line));
+                        }
+                        line_held
+                    } else {
+                        stripe.drop_delivered_line(line)
+                    };
+                    let at = (line - chunk) as usize;
+                    masks[at / 64] |= u64::from(line_held) << (at % 64);
                 }
             }
-        }
-        for l3 in &self.l3 {
-            let mut l3 = l3.lock();
-            for line in first..=last {
-                l3.evict_line(line);
+            let masks = &masks[..((end - chunk) / 64 + 1) as usize];
+            if masks.iter().any(|&mask| mask != 0) {
+                for l3 in &self.l3 {
+                    let mut l3 = l3.lock();
+                    for held in HeldLines::of_chunk(chunk, masks) {
+                        for line in held.lines() {
+                            l3.evict_line(line);
+                        }
+                    }
+                }
             }
+            self.post_invalidations(chunk, masks, (chunk == first).then_some(count));
         }
 
         let mut cost = SimTime::ZERO;
@@ -559,7 +747,6 @@ impl SharedHierarchy {
                 .dma_dram_lines
                 .fetch_add(count, Ordering::Relaxed);
         }
-        self.post_invalidations(first, count);
         cost
     }
 
@@ -567,7 +754,10 @@ impl SharedHierarchy {
     pub fn warm_llc(&self, addr: u64, len: usize) {
         let (first, last) = self.lines_covering(addr, len);
         for line in first..=last {
-            self.llc[Self::stripe_of(line)].lock().stash_line(line);
+            // `CoreBus::warm` fills L1/L2 right after, with no shared-level access.
+            self.llc[Self::stripe_of(line)]
+                .lock()
+                .install_line(line, true);
         }
     }
 
@@ -579,7 +769,7 @@ impl SharedHierarchy {
         let mut writebacks = 0;
         for &line in lines {
             let mut stripe = self.llc[Self::stripe_of(line)].lock();
-            if stripe.stash_line(line).is_some() {
+            if stripe.install_line(line, false).is_some() {
                 writebacks += 1;
             }
             stripe.prefetched.insert(LlcStripe::fold(line));
@@ -669,7 +859,7 @@ pub struct CoreBus {
     stats: CoreCacheStats,
     /// The buffer `drain_invalidations` trades with the inbox's: empty
     /// between drains, its capacity kept.
-    inval_runs: Vec<(u64, u64)>,
+    inval_held: Vec<HeldLines>,
     shared: Arc<SharedHierarchy>,
 }
 
@@ -729,7 +919,7 @@ impl CoreBus {
             pending.lines = 0;
             // The inbox keeps filling the (empty) buffer this bus applied last
             // time: the two trade places, and neither is reallocated per put.
-            std::mem::swap(&mut pending.runs, &mut self.inval_runs);
+            std::mem::swap(&mut pending.held, &mut self.inval_held);
             std::mem::replace(&mut pending.flush_all, false)
         };
         if flush_all {
@@ -739,8 +929,8 @@ impl CoreBus {
             self.stats.invalidations_applied += 1;
             return;
         }
-        for (first, count) in self.inval_runs.drain(..) {
-            for line in first..first + count {
+        for held in self.inval_held.drain(..) {
+            for line in held.lines() {
                 // Both levels are walked whatever the first one held; the counter
                 // reflects every stale line actually dropped.
                 let in_l1 = self.l1.evict_line(line).is_some();
@@ -853,6 +1043,7 @@ impl MemoryBus for CoreBus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CacheLevelConfig;
     use crate::hierarchy::CacheHierarchy;
     use rand::prelude::*;
 
@@ -1183,7 +1374,9 @@ mod tests {
     /// inbox replaced, kept as the oracle: every delivered line takes its stripe
     /// and L3 locks on its own, in line order, and the inbox is a list of byte
     /// addresses drained by probing both private levels and then invalidating
-    /// them. It never posts to the real inboxes, so its buses' own drain is idle.
+    /// them. It never posts to the real inboxes, so its buses' own drain is idle,
+    /// and it snoops every delivered line in every slice and both private levels:
+    /// it goes to the stripes' caches directly and never reads a held-above flag.
     struct LineByLine {
         shared: Arc<SharedHierarchy>,
         buses: Vec<CoreBus>,
@@ -1196,9 +1389,24 @@ mod tests {
             let shared = Arc::new(SharedHierarchy::new(cfg));
             LineByLine {
                 buses: (0..cores).map(|c| shared.core_bus(c)).collect(),
-                inboxes: vec![(Vec::new(), false); cores],
+                inboxes: vec![(Vec::new(), false); shared.num_cores()],
                 shared,
             }
+        }
+
+        /// Start the next core's bus; its inbox has been filling all along.
+        fn add_bus(&mut self) {
+            self.buses.push(self.shared.core_bus(self.buses.len()));
+        }
+
+        fn clear(&mut self) {
+            self.shared.clear();
+            // The flush rides this model's inboxes, not the real ones.
+            for inbox in &self.shared.invals {
+                *inbox.pending.lock() = PendingInvals::default();
+                inbox.flag.store(false, Ordering::Release);
+            }
+            self.inboxes.fill((Vec::new(), true));
         }
 
         fn dma_write(&mut self, addr: u64, len: usize) -> SimTime {
@@ -1213,7 +1421,8 @@ mod tests {
                 if stashing {
                     let victim = sh.llc[SharedHierarchy::stripe_of(line)]
                         .lock()
-                        .stash_line(line);
+                        .cache
+                        .stash_line(LlcStripe::fold(line));
                     if let Some(victim) = victim {
                         let victim_line = victim * LLC_STRIPES as u64 + line % LLC_STRIPES as u64;
                         cost += sh.dram_writeback(victim_line);
@@ -1268,9 +1477,10 @@ mod tests {
         }
     }
 
-    /// One step of a seeded interleaving: a delivery, or an access from one of
-    /// the two cores, over a footprint small enough that deliveries overlap each
-    /// other and the lines the cores hold.
+    /// One step of a seeded interleaving: a delivery, an access or a warm-up from
+    /// one of the cores that have a bus, or a clear, over a footprint small enough
+    /// that deliveries overlap each other and the lines the cores hold, and larger
+    /// than the tiny LLC.
     #[derive(Debug, Clone, Copy)]
     enum Step {
         Dma {
@@ -1283,32 +1493,48 @@ mod tests {
             len: usize,
             kind: AccessKind,
         },
+        Warm {
+            core: usize,
+            addr: u64,
+            len: usize,
+        },
+        Clear,
     }
 
-    fn random_step(rng: &mut StdRng) -> Step {
-        // Unaligned starts inside 64 KiB; lengths from one byte to 16 KiB, short
-        // ones most often.
-        let addr = 0x10_0000 + rng.gen_range(0..0x1_0000u64);
+    fn random_step(rng: &mut StdRng, cores: usize) -> Step {
+        // Unaligned starts inside 64 KiB, half of them inside its first 4 KiB (lines
+        // delivered again while the LLC still has them are what the filter is
+        // about); lengths from one byte to 16 KiB, short ones most often.
+        let window = if rng.gen::<bool>() { 0x1000 } else { 0x1_0000 };
+        let addr = 0x10_0000 + rng.gen_range(0..window);
         let len = match rng.gen_range(0..4u32) {
             0 => rng.gen_range(1..16 * 1024 + 1usize),
             1 => rng.gen_range(1..2048usize),
             _ => rng.gen_range(1..200usize),
         };
-        if rng.gen_range(0..3u32) == 0 {
-            Step::Dma { addr, len }
-        } else {
-            let kind =
-                [AccessKind::Read, AccessKind::Write, AccessKind::Fetch][rng.gen_range(0..3usize)];
-            Step::Access {
-                core: rng.gen_range(0..2usize),
+        let core = rng.gen_range(0..cores);
+        match rng.gen_range(0..300u32) {
+            0 => Step::Clear,
+            1..=9 => Step::Warm {
+                core,
                 addr,
                 len: len.min(1024),
-                kind,
+            },
+            10..=109 => Step::Dma { addr, len },
+            _ => {
+                let kind = [AccessKind::Read, AccessKind::Write, AccessKind::Fetch]
+                    [rng.gen_range(0..3usize)];
+                Step::Access {
+                    core,
+                    addr,
+                    len: len.min(1024),
+                    kind,
+                }
             }
         }
     }
 
-    /// Everything observable about a hierarchy and its two buses.
+    /// Everything observable about a hierarchy and its buses.
     fn observe(
         sh: &SharedHierarchy,
         buses: &[CoreBus],
@@ -1331,25 +1557,69 @@ mod tests {
         )
     }
 
+    /// The held-above invariant, slot by slot: a line in an LLC way whose flag is
+    /// clear is in no L3 slice, and in no bus's L1 or L2 unless that core's inbox
+    /// holds a posted, undrained word that covers it (or a flush-all).
+    fn assert_held_above_invariant(sh: &SharedHierarchy, buses: &[CoreBus], what: &str) {
+        for (k, stripe) in sh.llc.iter().enumerate() {
+            let stripe = stripe.lock();
+            for (folded, _) in stripe.cache.slots().flatten().filter(|way| !way.1) {
+                let line = folded * LLC_STRIPES as u64 + k as u64;
+                for (cluster, l3) in sh.l3.iter().enumerate() {
+                    assert!(
+                        !l3.lock().contains_line(line),
+                        "{what}: line {line:#x} unheld in the LLC, held by L3 slice {cluster}"
+                    );
+                }
+                for bus in buses {
+                    let pending = sh.invals[bus.core].pending.lock();
+                    let covered = pending.flush_all
+                        || pending
+                            .held
+                            .iter()
+                            .any(|held| held.lines().any(|l| l == line));
+                    assert!(
+                        covered || !(bus.l1.contains_line(line) || bus.l2.contains_line(line)),
+                        "{what}: line {line:#x} unheld in the LLC, held by core {} with no \
+                         invalidation pending",
+                        bus.core
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn run_delivery_matches_the_line_by_line_model() {
         for seed in 0..6u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut cfg = TestbedConfig::tiny_for_tests();
             cfg.prefetch.enabled = seed % 2 == 0;
+            // Cores 0 and 1 share an L3 slice (the second to ask hits it and never
+            // reaches the LLC); core 2, alone under the other, gets its bus mid-run.
             let mut reference = LineByLine::new(cfg.clone(), 2);
             let sh = Arc::new(SharedHierarchy::new(cfg));
             let mut buses = vec![sh.core_bus(0), sh.core_bus(1)];
+            let (mut delivered, mut held) = (0, 0);
             for step in 0..3000 {
                 if step % 500 == 0 {
                     let stashing = rng.gen::<bool>();
                     sh.set_stashing(stashing);
                     reference.shared.set_stashing(stashing);
                 }
-                let what = random_step(&mut rng);
+                if step == 1000 {
+                    buses.push(sh.core_bus(2));
+                    reference.add_bus();
+                }
+                let what = random_step(&mut rng, buses.len());
                 let (got, want) = match what {
                     Step::Dma { addr, len } => {
-                        (sh.dma_write(addr, len), reference.dma_write(addr, len))
+                        let before = sh.delivery_stats();
+                        let cost = sh.dma_write(addr, len);
+                        let after = sh.delivery_stats();
+                        delivered += after.delivered_lines - before.delivered_lines;
+                        held += after.held_lines - before.held_lines;
+                        (cost, reference.dma_write(addr, len))
                     }
                     Step::Access {
                         core,
@@ -1360,8 +1630,25 @@ mod tests {
                         buses[core].access(core, addr, len, kind),
                         reference.access(core, addr, len, kind),
                     ),
+                    Step::Warm { core, addr, len } => {
+                        // Behind an access by the same core, so nothing is pending
+                        // in its inbox: see "Warm-ups" in the module docs.
+                        let costs = (
+                            buses[core].access(core, addr, 1, AccessKind::Read),
+                            reference.access(core, addr, 1, AccessKind::Read),
+                        );
+                        buses[core].warm(addr, len);
+                        reference.buses[core].warm(addr, len);
+                        costs
+                    }
+                    Step::Clear => {
+                        sh.clear();
+                        reference.clear();
+                        (SimTime::ZERO, SimTime::ZERO)
+                    }
                 };
                 assert_eq!(got, want, "seed {seed} step {step}: cost of {what:?}");
+                assert_held_above_invariant(&sh, &buses, &format!("seed {seed} step {step}"));
                 if step % 50 == 0 {
                     assert_eq!(
                         observe(&sh, &buses),
@@ -1375,7 +1662,13 @@ mod tests {
                 observe(&reference.shared, &reference.buses),
                 "seed {seed}"
             );
-            assert!(buses.iter().any(|b| b.stats().invalidations_applied > 0));
+            assert!(buses.iter().all(|b| b.stats().invalidations_applied > 0));
+            // Both sides of the filter saw traffic (most stashes here *fill*: the
+            // footprint is five times the LLC).
+            assert!(
+                held > 1000 && delivered - held > 1000,
+                "seed {seed}: {held} of {delivered} delivered lines held"
+            );
         }
     }
 
@@ -1406,6 +1699,292 @@ mod tests {
             assert_eq!(bus.stats(), reference.buses[0].stats());
             assert_eq!(bus.stats().invalidations_applied, 1);
             assert_eq!(bus.stats().l1_hits, u64::from(!flushed));
+        }
+    }
+
+    #[test]
+    fn an_inbox_counts_the_delivered_lines_nobody_holds() {
+        // The same traffic, three times, over an LLC that keeps all of it: after
+        // the first round no line is held and no run is pushed, and the inbox is
+        // still drained at the core's next access and still overflows one line
+        // past the limit — not a round later, when the counts would have added up.
+        let mut cfg = TestbedConfig::tiny_for_tests();
+        cfg.caches.llc = CacheLevelConfig::new(1 << 20, 4, 64);
+        for (extra, flushed) in [(0usize, false), (1, true)] {
+            let mut reference = LineByLine::new(cfg.clone(), 1);
+            let sh = Arc::new(SharedHierarchy::new(cfg.clone()));
+            let mut bus = sh.core_bus(0);
+            let read = |bus: &mut CoreBus, reference: &mut LineByLine, addr: u64| {
+                bus.access(0, addr, 64, AccessKind::Read);
+                reference.access(0, addr, 64, AccessKind::Read);
+                assert_eq!(bus.stats(), reference.buses[0].stats());
+                assert_held_above_invariant(&sh, std::slice::from_ref(bus), "after a read");
+                bus.stats()
+            };
+            for addr in [0x9000u64, 0xA040, 0x20_0000] {
+                read(&mut bus, &mut reference, addr);
+            }
+            let half = INVAL_INBOX_LIMIT / 2 * 64;
+            for round in 0..3 {
+                sh.reset_stats();
+                for (addr, len) in [
+                    (0x20_0010u64, half - 64),
+                    (0x40_0010, half - 128),
+                    (0x60_0000, 64 + extra),
+                ] {
+                    assert_eq!(sh.dma_write(addr, len), reference.dma_write(addr, len));
+                }
+                let stats = sh.delivery_stats();
+                assert_eq!(stats.delivered_lines, (INVAL_INBOX_LIMIT + extra) as u64);
+                let held = if round == 0 { stats.delivered_lines } else { 0 };
+                assert_eq!(stats.held_lines, held, "round {round}");
+                assert_eq!(sh.invals[0].pending.lock().flush_all, flushed);
+                read(&mut bus, &mut reference, 0x9000);
+            }
+            // A flush left pending, or one too many, would take the bystander too.
+            assert_eq!(sh.dma_write(0x9000, 64), reference.dma_write(0x9000, 64));
+            read(&mut bus, &mut reference, 0x9000);
+            let stats = read(&mut bus, &mut reference, 0xA040);
+            assert_eq!(stats.invalidations_applied, if flushed { 4 } else { 2 });
+            assert_eq!(stats.l1_hits, if flushed { 0 } else { 4 });
+        }
+    }
+
+    /// Deliver the one line at `addr`, check the invariant, and say how many
+    /// lines the filter passed on as held.
+    fn held_by_delivery(h: &SharedHierarchy, bus: &CoreBus, addr: u64) -> u64 {
+        let before = h.delivery_stats().held_lines;
+        h.dma_write(addr, 64);
+        assert_held_above_invariant(h, std::slice::from_ref(bus), "after a delivery");
+        h.delivery_stats().held_lines - before
+    }
+
+    /// Whether the core's next read of the line at `addr` is a private hit.
+    fn reads_privately(bus: &mut CoreBus, addr: u64) -> bool {
+        let before = bus.stats();
+        bus.access(bus.core, addr, 64, AccessKind::Read);
+        let after = bus.stats();
+        assert_held_above_invariant(&bus.shared, std::slice::from_ref(bus), "after a read");
+        after.l1_hits + after.l2_hits > before.l1_hits + before.l2_hits
+    }
+
+    /// The address of a line that shares the tiny LLC's set with the line at
+    /// `addr` (64 sets over the 8 stripes): four of them fill its four ways.
+    fn llc_conflict(addr: u64, k: u64) -> u64 {
+        addr + k * 64 * 64
+    }
+
+    const A: u64 = 0x4000;
+
+    #[test]
+    fn a_line_delivered_twice_is_snooped_once_and_its_stale_copy_still_goes() {
+        let h = shared();
+        let mut bus = h.core_bus(0);
+        assert!(!reads_privately(&mut bus, A) && reads_privately(&mut bus, A));
+        assert_eq!(held_by_delivery(&h, &bus, A), 1, "the core holds it");
+        assert_eq!(held_by_delivery(&h, &bus, A), 0, "nobody touched it since");
+        assert!(
+            !reads_privately(&mut bus, A),
+            "the first delivery's run still takes the stale copy"
+        );
+        assert_eq!(bus.stats().invalidations_applied, 1);
+        assert_eq!(h.stats().stashed_lines, 2);
+    }
+
+    #[test]
+    fn a_line_the_llc_lost_while_l1_kept_it_is_snooped_when_redelivered() {
+        let h = shared();
+        let mut bus = h.core_bus(0);
+        reads_privately(&mut bus, A);
+        // Deliveries touch no private cache but those of the lines they cover.
+        for k in 1..=4 {
+            h.dma_write(llc_conflict(A, k), 64);
+        }
+        assert!(!h.llc_contains(A) && reads_privately(&mut bus, A));
+        assert_eq!(
+            held_by_delivery(&h, &bus, A),
+            1,
+            "a stash that fills always snoops"
+        );
+        assert!(!reads_privately(&mut bus, A));
+    }
+
+    #[test]
+    fn a_prefetch_installed_line_is_snooped_when_delivered() {
+        let h = shared();
+        let mut bus = h.core_bus(0);
+        reads_privately(&mut bus, A);
+        for k in 1..=4 {
+            h.dma_write(llc_conflict(A, k), 64);
+        }
+        // The prefetch fills a way whose flag a delivery left clear, with a line
+        // the core has held since before the LLC lost it.
+        assert!(!h.llc_contains(A));
+        h.install_prefetches(&[A / 64]);
+        assert!(h.llc_contains(A));
+        assert_eq!(held_by_delivery(&h, &bus, A), 1);
+        assert!(!reads_privately(&mut bus, A));
+        // Over a line the LLC tracks a prefetch fills nothing above it.
+        assert_eq!(held_by_delivery(&h, &bus, A), 1, "the core read it");
+        h.install_prefetches(&[A / 64]);
+        assert_eq!(held_by_delivery(&h, &bus, A), 0);
+    }
+
+    #[test]
+    fn a_warmed_line_is_snooped_when_delivered() {
+        let h = shared();
+        let mut bus = h.core_bus(0);
+        assert_eq!(held_by_delivery(&h, &bus, A), 1, "cold: the stash fills");
+        assert_eq!(held_by_delivery(&h, &bus, A), 0, "tracked and unread");
+        // Drained, the core warms a line the LLC tracks with a clear flag.
+        reads_privately(&mut bus, 0x9000);
+        bus.warm(A, 64);
+        assert!(reads_privately(&mut bus, A));
+        assert_eq!(
+            held_by_delivery(&h, &bus, A),
+            1,
+            "the warm-up filled L1/L2 without a shared-level access"
+        );
+        assert!(!reads_privately(&mut bus, A));
+    }
+
+    #[test]
+    fn a_warm_up_behind_an_unposted_delivery_keeps_its_lines() {
+        // The one place the filter shows ("Warm-ups" in the module docs): a run
+        // posted for every delivered line, held or not, took this copy at the
+        // core's next access although it is the delivered data.
+        let h = shared();
+        let mut bus = h.core_bus(0);
+        h.dma_write(A, 64);
+        reads_privately(&mut bus, 0x9000);
+        assert_eq!(held_by_delivery(&h, &bus, A), 0);
+        bus.warm(A, 64);
+        assert!(reads_privately(&mut bus, A));
+        assert_eq!(bus.stats().invalidations_applied, 0);
+    }
+
+    #[test]
+    fn the_flag_follows_a_line_across_the_stashing_toggle() {
+        let h = shared();
+        let mut bus = h.core_bus(0);
+        h.set_stashing(true);
+        assert_eq!(held_by_delivery(&h, &bus, A), 1, "cold: the stash fills");
+        assert!(!reads_privately(&mut bus, A));
+        h.set_stashing(false);
+        assert_eq!(held_by_delivery(&h, &bus, A), 1, "tracked, and read since");
+        assert!(!h.llc_contains(A) && !reads_privately(&mut bus, A));
+        assert_eq!(h.stats().dram_accesses, 1, "re-read from DRAM");
+
+        h.set_stashing(true);
+        assert_eq!(held_by_delivery(&h, &bus, A), 1);
+        h.set_stashing(false);
+        assert_eq!(
+            held_by_delivery(&h, &bus, A),
+            0,
+            "tracked and unread: it leaves the LLC unsnooped"
+        );
+        assert!(!h.llc_contains(A));
+        assert_eq!(
+            held_by_delivery(&h, &bus, A),
+            1,
+            "a line the LLC does not track may be held anywhere"
+        );
+        assert!(!reads_privately(&mut bus, A));
+    }
+
+    #[test]
+    fn a_run_longer_than_the_mask_is_delivered_a_chunk_at_a_time() {
+        // An LLC that keeps a 1 200-line run (two chunk boundaries), and lines
+        // held on both sides of a mask word's edge and of each chunk's; the run
+        // starts mid-line, and its words do not start on multiples of 64.
+        let mut cfg = TestbedConfig::tiny_for_tests();
+        cfg.caches.llc = CacheLevelConfig::new(256 * 1024, 4, 64);
+        let (base, len) = (0x10_0170u64, 1200 * 64 - 0x30);
+        let read = [0u64, 63, 64, 65, 510, 511, 512, 513, 1023, 1024, 1199];
+        for stashing in [true, false] {
+            let mut reference = LineByLine::new(cfg.clone(), 1);
+            let sh = Arc::new(SharedHierarchy::new(cfg.clone()));
+            let mut buses = vec![sh.core_bus(0)];
+            for round in 0..3 {
+                // The last round takes the other path, over lines the LLC tracks.
+                let stash_now = stashing == (round < 2);
+                sh.set_stashing(stash_now);
+                reference.shared.set_stashing(stash_now);
+                sh.reset_stats();
+                reference.shared.reset_stats();
+                assert_eq!(sh.dma_write(base, len), reference.dma_write(base, len));
+                assert_held_above_invariant(&sh, &buses, "after the run");
+                let held: Vec<u64> = if round == 0 || !stashing {
+                    // A stash that fills and a line the LLC does not track: held.
+                    (0..1200).collect()
+                } else {
+                    read.to_vec()
+                };
+                let posted: Vec<u64> = sh.invals[0]
+                    .pending
+                    .lock()
+                    .held
+                    .iter()
+                    .flat_map(|held| held.lines())
+                    .map(|line| line - base / 64)
+                    .collect();
+                assert_eq!(posted, held, "round {round}");
+                assert_eq!(sh.invals[0].pending.lock().lines, 1200);
+                assert_eq!(
+                    sh.delivery_stats(),
+                    DeliveryStats {
+                        delivered_lines: 1200,
+                        held_lines: held.len() as u64,
+                    }
+                );
+                for at in read {
+                    let addr = (base / 64 + at) * 64;
+                    assert_eq!(
+                        buses[0].access(0, addr, 64, AccessKind::Write),
+                        reference.access(0, addr, 64, AccessKind::Write),
+                        "round {round} line {at}"
+                    );
+                }
+                assert_eq!(
+                    observe(&sh, &buses),
+                    observe(&reference.shared, &reference.buses),
+                    "stashing {stashing} round {round}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn delivery_stats_count_what_the_receiver_read() {
+        // 64 mailboxes of 24 lines in the paper's geometry, whose LLC holds them
+        // all; a warm receiver reads a frame's first three lines (`warm_stream`),
+        // a summing one reads them all (`payload_sum`).
+        const FRAMES: u64 = 64;
+        const LINES: u64 = 24;
+        let frame = |i: u64| 0x1_0000_0000 + i * LINES * 64;
+        for read_lines in [3, LINES] {
+            let h = Arc::new(SharedHierarchy::new(TestbedConfig::cluster2021()));
+            let mut bus = h.core_bus(0);
+            for round in 0..3 {
+                h.reset_stats();
+                assert_eq!(h.delivery_stats(), DeliveryStats::default());
+                for i in 0..FRAMES {
+                    h.dma_write(frame(i), (LINES * 64) as usize);
+                }
+                // Cold, every stash fills; after that, what was read is held.
+                let held = if round == 0 { LINES } else { read_lines };
+                assert_eq!(
+                    h.delivery_stats(),
+                    DeliveryStats {
+                        delivered_lines: FRAMES * LINES,
+                        held_lines: FRAMES * held,
+                    },
+                    "{read_lines} lines read, round {round}"
+                );
+                for i in 0..FRAMES {
+                    bus.access(0, frame(i), (read_lines * 64) as usize, AccessKind::Read);
+                }
+            }
         }
     }
 }
