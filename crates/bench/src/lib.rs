@@ -17,8 +17,7 @@
 //! * percentile statistics, including the paper's *tail latency spread* (Eq. 1), in
 //!   [`mod@percentile`];
 //! * one reproduction routine per figure (5–14) in [`figures`], printed by the
-//!   `figures` binary (`cargo run -p twochains-bench --bin figures -- all`);
-//! * Criterion benches (one family per figure group) under `benches/`.
+//!   `figures` binary (`cargo run -p twochains-bench --bin figures -- all`).
 //!
 //! All results are virtual-time measurements over the simulated testbed, so they are
 //! deterministic and machine-independent; the *shape* of each figure (who wins, by

@@ -28,25 +28,13 @@ impl std::fmt::Display for AsmError {
 
 impl std::error::Error for AsmError {}
 
-#[derive(Debug, Clone)]
-enum Slot {
-    Ready(Instr),
-    /// A jump/branch whose target label is not yet resolved.
-    PendingJump {
-        label: String,
-    },
-    PendingBranch {
-        cond: Cond,
-        a: Reg,
-        b: Reg,
-        label: String,
-    },
-}
-
 /// The assembler.
 #[derive(Debug, Default, Clone)]
 pub struct Assembler {
-    slots: Vec<Slot>,
+    program: Vec<Instr>,
+    /// Jumps and branches emitted with a placeholder target, and the label each
+    /// awaits, in program order.
+    fixups: Vec<(usize, String)>,
     labels: HashMap<String, u32>,
     dup: Option<String>,
 }
@@ -61,7 +49,7 @@ impl Assembler {
     pub fn label(&mut self, name: &str) -> &mut Self {
         if self
             .labels
-            .insert(name.to_string(), self.slots.len() as u32)
+            .insert(name.to_string(), self.program.len() as u32)
             .is_some()
         {
             self.dup = Some(name.to_string());
@@ -71,7 +59,7 @@ impl Assembler {
 
     /// Append a raw instruction.
     pub fn push(&mut self, i: Instr) -> &mut Self {
-        self.slots.push(Slot::Ready(i));
+        self.program.push(i);
         self
     }
 
@@ -152,21 +140,26 @@ impl Assembler {
 
     /// Unconditional jump to a label.
     pub fn jump(&mut self, label: &str) -> &mut Self {
-        self.slots.push(Slot::PendingJump {
-            label: label.to_string(),
-        });
-        self
+        self.push_awaiting(label, Instr::Jump { target: 0 })
     }
 
     /// Conditional branch to a label.
     pub fn branch(&mut self, cond: Cond, a: Reg, b: Reg, label: &str) -> &mut Self {
-        self.slots.push(Slot::PendingBranch {
-            cond,
-            a,
-            b,
-            label: label.to_string(),
-        });
-        self
+        self.push_awaiting(
+            label,
+            Instr::Branch {
+                cond,
+                a,
+                b,
+                target: 0,
+            },
+        )
+    }
+
+    /// Append a jump or branch whose target `finish` fills in from `label`.
+    fn push_awaiting(&mut self, label: &str, i: Instr) -> &mut Self {
+        self.fixups.push((self.program.len(), label.to_string()));
+        self.push(i)
     }
 
     /// Branch if `a` is zero.
@@ -206,12 +199,12 @@ impl Assembler {
 
     /// Number of instructions emitted so far.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.program.len()
     }
 
     /// True if no instructions have been emitted.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.program.is_empty()
     }
 
     /// Resolve labels and produce the final instruction sequence.
@@ -219,28 +212,18 @@ impl Assembler {
         if let Some(d) = self.dup {
             return Err(AsmError::DuplicateLabel(d));
         }
-        let mut out = Vec::with_capacity(self.slots.len());
-        for slot in self.slots {
-            let instr = match slot {
-                Slot::Ready(i) => i,
-                Slot::PendingJump { label } => {
-                    let target = *self
-                        .labels
-                        .get(&label)
-                        .ok_or_else(|| AsmError::UndefinedLabel(label.clone()))?;
-                    Instr::Jump { target }
-                }
-                Slot::PendingBranch { cond, a, b, label } => {
-                    let target = *self
-                        .labels
-                        .get(&label)
-                        .ok_or_else(|| AsmError::UndefinedLabel(label.clone()))?;
-                    Instr::Branch { cond, a, b, target }
-                }
-            };
-            out.push(instr);
+        let mut program = self.program;
+        for (at, label) in self.fixups {
+            let resolved = *self
+                .labels
+                .get(&label)
+                .ok_or(AsmError::UndefinedLabel(label))?;
+            match &mut program[at] {
+                Instr::Jump { target } | Instr::Branch { target, .. } => *target = resolved,
+                other => unreachable!("a fix-up names a jump or a branch, not {other:?}"),
+            }
         }
-        Ok(out)
+        Ok(program)
     }
 }
 

@@ -6,7 +6,7 @@
 //! Indirect Put jam is 1408 bytes on the wire); the toolchain uses this module to
 //! measure and pad `.text`.
 
-use crate::isa::{AluOp, Cond, Instr, Reg, Width};
+use crate::isa::Instr;
 
 /// Errors produced while decoding a `.text` blob.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,221 +50,30 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-mod op {
-    pub const LOAD_IMM: u8 = 0x01;
-    pub const MOV: u8 = 0x02;
-    pub const ALU: u8 = 0x03;
-    pub const ALU_IMM: u8 = 0x04;
-    pub const LOAD: u8 = 0x05;
-    pub const STORE: u8 = 0x06;
-    pub const MEMCPY: u8 = 0x07;
-    pub const JUMP: u8 = 0x08;
-    pub const BRANCH: u8 = 0x09;
-    pub const CALL_EXTERN: u8 = 0x0A;
-    pub const HASH: u8 = 0x0B;
-    pub const NOP: u8 = 0x0C;
-    pub const RET: u8 = 0x0D;
-}
-
-fn alu_code(op: AluOp) -> u8 {
-    match op {
-        AluOp::Add => 0,
-        AluOp::Sub => 1,
-        AluOp::Mul => 2,
-        AluOp::And => 3,
-        AluOp::Or => 4,
-        AluOp::Xor => 5,
-        AluOp::Shl => 6,
-        AluOp::Shr => 7,
-        AluOp::Rem => 8,
-    }
-}
-
-fn alu_from(code: u8) -> Option<AluOp> {
-    Some(match code {
-        0 => AluOp::Add,
-        1 => AluOp::Sub,
-        2 => AluOp::Mul,
-        3 => AluOp::And,
-        4 => AluOp::Or,
-        5 => AluOp::Xor,
-        6 => AluOp::Shl,
-        7 => AluOp::Shr,
-        8 => AluOp::Rem,
-        _ => return None,
-    })
-}
-
-fn width_code(w: Width) -> u8 {
-    match w {
-        Width::B1 => 0,
-        Width::B4 => 1,
-        Width::B8 => 2,
-    }
-}
-
-fn width_from(code: u8) -> Option<Width> {
-    Some(match code {
-        0 => Width::B1,
-        1 => Width::B4,
-        2 => Width::B8,
-        _ => return None,
-    })
-}
-
-fn cond_code(c: Cond) -> u8 {
-    match c {
-        Cond::Zero => 0,
-        Cond::NotZero => 1,
-        Cond::Less => 2,
-        Cond::GreaterEq => 3,
-    }
-}
-
-fn cond_from(code: u8) -> Option<Cond> {
-    Some(match code {
-        0 => Cond::Zero,
-        1 => Cond::NotZero,
-        2 => Cond::Less,
-        3 => Cond::GreaterEq,
-        _ => return None,
-    })
-}
-
 /// Encoded size in bytes of one instruction.
 pub fn encoded_size(i: &Instr) -> usize {
-    match i {
-        Instr::LoadImm { .. } => 10,
-        Instr::Mov { .. } => 3,
-        Instr::Alu { .. } => 5,
-        Instr::AluImm { .. } => 12,
-        Instr::Load { .. } => 8,
-        Instr::Store { .. } => 8,
-        Instr::Memcpy { .. } => 4,
-        Instr::Jump { .. } => 5,
-        Instr::Branch { .. } => 8,
-        Instr::CallExtern { .. } => 4,
-        Instr::Hash { .. } => 3,
-        Instr::Nop => 1,
-        Instr::Ret => 1,
-    }
+    i.encoded_size()
 }
 
 /// Encode a program to its wire representation.
 pub fn encode_program(program: &[Instr]) -> Vec<u8> {
     let mut out = Vec::with_capacity(program.iter().map(encoded_size).sum());
     for i in program {
-        encode_instr(i, &mut out);
+        i.encode(&mut out);
     }
     out
 }
 
-fn encode_instr(i: &Instr, out: &mut Vec<u8>) {
-    match *i {
-        Instr::LoadImm { dst, imm } => {
-            out.push(op::LOAD_IMM);
-            out.push(dst.0);
-            out.extend_from_slice(&imm.to_le_bytes());
-        }
-        Instr::Mov { dst, src } => {
-            out.push(op::MOV);
-            out.push(dst.0);
-            out.push(src.0);
-        }
-        Instr::Alu { op: o, dst, a, b } => {
-            out.push(op::ALU);
-            out.push(alu_code(o));
-            out.push(dst.0);
-            out.push(a.0);
-            out.push(b.0);
-        }
-        Instr::AluImm {
-            op: o,
-            dst,
-            src,
-            imm,
-        } => {
-            out.push(op::ALU_IMM);
-            out.push(alu_code(o));
-            out.push(dst.0);
-            out.push(src.0);
-            out.extend_from_slice(&imm.to_le_bytes());
-        }
-        Instr::Load {
-            width,
-            dst,
-            addr,
-            offset,
-        } => {
-            out.push(op::LOAD);
-            out.push(width_code(width));
-            out.push(dst.0);
-            out.push(addr.0);
-            out.extend_from_slice(&offset.to_le_bytes());
-        }
-        Instr::Store {
-            width,
-            src,
-            addr,
-            offset,
-        } => {
-            out.push(op::STORE);
-            out.push(width_code(width));
-            out.push(src.0);
-            out.push(addr.0);
-            out.extend_from_slice(&offset.to_le_bytes());
-        }
-        Instr::Memcpy { dst, src, len } => {
-            out.push(op::MEMCPY);
-            out.push(dst.0);
-            out.push(src.0);
-            out.push(len.0);
-        }
-        Instr::Jump { target } => {
-            out.push(op::JUMP);
-            out.extend_from_slice(&target.to_le_bytes());
-        }
-        Instr::Branch { cond, a, b, target } => {
-            out.push(op::BRANCH);
-            out.push(cond_code(cond));
-            out.push(a.0);
-            out.push(b.0);
-            out.extend_from_slice(&target.to_le_bytes());
-        }
-        Instr::CallExtern { slot, nargs } => {
-            out.push(op::CALL_EXTERN);
-            out.extend_from_slice(&slot.to_le_bytes());
-            out.push(nargs);
-        }
-        Instr::Hash { dst, src } => {
-            out.push(op::HASH);
-            out.push(dst.0);
-            out.push(src.0);
-        }
-        Instr::Nop => out.push(op::NOP),
-        Instr::Ret => out.push(op::RET),
-    }
-}
-
-/// The `N` body bytes of the instruction whose opcode stands at `offset`,
-/// and what follows them — or `Truncated`, before any field is looked at.
-fn split_body<const N: usize>(
-    after_opcode: &[u8],
-    offset: usize,
-) -> Result<(&[u8; N], &[u8]), DecodeError> {
-    after_opcode
-        .split_first_chunk()
-        .ok_or(DecodeError::Truncated { offset })
-}
+const NOP: u8 = Instr::Nop.opcode();
 
 /// Length of the run of `Nop` opcodes `bytes` starts with, eight at a time.
 fn nop_run(bytes: &[u8]) -> usize {
     let whole = bytes
         .chunks_exact(8)
-        .take_while(|chunk| **chunk == [op::NOP; 8])
+        .take_while(|chunk| **chunk == [NOP; 8])
         .count()
         * 8;
-    let tail = bytes[whole..].iter().take_while(|&&b| b == op::NOP);
+    let tail = bytes[whole..].iter().take_while(|&&b| b == NOP);
     whole + tail.count()
 }
 
@@ -273,127 +82,23 @@ fn nop_run(bytes: &[u8]) -> usize {
 /// The output is reserved once — an instruction is at least one byte, so the
 /// blob's length bounds the count — and a run of `Nop` padding (over nine
 /// tenths of every packaged jam, see [`crate::resolved`]) is appended as one
-/// `resize`.
+/// `resize`. Every other form is `Instr::decode`, generated from the one
+/// list of forms in [`crate::isa`].
 pub fn decode_program(bytes: &[u8]) -> Result<Vec<Instr>, DecodeError> {
     let mut out = Vec::with_capacity(bytes.len());
     let mut rest = bytes;
     // `rest` stands on an instruction boundary — which is what makes a `0x0C`
-    // at its head a `Nop`, and not a byte of an immediate. Each arm pushes its
-    // instruction and yields the bytes after it.
+    // at its head a `Nop`, and not a byte of an immediate.
     while let Some((&opcode, after_opcode)) = rest.split_first() {
-        let offset = bytes.len() - rest.len();
-        let bad_field = |field| DecodeError::BadField { offset, field };
-        rest = match opcode {
-            op::NOP => {
-                let run = 1 + nop_run(after_opcode);
-                out.resize(out.len() + run, Instr::Nop);
-                &rest[run..]
-            }
-            op::RET => {
-                out.push(Instr::Ret);
-                after_opcode
-            }
-            op::LOAD_IMM => {
-                let (&[dst, imm @ ..], rest) = split_body::<9>(after_opcode, offset)?;
-                out.push(Instr::LoadImm {
-                    dst: Reg(dst),
-                    imm: u64::from_le_bytes(imm),
-                });
-                rest
-            }
-            op::MOV => {
-                let (&[dst, src], rest) = split_body(after_opcode, offset)?;
-                out.push(Instr::Mov {
-                    dst: Reg(dst),
-                    src: Reg(src),
-                });
-                rest
-            }
-            op::ALU => {
-                let (&[op, dst, a, b], rest) = split_body(after_opcode, offset)?;
-                out.push(Instr::Alu {
-                    op: alu_from(op).ok_or(bad_field("alu op"))?,
-                    dst: Reg(dst),
-                    a: Reg(a),
-                    b: Reg(b),
-                });
-                rest
-            }
-            op::ALU_IMM => {
-                let (&[op, dst, src, imm @ ..], rest) = split_body::<11>(after_opcode, offset)?;
-                out.push(Instr::AluImm {
-                    op: alu_from(op).ok_or(bad_field("alu op"))?,
-                    dst: Reg(dst),
-                    src: Reg(src),
-                    imm: u64::from_le_bytes(imm),
-                });
-                rest
-            }
-            op::LOAD | op::STORE => {
-                let (&[width, reg, addr, offset @ ..], rest) =
-                    split_body::<7>(after_opcode, offset)?;
-                let width = width_from(width).ok_or(bad_field("width"))?;
-                let (reg, addr, offset) = (Reg(reg), Reg(addr), u32::from_le_bytes(offset));
-                out.push(if opcode == op::LOAD {
-                    Instr::Load {
-                        width,
-                        dst: reg,
-                        addr,
-                        offset,
-                    }
-                } else {
-                    Instr::Store {
-                        width,
-                        src: reg,
-                        addr,
-                        offset,
-                    }
-                });
-                rest
-            }
-            op::MEMCPY => {
-                let (&[dst, src, len], rest) = split_body(after_opcode, offset)?;
-                out.push(Instr::Memcpy {
-                    dst: Reg(dst),
-                    src: Reg(src),
-                    len: Reg(len),
-                });
-                rest
-            }
-            op::JUMP => {
-                let (&target, rest) = split_body(after_opcode, offset)?;
-                out.push(Instr::Jump {
-                    target: u32::from_le_bytes(target),
-                });
-                rest
-            }
-            op::BRANCH => {
-                let (&[cond, a, b, target @ ..], rest) = split_body::<7>(after_opcode, offset)?;
-                out.push(Instr::Branch {
-                    cond: cond_from(cond).ok_or(bad_field("cond"))?,
-                    a: Reg(a),
-                    b: Reg(b),
-                    target: u32::from_le_bytes(target),
-                });
-                rest
-            }
-            op::CALL_EXTERN => {
-                let (&[slot_lo, slot_hi, nargs], rest) = split_body(after_opcode, offset)?;
-                out.push(Instr::CallExtern {
-                    slot: u16::from_le_bytes([slot_lo, slot_hi]),
-                    nargs,
-                });
-                rest
-            }
-            op::HASH => {
-                let (&[dst, src], rest) = split_body(after_opcode, offset)?;
-                out.push(Instr::Hash {
-                    dst: Reg(dst),
-                    src: Reg(src),
-                });
-                rest
-            }
-            opcode => return Err(DecodeError::BadOpcode { offset, opcode }),
+        rest = if opcode == NOP {
+            let run = 1 + nop_run(after_opcode);
+            out.resize(out.len() + run, Instr::Nop);
+            &rest[run..]
+        } else {
+            let offset = bytes.len() - rest.len();
+            let (instr, rest) = Instr::decode(opcode, after_opcode, offset)?;
+            out.push(instr);
+            rest
         };
     }
     // A blob of wide instructions holds far fewer than one per byte.
@@ -404,10 +109,63 @@ pub fn decode_program(bytes: &[u8]) -> Result<Vec<Instr>, DecodeError> {
 }
 
 /// `decode_program` as it stood before it sized its output and took padding
-/// as runs: the reference the property tests below compare against.
+/// as runs, with the opcode values and code tables it was written against: the
+/// reference the property tests below compare against, and the one statement
+/// of the wire layout in this crate that is not the list in [`crate::isa`].
 #[cfg(test)]
 mod oracle {
     use super::*;
+    use crate::isa::{AluOp, Cond, Reg, Width};
+
+    pub(super) mod op {
+        pub const LOAD_IMM: u8 = 0x01;
+        pub const MOV: u8 = 0x02;
+        pub const ALU: u8 = 0x03;
+        pub const ALU_IMM: u8 = 0x04;
+        pub const LOAD: u8 = 0x05;
+        pub const STORE: u8 = 0x06;
+        pub const MEMCPY: u8 = 0x07;
+        pub const JUMP: u8 = 0x08;
+        pub const BRANCH: u8 = 0x09;
+        pub const CALL_EXTERN: u8 = 0x0A;
+        pub const HASH: u8 = 0x0B;
+        pub const NOP: u8 = 0x0C;
+        pub const RET: u8 = 0x0D;
+    }
+
+    fn alu_from(code: u8) -> Option<AluOp> {
+        Some(match code {
+            0 => AluOp::Add,
+            1 => AluOp::Sub,
+            2 => AluOp::Mul,
+            3 => AluOp::And,
+            4 => AluOp::Or,
+            5 => AluOp::Xor,
+            6 => AluOp::Shl,
+            7 => AluOp::Shr,
+            8 => AluOp::Rem,
+            _ => return None,
+        })
+    }
+
+    fn width_from(code: u8) -> Option<Width> {
+        Some(match code {
+            0 => Width::B1,
+            1 => Width::B4,
+            2 => Width::B8,
+            _ => return None,
+        })
+    }
+
+    fn cond_from(code: u8) -> Option<Cond> {
+        Some(match code {
+            0 => Cond::Zero,
+            1 => Cond::NotZero,
+            2 => Cond::Less,
+            3 => Cond::GreaterEq,
+            _ => return None,
+        })
+    }
 
     pub(super) fn decode_program(bytes: &[u8]) -> Result<Vec<Instr>, DecodeError> {
         let mut out = Vec::new();
@@ -567,6 +325,7 @@ mod oracle {
 
 #[cfg(test)]
 mod tests {
+    use super::oracle::op;
     use super::*;
     use crate::isa::{AluOp, Cond, Reg, Width};
     use proptest::prelude::*;
@@ -690,9 +449,19 @@ mod tests {
         assert!(encode_program(&[]).is_empty());
     }
 
-    /// Blobs a decoder has to get right: whole instructions of every opcode
-    /// with arbitrary field bytes, `Nop` runs of every alignment, stray bytes,
-    /// and a tail cut anywhere.
+    /// Body length of `opcode`'s form, and the values to draw its first body
+    /// byte from — every code that decodes and one too many, or all 256 when
+    /// it is not a code field. Asked of the decoder, not restated here.
+    fn body_shape(opcode: u8) -> (usize, u16) {
+        let decodes = |first| Instr::decode(opcode, &[first; 16], 0).map(|(instr, _)| instr);
+        let instr = decodes(0).expect("a declared opcode");
+        let first_bad = (0..=255u8).find(|&first| decodes(first).is_err());
+        (
+            encoded_size(&instr) - 1,
+            first_bad.map_or(256, |code| code as u16 + 1),
+        )
+    }
+
     /// Blobs a decoder has to get right: whole instructions of every opcode
     /// with arbitrary field bytes (one alu-op, width or cond code too many),
     /// `Nop` runs of every length and alignment, a stray byte now and then,
@@ -701,17 +470,7 @@ mod tests {
         let instruction = || {
             (1u8..0x0E, prop::collection::vec(any::<u8>(), 11..12)).prop_map(
                 |(opcode, mut body)| {
-                    let (codes, len) = match opcode {
-                        op::LOAD_IMM => (256, 9),
-                        op::ALU_IMM => (10, 11),
-                        op::ALU => (10, 4),
-                        op::LOAD | op::STORE => (4, 7),
-                        op::BRANCH => (5, 7),
-                        op::JUMP => (256, 4),
-                        op::MEMCPY | op::CALL_EXTERN => (256, 3),
-                        op::MOV | op::HASH => (256, 2),
-                        _ => (256, 0),
-                    };
+                    let (len, codes) = body_shape(opcode);
                     body[0] = (body[0] as u16 % codes) as u8;
                     body.truncate(len);
                     body.insert(0, opcode);

@@ -152,7 +152,9 @@ impl GotImage {
     }
 
     /// Deserialize from the wire format. Returns `None` if the length is not a
-    /// multiple of 8 or a tag is unknown.
+    /// multiple of 8, a tag is unknown, or a payload holds what [`Self::to_bytes`]
+    /// never writes (an extern index past `u32`, a nonzero unresolved slot): an
+    /// image that parses is the only byte string that parses to it.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         if !bytes.len().is_multiple_of(8) {
             return None;
@@ -163,8 +165,8 @@ impl GotImage {
             val[..7].copy_from_slice(&chunk[1..]);
             let v = u64::from_le_bytes(val);
             slots.push(match chunk[0] {
-                0 => ExternRef::Unresolved,
-                1 => ExternRef::Resolved(v as u32),
+                0 if v == 0 => ExternRef::Unresolved,
+                1 => ExternRef::Resolved(u32::try_from(v).ok()?),
                 2 => ExternRef::Data(v),
                 _ => return None,
             });
@@ -249,6 +251,7 @@ impl ExternTable {
 mod tests {
     use super::*;
     use crate::memory::{AddressSpace, Segment, SegmentKind};
+    use proptest::prelude::*;
     use twochains_memsim::hierarchy::FlatMemory;
 
     fn ctx_parts() -> (AddressSpace, FlatMemory) {
@@ -387,6 +390,49 @@ mod tests {
         let mut bad = bytes.clone();
         bad[0] = 9;
         assert!(GotImage::from_bytes(&bad).is_none(), "unknown tag rejected");
+    }
+
+    #[test]
+    fn a_got_payload_the_encoder_never_writes_is_refused_not_truncated() {
+        // Tag 1 with 2^32 + 7: kept as `v as u32`, it called extern 7.
+        let mut wide = GotImage::from_refs(vec![ExternRef::Resolved(7)]).to_bytes();
+        wide[5] = 1;
+        assert_eq!(GotImage::from_bytes(&wide), None);
+        // Tag 0 with anything behind it parsed to the all-zero slot's image.
+        let mut stray = GotImage::with_slots(2).to_bytes();
+        stray[15] = 0x80;
+        assert_eq!(GotImage::from_bytes(&stray), None);
+        // The largest of each still parses.
+        let edge = GotImage::from_refs(vec![
+            ExternRef::Resolved(u32::MAX),
+            ExternRef::Data((1 << 56) - 1),
+            ExternRef::Unresolved,
+        ]);
+        assert_eq!(GotImage::from_bytes(&edge.to_bytes()), Some(edge));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// Near-valid images — tags 0 to 3, payloads of every width down to
+        /// zero: whatever parses is the only byte string that does.
+        #[test]
+        fn a_got_image_that_parses_serializes_to_the_bytes_it_came_from(
+            slots in prop::collection::vec((0u8..4, any::<u64>(), 0usize..6), 0..6),
+        ) {
+            let bytes: Vec<u8> = slots
+                .iter()
+                .flat_map(|&(tag, payload, width)| {
+                    let payload = payload >> [8, 24, 32, 33, 56, 63][width];
+                    let mut slot = (payload << 8).to_le_bytes();
+                    slot[0] = tag;
+                    slot
+                })
+                .collect();
+            if let Some(image) = GotImage::from_bytes(&bytes) {
+                prop_assert_eq!(image.to_bytes(), bytes);
+            }
+        }
     }
 
     #[test]

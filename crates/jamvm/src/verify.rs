@@ -13,11 +13,16 @@
 //! with whatever the field holds before they look at what the instruction does
 //! with it (a `branch.zero` ignores its second operand's *value*, and still
 //! reads `regs[b]`), so a field the verifier skipped is an out-of-bounds index
-//! a sender can reach. The pass allocates nothing and visits each instruction
-//! once; [`verify_with_floor`] hands back, from that same pass, the GOT size the
-//! program needs, which the runtime caches beside the decoded program.
+//! a sender can reach. That holds by construction: the fields come from
+//! [`Instr::for_each_reg`], generated from the one list in [`crate::isa`] that
+//! also generates the decoder, so a register field that can arrive is a field
+//! that is checked. What stays hand-written here is semantics, not layout —
+//! where a target may point and what a `CallExtern` may name. The pass
+//! allocates nothing and visits each instruction once; [`verify_with_floor`]
+//! hands back, from that same pass, the GOT size the program needs, which the
+//! runtime caches beside the decoded program.
 
-use crate::isa::{Instr, Reg, NUM_REGS};
+use crate::isa::{Instr, NUM_REGS};
 
 /// A verification failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,34 +106,18 @@ pub fn verify_with_floor(program: &[Instr], got_slots: usize) -> Result<usize, V
     let last = program.last().ok_or(VerifyError::Empty)?;
     let mut floor = 0usize;
     for (at, instr) in program.iter().enumerate() {
-        let registers = |fields: &[Reg]| {
-            if fields.iter().all(|r| r.is_valid()) {
-                Ok(())
-            } else {
-                Err(VerifyError::BadRegister { at })
-            }
-        };
-        let in_program = |target: u32| {
-            if (target as usize) < program.len() {
-                Ok(())
-            } else {
-                Err(VerifyError::BadTarget { at, target })
-            }
-        };
+        // Layout, from the one list of forms: every register field, read or not.
+        let mut registers_exist = true;
+        instr.for_each_reg(|reg| registers_exist &= reg.is_valid());
+        if !registers_exist {
+            return Err(VerifyError::BadRegister { at });
+        }
+        // Semantics, by hand: where a target may point and what a call may name.
         match *instr {
-            Instr::Nop | Instr::Ret => {}
-            Instr::LoadImm { dst, .. } => registers(&[dst])?,
-            Instr::Mov { dst, src } | Instr::Hash { dst, src } => registers(&[dst, src])?,
-            Instr::Alu { dst, a, b, .. } => registers(&[dst, a, b])?,
-            Instr::AluImm { dst, src, .. } => registers(&[dst, src])?,
-            Instr::Load { dst, addr, .. } => registers(&[dst, addr])?,
-            Instr::Store { src, addr, .. } => registers(&[src, addr])?,
-            Instr::Memcpy { dst, src, len } => registers(&[dst, src, len])?,
-            Instr::Jump { target } => in_program(target)?,
-            Instr::Branch { a, b, target, .. } => {
-                // `b` whatever the condition: the engines read it regardless.
-                registers(&[a, b])?;
-                in_program(target)?;
+            Instr::Jump { target } | Instr::Branch { target, .. }
+                if target as usize >= program.len() =>
+            {
+                return Err(VerifyError::BadTarget { at, target });
             }
             Instr::CallExtern { slot, nargs } => {
                 // The call passes `r0..nargs`: past `r15` it names a register
@@ -148,6 +137,7 @@ pub fn verify_with_floor(program: &[Instr], got_slots: usize) -> Result<usize, V
                 }
                 floor = floor.max(slot as usize + 1);
             }
+            _ => {}
         }
     }
     // Termination: the final instruction must not allow execution to fall through
@@ -165,7 +155,7 @@ pub fn verify_with_floor(program: &[Instr], got_slots: usize) -> Result<usize, V
 #[cfg(test)]
 mod oracle {
     use super::*;
-    use crate::isa::Cond;
+    use crate::isa::{Cond, Reg};
 
     fn reads(instr: &Instr) -> Vec<Reg> {
         match *instr {

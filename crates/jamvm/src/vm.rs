@@ -78,11 +78,8 @@ pub struct VmConfig {
     /// Fixed overhead per extern call (call/return through the indirection).
     pub extern_call_overhead: SimTime,
     /// Initial values for registers `r0..r2` — the jam entry convention (ARGS base,
-    /// USR base, USR length). Seeding registers here replaces the old per-message
-    /// prologue the runtime used to prepend (three `LoadImm`s plus a branch-target
-    /// rewrite of the whole program), which forced a fresh `Vec<Instr>` allocation on
-    /// every dispatch; with `entry_regs` the cached `Arc<[Instr]>` program is executed
-    /// as-is.
+    /// USR base, USR length) — so that a cached program runs as it is, whatever
+    /// message it runs for.
     pub entry_regs: [u64; 3],
 }
 
@@ -552,8 +549,7 @@ mod tests {
 
     #[test]
     fn entry_regs_seed_initial_register_state() {
-        // r0 + r1, where both registers arrive via the entry convention instead of a
-        // prepended LoadImm prologue.
+        // r0 + r1, where both registers arrive via the entry convention.
         let mut a = Assembler::new();
         a.add(Reg(0), Reg(0), Reg(1)).ret();
         let prog = a.finish().unwrap();

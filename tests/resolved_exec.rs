@@ -1,4 +1,7 @@
-//! Differential tests pinning resolved execution to the interpreter.
+//! Differential tests pinning resolved execution to the interpreter. Every
+//! warm dispatch in production rides the resolved path, so a divergence here
+//! poisons everything downstream: CI runs this suite by name, ahead of the
+//! broad passes.
 //!
 //! [`Vm::execute_resolved`] over `resolve(program, got)` must be
 //! observationally equal to [`Vm::execute`] over `(program, got)` for *any*

@@ -24,19 +24,29 @@
 //! `AluBranch` / `AluImmBranch` ops) index `regs[b]` before they look at the
 //! condition, so the nine bytes of `branch.zero r0, r200, 1; ret` verified and
 //! then panicked the drain thread with "the len is 16 but the index is 200".
-//! The verifier now range-checks every register *field* of every form.
+//! The verifier range-checks every register *field* of every form — the walk
+//! it consumes is generated from the list that declares the forms — and a
+//! byte-mutation sweep over the wire golden's samples holds that whatever it
+//! lets through, neither engine panics on.
+//!
+//! Nor may it read a section as something its bytes do not say. A sender's
+//! GOT slot holds a 56-bit payload and an extern index is 32 bits: the parser
+//! kept `v as u32`, so under the permissive policy a slot of `2^32 + k`
+//! called extern `k`, and two byte strings parsed to one image. Such a frame
+//! is now a `BadFrame`, retired alone with its credit.
 
 use two_chains_suite::fabric::SimFabric;
 use two_chains_suite::jamvm::isa::{AluOp, Cond, Width};
 use two_chains_suite::jamvm::{
-    encode_program, resolve, verify, AddressSpace, Assembler, ExecError, ExternTable, GotImage,
-    Instr, Reg, Segment, SegmentKind, VerifyError, Vm, VmConfig,
+    decode_program, encode_program, resolve, verify, AddressSpace, Assembler, ExecError, ExternRef,
+    ExternTable, GotImage, Instr, Reg, Segment, SegmentKind, VerifyError, Vm, VmConfig,
 };
 use two_chains_suite::memsim::hierarchy::FlatMemory;
 use two_chains_suite::memsim::{CoreCacheStats, SharedHierarchy, SimTime, TestbedConfig};
 use twochains::builtin::benchmark_package;
 use twochains::{AmError, Frame, RuntimeConfig, SenderFleet, TwoChainsHost};
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 const HEAP_BASE: u64 = 0x5000;
@@ -212,12 +222,12 @@ fn both_engines_fault_on_an_oversized_copy_before_charging_it() {
 }
 
 /// An injected frame for an element outside the installed package, carrying
-/// an empty GOT and `program`.
-fn injected(sn: u32, program: &[Instr]) -> Vec<u8> {
+/// `got` and `program`.
+fn injected(sn: u32, got: &[u8], program: &[Instr]) -> Vec<u8> {
     Frame::injected(
         sn,
         999,
-        GotImage::with_slots(0).to_bytes(),
+        got.to_vec(),
         encode_program(program),
         vec![0; 20],
         vec![0; 8],
@@ -230,12 +240,23 @@ fn faults_unmapped(err: &AmError) -> bool {
     matches!(err, AmError::Exec(why) if why.contains("unmapped"))
 }
 
-/// Each of `hostile` lands in a slot of its own with a well-behaved frame
-/// behind them: every hostile one retires as a rejection (one `rejection`
-/// accepts) with its credit, the last frame executes.
+/// [`hostile_injections_are_rejected_alone`] for jams that need no GOT.
 fn hostile_frames_are_rejected_alone(
     cfg: RuntimeConfig,
     hostile: Vec<(&'static str, Vec<Instr>)>,
+    rejection: fn(&AmError) -> bool,
+) {
+    let with_an_empty_got = |(what, program)| (what, Vec::new(), program);
+    let hostile = hostile.into_iter().map(with_an_empty_got).collect();
+    hostile_injections_are_rejected_alone(cfg, hostile, rejection);
+}
+
+/// Each of `hostile` (a GOT section and a jam) lands in a slot of its own with
+/// a well-behaved frame behind them: every hostile one retires as a rejection
+/// (one `rejection` accepts) with its credit, the last frame executes.
+fn hostile_injections_are_rejected_alone(
+    cfg: RuntimeConfig,
+    hostile: Vec<(&'static str, Vec<u8>, Vec<Instr>)>,
     rejection: fn(&AmError) -> bool,
 ) {
     let (fabric, a, b) = SimFabric::back_to_back(TestbedConfig::cluster2021());
@@ -251,10 +272,11 @@ fn hostile_frames_are_rejected_alone(
     let good = good.finish().unwrap();
     // One hostile frame per slot, the well-behaved one behind them.
     let mut arrival = SimTime::ZERO;
-    let programs = hostile.iter().map(|(_, program)| program).chain([&good]);
-    for (slot, program) in programs.enumerate() {
+    let no_got = Vec::new();
+    let injections = hostile.iter().map(|(_, got, program)| (got, program));
+    for (slot, (got, program)) in injections.chain([(&no_got, &good)]).enumerate() {
         let target = host.mailbox_target(0, slot).unwrap();
-        let frame = injected(slot as u32 + 1, program);
+        let frame = injected(slot as u32 + 1, got, program);
         let put = raw
             .put(arrival, &frame, &target.region, target.offset)
             .unwrap();
@@ -398,91 +420,99 @@ fn the_verifier_rejects_a_register_field_the_condition_does_not_read() {
     );
 }
 
-/// Every instruction form × every register field it encodes, set to the first
-/// index past the file (16) and to the last a byte holds (255): no form is
-/// exempt, each is `BadRegister` — so neither engine ever sees one.
+/// Every sample of the wire golden (`tests/golden/isa_wire.txt`: one of every
+/// form, of every ALU op, width and condition) × every body byte × all 256
+/// values, with no knowledge of any form's layout: whatever `decode` and
+/// `verify` let through runs under both engines, which neither panic nor
+/// disagree; and a mutant that differs from its sample in a register field —
+/// any field [`Instr::for_each_reg`] visits — holding 16 or more is
+/// `BadRegister`, so neither engine ever sees one.
 #[test]
 fn every_register_field_of_every_form_is_range_checked() {
-    type Form = (&'static str, usize, fn(&[Reg]) -> Instr);
-    let forms: [Form; 12] = [
-        ("load_imm", 1, |r| Instr::LoadImm { dst: r[0], imm: 1 }),
-        ("mov", 2, |r| Instr::Mov {
-            dst: r[0],
-            src: r[1],
-        }),
-        ("hash", 2, |r| Instr::Hash {
-            dst: r[0],
-            src: r[1],
-        }),
-        ("alu", 3, |r| Instr::Alu {
-            op: AluOp::Add,
-            dst: r[0],
-            a: r[1],
-            b: r[2],
-        }),
-        ("alu_imm", 2, |r| Instr::AluImm {
-            op: AluOp::Add,
-            dst: r[0],
-            src: r[1],
-            imm: 1,
-        }),
-        ("load", 2, |r| Instr::Load {
-            width: Width::B8,
-            dst: r[0],
-            addr: r[1],
-            offset: 0,
-        }),
-        ("store", 2, |r| Instr::Store {
-            width: Width::B8,
-            src: r[0],
-            addr: r[1],
-            offset: 0,
-        }),
-        ("memcpy", 3, |r| Instr::Memcpy {
-            dst: r[0],
-            src: r[1],
-            len: r[2],
-        }),
-        ("branch.zero", 2, |r| Instr::Branch {
-            cond: Cond::Zero,
-            a: r[0],
-            b: r[1],
-            target: 1,
-        }),
-        ("branch.notzero", 2, |r| Instr::Branch {
-            cond: Cond::NotZero,
-            a: r[0],
-            b: r[1],
-            target: 1,
-        }),
-        ("branch.less", 2, |r| Instr::Branch {
-            cond: Cond::Less,
-            a: r[0],
-            b: r[1],
-            target: 1,
-        }),
-        ("branch.greater_eq", 2, |r| Instr::Branch {
-            cond: Cond::GreaterEq,
-            a: r[0],
-            b: r[1],
-            target: 1,
-        }),
-    ];
-    for (what, fields, form) in forms {
-        let mut regs = [Reg(1), Reg(2), Reg(3)];
-        assert_eq!(verify(&[form(&regs), Instr::Ret], 0), Ok(()), "{what}");
-        for field in 0..fields {
-            for index in [16, 255] {
-                regs[field] = Reg(index);
+    let samples: Vec<Vec<u8>> = include_str!("golden/isa_wire.txt")
+        .lines()
+        .take_while(|line| *line != "[jams]")
+        .filter(|line| !line.starts_with('['))
+        .map(|line| {
+            let hex = line.split(';').next().unwrap().split_whitespace();
+            hex.map(|byte| u8::from_str_radix(byte, 16).unwrap())
+                .collect()
+        })
+        .collect();
+    // The samples are every form there is: an opcode the decoder knows and the
+    // golden does not fails here, with the form it decodes to.
+    for opcode in 0..=255u8 {
+        let form = (0..16).find_map(|body| {
+            let mut bytes = vec![0; 1 + body];
+            bytes[0] = opcode;
+            decode_program(&bytes).ok()
+        });
+        assert_eq!(
+            form.is_some(),
+            samples.iter().any(|sample| sample[0] == opcode),
+            "opcode {opcode:#04x} decodes to {form:?}: the golden needs a sample of it"
+        );
+    }
+
+    let registers = |instr: &Instr| {
+        let mut fields = Vec::new();
+        instr.for_each_reg(|reg| fields.push(reg));
+        fields
+    };
+    let got = GotImage::with_slots(4);
+    let externs = ExternTable::new();
+    let cfg = VmConfig {
+        fuel: 64,
+        ..VmConfig::default()
+    };
+    let ret = encode_program(&[Instr::Ret]);
+    let (mut verified, mut bad_registers, mut register_fields) = (0, 0, 0);
+    for sample in &samples {
+        let sample_registers = registers(&decode_program(sample).unwrap()[0]);
+        register_fields += sample_registers.len();
+        for at in 1..sample.len() {
+            for value in 0..=255u8 {
+                let mut bytes = sample.clone();
+                bytes[at] = value;
+                let what = format!("{bytes:02x?}");
+                bytes.extend(&ret);
+                let Ok(program) = decode_program(&bytes) else {
+                    continue;
+                };
+                assert_eq!(program.len(), 2, "{what}");
+                let verdict = verify(&program, got.len());
+                if value >= 16 && registers(&program[0]) != sample_registers {
+                    assert_eq!(verdict, Err(VerifyError::BadRegister { at: 0 }), "{what}");
+                    bad_registers += 1;
+                }
+                if verdict.is_err() {
+                    continue;
+                }
+                verified += 1;
+                let ran = catch_unwind(AssertUnwindSafe(|| {
+                    let mut space = AddressSpace::new();
+                    let mut bus = FlatMemory::free();
+                    let interpreted =
+                        Vm::execute(&program, &got, &externs, &mut space, &mut bus, &cfg);
+                    let image = resolve(&program, &got);
+                    let resolved =
+                        Vm::execute_resolved(&image, &externs, &mut space, &mut bus, &cfg);
+                    (interpreted, resolved)
+                }));
+                let (interpreted, resolved) =
+                    ran.unwrap_or_else(|_| panic!("{what} verifies, and an engine panicked"));
                 assert_eq!(
-                    verify(&[form(&regs), Instr::Ret], 0),
-                    Err(VerifyError::BadRegister { at: 0 }),
-                    "{what}, field {field} = r{index}"
+                    interpreted.map(|stats| stats.result),
+                    resolved.map(|stats| stats.result),
+                    "{what}"
                 );
             }
-            regs[field] = Reg(1);
         }
     }
+    // Each field the walk visits is one byte of the sample, refused at each of
+    // the 240 values past the register file.
+    assert_eq!(bad_registers, register_fields * 240);
+    assert!(verified > 10_000, "{verified}");
     // A call names `r0..nargs`: r15 is the last there is.
     for nargs in [17, 255] {
         assert_eq!(
@@ -491,6 +521,38 @@ fn every_register_field_of_every_form_is_range_checked() {
             "call_extern with {nargs} arguments"
         );
     }
+}
+
+/// GOT sections `GotImage::to_bytes` never writes, each with a jam that would
+/// run happily behind it: an extern index of `2^32 + k`, which used to be kept
+/// as `k` — the sender's `call_extern` then reached extern `k` under a GOT
+/// whose bytes named no such thing — and an unresolved slot with a stray
+/// payload byte, which parsed to the same image as the all-zero slot.
+fn non_canonical_gots() -> Vec<(&'static str, Vec<u8>, Vec<Instr>)> {
+    let mut wide = GotImage::from_refs(vec![ExternRef::Resolved(0)]).to_bytes();
+    wide[5] = 1;
+    let mut stray = GotImage::with_slots(1).to_bytes();
+    stray[7] = 0x80;
+    vec![
+        (
+            "extern index 2^32",
+            wide,
+            vec![Instr::CallExtern { slot: 0, nargs: 0 }, Instr::Ret],
+        ),
+        ("unresolved slot, nonzero payload", stray, vec![Instr::Ret]),
+    ]
+}
+
+#[test]
+fn receive_burst_rejects_a_got_image_it_would_have_truncated_and_executes_the_next_frame() {
+    for (what, got, _) in non_canonical_gots() {
+        assert_eq!(GotImage::from_bytes(&got), None, "{what}");
+    }
+    hostile_injections_are_rejected_alone(
+        RuntimeConfig::paper_default(),
+        non_canonical_gots(),
+        |err| matches!(err, AmError::BadFrame(why) if why.contains("bad GOT image")),
+    );
 }
 
 fn names_an_invalid_register(err: &AmError) -> bool {
