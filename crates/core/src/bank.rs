@@ -203,12 +203,6 @@ impl MailboxBank {
         }
         (ready, poisoned)
     }
-
-    /// Quarantine every poisoned slot in the banks `mask` owns (the poisoned half
-    /// of [`MailboxBank::scan_burst`]).
-    pub fn drain_poisoned(&self, mask: ShardMask) -> Vec<(usize, usize, AmError)> {
-        self.scan_burst(mask, 0).1
-    }
 }
 
 /// Sender-side credit table (§VI-A2): flow control carried as real fabric
@@ -779,11 +773,11 @@ mod tests {
         );
         // The quarantine sweep reclaims it (and reports the reason); afterwards
         // the slot polls as empty instead of erroring forever.
-        let poisoned = b.drain_poisoned(ShardMask::all());
+        let (_, poisoned) = b.scan_burst(ShardMask::all(), 0);
         assert_eq!(poisoned.len(), 1);
         assert_eq!((poisoned[0].0, poisoned[0].1), (0, 0));
         assert!(matches!(poisoned[0].2, AmError::BadFrame(_)));
         assert!(b.mailbox(0, 0).unwrap().poll_variable().unwrap().is_none());
-        assert!(b.drain_poisoned(ShardMask::all()).is_empty());
+        assert!(b.scan_burst(ShardMask::all(), 0).1.is_empty());
     }
 }

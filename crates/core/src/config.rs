@@ -1,6 +1,5 @@
 //! Runtime configuration.
 
-use twochains_memsim::cycles::WaitModel;
 use twochains_memsim::WaitMode;
 
 use crate::security::SecurityPolicy;
@@ -51,27 +50,8 @@ pub enum SpaceMode {
     ShardLocal,
 }
 
-/// When the receiver's drain shards flush accumulated credit tokens back to
-/// the sender as one-sided puts (§VI-A2 batching).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CreditFlushPolicy {
-    /// Flush after every retired frame: one 1-byte put per credit, the
-    /// pre-coalescing behaviour. Useful as a latency baseline and for
-    /// equivalence tests.
-    PerFrame,
-    /// Batch tokens per bank row and flush one multi-byte span put when a row
-    /// fills, when the withheld total leaves the sender within a headroom
-    /// watermark of exhausting its completion window (the watermark follows
-    /// the observed retire rate), or when the shard goes idle at the end of a
-    /// burst scan. The default: it takes the per-put fixed cost off the drain
-    /// hot path without letting a lightly loaded sender starve for credits.
-    #[default]
-    Adaptive,
-}
-
 /// Whether sender lanes aggregate data-path frames into multi-frame batch
-/// containers (one NIC put covering N frames) — the data-path mirror of
-/// [`CreditFlushPolicy`].
+/// containers (one NIC put covering N frames).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AggregationPolicy {
     /// One put per frame: byte-identical to the pre-aggregation wire
@@ -112,7 +92,7 @@ pub struct RuntimeConfig {
     pub frame_capacity: usize,
     /// Number of mailbox banks (M in §VI-A2).
     pub banks: usize,
-    /// Mailboxes per bank (N in §VI-A2).
+    /// Mailboxes per bank (N in §VI-A2); at most 65 536, a batch prefix's `u16` slot.
     pub mailboxes_per_bank: usize,
     /// Number of receiver shards draining the banks. Bank `b` is owned by shard
     /// `b % num_shards`, so shards never contend on a mailbox; each shard keeps its
@@ -132,19 +112,10 @@ pub struct RuntimeConfig {
     /// more. Back-pressure is per stream — one saturated stream never stalls
     /// its siblings.
     pub completion_window: usize,
-    /// When drain shards flush accumulated credit tokens back to the sender
-    /// (see [`CreditFlushPolicy`]).
-    pub credit_flush_policy: CreditFlushPolicy,
     /// How sender lanes batch the data path (see [`AggregationPolicy`]).
     pub aggregation_policy: AggregationPolicy,
-    /// Which core the receiver thread runs on. With `n` shards, shard `s`
-    /// drains on core `(receiver_core + s) % num_cores`, each with its own
-    /// private L1/L2 over the host's shared cache levels.
-    pub receiver_core: usize,
     /// How the receiver waits for the signal byte.
     pub wait_mode: WaitMode,
-    /// Wait-model constants (poll interval, WFE wake latency, ...).
-    pub wait_model: WaitModel,
     /// Security policy applied to inbound messages.
     pub security: SecurityPolicy,
     /// Upper bound on entries per injection cache (decoded programs, sender GOT
@@ -155,19 +126,13 @@ pub struct RuntimeConfig {
     /// If true, messages are delivered and signalled but the function invocation is
     /// skipped — the paper's "without-execution configuration" used for Figs. 5–6.
     pub skip_execution: bool,
-    /// Fixed receiver-side dispatch overhead for an Injected Function (frame parse +
-    /// jump through the mailbox code pointer).
-    pub injected_dispatch_ns: f64,
-    /// Fixed receiver-side dispatch overhead for a Local Function (frame parse +
-    /// function-pointer table lookup by element ID).
-    pub local_dispatch_ns: f64,
     /// How programs are executed (see [`ExecutionPolicy`]).
     pub execution_policy: ExecutionPolicy,
 }
 
 impl RuntimeConfig {
     /// The configuration used throughout the paper's evaluation: 32 KiB-capable
-    /// mailboxes, 4 banks × 16 mailboxes, polling wait on core 0.
+    /// mailboxes, 4 banks × 16 mailboxes, polling wait.
     pub fn paper_default() -> Self {
         RuntimeConfig {
             frame_capacity: 128 * 1024,
@@ -177,16 +142,11 @@ impl RuntimeConfig {
             space_mode: SpaceMode::Exclusive,
             sender_streams: 1,
             completion_window: 256,
-            credit_flush_policy: CreditFlushPolicy::Adaptive,
             aggregation_policy: AggregationPolicy::Adaptive,
-            receiver_core: 0,
             wait_mode: WaitMode::Polling,
-            wait_model: WaitModel::cluster2021(),
             security: SecurityPolicy::permissive(),
             injection_cache_entries: crate::runtime::MAX_INJECTION_CACHE_ENTRIES,
             skip_execution: false,
-            injected_dispatch_ns: 28.0,
-            local_dispatch_ns: 18.0,
             execution_policy: ExecutionPolicy::Resolved,
         }
     }
@@ -219,13 +179,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Same configuration but flushing one credit put per retired frame
-    /// ([`CreditFlushPolicy::PerFrame`]) — the pre-coalescing wire behaviour.
-    pub fn with_per_frame_credits(mut self) -> Self {
-        self.credit_flush_policy = CreditFlushPolicy::PerFrame;
-        self
-    }
-
     /// Same configuration but posting one put per frame
     /// ([`AggregationPolicy::PerFrame`]) — the pre-aggregation wire
     /// behaviour, byte-identical on the fabric.
@@ -250,15 +203,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// The shard that owns mailbox bank `bank` under this configuration's
-    /// `bank % num_shards` map — a convenience for callers aiming traffic at a
-    /// particular shard. The runtime itself routes through the shard count fixed
-    /// at host construction (`ShardMask`), so mutating `num_shards` after the
-    /// host exists changes this helper's answer but not the host's routing.
-    pub fn owning_shard(&self, bank: usize) -> usize {
-        crate::bank::ShardMask::owner_of(bank, self.num_shards)
-    }
-
     /// Total number of mailboxes.
     pub fn total_mailboxes(&self) -> usize {
         self.banks * self.mailboxes_per_bank
@@ -271,6 +215,9 @@ impl RuntimeConfig {
         }
         if self.banks == 0 || self.mailboxes_per_bank == 0 {
             return Err("need at least one bank and one mailbox".into());
+        }
+        if self.mailboxes_per_bank > 1 << 16 {
+            return Err("a batch prefix's u16 slot names at most 65536 mailboxes a bank".into());
         }
         if self.num_shards == 0 {
             return Err("need at least one receiver shard".into());
@@ -377,16 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn credit_flush_defaults_are_adaptive() {
-        let c = RuntimeConfig::paper_default();
-        assert_eq!(c.credit_flush_policy, CreditFlushPolicy::Adaptive);
-        assert!(c.validate().is_ok());
-        let c = c.with_per_frame_credits();
-        assert_eq!(c.credit_flush_policy, CreditFlushPolicy::PerFrame);
-        assert!(c.validate().is_ok());
-    }
-
-    #[test]
     fn sender_stream_defaults_are_single_stream() {
         let c = RuntimeConfig::paper_default();
         assert_eq!(c.sender_streams, 1);
@@ -397,18 +334,6 @@ mod tests {
                 .sender_streams,
             4
         );
-    }
-
-    #[test]
-    fn shard_ownership_is_bank_modulo() {
-        let c = RuntimeConfig::paper_default().with_shards(4);
-        assert!(c.validate().is_ok());
-        assert_eq!(c.owning_shard(0), 0);
-        assert_eq!(c.owning_shard(3), 3);
-        let c2 = RuntimeConfig::paper_default().with_shards(2);
-        assert_eq!(c2.owning_shard(3), 1);
-        // Default is the single-shard (PR-1 compatible) configuration.
-        assert_eq!(RuntimeConfig::paper_default().num_shards, 1);
     }
 
     #[test]

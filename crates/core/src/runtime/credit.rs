@@ -25,23 +25,23 @@
 //!
 //! A slot is *pending* between [`CreditReturn::accumulate`] (its frame
 //! retired, its next token minted) and the flush that publishes the token.
-//! The host drives four flush triggers:
+//! There are three flush triggers. Two are `accumulate`'s own — it evaluates
+//! them on every token, against state only this module holds, and hands back
+//! whatever it posted — and the third is the host's:
 //!
-//! 1. **Per-frame** ([`CreditFlushPolicy::PerFrame`](crate::config::CreditFlushPolicy)):
-//!    flush after every accumulate — a 1-byte span per retirement, the
-//!    pre-coalescing wire behaviour, kept as the latency baseline.
-//! 2. **Row-fill** (adaptive): `accumulate` reports when the slot's whole row
-//!    is pending; a full row is the widest span one put can cover, so waiting
-//!    longer buys nothing.
-//! 3. **Headroom watermark** (adaptive): the tokens a shard withholds are
-//!    credits the sender cannot spend; when the withheld total leaves the
-//!    sender within a watermark of exhausting its window, the host flushes
-//!    immediately so batching never becomes a light-load latency stall. The
-//!    watermark follows the observed retire rate
-//!    ([`CreditReturn::adaptive_watermark`]).
-//! 4. **Idle / abort** (unconditional): the end of every burst scan — and
-//!    every error exit from one — flushes whatever is pending, so a token
-//!    can never be stranded by an empty bank or a failed dispatch.
+//! 1. **Row-fill**: the slot's whole row is pending. A full row is the widest
+//!    span one put can cover, so waiting longer buys nothing.
+//! 2. **Headroom watermark**: the tokens a shard withholds are credits the
+//!    sender cannot spend; when the withheld total leaves the sender within a
+//!    watermark of exhausting its completion window (handed over when the
+//!    credit path is installed), the backlog is flushed at once so batching
+//!    never becomes a light-load latency stall. The watermark follows the
+//!    observed retire rate ([`adaptive_watermark_for`]); a window so narrow
+//!    that it fires on every token is the one-put-per-credit behaviour.
+//! 3. **Idle / abort** ([`CreditReturn::flush`], unconditional): the host
+//!    calls it at the end of every burst scan — and on every error exit from
+//!    one — so a token can never be stranded by an empty bank or a failed
+//!    dispatch.
 //!
 //! `accumulate` additionally forces a flush if the slot is *already* pending:
 //! two unflushed tokens on one slot would collapse into the newest byte and
@@ -132,8 +132,11 @@ pub(crate) struct CreditReturn {
     /// the same reason `drains` is: zeroing it mid-phase would lose credits.
     pending: Vec<bool>,
     /// How many slots are pending across all rows — the withheld-credit total
-    /// the host's watermark trigger compares against the completion window.
+    /// the watermark trigger compares against the completion window.
     pending_total: usize,
+    /// The paired sender lane's completion window: the credits it can have
+    /// outstanding, so the most this shard may withhold.
+    window: usize,
     /// Lifetime flush totals (flush puts, wire bytes, largest span), outside
     /// the resettable stats — see the module docs. The per-flush deltas the
     /// host folds into `RuntimeStats` come from [`FlushOutcome`].
@@ -192,26 +195,17 @@ pub(crate) struct FlushOutcome {
     pub max_span: u64,
 }
 
-/// What [`CreditReturn::accumulate`] observed.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct AccumulateOutcome {
-    /// A flush forced by a same-slot collision (the slot already held an
-    /// unflushed token); `None` in the normal schedules.
-    pub forced: Option<FlushOutcome>,
-    /// The slot's whole row is now pending — the widest span one put can
-    /// cover, so the adaptive policy flushes here.
-    pub row_full: bool,
-}
-
 impl CreditReturn {
     /// Build the return path for the shard owning `handshake.stream`'s banks.
     /// `banks_total` is the receiver's total bank count (rows are allocated
-    /// for every bank the stream owns under `bank % streams`).
+    /// for every bank the stream owns under `bank % streams`); `window` is the
+    /// lane's completion window, which the watermark trigger keeps headroom in.
     pub(crate) fn new(
         endpoint: Endpoint,
         handshake: &CreditHandshake,
         banks_total: usize,
         per_bank: usize,
+        window: usize,
     ) -> AmResult<Self> {
         if handshake.per_bank != per_bank {
             return Err(AmError::InvalidConfig(format!(
@@ -251,6 +245,7 @@ impl CreditReturn {
             drains: vec![0; rows * per_bank],
             pending: vec![false; rows * per_bank],
             pending_total: 0,
+            window,
             lifetime_flushes: 0,
             lifetime_flush_bytes: 0,
             lifetime_flush_max_span: 0,
@@ -277,12 +272,6 @@ impl CreditReturn {
         self.nack.is_some()
     }
 
-    /// Tokens minted but not yet flushed — the withheld-credit total the
-    /// host's watermark trigger compares against the completion window.
-    pub(crate) fn pending_total(&self) -> usize {
-        self.pending_total
-    }
-
     /// Lifetime flush totals `(flush puts, wire bytes, largest span)` —
     /// cumulative since construction, immune to stats resets (module docs).
     pub(crate) fn lifetime_flush_totals(&self) -> (u64, u64, u64) {
@@ -294,20 +283,24 @@ impl CreditReturn {
     }
 
     /// Mint the next credit token for (`bank`, `slot`) at drain-virtual time
-    /// `now` and mark the slot pending; the token travels on the next
-    /// [`CreditReturn::flush`]. The caller must only invoke this *after* the
-    /// slot's mailbox has been cleared — the flush put's release publication
-    /// is what lets the sender's acquire load order its refill behind the
-    /// clear. If the slot already holds an unflushed token, the backlog is
-    /// flushed first (two pending tokens on one byte would collapse into the
-    /// newest and lose a credit) and the forced flush is reported back for
-    /// the caller's accounting.
+    /// `now`, mark the slot pending, and flush if a trigger says so (module
+    /// docs): the token otherwise travels on a later flush. The caller must
+    /// only invoke this *after* the slot's mailbox has been cleared — the
+    /// flush put's release publication is what lets the sender's acquire load
+    /// order its refill behind the clear.
+    ///
+    /// Returns the flushes posted, in posting order, for the caller to charge:
+    /// first the one forced because the slot already held an unflushed token
+    /// (two pending tokens on one byte would collapse into the newest and
+    /// lose a credit, so the backlog goes first), then the one row-fill or
+    /// the watermark triggered. The drain core posts them back to back, so
+    /// the second starts where the first left it free.
     pub(crate) fn accumulate(
         &mut self,
         now: SimTime,
         bank: usize,
         slot: usize,
-    ) -> AmResult<AccumulateOutcome> {
+    ) -> AmResult<[Option<FlushOutcome>; 2]> {
         if crate::bank::ShardMask::owner_of(bank, self.streams) != self.stream {
             return Err(AmError::InvalidConfig(format!(
                 "bank {bank} is not owned by stream {} of {}: crediting it here \
@@ -349,17 +342,14 @@ impl CreditReturn {
         self.pending_total += 1;
         let base = row * self.per_bank;
         let row_full = self.pending[base..base + self.per_bank].iter().all(|&p| p);
-        Ok(AccumulateOutcome { forced, row_full })
-    }
-
-    /// Runtime-adaptive flush watermark: how much completion-window headroom
-    /// to keep before forcing a credit flush. Derived from the EWMA of the
-    /// retire interval — the receiver-side proxy for the sender's observed
-    /// acquire latency (the faster tokens mint, the hotter the sender is
-    /// spinning on credits, the earlier we should publish). `fallback` stands
-    /// in until the EWMA has a sample.
-    pub(crate) fn adaptive_watermark(&self, window: usize, fallback: usize) -> usize {
-        adaptive_watermark_for(self.ewma_retire_gap_ns, window, fallback)
+        let watermark =
+            adaptive_watermark_for(self.ewma_retire_gap_ns, self.window, WATERMARK_FLOOR);
+        let triggered = if row_full || self.pending_total >= self.window.saturating_sub(watermark) {
+            self.flush(forced.map_or(now, |f| f.sender_free))?
+        } else {
+            None
+        };
+        Ok([forced, triggered])
     }
 
     /// Publish every pending token: one multi-byte put per dirty row,
@@ -531,6 +521,10 @@ impl CreditReturn {
     }
 }
 
+/// The headroom watermark a shard starts from, until its retire-rate EWMA
+/// has a first sample to size it by.
+const WATERMARK_FLOOR: usize = 4;
+
 /// How far into the future (virtual nanoseconds) a pending-but-unpublished
 /// credit is allowed to age before the headroom math forces a flush. At the
 /// observed retire rate, `HORIZON / gap` tokens mint inside this horizon;
@@ -538,9 +532,12 @@ impl CreditReturn {
 /// the sender sees fresh credits.
 const ADAPTIVE_WATERMARK_HORIZON_NS: f64 = 32_768.0;
 
-/// Pure watermark math, split out so the policy is testable without a
-/// [`CreditReturn`]. With no EWMA sample yet (`ewma_gap_ns == 0`), returns
-/// `fallback`. Otherwise: tokens expected to mint within the
+/// The runtime-adaptive flush watermark: how much completion-window headroom
+/// to keep before flushing, from the EWMA of the retire interval — the
+/// receiver-side proxy for the sender's observed acquire latency (the faster
+/// tokens mint, the hotter the sender is spinning on credits, the earlier
+/// they should be published). With no EWMA sample yet (`ewma_gap_ns == 0`),
+/// returns `fallback`. Otherwise: tokens expected to mint within the
 /// horizon bound how many we may hold back (`allowed`, clamped to
 /// `1..=window-1`), and the watermark is the rest of the window — fast
 /// retiring (small gap) allows a large backlog and a low watermark; slow
@@ -565,6 +562,132 @@ pub(crate) fn banks_owned(stream: usize, streams: usize, banks_total: usize) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use twochains_fabric::{AccessFlags, SimFabric};
+    use twochains_memsim::TestbedConfig;
+
+    /// One stream's return path over a simulated fabric — `rows` banks of
+    /// `per_bank` slots, a lane window of `window` — and the sender-side
+    /// table its puts land in.
+    fn rig(rows: usize, per_bank: usize, window: usize) -> (CreditReturn, BankFlags) {
+        let (fabric, sender, receiver) = SimFabric::back_to_back(TestbedConfig::cluster2021());
+        let region = fabric
+            .host(sender)
+            .unwrap()
+            .register(BankFlags::table_len(rows, per_bank), AccessFlags::rw())
+            .unwrap();
+        let flags = BankFlags::new(region, rows, per_bank).unwrap();
+        let handshake = CreditHandshake {
+            stream: 0,
+            streams: 1,
+            per_bank,
+            descriptor: flags.descriptor(),
+            nack: None,
+        };
+        let endpoint = fabric.endpoint(receiver, sender).unwrap();
+        let credit = CreditReturn::new(endpoint, &handshake, rows, per_bank, window).unwrap();
+        (credit, flags)
+    }
+
+    #[test]
+    fn a_part_filled_row_below_the_watermark_is_withheld() {
+        let (mut credit, flags) = rig(2, 4, 16);
+        for (bank, slot) in [(0, 0), (0, 1), (0, 3), (1, 2)] {
+            let flushed = credit.accumulate(SimTime::ZERO, bank, slot).unwrap();
+            assert!(flushed.iter().all(Option::is_none), "({bank}, {slot})");
+            assert!(!flags.credit_pending(bank, slot).unwrap());
+        }
+        let idle = credit.flush(SimTime::ZERO).unwrap().unwrap();
+        assert_eq!((idle.puts, idle.bytes, idle.max_span), (2, 5, 4));
+        assert!(flags.credit_pending(0, 3).unwrap() && flags.credit_pending(1, 2).unwrap());
+        assert!(
+            !flags.credit_pending(0, 2).unwrap(),
+            "a gap slot is rewritten, not credited"
+        );
+    }
+
+    #[test]
+    fn row_fill_fires_on_the_slot_that_completes_the_row_and_flushes_its_span() {
+        let (mut credit, flags) = rig(2, 4, 16);
+        for slot in [2, 0, 3] {
+            let flushed = credit.accumulate(SimTime::ZERO, 1, slot).unwrap();
+            assert!(flushed.iter().all(Option::is_none), "slot {slot}");
+        }
+        let [forced, filled] = credit.accumulate(SimTime::ZERO, 1, 1).unwrap();
+        assert!(forced.is_none());
+        let filled = filled.expect("the fourth of four slots fills the row");
+        assert_eq!((filled.puts, filled.bytes, filled.max_span), (1, 4, 4));
+        for slot in 0..4 {
+            assert!(flags.credit_pending(1, slot).unwrap());
+            assert!(!flags.credit_pending(0, slot).unwrap());
+        }
+        assert!(credit.flush(SimTime::ZERO).unwrap().is_none());
+    }
+
+    /// Tokens minted `gap_ns` apart into one wide row (so row-fill stays out
+    /// of it): how many are pending when the watermark flushes them.
+    fn watermark_fires_at(gap_ns: u64, window: usize) -> usize {
+        let (mut credit, _flags) = rig(1, 64, window);
+        for slot in 0..64 {
+            let now = SimTime::from_ns(gap_ns * slot as u64);
+            let [forced, fired] = credit.accumulate(now, 0, slot).unwrap();
+            assert!(forced.is_none());
+            if let Some(fired) = fired {
+                assert_eq!(fired.bytes as usize, slot + 1, "the whole backlog goes");
+                return slot + 1;
+            }
+        }
+        panic!("the watermark never fired in a window of {window}");
+    }
+
+    #[test]
+    fn the_watermark_fires_at_window_minus_watermark_pending_tokens() {
+        // (retire gap in ns, window, pending tokens at the flush). Gap 0 never
+        // gives the EWMA a sample, so the floor of 4 stands; after a sample
+        // the horizon allows 32 768 / gap withheld tokens, within 1..window.
+        for (gap_ns, window, pending) in [
+            (0, 10, 6),
+            (0, 32, 28),
+            (0, 2, 1),
+            (8_192, 10, 4),
+            (8_192, 32, 4),
+            (100, 10, 9),
+            (100_000, 10, 2),
+        ] {
+            assert_eq!(
+                watermark_fires_at(gap_ns, window),
+                pending,
+                "gap {gap_ns} ns, window {window}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_second_token_on_a_pending_slot_posts_the_backlog_first() {
+        let (mut credit, mut flags) = rig(1, 16, 10);
+        for slot in [0, 1] {
+            let flushed = credit.accumulate(SimTime::ZERO, 0, slot).unwrap();
+            assert!(flushed.iter().all(Option::is_none));
+        }
+        // Slot 0 retires again 100 us later with its first token unflushed:
+        // the backlog goes out, and the slow retire rate the gap shows puts
+        // the watermark at one withheld token, so the new one follows it.
+        let now = SimTime::from_ns(100_000);
+        let [forced, fired] = credit.accumulate(now, 0, 0).unwrap();
+        let (forced, fired) = (forced.unwrap(), fired.unwrap());
+        assert_eq!((forced.puts, forced.bytes), (1, 2));
+        assert_eq!((fired.puts, fired.bytes), (1, 1));
+        // Posting order: the drain core is free of the first put before it
+        // posts the second, each paying the same posting cost.
+        assert_eq!(
+            fired.sender_free - forced.sender_free,
+            forced.sender_free - now
+        );
+        // The sender reads slot 0's newest token and slot 1's first; both of
+        // slot 0's were published, each by its own put.
+        assert!(flags.try_acquire(0, 0).unwrap() && flags.try_acquire(0, 1).unwrap());
+        assert!(!flags.try_acquire(0, 0).unwrap());
+        assert_eq!(credit.lifetime_flush_totals(), (2, 3, 2));
+    }
 
     #[test]
     fn banks_owned_partitions_every_bank_exactly_once() {

@@ -516,9 +516,11 @@ impl SenderLane {
             }
             self.open.opened = self.clock;
         }
-        self.open
-            .frames
-            .push(self.targets[idx].slot as u16, &self.frame_buf)?;
+        let slot = self.targets[idx].slot;
+        let declared = u16::try_from(slot).map_err(|_| {
+            AmError::InvalidConfig(format!("slot {slot} does not fit a batch prefix's u16"))
+        })?;
+        self.open.frames.push(declared, &self.frame_buf)?;
         self.open.sns.push(sn);
         self.open.members.push(idx);
         Ok(flushed)

@@ -31,7 +31,7 @@
 //! | 4 resolve image | `resolve_image` (`injected_got`, `injected_program`, `local_image`) | GOT and executable image, through the injection caches or the Local Function library |
 //! | 5 execute | `execute_stage` | space picked once, sections mapped, image run, sections unmapped |
 //! | 6 continue chain | `continue_chain` | each continuation stage is stage 5 again, with `chain.*` sections and the context cell |
-//! | 7 retire | `retire` | gap watcher noted, drain clock advanced, credit returned (`return_credit` / `return_replay_credit`) |
+//! | 7 retire | `retire` | gap watcher noted, drain clock advanced, credit returned (`return_credit` / `return_replay_credit`): the token is `credit.rs`'s to mint and to flush, the host charges what was posted |
 //!
 //! Stages 2–6 leave one `Retired` entry per frame; both callers loop over
 //! what a slot produced and retire each entry the same way. Three orderings
@@ -85,7 +85,7 @@ use twochains_jamvm::{
     ShardSpace, Vm, VmConfig,
 };
 use twochains_linker::{ElementId, LinkerNamespace, Package, Ried};
-use twochains_memsim::cycles::WaitOutcome;
+use twochains_memsim::cycles::{WaitModel, WaitOutcome};
 use twochains_memsim::{
     AccessKind, CoreBus, CoreCacheStats, HierarchyStats, MemoryBus, MemoryStressor,
     SharedHierarchy, SimTime,
@@ -97,7 +97,7 @@ use super::shard::{DrainCtx, ReceiverShard, ShardDrain};
 use super::{BurstFrame, BurstOutcome, ReceiveOutcome};
 use crate::bank::MailboxBank;
 use crate::builtin::BuiltinJam;
-use crate::config::{CreditFlushPolicy, ExecutionPolicy, RuntimeConfig, SpaceMode};
+use crate::config::{ExecutionPolicy, RuntimeConfig, SpaceMode};
 use crate::error::{AmError, AmResult};
 use crate::frame::{
     is_batch, BatchView, ChainArgMap, ChainDescriptor, FrameView, FRAME_HEADER_SIZE,
@@ -105,9 +105,13 @@ use crate::frame::{
 use crate::mailbox::MailboxTarget;
 use crate::stats::RuntimeStats;
 
-/// The adaptive credit-flush headroom watermark a drain shard starts from,
-/// until its retire-rate EWMA has a first sample to size it by.
-const CREDIT_WATERMARK_FLOOR: usize = 4;
+/// Fixed receiver-side dispatch overhead for an Injected Function (frame parse +
+/// jump through the mailbox code pointer), in ns.
+const INJECTED_DISPATCH_NS: f64 = 28.0;
+/// Fixed receiver-side dispatch overhead for a Local Function (frame parse +
+/// function-pointer table lookup by element ID), in ns. A chain's continuation
+/// stages pay it once each.
+const LOCAL_DISPATCH_NS: f64 = 18.0;
 
 /// Software cost models for the receiver's injected-dispatch path, in ns per byte.
 ///
@@ -306,6 +310,9 @@ pub(crate) struct HostCore {
     /// L1/L2 live on each shard's `CoreBus`.
     hierarchy: Arc<SharedHierarchy>,
     config: RuntimeConfig,
+    /// Wait-model constants of the testbed (poll interval, WFE wake latency,
+    /// core frequency); `config.wait_mode` picks how the receiver waits.
+    wait_model: WaitModel,
     namespace: LinkerNamespace,
     /// The *exclusive* jam address space: the canonical instance of every ried
     /// object. In [`SpaceMode::Exclusive`] every execution maps and runs here
@@ -392,10 +399,10 @@ impl TwoChainsHost {
         let shared_ro = Arc::new(AddressSpace::new());
         let shards = (0..config.num_shards)
             .map(|i| {
-                // Shard i drains on its own core, with that core's private
-                // L1/L2 bus (shard count <= core count was checked above, so
-                // no two shards alias a core's bus or invalidation inbox).
-                let core = (config.receiver_core + i) % num_cores;
+                // Shard i drains on core i, with that core's private L1/L2
+                // bus (shard count <= core count was checked above, so no two
+                // shards alias a core's bus or invalidation inbox).
+                let core = i % num_cores;
                 let space = ShardSpace::new(Arc::clone(&shared_ro))
                     .map_err(|e| AmError::InvalidConfig(e.to_string()))?;
                 Ok(ReceiverShard::new(
@@ -413,6 +420,7 @@ impl TwoChainsHost {
                 handle,
                 hierarchy,
                 config,
+                wait_model: WaitModel::cluster2021(),
                 namespace: LinkerNamespace::new(),
                 space: Mutex::new(AddressSpace::new()),
                 shared_ro,
@@ -439,8 +447,11 @@ impl TwoChainsHost {
     }
 
     /// Mutable access to the configuration (wait mode, skip-execution, security) —
-    /// used by benchmarks to flip knobs between runs. The shard count is fixed at
-    /// construction: changing `num_shards` here does not re-shard the receiver.
+    /// used by benchmarks to flip knobs between runs. The geometry is fixed at
+    /// construction and the session's at connect time: changing `num_shards` here
+    /// does not re-shard the receiver, and `completion_window` is read once, when
+    /// [`SenderFleet::connect_fleet`](super::SenderFleet::connect_fleet) sizes the
+    /// lanes' windows and the credit path's watermark by it.
     pub fn config_mut(&mut self) -> &mut RuntimeConfig {
         &mut self.core.config
     }
@@ -492,11 +503,6 @@ impl TwoChainsHost {
             shard.bus.reset_stats();
         }
         self.core.hierarchy.reset_stats();
-    }
-
-    /// The underlying fabric host handle (stashing/prefetcher/stressor toggles).
-    pub fn fabric_host(&self) -> &HostHandle {
-        &self.core.handle
     }
 
     /// Toggle LLC stashing for traffic arriving at this host.
@@ -791,9 +797,9 @@ impl TwoChainsHost {
     /// table, registered in the *sender's* address space; this host opens a
     /// reverse-direction endpoint per shard and, from then on, every retired
     /// frame (drained, dispatch-rejected or quarantined) mints a credit token
-    /// into the paired stream's table, coalesced into per-row span puts by
-    /// the configured [`CreditFlushPolicy`] — flow control riding the fabric
-    /// and charged in virtual time, not a host-side side channel.
+    /// into the paired stream's table, coalesced into per-row span puts (the
+    /// triggers are [`credit`](super::credit)'s) — flow control riding the
+    /// fabric and charged in virtual time, not a host-side side channel.
     ///
     /// Requires one handshake per shard with `streams == num_shards`: bank
     /// ownership is `bank % n` on both sides, so only the closed pairing gives
@@ -859,6 +865,7 @@ impl TwoChainsHost {
                 &h,
                 self.core.config.banks,
                 self.core.config.mailboxes_per_bank,
+                self.core.config.completion_window,
             )?;
             if returns[h.stream].replace(credit).is_some() {
                 return Err(AmError::InvalidConfig(format!(
@@ -1058,7 +1065,6 @@ impl HostCore {
         ready_since: SimTime,
     ) -> AmResult<ReceiveOutcome> {
         let wait = self
-            .config
             .wait_model
             .wait(self.config.wait_mode, arrival.saturating_sub(ready_since));
         let at = Slot {
@@ -1139,10 +1145,7 @@ impl HostCore {
         // That one scan observes readiness for every frame at once: charge a
         // single zero-length wait (one poll boundary) instead of the per-message
         // wait the single-slot path pays.
-        let scan = self
-            .config
-            .wait_model
-            .wait(self.config.wait_mode, SimTime::ZERO);
+        let scan = self.wait_model.wait(self.config.wait_mode, SimTime::ZERO);
         shard.stats.wait_time += scan.elapsed;
         shard.stats.cycles.add_wait(scan.cycles);
         *clock += scan.elapsed;
@@ -1151,7 +1154,7 @@ impl HostCore {
         // though no frame was ever dispatched from it — otherwise a single
         // poisoning put would wedge the lane forever.
         for (bank, slot, _) in &rejected {
-            self.return_credit(shard, clock, *bank, *slot)?;
+            Self::return_credit(shard, clock, *bank, *slot)?;
         }
         let mut frames = Vec::with_capacity(ready.len());
         // What one slot retired, reused across the scan: a plain frame yields
@@ -1260,7 +1263,7 @@ impl HostCore {
             ctx.stats.cycles.add_wait(wait.cycles);
             ctx.stats
                 .cycles
-                .add_work_time(prologue, self.config.wait_model.core_freq_ghz);
+                .add_work_time(prologue, self.wait_model.core_freq_ghz);
             let mut clock = detected_at + prologue;
             for (ix, &(dest, bytes)) in view.frames().iter().enumerate() {
                 let dest = dest as usize;
@@ -1356,10 +1359,9 @@ impl HostCore {
         ctx.stats.exec_time += dispatched.handler_time;
         ctx.stats.cycles.add_wait(wait.cycles);
         // One rounding per frame: cycles are charged on the whole handler time.
-        ctx.stats.cycles.add_work_time(
-            dispatched.handler_time,
-            self.config.wait_model.core_freq_ghz,
-        );
+        ctx.stats
+            .cycles
+            .add_work_time(dispatched.handler_time, self.wait_model.core_freq_ghz);
         if let Some(last) = ctx.replay_entry(per_bank, bank, slot) {
             *last = sn;
         }
@@ -1401,9 +1403,9 @@ impl HostCore {
         let mut done = DispatchedFrame {
             handler_time: header
                 + SimTime::from_ns_f64(if injected {
-                    self.config.injected_dispatch_ns
+                    INJECTED_DISPATCH_NS
                 } else {
-                    self.config.local_dispatch_ns
+                    LOCAL_DISPATCH_NS
                 }),
             exec_time: SimTime::ZERO,
             result: 0,
@@ -1490,7 +1492,7 @@ impl HostCore {
                 .ok_or_else(|| fail(AmError::UnknownElement(stage.elem_id).to_string()))?;
             // Per-stage dispatch: a function-pointer table lookup by element
             // id, exactly the Local Function dispatch cost.
-            done.handler_time += SimTime::from_ns_f64(self.config.local_dispatch_ns);
+            done.handler_time += SimTime::from_ns_f64(LOCAL_DISPATCH_NS);
             // Publish the running result into the chain context cell.
             done.handler_time += ctx.bus.access(ctx.core, ctx_base, 8, AccessKind::Write);
             let cell = done.result.to_le_bytes();
@@ -1674,7 +1676,7 @@ impl HostCore {
             core: ctx.core,
             code_base: jam.code_base,
             fuel: 50_000_000,
-            freq_ghz: self.config.wait_model.core_freq_ghz,
+            freq_ghz: self.wait_model.core_freq_ghz,
             ipc: 2.0,
             extern_call_overhead: SimTime::from_ns(6),
             entry_regs,
@@ -1900,7 +1902,7 @@ impl HostCore {
             } => {
                 Self::note_sequence(shard, sn);
                 *clock = outcome.handler_done;
-                self.return_credit(shard, clock, bank, slot)
+                Self::return_credit(shard, clock, bank, slot)
             }
             Retired::Replayed { slot, sn } => {
                 Self::note_sequence(shard, sn);
@@ -1909,7 +1911,7 @@ impl HostCore {
             Retired::Rejected { slot, .. } => {
                 shard.stats.frames_rejected += 1;
                 if slot < self.banks.per_bank() {
-                    self.return_credit(shard, clock, bank, slot)
+                    Self::return_credit(shard, clock, bank, slot)
                 } else {
                     Ok(())
                 }
@@ -1926,10 +1928,9 @@ impl HostCore {
     }
 
     /// Return the flow-control credit for a just-retired slot: mint its next
-    /// token into the shard's pending row ([`CreditReturn::accumulate`]) and
-    /// flush per the configured [`CreditFlushPolicy`] — immediately under
-    /// `PerFrame`, on row-fill or the headroom watermark under `Adaptive`
-    /// (the idle/abort flush at the end of every scan is the caller's job).
+    /// token into the shard's pending row and charge whatever that flushed —
+    /// [`CreditReturn::accumulate`] decides (row-fill, the headroom watermark;
+    /// the idle/abort flush at the end of every scan is the caller's job).
     /// No-op when the credit path is not installed. Must be called *after*
     /// the slot's mailbox was cleared — the flush put's release publication
     /// is what orders the sender's refill behind the clear.
@@ -1950,7 +1951,6 @@ impl HostCore {
     /// already-executed outcomes) — losing a credit silently would wedge the
     /// paired lane with no trace, which is strictly worse.
     fn return_credit(
-        &self,
         shard: &mut ReceiverShard,
         clock: &mut SimTime,
         bank: usize,
@@ -1959,27 +1959,11 @@ impl HostCore {
         let Some(credit) = shard.credit.as_mut() else {
             return Ok(());
         };
-        let out = credit.accumulate(*clock, bank, slot)?;
+        let flushed = credit.accumulate(*clock, bank, slot)?;
         shard.stats.credits_returned += 1;
         shard.stats.credit_put_bytes += 1;
-        if let Some(flush) = out.forced {
+        for flush in flushed.into_iter().flatten() {
             Self::fold_flush(&mut shard.stats, clock, flush);
-        }
-        let flush_now = match self.config.credit_flush_policy {
-            CreditFlushPolicy::PerFrame => true,
-            CreditFlushPolicy::Adaptive => {
-                // Row-fill: the widest span one put can cover. Watermark:
-                // the withheld tokens leave the sender within `watermark`
-                // credits of exhausting its completion window, so batching
-                // must yield to latency. The watermark itself follows the
-                // observed retire rate (EWMA in `CreditReturn`).
-                let window = self.config.completion_window;
-                let watermark = credit.adaptive_watermark(window, CREDIT_WATERMARK_FLOOR);
-                out.row_full || credit.pending_total() >= window.saturating_sub(watermark)
-            }
-        };
-        if flush_now {
-            Self::flush_credits(shard, clock)?;
         }
         Ok(())
     }

@@ -100,7 +100,10 @@
 //!    drain clock moves past its handler, and its slot's credit goes back —
 //!    a fresh token for an executed or rejected frame, the current token
 //!    re-published for a suppressed replay, none for a slot the bank does not
-//!    have. A container executes all its inner frames before any is retired.
+//!    have. A fresh token is minted into the shard's pending set; *when* a span
+//!    put publishes it (a full row, the lane's window running out of headroom,
+//!    the end of the scan) is `credit.rs`'s decision alone. A container
+//!    executes all its inner frames before any is retired.
 //!
 //! A frame that fails in stages 2–6 is *rejected*, never dropped on the
 //! floor: its mailbox is cleared, it counts in `frames_rejected`, it is

@@ -46,7 +46,7 @@ use crate::stats::RuntimeStats;
 pub struct ReceiverShard {
     pub(crate) shard_id: usize,
     pub(crate) num_shards: usize,
-    /// The core this shard drains on (`(receiver_core + shard_id) % num_cores`).
+    /// The core this shard drains on (`shard_id % num_cores`).
     pub(crate) core: usize,
     /// This core's private L1/L2 over the host's shared cache levels. Owned
     /// outright: a private-cache hit charges zero locks.

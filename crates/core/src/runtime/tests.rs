@@ -1472,23 +1472,6 @@ fn adaptive_credit_flushes_coalesce_tokens_into_row_spans() {
 }
 
 #[test]
-fn per_frame_policy_reproduces_the_uncoalesced_wire_behaviour() {
-    let cfg = RuntimeConfig::paper_default()
-        .with_shards(2)
-        .with_sender_streams(2)
-        .with_per_frame_credits();
-    let (mut host, mut fleet) = fleet_testbed_with(cfg, 64);
-    let stats = fill_and_drain_once(&mut host, &mut fleet);
-    let frames = host.config().total_mailboxes() as u64;
-    // One flush of one 1-byte span per retired frame: the pre-coalescing
-    // baseline, byte for byte.
-    assert_eq!(stats.credits_returned, frames);
-    assert_eq!(stats.credit_flushes, frames);
-    assert_eq!(stats.credit_flush_bytes, frames);
-    assert_eq!(stats.credit_flush_max_span, 1);
-}
-
-#[test]
 fn lifetime_flush_totals_survive_stats_resets() {
     let (mut host, mut fleet) = fleet_testbed(2, 64);
     fill_and_drain_once(&mut host, &mut fleet);

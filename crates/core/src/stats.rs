@@ -125,8 +125,7 @@ runtime_stats! {
     credit_put_bytes: u64 => sum,
     /// Coalesced credit-return puts actually posted on the reverse fabric:
     /// one per dirty bank-row span flushed (row-fill, watermark, shard-idle
-    /// or abort-time flush). Under the per-frame policy this equals
-    /// `credits_returned`.
+    /// or abort-time flush).
     credit_flushes: u64 => sum,
     /// Wire bytes the flush puts moved, gap-fill included — the truth about
     /// flow-control fabric traffic (`credit_put_bytes` counts tokens).

@@ -1,12 +1,12 @@
 //! Token conservation under coalesced credit returns.
 //!
-//! The flush policy batches how credit tokens ride the reverse fabric — it
-//! must never change *how many* ride, or *whether* they arrive. Every retired
+//! Coalescing batches how credit tokens ride the reverse fabric — it must
+//! never change *how many* ride, or *whether* they arrive. Every retired
 //! frame — drained, dispatch-rejected, quarantined, or a suppressed replay —
-//! yields exactly one observable token in the owning lane's credit table,
-//! under both flush policies, and no token is ever withheld across a burst
-//! boundary (the mid-burst abort case: a burst cut short after a single frame
-//! still publishes that frame's token before control returns).
+//! yields exactly one observable token in the owning lane's credit table, and
+//! no token is ever withheld across a burst boundary (the mid-burst abort
+//! case: a burst cut short after a single frame still publishes that frame's
+//! token before control returns).
 //!
 //! The oracle is the sender's own view: [`SenderLane::credit_pending`] reads
 //! the per-slot token byte exactly as the refill spin loop would, so a token
@@ -18,26 +18,22 @@ use two_chains_suite::fabric::{FaultPlan, SimFabric};
 use two_chains_suite::memsim::{SimTime, TestbedConfig};
 use twochains::builtin::{benchmark_package, ssum_args, BuiltinJam};
 use twochains::frame::FRAME_HEADER_SIZE;
-use twochains::{
-    drive_pipeline, CreditFlushPolicy, Frame, InvocationMode, RuntimeConfig, SenderFleet,
-    TwoChainsHost,
-};
+use twochains::{drive_pipeline, Frame, InvocationMode, RuntimeConfig, SenderFleet, TwoChainsHost};
 
 const SHARDS: usize = 2;
 
-fn config(policy: CreditFlushPolicy) -> RuntimeConfig {
+fn config() -> RuntimeConfig {
     let mut cfg = RuntimeConfig::paper_default()
         .with_shards(SHARDS)
         .with_sender_streams(SHARDS)
         .with_shard_local_space();
     cfg.frame_capacity = 4096;
     cfg.completion_window = cfg.total_mailboxes();
-    cfg.credit_flush_policy = policy;
     cfg
 }
 
-fn build(policy: CreditFlushPolicy) -> (SimFabric, TwoChainsHost, SenderFleet) {
-    build_with(config(policy), None)
+fn build() -> (SimFabric, TwoChainsHost, SenderFleet) {
+    build_with(config(), None)
 }
 
 fn build_with(
@@ -115,12 +111,12 @@ fn bogus_element(fabric: &SimFabric, host: &TwoChainsHost, bank: usize, slot: us
 }
 
 /// Drained + quarantined + rejected retirements all mint exactly one
-/// sender-observable token each, whatever the flush policy batches them into.
-fn assert_mixed_retirements_conserve_tokens(policy: CreditFlushPolicy) {
+/// sender-observable token each, whatever the flushes batch them into.
+#[test]
+fn mixed_retirements_conserve_tokens_under_adaptive_flushes() {
     // Per-frame aggregation: the sabotage below overwrites individual wire
     // slots, which only line up with individual frames when nothing batches.
-    let (fabric, mut host, mut fleet) =
-        build_with(config(policy).with_per_frame_aggregation(), None);
+    let (fabric, mut host, mut fleet) = build_with(config().with_per_frame_aggregation(), None);
     let elem = host.builtin_id(BuiltinJam::ServerSideSum).unwrap();
     let total = host.config().total_mailboxes();
 
@@ -153,31 +149,11 @@ fn assert_mixed_retirements_conserve_tokens(policy: CreditFlushPolicy) {
     assert_eq!(stats.credits_returned as usize, total);
     assert_eq!(stats.credit_put_bytes as usize, total);
     assert_eq!(token_census(&host, &fleet), total);
-    match policy {
-        // Full banks coalesce into row spans: strictly fewer wire ops than
-        // tokens is the whole point of the policy.
-        CreditFlushPolicy::Adaptive => {
-            assert!(stats.credit_flushes < stats.credits_returned);
-            assert!(stats.credit_flush_max_span > 1);
-        }
-        // The uncoalesced baseline: one single-byte put per token.
-        CreditFlushPolicy::PerFrame => {
-            assert_eq!(stats.credit_flushes, stats.credits_returned);
-            assert_eq!(stats.credit_flush_bytes, stats.credits_returned);
-            assert_eq!(stats.credit_flush_max_span, 1);
-        }
-    }
+    // Full banks coalesce into row spans: strictly fewer wire ops than
+    // tokens is the whole point of coalescing.
+    assert!(stats.credit_flushes < stats.credits_returned);
+    assert!(stats.credit_flush_max_span > 1);
     assert!(stats.credit_flush_bytes >= stats.credits_returned);
-}
-
-#[test]
-fn mixed_retirements_conserve_tokens_under_adaptive_flushes() {
-    assert_mixed_retirements_conserve_tokens(CreditFlushPolicy::Adaptive);
-}
-
-#[test]
-fn mixed_retirements_conserve_tokens_under_per_frame_flushes() {
-    assert_mixed_retirements_conserve_tokens(CreditFlushPolicy::PerFrame);
 }
 
 /// The mid-burst abort case: a burst capped at one frame ends its scan with
@@ -189,10 +165,7 @@ fn mixed_retirements_conserve_tokens_under_per_frame_flushes() {
 fn a_burst_cut_short_never_withholds_the_tokens_it_minted() {
     // Per-frame aggregation pins the strict shape below: one frame per scan,
     // one single-byte span per abort flush. The aggregated variant follows.
-    let (_fabric, mut host, mut fleet) = build_with(
-        config(CreditFlushPolicy::Adaptive).with_per_frame_aggregation(),
-        None,
-    );
+    let (_fabric, mut host, mut fleet) = build_with(config().with_per_frame_aggregation(), None);
     let elem = host.builtin_id(BuiltinJam::ServerSideSum).unwrap();
     let total = host.config().total_mailboxes();
 
@@ -237,7 +210,7 @@ fn a_burst_cut_short_never_withholds_the_tokens_it_minted() {
 /// container's members share a bank row by construction.
 #[test]
 fn a_capped_burst_flushes_every_container_token_it_minted() {
-    let (_fabric, mut host, mut fleet) = build(CreditFlushPolicy::Adaptive);
+    let (_fabric, mut host, mut fleet) = build();
     let elem = host.builtin_id(BuiltinJam::ServerSideSum).unwrap();
     let total = host.config().total_mailboxes();
 
@@ -278,8 +251,9 @@ fn a_capped_burst_flushes_every_container_token_it_minted() {
 
 /// Suppressed replays re-publish an existing token idempotently: under a
 /// duplicating/dropping link the pipeline still ends with exactly one token
-/// per mailbox and one credit per *received* message, for both policies.
-fn assert_replays_mint_nothing(policy: CreditFlushPolicy) {
+/// per mailbox and one credit per *received* message.
+#[test]
+fn replays_mint_nothing_under_adaptive_flushes() {
     // Whether a duplicate put is *observed* as a replay depends on whether
     // the receiver scans between the two arrivals — a wall-clock race the
     // seeded plan cannot pin. Conservation must hold on every run; the
@@ -291,7 +265,7 @@ fn assert_replays_mint_nothing(policy: CreditFlushPolicy) {
         // of wire ops the plan samples by the batch size. The aggregated
         // replay path is exercised deterministically in `tests/chaos_fabric.rs`.
         let (_fabric, mut host, mut fleet) = build_with(
-            config(policy).with_per_frame_aggregation(),
+            config().with_per_frame_aggregation(),
             Some(FaultPlan::mixed(0.2, 0xFA_B71C + attempt)),
         );
         let elem = host.builtin_id(BuiltinJam::ServerSideSum).unwrap();
@@ -332,16 +306,6 @@ fn assert_replays_mint_nothing(policy: CreditFlushPolicy) {
     );
 }
 
-#[test]
-fn replays_mint_nothing_under_adaptive_flushes() {
-    assert_replays_mint_nothing(CreditFlushPolicy::Adaptive);
-}
-
-#[test]
-fn replays_mint_nothing_under_per_frame_flushes() {
-    assert_replays_mint_nothing(CreditFlushPolicy::PerFrame);
-}
-
 /// Overwrite mailbox (`bank`, `slot`) with a chained frame whose *primary*
 /// dispatches fine (an installed graph element) but whose continuation stage
 /// names an element the receiver never installed — retired mid-chain via
@@ -377,12 +341,11 @@ fn chained_bogus_stage(fabric: &SimFabric, host: &TwoChainsHost, bank: usize, sl
 /// A frame rejected *mid-chain* — primary executed, continuation stage failed
 /// — retires exactly like any other rejection: one `frames_rejected`, one
 /// sender-observable token, the stage named in the error, and no residue from
-/// the stages that did run. Token conservation must hold under both flush
-/// policies.
-fn assert_mid_chain_rejection_returns_one_credit(policy: CreditFlushPolicy) {
+/// the stages that did run.
+#[test]
+fn mid_chain_rejections_return_one_credit_under_adaptive_flushes() {
     // Per-frame aggregation: the sabotage targets one wire slot directly.
-    let (fabric, mut host, mut fleet) =
-        build_with(config(policy).with_per_frame_aggregation(), None);
+    let (fabric, mut host, mut fleet) = build_with(config().with_per_frame_aggregation(), None);
     let elem = host.builtin_id(BuiltinJam::ServerSideSum).unwrap();
     let total = host.config().total_mailboxes();
 
@@ -425,14 +388,4 @@ fn assert_mid_chain_rejection_returns_one_credit(policy: CreditFlushPolicy) {
     // one token, like every other retirement.
     assert_eq!(stats.credits_returned as usize, total);
     assert_eq!(token_census(&host, &fleet), total);
-}
-
-#[test]
-fn mid_chain_rejections_return_one_credit_under_adaptive_flushes() {
-    assert_mid_chain_rejection_returns_one_credit(CreditFlushPolicy::Adaptive);
-}
-
-#[test]
-fn mid_chain_rejections_return_one_credit_under_per_frame_flushes() {
-    assert_mid_chain_rejection_returns_one_credit(CreditFlushPolicy::PerFrame);
 }

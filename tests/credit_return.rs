@@ -2,8 +2,8 @@
 //!
 //! Flow control must ride the fabric: every retired frame — drained,
 //! dispatch-rejected or *quarantined* — mints exactly one credit token into
-//! the paired sender lane's credit table, coalesced into per-row span puts by
-//! the flush policy. The poisoned-slot cases matter most:
+//! the paired sender lane's credit table, coalesced into per-row span puts.
+//! The poisoned-slot cases matter most:
 //! a slot wedged by a malicious put is reclaimed by the credit-returning
 //! (pipelined) drain, and its credit still comes back, so the owning lane can
 //! refill it instead of waiting forever on a token that never changes.

@@ -478,13 +478,16 @@ fn shard_local_space_trace_matches_the_golden() {
     );
 }
 
+/// A completion window of 4: the headroom watermark fires while the 8-frame
+/// container's inner frames retire, so this is the one trace in which a
+/// credit flush is posted between two inner frames of a container — charged
+/// to `credit_put_time` (19 flushes against the exclusive trace's 16), never
+/// delaying the next inner frame, whose times were final before any retired.
 #[test]
-fn per_frame_credit_trace_matches_the_golden() {
-    assert_trace(
-        "per-frame credits",
-        &run_scenario(base_config().with_per_frame_credits()),
-        GOLDEN_PER_FRAME_CREDITS,
-    );
+fn narrow_window_trace_matches_the_golden() {
+    let mut cfg = base_config();
+    cfg.completion_window = 4;
+    assert_trace("narrow window", &run_scenario(cfg), GOLDEN_NARROW_WINDOW);
 }
 
 #[test]
@@ -498,5 +501,5 @@ fn interpreted_execution_trace_matches_the_golden() {
 
 const GOLDEN_EXCLUSIVE: &str = include_str!("golden/receive_trace_exclusive.txt");
 const GOLDEN_SHARD_LOCAL: &str = include_str!("golden/receive_trace_shard_local.txt");
-const GOLDEN_PER_FRAME_CREDITS: &str = include_str!("golden/receive_trace_per_frame_credits.txt");
+const GOLDEN_NARROW_WINDOW: &str = include_str!("golden/receive_trace_narrow_window.txt");
 const GOLDEN_INTERPRETED: &str = include_str!("golden/receive_trace_interpreted.txt");
