@@ -42,12 +42,25 @@ impl ShardMask {
     }
 
     /// The shard that owns `bank` under a `num_shards`-way split — the one
-    /// formula every core-side ownership check delegates to. (The fabric crate's
-    /// `ShardedCompletions::route` mirrors it independently, since fabric sits
-    /// below this crate; change both together or sender completion routing
-    /// diverges from receiver ownership.)
+    /// formula every ownership check delegates to.
     pub fn owner_of(bank: usize, num_shards: usize) -> usize {
         bank % num_shards.max(1)
+    }
+
+    /// The row of `bank` in its owner's per-shard tables (credit tokens, NACK
+    /// rows, replay filter): the owner sees every `num_shards`-th bank, so its
+    /// `k`-th bank is row `k` — the inverse of [`ShardMask::owner_of`].
+    pub fn row_of(bank: usize, num_shards: usize) -> usize {
+        bank / num_shards.max(1)
+    }
+
+    /// How many of `banks` banks shard `shard` of `num_shards` owns — the
+    /// number of rows its tables hold: one past the [`ShardMask::row_of`] of
+    /// its last bank, none for a shard past the banks.
+    pub fn rows_owned(shard: usize, num_shards: usize, banks: usize) -> usize {
+        (0..banks)
+            .filter(|&b| Self::owner_of(b, num_shards) == shard)
+            .count()
     }
 
     /// Whether this mask owns `bank`.
@@ -718,6 +731,37 @@ mod tests {
         // A zero shard count degrades to the all-banks view instead of dividing by
         // zero.
         assert!(ShardMask::new(0, 0).owns(5));
+    }
+
+    #[test]
+    fn rows_owned_partitions_every_bank_exactly_once() {
+        for streams in 1..5 {
+            let total: usize = (0..streams)
+                .map(|s| ShardMask::rows_owned(s, streams, 7))
+                .sum();
+            assert_eq!(total, 7, "{streams} streams must cover all 7 banks");
+        }
+        assert_eq!(ShardMask::rows_owned(0, 4, 4), 1);
+        assert_eq!(
+            ShardMask::rows_owned(3, 4, 3),
+            0,
+            "stream past the banks owns none"
+        );
+        // The round trip: an owner's banks fill rows 0, 1, 2, ... of its tables
+        // with no hole and no collision, and `rows_owned` is one past the last.
+        for banks in 1..=16 {
+            for n in 1..=banks {
+                for shard in 0..n {
+                    let rows: Vec<usize> = (0..banks)
+                        .filter(|&b| ShardMask::owner_of(b, n) == shard)
+                        .map(|b| ShardMask::row_of(b, n))
+                        .collect();
+                    let expected: Vec<usize> =
+                        (0..ShardMask::rows_owned(shard, n, banks)).collect();
+                    assert_eq!(rows, expected, "shard {shard} of {n}, {banks} banks");
+                }
+            }
+        }
     }
 
     #[test]

@@ -60,6 +60,10 @@ pub const FRAME_MAGIC: u32 = 0x4D41_4354;
 pub const FRAME_HEADER_SIZE: usize = 36;
 /// Size of the trailer (sequence echo + signal magic).
 pub const FRAME_TRAILER_SIZE: usize = 4;
+/// The shortest thing the wire carries: a header and a trailer with nothing
+/// between. The one length floor — the mailbox's readiness poll, both parsers
+/// and the container builder refuse anything that declares less.
+pub(crate) const MIN_WIRE_LEN: usize = FRAME_HEADER_SIZE + FRAME_TRAILER_SIZE;
 /// Magic byte marking the end of the header (the paper's `MAG`).
 pub const HDR_MAG: u8 = 0xC3;
 /// Signal magic byte at the end of the frame (the paper's `SIG MAG`).
@@ -475,7 +479,7 @@ pub struct FrameView<'a> {
 impl<'a> FrameView<'a> {
     /// Parse and validate wire bytes without copying any section.
     pub fn parse(bytes: &'a [u8]) -> AmResult<FrameView<'a>> {
-        if bytes.len() < FRAME_HEADER_SIZE + FRAME_TRAILER_SIZE {
+        if bytes.len() < MIN_WIRE_LEN {
             return Err(AmError::BadFrame(format!(
                 "frame too short: {} bytes",
                 bytes.len()
@@ -702,7 +706,7 @@ impl FrameBatch {
                 "batch container full: the one-byte count field carries at most {BATCH_MAX_FRAMES} frames"
             )));
         }
-        if frame.len() < FRAME_HEADER_SIZE + FRAME_TRAILER_SIZE {
+        if frame.len() < MIN_WIRE_LEN {
             return Err(AmError::BadFrame(format!(
                 "inner frame of {} bytes is shorter than header + trailer",
                 frame.len()
@@ -849,7 +853,7 @@ impl<'a> BatchView<'a> {
                     "inner frame {i}'s prefix reserved bytes are nonzero"
                 )));
             }
-            if flen < FRAME_HEADER_SIZE + FRAME_TRAILER_SIZE {
+            if flen < MIN_WIRE_LEN {
                 return Err(AmError::BadFrame(format!(
                     "inner frame {i} claims {flen} bytes, shorter than header + trailer"
                 )));

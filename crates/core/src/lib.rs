@@ -27,7 +27,7 @@
 //! * **Sender fleet** ([`runtime`]) — the initiator side mirrors the split: a
 //!   [`SenderFleet`] runs one [`TwoChainsSender`] per stream (stream `s` fills
 //!   the banks shard `s` drains), each on its own endpoint with its own
-//!   template cache and per-stream completion-window flow control, and can fill
+//!   template cache and its own completion window for flow control, and can fill
 //!   from one OS thread per lane concurrently with shard draining
 //!   ([`drive_pipeline`]).
 //! * **Remote linking** — jams reference receiver-side functionality only through
@@ -68,9 +68,9 @@ pub use frame::{
 pub use mailbox::ReactiveMailbox;
 pub use runtime::{
     drive_pipeline, spec, AmSendOutcome, BurstFrame, BurstOutcome, ClampedFibonacci,
-    CreditHandshake, FleetLane, MessageSpec, PipelineFrame, PipelineOutcome, ReceiveOutcome,
-    ReceiverShard, SenderFleet, SenderLane, SessionHandshake, ShardDrain, SlotCtx, StreamHandshake,
-    StreamTarget, TwoChainsHost, TwoChainsSender,
+    CreditHandshake, MessageSpec, PipelineFrame, PipelineOutcome, ReceiveOutcome, ReceiverShard,
+    SenderFleet, SenderLane, SessionHandshake, ShardDrain, SlotCtx, StreamHandshake, StreamTarget,
+    TwoChainsHost, TwoChainsSender,
 };
 pub use security::SecurityPolicy;
 pub use stats::RuntimeStats;

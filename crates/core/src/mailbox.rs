@@ -12,7 +12,7 @@ use std::sync::Arc;
 use twochains_fabric::{MemoryRegion, RegionDescriptor};
 
 use crate::error::{AmError, AmResult};
-use crate::frame::{FRAME_HEADER_SIZE, HDR_MAG, SIG_MAG};
+use crate::frame::{FRAME_HEADER_SIZE, HDR_MAG, MIN_WIRE_LEN, SIG_MAG};
 
 /// Where a sender should aim a frame: the mailbox's region descriptor plus the
 /// mailbox's offset within it. This is what travels over the out-of-band bootstrap
@@ -95,7 +95,8 @@ impl ReactiveMailbox {
 
     /// Check for a variable-size frame: wait on the header magic, read the length,
     /// then check the final byte. Returns the frame length if a complete frame is
-    /// present.
+    /// present; a declared length no frame can have (under header + trailer, or
+    /// over the capacity) is an error — no signal byte could ever complete it.
     pub fn poll_variable(&self) -> AmResult<Option<usize>> {
         if self
             .region
@@ -105,7 +106,7 @@ impl ReactiveMailbox {
             return Ok(None);
         }
         let frame_len = self.region.load_u32(self.offset + 8)? as usize;
-        if frame_len < FRAME_HEADER_SIZE || frame_len > self.capacity {
+        if frame_len < MIN_WIRE_LEN || frame_len > self.capacity {
             return Err(AmError::BadFrame(format!(
                 "frame length {frame_len} out of range"
             )));

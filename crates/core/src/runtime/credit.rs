@@ -79,7 +79,7 @@
 use twochains_fabric::{Endpoint, RegionDescriptor};
 use twochains_memsim::SimTime;
 
-use crate::bank::{BankFlags, NackFlags};
+use crate::bank::{BankFlags, NackFlags, ShardMask};
 use crate::error::{AmError, AmResult};
 
 /// The sender's half of the credit-path setup for one stream, by value — the
@@ -124,8 +124,8 @@ pub(crate) struct CreditReturn {
     stream: usize,
     streams: usize,
     per_bank: usize,
-    /// Cumulative drains per owned slot, indexed `(bank / streams) * per_bank
-    /// + slot`.
+    /// Cumulative drains per owned slot, indexed `row_of(bank) * per_bank +
+    /// slot` ([`ShardMask::row_of`]).
     drains: Vec<u64>,
     /// Slots whose newest token is minted but not yet flushed (same indexing
     /// as `drains`). Outside [`RuntimeStats`](crate::RuntimeStats) resets for
@@ -213,7 +213,7 @@ impl CreditReturn {
                 handshake.per_bank
             )));
         }
-        let rows = banks_owned(handshake.stream, handshake.streams, banks_total);
+        let rows = ShardMask::rows_owned(handshake.stream, handshake.streams, banks_total);
         if rows == 0 {
             return Err(AmError::InvalidConfig(format!(
                 "stream {} of {} owns no bank: nothing to flow-control",
@@ -301,7 +301,7 @@ impl CreditReturn {
         bank: usize,
         slot: usize,
     ) -> AmResult<[Option<FlushOutcome>; 2]> {
-        if crate::bank::ShardMask::owner_of(bank, self.streams) != self.stream {
+        if ShardMask::owner_of(bank, self.streams) != self.stream {
             return Err(AmError::InvalidConfig(format!(
                 "bank {bank} is not owned by stream {} of {}: crediting it here \
                  would write another slot's token",
@@ -314,7 +314,7 @@ impl CreditReturn {
                 self.per_bank
             )));
         }
-        let row = bank / self.streams;
+        let row = ShardMask::row_of(bank, self.streams);
         let idx = row * self.per_bank + slot;
         if idx >= self.drains.len() {
             return Err(AmError::InvalidConfig(format!(
@@ -434,13 +434,13 @@ impl CreditReturn {
         bank: usize,
         slot: usize,
     ) -> AmResult<CreditPutOutcome> {
-        if crate::bank::ShardMask::owner_of(bank, self.streams) != self.stream {
+        if ShardMask::owner_of(bank, self.streams) != self.stream {
             return Err(AmError::InvalidConfig(format!(
                 "bank {bank} is not owned by stream {} of {}",
                 self.stream, self.streams
             )));
         }
-        let row = bank / self.streams;
+        let row = ShardMask::row_of(bank, self.streams);
         let idx = row * self.per_bank + slot;
         if slot >= self.per_bank || idx >= self.drains.len() {
             return Err(AmError::InvalidConfig(format!(
@@ -549,14 +549,6 @@ pub(crate) fn adaptive_watermark_for(ewma_gap_ns: f64, window: usize, fallback: 
     let allowed = (ADAPTIVE_WATERMARK_HORIZON_NS / ewma_gap_ns) as usize;
     let allowed = allowed.clamp(1, window.saturating_sub(1).max(1));
     (window - allowed.min(window)).max(1)
-}
-
-/// Number of banks stream `stream` of `streams` owns out of `banks_total`
-/// (`bank % streams == stream`).
-pub(crate) fn banks_owned(stream: usize, streams: usize, banks_total: usize) -> usize {
-    (0..banks_total)
-        .filter(|b| crate::bank::ShardMask::owner_of(*b, streams) == stream)
-        .count()
 }
 
 #[cfg(test)]
@@ -687,16 +679,6 @@ mod tests {
         assert!(flags.try_acquire(0, 0).unwrap() && flags.try_acquire(0, 1).unwrap());
         assert!(!flags.try_acquire(0, 0).unwrap());
         assert_eq!(credit.lifetime_flush_totals(), (2, 3, 2));
-    }
-
-    #[test]
-    fn banks_owned_partitions_every_bank_exactly_once() {
-        for streams in 1..5 {
-            let total: usize = (0..streams).map(|s| banks_owned(s, streams, 7)).sum();
-            assert_eq!(total, 7, "{streams} streams must cover all 7 banks");
-        }
-        assert_eq!(banks_owned(0, 4, 4), 1);
-        assert_eq!(banks_owned(3, 4, 3), 0, "stream past the banks owns none");
     }
 
     #[test]

@@ -101,15 +101,14 @@
 //!
 //! # The flow-control contract
 //!
-//! Every lane's send posts the put's delivery into that stream's
-//! [`CompletionQueue`] — one queue per stream, bundled as a
-//! [`ShardedCompletions`] whose `bank % streams` routing mirrors the bank
-//! ownership map. The queue depth ([`RuntimeConfig::completion_window`]) is
-//! the transmit window: a lane that fills it harvests **its own** completions
-//! (charged the per-entry software cost, counted in
-//! [`RuntimeStats::sends_backpressured`] /
-//! [`RuntimeStats::completions_harvested`]) before posting more. Back-pressure
-//! therefore pauses only the affected stream; sibling lanes never observe it.
+//! Every lane's send posts the put's delivery into the lane's own
+//! [`CompletionQueue`] — one queue per lane, built at connect and owned by the
+//! [`SenderLane`] it throttles. The queue depth
+//! ([`RuntimeConfig::completion_window`]) is the transmit window: a lane that
+//! fills it harvests its completions (charged the per-entry software cost,
+//! counted in [`RuntimeStats::sends_backpressured`] /
+//! [`RuntimeStats::completions_harvested`]) before posting more. No lane can
+//! name another's queue, so back-pressure pauses only the affected stream.
 //!
 //! # The send pipeline
 //!
@@ -124,7 +123,7 @@
 //! | 1 build | `SenderLane::build` | the payload generator turns a [`SlotCtx`] into a [`MessageSpec`] |
 //! | 2 encode | `TwoChainsSender::encode_next` | sections validated, template looked up, sequence number stamped, wire bytes written into the lane's scratch |
 //! | 3 accumulate | `SenderLane::post` | flush triggers (bank boundary, `BATCH_FILL`, latency watermark, then carrier capacity), append to the open container — or hand a frame that may not share one to stage 4 alone |
-//! | 4 post | `post_standalone` / `flush` → `post_container` | window (`harvest_if_full`), one put (`put_frame` / `put_batch`), `remember` on an armed lane |
+//! | 4 post | `post_standalone` / `flush` → `post_container` | the lane's window (`harvest_if_full`), one put tracked by it (`put_frame` / `put_batch`), `remember` on an armed lane |
 //! | 5 await credit | `LaneRun::acquire` / `collect_final_credits` (`try_acquire_slot`), and while starved `CreditWait::idle` (`poll_nacks`, watchdog, spin / park) | which slots may be refilled |
 //! | 6 retransmit | `SenderLane::retransmit` | live posted entries re-put byte-identically: the one a NACK names, or all of them |
 //!
@@ -154,7 +153,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use twochains_fabric::{AccessFlags, CompletionQueue, HostId, ShardedCompletions, SimFabric};
+use twochains_fabric::{AccessFlags, CompletionQueue, HostId, SimFabric};
 use twochains_jamvm::GotImage;
 use twochains_linker::{ElementId, Package};
 use twochains_memsim::{AccessKind, CoreBus, MemoryBus, SimTime};
@@ -163,7 +162,7 @@ use super::credit::CreditHandshake;
 use super::retry::ClampedFibonacci;
 use super::spec::MessageSpec;
 use super::{AmSendOutcome, ShardDrain, TwoChainsHost, TwoChainsSender};
-use crate::bank::{BankFlags, NackFlags};
+use crate::bank::{BankFlags, NackFlags, ShardMask};
 use crate::config::{AggregationPolicy, InvocationMode};
 use crate::error::{AmError, AmResult};
 use crate::frame::FrameBatch;
@@ -310,9 +309,10 @@ struct OpenBatch {
 /// One stream's complete sender context: its own [`TwoChainsSender`] (endpoint,
 /// sequence space, template cache, statistics), the mailbox targets it owns,
 /// its [`BankFlags`] credit table (the flag region the receiver's credit puts
-/// land in, registered in this sender's address space), the core bus its
-/// credit polls are charged through, and its private virtual clock. `Send`, so
-/// a fleet can park one lane per OS thread.
+/// land in, registered in this sender's address space), its transmit window
+/// (the [`CompletionQueue`] every put of this lane is tracked by), the core
+/// bus its credit polls are charged through, and its private virtual clock.
+/// `Send`, so a fleet can park one lane per OS thread.
 #[derive(Debug)]
 pub struct SenderLane {
     stream: usize,
@@ -334,6 +334,9 @@ pub struct SenderLane {
     /// pristine link nothing is remembered, no NACK row is polled and no
     /// watchdog fires, so the lossless path pays nothing for the machinery.
     armed: bool,
+    /// The lane's transmit window: every data-path put posts its delivery
+    /// here, and a full queue is harvested before the next put.
+    completions: CompletionQueue,
     /// Every put still owed a credit, oldest first (armed lanes only).
     pub(super) posted: Vec<Posted>,
     /// Whether the most recent frame sent to each owned slot is still
@@ -343,7 +346,6 @@ pub struct SenderLane {
     /// flag words between credit puts (each put's DMA invalidates the line
     /// through the core's inbox, so the next poll re-fetches honestly).
     bus: CoreBus,
-    core: usize,
     clock: SimTime,
     /// Whether frames may share a container: the host's
     /// `aggregation_policy`, copied at connect time.
@@ -361,14 +363,15 @@ impl SenderLane {
         mut sender: TwoChainsSender,
         flags: BankFlags,
         nacks: NackFlags,
+        completions: CompletionQueue,
         bus: CoreBus,
-        core: usize,
         policy: AggregationPolicy,
     ) -> Self {
         for (id, got) in &handshake.gots {
             sender.set_remote_got(*id, got);
         }
-        let owns = |t: &StreamTarget| t.bank % handshake.streams == handshake.stream;
+        let owns =
+            |t: &StreamTarget| ShardMask::owner_of(t.bank, handshake.streams) == handshake.stream;
         debug_assert!(handshake.targets.iter().all(owns), "foreign bank");
         let index = handshake
             .targets
@@ -387,20 +390,14 @@ impl SenderLane {
             flags,
             nacks,
             posted: Vec::new(),
+            completions,
             bus,
-            core,
             clock: SimTime::ZERO,
             policy,
             open: OpenBatch::default(),
             frame_buf: Vec::new(),
             batch_buf: Vec::new(),
         }
-    }
-
-    /// The credit-table row of one of this lane's banks (`bank / streams` —
-    /// the inverse of the `bank % streams` ownership map).
-    fn credit_row(&self, bank: usize) -> usize {
-        bank / self.streams.max(1)
     }
 
     /// Index into `targets` of owned mailbox (`bank`, `slot`); rejected when
@@ -422,12 +419,12 @@ impl SenderLane {
     /// slot: its posted entry stops being a retransmit candidate.
     fn try_acquire_slot(&mut self, idx: usize) -> AmResult<bool> {
         let t = &self.targets[idx];
-        let row = self.credit_row(t.bank);
+        let row = ShardMask::row_of(t.bank, self.streams);
         if !self.flags.try_acquire(row, t.slot)? {
             return Ok(false);
         }
         let addr = self.flags.slot_addr(row, t.slot)?;
-        self.clock += self.bus.access(self.core, addr, 1, AccessKind::Read);
+        self.clock += self.bus.access(self.bus.core(), addr, 1, AccessKind::Read);
         self.in_flight[idx] = false;
         Ok(true)
     }
@@ -437,7 +434,8 @@ impl SenderLane {
     /// targets.
     pub fn credit_pending(&self, bank: usize, slot: usize) -> AmResult<bool> {
         let t = &self.targets[self.owned(bank, slot)?];
-        self.flags.credit_pending(self.credit_row(t.bank), t.slot)
+        self.flags
+            .credit_pending(ShardMask::row_of(t.bank, self.streams), t.slot)
     }
 
     /// Snapshot the credit table, discarding stale credits ([`BankFlags::sync`]),
@@ -483,32 +481,27 @@ impl SenderLane {
     /// container's only member — is posted standalone. Returns the outcome of
     /// whichever put this call performed (the later-delivered when it made
     /// two), `None` when the frame only accumulated.
-    fn post(
-        &mut self,
-        cq: &mut CompletionQueue,
-        idx: usize,
-        spec: &MessageSpec,
-    ) -> AmResult<Option<AmSendOutcome>> {
+    fn post(&mut self, idx: usize, spec: &MessageSpec) -> AmResult<Option<AmSendOutcome>> {
         let mut flushed = None;
         if let Some(&carrier) = self.open.members.first() {
             if self.targets[carrier].bank != self.targets[idx].bank
                 || self.open.frames.len() >= BATCH_FILL
                 || (self.clock - self.open.opened).as_ns() >= BATCH_LATENCY_NS
             {
-                flushed = self.flush(cq)?;
+                flushed = self.flush()?;
             }
         }
         let sn = self.sender.encode_next(spec, &mut self.frame_buf)?;
         let len = self.frame_buf.len();
         if let Some(&carrier) = self.open.members.first() {
             if self.open.frames.wire_size_with(len) > self.targets[carrier].target.capacity {
-                flushed = self.flush(cq)?;
+                flushed = self.flush()?;
             }
         }
         if self.open.members.is_empty() {
             let fits = FrameBatch::new().wire_size_with(len) <= self.targets[idx].target.capacity;
             if !(fits && matches!(self.policy, AggregationPolicy::Adaptive)) {
-                let sent = self.post_standalone(cq, idx, sn)?;
+                let sent = self.post_standalone(idx, sn)?;
                 return Ok(Some(match flushed {
                     Some(f) if f.delivered() > sent.delivered() => f,
                     _ => sent,
@@ -529,17 +522,15 @@ impl SenderLane {
     /// Stage *post*, standalone: the frame in `frame_buf` (sequence number
     /// `sn`) goes into the `idx`-th owned mailbox with a put of its own —
     /// window, put, remember.
-    fn post_standalone(
-        &mut self,
-        cq: &mut CompletionQueue,
-        idx: usize,
-        sn: u32,
-    ) -> AmResult<AmSendOutcome> {
-        self.harvest_if_full(cq);
+    fn post_standalone(&mut self, idx: usize, sn: u32) -> AmResult<AmSendOutcome> {
+        self.harvest_if_full();
         let target = &self.targets[idx].target;
-        let sent = self
-            .sender
-            .put_frame(self.clock, &self.frame_buf, target, Some(cq))?;
+        let sent = self.sender.put_frame(
+            self.clock,
+            &self.frame_buf,
+            target,
+            Some(&mut self.completions),
+        )?;
         self.clock = sent.sender_free();
         if self.armed {
             let entry = Posted {
@@ -556,11 +547,11 @@ impl SenderLane {
     /// Stage *post*, container: close the open container with one put into
     /// its carrier mailbox (no-op when none is open). Posted or refused, the
     /// container is closed afterwards.
-    fn flush(&mut self, cq: &mut CompletionQueue) -> AmResult<Option<AmSendOutcome>> {
+    fn flush(&mut self) -> AmResult<Option<AmSendOutcome>> {
         let Some(&carrier) = self.open.members.first() else {
             return Ok(None);
         };
-        let sent = self.post_container(cq, carrier);
+        let sent = self.post_container(carrier);
         self.open.frames.clear();
         self.open.sns.clear();
         self.open.members.clear();
@@ -568,19 +559,15 @@ impl SenderLane {
     }
 
     /// Finish the open container and post it — window, put, remember.
-    fn post_container(
-        &mut self,
-        cq: &mut CompletionQueue,
-        carrier: usize,
-    ) -> AmResult<AmSendOutcome> {
+    fn post_container(&mut self, carrier: usize) -> AmResult<AmSendOutcome> {
         self.open.frames.finish_into(&mut self.batch_buf)?;
-        self.harvest_if_full(cq);
+        self.harvest_if_full();
         let sent = self.sender.put_batch(
             self.clock,
             &self.batch_buf,
             self.open.frames.len(),
             &self.targets[carrier].target,
-            Some(cq),
+            Some(&mut self.completions),
         )?;
         self.clock = sent.sender_free();
         if self.armed {
@@ -607,7 +594,7 @@ impl SenderLane {
                 // The observing poll pays the read of the freshly DMA'd row,
                 // mirroring the credit-acquire charge.
                 let addr = self.nacks.row_addr(row)?;
-                self.clock += self.bus.access(self.core, addr, 8, AccessKind::Read);
+                self.clock += self.bus.access(self.bus.core(), addr, 8, AccessKind::Read);
                 retransmitted += self.retransmit(Some(missing))?;
             }
         }
@@ -661,10 +648,11 @@ impl SenderLane {
     }
 
     /// Stage *post*, window: per-stream flow control shared by every put. A
-    /// full completion window first harvests this lane's own queue (never a
-    /// sibling's) at the earliest completion horizon, charging the harvest
-    /// cost to this lane's clock and counting the stall.
-    fn harvest_if_full(&mut self, cq: &mut CompletionQueue) {
+    /// full completion window is first harvested at the earliest completion
+    /// horizon, charging the harvest cost to this lane's clock and counting
+    /// the stall.
+    fn harvest_if_full(&mut self) {
+        let cq = &mut self.completions;
         if cq.outstanding() >= cq.capacity() {
             let ready_at = cq.earliest_ready(self.clock);
             let (done, cost) = cq.poll(ready_at);
@@ -678,19 +666,16 @@ impl SenderLane {
     /// Send one [`MessageSpec`] — single-element or chained — to a specific
     /// owned mailbox with a put of its own, under the same per-stream flow
     /// control as a fill. Rejected when (`bank`, `slot`) is not one of this
-    /// stream's targets. Every fleet send is completion-tracked by the lane's
-    /// own window, so the spec's [`tracked`](MessageSpec::tracked) marker is
-    /// satisfied either way.
+    /// stream's targets.
     pub fn send_spec(
         &mut self,
-        cq: &mut CompletionQueue,
         bank: usize,
         slot: usize,
         spec: &MessageSpec,
     ) -> AmResult<AmSendOutcome> {
         let idx = self.owned(bank, slot)?;
         let sn = self.sender.encode_next(spec, &mut self.frame_buf)?;
-        self.post_standalone(cq, idx, sn)
+        self.post_standalone(idx, sn)
     }
 
     /// Fill every owned slot once (round `round`), returning this stream's
@@ -703,7 +688,6 @@ impl SenderLane {
     /// boundary). Under `PerFrame` every frame is posted standalone.
     pub fn fill<F>(
         &mut self,
-        cq: &mut CompletionQueue,
         elem: ElementId,
         mode: InvocationMode,
         round: u64,
@@ -715,71 +699,23 @@ impl SenderLane {
         let mut horizon = SimTime::ZERO;
         for idx in 0..self.targets.len() {
             let spec = self.build(elem, mode, idx, round, make);
-            if let Some(sent) = self.post(cq, idx, &spec)? {
+            if let Some(sent) = self.post(idx, &spec)? {
                 horizon = horizon.max(sent.delivered());
             }
         }
-        if let Some(sent) = self.flush(cq)? {
+        if let Some(sent) = self.flush()? {
             horizon = horizon.max(sent.delivered());
         }
         Ok(horizon)
     }
 }
 
-/// A borrowed per-stream handle pairing one lane with the `&mut` of its own
-/// completion queue — the unit a sender thread owns. Handed out by
-/// [`SenderFleet::handles`]; the borrows are disjoint per stream, so the
-/// handles can be moved to OS threads.
-#[derive(Debug)]
-pub struct FleetLane<'a> {
-    lane: &'a mut SenderLane,
-    completions: &'a mut CompletionQueue,
-}
-
-impl FleetLane<'_> {
-    /// The stream this handle fills.
-    pub fn stream_id(&self) -> usize {
-        self.lane.stream
-    }
-
-    /// Send one [`MessageSpec`] to a specific owned mailbox; see
-    /// [`SenderLane::send_spec`].
-    pub fn send_spec(
-        &mut self,
-        bank: usize,
-        slot: usize,
-        spec: &MessageSpec,
-    ) -> AmResult<AmSendOutcome> {
-        self.lane.send_spec(self.completions, bank, slot, spec)
-    }
-
-    /// Fill every owned slot once; see [`SenderLane::fill`].
-    pub fn fill<F>(
-        &mut self,
-        elem: ElementId,
-        mode: InvocationMode,
-        round: u64,
-        make: &F,
-    ) -> AmResult<SimTime>
-    where
-        F: Fn(SlotCtx) -> (Vec<u8>, Vec<u8>),
-    {
-        self.lane.fill(self.completions, elem, mode, round, make)
-    }
-
-    /// This stream's sender-side counters.
-    pub fn stats(&self) -> &RuntimeStats {
-        self.lane.sender.stats()
-    }
-}
-
-/// The first-class multi-sender runtime object: one [`SenderLane`] per stream
-/// plus the [`ShardedCompletions`] bundle providing per-stream transmit
-/// windows. See the module docs for the handshake and flow-control contract.
+/// The first-class multi-sender runtime object: one [`SenderLane`] per
+/// stream, each owning its transmit window. See the module docs for the
+/// handshake and flow-control contract.
 #[derive(Debug)]
 pub struct SenderFleet {
     pub(super) lanes: Vec<SenderLane>,
-    completions: ShardedCompletions,
 }
 
 impl SenderFleet {
@@ -819,6 +755,10 @@ impl SenderFleet {
         // descriptors collected for the reverse half of the exchange.
         let sender_host = fabric.host(src)?;
         let num_cores = sender_host.hierarchy().num_cores();
+        // Per-entry harvest cost: the same software bookkeeping constant the
+        // UCX-like baseline pays, taken from its single definition so a
+        // retuned baseline can never silently diverge from the fleet.
+        let harvest_cost = CompletionQueue::ucx_default().harvest_cost();
         let mut credit_handshakes = Vec::with_capacity(session.streams.len());
         let lanes = session
             .streams
@@ -829,11 +769,8 @@ impl SenderFleet {
                 // in *this sender's* address space so the receiver can credit
                 // it with one-sided puts (the reverse handshake below hands
                 // the descriptor over).
-                let rows = super::credit::banks_owned(
-                    handshake.stream,
-                    handshake.streams,
-                    host.config().banks,
-                );
+                let rows =
+                    ShardMask::rows_owned(handshake.stream, handshake.streams, host.config().banks);
                 let region = sender_host.register(
                     BankFlags::table_len(rows, handshake.per_bank),
                     AccessFlags::rw(),
@@ -857,28 +794,20 @@ impl SenderFleet {
                 // cores the surplus lanes alias cores — a cost-model
                 // approximation only; credit *values* always come from the
                 // region's real atomics).
-                let core = handshake.stream % num_cores;
-                let bus = sender_host.core_bus(core);
+                let bus = sender_host.core_bus(handshake.stream % num_cores);
                 Ok(SenderLane::new(
                     handshake,
                     TwoChainsSender::new(endpoint, package.clone()),
                     flags,
                     nacks,
+                    CompletionQueue::new(window, harvest_cost),
                     bus,
-                    core,
                     host.config().aggregation_policy,
                 ))
             })
             .collect::<AmResult<Vec<_>>>()?;
         host.install_credit_returns(fabric, credit_handshakes)?;
-        // Per-entry harvest cost: the same software bookkeeping constant the
-        // UCX-like baseline pays, taken from its single definition so a
-        // retuned baseline can never silently diverge from the fleet.
-        let harvest_cost = CompletionQueue::ucx_default().harvest_cost();
-        Ok(SenderFleet {
-            completions: ShardedCompletions::new(lanes.len(), window, harvest_cost),
-            lanes,
-        })
+        Ok(SenderFleet { lanes })
     }
 
     /// Number of sender lanes (streams).
@@ -927,7 +856,8 @@ impl SenderFleet {
     /// Returns the number harvested across the fleet.
     pub fn harvest_completions(&mut self) -> usize {
         let mut harvested = 0usize;
-        for (lane, cq) in self.lanes.iter_mut().zip(self.completions.queues_mut()) {
+        for lane in &mut self.lanes {
+            let cq = &mut lane.completions;
             while cq.outstanding() > 0 {
                 let horizon = cq.earliest_ready(lane.clock);
                 let (done, cost) = cq.poll(horizon);
@@ -939,14 +869,11 @@ impl SenderFleet {
         harvested
     }
 
-    /// Split the fleet into one independently movable [`FleetLane`] per stream
-    /// (lane + its own completion queue), for caller-managed threading.
-    pub fn handles(&mut self) -> Vec<FleetLane<'_>> {
-        self.lanes
-            .iter_mut()
-            .zip(self.completions.queues_mut())
-            .map(|(lane, completions)| FleetLane { lane, completions })
-            .collect()
+    /// Every lane, mutably, by stream index: the borrows are disjoint per
+    /// stream and a lane is `Send`, so `iter_mut` hands one to each sender
+    /// thread (caller-managed threading).
+    pub fn lanes_mut(&mut self) -> &mut [SenderLane] {
+        &mut self.lanes
     }
 
     /// Fill every stream's slots once, lane after lane on the calling thread
@@ -964,8 +891,7 @@ impl SenderFleet {
     {
         self.lanes
             .iter_mut()
-            .zip(self.completions.queues_mut())
-            .map(|(lane, cq)| lane.fill(cq, elem, mode, round, make))
+            .map(|lane| lane.fill(elem, mode, round, make))
             .collect()
     }
 
@@ -1003,7 +929,7 @@ impl SenderFleet {
     }
 
     /// Start a pipeline run of `rounds` fills per slot: one steppable
-    /// [`LaneRun`] per lane, each over its own completion queue.
+    /// [`LaneRun`] per lane.
     pub(super) fn lane_runs<'a, F>(
         &'a mut self,
         elem: ElementId,
@@ -1016,8 +942,7 @@ impl SenderFleet {
     {
         self.lanes
             .iter_mut()
-            .zip(self.completions.queues_mut())
-            .map(|(lane, cq)| LaneRun::new(lane, cq, elem, mode, rounds, make))
+            .map(|lane| LaneRun::new(lane, elem, mode, rounds, make))
             .collect()
     }
 }
@@ -1071,7 +996,6 @@ pub(super) enum Step {
 /// in any order.
 pub(super) struct LaneRun<'a, F> {
     lane: &'a mut SenderLane,
-    cq: &'a mut CompletionQueue,
     elem: ElementId,
     mode: InvocationMode,
     rounds: u64,
@@ -1100,7 +1024,6 @@ where
     /// credit and anything pending in the tables is stale.
     fn new(
         lane: &'a mut SenderLane,
-        cq: &'a mut CompletionQueue,
         elem: ElementId,
         mode: InvocationMode,
         rounds: usize,
@@ -1111,7 +1034,6 @@ where
         let slots = lane.targets.len();
         Ok(LaneRun {
             lane,
-            cq,
             elem,
             mode,
             rounds: rounds as u64,
@@ -1201,11 +1123,11 @@ where
             let spec = self
                 .lane
                 .build(self.elem, self.mode, j, self.rounds_sent[j], self.make);
-            self.lane.post(self.cq, j, &spec)?;
+            self.lane.post(j, &spec)?;
             self.rounds_sent[j] += 1;
             self.unsent -= 1;
         }
-        self.lane.flush(self.cq)?;
+        self.lane.flush()?;
         Ok(())
     }
 

@@ -45,23 +45,6 @@ use twochains_jamvm::{GotImage, Instr, ResolvedProgram};
 /// eviction policy applied at this bound).
 pub(crate) const MAX_INJECTION_CACHE_ENTRIES: usize = 1024;
 
-/// The small trait-ish API every injection cache is used through: keyed lookup
-/// with LRU touch, insert-with-eviction, purge and size. Keeping the surface this
-/// narrow is what lets the eviction policy change underneath without the dispatch
-/// code noticing.
-pub(crate) trait ContentCache<K, V> {
-    /// Look `key` up, marking the entry as recently used (and promoting it to the
-    /// protected segment on its first hit).
-    fn lookup(&mut self, key: &K) -> Option<&V>;
-    /// Insert (or replace) `key`, evicting per policy if full. Returns how many
-    /// entries were evicted (0 or 1).
-    fn store(&mut self, key: K, value: V) -> u64;
-    /// Drop every entry (invalidation; not counted as eviction).
-    fn purge(&mut self);
-    /// Number of live entries.
-    fn len(&self) -> usize;
-}
-
 /// Recency and segment are `Cell`s so a lookup can stamp the entry it found
 /// and demote another through shared borrows of the map, under one probe.
 #[derive(Debug)]
@@ -71,14 +54,17 @@ struct Entry<V> {
     protected: Cell<bool>,
 }
 
-/// A segmented-LRU map implementing [`ContentCache`]. Eviction scans are O(n) in
-/// the entry count: a working set below capacity never pays them, while a sender
-/// churning keys with the cache full pays one bounded scan (≤ cap entries, under
-/// the shared lock) per miss-insert — an accepted cost, since that sender is
-/// already paying a full decode+verify (and, under the resolved policy, a
-/// lowering) per message: ≈ 3 µs of host time for the 1.4 KB Indirect Put jam,
-/// ≈ 7.6 µs for the whole cold drain (measured, `cold_churn`); an O(1) recency
-/// list is the upgrade path if churn-resistance ever needs to be cheaper.
+/// A segmented-LRU map, used through four methods — keyed lookup with LRU
+/// touch, insert-with-eviction, purge and size — so the eviction policy can
+/// change underneath without the dispatch code noticing. Eviction scans are
+/// O(n) in the entry count: a working set below capacity never pays them,
+/// while a sender churning keys with the cache full pays one bounded scan
+/// (≤ cap entries, under the shared lock) per miss-insert — an accepted cost,
+/// since that sender is already paying a full decode+verify (and, under the
+/// resolved policy, a lowering) per message: ≈ 3 µs of host time for the
+/// 1.4 KB Indirect Put jam, ≈ 7.6 µs for the whole cold drain (measured,
+/// `cold_churn`); an O(1) recency list is the upgrade path if
+/// churn-resistance ever needs to be cheaper.
 #[derive(Debug)]
 pub(crate) struct SegmentedCache<K, V> {
     entries: HashMap<K, Entry<V>>,
@@ -133,9 +119,9 @@ impl<K: Eq + Hash + Clone, V> SegmentedCache<K, V> {
             }
         }
     }
-}
 
-impl<K: Eq + Hash + Clone, V> ContentCache<K, V> for SegmentedCache<K, V> {
+    /// Look `key` up, marking the entry as recently used (and promoting it to the
+    /// protected segment on its first hit).
     fn lookup(&mut self, key: &K) -> Option<&V> {
         self.tick += 1;
         let found = self.entries.get(key)?;
@@ -159,6 +145,8 @@ impl<K: Eq + Hash + Clone, V> ContentCache<K, V> for SegmentedCache<K, V> {
         Some(&found.value)
     }
 
+    /// Insert (or replace) `key`, evicting per policy if full. Returns how many
+    /// entries were evicted (0 or 1).
     fn store(&mut self, key: K, value: V) -> u64 {
         self.tick += 1;
         if let Some(e) = self.entries.get_mut(&key) {
@@ -183,11 +171,13 @@ impl<K: Eq + Hash + Clone, V> ContentCache<K, V> for SegmentedCache<K, V> {
         self.evictions - before
     }
 
+    /// Drop every entry (invalidation; not counted as eviction).
     fn purge(&mut self) {
         self.entries.clear();
         self.protected_len = 0;
     }
 
+    /// Number of live entries.
     fn len(&self) -> usize {
         self.entries.len()
     }

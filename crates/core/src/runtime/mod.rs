@@ -11,7 +11,7 @@
 //! first-class multi-sender runtime: one sender per *stream* (stream `s` of `S`
 //! owns the banks with `bank % S == s`, mirroring the receiver's shard map),
 //! each with its own endpoint, sequence space, template cache and statistics,
-//! flow-controlled by a per-stream completion window and thread-capable — the
+//! flow-controlled by the completion window it owns and thread-capable — the
 //! fleet can fill banks from one OS thread per lane while the receiver shards
 //! drain, up to the fully overlapped fill/drain pipeline of [`drive_pipeline`]
 //! (the handshake and flow-control contract are documented on [`SenderFleet`]).
@@ -268,8 +268,8 @@ pub(crate) use injection_cache::MAX_INJECTION_CACHE_ENTRIES;
 
 pub use credit::CreditHandshake;
 pub use fleet::{
-    drive_pipeline, FleetLane, PipelineFrame, PipelineOutcome, SenderFleet, SenderLane,
-    SessionHandshake, SlotCtx, StreamHandshake, StreamTarget,
+    drive_pipeline, PipelineFrame, PipelineOutcome, SenderFleet, SenderLane, SessionHandshake,
+    SlotCtx, StreamHandshake, StreamTarget,
 };
 pub use host::TwoChainsHost;
 pub use retry::ClampedFibonacci;

@@ -169,9 +169,8 @@ impl TwoChainsSender {
     /// The allocation-free send path for a [`MessageSpec`]: encode the spec's
     /// frame (single-element or chained) directly from the template cache and
     /// the spec's borrowed sections into the reusable scratch buffer, then
-    /// put. A spec marked [`tracked`](MessageSpec::tracked) is refused —
-    /// completion tracking needs a queue, so it must go through
-    /// [`TwoChainsSender::send_spec_tracked`].
+    /// put. The put is not completion-tracked: a bare sender has no transmit
+    /// window — the [`SenderFleet`](super::SenderFleet)'s lanes each own one.
     ///
     /// The spec is borrowed, not consumed: build it once, send it every
     /// iteration — steady-state sends perform zero heap allocations.
@@ -181,36 +180,9 @@ impl TwoChainsSender {
         spec: &MessageSpec,
         target: &MailboxTarget,
     ) -> AmResult<AmSendOutcome> {
-        if spec.is_tracked() {
-            return Err(AmError::InvalidConfig(
-                "spec requests completion tracking: use send_spec_tracked with a \
-                 completion queue"
-                    .into(),
-            ));
-        }
         self.with_scratch(|sender, buf| {
             sender.encode_next(spec, buf)?;
             sender.put_frame(now, buf, target, None)
-        })
-    }
-
-    /// [`TwoChainsSender::send_spec`] with software completion tracking: the
-    /// put's delivery is posted into `cq` ([`Endpoint::put_tracked`]), so the
-    /// caller gets transmit-window flow control — a full queue refuses the send
-    /// with `CompletionBackpressure` *before* any bytes move, and the caller
-    /// must harvest completions (its own queue only) to free the window. This
-    /// is the per-stream back-pressure the [`SenderFleet`](super::SenderFleet)
-    /// lanes run on.
-    pub fn send_spec_tracked(
-        &mut self,
-        now: SimTime,
-        spec: &MessageSpec,
-        target: &MailboxTarget,
-        cq: &mut CompletionQueue,
-    ) -> AmResult<AmSendOutcome> {
-        self.with_scratch(|sender, buf| {
-            sender.encode_next(spec, buf)?;
-            sender.put_frame(now, buf, target, Some(cq))
         })
     }
 

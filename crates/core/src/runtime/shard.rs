@@ -29,7 +29,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use twochains_jamvm::{hash64_bytes, Segment, ShardSpace};
-use twochains_memsim::{CoreBus, CoreCacheStats, SimTime};
+use twochains_memsim::{CoreBus, SimTime};
 
 use super::credit::CreditReturn;
 use super::host::HostCore;
@@ -134,10 +134,9 @@ pub(crate) struct DrainCtx<'s> {
 impl DrainCtx<'_> {
     /// The replay-filter entry guarding mailbox (`bank`, `slot`) of a bank
     /// with `per_bank` slots, growing the filter on first touch; `None` when
-    /// the filter is not armed. Rows are indexed like `CreditReturn`'s: the
-    /// shard sees every `num_shards`-th bank, so `bank / num_shards` is its
-    /// local row. `slot` must be below `per_bank`, or the index is another
-    /// mailbox's.
+    /// the filter is not armed. Rows are indexed like `CreditReturn`'s
+    /// ([`ShardMask::row_of`]). `slot` must be below `per_bank`, or the index
+    /// is another mailbox's.
     pub(crate) fn replay_entry(
         &mut self,
         per_bank: usize,
@@ -145,7 +144,7 @@ impl DrainCtx<'_> {
         slot: usize,
     ) -> Option<&mut u32> {
         let filter = self.replay.as_deref_mut()?;
-        let idx = (bank / self.num_shards) * per_bank + slot;
+        let idx = ShardMask::row_of(bank, self.num_shards) * per_bank + slot;
         if filter.len() <= idx {
             filter.resize(idx + 1, 0);
         }
@@ -300,11 +299,6 @@ impl ReceiverShard {
     /// The core this shard drains on.
     pub fn core(&self) -> usize {
         self.core
-    }
-
-    /// This shard's private-cache (L1/L2) counters.
-    pub fn cache_stats(&self) -> CoreCacheStats {
-        self.bus.stats()
     }
 
     /// The bank-ownership mask of this shard (`bank % num_shards == shard_id`).

@@ -1,10 +1,11 @@
 //! The unified message-construction API: [`MessageSpec`] and the [`spec`]
 //! entry point.
 //!
-//! Every send — single-element or chained, fire-and-forget or
-//! completion-tracked, through a bare [`TwoChainsSender`](super::TwoChainsSender)
-//! or a [`SenderFleet`](super::SenderFleet) lane — is described by one
-//! `MessageSpec` built with the same fluent chain:
+//! Every send — single-element or chained, through a bare
+//! [`TwoChainsSender`](super::TwoChainsSender) or a
+//! [`SenderFleet`](super::SenderFleet) lane (which tracks the put in its own
+//! transmit window) — is described by one `MessageSpec` built with the same
+//! fluent chain:
 //!
 //! ```
 //! use twochains::{spec, ChainArgMap, ElementId};
@@ -12,15 +13,14 @@
 //! // One element, Injected mode (the default), no payload.
 //! let single = spec(ElementId(3)).args(vec![1, 2, 3, 4]);
 //!
-//! // A three-stage receiver-side chain with completion tracking: the lookup
-//! // element runs first, its result feeds the filter, the filter's result
-//! // feeds the aggregate — one frame, one dispatch, one round trip.
+//! // A three-stage receiver-side chain: the lookup element runs first, its
+//! // result feeds the filter, the filter's result feeds the aggregate — one
+//! // frame, one dispatch, one round trip.
 //! let chained = spec(ElementId(3))
 //!     .args(7u64.to_le_bytes().to_vec())
 //!     .then(ElementId(4))
 //!     .then(ElementId(5))
-//!     .map_result(ChainArgMap::Result)
-//!     .tracked();
+//!     .map_result(ChainArgMap::Result);
 //! assert_eq!(chained.stage_ids(), vec![4, 5]);
 //! # let _ = single;
 //! ```
@@ -38,7 +38,7 @@ use crate::frame::{ChainArgMap, ChainDescriptor, ChainStage, CHAIN_MAX_STAGES};
 
 /// Start building a message for `elem` — the single construction path for
 /// every send. Defaults: [`InvocationMode::Injected`], empty ARGS and USR,
-/// no chain, untracked.
+/// no chain.
 pub fn spec(elem: ElementId) -> MessageSpec {
     MessageSpec {
         elem,
@@ -46,18 +46,16 @@ pub fn spec(elem: ElementId) -> MessageSpec {
         args: Vec::new(),
         usr: Vec::new(),
         stages: Vec::new(),
-        tracked: false,
     }
 }
 
 /// A complete description of one active message: the primary element, its
-/// invocation mode, the ARGS/USR sections, an optional receiver-side chain of
-/// continuation stages, and whether the send wants completion tracking.
+/// invocation mode, the ARGS/USR sections and an optional receiver-side chain
+/// of continuation stages.
 ///
 /// Built with [`spec`]; consumed (by reference) by
-/// [`TwoChainsSender::send_spec`](super::TwoChainsSender::send_spec),
-/// [`TwoChainsSender::send_spec_tracked`](super::TwoChainsSender::send_spec_tracked)
-/// and the fleet lanes' `send_spec` methods.
+/// [`TwoChainsSender::send_spec`](super::TwoChainsSender::send_spec) and
+/// [`SenderLane::send_spec`](super::SenderLane::send_spec).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MessageSpec {
     elem: ElementId,
@@ -65,7 +63,6 @@ pub struct MessageSpec {
     args: Vec<u8>,
     usr: Vec<u8>,
     stages: Vec<ChainStage>,
-    tracked: bool,
 }
 
 impl MessageSpec {
@@ -127,15 +124,6 @@ impl MessageSpec {
         self
     }
 
-    /// Request completion tracking: the send must go through a
-    /// `send_spec_tracked` path with a completion queue, and
-    /// [`TwoChainsSender::send_spec`](super::TwoChainsSender::send_spec)
-    /// refuses the spec.
-    pub fn tracked(mut self) -> Self {
-        self.tracked = true;
-        self
-    }
-
     /// The primary element.
     pub fn elem(&self) -> ElementId {
         self.elem
@@ -154,11 +142,6 @@ impl MessageSpec {
     /// The user payload.
     pub fn usr_bytes(&self) -> &[u8] {
         &self.usr
-    }
-
-    /// Whether the spec requests completion tracking.
-    pub fn is_tracked(&self) -> bool {
-        self.tracked
     }
 
     /// Whether the spec carries continuation stages.
@@ -203,7 +186,6 @@ mod tests {
         let s = spec(ElementId(7));
         assert_eq!(s.elem(), ElementId(7));
         assert_eq!(s.invocation(), InvocationMode::Injected);
-        assert!(!s.is_tracked());
         assert!(!s.is_chained());
         assert!(s.chain_descriptor().unwrap().is_none());
 
@@ -213,12 +195,10 @@ mod tests {
             .usr(vec![3])
             .then(ElementId(2))
             .then(ElementId(3))
-            .map_result(ChainArgMap::KeepArgs)
-            .tracked();
+            .map_result(ChainArgMap::KeepArgs);
         assert_eq!(s.invocation(), InvocationMode::Local);
         assert_eq!(s.args_bytes(), &[1, 2]);
         assert_eq!(s.usr_bytes(), &[3]);
-        assert!(s.is_tracked());
         assert_eq!(s.stage_ids(), vec![2, 3]);
         let desc = s.chain_descriptor().unwrap().unwrap();
         assert_eq!(desc.stages()[0].map, ChainArgMap::Result);

@@ -1624,8 +1624,7 @@ fn backpressure_pauses_only_the_saturated_stream() {
         .with_per_frame_aggregation();
     let (host, mut fleet) = fleet_testbed_with(cfg, 1);
     let elem = host.builtin_id(BuiltinJam::IndirectPut).unwrap();
-    let mut handles = fleet.handles();
-    let (head, tail) = handles.split_at_mut(1);
+    let (head, tail) = fleet.lanes_mut().split_at_mut(1);
     let lane0 = &mut head[0];
     let lane1 = &mut tail[0];
     for round in 0..3u64 {
@@ -1648,7 +1647,6 @@ fn backpressure_pauses_only_the_saturated_stream() {
         "lane 1 pays only for its own window, never lane 0's saturation"
     );
     assert!(lane0.stats().completions_harvested >= lane0.stats().sends_backpressured);
-    drop(handles);
     assert_eq!(
         fleet.stats().sends_backpressured,
         slots0 - 1 + fleet.lane(1).unwrap().stats().messages_sent - 1
@@ -1753,8 +1751,7 @@ fn install_credit_returns_validates_geometry() {
 fn single_slot_receive_returns_the_credit_over_the_fabric() {
     let (mut host, mut fleet) = fleet_testbed(2, 64);
     let elem = host.builtin_id(BuiltinJam::IndirectPut).unwrap();
-    let mut handles = fleet.handles();
-    let sent = handles[0]
+    let sent = fleet.lanes_mut()[0]
         .send_spec(
             0,
             0,
@@ -1766,7 +1763,6 @@ fn single_slot_receive_returns_the_credit_over_the_fabric() {
             ),
         )
         .unwrap();
-    drop(handles);
     assert!(!fleet.lane(0).unwrap().credit_pending(0, 0).unwrap());
     host.receive(0, 0, Some(sent.wire_bytes), sent.delivered(), SimTime::ZERO)
         .unwrap();
@@ -1787,15 +1783,13 @@ fn rejected_single_slot_receive_still_retires_and_credits() {
     // credit — otherwise a lane whose frame was rejected on the `receive`
     // path would spin forever on a token that never changes.
     let (mut host, mut fleet) = fleet_testbed(2, 64);
-    let mut handles = fleet.handles();
-    let sent = handles[0]
+    let sent = fleet.lanes_mut()[0]
         .send_spec(
             0,
             0,
             &msg(ElementId(9999), InvocationMode::Local, &[], &payload(4)),
         )
         .unwrap();
-    drop(handles);
     let err = host
         .receive(0, 0, Some(sent.wire_bytes), sent.delivered(), SimTime::ZERO)
         .unwrap_err();
@@ -1904,7 +1898,6 @@ fn drive_pipeline_requires_the_credit_path() {
 fn fleet_lanes_are_send() {
     fn assert_send<T: Send>() {}
     assert_send::<super::SenderLane>();
-    assert_send::<super::FleetLane<'static>>();
     assert_send::<super::SenderFleet>();
     assert_send::<TwoChainsSender>();
 }
@@ -1952,53 +1945,6 @@ fn builtin_id_reports_the_missing_name() {
         tx.builtin_id(BuiltinJam::ServerSideSum),
         Err(AmError::UnknownElementName(_))
     ));
-}
-
-#[test]
-fn send_spec_tracked_applies_window_backpressure() {
-    let (rx, mut tx) = testbed(RuntimeConfig::paper_default());
-    let elem = rx.builtin_id(BuiltinJam::IndirectPut).unwrap();
-    let target = rx.mailbox_target(0, 0).unwrap();
-    let mut cq = twochains_fabric::CompletionQueue::new(2, SimTime::from_ns(5));
-    let args = indirect_put_args(1, 4, 4);
-    let first = tx
-        .send_spec_tracked(
-            SimTime::ZERO,
-            &msg(elem, InvocationMode::Injected, &args, &payload(4)),
-            &target,
-            &mut cq,
-        )
-        .unwrap();
-    tx.send_spec_tracked(
-        first.sender_free(),
-        &msg(elem, InvocationMode::Injected, &args, &payload(4)),
-        &target,
-        &mut cq,
-    )
-    .unwrap();
-    assert_eq!(cq.outstanding(), 2);
-    // Window full: the third tracked send is refused before any bytes move.
-    let sent_before = tx.stats().messages_sent;
-    let err = tx
-        .send_spec_tracked(
-            SimTime::ZERO,
-            &msg(elem, InvocationMode::Injected, &args, &payload(4)),
-            &target,
-            &mut cq,
-        )
-        .unwrap_err();
-    assert!(matches!(err, AmError::Fabric(_)), "{err}");
-    assert_eq!(tx.stats().messages_sent, sent_before);
-    // Harvesting reopens the window.
-    cq.poll(SimTime::from_us(1_000));
-    assert!(tx
-        .send_spec_tracked(
-            SimTime::ZERO,
-            &msg(elem, InvocationMode::Injected, &args, &payload(4)),
-            &target,
-            &mut cq
-        )
-        .is_ok());
 }
 
 #[test]
@@ -2143,15 +2089,10 @@ fn failing_chain_stage_rejects_the_whole_frame_and_names_the_stage() {
 }
 
 #[test]
-fn send_spec_refuses_tracked_specs_and_overlong_chains() {
+fn send_spec_refuses_overlong_chains() {
     let (rx, mut tx) = testbed(RuntimeConfig::paper_default());
     let lookup = rx.builtin_id(BuiltinJam::GraphLookup).unwrap();
     let target = rx.mailbox_target(0, 0).unwrap();
-    let tracked = super::spec(lookup).local().tracked();
-    assert!(matches!(
-        tx.send_spec(SimTime::ZERO, &tracked, &target),
-        Err(AmError::InvalidConfig(_))
-    ));
     let mut overlong = super::spec(lookup).local();
     for _ in 0..crate::frame::CHAIN_MAX_STAGES + 1 {
         overlong = overlong.then(lookup);
@@ -2213,11 +2154,8 @@ fn fleet_send_spec_delivers_chained_frames() {
         .local()
         .args(graph_args(key))
         .then(filter);
-    {
-        let mut lanes = fleet.handles();
-        // Bank 0 belongs to stream 0.
-        lanes[0].send_spec(0, 0, &s).unwrap();
-    }
+    // Bank 0 belongs to stream 0.
+    fleet.lanes_mut()[0].send_spec(0, 0, &s).unwrap();
     let out = host
         .receive(0, 0, None, SimTime::ZERO, SimTime::ZERO)
         .unwrap();

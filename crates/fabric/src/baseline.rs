@@ -19,7 +19,6 @@
 
 use twochains_memsim::SimTime;
 
-use crate::completion::CompletionQueue;
 use crate::link::LinkModel;
 
 /// Model of the plain UCX `ucp_put_nbi` + completion path.
@@ -90,12 +89,6 @@ impl UcxPutBaseline {
     /// Streaming message rate in messages/s for messages of `size` bytes.
     pub fn message_rate(&self, size: usize) -> f64 {
         1e9 / self.stream_gap(size).as_ns()
-    }
-
-    /// Build a completion queue with this baseline's harvest cost (used when the
-    /// baseline is driven operation-by-operation rather than analytically).
-    pub fn completion_queue(&self) -> CompletionQueue {
-        CompletionQueue::ucx_default()
     }
 }
 

@@ -112,89 +112,6 @@ impl CompletionQueue {
     }
 }
 
-/// Per-shard completion routing for a sharded receiver.
-///
-/// When the receive path is split into shards that each own the mailbox banks with
-/// `bank % num_shards == shard`, the software tracking the sender's in-flight
-/// frames wants the same partitioning: completions for frames aimed at a shard's
-/// banks should be harvested by (or on behalf of) that shard, without scanning a
-/// single global queue. `ShardedCompletions` is a bundle of [`CompletionQueue`]s,
-/// one per shard, with the bank→shard route applied on post.
-#[derive(Debug, Clone)]
-pub struct ShardedCompletions {
-    queues: Vec<CompletionQueue>,
-}
-
-impl ShardedCompletions {
-    /// One queue per shard, each with `capacity` entries and `harvest_cost` per
-    /// harvested completion.
-    pub fn new(shards: usize, capacity: usize, harvest_cost: SimTime) -> Self {
-        assert!(shards > 0, "need at least one shard");
-        ShardedCompletions {
-            queues: (0..shards)
-                .map(|_| CompletionQueue::new(capacity, harvest_cost))
-                .collect(),
-        }
-    }
-
-    /// Number of shards (queues).
-    pub fn shards(&self) -> usize {
-        self.queues.len()
-    }
-
-    /// The shard whose queue tracks operations aimed at `bank` — the same
-    /// deterministic `bank % num_shards` map the receiver uses for bank ownership
-    /// (mirrors the core crate's `ShardMask::owner_of`, which cannot be imported
-    /// here because fabric sits below it; change both together or sender
-    /// completion routing diverges from receiver ownership).
-    pub fn route(&self, bank: usize) -> usize {
-        bank % self.queues.len()
-    }
-
-    /// Post an operation aimed at `bank`, completing at `ready_at`, onto the owning
-    /// shard's queue. Returns `(shard, id)`, or `None` if that queue is full (the
-    /// caller must let the shard drain before pushing more at it — per-shard
-    /// back-pressure).
-    pub fn post_to_bank(&mut self, bank: usize, ready_at: SimTime) -> Option<(usize, u64)> {
-        let shard = self.route(bank);
-        self.queues[shard].post(ready_at).map(|id| (shard, id))
-    }
-
-    /// Harvest every completion of `shard`'s queue that is ready at `now`.
-    pub fn poll_shard(&mut self, shard: usize, now: SimTime) -> (Vec<Completion>, SimTime) {
-        self.queues[shard].poll(now)
-    }
-
-    /// When the oldest outstanding completion of `shard` becomes ready (or `now`).
-    pub fn earliest_ready(&self, shard: usize, now: SimTime) -> SimTime {
-        self.queues[shard].earliest_ready(now)
-    }
-
-    /// Outstanding operations on `shard`'s queue.
-    pub fn outstanding(&self, shard: usize) -> usize {
-        self.queues[shard].outstanding()
-    }
-
-    /// Outstanding operations across all shards.
-    pub fn outstanding_total(&self) -> usize {
-        self.queues.iter().map(|q| q.outstanding()).sum()
-    }
-
-    /// Mutable access to one shard's queue (e.g. to pass to
-    /// [`Endpoint::put_tracked`](crate::endpoint::Endpoint::put_tracked)).
-    pub fn queue_mut(&mut self, shard: usize) -> &mut CompletionQueue {
-        &mut self.queues[shard]
-    }
-
-    /// The per-shard queues as one mutable slice. A multi-threaded sender fleet
-    /// splits this (`iter_mut`/`split_at_mut`) so each sender thread owns the
-    /// disjoint `&mut CompletionQueue` of its own stream — per-stream flow
-    /// control with no lock between streams.
-    pub fn queues_mut(&mut self) -> &mut [CompletionQueue] {
-        &mut self.queues
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,74 +175,5 @@ mod tests {
     #[should_panic(expected = "capacity")]
     fn zero_capacity_is_rejected() {
         CompletionQueue::new(0, SimTime::ZERO);
-    }
-
-    #[test]
-    fn sharded_completions_route_by_bank_modulo() {
-        let mut sc = ShardedCompletions::new(3, 4, SimTime::from_ns(10));
-        assert_eq!(sc.shards(), 3);
-        assert_eq!(sc.route(0), 0);
-        assert_eq!(sc.route(4), 1);
-        assert_eq!(sc.route(5), 2);
-        let (s0, _) = sc.post_to_bank(0, SimTime::from_ns(100)).unwrap();
-        let (s1, _) = sc.post_to_bank(4, SimTime::from_ns(50)).unwrap();
-        assert_eq!((s0, s1), (0, 1));
-        assert_eq!(sc.outstanding(0), 1);
-        assert_eq!(sc.outstanding(2), 0);
-        assert_eq!(sc.outstanding_total(), 2);
-        // Each shard harvests only its own completions.
-        let (done, cost) = sc.poll_shard(1, SimTime::from_ns(60));
-        assert_eq!(done.len(), 1);
-        assert_eq!(cost, SimTime::from_ns(10));
-        assert_eq!(sc.outstanding(0), 1, "shard 0's entry is untouched");
-        assert_eq!(
-            sc.earliest_ready(0, SimTime::ZERO),
-            SimTime::from_ns(100),
-            "shard 0 still waits on its own oldest completion"
-        );
-    }
-
-    #[test]
-    fn sharded_completions_apply_per_shard_backpressure() {
-        let mut sc = ShardedCompletions::new(2, 1, SimTime::ZERO);
-        assert!(sc.post_to_bank(0, SimTime::from_ns(1)).is_some());
-        assert!(
-            sc.post_to_bank(2, SimTime::from_ns(2)).is_none(),
-            "bank 2 routes to the full shard-0 queue"
-        );
-        assert!(
-            sc.post_to_bank(1, SimTime::from_ns(3)).is_some(),
-            "shard 1's queue is independent"
-        );
-        sc.poll_shard(0, SimTime::from_ns(10));
-        assert!(sc.post_to_bank(0, SimTime::from_ns(4)).is_some());
-    }
-
-    #[test]
-    #[should_panic(expected = "shard")]
-    fn zero_shards_rejected() {
-        ShardedCompletions::new(0, 4, SimTime::ZERO);
-    }
-
-    #[test]
-    fn queues_split_into_disjoint_per_thread_handles() {
-        // The multi-threaded sender fleet hands each sender thread the &mut
-        // CompletionQueue of its own stream; posts through the split handles
-        // must land exactly where post_to_bank would have routed them.
-        let mut sc = ShardedCompletions::new(4, 8, SimTime::from_ns(5));
-        std::thread::scope(|s| {
-            for (shard, q) in sc.queues_mut().iter_mut().enumerate() {
-                s.spawn(move || {
-                    for i in 0..3u64 {
-                        q.post(SimTime::from_ns(shard as u64 * 100 + i)).unwrap();
-                    }
-                });
-            }
-        });
-        for shard in 0..4 {
-            assert_eq!(sc.outstanding(shard), 3, "shard {shard}");
-        }
-        assert_eq!(sc.queue_mut(1).poll(SimTime::from_us_f64(1.0)).0.len(), 3);
-        assert_eq!(sc.outstanding_total(), 9);
     }
 }

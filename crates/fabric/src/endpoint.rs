@@ -338,9 +338,8 @@ impl Endpoint {
     /// the put's `delivered` time. Refused with
     /// [`FabricError::CompletionBackpressure`] when the queue is full — the
     /// initiator must poll completions before posting more, which is exactly the
-    /// transmit-queue back-pressure a streaming sender runs against. With a
-    /// [`ShardedCompletions`](crate::completion::ShardedCompletions) queue per
-    /// receiver shard, this gives a sharded sender per-shard flow control.
+    /// transmit-queue back-pressure a streaming sender runs against. A sender
+    /// that keeps one queue per stream gets per-stream flow control.
     pub fn put_tracked(
         &mut self,
         now: SimTime,
@@ -685,7 +684,6 @@ mod tests {
         fn assert_send<T: Send>() {}
         assert_send::<Endpoint>();
         assert_send::<crate::completion::CompletionQueue>();
-        assert_send::<crate::completion::ShardedCompletions>();
     }
 
     #[test]

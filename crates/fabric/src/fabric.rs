@@ -348,13 +348,6 @@ impl HostHandle {
     pub fn set_stressor(&self, stressor: Option<twochains_memsim::MemoryStressor>) {
         self.state.hierarchy.set_stressor(stressor);
     }
-
-    /// Reset NIC serialization points and clear hierarchy statistics (between
-    /// benchmark phases).
-    pub fn reset_for_benchmark(&self) {
-        self.state.nic.reset();
-        self.state.hierarchy.reset_stats();
-    }
 }
 
 #[cfg(test)]

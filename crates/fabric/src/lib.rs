@@ -60,7 +60,7 @@ pub mod region;
 pub mod rkey;
 
 pub use baseline::UcxPutBaseline;
-pub use completion::{Completion, CompletionQueue, ShardedCompletions};
+pub use completion::{Completion, CompletionQueue};
 pub use endpoint::{Endpoint, PutOutcome};
 pub use error::{FabricError, FabricResult};
 pub use fabric::{FabricConfig, HostHandle, HostId, SimFabric};
@@ -70,4 +70,4 @@ pub use nic::NicModel;
 pub use region::{MemoryRegion, RegionDescriptor};
 pub use rkey::{AccessFlags, RKey};
 
-pub use twochains_memsim::{SimClock, SimTime};
+pub use twochains_memsim::SimTime;

@@ -34,17 +34,6 @@ pub struct NicModel {
     hierarchy: Arc<SharedHierarchy>,
 }
 
-/// Timing of a delivery performed by [`NicModel::deliver`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeliveryTiming {
-    /// When the last byte is visible in the destination memory system.
-    pub delivered_at: SimTime,
-    /// When the sender-side CPU is free again.
-    pub sender_free_at: SimTime,
-    /// Cost the DMA engine spent installing lines (stash or DRAM path).
-    pub dma_cost: SimTime,
-}
-
 impl NicModel {
     /// Create a NIC attached to `hierarchy`, whose stashing setting is the NIC's.
     pub fn new(link: LinkModel, hierarchy: Arc<SharedHierarchy>) -> Self {

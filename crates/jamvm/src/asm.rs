@@ -172,11 +172,6 @@ impl Assembler {
         self.branch(Cond::NotZero, a, a, label)
     }
 
-    /// Branch if `a < b`.
-    pub fn jlt(&mut self, a: Reg, b: Reg, label: &str) -> &mut Self {
-        self.branch(Cond::Less, a, b, label)
-    }
-
     /// Call an external symbol through a GOT slot.
     pub fn call_extern(&mut self, slot: u16, nargs: u8) -> &mut Self {
         self.push(Instr::CallExtern { slot, nargs })

@@ -68,12 +68,6 @@ impl JamDefinition {
         self
     }
 
-    /// Set read-only data.
-    pub fn with_rodata(mut self, rodata: Vec<u8>) -> Self {
-        self.rodata = rodata;
-        self
-    }
-
     /// Request `.text` padding to `n` bytes.
     pub fn padded_to(mut self, n: usize) -> Self {
         self.pad_text_to = Some(n);

@@ -195,57 +195,6 @@ impl Sum for SimTime {
     }
 }
 
-/// A monotonically advancing virtual clock.
-///
-/// Each simulated agent (a host CPU core, a NIC DMA engine, a benchmark loop) owns a
-/// `SimClock` and advances it as it performs work. Interactions between agents take
-/// the maximum of the clocks involved ("you cannot observe an event before it
-/// happened"), which is how one-way message latency is computed without real threads.
-#[derive(Debug, Clone, Default)]
-pub struct SimClock {
-    now: SimTime,
-}
-
-impl SimClock {
-    /// Create a clock at time zero.
-    pub fn new() -> Self {
-        SimClock { now: SimTime::ZERO }
-    }
-
-    /// Create a clock starting at `start`.
-    pub fn starting_at(start: SimTime) -> Self {
-        SimClock { now: start }
-    }
-
-    /// The current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Advance the clock by `dur` and return the new time.
-    pub fn advance(&mut self, dur: SimTime) -> SimTime {
-        self.now += dur;
-        self.now
-    }
-
-    /// Move the clock forward to `t` if `t` is later than now (never moves backward).
-    /// Returns the amount of time the clock actually jumped (the stall / wait time).
-    pub fn advance_to(&mut self, t: SimTime) -> SimTime {
-        if t > self.now {
-            let waited = t - self.now;
-            self.now = t;
-            waited
-        } else {
-            SimTime::ZERO
-        }
-    }
-
-    /// Reset the clock back to zero.
-    pub fn reset(&mut self) {
-        self.now = SimTime::ZERO;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,23 +238,6 @@ mod tests {
     fn any_nonzero_wait_costs_a_cycle() {
         assert_eq!(SimTime::from_ps(1).to_cycles(2.6), 1);
         assert_eq!(SimTime::ZERO.to_cycles(2.6), 0);
-    }
-
-    #[test]
-    fn clock_advances_monotonically() {
-        let mut c = SimClock::new();
-        c.advance(SimTime::from_ns(7));
-        assert_eq!(c.now().as_ns(), 7.0);
-        // advance_to earlier time is a no-op
-        let waited = c.advance_to(SimTime::from_ns(3));
-        assert_eq!(waited, SimTime::ZERO);
-        assert_eq!(c.now().as_ns(), 7.0);
-        // advance_to later time reports the stall
-        let waited = c.advance_to(SimTime::from_ns(12));
-        assert_eq!(waited.as_ns(), 5.0);
-        assert_eq!(c.now().as_ns(), 12.0);
-        c.reset();
-        assert!(c.now().is_zero());
     }
 
     #[test]

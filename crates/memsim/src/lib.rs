@@ -25,7 +25,7 @@
 //!   `stress-ng --class vm --all 1` in the tail-latency experiments (Figs. 11–12).
 //! * [`cycles`] — core/interconnect clock domains and the Polling-vs-WFE cycle
 //!   accounting used by Figs. 13–14.
-//! * [`clock::SimClock`] / [`clock::SimTime`] — the virtual-time base used everywhere.
+//! * [`clock::SimTime`] — the virtual-time base used everywhere.
 //!
 //! All benchmark numbers produced by the workspace are *virtual time* computed from
 //! these models; the functional code paths (linking, GOT patching, message packing,
@@ -45,7 +45,7 @@ pub mod sharded;
 pub mod stress;
 
 pub use cache::{AccessKind, SetAssocCache};
-pub use clock::{SimClock, SimTime};
+pub use clock::SimTime;
 pub use config::{
     CacheGeometry, CacheLevelConfig, DramConfig, LatencyConfig, PrefetchConfig, TestbedConfig,
 };

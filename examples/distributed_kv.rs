@@ -103,15 +103,13 @@ fn main() {
     let key = 7usize;
     let (bank, slot) = (key % banks, key / banks);
     let rewrite = vec![0xEEu8; 64];
-    let mut handles = client.handles();
     let msg = spec(jam)
         .mode(InvocationMode::Injected)
         .args(indirect_put_args(key as u64, 16, 4))
         .usr(rewrite);
-    let sent = handles[bank % num_shards]
+    let sent = client.lanes_mut()[bank % num_shards]
         .send_spec(bank, slot, &msg)
         .expect("rewrite");
-    drop(handles);
     let burst = server
         .receive_burst(bank % num_shards, usize::MAX, sent.delivered())
         .unwrap();

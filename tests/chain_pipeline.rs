@@ -57,7 +57,7 @@ fn run_chained_fleet() -> (Vec<u64>, Vec<u8>, TwoChainsHost) {
     let (mut host, mut fleet) = build();
     let [lookup, filter, agg] = graph_elems(&host);
     let cfg = host.config().clone();
-    for (stream, mut lane) in fleet.handles().into_iter().enumerate() {
+    for (stream, lane) in fleet.lanes_mut().iter_mut().enumerate() {
         for bank in (0..cfg.banks).filter(|b| b % SHARDS == stream) {
             for slot in 0..cfg.mailboxes_per_bank {
                 let msg = spec(lookup)
@@ -90,7 +90,7 @@ fn run_sequential_fleet() -> (Vec<u64>, Vec<u8>, TwoChainsHost) {
     let elems = graph_elems(&host);
     let cfg = host.config().clone();
     let mut results = Vec::new();
-    for (stream, mut lane) in fleet.handles().into_iter().enumerate() {
+    for (stream, lane) in fleet.lanes_mut().iter_mut().enumerate() {
         for bank in (0..cfg.banks).filter(|b| b % SHARDS == stream) {
             for slot in 0..cfg.mailboxes_per_bank {
                 let mut carried = key_for(bank, slot);
@@ -159,12 +159,11 @@ fn chained_fleet_matches_sequential_sends() {
 /// One item through one mailbox: primary = first stage, chain = the rest.
 fn run_stage_walk_chained(stages: &[ElementId], key: u64) -> (u64, Vec<u8>) {
     let (mut host, mut fleet) = build();
-    let mut handles = fleet.handles();
     let mut msg = spec(stages[0]).local().args(graph_args(key));
     for &stage in &stages[1..] {
         msg = msg.then(stage);
     }
-    let sent = handles[0].send_spec(0, 0, &msg).unwrap();
+    let sent = fleet.lanes_mut()[0].send_spec(0, 0, &msg).unwrap();
     let out = host
         .receive(0, 0, Some(sent.wire_bytes), sent.delivered(), SimTime::ZERO)
         .unwrap();
@@ -179,11 +178,10 @@ fn run_stage_walk_chained(stages: &[ElementId], key: u64) -> (u64, Vec<u8>) {
 
 fn run_stage_walk_sequential(stages: &[ElementId], key: u64) -> (u64, Vec<u8>) {
     let (mut host, mut fleet) = build();
-    let mut handles = fleet.handles();
     let mut carried = key;
     for &elem in stages {
         let msg = spec(elem).local().args(graph_args(carried));
-        let sent = handles[0].send_spec(0, 0, &msg).unwrap();
+        let sent = fleet.lanes_mut()[0].send_spec(0, 0, &msg).unwrap();
         let out = host
             .receive(0, 0, Some(sent.wire_bytes), sent.delivered(), SimTime::ZERO)
             .unwrap();

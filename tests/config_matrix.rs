@@ -112,7 +112,7 @@ fn send(host: &TwoChainsHost, fleet: &mut SenderFleet, traffic: Traffic, round: 
         Traffic::Chains | Traffic::ChainsWithBogusStage => {
             let cfg = host.config();
             let streams = fleet.lane_count();
-            for (stream, mut lane) in fleet.handles().into_iter().enumerate() {
+            for (stream, lane) in fleet.lanes_mut().iter_mut().enumerate() {
                 for bank in (0..cfg.banks).filter(|b| b % streams == stream) {
                     for slot in 0..cfg.mailboxes_per_bank {
                         let nth = bank * cfg.mailboxes_per_bank + slot;

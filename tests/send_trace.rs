@@ -7,7 +7,7 @@
 //! that close one on capacity, frames that fit a mailbox but no container
 //! (posted standalone, alone and right behind a container they forced out),
 //! a Local round, a mixed round, and finally a plain and a chained
-//! `FleetLane::send_spec`. Per round it records the delivery horizons and
+//! `SenderLane::send_spec`. Per round it records the delivery horizons and
 //! lane clocks in picoseconds, a hash of every mailbox's full capacity (the
 //! wire bytes, container envelopes and leftovers included), each shard's
 //! `drained_at` and a hash of its results, and at the end every counter of
@@ -238,7 +238,7 @@ fn run_scenario(per_frame: bool, window: usize) -> String {
         .then(rig.host.builtin_id(BuiltinJam::GraphAggregate).unwrap());
     let mut horizons = [SimTime::ZERO; LANES];
     for (lane, (bank, slot, msg)) in [(2, 3, &plain), (1, 5, &chained)].into_iter().enumerate() {
-        let sent = rig.fleet.handles()[lane]
+        let sent = rig.fleet.lanes_mut()[lane]
             .send_spec(bank, slot, msg)
             .unwrap();
         horizons[lane] = sent.delivered();

@@ -183,7 +183,7 @@ fn a_warm_burst_of_three_stage_chains_allocates_per_burst_not_per_stage() {
     let cfg = host.config().clone();
     let counts = warm_burst_allocations(&mut host, &mut fleet, 6, |fleet, round| {
         let mut horizon = SimTime::ZERO;
-        let mut lane = fleet.handles().pop().unwrap();
+        let lane = fleet.lanes_mut().last_mut().unwrap();
         for bank in 0..cfg.banks {
             for slot in 0..cfg.mailboxes_per_bank {
                 let key = ((bank * 16 + slot) as u64 + 64 * round) | 1;
@@ -222,7 +222,7 @@ fn a_cold_injected_put_allocates_what_it_keeps_and_lowers_through() {
             .flat_map(|i| (i + n as u32).to_le_bytes())
             .collect();
         let msg = spec(elem).args(indirect_put_args(n + 1, 8, 4)).usr(usr);
-        let mut lane = fleet.handles().pop().unwrap();
+        let lane = fleet.lanes_mut().last_mut().unwrap();
         let sent = lane.send_spec(0, 0, &msg).unwrap();
         let (heap, out) = counted(|| host.receive(0, 0, None, sent.delivered(), now).unwrap());
         now = out.handler_done;
