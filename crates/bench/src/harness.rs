@@ -6,7 +6,9 @@
 //! jam execution, server-side table/array updates — happens for real.
 
 use twochains::builtin::{benchmark_package, indirect_put_args, ssum_args, BuiltinJam};
-use twochains::{ExecutionPolicy, InvocationMode, RuntimeConfig, TwoChainsHost, TwoChainsSender};
+use twochains::{
+    spec, ExecutionPolicy, InvocationMode, RuntimeConfig, TwoChainsHost, TwoChainsSender,
+};
 use twochains_fabric::SimFabric;
 use twochains_memsim::{CycleCounter, MemoryStressor, SimTime, TestbedConfig, WaitMode};
 
@@ -197,36 +199,32 @@ impl PingPong {
         for i in 0..(self.opts.warmup + iters) {
             let start = clock_a;
             // A -> B (ping)
-            let frame = self
-                .sender_ab
-                .pack(elem, mode, args_for(jam, n_ints, i as u64), usr.clone())
-                .expect("pack ping");
-            frame_bytes = frame.wire_size();
+            let msg = spec(elem)
+                .mode(mode)
+                .args(args_for(jam, n_ints, i as u64))
+                .usr(usr.clone());
             let sent = self
                 .sender_ab
-                .send(start, &frame, &target_b)
+                .send_spec(start, &msg, &target_b)
                 .expect("send ping");
+            frame_bytes = sent.wire_bytes;
             let out_b = self
                 .host_b
-                .receive(0, 0, Some(frame.wire_size()), sent.delivered(), b_ready)
+                .receive(0, 0, Some(sent.wire_bytes), sent.delivered(), b_ready)
                 .expect("receive ping");
             b_ready = out_b.handler_done;
 
             // B -> A (pong), carrying the same active message back.
-            let pong = self
-                .sender_ba
-                .pack(elem, mode, args_for(jam, n_ints, i as u64), usr.clone())
-                .expect("pack pong");
             let sent_back = self
                 .sender_ba
-                .send(out_b.handler_done, &pong, &target_a)
+                .send_spec(out_b.handler_done, &msg, &target_a)
                 .expect("send pong");
             let out_a = self
                 .host_a
                 .receive(
                     0,
                     0,
-                    Some(pong.wire_size()),
+                    Some(sent_back.wire_bytes),
                     sent_back.delivered(),
                     a_ready.max(sent.sender_free()),
                 )
@@ -321,15 +319,15 @@ impl InjectionRate {
             let mbox = i % total;
             let (bank, slot) = (mbox / per_bank, mbox % per_bank);
             let target = self.host_b.mailbox_target(bank, slot).unwrap();
-            let frame = self
-                .sender_ab
-                .pack(elem, mode, args_for(jam, n_ints, i as u64), usr.clone())
-                .expect("pack");
-            frame_bytes = frame.wire_size();
+            let msg = spec(elem)
+                .mode(mode)
+                .args(args_for(jam, n_ints, i as u64))
+                .usr(usr.clone());
             let sent = self
                 .sender_ab
-                .send(sender_clock, &frame, &target)
+                .send_spec(sender_clock, &msg, &target)
                 .expect("send");
+            frame_bytes = sent.wire_bytes;
             sender_clock = sent.sender_free();
             // The single receiver progress thread drains messages in order; draining
             // a mailbox frees its bank slot, which is the flow-control credit.
@@ -338,7 +336,7 @@ impl InjectionRate {
                 .receive(
                     bank,
                     slot,
-                    Some(frame.wire_size()),
+                    Some(sent.wire_bytes),
                     sent.delivered(),
                     receiver_ready,
                 )

@@ -107,7 +107,7 @@ pub struct RuntimeConfig {
     /// `sender_streams == num_shards` gives each drain shard a dedicated
     /// initiator and the fill/drain pipeline never crosses streams.
     pub sender_streams: usize,
-    /// Per-stream completion-queue depth (the transmit window): a sender lane
+    /// Per-stream transmit-window depth: a sender lane
     /// with this many puts outstanding must harvest completions before posting
     /// more. Back-pressure is per stream — one saturated stream never stalls
     /// its siblings.

@@ -272,6 +272,11 @@ impl CreditReturn {
         self.nack.is_some()
     }
 
+    /// How many mailboxes the stream owns (rows × `per_bank`).
+    pub(crate) fn slots(&self) -> usize {
+        self.drains.len()
+    }
+
     /// Lifetime flush totals `(flush puts, wire bytes, largest span)` —
     /// cumulative since construction, immune to stats resets (module docs).
     pub(crate) fn lifetime_flush_totals(&self) -> (u64, u64, u64) {

@@ -101,14 +101,16 @@
 //!
 //! # The flow-control contract
 //!
-//! Every lane's send posts the put's delivery into the lane's own
-//! [`CompletionQueue`] — one queue per lane, built at connect and owned by the
-//! [`SenderLane`] it throttles. The queue depth
-//! ([`RuntimeConfig::completion_window`]) is the transmit window: a lane that
-//! fills it harvests its completions (charged the per-entry software cost,
-//! counted in [`RuntimeStats::sends_backpressured`] /
-//! [`RuntimeStats::completions_harvested`]) before posting more. No lane can
-//! name another's queue, so back-pressure pauses only the affected stream.
+//! A lane's transmit window is the delivery times of its own unharvested
+//! puts, oldest first: every put a lane posts adds its delivery time, and
+//! [`RuntimeConfig::completion_window`] bounds how many it may hold. A lane
+//! whose window is full waits (in lane-virtual time) until its oldest put is
+//! delivered, then harvests every entry delivered by then, oldest first and
+//! stopping at the first still in flight — 55 ns of software bookkeeping an
+//! entry, the UCX-like baseline's per-completion cost — before posting more
+//! (counted in [`RuntimeStats::sends_backpressured`] /
+//! [`RuntimeStats::completions_harvested`]). No lane can reach another's
+//! window, so back-pressure pauses only the affected stream.
 //!
 //! # The send pipeline
 //!
@@ -123,7 +125,7 @@
 //! | 1 build | `SenderLane::build` | the payload generator turns a [`SlotCtx`] into a [`MessageSpec`] |
 //! | 2 encode | `TwoChainsSender::encode_next` | sections validated, template looked up, sequence number stamped, wire bytes written into the lane's scratch |
 //! | 3 accumulate | `SenderLane::post` | flush triggers (bank boundary, `BATCH_FILL`, latency watermark, then carrier capacity), append to the open container — or hand a frame that may not share one to stage 4 alone |
-//! | 4 post | `post_standalone` / `flush` → `post_container` | the lane's window (`harvest_if_full`), one put tracked by it (`put_frame` / `put_batch`), `remember` on an armed lane |
+//! | 4 post | `post_standalone` / `flush` → `post_container` | the lane's window (`harvest_if_full`), one put (`put_frame` / `put_batch`) whose delivery time joins the window, `remember` on an armed lane |
 //! | 5 await credit | `LaneRun::acquire` / `collect_final_credits` (`try_acquire_slot`), and while starved `CreditWait::idle` (`poll_nacks`, watchdog, spin / park) | which slots may be refilled |
 //! | 6 retransmit | `SenderLane::retransmit` | live posted entries re-put byte-identically: the one a NACK names, or all of them |
 //!
@@ -153,7 +155,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use twochains_fabric::{AccessFlags, CompletionQueue, HostId, SimFabric};
+use twochains_fabric::{AccessFlags, HostId, SimFabric};
 use twochains_jamvm::GotImage;
 use twochains_linker::{ElementId, Package};
 use twochains_memsim::{AccessKind, CoreBus, MemoryBus, SimTime};
@@ -194,6 +196,9 @@ const WATCHDOG_CLAMP: Duration = Duration::from_millis(10);
 /// the same frames is broken, not lossy, and spinning forever would just
 /// deadlock the pipeline with no diagnosis.
 const RETRY_BUDGET: u32 = 32;
+/// Software cost of harvesting one entry of a lane's transmit window: the
+/// per-completion bookkeeping the UCX-like baseline pays.
+const HARVEST_COST: SimTime = SimTime::from_ns(55);
 
 /// One mailbox a sender stream owns: its coordinates on the receiver and the
 /// target descriptor to aim the one-sided put at.
@@ -310,8 +315,8 @@ struct OpenBatch {
 /// sequence space, template cache, statistics), the mailbox targets it owns,
 /// its [`BankFlags`] credit table (the flag region the receiver's credit puts
 /// land in, registered in this sender's address space), its transmit window
-/// (the [`CompletionQueue`] every put of this lane is tracked by), the core
-/// bus its credit polls are charged through, and its private virtual clock.
+/// (the delivery times of its unharvested puts), the core bus its credit
+/// polls are charged through, and its private virtual clock.
 /// `Send`, so a fleet can park one lane per OS thread.
 #[derive(Debug)]
 pub struct SenderLane {
@@ -334,9 +339,11 @@ pub struct SenderLane {
     /// pristine link nothing is remembered, no NACK row is polled and no
     /// watchdog fires, so the lossless path pays nothing for the machinery.
     armed: bool,
-    /// The lane's transmit window: every data-path put posts its delivery
-    /// here, and a full queue is harvested before the next put.
-    completions: CompletionQueue,
+    /// The lane's transmit window: the delivery time of every data-path put
+    /// not yet harvested, oldest first. Holding `window` of them, the lane
+    /// harvests before its next put.
+    completions: VecDeque<SimTime>,
+    window: usize,
     /// Every put still owed a credit, oldest first (armed lanes only).
     pub(super) posted: Vec<Posted>,
     /// Whether the most recent frame sent to each owned slot is still
@@ -363,7 +370,7 @@ impl SenderLane {
         mut sender: TwoChainsSender,
         flags: BankFlags,
         nacks: NackFlags,
-        completions: CompletionQueue,
+        window: usize,
         bus: CoreBus,
         policy: AggregationPolicy,
     ) -> Self {
@@ -390,7 +397,8 @@ impl SenderLane {
             flags,
             nacks,
             posted: Vec::new(),
-            completions,
+            completions: VecDeque::with_capacity(window),
+            window,
             bus,
             clock: SimTime::ZERO,
             policy,
@@ -525,12 +533,8 @@ impl SenderLane {
     fn post_standalone(&mut self, idx: usize, sn: u32) -> AmResult<AmSendOutcome> {
         self.harvest_if_full();
         let target = &self.targets[idx].target;
-        let sent = self.sender.put_frame(
-            self.clock,
-            &self.frame_buf,
-            target,
-            Some(&mut self.completions),
-        )?;
+        let sent = self.sender.put_frame(self.clock, &self.frame_buf, target)?;
+        self.completions.push_back(sent.delivered());
         self.clock = sent.sender_free();
         if self.armed {
             let entry = Posted {
@@ -567,8 +571,8 @@ impl SenderLane {
             &self.batch_buf,
             self.open.frames.len(),
             &self.targets[carrier].target,
-            Some(&mut self.completions),
         )?;
+        self.completions.push_back(sent.delivered());
         self.clock = sent.sender_free();
         if self.armed {
             let entry = Posted {
@@ -648,19 +652,31 @@ impl SenderLane {
     }
 
     /// Stage *post*, window: per-stream flow control shared by every put. A
-    /// full completion window is first harvested at the earliest completion
-    /// horizon, charging the harvest cost to this lane's clock and counting
-    /// the stall.
+    /// full window is harvested once before the put, and the stall counted.
     fn harvest_if_full(&mut self) {
-        let cq = &mut self.completions;
-        if cq.outstanding() >= cq.capacity() {
-            let ready_at = cq.earliest_ready(self.clock);
-            let (done, cost) = cq.poll(ready_at);
-            let stats = self.sender.stats_mut();
-            stats.sends_backpressured += 1;
-            stats.completions_harvested += done.len() as u64;
-            self.clock = ready_at + cost;
+        if self.completions.len() >= self.window {
+            self.sender.stats_mut().sends_backpressured += 1;
+            self.harvest_oldest();
         }
+    }
+
+    /// Wait (in lane time) until the oldest put in the window is delivered,
+    /// then harvest every entry delivered by then, oldest first, at
+    /// [`HARVEST_COST`] each. Returns how many were harvested (0 when the
+    /// window is empty).
+    fn harvest_oldest(&mut self) -> usize {
+        let Some(&oldest) = self.completions.front() else {
+            return 0;
+        };
+        let horizon = self.clock.max(oldest);
+        let mut done = 0;
+        while self.completions.front().is_some_and(|&t| t <= horizon) {
+            self.completions.pop_front();
+            done += 1;
+        }
+        self.sender.stats_mut().completions_harvested += done as u64;
+        self.clock = horizon + HARVEST_COST * done as u64;
+        done
     }
 
     /// Send one [`MessageSpec`] — single-element or chained — to a specific
@@ -755,10 +771,6 @@ impl SenderFleet {
         // descriptors collected for the reverse half of the exchange.
         let sender_host = fabric.host(src)?;
         let num_cores = sender_host.hierarchy().num_cores();
-        // Per-entry harvest cost: the same software bookkeeping constant the
-        // UCX-like baseline pays, taken from its single definition so a
-        // retuned baseline can never silently diverge from the fleet.
-        let harvest_cost = CompletionQueue::ucx_default().harvest_cost();
         let mut credit_handshakes = Vec::with_capacity(session.streams.len());
         let lanes = session
             .streams
@@ -800,7 +812,7 @@ impl SenderFleet {
                     TwoChainsSender::new(endpoint, package.clone()),
                     flags,
                     nacks,
-                    CompletionQueue::new(window, harvest_cost),
+                    window,
                     bus,
                     host.config().aggregation_policy,
                 ))
@@ -848,22 +860,17 @@ impl SenderFleet {
         }
     }
 
-    /// Harvest every completion on every stream's queue (bench housekeeping
-    /// between phases). Each lane's clock waits to each entry's own readiness
-    /// horizon and pays the per-entry harvest cost, same as a back-pressure
-    /// harvest; the counts land in
+    /// Empty every stream's transmit window (bench housekeeping between
+    /// phases). Each lane's clock waits to each entry's own delivery and pays
+    /// the per-entry harvest cost, same as a back-pressure harvest; the
+    /// counts land in
     /// [`RuntimeStats::completions_harvested`](crate::stats::RuntimeStats::completions_harvested).
     /// Returns the number harvested across the fleet.
     pub fn harvest_completions(&mut self) -> usize {
         let mut harvested = 0usize;
         for lane in &mut self.lanes {
-            let cq = &mut lane.completions;
-            while cq.outstanding() > 0 {
-                let horizon = cq.earliest_ready(lane.clock);
-                let (done, cost) = cq.poll(horizon);
-                lane.sender.stats_mut().completions_harvested += done.len() as u64;
-                lane.clock = lane.clock.max(horizon) + cost;
-                harvested += done.len();
+            while !lane.completions.is_empty() {
+                harvested += lane.harvest_oldest();
             }
         }
         harvested

@@ -875,13 +875,14 @@ impl TwoChainsHost {
             }
         }
         for (shard, credit) in self.shards.iter_mut().zip(returns) {
-            shard.credit = credit;
             // A new handshake means a new sender sequence space (a freshly
             // connected fleet's lanes count from 1 again): stale replay
             // watermarks or suspected gaps from the previous pairing would
             // silently suppress — or spuriously NACK — the new lanes' frames.
+            // The watcher holds at most one suspect per slot the stream owns.
+            shard.watch = super::shard::SeqWatch::new(credit.as_ref().map_or(0, |c| c.slots()));
+            shard.credit = credit;
             shard.replay.clear();
-            shard.watch = super::shard::SeqWatch::default();
         }
         Ok(())
     }

@@ -6,12 +6,12 @@
 //! library built from the installed package, and the reactive mailbox banks.
 //!
 //! A [`TwoChainsSender`] is the initiator-side object: it packs frames (patching in
-//! the GOT image the receiver exported during setup), pushes them with one one-sided
-//! put, and tracks flow-control credits. A [`SenderFleet`] promotes it to a
+//! the GOT image the receiver exported during setup) and pushes them with one
+//! one-sided put. A [`SenderFleet`] promotes it to a
 //! first-class multi-sender runtime: one sender per *stream* (stream `s` of `S`
 //! owns the banks with `bank % S == s`, mirroring the receiver's shard map),
 //! each with its own endpoint, sequence space, template cache and statistics,
-//! flow-controlled by the completion window it owns and thread-capable — the
+//! flow-controlled by the transmit window it keeps and thread-capable — the
 //! fleet can fill banks from one OS thread per lane while the receiver shards
 //! drain, up to the fully overlapped fill/drain pipeline of [`drive_pipeline`]
 //! (the handshake and flow-control contract are documented on [`SenderFleet`]).
@@ -141,10 +141,14 @@
 //! * *Frame-template cache* — per element, the patched GOT image and encoded code
 //!   are captured once as `Arc<[u8]>`; later sends memcpy them straight into the
 //!   wire buffer. [`RuntimeStats::template_hits`]/`_misses` count the split.
-//! * *Scratch encode buffer* — [`TwoChainsSender::send`] and
-//!   [`TwoChainsSender::send_spec`] encode into one reusable `Vec<u8>`
-//!   ([`Frame::encode_into`](crate::frame::Frame::encode_into)), so a steady-state
-//!   send performs a single memcpy into the mailbox put and no heap allocation.
+//! * *One send, one encoder* — [`TwoChainsSender::send_spec`] is the sender's
+//!   only send; it and every fleet lane encode through
+//!   [`TwoChainsSender::encode_next`] into one reusable `Vec<u8>`, so a
+//!   steady-state send performs a single memcpy into the mailbox put and no
+//!   heap allocation.
+//! * *Transmit window* — a bare sender has none; each fleet lane keeps the
+//!   delivery times of its unharvested puts and harvests them when the
+//!   window is full (see [`SenderFleet`]).
 //!
 //! # Receiver-side chains (the chain dispatch contract)
 //!
@@ -197,7 +201,7 @@
 //! selects the behaviour:
 //!
 //! * [`AggregationPolicy::PerFrame`](crate::config::AggregationPolicy) — the
-//!   compatibility contract: one tracked put per frame, byte-identical on the
+//!   compatibility contract: one put per frame, byte-identical on the
 //!   wire to a pre-aggregation [`TwoChainsSender`] (pinned by
 //!   `tests/frame_aggregation.rs`).
 //! * [`AggregationPolicy::Adaptive`](crate::config::AggregationPolicy) (the
@@ -350,8 +354,8 @@ impl BurstOutcome {
 /// Outcome of sending one active message.
 #[derive(Debug, Clone, Copy)]
 pub struct AmSendOutcome {
-    /// Frame-packing cost on the sending CPU.
-    pub pack_cost: SimTime,
+    /// Frame-packing time on the sending CPU.
+    pub pack_time: SimTime,
     /// The underlying one-sided put timing.
     pub put: PutOutcome,
     /// Total bytes on the wire.
@@ -366,6 +370,6 @@ impl AmSendOutcome {
 
     /// When the sending CPU is free again.
     pub fn sender_free(&self) -> SimTime {
-        self.pack_cost + self.put.sender_free
+        self.pack_time + self.put.sender_free
     }
 }

@@ -1,16 +1,19 @@
 //! The initiator-side runtime: frame packing, template caching and one-sided puts.
 //!
-//! A [`TwoChainsSender`] packs frames (patching in the GOT image the receiver
-//! exported during setup), pushes them with one one-sided put, and tracks
-//! statistics. Its steady-state fast path mirrors the receiver's caches: a
-//! per-element frame template (pre-patched GOT + encoded code as `Arc<[u8]>`) and
-//! one reusable wire-encode buffer make a warm send a pure memcpy.
+//! A [`TwoChainsSender`] has one way to send: [`TwoChainsSender::send_spec`]
+//! encodes a [`MessageSpec`]'s frame (patching in the GOT image the receiver
+//! exported during setup) and pushes it with one one-sided put. It has one
+//! encoder, [`TwoChainsSender::encode_next`], which the fleet's lanes and any
+//! caller that needs wire bytes without a put go through too. Its
+//! steady-state fast path mirrors the receiver's caches: a per-element frame
+//! template (pre-patched GOT + encoded code as `Arc<[u8]>`) and one reusable
+//! wire-encode buffer make a warm send a pure memcpy.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use twochains_fabric::{CompletionQueue, Endpoint};
+use twochains_fabric::Endpoint;
 use twochains_jamvm::GotImage;
 use twochains_linker::{ElementId, Package};
 use twochains_memsim::SimTime;
@@ -20,9 +23,14 @@ use super::AmSendOutcome;
 use crate::builtin::BuiltinJam;
 use crate::config::InvocationMode;
 use crate::error::{AmError, AmResult};
-use crate::frame::{encode_wire_into, Frame, BATCH_OVERHEAD, BATCH_PREFIX_SIZE};
+use crate::frame::{encode_wire_into, BATCH_OVERHEAD, BATCH_PREFIX_SIZE};
 use crate::mailbox::MailboxTarget;
 use crate::stats::RuntimeStats;
+
+/// Fixed packing cost per frame (the message packing routines of §III-A).
+const PACK_FIXED: SimTime = SimTime::from_ns(35);
+/// Per-byte packing cost, in nanoseconds.
+const PACK_NS_PER_BYTE: f64 = 0.002;
 
 /// A sender-side cached frame template for one element: the receiver-patched GOT
 /// image and the encoded code, captured once and memcpy'd into every later frame.
@@ -43,10 +51,6 @@ pub struct TwoChainsSender {
     /// Reusable wire-encode buffer; steady-state sends do not allocate.
     encode_buf: Vec<u8>,
     sn: u32,
-    /// Per-byte frame packing cost (the message packing routines of §III-A).
-    pack_ns_per_byte: f64,
-    /// Fixed packing overhead.
-    pack_fixed: SimTime,
     stats: RuntimeStats,
 }
 
@@ -70,8 +74,6 @@ impl TwoChainsSender {
             templates: HashMap::new(),
             encode_buf: Vec::new(),
             sn: 0,
-            pack_ns_per_byte: 0.002,
-            pack_fixed: SimTime::from_ns(35),
             stats: RuntimeStats::new(),
         }
     }
@@ -115,62 +117,11 @@ impl TwoChainsSender {
         }
     }
 
-    /// Pack a frame for element `elem` with the given invocation mode, argument block
-    /// and payload. Injected frames require the receiver's GOT image to have been set
-    /// with [`TwoChainsSender::set_remote_got`].
-    ///
-    /// This materialises an owned [`Frame`] (useful for inspection and tests); the
-    /// allocation-free path is [`TwoChainsSender::send_spec`].
-    pub fn pack(
-        &mut self,
-        elem: ElementId,
-        mode: InvocationMode,
-        args: Vec<u8>,
-        usr: Vec<u8>,
-    ) -> AmResult<Frame> {
-        crate::frame::validate_section_lens(&[], &[], &args, &usr)?;
-        self.sn = self.sn.wrapping_add(1);
-        let sn = self.sn;
-        let frame = match mode {
-            InvocationMode::Local => Frame::local(sn, elem.0, args, usr),
-            InvocationMode::Injected => {
-                let tpl = self.template(elem)?;
-                crate::frame::validate_section_lens(&tpl.got, &tpl.code, &args, &usr)?;
-                Frame::injected(sn, elem.0, tpl.got.to_vec(), tpl.code.to_vec(), args, usr)
-            }
-        };
-        Ok(frame)
-    }
-
-    /// Cost of packing `frame` on the sending CPU.
-    pub fn pack_cost(&self, frame: &Frame) -> SimTime {
-        self.pack_cost_for_len(frame.wire_size())
-    }
-
-    /// The §III-A packing cost model for a frame of `len` wire bytes — the single
-    /// definition both [`TwoChainsSender::pack_cost`] and the send paths charge.
-    fn pack_cost_for_len(&self, len: usize) -> SimTime {
-        self.pack_fixed + SimTime::from_ns_f64(len as f64 * self.pack_ns_per_byte)
-    }
-
-    /// Send an already-packed frame: encode into the reusable scratch buffer and put.
-    pub fn send(
-        &mut self,
-        now: SimTime,
-        frame: &Frame,
-        target: &MailboxTarget,
-    ) -> AmResult<AmSendOutcome> {
-        self.with_scratch(|sender, buf| {
-            frame.encode_into(buf);
-            sender.put_frame(now, buf, target, None)
-        })
-    }
-
     /// The allocation-free send path for a [`MessageSpec`]: encode the spec's
     /// frame (single-element or chained) directly from the template cache and
     /// the spec's borrowed sections into the reusable scratch buffer, then
-    /// put. The put is not completion-tracked: a bare sender has no transmit
-    /// window — the [`SenderFleet`](super::SenderFleet)'s lanes each own one.
+    /// put. A bare sender has no transmit window — the
+    /// [`SenderFleet`](super::SenderFleet)'s lanes each keep one.
     ///
     /// The spec is borrowed, not consumed: build it once, send it every
     /// iteration — steady-state sends perform zero heap allocations.
@@ -180,32 +131,24 @@ impl TwoChainsSender {
         spec: &MessageSpec,
         target: &MailboxTarget,
     ) -> AmResult<AmSendOutcome> {
-        self.with_scratch(|sender, buf| {
-            sender.encode_next(spec, buf)?;
-            sender.put_frame(now, buf, target, None)
-        })
-    }
-
-    /// Run `body` with the reusable wire-encode buffer lent out of `self`, so
-    /// the sender's own sends can encode into it and put from it; the buffer
-    /// (and its capacity) comes back whether `body` succeeds or not.
-    fn with_scratch<T>(
-        &mut self,
-        body: impl FnOnce(&mut Self, &mut Vec<u8>) -> AmResult<T>,
-    ) -> AmResult<T> {
+        // The buffer (and its capacity) comes back whether the send succeeds
+        // or not.
         let mut buf = std::mem::take(&mut self.encode_buf);
-        let result = body(self, &mut buf);
+        let sent = self
+            .encode_next(spec, &mut buf)
+            .and_then(|_| self.put_frame(now, &buf, target));
         self.encode_buf = buf;
-        result
+        sent
     }
 
     /// Encode the next message for `spec` into `buf` (cleared first) without
-    /// sending it — the one encoder every spec-built frame goes through, the
-    /// sender's own sends and the fleet's lanes alike. Validates the sections
-    /// (against the wire fields, then together with the element's template),
-    /// builds the chain descriptor and only then stamps the next sequence
-    /// number, so a refused spec burns none. Returns the stamped number.
-    pub(crate) fn encode_next(&mut self, spec: &MessageSpec, buf: &mut Vec<u8>) -> AmResult<u32> {
+    /// sending it — the one encoder every frame goes through: the sender's own
+    /// sends, the fleet's lanes, and callers that only want the wire bytes.
+    /// Validates the sections (against the wire fields, then together with
+    /// the element's template), builds the chain descriptor and only then
+    /// stamps the next sequence number, so a refused spec burns none. Returns
+    /// the stamped number.
+    pub fn encode_next(&mut self, spec: &MessageSpec, buf: &mut Vec<u8>) -> AmResult<u32> {
         let (elem, args, usr) = (spec.elem(), spec.args_bytes(), spec.usr_bytes());
         crate::frame::validate_section_lens(&[], &[], args, usr)?;
         let chain = spec.chain_descriptor()?;
@@ -226,15 +169,14 @@ impl TwoChainsSender {
     }
 
     /// The one place a data-path put is issued: capacity check, then one put
-    /// `pack_cost` after `now` (completion-tracked through `cq` when given).
-    /// Touches no counter — the two callers below count differently.
+    /// `pack_time` after `now`. Touches no counter — the two callers below
+    /// count differently.
     fn put(
         &mut self,
         now: SimTime,
-        pack_cost: SimTime,
+        pack_time: SimTime,
         bytes: &[u8],
         target: &MailboxTarget,
-        cq: Option<&mut CompletionQueue>,
     ) -> AmResult<AmSendOutcome> {
         if bytes.len() > target.capacity {
             return Err(AmError::FrameTooLarge {
@@ -242,19 +184,11 @@ impl TwoChainsSender {
                 capacity: target.capacity,
             });
         }
-        let issue_at = now + pack_cost;
-        let put = match cq {
-            Some(cq) => {
-                self.endpoint
-                    .put_tracked(issue_at, bytes, &target.region, target.offset, cq)?
-                    .1
-            }
-            None => self
-                .endpoint
-                .put(issue_at, bytes, &target.region, target.offset)?,
-        };
+        let put = self
+            .endpoint
+            .put(now + pack_time, bytes, &target.region, target.offset)?;
         Ok(AmSendOutcome {
-            pack_cost,
+            pack_time,
             put,
             wire_bytes: bytes.len(),
         })
@@ -267,9 +201,9 @@ impl TwoChainsSender {
         now: SimTime,
         bytes: &[u8],
         target: &MailboxTarget,
-        cq: Option<&mut CompletionQueue>,
     ) -> AmResult<AmSendOutcome> {
-        let sent = self.put(now, self.pack_cost_for_len(bytes.len()), bytes, target, cq)?;
+        let pack_time = PACK_FIXED + SimTime::from_ns_f64(bytes.len() as f64 * PACK_NS_PER_BYTE);
+        let sent = self.put(now, pack_time, bytes, target)?;
         self.stats.messages_sent += 1;
         self.stats.bytes_sent += bytes.len() as u64;
         Ok(sent)
@@ -281,7 +215,7 @@ impl TwoChainsSender {
     /// (`frames` × fixed + container bytes × per-byte — marshalling every
     /// frame is real work the batch cannot skip); what the batch amortizes is
     /// the *posting*: one NIC doorbell, one tx-pipeline serialization, one
-    /// completion-queue entry for the whole container. Counters: every inner
+    /// transmit-window entry for the whole container. Counters: every inner
     /// frame lands in `messages_sent` exactly as a standalone send would, and
     /// the container shape is recorded in `batch_puts`/`batched_frames`.
     pub(crate) fn put_batch(
@@ -290,12 +224,11 @@ impl TwoChainsSender {
         bytes: &[u8],
         frames: usize,
         target: &MailboxTarget,
-        cq: Option<&mut CompletionQueue>,
     ) -> AmResult<AmSendOutcome> {
-        let pack_cost = SimTime::from_ns_f64(
-            self.pack_fixed.as_ns() * frames as f64 + bytes.len() as f64 * self.pack_ns_per_byte,
+        let pack_time = SimTime::from_ns_f64(
+            PACK_FIXED.as_ns() * frames as f64 + bytes.len() as f64 * PACK_NS_PER_BYTE,
         );
-        let sent = self.put(now, pack_cost, bytes, target, cq)?;
+        let sent = self.put(now, pack_time, bytes, target)?;
         // `bytes_sent` counts the *frame* bytes (what a per-frame schedule
         // would have counted), so the counter stays schedule-invariant — how
         // frames grouped into containers depends on credit arrival timing.

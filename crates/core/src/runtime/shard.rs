@@ -25,7 +25,7 @@
 //! crate's multi-threaded drain driver does exactly that with
 //! `std::thread::scope`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use twochains_jamvm::{hash64_bytes, Segment, ShardSpace};
@@ -162,15 +162,24 @@ impl DrainCtx<'_> {
 /// drained (a scan visits every owned bank), so the frame is genuinely
 /// missing, not merely jumbled. On a lossless fabric this watcher never posts
 /// a NACK.
+///
+/// **Bounded.** A stream can have at most as many frames missing at once as
+/// it owns slots — each slot holds at most one frame awaiting its credit —
+/// so the watcher holds at most `bound` (the stream's slot count, set when
+/// the credit path is installed) suspected numbers. A gap that would push
+/// past it cannot be a real loss (a foreign sequence space, or a hostile
+/// header stepping its numbers): it advances `hi` without recording, so no
+/// run of well-formed frames can grow the watcher or the host time it costs.
+/// A reported number is forgotten: a NACK is an acceleration, and the
+/// sender's watchdog, not a second NACK, is the backstop for a lost one.
 #[derive(Debug, Default)]
 pub(crate) struct SeqWatch {
     /// Highest sequence number processed so far (executed or suppressed).
     hi: u32,
     /// Suspected-missing sns → the scan generation that first recorded them.
     pending: HashMap<u32, u64>,
-    /// Sns already reported; kept so one loss produces one NACK (the sender's
-    /// watchdog, not repeated NACKs, backstops a lost NACK put).
-    nacked: HashSet<u32>,
+    /// Most suspected sns held at once: the stream's slot count.
+    bound: usize,
     /// Completed full scans (bumped by `end_scan`).
     generation: u64,
 }
@@ -182,25 +191,26 @@ impl SeqWatch {
     /// scan); the second is margin for a frame that landed mid-scan after its
     /// bank was already polled.
     const NACK_AGE: u64 = 2;
-    /// Largest believable gap. The in-flight window is bounded by the lane's
-    /// slot count, so a jump beyond this indicates a foreign sequence space
-    /// (or a hostile header) — recording millions of "missing" sns from one
-    /// frame would be a one-put memory DoS, so oversized jumps advance `hi`
-    /// without recording.
-    const MAX_GAP: u32 = 1 << 16;
+
+    /// A watcher for a stream owning `slots` mailboxes.
+    pub(crate) fn new(slots: usize) -> Self {
+        SeqWatch {
+            bound: slots,
+            ..SeqWatch::default()
+        }
+    }
 
     /// Note one processed frame (executed *or* suppressed as a replay): clear
-    /// it from the suspect lists and record any new gap it reveals.
+    /// it from the suspects and record any new gap it reveals that fits.
     pub(crate) fn note(&mut self, sn: u32) {
         self.pending.remove(&sn);
-        self.nacked.remove(&sn);
         if sn_newer(sn, self.hi) {
             // The sender's sequence space starts at 1, so the initial
             // `hi == 0` state records a genuine gap too: seeing sn 3 first
             // means sns 1 and 2 are outstanding (jumbled or lost).
-            let gap = sn.wrapping_sub(self.hi).wrapping_sub(1);
-            if gap > 0 && gap <= Self::MAX_GAP {
-                for d in 1..=gap {
+            let gap = sn.wrapping_sub(self.hi).wrapping_sub(1) as usize;
+            if gap > 0 && self.pending.len() + gap <= self.bound {
+                for d in 1..=gap as u32 {
                     let missing = self.hi.wrapping_add(d);
                     self.pending.entry(missing).or_insert(self.generation);
                 }
@@ -211,7 +221,7 @@ impl SeqWatch {
 
     /// Close one full bank scan: entries that have now outlived
     /// [`Self::NACK_AGE`] completed scans are returned (sorted, for
-    /// deterministic NACK order) and moved to the reported set.
+    /// deterministic NACK order) and forgotten.
     pub(crate) fn end_scan(&mut self) -> Vec<u32> {
         self.generation += 1;
         let generation = self.generation;
@@ -224,7 +234,6 @@ impl SeqWatch {
         due.sort_unstable();
         for sn in &due {
             self.pending.remove(sn);
-            self.nacked.insert(*sn);
         }
         due
     }
@@ -415,6 +424,33 @@ mod tests {
         for (i, code) in sequence.iter().enumerate() {
             assert_eq!(memo.of(code), hash64_bytes(code), "section {i}");
         }
+    }
+
+    /// Well-formed sequence numbers stepping by 65 536 (a hostile header's
+    /// choice) once left 65 535 suspects per frame that nothing freed. The
+    /// watcher now holds at most one per slot of the stream, and a real loss
+    /// inside that bound is still suspected, then reported once.
+    #[test]
+    fn the_gap_watcher_never_holds_more_suspects_than_its_stream_has_slots() {
+        let mut watch = SeqWatch::new(64);
+        for i in 0..200u32 {
+            watch.note(1 + (i << 16));
+            let held = watch.pending.len();
+            assert!(held <= 64, "frame {i}: {held} suspects");
+            assert!(
+                watch.end_scan().is_empty(),
+                "no lane could leave these gaps"
+            );
+        }
+        let mut watch = SeqWatch::new(4);
+        watch.note(3); // 1 and 2 suspected
+        watch.note(6); // 4 and 5: four suspects, the bound
+        watch.note(8); // 7 would be a fifth: not recorded
+        assert_eq!(watch.pending.len(), 4);
+        assert!(watch.end_scan().is_empty());
+        assert_eq!(watch.end_scan(), vec![1, 2, 4, 5]);
+        assert!(watch.pending.is_empty());
+        assert!(watch.end_scan().is_empty());
     }
 
     #[test]

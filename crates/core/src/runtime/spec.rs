@@ -3,9 +3,10 @@
 //!
 //! Every send — single-element or chained, through a bare
 //! [`TwoChainsSender`](super::TwoChainsSender) or a
-//! [`SenderFleet`](super::SenderFleet) lane (which tracks the put in its own
-//! transmit window) — is described by one `MessageSpec` built with the same
-//! fluent chain:
+//! [`SenderFleet`](super::SenderFleet) lane (which counts the put against its
+//! own transmit window) — is described by one `MessageSpec` built with the
+//! same fluent chain, and every frame is encoded from one by
+//! [`TwoChainsSender::encode_next`](super::TwoChainsSender::encode_next):
 //!
 //! ```
 //! use twochains::{spec, ChainArgMap, ElementId};

@@ -11,6 +11,7 @@ use crate::builtin::{benchmark_package, indirect_put_args, ssum_args, BuiltinJam
 use crate::config::{InvocationMode, RuntimeConfig};
 use crate::error::AmError;
 use crate::frame::Frame;
+use crate::mailbox::MailboxTarget;
 use crate::stats::RuntimeStats;
 
 /// Build the standard two-host testbed with the benchmark package installed on
@@ -36,6 +37,26 @@ fn msg(elem: ElementId, mode: InvocationMode, args: &[u8], usr: &[u8]) -> Messag
     super::spec(elem).mode(mode).args(args).usr(usr)
 }
 
+/// The frame `tx` encodes next for `message` (its sequence number spent), as
+/// an owned [`Frame`] a test can edit before putting it with [`put_raw`].
+fn encoded(tx: &mut TwoChainsSender, message: &MessageSpec) -> Frame {
+    let mut wire = Vec::new();
+    tx.encode_next(message, &mut wire).unwrap();
+    Frame::decode(&wire).unwrap()
+}
+
+/// Put a (forged) frame's bytes into `target` with a raw put — no packing
+/// cost, no sender counter — and return when it is delivered.
+fn put_raw(tx: &mut TwoChainsSender, frame: &Frame, target: &MailboxTarget) -> SimTime {
+    let put = tx.endpoint_mut().put(
+        SimTime::ZERO,
+        &frame.encode(),
+        &target.region,
+        target.offset,
+    );
+    put.unwrap().delivered
+}
+
 fn payload(n_ints: usize) -> Vec<u8> {
     (0..n_ints as u32)
         .flat_map(|v| (v + 1).to_le_bytes())
@@ -46,19 +67,11 @@ fn payload(n_ints: usize) -> Vec<u8> {
 fn injected_server_side_sum_end_to_end() {
     let (mut rx, mut tx) = testbed(RuntimeConfig::paper_default());
     let id = rx.builtin_id(BuiltinJam::ServerSideSum).unwrap();
-    let frame = tx
-        .pack(id, InvocationMode::Injected, ssum_args(8), payload(8))
-        .unwrap();
+    let message = msg(id, InvocationMode::Injected, &ssum_args(8), &payload(8));
     let target = rx.mailbox_target(0, 0).unwrap();
-    let send = tx.send(SimTime::ZERO, &frame, &target).unwrap();
+    let send = tx.send_spec(SimTime::ZERO, &message, &target).unwrap();
     let out = rx
-        .receive(
-            0,
-            0,
-            Some(frame.wire_size()),
-            send.delivered(),
-            SimTime::ZERO,
-        )
+        .receive(0, 0, Some(send.wire_bytes), send.delivered(), SimTime::ZERO)
         .unwrap();
     assert_eq!(out.result, (1..=8u64).sum::<u64>());
     assert!(out.handler_done > send.delivered());
@@ -76,18 +89,10 @@ fn local_and_injected_produce_identical_results() {
     let target = rx.mailbox_target(0, 0).unwrap();
     let mut results = Vec::new();
     for mode in InvocationMode::ALL {
-        let frame = tx
-            .pack(id, mode, indirect_put_args(42, 16, 4), payload(16))
-            .unwrap();
-        let send = tx.send(SimTime::ZERO, &frame, &target).unwrap();
+        let message = msg(id, mode, &indirect_put_args(42, 16, 4), &payload(16));
+        let send = tx.send_spec(SimTime::ZERO, &message, &target).unwrap();
         let out = rx
-            .receive(
-                0,
-                0,
-                Some(frame.wire_size()),
-                send.delivered(),
-                SimTime::ZERO,
-            )
+            .receive(0, 0, Some(send.wire_bytes), send.delivered(), SimTime::ZERO)
             .unwrap();
         results.push(out.result);
     }
@@ -103,45 +108,25 @@ fn local_and_injected_produce_identical_results() {
 fn injected_frames_are_larger_but_not_slower_for_big_payloads() {
     let (rx, mut tx) = testbed(RuntimeConfig::paper_default());
     let id = rx.builtin_id(BuiltinJam::IndirectPut).unwrap();
-    let target = rx.mailbox_target(0, 0).unwrap();
-    let local = tx
-        .pack(
-            id,
-            InvocationMode::Local,
-            indirect_put_args(1, 1, 4),
-            payload(1),
-        )
-        .unwrap();
-    let injected = tx
-        .pack(
-            id,
-            InvocationMode::Injected,
-            indirect_put_args(1, 1, 4),
-            payload(1),
-        )
-        .unwrap();
-    assert_eq!(local.wire_size(), 64);
-    assert_eq!(injected.wire_size(), 1472);
-    let _ = (&rx, &target);
+    let mut wire = Vec::new();
+    let mut wire_size = |mode| {
+        let message = msg(id, mode, &indirect_put_args(1, 1, 4), &payload(1));
+        tx.encode_next(&message, &mut wire).unwrap();
+        wire.len()
+    };
+    assert_eq!(wire_size(InvocationMode::Local), 64);
+    assert_eq!(wire_size(InvocationMode::Injected), 1472);
 }
 
 #[test]
 fn without_execution_skips_the_handler() {
     let (mut rx, mut tx) = testbed(RuntimeConfig::paper_default().without_execution());
     let id = rx.builtin_id(BuiltinJam::ServerSideSum).unwrap();
-    let frame = tx
-        .pack(id, InvocationMode::Injected, ssum_args(4), payload(4))
-        .unwrap();
+    let message = msg(id, InvocationMode::Injected, &ssum_args(4), &payload(4));
     let target = rx.mailbox_target(0, 0).unwrap();
-    let send = tx.send(SimTime::ZERO, &frame, &target).unwrap();
+    let send = tx.send_spec(SimTime::ZERO, &message, &target).unwrap();
     let out = rx
-        .receive(
-            0,
-            0,
-            Some(frame.wire_size()),
-            send.delivered(),
-            SimTime::ZERO,
-        )
+        .receive(0, 0, Some(send.wire_bytes), send.delivered(), SimTime::ZERO)
         .unwrap();
     assert!(out.exec.is_none());
     assert_eq!(out.result, 0);
@@ -157,19 +142,11 @@ fn hardened_policy_reresolves_got_and_still_works() {
     let id = rx.builtin_id(BuiltinJam::ServerSideSum).unwrap();
     // Corrupt the sender's notion of the GOT — the hardened receiver ignores it.
     tx.set_remote_got(id, &GotImage::with_slots(1));
-    let frame = tx
-        .pack(id, InvocationMode::Injected, ssum_args(4), payload(4))
-        .unwrap();
+    let message = msg(id, InvocationMode::Injected, &ssum_args(4), &payload(4));
     let target = rx.mailbox_target(0, 0).unwrap();
-    let send = tx.send(SimTime::ZERO, &frame, &target).unwrap();
+    let send = tx.send_spec(SimTime::ZERO, &message, &target).unwrap();
     let out = rx
-        .receive(
-            0,
-            0,
-            Some(frame.wire_size()),
-            send.delivered(),
-            SimTime::ZERO,
-        )
+        .receive(0, 0, Some(send.wire_bytes), send.delivered(), SimTime::ZERO)
         .unwrap();
     assert_eq!(out.result, 10);
 }
@@ -177,25 +154,18 @@ fn hardened_policy_reresolves_got_and_still_works() {
 #[test]
 fn unknown_local_element_is_rejected() {
     let (mut rx, mut tx) = testbed(RuntimeConfig::paper_default());
-    let frame = tx.pack(
+    // Sending a local frame for an unknown element succeeds (the id is opaque
+    // to the sender) but the receiver rejects it.
+    let message = msg(
         ElementId(999),
         InvocationMode::Local,
-        ssum_args(1),
-        payload(1),
+        &ssum_args(1),
+        &payload(1),
     );
-    // Packing a local frame for an unknown element succeeds (the id is opaque to
-    // the sender) but the receiver rejects it.
-    let frame = frame.unwrap();
     let target = rx.mailbox_target(0, 0).unwrap();
-    let send = tx.send(SimTime::ZERO, &frame, &target).unwrap();
+    let send = tx.send_spec(SimTime::ZERO, &message, &target).unwrap();
     let err = rx
-        .receive(
-            0,
-            0,
-            Some(frame.wire_size()),
-            send.delivered(),
-            SimTime::ZERO,
-        )
+        .receive(0, 0, Some(send.wire_bytes), send.delivered(), SimTime::ZERO)
         .unwrap_err();
     assert!(matches!(err, AmError::UnknownElement(999)));
 }
@@ -219,17 +189,15 @@ fn oversized_frame_rejected_at_send_time() {
     cfg.frame_capacity = 2048;
     let (rx, mut tx) = testbed(cfg);
     let id = rx.builtin_id(BuiltinJam::IndirectPut).unwrap();
-    let frame = tx
-        .pack(
-            id,
-            InvocationMode::Injected,
-            indirect_put_args(1, 4096, 4),
-            payload(4096),
-        )
-        .unwrap();
+    let message = msg(
+        id,
+        InvocationMode::Injected,
+        &indirect_put_args(1, 4096, 4),
+        &payload(4096),
+    );
     let target = rx.mailbox_target(0, 0).unwrap();
     assert!(matches!(
-        tx.send(SimTime::ZERO, &frame, &target),
+        tx.send_spec(SimTime::ZERO, &message, &target),
         Err(AmError::FrameTooLarge { .. })
     ));
 }
@@ -242,14 +210,14 @@ fn injected_without_remote_got_fails_to_pack() {
     // This sender never received the receiver's exported GOT images.
     let mut tx = TwoChainsSender::new(fabric.endpoint(a, b).unwrap(), benchmark_package().unwrap());
     let id = rx.builtin_id(BuiltinJam::ServerSideSum).unwrap();
-    let err = tx
-        .pack(id, InvocationMode::Injected, ssum_args(1), payload(1))
-        .unwrap_err();
-    assert!(matches!(err, AmError::Link(_)));
+    let mut wire = Vec::new();
+    let mut encode = |mode| tx.encode_next(&msg(id, mode, &ssum_args(1), &payload(1)), &mut wire);
+    assert!(matches!(
+        encode(InvocationMode::Injected),
+        Err(AmError::Link(_))
+    ));
     // Local frames need no GOT exchange.
-    assert!(tx
-        .pack(id, InvocationMode::Local, ssum_args(1), payload(1))
-        .is_ok());
+    assert!(encode(InvocationMode::Local).is_ok());
 }
 
 #[test]
@@ -258,19 +226,11 @@ fn wfe_reduces_wait_cycles_but_not_results() {
     let (mut rx_wfe, mut tx2) = testbed(RuntimeConfig::paper_default().with_wfe());
     let id = rx_poll.builtin_id(BuiltinJam::ServerSideSum).unwrap();
     for (rx, tx) in [(&mut rx_poll, &mut tx1), (&mut rx_wfe, &mut tx2)] {
-        let frame = tx
-            .pack(id, InvocationMode::Injected, ssum_args(8), payload(8))
-            .unwrap();
+        let message = msg(id, InvocationMode::Injected, &ssum_args(8), &payload(8));
         let target = rx.mailbox_target(0, 0).unwrap();
-        let send = tx.send(SimTime::ZERO, &frame, &target).unwrap();
+        let send = tx.send_spec(SimTime::ZERO, &message, &target).unwrap();
         let out = rx
-            .receive(
-                0,
-                0,
-                Some(frame.wire_size()),
-                send.delivered(),
-                SimTime::ZERO,
-            )
+            .receive(0, 0, Some(send.wire_bytes), send.delivered(), SimTime::ZERO)
             .unwrap();
         assert_eq!(out.result, 36);
     }
@@ -290,24 +250,12 @@ fn stashing_speeds_up_the_injected_handler() {
     let id = rx_stash.builtin_id(BuiltinJam::IndirectPut).unwrap();
     let mut handler_times = Vec::new();
     for (rx, tx) in [(&mut rx_stash, &mut tx1), (&mut rx_nostash, &mut tx2)] {
-        let frame = tx
-            .pack(
-                id,
-                InvocationMode::Injected,
-                indirect_put_args(7, 64, 4),
-                payload(64),
-            )
-            .unwrap();
+        let args = indirect_put_args(7, 64, 4);
+        let message = msg(id, InvocationMode::Injected, &args, &payload(64));
         let target = rx.mailbox_target(0, 0).unwrap();
-        let send = tx.send(SimTime::ZERO, &frame, &target).unwrap();
+        let send = tx.send_spec(SimTime::ZERO, &message, &target).unwrap();
         let out = rx
-            .receive(
-                0,
-                0,
-                Some(frame.wire_size()),
-                send.delivered(),
-                SimTime::ZERO,
-            )
+            .receive(0, 0, Some(send.wire_bytes), send.delivered(), SimTime::ZERO)
             .unwrap();
         handler_times.push(out.handler_time);
     }
@@ -484,35 +432,29 @@ fn repeat_sends_are_byte_identical_without_repatching() {
 }
 
 #[test]
-fn send_spec_matches_pack_plus_send() {
+fn send_spec_puts_what_encode_next_encodes() {
     let (mut rx, mut tx) = testbed(RuntimeConfig::paper_default());
     let id = rx.builtin_id(BuiltinJam::ServerSideSum).unwrap();
-    let args = ssum_args(8);
-    let usr = payload(8);
-    // Fast path into slot 0.
-    let t0 = rx.mailbox_target(0, 0).unwrap();
-    let fast = tx
-        .send_spec(
-            SimTime::ZERO,
-            &msg(id, InvocationMode::Injected, &args, &usr),
-            &t0,
-        )
+    let message = msg(id, InvocationMode::Injected, &ssum_args(8), &payload(8));
+    let target = rx.mailbox_target(0, 0).unwrap();
+    let sent = tx.send_spec(SimTime::ZERO, &message, &target).unwrap();
+    let mut next = encoded(&mut tx, &message);
+    // The two differ in their sequence number only.
+    assert_eq!(next.header.sn, 2);
+    next.header.sn = 1;
+    let wire = rx
+        .banks()
+        .mailbox(0, 0)
+        .unwrap()
+        .read_frame(sent.wire_bytes);
+    assert_eq!(wire.unwrap(), next.encode());
+    // The §III-A packing model: 35 ns a frame, 0.002 ns a byte.
+    let pack = SimTime::from_ns(35) + SimTime::from_ns_f64(sent.wire_bytes as f64 * 0.002);
+    assert_eq!(sent.pack_time, pack);
+    let out = rx
+        .receive(0, 0, Some(sent.wire_bytes), sent.delivered(), SimTime::ZERO)
         .unwrap();
-    // pack+send into slot 1.
-    let t1 = rx.mailbox_target(0, 1).unwrap();
-    let frame = tx
-        .pack(id, InvocationMode::Injected, args.clone(), usr.clone())
-        .unwrap();
-    let slow = tx.send(SimTime::ZERO, &frame, &t1).unwrap();
-    assert_eq!(fast.wire_bytes, slow.wire_bytes);
-    assert_eq!(fast.pack_cost, slow.pack_cost, "identical pack-cost model");
-    let out_fast = rx
-        .receive(0, 0, Some(fast.wire_bytes), fast.delivered(), SimTime::ZERO)
-        .unwrap();
-    let out_slow = rx
-        .receive(0, 1, Some(slow.wire_bytes), slow.delivered(), SimTime::ZERO)
-        .unwrap();
-    assert_eq!(out_fast.result, out_slow.result);
+    assert_eq!(out.result, 36);
 }
 
 #[test]
@@ -523,22 +465,23 @@ fn warm_hit_with_too_small_got_is_rejected_before_execution() {
     pump_injected(&mut rx, &mut tx, id, 1);
     // Message 2: same code, but an empty GOT image. The cold path would reject
     // this at verify time; a warm hit must reject it too, before executing.
-    let good = tx
-        .pack(id, InvocationMode::Injected, ssum_args(4), payload(4))
-        .unwrap();
+    let good = encoded(
+        &mut tx,
+        &msg(id, InvocationMode::Injected, &ssum_args(4), &payload(4)),
+    );
     let bad = Frame::injected(
         good.header.sn + 1,
         id.0,
         Vec::new(),
-        good.code.clone(),
-        ssum_args(4),
-        payload(4),
+        good.code,
+        good.args,
+        good.usr,
     );
     let target = rx.mailbox_target(0, 0).unwrap();
-    let send = tx.send(SimTime::ZERO, &bad, &target).unwrap();
+    let delivered = put_raw(&mut tx, &bad, &target);
     let executions_before = rx.stats().executions;
     let err = rx
-        .receive(0, 0, Some(bad.wire_size()), send.delivered(), SimTime::ZERO)
+        .receive(0, 0, Some(bad.wire_size()), delivered, SimTime::ZERO)
         .unwrap_err();
     assert!(
         matches!(&err, AmError::BadFrame(m) if m.contains("GOT")),
@@ -579,13 +522,9 @@ fn oversized_args_rejected_at_the_sender() {
     let (rx, mut tx) = testbed(RuntimeConfig::paper_default());
     let id = rx.builtin_id(BuiltinJam::ServerSideSum).unwrap();
     let target = rx.mailbox_target(0, 0).unwrap();
-    // 70000 > u16::MAX: the args length does not fit its wire field. Both send
-    // paths must error instead of emitting a self-inconsistent header.
+    // 70000 > u16::MAX: the args length does not fit its wire field. The send
+    // must error instead of emitting a self-inconsistent header.
     let big = vec![0u8; 70_000];
-    let err = tx
-        .pack(id, InvocationMode::Local, big.clone(), Vec::new())
-        .unwrap_err();
-    assert!(matches!(&err, AmError::BadFrame(m) if m.contains("ARGS")));
     let err = tx
         .send_spec(
             SimTime::ZERO,
@@ -600,23 +539,16 @@ fn oversized_args_rejected_at_the_sender() {
 fn malformed_injected_code_is_rejected_not_cached() {
     let (mut rx, mut tx) = testbed(RuntimeConfig::paper_default());
     let id = rx.builtin_id(BuiltinJam::ServerSideSum).unwrap();
-    let mut frame = tx
-        .pack(id, InvocationMode::Injected, ssum_args(1), payload(1))
-        .unwrap();
+    let mut frame = encoded(
+        &mut tx,
+        &msg(id, InvocationMode::Injected, &ssum_args(1), &payload(1)),
+    );
     // Truncate the code section to garbage of the declared length.
-    for b in frame.code.iter_mut() {
-        *b = 0xFF;
-    }
+    frame.code.fill(0xFF);
     let target = rx.mailbox_target(0, 0).unwrap();
-    let send = tx.send(SimTime::ZERO, &frame, &target).unwrap();
+    let delivered = put_raw(&mut tx, &frame, &target);
     let err = rx
-        .receive(
-            0,
-            0,
-            Some(frame.wire_size()),
-            send.delivered(),
-            SimTime::ZERO,
-        )
+        .receive(0, 0, Some(frame.wire_size()), delivered, SimTime::ZERO)
         .unwrap_err();
     assert!(matches!(err, AmError::BadFrame(_)));
     assert_eq!(
@@ -797,14 +729,12 @@ fn receive_burst_drops_malformed_frames_and_frees_their_slots() {
         &t0,
     )
     .unwrap();
-    let mut bad = tx
-        .pack(id, InvocationMode::Injected, ssum_args(4), payload(4))
-        .unwrap();
-    for b in bad.code.iter_mut() {
-        *b = 0xFF;
-    }
-    let t1 = rx.mailbox_target(0, 1).unwrap();
-    tx.send(SimTime::ZERO, &bad, &t1).unwrap();
+    let mut bad = encoded(
+        &mut tx,
+        &msg(id, InvocationMode::Injected, &ssum_args(4), &payload(4)),
+    );
+    bad.code.fill(0xFF);
+    put_raw(&mut tx, &bad, &rx.mailbox_target(0, 1).unwrap());
 
     let out = rx
         .receive_burst(0, usize::MAX, SimTime::from_us(100))
@@ -1131,16 +1061,9 @@ fn injected_writable_data_got_routes_to_the_exclusive_path() {
     let code = encode_program(&asm.finish().unwrap());
     let got = GotImage::from_refs(vec![ExternRef::Data(canonical)]);
     let frame = Frame::injected(7, 999, got.to_bytes(), code, vec![0u8; 20], vec![]);
-    let t = rx.mailbox_target(0, 0).unwrap();
-    let send = tx.send(SimTime::ZERO, &frame, &t).unwrap();
+    let delivered = put_raw(&mut tx, &frame, &rx.mailbox_target(0, 0).unwrap());
     let out = rx
-        .receive(
-            0,
-            0,
-            Some(frame.wire_size()),
-            send.delivered(),
-            SimTime::ZERO,
-        )
+        .receive(0, 0, Some(frame.wire_size()), delivered, SimTime::ZERO)
         .unwrap();
     assert_eq!(out.result, 0, "the frame dispatched and executed");
     assert!(out.exec.is_some());
@@ -1211,14 +1134,12 @@ fn quarantine_and_rejection_counters_reach_the_merged_stats() {
         &t0,
     )
     .unwrap();
-    let mut bad = tx
-        .pack(id, InvocationMode::Injected, ssum_args(4), payload(4))
-        .unwrap();
-    for b in bad.code.iter_mut() {
-        *b = 0xFF;
-    }
-    let t1 = rx.mailbox_target(0, 1).unwrap();
-    tx.send(SimTime::ZERO, &bad, &t1).unwrap();
+    let mut bad = encoded(
+        &mut tx,
+        &msg(id, InvocationMode::Injected, &ssum_args(4), &payload(4)),
+    );
+    bad.code.fill(0xFF);
+    put_raw(&mut tx, &bad, &rx.mailbox_target(0, 1).unwrap());
     let mut poison = Frame::local(1, 0, vec![0; 20], vec![0; 4]).encode();
     poison[8..12].copy_from_slice(&1_000_000u32.to_le_bytes());
     let t2 = rx.mailbox_target(0, 2).unwrap();
@@ -1244,9 +1165,10 @@ fn segmented_eviction_keeps_the_cache_bounded_and_counts_evictions() {
     cfg.injection_cache_entries = 8;
     let (mut rx, mut tx) = testbed(cfg);
     let id = rx.builtin_id(BuiltinJam::ServerSideSum).unwrap();
-    let base = tx
-        .pack(id, InvocationMode::Injected, ssum_args(4), payload(4))
-        .unwrap();
+    let base = encoded(
+        &mut tx,
+        &msg(id, InvocationMode::Injected, &ssum_args(4), &payload(4)),
+    );
     let target = rx.mailbox_target(0, 0).unwrap();
     // 12 distinct code bodies (trailing Nop padding changes the content hash but
     // not the behaviour) against a cache of 8: the old clear-on-full policy would
@@ -1265,15 +1187,9 @@ fn segmented_eviction_keeps_the_cache_bounded_and_counts_evictions() {
             ssum_args(4),
             payload(4),
         );
-        let send = tx.send(SimTime::ZERO, &frame, &target).unwrap();
+        let delivered = put_raw(&mut tx, &frame, &target);
         let out = rx
-            .receive(
-                0,
-                0,
-                Some(frame.wire_size()),
-                send.delivered(),
-                SimTime::ZERO,
-            )
+            .receive(0, 0, Some(frame.wire_size()), delivered, SimTime::ZERO)
             .unwrap();
         assert_eq!(out.result, 10);
     }
@@ -1378,15 +1294,9 @@ fn a_recycled_section_holds_nothing_of_the_message_before_it() {
         let mut run = |sn: u32, usr: Vec<u8>| {
             let got = GotImage::with_slots(0).to_bytes();
             let frame = Frame::injected(sn, 999, got, code.clone(), vec![0; 20], usr);
-            let sent = tx.send(SimTime::ZERO, &frame, &target).unwrap();
-            rx.receive(
-                0,
-                0,
-                Some(frame.wire_size()),
-                sent.delivered(),
-                SimTime::ZERO,
-            )
-            .map(|out| out.result)
+            let delivered = put_raw(&mut tx, &frame, &target);
+            rx.receive(0, 0, Some(frame.wire_size()), delivered, SimTime::ZERO)
+                .map(|out| out.result)
         };
         assert_eq!(run(1, vec![0xAA; 64]).unwrap(), 0xAAAA_AAAA_AAAA_AAAA);
         match run(2, vec![0xBB; 8]) {
@@ -1614,10 +1524,10 @@ fn fleet_fill_drains_to_the_same_results_as_a_single_sender() {
 #[test]
 fn backpressure_pauses_only_the_saturated_stream() {
     // Window of 1: every send after a stream's first must harvest its own
-    // completion queue. Drive lane 0 through three rounds while lane 1 sends
+    // transmit window. Drive lane 0 through three rounds while lane 1 sends
     // one round — lane 0 stalls repeatedly, lane 1 must never observe it.
     // Per-frame aggregation: the stall-per-send pattern is a property of
-    // one tracked put per frame, which batching deliberately amortizes away.
+    // one put per frame, which batching deliberately amortizes away.
     let cfg = RuntimeConfig::paper_default()
         .with_shards(2)
         .with_sender_streams(2)

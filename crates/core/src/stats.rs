@@ -95,12 +95,12 @@ runtime_stats! {
     template_hits: u64 => sum,
     /// Sends that built a frame template (first injected send of an element).
     template_misses: u64 => sum,
-    /// Sends that found their stream's completion queue full and had to harvest
+    /// Sends that found their stream's transmit window full and had to harvest
     /// completions before the put could be posted (per-stream back-pressure —
     /// counted by the sender lane that stalled, so a fleet-wide merge shows
     /// which fraction of the fleet's sends ran against the transmit window).
     sends_backpressured: u64 => sum,
-    /// Completion-queue entries harvested by the sender side (each costs the
+    /// Transmit-window entries harvested by the sender side (each costs the
     /// per-entry software bookkeeping the completion model charges).
     completions_harvested: u64 => sum,
     /// Frames the dispatch engine rejected during a burst (malformed code,

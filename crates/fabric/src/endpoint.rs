@@ -110,16 +110,6 @@ impl Endpoint {
         &self.link
     }
 
-    /// Source host id.
-    pub fn source(&self) -> usize {
-        self.src.id.index()
-    }
-
-    /// Destination host id.
-    pub fn destination(&self) -> usize {
-        self.dst.id.index()
-    }
-
     /// Number of operations issued.
     pub fn ops(&self) -> u64 {
         self.ops
@@ -212,12 +202,22 @@ impl Endpoint {
         // Receiver-side DMA installs the data (stash or DRAM) and serializes with
         // other inbound traffic.
         let dst_addr = desc.base_addr + offset as u64;
-        let (delivered, dma_cost) = if self.faults.is_some() {
-            self.deliver_faulty(&region, offset, data, publish, arrival, dst_addr)?
-        } else {
-            let (delivered, dma_cost) = self.dst.nic.deliver(arrival, dst_addr, data.len());
-            Self::land(&region, offset, data, publish)?;
-            (delivered, dma_cost)
+        let (delivered, dma_cost) = match self.faults.as_mut() {
+            None => {
+                let (delivered, dma_cost) = self.dst.nic.deliver(arrival, dst_addr, data.len());
+                Self::land(&region, offset, data, publish)?;
+                (delivered, dma_cost)
+            }
+            Some(faults) => {
+                let at = DeferredPut {
+                    region,
+                    offset,
+                    dst_addr,
+                    data: Vec::new(),
+                    publish,
+                };
+                Self::deliver_faulty(faults, &self.dst, at, data, arrival)?
+            }
         };
 
         self.ops += 1;
@@ -259,105 +259,63 @@ impl Endpoint {
     ///    deferred) or held (deferred whole),
     /// 3. originals held by earlier reorder faults land last, completing the
     ///    adjacent-delivery swap.
+    ///
+    /// `at` is where `data` goes (its own `data` stays empty until deferred).
     fn deliver_faulty(
-        &mut self,
-        region: &Arc<MemoryRegion>,
-        offset: usize,
+        faults: &mut EndpointFaults,
+        dst: &HostState,
+        at: DeferredPut,
         data: &[u8],
-        publish: bool,
         arrival: SimTime,
-        dst_addr: u64,
     ) -> FabricResult<(SimTime, SimTime)> {
-        let (dups, held) = {
-            let f = self.faults.as_mut().expect("checked by caller");
-            (std::mem::take(&mut f.dups), std::mem::take(&mut f.held))
-        };
-        for d in dups {
-            self.dst.nic.deliver(arrival, d.dst_addr, d.data.len());
-            Self::land(&d.region, d.offset, &d.data, d.publish)?;
-            self.faults
-                .as_ref()
-                .expect("checked by caller")
-                .note_redelivered();
-        }
-        let action = self.faults.as_mut().expect("checked by caller").roll();
-        let outcome = match action {
+        let (dups, held) = (
+            std::mem::take(&mut faults.dups),
+            std::mem::take(&mut faults.held),
+        );
+        Self::redeliver(faults, dst, dups, arrival)?;
+        let outcome = match faults.roll() {
             FaultAction::Drop => (arrival, SimTime::ZERO),
             FaultAction::Hold => {
-                let deferred = DeferredPut {
-                    region: Arc::clone(region),
-                    offset,
-                    dst_addr,
+                faults.held.push(DeferredPut {
                     data: data.to_vec(),
-                    publish,
-                };
-                self.faults
-                    .as_mut()
-                    .expect("checked by caller")
-                    .held
-                    .push(deferred);
+                    ..at
+                });
                 // The sender observes the timing it would have seen: it cannot
                 // tell a held (or lost) put from a delivered one.
                 (arrival, SimTime::ZERO)
             }
             FaultAction::Duplicate => {
-                let (delivered, dma_cost) = self.dst.nic.deliver(arrival, dst_addr, data.len());
-                Self::land(region, offset, data, publish)?;
-                let deferred = DeferredPut {
-                    region: Arc::clone(region),
-                    offset,
-                    dst_addr,
+                let outcome = dst.nic.deliver(arrival, at.dst_addr, data.len());
+                Self::land(&at.region, at.offset, data, at.publish)?;
+                faults.dups.push(DeferredPut {
                     data: data.to_vec(),
-                    publish,
-                };
-                self.faults
-                    .as_mut()
-                    .expect("checked by caller")
-                    .dups
-                    .push(deferred);
-                (delivered, dma_cost)
+                    ..at
+                });
+                outcome
             }
             FaultAction::Deliver => {
-                let (delivered, dma_cost) = self.dst.nic.deliver(arrival, dst_addr, data.len());
-                Self::land(region, offset, data, publish)?;
-                (delivered, dma_cost)
+                let outcome = dst.nic.deliver(arrival, at.dst_addr, data.len());
+                Self::land(&at.region, at.offset, data, at.publish)?;
+                outcome
             }
         };
-        for h in held {
-            self.dst.nic.deliver(arrival, h.dst_addr, h.data.len());
-            Self::land(&h.region, h.offset, &h.data, h.publish)?;
-            self.faults
-                .as_ref()
-                .expect("checked by caller")
-                .note_redelivered();
-        }
+        Self::redeliver(faults, dst, held, arrival)?;
         Ok(outcome)
     }
 
-    /// A put whose completion is tracked in `cq`: the entry becomes harvestable at
-    /// the put's `delivered` time. Refused with
-    /// [`FabricError::CompletionBackpressure`] when the queue is full — the
-    /// initiator must poll completions before posting more, which is exactly the
-    /// transmit-queue back-pressure a streaming sender runs against. A sender
-    /// that keeps one queue per stream gets per-stream flow control.
-    pub fn put_tracked(
-        &mut self,
-        now: SimTime,
-        data: &[u8],
-        desc: &RegionDescriptor,
-        offset: usize,
-        cq: &mut crate::completion::CompletionQueue,
-    ) -> FabricResult<(u64, PutOutcome)> {
-        if cq.outstanding() >= cq.capacity() {
-            return Err(FabricError::CompletionBackpressure {
-                capacity: cq.capacity(),
-            });
+    /// Land puts an earlier fault deferred, counting each one redelivered.
+    fn redeliver(
+        faults: &EndpointFaults,
+        dst: &HostState,
+        puts: Vec<DeferredPut>,
+        arrival: SimTime,
+    ) -> FabricResult<()> {
+        for p in puts {
+            dst.nic.deliver(arrival, p.dst_addr, p.data.len());
+            Self::land(&p.region, p.offset, &p.data, p.publish)?;
+            faults.note_redelivered();
         }
-        let outcome = self.put(now, data, desc, offset)?;
-        let id = cq
-            .post(outcome.delivered)
-            .expect("queue had room: checked above");
-        Ok((id, outcome))
+        Ok(())
     }
 
     /// One-sided get (RDMA read) of `len` bytes from the remote region.
@@ -639,51 +597,12 @@ mod tests {
         assert_eq!(ep.flush(SimTime::ZERO), o2.delivered.max(o1.delivered));
     }
 
-    #[test]
-    fn put_tracked_posts_completion_and_applies_backpressure() {
-        use crate::completion::CompletionQueue;
-        let (fabric, a, b) = setup();
-        let dst_region = fabric
-            .host(b)
-            .unwrap()
-            .register(4096, AccessFlags::rw())
-            .unwrap();
-        let desc = dst_region.descriptor();
-        let mut ep = fabric.endpoint(a, b).unwrap();
-        let mut cq = CompletionQueue::new(2, SimTime::from_ns(5));
-        let (id0, out0) = ep
-            .put_tracked(SimTime::ZERO, &[1u8; 64], &desc, 0, &mut cq)
-            .unwrap();
-        let (id1, out1) = ep
-            .put_tracked(out0.sender_free, &[2u8; 64], &desc, 64, &mut cq)
-            .unwrap();
-        assert!(id1 > id0);
-        assert_eq!(cq.outstanding(), 2);
-        // Queue full: the third tracked put is refused, and nothing was written.
-        let err = ep
-            .put_tracked(out1.sender_free, &[3u8; 64], &desc, 128, &mut cq)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            FabricError::CompletionBackpressure { capacity: 2 }
-        ));
-        assert_eq!(dst_region.read(128, 1).unwrap(), vec![0]);
-        // Harvesting at the delivery horizon frees the queue.
-        let (done, _) = cq.poll(out1.delivered);
-        assert_eq!(done.len(), 2);
-        assert_eq!(done[0].ready_at, out0.delivered);
-        assert!(ep
-            .put_tracked(out1.sender_free, &[3u8; 64], &desc, 128, &mut cq)
-            .is_ok());
-    }
-
     /// The sender fleet moves one endpoint per sender thread; this does not
     /// compile unless every host structure an endpoint references is `Sync`.
     #[test]
     fn endpoint_is_send() {
         fn assert_send<T: Send>() {}
         assert_send::<Endpoint>();
-        assert_send::<crate::completion::CompletionQueue>();
     }
 
     #[test]

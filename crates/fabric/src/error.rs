@@ -48,13 +48,6 @@ pub enum FabricError {
         /// Offending offset.
         offset: usize,
     },
-    /// A tracked operation could not be posted because its completion queue is
-    /// full: the initiator must harvest completions before issuing more work (the
-    /// transmit-queue back-pressure that throttles a streaming sender).
-    CompletionBackpressure {
-        /// Depth of the full queue.
-        capacity: usize,
-    },
 }
 
 impl fmt::Display for FabricError {
@@ -78,12 +71,6 @@ impl fmt::Display for FabricError {
             FabricError::InvalidArgument(what) => write!(f, "invalid argument: {what}"),
             FabricError::Misaligned { offset } => {
                 write!(f, "atomic access misaligned at offset {offset}")
-            }
-            FabricError::CompletionBackpressure { capacity } => {
-                write!(
-                    f,
-                    "completion queue full ({capacity} outstanding): harvest before posting"
-                )
             }
         }
     }
@@ -119,10 +106,6 @@ mod tests {
             (FabricError::NotConnected { from: 0, to: 1 }, "no endpoint"),
             (FabricError::InvalidArgument("zero length"), "zero length"),
             (FabricError::Misaligned { offset: 3 }, "misaligned"),
-            (
-                FabricError::CompletionBackpressure { capacity: 256 },
-                "completion queue full",
-            ),
         ];
         for (err, needle) in cases {
             let msg = err.to_string();

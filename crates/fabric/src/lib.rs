@@ -49,7 +49,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod baseline;
-pub mod completion;
 pub mod endpoint;
 pub mod error;
 pub mod fabric;
@@ -60,7 +59,6 @@ pub mod region;
 pub mod rkey;
 
 pub use baseline::UcxPutBaseline;
-pub use completion::{Completion, CompletionQueue};
 pub use endpoint::{Endpoint, PutOutcome};
 pub use error::{FabricError, FabricResult};
 pub use fabric::{FabricConfig, HostHandle, HostId, SimFabric};

@@ -102,11 +102,6 @@ impl SimTime {
         }
     }
 
-    /// True if this is the zero time.
-    pub fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
     /// Convert a number of clock cycles at `freq_ghz` into simulated time.
     pub fn from_cycles(cycles: u64, freq_ghz: f64) -> SimTime {
         // One cycle at f GHz lasts 1000/f picoseconds.

@@ -52,11 +52,6 @@ impl StridePrefetcher {
         }
     }
 
-    /// Whether the prefetcher is enabled at all.
-    pub fn enabled(&self) -> bool {
-        self.cfg.enabled
-    }
-
     /// Total prefetches issued.
     pub fn issued(&self) -> u64 {
         self.issued

@@ -869,11 +869,6 @@ impl CoreBus {
         self.core
     }
 
-    /// The shared outer levels this bus escalates misses to.
-    pub fn shared(&self) -> &Arc<SharedHierarchy> {
-        &self.shared
-    }
-
     /// This core's private-cache counters.
     pub fn stats(&self) -> CoreCacheStats {
         self.stats

@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use twochains::builtin::{benchmark_package, ssum_args, BuiltinJam, ARRAY_SLOTS};
-use twochains::{InvocationMode, RuntimeConfig, TwoChainsHost, TwoChainsSender};
+use twochains::{spec, RuntimeConfig, TwoChainsHost, TwoChainsSender};
 use twochains_fabric::SimFabric;
 use twochains_linker::RiedBuilder;
 use twochains_memsim::{SimTime, TestbedConfig};
@@ -38,23 +38,10 @@ fn main() {
 
     let send = |client: &mut TwoChainsSender, server: &mut TwoChainsHost, values: &[u32]| {
         let payload: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
-        let frame = client
-            .pack(
-                jam,
-                InvocationMode::Injected,
-                ssum_args(values.len() as u32),
-                payload,
-            )
-            .unwrap();
-        let sent = client.send(SimTime::ZERO, &frame, &target).unwrap();
+        let msg = spec(jam).args(ssum_args(values.len() as u32)).usr(payload);
+        let sent = client.send_spec(SimTime::ZERO, &msg, &target).unwrap();
         server
-            .receive(
-                0,
-                0,
-                Some(frame.wire_size()),
-                sent.delivered(),
-                SimTime::ZERO,
-            )
+            .receive(0, 0, Some(sent.wire_bytes), sent.delivered(), SimTime::ZERO)
             .unwrap()
             .result
     };

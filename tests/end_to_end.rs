@@ -3,7 +3,7 @@
 use two_chains_suite::fabric::SimFabric;
 use two_chains_suite::memsim::{SimTime, TestbedConfig, WaitMode};
 use twochains::builtin::{benchmark_package, indirect_put_args, ssum_args, BuiltinJam};
-use twochains::{InvocationMode, RuntimeConfig, TwoChainsHost, TwoChainsSender};
+use twochains::{spec, InvocationMode, RuntimeConfig, TwoChainsHost, TwoChainsSender};
 
 fn testbed(cfg: RuntimeConfig) -> (TwoChainsHost, TwoChainsSender) {
     let (fabric, a, b) = SimFabric::back_to_back(TestbedConfig::cluster2021());
@@ -37,11 +37,11 @@ fn injected_and_local_agree_across_many_messages() {
         } else {
             InvocationMode::Local
         };
-        let frame = tx.pack(id, mode, ssum_args(i), ints(i)).unwrap();
-        let sent = tx.send(clock, &frame, &target).unwrap();
+        let message = spec(id).mode(mode).args(ssum_args(i)).usr(ints(i));
+        let sent = tx.send_spec(clock, &message, &target).unwrap();
         clock = sent.sender_free();
         let out = rx
-            .receive(0, 0, Some(frame.wire_size()), sent.delivered(), ready)
+            .receive(0, 0, Some(sent.wire_bytes), sent.delivered(), ready)
             .unwrap();
         ready = out.handler_done;
         let expected: u64 = (1..=i as u64).sum();
@@ -74,13 +74,14 @@ fn indirect_put_state_survives_mode_switches_and_banks() {
         } else {
             InvocationMode::Injected
         };
-        let frame = tx
-            .pack(id, mode, indirect_put_args(key, 8, 4), ints(8))
-            .unwrap();
-        let sent = tx.send(clock, &frame, &target).unwrap();
+        let message = spec(id)
+            .mode(mode)
+            .args(indirect_put_args(key, 8, 4))
+            .usr(ints(8));
+        let sent = tx.send_spec(clock, &message, &target).unwrap();
         clock = sent.sender_free();
         let out = rx
-            .receive(bank, slot, Some(frame.wire_size()), sent.delivered(), ready)
+            .receive(bank, slot, Some(sent.wire_bytes), sent.delivered(), ready)
             .unwrap();
         ready = out.handler_done;
         // The same key always resolves to the same server-side location, regardless
@@ -179,14 +180,12 @@ fn wfe_configuration_is_cycle_efficient_end_to_end() {
         let target = rx.mailbox_target(0, 0).unwrap();
         let mut ready = SimTime::ZERO;
         for i in 0..10u32 {
-            let frame = tx
-                .pack(id, InvocationMode::Injected, ssum_args(16), ints(16))
-                .unwrap();
+            let message = spec(id).args(ssum_args(16)).usr(ints(16));
             // Space sends out so the receiver actually waits between messages.
             let start = SimTime::from_us(5 * (i as u64 + 1));
-            let sent = tx.send(start, &frame, &target).unwrap();
+            let sent = tx.send_spec(start, &message, &target).unwrap();
             let out = rx
-                .receive(0, 0, Some(frame.wire_size()), sent.delivered(), ready)
+                .receive(0, 0, Some(sent.wire_bytes), sent.delivered(), ready)
                 .unwrap();
             ready = out.handler_done;
         }
@@ -204,18 +203,10 @@ fn without_execution_configuration_is_put_like() {
     let (mut rx, mut tx) = testbed(RuntimeConfig::paper_default().without_execution());
     let id = rx.builtin_id(BuiltinJam::ServerSideSum).unwrap();
     let target = rx.mailbox_target(0, 0).unwrap();
-    let frame = tx
-        .pack(id, InvocationMode::Local, ssum_args(64), ints(64))
-        .unwrap();
-    let sent = tx.send(SimTime::ZERO, &frame, &target).unwrap();
+    let message = spec(id).local().args(ssum_args(64)).usr(ints(64));
+    let sent = tx.send_spec(SimTime::ZERO, &message, &target).unwrap();
     let out = rx
-        .receive(
-            0,
-            0,
-            Some(frame.wire_size()),
-            sent.delivered(),
-            SimTime::ZERO,
-        )
+        .receive(0, 0, Some(sent.wire_bytes), sent.delivered(), SimTime::ZERO)
         .unwrap();
     // No execution happened, and the receiver-side cost is well under a microsecond.
     assert!(out.exec.is_none());

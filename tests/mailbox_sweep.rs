@@ -365,6 +365,39 @@ fn every_one_byte_mutant_of_a_frame_and_a_container_lands_in_exactly_one_class()
     assert_eq!(rig.suppressed, 28, "suppressed replays");
 }
 
+/// Valid frames whose sequence numbers step by 65 536 — gaps no lane could
+/// leave, a stream owning 64 slots here — once had the gap watcher record
+/// 65 535 suspects a frame and never free them: ~21 ms of host time and
+/// ~650 KB a put, and a NACK for every gap. Every frame still executes, and
+/// the stepped run's median put-and-burst costs what a plain run's does
+/// (the parent's ratio was about 5 000x).
+#[test]
+fn sequence_numbers_stepping_past_every_slot_cost_what_plain_ones_do() {
+    let run = |step: u32| {
+        let mut rig = Rig::new();
+        let mut times = Vec::new();
+        for _ in 0..200 {
+            let image = rig.sum_frame(2);
+            rig.next_sn = rig.next_sn.wrapping_add(step - 1);
+            let started = std::time::Instant::now();
+            rig.land(0, 0, &image);
+            let out = rig.host.receive_burst(0, usize::MAX, rig.clock).unwrap();
+            times.push(started.elapsed());
+            assert_eq!((out.frames.len(), out.rejected.len()), (1, 0), "{out:?}");
+            rig.clock = out.drained_at;
+        }
+        times.sort_unstable();
+        (times[times.len() / 2], rig.host.stats().nacks_posted)
+    };
+    let (plain, plain_nacks) = run(1);
+    let (stepped, stepped_nacks) = run(1 << 16);
+    assert!(
+        stepped < plain * 10,
+        "median put + burst: stepped {stepped:?}, plain {plain:?}"
+    );
+    assert_eq!((plain_nacks, stepped_nacks), (0, 0), "NACKs posted");
+}
+
 /// No frame is shorter than its header and trailer, so a header declaring 36
 /// to 39 bytes names a signal byte inside itself — at 36, the header magic —
 /// that no sender can complete. The mailbox used to refuse only lengths under

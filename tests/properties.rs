@@ -359,7 +359,7 @@ proptest! {
     fn server_side_sum_matches_host_sum(values in prop::collection::vec(any::<u32>(), 1..64)) {
         use two_chains_suite::fabric::SimFabric;
         use twochains::builtin::{benchmark_package, ssum_args, BuiltinJam};
-        use twochains::{InvocationMode, RuntimeConfig, TwoChainsHost, TwoChainsSender};
+        use twochains::{spec, RuntimeConfig, TwoChainsHost, TwoChainsSender};
 
         let (fabric, a, b) = SimFabric::back_to_back(TestbedConfig::cluster2021());
         let mut rx = TwoChainsHost::new(&fabric, b, RuntimeConfig::paper_default()).unwrap();
@@ -368,13 +368,11 @@ proptest! {
         let id = rx.builtin_id(BuiltinJam::ServerSideSum).unwrap();
         tx.set_remote_got(id, &rx.export_got(id).unwrap());
         let payload: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
-        let frame = tx
-            .pack(id, InvocationMode::Injected, ssum_args(values.len() as u32), payload)
-            .unwrap();
+        let message = spec(id).args(ssum_args(values.len() as u32)).usr(payload);
         let target = rx.mailbox_target(0, 0).unwrap();
-        let sent = tx.send(SimTime::ZERO, &frame, &target).unwrap();
+        let sent = tx.send_spec(SimTime::ZERO, &message, &target).unwrap();
         let out = rx
-            .receive(0, 0, Some(frame.wire_size()), sent.delivered(), SimTime::ZERO)
+            .receive(0, 0, Some(sent.wire_bytes), sent.delivered(), SimTime::ZERO)
             .unwrap();
         let expected: u64 = values.iter().map(|&v| v as u64).sum::<u64>();
         // The jam accumulates in 64-bit registers from zero-extended 32-bit loads.

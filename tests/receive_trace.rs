@@ -22,9 +22,8 @@ use twochains::builtin::{benchmark_package, graph_args, indirect_put_args, ssum_
 use twochains::frame::{FrameBatch, FRAME_HEADER_SIZE};
 use twochains::jamvm::{encode_program, Assembler, GotImage, Reg};
 use twochains::{
-    spec, AmError, ChainArgMap, ChainDescriptor, ChainStage, ElementId, Frame, InvocationMode,
-    MessageSpec, ReceiveOutcome, RuntimeConfig, RuntimeStats, SecurityPolicy, SenderFleet,
-    TwoChainsHost, TwoChainsSender,
+    spec, AmError, ChainArgMap, ElementId, Frame, InvocationMode, MessageSpec, ReceiveOutcome,
+    RuntimeConfig, RuntimeStats, SecurityPolicy, SenderFleet, TwoChainsHost, TwoChainsSender,
 };
 
 /// The scenario's seed: payload contents, Indirect Put keys and the memory
@@ -148,34 +147,11 @@ impl Rig {
     }
 
     /// Encode the next frame of the sender's sequence space without sending it
-    /// (container members, deliberately skipped sequence numbers). A chained
-    /// member chains under the default map.
+    /// (container members, deliberately skipped sequence numbers).
     fn encode(&mut self, msg: &MessageSpec) -> Vec<u8> {
-        let frame = self
-            .tx
-            .pack(
-                msg.elem(),
-                msg.invocation(),
-                msg.args_bytes().to_vec(),
-                msg.usr_bytes().to_vec(),
-            )
-            .unwrap();
-        let frame = match msg.stage_ids().is_empty() {
-            true => frame,
-            false => {
-                let mut chain = ChainDescriptor::new();
-                for elem_id in msg.stage_ids() {
-                    chain
-                        .push(ChainStage {
-                            elem_id,
-                            map: ChainArgMap::Result,
-                        })
-                        .unwrap();
-                }
-                frame.with_chain(chain)
-            }
-        };
-        frame.encode()
+        let mut wire = Vec::new();
+        self.tx.encode_next(msg, &mut wire).unwrap();
+        wire
     }
 
     fn line(&mut self, label: &str, body: String) {

@@ -337,7 +337,7 @@ fn runtime_policies_agree_end_to_end() {
     use two_chains_suite::fabric::SimFabric;
     use two_chains_suite::memsim::TestbedConfig;
     use twochains::builtin::{benchmark_package, indirect_put_args, ssum_args, BuiltinJam};
-    use twochains::{InvocationMode, RuntimeConfig, TwoChainsHost, TwoChainsSender};
+    use twochains::{spec, RuntimeConfig, TwoChainsHost, TwoChainsSender};
 
     let build = |cfg: RuntimeConfig| {
         let (fabric, a, b) = SimFabric::back_to_back(TestbedConfig::cluster2021());
@@ -366,13 +366,11 @@ fn runtime_policies_agree_end_to_end() {
             } else {
                 (ssum, ssum_args(i))
             };
-            let frame = tx
-                .pack(elem, InvocationMode::Injected, args, payload)
-                .unwrap();
-            let sent = tx.send(clock, &frame, &target).unwrap();
+            let message = spec(elem).args(args).usr(payload);
+            let sent = tx.send_spec(clock, &message, &target).unwrap();
             clock = sent.sender_free();
             let out = rx
-                .receive(0, 0, Some(frame.wire_size()), sent.delivered(), ready)
+                .receive(0, 0, Some(sent.wire_bytes), sent.delivered(), ready)
                 .unwrap();
             ready = out.handler_done;
             results.push(out.result);

@@ -188,11 +188,11 @@ fn run_scenario(per_frame: bool, window: usize) -> String {
     let mut probe =
         TwoChainsSender::new(fabric.endpoint(a, b).unwrap(), benchmark_package().unwrap());
     probe.set_remote_got(ssum, &host.export_got(ssum).unwrap());
+    let mut wire = Vec::new();
     let mut overhead = |mode| {
-        probe
-            .pack(ssum, mode, ssum_args(0), Vec::new())
-            .unwrap()
-            .wire_size()
+        let empty = spec(ssum).mode(mode).args(ssum_args(0));
+        probe.encode_next(&empty, &mut wire).unwrap();
+        wire.len()
     };
     let (injected_overhead, local_overhead) = (overhead(Injected), overhead(Local));
 
@@ -245,7 +245,7 @@ fn run_scenario(per_frame: bool, window: usize) -> String {
         rig.trace.push_str(&format!(
             "send_spec lane {lane} ({bank},{slot}) wire {} pack {} delivered {} free {}\n",
             sent.wire_bytes,
-            sent.pack_cost.as_ps(),
+            sent.pack_time.as_ps(),
             sent.delivered().as_ps(),
             sent.sender_free().as_ps(),
         ));
