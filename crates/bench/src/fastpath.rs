@@ -65,7 +65,7 @@ pub struct FastpathReport {
     /// Zero in steady state: the priming message lowers once.
     pub warm_resolved_cache_misses: u64,
     /// Fused superinstructions retired by the resolved executor during the
-    /// warm run. Zero under `ExecutionPolicy::Interpret`.
+    /// warm run.
     pub superinstructions_executed: u64,
     /// Executions per chained frame in the chain regime (primary + continuation
     /// stages of the lookup → filter → aggregate graph chain).
@@ -545,8 +545,8 @@ mod tests {
         assert_eq!(report.warm_code_cache_hits, 50);
         assert_eq!(report.warm_got_cache_hits, 50);
         assert_eq!(report.warm_template_hits, 50);
-        // Under the default resolved policy, every warm dispatch must run the
-        // pre-lowered image — never fall back to per-message interpretation.
+        // Every warm dispatch must run the pre-lowered image — never lower
+        // the same program again.
         assert_eq!(report.warm_resolved_cache_misses, 0);
         assert_eq!(report.warm_resolved_cache_hits, 50);
         assert!(

@@ -134,9 +134,9 @@ pub const BARS: [Bar<FastpathReport>; 15] = [
         runner: AnyRunner,
         note: "absolute companion to the amortization ratio",
     },
-    // Under the default `ExecutionPolicy::Resolved` every warm dispatch runs
-    // the pre-lowered image; fewer hits mean the warm loop silently fell back
-    // to per-message interpretation. The regime measures 1000 warm messages:
+    // Every warm dispatch runs the pre-lowered image; fewer hits mean the warm
+    // loop silently went back to lowering (or decoding) per message. The
+    // regime measures 1000 warm messages:
     // 400 would still cover a halved sweep while catching a path that stopped
     // hitting at all.
     Bar {
@@ -144,7 +144,7 @@ pub const BARS: [Bar<FastpathReport>; 15] = [
         read: |r| Some(r.warm_resolved_cache_hits as f64),
         bound: AtLeast(400.0),
         runner: AnyRunner,
-        note: "resolved execution must never fall back to interpretation",
+        note: "a warm dispatch must never lower its program again",
     },
     // 3.5 until resolved execution landed: the absolute 4-shard modelled drain
     // rate rose 3.19 -> 17.8 M msg/s, but the ratio over 1 shard compressed

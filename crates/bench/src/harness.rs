@@ -3,12 +3,12 @@
 //! Both shapes drive two full [`TwoChainsHost`] runtimes over the simulated
 //! back-to-back testbed from a single thread, using virtual time for all latency and
 //! rate numbers. The functional work — packing, GOT patching, mailbox signalling,
-//! jam execution, server-side table/array updates — happens for real.
+//! jam execution, server-side table/array updates — happens for real, on the
+//! receiver's one execution engine: the resolved image, lowered once per cached
+//! injected program or Local Function.
 
 use twochains::builtin::{benchmark_package, indirect_put_args, ssum_args, BuiltinJam};
-use twochains::{
-    spec, ExecutionPolicy, InvocationMode, RuntimeConfig, TwoChainsHost, TwoChainsSender,
-};
+use twochains::{spec, InvocationMode, RuntimeConfig, TwoChainsHost, TwoChainsSender};
 use twochains_fabric::SimFabric;
 use twochains_memsim::{CycleCounter, MemoryStressor, SimTime, TestbedConfig, WaitMode};
 
@@ -25,9 +25,6 @@ pub struct TestbedOptions {
     pub stressor_seed: Option<u64>,
     /// Number of warm-up iterations before measurements start.
     pub warmup: usize,
-    /// Execution policy for injected programs (Resolved by default; Interpret
-    /// pins the per-message decode/interpret cost model for parity studies).
-    pub execution_policy: ExecutionPolicy,
 }
 
 impl Default for TestbedOptions {
@@ -38,7 +35,6 @@ impl Default for TestbedOptions {
             skip_execution: false,
             stressor_seed: None,
             warmup: 20,
-            execution_policy: ExecutionPolicy::Resolved,
         }
     }
 }
@@ -68,18 +64,10 @@ impl TestbedOptions {
         self
     }
 
-    /// Interpret injected programs per message instead of executing the
-    /// cached resolved image.
-    pub fn interpreted(mut self) -> Self {
-        self.execution_policy = ExecutionPolicy::Interpret;
-        self
-    }
-
     fn runtime_config(&self) -> RuntimeConfig {
         let mut cfg = RuntimeConfig::paper_default();
         cfg.wait_mode = self.wait_mode;
         cfg.skip_execution = self.skip_execution;
-        cfg.execution_policy = self.execution_policy;
         cfg
     }
 }

@@ -67,23 +67,6 @@ pub enum AggregationPolicy {
     Adaptive,
 }
 
-/// How the receiver executes injected (and locally installed) programs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ExecutionPolicy {
-    /// Always run the interpreter over the decoded `Arc<[Instr]>`. Pins the
-    /// pre-resolution behaviour exactly — the parity baseline the
-    /// differential tests compare [`ExecutionPolicy::Resolved`] against.
-    Interpret,
-    /// Execute through the resolved IR: at cache-insert time the decoded
-    /// program is lowered (operands flattened, GOT calls resolved direct,
-    /// adjacent pairs fused into superinstructions, instruction fetch charged
-    /// per straight-line block), and warm dispatches run the lowered image
-    /// without re-reading the code section — the NIC's delivery digest keys
-    /// the resolved cache instead. The default.
-    #[default]
-    Resolved,
-}
-
 /// Configuration of a Two-Chains host runtime.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
@@ -126,8 +109,6 @@ pub struct RuntimeConfig {
     /// If true, messages are delivered and signalled but the function invocation is
     /// skipped — the paper's "without-execution configuration" used for Figs. 5–6.
     pub skip_execution: bool,
-    /// How programs are executed (see [`ExecutionPolicy`]).
-    pub execution_policy: ExecutionPolicy,
 }
 
 impl RuntimeConfig {
@@ -147,7 +128,6 @@ impl RuntimeConfig {
             security: SecurityPolicy::permissive(),
             injection_cache_entries: crate::runtime::MAX_INJECTION_CACHE_ENTRIES,
             skip_execution: false,
-            execution_policy: ExecutionPolicy::Resolved,
         }
     }
 
@@ -192,14 +172,6 @@ impl RuntimeConfig {
     /// declare cross-shard writes take no address-space lock.
     pub fn with_shard_local_space(mut self) -> Self {
         self.space_mode = SpaceMode::ShardLocal;
-        self
-    }
-
-    /// Same configuration but pinning the interpreter
-    /// ([`ExecutionPolicy::Interpret`]) — the pre-resolution execution path,
-    /// kept for parity testing against the resolved default.
-    pub fn with_interpreted_execution(mut self) -> Self {
-        self.execution_policy = ExecutionPolicy::Interpret;
         self
     }
 
@@ -277,17 +249,6 @@ mod tests {
             RuntimeConfig::paper_default()
                 .without_execution()
                 .skip_execution
-        );
-        assert_eq!(
-            RuntimeConfig::paper_default().execution_policy,
-            ExecutionPolicy::Resolved,
-            "resolved execution is the default"
-        );
-        assert_eq!(
-            RuntimeConfig::paper_default()
-                .with_interpreted_execution()
-                .execution_policy,
-            ExecutionPolicy::Interpret
         );
     }
 

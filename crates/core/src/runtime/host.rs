@@ -28,7 +28,7 @@
 //! | 1 scan | `receive_burst_inner` (one poll over the shard's banks, poisoned slots quarantined) or `receive_owned` (one mailbox, the wait model charged) | which mailboxes hold a frame |
 //! | 2 parse / unbatch | `drain_slot` | readiness check, read into scratch, a plain frame or a batch container's header prologue and inner frames |
 //! | 3 admit | `admit` | destination slot validated, replay filter probed, the frame accounted and its [`ReceiveOutcome`] built |
-//! | 4 resolve image | `resolve_image` (`injected_got`, `injected_program`, `local_image`) | GOT and executable image, through the injection caches or the Local Function library |
+//! | 4 resolve image | `resolve_image` (`injected_got`, `injected_program`) | GOT and lowered image, through the injection caches or the Local Function library |
 //! | 5 execute | `execute_stage` | space picked once, sections mapped, image run, sections unmapped |
 //! | 6 continue chain | `continue_chain` | each continuation stage is stage 5 again, with `chain.*` sections and the context cell |
 //! | 7 retire | `retire` | gap watcher noted, drain clock advanced, credit returned (`return_credit` / `return_replay_credit`): the token is `credit.rs`'s to mint and to flush, the host charges what was posted |
@@ -71,8 +71,8 @@
 //! message spends its host time (a load per four bytes, a block fetch per
 //! iteration), and with the types named the bus's private-hit path and the
 //! space's scalar read are inlined into that loop. Extern functions still get
-//! both as `dyn`, and the interpreter (`ExecutionPolicy::Interpret`, the
-//! differential suite's reference) takes them that way too.
+//! both as `dyn`. It is the only engine the receiver runs: the interpreter,
+//! `Vm::execute`, is the reference the differential suites compare it against.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -80,15 +80,13 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use twochains_fabric::{AccessFlags, HostHandle, HostId, MemoryRegion, SimFabric};
 use twochains_jamvm::{
-    decode_program, hash64, hash64_bytes, resolve, verify_with_floor, AddressSpace, ExecError,
-    ExecStats, ExternTable, GotImage, Instr, JamSpace, ResolvedProgram, Segment, SegmentKind,
-    ShardSpace, Vm, VmConfig,
+    decode_program, hash64, hash64_bytes, resolve, verify_with_floor, AddressSpace, ExecStats,
+    GotImage, ResolvedProgram, Segment, SegmentKind, ShardSpace, Vm, VmConfig,
 };
 use twochains_linker::{ElementId, LinkerNamespace, Package, Ried};
 use twochains_memsim::cycles::{WaitModel, WaitOutcome};
 use twochains_memsim::{
-    AccessKind, CoreBus, CoreCacheStats, HierarchyStats, MemoryBus, MemoryStressor,
-    SharedHierarchy, SimTime,
+    AccessKind, CoreCacheStats, HierarchyStats, MemoryBus, MemoryStressor, SharedHierarchy, SimTime,
 };
 
 use super::credit::{CreditHandshake, CreditPutOutcome, CreditReturn, FlushOutcome};
@@ -97,7 +95,7 @@ use super::shard::{DrainCtx, ReceiverShard, ShardDrain};
 use super::{BurstFrame, BurstOutcome, ReceiveOutcome};
 use crate::bank::MailboxBank;
 use crate::builtin::BuiltinJam;
-use crate::config::{ExecutionPolicy, RuntimeConfig, SpaceMode};
+use crate::config::{RuntimeConfig, SpaceMode};
 use crate::error::{AmError, AmResult};
 use crate::frame::{
     is_batch, BatchView, ChainArgMap, ChainDescriptor, FrameView, FRAME_HEADER_SIZE,
@@ -224,49 +222,17 @@ impl DispatchedFrame {
     }
 }
 
-/// One entry of the Local Function library: the program as loaded from the package,
-/// its GOT resolved against this process's namespace, and the address at which the
-/// resident code lives (kept warm in the receiver's caches). Program and GOT are
-/// reference-counted so dispatch shares them instead of deep-cloning per message.
+/// The resolve stage's answer, and the execute stage's input: the lowered
+/// image to run, the GOT it was lowered against and where its code lives in
+/// simulated memory. A Local Function library entry is one too, lowered
+/// against the GOT this process's namespace resolves at install time, so
+/// Local Function dispatch (and every chain continuation stage) runs without
+/// a per-message lowering step; its code lines are kept warm in the
+/// receiver's caches. Image and GOT are reference-counted so dispatch shares
+/// them instead of deep-cloning per message.
 #[derive(Debug, Clone)]
-struct LocalEntry {
-    program: Arc<[Instr]>,
-    got: Arc<GotImage>,
-    /// The program pre-lowered against its resolved GOT at install time, so
-    /// Local Function dispatch (and every chain continuation stage) runs the
-    /// threaded executor without a per-message lowering step.
-    resolved: Arc<ResolvedProgram>,
-    code_base: u64,
-}
-
-/// Which executable form a dispatch resolved to: the decoded program for the
-/// interpreter, or a lowered image for the threaded executor.
-enum ExecImage {
-    Interpreted(Arc<[Instr]>),
-    Resolved(Arc<ResolvedProgram>),
-}
-
-/// Run an execution image against the chosen space and the shard's bus — the
-/// single seam where the [`ExecutionPolicy`] split reaches the VM. The resolved
-/// executor is compiled once per space type, against the concrete bus.
-fn run_image<S: JamSpace>(
-    image: &ExecImage,
-    got: &GotImage,
-    externs: &ExternTable,
-    space: &mut S,
-    bus: &mut CoreBus,
-    cfg: &VmConfig,
-) -> Result<ExecStats, ExecError> {
-    match image {
-        ExecImage::Interpreted(program) => Vm::execute(program, got, externs, space, bus, cfg),
-        ExecImage::Resolved(resolved) => Vm::execute_resolved(resolved, externs, space, bus, cfg),
-    }
-}
-
-/// The resolve stage's answer, and the execute stage's input: what to run,
-/// the GOT it runs against and where its code lives in simulated memory.
 struct StageImage {
-    image: ExecImage,
+    image: Arc<ResolvedProgram>,
     got: Arc<GotImage>,
     code_base: u64,
 }
@@ -330,7 +296,7 @@ pub(crate) struct HostCore {
     /// the install-time `cross_shard_writes` contract check).
     writable_ranges: Vec<(u64, u64)>,
     package: Option<Package>,
-    local_lib: HashMap<u32, LocalEntry>,
+    local_lib: HashMap<u32, StageImage>,
     mailbox_region: Arc<MemoryRegion>,
     banks: MailboxBank,
     local_code_cursor: u64,
@@ -639,7 +605,7 @@ impl TwoChainsHost {
             }
         }
         for (id, jam) in package.jams() {
-            let program: Arc<[Instr]> = jam.program()?.into();
+            let program = jam.program()?;
             let got = Arc::new(self.core.namespace.resolve_got(&jam.got)?);
             // Pre-lower at install time: resident functions never pay a
             // per-message lowering, and chain continuation stages run the
@@ -652,17 +618,16 @@ impl TwoChainsHost {
             // at least loaded and touched), so keep it warm in every drain core's
             // private L1/L2 (any shard may run the local jam); `CoreBus::warm`
             // stashes the range into the shared LLC as well. The warmed span
-            // covers whichever image (encoded or resolved) is larger, so both
-            // execution policies fetch from warm lines.
+            // covers whichever image (encoded or resolved) is larger, and the
+            // cursor advances by it: it places every later entry's code lines.
             for shard in &mut self.shards {
                 shard.bus.warm(code_base, code_len);
             }
             self.core.local_lib.insert(
                 id.0,
-                LocalEntry {
-                    program,
+                StageImage {
+                    image: resolved,
                     got,
-                    resolved,
                     code_base,
                 },
             );
@@ -1524,13 +1489,7 @@ impl HostCore {
                 },
             ];
             let exec = self
-                .execute_stage(
-                    ctx,
-                    stage.elem_id,
-                    &self.local_image(entry),
-                    &sections,
-                    entry_regs,
-                )
+                .execute_stage(ctx, stage.elem_id, entry, &sections, entry_regs)
                 .map_err(|e| fail(e.to_string()))?;
             done.ran(ctx.stats, &exec);
             ctx.stats.local_executions += 1;
@@ -1540,19 +1499,21 @@ impl HostCore {
         Ok(())
     }
 
-    /// The resolve stage: the GOT and the executable image a frame's primary
+    /// The resolve stage: the GOT and the lowered image a frame's primary
     /// element runs as — through the shared injection caches for an Injected
     /// frame, by `Arc`-shared Local Function entry otherwise. Resolution work
     /// is charged to `handler_time`.
     ///
-    /// Under the resolved policy the warm injected path is keyed by the *NIC
-    /// delivery digest*: the DMA engine hashes the code section as the bytes
-    /// stream through at delivery (receive-side hash offload — the same
-    /// cut-through install engine that keeps up with line rate), so a warm
-    /// dispatch never reads the code section on the receiver core at all.
-    /// The digest is receiver-computed (by the receiver's own NIC), so
-    /// trusting it is security-equivalent to hashing on the core; the GOT
-    /// section is still read and hashed per message.
+    /// The warm injected path is keyed by the *NIC delivery digest*: the DMA
+    /// engine hashes the code section as the bytes stream through at delivery
+    /// (receive-side hash offload — the same cut-through install engine that
+    /// keeps up with line rate), so a warm dispatch never reads the code
+    /// section on the receiver core at all. The digest is receiver-computed
+    /// (by the receiver's own NIC) and a hit still compares the cached code
+    /// bytes with the frame's — host work the model does not charge, as it
+    /// charges no comparison on the first-level hit either — so trusting it is
+    /// security-equivalent to hashing on the core; the GOT section is still
+    /// read and hashed per message.
     fn resolve_image(
         &self,
         ctx: &mut DrainCtx<'_>,
@@ -1566,23 +1527,14 @@ impl HostCore {
                 .local_lib
                 .get(&elem_id)
                 .ok_or(AmError::UnknownElement(elem_id))?;
-            return Ok(self.local_image(entry));
+            return Ok(entry.clone());
         }
         let got = self.injected_got(ctx, frame, base_addr, handler_time)?;
-        if self.config.execution_policy == ExecutionPolicy::Interpret {
-            let (program, _) =
-                self.injected_program(ctx, frame, got.len(), base_addr, handler_time)?;
-            return Ok(StageImage {
-                image: ExecImage::Interpreted(program),
-                got,
-                code_base: base_addr + frame.code_offset() as u64,
-            });
-        }
         let rkey = (elem_id, ctx.code_digest.of(frame.code), frame.code.len());
-        if let Some(entry) = ctx.cache.lookup_resolved(rkey, &got) {
+        if let Some(entry) = ctx.cache.lookup_resolved(rkey, &got, frame.code) {
             // The GOT is pointer-identical to the one the image was lowered
-            // against, but the verifier floor is re-checked for parity with
-            // the interpreted warm path.
+            // against, but the verifier floor is re-checked as a first-level
+            // hit re-checks it.
             if got.len() < entry.min_got_slots {
                 return Err(AmError::BadFrame(format!(
                     "cached program references GOT slot {} but the \
@@ -1596,15 +1548,14 @@ impl HostCore {
             // is a code-cache hit.
             ctx.stats.injected_code_cache_hits += 1;
             return Ok(StageImage {
-                image: ExecImage::Resolved(entry.image),
+                image: entry.image,
                 got,
                 code_base: entry.code_base,
             });
         }
         ctx.stats.resolved_cache_misses += 1;
-        let (program, min_got_slots) =
-            self.injected_program(ctx, frame, got.len(), base_addr, handler_time)?;
-        let image = Arc::new(resolve(&program, &got));
+        let program = self.injected_program(ctx, frame, got.len(), base_addr, handler_time)?;
+        let image = Arc::new(resolve(&program.program, &got));
         let slab = resolved_slab_base(rkey);
         // Lowering walks the decoded program once, then the image is written
         // into its slab (which installs its lines hot for the execution that
@@ -1619,32 +1570,18 @@ impl HostCore {
         ctx.cache.store_resolved(
             rkey,
             CachedResolved {
+                code: program.code,
                 got: Arc::clone(&got),
                 image: Arc::clone(&image),
                 code_base: slab,
-                min_got_slots,
+                min_got_slots: program.min_got_slots,
             },
         );
         Ok(StageImage {
-            image: ExecImage::Resolved(image),
+            image,
             got,
             code_base: slab,
         })
-    }
-
-    /// A Local Function entry as the execute stage runs it — the one place
-    /// the [`ExecutionPolicy`] picks between an entry's two forms. Entries
-    /// are pre-lowered at install time, so the split costs no per-message (or
-    /// per-chain-stage) work either way.
-    fn local_image(&self, entry: &LocalEntry) -> StageImage {
-        StageImage {
-            image: match self.config.execution_policy {
-                ExecutionPolicy::Resolved => ExecImage::Resolved(Arc::clone(&entry.resolved)),
-                ExecutionPolicy::Interpret => ExecImage::Interpreted(Arc::clone(&entry.program)),
-            },
-            got: Arc::clone(&entry.got),
-            code_base: entry.code_base,
-        }
     }
 
     /// The execute stage: map `sections` (fresh copies, for exactly this
@@ -1707,8 +1644,8 @@ impl HostCore {
         }
         let externs = self.namespace.externs();
         let exec = match guard.as_deref_mut() {
-            Some(space) => run_image(&jam.image, &jam.got, externs, space, ctx.bus, &vm_cfg),
-            None => run_image(&jam.image, &jam.got, externs, ctx.space, ctx.bus, &vm_cfg),
+            Some(space) => Vm::execute_resolved(&jam.image, externs, space, ctx.bus, &vm_cfg),
+            None => Vm::execute_resolved(&jam.image, externs, ctx.space, ctx.bus, &vm_cfg),
         };
         let segments: &mut AddressSpace = match guard.as_deref_mut() {
             Some(space) => space,
@@ -1803,8 +1740,9 @@ impl HostCore {
     }
 
     /// Resolve the decoded program of an injected frame, through the shared code
-    /// cache. Returns the program and its verifier floor (smallest GOT slot
-    /// count it verifies against).
+    /// cache. Returns the first-level entry: the program, the code bytes it was
+    /// decoded from and its verifier floor (smallest GOT slot count it verifies
+    /// against).
     fn injected_program(
         &self,
         ctx: &mut DrainCtx<'_>,
@@ -1812,7 +1750,7 @@ impl HostCore {
         got_slots: usize,
         mailbox_base: u64,
         handler_time: &mut SimTime,
-    ) -> AmResult<(Arc<[Instr]>, usize)> {
+    ) -> AmResult<CachedProgram> {
         let code_base = mailbox_base + frame.code_offset() as u64;
         let code_len = frame.code.len().max(1);
         // Content hash over the arrived code: the cache-key computation. The hash
@@ -1825,19 +1763,19 @@ impl HostCore {
             .bus
             .access(ctx.core, code_base, code_len, AccessKind::Read);
         let key = (frame.header.elem_id, ctx.code_digest.of(frame.code));
-        if let Some((program, min_got_slots)) = ctx.cache.lookup_program(key, frame.code) {
+        if let Some(cached) = ctx.cache.lookup_program(key, frame.code) {
             // Verification depends on the GOT size, which varies per message: the
             // cached program must still fit inside *this* message's GOT, or a warm
             // hit would execute a program the cold path rejects.
-            if got_slots < min_got_slots {
+            if got_slots < cached.min_got_slots {
                 return Err(AmError::BadFrame(format!(
                     "cached program references GOT slot {} but the message GOT has only {} slots",
-                    min_got_slots - 1,
+                    cached.min_got_slots - 1,
                     got_slots
                 )));
             }
             ctx.stats.injected_code_cache_hits += 1;
-            return Ok((program, min_got_slots));
+            return Ok(cached);
         }
         // Miss, or a 64-bit hash collision with different bytes: re-decode and
         // (re)place the entry.
@@ -1863,16 +1801,13 @@ impl HostCore {
         // An `Arc<[Instr]>` keeps its counts in front of its elements, so this is
         // a second allocation and a copy of the decoded program, not a move:
         // ≈ 0.4–0.9 µs of host time for the 21 KB Indirect Put jam.
-        let program: Arc<[Instr]> = program.into();
-        ctx.stats.injected_code_cache_evictions += ctx.cache.store_program(
-            key,
-            CachedProgram {
-                code: frame.code.into(),
-                program: Arc::clone(&program),
-                min_got_slots,
-            },
-        );
-        Ok((program, min_got_slots))
+        let entry = CachedProgram {
+            code: frame.code.into(),
+            program: program.into(),
+            min_got_slots,
+        };
+        ctx.stats.injected_code_cache_evictions += ctx.cache.store_program(key, entry.clone());
+        Ok(entry)
     }
 
     // ---- stage 7: retire (sequence, credit) --------------------------------

@@ -60,9 +60,9 @@ struct Entry<V> {
 /// O(n) in the entry count: a working set below capacity never pays them,
 /// while a sender churning keys with the cache full pays one bounded scan
 /// (≤ cap entries, under the shared lock) per miss-insert — an accepted cost,
-/// since that sender is already paying a full decode+verify (and, under the
-/// resolved policy, a lowering) per message: ≈ 3 µs of host time for the
-/// 1.4 KB Indirect Put jam, ≈ 7.6 µs for the whole cold drain (measured,
+/// since that sender is already paying a full decode+verify and a lowering
+/// per message: ≈ 3 µs of host time for the 1.4 KB Indirect Put jam,
+/// ≈ 7.6 µs for the whole cold drain (measured,
 /// `cold_churn`); an O(1) recency list is the upgrade path if
 /// churn-resistance ever needs to be cheaper.
 #[derive(Debug)]
@@ -204,15 +204,18 @@ pub(crate) struct CachedGot {
 
 /// A cached resolved image — the second-level entry the threaded executor runs.
 ///
-/// The image was lowered from `program` against `got`, so it is only valid
-/// while the current message resolves to *that same* GOT `Arc`
-/// ([`InjectionCache::lookup_resolved`] enforces pointer identity; the
-/// first-level GOT caches hand out stable `Arc`s for unchanged content, so a
-/// changed GOT image — new bytes, new namespace resolution — yields a
-/// different pointer and a resolved miss). Any package reinstall or namespace
-/// change purges the cache wholesale via [`InjectionCache::invalidate_all`].
+/// The image was lowered from `code` against `got`, so it is only valid for
+/// a message carrying *those* code bytes that resolves to *that same* GOT
+/// `Arc` ([`InjectionCache::lookup_resolved`] compares the bytes and enforces
+/// pointer identity; the first-level GOT caches hand out stable `Arc`s for
+/// unchanged content, so a changed GOT image — new bytes, new namespace
+/// resolution — yields a different pointer and a resolved miss). Any package
+/// reinstall or namespace change purges the cache wholesale via
+/// [`InjectionCache::invalidate_all`].
 #[derive(Debug, Clone)]
 pub(crate) struct CachedResolved {
+    /// The exact code bytes the image was lowered from, compared on every hit.
+    pub(crate) code: Arc<[u8]>,
     /// The exact GOT image baked into the lowering, compared by pointer.
     pub(crate) got: Arc<GotImage>,
     /// The lowered image itself.
@@ -233,10 +236,10 @@ struct CacheInner {
     /// Locally re-resolved GOT images (hardened policy), keyed by `elem_id`.
     resolved_got: SegmentedCache<u32, Arc<GotImage>>,
     /// Resolved (lowered) images, keyed by `(elem_id, code_digest, code_len)`.
-    /// The length rides in the key to harden the 64-bit content digest a
-    /// little; unlike the first-level code cache there is no byte comparison
-    /// on hit, because under the NIC-delivery-digest model the receiver never
-    /// re-reads the code section on the warm path.
+    /// Hits are byte-compared as first-level ones are: the digest is a lane-wise
+    /// FNV a sender can steer onto any value with one free 8-byte lane. The
+    /// length adds nothing to that, but it stays in the key because the key
+    /// places the image's slab (`resolved_slab_base`).
     resolved: SegmentedCache<(u32, u64, usize), CachedResolved>,
 }
 
@@ -269,17 +272,12 @@ impl InjectionCache {
     }
 
     /// Probe the decoded-program cache. A hit requires the stored code bytes to
-    /// equal `code` (hash-collision defence); returns the program and its minimum
-    /// GOT slot requirement.
-    pub(crate) fn lookup_program(
-        &self,
-        key: (u32, u64),
-        code: &[u8],
-    ) -> Option<(Arc<[Instr]>, usize)> {
+    /// equal `code` (hash-collision defence).
+    pub(crate) fn lookup_program(&self, key: (u32, u64), code: &[u8]) -> Option<CachedProgram> {
         let mut inner = self.inner.lock();
         let cached = inner.code.lookup(&key)?;
         if &*cached.code == code {
-            Some((Arc::clone(&cached.program), cached.min_got_slots))
+            Some(cached.clone())
         } else {
             None
         }
@@ -317,18 +315,20 @@ impl InjectionCache {
         self.inner.lock().resolved_got.store(elem, got)
     }
 
-    /// Probe the resolved-image cache. A hit additionally requires the cached
-    /// entry's GOT `Arc` to be pointer-identical to `got` — the image baked
-    /// that exact GOT's resolutions into its call sites, so any other image
-    /// (even content-equal) forces a re-lower.
+    /// Probe the resolved-image cache. A hit requires the stored code bytes to
+    /// equal `code`, as for programs, and the cached entry's GOT `Arc` to be
+    /// pointer-identical to `got` — the image baked that exact GOT's
+    /// resolutions into its call sites, so any other image (even
+    /// content-equal) forces a re-lower.
     pub(crate) fn lookup_resolved(
         &self,
         key: (u32, u64, usize),
         got: &Arc<GotImage>,
+        code: &[u8],
     ) -> Option<CachedResolved> {
         let mut inner = self.inner.lock();
         let cached = inner.resolved.lookup(&key)?;
-        if Arc::ptr_eq(&cached.got, got) {
+        if Arc::ptr_eq(&cached.got, got) && &*cached.code == code {
             Some(cached.clone())
         } else {
             None
@@ -456,7 +456,9 @@ mod tests {
         let cache = InjectionCache::with_capacity(8);
         let program: Arc<[Instr]> = vec![Instr::Ret].into();
         let got = Arc::new(GotImage::with_slots(1));
+        let code = [0x0F, 0, 0, 0];
         let entry = CachedResolved {
+            code: code.into(),
             got: Arc::clone(&got),
             image: Arc::new(resolve(&program, &got)),
             code_base: 0xC000_0000,
@@ -464,15 +466,19 @@ mod tests {
         };
         let key = (7, 42, 4);
         cache.store_resolved(key, entry);
-        assert!(cache.lookup_resolved(key, &got).is_some());
+        assert!(cache.lookup_resolved(key, &got, &code).is_some());
         // A content-equal but distinct GOT image must miss: its resolutions
         // were not the ones baked into the lowering.
         let other = Arc::new(GotImage::with_slots(1));
-        assert!(cache.lookup_resolved(key, &other).is_none());
-        assert!(cache.lookup_resolved((7, 42, 5), &got).is_none());
+        assert!(cache.lookup_resolved(key, &other, &code).is_none());
+        assert!(cache.lookup_resolved((7, 42, 5), &got, &code).is_none());
+        assert!(
+            cache.lookup_resolved(key, &got, &[0x0F, 0, 0, 1]).is_none(),
+            "a digest collision with different bytes is a miss"
+        );
         cache.invalidate_all();
         assert!(
-            cache.lookup_resolved(key, &got).is_none(),
+            cache.lookup_resolved(key, &got, &code).is_none(),
             "invalidation purges resolved images too"
         );
     }

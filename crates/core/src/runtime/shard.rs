@@ -34,7 +34,7 @@ use twochains_memsim::{CoreBus, SimTime};
 use super::credit::CreditReturn;
 use super::host::HostCore;
 use super::injection_cache::InjectionCache;
-use super::{BurstOutcome, ReceiveOutcome};
+use super::BurstOutcome;
 use crate::bank::ShardMask;
 use crate::error::AmResult;
 use crate::stats::RuntimeStats;
@@ -343,28 +343,6 @@ impl ShardDrain<'_> {
     /// this shard.
     pub fn receive_burst(&mut self, max_frames: usize, now: SimTime) -> AmResult<BurstOutcome> {
         self.core.receive_burst(self.shard, max_frames, now)
-    }
-
-    /// Process one specific mailbox through this shard (the single-frame case of
-    /// the burst engine, with the wait model applied). The mailbox's bank must be
-    /// owned by this shard: draining another shard's bank from here could race
-    /// that shard on the same slot, so it is rejected.
-    pub fn receive(
-        &mut self,
-        bank: usize,
-        slot: usize,
-        frame_len: Option<usize>,
-        arrival: SimTime,
-        ready_since: SimTime,
-    ) -> AmResult<ReceiveOutcome> {
-        if !self.shard.mask().owns(bank) {
-            return Err(crate::error::AmError::InvalidConfig(format!(
-                "bank {bank} is not owned by shard {} of {}",
-                self.shard.shard_id, self.shard.num_shards
-            )));
-        }
-        self.core
-            .receive_owned(self.shard, bank, slot, frame_len, arrival, ready_since)
     }
 
     /// Statistics accumulated by this shard so far.

@@ -833,32 +833,6 @@ fn receive_burst_quarantines_poisoned_slots() {
 }
 
 #[test]
-fn shard_drain_rejects_foreign_banks() {
-    let (mut rx, mut tx) = testbed(RuntimeConfig::paper_default().with_shards(2));
-    let id = rx.builtin_id(BuiltinJam::ServerSideSum).unwrap();
-    // A frame sits in bank 1 (owned by shard 1).
-    let target = rx.mailbox_target(1, 0).unwrap();
-    let send = tx
-        .send_spec(
-            SimTime::ZERO,
-            &msg(id, InvocationMode::Injected, &ssum_args(4), &payload(4)),
-            &target,
-        )
-        .unwrap();
-    let mut drains = rx.shard_drains();
-    // Shard 0 must not be able to drain shard 1's bank (two threads could race
-    // on the slot); shard 1 drains it fine.
-    let err = drains[0]
-        .receive(1, 0, Some(send.wire_bytes), send.delivered(), SimTime::ZERO)
-        .unwrap_err();
-    assert!(matches!(err, AmError::InvalidConfig(_)));
-    let out = drains[1]
-        .receive(1, 0, Some(send.wire_bytes), send.delivered(), SimTime::ZERO)
-        .unwrap();
-    assert_eq!(out.result, 10);
-}
-
-#[test]
 fn shard_local_space_partitions_writable_state_per_shard() {
     let (mut rx, mut tx) = testbed(
         RuntimeConfig::paper_default()

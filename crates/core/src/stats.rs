@@ -177,13 +177,12 @@ runtime_stats! {
     batch_frames_received: u64 => sum,
     /// Injected dispatches that found a valid resolved image (lowered IR) in
     /// the second-level injection cache and executed it directly — the warm
-    /// path under [`ExecutionPolicy::Resolved`](crate::config::ExecutionPolicy).
-    /// Every resolved hit also counts in `injected_code_cache_hits` (the
+    /// path. Every resolved hit also counts in `injected_code_cache_hits` (the
     /// resolved image subsumes the decoded program).
     resolved_cache_hits: u64 => sum,
-    /// Injected dispatches under the resolved policy that had no valid resolved
-    /// image (first message, GOT image changed, or cache invalidated) and paid
-    /// the lowering before executing.
+    /// Injected dispatches that had no valid resolved image (first message,
+    /// code or GOT image changed, or cache invalidated) and paid the lowering
+    /// before executing.
     resolved_cache_misses: u64 => sum,
     /// Fused superinstructions retired by the resolved executor (each retires
     /// two original instructions in one dispatch slot).

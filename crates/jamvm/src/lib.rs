@@ -26,15 +26,15 @@
 //!   [`twochains_memsim::MemoryBus`], so the execution cost depends on whether the
 //!   message was stashed into the LLC or landed in DRAM.
 //!
-//! Two execution engines share those properties: the interpreter
-//! ([`vm::Vm::execute`]) re-decodes the program every run — the right model for a
-//! cold first execution — and the resolved executor
-//! ([`vm::Vm::execute_resolved`]) runs a [`resolved`] image lowered once by
-//! [`resolve`]: flat pre-decoded operands, GOT indirections turned into direct
-//! extern references (with lazy errors preserved), fused superinstructions and
-//! block-batched instruction fetch. The two are pinned observationally equal by
-//! differential tests; see the [`resolved`] module docs for the lowering, timing
-//! and invalidation contracts.
+//! Two execution engines share those properties. The resolved executor
+//! ([`vm::Vm::execute_resolved`]) is the one the runtime runs: it executes a
+//! [`resolved`] image lowered once by [`resolve`] — flat pre-decoded operands, GOT
+//! indirections turned into direct extern references (with lazy errors preserved),
+//! fused superinstructions and block-batched instruction fetch. The interpreter
+//! ([`vm::Vm::execute`]) walks the decoded program instruction by instruction; it
+//! is not a runtime path but the reference engine the differential suites compare
+//! the resolved executor against, which pins the two observationally equal. See the
+//! [`resolved`] module docs for the lowering, timing and invalidation contracts.
 //!
 //! The crate is deliberately free of any dependency on the fabric or the runtime: it
 //! knows nothing about messages, only about executing verified bytecode against an

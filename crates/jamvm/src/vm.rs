@@ -1,4 +1,9 @@
-//! The interpreter.
+//! The interpreter: the reference engine.
+//!
+//! The runtime executes jams through [`Vm::execute_resolved`] only; the
+//! interpreter is what the differential suites (`tests/resolved_exec.rs`,
+//! `tests/wrapping_address.rs`) compare that engine against, so its job is to
+//! be the plain, instruction-at-a-time statement of the semantics.
 //!
 //! [`Vm::execute`] runs verified bytecode against a [`JamSpace`] (the exclusive
 //! [`crate::memory::AddressSpace`] or a per-shard

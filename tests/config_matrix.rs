@@ -1,14 +1,13 @@
 //! The whole configuration matrix, not its corners.
 //!
-//! `RuntimeConfig` keeps three policy knobs — `aggregation_policy`,
-//! `execution_policy`, `space_mode` — and each of the pairwise suites
-//! (`frame_aggregation`, `resolved_exec`, `stress_parallel`) holds one of them
-//! against its reference with the other two at a fixed value. A policy may
-//! change *when* something happens and what it costs in virtual time; it may
-//! never change what a message computes, how many frames retire, or how many
-//! credits the sender can observe. This suite runs every combination of the
-//! three (8) under both security presets, one and two shards and four traffic
-//! shapes (16 classes), on the deterministic phased schedule (fill every slot,
+//! `RuntimeConfig` keeps two policy knobs — `aggregation_policy` and
+//! `space_mode` — and each of the pairwise suites (`frame_aggregation`,
+//! `stress_parallel`) holds one of them against its reference with the other
+//! at a fixed value. A policy may change *when* something happens and what it
+//! costs in virtual time; it may never change what a message computes, how
+//! many frames retire, or how many credits the sender can observe. This suite
+//! runs every combination of the two (4) under both security presets, one and
+//! two shards and four traffic shapes (16 classes), on the deterministic phased schedule (fill every slot,
 //! drain, twice), and asserts that within a class every combination observes
 //! the same results, the same receiver and sender counters and the same
 //! sender-side token census — and that every retired frame minted exactly one
@@ -64,24 +63,19 @@ fn combinations(shards: usize, security: SecurityPolicy) -> Vec<(String, Runtime
     base.security = security;
     let mut all = Vec::new();
     for per_frame in [false, true] {
-        for interpreted in [false, true] {
-            for shard_local in [false, true] {
-                let mut cfg = base.clone();
-                if per_frame {
-                    cfg = cfg.with_per_frame_aggregation();
-                }
-                if interpreted {
-                    cfg = cfg.with_interpreted_execution();
-                }
-                if shard_local {
-                    cfg = cfg.with_shard_local_space();
-                }
-                let label = format!(
-                    "{:?} aggregation, {:?} execution, {:?} space",
-                    cfg.aggregation_policy, cfg.execution_policy, cfg.space_mode
-                );
-                all.push((label, cfg));
+        for shard_local in [false, true] {
+            let mut cfg = base.clone();
+            if per_frame {
+                cfg = cfg.with_per_frame_aggregation();
             }
+            if shard_local {
+                cfg = cfg.with_shard_local_space();
+            }
+            let label = format!(
+                "{:?} aggregation, {:?} space",
+                cfg.aggregation_policy, cfg.space_mode
+            );
+            all.push((label, cfg));
         }
     }
     all

@@ -97,17 +97,16 @@ fn latency_ordering_matches_the_papers_qualitative_claims() {
     use two_chains_suite::bench::harness::{PingPong, TestbedOptions};
 
     // Injected messages are slower than Local for tiny payloads but converge for
-    // large payloads (Fig. 7). The ordering is a property of per-message code
-    // handling, so it is pinned under the interpretive execution policy; the
-    // default resolved policy deliberately erases the warm per-message code
-    // cost (checked below).
-    let mut pp = PingPong::new(
-        TestbedOptions {
-            warmup: 3,
-            ..Default::default()
-        }
-        .interpreted(),
-    );
+    // large payloads (Fig. 7): a warm injected message still carries its code
+    // and GOT on the wire and pays the GOT and code-cache probes, a fixed cost
+    // that a large payload's own work swamps. The first run on a fresh
+    // `PingPong` is discarded: it is Indirect Put's first pass over the keys
+    // `args_for` cycles, and inserting a key costs more than updating it.
+    let mut pp = PingPong::new(TestbedOptions {
+        warmup: 3,
+        ..Default::default()
+    });
+    pp.run(BuiltinJam::IndirectPut, InvocationMode::Local, 1, 12);
     let small_local = pp
         .run(BuiltinJam::IndirectPut, InvocationMode::Local, 1, 12)
         .median_us();
@@ -131,34 +130,13 @@ fn latency_ordering_matches_the_papers_qualitative_claims() {
         "the overhead must fade for large payloads: {big_gap}"
     );
 
-    // Resolved execution (the default) collapses that warm small-payload gap:
-    // once the resolved image is cached, dispatch never re-reads the shipped
-    // code section.
-    let mut resolved = PingPong::new(TestbedOptions {
-        warmup: 3,
-        ..Default::default()
-    });
-    let res_local = resolved
-        .run(BuiltinJam::IndirectPut, InvocationMode::Local, 1, 12)
-        .median_us();
-    let res_inj = resolved
-        .run(BuiltinJam::IndirectPut, InvocationMode::Injected, 1, 12)
-        .median_us();
-    let resolved_gap = (res_inj - res_local) / res_local;
-    assert!(
-        resolved_gap < small_gap / 2.0,
-        "resolved execution must shrink the warm injected-vs-local gap: \
-         interpreted {small_gap}, resolved {resolved_gap}"
-    );
-
     // Stashing reduces injected-message latency (Fig. 9).
     let mut nostash = PingPong::new(
         TestbedOptions {
             warmup: 3,
             ..Default::default()
         }
-        .nonstash()
-        .interpreted(),
+        .nonstash(),
     );
     let stash_lat = pp
         .run(BuiltinJam::IndirectPut, InvocationMode::Injected, 16, 12)

@@ -466,16 +466,6 @@ fn narrow_window_trace_matches_the_golden() {
     assert_trace("narrow window", &run_scenario(cfg), GOLDEN_NARROW_WINDOW);
 }
 
-#[test]
-fn interpreted_execution_trace_matches_the_golden() {
-    assert_trace(
-        "interpreted",
-        &run_scenario(base_config().with_interpreted_execution()),
-        GOLDEN_INTERPRETED,
-    );
-}
-
 const GOLDEN_EXCLUSIVE: &str = include_str!("golden/receive_trace_exclusive.txt");
 const GOLDEN_SHARD_LOCAL: &str = include_str!("golden/receive_trace_shard_local.txt");
 const GOLDEN_NARROW_WINDOW: &str = include_str!("golden/receive_trace_narrow_window.txt");
-const GOLDEN_INTERPRETED: &str = include_str!("golden/receive_trace_interpreted.txt");

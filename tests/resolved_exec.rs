@@ -1,7 +1,8 @@
 //! Differential tests pinning resolved execution to the interpreter. Every
-//! warm dispatch in production rides the resolved path, so a divergence here
-//! poisons everything downstream: CI runs this suite by name, ahead of the
-//! broad passes.
+//! dispatch in production rides the resolved path — the interpreter is only
+//! the reference it is compared against here — so a divergence here poisons
+//! everything downstream: CI runs this suite by name, ahead of the broad
+//! passes.
 //!
 //! [`Vm::execute_resolved`] over `resolve(program, got)` must be
 //! observationally equal to [`Vm::execute`] over `(program, got)` for *any*
@@ -12,19 +13,32 @@
 //! generator deliberately includes unverifiable programs: out-of-range branch
 //! targets, calls through unresolved and data-bound GOT slots, and loads and
 //! stores through garbage addresses, because the lazy-error contract is the
-//! part a lowering bug would break first.
+//! part a lowering bug would break first. Beside arms biased toward those
+//! shapes, one arm per field draws from the field's whole range (targets,
+//! offsets, GOT slots, up to 16 extern arguments); register fields stay in
+//! `0..16`, because an engine indexes its register file before any check and
+//! a wider field is the verifier's to refuse.
+//!
+//! At runtime level, the resolved-image cache must hand a frame only an image
+//! lowered from that frame's own code: a warm host computes what a host
+//! lowering every message afresh does, and two senders' programs whose code
+//! digests collide each run their own.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use two_chains_suite::fabric::SimFabric;
 use two_chains_suite::jamvm::{
+    encode_program, hash64_bytes,
     isa::{AluOp, Cond, Width},
     resolve, AddressSpace, ExecError, ExecStats, ExternRef, ExternTable, GotImage, Instr, Reg,
     Segment, SegmentKind, Vm, VmConfig,
 };
 use two_chains_suite::memsim::hierarchy::FlatMemory;
-use two_chains_suite::memsim::SimTime;
+use two_chains_suite::memsim::{SimTime, TestbedConfig};
+use twochains::builtin::{benchmark_package, indirect_put_args, ssum_args, BuiltinJam};
+use twochains::{spec, Frame, RuntimeConfig, SecurityPolicy, TwoChainsHost, TwoChainsSender};
 
 const HEAP_BASE: u64 = 0x5000;
 const HEAP_SIZE: usize = 256;
@@ -97,12 +111,29 @@ fn arb_instr() -> impl Strategy<Value = Instr> {
             addr: Reg(a),
             offset
         }),
+        (arb_width(), 0u8..16, 0u8..16, any::<u32>()).prop_map(|(width, d, a, offset)| {
+            Instr::Load {
+                width,
+                dst: Reg(d),
+                addr: Reg(a),
+                offset,
+            }
+        }),
+        (arb_width(), 0u8..16, 0u8..16, any::<u32>()).prop_map(|(width, s, a, offset)| {
+            Instr::Store {
+                width,
+                src: Reg(s),
+                addr: Reg(a),
+                offset,
+            }
+        }),
         (0u8..4, 0u8..4, 0u8..16).prop_map(|(d, s, l)| Instr::Memcpy {
             dst: Reg(d),
             src: Reg(s),
             len: Reg(l)
         }),
         (0u32..140).prop_map(|target| Instr::Jump { target }),
+        any::<u32>().prop_map(|target| Instr::Jump { target }),
         (arb_cond(), 0u8..16, 0u8..16, 0u32..140).prop_map(|(cond, a, b, target)| {
             Instr::Branch {
                 cond,
@@ -111,7 +142,20 @@ fn arb_instr() -> impl Strategy<Value = Instr> {
                 target,
             }
         }),
+        (arb_cond(), 0u8..16, 0u8..16, any::<u32>()).prop_map(|(cond, a, b, target)| {
+            Instr::Branch {
+                cond,
+                a: Reg(a),
+                b: Reg(b),
+                target,
+            }
+        }),
         (0u16..4, 0u8..4).prop_map(|(slot, nargs)| Instr::CallExtern { slot, nargs }),
+        // Any slot, and up to 16 argument registers: the widest `nargs` the
+        // engines index (`r0..nargs`) without a verifier. Half the slots are
+        // the fixture's, so a wide argument list reaches a callable one.
+        (prop_oneof![0u16..4, any::<u16>()], 0u8..17)
+            .prop_map(|(slot, nargs)| Instr::CallExtern { slot, nargs }),
         (0u8..16, 0u8..16).prop_map(|(d, s)| Instr::Hash {
             dst: Reg(d),
             src: Reg(s)
@@ -328,33 +372,24 @@ fn fused_superinstructions_retire_both_halves() {
     assert_eq!(i.superinstructions, 0, "the interpreter never fuses");
 }
 
-/// Full-runtime parity: the same message stream through two hosts — one pinned
-/// to `Interpret`, one on the default `Resolved` policy — produces identical
-/// results and execution counters, while only the resolved host reports
-/// resolved-cache traffic.
+/// Warm and cold dispatch agree: the same message stream through two hosts,
+/// one of which drops its injection caches before every message, produces
+/// identical results and execution counters. The warm host lowers once per
+/// element and runs the cached image after that; the cold host lowers every
+/// message afresh — so a cached image computes what a fresh lowering does.
 #[test]
-fn runtime_policies_agree_end_to_end() {
-    use two_chains_suite::fabric::SimFabric;
-    use two_chains_suite::memsim::TestbedConfig;
-    use twochains::builtin::{benchmark_package, indirect_put_args, ssum_args, BuiltinJam};
-    use twochains::{spec, RuntimeConfig, TwoChainsHost, TwoChainsSender};
-
-    let build = |cfg: RuntimeConfig| {
+fn warm_and_cold_dispatch_agree_end_to_end() {
+    let drive = |cold: bool| {
         let (fabric, a, b) = SimFabric::back_to_back(TestbedConfig::cluster2021());
-        let mut rx = TwoChainsHost::new(&fabric, b, cfg).unwrap();
+        let mut rx = TwoChainsHost::new(&fabric, b, RuntimeConfig::paper_default()).unwrap();
         rx.install_package(benchmark_package().unwrap()).unwrap();
         let mut tx =
             TwoChainsSender::new(fabric.endpoint(a, b).unwrap(), benchmark_package().unwrap());
-        for jam in [BuiltinJam::ServerSideSum, BuiltinJam::IndirectPut] {
-            let id = rx.builtin_id(jam).unwrap();
-            tx.set_remote_got(id, &rx.export_got(id).unwrap());
-        }
-        (rx, tx)
-    };
-    let drive = |cfg: RuntimeConfig| {
-        let (mut rx, mut tx) = build(cfg);
         let ssum = rx.builtin_id(BuiltinJam::ServerSideSum).unwrap();
         let iput = rx.builtin_id(BuiltinJam::IndirectPut).unwrap();
+        for id in [ssum, iput] {
+            tx.set_remote_got(id, &rx.export_got(id).unwrap());
+        }
         let target = rx.mailbox_target(0, 0).unwrap();
         let mut results = Vec::new();
         let mut ready = SimTime::ZERO;
@@ -366,6 +401,9 @@ fn runtime_policies_agree_end_to_end() {
             } else {
                 (ssum, ssum_args(i))
             };
+            if cold {
+                rx.invalidate_injection_caches();
+            }
             let message = spec(elem).args(args).usr(payload);
             let sent = tx.send_spec(clock, &message, &target).unwrap();
             clock = sent.sender_free();
@@ -379,32 +417,117 @@ fn runtime_policies_agree_end_to_end() {
         (results, stats)
     };
 
-    let (interp_results, interp_stats) =
-        drive(RuntimeConfig::paper_default().with_interpreted_execution());
-    let (resolved_results, resolved_stats) = drive(RuntimeConfig::paper_default());
+    let (warm_results, warm) = drive(false);
+    let (cold_results, cold) = drive(true);
 
+    assert_eq!(warm_results, cold_results, "per-message results diverge");
+    assert_eq!(warm.executions, cold.executions);
+    assert_eq!(warm.injected_executions, cold.injected_executions);
     assert_eq!(
-        interp_results, resolved_results,
-        "per-message results diverge"
+        cold.resolved_cache_hits, 0,
+        "the cold host lowers every message"
     );
-    assert_eq!(interp_stats.executions, resolved_stats.executions);
-    assert_eq!(
-        interp_stats.injected_executions,
-        resolved_stats.injected_executions
-    );
-    assert_eq!(
-        interp_stats.messages_received,
-        resolved_stats.messages_received
-    );
-    // Policy-specific counters: the interpreting host never touches the
-    // resolved cache; the resolved host misses once per element then hits.
-    assert_eq!(interp_stats.resolved_cache_hits, 0);
-    assert_eq!(interp_stats.resolved_cache_misses, 0);
-    assert_eq!(interp_stats.superinstructions_executed, 0);
-    assert_eq!(resolved_stats.resolved_cache_misses, 2);
-    assert_eq!(
-        resolved_stats.resolved_cache_hits,
-        resolved_stats.injected_executions - 2
-    );
-    assert!(resolved_stats.superinstructions_executed > 0);
+    // The warm host misses once per element, then hits.
+    assert_eq!(warm.resolved_cache_misses, 2);
+    assert_eq!(warm.resolved_cache_hits, warm.injected_executions - 2);
+}
+
+/// `load_imm r0, 77; nop…; ret` and a program of the same 64 bytes whose
+/// lane-wise FNV digest is forced onto the victim's: six `nop`s put the
+/// immediate of `load_imm r1, X` on an aligned 8-byte lane, and since each
+/// step `h → (h ^ lane)·P` is a bijection, `X` is solved in closed form by
+/// running the victim's digest back through the lanes after it. The
+/// attacker's program then returns `0xBAD`.
+fn colliding_programs() -> (Vec<u8>, Vec<u8>) {
+    const P: u64 = 0x0000_0100_0000_01B3;
+    const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+    // Newton's iteration for the inverse of an odd number mod 2^64.
+    let p_inv = (0..5).fold(P, |inv, _| {
+        inv.wrapping_mul(2u64.wrapping_sub(P.wrapping_mul(inv)))
+    });
+    assert_eq!(P.wrapping_mul(p_inv), 1);
+    let lane = |bytes: &[u8]| u64::from_le_bytes(bytes.try_into().unwrap());
+    let fnv = |bytes: &[u8]| {
+        bytes
+            .chunks_exact(8)
+            .fold(BASIS, |h, l| (h ^ lane(l)).wrapping_mul(P))
+    };
+
+    let mut victim = vec![Instr::LoadImm {
+        dst: Reg(0),
+        imm: 77,
+    }];
+    victim.extend([Instr::Nop; 53]);
+    victim.push(Instr::Ret);
+    let attacker = |x: u64| {
+        let mut program = vec![Instr::Nop; 6];
+        program.push(Instr::LoadImm {
+            dst: Reg(1),
+            imm: x,
+        });
+        program.push(Instr::LoadImm {
+            dst: Reg(0),
+            imm: 0xBAD,
+        });
+        program.extend([Instr::Nop; 37]);
+        program.push(Instr::Ret);
+        encode_program(&program)
+    };
+    let victim = encode_program(&victim);
+    let shape = attacker(0);
+    assert_eq!((victim.len(), shape.len()), (64, 64));
+    // The state the lane at bytes 8..16 must leave behind, and the state in
+    // front of it.
+    let after = shape[16..]
+        .chunks_exact(8)
+        .rev()
+        .fold(fnv(&victim), |h, l| h.wrapping_mul(p_inv) ^ lane(l));
+    let x = after.wrapping_mul(p_inv) ^ fnv(&shape[..8]);
+    (victim, attacker(x))
+}
+
+/// A sender cannot hijack another sender's function through the resolved
+/// cache: the attacker's frame lowers and caches its program under the
+/// victim's key, and the victim's frame, sent next as the same element with
+/// the same GOT, must still run the victim's code. Under the hardened policy
+/// the GOT `Arc` is the element's own, so pointer identity alone would not
+/// tell the two apart either.
+#[test]
+fn a_forged_code_digest_does_not_hand_over_another_senders_image() {
+    let (victim, attacker) = colliding_programs();
+    assert_ne!(victim, attacker);
+    assert_eq!(hash64_bytes(&attacker), hash64_bytes(&victim));
+    for security in [SecurityPolicy::permissive(), SecurityPolicy::hardened()] {
+        let (fabric, a, b) = SimFabric::back_to_back(TestbedConfig::cluster2021());
+        let cfg = RuntimeConfig {
+            security,
+            ..RuntimeConfig::paper_default()
+        };
+        let mut host = TwoChainsHost::new(&fabric, b, cfg).unwrap();
+        host.install_package(benchmark_package().unwrap()).unwrap();
+        // A hardened host resolves the GOT of an installed element only.
+        let elem = if security.accept_sender_got {
+            999
+        } else {
+            host.builtin_id(BuiltinJam::ServerSideSum).unwrap().0
+        };
+        let mut raw = fabric.endpoint(a, b).unwrap();
+        let mut ready = SimTime::ZERO;
+        let mut results = Vec::new();
+        for (slot, code) in [&attacker, &victim].into_iter().enumerate() {
+            let frame =
+                Frame::injected(1, elem, Vec::new(), code.clone(), vec![0; 8], Vec::new()).encode();
+            let target = host.mailbox_target(0, slot).unwrap();
+            let put = raw
+                .put(ready, &frame, &target.region, target.offset)
+                .unwrap();
+            let out = host
+                .receive(0, slot, Some(frame.len()), put.delivered, ready)
+                .unwrap();
+            ready = out.handler_done;
+            results.push(out.result);
+        }
+        assert_eq!(results, [0xBAD, 77], "{security:?}");
+        assert_eq!(host.stats().resolved_cache_hits, 0, "{security:?}");
+    }
 }

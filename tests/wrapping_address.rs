@@ -328,11 +328,9 @@ fn receive_burst_rejects_a_wrapping_jam_and_executes_the_next_frame() {
 }
 
 #[test]
-fn receive_burst_rejects_a_wrapping_jam_under_the_interpreter_and_shard_local_space() {
+fn receive_burst_rejects_a_wrapping_jam_under_shard_local_space() {
     hostile_frames_are_rejected_alone(
-        RuntimeConfig::paper_default()
-            .with_interpreted_execution()
-            .with_shard_local_space(),
+        RuntimeConfig::paper_default().with_shard_local_space(),
         wrapping_programs(),
         faults_unmapped,
     );
@@ -348,11 +346,9 @@ fn receive_burst_rejects_an_oversized_copy_and_executes_the_next_frame() {
 }
 
 #[test]
-fn receive_burst_rejects_an_oversized_copy_under_the_interpreter_and_shard_local_space() {
+fn receive_burst_rejects_an_oversized_copy_under_shard_local_space() {
     hostile_frames_are_rejected_alone(
-        RuntimeConfig::paper_default()
-            .with_interpreted_execution()
-            .with_shard_local_space(),
+        RuntimeConfig::paper_default().with_shard_local_space(),
         oversized_copies(),
         faults_unmapped,
     );
@@ -569,11 +565,9 @@ fn receive_burst_rejects_an_unread_bad_register_and_executes_the_next_frame() {
 }
 
 #[test]
-fn receive_burst_rejects_an_unread_bad_register_under_the_interpreter_and_shard_local_space() {
+fn receive_burst_rejects_an_unread_bad_register_under_shard_local_space() {
     hostile_frames_are_rejected_alone(
-        RuntimeConfig::paper_default()
-            .with_interpreted_execution()
-            .with_shard_local_space(),
+        RuntimeConfig::paper_default().with_shard_local_space(),
         unread_register_programs(),
         names_an_invalid_register,
     );
