@@ -101,11 +101,6 @@ pub struct RuntimeConfig {
     pub wait_mode: WaitMode,
     /// Security policy applied to inbound messages.
     pub security: SecurityPolicy,
-    /// Upper bound on entries per injection cache (decoded programs, sender GOT
-    /// images, re-resolved GOTs). Keys derive from sender-controlled content, so
-    /// the bound caps what a churning sender can pin in receiver memory; past it
-    /// the segmented-LRU policy evicts the coldest probationary entry.
-    pub injection_cache_entries: usize,
     /// If true, messages are delivered and signalled but the function invocation is
     /// skipped — the paper's "without-execution configuration" used for Figs. 5–6.
     pub skip_execution: bool,
@@ -126,7 +121,6 @@ impl RuntimeConfig {
             aggregation_policy: AggregationPolicy::Adaptive,
             wait_mode: WaitMode::Polling,
             security: SecurityPolicy::permissive(),
-            injection_cache_entries: crate::runtime::MAX_INJECTION_CACHE_ENTRIES,
             skip_execution: false,
         }
     }
@@ -193,9 +187,6 @@ impl RuntimeConfig {
         }
         if self.num_shards == 0 {
             return Err("need at least one receiver shard".into());
-        }
-        if self.injection_cache_entries == 0 {
-            return Err("injection caches need at least one entry".into());
         }
         if self.num_shards > self.banks {
             return Err(format!(

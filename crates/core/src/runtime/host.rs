@@ -359,9 +359,7 @@ impl TwoChainsHost {
             config.mailboxes_per_bank,
             config.frame_capacity,
         )?;
-        let cache = Arc::new(InjectionCache::with_capacity(
-            config.injection_cache_entries,
-        ));
+        let cache = Arc::new(InjectionCache::new());
         let shared_ro = Arc::new(AddressSpace::new());
         let shards = (0..config.num_shards)
             .map(|i| {

@@ -41,8 +41,11 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use twochains_jamvm::{GotImage, Instr, ResolvedProgram};
 
-/// Upper bound on entries per injection cache (see the module header for the
-/// eviction policy applied at this bound).
+/// Upper bound on entries per injection cache (decoded programs, sender GOT
+/// images, re-resolved GOTs, resolved images). Keys derive from
+/// sender-controlled content, so the bound caps what a churning sender can pin
+/// in receiver memory; the module header gives the eviction policy applied at
+/// it.
 pub(crate) const MAX_INJECTION_CACHE_ENTRIES: usize = 1024;
 
 /// Recency and segment are `Cell`s so a lookup can stamp the entry it found
@@ -253,14 +256,13 @@ pub(crate) struct InjectionCache {
 }
 
 impl InjectionCache {
-    /// Empty caches at the standard capacity.
-    #[cfg(test)]
+    /// Empty caches holding at most [`MAX_INJECTION_CACHE_ENTRIES`] each.
     pub(crate) fn new() -> Self {
         Self::with_capacity(MAX_INJECTION_CACHE_ENTRIES)
     }
 
     /// Empty caches holding at most `cap` entries each.
-    pub(crate) fn with_capacity(cap: usize) -> Self {
+    fn with_capacity(cap: usize) -> Self {
         InjectionCache {
             inner: Mutex::new(CacheInner {
                 code: SegmentedCache::with_capacity(cap),

@@ -268,8 +268,6 @@ mod spec;
 #[cfg(test)]
 mod tests;
 
-pub(crate) use injection_cache::MAX_INJECTION_CACHE_ENTRIES;
-
 pub use credit::CreditHandshake;
 pub use fleet::{
     drive_pipeline, PipelineFrame, PipelineOutcome, SenderFleet, SenderLane, SessionHandshake,

@@ -5,7 +5,9 @@
 //! `prop_map`, range/tuple/`Just`/`any` strategies, `prop::collection::vec`,
 //! `prop_oneof!`, and the `proptest!` test macro with `ProptestConfig::with_cases`.
 //! Generation is deterministic per test name; there is no shrinking — a failing case
-//! panics with the generated values visible in the assertion message.
+//! panics with `property <name> failed at case <k> of <n>: ` ahead of its own
+//! message. Cases count from 0, so case `k` is replayed by generating `k` cases
+//! from the name's seed and running the next one.
 
 #![warn(missing_docs)]
 
@@ -292,13 +294,28 @@ macro_rules! __proptest_impl {
             fn $name() {
                 let config: $crate::ProptestConfig = $cfg;
                 let mut rng = $crate::TestRng::deterministic(stringify!($name));
-                for _case in 0..config.cases {
+                for case in 0..config.cases {
                     $(let $arg = $crate::Strategy::generate(&($strat), &mut rng);)*
-                    $body
+                    let run = ::std::panic::AssertUnwindSafe(|| $body);
+                    if let Err(cause) = ::std::panic::catch_unwind(run) {
+                        $crate::fail(stringify!($name), case, config.cases, cause);
+                    }
                 }
             }
         )*
     };
+}
+
+/// Panic with the failing case's name and index ahead of the message its body
+/// panicked with.
+#[doc(hidden)]
+pub fn fail(name: &str, case: u32, cases: u32, cause: Box<dyn std::any::Any + Send>) -> ! {
+    let message = cause
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| cause.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("a panic without a message");
+    panic!("property {name} failed at case {case} of {cases}: {message}")
 }
 
 /// Everything a property-test file needs, mirroring `proptest::prelude`.
@@ -334,6 +351,20 @@ mod tests {
             any::<u64>(),
         ]) {
             let _ = v;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// Passes its first three cases and fails its fourth.
+        #[test]
+        #[should_panic(expected = "property the_fourth_case_fails failed at case 3 of 8: \
+                                   case 3 was reached")]
+        fn the_fourth_case_fails(_x in any::<u8>()) {
+            static CASES: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
+            let case = CASES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            prop_assert!(case < 3, "case {case} was reached");
         }
     }
 

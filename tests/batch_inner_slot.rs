@@ -7,11 +7,13 @@
 //! one slot each publish their token, in order, through the same-slot guard of
 //! the credit path.
 
-use two_chains_suite::fabric::SimFabric;
-use two_chains_suite::memsim::{SimTime, TestbedConfig};
-use twochains::builtin::{benchmark_package, ssum_args, BuiltinJam};
+mod support;
+
+use support::{fleet_testbed, put, wire, FleetBed};
+use two_chains_suite::memsim::SimTime;
+use twochains::builtin::{ssum_args, BuiltinJam};
 use twochains::frame::FrameBatch;
-use twochains::{AmError, Frame, InvocationMode, RuntimeConfig, SenderFleet, TwoChainsHost};
+use twochains::{AmError, Frame, InvocationMode, RuntimeConfig, TwoChainsHost};
 
 /// A Local Server-Side Sum frame over `[sn, sn]`: its result names it.
 fn ssum_frame(host: &TwoChainsHost, sn: u32) -> Vec<u8> {
@@ -22,15 +24,15 @@ fn ssum_frame(host: &TwoChainsHost, sn: u32) -> Vec<u8> {
 
 #[test]
 fn an_out_of_range_inner_slot_is_rejected_alone() {
-    let (fabric, a, b) = SimFabric::back_to_back(TestbedConfig::cluster2021());
-    let mut host = TwoChainsHost::new(&fabric, b, RuntimeConfig::paper_default()).unwrap();
-    host.install_package(benchmark_package().unwrap()).unwrap();
     // The session installs the credit path and arms the replay filter.
-    let fleet =
-        SenderFleet::connect_fleet(&fabric, a, &mut host, benchmark_package().unwrap()).unwrap();
+    let FleetBed {
+        wire,
+        mut host,
+        fleet,
+    } = fleet_testbed(RuntimeConfig::paper_default(), None);
     let per_bank = host.config().mailboxes_per_bank;
     assert_eq!(per_bank, 16);
-    let mut raw = fabric.endpoint(a, b).unwrap();
+    let mut raw = wire.raw();
 
     // Inner frames sn 1, 2, 3 declaring slots 0, 16 and 1 of a 16-slot bank.
     let mut batch = FrameBatch::new();
@@ -39,13 +41,10 @@ fn an_out_of_range_inner_slot_is_rejected_alone() {
     }
     let mut container = Vec::new();
     batch.finish_into(&mut container).unwrap();
-    let carrier = host.mailbox_target(0, 0).unwrap();
-    let put = raw
-        .put(SimTime::ZERO, &container, &carrier.region, carrier.offset)
-        .unwrap();
+    let landed = put(&mut raw, &host, 0, 0, SimTime::ZERO, &container);
 
     let out = host
-        .receive_burst(0, usize::MAX, put.delivered)
+        .receive_burst(0, usize::MAX, landed.delivered)
         .expect("a hostile inner slot must not abort the burst");
     let drained: Vec<_> = out
         .frames
@@ -81,12 +80,9 @@ fn an_out_of_range_inner_slot_is_rejected_alone() {
     // Index `0 * 16 + 16` of the replay filter is (bank 1, slot 0)'s entry: had
     // the rejected frame's sn 2 been written there, this sn-1 frame would be
     // suppressed as a replay.
-    let target = host.mailbox_target(1, 0).unwrap();
     let frame = ssum_frame(&host, 1);
-    let put = raw
-        .put(out.drained_at, &frame, &target.region, target.offset)
-        .unwrap();
-    let next = host.receive_burst(0, usize::MAX, put.delivered).unwrap();
+    let landed = put(&mut raw, &host, 1, 0, out.drained_at, &frame);
+    let next = host.receive_burst(0, usize::MAX, landed.delivered).unwrap();
     assert_eq!(next.frames.len(), 1, "the neighbour's first frame executes");
     assert_eq!((next.frames[0].bank, next.frames[0].slot), (1, 0));
     assert_eq!(host.stats().replays_suppressed, 0);
@@ -107,18 +103,16 @@ fn a_bank_is_as_wide_as_the_slot_field_and_every_slot_of_it_is_credited() {
         cfg.completion_window = cfg.total_mailboxes();
         cfg
     };
-    let (fabric, a, b) = SimFabric::back_to_back(TestbedConfig::cluster2021());
-    let refused = TwoChainsHost::new(&fabric, b, bank_of(65_537));
+    let wire = wire();
+    let refused = TwoChainsHost::new(&wire.fabric, wire.b, bank_of(65_537));
     let Err(AmError::InvalidConfig(why)) = refused else {
         panic!("a 65 537-slot bank must be refused, got {refused:?}");
     };
     assert!(why.contains("u16"), "the refusal names the field: {why}");
 
     let slots = 65_536;
-    let mut host = TwoChainsHost::new(&fabric, b, bank_of(slots)).unwrap();
-    host.install_package(benchmark_package().unwrap()).unwrap();
-    let mut fleet =
-        SenderFleet::connect_fleet(&fabric, a, &mut host, benchmark_package().unwrap()).unwrap();
+    let mut host = wire.host(bank_of(slots));
+    let mut fleet = wire.fleet(&mut host);
     let elem = host.builtin_id(BuiltinJam::ServerSideSum).unwrap();
     fleet
         .fill_all(elem, InvocationMode::Local, 0, &|ctx| {
@@ -160,24 +154,16 @@ fn a_bank_is_as_wide_as_the_slot_field_and_every_slot_of_it_is_credited() {
 fn two_inner_frames_declaring_one_slot_each_get_a_put_of_their_own() {
     let elem = |host: &TwoChainsHost| host.builtin_id(BuiltinJam::ServerSideSum).unwrap().0;
     let rig = || {
-        let (fabric, a, b) = SimFabric::back_to_back(TestbedConfig::cluster2021());
         let mut cfg = RuntimeConfig::paper_default();
         cfg.completion_window = 8;
-        let mut host = TwoChainsHost::new(&fabric, b, cfg).unwrap();
-        host.install_package(benchmark_package().unwrap()).unwrap();
-        let fleet = SenderFleet::connect_fleet(&fabric, a, &mut host, benchmark_package().unwrap())
-            .unwrap();
-        let raw = fabric.endpoint(a, b).unwrap();
-        (host, fleet, raw)
+        let FleetBed { wire, host, fleet } = fleet_testbed(cfg, None);
+        (host, fleet, wire.raw())
     };
     // What one credit put costs the drain core: a lone frame's closing flush.
     let (mut host, _fleet, mut raw) = rig();
-    let target = host.mailbox_target(0, 3).unwrap();
     let frame = ssum_frame(&host, 1);
-    let put = raw
-        .put(SimTime::ZERO, &frame, &target.region, target.offset)
-        .unwrap();
-    host.receive_burst(0, usize::MAX, put.delivered).unwrap();
+    let landed = put(&mut raw, &host, 0, 3, SimTime::ZERO, &frame);
+    host.receive_burst(0, usize::MAX, landed.delivered).unwrap();
     let one_put = host.stats().credit_put_time;
     assert!(one_put > SimTime::ZERO);
 
@@ -193,11 +179,8 @@ fn two_inner_frames_declaring_one_slot_each_get_a_put_of_their_own() {
         .unwrap();
     let mut container = Vec::new();
     batch.finish_into(&mut container).unwrap();
-    let carrier = host.mailbox_target(0, 0).unwrap();
-    let put = raw
-        .put(SimTime::ZERO, &container, &carrier.region, carrier.offset)
-        .unwrap();
-    let out = host.receive_burst(0, usize::MAX, put.delivered).unwrap();
+    let landed = put(&mut raw, &host, 0, 0, SimTime::ZERO, &container);
+    let out = host.receive_burst(0, usize::MAX, landed.delivered).unwrap();
     assert!(out.rejected.is_empty());
     let results: Vec<u64> = out.frames.iter().map(|f| f.outcome.result).collect();
     assert_eq!(results, vec![2, 4095 * 4096 / 2]);

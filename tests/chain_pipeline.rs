@@ -8,32 +8,21 @@
 //! any 1..=8-long walk over the three graph elements), pinning that chaining
 //! changes message count and nothing else.
 
+mod support;
+
 use proptest::prelude::*;
 
-use two_chains_suite::fabric::SimFabric;
-use two_chains_suite::memsim::{SimTime, TestbedConfig};
-use twochains::builtin::{benchmark_package, graph_args, BuiltinJam};
-use twochains::{spec, ElementId, RuntimeConfig, SenderFleet, TwoChainsHost};
+use support::{fleet_config, fleet_testbed, testbed, FleetBed};
+use two_chains_suite::jamvm::isa::hash64;
+use two_chains_suite::memsim::SimTime;
+use twochains::builtin::{graph_args, BuiltinJam};
+use twochains::{spec, AmError, ElementId, RuntimeConfig, SenderFleet, TwoChainsHost};
 
 const SHARDS: usize = 2;
 const CHAIN_STAGES: usize = 3;
 
-fn config() -> RuntimeConfig {
-    let mut cfg = RuntimeConfig::paper_default()
-        .with_shards(SHARDS)
-        .with_sender_streams(SHARDS)
-        .with_shard_local_space();
-    cfg.frame_capacity = 4096;
-    cfg.completion_window = cfg.total_mailboxes();
-    cfg
-}
-
 fn build() -> (TwoChainsHost, SenderFleet) {
-    let (fabric, a, b) = SimFabric::back_to_back(TestbedConfig::cluster2021());
-    let mut host = TwoChainsHost::new(&fabric, b, config()).unwrap();
-    host.install_package(benchmark_package().unwrap()).unwrap();
-    let fleet =
-        SenderFleet::connect_fleet(&fabric, a, &mut host, benchmark_package().unwrap()).unwrap();
+    let FleetBed { host, fleet, .. } = fleet_testbed(fleet_config(SHARDS), None);
     (host, fleet)
 }
 
@@ -213,4 +202,37 @@ proptest! {
         prop_assert_eq!(chained_result, seq_result, "stage walk {:?}", walk);
         prop_assert_eq!(chained_accum, seq_accum, "aggregate oracle diverged");
     }
+}
+
+/// A spec with no `then` is no chain: it dispatches as an unchained send.
+#[test]
+fn zero_stage_chain_dispatches_like_an_unchained_send() {
+    let (mut rx, mut tx) = testbed(RuntimeConfig::paper_default());
+    let lookup = rx.builtin_id(BuiltinJam::GraphLookup).unwrap();
+    let target = rx.mailbox_target(0, 0).unwrap();
+    let s = spec(lookup).local().args(graph_args(3));
+    assert!(!s.is_chained());
+    let sent = tx.send_spec(SimTime::ZERO, &s, &target).unwrap();
+    let out = rx
+        .receive(0, 0, Some(sent.wire_bytes), sent.delivered(), SimTime::ZERO)
+        .unwrap();
+    assert_eq!(out.result, hash64(3));
+    assert_eq!(rx.stats().chain_frames, 0);
+    assert_eq!(rx.stats().chain_stages_executed, 0);
+}
+
+/// A chain longer than the descriptor can carry is refused at the sender.
+#[test]
+fn send_spec_refuses_overlong_chains() {
+    let (rx, mut tx) = testbed(RuntimeConfig::paper_default());
+    let lookup = rx.builtin_id(BuiltinJam::GraphLookup).unwrap();
+    let target = rx.mailbox_target(0, 0).unwrap();
+    let mut overlong = spec(lookup).local();
+    for _ in 0..twochains::CHAIN_MAX_STAGES + 1 {
+        overlong = overlong.then(lookup);
+    }
+    assert!(matches!(
+        tx.send_spec(SimTime::ZERO, &overlong, &target),
+        Err(AmError::BadFrame(_))
+    ));
 }

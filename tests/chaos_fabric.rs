@@ -29,36 +29,19 @@
 //! reset statistics, so the measured rounds hit warm caches identically on
 //! both sides regardless of recovery order.
 
+mod support;
+
 use proptest::prelude::*;
 
-use two_chains_suite::fabric::{FaultPlan, SimFabric};
-use two_chains_suite::memsim::TestbedConfig;
-use twochains::builtin::{benchmark_package, ssum_args, BuiltinJam};
-use twochains::{
-    drive_pipeline, InvocationMode, RuntimeConfig, SenderFleet, SlotCtx, TwoChainsHost,
-};
+use support::{fleet_config, fleet_testbed, mix, FleetBed};
+use two_chains_suite::fabric::FaultPlan;
+use twochains::builtin::{ssum_args, BuiltinJam};
+use twochains::{drive_pipeline, InvocationMode, SenderFleet, SlotCtx, TwoChainsHost};
 
 const SHARDS: usize = 4;
 const ROUNDS: usize = 3;
 
-fn config() -> RuntimeConfig {
-    let mut cfg = RuntimeConfig::paper_default()
-        .with_shards(SHARDS)
-        .with_sender_streams(SHARDS)
-        .with_shard_local_space();
-    cfg.frame_capacity = 4096;
-    cfg.completion_window = cfg.total_mailboxes();
-    cfg
-}
-
-/// SplitMix64, keying each (bank, slot, round) payload off the proptest seed.
-fn mix(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
+/// Keys each (bank, slot, round) payload off the proptest seed.
 fn payload_for(seed: u64, ctx: SlotCtx) -> (Vec<u8>, Vec<u8>) {
     let r = mix(seed
         ^ ((ctx.bank as u64) << 24)
@@ -85,20 +68,22 @@ fn run(seed: u64, plan: Option<FaultPlan>) -> Run {
 
 fn run_with(seed: u64, plan: Option<FaultPlan>, per_frame: bool) -> Run {
     let cfg = if per_frame {
-        config().with_per_frame_aggregation()
+        fleet_config(SHARDS).with_per_frame_aggregation()
     } else {
-        config()
+        fleet_config(SHARDS)
     };
-    let (fabric, a, b) = SimFabric::back_to_back(TestbedConfig::cluster2021());
-    let mut host = TwoChainsHost::new(&fabric, b, cfg).unwrap();
-    host.install_package(benchmark_package().unwrap()).unwrap();
-    // The plan must be installed before `connect` creates the lane endpoints:
-    // each endpoint captures the link's fault hook at creation time.
-    if let Some(plan) = plan {
-        fabric.install_fault_plan(a, b, plan).unwrap();
-    }
-    let mut fleet =
-        SenderFleet::connect_fleet(&fabric, a, &mut host, benchmark_package().unwrap()).unwrap();
+    // The rig installs the plan before `connect_fleet` creates the lane
+    // endpoints: each endpoint captures the link's fault hook at creation.
+    let FleetBed {
+        wire,
+        mut host,
+        mut fleet,
+    } = fleet_testbed(cfg, plan);
+    let dropped_so_far = || {
+        wire.fabric
+            .fault_counters(wire.a, wire.b)
+            .map_or(0, |s| s.dropped)
+    };
     let elem = host.builtin_id(BuiltinJam::ServerSideSum).unwrap();
     let total = host.config().total_mailboxes();
 
@@ -116,7 +101,7 @@ fn run_with(seed: u64, plan: Option<FaultPlan>, per_frame: bool) -> Run {
     assert_eq!(out.rejected, 0);
     host.reset_stats();
     fleet.reset_stats();
-    let primed = fabric.fault_counters(a, b).map_or(0, |s| s.dropped);
+    let primed = dropped_so_far();
 
     let out = drive_pipeline(
         &mut host,
@@ -129,7 +114,7 @@ fn run_with(seed: u64, plan: Option<FaultPlan>, per_frame: bool) -> Run {
     .unwrap();
     assert_eq!(out.drained, ROUNDS * total);
     assert_eq!(out.rejected, 0);
-    let dropped = fabric.fault_counters(a, b).map_or(0, |s| s.dropped) - primed;
+    let dropped = dropped_so_far() - primed;
     Run {
         results: out.results.iter().map(|f| f.result).collect(),
         host,

@@ -17,11 +17,14 @@
 //! differs from the class's first combination: a policy changed something
 //! other than time.
 
-use two_chains_suite::fabric::SimFabric;
-use two_chains_suite::memsim::{SimTime, TestbedConfig};
-use twochains::builtin::{benchmark_package, graph_args, ssum_args, BuiltinJam};
+mod support;
+
+use support::{fleet_config, fleet_testbed, token_census, FleetBed};
+use two_chains_suite::memsim::SimTime;
+use twochains::builtin::{graph_args, ssum_args, BuiltinJam};
 use twochains::{
-    spec, ElementId, InvocationMode, RuntimeConfig, SecurityPolicy, SenderFleet, TwoChainsHost,
+    spec, ElementId, InvocationMode, RuntimeConfig, SecurityPolicy, SenderFleet, SpaceMode,
+    TwoChainsHost,
 };
 
 /// Fills per slot. The first round's bursts are capped at [`CAP`] mailboxes,
@@ -55,22 +58,16 @@ const TRAFFIC: [Traffic; 4] = [
 
 /// Every combination of the policy knobs, labelled by what it sets.
 fn combinations(shards: usize, security: SecurityPolicy) -> Vec<(String, RuntimeConfig)> {
-    let mut base = RuntimeConfig::paper_default()
-        .with_shards(shards)
-        .with_sender_streams(shards);
-    base.frame_capacity = 4096;
-    base.completion_window = base.total_mailboxes();
+    let mut base = fleet_config(shards);
     base.security = security;
     let mut all = Vec::new();
     for per_frame in [false, true] {
-        for shard_local in [false, true] {
+        for space_mode in [SpaceMode::Exclusive, SpaceMode::ShardLocal] {
             let mut cfg = base.clone();
             if per_frame {
                 cfg = cfg.with_per_frame_aggregation();
             }
-            if shard_local {
-                cfg = cfg.with_shard_local_space();
-            }
+            cfg.space_mode = space_mode;
             let label = format!(
                 "{:?} aggregation, {:?} space",
                 cfg.aggregation_policy, cfg.space_mode
@@ -134,31 +131,15 @@ fn send(host: &TwoChainsHost, fleet: &mut SenderFleet, traffic: Traffic, round: 
     }
 }
 
-/// The tokens the sender can observe right now: one `credit_pending` probe per
-/// owned mailbox, exactly what a refill would read.
-fn token_census(host: &TwoChainsHost, fleet: &SenderFleet) -> u64 {
-    let cfg = host.config();
-    let mut pending = 0;
-    for stream in 0..fleet.lane_count() {
-        let lane = fleet.lane(stream).unwrap();
-        for bank in (0..cfg.banks).filter(|b| b % fleet.lane_count() == stream) {
-            for slot in 0..cfg.mailboxes_per_bank {
-                pending += u64::from(lane.credit_pending(bank, slot).unwrap());
-            }
-        }
-    }
-    pending
-}
-
 /// Run `traffic` under `cfg` and return everything a policy may not change,
 /// as named values in a fixed order. `what` (class and combination) prefixes
 /// the conservation assertions made along the way.
 fn observe(what: &str, cfg: RuntimeConfig, traffic: Traffic) -> Vec<(String, u64)> {
-    let (fabric, a, b) = SimFabric::back_to_back(TestbedConfig::cluster2021());
-    let mut host = TwoChainsHost::new(&fabric, b, cfg).unwrap();
-    host.install_package(benchmark_package().unwrap()).unwrap();
-    let mut fleet =
-        SenderFleet::connect_fleet(&fabric, a, &mut host, benchmark_package().unwrap()).unwrap();
+    let FleetBed {
+        mut host,
+        mut fleet,
+        ..
+    } = fleet_testbed(cfg, None);
     let total = host.config().total_mailboxes() as u64;
 
     let mut seen = Vec::new();
@@ -176,7 +157,7 @@ fn observe(what: &str, cfg: RuntimeConfig, traffic: Traffic) -> Vec<(String, u64
                 // Until every slot holds an unconsumed token the census counts
                 // retirements one for one; after that it can only stay full.
                 assert_eq!(
-                    token_census(&host, &fleet),
+                    token_census(&host, &fleet) as u64,
                     retired.min(total),
                     "{what}: `token census` after a burst of round {round} is not one \
                      token per retired frame ({retired} retired)"

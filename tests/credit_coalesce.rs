@@ -14,100 +14,33 @@
 //! tokens are invisible to it — which is precisely the bug class this suite
 //! exists to catch.
 
-use two_chains_suite::fabric::{FaultPlan, SimFabric};
-use two_chains_suite::memsim::{SimTime, TestbedConfig};
-use twochains::builtin::{benchmark_package, ssum_args, BuiltinJam};
-use twochains::frame::FRAME_HEADER_SIZE;
-use twochains::{drive_pipeline, Frame, InvocationMode, RuntimeConfig, SenderFleet, TwoChainsHost};
+mod support;
+
+use support::{
+    fleet_config, fleet_testbed, iput_payload, poisoned_header, unknown_element, FleetBed, Wire,
+};
+use two_chains_suite::fabric::FaultPlan;
+use two_chains_suite::memsim::SimTime;
+use twochains::builtin::{ssum_args, BuiltinJam};
+use twochains::{
+    drive_pipeline, Frame, InvocationMode, RuntimeConfig, RuntimeStats, SenderFleet, TwoChainsHost,
+};
 
 const SHARDS: usize = 2;
 
-fn config() -> RuntimeConfig {
-    let mut cfg = RuntimeConfig::paper_default()
-        .with_shards(SHARDS)
-        .with_sender_streams(SHARDS)
-        .with_shard_local_space();
-    cfg.frame_capacity = 4096;
-    cfg.completion_window = cfg.total_mailboxes();
-    cfg
+fn build() -> (Wire, TwoChainsHost, SenderFleet) {
+    build_with(fleet_config(SHARDS), None)
 }
 
-fn build() -> (SimFabric, TwoChainsHost, SenderFleet) {
-    build_with(config(), None)
-}
-
-fn build_with(
-    cfg: RuntimeConfig,
-    plan: Option<FaultPlan>,
-) -> (SimFabric, TwoChainsHost, SenderFleet) {
-    let (fabric, a, b) = SimFabric::back_to_back(TestbedConfig::cluster2021());
-    let mut host = TwoChainsHost::new(&fabric, b, cfg).unwrap();
-    host.install_package(benchmark_package().unwrap()).unwrap();
-    if let Some(plan) = plan {
-        fabric.install_fault_plan(a, b, plan).unwrap();
-    }
-    let fleet =
-        SenderFleet::connect_fleet(&fabric, a, &mut host, benchmark_package().unwrap()).unwrap();
+fn build_with(cfg: RuntimeConfig, plan: Option<FaultPlan>) -> (Wire, TwoChainsHost, SenderFleet) {
+    let FleetBed { wire, host, fleet } = fleet_testbed(cfg, plan);
     assert!(host.credit_path_installed());
-    (fabric, host, fleet)
+    (wire, host, fleet)
 }
 
-/// Count the tokens the sender can actually observe: one `credit_pending`
-/// probe per owned mailbox, over every lane. This is the ground truth the
-/// conservation law is stated against — flush accounting that disagrees with
-/// this census is lying.
-fn token_census(host: &TwoChainsHost, fleet: &SenderFleet) -> usize {
-    let cfg = host.config();
-    let mut pending = 0usize;
-    for stream in 0..fleet.lane_count() {
-        let lane = fleet.lane(stream).unwrap();
-        for bank in (0..cfg.banks).filter(|b| b % fleet.lane_count() == stream) {
-            for slot in 0..cfg.mailboxes_per_bank {
-                if lane.credit_pending(bank, slot).unwrap() {
-                    pending += 1;
-                }
-            }
-        }
-    }
-    pending
-}
-
-/// Overwrite mailbox (`bank`, `slot`) with a poisoned header: magic set, but
-/// the declared frame length out of range — retired via quarantine.
-fn poison(fabric: &SimFabric, host: &TwoChainsHost, bank: usize, slot: usize) {
-    let mut raw = fabric
-        .endpoint(
-            two_chains_suite::fabric::HostId(0),
-            two_chains_suite::fabric::HostId(1),
-        )
-        .unwrap();
-    let target = host.mailbox_target(bank, slot).unwrap();
-    let mut bytes = Frame::local(1, 0, vec![0; 20], vec![0; 4]).encode();
-    bytes[8..12].copy_from_slice(&1_000_000u32.to_le_bytes());
-    raw.put(
-        SimTime::ZERO,
-        &bytes[..FRAME_HEADER_SIZE],
-        &target.region,
-        target.offset,
-    )
-    .unwrap();
-}
-
-/// Overwrite mailbox (`bank`, `slot`) with a well-formed frame naming an
-/// element the receiver never installed — retired via dispatch rejection.
-fn bogus_element(fabric: &SimFabric, host: &TwoChainsHost, bank: usize, slot: usize) {
-    let mut raw = fabric
-        .endpoint(
-            two_chains_suite::fabric::HostId(0),
-            two_chains_suite::fabric::HostId(1),
-        )
-        .unwrap();
-    let target = host.mailbox_target(bank, slot).unwrap();
-    // A sequence number far above anything the fleet sends, so the replay
-    // filter cannot mistake this frame for a duplicate.
-    let bytes = Frame::local(0x7FFF_0000, 0xDEAD, vec![0; 20], vec![0; 4]).encode();
-    raw.put(SimTime::ZERO, &bytes, &target.region, target.offset)
-        .unwrap();
+/// Overwrite mailbox (`bank`, `slot`) through an endpoint of its own.
+fn overwrite(wire: &Wire, host: &TwoChainsHost, bank: usize, slot: usize, bytes: &[u8]) {
+    support::put(&mut wire.raw(), host, bank, slot, SimTime::ZERO, bytes);
 }
 
 /// Drained + quarantined + rejected retirements all mint exactly one
@@ -116,7 +49,8 @@ fn bogus_element(fabric: &SimFabric, host: &TwoChainsHost, bank: usize, slot: us
 fn mixed_retirements_conserve_tokens_under_adaptive_flushes() {
     // Per-frame aggregation: the sabotage below overwrites individual wire
     // slots, which only line up with individual frames when nothing batches.
-    let (fabric, mut host, mut fleet) = build_with(config().with_per_frame_aggregation(), None);
+    let (wire, mut host, mut fleet) =
+        build_with(fleet_config(SHARDS).with_per_frame_aggregation(), None);
     let elem = host.builtin_id(BuiltinJam::ServerSideSum).unwrap();
     let total = host.config().total_mailboxes();
 
@@ -125,9 +59,12 @@ fn mixed_retirements_conserve_tokens_under_adaptive_flushes() {
             (ssum_args(4), vec![5u8; 16])
         })
         .unwrap();
-    // Sabotage two of the filled slots: one quarantined, one dispatch-rejected.
-    poison(&fabric, &host, 0, 0);
-    bogus_element(&fabric, &host, 0, 1);
+    // Sabotage two of the filled slots: a poisoned header is quarantined, and
+    // a frame naming an element nobody installed is rejected at dispatch. Its
+    // sequence number is far above anything the fleet sends, so the replay
+    // filter cannot mistake it for a duplicate.
+    overwrite(&wire, &host, 0, 0, &poisoned_header());
+    overwrite(&wire, &host, 0, 1, &unknown_element(0x7FFF_0000, 0xDEAD));
 
     let mut drained = 0usize;
     let mut rejected = 0usize;
@@ -144,11 +81,13 @@ fn mixed_retirements_conserve_tokens_under_adaptive_flushes() {
     let stats = host.stats();
     assert_eq!(stats.poisoned_quarantined, 1);
     assert_eq!(stats.frames_rejected, 1);
+    // Bank 0 is shard 0's: the merged view is the sum of the shards'.
+    assert_eq!(host.shard_stats(0).unwrap().poisoned_quarantined, 1);
     // The conservation law: one token per retired frame, no more, no less —
     // and every one of them observable from the sender side right now.
     assert_eq!(stats.credits_returned as usize, total);
     assert_eq!(stats.credit_put_bytes as usize, total);
-    assert_eq!(token_census(&host, &fleet), total);
+    assert_eq!(support::token_census(&host, &fleet), total);
     // Full banks coalesce into row spans: strictly fewer wire ops than
     // tokens is the whole point of coalescing.
     assert!(stats.credit_flushes < stats.credits_returned);
@@ -165,7 +104,8 @@ fn mixed_retirements_conserve_tokens_under_adaptive_flushes() {
 fn a_burst_cut_short_never_withholds_the_tokens_it_minted() {
     // Per-frame aggregation pins the strict shape below: one frame per scan,
     // one single-byte span per abort flush. The aggregated variant follows.
-    let (_fabric, mut host, mut fleet) = build_with(config().with_per_frame_aggregation(), None);
+    let (_wire, mut host, mut fleet) =
+        build_with(fleet_config(SHARDS).with_per_frame_aggregation(), None);
     let elem = host.builtin_id(BuiltinJam::ServerSideSum).unwrap();
     let total = host.config().total_mailboxes();
 
@@ -185,7 +125,7 @@ fn a_burst_cut_short_never_withholds_the_tokens_it_minted() {
             // The invariant under test: immediately after the capped burst
             // returns, every token it minted is already on the sender side.
             assert_eq!(
-                token_census(&host, &fleet),
+                support::token_census(&host, &fleet),
                 retired,
                 "a capped burst must flush before returning"
             );
@@ -210,7 +150,7 @@ fn a_burst_cut_short_never_withholds_the_tokens_it_minted() {
 /// container's members share a bank row by construction.
 #[test]
 fn a_capped_burst_flushes_every_container_token_it_minted() {
-    let (_fabric, mut host, mut fleet) = build();
+    let (_wire, mut host, mut fleet) = build();
     let elem = host.builtin_id(BuiltinJam::ServerSideSum).unwrap();
     let total = host.config().total_mailboxes();
 
@@ -228,7 +168,7 @@ fn a_capped_burst_flushes_every_container_token_it_minted() {
             assert!(out.rejected.is_empty());
             retired += out.frames.len();
             assert_eq!(
-                token_census(&host, &fleet),
+                support::token_census(&host, &fleet),
                 retired,
                 "a capped burst must flush before returning"
             );
@@ -264,8 +204,8 @@ fn replays_mint_nothing_under_adaptive_flushes() {
         // against per-frame put volume; container batching divides the number
         // of wire ops the plan samples by the batch size. The aggregated
         // replay path is exercised deterministically in `tests/chaos_fabric.rs`.
-        let (_fabric, mut host, mut fleet) = build_with(
-            config().with_per_frame_aggregation(),
+        let (_wire, mut host, mut fleet) = build_with(
+            fleet_config(SHARDS).with_per_frame_aggregation(),
             Some(FaultPlan::mixed(0.2, 0xFA_B71C + attempt)),
         );
         let elem = host.builtin_id(BuiltinJam::ServerSideSum).unwrap();
@@ -292,7 +232,7 @@ fn replays_mint_nothing_under_adaptive_flushes() {
         // pending and none missing.
         assert_eq!(stats.credits_returned, stats.messages_received);
         assert_eq!(stats.credits_returned as usize, rounds * total);
-        assert_eq!(token_census(&host, &fleet), 0);
+        assert_eq!(support::token_census(&host, &fleet), 0);
         assert!(stats.credit_flushes >= 1);
         assert!(stats.credit_flush_bytes >= stats.credits_returned);
         if stats.replays_suppressed > 0 {
@@ -310,17 +250,10 @@ fn replays_mint_nothing_under_adaptive_flushes() {
 /// dispatches fine (an installed graph element) but whose continuation stage
 /// names an element the receiver never installed — retired mid-chain via
 /// `ChainStageFailed`.
-fn chained_bogus_stage(fabric: &SimFabric, host: &TwoChainsHost, bank: usize, slot: usize) {
-    use twochains::builtin::{graph_args, BuiltinJam};
+fn chained_bogus_stage(wire: &Wire, host: &TwoChainsHost, bank: usize, slot: usize) {
+    use twochains::builtin::graph_args;
     use twochains::{ChainArgMap, ChainDescriptor, ChainStage};
 
-    let mut raw = fabric
-        .endpoint(
-            two_chains_suite::fabric::HostId(0),
-            two_chains_suite::fabric::HostId(1),
-        )
-        .unwrap();
-    let target = host.mailbox_target(bank, slot).unwrap();
     let lookup = host.builtin_id(BuiltinJam::GraphLookup).unwrap();
     let mut chain = ChainDescriptor::new();
     chain
@@ -334,8 +267,7 @@ fn chained_bogus_stage(fabric: &SimFabric, host: &TwoChainsHost, bank: usize, sl
     let bytes = Frame::local(0x7FFF_0000, lookup.0, graph_args(7), vec![0; 4])
         .with_chain(chain)
         .encode();
-    raw.put(SimTime::ZERO, &bytes, &target.region, target.offset)
-        .unwrap();
+    overwrite(wire, host, bank, slot, &bytes);
 }
 
 /// A frame rejected *mid-chain* — primary executed, continuation stage failed
@@ -345,7 +277,8 @@ fn chained_bogus_stage(fabric: &SimFabric, host: &TwoChainsHost, bank: usize, sl
 #[test]
 fn mid_chain_rejections_return_one_credit_under_adaptive_flushes() {
     // Per-frame aggregation: the sabotage targets one wire slot directly.
-    let (fabric, mut host, mut fleet) = build_with(config().with_per_frame_aggregation(), None);
+    let (wire, mut host, mut fleet) =
+        build_with(fleet_config(SHARDS).with_per_frame_aggregation(), None);
     let elem = host.builtin_id(BuiltinJam::ServerSideSum).unwrap();
     let total = host.config().total_mailboxes();
 
@@ -355,7 +288,7 @@ fn mid_chain_rejections_return_one_credit_under_adaptive_flushes() {
         })
         .unwrap();
     // Sabotage one filled slot with the mid-chain failure.
-    chained_bogus_stage(&fabric, &host, 0, 0);
+    chained_bogus_stage(&wire, &host, 0, 0);
 
     let mut drained = 0usize;
     let mut rejected = Vec::new();
@@ -372,8 +305,8 @@ fn mid_chain_rejections_return_one_credit_under_adaptive_flushes() {
         twochains::AmError::ChainStageFailed { stage, reason } => {
             assert_eq!(*stage, 0, "the first continuation stage is the culprit");
             assert!(
-                reason.contains("unknown package element"),
-                "reason: {reason}"
+                reason.contains("unknown package element") && reason.contains("57005"),
+                "the reason names the element: {reason}"
             );
         }
         other => panic!("expected ChainStageFailed, got {other:?}"),
@@ -384,8 +317,74 @@ fn mid_chain_rejections_return_one_credit_under_adaptive_flushes() {
         stats.frames_rejected, 1,
         "one rejection for the whole chain"
     );
+    assert_eq!(
+        stats.chain_frames, 0,
+        "a broken chain retires no chain frame"
+    );
     // The primary ran before the chain broke; the frame still mints exactly
     // one token, like every other retirement.
     assert_eq!(stats.credits_returned as usize, total);
-    assert_eq!(token_census(&host, &fleet), total);
+    assert_eq!(support::token_census(&host, &fleet), total);
+}
+
+/// Fill every slot once with Indirect Puts and burst-drain every shard.
+fn fill_and_drain_once(host: &mut TwoChainsHost, fleet: &mut SenderFleet) -> RuntimeStats {
+    let elem = host.builtin_id(BuiltinJam::IndirectPut).unwrap();
+    let horizons = fleet
+        .fill_all(elem, InvocationMode::Injected, 0, &iput_payload)
+        .unwrap();
+    for (shard, &start) in horizons.iter().enumerate() {
+        let out = host.receive_burst(shard, usize::MAX, start).unwrap();
+        assert!(out.rejected.is_empty());
+    }
+    host.stats()
+}
+
+/// One credit and one wire byte per retired frame, however the flushes batch
+/// them — and a row that fills during the burst flushes as one span.
+#[test]
+fn adaptive_credit_flushes_coalesce_tokens_into_row_spans() {
+    let (_wire, mut host, mut fleet) = build();
+    let stats = fill_and_drain_once(&mut host, &mut fleet);
+    let frames = host.config().total_mailboxes() as u64;
+    assert_eq!(stats.credits_returned, frames);
+    assert_eq!(stats.credit_put_bytes, frames);
+    assert!(stats.credit_flushes > 0, "tokens must actually be posted");
+    assert!(
+        stats.credit_flushes < frames,
+        "adaptive policy must batch tokens ({} flushes for {frames} credits)",
+        stats.credit_flushes
+    );
+    assert!(
+        stats.credit_flush_bytes >= frames,
+        "spans cover every token"
+    );
+    let per_bank = host.config().mailboxes_per_bank as u64;
+    assert_eq!(
+        stats.credit_flush_max_span, per_bank,
+        "a filled row flushes as one full-row span"
+    );
+    assert!(stats.credit_put_time > SimTime::ZERO, "posting is charged");
+}
+
+/// `reset_stats` zeroes the flush counters, never the credit engine's own
+/// totals: zeroing those mid-phase would desynchronise its token sequence.
+#[test]
+fn lifetime_flush_totals_survive_stats_resets() {
+    let (_wire, mut host, mut fleet) = build();
+    fill_and_drain_once(&mut host, &mut fleet);
+    let before: Vec<_> = (0..SHARDS)
+        .map(|s| host.credit_flush_lifetime(s).unwrap())
+        .collect();
+    for &(puts, bytes, max_span) in &before {
+        assert!(puts > 0 && bytes > 0 && max_span > 0);
+    }
+    host.reset_stats();
+    let zeroed = host.stats();
+    assert_eq!(zeroed.credit_flushes, 0);
+    assert_eq!(zeroed.credit_flush_bytes, 0);
+    assert_eq!(zeroed.credit_flush_max_span, 0);
+    for (s, &b) in before.iter().enumerate() {
+        assert_eq!(host.credit_flush_lifetime(s).unwrap(), b);
+    }
 }

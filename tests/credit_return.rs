@@ -11,64 +11,42 @@
 //! Run in release, as CI does — the quarantine test drains with one OS thread
 //! per shard over the lock-split receive path.
 
-use two_chains_suite::fabric::SimFabric;
-use two_chains_suite::memsim::{SimTime, TestbedConfig};
-use twochains::builtin::{benchmark_package, indirect_put_args, BuiltinJam};
-use twochains::frame::FRAME_HEADER_SIZE;
-use twochains::{drive_pipeline, Frame, InvocationMode, RuntimeConfig, SenderFleet, TwoChainsHost};
+mod support;
+
+use support::{fleet_config, fleet_testbed, ints, poisoned_header, FleetBed};
+use two_chains_suite::memsim::SimTime;
+use twochains::builtin::{indirect_put_args, BuiltinJam};
+use twochains::{drive_pipeline, spec, AmError, ElementId, InvocationMode};
 
 const SHARDS: usize = 2;
 
-fn config() -> RuntimeConfig {
-    let mut cfg = RuntimeConfig::paper_default()
-        .with_shards(SHARDS)
-        .with_sender_streams(SHARDS)
-        .with_shard_local_space();
-    cfg.frame_capacity = 4096;
-    cfg.completion_window = cfg.total_mailboxes();
-    cfg
-}
-
-fn build() -> (SimFabric, TwoChainsHost, SenderFleet) {
-    let (fabric, a, b) = SimFabric::back_to_back(TestbedConfig::cluster2021());
-    let mut host = TwoChainsHost::new(&fabric, b, config()).unwrap();
-    host.install_package(benchmark_package().unwrap()).unwrap();
-    let fleet =
-        SenderFleet::connect_fleet(&fabric, a, &mut host, benchmark_package().unwrap()).unwrap();
+fn build() -> FleetBed {
+    let bed = fleet_testbed(fleet_config(SHARDS), None);
     assert!(
-        host.credit_path_installed(),
+        bed.host.credit_path_installed(),
         "streams == shards must wire the one-sided credit path"
     );
-    (fabric, host, fleet)
-}
-
-/// Poison mailbox (`bank`, `slot`): a one-sided put of a header whose magic is
-/// set but whose declared frame length is out of range — the one-put
-/// denial-of-service the quarantine path exists for. Exactly what a malicious
-/// or buggy peer with the mailbox descriptor can do.
-fn poison(fabric: &SimFabric, host: &TwoChainsHost, bank: usize, slot: usize) {
-    let (fabric_src, fabric_dst) = (
-        two_chains_suite::fabric::HostId(0),
-        two_chains_suite::fabric::HostId(1),
-    );
-    assert_eq!(host.host_id(), fabric_dst);
-    let mut raw = fabric.endpoint(fabric_src, fabric_dst).unwrap();
-    let target = host.mailbox_target(bank, slot).unwrap();
-    let mut bytes = Frame::local(1, 0, vec![0; 20], vec![0; 4]).encode();
-    bytes[8..12].copy_from_slice(&1_000_000u32.to_le_bytes());
-    raw.put(
-        SimTime::ZERO,
-        &bytes[..FRAME_HEADER_SIZE],
-        &target.region,
-        target.offset,
-    )
-    .unwrap();
+    bed
 }
 
 #[test]
 fn quarantined_slot_still_returns_its_credit_under_the_parallel_drain() {
-    let (fabric, mut host, mut fleet) = build();
-    poison(&fabric, &host, 0, 0);
+    let FleetBed {
+        wire,
+        mut host,
+        mut fleet,
+    } = build();
+    // A one-sided put of a poisoned header: the one-put denial-of-service the
+    // quarantine path exists for, exactly what a malicious or buggy peer with
+    // the mailbox descriptor can do.
+    support::put(
+        &mut wire.raw(),
+        &host,
+        0,
+        0,
+        SimTime::ZERO,
+        &poisoned_header(),
+    );
 
     // The pipelined drain path: one OS thread per shard, each quarantining
     // and crediting as it scans (drive_pipeline's drain threads run exactly
@@ -129,7 +107,11 @@ fn quarantined_slot_still_returns_its_credit_under_the_parallel_drain() {
 
 #[test]
 fn pipeline_returns_one_credit_per_frame_over_the_fabric() {
-    let (_fabric, mut host, mut fleet) = build();
+    let FleetBed {
+        mut host,
+        mut fleet,
+        ..
+    } = build();
     let elem = host.builtin_id(BuiltinJam::IndirectPut).unwrap();
     let rounds = 3;
     let total = host.config().total_mailboxes();
@@ -162,4 +144,58 @@ fn pipeline_returns_one_credit_per_frame_over_the_fabric() {
     assert!(stats.credit_flush_bytes >= stats.credits_returned);
     let per_bank = host.config().mailboxes_per_bank as u64;
     assert!(stats.credit_flush_max_span >= 1 && stats.credit_flush_max_span <= per_bank);
+}
+
+/// The single-slot `receive` returns a frame's credit over the fabric like a
+/// burst does: one one-byte put, charged, in the owning lane's table.
+#[test]
+fn single_slot_receive_returns_the_credit_over_the_fabric() {
+    let FleetBed {
+        mut host,
+        mut fleet,
+        ..
+    } = build();
+    let elem = host.builtin_id(BuiltinJam::IndirectPut).unwrap();
+    let msg = spec(elem).args(indirect_put_args(3, 4, 4)).usr(ints(4));
+    let sent = fleet.lanes_mut()[0].send_spec(0, 0, &msg).unwrap();
+    assert!(!fleet.lane(0).unwrap().credit_pending(0, 0).unwrap());
+    host.receive(0, 0, Some(sent.wire_bytes), sent.delivered(), SimTime::ZERO)
+        .unwrap();
+    let stats = host.stats();
+    assert_eq!(stats.credits_returned, 1);
+    assert_eq!(stats.credit_put_bytes, 1);
+    assert!(stats.credit_put_time > SimTime::ZERO);
+    assert!(fleet.lane(0).unwrap().credit_pending(0, 0).unwrap());
+    assert!(!fleet.lane(1).unwrap().credit_pending(1, 0).unwrap());
+}
+
+/// A frame `receive` rejects retires as a burst's would: the slot cleared,
+/// counted and credited, or a lane whose frame was rejected on this path
+/// would spin on a token that never changes. An empty slot retires nothing.
+#[test]
+fn rejected_single_slot_receive_still_retires_and_credits() {
+    let FleetBed {
+        mut host,
+        mut fleet,
+        ..
+    } = build();
+    let msg = spec(ElementId(9999)).local().usr(ints(4));
+    let sent = fleet.lanes_mut()[0].send_spec(0, 0, &msg).unwrap();
+    let err = host
+        .receive(0, 0, Some(sent.wire_bytes), sent.delivered(), SimTime::ZERO)
+        .unwrap_err();
+    assert!(matches!(err, AmError::UnknownElement(9999)));
+    let stats = host.stats();
+    assert_eq!(stats.frames_rejected, 1);
+    assert_eq!(stats.credits_returned, 1);
+    assert!(fleet.lane(0).unwrap().credit_pending(0, 0).unwrap());
+    // The slot polls empty again: the bank cannot wedge.
+    let mailbox = host.banks().mailbox(0, 0).unwrap();
+    assert!(mailbox.poll_variable().unwrap().is_none());
+    // An empty slot, waited on with or without a length, is `Empty`.
+    for len in [None, Some(64)] {
+        let empty = host.receive(0, 1, len, SimTime::ZERO, SimTime::ZERO);
+        assert!(matches!(empty, Err(AmError::Empty)), "{len:?}: {empty:?}");
+    }
+    assert_eq!(host.stats().credits_returned, 1);
 }

@@ -1,28 +1,11 @@
 //! Cross-crate integration tests: the full stack from fabric to executed jam.
 
-use two_chains_suite::fabric::SimFabric;
-use two_chains_suite::memsim::{SimTime, TestbedConfig, WaitMode};
-use twochains::builtin::{benchmark_package, indirect_put_args, ssum_args, BuiltinJam};
-use twochains::{spec, InvocationMode, RuntimeConfig, TwoChainsHost, TwoChainsSender};
+mod support;
 
-fn testbed(cfg: RuntimeConfig) -> (TwoChainsHost, TwoChainsSender) {
-    let (fabric, a, b) = SimFabric::back_to_back(TestbedConfig::cluster2021());
-    let mut receiver = TwoChainsHost::new(&fabric, b, cfg).unwrap();
-    receiver
-        .install_package(benchmark_package().unwrap())
-        .unwrap();
-    let mut sender =
-        TwoChainsSender::new(fabric.endpoint(a, b).unwrap(), benchmark_package().unwrap());
-    for jam in [BuiltinJam::ServerSideSum, BuiltinJam::IndirectPut] {
-        let id = receiver.builtin_id(jam).unwrap();
-        sender.set_remote_got(id, &receiver.export_got(id).unwrap());
-    }
-    (receiver, sender)
-}
-
-fn ints(n: u32) -> Vec<u8> {
-    (1..=n).flat_map(|v| v.to_le_bytes()).collect()
-}
+use support::{ints, testbed};
+use two_chains_suite::memsim::{SimTime, WaitMode};
+use twochains::builtin::{indirect_put_args, ssum_args, BuiltinJam};
+use twochains::{spec, InvocationMode, RuntimeConfig};
 
 #[test]
 fn injected_and_local_agree_across_many_messages() {
@@ -46,13 +29,25 @@ fn injected_and_local_agree_across_many_messages() {
         ready = out.handler_done;
         let expected: u64 = (1..=i as u64).sum();
         assert_eq!(out.result, expected, "message {i} ({mode:?})");
+        assert!(out.handler_done > sent.delivered());
+        assert!(out.exec.is_some());
     }
     assert_eq!(rx.stats().messages_received, 20);
     assert_eq!(rx.stats().injected_executions, 10);
     assert_eq!(rx.stats().local_executions, 10);
     // The server-side array recorded every sum in arrival order.
-    let count = rx.read_data("array.base", 0, 8).unwrap();
-    assert_eq!(u64::from_le_bytes(count.try_into().unwrap()), 20);
+    let word = |at: usize| {
+        u64::from_le_bytes(
+            rx.read_data("array.base", at, 8)
+                .unwrap()
+                .try_into()
+                .unwrap(),
+        )
+    };
+    assert_eq!(word(0), 20);
+    for i in 1..=20 {
+        assert_eq!(word(8 * i), (1..=i as u64).sum::<u64>(), "array entry {i}");
+    }
 }
 
 #[test]
@@ -166,6 +161,7 @@ fn wfe_configuration_is_cycle_efficient_end_to_end() {
                 .receive(0, 0, Some(sent.wire_bytes), sent.delivered(), ready)
                 .unwrap();
             ready = out.handler_done;
+            assert_eq!(out.result, 136, "WFE changes cycles, not results");
         }
     }
     let poll_cycles = rx_poll.stats().cycles.total();
@@ -173,6 +169,14 @@ fn wfe_configuration_is_cycle_efficient_end_to_end() {
     assert!(
         poll_cycles > wfe_cycles * 2,
         "polling ({poll_cycles}) should burn far more cycles than WFE ({wfe_cycles})"
+    );
+    let (poll_wait, wfe_wait) = (
+        rx_poll.stats().cycles.waiting(),
+        rx_wfe.stats().cycles.waiting(),
+    );
+    assert!(
+        wfe_wait < poll_wait / 4,
+        "WFE should burn far fewer wait cycles ({wfe_wait} vs {poll_wait})"
     );
 }
 
@@ -188,6 +192,9 @@ fn without_execution_configuration_is_put_like() {
         .unwrap();
     // No execution happened, and the receiver-side cost is well under a microsecond.
     assert!(out.exec.is_none());
+    assert_eq!(out.result, 0);
+    assert_eq!(rx.stats().executions, 0);
+    assert_eq!(rx.stats().messages_received, 1);
     assert!(
         out.handler_time < SimTime::from_ns(300),
         "got {}",

@@ -16,48 +16,33 @@
 //! Run in release, as CI does — the pipeline races 4 sender threads against 4
 //! drain threads over the lock-split receive path, and ordering bugs bite with
 //! optimizations on.
+//!
+//! The session around it is pinned here too: what the handshake hands each
+//! lane, what `connect_fleet` and `drive_pipeline` refuse, and that one lane's
+//! back-pressure never stalls another.
+
+mod support;
 
 use proptest::prelude::*;
 
-use two_chains_suite::fabric::SimFabric;
-use two_chains_suite::memsim::{SimTime, TestbedConfig};
+use support::{fleet_config, fleet_testbed, iput_payload, mix, wire, FleetBed};
+use two_chains_suite::memsim::SimTime;
 use twochains::builtin::{benchmark_package, indirect_put_args, BuiltinJam};
 use twochains::{
-    drive_pipeline, InvocationMode, RuntimeConfig, SenderFleet, SlotCtx, TwoChainsHost,
+    drive_pipeline, AmError, InvocationMode, RuntimeConfig, SenderFleet, SenderLane, SlotCtx,
+    TwoChainsHost, TwoChainsSender,
 };
 
 const SHARDS: usize = 4;
 const ROUNDS: usize = 3;
 
-fn config() -> RuntimeConfig {
-    let mut cfg = RuntimeConfig::paper_default()
-        .with_shards(SHARDS)
-        .with_sender_streams(SHARDS)
-        .with_shard_local_space();
-    cfg.frame_capacity = 4096;
-    cfg.completion_window = cfg.total_mailboxes();
-    cfg
-}
-
 fn build() -> (TwoChainsHost, SenderFleet) {
-    let (fabric, a, b) = SimFabric::back_to_back(TestbedConfig::cluster2021());
-    let mut host = TwoChainsHost::new(&fabric, b, config()).unwrap();
-    host.install_package(benchmark_package().unwrap()).unwrap();
-    let fleet =
-        SenderFleet::connect_fleet(&fabric, a, &mut host, benchmark_package().unwrap()).unwrap();
+    let FleetBed { host, fleet, .. } = fleet_testbed(fleet_config(SHARDS), None);
     (host, fleet)
 }
 
-/// SplitMix64 — the same deterministic stream generator the stress test uses,
-/// here keying each (bank, slot, round) payload off the proptest seed so every
-/// case exercises a different message interleave on both hosts identically.
-fn mix(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
+/// Keys each (bank, slot, round) payload off the proptest seed, so every case
+/// exercises a different message interleave on both hosts identically.
 fn payload_for(seed: u64, ctx: SlotCtx) -> (Vec<u8>, Vec<u8>) {
     // The key depends on (seed, bank, slot) but NOT the round: the Indirect
     // Put table assigns each new key an offset from a bump cursor, so a key
@@ -227,4 +212,217 @@ proptest! {
     fn pipelined_fleet_matches_sequential_baseline_for_any_seed(seed in any::<u64>()) {
         assert_observationally_equal(seed);
     }
+}
+
+/// Drive one round of Indirect Puts from `fleet` into `host`.
+fn drive(host: &mut TwoChainsHost, fleet: &mut SenderFleet) -> Result<usize, AmError> {
+    let elem = host.builtin_id(BuiltinJam::IndirectPut).unwrap();
+    drive_pipeline(
+        host,
+        fleet,
+        elem,
+        InvocationMode::Injected,
+        1,
+        &iput_payload,
+    )
+    .map(|out| out.drained)
+}
+
+/// The message of a refusal `drive` returned.
+fn refusal(out: Result<usize, AmError>) -> String {
+    match out {
+        Err(AmError::InvalidConfig(msg)) => msg,
+        other => panic!("expected InvalidConfig, got {other:?}"),
+    }
+}
+
+#[test]
+fn session_handshake_partitions_banks_and_exports_gots() {
+    let FleetBed { host, .. } = fleet_testbed(fleet_config(2), None);
+    let session = host.session_handshake().unwrap();
+    assert_eq!(session.shards, 2);
+    let handshakes = session.streams;
+    assert_eq!(handshakes.len(), 2);
+    let total: usize = handshakes.iter().map(|h| h.targets.len()).sum();
+    assert_eq!(total, host.config().total_mailboxes());
+    for hs in &handshakes {
+        assert_eq!(hs.streams, 2);
+        assert!(!hs.targets.is_empty());
+        // Every target sits in a bank the stream owns, and the targets match
+        // what mailbox_target() hands out slot for slot.
+        for t in &hs.targets {
+            assert_eq!(t.bank % 2, hs.stream);
+            assert_eq!(host.mailbox_target(t.bank, t.slot).unwrap(), t.target);
+        }
+        // The receiver-resolved GOT image of every installed element,
+        // identical to the one-at-a-time `export_got`.
+        assert_eq!(hs.gots.len(), 5, "every builtin jam exported");
+        for (id, got) in &hs.gots {
+            assert_eq!(host.export_got(*id).unwrap(), *got);
+        }
+    }
+}
+
+#[test]
+fn handshake_without_package_is_rejected() {
+    let wire = wire();
+    let host = TwoChainsHost::new(&wire.fabric, wire.b, RuntimeConfig::paper_default()).unwrap();
+    assert!(matches!(
+        host.session_handshake(),
+        Err(AmError::InvalidConfig(_))
+    ));
+}
+
+/// Window of 1 and one put per frame: every send after a stream's first must
+/// harvest its own window. Lane 0 fills three rounds while lane 1 fills one;
+/// lane 0 stalls repeatedly, and lane 1 must never observe it.
+#[test]
+fn backpressure_pauses_only_the_saturated_stream() {
+    let mut cfg = fleet_config(2).with_per_frame_aggregation();
+    cfg.completion_window = 1;
+    let FleetBed {
+        host, mut fleet, ..
+    } = fleet_testbed(cfg, None);
+    let elem = host.builtin_id(BuiltinJam::IndirectPut).unwrap();
+    let [lane0, lane1] = fleet.lanes_mut() else {
+        panic!("two lanes");
+    };
+    for round in 0..3u64 {
+        lane0
+            .fill(elem, InvocationMode::Injected, round, &iput_payload)
+            .unwrap();
+    }
+    lane1
+        .fill(elem, InvocationMode::Injected, 0, &iput_payload)
+        .unwrap();
+    let slots0 = lane0.stats().messages_sent;
+    assert_eq!(slots0 as usize, 3 * host.config().total_mailboxes() / 2);
+    assert!(
+        lane0.stats().sends_backpressured >= slots0 - 1,
+        "window 1 stalls every follow-up send"
+    );
+    assert_eq!(
+        lane1.stats().sends_backpressured,
+        lane1.stats().messages_sent - 1,
+        "lane 1 pays only for its own window, never lane 0's saturation"
+    );
+    assert!(lane0.stats().completions_harvested >= lane0.stats().sends_backpressured);
+    let slots1 = lane1.stats().messages_sent;
+    assert_eq!(fleet.stats().sends_backpressured, slots0 - 1 + slots1 - 1);
+}
+
+/// A second connect replaces the host's credit returns: driving the first
+/// fleet would put every token into the second fleet's tables while the
+/// first one's lanes spin, so the identity check refuses it.
+#[test]
+fn drive_pipeline_rejects_a_fleet_whose_credit_tables_were_replaced() {
+    let wire = wire();
+    let mut host = wire.host(fleet_config(2));
+    let mut stale = wire.fleet(&mut host);
+    let mut fresh = wire.fleet(&mut host);
+    let msg = refusal(drive(&mut host, &mut stale));
+    assert!(msg.contains("another fleet"), "{msg}");
+    // The most recently connected fleet drives fine.
+    let drained = drive(&mut host, &mut fresh).unwrap();
+    assert_eq!(drained, host.config().total_mailboxes());
+}
+
+/// Lanes that match the shard count but a host whose credit tables were
+/// never installed: refused up front instead of spinning on tokens nobody
+/// will put.
+#[test]
+fn drive_pipeline_requires_the_credit_path() {
+    let wire = wire();
+    let mut host = wire.host(fleet_config(1));
+    let mut fleet = wire.fleet(&mut host);
+    assert!(host.credit_path_installed());
+    let mut fresh = wire.host(fleet_config(1));
+    assert!(!fresh.credit_path_installed());
+    let msg = refusal(drive(&mut fresh, &mut fleet));
+    assert!(msg.contains("credit"), "{msg}");
+}
+
+#[test]
+fn fleet_lanes_are_send() {
+    fn assert_send<T: Send>() {}
+    assert_send::<SenderLane>();
+    assert_send::<SenderFleet>();
+    assert_send::<TwoChainsSender>();
+}
+
+/// A one-lane fleet driven against a two-shard host has no closed
+/// stream-to-shard pairing.
+#[test]
+fn drive_pipeline_requires_one_lane_per_shard() {
+    let FleetBed { mut fleet, .. } = fleet_testbed(fleet_config(1), None);
+    let FleetBed { mut host, .. } = fleet_testbed(fleet_config(2), None);
+    let msg = refusal(drive(&mut host, &mut fleet));
+    assert!(msg.contains("one sender lane per shard"), "{msg}");
+}
+
+/// A panic in the payload generator unwinds a sender thread without returning
+/// `Err`; the abort guard must still release the drain threads, whose frame
+/// quota is now unreachable, so the panic propagates instead of the scope
+/// blocking forever.
+#[test]
+#[should_panic(expected = "sender lane thread panicked")]
+fn drive_pipeline_propagates_a_payload_panic_instead_of_hanging() {
+    let FleetBed {
+        mut host,
+        mut fleet,
+        ..
+    } = fleet_testbed(fleet_config(2), None);
+    let elem = host.builtin_id(BuiltinJam::IndirectPut).unwrap();
+    let _ = drive_pipeline(
+        &mut host,
+        &mut fleet,
+        elem,
+        InvocationMode::Injected,
+        2,
+        &|ctx| {
+            if ctx.stream == 1 && ctx.round == 1 {
+                panic!("payload generator failure injection");
+            }
+            iput_payload(ctx)
+        },
+    );
+}
+
+/// A host whose streams do not match its shards, and that has no package,
+/// cannot export a session: one error names both. Fixing both connects.
+#[test]
+fn connect_fleet_lists_everything_missing_in_one_error() {
+    let wire = wire();
+    let cfg = RuntimeConfig::paper_default()
+        .with_shards(2)
+        .with_sender_streams(1);
+    let mut host = TwoChainsHost::new(&wire.fabric, wire.b, cfg).unwrap();
+    let err = SenderFleet::connect_fleet(
+        &wire.fabric,
+        wire.a,
+        &mut host,
+        benchmark_package().unwrap(),
+    )
+    .unwrap_err();
+    let msg = err.to_string();
+    assert!(
+        msg.contains("connect_fleet cannot wire the session"),
+        "{msg}"
+    );
+    assert!(msg.contains("no package installed"), "{msg}");
+    assert!(
+        msg.contains("sender_streams (1) != num_shards (2)"),
+        "{msg}"
+    );
+    let mut host = wire.host(
+        RuntimeConfig::paper_default()
+            .with_shards(2)
+            .with_sender_streams(2),
+    );
+    let fleet = wire.fleet(&mut host);
+    assert_eq!(fleet.lane_count(), 2);
+    assert!(
+        host.credit_path_installed(),
+        "connect_fleet always installs the credit path"
+    );
 }

@@ -9,10 +9,12 @@
 //! payload byte accounting — with only the shape counters (`batch_puts`,
 //! `batches_received`) telling the two wire behaviours apart.
 
-use two_chains_suite::fabric::SimFabric;
-use two_chains_suite::memsim::{SimTime, TestbedConfig};
-use twochains::builtin::{benchmark_package, ssum_args, BuiltinJam};
-use twochains::{spec, InvocationMode, RuntimeConfig, SenderFleet, TwoChainsHost, TwoChainsSender};
+mod support;
+
+use support::{fleet_testbed, wire, FleetBed};
+use two_chains_suite::memsim::SimTime;
+use twochains::builtin::{ssum_args, BuiltinJam};
+use twochains::{spec, InvocationMode, RuntimeConfig, TwoChainsHost};
 
 const SHARDS: usize = 2;
 
@@ -25,15 +27,6 @@ fn config() -> RuntimeConfig {
     cfg.frame_capacity = 4096;
     cfg.completion_window = cfg.total_mailboxes();
     cfg
-}
-
-fn build(cfg: RuntimeConfig) -> (SimFabric, TwoChainsHost, SenderFleet) {
-    let (fabric, a, b) = SimFabric::back_to_back(TestbedConfig::cluster2021());
-    let mut host = TwoChainsHost::new(&fabric, b, cfg).expect("host");
-    host.install_package(benchmark_package().unwrap()).unwrap();
-    let fleet = SenderFleet::connect_fleet(&fabric, a, &mut host, benchmark_package().unwrap())
-        .expect("fleet");
-    (fabric, host, fleet)
 }
 
 /// The per-slot payload: distinct per (bank, slot) so every result identifies
@@ -65,7 +58,11 @@ fn drain_all(host: &mut TwoChainsHost) -> (Vec<u64>, usize) {
 /// capacity so stray container bytes cannot hide past the frame length.
 #[test]
 fn per_frame_wire_bytes_match_the_standalone_sender() {
-    let (fabric_a, host_a, mut fleet) = build(config().with_per_frame_aggregation());
+    let FleetBed {
+        wire: wire_a,
+        host: host_a,
+        mut fleet,
+    } = fleet_testbed(config().with_per_frame_aggregation(), None);
     let elem = host_a.builtin_id(BuiltinJam::ServerSideSum).unwrap();
     fleet
         .fill_all(elem, InvocationMode::Injected, 0, &|ctx| {
@@ -77,18 +74,11 @@ fn per_frame_wire_bytes_match_the_standalone_sender() {
     // Replay the identical sends on a second, identical testbed through the
     // plain sender path: one fresh `TwoChainsSender` per stream, walking the
     // stream's banks in the same bank-major order the lane fills them.
-    let (fabric_b, b_tx, b_rx) = SimFabric::back_to_back(TestbedConfig::cluster2021());
-    let mut host_b = TwoChainsHost::new(&fabric_b, b_rx, config()).expect("host");
-    host_b
-        .install_package(benchmark_package().unwrap())
-        .unwrap();
+    let wire_b = wire();
+    let host_b = wire_b.host(config());
     let cfg = host_b.config().clone();
     for stream in 0..SHARDS {
-        let mut tx = TwoChainsSender::new(
-            fabric_b.endpoint(b_tx, b_rx).unwrap(),
-            benchmark_package().unwrap(),
-        );
-        tx.set_remote_got(elem, &host_b.export_got(elem).unwrap());
+        let mut tx = wire_b.sender(&host_b);
         for bank in (0..cfg.banks).filter(|b| b % SHARDS == stream) {
             for slot in 0..cfg.mailboxes_per_bank {
                 let (args, usr) = payload(bank, slot);
@@ -102,8 +92,8 @@ fn per_frame_wire_bytes_match_the_standalone_sender() {
         }
     }
 
-    let receiver_a = fabric_a.host(two_chains_suite::fabric::HostId(1)).unwrap();
-    let receiver_b = fabric_b.host(b_rx).unwrap();
+    let receiver_a = wire_a.fabric.host(wire_a.b).unwrap();
+    let receiver_b = wire_b.fabric.host(wire_b.b).unwrap();
     for bank in 0..cfg.banks {
         for slot in 0..cfg.mailboxes_per_bank {
             let ta = host_a.mailbox_target(bank, slot).unwrap();
@@ -133,13 +123,25 @@ fn per_frame_wire_bytes_match_the_standalone_sender() {
 #[test]
 fn adaptive_containers_match_per_frame_results_and_counters() {
     let run = |cfg: RuntimeConfig| {
-        let (_fabric, mut host, mut fleet) = build(cfg);
+        let FleetBed {
+            mut host,
+            mut fleet,
+            ..
+        } = fleet_testbed(cfg, None);
         let elem = host.builtin_id(BuiltinJam::ServerSideSum).unwrap();
         fleet
             .fill_all(elem, InvocationMode::Injected, 0, &|ctx| {
                 payload(ctx.bank, ctx.slot)
             })
             .unwrap();
+        // Each lane sent its own slots through its own template cache.
+        for stream in 0..SHARDS {
+            let lane = fleet.lane(stream).unwrap();
+            assert_eq!(lane.stream_id(), stream);
+            assert_eq!(lane.stats().messages_sent as usize, lane.slots());
+            assert_eq!(lane.stats().template_misses, 1, "per-lane template cache");
+        }
+        assert_eq!(fleet.stats().template_misses, SHARDS as u64);
         let (mut results, rejected) = drain_all(&mut host);
         assert_eq!(rejected, 0);
         results.sort_unstable();

@@ -34,9 +34,12 @@
 //! replaced), then the class, credit count and credited slots expected and
 //! found.
 
-use two_chains_suite::fabric::{Endpoint, SimFabric};
-use two_chains_suite::memsim::{SimTime, TestbedConfig};
-use twochains::builtin::{benchmark_package, ssum_args, BuiltinJam};
+mod support;
+
+use support::{fleet_testbed, FleetBed};
+use two_chains_suite::fabric::Endpoint;
+use two_chains_suite::memsim::SimTime;
+use twochains::builtin::{ssum_args, BuiltinJam};
 use twochains::frame::{is_batch, BatchView, FrameBatch, FrameView, HDR_MAG, SIG_MAG};
 use twochains::{AmError, Frame, RuntimeConfig, SenderFleet, TwoChainsHost, FRAME_HEADER_SIZE};
 
@@ -92,14 +95,10 @@ impl Rig {
     /// One shard, one lane, the paper's 4 × 16 mailboxes; the session arms
     /// the credit path, the replay filter and the gap watcher.
     fn new() -> Rig {
-        let (fabric, a, b) = SimFabric::back_to_back(TestbedConfig::cluster2021());
-        let mut host = TwoChainsHost::new(&fabric, b, RuntimeConfig::paper_default()).unwrap();
-        host.install_package(benchmark_package().unwrap()).unwrap();
-        let fleet = SenderFleet::connect_fleet(&fabric, a, &mut host, benchmark_package().unwrap())
-            .unwrap();
+        let FleetBed { wire, host, fleet } = fleet_testbed(RuntimeConfig::paper_default(), None);
         let slots = host.config().total_mailboxes();
         Rig {
-            raw: fabric.endpoint(a, b).unwrap(),
+            raw: wire.raw(),
             host,
             fleet,
             clock: SimTime::ZERO,
@@ -137,11 +136,8 @@ impl Rig {
     /// One raw put of `image` into mailbox (`bank`, `slot`), issued when the
     /// rig's clock says; moves the clock to its delivery.
     fn land(&mut self, bank: usize, slot: usize, image: &[u8]) {
-        let target = self.host.mailbox_target(bank, slot).unwrap();
-        let put = self
-            .raw
-            .put(self.clock, image, &target.region, target.offset);
-        self.clock = put.unwrap().delivered;
+        let put = support::put(&mut self.raw, &self.host, bank, slot, self.clock, image);
+        self.clock = put.delivered;
     }
 
     /// What `image`, put into mailbox (`bank`, `carrier`) over zeroes, should

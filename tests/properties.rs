@@ -1,6 +1,8 @@
 //! Property-based tests over the core data structures and invariants, spanning the
 //! member crates.
 
+mod support;
+
 use proptest::prelude::*;
 
 use two_chains_suite::jamvm::{
@@ -181,21 +183,17 @@ proptest! {
         ),
     ) {
         use std::collections::BTreeSet;
-        use two_chains_suite::fabric::SimFabric;
-        use twochains::builtin::{benchmark_package, ssum_args, BuiltinJam};
+        use support::{fleet_testbed, put, FleetBed};
+        use twochains::builtin::{ssum_args, BuiltinJam};
         use twochains::frame::FrameBatch;
-        use twochains::{RuntimeConfig, SenderFleet, TwoChainsHost};
+        use twochains::RuntimeConfig;
 
-        let (fabric, a, b) = SimFabric::back_to_back(TestbedConfig::cluster2021());
-        let mut host = TwoChainsHost::new(&fabric, b, RuntimeConfig::paper_default()).unwrap();
-        host.install_package(benchmark_package().unwrap()).unwrap();
         // The session installs the credit path and arms the replay filter.
-        let fleet = SenderFleet::connect_fleet(&fabric, a, &mut host, benchmark_package().unwrap())
-            .unwrap();
+        let FleetBed { wire, mut host, fleet } = fleet_testbed(RuntimeConfig::paper_default(), None);
         let (banks, per_bank) = (host.config().banks, host.config().mailboxes_per_bank);
         let elem = host.builtin_id(BuiltinJam::ServerSideSum).unwrap().0;
         let frame = |sn: u32| Frame::local(sn, elem, ssum_args(1), sn.to_le_bytes().to_vec()).encode();
-        let mut raw = fabric.endpoint(a, b).unwrap();
+        let mut raw = wire.raw();
 
         // Inner frames sn 2, 3, ...; an unparseable one has a torn sequence echo
         // (it still passes the builder's and the envelope's cheap checks).
@@ -210,10 +208,9 @@ proptest! {
         }
         let mut container = Vec::new();
         batch.finish_into(&mut container).unwrap();
-        let carrier = host.mailbox_target(0, 0).unwrap();
-        let put = raw.put(SimTime::ZERO, &container, &carrier.region, carrier.offset).unwrap();
+        let landed = put(&mut raw, &host, 0, 0, SimTime::ZERO, &container);
 
-        let out = host.receive_burst(0, usize::MAX, put.delivered);
+        let out = host.receive_burst(0, usize::MAX, landed.delivered);
         prop_assert!(out.is_ok(), "the burst must not abort: {:?}", out.err());
         let out = out.unwrap();
         let exists = |slot: u16| (slot as usize) < per_bank;
@@ -248,8 +245,7 @@ proptest! {
         let mut now = out.drained_at;
         for bank in 0..banks {
             for slot in 0..per_bank {
-                let target = host.mailbox_target(bank, slot).unwrap();
-                now = raw.put(now, &frame(1), &target.region, target.offset).unwrap().delivered;
+                now = put(&mut raw, &host, bank, slot, now, &frame(1)).delivered;
             }
         }
         let probe = host.receive_burst(0, usize::MAX, now).unwrap();
@@ -357,16 +353,11 @@ proptest! {
     /// payload, via the full runtime path.
     #[test]
     fn server_side_sum_matches_host_sum(values in prop::collection::vec(any::<u32>(), 1..64)) {
-        use two_chains_suite::fabric::SimFabric;
-        use twochains::builtin::{benchmark_package, ssum_args, BuiltinJam};
-        use twochains::{spec, RuntimeConfig, TwoChainsHost, TwoChainsSender};
+        use twochains::builtin::{ssum_args, BuiltinJam};
+        use twochains::{spec, RuntimeConfig};
 
-        let (fabric, a, b) = SimFabric::back_to_back(TestbedConfig::cluster2021());
-        let mut rx = TwoChainsHost::new(&fabric, b, RuntimeConfig::paper_default()).unwrap();
-        rx.install_package(benchmark_package().unwrap()).unwrap();
-        let mut tx = TwoChainsSender::new(fabric.endpoint(a, b).unwrap(), benchmark_package().unwrap());
+        let (mut rx, mut tx) = support::testbed(RuntimeConfig::paper_default());
         let id = rx.builtin_id(BuiltinJam::ServerSideSum).unwrap();
-        tx.set_remote_got(id, &rx.export_got(id).unwrap());
         let payload: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
         let message = spec(id).args(ssum_args(values.len() as u32)).usr(payload);
         let target = rx.mailbox_target(0, 0).unwrap();
@@ -414,52 +405,22 @@ proptest! {
         per_sender in 1usize..6,
         seed in any::<u64>(),
     ) {
-        use two_chains_suite::fabric::SimFabric;
-        use twochains::builtin::{benchmark_package, ssum_args, BuiltinJam};
+        use twochains::builtin::{ssum_args, BuiltinJam};
         use twochains::{spec, InvocationMode, RuntimeConfig, TwoChainsHost, TwoChainsSender};
 
         let banks = 4usize;
         let build = |shards: usize| -> (TwoChainsHost, Vec<TwoChainsSender>) {
-            let (fabric, a, b) = SimFabric::back_to_back(TestbedConfig::cluster2021());
-            let mut rx = TwoChainsHost::new(
-                &fabric,
-                b,
-                RuntimeConfig::paper_default().with_shards(shards),
-            )
-            .unwrap();
-            rx.install_package(benchmark_package().unwrap()).unwrap();
-            let id = rx.builtin_id(BuiltinJam::ServerSideSum).unwrap();
-            let got = rx.export_got(id).unwrap();
-            let senders = (0..k)
-                .map(|_| {
-                    let mut tx = TwoChainsSender::new(
-                        fabric.endpoint(a, b).unwrap(),
-                        benchmark_package().unwrap(),
-                    );
-                    tx.set_remote_got(id, &got);
-                    tx
-                })
-                .collect();
+            let wire = support::wire();
+            let rx = wire.host(RuntimeConfig::paper_default().with_shards(shards));
+            let senders = (0..k).map(|_| wire.sender(&rx)).collect();
             (rx, senders)
         };
 
-        // A shuffled interleave of the K senders' messages (Fisher–Yates over a
-        // SplitMix stream seeded by the generated seed).
+        // A shuffled interleave of the K senders' messages.
         let mut order: Vec<(usize, usize)> = (0..k)
             .flat_map(|s| (0..per_sender).map(move |m| (s, m)))
             .collect();
-        let mut state = seed;
-        let mut next = || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        for i in (1..order.len()).rev() {
-            let j = (next() % (i as u64 + 1)) as usize;
-            order.swap(i, j);
-        }
+        support::shuffle(&mut order, seed);
 
         // Drive the identical send stream into both hosts: message (s, m) uses a
         // payload derived from its identity, so its result identifies it.

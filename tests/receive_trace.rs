@@ -16,27 +16,23 @@
 //! what this model computes. A change that moves them on purpose says so, and
 //! replaces them with the trace the failing assertion prints.
 
-use two_chains_suite::fabric::SimFabric;
-use two_chains_suite::memsim::{MemoryStressor, SimTime, TestbedConfig};
-use twochains::builtin::{benchmark_package, graph_args, indirect_put_args, ssum_args, BuiltinJam};
-use twochains::frame::{FrameBatch, FRAME_HEADER_SIZE};
-use twochains::jamvm::{encode_program, Assembler, GotImage, Reg};
+mod support;
+
+use support::{
+    fleet_testbed, foreign_injected, poisoned_header, returns_77, splitmix, unknown_element,
+    FleetBed,
+};
+use two_chains_suite::memsim::{MemoryStressor, SimTime};
+use twochains::builtin::{graph_args, indirect_put_args, ssum_args, BuiltinJam};
+use twochains::frame::FrameBatch;
 use twochains::{
-    spec, AmError, ChainArgMap, ElementId, Frame, InvocationMode, MessageSpec, ReceiveOutcome,
+    spec, AmError, ChainArgMap, ElementId, InvocationMode, MessageSpec, ReceiveOutcome,
     RuntimeConfig, RuntimeStats, SecurityPolicy, SenderFleet, TwoChainsHost, TwoChainsSender,
 };
 
 /// The scenario's seed: payload contents, Indirect Put keys and the memory
 /// stressor's random stream all derive from it.
 const SEED: u64 = 0x2C4A_1B5E;
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// The rig: a one-shard host armed by a connected (but silent) fleet, a bare
 /// sender whose sequence space drives every frame, and the trace so far.
@@ -56,21 +52,11 @@ struct Rig {
 
 impl Rig {
     fn new(cfg: RuntimeConfig) -> Rig {
-        let (fabric, a, b) = SimFabric::back_to_back(TestbedConfig::cluster2021());
-        let mut host = TwoChainsHost::new(&fabric, b, cfg).unwrap();
-        host.install_package(benchmark_package().unwrap()).unwrap();
-        let fleet = SenderFleet::connect_fleet(&fabric, a, &mut host, benchmark_package().unwrap())
-            .unwrap();
-        let mut tx =
-            TwoChainsSender::new(fabric.endpoint(a, b).unwrap(), benchmark_package().unwrap());
-        for jam in [BuiltinJam::ServerSideSum, BuiltinJam::IndirectPut] {
-            let id = host.builtin_id(jam).unwrap();
-            tx.set_remote_got(id, &host.export_got(id).unwrap());
-        }
+        let FleetBed { wire, host, fleet } = fleet_testbed(cfg, None);
         Rig {
+            tx: wire.sender(&host),
             host,
             _fleet: fleet,
-            tx,
             rng: SEED,
             tx_clock: SimTime::ZERO,
             rx_clock: SimTime::ZERO,
@@ -126,12 +112,8 @@ impl Rig {
 
     /// Put raw bytes into (`bank`, `slot`); returns the arrival time.
     fn put(&mut self, bank: usize, slot: usize, bytes: &[u8]) -> SimTime {
-        let target = self.host.mailbox_target(bank, slot).unwrap();
-        let out = self
-            .tx
-            .endpoint_mut()
-            .put(self.tx_clock, bytes, &target.region, target.offset)
-            .unwrap();
+        let ep = self.tx.endpoint_mut();
+        let out = support::put(ep, &self.host, bank, slot, self.tx_clock, bytes);
         self.tx_clock = out.sender_free;
         out.delivered
     }
@@ -256,31 +238,10 @@ fn stats_lines(stats: &RuntimeStats) -> String {
         .collect()
 }
 
-/// A poisoned header: magic set, declared length far out of range.
-fn poisoned_header() -> Vec<u8> {
-    let mut bytes = Frame::local(1, 0, vec![0; 20], vec![0; 4]).encode();
-    bytes[8..12].copy_from_slice(&1_000_000u32.to_le_bytes());
-    bytes.truncate(FRAME_HEADER_SIZE);
-    bytes
-}
-
-/// An injected frame for an element outside the installed package, carrying
-/// its own (empty) GOT and a two-instruction program. The permissive policy
-/// runs it; the hardened policy refuses the sender's GOT and has nothing to
-/// re-resolve it from, so it rejects the frame.
-fn foreign_injected(sn: u32) -> Vec<u8> {
-    let mut asm = Assembler::new();
-    asm.load_imm(Reg(0), 77).ret();
-    let code = encode_program(&asm.finish().unwrap());
-    Frame::injected(
-        sn,
-        999,
-        GotImage::with_slots(0).to_bytes(),
-        code,
-        vec![0; 20],
-        vec![],
-    )
-    .encode()
+/// An injected frame outside the installed package with an empty GOT: the
+/// permissive policy runs it, the hardened one rejects it.
+fn foreign(sn: u32) -> Vec<u8> {
+    foreign_injected(sn, &[], &returns_77(), &[])
 }
 
 fn run_scenario(cfg: RuntimeConfig) -> String {
@@ -341,8 +302,7 @@ fn run_scenario(cfg: RuntimeConfig) -> String {
     let msg = rig.iput(Injected, 64);
     arrival = arrival.max(rig.send(0, 6, &msg).1);
     arrival = arrival.max(rig.put(0, 7, &poisoned_header()));
-    let bogus = Frame::local(0x0100_0000, 0xBEEF, vec![0; 20], vec![0; 4]).encode();
-    arrival = arrival.max(rig.put(0, 8, &bogus));
+    arrival = arrival.max(rig.put(0, 8, &unknown_element(0x0100_0000, 0xBEEF)));
     arrival = arrival.max(rig.put(0, 1, &local_wire));
     // A sequence number the receiver never sees: the gap watcher reports it
     // once it has outlived two further scans.
@@ -396,10 +356,10 @@ fn run_scenario(cfg: RuntimeConfig) -> String {
         let msg = rig.ssum(Injected, 8);
         arrival = arrival.max(rig.send(3, slot, &msg).1);
     }
-    arrival = arrival.max(rig.put(3, 2, &foreign_injected(0x0100_0001)));
+    arrival = arrival.max(rig.put(3, 2, &foreign(0x0100_0001)));
     rig.burst("hardened-burst", usize::MAX, arrival);
     rig.host.config_mut().security = SecurityPolicy::permissive();
-    let at = rig.put(3, 2, &foreign_injected(0x0100_0002));
+    let at = rig.put(3, 2, &foreign(0x0100_0002));
     rig.receive("permissive-foreign", 3, 2, None, at);
 
     // -- without execution: dispatch only ------------------------------------

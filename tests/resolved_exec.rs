@@ -26,9 +26,11 @@
 
 use std::sync::Arc;
 
+mod support;
+
 use proptest::prelude::*;
 
-use two_chains_suite::fabric::SimFabric;
+use support::{put, testbed, wire};
 use two_chains_suite::jamvm::{
     encode_program, hash64_bytes,
     isa::{AluOp, Cond, Width},
@@ -36,9 +38,9 @@ use two_chains_suite::jamvm::{
     Segment, SegmentKind, Vm, VmConfig,
 };
 use two_chains_suite::memsim::hierarchy::FlatMemory;
-use two_chains_suite::memsim::{SimTime, TestbedConfig};
-use twochains::builtin::{benchmark_package, indirect_put_args, ssum_args, BuiltinJam};
-use twochains::{spec, Frame, RuntimeConfig, SecurityPolicy, TwoChainsHost, TwoChainsSender};
+use two_chains_suite::memsim::SimTime;
+use twochains::builtin::{indirect_put_args, ssum_args, BuiltinJam};
+use twochains::{spec, Frame, RuntimeConfig, SecurityPolicy};
 
 const HEAP_BASE: u64 = 0x5000;
 const HEAP_SIZE: usize = 256;
@@ -380,16 +382,9 @@ fn fused_superinstructions_retire_both_halves() {
 #[test]
 fn warm_and_cold_dispatch_agree_end_to_end() {
     let drive = |cold: bool| {
-        let (fabric, a, b) = SimFabric::back_to_back(TestbedConfig::cluster2021());
-        let mut rx = TwoChainsHost::new(&fabric, b, RuntimeConfig::paper_default()).unwrap();
-        rx.install_package(benchmark_package().unwrap()).unwrap();
-        let mut tx =
-            TwoChainsSender::new(fabric.endpoint(a, b).unwrap(), benchmark_package().unwrap());
+        let (mut rx, mut tx) = testbed(RuntimeConfig::paper_default());
         let ssum = rx.builtin_id(BuiltinJam::ServerSideSum).unwrap();
         let iput = rx.builtin_id(BuiltinJam::IndirectPut).unwrap();
-        for id in [ssum, iput] {
-            tx.set_remote_got(id, &rx.export_got(id).unwrap());
-        }
         let target = rx.mailbox_target(0, 0).unwrap();
         let mut results = Vec::new();
         let mut ready = SimTime::ZERO;
@@ -498,31 +493,26 @@ fn a_forged_code_digest_does_not_hand_over_another_senders_image() {
     assert_ne!(victim, attacker);
     assert_eq!(hash64_bytes(&attacker), hash64_bytes(&victim));
     for security in [SecurityPolicy::permissive(), SecurityPolicy::hardened()] {
-        let (fabric, a, b) = SimFabric::back_to_back(TestbedConfig::cluster2021());
-        let cfg = RuntimeConfig {
+        let wire = wire();
+        let mut host = wire.host(RuntimeConfig {
             security,
             ..RuntimeConfig::paper_default()
-        };
-        let mut host = TwoChainsHost::new(&fabric, b, cfg).unwrap();
-        host.install_package(benchmark_package().unwrap()).unwrap();
+        });
         // A hardened host resolves the GOT of an installed element only.
         let elem = if security.accept_sender_got {
             999
         } else {
             host.builtin_id(BuiltinJam::ServerSideSum).unwrap().0
         };
-        let mut raw = fabric.endpoint(a, b).unwrap();
+        let mut raw = wire.raw();
         let mut ready = SimTime::ZERO;
         let mut results = Vec::new();
         for (slot, code) in [&attacker, &victim].into_iter().enumerate() {
             let frame =
                 Frame::injected(1, elem, Vec::new(), code.clone(), vec![0; 8], Vec::new()).encode();
-            let target = host.mailbox_target(0, slot).unwrap();
-            let put = raw
-                .put(ready, &frame, &target.region, target.offset)
-                .unwrap();
+            let landed = put(&mut raw, &host, 0, slot, ready, &frame);
             let out = host
-                .receive(0, slot, Some(frame.len()), put.delivered, ready)
+                .receive(0, slot, Some(frame.len()), landed.delivered, ready)
                 .unwrap();
             ready = out.handler_done;
             results.push(out.result);

@@ -25,13 +25,14 @@
 //! change that moves them on purpose says so, and replaces the golden with
 //! the trace the failing assertion prints.
 
-use two_chains_suite::fabric::SimFabric;
-use two_chains_suite::memsim::{SimTime, TestbedConfig};
-use twochains::builtin::{benchmark_package, graph_args, ssum_args, BuiltinJam};
+mod support;
+
+use support::{fleet_testbed, mix, FleetBed};
+use two_chains_suite::memsim::SimTime;
+use twochains::builtin::{graph_args, ssum_args, BuiltinJam};
 use twochains::frame::{BATCH_OVERHEAD, BATCH_PREFIX_SIZE};
 use twochains::{
     spec, InvocationMode, RuntimeConfig, RuntimeStats, SenderFleet, SlotCtx, TwoChainsHost,
-    TwoChainsSender,
 };
 
 const SEED: u64 = 0x5E4D_7A2C;
@@ -39,13 +40,6 @@ const BANKS: usize = 4;
 const PER_BANK: usize = 12;
 const CAPACITY: usize = 4096;
 const LANES: usize = 2;
-
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 fn fnv(hash: &mut u64, bytes: &[u8]) {
     for &b in bytes {
@@ -72,7 +66,7 @@ fn config(per_frame: bool, window: usize) -> RuntimeConfig {
 /// How many integers a round's Server-Side Sum for this slot carries.
 /// `overhead` is the wire size of the round's frame with an empty payload.
 fn ints_for(round: u64, ctx: SlotCtx, overhead: usize) -> usize {
-    let r = splitmix(SEED ^ (round << 40) ^ ((ctx.bank as u64) << 20) ^ ctx.slot as u64);
+    let r = mix(SEED ^ (round << 40) ^ ((ctx.bank as u64) << 20) ^ ctx.slot as u64);
     // A frame this long fits its mailbox but not a container around it.
     let alone =
         (CAPACITY - BATCH_OVERHEAD - BATCH_PREFIX_SIZE + 8 - overhead) / 4 + (r % 8) as usize;
@@ -103,7 +97,7 @@ fn payload(round: u64, ctx: SlotCtx, overhead: usize) -> (Vec<u8>, Vec<u8>) {
     let mut r = SEED ^ round.wrapping_mul(0x1F3D) ^ ((ctx.bank * PER_BANK + ctx.slot) as u64);
     let usr = (0..n)
         .flat_map(|_| {
-            r = splitmix(r);
+            r = mix(r);
             (r as u32 % 1000).to_le_bytes()
         })
         .collect();
@@ -176,18 +170,12 @@ impl Rig {
 
 fn run_scenario(per_frame: bool, window: usize) -> String {
     use InvocationMode::{Injected, Local};
-    let (fabric, a, b) = SimFabric::back_to_back(TestbedConfig::cluster2021());
-    let mut host = TwoChainsHost::new(&fabric, b, config(per_frame, window)).unwrap();
-    host.install_package(benchmark_package().unwrap()).unwrap();
-    let fleet =
-        SenderFleet::connect_fleet(&fabric, a, &mut host, benchmark_package().unwrap()).unwrap();
+    let FleetBed { wire, host, fleet } = fleet_testbed(config(per_frame, window), None);
     let ssum = host.builtin_id(BuiltinJam::ServerSideSum).unwrap();
 
     // The wire size of an empty Server-Side Sum frame in each mode, measured
     // with a bare sender over the same package and GOT image.
-    let mut probe =
-        TwoChainsSender::new(fabric.endpoint(a, b).unwrap(), benchmark_package().unwrap());
-    probe.set_remote_got(ssum, &host.export_got(ssum).unwrap());
+    let mut probe = wire.sender(&host);
     let mut wire = Vec::new();
     let mut overhead = |mode| {
         let empty = spec(ssum).mode(mode).args(ssum_args(0));
@@ -233,7 +221,7 @@ fn run_scenario(per_frame: bool, window: usize) -> String {
     );
     let chained = spec(rig.host.builtin_id(BuiltinJam::GraphLookup).unwrap())
         .local()
-        .args(graph_args(splitmix(SEED)))
+        .args(graph_args(mix(SEED)))
         .then(rig.host.builtin_id(BuiltinJam::GraphFilter).unwrap())
         .then(rig.host.builtin_id(BuiltinJam::GraphAggregate).unwrap());
     let mut horizons = [SimTime::ZERO; LANES];

@@ -10,9 +10,11 @@
 //! CI does (`cargo test --workspace --release`) — optimizations are where
 //! ordering bugs bite.
 
-use two_chains_suite::fabric::SimFabric;
-use two_chains_suite::memsim::{SimTime, TestbedConfig};
-use twochains::builtin::{benchmark_package, indirect_put_args, BuiltinJam};
+mod support;
+
+use support::{shuffle, wire};
+use two_chains_suite::memsim::SimTime;
+use twochains::builtin::{indirect_put_args, BuiltinJam};
 use twochains::{spec, InvocationMode, RuntimeConfig, TwoChainsHost, TwoChainsSender};
 
 const SHARDS: usize = 4;
@@ -28,40 +30,18 @@ fn config() -> RuntimeConfig {
 }
 
 fn build() -> (TwoChainsHost, Vec<TwoChainsSender>) {
-    let (fabric, a, b) = SimFabric::back_to_back(TestbedConfig::cluster2021());
-    let mut host = TwoChainsHost::new(&fabric, b, config()).unwrap();
-    host.install_package(benchmark_package().unwrap()).unwrap();
-    let id = host.builtin_id(BuiltinJam::IndirectPut).unwrap();
-    let got = host.export_got(id).unwrap();
-    let senders = (0..SENDERS)
-        .map(|_| {
-            let mut tx =
-                TwoChainsSender::new(fabric.endpoint(a, b).unwrap(), benchmark_package().unwrap());
-            tx.set_remote_got(id, &got);
-            tx
-        })
-        .collect();
+    let wire = wire();
+    let host = wire.host(config());
+    let senders = (0..SENDERS).map(|_| wire.sender(&host)).collect();
     (host, senders)
 }
 
-/// Deterministic Fisher–Yates over a SplitMix64 stream: the shuffled K-sender
-/// interleave both hosts replay identically.
+/// The shuffled K-sender interleave both hosts replay identically.
 fn shuffled_slots(seed: u64, banks: usize, per_bank: usize) -> Vec<(usize, usize, usize)> {
     let mut order: Vec<(usize, usize, usize)> = (0..banks)
         .flat_map(|b| (0..per_bank).map(move |s| (b, s, (b * per_bank + s) % SENDERS)))
         .collect();
-    let mut state = seed;
-    let mut next = || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
-    for i in (1..order.len()).rev() {
-        let j = (next() % (i as u64 + 1)) as usize;
-        order.swap(i, j);
-    }
+    shuffle(&mut order, seed);
     order
 }
 
@@ -154,6 +134,7 @@ fn threaded_drain_matches_sequential_baseline() {
                 .map(|h| h.join().unwrap())
                 .collect()
         });
+        assert_eq!(drained.len(), SHARDS, "one drain handle per shard");
         assert_eq!(drained.iter().map(Vec::len).sum::<usize>(), total_slots);
         par_results.extend(drained.into_iter().flatten());
     }

@@ -20,9 +20,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use two_chains_suite::fabric::SimFabric;
-use two_chains_suite::memsim::{SimTime, TestbedConfig};
-use twochains::builtin::{benchmark_package, graph_args, indirect_put_args, BuiltinJam};
+mod support;
+
+use support::{fleet_testbed, FleetBed};
+use two_chains_suite::memsim::SimTime;
+use twochains::builtin::{graph_args, indirect_put_args, BuiltinJam};
 use twochains::{spec, InvocationMode, RuntimeConfig, SenderFleet, TwoChainsHost};
 
 /// Allocations a warm 64-message burst may perform in total. The change that
@@ -110,11 +112,7 @@ fn build() -> (TwoChainsHost, SenderFleet) {
         .with_shard_local_space();
     cfg.frame_capacity = 16 * 1024;
     cfg.completion_window = cfg.total_mailboxes();
-    let (fabric, a, b) = SimFabric::back_to_back(TestbedConfig::cluster2021());
-    let mut host = TwoChainsHost::new(&fabric, b, cfg).unwrap();
-    host.install_package(benchmark_package().unwrap()).unwrap();
-    let fleet =
-        SenderFleet::connect_fleet(&fabric, a, &mut host, benchmark_package().unwrap()).unwrap();
+    let FleetBed { host, fleet, .. } = fleet_testbed(cfg, None);
     (host, fleet)
 }
 

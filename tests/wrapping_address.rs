@@ -35,7 +35,9 @@
 //! called extern `k`, and two byte strings parsed to one image. Such a frame
 //! is now a `BadFrame`, retired alone with its credit.
 
-use two_chains_suite::fabric::SimFabric;
+mod support;
+
+use support::{fleet_testbed, foreign_injected, put, returns_77, FleetBed};
 use two_chains_suite::jamvm::isa::{AluOp, Cond, Width};
 use two_chains_suite::jamvm::{
     decode_program, encode_program, resolve, verify, AddressSpace, Assembler, ExecError, ExternRef,
@@ -43,8 +45,7 @@ use two_chains_suite::jamvm::{
 };
 use two_chains_suite::memsim::hierarchy::FlatMemory;
 use two_chains_suite::memsim::{CoreCacheStats, SharedHierarchy, SimTime, TestbedConfig};
-use twochains::builtin::benchmark_package;
-use twochains::{AmError, Frame, RuntimeConfig, SenderFleet, TwoChainsHost};
+use twochains::{AmError, RuntimeConfig};
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -221,20 +222,6 @@ fn both_engines_fault_on_an_oversized_copy_before_charging_it() {
     }
 }
 
-/// An injected frame for an element outside the installed package, carrying
-/// `got` and `program`.
-fn injected(sn: u32, got: &[u8], program: &[Instr]) -> Vec<u8> {
-    Frame::injected(
-        sn,
-        999,
-        got.to_vec(),
-        encode_program(program),
-        vec![0; 20],
-        vec![0; 8],
-    )
-    .encode()
-}
-
 /// What the jams above are rejected with: a fault raised while executing.
 fn faults_unmapped(err: &AmError) -> bool {
     matches!(err, AmError::Exec(why) if why.contains("unmapped"))
@@ -259,28 +246,23 @@ fn hostile_injections_are_rejected_alone(
     hostile: Vec<(&'static str, Vec<u8>, Vec<Instr>)>,
     rejection: fn(&AmError) -> bool,
 ) {
-    let (fabric, a, b) = SimFabric::back_to_back(TestbedConfig::cluster2021());
-    let mut host = TwoChainsHost::new(&fabric, b, cfg).unwrap();
-    host.install_package(benchmark_package().unwrap()).unwrap();
     // The session installs the credit path.
-    let fleet =
-        SenderFleet::connect_fleet(&fabric, a, &mut host, benchmark_package().unwrap()).unwrap();
-    let mut raw = fabric.endpoint(a, b).unwrap();
+    let FleetBed {
+        wire,
+        mut host,
+        fleet,
+    } = fleet_testbed(cfg, None);
+    let mut raw = wire.raw();
 
-    let mut good = Assembler::new();
-    good.load_imm(Reg(0), 77).ret();
-    let good = good.finish().unwrap();
-    // One hostile frame per slot, the well-behaved one behind them.
+    // One hostile frame per slot, each an injection outside the installed
+    // package, and the well-behaved one behind them.
+    let good = returns_77().to_vec();
     let mut arrival = SimTime::ZERO;
     let no_got = Vec::new();
     let injections = hostile.iter().map(|(_, got, program)| (got, program));
     for (slot, (got, program)) in injections.chain([(&no_got, &good)]).enumerate() {
-        let target = host.mailbox_target(0, slot).unwrap();
-        let frame = injected(slot as u32 + 1, got, program);
-        let put = raw
-            .put(arrival, &frame, &target.region, target.offset)
-            .unwrap();
-        arrival = put.delivered;
+        let frame = foreign_injected(slot as u32 + 1, got, program, &[0; 8]);
+        arrival = put(&mut raw, &host, 0, slot, arrival, &frame).delivered;
     }
 
     let out = host
