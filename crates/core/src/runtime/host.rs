@@ -29,8 +29,8 @@
 //! | 2 parse / unbatch | `drain_slot` | readiness check, read into scratch, a plain frame or a batch container's header prologue and inner frames |
 //! | 3 admit | `admit` | destination slot validated, replay filter probed, the frame accounted and its [`ReceiveOutcome`] built |
 //! | 4 resolve image | `resolve_image` (`injected_got`, `injected_program`) | GOT and lowered image, through the injection caches or the Local Function library |
-//! | 5 execute | `execute_stage` | space picked once, sections mapped, image run, sections unmapped |
-//! | 6 continue chain | `continue_chain` | each continuation stage is stage 5 again, with `chain.*` sections and the context cell |
+//! | 5 execute | `execute_stage` | space picked once, sections mapped or refilled, image run |
+//! | 6 continue chain | `continue_chain` | each continuation stage is stage 5 again, with the context cell behind the frame's sections |
 //! | 7 retire | `retire` | gap watcher noted, drain clock advanced, credit returned (`return_credit` / `return_replay_credit`): the token is `credit.rs`'s to mint and to flush, the host charges what was posted |
 //!
 //! Stages 2–6 leave one `Retired` entry per frame; both callers loop over
@@ -64,14 +64,29 @@
 //! earlier (`ReceiverShard::spare_sections`), refilled whole by
 //! `Section::segment`: name, base, permissions and bytes are all replaced, so
 //! nothing of a previous message is readable through a recycled segment, and
-//! a warm map → run → unmap allocates nothing. The run itself is
-//! `Vm::execute_resolved` compiled against the types it is handed — the
-//! shard's `CoreBus`, and its `ShardSpace` or the exclusive `AddressSpace` —
-//! not against two trait objects: a jam's loop is where a payload-sized
-//! message spends its host time (a load per four bytes, a block fetch per
-//! iteration), and with the types named the bus's private-hit path and the
-//! space's scalar read are inlined into that loop. Extern functions still get
-//! both as `dyn`. It is the only engine the receiver runs: the interpreter,
+//! a warm map → run → unmap allocates nothing.
+//!
+//! In the shard's own space a frame's sections are mapped once per frame
+//! (`Placed`): the primary maps ARGS and USR with `AddressSpace::map`'s name
+//! and overlap checks. Each continuation stage refills them in place with a
+//! fresh copy of the frame's bytes (`AddressSpace::refill`, which scans
+//! nothing); the first maps the context cell behind them and later ones
+//! refill it with the running result. The sections are unmapped when the
+//! frame's dispatch returns, on every exit. A stage that runs in the
+//! exclusive space maps and unmaps its sections there under the lock, so no
+//! shard finds a name taken. Isolation is the fresh copy, not a new mapping:
+//! a stage sees the bytes that arrived whatever the stage before it wrote,
+//! and for a `chain3` frame that is 40 bytes over its three stages, where
+//! mapping and unmapping three sections per stage cost more than the stage's
+//! jam.
+//!
+//! The run itself is `Vm::execute_resolved` compiled against the types it
+//! is handed — the shard's `CoreBus`, and its `ShardSpace` or the exclusive
+//! `AddressSpace` — not against two trait objects: a jam's loop is where a
+//! payload-sized message spends its host time (a load per four bytes, a block
+//! fetch per iteration), and with the types named the bus's private-hit path
+//! and the space's scalar read are inlined into that loop. Extern functions
+//! still get both as `dyn`. It is the only engine the receiver runs: the interpreter,
 //! `Vm::execute`, is the reference the differential suites compare it against.
 
 use std::collections::HashMap;
@@ -79,6 +94,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use twochains_fabric::{AccessFlags, HostHandle, HostId, MemoryRegion, SimFabric};
+use twochains_jamvm::memory::MemFault;
 use twochains_jamvm::{
     decode_program, hash64, hash64_bytes, resolve, verify_with_floor, AddressSpace, ExecStats,
     GotImage, ResolvedProgram, Segment, SegmentKind, ShardSpace, Vm, VmConfig,
@@ -104,12 +120,12 @@ use crate::mailbox::MailboxTarget;
 use crate::stats::RuntimeStats;
 
 /// Fixed receiver-side dispatch overhead for an Injected Function (frame parse +
-/// jump through the mailbox code pointer), in ns.
-const INJECTED_DISPATCH_NS: f64 = 28.0;
+/// jump through the mailbox code pointer).
+const INJECTED_DISPATCH: SimTime = SimTime::from_ns(28);
 /// Fixed receiver-side dispatch overhead for a Local Function (frame parse +
-/// function-pointer table lookup by element ID), in ns. A chain's continuation
+/// function-pointer table lookup by element ID). A chain's continuation
 /// stages pay it once each.
-const LOCAL_DISPATCH_NS: f64 = 18.0;
+const LOCAL_DISPATCH: SimTime = SimTime::from_ns(18);
 
 /// Software cost models for the receiver's injected-dispatch path, in ns per byte.
 ///
@@ -153,8 +169,8 @@ fn resolved_slab_base(key: (u32, u64, usize)) -> u64 {
 /// Base simulated address of the per-chain context cells: one 8-byte cell per
 /// drain core holding the running result a chain threads from stage to stage.
 /// The cell lives in shard scratch address space (each shard owns its core, so
-/// cores never share a cell) and is remapped fresh for every stage — its
-/// lifetime is exactly one frame's chain.
+/// cores never share a cell) and is refilled with the running result for
+/// every stage — its lifetime is exactly one frame's chain.
 const CHAIN_CTX_BASE: u64 = 0x9E00_0000;
 /// Address stride between consecutive cores' chain-context cells.
 const CHAIN_CTX_STRIDE: u64 = 0x100;
@@ -163,7 +179,7 @@ const CHAIN_CTX_STRIDE: u64 = 0x100;
 /// flow-control credit it retires: its own mailbox for a plain frame, its
 /// *declared* destination slot for an inner frame of a batch container.
 #[derive(Debug)]
-enum Retired {
+pub(super) enum Retired {
     /// The frame was dispatched (and executed, unless execution is skipped).
     Executed {
         slot: usize,
@@ -237,32 +253,84 @@ struct StageImage {
     code_base: u64,
 }
 
-/// One section of the frame as a stage sees it: mapped (as a fresh copy, so a
-/// stage cannot corrupt another's view) at the mailbox address the NIC
-/// delivered it to, for exactly the stage's execution.
+/// One section of the frame as a stage sees it: a fresh copy of its bytes,
+/// so a stage cannot corrupt another's view, at the mailbox address the NIC
+/// delivered it to.
 #[derive(Clone, Copy)]
 struct Section<'a> {
-    name: &'static str,
     base: u64,
     bytes: &'a [u8],
     writable: bool,
     kind: SegmentKind,
 }
 
+/// The names a stage's sections are mapped under, in the order it lists
+/// them: ARGS and USR, then — for a chain's continuation stages — the
+/// context cell.
+const SECTION_NAMES: [&str; 3] = ["msg.args", "msg.usr", "chain.ctx"];
+
 impl Section<'_> {
-    /// This section as a mappable segment, built in `spare`'s buffers when
-    /// there is one. Every field is set and the bytes replaced whole: nothing
-    /// of the section the spare last held can be read through the new one.
-    fn segment(&self, spare: Option<Segment>) -> Segment {
+    /// This section as a segment named `name`, built in `spare`'s buffers
+    /// when there is one. Every field is set and the bytes replaced whole:
+    /// nothing of the section the spare last held can be read through the
+    /// new one.
+    fn segment(&self, name: &str, spare: Option<Segment>) -> Segment {
         let mut seg = spare.unwrap_or_else(|| Segment::new("", 0, Vec::new(), false, self.kind));
         seg.name.clear();
-        seg.name.push_str(self.name);
+        seg.name.push_str(name);
         seg.base = self.base;
         seg.data.clear();
         seg.data.extend_from_slice(self.bytes);
         seg.writable = self.writable;
         seg.kind = self.kind;
         seg
+    }
+}
+
+/// How many of a frame's sections one address space holds, and the mapping
+/// index of the first. The execute stage maps the sections a space lacks
+/// and refills those it has; whoever owns the `Placed` unmaps them. The
+/// shard's own space keeps one for the whole frame, so a chain's stages
+/// refill what its primary mapped. A stage in the exclusive space, which
+/// every shard maps into, places into a fresh one and unmaps under the lock.
+#[derive(Debug, Default)]
+struct Placed {
+    first: usize,
+    count: usize,
+}
+
+impl Placed {
+    /// Give `space` a fresh copy of every section in `sections`: refill the
+    /// ones this space already holds in place, map the rest behind them
+    /// (with `map`'s name and overlap checks). What was mapped before a
+    /// failure stays counted, for [`Placed::unmap`].
+    fn place(
+        &mut self,
+        space: &mut AddressSpace,
+        sections: &[Section<'_>],
+        spare: &mut Vec<Segment>,
+    ) -> Result<(), MemFault> {
+        if self.count == 0 {
+            self.first = space.len();
+        }
+        for (i, s) in sections.iter().enumerate() {
+            if i < self.count {
+                space.refill(self.first + i, s.bytes)?;
+            } else {
+                space.map(s.segment(SECTION_NAMES[i], spare.pop()))?;
+                self.count += 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// Unmap every section placed in `space`, last first, keeping their
+    /// buffers in `spare` for the next frame's.
+    fn unmap(&mut self, space: &mut AddressSpace, spare: &mut Vec<Segment>) {
+        for name in SECTION_NAMES[..self.count].iter().rev() {
+            spare.extend(space.unmap(name));
+        }
+        self.count = 0;
     }
 }
 
@@ -934,6 +1002,28 @@ impl TwoChainsHost {
             .ok_or_else(|| AmError::Exec(format!("read past the end of {symbol}")))
     }
 
+    /// Names of the segments mapped in `shard`'s own space, or in the
+    /// exclusive space for `None`, in mapping order: the ried objects the
+    /// space instances. A frame's sections are mapped only while it is
+    /// dispatched, so they never show here.
+    pub fn mapped_segments(&self, shard: Option<usize>) -> AmResult<Vec<String>> {
+        let owned = |space: &AddressSpace| {
+            space
+                .segment_names()
+                .into_iter()
+                .map(str::to_owned)
+                .collect()
+        };
+        match shard {
+            None => Ok(owned(&self.core.space.lock())),
+            Some(i) => self
+                .shards
+                .get(i)
+                .map(|s| owned(&s.space.local))
+                .ok_or_else(|| AmError::InvalidConfig(format!("no shard {i}"))),
+        }
+    }
+
     /// Process the message sitting in mailbox (`bank`, `slot`).
     ///
     /// This is the single-frame case of the burst engine: the frame is waited for
@@ -1036,9 +1126,12 @@ impl HostCore {
             slot,
             frame_len,
         };
-        let mut retired = Vec::new();
+        let mut retired = std::mem::take(&mut shard.retired);
         let (scratch, mut ctx) = shard.stages();
-        self.drain_slot(scratch, &mut ctx, at, ready_since, wait, &mut retired)?;
+        if let Err(err) = self.drain_slot(scratch, &mut ctx, at, ready_since, wait, &mut retired) {
+            shard.retired = retired;
+            return Err(err);
+        }
         let mut clock = arrival;
         let credited = retired
             .iter()
@@ -1047,7 +1140,7 @@ impl HostCore {
         // frame's token must not stay withheld behind an error.
         let flushed = Self::flush_credits(shard, &mut clock);
         let mut answer = Err(AmError::Empty);
-        for r in retired {
+        for r in retired.drain(..) {
             match r {
                 Retired::Executed { outcome, .. } => answer = Ok(outcome),
                 Retired::Rejected { err, .. } if matches!(answer, Err(AmError::Empty)) => {
@@ -1056,6 +1149,7 @@ impl HostCore {
                 _ => {}
             }
         }
+        shard.retired = retired;
         // A rejection is the caller's answer; a credit-put failure on top of
         // it would only mask the root cause.
         if matches!(answer, Ok(_) | Err(AmError::Empty)) {
@@ -1121,9 +1215,10 @@ impl HostCore {
             Self::return_credit(shard, clock, *bank, *slot)?;
         }
         let mut frames = Vec::with_capacity(ready.len());
-        // What one slot retired, reused across the scan: a plain frame yields
-        // one entry, a container one per inner frame.
-        let mut retired = Vec::new();
+        // What one slot retired, in the shard's buffer (an error exit leaves
+        // it to be grown again): a plain frame yields one entry, a container
+        // one per inner frame.
+        let mut retired = std::mem::take(&mut shard.retired);
         for (bank, slot, frame_len) in ready {
             let at = Slot {
                 bank,
@@ -1154,6 +1249,7 @@ impl HostCore {
                 }
             }
         }
+        shard.retired = retired;
         // The scan is complete: age the gap watcher and report anything that
         // has now outlived the scan-jumble horizon.
         Self::post_due_nacks(shard, clock)?;
@@ -1351,11 +1447,29 @@ impl HostCore {
     /// continuation stages. Charges everything to `ctx.stats` except the
     /// per-frame accounting (`messages_received`, wait, cycles), which is
     /// [`HostCore::admit`]'s.
+    ///
+    /// The frame's sections stay mapped in the shard's own space from the
+    /// first stage that runs there until this returns, on every exit.
     fn dispatch(
         &self,
         ctx: &mut DrainCtx<'_>,
         frame: &FrameView<'_>,
         base_addr: u64,
+    ) -> AmResult<DispatchedFrame> {
+        let mut held = Placed::default();
+        let done = self.run_stages(ctx, frame, base_addr, &mut held);
+        held.unmap(&mut ctx.space.local, ctx.spare_sections);
+        done
+    }
+
+    /// [`HostCore::dispatch`] with the frame's sections in the shard's own
+    /// space counted in `held`.
+    fn run_stages(
+        &self,
+        ctx: &mut DrainCtx<'_>,
+        frame: &FrameView<'_>,
+        base_addr: u64,
+        held: &mut Placed,
     ) -> AmResult<DispatchedFrame> {
         // Read the header, charged through this shard's own core bus —
         // private L1/L2 lookups take no lock; only misses touch the striped
@@ -1366,11 +1480,11 @@ impl HostCore {
         let injected = frame.header.injected;
         let mut done = DispatchedFrame {
             handler_time: header
-                + SimTime::from_ns_f64(if injected {
-                    INJECTED_DISPATCH_NS
+                + if injected {
+                    INJECTED_DISPATCH
                 } else {
-                    LOCAL_DISPATCH_NS
-                }),
+                    LOCAL_DISPATCH
+                },
             exec_time: SimTime::ZERO,
             result: 0,
             exec_stats: None,
@@ -1394,14 +1508,12 @@ impl HostCore {
         // jam may write to them (subject to policy), so they need their own
         // backing store.
         let args = Section {
-            name: "msg.args",
             base: base_addr + frame.args_offset() as u64,
             bytes: frame.args,
             writable: !self.config.security.read_only_args,
             kind: SegmentKind::Args,
         };
         let usr = Section {
-            name: "msg.usr",
             base: base_addr + frame.usr_offset() as u64,
             bytes: frame.usr,
             writable: !self.config.security.read_only_payload,
@@ -1410,6 +1522,7 @@ impl HostCore {
         // The primary jam: the first call of the stage executor.
         let exec = self.execute_stage(
             ctx,
+            held,
             frame.header.elem_id,
             &primary,
             &[args, usr],
@@ -1423,25 +1536,27 @@ impl HostCore {
         }
         done.exec_stats = Some(exec);
         if let Some(chain) = frame.chain.filter(|c| !c.is_empty()) {
-            self.continue_chain(ctx, &chain, args, usr, &mut done)?;
+            self.continue_chain(ctx, held, &chain, args, usr, &mut done)?;
         }
         Ok(done)
     }
 
     /// The chain stage: run a frame's continuation stages after its primary
-    /// jam — each the same call of the stage executor, with `chain.*`
-    /// sections and the context cell. Jam k's result registers feed jam
-    /// k+1's entry registers through the per-chain context cell: the running
-    /// result is stored there (one charged 8-byte write), the next stage is
-    /// resolved through the Local Function library and dispatched for the
-    /// per-stage table-lookup cost — no new frame, no new wait, no re-parse.
-    /// The frame stays in its mailbox until the whole chain retires, so a
-    /// failing stage propagates `ChainStageFailed` (stages counted from the
-    /// first *continuation*) into the ordinary rejection path: the frame is
-    /// retired as a whole, one `frames_rejected`, one credit.
+    /// jam — each the same call of the stage executor, with the frame's
+    /// sections under the names the primary saw and the context cell behind
+    /// them. Jam k's result registers feed jam k+1's entry registers through
+    /// the per-chain context cell: the running result is stored there (one
+    /// charged 8-byte write), the next stage is resolved through the Local
+    /// Function library and dispatched for the per-stage table-lookup cost —
+    /// no new frame, no new wait, no re-parse. The frame stays in its mailbox
+    /// until the whole chain retires, so a failing stage propagates
+    /// `ChainStageFailed` (stages counted from the first *continuation*) into
+    /// the ordinary rejection path: the frame is retired as a whole, one
+    /// `frames_rejected`, one credit.
     fn continue_chain(
         &self,
         ctx: &mut DrainCtx<'_>,
+        held: &mut Placed,
         chain: &ChainDescriptor,
         args: Section<'_>,
         usr: Section<'_>,
@@ -1456,12 +1571,11 @@ impl HostCore {
                 .ok_or_else(|| fail(AmError::UnknownElement(stage.elem_id).to_string()))?;
             // Per-stage dispatch: a function-pointer table lookup by element
             // id, exactly the Local Function dispatch cost.
-            done.handler_time += SimTime::from_ns_f64(LOCAL_DISPATCH_NS);
+            done.handler_time += LOCAL_DISPATCH;
             // Publish the running result into the chain context cell.
             done.handler_time += ctx.bus.access(ctx.core, ctx_base, 8, AccessKind::Write);
             let cell = done.result.to_le_bytes();
             let context = Section {
-                name: "chain.ctx",
                 base: ctx_base,
                 bytes: &cell,
                 writable: true,
@@ -1475,19 +1589,15 @@ impl HostCore {
                 ChainArgMap::Result => [ctx_base, usr.base, usr.bytes.len() as u64],
                 ChainArgMap::KeepArgs => [args.base, ctx_base, 8],
             };
-            let sections = [
-                context,
-                Section {
-                    name: "chain.args",
-                    ..args
-                },
-                Section {
-                    name: "chain.usr",
-                    ..usr
-                },
-            ];
             let exec = self
-                .execute_stage(ctx, stage.elem_id, entry, &sections, entry_regs)
+                .execute_stage(
+                    ctx,
+                    held,
+                    stage.elem_id,
+                    entry,
+                    &[args, usr, context],
+                    entry_regs,
+                )
                 .map_err(|e| fail(e.to_string()))?;
             done.ran(ctx.stats, &exec);
             ctx.stats.local_executions += 1;
@@ -1582,12 +1692,17 @@ impl HostCore {
         })
     }
 
-    /// The execute stage: map `sections` (fresh copies, for exactly this
-    /// execution, in the shard's spare segments), run element `elem_id`'s
-    /// image with `entry_regs`, unmap. A partial mapping never outlives the
-    /// stage.
+    /// The execute stage: give the space a fresh copy of each of `sections`,
+    /// run element `elem_id`'s image with `entry_regs`. Both spaces follow
+    /// one discipline, [`Placed`]: what a space already holds of the frame
+    /// is refilled in place, the rest is mapped (in the shard's spare
+    /// segments), and the sections are unmapped when their `Placed` is done.
+    /// For the shard's own space that is `held`, the frame's, so its
+    /// sections outlive the stage and are unmapped when the frame's dispatch
+    /// returns; for the exclusive space it is this stage's, unmapped before
+    /// the lock is released — no other shard ever finds a name taken there.
     ///
-    /// Which space the sections map into is the [`SpaceMode`] split, picked
+    /// Which space the sections go to is the [`SpaceMode`] split, picked
     /// once: the exclusive space, under its mutex for the whole
     /// map → execute → unmap window, or the shard's own local space with no
     /// lock at all (reads of ried rodata go through the `Arc`-shared
@@ -1603,6 +1718,7 @@ impl HostCore {
     fn execute_stage(
         &self,
         ctx: &mut DrainCtx<'_>,
+        held: &mut Placed,
         elem_id: u32,
         jam: &StageImage,
         sections: &[Section<'_>],
@@ -1628,31 +1744,28 @@ impl HostCore {
             }
         };
         let mut guard = exclusive.then(|| self.space.lock());
-        let segments: &mut AddressSpace = match guard.as_deref_mut() {
-            Some(space) => space,
-            None => &mut ctx.space.local,
+        let mut this_stage = Placed::default();
+        let (space, placed) = match guard.as_deref_mut() {
+            Some(space) => (space, &mut this_stage),
+            None => (&mut ctx.space.local, held),
         };
-        for (i, s) in sections.iter().enumerate() {
-            if let Err(e) = segments.map(s.segment(ctx.spare_sections.pop())) {
-                for mapped in &sections[..i] {
-                    ctx.spare_sections.extend(segments.unmap(mapped.name));
+        let exec = match placed.place(space, sections, ctx.spare_sections) {
+            Err(e) => Err(AmError::Exec(e.to_string())),
+            Ok(()) => {
+                let externs = self.namespace.externs();
+                match guard.as_deref_mut() {
+                    Some(space) => {
+                        Vm::execute_resolved(&jam.image, externs, space, ctx.bus, &vm_cfg)
+                    }
+                    None => Vm::execute_resolved(&jam.image, externs, ctx.space, ctx.bus, &vm_cfg),
                 }
-                return Err(AmError::Exec(e.to_string()));
+                .map_err(AmError::from)
             }
-        }
-        let externs = self.namespace.externs();
-        let exec = match guard.as_deref_mut() {
-            Some(space) => Vm::execute_resolved(&jam.image, externs, space, ctx.bus, &vm_cfg),
-            None => Vm::execute_resolved(&jam.image, externs, ctx.space, ctx.bus, &vm_cfg),
         };
-        let segments: &mut AddressSpace = match guard.as_deref_mut() {
-            Some(space) => space,
-            None => &mut ctx.space.local,
-        };
-        for s in sections {
-            ctx.spare_sections.extend(segments.unmap(s.name));
+        if let Some(space) = guard.as_deref_mut() {
+            this_stage.unmap(space, ctx.spare_sections);
         }
-        Ok(exec?)
+        exec
     }
 
     /// Whether a resolved GOT image holds a `Data` reference into the

@@ -93,9 +93,12 @@
 //!    otherwise.
 //! 5. **Execute** — the address space is picked once
 //!    ([`SpaceMode`](crate::config::SpaceMode)), the frame's sections are
-//!    mapped as fresh copies, the image runs, the sections are unmapped.
+//!    given to it as fresh copies, the image runs. The shard's own space
+//!    keeps them mapped until the frame's dispatch returns; the exclusive
+//!    space unmaps them before its lock is released.
 //! 6. **Continue chain** — each continuation stage is stage 5 again, with the
-//!    per-chain context cell carrying the running result.
+//!    per-chain context cell carrying the running result: the frame's
+//!    sections are refilled with the bytes that arrived, not mapped again.
 //! 7. **Retire** — per frame: the gap watcher notes its sequence number, the
 //!    drain clock moves past its handler, and its slot's credit goes back —
 //!    a fresh token for an executed or rejected frame, the current token

@@ -32,7 +32,7 @@ use twochains_jamvm::{hash64_bytes, Segment, ShardSpace};
 use twochains_memsim::{CoreBus, SimTime};
 
 use super::credit::CreditReturn;
-use super::host::HostCore;
+use super::host::{HostCore, Retired};
 use super::injection_cache::InjectionCache;
 use super::BurstOutcome;
 use crate::bank::ShardMask;
@@ -79,10 +79,14 @@ pub struct ReceiverShard {
     pub(crate) watch: SeqWatch,
     /// The code section this shard hashed last, and its digest.
     pub(crate) code_digest: CodeDigest,
-    /// Unmapped message sections (`msg.*`, `chain.*`), kept for their buffers:
-    /// the execute stage refills one per section it maps, so a warm message
-    /// allocates nothing. At most as many as one stage maps at once.
+    /// Unmapped frame sections (`msg.args`, `msg.usr`, `chain.ctx`), kept for
+    /// their buffers: the execute stage builds each section it maps in one,
+    /// so a warm message allocates nothing. At most as many as one frame
+    /// maps at once.
     pub(crate) spare_sections: Vec<Segment>,
+    /// What the slot being drained retired, kept for its buffer between
+    /// receives: empty between calls.
+    pub(super) retired: Vec<Retired>,
 }
 
 /// The digest of the code section a shard saw last. A hot function arrives as
@@ -268,6 +272,7 @@ impl ReceiverShard {
             watch: SeqWatch::default(),
             code_digest: CodeDigest::new(),
             spare_sections: Vec::new(),
+            retired: Vec::new(),
         }
     }
 

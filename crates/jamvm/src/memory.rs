@@ -54,14 +54,21 @@
 //! fixed-size loads and stores, and the read a [`ShardSpace`] tries on its
 //! local space first builds no fault it would then throw away.
 //!
-//! `unmap` hands the segment back whole. The runtime maps two or three
-//! per-message segments (`msg.*`, `chain.*`) around every execution and keeps
-//! the ones it unmapped to build the next message's in: it clears and refills
-//! the name and the bytes and sets base, permission and kind again, so the
-//! buffers are reused but nothing of a previous occupant survives — a segment
-//! is exactly as long as the section it was last filled with, and an access
-//! past that is [`MemFault::Unmapped`]. So is an access whose range wraps the
-//! address space, whatever is mapped.
+//! A frame's sections (`msg.args`, `msg.usr` and, from a chain's first
+//! continuation stage on, `chain.ctx`) are mapped once per frame in the
+//! shard's own space. Each later stage of the chain starts from the bytes
+//! that arrived again: [`AddressSpace::refill`] overwrites a mapped
+//! segment's bytes in place, found by its mapping index, and changes no
+//! mapping, so it scans neither names nor ranges.
+//!
+//! `unmap` hands the segment back whole. The runtime unmaps a frame's
+//! sections when its dispatch returns and keeps them to build the next
+//! frame's in: it clears and refills the name and the bytes and sets base,
+//! permission and kind again, so the buffers are reused but nothing of a
+//! previous occupant survives — a segment is exactly as long as the section
+//! it was last filled with, and an access past that is
+//! [`MemFault::Unmapped`]. So is an access whose range wraps the address
+//! space, whatever is mapped.
 
 use std::sync::Arc;
 
@@ -191,6 +198,26 @@ impl AddressSpace {
         }
         self.segments.push(seg);
         Ok(())
+    }
+
+    /// Overwrite the bytes of the segment mapped `index`-th (counting from 0,
+    /// in mapping order) with `bytes`, which must be exactly as long as it is.
+    /// No mapping changes — name, base, length and permission stay — so
+    /// there is nothing to check against the other segments: no name scan
+    /// and no overlap scan. Fails with [`MemFault::Unmapped`] (at the
+    /// segment's base, or 0 when there is none) if no segment was mapped
+    /// `index`-th or it is not `bytes.len()` long.
+    pub fn refill(&mut self, index: usize, bytes: &[u8]) -> Result<(), MemFault> {
+        match self.segments.get_mut(index) {
+            Some(seg) if seg.data.len() == bytes.len() => {
+                seg.data.copy_from_slice(bytes);
+                Ok(())
+            }
+            seg => Err(MemFault::Unmapped {
+                addr: seg.map_or(0, |s| s.base),
+                len: bytes.len(),
+            }),
+        }
     }
 
     /// Unmap a segment by name, returning it whole: the runtime copies results
@@ -705,9 +732,11 @@ mod tests {
     }
 
     #[test]
-    fn per_message_map_unmap_cycles_leave_the_space_unchanged() {
-        // What a receiver shard does per message (two segments) and per chain
-        // stage (three), over resident segments mapped before and between them.
+    fn per_frame_map_refill_unmap_cycles_leave_the_space_unchanged() {
+        // What a receiver shard does per frame: map two sections, and for a
+        // chain refill them and map (then refill) the context cell, stage by
+        // stage; unmap all of them at the end. Resident segments are mapped
+        // before them.
         let mut s = space();
         let resident = s.segment_names().join(",");
         let scratch = |name: &str, base: u64, fill: u8| {
@@ -715,26 +744,33 @@ mod tests {
         };
         for round in 0..10_000u32 {
             let fill = round as u8;
+            let first = s.len();
             s.map(scratch("msg.args", 0x4_0000, fill)).unwrap();
             s.map(scratch("msg.usr", 0x5_0000, !fill)).unwrap();
-            if round % 3 == 0 {
-                for (name, base) in [
-                    ("chain.ctx", 0x6_0000),
-                    ("chain.args", 0x7_0000),
-                    ("chain.usr", 0x8_0000),
-                ] {
-                    s.map(scratch(name, base, fill)).unwrap();
+            for stage in 0..round % 4 {
+                // The previous stage scribbled over every section it had.
+                for base in [0x4_0000, 0x5_0000, 0x6_0000] {
+                    let _ = s.write(base, &[0xEE; 32]);
                 }
-                assert_eq!(s.read(0x7_0000, 1).unwrap(), [fill]);
-                // Stage segments go first, in mapping order: each unmap is from
-                // the middle of the list.
-                for name in ["chain.ctx", "chain.args", "chain.usr"] {
-                    assert_eq!(s.unmap(name).unwrap().data[0], fill);
+                s.refill(first, &[fill; 32]).unwrap();
+                s.refill(first + 1, &[!fill; 32]).unwrap();
+                let cell = [stage as u8; 32];
+                if stage == 0 {
+                    s.map(scratch("chain.ctx", 0x6_0000, cell[0])).unwrap();
+                } else {
+                    s.refill(first + 2, &cell).unwrap();
                 }
+                assert_eq!(s.read(0x4_0000, 32).unwrap(), [fill; 32]);
+                assert_eq!(s.read(0x5_0000, 32).unwrap(), [!fill; 32]);
+                assert_eq!(s.read(0x6_0000, 32).unwrap(), cell);
             }
-            assert_eq!(s.segment("msg.usr").unwrap().data[0], !fill);
-            assert_eq!(s.unmap("msg.args").unwrap().data[0], fill);
-            assert_eq!(s.unmap("msg.usr").unwrap().data[0], !fill);
+            assert_eq!(s.segment("msg.usr").unwrap().base, 0x5_0000);
+            for name in ["msg.args", "msg.usr", "chain.ctx"] {
+                assert_eq!(
+                    s.unmap(name).is_some(),
+                    name != "chain.ctx" || round % 4 > 0
+                );
+            }
         }
         assert_eq!(s.len(), 3);
         assert_eq!(s.segment_names().join(","), resident);
@@ -742,6 +778,36 @@ mod tests {
         assert_eq!(s.segment("payload").unwrap().data.len(), 256);
         assert!(s.segment("msg.args").is_none() && s.segment("chain.ctx").is_none());
         assert!(s.read(0x2000, 256).unwrap().iter().all(|&b| b == 7));
+    }
+
+    #[test]
+    fn refill_overwrites_one_segment_in_place_and_maps_nothing() {
+        let mut s = space();
+        let names = s.segment_names().join(",");
+        // The read-only `args` segment: a refill is the host's write, not a
+        // jam's, so the permission stays and does not stop it.
+        s.refill(0, &[5; 64]).unwrap();
+        assert_eq!(s.read(0x1000, 64).unwrap(), [5; 64]);
+        assert!(matches!(
+            s.write(0x1000, &[1]),
+            Err(MemFault::ReadOnly { .. })
+        ));
+        assert!(s.read(0x2000, 256).unwrap().iter().all(|&b| b == 7));
+        // A length other than the segment's, or no such segment, is refused
+        // and leaves the bytes as they were.
+        assert_eq!(
+            s.refill(1, &[0; 255]),
+            Err(MemFault::Unmapped {
+                addr: 0x2000,
+                len: 255
+            })
+        );
+        assert_eq!(
+            s.refill(3, &[0; 8]),
+            Err(MemFault::Unmapped { addr: 0, len: 8 })
+        );
+        assert!(s.read(0x2000, 256).unwrap().iter().all(|&b| b == 7));
+        assert_eq!(s.segment_names().join(","), names);
     }
 
     #[test]

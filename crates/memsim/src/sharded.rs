@@ -35,8 +35,8 @@
 //! those lines; it charges the displaced dirty lines' write-backs in line order.
 //! Because the private levels are lock-free, DMA cannot reach into them — instead
 //! it posts the held lines, 64 consecutive lines to a `(first line, mask)` word, to
-//! every core's *invalidation inbox* and raises that core's flag.
-//! [`CoreBus::access`] drains its inbox before touching its private caches,
+//! the *invalidation inbox* of every core that has a bus and raises that core's
+//! flag. [`CoreBus::access`] drains its inbox before touching its private caches,
 //! evicting each posted line from L1 and L2, so a core can never observe a line it
 //! cached before the DMA overwrote it. This is the same hook the receiver's
 //! cross-shard injection-cache invalidation rides on: package reinstalls
@@ -47,6 +47,15 @@
 //! conservatively slow. The count and the flag are the unfiltered model's on
 //! purpose: where an inbox overflows, and when a core drains it, are part of the
 //! model.
+//!
+//! An inbox no bus drains is not posted to at all. It is *attached* when
+//! [`SharedHierarchy::core_bus`] first builds a bus for its core, and stays
+//! attached if that bus is dropped. Until then its core's deliveries are only
+//! counted, in one host-wide line count, and attaching charges the inbox that
+//! count: it overflows into a flush exactly where an inbox posted to from the
+//! start would have. Below the limit nothing is lost, because a new bus's
+//! caches are empty and the held lines it missed had nothing to evict. A
+//! [`SharedHierarchy::clear`] still posts its flush to every inbox.
 //!
 //! # The held-above flag
 //!
@@ -90,14 +99,18 @@
 //! access, although they were the delivered data; a line that was never posted (it
 //! was not held when it was delivered) is not taken, and that copy survives — the
 //! one sequence on which the filter shows
-//! (`a_warm_up_behind_an_unposted_delivery_keeps_its_lines`). The runtime warms
-//! only the Local Function library's range, which no delivery covers.
+//! (`a_warm_up_behind_an_unposted_delivery_keeps_its_lines`). A bus built after
+//! deliveries and warmed before its first access keeps its lines the same way:
+//! its inbox was never sent those deliveries' runs. The runtime warms only the
+//! Local Function library's range, which no delivery covers.
 //!
 //! **What a delivery costs the host.** Per delivered line: one LLC touch (the
 //! stash, or the drop), which also reads and clears the flag. Per *held* line: one
 //! eviction probe in each L3 slice and, at the next access of each core, one in
 //! its L1 and one in its L2. Per delivery: one lock round-trip per touched stripe
-//! and per inbox, the slice locks only if a line is held, and no heap allocation
+//! and per attached inbox (a receiver host with one drain shard has one of four),
+//! one atomic add to the host-wide line count, the slice locks only if a line is
+//! held, and no heap allocation
 //! (a run is walked 512 consecutive lines at a time over a mask on the stack)
 //! unless a stash displaces a dirty victim or an inbox's buffer, which keeps its
 //! capacity across drains, has to grow.
@@ -184,10 +197,13 @@ pub struct CoreCacheStats {
 }
 
 /// One core's pending-invalidation inbox: written by the DMA engine (short
-/// lock), drained by the owning [`CoreBus`] at its next access.
+/// lock), drained by the owning [`CoreBus`] at its next access. Deliveries
+/// post to it only once it is *attached*, which it is from the first time
+/// [`SharedHierarchy::core_bus`] builds a bus for its core.
 #[derive(Debug, Default)]
 struct InvalInbox {
     flag: AtomicBool,
+    attached: AtomicBool,
     pending: Mutex<PendingInvals>,
 }
 
@@ -200,6 +216,24 @@ struct PendingInvals {
     lines: u64,
     /// Drop everything (hierarchy clear, or an overflowed inbox).
     flush_all: bool,
+}
+
+impl PendingInvals {
+    /// Count `lines` more delivered lines; one past [`INVAL_INBOX_LIMIT`] the
+    /// inbox degrades to a full flush, and a flush counts nothing more.
+    /// Returns whether the delivery's held lines are still to be pushed.
+    fn charge(&mut self, lines: u64) -> bool {
+        if self.flush_all {
+            return false;
+        }
+        self.lines += lines;
+        if self.lines > INVAL_INBOX_LIMIT as u64 {
+            self.held.clear();
+            self.lines = 0;
+            self.flush_all = true;
+        }
+        !self.flush_all
+    }
 }
 
 /// One lock stripe of the shared LLC, with its slice of the
@@ -373,6 +407,10 @@ pub struct SharedHierarchy {
     llc: Vec<Mutex<LlcStripe>>,
     dram: DramBanks,
     invals: Vec<InvalInbox>,
+    /// Lines covered by every [`SharedHierarchy::dma_write`] since the
+    /// hierarchy was built: what [`SharedHierarchy::core_bus`] charges an
+    /// inbox it attaches.
+    delivered_lines: AtomicU64,
     stats: SharedStats,
     /// `log2` of the line size, which every level asserts is a power of two.
     line_shift: u32,
@@ -419,6 +457,7 @@ impl SharedHierarchy {
             llc,
             dram,
             invals,
+            delivered_lines: AtomicU64::new(0),
             stats: SharedStats::default(),
             line_shift,
         }
@@ -442,8 +481,24 @@ impl SharedHierarchy {
     /// Build the private-level bus for `core`. One live bus per core: a second
     /// bus for the same core would drain the same invalidation inbox and let
     /// the other one read stale lines.
+    ///
+    /// The first bus for a core attaches its inbox, which deliveries post to
+    /// from then on, dropped bus or not. Attaching charges the inbox every
+    /// line delivered before it, so it overflows exactly where an inbox
+    /// posted to all along would have (a [`SharedHierarchy::clear`] since has
+    /// left it a flush already, which nothing adds to). The held lines it was
+    /// not sent could only have been evicted from this bus's caches, which
+    /// are empty.
     pub fn core_bus(self: &Arc<Self>, core: usize) -> CoreBus {
         assert!(core < self.num_cores(), "core {core} out of range");
+        let inbox = &self.invals[core];
+        {
+            let mut pending = inbox.pending.lock();
+            if !inbox.attached.swap(true, Ordering::SeqCst) {
+                pending.charge(self.delivered_lines.load(Ordering::SeqCst));
+                inbox.flag.store(true, Ordering::Release);
+            }
+        }
         // Honour the *current* prefetcher enable state, not the construction
         // config: a set_prefetching() issued before this bus exists must not
         // be silently undone by seeding the already-observed generation.
@@ -650,24 +705,22 @@ impl SharedHierarchy {
         (first, last)
     }
 
-    /// Post the held lines of one chunk of a delivered run to every core's inbox
-    /// — one lock round-trip per core per chunk, not per line. The run's first
-    /// chunk carries `run_lines`, the *whole* run's line count: that is what an
-    /// inbox holds against [`INVAL_INBOX_LIMIT`], held or not, and the flag goes up
-    /// even when nothing is pushed — a core drains, and an inbox overflows,
-    /// exactly where an unfiltered post would have made it.
+    /// Post the held lines of one chunk of a delivered run to every attached
+    /// inbox — one lock round-trip per attached core per chunk, not per line.
+    /// The run's first chunk carries `run_lines`, the *whole* run's line
+    /// count: that is what an inbox holds against [`INVAL_INBOX_LIMIT`], held
+    /// or not, and the flag goes up even when nothing is pushed — a core
+    /// drains, and an inbox overflows, exactly where an unfiltered post would
+    /// have made it.
     fn post_invalidations(&self, chunk: u64, masks: &[u64], run_lines: Option<u64>) {
-        for inbox in &self.invals {
+        let attached = self
+            .invals
+            .iter()
+            .filter(|inbox| inbox.attached.load(Ordering::SeqCst));
+        for inbox in attached {
             let mut pending = inbox.pending.lock();
-            if !pending.flush_all {
-                pending.lines += run_lines.unwrap_or(0);
-                if pending.lines > INVAL_INBOX_LIMIT as u64 {
-                    pending.held.clear();
-                    pending.lines = 0;
-                    pending.flush_all = true;
-                } else {
-                    pending.held.extend(HeldLines::of_chunk(chunk, masks));
-                }
+            if pending.charge(run_lines.unwrap_or(0)) {
+                pending.held.extend(HeldLines::of_chunk(chunk, masks));
             }
             inbox.flag.store(true, Ordering::Release);
         }
@@ -683,6 +736,9 @@ impl SharedHierarchy {
         let (first, last) = self.lines_covering(addr, len);
         let count = last - first + 1;
         let stashing = self.stashing_enabled();
+        // Counted before any inbox is read as attached or not: an inbox
+        // attached meanwhile is charged this run or is posted it, or both.
+        self.delivered_lines.fetch_add(count, Ordering::SeqCst);
 
         let mut victims = Vec::new();
         // A chunk of consecutive lines at a time, so the mask is a fixed buffer:
@@ -1695,6 +1751,56 @@ mod tests {
             assert_eq!(bus.stats().invalidations_applied, 1);
             assert_eq!(bus.stats().l1_hits, u64::from(!flushed));
         }
+    }
+
+    /// Deliver `INVAL_INBOX_LIMIT + extra` lines (2048 + 2047, then one line
+    /// or two) to a hierarchy whose core 0 has a bus and reads a line first.
+    fn deliver_to_the_limit(extra: usize) -> (Arc<SharedHierarchy>, CoreBus) {
+        let h = shared();
+        let mut bus = h.core_bus(0);
+        bus.access(0, 0x9000, 64, AccessKind::Read);
+        let half = INVAL_INBOX_LIMIT / 2 * 64;
+        for (addr, len) in [
+            (0x20_0010u64, half - 64),
+            (0x40_0010, half - 128),
+            (0x60_0000, 64 + extra),
+        ] {
+            h.dma_write(addr, len);
+        }
+        (h, bus)
+    }
+
+    #[test]
+    fn a_bus_built_after_deliveries_overflows_where_a_posted_inbox_would() {
+        for (extra, flushes) in [(0usize, 0u64), (1, 1)] {
+            let (h, mut bus0) = deliver_to_the_limit(extra);
+            // Core 0's inbox took every post; core 3's, with no bus, none.
+            assert_eq!(h.invals[0].pending.lock().flush_all, extra > 0);
+            assert!(!h.invals[3].flag.load(Ordering::Acquire));
+            assert_eq!(h.invals[3].pending.lock().lines, 0);
+            let mut bus3 = h.core_bus(3);
+            bus3.access(3, 0x9000, 64, AccessKind::Read);
+            assert_eq!(bus3.stats().invalidations_applied, flushes, "extra {extra}");
+            bus0.access(0, 0x9000, 64, AccessKind::Read);
+            assert_eq!(bus0.stats().invalidations_applied, flushes, "extra {extra}");
+        }
+    }
+
+    #[test]
+    fn an_inbox_stays_attached_when_its_bus_is_dropped() {
+        let (h, _bus0) = deliver_to_the_limit(0);
+        let mut bus3 = h.core_bus(3);
+        bus3.access(3, 0x9000, 64, AccessKind::Read);
+        assert_eq!(bus3.stats().invalidations_applied, 0);
+        drop(bus3);
+        // A later delivery is posted to the inbox, and a second bus for the
+        // core is not charged the history again.
+        h.dma_write(0x9000, 64);
+        assert_eq!(h.invals[3].pending.lock().lines, 1);
+        let mut bus3 = h.core_bus(3);
+        bus3.access(3, 0x9000, 64, AccessKind::Read);
+        assert_eq!(bus3.stats().invalidations_applied, 0);
+        assert_eq!(h.invals[3].pending.lock().lines, 0);
     }
 
     #[test]

@@ -7,16 +7,28 @@
 //! oracle, like `fleet_pipeline`) and arbitrary stage sequences (proptest:
 //! any 1..=8-long walk over the three graph elements), pinning that chaining
 //! changes message count and nothing else.
+//!
+//! A frame's sections are mapped once and refilled for each later stage, so
+//! stages that write over their views must still be isolated from each other:
+//! a package of such stages, on a host of its own, checks that every stage
+//! reads the bytes that arrived, that a failing stage leaves no section
+//! mapped, and that a stage on the exclusive space between two shard-local
+//! ones changes nothing either.
 
 mod support;
 
 use proptest::prelude::*;
 
-use support::{fleet_config, fleet_testbed, testbed, FleetBed};
-use two_chains_suite::jamvm::isa::hash64;
+use support::{fleet_config, fleet_testbed, testbed, wire, FleetBed};
+use two_chains_suite::jamvm::isa::{hash64, Width};
+use two_chains_suite::jamvm::{Assembler, Instr, Reg};
+use two_chains_suite::linker::{JamDefinition, Package, PackageBuilder, SymbolRef};
 use two_chains_suite::memsim::SimTime;
-use twochains::builtin::{graph_args, BuiltinJam};
-use twochains::{spec, AmError, ElementId, RuntimeConfig, SenderFleet, TwoChainsHost};
+use twochains::builtin::{graph_args, ried_array, BuiltinJam};
+use twochains::{
+    spec, AmError, AmResult, ChainArgMap, ElementId, MessageSpec, RuntimeConfig, SenderFleet,
+    SpaceMode, TwoChainsHost,
+};
 
 const SHARDS: usize = 2;
 const CHAIN_STAGES: usize = 3;
@@ -219,6 +231,215 @@ fn zero_stage_chain_dispatches_like_an_unchained_send() {
     assert_eq!(out.result, hash64(3));
     assert_eq!(rx.stats().chain_frames, 0);
     assert_eq!(rx.stats().chain_stages_executed, 0);
+}
+
+// ---- stage isolation: a frame's sections, refilled for every stage -----------
+
+/// What every stage of the isolation package writes over both words its
+/// entry registers point at, once it has read them.
+const SCRIBBLE: u64 = 0x5C5C_5C5C_5C5C_5C5C;
+/// The ARGS and USR words of the isolation tests' frames.
+const A: u64 = 0x0123_4567_89AB_CDEF;
+const U: u64 = 0xFEDC_BA98_7654_3210;
+
+/// A stage that reads the words at `[r0]` and `[r1]`, scribbles over both,
+/// reads them back and returns [`scribbled`] of what it read (plus what it
+/// read back less the scribble: zero) — after appending that to the
+/// process-wide array through GOT slot 0 when `append`. As a primary or a
+/// standalone send `[r0]` is ARGS and `[r1]` USR; a continuation stage
+/// under the `Result` map gets the context cell and USR, under `KeepArgs`
+/// ARGS and the context cell.
+fn scribbling_stage(append: bool) -> Vec<Instr> {
+    let mut a = Assembler::new();
+    a.load(Width::B8, Reg(3), Reg(0), 0)
+        .load(Width::B8, Reg(4), Reg(1), 0)
+        .load_imm(Reg(6), SCRIBBLE)
+        .store(Width::B8, Reg(6), Reg(0), 0)
+        .store(Width::B8, Reg(6), Reg(1), 0)
+        .hash(Reg(5), Reg(3))
+        .add(Reg(5), Reg(5), Reg(4))
+        .hash(Reg(5), Reg(5));
+    for view in [Reg(0), Reg(1)] {
+        a.load(Width::B8, Reg(7), view, 0)
+            .sub(Reg(7), Reg(7), Reg(6))
+            .add(Reg(5), Reg(5), Reg(7));
+    }
+    if append {
+        a.mov(Reg(0), Reg(5)).call_extern(0, 1);
+    }
+    a.mov(Reg(0), Reg(5)).ret();
+    a.finish().unwrap()
+}
+
+/// What [`scribbling_stage`] returns for the words `x` at `[r0]` and `y` at
+/// `[r1]`.
+fn scribbled(x: u64, y: u64) -> u64 {
+    hash64(hash64(x).wrapping_add(y))
+}
+
+/// A stage that scribbles over both words, then loads from address 0.
+fn faulting_stage() -> Vec<Instr> {
+    let mut a = Assembler::new();
+    a.load_imm(Reg(6), SCRIBBLE)
+        .store(Width::B8, Reg(6), Reg(0), 0)
+        .store(Width::B8, Reg(6), Reg(1), 0)
+        .load_imm(Reg(3), 0)
+        .load(Width::B8, Reg(3), Reg(3), 0)
+        .ret();
+    a.finish().unwrap()
+}
+
+/// The isolation package: the scribbling stage, the same stage declaring
+/// cross-shard writes (it appends to `array.base`), and the faulting one.
+fn isolation_package() -> Package {
+    let jam = |name: &str, program| JamDefinition::new(name, program).with_args_size(8);
+    PackageBuilder::new("isolation")
+        .ried(ried_array())
+        .jam(jam("iso_stage", scribbling_stage(false)))
+        .jam(
+            jam("iso_cross", scribbling_stage(true))
+                .with_got(vec![SymbolRef::func("array.append")])
+                .with_cross_shard_writes(),
+        )
+        .jam(jam("iso_fault", faulting_stage()))
+        .build()
+        .unwrap()
+}
+
+/// A one-shard host in `space` with the isolation package, a fleet connected
+/// to it, and the package's `[stage, cross, fault]` elements.
+fn isolation_bed(space: SpaceMode) -> (FleetBed, [ElementId; 3]) {
+    let wire = wire();
+    let mut cfg = fleet_config(1);
+    cfg.space_mode = space;
+    let mut host = TwoChainsHost::new(&wire.fabric, wire.b, cfg).unwrap();
+    host.install_package(isolation_package()).unwrap();
+    let fleet =
+        SenderFleet::connect_fleet(&wire.fabric, wire.a, &mut host, isolation_package()).unwrap();
+    let id = |name| host.package().unwrap().id_of(name).unwrap();
+    let elems = [id("iso_stage"), id("iso_cross"), id("iso_fault")];
+    (FleetBed { wire, host, fleet }, elems)
+}
+
+/// `elem` over the words `args` and `usr`, then `stages` under their maps.
+fn isolation_spec(elem: ElementId, args: u64, stages: &[(ElementId, ChainArgMap)]) -> MessageSpec {
+    let mut msg = spec(elem)
+        .local()
+        .args(args.to_le_bytes())
+        .usr(U.to_le_bytes());
+    for &(stage, map) in stages {
+        msg = msg.then(stage).map_result(map);
+    }
+    msg
+}
+
+/// Send `msg` into mailbox (0, 0) and receive it there.
+fn exchange(bed: &mut FleetBed, msg: &MessageSpec) -> AmResult<u64> {
+    let sent = bed.fleet.lanes_mut()[0].send_spec(0, 0, msg).unwrap();
+    let out = bed
+        .host
+        .receive(0, 0, Some(sent.wire_bytes), sent.delivered(), SimTime::ZERO);
+    bed.fleet.harvest_completions();
+    out.map(|o| o.result)
+}
+
+/// Every stage of a three-stage chain reads the frame's ARGS and USR as they
+/// arrived and the running result in the context cell, although every stage
+/// before it wrote over all three: under each pair of maps, in both space
+/// modes, and again for a second frame built in the first one's sections.
+#[test]
+fn every_chained_stage_sees_the_frames_bytes_and_the_running_result() {
+    use ChainArgMap::{KeepArgs, Result};
+    for space in [SpaceMode::Exclusive, SpaceMode::ShardLocal] {
+        for maps in [
+            [Result, Result],
+            [KeepArgs, KeepArgs],
+            [Result, KeepArgs],
+            [KeepArgs, Result],
+        ] {
+            let (mut bed, [stage, ..]) = isolation_bed(space);
+            let msg = isolation_spec(stage, A, &maps.map(|map| (stage, map)));
+            let want = maps.iter().fold(scribbled(A, U), |r, map| match map {
+                Result => scribbled(r, U),
+                KeepArgs => scribbled(A, r),
+            });
+            for frame in 0..2 {
+                let got = exchange(&mut bed, &msg).unwrap();
+                assert_eq!(got, want, "{space:?} {maps:?} frame {frame}");
+            }
+            assert_eq!(bed.host.stats().executions, 6);
+        }
+    }
+}
+
+/// A chain whose second stage is an element nobody installed, or a jam that
+/// faults after scribbling over its sections, retires as one rejection with
+/// one credit. Neither space keeps a section of it, and the next frame runs.
+#[test]
+fn a_chain_failing_at_its_second_stage_retires_once_and_leaves_only_persistent_segments() {
+    for space in [SpaceMode::Exclusive, SpaceMode::ShardLocal] {
+        for unknown in [true, false] {
+            let (mut bed, [stage, _, fault]) = isolation_bed(space);
+            let second = if unknown { ElementId(999) } else { fault };
+            let what = format!("{space:?}, unknown element {unknown}");
+            let good = isolation_spec(stage, A, &[(stage, ChainArgMap::Result); 2]);
+            let want = exchange(&mut bed, &good).unwrap();
+            let persistent = |host: &TwoChainsHost| {
+                [Some(0), None].map(|space| host.mapped_segments(space).unwrap())
+            };
+            let before = persistent(&bed.host);
+            assert!(
+                before
+                    .iter()
+                    .flatten()
+                    .all(|name| name.starts_with("array.")),
+                "{what}: {before:?}"
+            );
+            let bad = isolation_spec(
+                stage,
+                A,
+                &[(second, ChainArgMap::Result), (stage, ChainArgMap::Result)],
+            );
+            match exchange(&mut bed, &bad) {
+                Err(AmError::ChainStageFailed { stage: 0, .. }) => {}
+                other => panic!("{what}: {other:?}"),
+            }
+            let stats = bed.host.stats();
+            assert_eq!(stats.frames_rejected, 1, "{what}");
+            assert_eq!(stats.credits_returned, 2, "{what}: one credit a frame");
+            assert_eq!(stats.chain_frames, 1, "{what}");
+            assert_eq!(persistent(&bed.host), before, "{what}");
+            assert_eq!(exchange(&mut bed, &good).unwrap(), want, "{what}");
+        }
+    }
+}
+
+/// Lookup-shaped stages over the context cell and USR, the middle one
+/// declaring cross-shard writes: in shard-local mode the chain runs shard
+/// local → exclusive → shard local, and reads what the same stages sent as
+/// one message each read, results and the canonical array alike.
+#[test]
+fn an_exclusive_stage_between_two_shard_local_ones_matches_one_message_per_stage() {
+    let (mut chained, [stage, cross, _]) = isolation_bed(SpaceMode::ShardLocal);
+    let (mut sequential, _) = isolation_bed(SpaceMode::ShardLocal);
+    for item in [A, !A] {
+        let walk = [(cross, ChainArgMap::Result), (stage, ChainArgMap::Result)];
+        let got = exchange(&mut chained, &isolation_spec(stage, item, &walk)).unwrap();
+        let mut carried = item;
+        for elem in [stage, cross, stage] {
+            carried = exchange(&mut sequential, &isolation_spec(elem, carried, &[])).unwrap();
+        }
+        assert_eq!(got, carried, "item {item:#x}");
+        let twice = scribbled(scribbled(item, U), U);
+        assert_eq!(got, scribbled(twice, U));
+    }
+    let array = |bed: &FleetBed| bed.host.read_data("array.base", 0, 24).unwrap();
+    assert_eq!(array(&chained), array(&sequential));
+    assert_eq!(array(&chained)[..8], 2u64.to_le_bytes(), "two appends");
+    for bed in [&chained, &sequential] {
+        let shard = bed.host.read_shard_data(0, "array.base", 0, 8).unwrap();
+        assert_eq!(shard, [0; 8], "no shard instance was written");
+    }
 }
 
 /// A chain longer than the descriptor can carry is refused at the sender.

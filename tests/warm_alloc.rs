@@ -6,7 +6,9 @@
 //! integration test is a binary of its own) and holds one warm 64-message
 //! `receive_burst` to a fixed allocation budget: what is left is per burst
 //! (the scan's slot list, the outcome vectors) and per batch container (its
-//! index of inner frames), never per message or per chain stage.
+//! index of inner frames), never per message or per chain stage. A warm
+//! three-stage chain received on its own, as `chain3` drains, is held to a
+//! per-call budget.
 //!
 //! A cold message — the first arrival of a function's bytes — has to allocate:
 //! it keeps a copy of the code, the decoded program and the lowered one. The
@@ -31,6 +33,12 @@ use twochains::{spec, InvocationMode, RuntimeConfig, SenderFleet, TwoChainsHost}
 /// added this suite reads 20–24 for plain frames and 11–15 for chained ones;
 /// its parent read 532–536 (8.3 per message) and 1 547–1 551 (8.1 per stage).
 const BURST_BUDGET: u64 = 32;
+
+/// Allocations one warm three-stage chained frame may perform when received
+/// on its own: the change that added this line reads 1 (the buffer of the
+/// credit flush that ends the call); its parent read 2, the other being the
+/// list of what the slot retired.
+const SINGLE_CHAIN_BUDGET: u64 = 1;
 
 /// Allocator calls and requested bytes one cold 1.5 KB Indirect Put `receive`
 /// may make. The change that added this test reads 13–17 calls requesting
@@ -204,6 +212,49 @@ fn a_warm_burst_of_three_stage_chains_allocates_per_burst_not_per_stage() {
         "allocations per warm burst of 64 three-stage chains: {counts:?}"
     );
     println!("allocations per warm burst of 64 three-stage chains: {counts:?}");
+}
+
+/// Three-stage chains received one at a time through `TwoChainsHost::receive`,
+/// the path `chain3` drains through: warm, each call is held to
+/// [`SINGLE_CHAIN_BUDGET`].
+#[test]
+fn a_warm_chained_receive_reuses_the_shards_buffers() {
+    let (mut host, mut fleet) = build();
+    let [lookup, filter, aggregate] = [
+        BuiltinJam::GraphLookup,
+        BuiltinJam::GraphFilter,
+        BuiltinJam::GraphAggregate,
+    ]
+    .map(|jam| host.builtin_id(jam).unwrap());
+    let mut now = SimTime::ZERO;
+    let mut counts = Vec::new();
+    for n in 0..8u64 {
+        let msg = spec(lookup)
+            .args(graph_args(n * 0x9E37 + 1))
+            .then(filter)
+            .then(aggregate);
+        let lane = fleet.lanes_mut().last_mut().unwrap();
+        let sent = lane.send_spec(0, 0, &msg).unwrap();
+        let (heap, out) = counted(|| host.receive(0, 0, None, sent.delivered(), now).unwrap());
+        now = out.handler_done;
+        fleet.harvest_completions();
+        // The first call lowers the primary and sizes the shard's buffers.
+        if n > 0 {
+            counts.push(heap.calls);
+        }
+    }
+    let stats = host.stats();
+    assert_eq!(stats.chain_frames, 8);
+    assert_eq!(stats.executions, 8 * 3, "three stages per frame");
+    assert_eq!(
+        stats.resolved_cache_misses, 1,
+        "every later primary is warm"
+    );
+    assert!(
+        counts.iter().all(|&n| n <= SINGLE_CHAIN_BUDGET),
+        "allocations per warm chained receive: {counts:?}"
+    );
+    println!("allocations per warm chained receive: {counts:?}");
 }
 
 #[test]
