@@ -429,7 +429,7 @@ mod tests {
                 SegmentKind::Payload,
             ))
             .unwrap();
-        let program = obj.program().unwrap();
+        let program = obj.program().unwrap().to_instrs();
         let mut bus = FlatMemory::free();
         // Entry convention: r0=args, r1=usr, r2=usr_len — seeded through the config
         // so the program runs as-is (no prologue, no branch-target rewrite).

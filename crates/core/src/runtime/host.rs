@@ -88,6 +88,25 @@
 //! and the space's scalar read are inlined into that loop. Extern functions
 //! still get both as `dyn`. It is the only engine the receiver runs: the interpreter,
 //! `Vm::execute`, is the reference the differential suites compare it against.
+//!
+//! # What a cold message costs the host
+//!
+//! A cold injected message — one whose code misses both injection caches, as
+//! every `cold_churn` message does — is translated: its code section is
+//! decoded into a [`Program`](twochains_jamvm::Program), verified, lowered
+//! against the message's GOT into a resolved image, and both are cached, the
+//! decoded program moved into its `Arc`, not copied. Each step costs the
+//! function's own instructions, not its padding: a run of `Nop`s is one
+//! length from decode to the image (a `Nops` op), so the Indirect Put jam's
+//! 1 359 instructions translate as its 14 that are not `Nop`s and the runs
+//! between them.
+//!
+//! The model is unchanged by that. It charges decode, verify and lowering by
+//! the code section's bytes, and it still charges line by line the two reads
+//! of the code section (the hash's and the translation's) and the write of
+//! the image into its slab at the image's modelled size — one
+//! `RESOLVED_OP_BYTES` op per instruction or fused pair, 340 lines for that
+//! jam — whatever the host holds the image as.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -1909,12 +1928,9 @@ impl HostCore {
         *handler_time += SimTime::from_ns_f64(
             frame.code.len() as f64 * (DECODE_NS_PER_BYTE + VERIFY_NS_PER_BYTE),
         );
-        // An `Arc<[Instr]>` keeps its counts in front of its elements, so this is
-        // a second allocation and a copy of the decoded program, not a move:
-        // ≈ 0.4–0.9 µs of host time for the 21 KB Indirect Put jam.
         let entry = CachedProgram {
             code: frame.code.into(),
-            program: program.into(),
+            program: Arc::new(program),
             min_got_slots,
         };
         ctx.stats.injected_code_cache_evictions += ctx.cache.store_program(key, entry.clone());

@@ -39,7 +39,7 @@ use std::hash::Hash;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use twochains_jamvm::{GotImage, Instr, ResolvedProgram};
+use twochains_jamvm::{GotImage, Program, ResolvedProgram};
 
 /// Upper bound on entries per injection cache (decoded programs, sender GOT
 /// images, re-resolved GOTs, resolved images). Keys derive from
@@ -191,7 +191,7 @@ impl<K: Eq + Hash + Clone, V> SegmentedCache<K, V> {
 #[derive(Debug, Clone)]
 pub(crate) struct CachedProgram {
     pub(crate) code: Arc<[u8]>,
-    pub(crate) program: Arc<[Instr]>,
+    pub(crate) program: Arc<Program>,
     /// Smallest GOT slot count the program verifies against (highest `CallExtern`
     /// slot + 1). Hits are re-checked against the message's GOT size so a warm hit
     /// can never execute a program the cold verifier would reject.
@@ -453,10 +453,10 @@ mod tests {
 
     #[test]
     fn resolved_hits_require_pointer_identical_got() {
-        use twochains_jamvm::resolve;
+        use twochains_jamvm::{resolve, Instr};
 
         let cache = InjectionCache::with_capacity(8);
-        let program: Arc<[Instr]> = vec![Instr::Ret].into();
+        let program = Program::from(vec![Instr::Ret]);
         let got = Arc::new(GotImage::with_slots(1));
         let code = [0x0F, 0, 0, 0];
         let entry = CachedResolved {

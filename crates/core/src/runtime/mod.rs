@@ -122,8 +122,9 @@
 //!
 //! **Receiver.**
 //! * *Injected-code cache* — keyed by `(elem_id, hash64_bytes(code))`. The first
-//!   message for a key pays `decode_program` + `verify` (and their modelled cost);
-//!   every later message hits a decoded `Arc<[Instr]>` and executes it directly.
+//!   message for a key pays `decode_program` + `verify` + `resolve` (and their
+//!   modelled cost); every later message hits the resolved image in the
+//!   second-level cache and runs it.
 //!   [`RuntimeStats::injected_code_cache_hits`]/`_misses` count the split.
 //! * *GOT cache* — keyed by `(elem_id, hash64_bytes(got_bytes))` when the policy
 //!   accepts sender GOT images, or by `elem_id` alone when the hardened policy

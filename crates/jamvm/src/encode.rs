@@ -5,8 +5,76 @@
 //! injected-function experiments in the paper reason about code size in bytes (the
 //! Indirect Put jam is 1408 bytes on the wire); the toolchain uses this module to
 //! measure and pad `.text`.
+//!
+//! Decoding yields a [`Program`], which holds a run of `Nop` padding as a length:
+//! the toolchain pads every packaged jam to the paper's fixed frame sizes, so
+//! padding is over nine tenths of each one (1 345 of the Indirect Put jam's
+//! 1 359 instructions), and a receiver that decoded, verified and lowered it an
+//! instruction at a time would pay for the padding, not the function.
 
 use crate::isa::Instr;
+
+/// A decoded program: each instruction that is not a `Nop`, with its pc, and
+/// the instruction count. The pcs between them hold `Nop`s.
+///
+/// [`decode_program`] builds one without allocating for padding, and
+/// [`crate::verify()`] and [`crate::resolve`] visit only the instructions it
+/// holds. A program built in-process comes in through `Program::from` an
+/// instruction slice or vector; [`Program::to_instrs`] lays it out again,
+/// `Nop`s included, for the interpreter ([`crate::Vm::execute`]). Pcs are
+/// `u32`s, as branch targets are: a frame's code length is a `u32` and an
+/// instruction is at least one byte.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Program {
+    /// The instructions that are not `Nop`, in pc order, each with its pc.
+    pub(crate) instrs: Vec<(u32, Instr)>,
+    /// Number of instructions, `Nop`s included.
+    pub(crate) len: u32,
+}
+
+impl Program {
+    /// Number of instructions, `Nop`s included.
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// True when the program has no instructions at all.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The program an instruction per pc, `Nop`s included.
+    pub fn to_instrs(&self) -> Vec<Instr> {
+        let mut out = vec![Instr::Nop; self.len()];
+        for &(pc, instr) in &self.instrs {
+            out[pc as usize] = instr;
+        }
+        out
+    }
+
+    fn push(&mut self, instr: Instr) {
+        if instr != Instr::Nop {
+            self.instrs.push((self.len, instr));
+        }
+        self.len += 1;
+    }
+}
+
+impl From<&[Instr]> for Program {
+    fn from(instrs: &[Instr]) -> Self {
+        let mut program = Program::default();
+        for &instr in instrs {
+            program.push(instr);
+        }
+        program
+    }
+}
+
+impl From<Vec<Instr>> for Program {
+    fn from(instrs: Vec<Instr>) -> Self {
+        Program::from(instrs.as_slice())
+    }
+}
 
 /// Errors produced while decoding a `.text` blob.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,39 +145,33 @@ fn nop_run(bytes: &[u8]) -> usize {
     whole + tail.count()
 }
 
-/// Decode a `.text` blob back into instructions.
+/// Decode a `.text` blob into a [`Program`].
 ///
-/// The output is reserved once — an instruction is at least one byte, so the
-/// blob's length bounds the count — and a run of `Nop` padding (over nine
-/// tenths of every packaged jam, see [`crate::resolved`]) is appended as one
-/// `resize`. Every other form is `Instr::decode`, generated from the one
-/// list of forms in [`crate::isa`].
-pub fn decode_program(bytes: &[u8]) -> Result<Vec<Instr>, DecodeError> {
-    let mut out = Vec::with_capacity(bytes.len());
+/// A run of `Nop` padding is scanned eight bytes at a time and advances the
+/// pc by its length, allocating nothing; every other form is
+/// `Instr::decode`, generated from the one list of forms in [`crate::isa`].
+pub fn decode_program(bytes: &[u8]) -> Result<Program, DecodeError> {
+    let mut program = Program::default();
     let mut rest = bytes;
     // `rest` stands on an instruction boundary — which is what makes a `0x0C`
     // at its head a `Nop`, and not a byte of an immediate.
     while let Some((&opcode, after_opcode)) = rest.split_first() {
         rest = if opcode == NOP {
             let run = 1 + nop_run(after_opcode);
-            out.resize(out.len() + run, Instr::Nop);
+            program.len += run as u32;
             &rest[run..]
         } else {
             let offset = bytes.len() - rest.len();
             let (instr, rest) = Instr::decode(opcode, after_opcode, offset)?;
-            out.push(instr);
+            program.push(instr);
             rest
         };
     }
-    // A blob of wide instructions holds far fewer than one per byte.
-    if out.len() < out.capacity() / 2 {
-        out.shrink_to_fit();
-    }
-    Ok(out)
+    Ok(program)
 }
 
-/// `decode_program` as it stood before it sized its output and took padding
-/// as runs, with the opcode values and code tables it was written against: the
+/// `decode_program` as it stood before it took padding as runs, with the
+/// opcode values and code tables it was written against: the
 /// reference the property tests below compare against, and the one statement
 /// of the wire layout in this crate that is not the list in [`crate::isa`].
 #[cfg(test)]
@@ -391,7 +453,8 @@ mod tests {
         let prog = sample_program();
         let bytes = encode_program(&prog);
         let decoded = decode_program(&bytes).unwrap();
-        assert_eq!(decoded, prog);
+        assert_eq!(decoded, Program::from(&prog[..]));
+        assert_eq!(decoded.to_instrs(), prog);
     }
 
     #[test]
@@ -445,7 +508,7 @@ mod tests {
 
     #[test]
     fn empty_program_decodes_to_empty() {
-        assert_eq!(decode_program(&[]).unwrap(), vec![]);
+        assert!(decode_program(&[]).unwrap().is_empty());
         assert!(encode_program(&[]).is_empty());
     }
 
@@ -496,6 +559,11 @@ mod tests {
         })
     }
 
+    /// `decode_program` an instruction per pc, as its predecessor decoded.
+    fn laid_out(bytes: &[u8]) -> Result<Vec<Instr>, DecodeError> {
+        decode_program(bytes).map(|program| program.to_instrs())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(2000))]
 
@@ -503,12 +571,12 @@ mod tests {
         fn decodes_arbitrary_bytes_as_its_predecessor_did(
             bytes in prop::collection::vec(any::<u8>(), 0..64),
         ) {
-            prop_assert_eq!(decode_program(&bytes), oracle::decode_program(&bytes));
+            prop_assert_eq!(laid_out(&bytes), oracle::decode_program(&bytes));
         }
 
         #[test]
         fn decodes_near_valid_bytes_as_its_predecessor_did(bytes in biased_bytes()) {
-            prop_assert_eq!(decode_program(&bytes), oracle::decode_program(&bytes));
+            prop_assert_eq!(laid_out(&bytes), oracle::decode_program(&bytes));
         }
     }
 
@@ -520,7 +588,7 @@ mod tests {
         let cut = bytes.clone();
         bytes.extend([op::NOP; 9]);
         bytes.push(op::RET);
-        let program = decode_program(&bytes).unwrap();
+        let program = decode_program(&bytes).unwrap().to_instrs();
         assert_eq!(program.len(), 11);
         assert_eq!(
             program[0],
@@ -536,22 +604,18 @@ mod tests {
     }
 
     #[test]
-    fn the_output_is_reserved_once_and_sheds_large_slack() {
-        // Padding-heavy: one instruction per byte, the reservation is the need.
-        let mut padded = encode_program(&sample_program());
-        padded.resize(1408, op::NOP);
+    fn padding_is_held_as_a_length() {
+        // The sample's 13 instructions, one of them a `Nop`, then padding to
+        // the Indirect Put jam's 1 408 bytes and a closing `ret`.
+        let sample = encode_program(&sample_program());
+        let mut padded = sample.clone();
+        padded.resize(1407, op::NOP);
+        padded.push(op::RET);
         let program = decode_program(&padded).unwrap();
-        assert!(program.capacity() <= padded.len());
-        // Wide instructions: ten bytes each, nine tenths of it would be slack.
-        let wide = encode_program(
-            &[Instr::LoadImm {
-                dst: Reg(1),
-                imm: 7,
-            }; 100],
-        );
-        let program = decode_program(&wide).unwrap();
-        assert_eq!(program.len(), 100);
-        assert!(program.capacity() < 200, "{}", program.capacity());
+        let len = sample_program().len() + (1407 - sample.len()) + 1;
+        assert_eq!(program.len(), len);
+        let pcs: Vec<u32> = program.instrs.iter().map(|&(pc, _)| pc).collect();
+        assert_eq!(pcs, [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, len as u32 - 1]);
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub mod verify;
 pub mod vm;
 
 pub use asm::Assembler;
-pub use encode::{decode_program, encode_program, encoded_size};
+pub use encode::{decode_program, encode_program, encoded_size, Program};
 pub use externs::{ExternRef, ExternTable, GotImage};
 pub use isa::{hash64, hash64_bytes, Instr, Reg};
 pub use memory::{AddressSpace, JamSpace, Segment, SegmentKind, SegmentMeta, ShardSpace};

@@ -30,6 +30,8 @@
 //!   boundary. Fused ops retire both halves (two instructions, two issue
 //!   charges, fuel re-checked between the halves) so functional and accounting
 //!   behaviour match the interpreter exactly.
+//! * **Runs of `Nop`s as one op** — a run of padding lowers to one
+//!   [`ResolvedOp::Nops`], which retires the run's instructions at once.
 //! * **Block-batched fetch** — instruction-fetch is charged once per
 //!   *straight-line block* entry (one bus access spanning the block's bytes in
 //!   the resolved image) instead of once per instruction. Block leaders are the
@@ -37,21 +39,28 @@
 //!
 //! ## What lowering costs the host
 //!
-//! Lowering is host work the model charges by the byte, so it should cost
-//! what the work is. [`resolve`] makes two passes over the program and five
-//! allocations: the first pass marks the in-bounds branch targets; the second
-//! fuses, lowers, extends the pc map and closes each block as the next one's
-//! leader appears, and the few ops that carry a target are patched through
-//! the finished pc map from a list. Every packaged jam is over nine tenths
-//! trailing `Nop` padding (the toolchain pads `.text` to the paper's fixed
-//! frame sizes: 1 345 of the Indirect Put jam's 1 359 instructions), so a run
-//! of `Nop`s is appended to the ops, the block lengths and the pc map with one
-//! `resize` / `extend` each — ≈ 2.1 µs for that jam where an op at a time
-//! took 7.4 µs. What the run path may never do is skip: the image's size is
-//! modelled (one [`RESOLVED_OP_BYTES`] op per lowered instruction is what the
-//! slab write and every fetch address are computed from), a jump into the
-//! padding must find an op there, and a `Nop` that *is* a branch target leads
-//! a block — the run stops in front of it. A sender picks its own mix, so
+//! Lowering is host work the model charges by the byte of the code section,
+//! so it should cost what the function's instructions cost. Every packaged jam
+//! is over nine tenths `Nop` padding (the toolchain pads `.text` to the
+//! paper's fixed frame sizes: 1 345 of the Indirect Put jam's 1 359
+//! instructions), and a [`Program`] holds each run of it as the gap between
+//! two instructions, so [`resolve`] never visits a `Nop`: it makes two passes
+//! over the program's other instructions and three allocations. The first
+//! pass collects the in-bounds branch targets into a sorted list. The second
+//! fuses, lowers each gap to one [`ResolvedOp::Nops`] and closes each block as
+//! the next one's leader appears, pairing each target with the op it lands
+//! on; the few ops that carry a target are then patched from that list. A run
+//! stops in front of a target inside it, so a jump into the padding finds an
+//! op there and a `Nop` that is a target leads a block.
+//!
+//! What the run form never changes is the modelled image. Its size is one
+//! [`RESOLVED_OP_BYTES`] op per lowered instruction or fused pair, a run
+//! counting each of its instructions, and that is what the slab write and
+//! every fetch address are computed from: each op keeps its position in that
+//! *materialised* image beside its block span, so a block entry fetches the
+//! address and length it would if every `Nop` were an op of its own. The
+//! executor retires a run's `count` instructions at once, and runs out of fuel
+//! exactly when it would have on one of them. A sender picks its own mix, so
 //! nothing depends on the padding being there: without a single `Nop` the
 //! same two passes run an instruction at a time.
 //!
@@ -81,6 +90,7 @@
 
 use twochains_memsim::{AccessKind, MemoryBus, SimTime};
 
+use crate::encode::Program;
 use crate::externs::{ExternCtx, ExternRef, ExternTable, GotImage};
 use crate::isa::{hash64, AluOp, Cond, Instr, Width, NUM_REGS};
 use crate::memory::JamSpace;
@@ -205,8 +215,12 @@ pub enum ResolvedOp {
         /// Source register index.
         src: u8,
     },
-    /// No operation.
-    Nop,
+    /// A run of `count` `Nop`s (at least one): retires `count` instructions
+    /// and does nothing else.
+    Nops {
+        /// Instructions in the run.
+        count: u32,
+    },
     /// Return, with the result in `r0`.
     Ret,
     /// Superinstruction: load followed by an ALU op that reads the loaded value.
@@ -319,6 +333,27 @@ impl ResolvedOp {
                 | ResolvedOp::MovMov { .. }
         )
     }
+
+    /// Ops the op stands for in the materialised image: a run one per
+    /// instruction, any other op one.
+    fn image_ops(&self) -> u32 {
+        match *self {
+            ResolvedOp::Nops { count } => count,
+            _ => 1,
+        }
+    }
+}
+
+/// Where an op sits in the image as the model lays it out, and what entering
+/// it fetches: the one entry the executor reads per op it enters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ImageSlot {
+    /// The op's position in the materialised image, in ops: where its fetch
+    /// address is computed from.
+    at: u32,
+    /// Ops of the materialised image in the straight-line block this op
+    /// leads, or 0 if it leads none.
+    block_len: u32,
 }
 
 /// A program lowered by [`resolve`]: the op vector plus the metadata the
@@ -327,9 +362,10 @@ impl ResolvedOp {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResolvedProgram {
     ops: Vec<ResolvedOp>,
-    /// Per-op: number of ops in the straight-line block this op leads, or 0 if
-    /// the op is not a block leader.
-    block_len: Vec<u32>,
+    /// Per op: its position in the materialised image and its block span.
+    slots: Vec<ImageSlot>,
+    /// Ops of the materialised image, which is what its modelled size counts.
+    image_ops: u32,
     /// Length of the original program, for reconstructing out-of-bounds pcs.
     orig_len: u32,
 }
@@ -350,11 +386,12 @@ impl ResolvedProgram {
         self.ops.iter().filter(|o| o.is_fused()).count()
     }
 
-    /// Modelled byte size of the resolved image ([`RESOLVED_OP_BYTES`] per op)
-    /// — the span the runtime installs at the image's code base and the
-    /// executor charges fetches against.
+    /// Modelled byte size of the resolved image — [`RESOLVED_OP_BYTES`] per
+    /// lowered instruction or fused pair, a run of `Nop`s counting each of its
+    /// instructions: the span the runtime installs at the image's code base
+    /// and the executor charges fetches against.
     pub fn image_bytes(&self) -> usize {
-        self.ops.len() * RESOLVED_OP_BYTES
+        self.image_ops as usize * RESOLVED_OP_BYTES
     }
 
     /// Reconstruct the original pc for a resolved pc that left the program.
@@ -366,106 +403,109 @@ impl ResolvedProgram {
     }
 }
 
-/// Map an original branch target to a resolved op index. In-bounds targets use
-/// the pc map; out-of-bounds targets (possible in unverified programs — the
-/// interpreter faults on them lazily) are mapped past the end of the resolved
-/// op vector, preserving their distance beyond the original end so the
-/// out-of-bounds error can name the original pc.
-fn map_target(target: u32, pc_map: &[u32], orig_len: usize, resolved_len: usize) -> u32 {
-    if (target as usize) < orig_len {
-        pc_map[target as usize]
-    } else {
-        (resolved_len + (target as usize - orig_len)) as u32
-    }
-}
-
 /// Lower a decoded program against a GOT image into a [`ResolvedProgram`].
 ///
 /// Never fails: GOT slots that would fault lower into lazy-error ops, and
 /// out-of-bounds control-flow targets are preserved as out-of-bounds resolved
 /// targets. The result is only valid for the exact `(program, got)` pair it
 /// was lowered from — see the module docs for the invalidation contract.
-pub fn resolve(program: &[Instr], got: &GotImage) -> ResolvedProgram {
-    // Pass 1: mark the in-bounds branch targets — a pair whose second half is
-    // a target must not fuse, so every control transfer lands on an op
-    // boundary — and count the branches, to size their list once.
-    let mut is_target = vec![false; program.len()];
-    let mut branches = 0usize;
-    for instr in program {
-        if let Some(t) = instr.target() {
-            branches += 1;
-            if let Some(mark) = is_target.get_mut(t as usize) {
-                *mark = true;
-            }
-        }
-    }
+pub fn resolve(program: &Program, got: &GotImage) -> ResolvedProgram {
+    let len = program.len;
+    // Pass 1: the in-bounds branch targets, sorted, each to be paired with
+    // the op it lands on. A pair whose second half is a target does not fuse
+    // and a run of `Nop`s stops in front of one, so every control transfer
+    // lands on an op boundary.
+    let mut targets: Vec<(u32, u32)> = program
+        .instrs
+        .iter()
+        .filter_map(|(_, instr)| instr.target())
+        .filter(|&target| target < len)
+        .map(|target| (target, 0))
+        .collect();
+    targets.sort_unstable();
+    targets.dedup();
 
-    // Pass 2: fuse greedily left to right, lower, extend the pc map (original
-    // pc -> resolved op index) and close a block each time the next one's
-    // leader appears. An op leads a block iff it is the entry op, its first
-    // half is a marked target, or the op before it ends a block; a fused
-    // pair's second half is never a target, so the marks of pass 1 are the
-    // leaders among the resolved ops too.
-    let mut ops: Vec<ResolvedOp> = Vec::with_capacity(program.len());
-    let mut block_len: Vec<u32> = Vec::with_capacity(program.len());
-    let mut pc_map: Vec<u32> = Vec::with_capacity(program.len());
-    let mut branch_ops: Vec<usize> = Vec::with_capacity(branches);
+    // Pass 2: fuse greedily left to right, lower, and close a block each time
+    // the next one's leader appears. An op leads a block iff it is the entry
+    // op, its first pc is a target, or the op before it ends a block; a fused
+    // pair's second half is never a target, so the targets of pass 1 are the
+    // leaders among the resolved ops too. The pcs up to the next instruction
+    // or the next target, whichever comes first, are a run of `Nop`s and
+    // lower to one op. An op is an instruction, a pair or a run, and a run
+    // ends at an instruction, a target or the end: that bounds the op count.
+    let bound = 2 * program.instrs.len() + targets.len() + 1;
+    let mut ops: Vec<ResolvedOp> = Vec::with_capacity(bound);
+    let mut slots: Vec<ImageSlot> = Vec::with_capacity(bound);
+    let mut rest = program.instrs.as_slice();
+    let mut next_target = 0usize;
     let mut leader = 0usize;
-    let mut i = 0usize;
-    while i < program.len() {
+    let mut image = 0u32;
+    let mut pc = 0u32;
+    while pc < len {
         let ridx = ops.len();
-        if ridx > 0 && (is_target[i] || ops[ridx - 1].ends_block()) {
-            block_len[leader] = (ridx - leader) as u32;
+        let is_target = targets
+            .get(next_target)
+            .is_some_and(|&(target, _)| target == pc);
+        if is_target {
+            targets[next_target].1 = ridx as u32;
+            next_target += 1;
+        }
+        if ridx > 0 && (is_target || ops[ridx - 1].ends_block()) {
+            slots[leader].block_len = image - slots[leader].at;
             leader = ridx;
         }
-        let instr = &program[i];
-        if matches!(instr, Instr::Nop) {
-            // Padding: a `Nop` fuses with nothing and ends no block, so a run
-            // of them that no branch lands *inside* is one block interior. A
-            // marked `Nop` leads a block: the run stops in front of it.
-            let run = 1 + program[i + 1..]
-                .iter()
-                .zip(&is_target[i + 1..])
-                .take_while(|&(next, &marked)| matches!(next, Instr::Nop) && !marked)
-                .count();
-            ops.resize(ridx + run, ResolvedOp::Nop);
-            block_len.resize(ridx + run, 0);
-            pc_map.extend(ridx as u32..(ridx + run) as u32);
-            i += run;
-            continue;
-        }
-        let fused_with = program
-            .get(i + 1)
-            .filter(|next| !is_target[i + 1] && can_fuse(instr, next));
-        let mut op = match fused_with {
-            Some(next) => lower_fused(instr, next),
-            None => lower_one(instr, got),
+        let upcoming = targets.get(next_target).map_or(len, |&(target, _)| target);
+        let (op, pcs) = match rest {
+            [(at, instr), after @ ..] if *at == pc => match after {
+                [(next_at, next), ..]
+                    if *next_at == pc + 1 && upcoming != pc + 1 && can_fuse(instr, next) =>
+                {
+                    rest = &after[1..];
+                    (lower_fused(instr, next), 2)
+                }
+                _ => {
+                    rest = after;
+                    (lower_one(instr, got), 1)
+                }
+            },
+            _ => {
+                let end = rest.first().map_or(len, |&(at, _)| at).min(upcoming);
+                (ResolvedOp::Nops { count: end - pc }, end - pc)
+            }
         };
-        if op.target_mut().is_some() {
-            branch_ops.push(ridx);
-        }
+        slots.push(ImageSlot {
+            at: image,
+            block_len: 0,
+        });
+        image += op.image_ops();
         ops.push(op);
-        block_len.push(0);
-        let halves = 1 + usize::from(fused_with.is_some());
-        pc_map.resize(i + halves, ridx as u32);
-        i += halves;
+        pc += pcs;
     }
-    if let Some(open) = block_len.get_mut(leader) {
-        *open = (ops.len() - leader) as u32;
+    if let Some(open) = slots.get_mut(leader) {
+        open.block_len = image - open.at;
     }
 
-    // The ops were lowered carrying original targets: now that the pc map is
-    // whole, patch the few that have one.
-    let resolved_len = ops.len();
-    for idx in branch_ops {
-        let target = ops[idx].target_mut().expect("listed for its target");
-        *target = map_target(*target, &pc_map, program.len(), resolved_len);
+    // The ops were lowered carrying original targets: now that every target
+    // has its op, patch the few that carry one. A target past the end
+    // (possible in an unverified program — the interpreter faults on it
+    // lazily) is mapped past the end of the ops, preserving its distance
+    // beyond the original end so the out-of-bounds error can name the
+    // original pc.
+    let resolved_len = ops.len() as u32;
+    for op in &mut ops {
+        if let Some(target) = op.target_mut() {
+            *target = match targets.binary_search_by_key(target, |&(pc, _)| pc) {
+                Ok(at) => targets[at].1,
+                Err(_) => resolved_len + (*target - len),
+            };
+        }
     }
 
     ResolvedProgram {
         ops,
-        block_len,
-        orig_len: program.len() as u32,
+        slots,
+        image_ops: image,
+        orig_len: len,
     }
 }
 
@@ -485,7 +525,7 @@ fn can_fuse(a: &Instr, b: &Instr) -> bool {
 }
 
 /// Lower a pair [`can_fuse`] accepted; a branch half keeps its *original*
-/// target, which [`resolve`] patches once the pc map is whole.
+/// target, which [`resolve`] patches once every target has its op.
 fn lower_fused(a: &Instr, b: &Instr) -> ResolvedOp {
     match (a, b) {
         (
@@ -558,7 +598,8 @@ fn lower_fused(a: &Instr, b: &Instr) -> ResolvedOp {
 }
 
 /// Lower one instruction; a jump or branch keeps its *original* target, as
-/// in [`lower_fused`].
+/// in [`lower_fused`]. A `Nop` is a run of one (the oracle lowers it so;
+/// [`resolve`] never meets one).
 fn lower_one(instr: &Instr, got: &GotImage) -> ResolvedOp {
     match *instr {
         Instr::LoadImm { dst, imm } => ResolvedOp::LoadImm { dst: dst.0, imm },
@@ -621,7 +662,7 @@ fn lower_one(instr: &Instr, got: &GotImage) -> ResolvedOp {
             dst: dst.0,
             src: src.0,
         },
-        Instr::Nop => ResolvedOp::Nop,
+        Instr::Nop => ResolvedOp::Nops { count: 1 },
         Instr::Ret => ResolvedOp::Ret,
     }
 }
@@ -705,12 +746,12 @@ impl Vm {
             };
             stats.instructions += 1;
             if charge_fetch {
-                let span = resolved.block_len[pc];
-                if span > 0 {
+                let slot = resolved.slots[pc];
+                if slot.block_len > 0 {
                     stats.fetch_time += bus.access(
                         cfg.core,
-                        cfg.code_base + (pc * RESOLVED_OP_BYTES) as u64,
-                        span as usize * RESOLVED_OP_BYTES,
+                        cfg.code_base + (slot.at as usize * RESOLVED_OP_BYTES) as u64,
+                        slot.block_len as usize * RESOLVED_OP_BYTES,
                         AccessKind::Fetch,
                     );
                 }
@@ -786,7 +827,16 @@ impl Vm {
                     return Err(ExecError::NotCallable { slot });
                 }
                 ResolvedOp::Hash { dst, src } => regs[dst as usize] = hash64(regs[src as usize]),
-                ResolvedOp::Nop => {}
+                ResolvedOp::Nops { count } => {
+                    // The run's first `Nop` retired above; the rest retire at
+                    // once, and the fuel runs out exactly when it would have
+                    // on one of them.
+                    let rest = u64::from(count) - 1;
+                    if stats.instructions + rest > cfg.fuel {
+                        return Err(ExecError::FuelExhausted);
+                    }
+                    stats.instructions += rest;
+                }
                 ResolvedOp::Ret => {
                     stats.result = regs[0];
                     // Every retired instruction costs one issue slot and every
@@ -857,14 +907,71 @@ impl Vm {
 }
 
 /// `resolve` as it stood while it made five passes (targets, fusion and pc
-/// map, lowering, leaders, block lengths) over six vectors — but for its
-/// lowering step, which now remaps the target `lower_*` leave original. The
-/// reference the property test below compares whole [`ResolvedProgram`]s with.
+/// map, lowering, leaders, block lengths) over six vectors and lowered every
+/// `Nop` to an op of its own — but for its lowering step, which now remaps the
+/// target `lower_*` leave original. The reference the property test below
+/// compares [`ResolvedProgram::materialise`]d images with.
 #[cfg(test)]
 mod oracle {
     use super::*;
 
-    pub(super) fn resolve(program: &[Instr], got: &GotImage) -> ResolvedProgram {
+    /// An image an op per lowered instruction or fused pair — a `Nop` as a
+    /// run of one — with targets and block lengths in that layout's terms:
+    /// the image the model sizes and fetches from.
+    #[derive(Debug, PartialEq, Eq)]
+    pub(super) struct Materialised {
+        pub(super) ops: Vec<ResolvedOp>,
+        pub(super) block_len: Vec<u32>,
+    }
+
+    impl ResolvedProgram {
+        /// Lay the image out as [`Materialised`]: each `Nops` op as `count`
+        /// runs of one, each target at the position of the op it names.
+        pub(super) fn materialise(&self) -> Materialised {
+            let position = |target: u32| match self.slots.get(target as usize) {
+                Some(slot) => slot.at,
+                None => self.image_ops + (target - self.ops.len() as u32),
+            };
+            let mut image = Materialised {
+                ops: Vec::new(),
+                block_len: Vec::new(),
+            };
+            for (&op, slot) in self.ops.iter().zip(&self.slots) {
+                assert_eq!(
+                    slot.at as usize,
+                    image.ops.len(),
+                    "{op:?} sits where it lands"
+                );
+                let mut op = op;
+                if let Some(target) = op.target_mut() {
+                    *target = position(*target);
+                }
+                let n = op.image_ops() as usize;
+                let one = match op {
+                    ResolvedOp::Nops { .. } => ResolvedOp::Nops { count: 1 },
+                    op => op,
+                };
+                image.ops.extend(std::iter::repeat_n(one, n));
+                image.block_len.push(slot.block_len);
+                image.block_len.extend(std::iter::repeat_n(0, n - 1));
+            }
+            assert_eq!(image.ops.len(), self.image_ops as usize);
+            image
+        }
+    }
+
+    /// Map an original branch target to a resolved op index. In-bounds targets
+    /// use the pc map; out-of-bounds targets are mapped past the end of the
+    /// resolved op vector, preserving their distance beyond the original end.
+    fn map_target(target: u32, pc_map: &[u32], orig_len: usize, resolved_len: usize) -> u32 {
+        if (target as usize) < orig_len {
+            pc_map[target as usize]
+        } else {
+            (resolved_len + (target as usize - orig_len)) as u32
+        }
+    }
+
+    pub(super) fn resolve(program: &[Instr], got: &GotImage) -> Materialised {
         // Pass 1: collect branch targets — a pair whose second half is a target
         // must not fuse, so every control transfer lands on an op boundary.
         let mut is_target = vec![false; program.len()];
@@ -953,11 +1060,7 @@ mod oracle {
             idx = end;
         }
 
-        ResolvedProgram {
-            ops,
-            block_len,
-            orig_len: program.len() as u32,
-        }
+        Materialised { ops, block_len }
     }
 }
 
@@ -970,6 +1073,11 @@ mod tests {
     use proptest::prelude::*;
     use std::sync::Arc;
     use twochains_memsim::hierarchy::FlatMemory;
+
+    /// [`resolve`] over a program built in-process.
+    fn lower(program: &[Instr], got: &GotImage) -> ResolvedProgram {
+        resolve(&Program::from(program), got)
+    }
 
     fn run_both(
         program: &[Instr],
@@ -984,7 +1092,7 @@ mod tests {
         let mut space_a = AddressSpace::new();
         let mut bus_a = FlatMemory::free();
         let interp = Vm::execute(program, got, externs, &mut space_a, &mut bus_a, &cfg);
-        let resolved = resolve(program, got);
+        let resolved = lower(program, got);
         let mut space_b = AddressSpace::new();
         let mut bus_b = FlatMemory::free();
         let res = Vm::execute_resolved(&resolved, externs, &mut space_b, &mut bus_b, &cfg);
@@ -1037,7 +1145,7 @@ mod tests {
         let externs = ExternTable::new();
         let interp = Vm::execute(&prog, &got, &externs, &mut space_a, &mut bus_a, &cfg).unwrap();
 
-        let resolved = resolve(&prog, &got);
+        let resolved = lower(&prog, &got);
         assert!(
             resolved.superinstruction_count() >= 2,
             "load+add and sub+jnz both fuse: {resolved:?}"
@@ -1156,7 +1264,7 @@ mod tests {
                 &mut bus,
                 &cfg,
             );
-            let resolved = resolve(&prog, &got);
+            let resolved = lower(&prog, &got);
             let mut bus = FlatMemory::free();
             let res = Vm::execute_resolved(
                 &resolved,
@@ -1197,7 +1305,7 @@ mod tests {
             &cfg,
         )
         .unwrap();
-        let resolved = resolve(&prog, &got);
+        let resolved = lower(&prog, &got);
         let mut bus = FlatMemory::free();
         bus.per_access = SimTime::from_ns(3);
         let res = Vm::execute_resolved(
@@ -1223,10 +1331,26 @@ mod tests {
         let mut prog = vec![Instr::Nop; 7];
         prog[0] = Instr::Jump { target: 4 };
         prog[6] = Instr::Ret;
-        let resolved = resolve(&prog, &GotImage::default());
-        assert_eq!(resolved.block_len, vec![1, 3, 0, 0, 3, 0, 0]);
-        assert_eq!(resolved.ops[0], ResolvedOp::Jump { target: 4 });
-        assert_eq!(resolved, oracle::resolve(&prog, &GotImage::default()));
+        let resolved = lower(&prog, &GotImage::default());
+        assert_eq!(
+            resolved.ops,
+            [
+                ResolvedOp::Jump { target: 2 },
+                ResolvedOp::Nops { count: 3 },
+                ResolvedOp::Nops { count: 2 },
+                ResolvedOp::Ret,
+            ]
+        );
+        let slots: Vec<(u32, u32)> = resolved
+            .slots
+            .iter()
+            .map(|slot| (slot.at, slot.block_len))
+            .collect();
+        assert_eq!(slots, [(0, 1), (1, 3), (4, 3), (6, 0)]);
+        let image = resolved.materialise();
+        assert_eq!(image.block_len, [1, 3, 0, 0, 3, 0, 0]);
+        assert_eq!(image.ops[0], ResolvedOp::Jump { target: 4 });
+        assert_eq!(image, oracle::resolve(&prog, &GotImage::default()));
     }
 
     /// What a lowering has to get right, as one instruction or an adjacent
@@ -1316,7 +1440,7 @@ mod tests {
             let mut got = GotImage::with_slots(3);
             got.set(0, ExternRef::Resolved(5));
             got.set(2, ExternRef::Data(0x1234));
-            prop_assert_eq!(resolve(&program, &got), oracle::resolve(&program, &got));
+            prop_assert_eq!(lower(&program, &got).materialise(), oracle::resolve(&program, &got));
         }
     }
 
@@ -1325,10 +1449,17 @@ mod tests {
         let mut a = Assembler::new();
         a.load_imm(Reg(0), 1).ret();
         let prog = a.finish().unwrap();
-        let resolved = resolve(&prog, &GotImage::default());
+        let resolved = lower(&prog, &GotImage::default());
         assert_eq!(resolved.len(), 2);
         assert!(!resolved.is_empty());
         assert_eq!(resolved.image_bytes(), 2 * RESOLVED_OP_BYTES);
+        // A run of padding is one op, and each of its instructions one op of
+        // the modelled image.
+        let mut padded = prog.clone();
+        padded.splice(1..1, [Instr::Nop; 100]);
+        let resolved = lower(&padded, &GotImage::default());
+        assert_eq!(resolved.len(), 3);
+        assert_eq!(resolved.image_bytes(), 102 * RESOLVED_OP_BYTES);
     }
 
     #[test]

@@ -18,10 +18,14 @@
 //! also generates the decoder, so a register field that can arrive is a field
 //! that is checked. What stays hand-written here is semantics, not layout —
 //! where a target may point and what a `CallExtern` may name. The pass
-//! allocates nothing and visits each instruction once; [`verify_with_floor`]
-//! hands back, from that same pass, the GOT size the program needs, which the
-//! runtime caches beside the decoded program.
+//! allocates nothing and visits each instruction of the [`Program`] once —
+//! each one that is not a `Nop`: a `Nop` has no register field, no target
+//! and no slot, so a run of padding has nothing to check but where the
+//! program ends. [`verify_with_floor`] hands back, from that same pass, the
+//! GOT size the program needs, which the runtime caches beside the decoded
+//! program.
 
+use crate::encode::Program;
 use crate::isa::{Instr, NUM_REGS};
 
 /// A verification failure.
@@ -94,7 +98,7 @@ impl std::fmt::Display for VerifyError {
 impl std::error::Error for VerifyError {}
 
 /// Verify `program` against a GOT with `got_slots` slots.
-pub fn verify(program: &[Instr], got_slots: usize) -> Result<(), VerifyError> {
+pub fn verify(program: &Program, got_slots: usize) -> Result<(), VerifyError> {
     verify_with_floor(program, got_slots).map(|_floor| ())
 }
 
@@ -102,10 +106,13 @@ pub fn verify(program: &[Instr], got_slots: usize) -> Result<(), VerifyError> {
 /// count it verifies against (its highest `CallExtern` slot + 1, or 0). A
 /// cached program is re-checked against a later message's GOT size by
 /// comparing that one number.
-pub fn verify_with_floor(program: &[Instr], got_slots: usize) -> Result<usize, VerifyError> {
-    let last = program.last().ok_or(VerifyError::Empty)?;
+pub fn verify_with_floor(program: &Program, got_slots: usize) -> Result<usize, VerifyError> {
+    if program.is_empty() {
+        return Err(VerifyError::Empty);
+    }
     let mut floor = 0usize;
-    for (at, instr) in program.iter().enumerate() {
+    for &(at, ref instr) in &program.instrs {
+        let at = at as usize;
         // Layout, from the one list of forms: every register field, read or not.
         let mut registers_exist = true;
         instr.for_each_reg(|reg| registers_exist &= reg.is_valid());
@@ -140,10 +147,12 @@ pub fn verify_with_floor(program: &[Instr], got_slots: usize) -> Result<usize, V
             _ => {}
         }
     }
-    // Termination: the final instruction must not allow execution to fall through
-    // the end of the code.
-    match last {
-        Instr::Ret | Instr::Jump { .. } => Ok(floor),
+    // Termination: the instruction at the last pc must not allow execution to
+    // fall through the end of the code, and a `Nop` there would.
+    match program.instrs.last() {
+        Some(&(at, Instr::Ret | Instr::Jump { .. })) if at as usize == program.len() - 1 => {
+            Ok(floor)
+        }
         _ => Err(VerifyError::MissingRet),
     }
 }
@@ -151,7 +160,8 @@ pub fn verify_with_floor(program: &[Instr], got_slots: usize) -> Result<usize, V
 /// `verify` as it stood while it asked each instruction for the registers it
 /// *reads* and *writes* (`Instr::reads` / `writes`, moved here with it) — one
 /// `Vec` per instruction, and no look at a `Zero` / `NotZero` branch's second
-/// operand. The reference the property tests below compare against.
+/// operand — and walked every instruction, padding included. The reference
+/// the property tests below compare against.
 #[cfg(test)]
 mod oracle {
     use super::*;
@@ -251,15 +261,15 @@ mod tests {
     use crate::isa::{AluOp, Cond, Reg, Width};
     use proptest::prelude::*;
 
-    fn ok_prog() -> Vec<Instr> {
-        vec![
+    fn ok_prog() -> Program {
+        Program::from(vec![
             Instr::LoadImm {
                 dst: Reg(0),
                 imm: 1,
             },
             Instr::CallExtern { slot: 0, nargs: 1 },
             Instr::Ret,
-        ]
+        ])
     }
 
     #[test]
@@ -269,20 +279,20 @@ mod tests {
 
     #[test]
     fn empty_program_fails() {
-        assert_eq!(verify(&[], 0), Err(VerifyError::Empty));
+        assert_eq!(verify(&Program::default(), 0), Err(VerifyError::Empty));
     }
 
     #[test]
     fn bad_register_fails() {
-        let p = vec![
+        let p = Program::from(vec![
             Instr::Mov {
                 dst: Reg(16),
                 src: Reg(0),
             },
             Instr::Ret,
-        ];
+        ]);
         assert_eq!(verify(&p, 0), Err(VerifyError::BadRegister { at: 0 }));
-        let p = vec![
+        let p = Program::from(vec![
             Instr::Alu {
                 op: AluOp::Add,
                 dst: Reg(0),
@@ -290,18 +300,18 @@ mod tests {
                 b: Reg(200),
             },
             Instr::Ret,
-        ];
+        ]);
         assert_eq!(verify(&p, 0), Err(VerifyError::BadRegister { at: 0 }));
     }
 
     #[test]
     fn bad_branch_target_fails() {
-        let p = vec![Instr::Jump { target: 9 }, Instr::Ret];
+        let p = Program::from(vec![Instr::Jump { target: 9 }, Instr::Ret]);
         assert_eq!(
             verify(&p, 0),
             Err(VerifyError::BadTarget { at: 0, target: 9 })
         );
-        let p = vec![
+        let p = Program::from(vec![
             Instr::Branch {
                 cond: Cond::Zero,
                 a: Reg(0),
@@ -309,7 +319,7 @@ mod tests {
                 target: 2,
             },
             Instr::Ret,
-        ];
+        ]);
         assert!(matches!(verify(&p, 0), Err(VerifyError::BadTarget { .. })));
     }
 
@@ -329,7 +339,7 @@ mod tests {
 
     #[test]
     fn arg_count_limit_enforced() {
-        let p = vec![Instr::CallExtern { slot: 0, nargs: 7 }, Instr::Ret];
+        let p = Program::from(vec![Instr::CallExtern { slot: 0, nargs: 7 }, Instr::Ret]);
         assert!(matches!(
             verify(&p, 1),
             Err(VerifyError::TooManyArgs { nargs: 7, .. })
@@ -338,24 +348,34 @@ mod tests {
 
     #[test]
     fn falling_off_the_end_fails() {
-        let p = vec![Instr::LoadImm {
+        let p = Program::from(vec![Instr::LoadImm {
             dst: Reg(0),
             imm: 1,
-        }];
+        }]);
         assert_eq!(verify(&p, 0), Err(VerifyError::MissingRet));
         // Ending with an unconditional jump back into the program is allowed.
-        let p = vec![Instr::Nop, Instr::Jump { target: 0 }];
+        let p = Program::from(vec![Instr::Nop, Instr::Jump { target: 0 }]);
         assert!(verify(&p, 0).is_ok());
+        // Padding behind the `ret` is what execution falls into.
+        let p = Program::from(vec![Instr::Ret, Instr::Nop, Instr::Nop]);
+        assert_eq!(verify(&p, 0), Err(VerifyError::MissingRet));
+        assert_eq!(
+            verify(&Program::from(vec![Instr::Nop; 3]), 0),
+            Err(VerifyError::MissingRet)
+        );
     }
 
     #[test]
     fn the_floor_is_the_highest_slot_called_plus_one() {
-        assert_eq!(verify_with_floor(&[Instr::Ret], 0), Ok(0));
-        let p = vec![
+        assert_eq!(
+            verify_with_floor(&Program::from(vec![Instr::Ret]), 0),
+            Ok(0)
+        );
+        let p = Program::from(vec![
             Instr::CallExtern { slot: 4, nargs: 0 },
             Instr::CallExtern { slot: 1, nargs: 6 },
             Instr::Ret,
-        ];
+        ]);
         assert_eq!(verify_with_floor(&p, 9), Ok(5));
         assert_eq!(verify_with_floor(&p, 5), Ok(5));
         assert!(matches!(
@@ -366,7 +386,7 @@ mod tests {
 
     #[test]
     fn an_argument_count_names_registers_before_it_is_too_many() {
-        let call = |nargs| vec![Instr::CallExtern { slot: 3, nargs }, Instr::Ret];
+        let call = |nargs| Program::from(vec![Instr::CallExtern { slot: 3, nargs }, Instr::Ret]);
         for nargs in 7..=16 {
             // r0..r15 exist, so the slot is looked at first, then the count.
             assert_eq!(
@@ -402,7 +422,10 @@ mod tests {
                 Instr::Ret,
             ];
             assert_eq!(oracle::verify(&p, 0), Ok(()));
-            assert_eq!(verify(&p, 0), Err(VerifyError::BadRegister { at: 0 }));
+            assert_eq!(
+                verify(&Program::from(p), 0),
+                Err(VerifyError::BadRegister { at: 0 })
+            );
         }
     }
 
@@ -469,10 +492,15 @@ mod tests {
         ]
     }
 
-    /// 1–24 instructions with targets up to twice the length, usually ending
-    /// in the `Ret` that lets the loop's verdict through.
+    /// 1–24 instructions and runs of 1–9 `Nop`s, with targets up to twice the
+    /// length, usually ending in the `Ret` that lets the loop's verdict
+    /// through.
     fn arb_program() -> impl Strategy<Value = Vec<Instr>> {
-        (prop::collection::vec(arb_instr(), 1..25), 0u8..4).prop_map(|(mut program, end)| {
+        let one = || arb_instr().prop_map(|instr| vec![instr]);
+        let nops = (1usize..10).prop_map(|n| vec![Instr::Nop; n]);
+        let piece = prop_oneof![one(), one(), one(), nops];
+        (prop::collection::vec(piece, 1..25), 0u8..4).prop_map(|(pieces, end)| {
+            let mut program = pieces.concat();
             if end > 0 {
                 program.push(Instr::Ret);
             }
@@ -491,18 +519,21 @@ mod tests {
 
         #[test]
         fn verifies_as_its_predecessor_did_but_for_the_ignored_operand(
-            program in arb_program(),
+            instrs in arb_program(),
         ) {
+            let program = Program::from(instrs);
             let verdict = verify_with_floor(&program, 4);
             prop_assert_eq!(verify(&program, 4), verdict.clone().map(|_floor| ()));
+            // The predecessor walked every instruction, padding included.
+            let laid_out = program.to_instrs();
             if let Ok(floor) = verdict {
-                prop_assert_eq!(floor, oracle::floor_scan(&program));
+                prop_assert_eq!(floor, oracle::floor_scan(&laid_out));
                 prop_assert_eq!(verify(&program, floor), Ok(()));
             }
             // The predecessor looked at a branch's second operand only under
             // `Less` / `GreaterEq`; no error names the condition, so it says
             // what `verify` says once every branch is one of those.
-            let mut compared = program.clone();
+            let mut compared = laid_out.clone();
             let mut ignored_operand_out_of_range = false;
             for instr in &mut compared {
                 if let Instr::Branch { cond: cond @ (Cond::Zero | Cond::NotZero), b, .. } = instr {
@@ -513,7 +544,7 @@ mod tests {
             let verdict = verdict.map(|_floor| ());
             prop_assert_eq!(&verdict, &oracle::verify(&compared, 4));
             if !ignored_operand_out_of_range {
-                prop_assert_eq!(&verdict, &oracle::verify(&program, 4));
+                prop_assert_eq!(&verdict, &oracle::verify(&laid_out, 4));
             }
         }
     }

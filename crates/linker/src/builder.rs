@@ -208,7 +208,7 @@ mod tests {
         use twochains_memsim::hierarchy::FlatMemory;
         let mut bus = FlatMemory::free();
         let stats = Vm::execute(
-            &jam.program().unwrap(),
+            &jam.program().unwrap().to_instrs(),
             &GotImage::default(),
             &ExternTable::new(),
             &mut AddressSpace::new(),

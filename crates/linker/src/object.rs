@@ -8,7 +8,7 @@
 //! version so stale or foreign blobs are rejected, the way an ELF loader checks
 //! `e_ident`.
 
-use twochains_jamvm::{decode_program, encode_program, verify, Instr};
+use twochains_jamvm::{decode_program, encode_program, verify, Instr, Program};
 
 use crate::error::LinkError;
 use crate::symbol::SymbolRef;
@@ -80,7 +80,7 @@ impl JamObject {
     }
 
     /// Decode the `.text` back into instructions.
-    pub fn program(&self) -> Result<Vec<Instr>, LinkError> {
+    pub fn program(&self) -> Result<Program, LinkError> {
         decode_program(&self.text).map_err(|e| LinkError::DecodeFailed(e.to_string()))
     }
 
@@ -210,7 +210,7 @@ mod tests {
         let bytes = obj.to_bytes();
         let back = JamObject::from_bytes(&bytes).unwrap();
         assert_eq!(back, obj);
-        assert_eq!(back.program().unwrap(), simple_program());
+        assert_eq!(back.program().unwrap().to_instrs(), simple_program());
     }
 
     #[test]

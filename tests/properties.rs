@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use two_chains_suite::jamvm::{
     decode_program, encode_program, verify, AddressSpace, Assembler, ExternTable, GotImage, Instr,
-    Reg, Segment, SegmentKind, Vm, VmConfig,
+    Program, Reg, Segment, SegmentKind, Vm, VmConfig,
 };
 use two_chains_suite::linker::{JamObject, SymbolRef};
 use two_chains_suite::memsim::cycles::{WaitMode, WaitModel};
@@ -45,7 +45,7 @@ proptest! {
     fn bytecode_roundtrips(program in prop::collection::vec(arb_instr(), 0..200)) {
         let bytes = encode_program(&program);
         let decoded = decode_program(&bytes).expect("decodes");
-        prop_assert_eq!(decoded, program);
+        prop_assert_eq!(decoded.to_instrs(), program);
     }
 
     /// Frames survive encode -> decode for arbitrary section contents.
@@ -316,7 +316,7 @@ proptest! {
         for s in 0..4 {
             got.set(s, two_chains_suite::jamvm::ExternRef::Resolved(idx));
         }
-        prop_assert!(verify(&program, got.len()).is_ok());
+        prop_assert!(verify(&Program::from(&program[..]), got.len()).is_ok());
         let mut space = AddressSpace::new();
         let mut bus = two_chains_suite::memsim::hierarchy::FlatMemory::free();
         let cfg = VmConfig { fuel: 100_000, ..VmConfig::default() };

@@ -34,8 +34,8 @@ use support::{put, testbed, wire};
 use two_chains_suite::jamvm::{
     encode_program, hash64_bytes,
     isa::{AluOp, Cond, Width},
-    resolve, AddressSpace, ExecError, ExecStats, ExternRef, ExternTable, GotImage, Instr, Reg,
-    Segment, SegmentKind, Vm, VmConfig,
+    resolve, AddressSpace, ExecError, ExecStats, ExternRef, ExternTable, GotImage, Instr, Program,
+    Reg, Segment, SegmentKind, Vm, VmConfig,
 };
 use two_chains_suite::memsim::hierarchy::FlatMemory;
 use two_chains_suite::memsim::SimTime;
@@ -225,23 +225,80 @@ fn uniform_bus() -> FlatMemory {
     }
 }
 
+/// Programs of `pieces` generated pieces, each an instruction or — one piece
+/// in eight — a run of 2–300 `Nop`s, so that a block spans many image lines
+/// and generated branches land inside runs.
+fn arb_program(pieces: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Instr>> {
+    let one = || arb_instr().prop_map(|instr| vec![instr]);
+    let nops = (2usize..301).prop_map(|n| vec![Instr::Nop; n]);
+    let piece = prop_oneof![one(), one(), one(), one(), one(), one(), one(), nops];
+    prop::collection::vec(piece, pieces).prop_map(|pieces| pieces.concat())
+}
+
 type Observed = Result<ExecStats, ExecError>;
 
-fn run_interpreted(program: &[Instr]) -> (Observed, AddressSpace) {
+fn run_interpreted(program: &[Instr], cfg: &VmConfig) -> (Observed, AddressSpace) {
     let (externs, got) = fixture();
     let mut space = space();
     let mut bus = uniform_bus();
-    let out = Vm::execute(program, &got, &externs, &mut space, &mut bus, &config());
+    let out = Vm::execute(program, &got, &externs, &mut space, &mut bus, cfg);
     (out, space)
 }
 
-fn run_resolved(program: &[Instr]) -> (Observed, AddressSpace) {
+fn run_resolved(program: &[Instr], cfg: &VmConfig) -> (Observed, AddressSpace) {
     let (externs, got) = fixture();
-    let resolved = resolve(program, &got);
+    let resolved = resolve(&Program::from(program), &got);
     let mut space = space();
     let mut bus = uniform_bus();
-    let out = Vm::execute_resolved(&resolved, &externs, &mut space, &mut bus, &config());
+    let out = Vm::execute_resolved(&resolved, &externs, &mut space, &mut bus, cfg);
     (out, space)
+}
+
+/// Run `program` through both engines under `cfg` and hold them to the
+/// differential contract; returns what the resolved engine observed.
+fn assert_engines_agree(program: &[Instr], cfg: &VmConfig) -> Observed {
+    let (interp, interp_space) = run_interpreted(program, cfg);
+    let (resolved, resolved_space) = run_resolved(program, cfg);
+
+    match (&interp, &resolved) {
+        (Ok(i), Ok(r)) => {
+            assert_eq!(i.result, r.result, "result registers diverge");
+            assert_eq!(i.instructions, r.instructions, "retired counts diverge");
+            assert_eq!(i.extern_calls, r.extern_calls, "extern calls diverge");
+            // Fused ops retire two instructions each; the fusion count can
+            // never exceed half the retirement count.
+            assert!(r.superinstructions * 2 <= r.instructions);
+            // Timing: compute and data-memory charges are defined to be
+            // identical; fetch obeys the block-batching sandwich on a
+            // uniform-cost bus (module docs, "Timing contract").
+            assert_eq!(i.compute_time, r.compute_time, "compute time diverges");
+            assert_eq!(i.memory_time, r.memory_time, "data-memory time diverges");
+            assert!(
+                r.fetch_time <= i.fetch_time,
+                "batched fetch charged more than per-instruction fetch: {} > {}",
+                r.fetch_time,
+                i.fetch_time
+            );
+            assert!(
+                r.total_time() >= i.compute_time + i.memory_time,
+                "resolved total fell below the compute+memory floor"
+            );
+        }
+        // Rejection behaviour: same error, including lazy GOT errors and
+        // out-of-bounds pcs reported in original-pc terms.
+        (Err(ei), Err(er)) => assert_eq!(ei, er, "errors diverge"),
+        _ => panic!(
+            "one path failed where the other succeeded: interp={interp:?} resolved={resolved:?}"
+        ),
+    }
+
+    // Memory effects: whatever the program stored (or memcpy'd, or wrote
+    // through an extern) left the identical heap image behind — on the
+    // error paths too, since a fault mid-program leaves earlier stores.
+    let interp_heap = &interp_space.segment("heap").unwrap().data;
+    let resolved_heap = &resolved_space.segment("heap").unwrap().data;
+    assert_eq!(interp_heap, resolved_heap, "heap effects diverge");
+    resolved
 }
 
 proptest! {
@@ -251,67 +308,60 @@ proptest! {
     /// observe no difference between interpretation and resolved execution.
     #[test]
     fn resolved_execution_is_observationally_equal_to_the_interpreter(
-        program in prop::collection::vec(arb_instr(), 1..120),
+        program in arb_program(1..120),
     ) {
-        let (interp, interp_space) = run_interpreted(&program);
-        let (resolved, resolved_space) = run_resolved(&program);
+        let _ = assert_engines_agree(&program, &config());
+    }
 
-        match (&interp, &resolved) {
-            (Ok(i), Ok(r)) => {
-                prop_assert_eq!(i.result, r.result, "result registers diverge");
-                prop_assert_eq!(i.instructions, r.instructions, "retired counts diverge");
-                prop_assert_eq!(i.extern_calls, r.extern_calls, "extern calls diverge");
-                // Fused ops retire two instructions each; the fusion count can
-                // never exceed half the retirement count.
-                prop_assert!(r.superinstructions * 2 <= r.instructions);
-                // Timing: compute and data-memory charges are defined to be
-                // identical; fetch obeys the block-batching sandwich on a
-                // uniform-cost bus (module docs, "Timing contract").
-                prop_assert_eq!(i.compute_time, r.compute_time, "compute time diverges");
-                prop_assert_eq!(i.memory_time, r.memory_time, "data-memory time diverges");
-                prop_assert!(
-                    r.fetch_time <= i.fetch_time,
-                    "batched fetch charged more than per-instruction fetch: {} > {}",
-                    r.fetch_time,
-                    i.fetch_time
-                );
-                prop_assert!(
-                    r.total_time() >= i.compute_time + i.memory_time,
-                    "resolved total fell below the compute+memory floor"
-                );
-            }
-            // Rejection behaviour: same error, including lazy GOT errors and
-            // out-of-bounds pcs reported in original-pc terms.
-            (Err(ei), Err(er)) => prop_assert_eq!(ei, er, "errors diverge"),
-            _ => prop_assert!(
-                false,
-                "one path failed where the other succeeded: interp={:?} resolved={:?}",
-                interp,
-                resolved
-            ),
-        }
-
-        // Memory effects: whatever the program stored (or memcpy'd, or wrote
-        // through an extern) left the identical heap image behind — on the
-        // error paths too, since a fault mid-program leaves earlier stores.
-        let interp_heap = &interp_space.segment("heap").unwrap().data;
-        let resolved_heap = &resolved_space.segment("heap").unwrap().data;
-        prop_assert_eq!(interp_heap, resolved_heap, "heap effects diverge");
+    /// The same, on a fuel budget small enough that execution often stops
+    /// inside a run of `Nop`s: a run retires as one op, and must run out
+    /// where the interpreter does.
+    #[test]
+    fn resolved_execution_runs_out_of_fuel_where_the_interpreter_does(
+        program in arb_program(1..40),
+        fuel in 1u64..600,
+    ) {
+        let _ = assert_engines_agree(&program, &VmConfig { fuel, ..config() });
     }
 
     /// Lowering is deterministic and re-execution of one image is stable:
     /// the same program resolved twice yields the same ops, and running the
     /// image twice from fresh state observes the same outcome.
     #[test]
-    fn resolution_is_deterministic(program in prop::collection::vec(arb_instr(), 1..60)) {
+    fn resolution_is_deterministic(program in arb_program(1..60)) {
         let (_, got) = fixture();
+        let program = Program::from(program);
         let a = resolve(&program, &got);
         let b = resolve(&program, &got);
         prop_assert_eq!(&a, &b);
-        let (first, _) = run_resolved(&program);
-        let (second, _) = run_resolved(&program);
+        let instrs = program.to_instrs();
+        let (first, _) = run_resolved(&instrs, &config());
+        let (second, _) = run_resolved(&instrs, &config());
         prop_assert_eq!(first, second);
     }
+}
+
+/// A run of `Nop`s retires as one op: `nop × 1 000; ret` runs out of fuel
+/// at 1 000 and returns at 1 001, having retired 1 001 instructions, on both
+/// engines; and a run that falls off the end of an unverified program
+/// faults at the instruction count.
+#[test]
+fn a_run_of_nops_retires_as_its_instructions_would() {
+    let mut program = vec![Instr::Nop; 1_000];
+    program.push(Instr::Ret);
+    let at_fuel = |fuel| VmConfig { fuel, ..config() };
+    assert_eq!(
+        assert_engines_agree(&program, &at_fuel(1_000)),
+        Err(ExecError::FuelExhausted)
+    );
+    let ran = assert_engines_agree(&program, &at_fuel(1_001)).expect("the jam returns");
+    assert_eq!(ran.instructions, 1_001);
+
+    program.pop();
+    assert_eq!(
+        assert_engines_agree(&program, &config()),
+        Err(ExecError::PcOutOfBounds { pc: 1_000 })
+    );
 }
 
 /// A hand-built program hitting every fusion shape, pinned so the generator
@@ -361,8 +411,8 @@ fn fused_superinstructions_retire_both_halves() {
         },
         Instr::Ret,
     ];
-    let (interp, _) = run_interpreted(&program);
-    let (resolved, _) = run_resolved(&program);
+    let (interp, _) = run_interpreted(&program, &config());
+    let (resolved, _) = run_resolved(&program, &config());
     let i = interp.expect("interpreter runs the loop");
     let r = resolved.expect("resolved executor runs the loop");
     assert_eq!(i.result, r.result);

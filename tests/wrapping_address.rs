@@ -41,7 +41,7 @@ use support::{fleet_testbed, foreign_injected, put, returns_77, FleetBed};
 use two_chains_suite::jamvm::isa::{AluOp, Cond, Width};
 use two_chains_suite::jamvm::{
     decode_program, encode_program, resolve, verify, AddressSpace, Assembler, ExecError, ExternRef,
-    ExternTable, GotImage, Instr, Reg, Segment, SegmentKind, VerifyError, Vm, VmConfig,
+    ExternTable, GotImage, Instr, Program, Reg, Segment, SegmentKind, VerifyError, Vm, VmConfig,
 };
 use two_chains_suite::memsim::hierarchy::FlatMemory;
 use two_chains_suite::memsim::{CoreCacheStats, SharedHierarchy, SimTime, TestbedConfig};
@@ -61,7 +61,7 @@ fn wrapping_programs() -> Vec<(&'static str, Vec<Instr>)> {
         build(&mut asm);
         asm.ret();
         let program = asm.finish().unwrap();
-        verify(&program, 0).expect("the verifier passes it");
+        verify(&Program::from(&program[..]), 0).expect("the verifier passes it");
         program
     };
     vec![
@@ -134,7 +134,7 @@ fn both_engines_fault_on_a_range_that_wraps_the_address_space() {
             matches!(interpreted, Err(ExecError::Fault(_))),
             "{what}, interpreted: {interpreted:?}"
         );
-        let image = resolve(&program, &got);
+        let image = resolve(&Program::from(&program[..]), &got);
         let resolved = Vm::execute_resolved(&image, &externs, &mut space, &mut bus, &cfg);
         assert_eq!(resolved, interpreted, "{what}");
         assert_eq!(space.segment("heap").unwrap().data, vec![7; 64], "{what}");
@@ -158,7 +158,7 @@ fn oversized_copies() -> Vec<(&'static str, Vec<Instr>)> {
         };
         asm.memcpy(Reg(1), src, Reg(3)).ret();
         let program = asm.finish().unwrap();
-        verify(&program, 0).expect("the verifier passes it");
+        verify(&Program::from(&program[..]), 0).expect("the verifier passes it");
         program
     };
     vec![
@@ -193,7 +193,7 @@ fn both_engines_fault_on_an_oversized_copy_before_charging_it() {
                 SegmentKind::Heap,
             ))
             .unwrap();
-        let image = resolve(&program, &got);
+        let image = resolve(&Program::from(&program[..]), &got);
 
         let mut counting = FlatMemory::free();
         let interpreted = Vm::execute(&program, &got, &externs, &mut space, &mut counting, &cfg);
@@ -386,7 +386,7 @@ fn the_verifier_rejects_a_register_field_the_condition_does_not_read() {
         let at = program.len() - 2;
         assert!(matches!(program[at], Instr::Branch { .. }), "{what}");
         assert_eq!(
-            verify(&program, 0),
+            verify(&Program::from(&program[..]), 0),
             Err(VerifyError::BadRegister { at }),
             "{what}"
         );
@@ -446,7 +446,7 @@ fn every_register_field_of_every_form_is_range_checked() {
     let ret = encode_program(&[Instr::Ret]);
     let (mut verified, mut bad_registers, mut register_fields) = (0, 0, 0);
     for sample in &samples {
-        let sample_registers = registers(&decode_program(sample).unwrap()[0]);
+        let sample_registers = registers(&decode_program(sample).unwrap().to_instrs()[0]);
         register_fields += sample_registers.len();
         for at in 1..sample.len() {
             for value in 0..=255u8 {
@@ -454,11 +454,12 @@ fn every_register_field_of_every_form_is_range_checked() {
                 bytes[at] = value;
                 let what = format!("{bytes:02x?}");
                 bytes.extend(&ret);
-                let Ok(program) = decode_program(&bytes) else {
+                let Ok(decoded) = decode_program(&bytes) else {
                     continue;
                 };
+                let program = decoded.to_instrs();
                 assert_eq!(program.len(), 2, "{what}");
-                let verdict = verify(&program, got.len());
+                let verdict = verify(&decoded, got.len());
                 if value >= 16 && registers(&program[0]) != sample_registers {
                     assert_eq!(verdict, Err(VerifyError::BadRegister { at: 0 }), "{what}");
                     bad_registers += 1;
@@ -472,7 +473,7 @@ fn every_register_field_of_every_form_is_range_checked() {
                     let mut bus = FlatMemory::free();
                     let interpreted =
                         Vm::execute(&program, &got, &externs, &mut space, &mut bus, &cfg);
-                    let image = resolve(&program, &got);
+                    let image = resolve(&decoded, &got);
                     let resolved =
                         Vm::execute_resolved(&image, &externs, &mut space, &mut bus, &cfg);
                     (interpreted, resolved)
@@ -494,7 +495,10 @@ fn every_register_field_of_every_form_is_range_checked() {
     // A call names `r0..nargs`: r15 is the last there is.
     for nargs in [17, 255] {
         assert_eq!(
-            verify(&[Instr::CallExtern { slot: 0, nargs }, Instr::Ret], 1),
+            verify(
+                &Program::from(vec![Instr::CallExtern { slot: 0, nargs }, Instr::Ret]),
+                1
+            ),
             Err(VerifyError::BadRegister { at: 0 }),
             "call_extern with {nargs} arguments"
         );
