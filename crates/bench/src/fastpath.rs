@@ -3,8 +3,8 @@
 //! The runtime's zero-copy fast path amortises decode + verify + GOT patching across
 //! messages: the first injected message for an element pays the full cost and
 //! populates the injected-code / GOT / frame-template caches; every later message
-//! hashes the arrived bytes, hits the caches and runs the resolved image from the
-//! second-level cache. This module measures both regimes over the same testbed
+//! hashes the arrived bytes, hits the caches and runs the resolved image cached
+//! with its program. This module measures both regimes over the same testbed
 //! and emits the result as `BENCH_fastpath.json`, so the perf trajectory of the fast
 //! path is tracked from PR to PR.
 //!

@@ -11,8 +11,8 @@
 //! bytecode (`CODE`); *Local Function* frames set both lengths to zero and carry only
 //! the element ID that indexes the receiver's Local Function library. The final byte
 //! of the frame is the signal magic the receiver spins on: because the fabric
-//! delivers the put in order (or the sender fences before a separate signal put), a
-//! receiver that observes `SIG_MAG` is guaranteed to observe the whole frame.
+//! delivers the put in order, publishing its last byte with release, a receiver that
+//! observes `SIG_MAG` is guaranteed to observe the whole frame.
 //!
 //! With the paper's Indirect Put jam (1392 B of code + 16 B GOT image) and its 20-byte
 //! ARGS block, the one-integer frame is 64 bytes in Local mode and 1472 bytes in

@@ -82,12 +82,9 @@
 //!   observes any token in the span also sees its cleared slot before the
 //!   refill put. Gap slots inside a span are rewritten byte-identically;
 //!   tokens are value-compared, so an idempotent rewrite can never mint a
-//!   credit. The span put is still its own signal: on an unordered fabric it
-//!   *is* the conservative `put_unordered` + fence + signal-put protocol
-//!   collapsed into one transfer, so ordered and unordered links behave
-//!   identically here. One flush can refill several of a lane's slots at
-//!   once — the wakeup harvests them all and counts the extras in
-//!   [`RuntimeStats::credit_refills_coalesced`].
+//!   credit. The span put is its own signal. One flush can refill several
+//!   of a lane's slots at once — the wakeup harvests them all and counts
+//!   the extras in [`RuntimeStats::credit_refills_coalesced`].
 //! * **Ordering vs frame puts.** Credit puts ride the receiver→sender
 //!   direction while frame puts ride sender→receiver; the two directions
 //!   share no ordering and need none — the only edge that matters is

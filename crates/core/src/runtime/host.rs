@@ -28,7 +28,7 @@
 //! | 1 scan | `receive_burst_inner` (one poll over the shard's banks, poisoned slots quarantined) or `receive_owned` (one mailbox, the wait model charged) | which mailboxes hold a frame |
 //! | 2 parse / unbatch | `drain_slot` | readiness check, read into scratch, a plain frame or a batch container's header prologue and inner frames |
 //! | 3 admit | `admit` | destination slot validated, replay filter probed, the frame accounted and its [`ReceiveOutcome`] built |
-//! | 4 resolve image | `resolve_image` (`injected_got`, `injected_program`) | GOT and lowered image, through the injection caches or the Local Function library |
+//! | 4 resolve image | `resolve_image` (`injected_got`) | GOT and lowered image, through one GOT-cache and one code-cache probe, or the Local Function library |
 //! | 5 execute | `execute_stage` | space picked once, sections mapped or refilled, image run |
 //! | 6 continue chain | `continue_chain` | each continuation stage is stage 5 again, with the context cell behind the frame's sections |
 //! | 7 retire | `retire` | gap watcher noted, drain clock advanced, credit returned (`return_credit` / `return_replay_credit`): the token is `credit.rs`'s to mint and to flush, the host charges what was posted |
@@ -91,15 +91,17 @@
 //!
 //! # What a cold message costs the host
 //!
-//! A cold injected message — one whose code misses both injection caches, as
-//! every `cold_churn` message does — is translated: its code section is
-//! decoded into a [`Program`](twochains_jamvm::Program), verified, lowered
-//! against the message's GOT into a resolved image, and both are cached, the
-//! decoded program moved into its `Arc`, not copied. Each step costs the
-//! function's own instructions, not its padding: a run of `Nop`s is one
-//! length from decode to the image (a `Nops` op), so the Indirect Put jam's
-//! 1 359 instructions translate as its 14 that are not `Nop`s and the runs
-//! between them.
+//! A cold injected message — one whose code misses the code cache, as every
+//! `cold_churn` message does — is translated: its code section is decoded
+//! into a [`Program`](twochains_jamvm::Program), verified and lowered against
+//! the message's GOT into a resolved image, and both are cached in the
+//! function's one entry, the decoded program moved into its `Arc`, not
+//! copied. A message whose code hits but whose GOT is not the one the image
+//! was lowered against skips decode and verify, and is lowered again. Each
+//! step costs the function's own instructions, not its padding: a run of
+//! `Nop`s is one length from decode to the image (a `Nops` op), so the
+//! Indirect Put jam's 1 359 instructions translate as its 14 that are not
+//! `Nop`s and the runs between them.
 //!
 //! The model is unchanged by that. It charges decode, verify and lowering by
 //! the code section's bytes, and it still charges line by line the two reads
@@ -125,7 +127,7 @@ use twochains_memsim::{
 };
 
 use super::credit::{CreditHandshake, CreditPutOutcome, CreditReturn, FlushOutcome};
-use super::injection_cache::{CachedGot, CachedProgram, CachedResolved, InjectionCache};
+use super::injection_cache::{CachedCode, CachedGot, CodeHit, InjectionCache};
 use super::shard::{DrainCtx, ReceiverShard, ShardDrain};
 use super::{BurstFrame, BurstOutcome, ReceiveOutcome};
 use crate::bank::MailboxBank;
@@ -148,21 +150,22 @@ const LOCAL_DISPATCH: SimTime = SimTime::from_ns(18);
 
 /// Software cost models for the receiver's injected-dispatch path, in ns per byte.
 ///
-/// The content hash is charged on every injected message — it is the cache-key
-/// computation, streaming the arrived bytes at near line rate. Decode, verify and
-/// GOT-image parsing are charged only on a cache miss; on a hit the receiver jumps
-/// straight to the cached decoded program, which is the point of the fast path.
+/// The content hash and lowering are charged on every injected message whose
+/// image is not cached (the hash streams the arrived bytes at near line rate);
+/// decode and verify only when its code misses, GOT-image parsing only when its
+/// GOT misses. On an image hit the receiver jumps straight to the cached image,
+/// which is the point of the fast path.
 const HASH_NS_PER_BYTE: f64 = 0.01;
-/// Bytecode decode cost on a cache miss (~2 GB/s: byte-at-a-time opcode dispatch
-/// building the instruction vector).
+/// Bytecode decode cost on a code-cache miss (~2 GB/s: byte-at-a-time opcode
+/// dispatch building the instruction vector).
 const DECODE_NS_PER_BYTE: f64 = 0.6;
-/// Verifier cost on a cache miss (~4 GB/s: register/branch/GOT-slot bound checks
-/// over the decoded program).
+/// Verifier cost on a code-cache miss (~4 GB/s: register/branch/GOT-slot bound
+/// checks over the decoded program).
 const VERIFY_NS_PER_BYTE: f64 = 0.25;
 /// GOT image parse cost on a GOT-cache miss.
 const GOT_PARSE_NS_PER_BYTE: f64 = 0.05;
-/// Lowering cost on a resolved-cache miss (walking the decoded program once to
-/// flatten operands, resolve GOT call sites, fuse pairs and lay out blocks —
+/// Lowering cost when the image is not cached (walking the decoded program once
+/// to flatten operands, resolve GOT call sites, fuse pairs and lay out blocks —
 /// cheaper than the byte-at-a-time decode it follows).
 const RESOLVE_NS_PER_BYTE: f64 = 0.15;
 
@@ -403,7 +406,7 @@ impl std::fmt::Debug for TwoChainsHost {
             .field("mailboxes", &self.core.banks.total())
             .field("local_lib", &self.core.local_lib.len())
             .field("shards", &self.shards.len())
-            .field("injected_cache", &self.cache.programs_len())
+            .field("injected_cache", &self.cache.code_len())
             .finish()
     }
 }
@@ -566,7 +569,7 @@ impl TwoChainsHost {
         self.core.handle.set_stressor(stressor);
     }
 
-    /// Drop every cached decoded program and GOT image. Called automatically when a
+    /// Drop every cached injected function and GOT image. Called automatically when a
     /// package is (re)installed or a ried is loaded (live update may rebind symbols
     /// or change code); exposed publicly so benchmarks can measure the cold path.
     /// The caches are shared, so the invalidation is visible to every shard at its
@@ -575,10 +578,10 @@ impl TwoChainsHost {
         self.cache.invalidate_all();
     }
 
-    /// Number of decoded programs currently cached (introspection for tests and
-    /// benchmarks).
+    /// Number of injected functions currently cached, one entry each for its
+    /// program and image (introspection for tests and benchmarks).
     pub fn injected_cache_len(&self) -> usize {
-        self.cache.programs_len()
+        self.cache.code_len()
     }
 
     /// Load a ried into this process's namespace and map its data objects.
@@ -1637,10 +1640,9 @@ impl HostCore {
     /// keeps up with line rate), so a warm dispatch never reads the code
     /// section on the receiver core at all. The digest is receiver-computed
     /// (by the receiver's own NIC) and a hit still compares the cached code
-    /// bytes with the frame's — host work the model does not charge, as it
-    /// charges no comparison on the first-level hit either — so trusting it is
-    /// security-equivalent to hashing on the core; the GOT section is still
-    /// read and hashed per message.
+    /// bytes with the frame's — host work the model does not charge — so
+    /// trusting it is security-equivalent to hashing on the core; the GOT
+    /// section is still read and hashed per message.
     fn resolve_image(
         &self,
         ctx: &mut DrainCtx<'_>,
@@ -1657,36 +1659,77 @@ impl HostCore {
             return Ok(entry.clone());
         }
         let got = self.injected_got(ctx, frame, base_addr, handler_time)?;
-        let rkey = (elem_id, ctx.code_digest.of(frame.code), frame.code.len());
-        if let Some(entry) = ctx.cache.lookup_resolved(rkey, &got, frame.code) {
-            // The GOT is pointer-identical to the one the image was lowered
-            // against, but the verifier floor is re-checked as a first-level
-            // hit re-checks it.
-            if got.len() < entry.min_got_slots {
-                return Err(AmError::BadFrame(format!(
-                    "cached program references GOT slot {} but the \
-                     message GOT has only {} slots",
-                    entry.min_got_slots - 1,
-                    got.len()
-                )));
+        let key = (elem_id, ctx.code_digest.of(frame.code), frame.code.len());
+        let cached = match ctx.cache.probe(key, &got, frame.code) {
+            Some(CodeHit::Image(image, code_base)) => {
+                // The image subsumes the program: an image hit is a code hit.
+                ctx.stats.resolved_cache_hits += 1;
+                ctx.stats.injected_code_cache_hits += 1;
+                return Ok(StageImage {
+                    image,
+                    got,
+                    code_base,
+                });
             }
-            ctx.stats.resolved_cache_hits += 1;
-            // The resolved image subsumes the decoded program: a resolved hit
-            // is a code-cache hit.
-            ctx.stats.injected_code_cache_hits += 1;
-            return Ok(StageImage {
-                image: entry.image,
-                got,
-                code_base: entry.code_base,
-            });
-        }
+            Some(CodeHit::Program(program, min_got_slots)) => Some((program, min_got_slots)),
+            None => None,
+        };
         ctx.stats.resolved_cache_misses += 1;
-        let program = self.injected_program(ctx, frame, got.len(), base_addr, handler_time)?;
-        let image = Arc::new(resolve(&program.program, &got));
-        let slab = resolved_slab_base(rkey);
-        // Lowering walks the decoded program once, then the image is written
-        // into its slab (which installs its lines hot for the execution that
-        // follows and every warm re-run).
+        let code_base = base_addr + frame.code_offset() as u64;
+        let code_len = frame.code.len().max(1);
+        // Content hash over the arrived code: the cache-key computation. The hash
+        // streams every code byte through the receiver core, so it is charged as a
+        // full read of the section — these reads hit the LLC when the frame was
+        // stashed and go to DRAM otherwise, which keeps the stash benefit visible
+        // (and leaves the lines hot for the VM's fetches).
+        *handler_time += SimTime::from_ns_f64(frame.code.len() as f64 * HASH_NS_PER_BYTE);
+        *handler_time += ctx
+            .bus
+            .access(ctx.core, code_base, code_len, AccessKind::Read);
+        let (program, min_got_slots) = match cached {
+            Some((program, min_got_slots)) => {
+                // Verification depends on the GOT size, which varies per message:
+                // the cached program must still fit inside *this* message's GOT,
+                // or a warm hit would execute a program the cold path rejects.
+                if got.len() < min_got_slots {
+                    return Err(AmError::BadFrame(format!(
+                        "cached program references GOT slot {} but the message GOT has only {} slots",
+                        min_got_slots - 1,
+                        got.len()
+                    )));
+                }
+                ctx.stats.injected_code_cache_hits += 1;
+                (program, min_got_slots)
+            }
+            // Miss, or a 64-bit hash collision with different bytes: decode and
+            // (re)place the entry.
+            None => {
+                ctx.stats.injected_code_cache_misses += 1;
+                // The receiver walks the freshly arrived code (relocation check +
+                // landing-pad setup), then decodes and verifies the bytecode.
+                // Together with the hash stream above, these reads are the
+                // dominant term of the stash benefit for Injected Function
+                // messages (Figs. 9–10).
+                *handler_time += ctx
+                    .bus
+                    .access(ctx.core, code_base, code_len, AccessKind::Fetch);
+                let program =
+                    decode_program(frame.code).map_err(|e| AmError::BadFrame(e.to_string()))?;
+                // The verifier's pass also yields the smallest GOT this program
+                // verifies against: a message with another GOT re-checks it in O(1).
+                let min_got_slots = verify_with_floor(&program, got.len())
+                    .map_err(|e| AmError::BadFrame(e.to_string()))?;
+                *handler_time += SimTime::from_ns_f64(
+                    frame.code.len() as f64 * (DECODE_NS_PER_BYTE + VERIFY_NS_PER_BYTE),
+                );
+                (Arc::new(program), min_got_slots)
+            }
+        };
+        let image = Arc::new(resolve(&program, &got));
+        let slab = resolved_slab_base(key);
+        // Lowering walks the program once, then the image is written into its
+        // slab (which installs its lines hot for the execution that follows and
+        // every warm re-run).
         *handler_time += SimTime::from_ns_f64(frame.code.len() as f64 * RESOLVE_NS_PER_BYTE);
         *handler_time += ctx.bus.access(
             ctx.core,
@@ -1694,14 +1737,15 @@ impl HostCore {
             image.image_bytes().max(1),
             AccessKind::Write,
         );
-        ctx.cache.store_resolved(
-            rkey,
-            CachedResolved {
-                code: program.code,
+        ctx.stats.injected_code_cache_evictions += ctx.cache.store(
+            key,
+            CachedCode {
+                code: frame.code.into(),
+                program,
+                min_got_slots,
                 got: Arc::clone(&got),
                 image: Arc::clone(&image),
                 code_base: slab,
-                min_got_slots: program.min_got_slots,
             },
         );
         Ok(StageImage {
@@ -1867,74 +1911,6 @@ impl HostCore {
                 ctx.cache.store_resolved_got(elem_id, Arc::clone(&got));
             Ok(got)
         }
-    }
-
-    /// Resolve the decoded program of an injected frame, through the shared code
-    /// cache. Returns the first-level entry: the program, the code bytes it was
-    /// decoded from and its verifier floor (smallest GOT slot count it verifies
-    /// against).
-    fn injected_program(
-        &self,
-        ctx: &mut DrainCtx<'_>,
-        frame: &FrameView<'_>,
-        got_slots: usize,
-        mailbox_base: u64,
-        handler_time: &mut SimTime,
-    ) -> AmResult<CachedProgram> {
-        let code_base = mailbox_base + frame.code_offset() as u64;
-        let code_len = frame.code.len().max(1);
-        // Content hash over the arrived code: the cache-key computation. The hash
-        // streams every code byte through the receiver core, so it is charged as a
-        // full read of the section — these reads hit the LLC when the frame was
-        // stashed and go to DRAM otherwise, which keeps the stash benefit visible on
-        // the warm path too (and leaves the lines hot for the VM's fetches).
-        *handler_time += SimTime::from_ns_f64(frame.code.len() as f64 * HASH_NS_PER_BYTE);
-        *handler_time += ctx
-            .bus
-            .access(ctx.core, code_base, code_len, AccessKind::Read);
-        let key = (frame.header.elem_id, ctx.code_digest.of(frame.code));
-        if let Some(cached) = ctx.cache.lookup_program(key, frame.code) {
-            // Verification depends on the GOT size, which varies per message: the
-            // cached program must still fit inside *this* message's GOT, or a warm
-            // hit would execute a program the cold path rejects.
-            if got_slots < cached.min_got_slots {
-                return Err(AmError::BadFrame(format!(
-                    "cached program references GOT slot {} but the message GOT has only {} slots",
-                    cached.min_got_slots - 1,
-                    got_slots
-                )));
-            }
-            ctx.stats.injected_code_cache_hits += 1;
-            return Ok(cached);
-        }
-        // Miss, or a 64-bit hash collision with different bytes: re-decode and
-        // (re)place the entry.
-        ctx.stats.injected_code_cache_misses += 1;
-
-        // Cold miss: the receiver walks the freshly arrived code (relocation check +
-        // landing-pad setup), then decodes and verifies the bytecode before caching
-        // the result. Together with the hash stream above, these reads are the
-        // dominant term of the stash benefit for Injected Function messages
-        // (Figs. 9–10).
-        *handler_time += ctx
-            .bus
-            .access(ctx.core, code_base, code_len, AccessKind::Fetch);
-        let program = decode_program(frame.code).map_err(|e| AmError::BadFrame(e.to_string()))?;
-        // The verifier's pass also yields the smallest GOT this program verifies
-        // against: later hits re-check it against their own message's GOT size
-        // in O(1).
-        let min_got_slots =
-            verify_with_floor(&program, got_slots).map_err(|e| AmError::BadFrame(e.to_string()))?;
-        *handler_time += SimTime::from_ns_f64(
-            frame.code.len() as f64 * (DECODE_NS_PER_BYTE + VERIFY_NS_PER_BYTE),
-        );
-        let entry = CachedProgram {
-            code: frame.code.into(),
-            program: Arc::new(program),
-            min_got_slots,
-        };
-        ctx.stats.injected_code_cache_evictions += ctx.cache.store_program(key, entry.clone());
-        Ok(entry)
     }
 
     // ---- stage 7: retire (sequence, credit) --------------------------------

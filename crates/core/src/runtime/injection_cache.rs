@@ -1,15 +1,14 @@
-//! The receiver's shared injection caches: decoded programs, parsed sender GOT
-//! images and locally re-resolved GOT images, behind one lock so any number of
+//! The receiver's shared injection caches: injected code (the verified program and
+//! its lowered image, one entry per function), parsed sender GOT images and locally
+//! re-resolved GOT images, behind one lock so any number of
 //! [`ReceiverShard`](super::shard::ReceiverShard)s can share them through an `Arc`.
 //!
 //! # Eviction policy: segmented LRU
 //!
 //! Cache keys are derived from sender-controlled content, so an adversarial sender
 //! churning its code or GOT image per message must not be able to grow receiver
-//! memory without bound. Earlier revisions handled this with clear-on-full (cap
-//! 1024, drop everything), which also evicted the hot working set and made the
-//! next message per element pay a full decode. The policy is now *segmented
-//! LRU-ish*, sized by the same [`MAX_INJECTION_CACHE_ENTRIES`] cap:
+//! memory without bound, nor flush the hot working set. Each cache is a
+//! *segmented LRU* of at most [`MAX_INJECTION_CACHE_ENTRIES`] entries:
 //!
 //! * Every entry lives in one of two segments: **probation** (where inserts land)
 //!   or **protected** (where entries are promoted on their first hit). The
@@ -41,8 +40,8 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use twochains_jamvm::{GotImage, Program, ResolvedProgram};
 
-/// Upper bound on entries per injection cache (decoded programs, sender GOT
-/// images, re-resolved GOTs, resolved images). Keys derive from
+/// Upper bound on entries per injection cache (injected code, sender GOT
+/// images, re-resolved GOTs). Keys derive from
 /// sender-controlled content, so the bound caps what a churning sender can pin
 /// in receiver memory; the module header gives the eviction policy applied at
 /// it.
@@ -62,12 +61,9 @@ struct Entry<V> {
 /// change underneath without the dispatch code noticing. Eviction scans are
 /// O(n) in the entry count: a working set below capacity never pays them,
 /// while a sender churning keys with the cache full pays one bounded scan
-/// (≤ cap entries, under the shared lock) per miss-insert — an accepted cost,
-/// since that sender is already paying a full decode+verify and a lowering
-/// per message: ≈ 3 µs of host time for the 1.4 KB Indirect Put jam,
-/// ≈ 7.6 µs for the whole cold drain (measured,
-/// `cold_churn`); an O(1) recency list is the upgrade path if
-/// churn-resistance ever needs to be cheaper.
+/// (≤ cap entries, under the shared lock) per miss-insert, on top of the
+/// decode, verify and lowering it already pays; an O(1) recency list is the
+/// upgrade path if churn-resistance ever needs to be cheaper.
 #[derive(Debug)]
 pub(crate) struct SegmentedCache<K, V> {
     entries: HashMap<K, Entry<V>>,
@@ -186,16 +182,43 @@ impl<K: Eq + Hash + Clone, V> SegmentedCache<K, V> {
     }
 }
 
-/// A cached decoded injected program. The exact code bytes it was decoded from are
-/// kept and compared on every hit (see the module header).
-#[derive(Debug, Clone)]
-pub(crate) struct CachedProgram {
-    pub(crate) code: Arc<[u8]>,
+/// One injected function's cache entry: the code bytes it arrived as, the
+/// program decoded and verified from them, and the image lowered from that
+/// program against the last GOT the entry met.
+///
+/// The image bakes `got`'s resolutions into its call sites, so it is only
+/// valid for a message that resolves to *that same* GOT `Arc`
+/// ([`InjectionCache::probe`] compares the bytes and enforces pointer
+/// identity; the GOT caches hand out stable `Arc`s for unchanged content, so a
+/// changed GOT image — new bytes, new namespace resolution — yields a different
+/// pointer, and the program is lowered again). Any package reinstall or
+/// namespace change purges the cache wholesale via
+/// [`InjectionCache::invalidate_all`].
+#[derive(Debug)]
+pub(crate) struct CachedCode {
+    /// The exact code bytes, compared on every hit.
+    pub(crate) code: Box<[u8]>,
     pub(crate) program: Arc<Program>,
     /// Smallest GOT slot count the program verifies against (highest `CallExtern`
-    /// slot + 1). Hits are re-checked against the message's GOT size so a warm hit
-    /// can never execute a program the cold verifier would reject.
+    /// slot + 1). A message whose GOT is not `got` is re-checked against it, so a
+    /// warm hit can never execute a program the cold verifier would reject.
     pub(crate) min_got_slots: usize,
+    /// The GOT the image was lowered against, compared by pointer.
+    pub(crate) got: Arc<GotImage>,
+    pub(crate) image: Arc<ResolvedProgram>,
+    /// Simulated install address of the image (fetches are charged here).
+    pub(crate) code_base: u64,
+}
+
+/// What [`InjectionCache::probe`] found of a message's code.
+#[derive(Debug)]
+pub(crate) enum CodeHit {
+    /// The image lowered against the message's own GOT, and its slab base.
+    Image(Arc<ResolvedProgram>, u64),
+    /// The program, lowered against another GOT, and its verifier floor: the
+    /// message's GOT must be checked against the floor and the program lowered
+    /// again.
+    Program(Arc<Program>, usize),
 }
 
 /// A cached parsed sender GOT image, with the exact bytes it was parsed from.
@@ -205,48 +228,21 @@ pub(crate) struct CachedGot {
     pub(crate) image: Arc<GotImage>,
 }
 
-/// A cached resolved image — the second-level entry the threaded executor runs.
-///
-/// The image was lowered from `code` against `got`, so it is only valid for
-/// a message carrying *those* code bytes that resolves to *that same* GOT
-/// `Arc` ([`InjectionCache::lookup_resolved`] compares the bytes and enforces
-/// pointer identity; the first-level GOT caches hand out stable `Arc`s for
-/// unchanged content, so a changed GOT image — new bytes, new namespace
-/// resolution — yields a different pointer and a resolved miss). Any package
-/// reinstall or namespace change purges the cache wholesale via
-/// [`InjectionCache::invalidate_all`].
-#[derive(Debug, Clone)]
-pub(crate) struct CachedResolved {
-    /// The exact code bytes the image was lowered from, compared on every hit.
-    pub(crate) code: Arc<[u8]>,
-    /// The exact GOT image baked into the lowering, compared by pointer.
-    pub(crate) got: Arc<GotImage>,
-    /// The lowered image itself.
-    pub(crate) image: Arc<ResolvedProgram>,
-    /// Simulated install address of the image (fetches are charged here).
-    pub(crate) code_base: u64,
-    /// Verifier floor carried over from the first-level entry: smallest GOT
-    /// slot count the program verifies against.
-    pub(crate) min_got_slots: usize,
-}
-
 #[derive(Debug)]
 struct CacheInner {
-    /// Decoded injected programs, keyed by `(elem_id, hash64_bytes(code))`.
-    code: SegmentedCache<(u32, u64), CachedProgram>,
+    /// Injected code, keyed by `(elem_id, hash64_bytes(code), code.len())`.
+    /// Hits are byte-compared: the digest is a lane-wise FNV a sender can steer
+    /// onto any value with one free 8-byte lane. The length adds nothing to
+    /// that, but it stays in the key because the key places the image's slab
+    /// (`resolved_slab_base`).
+    code: SegmentedCache<(u32, u64, usize), CachedCode>,
     /// Parsed sender GOT images, keyed by `(elem_id, hash64_bytes(got_bytes))`.
     sender_got: SegmentedCache<(u32, u64), CachedGot>,
     /// Locally re-resolved GOT images (hardened policy), keyed by `elem_id`.
     resolved_got: SegmentedCache<u32, Arc<GotImage>>,
-    /// Resolved (lowered) images, keyed by `(elem_id, code_digest, code_len)`.
-    /// Hits are byte-compared as first-level ones are: the digest is a lane-wise
-    /// FNV a sender can steer onto any value with one free 8-byte lane. The
-    /// length adds nothing to that, but it stays in the key because the key
-    /// places the image's slab (`resolved_slab_base`).
-    resolved: SegmentedCache<(u32, u64, usize), CachedResolved>,
 }
 
-/// The shared, internally locked bundle of all three receiver-side injection
+/// The shared, internally locked bundle of the three receiver-side injection
 /// caches. Shards hold it through an `Arc`; every operation takes the lock for the
 /// duration of one probe or insert, so invalidation by one shard (or by
 /// `install_package`) is immediately visible to all.
@@ -268,25 +264,37 @@ impl InjectionCache {
                 code: SegmentedCache::with_capacity(cap),
                 sender_got: SegmentedCache::with_capacity(cap),
                 resolved_got: SegmentedCache::with_capacity(cap),
-                resolved: SegmentedCache::with_capacity(cap),
             }),
         }
     }
 
-    /// Probe the decoded-program cache. A hit requires the stored code bytes to
-    /// equal `code` (hash-collision defence).
-    pub(crate) fn lookup_program(&self, key: (u32, u64), code: &[u8]) -> Option<CachedProgram> {
+    /// Probe the code cache for a message carrying `code` and resolving to
+    /// `got`. A hit requires the stored code bytes to equal `code` (hash-collision
+    /// defence); it yields the image only if that was lowered against this very
+    /// `got`, and the program otherwise.
+    pub(crate) fn probe(
+        &self,
+        key: (u32, u64, usize),
+        got: &Arc<GotImage>,
+        code: &[u8],
+    ) -> Option<CodeHit> {
         let mut inner = self.inner.lock();
         let cached = inner.code.lookup(&key)?;
-        if &*cached.code == code {
-            Some(cached.clone())
-        } else {
-            None
+        if *cached.code != *code {
+            return None;
         }
+        Some(if Arc::ptr_eq(&cached.got, got) {
+            // `got` passed the floor when this image was lowered against it.
+            debug_assert!(got.len() >= cached.min_got_slots);
+            CodeHit::Image(Arc::clone(&cached.image), cached.code_base)
+        } else {
+            CodeHit::Program(Arc::clone(&cached.program), cached.min_got_slots)
+        })
     }
 
-    /// Insert a decoded program; returns the number of entries evicted.
-    pub(crate) fn store_program(&self, key: (u32, u64), value: CachedProgram) -> u64 {
+    /// Insert (or replace) an injected function's entry; returns the number of
+    /// entries evicted.
+    pub(crate) fn store(&self, key: (u32, u64, usize), value: CachedCode) -> u64 {
         self.inner.lock().code.store(key, value)
     }
 
@@ -317,43 +325,17 @@ impl InjectionCache {
         self.inner.lock().resolved_got.store(elem, got)
     }
 
-    /// Probe the resolved-image cache. A hit requires the stored code bytes to
-    /// equal `code`, as for programs, and the cached entry's GOT `Arc` to be
-    /// pointer-identical to `got` — the image baked that exact GOT's
-    /// resolutions into its call sites, so any other image (even
-    /// content-equal) forces a re-lower.
-    pub(crate) fn lookup_resolved(
-        &self,
-        key: (u32, u64, usize),
-        got: &Arc<GotImage>,
-        code: &[u8],
-    ) -> Option<CachedResolved> {
-        let mut inner = self.inner.lock();
-        let cached = inner.resolved.lookup(&key)?;
-        if Arc::ptr_eq(&cached.got, got) && &*cached.code == code {
-            Some(cached.clone())
-        } else {
-            None
-        }
-    }
-
-    /// Insert a resolved image; returns the number of entries evicted.
-    pub(crate) fn store_resolved(&self, key: (u32, u64, usize), value: CachedResolved) -> u64 {
-        self.inner.lock().resolved.store(key, value)
-    }
-
-    /// Drop every cached program and GOT image (package reinstall / live update /
+    /// Drop every cached function and GOT image (package reinstall / live update /
     /// explicit cold-path benchmarking). Not counted as evictions.
     pub(crate) fn invalidate_all(&self) {
         let mut inner = self.inner.lock();
         inner.code.purge();
         inner.sender_got.purge();
         inner.resolved_got.purge();
-        inner.resolved.purge();
     }
 
-    /// Number of decoded programs currently cached.
-    pub(crate) fn programs_len(&self) -> usize {
+    /// Number of injected functions currently cached.
+    pub(crate) fn code_len(&self) -> usize {
         self.inner.lock().code.len()
     }
 
@@ -452,36 +434,44 @@ mod tests {
     }
 
     #[test]
-    fn resolved_hits_require_pointer_identical_got() {
+    fn images_hit_only_for_the_got_they_were_lowered_against() {
         use twochains_jamvm::{resolve, Instr};
 
         let cache = InjectionCache::with_capacity(8);
-        let program = Program::from(vec![Instr::Ret]);
+        let program = Arc::new(Program::from(vec![Instr::Ret]));
         let got = Arc::new(GotImage::with_slots(1));
         let code = [0x0F, 0, 0, 0];
-        let entry = CachedResolved {
+        let entry = CachedCode {
             code: code.into(),
+            program: Arc::clone(&program),
+            min_got_slots: 0,
             got: Arc::clone(&got),
             image: Arc::new(resolve(&program, &got)),
             code_base: 0xC000_0000,
-            min_got_slots: 0,
         };
         let key = (7, 42, 4);
-        cache.store_resolved(key, entry);
-        assert!(cache.lookup_resolved(key, &got, &code).is_some());
-        // A content-equal but distinct GOT image must miss: its resolutions
-        // were not the ones baked into the lowering.
+        cache.store(key, entry);
+        assert!(matches!(
+            cache.probe(key, &got, &code),
+            Some(CodeHit::Image(_, 0xC000_0000))
+        ));
+        // A content-equal but distinct GOT image gets the program back, not the
+        // image: its resolutions were not the ones baked into the lowering.
         let other = Arc::new(GotImage::with_slots(1));
-        assert!(cache.lookup_resolved(key, &other, &code).is_none());
-        assert!(cache.lookup_resolved((7, 42, 5), &got, &code).is_none());
+        match cache.probe(key, &other, &code) {
+            Some(CodeHit::Program(found, 0)) => assert!(Arc::ptr_eq(&found, &program)),
+            _ => panic!("another GOT must get the program"),
+        }
+        assert!(cache.probe((7, 42, 5), &got, &code).is_none());
         assert!(
-            cache.lookup_resolved(key, &got, &[0x0F, 0, 0, 1]).is_none(),
+            cache.probe(key, &got, &[0x0F, 0, 0, 1]).is_none(),
             "a digest collision with different bytes is a miss"
         );
+        assert_eq!(cache.code_len(), 1);
         cache.invalidate_all();
         assert!(
-            cache.lookup_resolved(key, &got, &code).is_none(),
-            "invalidation purges resolved images too"
+            cache.probe(key, &got, &code).is_none(),
+            "invalidation purges injected code too"
         );
     }
 

@@ -39,7 +39,7 @@
 //!      ShardSpace        ShardSpace                         ShardSpace
 //!            │   probe / insert (one short lock per operation)    │
 //!            └───────────────▶ Arc<InjectionCache> ◀──────────────┘
-//!                  decoded programs · sender GOTs · resolved GOTs
+//!                  injected code · sender GOTs · resolved GOTs
 //!                  (segmented-LRU eviction, hit/miss/evict counters)
 //!            ──────────────────────────────────────────────────────
 //!            shared read-mostly: linker namespace, Local Function
@@ -121,10 +121,11 @@
 //! and one memcpy:
 //!
 //! **Receiver.**
-//! * *Injected-code cache* — keyed by `(elem_id, hash64_bytes(code))`. The first
-//!   message for a key pays `decode_program` + `verify` + `resolve` (and their
-//!   modelled cost); every later message hits the resolved image in the
-//!   second-level cache and runs it.
+//! * *Injected-code cache* — keyed by `(elem_id, hash64_bytes(code), code.len())`,
+//!   one entry per function. The first message for a key pays `decode_program` +
+//!   `verify` + `resolve` (and their modelled cost); every later message with the
+//!   same GOT hits the entry's resolved image and runs it, and one with another
+//!   GOT re-lowers the entry's program.
 //!   [`RuntimeStats::injected_code_cache_hits`]/`_misses` count the split.
 //! * *GOT cache* — keyed by `(elem_id, hash64_bytes(got_bytes))` when the policy
 //!   accepts sender GOT images, or by `elem_id` alone when the hardened policy

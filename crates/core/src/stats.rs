@@ -73,8 +73,8 @@ runtime_stats! {
     injected_executions: u64 => sum,
     /// Executions that used the Local Function path.
     local_executions: u64 => sum,
-    /// Injected dispatches that found the frame's code in the decoded-program cache
-    /// (no `decode_program`, no verify, no program clone).
+    /// Injected dispatches that found the frame's code in the code cache (no
+    /// `decode_program`, no verify, no program clone).
     injected_code_cache_hits: u64 => sum,
     /// Injected dispatches that had to decode + verify the frame's code (first
     /// message for a given `(element, code-hash)` or after cache invalidation).
@@ -84,8 +84,8 @@ runtime_stats! {
     got_cache_hits: u64 => sum,
     /// Injected dispatches that had to parse (or re-resolve) the GOT image.
     got_cache_misses: u64 => sum,
-    /// Decoded-program cache entries evicted by the segmented-LRU policy (capacity
-    /// pressure from an adversarial sender churning code content per message).
+    /// Code cache entries evicted by the segmented-LRU policy (capacity pressure
+    /// from an adversarial sender churning code content per message).
     injected_code_cache_evictions: u64 => sum,
     /// GOT cache entries (sender-image or locally re-resolved) evicted by the
     /// segmented-LRU policy.
@@ -175,10 +175,10 @@ runtime_stats! {
     /// Inner frames retired out of received batch containers (each also counts
     /// once in `messages_received` and mints its own credit token).
     batch_frames_received: u64 => sum,
-    /// Injected dispatches that found a valid resolved image (lowered IR) in
-    /// the second-level injection cache and executed it directly — the warm
-    /// path. Every resolved hit also counts in `injected_code_cache_hits` (the
-    /// resolved image subsumes the decoded program).
+    /// Injected dispatches whose code-cache entry held an image lowered
+    /// against this message's GOT, executed directly — the warm path. Every
+    /// resolved hit also counts in `injected_code_cache_hits` (the resolved
+    /// image subsumes the decoded program).
     resolved_cache_hits: u64 => sum,
     /// Injected dispatches that had no valid resolved image (first message,
     /// code or GOT image changed, or cache invalidated) and paid the lowering

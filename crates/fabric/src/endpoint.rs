@@ -1,10 +1,9 @@
-//! Endpoints (queue pairs) and one-sided operations.
+//! Endpoints (queue pairs) and the one-sided put.
 //!
 //! An [`Endpoint`] connects a source host to a destination host and exposes the
-//! one-sided operations Two-Chains relies on: `put` (RDMA write), `get` (RDMA read),
-//! a fetch-and-add atomic, `fence` and `flush`. Data movement is real — the bytes are
-//! copied into the destination's registered region — and every operation returns the
-//! virtual-time accounting the benchmarks use.
+//! one operation Two-Chains posts: an ordered `put` (RDMA write). Data movement is
+//! real — the bytes are copied into the destination's registered region — and every
+//! put returns the virtual-time accounting the benchmarks use.
 //!
 //! ## Thread placement
 //!
@@ -21,12 +20,9 @@
 //! ## Write ordering and signals
 //!
 //! The paper's mailbox protocol relies on the receiver observing the *last* byte of
-//! the frame (the `SIG MAG` magic) only after all preceding bytes are visible. On
-//! fabrics that guarantee ordering (the paper's testbed does) the whole frame can go
-//! in one put; otherwise the signal must be a separate put preceded by a fence. Both
-//! modes are supported: [`Endpoint::put`] publishes the final byte of every write
-//! with `Release` ordering, and [`Endpoint::put_unordered`] + [`Endpoint::fence`] +
-//! separate signal puts model the conservative path.
+//! the frame (the `SIG MAG` magic) only after all preceding bytes are visible. The
+//! paper's testbed guarantees ordering, so the whole frame goes in one put:
+//! [`Endpoint::put`] publishes the final byte of every write with `Release` ordering.
 
 use std::sync::Arc;
 
@@ -37,9 +33,8 @@ use crate::fabric::HostState;
 use crate::fault::{DeferredPut, EndpointFaults, FaultAction};
 use crate::link::LinkModel;
 use crate::region::{MemoryRegion, RegionDescriptor};
-use crate::rkey::check_permission;
 
-/// Timing outcome of a one-sided operation.
+/// Timing outcome of a put.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PutOutcome {
     /// When the initiating CPU is free again (posting overhead done).
@@ -59,8 +54,6 @@ pub struct Endpoint {
     link: LinkModel,
     src: Arc<HostState>,
     dst: Arc<HostState>,
-    /// Completion horizon: when every operation issued so far is delivered.
-    last_delivered: SimTime,
     /// Statistics: operations and bytes issued.
     ops: u64,
     bytes: u64,
@@ -90,7 +83,6 @@ impl Endpoint {
             link,
             src,
             dst,
-            last_delivered: SimTime::ZERO,
             ops: 0,
             bytes: 0,
             faults,
@@ -125,8 +117,7 @@ impl Endpoint {
         desc: &RegionDescriptor,
         offset: usize,
         len: usize,
-        op: &'static str,
-    ) -> FabricResult<Arc<crate::region::MemoryRegion>> {
+    ) -> FabricResult<Arc<MemoryRegion>> {
         if desc.host != self.dst.id.index() {
             return Err(FabricError::NotConnected {
                 from: self.src.id.index(),
@@ -137,7 +128,9 @@ impl Endpoint {
         // The HCA validates the presented rkey against the memory region's key and
         // checks the granted permissions before touching memory.
         region.rkey().validate(desc.rkey)?;
-        check_permission(region.flags(), op)?;
+        if !region.flags().remote_write {
+            return Err(FabricError::PermissionDenied { op: "put" });
+        }
         // Checked before any model state moves: an offset that wraps must not
         // slip past as a small sum, charge the pipelines and stash lines at a
         // wrapped address before the region refuses it.
@@ -163,35 +156,10 @@ impl Endpoint {
         desc: &RegionDescriptor,
         offset: usize,
     ) -> FabricResult<PutOutcome> {
-        self.put_inner(now, data, desc, offset, true)
-    }
-
-    /// A put that does *not* publish its last byte with release ordering, modelling a
-    /// fabric without inter-put ordering guarantees. Use [`Endpoint::fence`] and a
-    /// separate signal put ([`Endpoint::put`] of the signal byte) to build the
-    /// conservative protocol.
-    pub fn put_unordered(
-        &mut self,
-        now: SimTime,
-        data: &[u8],
-        desc: &RegionDescriptor,
-        offset: usize,
-    ) -> FabricResult<PutOutcome> {
-        self.put_inner(now, data, desc, offset, false)
-    }
-
-    fn put_inner(
-        &mut self,
-        now: SimTime,
-        data: &[u8],
-        desc: &RegionDescriptor,
-        offset: usize,
-        publish: bool,
-    ) -> FabricResult<PutOutcome> {
         if data.is_empty() {
             return Err(FabricError::InvalidArgument("empty put"));
         }
-        let region = self.validate(desc, offset, data.len(), "put")?;
+        let region = self.validate(desc, offset, data.len())?;
         let timing = self.link.put_timing(data.len());
 
         // Sender CPU posts the work request, rings the doorbell.
@@ -205,7 +173,7 @@ impl Endpoint {
         let (delivered, dma_cost) = match self.faults.as_mut() {
             None => {
                 let (delivered, dma_cost) = self.dst.nic.deliver(arrival, dst_addr, data.len());
-                Self::land(&region, offset, data, publish)?;
+                Self::land(&region, offset, data)?;
                 (delivered, dma_cost)
             }
             Some(faults) => {
@@ -214,7 +182,6 @@ impl Endpoint {
                     offset,
                     dst_addr,
                     data: Vec::new(),
-                    publish,
                 };
                 Self::deliver_faulty(faults, &self.dst, at, data, arrival)?
             }
@@ -222,7 +189,6 @@ impl Endpoint {
 
         self.ops += 1;
         self.bytes += data.len() as u64;
-        self.last_delivered = self.last_delivered.max(delivered);
         Ok(PutOutcome {
             sender_free,
             delivered,
@@ -232,16 +198,8 @@ impl Endpoint {
     }
 
     /// Move the actual bytes into the destination region, publishing the final
-    /// byte with `Release` ordering when asked.
-    fn land(
-        region: &Arc<MemoryRegion>,
-        offset: usize,
-        data: &[u8],
-        publish: bool,
-    ) -> FabricResult<()> {
-        if !publish {
-            return region.write(offset, data);
-        }
+    /// byte with `Release` ordering.
+    fn land(region: &MemoryRegion, offset: usize, data: &[u8]) -> FabricResult<()> {
         // The signal byte is written once, by the release: a relaxed copy of it
         // would let a reader's acquire load pair with that copy instead.
         let (signal, body) = data.split_last().expect("puts are never empty");
@@ -286,7 +244,7 @@ impl Endpoint {
             }
             FaultAction::Duplicate => {
                 let outcome = dst.nic.deliver(arrival, at.dst_addr, data.len());
-                Self::land(&at.region, at.offset, data, at.publish)?;
+                Self::land(&at.region, at.offset, data)?;
                 faults.dups.push(DeferredPut {
                     data: data.to_vec(),
                     ..at
@@ -295,7 +253,7 @@ impl Endpoint {
             }
             FaultAction::Deliver => {
                 let outcome = dst.nic.deliver(arrival, at.dst_addr, data.len());
-                Self::land(&at.region, at.offset, data, at.publish)?;
+                Self::land(&at.region, at.offset, data)?;
                 outcome
             }
         };
@@ -312,100 +270,10 @@ impl Endpoint {
     ) -> FabricResult<()> {
         for p in puts {
             dst.nic.deliver(arrival, p.dst_addr, p.data.len());
-            Self::land(&p.region, p.offset, &p.data, p.publish)?;
+            Self::land(&p.region, p.offset, &p.data)?;
             faults.note_redelivered();
         }
         Ok(())
-    }
-
-    /// One-sided get (RDMA read) of `len` bytes from the remote region.
-    pub fn get(
-        &mut self,
-        now: SimTime,
-        desc: &RegionDescriptor,
-        offset: usize,
-        len: usize,
-    ) -> FabricResult<(Vec<u8>, PutOutcome)> {
-        if len == 0 {
-            return Err(FabricError::InvalidArgument("empty get"));
-        }
-        let region = self.validate(desc, offset, len, "get")?;
-        let timing = self.link.get_timing(len);
-        let sender_free = now + timing.sender_cpu;
-        let (wire_start, _tx_free) = self.src.nic.acquire_tx(sender_free, &timing);
-        let delivered = wire_start + timing.network;
-        let data = region.read(offset, len)?;
-        self.ops += 1;
-        self.bytes += len as u64;
-        self.last_delivered = self.last_delivered.max(delivered);
-        Ok((
-            data,
-            PutOutcome {
-                sender_free,
-                delivered,
-                dma_cost: SimTime::ZERO,
-                bytes: len,
-            },
-        ))
-    }
-
-    /// Remote fetch-and-add on an 8-byte-aligned offset. Returns the previous value.
-    pub fn atomic_add(
-        &mut self,
-        now: SimTime,
-        desc: &RegionDescriptor,
-        offset: usize,
-        operand: u64,
-    ) -> FabricResult<(u64, PutOutcome)> {
-        let region = self.validate(desc, offset, 8, "atomic")?;
-        let timing = self.link.get_timing(8); // atomics are round-trip operations
-        let sender_free = now + timing.sender_cpu;
-        let (wire_start, _tx_free) = self.src.nic.acquire_tx(sender_free, &timing);
-        let delivered = wire_start + timing.network;
-        let old = region.fetch_add_u64(offset, operand)?;
-        self.ops += 1;
-        self.bytes += 8;
-        self.last_delivered = self.last_delivered.max(delivered);
-        Ok((
-            old,
-            PutOutcome {
-                sender_free,
-                delivered,
-                dma_cost: SimTime::ZERO,
-                bytes: 8,
-            },
-        ))
-    }
-
-    /// Issue a fence: subsequent operations are not delivered before all preceding
-    /// ones. On an ordered fabric this is free; on an unordered one it costs a small
-    /// fixed overhead and pushes the ordering horizon forward.
-    pub fn fence(&mut self, now: SimTime) -> SimTime {
-        if self.link.ordered_delivery {
-            now
-        } else {
-            // The fence forces the initiator to wait for prior deliveries before
-            // posting the next operation.
-            self.last_delivered.max(now) + SimTime::from_ns(40)
-        }
-    }
-
-    /// Wait (in virtual time) until every operation issued so far has been delivered.
-    pub fn flush(&self, now: SimTime) -> SimTime {
-        self.last_delivered.max(now)
-    }
-
-    /// Reset timing/ordering state between benchmark phases (the data already written
-    /// to remote regions is untouched).
-    pub fn reset(&mut self) {
-        self.last_delivered = SimTime::ZERO;
-        self.ops = 0;
-        self.bytes = 0;
-        self.src.nic.reset();
-        self.dst.nic.reset();
-        if let Some(f) = self.faults.as_mut() {
-            f.clear();
-        }
     }
 }
 
@@ -474,8 +342,6 @@ mod tests {
             ep.put(SimTime::ZERO, b"x", &desc, 0),
             Err(FabricError::PermissionDenied { .. })
         ));
-        // but gets are fine
-        assert!(ep.get(SimTime::ZERO, &desc, 0, 16).is_ok());
     }
 
     #[test]
@@ -497,7 +363,7 @@ mod tests {
 
     #[test]
     fn a_wrapping_offset_is_refused_before_any_model_state_moves() {
-        // `offset + len` wraps to 1, 1 and 6: unchecked, the sum passes in a
+        // `offset + len` wraps to 1: unchecked, the sum passes in a
         // release build (tx pipeline charged, two lines stashed at a wrapped
         // address, then `MemoryRegion::write` refuses) and panics in a debug one.
         let valid_put_delivered = |poisoned: bool| {
@@ -506,18 +372,11 @@ mod tests {
             let desc = host.register(64, AccessFlags::rwx()).unwrap().descriptor();
             let mut ep = fabric.endpoint(a, b).unwrap();
             if poisoned {
-                let at = usize::MAX - 1;
-                let refused = [
-                    ep.put(SimTime::ZERO, b"abc", &desc, at).err(),
-                    ep.get(SimTime::ZERO, &desc, at, 3).err(),
-                    ep.atomic_add(SimTime::ZERO, &desc, at, 1).err(),
-                ];
-                for err in refused {
-                    assert!(
-                        matches!(err, Some(FabricError::OutOfBounds { .. })),
-                        "{err:?}"
-                    );
-                }
+                let err = ep.put(SimTime::ZERO, b"abc", &desc, usize::MAX - 1).err();
+                assert!(
+                    matches!(err, Some(FabricError::OutOfBounds { .. })),
+                    "{err:?}"
+                );
                 assert_eq!(host.hierarchy().stats().stashed_lines, 0);
                 assert_eq!(ep.ops(), 0);
             }
@@ -527,74 +386,22 @@ mod tests {
     }
 
     #[test]
-    fn get_reads_remote_memory() {
-        let (fabric, a, b) = setup();
-        let dst_region = fabric
-            .host(b)
-            .unwrap()
-            .register(128, AccessFlags::rw())
-            .unwrap();
-        dst_region.write(0, b"remote state").unwrap();
-        let desc = dst_region.descriptor();
-        let mut ep = fabric.endpoint(a, b).unwrap();
-        let (data, out) = ep.get(SimTime::ZERO, &desc, 0, 12).unwrap();
-        assert_eq!(data, b"remote state");
-        assert!(
-            out.delivered > SimTime::from_ns(1000),
-            "get is a round trip"
-        );
-    }
-
-    #[test]
-    fn atomic_add_round_trips() {
-        let (fabric, a, b) = setup();
-        let dst_region = fabric
-            .host(b)
-            .unwrap()
-            .register(64, AccessFlags::rwx())
-            .unwrap();
-        dst_region.store_u64(8, 100).unwrap();
-        let desc = dst_region.descriptor();
-        let mut ep = fabric.endpoint(a, b).unwrap();
-        let (old, _) = ep.atomic_add(SimTime::ZERO, &desc, 8, 5).unwrap();
-        assert_eq!(old, 100);
-        assert_eq!(dst_region.load_u64(8).unwrap(), 105);
-        assert!(matches!(
-            ep.atomic_add(SimTime::ZERO, &desc, 3, 1),
-            Err(FabricError::Misaligned { .. })
-        ));
-    }
-
-    #[test]
     fn larger_puts_take_longer() {
-        let (fabric, a, b) = setup();
-        let dst_region = fabric
-            .host(b)
-            .unwrap()
-            .register(64 * 1024, AccessFlags::rw())
-            .unwrap();
-        let desc = dst_region.descriptor();
-        let mut ep = fabric.endpoint(a, b).unwrap();
-        let small = ep.put(SimTime::ZERO, &[1u8; 64], &desc, 0).unwrap();
-        ep.reset();
-        let large = ep.put(SimTime::ZERO, &[1u8; 32 * 1024], &desc, 0).unwrap();
-        assert!(large.delivered > small.delivered);
-    }
-
-    #[test]
-    fn flush_reports_completion_horizon() {
-        let (fabric, a, b) = setup();
-        let dst_region = fabric
-            .host(b)
-            .unwrap()
-            .register(8192, AccessFlags::rw())
-            .unwrap();
-        let desc = dst_region.descriptor();
-        let mut ep = fabric.endpoint(a, b).unwrap();
-        assert_eq!(ep.flush(SimTime::from_ns(5)), SimTime::from_ns(5));
-        let o1 = ep.put(SimTime::ZERO, &[0u8; 4096], &desc, 0).unwrap();
-        let o2 = ep.put(o1.sender_free, &[0u8; 4096], &desc, 4096).unwrap();
-        assert_eq!(ep.flush(SimTime::ZERO), o2.delivered.max(o1.delivered));
+        // Each put goes through a fresh endpoint on a fresh fabric, so neither
+        // queues behind the other on a NIC.
+        let delivered = |len: usize| {
+            let (fabric, a, b) = setup();
+            let host = fabric.host(b).unwrap();
+            let desc = host
+                .register(64 * 1024, AccessFlags::rw())
+                .unwrap()
+                .descriptor();
+            let mut ep = fabric.endpoint(a, b).unwrap();
+            ep.put(SimTime::ZERO, &vec![1u8; len], &desc, 0)
+                .unwrap()
+                .delivered
+        };
+        assert!(delivered(32 * 1024) > delivered(64));
     }
 
     /// The sender fleet moves one endpoint per sender thread; this does not
@@ -649,38 +456,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn fence_is_free_on_ordered_fabric() {
-        let (fabric, a, b) = setup();
-        let mut ep = fabric.endpoint(a, b).unwrap();
-        assert_eq!(ep.fence(SimTime::from_ns(10)), SimTime::from_ns(10));
-    }
-
-    #[test]
-    fn fence_waits_on_unordered_fabric() {
-        use crate::fabric::FabricConfig;
-        let mut cfg = FabricConfig::default();
-        cfg.link.ordered_delivery = false;
-        let fabric = SimFabric::new(cfg);
-        let a = fabric.add_host(TestbedConfig::tiny_for_tests());
-        let b = fabric.add_host(TestbedConfig::tiny_for_tests());
-        let dst_region = fabric
-            .host(b)
-            .unwrap()
-            .register(4096, AccessFlags::rw())
-            .unwrap();
-        let desc = dst_region.descriptor();
-        let mut ep = fabric.endpoint(a, b).unwrap();
-        let out = ep
-            .put_unordered(SimTime::ZERO, &[7u8; 1024], &desc, 0)
-            .unwrap();
-        let after_fence = ep.fence(out.sender_free);
-        assert!(
-            after_fence >= out.delivered,
-            "fence must wait for outstanding puts"
-        );
-    }
-
     /// Satellite contract: `put`s issued on one endpoint become visible in
     /// issue order — later puts are never delivered earlier — which is the
     /// foundation the receiver's sequence-gap detection stands on.
@@ -707,39 +482,6 @@ mod tests {
         }
         // Last writer wins at the destination: issue order is delivery order.
         assert_eq!(dst_region.read(0, 1).unwrap(), vec![7]);
-        // On the ordered fabric the visibility guarantee costs no fence.
-        assert_eq!(ep.fence(now), now);
-    }
-
-    /// Satellite contract: `put_unordered` moves the bytes but grants no
-    /// inter-put ordering — the initiator must fence before the signal put, and
-    /// the fence is what waits for outstanding deliveries.
-    #[test]
-    fn put_unordered_requires_a_fence_before_the_signal() {
-        use crate::fabric::FabricConfig;
-        let mut cfg = FabricConfig::default();
-        cfg.link.ordered_delivery = false;
-        let fabric = SimFabric::new(cfg);
-        let a = fabric.add_host(TestbedConfig::tiny_for_tests());
-        let b = fabric.add_host(TestbedConfig::tiny_for_tests());
-        let dst_region = fabric
-            .host(b)
-            .unwrap()
-            .register(4096, AccessFlags::rw())
-            .unwrap();
-        let desc = dst_region.descriptor();
-        let mut ep = fabric.endpoint(a, b).unwrap();
-        let body = ep
-            .put_unordered(SimTime::ZERO, &[1u8; 256], &desc, 0)
-            .unwrap();
-        // The bytes themselves move (data path is real)...
-        assert_eq!(dst_region.read(0, 1).unwrap(), vec![1]);
-        // ...but the signal may not be posted until a fence has waited for the
-        // body: the fence horizon covers the body's delivery.
-        let fenced = ep.fence(body.sender_free);
-        assert!(fenced >= body.delivered);
-        let sig = ep.put(fenced, &[0xC3], &desc, 255).unwrap();
-        assert!(sig.delivered > body.delivered);
     }
 
     #[test]

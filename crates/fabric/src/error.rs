@@ -43,11 +43,6 @@ pub enum FabricError {
     },
     /// Attempted to register a zero-length region or otherwise malformed request.
     InvalidArgument(&'static str),
-    /// Atomic operations must be naturally aligned to 8 bytes.
-    Misaligned {
-        /// Offending offset.
-        offset: usize,
-    },
 }
 
 impl fmt::Display for FabricError {
@@ -69,9 +64,6 @@ impl fmt::Display for FabricError {
                 write!(f, "host {from} has no endpoint to host {to}")
             }
             FabricError::InvalidArgument(what) => write!(f, "invalid argument: {what}"),
-            FabricError::Misaligned { offset } => {
-                write!(f, "atomic access misaligned at offset {offset}")
-            }
         }
     }
 }
@@ -105,7 +97,6 @@ mod tests {
             (FabricError::NoSuchRegion(7), "no such region"),
             (FabricError::NotConnected { from: 0, to: 1 }, "no endpoint"),
             (FabricError::InvalidArgument("zero length"), "zero length"),
-            (FabricError::Misaligned { offset: 3 }, "misaligned"),
         ];
         for (err, needle) in cases {
             let msg = err.to_string();

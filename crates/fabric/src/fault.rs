@@ -167,7 +167,6 @@ pub(crate) struct DeferredPut {
     pub(crate) offset: usize,
     pub(crate) dst_addr: u64,
     pub(crate) data: Vec<u8>,
-    pub(crate) publish: bool,
 }
 
 impl std::fmt::Debug for DeferredPut {
@@ -215,12 +214,6 @@ impl EndpointFaults {
 
     pub(crate) fn note_redelivered(&self) {
         self.hook.redelivered.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Drop all deferred deliveries (between benchmark phases).
-    pub(crate) fn clear(&mut self) {
-        self.dups.clear();
-        self.held.clear();
     }
 }
 

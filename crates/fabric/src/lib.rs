@@ -9,11 +9,11 @@
 //! * **Registered memory regions** with 32-bit remote access keys (RKEYs) derived
 //!   from the virtual address and the granted permissions, validated in "hardware"
 //!   on every remote access ([`rkey`], [`region`]).
-//! * **One-sided operations**: `put` (RDMA write), `get` (RDMA read) and a fetching
-//!   atomic add, issued through [`endpoint::Endpoint`]s (queue pairs).
-//! * **Write ordering** between puts on the same endpoint, or explicit
-//!   [`endpoint::Endpoint::fence`] when the platform does not guarantee ordering —
-//!   the paper's testbed enforces ordering, so the default config does too.
+//! * **One one-sided operation**: an ordered `put` (RDMA write), issued through
+//!   [`endpoint::Endpoint`]s (queue pairs). Mailbox frames, batch containers,
+//!   credit returns and NACKs all travel as puts.
+//! * **Write ordering** between puts on the same endpoint — the paper's testbed
+//!   enforces ordering, so every put publishes its last byte with `Release`.
 //! * **Delivery into the memory hierarchy**: the simulated NIC DMA engine either
 //!   stashes arriving cache lines into the destination LLC or writes them to DRAM,
 //!   by calling into `twochains-memsim` ([`nic`]).
@@ -39,11 +39,9 @@
 //! puts issued on one endpoint become visible at the destination in issue order
 //! ([`Endpoint::put`] publishes each frame's final byte with `Release` ordering),
 //! so a receiver that observes a frame knows every earlier frame from the same
-//! endpoint already landed. [`Endpoint::put_unordered`] deliberately drops the
-//! publish step, modelling fabrics without inter-put ordering; there, a fence plus
-//! a separate signal put rebuilds the guarantee. Fault injection perturbs exactly
-//! this contract (multiplicity and adjacent order), which is what the runtime's
-//! NACK/retransmit and replay-suppression layers are tested against.
+//! endpoint already landed. Fault injection perturbs exactly this contract
+//! (multiplicity and adjacent order), which is what the runtime's NACK/retransmit
+//! and replay-suppression layers are tested against.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

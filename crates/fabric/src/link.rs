@@ -88,9 +88,6 @@ pub struct LinkModel {
     pub thresholds: Vec<ProtocolThreshold>,
     /// Size above which the rendezvous protocol kicks in.
     pub rendezvous_threshold: usize,
-    /// Whether successive puts on one endpoint are delivered in order without
-    /// explicit fences (true on the paper's testbed).
-    pub ordered_delivery: bool,
 }
 
 impl LinkModel {
@@ -121,7 +118,6 @@ impl LinkModel {
                 },
             ],
             rendezvous_threshold: 64 * 1024,
-            ordered_delivery: true,
         }
     }
 
@@ -187,17 +183,6 @@ impl LinkModel {
             sender_cpu,
             network,
             gap,
-        }
-    }
-
-    /// Timing of a one-sided get (read) of `size` bytes: a request flies to the
-    /// target, the payload flies back.
-    pub fn get_timing(&self, size: usize) -> LinkTiming {
-        let put = self.put_timing(size);
-        LinkTiming {
-            sender_cpu: put.sender_cpu,
-            network: put.network + self.wire_latency + self.pcie_read,
-            gap: put.gap,
         }
     }
 }
@@ -316,11 +301,5 @@ mod tests {
         let below = m.put_timing(8191);
         let above = m.put_timing(8192);
         assert!(above.network > below.network + SimTime::from_ns(500));
-    }
-
-    #[test]
-    fn get_is_slower_than_put() {
-        let m = LinkModel::connectx6_back_to_back();
-        assert!(m.get_timing(4096).network > m.put_timing(4096).network);
     }
 }

@@ -66,12 +66,6 @@ impl NicModel {
         &self.hierarchy
     }
 
-    /// Reset the serialization points (between benchmark phases).
-    pub fn reset(&self) {
-        *self.tx_busy_until.lock() = SimTime::ZERO;
-        *self.rx_busy_until.lock() = SimTime::ZERO;
-    }
-
     /// Account for the transmit side of a put posted at `now` on the *sending* NIC:
     /// returns (time the wire transfer starts, time the tx path frees up).
     pub fn acquire_tx(&self, now: SimTime, timing: &LinkTiming) -> (SimTime, SimTime) {
@@ -182,15 +176,5 @@ mod tests {
         let (done1, _) = n.deliver(SimTime::from_ns(100), 0x0, 4096);
         let (done2, _) = n.deliver(SimTime::from_ns(100), 0x2000, 4096);
         assert!(done2 > done1, "second delivery queues behind the first");
-    }
-
-    #[test]
-    fn reset_clears_serialization_points() {
-        let n = nic(true);
-        let timing = n.link().put_timing(64 * 1024);
-        n.acquire_tx(SimTime::from_us(5), &timing);
-        n.reset();
-        let (s, _) = n.acquire_tx(SimTime::ZERO, &timing);
-        assert_eq!(s, SimTime::ZERO);
     }
 }

@@ -261,38 +261,11 @@ impl MemoryRegion {
         Ok(word.to_le_bytes()[offset % 8])
     }
 
-    /// Convenience: store a little-endian u64 with relaxed ordering.
-    pub fn store_u64(&self, offset: usize, value: u64) -> FabricResult<()> {
-        self.write(offset, &value.to_le_bytes())
-    }
-
-    /// Convenience: load a little-endian u64 with relaxed ordering.
-    pub fn load_u64(&self, offset: usize) -> FabricResult<u64> {
-        let mut buf = [0u8; 8];
-        self.read_into(offset, &mut buf)?;
-        Ok(u64::from_le_bytes(buf))
-    }
-
-    /// Convenience: store a little-endian u32 with relaxed ordering.
-    pub fn store_u32(&self, offset: usize, value: u32) -> FabricResult<()> {
-        self.write(offset, &value.to_le_bytes())
-    }
-
     /// Convenience: load a little-endian u32 with relaxed ordering.
     pub fn load_u32(&self, offset: usize) -> FabricResult<u32> {
         let mut buf = [0u8; 4];
         self.read_into(offset, &mut buf)?;
         Ok(u32::from_le_bytes(buf))
-    }
-
-    /// Fetch-and-add on an 8-byte-aligned u64, as an RDMA atomic would perform it.
-    /// Returns the previous value.
-    pub fn fetch_add_u64(&self, offset: usize, operand: u64) -> FabricResult<u64> {
-        if !offset.is_multiple_of(8) {
-            return Err(FabricError::Misaligned { offset });
-        }
-        self.check_bounds(offset, 8)?;
-        Ok(self.words[offset / 8].fetch_add(operand, Ordering::AcqRel))
     }
 }
 
@@ -338,9 +311,7 @@ mod tests {
     #[test]
     fn scalar_helpers() {
         let r = region(64);
-        r.store_u64(8, 0xdead_beef_cafe_f00d).unwrap();
-        assert_eq!(r.load_u64(8).unwrap(), 0xdead_beef_cafe_f00d);
-        r.store_u32(16, 0x1234_5678).unwrap();
+        r.write(16, &0x1234_5678u32.to_le_bytes()).unwrap();
         assert_eq!(r.load_u32(16).unwrap(), 0x1234_5678);
     }
 
@@ -350,18 +321,6 @@ mod tests {
         assert_eq!(r.load_acquire_u8(63).unwrap(), 0);
         r.store_release_u8(63, 0xAB).unwrap();
         assert_eq!(r.load_acquire_u8(63).unwrap(), 0xAB);
-    }
-
-    #[test]
-    fn fetch_add_returns_previous() {
-        let r = region(64);
-        r.store_u64(0, 40).unwrap();
-        assert_eq!(r.fetch_add_u64(0, 2).unwrap(), 40);
-        assert_eq!(r.load_u64(0).unwrap(), 42);
-        assert!(matches!(
-            r.fetch_add_u64(3, 1),
-            Err(FabricError::Misaligned { .. })
-        ));
     }
 
     #[test]
@@ -492,20 +451,5 @@ mod tests {
                 }
             });
         });
-    }
-
-    #[test]
-    fn concurrent_fetch_adds_are_atomic() {
-        let r = region(16);
-        std::thread::scope(|s| {
-            for _ in 0..2 {
-                s.spawn(|| {
-                    for _ in 0..10_000 {
-                        r.fetch_add_u64(8, 3).unwrap();
-                    }
-                });
-            }
-        });
-        assert_eq!(r.load_u64(8).unwrap(), 60_000);
     }
 }

@@ -10,7 +10,9 @@
 
 use crate::error::{FabricError, FabricResult};
 
-/// Permission bits attached to a registered region.
+/// Permission bits attached to a registered region. All four bits derive the
+/// region's [`RKey`]; a put, the only remote access the fabric posts, checks
+/// `remote_write`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AccessFlags {
     /// Remote read (RDMA get) allowed.
@@ -121,23 +123,6 @@ impl RKey {
     }
 }
 
-/// Check that `flags` allow the given operation, returning a permission error
-/// otherwise. `op` is used in the error message.
-pub fn check_permission(flags: AccessFlags, op: &'static str) -> FabricResult<()> {
-    let allowed = match op {
-        "put" | "write" => flags.remote_write,
-        "get" | "read" => flags.remote_read,
-        "atomic" => flags.remote_atomic,
-        "execute" => flags.remote_execute,
-        _ => false,
-    };
-    if allowed {
-        Ok(())
-    } else {
-        Err(FabricError::PermissionDenied { op })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,16 +176,5 @@ mod tests {
                 presented: wrong.raw()
             })
         );
-    }
-
-    #[test]
-    fn permission_checks() {
-        assert!(check_permission(AccessFlags::rwx(), "put").is_ok());
-        assert!(check_permission(AccessFlags::rwx(), "execute").is_ok());
-        assert!(check_permission(AccessFlags::ro(), "get").is_ok());
-        assert!(check_permission(AccessFlags::ro(), "put").is_err());
-        assert!(check_permission(AccessFlags::rw(), "execute").is_err());
-        assert!(check_permission(AccessFlags::rw(), "atomic").is_ok());
-        assert!(check_permission(AccessFlags::rwx(), "bogus-op").is_err());
     }
 }

@@ -83,10 +83,11 @@
 //! re-execution while (a) the code bytes still hash to the cache key it is
 //! stored under and (b) the GOT image it was lowered against is *the same
 //! image* (pointer identity in the runtime's cache). The runtime's injection
-//! cache enforces both: the resolved image rides in a second-level cache keyed
-//! by `(elem_id, code_digest, code_len)`, a hit additionally requires the
-//! cached GOT `Arc` to be the one the current message resolved to, and any
-//! package reinstall or namespace change purges the cache wholesale.
+//! cache enforces both: the resolved image rides in the code-cache entry keyed
+//! by `(elem_id, code_digest, code_len)`, next to the program it was lowered
+//! from; an image hit additionally requires the cached GOT `Arc` to be the one
+//! the current message resolved to, and any package reinstall or namespace
+//! change purges the cache wholesale.
 
 use twochains_memsim::{AccessKind, MemoryBus, SimTime};
 

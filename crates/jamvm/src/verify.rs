@@ -242,7 +242,7 @@ mod oracle {
         }
     }
 
-    /// The scan `host.rs::injected_program` made for the floor, after `verify`.
+    /// The scan the receiver's resolve stage made for the floor, after `verify`.
     pub(super) fn floor_scan(program: &[Instr]) -> usize {
         program
             .iter()

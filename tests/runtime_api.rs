@@ -339,6 +339,60 @@ fn warm_hit_with_too_small_got_is_rejected_before_execution() {
     assert_eq!(rx.stats().executions, executions, "nothing executed");
 }
 
+/// Indirect Put arrives three times with its own code: with its own GOT, with
+/// an empty one, then with its own plus a zero slot. The second and third hit
+/// the cached program but not the image lowered against the first GOT: the
+/// second is refused on the program's verifier floor, and the third is
+/// lowered again and runs as the first did.
+#[test]
+fn a_cached_program_meeting_another_got_is_floor_checked_and_lowered_again() {
+    let (mut rx, mut tx) = testbed(RuntimeConfig::paper_default());
+    let id = rx.builtin_id(BuiltinJam::IndirectPut).unwrap();
+    let own = encoded(
+        &mut tx,
+        &msg(id, Injected, &indirect_put_args(2, 4, 4), &ints(4)),
+    );
+    assert_eq!(own.got.len(), 8, "Indirect Put's GOT has one slot");
+    let mut widened = own.got.clone();
+    widened.extend([0; 8]);
+    let mut receive = |sn: u32, got: Vec<u8>| {
+        let frame = Frame::injected(
+            sn,
+            id.0,
+            got,
+            own.code.clone(),
+            own.args.clone(),
+            own.usr.clone(),
+        );
+        let delivered = forge(&rx, &mut tx, 0, &frame.encode());
+        rx.receive(0, 0, Some(frame.wire_size()), delivered, SimTime::ZERO)
+    };
+    let first = receive(own.header.sn, own.got.clone()).unwrap().result;
+    assert_eq!(first, 1073885200, "the bucket address of key 2");
+    let err = receive(own.header.sn + 1, Vec::new()).unwrap_err();
+    assert_eq!(
+        err,
+        AmError::BadFrame(
+            "cached program references GOT slot 0 but the message GOT has only 0 slots".into()
+        )
+    );
+    let third = receive(own.header.sn + 2, widened).unwrap().result;
+    assert_eq!(third, first);
+    let stats = rx.stats();
+    assert_eq!(
+        [
+            stats.injected_code_cache_hits,
+            stats.injected_code_cache_misses
+        ],
+        [1, 1]
+    );
+    assert_eq!(
+        [stats.resolved_cache_hits, stats.resolved_cache_misses],
+        [0, 3]
+    );
+    assert_eq!(stats.frames_rejected, 1);
+}
+
 #[test]
 fn malformed_injected_code_is_rejected_not_cached() {
     let (mut rx, mut tx) = testbed(RuntimeConfig::paper_default());
