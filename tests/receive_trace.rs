@@ -423,9 +423,20 @@ fn shard_local_space_trace_matches_the_golden() {
 fn narrow_window_trace_matches_the_golden() {
     let mut cfg = base_config();
     cfg.completion_window = 4;
-    assert_trace("narrow window", &run_scenario(cfg), GOLDEN_NARROW_WINDOW);
+    assert_trace(
+        "narrow window",
+        &run_scenario(cfg.clone()),
+        GOLDEN_NARROW_WINDOW,
+    );
+    assert_trace(
+        "narrow window, shard-local",
+        &run_scenario(cfg.with_shard_local_space()),
+        GOLDEN_NARROW_WINDOW_SHARD_LOCAL,
+    );
 }
 
 const GOLDEN_EXCLUSIVE: &str = include_str!("golden/receive_trace_exclusive.txt");
 const GOLDEN_SHARD_LOCAL: &str = include_str!("golden/receive_trace_shard_local.txt");
 const GOLDEN_NARROW_WINDOW: &str = include_str!("golden/receive_trace_narrow_window.txt");
+const GOLDEN_NARROW_WINDOW_SHARD_LOCAL: &str =
+    include_str!("golden/receive_trace_narrow_window_shard_local.txt");

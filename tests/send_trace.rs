@@ -15,7 +15,8 @@
 //!
 //! It runs under both aggregation policies, each at a completion window wide
 //! enough never to fill and at one narrow enough that back-pressure harvests
-//! interleave with the puts. The model is deterministic and `SimTime` is
+//! interleave with the puts, and each of those in the exclusive address space
+//! and in the per-shard one (`*_shard_local.txt`). The model is deterministic and `SimTime` is
 //! integer picoseconds, so the trace is compared *exactly* against files
 //! captured before the send path was restructured into stages: a regrouping
 //! that reorders a harvest against a put, charges a different pack cost or
@@ -168,9 +169,9 @@ impl Rig {
     }
 }
 
-fn run_scenario(per_frame: bool, window: usize) -> String {
+fn run_scenario(cfg: RuntimeConfig) -> String {
     use InvocationMode::{Injected, Local};
-    let FleetBed { wire, host, fleet } = fleet_testbed(config(per_frame, window), None);
+    let FleetBed { wire, host, fleet } = fleet_testbed(cfg, None);
     let ssum = host.builtin_id(BuiltinJam::ServerSideSum).unwrap();
 
     // The wire size of an empty Server-Side Sum frame in each mode, measured
@@ -268,38 +269,53 @@ fn assert_trace(name: &str, actual: &str, golden: &str) {
     }
 }
 
+/// Run the scenario in the exclusive space and in the per-shard one, each
+/// against its own golden.
+fn assert_both_spaces(name: &str, cfg: RuntimeConfig, golden: &str, shard_local: &str) {
+    assert_trace(name, &run_scenario(cfg.clone()), golden);
+    assert_trace(
+        &format!("{name}, shard-local"),
+        &run_scenario(cfg.with_shard_local_space()),
+        shard_local,
+    );
+}
+
 #[test]
 fn adaptive_wide_window_trace_matches_the_golden() {
-    assert_trace(
+    assert_both_spaces(
         "adaptive, window 48",
-        &run_scenario(false, 48),
+        config(false, 48),
         include_str!("golden/send_trace_adaptive_wide.txt"),
+        include_str!("golden/send_trace_adaptive_wide_shard_local.txt"),
     );
 }
 
 #[test]
 fn adaptive_narrow_window_trace_matches_the_golden() {
-    assert_trace(
+    assert_both_spaces(
         "adaptive, window 3",
-        &run_scenario(false, 3),
+        config(false, 3),
         include_str!("golden/send_trace_adaptive_narrow.txt"),
+        include_str!("golden/send_trace_adaptive_narrow_shard_local.txt"),
     );
 }
 
 #[test]
 fn per_frame_wide_window_trace_matches_the_golden() {
-    assert_trace(
+    assert_both_spaces(
         "per-frame, window 48",
-        &run_scenario(true, 48),
+        config(true, 48),
         include_str!("golden/send_trace_per_frame_wide.txt"),
+        include_str!("golden/send_trace_per_frame_wide_shard_local.txt"),
     );
 }
 
 #[test]
 fn per_frame_narrow_window_trace_matches_the_golden() {
-    assert_trace(
+    assert_both_spaces(
         "per-frame, window 5",
-        &run_scenario(true, 5),
+        config(true, 5),
         include_str!("golden/send_trace_per_frame_narrow.txt"),
+        include_str!("golden/send_trace_per_frame_narrow_shard_local.txt"),
     );
 }
