@@ -37,10 +37,10 @@
 //!   records `host_parallelism` next to them. Every bar, its number and the
 //!   reason for it is a row of [`crate::gate::BARS`].
 //!
-//! The sweep runs in [`SpaceMode::ShardLocal`](twochains::SpaceMode) over the
-//! per-core cache hierarchy, so the whole drain path — dispatch, simulated
-//! memory charging *and* jam execution — runs without a global lock; the only
-//! shared state is the striped L3/LLC/DRAM simulation and the injection caches.
+//! Each shard executes in an address space of its own over the per-core cache
+//! hierarchy, so the whole drain path — dispatch, simulated memory charging
+//! *and* jam execution — runs without a global lock; the only shared state is
+//! the striped L3/LLC/DRAM simulation and the injection caches.
 
 use std::time::Instant;
 
@@ -148,11 +148,8 @@ impl BurstRow {
 /// window (per-stream back-pressure is exercised by the dedicated tests
 /// instead).
 fn sweep_config(shards: usize) -> RuntimeConfig {
-    // Shard-local space mode: the drain threads execute without the global
-    // address-space lock (the builtin jams are shard-local writers).
     let mut cfg = RuntimeConfig::paper_default()
         .with_shards(shards)
-        .with_shard_local_space()
         .with_sender_streams(shards);
     cfg.banks = shards.max(4);
     cfg.mailboxes_per_bank = 16;

@@ -360,7 +360,11 @@ mod tests {
             ns.load_ried(&ried, false).unwrap();
         }
         let mut space = AddressSpace::new();
-        ns.map_data_segments(&mut space).unwrap();
+        for o in ns.data_objects() {
+            space
+                .map(Segment::new(&o.name, o.addr, o.init, o.writable, o.kind))
+                .unwrap();
+        }
         (ns, space)
     }
 

@@ -1,4 +1,10 @@
 //! Runtime configuration.
+//!
+//! The configuration picks geometry, waiting, aggregation, security and
+//! whether to execute at all — not a memory discipline. That one is fixed:
+//! every receiver shard executes against an address space of its own, its
+//! private instances of the writable ried objects over a read-only base all
+//! shards share without a lock.
 
 use twochains_memsim::WaitMode;
 
@@ -26,28 +32,6 @@ impl InvocationMode {
             InvocationMode::Local => "Local Function",
         }
     }
-}
-
-/// How jam executions share (or don't share) the receiver's address space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SpaceMode {
-    /// One process-wide address space behind a mutex; every execution holds the
-    /// lock for its whole map → execute → unmap window. Semantically the
-    /// simplest mode (all messages observe one copy of every ried object) and
-    /// the default.
-    #[default]
-    Exclusive,
-    /// Read-mostly split: read-only ried objects live in an `Arc`-shared base
-    /// every shard reads without locks, writable ried objects get one private
-    /// instance per shard, and per-message ARGS/USR map into the owning
-    /// shard's local space — so read-only and shard-local handlers execute
-    /// with **no** address-space lock. Jams that declare cross-shard writes
-    /// ([`twochains_linker::JamObject::cross_shard_writes`]) still fall back
-    /// to the exclusive lock and the canonical instances. A GOT *data*
-    /// reference to a writable object bakes in the canonical address, which
-    /// only the exclusive path maps — so installing such a jam without the
-    /// declaration is rejected at install time.
-    ShardLocal,
 }
 
 /// Whether sender lanes aggregate data-path frames into multi-frame batch
@@ -81,8 +65,6 @@ pub struct RuntimeConfig {
     /// `b % num_shards`, so shards never contend on a mailbox; each shard keeps its
     /// own scratch buffer and statistics over the shared injection caches.
     pub num_shards: usize,
-    /// How executions share the jam address space (see [`SpaceMode`]).
-    pub space_mode: SpaceMode,
     /// Number of initiator-side sender streams a
     /// [`SenderFleet`](crate::runtime::SenderFleet) driving this host should
     /// run. Stream `s` of `S` fills exactly the banks with `bank % S == s` —
@@ -115,7 +97,6 @@ impl RuntimeConfig {
             banks: 4,
             mailboxes_per_bank: 16,
             num_shards: 1,
-            space_mode: SpaceMode::Exclusive,
             sender_streams: 1,
             completion_window: 256,
             aggregation_policy: AggregationPolicy::Adaptive,
@@ -161,11 +142,10 @@ impl RuntimeConfig {
         self
     }
 
-    /// Same configuration but with the read-mostly per-shard address-space
-    /// split ([`SpaceMode::ShardLocal`]): executions of jams that do not
-    /// declare cross-shard writes take no address-space lock.
-    pub fn with_shard_local_space(mut self) -> Self {
-        self.space_mode = SpaceMode::ShardLocal;
+    /// The same configuration: every host already runs each shard in an
+    /// address space of its own, so this sets nothing. It is kept only for
+    /// callers written when a second, process-global space was the default.
+    pub fn with_shard_local_space(self) -> Self {
         self
     }
 

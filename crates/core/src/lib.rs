@@ -59,7 +59,7 @@ pub mod stats;
 
 pub use bank::{BankFlags, MailboxBank, NackFlags, ShardMask};
 pub use builtin::{benchmark_package, benchmark_rieds, BuiltinJam};
-pub use config::{AggregationPolicy, InvocationMode, RuntimeConfig, SpaceMode};
+pub use config::{AggregationPolicy, InvocationMode, RuntimeConfig};
 pub use error::{AmError, AmResult};
 pub use frame::{
     ChainArgMap, ChainDescriptor, ChainStage, Frame, FrameHeader, CHAIN_MAX_STAGES,

@@ -5,13 +5,15 @@
 //! `&mut ReceiverShard`: everything shared is either read-mostly (namespace,
 //! Local Function library, banks, config, the `Arc`-shared read-only segment
 //! base) or behind its own fine-grained synchronisation (striped cache levels,
-//! the injection caches, the exclusive jam space), so any number of shards can
-//! run it concurrently. Simulated memory is charged through the shard's own
-//! per-core bus (private L1/L2, no lock on a private hit), and execution
-//! takes the exclusive address-space lock only in
-//! [`SpaceMode::Exclusive`] or for jams that declare cross-shard writes — in
-//! [`SpaceMode::ShardLocal`] everything else runs against the shard's private
-//! segments and the lock-free read-only base.
+//! the injection caches), so any number of shards can run it concurrently.
+//! Simulated memory is charged through the shard's own per-core bus (private
+//! L1/L2, no lock on a private hit), and every
+//! execution runs against the shard's own address space — its private
+//! instances of the writable ried objects over the lock-free, `Arc`-shared
+//! read-only base — with no address-space lock at all. There is no
+//! process-global writable instance: a jam reaches ried state only through
+//! its GOT, the only instruction that consults the GOT is `CallExtern`, and
+//! both engines refuse a `Data` slot there as not callable.
 //!
 //! # The receive pipeline
 //!
@@ -29,7 +31,7 @@
 //! | 2 parse / unbatch | `drain_slot` | readiness check, read into scratch, a plain frame or a batch container's header prologue and inner frames |
 //! | 3 admit | `admit` | destination slot validated, replay filter probed, the frame accounted and its [`ReceiveOutcome`] built |
 //! | 4 resolve image | `resolve_image` (`injected_got`) | GOT and lowered image, through one GOT-cache and one code-cache probe, or the Local Function library |
-//! | 5 execute | `execute_stage` | space picked once, sections mapped or refilled, image run |
+//! | 5 execute | `execute_stage` | sections mapped or refilled in the shard's space, image run |
 //! | 6 continue chain | `continue_chain` | each continuation stage is stage 5 again, with the context cell behind the frame's sections |
 //! | 7 retire | `retire` | gap watcher noted, drain clock advanced, credit returned (`return_credit` / `return_replay_credit`): the token is `credit.rs`'s to mint and to flush, the host charges what was posted |
 //!
@@ -72,20 +74,18 @@
 //! fresh copy of the frame's bytes (`AddressSpace::refill`, which scans
 //! nothing); the first maps the context cell behind them and later ones
 //! refill it with the running result. The sections are unmapped when the
-//! frame's dispatch returns, on every exit. A stage that runs in the
-//! exclusive space maps and unmaps its sections there under the lock, so no
-//! shard finds a name taken. Isolation is the fresh copy, not a new mapping:
-//! a stage sees the bytes that arrived whatever the stage before it wrote,
-//! and for a `chain3` frame that is 40 bytes over its three stages, where
-//! mapping and unmapping three sections per stage cost more than the stage's
-//! jam.
+//! frame's dispatch returns, on every exit. Isolation is the fresh copy, not
+//! a new mapping: a stage sees the bytes that arrived whatever the stage
+//! before it wrote, and for a `chain3` frame that is 40 bytes over its three
+//! stages, where mapping and unmapping three sections per stage cost more
+//! than the stage's jam.
 //!
 //! The run itself is `Vm::execute_resolved` compiled against the types it
-//! is handed — the shard's `CoreBus`, and its `ShardSpace` or the exclusive
-//! `AddressSpace` — not against two trait objects: a jam's loop is where a
-//! payload-sized message spends its host time (a load per four bytes, a block
-//! fetch per iteration), and with the types named the bus's private-hit path
-//! and the space's scalar read are inlined into that loop. Extern functions
+//! is handed — the shard's `CoreBus` and its `ShardSpace` — not against two
+//! trait objects: a jam's loop is where a payload-sized message spends its
+//! host time (a load per four bytes, a block fetch per iteration), and with
+//! the types named the bus's private-hit path and the space's scalar read
+//! are inlined into that loop. Extern functions
 //! still get both as `dyn`. It is the only engine the receiver runs: the interpreter,
 //! `Vm::execute`, is the reference the differential suites compare it against.
 //!
@@ -113,7 +113,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use twochains_fabric::{AccessFlags, HostHandle, HostId, MemoryRegion, SimFabric};
 use twochains_jamvm::memory::MemFault;
 use twochains_jamvm::{
@@ -132,7 +131,7 @@ use super::shard::{DrainCtx, ReceiverShard, ShardDrain};
 use super::{BurstFrame, BurstOutcome, ReceiveOutcome};
 use crate::bank::MailboxBank;
 use crate::builtin::BuiltinJam;
-use crate::config::{RuntimeConfig, SpaceMode};
+use crate::config::RuntimeConfig;
 use crate::error::{AmError, AmResult};
 use crate::frame::{
     is_batch, BatchView, ChainArgMap, ChainDescriptor, FrameView, FRAME_HEADER_SIZE,
@@ -261,17 +260,15 @@ impl DispatchedFrame {
 }
 
 /// The resolve stage's answer, and the execute stage's input: the lowered
-/// image to run, the GOT it was lowered against and where its code lives in
-/// simulated memory. A Local Function library entry is one too, lowered
-/// against the GOT this process's namespace resolves at install time, so
-/// Local Function dispatch (and every chain continuation stage) runs without
-/// a per-message lowering step; its code lines are kept warm in the
-/// receiver's caches. Image and GOT are reference-counted so dispatch shares
-/// them instead of deep-cloning per message.
+/// image to run and where its code lives in simulated memory. A Local
+/// Function library entry is one too, lowered against the GOT this process's
+/// namespace resolves at install time, so Local Function dispatch (and every
+/// chain continuation stage) runs without a per-message lowering step; its
+/// code lines are kept warm in the receiver's caches. The image is reference-counted so dispatch shares it
+/// instead of deep-cloning it per message.
 #[derive(Debug, Clone)]
 struct StageImage {
     image: Arc<ResolvedProgram>,
-    got: Arc<GotImage>,
     code_base: u64,
 }
 
@@ -309,12 +306,11 @@ impl Section<'_> {
     }
 }
 
-/// How many of a frame's sections one address space holds, and the mapping
-/// index of the first. The execute stage maps the sections a space lacks
-/// and refills those it has; whoever owns the `Placed` unmaps them. The
-/// shard's own space keeps one for the whole frame, so a chain's stages
-/// refill what its primary mapped. A stage in the exclusive space, which
-/// every shard maps into, places into a fresh one and unmaps under the lock.
+/// How many of a frame's sections the shard's space holds, and the mapping
+/// index of the first. The execute stage maps the sections the space lacks
+/// and refills those it has; the frame's dispatch keeps one `Placed` for
+/// the whole frame, so a chain's stages refill what its primary mapped, and
+/// unmaps them when it returns.
 #[derive(Debug, Default)]
 struct Placed {
     first: usize,
@@ -370,21 +366,9 @@ pub(crate) struct HostCore {
     /// core frequency); `config.wait_mode` picks how the receiver waits.
     wait_model: WaitModel,
     namespace: LinkerNamespace,
-    /// The *exclusive* jam address space: the canonical instance of every ried
-    /// object. In [`SpaceMode::Exclusive`] every execution maps and runs here
-    /// under the mutex; in [`SpaceMode::ShardLocal`] only jams declaring
-    /// cross-shard writes do.
-    space: Mutex<AddressSpace>,
     /// `Arc`-shared read-only segments (rodata, read-only data exports), read
     /// by every shard without any lock. Rebuilt on package install/live update.
     shared_ro: Arc<AddressSpace>,
-    /// Canonical `[start, end)` address ranges of *writable* ried objects.
-    /// A resolved GOT that points into one of these ranges addresses
-    /// process-global mutable state by canonical address, which only the
-    /// exclusive space maps — the dispatch engine routes such messages to the
-    /// exclusive path even in shard-local mode (the runtime backstop behind
-    /// the install-time `cross_shard_writes` contract check).
-    writable_ranges: Vec<(u64, u64)>,
     package: Option<Package>,
     local_lib: HashMap<u32, StageImage>,
     mailbox_region: Arc<MemoryRegion>,
@@ -414,9 +398,8 @@ impl std::fmt::Debug for TwoChainsHost {
 impl TwoChainsHost {
     /// Base simulated address at which Local Function library code is laid out.
     const LOCAL_CODE_BASE: u64 = 0x7000_0000;
-    /// Base simulated address of shard 0's private writable ried instances
-    /// (shard-local space mode); shard `s` starts at
-    /// `SHARD_DATA_BASE + s * SHARD_DATA_STRIDE`.
+    /// Base simulated address of shard 0's private writable ried instances;
+    /// shard `s` starts at `SHARD_DATA_BASE + s * SHARD_DATA_STRIDE`.
     const SHARD_DATA_BASE: u64 = 0xA000_0000;
     /// Address stride between consecutive shards' private data ranges.
     const SHARD_DATA_STRIDE: u64 = 0x0400_0000;
@@ -476,14 +459,12 @@ impl TwoChainsHost {
                 config,
                 wait_model: WaitModel::cluster2021(),
                 namespace: LinkerNamespace::new(),
-                space: Mutex::new(AddressSpace::new()),
                 shared_ro,
                 package: None,
                 local_lib: HashMap::new(),
                 mailbox_region,
                 banks,
                 local_code_cursor: Self::LOCAL_CODE_BASE,
-                writable_ranges: Vec::new(),
             },
             cache,
             shards,
@@ -596,22 +577,13 @@ impl TwoChainsHost {
         Ok(())
     }
 
-    /// Propagate the namespace's data objects into every execution view: the
-    /// exclusive space (canonical instances, live contents preserved), the
+    /// Propagate the namespace's data objects into every shard's view: the
     /// `Arc`-shared read-only base (rebuilt from scratch — its contents never
     /// change after publication), and each shard's private instances of the
     /// writable objects (created on first sight, existing shard state kept
-    /// across live updates, mirroring the exclusive space's reload semantics).
+    /// across live updates).
     fn sync_spaces(&mut self) -> AmResult<()> {
-        self.core
-            .namespace
-            .map_data_segments(self.core.space.get_mut())?;
         let objects = self.core.namespace.data_objects();
-        self.core.writable_ranges = objects
-            .iter()
-            .filter(|o| o.writable)
-            .map(|o| (o.addr, o.addr + o.init.len() as u64))
-            .collect();
         let mut ro = AddressSpace::new();
         for o in objects.iter().filter(|o| !o.writable) {
             ro.map(Segment::new(&o.name, o.addr, o.init.clone(), false, o.kind))
@@ -660,41 +632,9 @@ impl TwoChainsHost {
             self.core.namespace.load_ried(ried, true)?;
         }
         self.sync_spaces()?;
-        // In shard-local mode a GOT *data* reference resolves to the canonical
-        // address of the object — which, for a writable object, is mapped only
-        // in the exclusive space. A jam that takes such a reference without
-        // declaring cross-shard writes would fault Unmapped at its first
-        // dereference on the lock-free path, so the contradiction is rejected
-        // here, at install time, with an actionable message.
-        if self.core.config.space_mode == SpaceMode::ShardLocal {
-            let writable: std::collections::HashSet<String> = self
-                .core
-                .namespace
-                .data_objects()
-                .into_iter()
-                .filter(|o| o.writable)
-                .map(|o| o.name)
-                .collect();
-            for (_, jam) in package.jams() {
-                if jam.cross_shard_writes {
-                    continue;
-                }
-                if let Some(sym) = jam.got.iter().find(|s| {
-                    s.kind == twochains_linker::SymbolKind::Data && writable.contains(&s.name)
-                }) {
-                    return Err(AmError::InvalidConfig(format!(
-                        "jam {} holds a GOT data reference to writable object {} \
-                         without declaring cross-shard writes; shard-local mode \
-                         requires with_cross_shard_writes() for canonical-address \
-                         access to writable state",
-                        jam.name, sym.name
-                    )));
-                }
-            }
-        }
         for (id, jam) in package.jams() {
             let program = jam.program()?;
-            let got = Arc::new(self.core.namespace.resolve_got(&jam.got)?);
+            let got = self.core.namespace.resolve_got(&jam.got)?;
             // Pre-lower at install time: resident functions never pay a
             // per-message lowering, and chain continuation stages run the
             // threaded executor from their first invocation.
@@ -715,7 +655,6 @@ impl TwoChainsHost {
                 id.0,
                 StageImage {
                     image: resolved,
-                    got,
                     code_base,
                 },
             );
@@ -977,30 +916,11 @@ impl TwoChainsHost {
         &self.core.banks
     }
 
-    /// Read a ried-exported data object (for tests and examples that verify
-    /// server-side effects, e.g. the Server-Side Sum result array). This reads
-    /// the *canonical* instance — the exclusive space — which is the one every
-    /// execution mutates in [`SpaceMode::Exclusive`] but only cross-shard jams
-    /// mutate in [`SpaceMode::ShardLocal`]; use
-    /// [`TwoChainsHost::read_shard_data`] for a shard's private instance.
-    pub fn read_data(&self, symbol: &str, offset: usize, len: usize) -> AmResult<Vec<u8>> {
-        let addr = self
-            .core
-            .namespace
-            .data_addr(symbol)
-            .ok_or_else(|| AmError::Link(format!("no data symbol {symbol}")))?;
-        Ok(self
-            .core
-            .space
-            .lock()
-            .read(addr + offset as u64, len)
-            .map_err(|e| AmError::Exec(e.to_string()))?
-            .to_vec())
-    }
-
-    /// Read `shard`'s private instance of a writable ried object (shard-local
-    /// space mode), falling back to the shared read-only base for non-writable
-    /// symbols.
+    /// Read `shard`'s private instance of a writable ried object, or a
+    /// read-only one from the shared base (for tests and examples that verify
+    /// server-side effects, e.g. the Server-Side Sum result array). Each shard
+    /// holds its own instance of every writable object, and a message writes
+    /// the instance of the shard that drains it.
     pub fn read_shard_data(
         &self,
         shard: usize,
@@ -1024,26 +944,21 @@ impl TwoChainsHost {
             .ok_or_else(|| AmError::Exec(format!("read past the end of {symbol}")))
     }
 
-    /// Names of the segments mapped in `shard`'s own space, or in the
-    /// exclusive space for `None`, in mapping order: the ried objects the
-    /// space instances. A frame's sections are mapped only while it is
-    /// dispatched, so they never show here.
-    pub fn mapped_segments(&self, shard: Option<usize>) -> AmResult<Vec<String>> {
-        let owned = |space: &AddressSpace| {
-            space
-                .segment_names()
-                .into_iter()
-                .map(str::to_owned)
-                .collect()
-        };
-        match shard {
-            None => Ok(owned(&self.core.space.lock())),
-            Some(i) => self
-                .shards
-                .get(i)
-                .map(|s| owned(&s.space.local))
-                .ok_or_else(|| AmError::InvalidConfig(format!("no shard {i}"))),
-        }
+    /// Names of the segments mapped in `shard`'s own space, in mapping
+    /// order: the writable ried objects the shard instances. A frame's
+    /// sections are mapped only while it is dispatched, so they never show
+    /// here.
+    pub fn mapped_segments(&self, shard: usize) -> AmResult<Vec<String>> {
+        let s = self
+            .shards
+            .get(shard)
+            .ok_or_else(|| AmError::InvalidConfig(format!("no shard {shard}")))?;
+        Ok(s.space
+            .local
+            .segment_names()
+            .into_iter()
+            .map(str::to_owned)
+            .collect())
     }
 
     /// Process the message sitting in mailbox (`bank`, `slot`).
@@ -1545,7 +1460,6 @@ impl HostCore {
         let exec = self.execute_stage(
             ctx,
             held,
-            frame.header.elem_id,
             &primary,
             &[args, usr],
             [args.base, usr.base, usr.bytes.len() as u64],
@@ -1612,14 +1526,7 @@ impl HostCore {
                 ChainArgMap::KeepArgs => [args.base, ctx_base, 8],
             };
             let exec = self
-                .execute_stage(
-                    ctx,
-                    held,
-                    stage.elem_id,
-                    entry,
-                    &[args, usr, context],
-                    entry_regs,
-                )
+                .execute_stage(ctx, held, entry, &[args, usr, context], entry_regs)
                 .map_err(|e| fail(e.to_string()))?;
             done.ran(ctx.stats, &exec);
             ctx.stats.local_executions += 1;
@@ -1665,11 +1572,7 @@ impl HostCore {
                 // The image subsumes the program: an image hit is a code hit.
                 ctx.stats.resolved_cache_hits += 1;
                 ctx.stats.injected_code_cache_hits += 1;
-                return Ok(StageImage {
-                    image,
-                    got,
-                    code_base,
-                });
+                return Ok(StageImage { image, code_base });
             }
             Some(CodeHit::Program(program, min_got_slots)) => Some((program, min_got_slots)),
             None => None,
@@ -1743,46 +1646,28 @@ impl HostCore {
                 code: frame.code.into(),
                 program,
                 min_got_slots,
-                got: Arc::clone(&got),
+                got,
                 image: Arc::clone(&image),
                 code_base: slab,
             },
         );
         Ok(StageImage {
             image,
-            got,
             code_base: slab,
         })
     }
 
-    /// The execute stage: give the space a fresh copy of each of `sections`,
-    /// run element `elem_id`'s image with `entry_regs`. Both spaces follow
-    /// one discipline, [`Placed`]: what a space already holds of the frame
-    /// is refilled in place, the rest is mapped (in the shard's spare
-    /// segments), and the sections are unmapped when their `Placed` is done.
-    /// For the shard's own space that is `held`, the frame's, so its
-    /// sections outlive the stage and are unmapped when the frame's dispatch
-    /// returns; for the exclusive space it is this stage's, unmapped before
-    /// the lock is released — no other shard ever finds a name taken there.
-    ///
-    /// Which space the sections go to is the [`SpaceMode`] split, picked
-    /// once: the exclusive space, under its mutex for the whole
-    /// map → execute → unmap window, or the shard's own local space with no
-    /// lock at all (reads of ried rodata go through the `Arc`-shared
-    /// read-only base; writes land in the shard's private instances). A jam
-    /// that declares cross-shard writes must see the canonical (exclusive)
-    /// instances even in shard-local mode, and the GOT scan is the runtime
-    /// backstop for messages the install-time contract check cannot see
-    /// (injected frames for elements outside the installed package, rieds
-    /// loaded without a package): a resolved Data reference into a writable
-    /// object's canonical range only works on the exclusive path, so such
-    /// messages are routed there instead of faulting Unmapped on the
-    /// lock-free one.
+    /// The execute stage: give the shard's own space a fresh copy of each of
+    /// `sections` and run `jam`'s image with `entry_regs`, with no lock at
+    /// all — reads of ried rodata go through the `Arc`-shared read-only base,
+    /// writes land in the shard's private instances. What `held`, the
+    /// frame's [`Placed`], already holds is refilled in place and the rest is
+    /// mapped (in the shard's spare segments); the sections outlive the stage
+    /// and are unmapped when the frame's dispatch returns.
     fn execute_stage(
         &self,
         ctx: &mut DrainCtx<'_>,
         held: &mut Placed,
-        elem_id: u32,
         jam: &StageImage,
         sections: &[Section<'_>],
         entry_regs: [u64; 3],
@@ -1796,55 +1681,16 @@ impl HostCore {
             extern_call_overhead: SimTime::from_ns(6),
             entry_regs,
         };
-        let exclusive = match self.config.space_mode {
-            SpaceMode::Exclusive => true,
-            SpaceMode::ShardLocal => {
-                self.package
-                    .as_ref()
-                    .and_then(|p| p.jam(ElementId(elem_id)).ok())
-                    .is_some_and(|j| j.cross_shard_writes)
-                    || self.got_addresses_writable_data(&jam.got)
-            }
-        };
-        let mut guard = exclusive.then(|| self.space.lock());
-        let mut this_stage = Placed::default();
-        let (space, placed) = match guard.as_deref_mut() {
-            Some(space) => (space, &mut this_stage),
-            None => (&mut ctx.space.local, held),
-        };
-        let exec = match placed.place(space, sections, ctx.spare_sections) {
-            Err(e) => Err(AmError::Exec(e.to_string())),
-            Ok(()) => {
-                let externs = self.namespace.externs();
-                match guard.as_deref_mut() {
-                    Some(space) => {
-                        Vm::execute_resolved(&jam.image, externs, space, ctx.bus, &vm_cfg)
-                    }
-                    None => Vm::execute_resolved(&jam.image, externs, ctx.space, ctx.bus, &vm_cfg),
-                }
-                .map_err(AmError::from)
-            }
-        };
-        if let Some(space) = guard.as_deref_mut() {
-            this_stage.unmap(space, ctx.spare_sections);
-        }
-        exec
-    }
-
-    /// Whether a resolved GOT image holds a `Data` reference into the
-    /// canonical address range of a writable ried object (only the exclusive
-    /// space maps those addresses; see `writable_ranges`).
-    fn got_addresses_writable_data(&self, got: &GotImage) -> bool {
-        if self.writable_ranges.is_empty() {
-            return false;
-        }
-        (0..got.len()).any(|slot| match got.get(slot) {
-            twochains_jamvm::ExternRef::Data(addr) => self
-                .writable_ranges
-                .iter()
-                .any(|&(start, end)| addr >= start && addr < end),
-            _ => false,
-        })
+        held.place(&mut ctx.space.local, sections, ctx.spare_sections)
+            .map_err(|e| AmError::Exec(e.to_string()))?;
+        Vm::execute_resolved(
+            &jam.image,
+            self.namespace.externs(),
+            ctx.space,
+            ctx.bus,
+            &vm_cfg,
+        )
+        .map_err(AmError::from)
     }
 
     /// Resolve the GOT image of an injected frame, through the shared GOT caches.

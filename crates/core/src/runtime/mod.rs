@@ -2,8 +2,9 @@
 //!
 //! A [`TwoChainsHost`] owns everything one process needs to participate: its fabric
 //! host handle and registered mailbox region, its linker namespace with loaded rieds,
-//! the persistent jam address space holding ried data objects, the Local Function
-//! library built from the installed package, and the reactive mailbox banks.
+//! one address space per receiver shard holding that shard's instances of the ried
+//! data objects, the Local Function library built from the installed package, and
+//! the reactive mailbox banks.
 //!
 //! A [`TwoChainsSender`] is the initiator-side object: it packs frames (patching in
 //! the GOT image the receiver exported during setup) and pushes them with one
@@ -47,11 +48,10 @@
 //!            Arc-shared read-only segment base (lock-free reads)
 //!            shared striped: L3/LLC/DRAM simulation (per-stripe locks,
 //!            reached only on private L1/L2 misses)
-//!            shared mutable (Mutex): the *exclusive* jam AddressSpace —
-//!            every execution serialises here in SpaceMode::Exclusive;
-//!            in SpaceMode::ShardLocal only jams that declare cross-shard
-//!            writes do, and everything else executes lock-free against
-//!            the shard's own segments
+//!            per shard, no lock: every execution runs in the shard's own
+//!            ShardSpace — its instances of the writable ried objects
+//!            over the shared read-only base; no writable ried state is
+//!            shared between shards
 //! ```
 //!
 //! * `injection_cache` (crate-internal module) — owns the three content-addressed
@@ -91,11 +91,9 @@
 //! 4. **Resolve image** — the GOT and the executable image, through the
 //!    injection caches for an Injected frame or the Local Function library
 //!    otherwise.
-//! 5. **Execute** — the address space is picked once
-//!    ([`SpaceMode`](crate::config::SpaceMode)), the frame's sections are
-//!    given to it as fresh copies, the image runs. The shard's own space
-//!    keeps them mapped until the frame's dispatch returns; the exclusive
-//!    space unmaps them before its lock is released.
+//! 5. **Execute** — the frame's sections are given to the shard's own space
+//!    as fresh copies and the image runs there, with no lock. The space
+//!    keeps them mapped until the frame's dispatch returns.
 //! 6. **Continue chain** — each continuation stage is stage 5 again, with the
 //!    per-chain context cell carrying the running result: the frame's
 //!    sections are refilled with the bytes that arrived, not mapped again.

@@ -3,14 +3,13 @@
 //! A [`ReceiverShard`] is the per-invocation-stream state of the sharded receive
 //! path: its own scratch buffer (frames are parsed by borrow, never copied), its
 //! own [`RuntimeStats`], its own **per-core cache bus** (the private L1/L2 the
-//! shard's drain thread charges through, lock-free), its own **shard-local
-//! address space** (per-message ARGS/USR plus private instances of writable
-//! ried objects, used in [`SpaceMode::ShardLocal`](crate::config::SpaceMode)),
-//! and an `Arc` handle to the shared
+//! shard's drain thread charges through, lock-free), its own **address space**
+//! (per-message ARGS/USR plus its private instances of the writable ried
+//! objects, over the read-only base every shard shares — every execution runs
+//! here, with no lock), and an `Arc` handle to the shared
 //! [`InjectionCache`](super::injection_cache::InjectionCache). Everything heavy —
-//! the linker namespace, the Local Function library, the mailbox banks, the
-//! exclusive jam address space — stays in the host and is reached read-mostly
-//! (or through a lock, for the exclusive space), so shards never contend on
+//! the linker namespace, the Local Function library, the mailbox banks — stays
+//! in the host and is reached read-mostly, so shards never contend on
 //! per-message state.
 //!
 //! Bank ownership is deterministic: shard `s` of `S` owns exactly the banks with
@@ -20,7 +19,7 @@
 //! [`TwoChainsHost::shard_drains`](super::TwoChainsHost::shard_drains): one
 //! `&mut ReceiverShard` plus a shared `&` to the host internals. The borrows are
 //! disjoint per shard and every shared structure is sync (atomics-backed mailbox
-//! region, striped cache levels, `Mutex`ed exclusive space and caches), so the
+//! region, striped cache levels, the `Mutex`ed injection caches), so the
 //! drains can be moved to OS threads and drained in parallel — the bench
 //! crate's multi-threaded drain driver does exactly that with
 //! `std::thread::scope`.

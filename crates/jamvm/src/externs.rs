@@ -17,7 +17,8 @@ use crate::memory::JamSpace;
 /// receiver-side work (hash-table probes, copies into the heap) is charged like any
 /// other memory traffic.
 pub struct ExternCtx<'a> {
-    /// The address space of the executing jam (exclusive or per-shard view).
+    /// The address space of the executing jam: in the receiver, the draining
+    /// shard's own view.
     pub space: &'a mut dyn JamSpace,
     /// The memory hierarchy to charge accesses against.
     pub bus: &'a mut dyn MemoryBus,

@@ -9,14 +9,13 @@
 //!
 //! # The read-mostly / per-shard split
 //!
-//! [`AddressSpace`] is the plain, exclusively-owned form: one process, one set of
-//! segments, `&mut` everywhere. Putting a host's single `AddressSpace` behind one
-//! mutex for the whole map → execute → unmap window serialises every receiver shard
-//! on every message, which is the second wall-clock ceiling of the multi-shard
-//! drain (next to the cache-hierarchy lock).
+//! [`AddressSpace`] is the plain, exclusively-owned form: one set of segments,
+//! `&mut` everywhere. Putting one `AddressSpace` behind a mutex for every
+//! receiver shard would serialise the shards on every message for the whole
+//! map → execute → unmap window.
 //!
-//! [`ShardSpace`] is the read-mostly execution view that removes that lock for
-//! read-only and shard-local handlers. It layers two spaces:
+//! [`ShardSpace`] is the read-mostly execution view every receiver shard runs
+//! its jams in, with no lock. It layers two spaces:
 //!
 //! * **`local`** — segments this shard owns exclusively: the per-message ARGS/USR
 //!   sections and the shard's private scratch/heap instances. Mapped, written and
@@ -27,13 +26,13 @@
 //!   a write to a `shared_ro` address faults with [`MemFault::ReadOnly`].
 //!
 //! Lookup order is local first, then shared — a shard-local mapping shadows a
-//! shared name, which is exactly how per-shard heap instances get resolved by the
-//! same symbolic names the exclusive path uses. Handlers that *declare* cross-shard
-//! writes do not use a `ShardSpace` at all: the runtime routes them to the single
-//! exclusive `AddressSpace` under its mutex, the correctness fallback.
+//! shared name. No writable segment is shared: each shard holds its own
+//! instance of every writable ried object, and a jam cannot reach another
+//! shard's.
 //!
 //! The [`JamSpace`] trait is the VM- and extern-facing abstraction both forms
-//! implement, so the interpreter is agnostic about which mode a message runs in.
+//! implement, so the engines run against a plain `AddressSpace` in tests and
+//! against a `ShardSpace` in the receiver.
 //!
 //! # Names are scanned, message segments are recycled
 //!
@@ -414,7 +413,7 @@ impl SegmentMeta {
 
 /// What the VM and extern functions need from an address space. Implemented by
 /// the exclusively-owned [`AddressSpace`] and by the read-mostly per-shard
-/// [`ShardSpace`], so the same interpreter serves both execution modes.
+/// [`ShardSpace`], so the same engines run against either.
 pub trait JamSpace {
     /// Read a little-endian scalar of `width` bytes, zero-extended to u64.
     fn read_scalar(&self, addr: u64, width: usize) -> Result<u64, MemFault>;
@@ -526,7 +525,10 @@ impl JamSpace for ShardSpace {
         }
     }
 
-    #[inline]
+    // Always inlined, like `read_scalar`: the resolved executor is compiled
+    // against this type alone, and a store it calls out of line changes the
+    // code of the whole loop around it.
+    #[inline(always)]
     fn write_scalar(&mut self, addr: u64, value: u64, width: usize) -> Result<(), MemFault> {
         match self.local.write_scalar(addr, value, width) {
             Err(MemFault::Unmapped { .. }) => Err(self.shared_write_fault(addr, width)),

@@ -5,7 +5,7 @@
 //! `tests/wrapping_address.rs`) compare that engine against, so its job is to
 //! be the plain, instruction-at-a-time statement of the semantics.
 //!
-//! [`Vm::execute`] runs verified bytecode against a [`JamSpace`] (the exclusive
+//! [`Vm::execute`] runs verified bytecode against a [`JamSpace`] (a plain
 //! [`crate::memory::AddressSpace`] or a per-shard
 //! [`crate::memory::ShardSpace`] view), an
 //! [`ExternTable`] and a [`GotImage`], charging every instruction fetch and every

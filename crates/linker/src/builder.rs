@@ -37,9 +37,6 @@ pub struct JamDefinition {
     pub args_size: usize,
     /// If set, pad `.text` with `Nop`s to exactly this many bytes.
     pub pad_text_to: Option<usize>,
-    /// Whether this jam declares writes to cross-shard (process-global
-    /// writable) state — see [`JamObject::cross_shard_writes`].
-    pub cross_shard_writes: bool,
 }
 
 impl JamDefinition {
@@ -52,7 +49,6 @@ impl JamDefinition {
             rodata: Vec::new(),
             args_size: 0,
             pad_text_to: None,
-            cross_shard_writes: false,
         }
     }
 
@@ -71,14 +67,6 @@ impl JamDefinition {
     /// Request `.text` padding to `n` bytes.
     pub fn padded_to(mut self, n: usize) -> Self {
         self.pad_text_to = Some(n);
-        self
-    }
-
-    /// Declare that this jam writes cross-shard (process-global) state, so a
-    /// sharded receiver in shard-local space mode executes it under the
-    /// exclusive address-space lock instead of the lock-free per-shard path.
-    pub fn with_cross_shard_writes(mut self) -> Self {
-        self.cross_shard_writes = true;
         self
     }
 }
@@ -150,10 +138,7 @@ impl PackageBuilder {
                 None => def.program,
             };
             let text = encode_program(&program);
-            let mut obj = JamObject::new(&def.name, text, def.rodata, def.got, def.args_size)?;
-            if def.cross_shard_writes {
-                obj = obj.with_cross_shard_writes();
-            }
+            let obj = JamObject::new(&def.name, text, def.rodata, def.got, def.args_size)?;
             pkg.add(PackageElement::Jam(obj))?;
         }
         Ok(pkg)

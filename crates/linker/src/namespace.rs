@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use twochains_jamvm::{AddressSpace, ExternRef, ExternTable, GotImage, Segment};
+use twochains_jamvm::{ExternRef, ExternTable, GotImage};
 
 use crate::error::LinkError;
 use crate::ried::Ried;
@@ -31,7 +31,6 @@ struct DataBinding {
     writable: bool,
     kind: twochains_jamvm::SegmentKind,
     init: Vec<u8>,
-    mapped: bool,
 }
 
 /// A per-process symbol namespace.
@@ -109,7 +108,6 @@ impl LinkerNamespace {
                     writable: d.writable,
                     kind: d.kind,
                     init: d.init.clone(),
-                    mapped: false,
                 },
             );
         }
@@ -166,32 +164,6 @@ impl LinkerNamespace {
         Ok(image)
     }
 
-    /// Map every not-yet-mapped ried data object into `space` (the receiver's
-    /// persistent jam address space). Idempotent.
-    pub fn map_data_segments(&mut self, space: &mut AddressSpace) -> Result<(), LinkError> {
-        let mut names: Vec<_> = self
-            .data
-            .iter()
-            .filter(|(_, d)| !d.mapped)
-            .map(|(n, _)| n.clone())
-            .collect();
-        names.sort();
-        for name in names {
-            let d = self.data.get(&name).unwrap().clone();
-            space
-                .map(Segment::new(
-                    &name,
-                    d.addr,
-                    d.init.clone(),
-                    d.writable,
-                    d.kind,
-                ))
-                .map_err(|e| LinkError::InvalidDefinition(e.to_string()))?;
-            self.data.get_mut(&name).unwrap().mapped = true;
-        }
-        Ok(())
-    }
-
     /// The address bound to a data symbol, if any (useful for tests and examples that
     /// want to inspect receiver state after executions).
     pub fn data_addr(&self, name: &str) -> Option<u64> {
@@ -200,10 +172,8 @@ impl LinkerNamespace {
 
     /// Every data object bound in this namespace, in address order, with its
     /// *initial* contents. The sharded receive path uses this to build the
-    /// `Arc`-shared read-only base (non-writable objects) and the per-shard
-    /// heap instances (writable objects) without going through the exclusive
-    /// address space; `mapped` state is not consulted, so this is safe to call
-    /// after [`LinkerNamespace::map_data_segments`].
+    /// `Arc`-shared read-only base (non-writable objects) and each shard's
+    /// instances of the writable objects.
     pub fn data_objects(&self) -> Vec<DataObject> {
         let mut out: Vec<DataObject> = self
             .data
@@ -338,18 +308,6 @@ mod tests {
             ns.resolve_got(&[SymbolRef::data("table.put")]),
             Err(LinkError::SymbolKindMismatch(_))
         ));
-    }
-
-    #[test]
-    fn data_segments_map_once() {
-        let mut ns = LinkerNamespace::new();
-        ns.load_ried(&table_ried(), false).unwrap();
-        let mut space = AddressSpace::new();
-        ns.map_data_segments(&mut space).unwrap();
-        assert!(space.segment("table.base").is_some());
-        // Idempotent: calling again does not try to re-map.
-        ns.map_data_segments(&mut space).unwrap();
-        assert_eq!(space.len(), 1);
     }
 
     #[test]

@@ -13,9 +13,13 @@ use twochains_jamvm::{decode_program, encode_program, verify, Instr, Program};
 use crate::error::LinkError;
 use crate::symbol::SymbolRef;
 
-/// Magic bytes identifying a serialized jam object ("JAM" + format version 2,
-/// which added the cross-shard-writes declaration byte).
-pub const JAM_MAGIC: [u8; 4] = *b"JAM\x02";
+/// The object format version. Version 3 dropped version 2's
+/// cross-shard-writes declaration byte: every shard executes against writable
+/// ried instances of its own, so there is nothing left to declare.
+const JAM_VERSION: u32 = 3;
+
+/// Magic bytes identifying a serialized jam object ("JAM" + format version).
+pub const JAM_MAGIC: [u8; 4] = *b"JAM\x03";
 
 /// A relocatable, injectable function object.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,11 +34,6 @@ pub struct JamObject {
     pub got: Vec<SymbolRef>,
     /// Size in bytes of the fixed ARGS block this jam expects in the frame.
     pub args_size: usize,
-    /// Whether this jam declares writes to *cross-shard* (process-global
-    /// writable) state. A sharded receiver running in shard-local space mode
-    /// executes such jams under the exclusive address-space lock; jams without
-    /// the declaration run lock-free against per-shard segments.
-    pub cross_shard_writes: bool,
     /// Object format / ABI version of the producing toolchain.
     pub version: u32,
 }
@@ -57,8 +56,7 @@ impl JamObject {
             rodata,
             got,
             args_size,
-            cross_shard_writes: false,
-            version: 2,
+            version: JAM_VERSION,
         })
     }
 
@@ -71,12 +69,6 @@ impl JamObject {
         args_size: usize,
     ) -> Result<Self, LinkError> {
         Self::new(name, encode_program(program), rodata, got, args_size)
-    }
-
-    /// Declare that this jam writes cross-shard (process-global) state.
-    pub fn with_cross_shard_writes(mut self) -> Self {
-        self.cross_shard_writes = true;
-        self
     }
 
     /// Decode the `.text` back into instructions.
@@ -104,7 +96,6 @@ impl JamObject {
         out.extend_from_slice(&(name.len() as u16).to_le_bytes());
         out.extend_from_slice(name);
         out.extend_from_slice(&(self.args_size as u32).to_le_bytes());
-        out.push(self.cross_shard_writes as u8);
         out.extend_from_slice(&(self.text.len() as u32).to_le_bytes());
         out.extend_from_slice(&self.text);
         out.extend_from_slice(&(self.rodata.len() as u32).to_le_bytes());
@@ -132,7 +123,7 @@ impl JamObject {
             return Err(LinkError::BadObjectFormat(format!("bad magic {magic:?}")));
         }
         let version = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
-        if version != 2 {
+        if version != JAM_VERSION {
             return Err(LinkError::BadObjectFormat(format!(
                 "unsupported version {version}"
             )));
@@ -141,15 +132,6 @@ impl JamObject {
         let name = String::from_utf8(take(&mut pos, name_len)?.to_vec())
             .map_err(|_| LinkError::BadObjectFormat("name not utf8".into()))?;
         let args_size = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-        let cross_shard = match take(&mut pos, 1)?[0] {
-            0 => false,
-            1 => true,
-            other => {
-                return Err(LinkError::BadObjectFormat(format!(
-                    "bad cross-shard flag {other}"
-                )))
-            }
-        };
         let text_len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
         let text = take(&mut pos, text_len)?.to_vec();
         let rodata_len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
@@ -162,12 +144,7 @@ impl JamObject {
             pos += used;
             got.push(sym);
         }
-        let obj = Self::new(&name, text, rodata, got, args_size)?;
-        Ok(if cross_shard {
-            obj.with_cross_shard_writes()
-        } else {
-            obj
-        })
+        Self::new(&name, text, rodata, got, args_size)
     }
 }
 
@@ -232,6 +209,26 @@ mod tests {
         assert!(matches!(
             JamObject::from_bytes(&bytes),
             Err(LinkError::BadObjectFormat(_))
+        ));
+    }
+
+    #[test]
+    fn a_version_2_object_is_refused() {
+        // Version 2 carried a cross-shard-writes byte right after `args_size`.
+        let obj = object();
+        let mut v2 = obj.to_bytes();
+        v2[3] = 2;
+        v2[4..8].copy_from_slice(&2u32.to_le_bytes());
+        v2.insert(4 + 4 + 2 + obj.name.len() + 4, 0);
+        assert!(matches!(
+            JamObject::from_bytes(&v2),
+            Err(LinkError::BadObjectFormat(_))
+        ));
+        // Under the current magic, the version word alone refuses it.
+        v2[..4].copy_from_slice(&JAM_MAGIC);
+        assert!(matches!(
+            JamObject::from_bytes(&v2),
+            Err(LinkError::BadObjectFormat(m)) if m == "unsupported version 2"
         ));
     }
 

@@ -38,7 +38,6 @@ fn main() {
         server_id,
         RuntimeConfig::paper_default()
             .with_shards(num_shards)
-            .with_shard_local_space()
             .with_sender_streams(num_shards),
     )
     .expect("server");

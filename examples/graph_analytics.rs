@@ -108,8 +108,10 @@ fn main() {
 
     // Same pipeline, same answers, same aggregate state next to the data.
     assert_eq!(seq_results, chain_results, "schedules must be result-equal");
-    let accum_seq = server_seq.read_data("graph.accum", 0, 16).unwrap();
-    let accum_chain = server_chain.read_data("graph.accum", 0, 16).unwrap();
+    let accum_seq = server_seq.read_shard_data(0, "graph.accum", 0, 16).unwrap();
+    let accum_chain = server_chain
+        .read_shard_data(0, "graph.accum", 0, 16)
+        .unwrap();
     assert_eq!(accum_seq, accum_chain, "aggregate oracles must match");
     let aggregated = u64::from_le_bytes(accum_chain[0..8].try_into().unwrap());
     let weight_sum = u64::from_le_bytes(accum_chain[8..16].try_into().unwrap());

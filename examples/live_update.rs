@@ -80,7 +80,7 @@ fn main() {
 
     // The jam's own result (the sum) is unchanged; what changed is the server-side
     // behaviour behind the fixed symbolic name.
-    let stored = server.read_data("array.base", 8 + 8, 8).unwrap();
+    let stored = server.read_shard_data(0, "array.base", 8 + 8, 8).unwrap();
     let stored = u64::from_le_bytes(stored.try_into().unwrap());
     println!("value stored by updated append: {stored}");
     assert_eq!(before, 1200);

@@ -71,7 +71,9 @@ fn main() {
     println!("handler time      : {}", out.handler_time);
 
     // 6. The result was appended to the server-side array exported by `ried_array`.
-    let slot0 = server.read_data("array.base", 8, 8).expect("server array");
+    let slot0 = server
+        .read_shard_data(0, "array.base", 8, 8)
+        .expect("server array");
     println!(
         "server array[0]   : {}",
         u64::from_le_bytes(slot0.try_into().unwrap())

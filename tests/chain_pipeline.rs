@@ -11,9 +11,8 @@
 //! A frame's sections are mapped once and refilled for each later stage, so
 //! stages that write over their views must still be isolated from each other:
 //! a package of such stages, on a host of its own, checks that every stage
-//! reads the bytes that arrived, that a failing stage leaves no section
-//! mapped, and that a stage on the exclusive space between two shard-local
-//! ones changes nothing either.
+//! reads the bytes that arrived, and that a failing stage leaves no section
+//! mapped.
 
 mod support;
 
@@ -22,12 +21,12 @@ use proptest::prelude::*;
 use support::{fleet_config, fleet_testbed, testbed, wire, FleetBed};
 use two_chains_suite::jamvm::isa::{hash64, Width};
 use two_chains_suite::jamvm::{Assembler, Instr, Reg};
-use two_chains_suite::linker::{JamDefinition, Package, PackageBuilder, SymbolRef};
+use two_chains_suite::linker::{JamDefinition, Package, PackageBuilder};
 use two_chains_suite::memsim::SimTime;
 use twochains::builtin::{graph_args, ried_array, BuiltinJam};
 use twochains::{
     spec, AmError, AmResult, ChainArgMap, ElementId, MessageSpec, RuntimeConfig, SenderFleet,
-    SpaceMode, TwoChainsHost,
+    TwoChainsHost,
 };
 
 const SHARDS: usize = 2;
@@ -44,6 +43,14 @@ fn graph_elems(host: &TwoChainsHost) -> [ElementId; 3] {
         host.builtin_id(BuiltinJam::GraphFilter).unwrap(),
         host.builtin_id(BuiltinJam::GraphAggregate).unwrap(),
     ]
+}
+
+/// Every shard's `graph.accum`, shard by shard: each shard aggregates the
+/// items of the banks it drains into an instance of its own.
+fn accum(host: &TwoChainsHost) -> Vec<u8> {
+    (0..host.num_shards())
+        .flat_map(|shard| host.read_shard_data(shard, "graph.accum", 0, 16).unwrap())
+        .collect()
 }
 
 /// The per-item key: deterministic in (bank, slot) so both schedules process
@@ -79,7 +86,7 @@ fn run_chained_fleet() -> (Vec<u64>, Vec<u8>, TwoChainsHost) {
         results.extend(out.frames.iter().map(|f| f.outcome.result));
     }
     fleet.harvest_completions();
-    let accum = host.read_data("graph.accum", 0, 16).unwrap();
+    let accum = accum(&host);
     (results, accum, host)
 }
 
@@ -114,7 +121,7 @@ fn run_sequential_fleet() -> (Vec<u64>, Vec<u8>, TwoChainsHost) {
         }
     }
     fleet.harvest_completions();
-    let accum = host.read_data("graph.accum", 0, 16).unwrap();
+    let accum = accum(&host);
     (results, accum, host)
 }
 
@@ -132,6 +139,10 @@ fn chained_fleet_matches_sequential_sends() {
     // Same aggregate-oracle state: every contribution landed exactly once
     // under both schedules.
     assert_eq!(chain_accum, seq_accum, "graph.accum oracles diverge");
+    assert!(
+        chain_accum.chunks(16).all(|shard| shard != [0; 16]),
+        "every shard aggregated: {chain_accum:?}"
+    );
 
     // Same work, N-fold fewer frames.
     let (c, s) = (chain_host.stats(), seq_host.stats());
@@ -168,7 +179,7 @@ fn run_stage_walk_chained(stages: &[ElementId], key: u64) -> (u64, Vec<u8>) {
     let out = host
         .receive(0, 0, Some(sent.wire_bytes), sent.delivered(), SimTime::ZERO)
         .unwrap();
-    let accum = host.read_data("graph.accum", 0, 16).unwrap();
+    let accum = accum(&host);
     assert_eq!(host.stats().executions, stages.len() as u64);
     assert_eq!(
         host.stats().chain_stages_executed,
@@ -188,7 +199,7 @@ fn run_stage_walk_sequential(stages: &[ElementId], key: u64) -> (u64, Vec<u8>) {
             .unwrap();
         carried = out.result;
     }
-    let accum = host.read_data("graph.accum", 0, 16).unwrap();
+    let accum = accum(&host);
     assert_eq!(host.stats().messages_received, stages.len() as u64);
     assert_eq!(host.stats().chain_frames, 0);
     (carried, accum)
@@ -244,12 +255,11 @@ const U: u64 = 0xFEDC_BA98_7654_3210;
 
 /// A stage that reads the words at `[r0]` and `[r1]`, scribbles over both,
 /// reads them back and returns [`scribbled`] of what it read (plus what it
-/// read back less the scribble: zero) — after appending that to the
-/// process-wide array through GOT slot 0 when `append`. As a primary or a
-/// standalone send `[r0]` is ARGS and `[r1]` USR; a continuation stage
-/// under the `Result` map gets the context cell and USR, under `KeepArgs`
-/// ARGS and the context cell.
-fn scribbling_stage(append: bool) -> Vec<Instr> {
+/// read back less the scribble: zero). As a primary or a standalone send
+/// `[r0]` is ARGS and `[r1]` USR; a continuation stage under the `Result`
+/// map gets the context cell and USR, under `KeepArgs` ARGS and the context
+/// cell.
+fn scribbling_stage() -> Vec<Instr> {
     let mut a = Assembler::new();
     a.load(Width::B8, Reg(3), Reg(0), 0)
         .load(Width::B8, Reg(4), Reg(1), 0)
@@ -263,9 +273,6 @@ fn scribbling_stage(append: bool) -> Vec<Instr> {
         a.load(Width::B8, Reg(7), view, 0)
             .sub(Reg(7), Reg(7), Reg(6))
             .add(Reg(5), Reg(5), Reg(7));
-    }
-    if append {
-        a.mov(Reg(0), Reg(5)).call_extern(0, 1);
     }
     a.mov(Reg(0), Reg(5)).ret();
     a.finish().unwrap()
@@ -289,35 +296,29 @@ fn faulting_stage() -> Vec<Instr> {
     a.finish().unwrap()
 }
 
-/// The isolation package: the scribbling stage, the same stage declaring
-/// cross-shard writes (it appends to `array.base`), and the faulting one.
+/// The isolation package: the scribbling stage and the faulting one, next to
+/// the array ried, whose objects are what a shard's space holds between
+/// frames.
 fn isolation_package() -> Package {
     let jam = |name: &str, program| JamDefinition::new(name, program).with_args_size(8);
     PackageBuilder::new("isolation")
         .ried(ried_array())
-        .jam(jam("iso_stage", scribbling_stage(false)))
-        .jam(
-            jam("iso_cross", scribbling_stage(true))
-                .with_got(vec![SymbolRef::func("array.append")])
-                .with_cross_shard_writes(),
-        )
+        .jam(jam("iso_stage", scribbling_stage()))
         .jam(jam("iso_fault", faulting_stage()))
         .build()
         .unwrap()
 }
 
-/// A one-shard host in `space` with the isolation package, a fleet connected
-/// to it, and the package's `[stage, cross, fault]` elements.
-fn isolation_bed(space: SpaceMode) -> (FleetBed, [ElementId; 3]) {
+/// A one-shard host with the isolation package, a fleet connected to it, and
+/// the package's `[stage, fault]` elements.
+fn isolation_bed() -> (FleetBed, [ElementId; 2]) {
     let wire = wire();
-    let mut cfg = fleet_config(1);
-    cfg.space_mode = space;
-    let mut host = TwoChainsHost::new(&wire.fabric, wire.b, cfg).unwrap();
+    let mut host = TwoChainsHost::new(&wire.fabric, wire.b, fleet_config(1)).unwrap();
     host.install_package(isolation_package()).unwrap();
     let fleet =
         SenderFleet::connect_fleet(&wire.fabric, wire.a, &mut host, isolation_package()).unwrap();
     let id = |name| host.package().unwrap().id_of(name).unwrap();
-    let elems = [id("iso_stage"), id("iso_cross"), id("iso_fault")];
+    let elems = [id("iso_stage"), id("iso_fault")];
     (FleetBed { wire, host, fleet }, elems)
 }
 
@@ -345,100 +346,64 @@ fn exchange(bed: &mut FleetBed, msg: &MessageSpec) -> AmResult<u64> {
 
 /// Every stage of a three-stage chain reads the frame's ARGS and USR as they
 /// arrived and the running result in the context cell, although every stage
-/// before it wrote over all three: under each pair of maps, in both space
-/// modes, and again for a second frame built in the first one's sections.
+/// before it wrote over all three: under each pair of maps, and again for a
+/// second frame built in the first one's sections.
 #[test]
 fn every_chained_stage_sees_the_frames_bytes_and_the_running_result() {
     use ChainArgMap::{KeepArgs, Result};
-    for space in [SpaceMode::Exclusive, SpaceMode::ShardLocal] {
-        for maps in [
-            [Result, Result],
-            [KeepArgs, KeepArgs],
-            [Result, KeepArgs],
-            [KeepArgs, Result],
-        ] {
-            let (mut bed, [stage, ..]) = isolation_bed(space);
-            let msg = isolation_spec(stage, A, &maps.map(|map| (stage, map)));
-            let want = maps.iter().fold(scribbled(A, U), |r, map| match map {
-                Result => scribbled(r, U),
-                KeepArgs => scribbled(A, r),
-            });
-            for frame in 0..2 {
-                let got = exchange(&mut bed, &msg).unwrap();
-                assert_eq!(got, want, "{space:?} {maps:?} frame {frame}");
-            }
-            assert_eq!(bed.host.stats().executions, 6);
+    for maps in [
+        [Result, Result],
+        [KeepArgs, KeepArgs],
+        [Result, KeepArgs],
+        [KeepArgs, Result],
+    ] {
+        let (mut bed, [stage, _]) = isolation_bed();
+        let msg = isolation_spec(stage, A, &maps.map(|map| (stage, map)));
+        let want = maps.iter().fold(scribbled(A, U), |r, map| match map {
+            Result => scribbled(r, U),
+            KeepArgs => scribbled(A, r),
+        });
+        for frame in 0..2 {
+            let got = exchange(&mut bed, &msg).unwrap();
+            assert_eq!(got, want, "{maps:?} frame {frame}");
         }
+        assert_eq!(bed.host.stats().executions, 6);
     }
 }
 
 /// A chain whose second stage is an element nobody installed, or a jam that
 /// faults after scribbling over its sections, retires as one rejection with
-/// one credit. Neither space keeps a section of it, and the next frame runs.
+/// one credit. The shard's space keeps no section of it, and the next frame
+/// runs.
 #[test]
 fn a_chain_failing_at_its_second_stage_retires_once_and_leaves_only_persistent_segments() {
-    for space in [SpaceMode::Exclusive, SpaceMode::ShardLocal] {
-        for unknown in [true, false] {
-            let (mut bed, [stage, _, fault]) = isolation_bed(space);
-            let second = if unknown { ElementId(999) } else { fault };
-            let what = format!("{space:?}, unknown element {unknown}");
-            let good = isolation_spec(stage, A, &[(stage, ChainArgMap::Result); 2]);
-            let want = exchange(&mut bed, &good).unwrap();
-            let persistent = |host: &TwoChainsHost| {
-                [Some(0), None].map(|space| host.mapped_segments(space).unwrap())
-            };
-            let before = persistent(&bed.host);
-            assert!(
-                before
-                    .iter()
-                    .flatten()
-                    .all(|name| name.starts_with("array.")),
-                "{what}: {before:?}"
-            );
-            let bad = isolation_spec(
-                stage,
-                A,
-                &[(second, ChainArgMap::Result), (stage, ChainArgMap::Result)],
-            );
-            match exchange(&mut bed, &bad) {
-                Err(AmError::ChainStageFailed { stage: 0, .. }) => {}
-                other => panic!("{what}: {other:?}"),
-            }
-            let stats = bed.host.stats();
-            assert_eq!(stats.frames_rejected, 1, "{what}");
-            assert_eq!(stats.credits_returned, 2, "{what}: one credit a frame");
-            assert_eq!(stats.chain_frames, 1, "{what}");
-            assert_eq!(persistent(&bed.host), before, "{what}");
-            assert_eq!(exchange(&mut bed, &good).unwrap(), want, "{what}");
+    for unknown in [true, false] {
+        let (mut bed, [stage, fault]) = isolation_bed();
+        let second = if unknown { ElementId(999) } else { fault };
+        let what = format!("unknown element {unknown}");
+        let good = isolation_spec(stage, A, &[(stage, ChainArgMap::Result); 2]);
+        let want = exchange(&mut bed, &good).unwrap();
+        let persistent = |host: &TwoChainsHost| host.mapped_segments(0).unwrap();
+        let before = persistent(&bed.host);
+        assert!(
+            before.iter().all(|name| name.starts_with("array.")),
+            "{what}: {before:?}"
+        );
+        let bad = isolation_spec(
+            stage,
+            A,
+            &[(second, ChainArgMap::Result), (stage, ChainArgMap::Result)],
+        );
+        match exchange(&mut bed, &bad) {
+            Err(AmError::ChainStageFailed { stage: 0, .. }) => {}
+            other => panic!("{what}: {other:?}"),
         }
-    }
-}
-
-/// Lookup-shaped stages over the context cell and USR, the middle one
-/// declaring cross-shard writes: in shard-local mode the chain runs shard
-/// local → exclusive → shard local, and reads what the same stages sent as
-/// one message each read, results and the canonical array alike.
-#[test]
-fn an_exclusive_stage_between_two_shard_local_ones_matches_one_message_per_stage() {
-    let (mut chained, [stage, cross, _]) = isolation_bed(SpaceMode::ShardLocal);
-    let (mut sequential, _) = isolation_bed(SpaceMode::ShardLocal);
-    for item in [A, !A] {
-        let walk = [(cross, ChainArgMap::Result), (stage, ChainArgMap::Result)];
-        let got = exchange(&mut chained, &isolation_spec(stage, item, &walk)).unwrap();
-        let mut carried = item;
-        for elem in [stage, cross, stage] {
-            carried = exchange(&mut sequential, &isolation_spec(elem, carried, &[])).unwrap();
-        }
-        assert_eq!(got, carried, "item {item:#x}");
-        let twice = scribbled(scribbled(item, U), U);
-        assert_eq!(got, scribbled(twice, U));
-    }
-    let array = |bed: &FleetBed| bed.host.read_data("array.base", 0, 24).unwrap();
-    assert_eq!(array(&chained), array(&sequential));
-    assert_eq!(array(&chained)[..8], 2u64.to_le_bytes(), "two appends");
-    for bed in [&chained, &sequential] {
-        let shard = bed.host.read_shard_data(0, "array.base", 0, 8).unwrap();
-        assert_eq!(shard, [0; 8], "no shard instance was written");
+        let stats = bed.host.stats();
+        assert_eq!(stats.frames_rejected, 1, "{what}");
+        assert_eq!(stats.credits_returned, 2, "{what}: one credit a frame");
+        assert_eq!(stats.chain_frames, 1, "{what}");
+        assert_eq!(persistent(&bed.host), before, "{what}");
+        assert_eq!(exchange(&mut bed, &good).unwrap(), want, "{what}");
     }
 }
 

@@ -1,17 +1,22 @@
 //! The whole configuration matrix, not its corners.
 //!
-//! `RuntimeConfig` keeps two policy knobs — `aggregation_policy` and
-//! `space_mode` — and each of the pairwise suites (`frame_aggregation`,
-//! `stress_parallel`) holds one of them against its reference with the other
-//! at a fixed value. A policy may change *when* something happens and what it
-//! costs in virtual time; it may never change what a message computes, how
-//! many frames retire, or how many credits the sender can observe. This suite
-//! runs every combination of the two (4) under both security presets, one and
-//! two shards and four traffic shapes (16 classes), on the deterministic phased schedule (fill every slot,
-//! drain, twice), and asserts that within a class every combination observes
-//! the same results, the same receiver and sender counters and the same
-//! sender-side token census — and that every retired frame minted exactly one
-//! token the sender can see.
+//! `RuntimeConfig` keeps one policy knob, `aggregation_policy`, and
+//! `frame_aggregation` holds it against its reference on one traffic shape.
+//! A policy may change *when* something happens and what it costs in virtual
+//! time; it may never change what a message computes, what it leaves in the
+//! server's state, how many frames retire, or how many credits the sender can
+//! observe. This suite runs both settings under both security presets, one
+//! and two shards and four traffic shapes (16 classes), on the deterministic
+//! phased schedule (fill every slot, drain, twice), and asserts that within a
+//! class every combination observes the same results, the same receiver and
+//! sender counters, the same writable ried instances on every shard and the
+//! same sender-side token census — and that every retired frame minted
+//! exactly one token the sender can see.
+//!
+//! The ried instances are read through `read_shard_data`: `graph.accum`'s 16
+//! bytes and `array.base`'s count word exactly, and `array.base`'s filled
+//! slots as a sorted multiset, because the order a shard appends in is
+//! timing, not result.
 //!
 //! A failure names the class, the combination and the first field that
 //! differs from the class's first combination: a policy changed something
@@ -23,8 +28,7 @@ use support::{fleet_config, fleet_testbed, token_census, FleetBed};
 use two_chains_suite::memsim::SimTime;
 use twochains::builtin::{graph_args, ssum_args, BuiltinJam};
 use twochains::{
-    spec, ElementId, InvocationMode, RuntimeConfig, SecurityPolicy, SenderFleet, SpaceMode,
-    TwoChainsHost,
+    spec, ElementId, InvocationMode, RuntimeConfig, SecurityPolicy, SenderFleet, TwoChainsHost,
 };
 
 /// Fills per slot. The first round's bursts are capped at [`CAP`] mailboxes,
@@ -56,26 +60,49 @@ const TRAFFIC: [Traffic; 4] = [
     Traffic::ChainsWithBogusStage,
 ];
 
-/// Every combination of the policy knobs, labelled by what it sets.
+/// Every setting of the policy knob, labelled by what it sets.
 fn combinations(shards: usize, security: SecurityPolicy) -> Vec<(String, RuntimeConfig)> {
     let mut base = fleet_config(shards);
     base.security = security;
-    let mut all = Vec::new();
-    for per_frame in [false, true] {
-        for space_mode in [SpaceMode::Exclusive, SpaceMode::ShardLocal] {
-            let mut cfg = base.clone();
-            if per_frame {
-                cfg = cfg.with_per_frame_aggregation();
-            }
-            cfg.space_mode = space_mode;
-            let label = format!(
-                "{:?} aggregation, {:?} space",
-                cfg.aggregation_policy, cfg.space_mode
-            );
-            all.push((label, cfg));
-        }
+    [base.clone(), base.with_per_frame_aggregation()]
+        .map(|cfg| (format!("{:?} aggregation", cfg.aggregation_policy), cfg))
+        .into()
+}
+
+/// Every shard's writable ried instances as named values: `graph.accum`'s
+/// two words and `array.base`'s count word as they are, `array.base`'s
+/// filled slots sorted.
+fn server_state(host: &TwoChainsHost) -> Vec<(String, u64)> {
+    let words = |shard, symbol, offset, count: u64| {
+        let bytes = host
+            .read_shard_data(shard, symbol, offset, count as usize * 8)
+            .unwrap();
+        bytes
+            .chunks(8)
+            .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+            .collect::<Vec<_>>()
+    };
+    let mut state = Vec::new();
+    for shard in 0..host.num_shards() {
+        let accum = words(shard, "graph.accum", 0, 2);
+        let count = words(shard, "array.base", 0, 1)[0];
+        let mut slots = words(shard, "array.base", 8, count);
+        slots.sort_unstable();
+        state.extend(
+            accum
+                .iter()
+                .enumerate()
+                .map(|(i, w)| (format!("shard {shard} graph.accum word {i}"), *w)),
+        );
+        state.push((format!("shard {shard} array.base count"), count));
+        state.extend(
+            slots
+                .iter()
+                .enumerate()
+                .map(|(i, w)| (format!("shard {shard} array.base slots[{i}] (sorted)"), *w)),
+        );
     }
-    all
+    state
 }
 
 /// A value distinct per (bank, slot, round), so a result names its message.
@@ -198,6 +225,7 @@ fn observe(what: &str, cfg: RuntimeConfig, traffic: Traffic) -> Vec<(String, u64
             .enumerate()
             .map(|(i, r)| (format!("results[{i}] (sorted)"), *r)),
     );
+    seen.extend(server_state(&host));
     seen
 }
 
@@ -217,12 +245,18 @@ fn every_policy_combination_observes_the_same_run() {
                     let seen = observe(&what, cfg, traffic);
                     let Some((first, expected)) = &reference else {
                         // The class must do something: every frame retires,
-                        // and all but the bogus chains execute.
+                        // all but the bogus chains execute, and their writes
+                        // land in the shards' ried instances.
                         let retired = seen[ROUNDS as usize - 1].1;
                         assert_eq!(
                             retired,
                             ROUNDS * 64,
                             "{what}: `retired` short of every slot"
+                        );
+                        assert!(
+                            seen.iter()
+                                .any(|(name, v)| name.starts_with("shard ") && *v != 0),
+                            "{what}: the run wrote no ried instance"
                         );
                         reference = Some((combination, seen));
                         continue;

@@ -38,7 +38,7 @@ fn injected_and_local_agree_across_many_messages() {
     // The server-side array recorded every sum in arrival order.
     let word = |at: usize| {
         u64::from_le_bytes(
-            rx.read_data("array.base", at, 8)
+            rx.read_shard_data(0, "array.base", at, 8)
                 .unwrap()
                 .try_into()
                 .unwrap(),

@@ -400,16 +400,15 @@ fn assert_trace(name: &str, actual: &str, golden: &str) {
     }
 }
 
-#[test]
-fn exclusive_space_trace_matches_the_golden() {
-    assert_trace("exclusive", &run_scenario(base_config()), GOLDEN_EXCLUSIVE);
-}
-
+/// The shard's own address space: the only one a host has. (The name, and
+/// the goldens' `_shard_local` suffix, date from when a host could also run
+/// in one process-global space; that trace differed in the results that are
+/// addresses into a ried object.)
 #[test]
 fn shard_local_space_trace_matches_the_golden() {
     assert_trace(
         "shard-local",
-        &run_scenario(base_config().with_shard_local_space()),
+        &run_scenario(base_config()),
         GOLDEN_SHARD_LOCAL,
     );
 }
@@ -417,26 +416,15 @@ fn shard_local_space_trace_matches_the_golden() {
 /// A completion window of 4: the headroom watermark fires while the 8-frame
 /// container's inner frames retire, so this is the one trace in which a
 /// credit flush is posted between two inner frames of a container — charged
-/// to `credit_put_time` (19 flushes against the exclusive trace's 16), never
+/// to `credit_put_time` (19 flushes against the wide window's 16), never
 /// delaying the next inner frame, whose times were final before any retired.
 #[test]
 fn narrow_window_trace_matches_the_golden() {
     let mut cfg = base_config();
     cfg.completion_window = 4;
-    assert_trace(
-        "narrow window",
-        &run_scenario(cfg.clone()),
-        GOLDEN_NARROW_WINDOW,
-    );
-    assert_trace(
-        "narrow window, shard-local",
-        &run_scenario(cfg.with_shard_local_space()),
-        GOLDEN_NARROW_WINDOW_SHARD_LOCAL,
-    );
+    assert_trace("narrow window", &run_scenario(cfg), GOLDEN_NARROW_WINDOW);
 }
 
-const GOLDEN_EXCLUSIVE: &str = include_str!("golden/receive_trace_exclusive.txt");
 const GOLDEN_SHARD_LOCAL: &str = include_str!("golden/receive_trace_shard_local.txt");
-const GOLDEN_NARROW_WINDOW: &str = include_str!("golden/receive_trace_narrow_window.txt");
-const GOLDEN_NARROW_WINDOW_SHARD_LOCAL: &str =
+const GOLDEN_NARROW_WINDOW: &str =
     include_str!("golden/receive_trace_narrow_window_shard_local.txt");

@@ -8,13 +8,10 @@ mod support;
 
 use support::{foreign_injected, ints, put, testbed, wire};
 use two_chains_suite::jamvm::isa::Width;
-use two_chains_suite::jamvm::{encode_program, ExternRef, GotImage, Instr, Reg};
-use two_chains_suite::linker::{JamDefinition, Package, PackageBuilder, RiedBuilder, SymbolRef};
+use two_chains_suite::jamvm::{encode_program, GotImage, Instr, Reg};
+use two_chains_suite::linker::{Package, RiedBuilder};
 use two_chains_suite::memsim::SimTime;
-use twochains::builtin::{
-    benchmark_package, benchmark_rieds, indirect_put_args, ried_array, ried_table, ssum_args,
-    BuiltinJam,
-};
+use twochains::builtin::{benchmark_package, indirect_put_args, ssum_args, BuiltinJam};
 use twochains::{
     spec, AmError, AmResult, ElementId, Frame, InvocationMode, MessageSpec, ReceiveOutcome,
     RuntimeConfig, SecurityPolicy, TwoChainsHost, TwoChainsSender,
@@ -368,7 +365,7 @@ fn a_cached_program_meeting_another_got_is_floor_checked_and_lowered_again() {
         rx.receive(0, 0, Some(frame.wire_size()), delivered, SimTime::ZERO)
     };
     let first = receive(own.header.sn, own.got.clone()).unwrap().result;
-    assert_eq!(first, 1073885200, "the bucket address of key 2");
+    assert_eq!(first, 2684497936, "the bucket address of key 2");
     let err = receive(own.header.sn + 1, Vec::new()).unwrap_err();
     assert_eq!(
         err,
@@ -491,8 +488,9 @@ fn interleaved_injected_elements_read_the_same_results_and_cache_counters_as_wit
     ];
     // Two elements, two cache epochs: four cold messages, twenty warm ones.
     assert_eq!(counters, [20, 4, 20, 4, 0, 20, 4, 0]);
-    // Sums of `1..=n`; the bucket address each Indirect Put key landed at.
-    let (k0, k1, k2, k4) = (1073885232, 1073885256, 1073885200, 1073885212);
+    // Sums of `1..=n`; the address in shard 0's table instance each Indirect
+    // Put key landed at.
+    let (k0, k1, k2, k4) = (2684497968, 2684497992, 2684497936, 2684497948);
     assert_eq!(
         results,
         [1, 3, k2, 10, k4, k0, 28, k2, 3, 6, 10, k1, k2, 28, k4, 3, k1, k2, 15, 21, k0, 1, k2, 6]
@@ -505,34 +503,29 @@ fn interleaved_injected_elements_read_the_same_results_and_cache_counters_as_wit
 /// previous frame's 64-byte USR had its marker — faults as unmapped.
 #[test]
 fn a_recycled_section_holds_nothing_of_the_message_before_it() {
-    for cfg in [
-        RuntimeConfig::paper_default(),
-        RuntimeConfig::paper_default().with_shard_local_space(),
-    ] {
-        let (mut rx, mut tx) = testbed(cfg);
-        // r1 is the USR base on entry: read the second word of USR.
-        let program = [
-            Instr::Load {
-                width: Width::B8,
-                dst: Reg(0),
-                addr: Reg(1),
-                offset: 8,
-            },
-            Instr::Ret,
-        ];
-        let mut run = |sn: u32, usr: Vec<u8>| {
-            let frame = foreign_injected(sn, &[], &program, &usr);
-            let delivered = forge(&rx, &mut tx, 0, &frame);
-            rx.receive(0, 0, Some(frame.len()), delivered, SimTime::ZERO)
-                .map(|out| out.result)
-        };
-        assert_eq!(run(1, vec![0xAA; 64]).unwrap(), 0xAAAA_AAAA_AAAA_AAAA);
-        match run(2, vec![0xBB; 8]) {
-            Err(AmError::Exec(why)) => assert!(why.contains("unmapped"), "{why}"),
-            other => panic!("read past an 8-byte USR: {other:?}"),
-        }
-        assert_eq!(run(3, vec![0xCC; 16]).unwrap(), 0xCCCC_CCCC_CCCC_CCCC);
+    let (mut rx, mut tx) = testbed(RuntimeConfig::paper_default());
+    // r1 is the USR base on entry: read the second word of USR.
+    let program = [
+        Instr::Load {
+            width: Width::B8,
+            dst: Reg(0),
+            addr: Reg(1),
+            offset: 8,
+        },
+        Instr::Ret,
+    ];
+    let mut run = |sn: u32, usr: Vec<u8>| {
+        let frame = foreign_injected(sn, &[], &program, &usr);
+        let delivered = forge(&rx, &mut tx, 0, &frame);
+        rx.receive(0, 0, Some(frame.len()), delivered, SimTime::ZERO)
+            .map(|out| out.result)
+    };
+    assert_eq!(run(1, vec![0xAA; 64]).unwrap(), 0xAAAA_AAAA_AAAA_AAAA);
+    match run(2, vec![0xBB; 8]) {
+        Err(AmError::Exec(why)) => assert!(why.contains("unmapped"), "{why}"),
+        other => panic!("read past an 8-byte USR: {other:?}"),
     }
+    assert_eq!(run(3, vec![0xCC; 16]).unwrap(), 0xCCCC_CCCC_CCCC_CCCC);
 }
 
 // ---- shards and bursts -------------------------------------------------------
@@ -699,13 +692,10 @@ fn per_core_cache_stats_merge_into_the_global_view() {
 
 /// The same key through two banks of two shards: each shard probes its own
 /// table instance, so the addresses differ, each shard's bump cursor moved,
-/// the canonical instance's did not, and a shard finds its own slot again.
+/// and a shard finds its own slot again.
 #[test]
 fn shard_local_space_partitions_writable_state_per_shard() {
-    let cfg = RuntimeConfig::paper_default()
-        .with_shards(2)
-        .with_shard_local_space();
-    let (mut rx, mut tx) = testbed(cfg);
+    let (mut rx, mut tx) = testbed(RuntimeConfig::paper_default().with_shards(2));
     let id = rx.builtin_id(BuiltinJam::IndirectPut).unwrap();
     let key42 = msg(id, Injected, &indirect_put_args(42, 4, 4), &ints(4));
     let results: Vec<u64> = [(0, 0), (1, 0), (0, 1)]
@@ -727,138 +717,4 @@ fn shard_local_space_partitions_writable_state_per_shard() {
             0
         );
     }
-    assert_eq!(word(rx.read_data("table.data", 0, 8).unwrap()), 0);
-}
-
-/// A space mode is a concurrency strategy, not a semantics change for one
-/// shard: the same stream reads the same results and modelled times.
-#[test]
-fn shard_local_and_exclusive_modes_agree_on_results() {
-    let run = |cfg| {
-        let (mut rx, mut tx) = testbed(cfg);
-        let id = ssum(&rx);
-        let outs = pump(&mut rx, &mut tx, id, 0, 4);
-        outs.iter()
-            .map(|o| (o.result, o.handler_time))
-            .collect::<Vec<_>>()
-    };
-    let exclusive = run(RuntimeConfig::paper_default());
-    let shard_local = run(RuntimeConfig::paper_default().with_shard_local_space());
-    assert_eq!(exclusive, shard_local);
-}
-
-/// A jam that *declares* cross-shard writes (it appends to the process-wide
-/// result array) runs against the canonical instance under the exclusive
-/// lock, from every shard.
-#[test]
-fn cross_shard_jam_falls_back_to_the_exclusive_space() {
-    let program = [
-        Instr::LoadImm {
-            dst: Reg(0),
-            imm: 5,
-        },
-        Instr::CallExtern { slot: 0, nargs: 1 },
-        Instr::Ret,
-    ];
-    let pkg = || {
-        let jam = JamDefinition::new("jam_cross_append", program.to_vec())
-            .with_got(vec![SymbolRef::func("array.append")])
-            .with_args_size(20)
-            .with_cross_shard_writes();
-        PackageBuilder::new("cross_pkg")
-            .ried(ried_array())
-            .jam(jam)
-            .build()
-            .unwrap()
-    };
-    let wire = wire();
-    let cfg = RuntimeConfig::paper_default()
-        .with_shards(2)
-        .with_shard_local_space();
-    let mut rx = TwoChainsHost::new(&wire.fabric, wire.b, cfg).unwrap();
-    rx.install_package(pkg()).unwrap();
-    let mut tx = TwoChainsSender::new(wire.raw(), pkg());
-    let id = rx.package().unwrap().id_of("jam_cross_append").unwrap();
-    tx.set_remote_got(id, &rx.export_got(id).unwrap());
-    for bank in [0, 1] {
-        exchange(&mut rx, &mut tx, bank, 0, &msg(id, Injected, &[0; 20], &[])).unwrap();
-    }
-    // Both appends landed in the one canonical array; the per-shard instances
-    // stayed untouched.
-    assert_eq!(word(rx.read_data("array.base", 0, 8).unwrap()), 2);
-    for shard in 0..2 {
-        assert_eq!(
-            word(rx.read_shard_data(shard, "array.base", 0, 8).unwrap()),
-            0
-        );
-    }
-}
-
-/// A GOT data slot on a writable export bakes in the canonical address, which
-/// the lock-free shard-local path does not map: such a jam installs only once
-/// it declares cross-shard writes (and then runs on the exclusive path).
-/// Exclusive mode never needed the declaration.
-#[test]
-fn shard_local_rejects_writable_data_got_refs_without_declaration() {
-    let pkg = |declared: bool| {
-        let mut jam = JamDefinition::new("jam_data_ref", vec![Instr::Ret])
-            .with_got(vec![SymbolRef::data("table.data")]);
-        if declared {
-            jam = jam.with_cross_shard_writes();
-        }
-        PackageBuilder::new("data_ref_pkg")
-            .ried(ried_table())
-            .jam(jam)
-            .build()
-            .unwrap()
-    };
-    let wire = wire();
-    let host = |cfg| TwoChainsHost::new(&wire.fabric, wire.b, cfg).unwrap();
-    let mut rx = host(
-        RuntimeConfig::paper_default()
-            .with_shards(2)
-            .with_shard_local_space(),
-    );
-    let err = rx.install_package(pkg(false)).unwrap_err();
-    assert!(
-        matches!(&err, AmError::InvalidConfig(m) if m.contains("cross-shard")),
-        "expected the install-time contract error, got {err:?}"
-    );
-    rx.install_package(pkg(true))
-        .expect("declared cross-shard jam installs fine");
-    let mut exclusive = host(RuntimeConfig::paper_default());
-    exclusive.install_package(pkg(false)).unwrap();
-}
-
-/// The runtime backstop behind that install-time check: an injected frame
-/// for an element outside the package, with a GOT data reference into a
-/// writable object's canonical range, dispatches on the exclusive path (where
-/// the address is mapped) instead of faulting on the shard-local one.
-#[test]
-fn injected_writable_data_got_routes_to_the_exclusive_path() {
-    let cfg = RuntimeConfig::paper_default()
-        .with_shards(2)
-        .with_shard_local_space();
-    let (mut rx, mut tx) = testbed(cfg);
-    // The canonical address of the writable table heap, by replaying the
-    // deterministic namespace layout of the host's install.
-    let mut ns = two_chains_suite::linker::LinkerNamespace::new();
-    for ried in benchmark_rieds() {
-        ns.load_ried(&ried, true).unwrap();
-    }
-    let got = GotImage::from_refs(vec![ExternRef::Data(ns.data_addr("table.data").unwrap())]);
-    let program = [
-        Instr::LoadImm {
-            dst: Reg(0),
-            imm: 0,
-        },
-        Instr::Ret,
-    ];
-    let frame = foreign_injected(7, &got.to_bytes(), &program, &[]);
-    let delivered = forge(&rx, &mut tx, 0, &frame);
-    let out = rx
-        .receive(0, 0, Some(frame.len()), delivered, SimTime::ZERO)
-        .unwrap();
-    assert_eq!(out.result, 0, "the frame dispatched and executed");
-    assert!(out.exec.is_some());
 }

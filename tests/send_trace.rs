@@ -15,12 +15,14 @@
 //!
 //! It runs under both aggregation policies, each at a completion window wide
 //! enough never to fill and at one narrow enough that back-pressure harvests
-//! interleave with the puts, and each of those in the exclusive address space
-//! and in the per-shard one (`*_shard_local.txt`). The model is deterministic and `SimTime` is
+//! interleave with the puts. The model is deterministic and `SimTime` is
 //! integer picoseconds, so the trace is compared *exactly* against files
 //! captured before the send path was restructured into stages: a regrouping
 //! that reorders a harvest against a put, charges a different pack cost or
-//! moves a byte on the wire shows up here, in tier-1.
+//! moves a byte on the wire shows up here, in tier-1. The files' `_shard_local`
+//! suffix dates from when a host could also run in one process-global address
+//! space, in which both shards wrote one instance of each ried object and the
+//! trace read differently; each shard now always has its own.
 //!
 //! The constants pin what this model computes, not the paper's hardware. A
 //! change that moves them on purpose says so, and replaces the golden with
@@ -269,53 +271,38 @@ fn assert_trace(name: &str, actual: &str, golden: &str) {
     }
 }
 
-/// Run the scenario in the exclusive space and in the per-shard one, each
-/// against its own golden.
-fn assert_both_spaces(name: &str, cfg: RuntimeConfig, golden: &str, shard_local: &str) {
-    assert_trace(name, &run_scenario(cfg.clone()), golden);
-    assert_trace(
-        &format!("{name}, shard-local"),
-        &run_scenario(cfg.with_shard_local_space()),
-        shard_local,
-    );
-}
-
 #[test]
 fn adaptive_wide_window_trace_matches_the_golden() {
-    assert_both_spaces(
+    assert_trace(
         "adaptive, window 48",
-        config(false, 48),
-        include_str!("golden/send_trace_adaptive_wide.txt"),
+        &run_scenario(config(false, 48)),
         include_str!("golden/send_trace_adaptive_wide_shard_local.txt"),
     );
 }
 
 #[test]
 fn adaptive_narrow_window_trace_matches_the_golden() {
-    assert_both_spaces(
+    assert_trace(
         "adaptive, window 3",
-        config(false, 3),
-        include_str!("golden/send_trace_adaptive_narrow.txt"),
+        &run_scenario(config(false, 3)),
         include_str!("golden/send_trace_adaptive_narrow_shard_local.txt"),
     );
 }
 
 #[test]
 fn per_frame_wide_window_trace_matches_the_golden() {
-    assert_both_spaces(
+    assert_trace(
         "per-frame, window 48",
-        config(true, 48),
-        include_str!("golden/send_trace_per_frame_wide.txt"),
+        &run_scenario(config(true, 48)),
         include_str!("golden/send_trace_per_frame_wide_shard_local.txt"),
     );
 }
 
 #[test]
 fn per_frame_narrow_window_trace_matches_the_golden() {
-    assert_both_spaces(
+    assert_trace(
         "per-frame, window 5",
-        config(true, 5),
-        include_str!("golden/send_trace_per_frame_narrow.txt"),
+        &run_scenario(config(true, 5)),
         include_str!("golden/send_trace_per_frame_narrow_shard_local.txt"),
     );
 }

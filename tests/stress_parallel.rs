@@ -22,9 +22,7 @@ const SENDERS: usize = 3;
 const ROUNDS: usize = 3;
 
 fn config() -> RuntimeConfig {
-    let mut cfg = RuntimeConfig::paper_default()
-        .with_shards(SHARDS)
-        .with_shard_local_space();
+    let mut cfg = RuntimeConfig::paper_default().with_shards(SHARDS);
     cfg.frame_capacity = 4096;
     cfg
 }

@@ -75,12 +75,11 @@ pub fn testbed(cfg: RuntimeConfig) -> (TwoChainsHost, TwoChainsSender) {
 }
 
 /// The fleet configuration: `shards` shards and as many lanes, 4 KiB
-/// mailboxes, shard-local space, and a completion window no lane can fill.
+/// mailboxes, and a completion window no lane can fill.
 pub fn fleet_config(shards: usize) -> RuntimeConfig {
     let mut cfg = RuntimeConfig::paper_default()
         .with_shards(shards)
-        .with_sender_streams(shards)
-        .with_shard_local_space();
+        .with_sender_streams(shards);
     cfg.frame_capacity = 4096;
     cfg.completion_window = cfg.total_mailboxes();
     cfg

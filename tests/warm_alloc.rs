@@ -112,13 +112,12 @@ fn counted<R>(f: impl FnOnce() -> R) -> (Heap, R) {
     (heap, out)
 }
 
-/// 4 banks × 16 mailboxes of 16 KiB, one shard, one lane, shard-local
-/// execution: the `warm_stream` testbed.
+/// 4 banks × 16 mailboxes of 16 KiB, one shard, one lane: the `warm_stream`
+/// testbed.
 fn build() -> (TwoChainsHost, SenderFleet) {
     let mut cfg = RuntimeConfig::paper_default()
         .with_shards(1)
-        .with_sender_streams(1)
-        .with_shard_local_space();
+        .with_sender_streams(1);
     cfg.frame_capacity = 16 * 1024;
     cfg.completion_window = cfg.total_mailboxes();
     let FleetBed { host, fleet, .. } = fleet_testbed(cfg, None);

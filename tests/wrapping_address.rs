@@ -34,6 +34,12 @@
 //! kept `v as u32`, so under the permissive policy a slot of `2^32 + k`
 //! called extern `k`, and two byte strings parsed to one image. Such a frame
 //! is now a `BadFrame`, retired alone with its credit.
+//!
+//! Nor may a jam reach ried state by address. A GOT `Data` slot resolves to
+//! the address a writable ried object has in the namespace, and no shard maps
+//! that address: each holds an instance of its own elsewhere. A jam that
+//! stores there faults unmapped, and one that calls the slot is refused as
+//! not callable — `call_extern` is the only instruction that reads the GOT.
 
 mod support;
 
@@ -43,8 +49,10 @@ use two_chains_suite::jamvm::{
     decode_program, encode_program, resolve, verify, AddressSpace, Assembler, ExecError, ExternRef,
     ExternTable, GotImage, Instr, Program, Reg, Segment, SegmentKind, VerifyError, Vm, VmConfig,
 };
+use two_chains_suite::linker::LinkerNamespace;
 use two_chains_suite::memsim::hierarchy::FlatMemory;
 use two_chains_suite::memsim::{CoreCacheStats, SharedHierarchy, SimTime, TestbedConfig};
+use twochains::builtin::benchmark_rieds;
 use twochains::{AmError, RuntimeConfig};
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -227,31 +235,30 @@ fn faults_unmapped(err: &AmError) -> bool {
     matches!(err, AmError::Exec(why) if why.contains("unmapped"))
 }
 
-/// [`hostile_injections_are_rejected_alone`] for jams that need no GOT.
+/// One hostile injection: what it is, its GOT section, its jam, and the
+/// test its rejection must pass.
+type Hostile = (&'static str, Vec<u8>, Vec<Instr>, fn(&AmError) -> bool);
+
+/// [`hostile_injections_are_rejected_alone`] for jams that need no GOT, all
+/// rejected alike.
 fn hostile_frames_are_rejected_alone(
-    cfg: RuntimeConfig,
     hostile: Vec<(&'static str, Vec<Instr>)>,
     rejection: fn(&AmError) -> bool,
 ) {
-    let with_an_empty_got = |(what, program)| (what, Vec::new(), program);
-    let hostile = hostile.into_iter().map(with_an_empty_got).collect();
-    hostile_injections_are_rejected_alone(cfg, hostile, rejection);
+    let with_an_empty_got = |(what, program)| (what, Vec::new(), program, rejection);
+    hostile_injections_are_rejected_alone(hostile.into_iter().map(with_an_empty_got).collect());
 }
 
-/// Each of `hostile` (a GOT section and a jam) lands in a slot of its own with
-/// a well-behaved frame behind them: every hostile one retires as a rejection
-/// (one `rejection` accepts) with its credit, the last frame executes.
-fn hostile_injections_are_rejected_alone(
-    cfg: RuntimeConfig,
-    hostile: Vec<(&'static str, Vec<u8>, Vec<Instr>)>,
-    rejection: fn(&AmError) -> bool,
-) {
+/// Each of `hostile` lands in a slot of its own with a well-behaved frame
+/// behind them: every hostile one retires as a rejection (one its own test
+/// accepts) with its credit, the last frame executes.
+fn hostile_injections_are_rejected_alone(hostile: Vec<Hostile>) {
     // The session installs the credit path.
     let FleetBed {
         wire,
         mut host,
         fleet,
-    } = fleet_testbed(cfg, None);
+    } = fleet_testbed(RuntimeConfig::paper_default(), None);
     let mut raw = wire.raw();
 
     // One hostile frame per slot, each an injection outside the installed
@@ -259,7 +266,7 @@ fn hostile_injections_are_rejected_alone(
     let good = returns_77().to_vec();
     let mut arrival = SimTime::ZERO;
     let no_got = Vec::new();
-    let injections = hostile.iter().map(|(_, got, program)| (got, program));
+    let injections = hostile.iter().map(|(_, got, program, _)| (got, program));
     for (slot, (got, program)) in injections.chain([(&no_got, &good)]).enumerate() {
         let frame = foreign_injected(slot as u32 + 1, got, program, &[0; 8]);
         arrival = put(&mut raw, &host, 0, slot, arrival, &frame).delivered;
@@ -277,7 +284,8 @@ fn hostile_injections_are_rejected_alone(
     assert_eq!(out.rejected.len(), hostile.len());
     for (slot, (bank, rejected_slot, err)) in out.rejected.iter().enumerate() {
         assert_eq!((*bank, *rejected_slot), (0, slot));
-        assert!(rejection(err), "{}: {err:?}", hostile[slot].0);
+        let (what, _, _, rejection) = &hostile[slot];
+        assert!(rejection(err), "{what}: {err:?}");
     }
     let stats = host.stats();
     let frames = hostile.len() as u64 + 1;
@@ -302,38 +310,12 @@ fn hostile_injections_are_rejected_alone(
 
 #[test]
 fn receive_burst_rejects_a_wrapping_jam_and_executes_the_next_frame() {
-    hostile_frames_are_rejected_alone(
-        RuntimeConfig::paper_default(),
-        wrapping_programs(),
-        faults_unmapped,
-    );
-}
-
-#[test]
-fn receive_burst_rejects_a_wrapping_jam_under_shard_local_space() {
-    hostile_frames_are_rejected_alone(
-        RuntimeConfig::paper_default().with_shard_local_space(),
-        wrapping_programs(),
-        faults_unmapped,
-    );
+    hostile_frames_are_rejected_alone(wrapping_programs(), faults_unmapped);
 }
 
 #[test]
 fn receive_burst_rejects_an_oversized_copy_and_executes_the_next_frame() {
-    hostile_frames_are_rejected_alone(
-        RuntimeConfig::paper_default(),
-        oversized_copies(),
-        faults_unmapped,
-    );
-}
-
-#[test]
-fn receive_burst_rejects_an_oversized_copy_under_shard_local_space() {
-    hostile_frames_are_rejected_alone(
-        RuntimeConfig::paper_default().with_shard_local_space(),
-        oversized_copies(),
-        faults_unmapped,
-    );
+    hostile_frames_are_rejected_alone(oversized_copies(), faults_unmapped);
 }
 
 /// Branches on zero / non-zero whose *second* register field — the one the
@@ -525,16 +507,50 @@ fn non_canonical_gots() -> Vec<(&'static str, Vec<u8>, Vec<Instr>)> {
     ]
 }
 
+/// `table.data`'s address in the namespace the host installed — replayed
+/// here, the layout is deterministic — stored to and called through a GOT
+/// `Data` slot: neither reaches the heap.
+fn ried_state_by_address() -> Vec<Hostile> {
+    let mut ns = LinkerNamespace::new();
+    for ried in benchmark_rieds() {
+        ns.load_ried(&ried, true).unwrap();
+    }
+    let table = ns.data_addr("table.data").unwrap();
+    let mut store = Assembler::new();
+    store
+        .load_imm(Reg(1), table)
+        .store(Width::B8, Reg(1), Reg(1), 0)
+        .ret();
+    let data_slot = GotImage::from_refs(vec![ExternRef::Data(table)]).to_bytes();
+    vec![
+        (
+            "store to table.data's namespace address",
+            Vec::new(),
+            store.finish().unwrap(),
+            faults_unmapped,
+        ),
+        (
+            "call_extern on a Data slot into table.data",
+            data_slot,
+            vec![Instr::CallExtern { slot: 0, nargs: 0 }, Instr::Ret],
+            |err| matches!(err, AmError::Exec(why) if why.contains("not callable")),
+        ),
+    ]
+}
+
+/// The non-canonical GOT images, and the two ways a jam might reach ried
+/// state by address, each retired alone.
 #[test]
 fn receive_burst_rejects_a_got_image_it_would_have_truncated_and_executes_the_next_frame() {
     for (what, got, _) in non_canonical_gots() {
         assert_eq!(GotImage::from_bytes(&got), None, "{what}");
     }
-    hostile_injections_are_rejected_alone(
-        RuntimeConfig::paper_default(),
-        non_canonical_gots(),
-        |err| matches!(err, AmError::BadFrame(why) if why.contains("bad GOT image")),
-    );
+    let bad_got: fn(&AmError) -> bool =
+        |err| matches!(err, AmError::BadFrame(why) if why.contains("bad GOT image"));
+    let non_canonical = non_canonical_gots()
+        .into_iter()
+        .map(|(what, got, program)| (what, got, program, bad_got));
+    hostile_injections_are_rejected_alone(non_canonical.chain(ried_state_by_address()).collect());
 }
 
 fn names_an_invalid_register(err: &AmError) -> bool {
@@ -543,18 +559,5 @@ fn names_an_invalid_register(err: &AmError) -> bool {
 
 #[test]
 fn receive_burst_rejects_an_unread_bad_register_and_executes_the_next_frame() {
-    hostile_frames_are_rejected_alone(
-        RuntimeConfig::paper_default(),
-        unread_register_programs(),
-        names_an_invalid_register,
-    );
-}
-
-#[test]
-fn receive_burst_rejects_an_unread_bad_register_under_shard_local_space() {
-    hostile_frames_are_rejected_alone(
-        RuntimeConfig::paper_default().with_shard_local_space(),
-        unread_register_programs(),
-        names_an_invalid_register,
-    );
+    hostile_frames_are_rejected_alone(unread_register_programs(), names_an_invalid_register);
 }
