@@ -123,17 +123,21 @@
 //! | 2 encode | `TwoChainsSender::encode_next` | sections validated, template looked up, sequence number stamped, wire bytes written into the lane's scratch |
 //! | 3 accumulate | `SenderLane::post` | flush triggers (bank boundary, `BATCH_FILL`, latency watermark, then carrier capacity), append to the open container — or hand a frame that may not share one to stage 4 alone |
 //! | 4 post | `post_standalone` / `flush` → `post_container` | the lane's window (`harvest_if_full`), one put (`put_frame` / `put_batch`) whose delivery time joins the window, `remember` on an armed lane |
-//! | 5 await credit | `LaneRun::acquire` / `collect_final_credits` (`try_acquire_slot`), and while starved `CreditWait::idle` (`poll_nacks`, watchdog, spin / park) | which slots may be refilled |
+//! | 5 await credit | `LaneRun::acquire` / `collect_final_credits` (`try_acquire_slot`), and while starved `LaneRun::starved` (`poll_nacks`, the watchdog on fruitless steps) | which slots may be refilled, and when a silent loss is retried |
 //! | 6 retransmit | `SenderLane::retransmit` | live posted entries re-put byte-identically: the one a NACK names, or all of them |
 //!
 //! [`SenderLane::fill`] (the phased, deterministic schedule) is stages 1–4
 //! over every owned slot and a closing flush. [`drive_pipeline`] runs all six
 //! with fill and drain overlapping in wall clock: a lane's side of the run is
 //! a `LaneRun` whose `step()` never blocks — it reports `Progressed`,
-//! `Starved` or `Done` — so *waiting* is the driver's business. The OS-thread
-//! driver parks a starved lane in a `CreditWait` (the only place the sender
-//! side yields, sleeps or reads wall time); a single-threaded driver can
-//! interleave lanes and shards in any order and reproduce a run bit for bit.
+//! `Starved` or `Done` — so *waiting* is the driver's business. The whole
+//! reliability protocol is inside `step`: a starved step answers NACKs and
+//! runs the retransmit watchdog, whose deadlines count the stall episode's
+//! fruitless steps, so the sender side reads no clock. The OS-thread driver
+//! only yields or parks between starved steps (`run_lane`, the only place
+//! the sender side does either); a single-threaded driver can interleave
+//! lanes and shards in any order, on clean or lossy links, and reproduce a
+//! run bit for bit.
 //! Sender threads and shard-drain threads are coupled only by the one-sided
 //! credit path — no channels, no shared queues. As each frame retires, the
 //! drain thread puts the slot's next credit token into the paired lane's flag
@@ -150,7 +154,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use twochains_fabric::{AccessFlags, HostId, SimFabric};
 use twochains_jamvm::GotImage;
@@ -158,7 +162,6 @@ use twochains_linker::{ElementId, Package};
 use twochains_memsim::{AccessKind, CoreBus, MemoryBus, SimTime};
 
 use super::credit::CreditHandshake;
-use super::retry::ClampedFibonacci;
 use super::spec::MessageSpec;
 use super::{AmSendOutcome, ShardDrain, TwoChainsHost, TwoChainsSender};
 use crate::bank::{BankFlags, NackFlags, ShardMask};
@@ -179,19 +182,24 @@ const BATCH_LATENCY_NS: f64 = 2_000.0;
 /// it starts parking, and how long it parks between scans after that.
 const SPIN_SCANS: u32 = 128;
 const PARK: Duration = Duration::from_micros(20);
-/// First watchdog delay after a stall with frames in flight begins; the
-/// schedule then follows [`ClampedFibonacci`]. Credit round-trips complete in
-/// microseconds of wall clock on a healthy link, so a stall this long with no
-/// credit and no NACK means the frame (or its NACK) is probably gone.
-const WATCHDOG_BASE: Duration = Duration::from_micros(400);
-/// Backoff clamp: a persistently lossy link keeps being probed at this rate
-/// instead of backing off into effective silence.
-const WATCHDOG_CLAMP: Duration = Duration::from_millis(10);
+/// The retransmit watchdog's base delay and clamp, in fruitless steps of one
+/// stall episode with frames in flight. It first fires [`SPIN_SCANS`] + base
+/// steps into the episode, when a lane thread has parked base times. A
+/// firing or a NACK then sets the next deadline base × 1, 1, 2, 3, 5, …
+/// steps ahead (the term the episode's firings so far index), clamped: a
+/// persistently lossy link keeps being probed at a bounded rate instead of
+/// backing off into silence. A park asks for 20 µs and sleeps ≈ 75 µs on a
+/// 2-core Linux host, so the base is ≈ 5 ms there, long enough that a NACK
+/// or a late credit nearly always comes first: on `fastpath`'s threaded 1 %
+/// loss row, a 32-step base re-put more frames than were lost in 4 of 5
+/// runs, this one in 5 of 20.
+const WATCHDOG_BASE: u32 = 64;
+const WATCHDOG_CLAMP: u32 = 192;
 /// Watchdog firings a single stall episode may consume before the lane fails
-/// loudly. At the clamp this bounds a wedged episode to a few hundred
-/// milliseconds of retries — a link that eats 32 consecutive retransmits of
-/// the same frames is broken, not lossy, and spinning forever would just
-/// deadlock the pipeline with no diagnosis.
+/// loudly: a link that eats 32 consecutive retransmits of the same frames is
+/// broken, not lossy, and stepping forever would deadlock the pipeline with
+/// no diagnosis. An episode that exhausts it has taken 6 144 fruitless
+/// steps: ≈ 0.5 s of a lane thread's parks on the host above.
 const RETRY_BUDGET: u32 = 32;
 /// Software cost of harvesting one entry of a lane's transmit window: the
 /// per-completion bookkeeping the UCX-like baseline pays.
@@ -333,8 +341,9 @@ pub struct SenderLane {
     nacks: NackFlags,
     /// Whether this lane's endpoint was created under a fault plan — the
     /// switch that arms the sender half of the reliability layer. On a
-    /// pristine link nothing is remembered, no NACK row is polled and no
-    /// watchdog fires, so the lossless path pays nothing for the machinery.
+    /// pristine link nothing is remembered, and a starved [`LaneRun`] step
+    /// polls no NACK row and runs no watchdog, so the lossless path pays
+    /// nothing for the machinery.
     armed: bool,
     /// The lane's transmit window: the delivery time of every data-path put
     /// not yet harvested, oldest first. Holding `window` of them, the lane
@@ -986,8 +995,9 @@ pub struct PipelineOutcome {
 pub(super) enum Step {
     /// Frames were posted or credits collected: step again.
     Progressed,
-    /// Nothing to do until a credit arrives. Waiting is the caller's
-    /// business: a thread idles in a [`CreditWait`], a single-threaded driver
+    /// No credit arrived: a fruitless step of a stall episode, which on an
+    /// armed lane answered NACKs and ran the watchdog. Waiting is the
+    /// caller's business: a thread yields or parks, a single-threaded driver
     /// steps something else.
     Starved,
     /// Every frame is sent and, on an armed lane, every final credit is in.
@@ -996,10 +1006,12 @@ pub(super) enum Step {
 
 /// One lane's side of a pipeline run, as a state machine: each
 /// [`step`](LaneRun::step) does a bounded amount of work — it never blocks,
-/// sleeps or reads wall time — so any driver can interleave lanes and shards
-/// in any order.
+/// sleeps or reads a clock — so any driver can interleave lanes and shards
+/// in any order. Its NACK answers and watchdog retransmits are steps too,
+/// timed in the run's own count of fruitless steps, so a seeded schedule
+/// repeats exactly on a lossy link as well.
 pub(super) struct LaneRun<'a, F> {
-    lane: &'a mut SenderLane,
+    pub(super) lane: &'a mut SenderLane,
     elem: ElementId,
     mode: InvocationMode,
     rounds: u64,
@@ -1012,8 +1024,12 @@ pub(super) struct LaneRun<'a, F> {
     cursor: usize,
     /// Frames still to send.
     unsent: usize,
-    /// Whether the current stall episode has been counted.
-    stalled: bool,
+    /// Fruitless steps in the current stall episode (0 while progressing).
+    fruitless: u32,
+    /// The watchdog: the fruitless step at which it next fires, and how many
+    /// times it has fired this episode.
+    deadline: u32,
+    fired: u32,
     /// The slots one step sends together (scratch).
     group: Vec<usize>,
 }
@@ -1046,7 +1062,9 @@ where
             free: (0..slots).collect(),
             cursor: 0,
             unsent: rounds * slots,
-            stalled: false,
+            fruitless: 0,
+            deadline: 0,
+            fired: 0,
             group: Vec::new(),
         })
     }
@@ -1063,14 +1081,9 @@ where
             in_hand => in_hand,
         };
         let Some(first) = first else {
-            if !self.stalled {
-                // One stall *episode*, however many fruitless scans it takes.
-                self.lane.sender.stats_mut().credit_stall_events += 1;
-                self.stalled = true;
-            }
-            return Ok(Step::Starved);
+            return self.starved();
         };
-        self.stalled = false;
+        self.fruitless = 0;
         self.send_group(first)?;
         Ok(Step::Progressed)
     }
@@ -1151,94 +1164,86 @@ where
                 progressed = true;
             }
         }
-        Ok(if progressed {
-            Step::Progressed
-        } else {
-            Step::Starved
-        })
-    }
-}
-
-/// Stage *await credit*, wait: what a lane thread does between fruitless
-/// steps of one stall episode — the only place the sender side yields,
-/// sleeps or reads wall time. A fresh one per episode (progress ends it).
-struct CreditWait {
-    fruitless: u32,
-    /// Watchdog state (armed lanes only): if neither a credit nor a NACK
-    /// shows up for a clamped-Fibonacci backoff interval, every live posted
-    /// entry is retransmitted, on a bounded budget.
-    backoff: ClampedFibonacci,
-    deadline: Instant,
-    budget: u32,
-}
-
-impl CreditWait {
-    fn new() -> Self {
-        let mut backoff = ClampedFibonacci::new(WATCHDOG_BASE, WATCHDOG_CLAMP);
-        CreditWait {
-            fruitless: 0,
-            deadline: Instant::now() + backoff.next_delay(),
-            backoff,
-            budget: RETRY_BUDGET,
+        if !progressed {
+            return self.starved();
         }
+        self.fruitless = 0;
+        Ok(Step::Progressed)
     }
 
-    /// One fruitless step: bail out if the other side died, let an armed lane
-    /// answer NACKs and run its watchdog, then spin or park. The first
-    /// [`SPIN_SCANS`] times the thread only yields (credits normally arrive
-    /// within a burst); after that it parks briefly, so a stalled lane on an
-    /// oversubscribed host stops stealing quanta from the very drain threads
-    /// it is waiting on.
-    fn idle(&mut self, lane: &mut SenderLane, abort: &AtomicBool) -> AmResult<()> {
-        if abort.load(Ordering::Relaxed) {
-            return Err(AmError::Exec(
-                "pipeline aborted: a drain shard failed before returning all credits".into(),
-            ));
+    /// Stage *await credit*, starved: one fruitless step. The episode's first
+    /// counts one credit stall, however many steps it takes. On an armed lane
+    /// a NACK names a lost frame precisely — it is retransmitted now and
+    /// pushes the (coarser) watchdog back — and a deadline passed with
+    /// neither a credit nor a NACK re-puts every live posted entry, on a
+    /// budget of [`RETRY_BUDGET`] firings an episode.
+    fn starved(&mut self) -> AmResult<Step> {
+        if self.fruitless == 0 {
+            self.lane.sender.stats_mut().credit_stall_events += 1;
+            self.fired = 0;
+            self.deadline = SPIN_SCANS + WATCHDOG_BASE;
         }
-        if lane.armed {
-            // A NACK names a lost frame precisely — it was retransmitted just
-            // now, so push the (coarser) timeout watchdog back.
-            if lane.poll_nacks()? > 0 {
-                self.deadline = Instant::now() + self.backoff.next_delay();
+        self.fruitless = self.fruitless.saturating_add(1);
+        if self.lane.armed {
+            if self.lane.poll_nacks()? > 0 {
+                self.deadline = self.fruitless.saturating_add(watchdog_delay(self.fired));
             }
-            if Instant::now() >= self.deadline {
-                if self.budget == 0 {
+            if self.fruitless >= self.deadline {
+                if self.fired == RETRY_BUDGET {
                     return Err(AmError::Exec(format!(
                         "lane {} exhausted its {RETRY_BUDGET}-retry reliability budget: \
                          frames are being lost faster than the retransmit path can \
                          recover them",
-                        lane.stream
+                        self.lane.stream
                     )));
                 }
-                self.budget -= 1;
-                lane.retransmit(None)?;
-                self.deadline = Instant::now() + self.backoff.next_delay();
+                self.fired += 1;
+                self.lane.retransmit(None)?;
+                self.deadline = self.fruitless.saturating_add(watchdog_delay(self.fired));
             }
         }
-        self.fruitless = self.fruitless.saturating_add(1);
-        if self.fruitless < SPIN_SCANS {
-            std::thread::yield_now();
-        } else {
-            std::thread::sleep(PARK);
-        }
-        Ok(())
+        Ok(Step::Starved)
     }
 }
 
-/// A sender thread's body: step the lane to completion, idling in a
-/// [`CreditWait`] while it is starved.
+/// The watchdog's delay after its `fired`-th firing, in fruitless steps:
+/// [`WATCHDOG_BASE`] times the (`fired` + 1)-th Fibonacci number (1, 1, 2,
+/// 3, 5, …), clamped at [`WATCHDOG_CLAMP`].
+fn watchdog_delay(fired: u32) -> u32 {
+    let (mut prev, mut cur) = (0u32, 1u32);
+    for _ in 0..fired {
+        (prev, cur) = (cur, prev.saturating_add(cur));
+    }
+    cur.saturating_mul(WATCHDOG_BASE).min(WATCHDOG_CLAMP)
+}
+
+/// A sender thread's body: step the lane to completion. Between starved
+/// steps it bails out if the other side died, then yields for the first
+/// [`SPIN_SCANS`] fruitless steps of an episode (credits normally arrive
+/// within a burst) and parks after that, so a stalled lane on an
+/// oversubscribed host stops stealing quanta from the very drain threads it
+/// is waiting on.
 fn run_lane<F>(mut run: LaneRun<'_, F>, abort: &AtomicBool) -> AmResult<()>
 where
     F: Fn(SlotCtx) -> (Vec<u8>, Vec<u8>),
 {
-    let mut wait: Option<CreditWait> = None;
     loop {
         match run.step()? {
             Step::Done => return Ok(()),
-            Step::Progressed => wait = None,
-            Step::Starved => wait
-                .get_or_insert_with(CreditWait::new)
-                .idle(run.lane, abort)?,
+            Step::Progressed => {}
+            Step::Starved => {
+                if abort.load(Ordering::Relaxed) {
+                    return Err(AmError::Exec(
+                        "pipeline aborted: a drain shard failed before returning all credits"
+                            .into(),
+                    ));
+                }
+                if run.fruitless < SPIN_SCANS {
+                    std::thread::yield_now();
+                } else {
+                    std::thread::sleep(PARK);
+                }
+            }
         }
     }
 }

@@ -264,7 +264,6 @@ mod credit;
 mod fleet;
 mod host;
 mod injection_cache;
-mod retry;
 mod sender;
 mod shard;
 mod spec;
@@ -277,7 +276,6 @@ pub use fleet::{
     SlotCtx, StreamHandshake, StreamTarget,
 };
 pub use host::TwoChainsHost;
-pub use retry::ClampedFibonacci;
 pub use sender::TwoChainsSender;
 pub use shard::{ReceiverShard, ShardDrain};
 pub use spec::{spec, MessageSpec};
