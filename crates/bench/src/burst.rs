@@ -148,9 +148,7 @@ impl BurstRow {
 /// window (per-stream back-pressure is exercised by the dedicated tests
 /// instead).
 fn sweep_config(shards: usize) -> RuntimeConfig {
-    let mut cfg = RuntimeConfig::paper_default()
-        .with_shards(shards)
-        .with_sender_streams(shards);
+    let mut cfg = RuntimeConfig::paper_default().with_shards(shards);
     cfg.banks = shards.max(4);
     cfg.mailboxes_per_bank = 16;
     // A carrier mailbox must hold a full default container of the sweep's
@@ -195,8 +193,8 @@ fn build_testbed_with(cfg: RuntimeConfig) -> (TwoChainsHost, SenderFleet, Elemen
     let mut host = TwoChainsHost::new(&fabric, b, cfg).expect("host");
     host.install_package(benchmark_package().expect("package"))
         .expect("install");
-    // The fleet handshake replaces the hand-rolled endpoint + set_remote_got
-    // wiring: per-stream mailbox targets and GOT images come from the host.
+    // One connect replaces the hand-rolled endpoint + set_remote_got wiring:
+    // per-lane mailbox targets and GOT images come from the host.
     let fleet =
         SenderFleet::connect_fleet(&fabric, a, &mut host, benchmark_package().expect("package"))
             .expect("fleet");

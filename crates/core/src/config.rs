@@ -65,13 +65,6 @@ pub struct RuntimeConfig {
     /// `b % num_shards`, so shards never contend on a mailbox; each shard keeps its
     /// own scratch buffer and statistics over the shared injection caches.
     pub num_shards: usize,
-    /// Number of initiator-side sender streams a
-    /// [`SenderFleet`](crate::runtime::SenderFleet) driving this host should
-    /// run. Stream `s` of `S` fills exactly the banks with `bank % S == s` —
-    /// the same deterministic map the receiver shards drain by — so pairing
-    /// `sender_streams == num_shards` gives each drain shard a dedicated
-    /// initiator and the fill/drain pipeline never crosses streams.
-    pub sender_streams: usize,
     /// Per-stream transmit-window depth: a sender lane
     /// with this many puts outstanding must harvest completions before posting
     /// more. Back-pressure is per stream — one saturated stream never stalls
@@ -97,7 +90,6 @@ impl RuntimeConfig {
             banks: 4,
             mailboxes_per_bank: 16,
             num_shards: 1,
-            sender_streams: 1,
             completion_window: 256,
             aggregation_policy: AggregationPolicy::Adaptive,
             wait_mode: WaitMode::Polling,
@@ -125,12 +117,11 @@ impl RuntimeConfig {
         self
     }
 
-    /// Same configuration but with `n` sender streams (one
-    /// [`TwoChainsSender`](crate::runtime::TwoChainsSender) per stream in a
-    /// [`SenderFleet`](crate::runtime::SenderFleet); stream `s` fills the banks
-    /// with `bank % n == s`).
-    pub fn with_sender_streams(mut self, n: usize) -> Self {
-        self.sender_streams = n;
+    /// The same configuration: a
+    /// [`SenderFleet`](crate::runtime::SenderFleet) always runs one lane per
+    /// receiver shard, so this sets nothing. It is kept only for callers
+    /// written when the lane count was a knob of its own.
+    pub fn with_sender_streams(self, _n: usize) -> Self {
         self
     }
 
@@ -174,15 +165,6 @@ impl RuntimeConfig {
                 self.num_shards, self.banks
             ));
         }
-        if self.sender_streams == 0 {
-            return Err("need at least one sender stream".into());
-        }
-        if self.sender_streams > self.banks {
-            return Err(format!(
-                "{} sender streams but only {} banks: a stream would own no bank",
-                self.sender_streams, self.banks
-            ));
-        }
         if self.completion_window == 0 {
             return Err("completion window needs at least one entry".into());
         }
@@ -207,6 +189,7 @@ mod tests {
         assert_eq!(c.total_mailboxes(), 64);
         assert_eq!(c.frame_capacity, 128 * 1024);
         assert_eq!(c.wait_mode, WaitMode::Polling);
+        assert_eq!(c.completion_window, 256);
         assert!(!c.skip_execution);
     }
 
@@ -236,10 +219,6 @@ mod tests {
         assert!(c.validate().is_err());
         let c = RuntimeConfig::paper_default().with_shards(5);
         assert!(c.validate().is_err(), "more shards than banks");
-        let c = RuntimeConfig::paper_default().with_sender_streams(0);
-        assert!(c.validate().is_err(), "zero sender streams");
-        let c = RuntimeConfig::paper_default().with_sender_streams(5);
-        assert!(c.validate().is_err(), "more streams than banks");
         let mut c = RuntimeConfig::paper_default();
         c.completion_window = 0;
         assert!(c.validate().is_err(), "zero completion window");
@@ -253,19 +232,6 @@ mod tests {
         let c = c.with_per_frame_aggregation();
         assert_eq!(c.aggregation_policy, AggregationPolicy::PerFrame);
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn sender_stream_defaults_are_single_stream() {
-        let c = RuntimeConfig::paper_default();
-        assert_eq!(c.sender_streams, 1);
-        assert_eq!(c.completion_window, 256);
-        assert_eq!(
-            RuntimeConfig::paper_default()
-                .with_sender_streams(4)
-                .sender_streams,
-            4
-        );
     }
 
     #[test]

@@ -67,10 +67,9 @@ pub use frame::{
 };
 pub use mailbox::ReactiveMailbox;
 pub use runtime::{
-    drive_pipeline, spec, AmSendOutcome, BurstFrame, BurstOutcome, CreditHandshake, MessageSpec,
-    PipelineFrame, PipelineOutcome, ReceiveOutcome, ReceiverShard, SenderFleet, SenderLane,
-    SessionHandshake, ShardDrain, SlotCtx, StreamHandshake, StreamTarget, TwoChainsHost,
-    TwoChainsSender,
+    drive_pipeline, spec, AmSendOutcome, BurstFrame, BurstOutcome, MessageSpec, PipelineFrame,
+    PipelineOutcome, ReceiveOutcome, ReceiverShard, SenderFleet, SenderLane, ShardDrain, SlotCtx,
+    TwoChainsHost, TwoChainsSender,
 };
 pub use security::SecurityPolicy;
 pub use stats::RuntimeStats;

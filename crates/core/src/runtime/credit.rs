@@ -1,11 +1,10 @@
 //! The receiver's half of the one-sided flow-control path (§VI-A2): credit
 //! returns as real fabric traffic.
 //!
-//! The sender fleet registers one [`BankFlags`] credit table per stream in the
-//! *sender's* address space and ships its descriptor back to the receiver as a
-//! [`CreditHandshake`] — the reverse half of the connection setup that
-//! [`TwoChainsHost::session_handshake`](super::TwoChainsHost::session_handshake)
-//! started. The receiver installs one [`CreditReturn`] per shard: a
+//! [`SenderFleet::connect_fleet`](super::SenderFleet::connect_fleet)
+//! registers one [`BankFlags`] credit table and one [`NackFlags`] table per
+//! lane in the *sender's* address space and builds the receiver's one
+//! [`CreditReturn`] per shard straight from their two descriptors: a
 //! reverse-direction endpoint (receiver → sender) plus the cumulative per-slot
 //! drain counts that generate the token sequence.
 //!
@@ -82,29 +81,6 @@ use twochains_memsim::SimTime;
 use crate::bank::{BankFlags, NackFlags, ShardMask};
 use crate::error::{AmError, AmResult};
 
-/// The sender's half of the credit-path setup for one stream, by value — the
-/// mirror image of [`StreamHandshake`](super::StreamHandshake), travelling in
-/// the opposite direction over the same out-of-band bootstrap channel.
-#[derive(Debug, Clone)]
-pub struct CreditHandshake {
-    /// The stream this table flow-controls (`0..streams`).
-    pub stream: usize,
-    /// Total number of sender streams (`bank % streams == stream` ownership —
-    /// the same deterministic map the receiver shards drain by).
-    pub streams: usize,
-    /// Slot tokens per bank row (must match the receiver's mailboxes per
-    /// bank).
-    pub per_bank: usize,
-    /// Descriptor of the stream's [`BankFlags`] region in the *sender's*
-    /// address space; the receiver aims its credit puts here.
-    pub descriptor: RegionDescriptor,
-    /// Descriptor of the stream's [`NackFlags`] region (also in the sender's
-    /// address space), when the lane registered one. The receiver aims its
-    /// sequence-gap reports here; `None` disables the reliability layer for
-    /// this stream (pre-reliability handshakes still work).
-    pub nack: Option<RegionDescriptor>,
-}
-
 /// One shard's credit-return context: the reverse endpoint, the target table,
 /// and the per-slot drain counters that generate the token sequence.
 ///
@@ -152,11 +128,10 @@ pub(crate) struct CreditReturn {
     ewma_retire_gap_ns: f64,
     /// Virtual time of the most recent mint, the EWMA's sample anchor.
     last_mint: Option<SimTime>,
-    /// The stream's NACK table state, when the handshake carried one. Like
-    /// `drains`, the counters live outside
-    /// [`RuntimeStats`](crate::RuntimeStats) so a stats reset cannot repeat a
-    /// token.
-    nack: Option<NackReturn>,
+    /// The stream's NACK table state. Like `drains`, the counters live
+    /// outside [`RuntimeStats`](crate::RuntimeStats) so a stats reset cannot
+    /// repeat a token.
+    nack: NackReturn,
 }
 
 /// NACK-table state for one stream (receiver side).
@@ -196,51 +171,27 @@ pub(crate) struct FlushOutcome {
 }
 
 impl CreditReturn {
-    /// Build the return path for the shard owning `handshake.stream`'s banks.
-    /// `banks_total` is the receiver's total bank count (rows are allocated
-    /// for every bank the stream owns under `bank % streams`); `window` is the
-    /// lane's completion window, which the watermark trigger keeps headroom in.
+    /// Build the return path for the shard paired with `stream` of `streams`:
+    /// one row of `per_bank` credit slots per bank of `banks_total` the
+    /// stream owns (`bank % streams`), aimed at `tables`, the descriptors of
+    /// the lane's credit and NACK tables in that order; `window` is the
+    /// lane's completion window, which the watermark trigger keeps headroom
+    /// in.
     pub(crate) fn new(
         endpoint: Endpoint,
-        handshake: &CreditHandshake,
+        stream: usize,
+        streams: usize,
         banks_total: usize,
         per_bank: usize,
+        (descriptor, nack): (RegionDescriptor, RegionDescriptor),
         window: usize,
-    ) -> AmResult<Self> {
-        if handshake.per_bank != per_bank {
-            return Err(AmError::InvalidConfig(format!(
-                "credit table has {} slots per bank but the receiver has {per_bank}",
-                handshake.per_bank
-            )));
-        }
-        let rows = ShardMask::rows_owned(handshake.stream, handshake.streams, banks_total);
-        if rows == 0 {
-            return Err(AmError::InvalidConfig(format!(
-                "stream {} of {} owns no bank: nothing to flow-control",
-                handshake.stream, handshake.streams
-            )));
-        }
-        let needed = BankFlags::table_len(rows, per_bank);
-        if handshake.descriptor.len < needed {
-            return Err(AmError::InvalidConfig(format!(
-                "credit table region holds {} bytes but {rows} bank rows need {needed}",
-                handshake.descriptor.len
-            )));
-        }
-        if let Some(nack) = &handshake.nack {
-            let nack_needed = NackFlags::table_len(rows);
-            if nack.len < nack_needed {
-                return Err(AmError::InvalidConfig(format!(
-                    "NACK table region holds {} bytes but {rows} rows need {nack_needed}",
-                    nack.len
-                )));
-            }
-        }
-        Ok(CreditReturn {
+    ) -> Self {
+        let rows = ShardMask::rows_owned(stream, streams, banks_total);
+        CreditReturn {
             endpoint,
-            descriptor: handshake.descriptor,
-            stream: handshake.stream,
-            streams: handshake.streams,
+            descriptor,
+            stream,
+            streams,
             per_bank,
             drains: vec![0; rows * per_bank],
             pending: vec![false; rows * per_bank],
@@ -251,12 +202,12 @@ impl CreditReturn {
             lifetime_flush_max_span: 0,
             ewma_retire_gap_ns: 0.0,
             last_mint: None,
-            nack: handshake.nack.map(|d| NackReturn {
-                descriptor: d,
+            nack: NackReturn {
+                descriptor: nack,
                 seqs: vec![0; rows],
                 records: vec![[0u8; 5]; rows],
-            }),
-        })
+            },
+        }
     }
 
     /// The descriptor of the sender-side table this return path targets —
@@ -264,12 +215,6 @@ impl CreditReturn {
     /// credit path actually points at the fleet being driven.
     pub(crate) fn descriptor(&self) -> RegionDescriptor {
         self.descriptor
-    }
-
-    /// Whether this stream's handshake carried a NACK table — i.e. the
-    /// receiver side of the reliability layer is armed for it.
-    pub(crate) fn nack_armed(&self) -> bool {
-        self.nack.is_some()
     }
 
     /// How many mailboxes the stream owns (rows × `per_bank`).
@@ -482,16 +427,13 @@ impl CreditReturn {
     /// value-compared tokens cannot re-fire a report. Two sns colliding on
     /// one row in the same scan keep only the newest record, exactly the
     /// overwrite behaviour the per-gap puts had (the sender's watchdog
-    /// backstops any report lost this way). No-op on an empty scan; errors if
-    /// no NACK table was handshaken.
+    /// backstops any report lost this way). No-op on an empty scan.
     pub(crate) fn put_nacks(
         &mut self,
         now: SimTime,
         missing: &[u32],
     ) -> AmResult<CreditPutOutcome> {
-        let nack = self.nack.as_mut().ok_or_else(|| {
-            AmError::InvalidConfig("stream handshake carried no NACK table".into())
-        })?;
+        let nack = &mut self.nack;
         if missing.is_empty() {
             return Ok(CreditPutOutcome {
                 sender_free: now,
@@ -564,24 +506,17 @@ mod tests {
 
     /// One stream's return path over a simulated fabric — `rows` banks of
     /// `per_bank` slots, a lane window of `window` — and the sender-side
-    /// table its puts land in.
+    /// credit table its puts land in (a NACK table is registered beside it).
     fn rig(rows: usize, per_bank: usize, window: usize) -> (CreditReturn, BankFlags) {
         let (fabric, sender, receiver) = SimFabric::back_to_back(TestbedConfig::cluster2021());
-        let region = fabric
-            .host(sender)
-            .unwrap()
-            .register(BankFlags::table_len(rows, per_bank), AccessFlags::rw())
-            .unwrap();
-        let flags = BankFlags::new(region, rows, per_bank).unwrap();
-        let handshake = CreditHandshake {
-            stream: 0,
-            streams: 1,
-            per_bank,
-            descriptor: flags.descriptor(),
-            nack: None,
-        };
+        let sender_host = fabric.host(sender).unwrap();
+        let region = |len| sender_host.register(len, AccessFlags::rw()).unwrap();
+        let flags =
+            BankFlags::new(region(BankFlags::table_len(rows, per_bank)), rows, per_bank).unwrap();
+        let nacks = NackFlags::new(region(NackFlags::table_len(rows)), rows).unwrap();
         let endpoint = fabric.endpoint(receiver, sender).unwrap();
-        let credit = CreditReturn::new(endpoint, &handshake, rows, per_bank, window).unwrap();
+        let tables = (flags.descriptor(), nacks.descriptor());
+        let credit = CreditReturn::new(endpoint, 0, 1, rows, per_bank, tables, window);
         (credit, flags)
     }
 

@@ -11,7 +11,7 @@
 //! in front of the parallel drain. The fleet gives the sender the same
 //! per-shard treatment: **stream `s` of `S` owns exactly the banks with
 //! `bank % S == s`**, the same deterministic map the receiver shards drain by,
-//! so pairing `sender_streams == num_shards` gives every drain shard one
+//! and a fleet has one stream per shard, so every drain shard has one
 //! dedicated initiator and no stream ever crosses another.
 //!
 //! Each [`SenderLane`] is a complete, independently movable sender context:
@@ -25,32 +25,21 @@
 //! * its **own [`RuntimeStats`]**, folded into a fleet-wide view by
 //!   [`SenderFleet::stats`] via [`RuntimeStats::merge`].
 //!
-//! # The session handshake
+//! # Connecting
 //!
-//! Connection setup is one explicit, by-value exchange that cannot be
-//! partially wired:
-//! [`TwoChainsHost::session_handshake`](super::TwoChainsHost::session_handshake)
-//! exports a [`SessionHandshake`] — one [`StreamHandshake`] per receiver
-//! shard, each carrying
-//!
-//! 1. the [`StreamTarget`]s (bank, slot, [`MailboxTarget`]) of every mailbox
-//!    the stream owns (plus the bank geometry the credit table mirrors), and
-//! 2. the receiver-resolved GOT image of every element in the installed
-//!    package (the paper's "GOT redirect ... set by the sender after an
-//!    exchange with the receiver").
-//!
-//! [`SenderFleet::connect_fleet`] consumes the session: one endpoint + sender
-//! per stream, GOT images registered, template caches cold until first use —
-//! and answers with the *reverse* half in the same call: each lane registers a
-//! [`BankFlags`](crate::bank::BankFlags) credit table and a
-//! [`NackFlags`](crate::bank::NackFlags) table in its own (sender-side)
-//! address space and ships the descriptors back as
-//! [`CreditHandshake`](super::CreditHandshake)s, which the host turns into one
-//! reverse-direction endpoint per receiver shard. The closed `stream == shard`
-//! pairing is a construction invariant of the session: a host whose
-//! configuration cannot support it refuses to export the handshake with one
-//! error listing everything that is missing, so there is no connected-but-
-//! creditless state to discover later.
+//! [`SenderFleet::connect_fleet`] is the paper's one exchange before the
+//! first put (§VI-A2): the fleet reads every mailbox's address from the
+//! host's [`MailboxBank`](crate::bank::MailboxBank) and each installed
+//! element's receiver-resolved GOT from
+//! [`export_got`](super::TwoChainsHost::export_got) (the "GOT redirect ...
+//! set by the sender after an exchange with the receiver"), and the host
+//! learns the two tables it writes back into. There is one lane per
+//! receiver shard. Per lane, in stream order: its forward endpoint, then
+//! its [`BankFlags`] credit table, then its [`NackFlags`] table, both
+//! registered in the sender's address space; after every lane, the host's
+//! reverse endpoints, in stream order. The order is part of the model: an
+//! endpoint's creation index seeds its fault stream, and a region's
+//! address places the cache lines its polls touch.
 //!
 //! # The credit wire format (§VI-A2: flow control as fabric traffic)
 //!
@@ -157,11 +146,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use twochains_fabric::{AccessFlags, HostId, SimFabric};
-use twochains_jamvm::GotImage;
 use twochains_linker::{ElementId, Package};
 use twochains_memsim::{AccessKind, CoreBus, MemoryBus, SimTime};
 
-use super::credit::CreditHandshake;
 use super::spec::MessageSpec;
 use super::{AmSendOutcome, ShardDrain, TwoChainsHost, TwoChainsSender};
 use crate::bank::{BankFlags, NackFlags, ShardMask};
@@ -207,48 +194,11 @@ const HARVEST_COST: SimTime = SimTime::from_ns(55);
 
 /// One mailbox a sender stream owns: its coordinates on the receiver and the
 /// target descriptor to aim the one-sided put at.
-#[derive(Debug, Clone)]
-pub struct StreamTarget {
-    /// Bank index on the receiver.
-    pub bank: usize,
-    /// Slot within the bank.
-    pub slot: usize,
-    /// The put target (region descriptor + offset + capacity).
-    pub target: MailboxTarget,
-}
-
-/// The receiver's half of the multi-sender connection setup for one stream:
-/// everything an initiator needs to start injecting, by value.
-#[derive(Debug, Clone)]
-pub struct StreamHandshake {
-    /// The stream this handshake is for (`0..streams`).
-    pub stream: usize,
-    /// Total number of streams the receiver partitioned its banks over.
-    pub streams: usize,
-    /// Mailboxes per bank on the receiver — the geometry the stream's credit
-    /// table ([`BankFlags`]) mirrors row for row.
-    pub per_bank: usize,
-    /// The mailboxes this stream owns (`bank % streams == stream`).
-    pub targets: Vec<StreamTarget>,
-    /// Receiver-resolved GOT image per installed package element.
-    pub gots: Vec<(ElementId, GotImage)>,
-}
-
-/// The receiver's complete half of a fleet session, exported by
-/// [`TwoChainsHost::session_handshake`] and consumed whole by
-/// [`SenderFleet::connect_fleet`]: every stream's targets and GOT images plus
-/// the shard count the credit and NACK tables must pair with. Bundling the
-/// pieces makes partial wiring unrepresentable — a session either connects
-/// with its one-sided credit returns and NACK arming installed, or it does not
-/// connect at all.
-#[derive(Debug, Clone)]
-pub struct SessionHandshake {
-    /// One forward handshake per stream (`streams.len() == shards` — the
-    /// closed pairing is a construction invariant).
-    pub streams: Vec<StreamHandshake>,
-    /// The receiver's shard count, which the sender's credit/NACK geometry
-    /// mirrors row for row.
-    pub shards: usize,
+#[derive(Debug)]
+struct StreamTarget {
+    bank: usize,
+    slot: usize,
+    target: MailboxTarget,
 }
 
 /// Coordinates of one fill: which stream is packing, which mailbox it aims at,
@@ -336,8 +286,8 @@ pub struct SenderLane {
     /// writes with one-sided puts (see the module docs for the wire format).
     flags: BankFlags,
     /// The lane's NACK table: one row per owned bank, written by the
-    /// receiver's sequence-gap reports ([`NackFlags`]). Registered alongside
-    /// the credit table and handed over in the same [`CreditHandshake`].
+    /// receiver's sequence-gap reports ([`NackFlags`]). Registered right
+    /// after the credit table, and handed to the host with it.
     nacks: NackFlags,
     /// Whether this lane's endpoint was created under a fault plan — the
     /// switch that arms the sender half of the reliability layer. On a
@@ -371,49 +321,6 @@ pub struct SenderLane {
 }
 
 impl SenderLane {
-    fn new(
-        handshake: StreamHandshake,
-        mut sender: TwoChainsSender,
-        flags: BankFlags,
-        nacks: NackFlags,
-        window: usize,
-        bus: CoreBus,
-        policy: AggregationPolicy,
-    ) -> Self {
-        for (id, got) in &handshake.gots {
-            sender.set_remote_got(*id, got);
-        }
-        let owns =
-            |t: &StreamTarget| ShardMask::owner_of(t.bank, handshake.streams) == handshake.stream;
-        debug_assert!(handshake.targets.iter().all(owns), "foreign bank");
-        let index = handshake
-            .targets
-            .iter()
-            .enumerate()
-            .map(|(i, t)| ((t.bank, t.slot), i))
-            .collect();
-        SenderLane {
-            stream: handshake.stream,
-            streams: handshake.streams,
-            armed: sender.endpoint_mut().faults_enabled(),
-            sender,
-            in_flight: vec![false; handshake.targets.len()],
-            targets: handshake.targets,
-            index,
-            flags,
-            nacks,
-            posted: Vec::new(),
-            completions: VecDeque::with_capacity(window),
-            window,
-            bus,
-            clock: SimTime::ZERO,
-            policy,
-            open: OpenBatch::default(),
-            frame_buf: Vec::new(),
-            batch_buf: Vec::new(),
-        }
-    }
-
     /// Index into `targets` of owned mailbox (`bank`, `slot`); rejected when
     /// the mailbox is not one of this stream's.
     fn owned(&self, bank: usize, slot: usize) -> AmResult<usize> {
@@ -733,98 +640,119 @@ impl SenderLane {
 }
 
 /// The first-class multi-sender runtime object: one [`SenderLane`] per
-/// stream, each owning its transmit window. See the module docs for the
-/// handshake and flow-control contract.
+/// receiver shard, each owning its transmit window. See the module docs for
+/// how it connects and the flow-control contract.
 #[derive(Debug)]
 pub struct SenderFleet {
     pub(super) lanes: Vec<SenderLane>,
 }
 
 impl SenderFleet {
-    /// Connect a fleet to `host` from fabric host `src` in **one session
-    /// exchange**: the host exports its [`SessionHandshake`] (stream targets
-    /// and GOT images, refused outright with one error listing everything
-    /// missing if the session cannot be fully wired), the fleet builds one
-    /// lane per stream and registers each lane's [`BankFlags`] credit table
-    /// and [`NackFlags`](crate::bank::NackFlags) table sender-side, and the
-    /// host installs the reverse-direction credit-return endpoints — all
-    /// before this returns. There is no partially wired state: a connected
-    /// fleet always has the one-sided credit path and NACK arming installed,
-    /// ready for [`drive_pipeline`].
+    /// Connect a fleet to `host` from fabric host `src`: one lane per
+    /// receiver shard, each aimed at the mailboxes of the banks its shard
+    /// drains and holding the receiver-resolved GOT of every installed
+    /// element, with its credit and NACK tables registered sender-side and
+    /// the host's credit returns installed against them before this returns
+    /// (the module docs give the order). A connected fleet is ready for
+    /// [`drive_pipeline`]; connecting again replaces the host's credit
+    /// returns, so only the newest fleet can be driven.
     ///
     /// `package` is the sender-side copy of the package the fleet injects
-    /// from (same source the receiver installed). The stream count and
-    /// per-stream window come from the host configuration's
-    /// [`sender_streams`](crate::config::RuntimeConfig::sender_streams) and
-    /// [`completion_window`](crate::config::RuntimeConfig::completion_window)
-    /// knobs; `sender_streams` must equal the shard count (the session's
-    /// construction invariant).
+    /// from (same source the receiver installed). The bank geometry is the
+    /// host's [`MailboxBank`](crate::bank::MailboxBank); each lane's window
+    /// is the host configuration's
+    /// [`completion_window`](crate::config::RuntimeConfig::completion_window).
+    /// Refused when the host has no package installed.
     pub fn connect_fleet(
         fabric: &SimFabric,
         src: HostId,
         host: &mut TwoChainsHost,
         package: Package,
     ) -> AmResult<Self> {
-        let session = host.session_handshake()?;
+        let Some(installed) = host.package() else {
+            return Err(AmError::InvalidConfig(
+                "connect_fleet cannot wire the session: no package installed \
+                 (install_package on the receiver before connecting)"
+                    .into(),
+            ));
+        };
+        let gots = installed
+            .jams()
+            .map(|(id, _)| Ok((id, host.export_got(id)?)))
+            .collect::<AmResult<Vec<_>>>()?;
         let window = host.config().completion_window;
         if window == 0 {
             return Err(AmError::InvalidConfig(
                 "completion window needs at least one entry".into(),
             ));
         }
-        // One endpoint + sender per forward handshake, each lane's credit and
-        // NACK tables registered in the sender's address space, their
-        // descriptors collected for the reverse half of the exchange.
+        let (streams, banks) = (host.num_shards(), host.banks());
+        let per_bank = banks.per_bank();
         let sender_host = fabric.host(src)?;
         let num_cores = sender_host.hierarchy().num_cores();
-        let mut credit_handshakes = Vec::with_capacity(session.streams.len());
-        let lanes = session
-            .streams
-            .into_iter()
-            .map(|handshake| {
-                let endpoint = fabric.endpoint(src, host.host_id())?;
-                // The lane's credit table: one row per owned bank, registered
-                // in *this sender's* address space so the receiver can credit
-                // it with one-sided puts (the reverse handshake below hands
-                // the descriptor over).
-                let rows =
-                    ShardMask::rows_owned(handshake.stream, handshake.streams, host.config().banks);
-                let region = sender_host.register(
-                    BankFlags::table_len(rows, handshake.per_bank),
-                    AccessFlags::rw(),
-                )?;
-                let flags = BankFlags::new(region, rows, handshake.per_bank)?;
-                // The lane's NACK table rides the same reverse handshake: the
-                // receiver posts sequence-gap reports here with one-sided
-                // puts, arming the reliability layer for this stream.
+        let lanes = (0..streams)
+            .map(|stream| {
+                let mut sender =
+                    TwoChainsSender::new(fabric.endpoint(src, host.host_id())?, package.clone());
+                for (id, got) in &gots {
+                    sender.set_remote_got(*id, got);
+                }
+                // Both tables live in *this sender's* address space, one row
+                // per owned bank, so the receiver can write them with
+                // one-sided puts.
+                let rows = ShardMask::rows_owned(stream, streams, banks.banks());
+                let region = sender_host
+                    .register(BankFlags::table_len(rows, per_bank), AccessFlags::rw())?;
+                let flags = BankFlags::new(region, rows, per_bank)?;
                 let nack_region =
                     sender_host.register(NackFlags::table_len(rows), AccessFlags::rw())?;
                 let nacks = NackFlags::new(nack_region, rows)?;
-                credit_handshakes.push(CreditHandshake {
-                    stream: handshake.stream,
-                    streams: handshake.streams,
-                    per_bank: handshake.per_bank,
-                    descriptor: flags.descriptor(),
-                    nack: Some(nacks.descriptor()),
-                });
-                // Lane `s` polls its flag region on sender core `s % cores`,
-                // through that core's own private L1/L2 (with more lanes than
-                // cores the surplus lanes alias cores — a cost-model
-                // approximation only; credit *values* always come from the
-                // region's real atomics).
-                let bus = sender_host.core_bus(handshake.stream % num_cores);
-                Ok(SenderLane::new(
-                    handshake,
-                    TwoChainsSender::new(endpoint, package.clone()),
+                let targets: Vec<StreamTarget> = banks
+                    .iter()
+                    .filter(|&(bank, _, _)| ShardMask::owner_of(bank, streams) == stream)
+                    .map(|(bank, slot, mailbox)| StreamTarget {
+                        bank,
+                        slot,
+                        target: mailbox.target(),
+                    })
+                    .collect();
+                let index = targets
+                    .iter()
+                    .enumerate()
+                    .map(|(i, t)| ((t.bank, t.slot), i))
+                    .collect();
+                Ok(SenderLane {
+                    stream,
+                    streams,
+                    armed: sender.endpoint_mut().faults_enabled(),
+                    sender,
+                    in_flight: vec![false; targets.len()],
+                    targets,
+                    index,
                     flags,
                     nacks,
+                    posted: Vec::new(),
+                    completions: VecDeque::with_capacity(window),
                     window,
-                    bus,
-                    host.config().aggregation_policy,
-                ))
+                    // Lane `s` polls its flag region on sender core
+                    // `s % cores`, through that core's own private L1/L2
+                    // (with more lanes than cores the surplus lanes alias
+                    // cores — a cost-model approximation only; credit
+                    // *values* always come from the region's real atomics).
+                    bus: sender_host.core_bus(stream % num_cores),
+                    clock: SimTime::ZERO,
+                    policy: host.config().aggregation_policy,
+                    open: OpenBatch::default(),
+                    frame_buf: Vec::new(),
+                    batch_buf: Vec::new(),
+                })
             })
             .collect::<AmResult<Vec<_>>>()?;
-        host.install_credit_returns(fabric, credit_handshakes)?;
+        let tables = lanes
+            .iter()
+            .map(|lane| (lane.flags.descriptor(), lane.nacks.descriptor()))
+            .collect();
+        host.install_credit_returns(fabric, tables)?;
         Ok(SenderFleet { lanes })
     }
 

@@ -113,7 +113,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use twochains_fabric::{AccessFlags, HostHandle, HostId, MemoryRegion, SimFabric};
+use twochains_fabric::{
+    AccessFlags, HostHandle, HostId, MemoryRegion, RegionDescriptor, SimFabric,
+};
 use twochains_jamvm::memory::MemFault;
 use twochains_jamvm::{
     decode_program, hash64, hash64_bytes, resolve, verify_with_floor, AddressSpace, ExecStats,
@@ -125,7 +127,7 @@ use twochains_memsim::{
     AccessKind, CoreCacheStats, HierarchyStats, MemoryBus, MemoryStressor, SharedHierarchy, SimTime,
 };
 
-use super::credit::{CreditHandshake, CreditPutOutcome, CreditReturn, FlushOutcome};
+use super::credit::{CreditPutOutcome, CreditReturn, FlushOutcome};
 use super::injection_cache::{CachedCode, CachedGot, CodeHit, InjectionCache};
 use super::shard::{DrainCtx, ReceiverShard, ShardDrain};
 use super::{BurstFrame, BurstOutcome, ReceiveOutcome};
@@ -483,10 +485,12 @@ impl TwoChainsHost {
 
     /// Mutable access to the configuration (wait mode, skip-execution, security) —
     /// used by benchmarks to flip knobs between runs. The geometry is fixed at
-    /// construction and the session's at connect time: changing `num_shards` here
-    /// does not re-shard the receiver, and `completion_window` is read once, when
-    /// [`SenderFleet::connect_fleet`](super::SenderFleet::connect_fleet) sizes the
-    /// lanes' windows and the credit path's watermark by it.
+    /// construction: changing `banks`, `mailboxes_per_bank` or `num_shards` here
+    /// reshapes neither the receiver's [`MailboxBank`] nor a fleet, because
+    /// [`SenderFleet::connect_fleet`](super::SenderFleet::connect_fleet) reads
+    /// the geometry from [`banks`](Self::banks). `completion_window` is read
+    /// once, at connect time, to size the lanes' windows and the credit path's
+    /// watermark.
     pub fn config_mut(&mut self) -> &mut RuntimeConfig {
         &mut self.core.config
     }
@@ -700,180 +704,49 @@ impl TwoChainsHost {
         Ok(self.core.banks.mailbox(bank, slot)?.target())
     }
 
-    /// The receiver's complete half of a fleet session, bundled so the wiring
-    /// cannot be partial: one [`StreamHandshake`](super::StreamHandshake) per
-    /// receiver shard (stream targets + GOT images) plus the shard count the
-    /// credit and NACK tables must pair with. Consumed whole by
-    /// [`SenderFleet::connect_fleet`](super::SenderFleet::connect_fleet),
-    /// which answers with the reverse half (credit/NACK table registration)
-    /// in the same exchange.
-    ///
-    /// The closed `stream == shard` pairing is a *construction invariant*
-    /// here: a handshake only exists for `sender_streams == num_shards`.
-    /// Anything that would leave the session half-wired — no installed
-    /// package, a stream/shard mismatch — is collected and reported in one
-    /// loud error listing everything that is missing, instead of surfacing
-    /// piecemeal at first use.
-    pub fn session_handshake(&self) -> AmResult<super::SessionHandshake> {
-        let shards = self.num_shards();
-        let mut missing: Vec<String> = Vec::new();
-        if self.core.package.is_none() {
-            missing.push(
-                "no package installed (install_package on the receiver before connecting)"
-                    .to_string(),
-            );
-        }
-        if self.core.config.sender_streams != shards {
-            missing.push(format!(
-                "sender_streams ({}) != num_shards ({shards}): the session's one-sided \
-                 credit and NACK paths need the closed stream<->shard pairing \
-                 (configure with with_sender_streams({shards}))",
-                self.core.config.sender_streams
-            ));
-        }
-        let (Some(package), true) = (self.core.package.as_ref(), missing.is_empty()) else {
-            return Err(AmError::InvalidConfig(format!(
-                "connect_fleet cannot wire the session: {}",
-                missing.join("; ")
-            )));
-        };
-        Ok(super::SessionHandshake {
-            streams: self.stream_handshakes(package)?,
-            shards,
-        })
-    }
-
-    /// The forward half of the exchange: one
-    /// [`StreamHandshake`](super::StreamHandshake) per receiver shard, each
-    /// carrying the mailbox targets of the banks that stream owns
-    /// (`bank % streams == stream`, the same deterministic map the receiver
-    /// shards drain by) plus the GOT image of every element in the installed
-    /// `package`, resolved against *this* process's namespace. Everything in
-    /// it travels by value, so it could cross a real bootstrap channel
-    /// unchanged.
-    fn stream_handshakes(&self, package: &Package) -> AmResult<Vec<super::StreamHandshake>> {
-        let streams = self.num_shards();
-        let gots = package
-            .jams()
-            .map(|(id, jam)| Ok((id, self.core.namespace.resolve_got(&jam.got)?)))
-            .collect::<AmResult<Vec<_>>>()?;
-        (0..streams)
-            .map(|stream| {
-                let targets = self
-                    .core
-                    .banks
-                    .iter()
-                    .filter(|(bank, _, _)| {
-                        crate::bank::ShardMask::owner_of(*bank, streams) == stream
-                    })
-                    .map(|(bank, slot, mailbox)| super::StreamTarget {
-                        bank,
-                        slot,
-                        target: mailbox.target(),
-                    })
-                    .collect();
-                Ok(super::StreamHandshake {
-                    stream,
-                    streams,
-                    per_bank: self.core.config.mailboxes_per_bank,
-                    targets,
-                    gots: gots.clone(),
-                })
-            })
-            .collect()
-    }
-
-    /// Install the reverse half of the fleet connection: the one-sided
-    /// credit-return path (§VI-A2). Each [`CreditHandshake`] carries the
-    /// descriptor of one stream's [`BankFlags`](crate::bank::BankFlags) credit
-    /// table, registered in the *sender's* address space; this host opens a
-    /// reverse-direction endpoint per shard and, from then on, every retired
+    /// Install the host's half of a fleet connection, the one-sided
+    /// credit-return path (§VI-A2): `tables` holds, in stream order, the
+    /// descriptors of the credit and NACK tables each lane registered in the
+    /// *sender's* address space. The host opens one reverse-direction
+    /// endpoint per shard, in the same order, and from then on every retired
     /// frame (drained, dispatch-rejected or quarantined) mints a credit token
-    /// into the paired stream's table, coalesced into per-row span puts (the
+    /// into the paired lane's table, coalesced into per-row span puts (the
     /// triggers are [`credit`](super::credit)'s) — flow control riding the
     /// fabric and charged in virtual time, not a host-side side channel.
-    ///
-    /// Requires one handshake per shard with `streams == num_shards`: bank
-    /// ownership is `bank % n` on both sides, so only the closed pairing gives
-    /// every drain shard exactly one stream to credit.
-    /// [`SenderFleet::connect_fleet`](super::SenderFleet::connect_fleet) calls
-    /// this as the reverse half of its exchange.
+    /// Only [`SenderFleet::connect_fleet`](super::SenderFleet::connect_fleet)
+    /// calls this, right after it registered the tables against this host's
+    /// banks, so there is nothing here to re-check.
     pub(crate) fn install_credit_returns(
         &mut self,
         fabric: &SimFabric,
-        handshakes: Vec<CreditHandshake>,
+        tables: Vec<(RegionDescriptor, RegionDescriptor)>,
     ) -> AmResult<()> {
-        let shards = self.shards.len();
-        if handshakes.len() != shards {
-            return Err(AmError::InvalidConfig(format!(
-                "{} credit handshakes for {shards} shards: the one-sided credit \
-                 path needs the closed stream<->shard pairing (sender_streams == \
-                 num_shards)",
-                handshakes.len()
-            )));
-        }
-        let mut returns: Vec<Option<CreditReturn>> = (0..shards).map(|_| None).collect();
-        let mut claimed: Vec<(usize, u64, u64)> = Vec::with_capacity(shards);
-        for h in handshakes {
-            if h.streams != shards || h.stream >= shards {
-                return Err(AmError::InvalidConfig(format!(
-                    "credit handshake for stream {} of {} does not match the \
-                     {shards}-shard receiver",
-                    h.stream, h.streams
-                )));
-            }
-            // Vet the table at install time, so a drain-time credit put can
-            // only fail on a genuine invariant break (e.g. a region
-            // deregistered mid-flight), never on geometry agreed here.
-            if !h.descriptor.flags.remote_write {
-                return Err(AmError::InvalidConfig(format!(
-                    "stream {}'s credit table region is not remote-writable: \
-                     every credit put to it would fail at drain time",
-                    h.stream
-                )));
-            }
-            // Distinct streams must hand over disjoint regions: two streams
-            // sharing (an overlap of) one table would write each other's
-            // token bytes — a phantom credit for one lane and a permanently
-            // withheld one for the other, with no error anywhere.
-            let (start, end) = (
-                h.descriptor.base_addr,
-                h.descriptor.base_addr + h.descriptor.len as u64,
-            );
-            if claimed
-                .iter()
-                .any(|&(host, s, e)| host == h.descriptor.host && start < e && s < end)
-            {
-                return Err(AmError::InvalidConfig(format!(
-                    "stream {}'s credit table overlaps another stream's: \
-                     each stream needs its own region",
-                    h.stream
-                )));
-            }
-            claimed.push((h.descriptor.host, start, end));
-            let endpoint = fabric.endpoint(self.host_id(), HostId(h.descriptor.host))?;
-            let credit = CreditReturn::new(
-                endpoint,
-                &h,
-                self.core.config.banks,
-                self.core.config.mailboxes_per_bank,
-                self.core.config.completion_window,
-            )?;
-            if returns[h.stream].replace(credit).is_some() {
-                return Err(AmError::InvalidConfig(format!(
-                    "duplicate credit handshake for stream {}",
-                    h.stream
-                )));
-            }
-        }
+        let streams = self.shards.len();
+        debug_assert_eq!(tables.len(), streams, "one lane per shard");
+        let returns = tables
+            .into_iter()
+            .enumerate()
+            .map(|(stream, (credit, nack))| {
+                let endpoint = fabric.endpoint(self.host_id(), HostId(credit.host))?;
+                Ok(CreditReturn::new(
+                    endpoint,
+                    stream,
+                    streams,
+                    self.core.banks.banks(),
+                    self.core.banks.per_bank(),
+                    (credit, nack),
+                    self.core.config.completion_window,
+                ))
+            })
+            .collect::<AmResult<Vec<_>>>()?;
         for (shard, credit) in self.shards.iter_mut().zip(returns) {
-            // A new handshake means a new sender sequence space (a freshly
+            // A new connection means a new sender sequence space (a freshly
             // connected fleet's lanes count from 1 again): stale replay
             // watermarks or suspected gaps from the previous pairing would
             // silently suppress — or spuriously NACK — the new lanes' frames.
             // The watcher holds at most one suspect per slot the stream owns.
-            shard.watch = super::shard::SeqWatch::new(credit.as_ref().map_or(0, |c| c.slots()));
-            shard.credit = credit;
+            shard.watch = super::shard::SeqWatch::new(credit.slots());
+            shard.credit = Some(credit);
             shard.replay.clear();
         }
         Ok(())
@@ -1805,9 +1678,9 @@ impl HostCore {
     }
 
     /// Feed one processed sequence number (executed or suppressed) to the
-    /// shard's gap watcher, when the reliability layer is armed.
+    /// shard's gap watcher, when a fleet is connected.
     fn note_sequence(shard: &mut ReceiverShard, sn: u32) {
-        if shard.nack_armed() {
+        if shard.credit.is_some() {
             shard.watch.note(sn);
         }
     }
@@ -1827,11 +1700,11 @@ impl HostCore {
     /// `credit_flush_bytes`, `credit_flush_max_span`) land when a flush
     /// actually posts, advancing `clock` to the puts' `sender_free`.
     ///
-    /// A failure here is an invariant break, not a routine condition:
-    /// [`TwoChainsHost::install_credit_returns`] vets the table's geometry,
-    /// writability and disjointness up front, and the admit stage never lets
-    /// a slot the bank does not have this far, so the only ways a drain-time
-    /// credit put can fail are things like a region deregistered mid-flight.
+    /// A failure here is an invariant break, not a routine condition: the
+    /// table was registered writable against this host's banks by the connect
+    /// that installed it, and the admit stage never lets a slot the bank does
+    /// not have this far, so the only ways a drain-time credit put can fail
+    /// are things like a region deregistered mid-flight.
     /// Callers propagate it (even at the cost of dropping a burst's
     /// already-executed outcomes) — losing a credit silently would wedge the
     /// paired lane with no trace, which is strictly worse.
@@ -1905,7 +1778,7 @@ impl HostCore {
     /// gaps, since the coalescing. On a lossless fabric the watcher never
     /// ages anything out, so this posts nothing.
     fn post_due_nacks(shard: &mut ReceiverShard, clock: &mut SimTime) -> AmResult<()> {
-        let Some(credit) = shard.credit.as_mut().filter(|c| c.nack_armed()) else {
+        let Some(credit) = shard.credit.as_mut() else {
             return Ok(());
         };
         let due = shard.watch.end_scan();

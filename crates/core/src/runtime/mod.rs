@@ -15,7 +15,8 @@
 //! flow-controlled by the transmit window it keeps and thread-capable — the
 //! fleet can fill banks from one OS thread per lane while the receiver shards
 //! drain, up to the fully overlapped fill/drain pipeline of [`drive_pipeline`]
-//! (the handshake and flow-control contract are documented on [`SenderFleet`]).
+//! (how it connects and the flow-control contract are documented on
+//! [`SenderFleet`]).
 //!
 //! All methods take and return virtual [`SimTime`]s so a benchmark harness can drive
 //! both ends from a single thread deterministically; the same code paths can also be
@@ -270,11 +271,7 @@ mod spec;
 #[cfg(test)]
 mod tests;
 
-pub use credit::CreditHandshake;
-pub use fleet::{
-    drive_pipeline, PipelineFrame, PipelineOutcome, SenderFleet, SenderLane, SessionHandshake,
-    SlotCtx, StreamHandshake, StreamTarget,
-};
+pub use fleet::{drive_pipeline, PipelineFrame, PipelineOutcome, SenderFleet, SenderLane, SlotCtx};
 pub use host::TwoChainsHost;
 pub use sender::TwoChainsSender;
 pub use shard::{ReceiverShard, ShardDrain};

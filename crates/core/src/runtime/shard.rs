@@ -73,7 +73,7 @@ pub struct ReceiverShard {
     /// benchmark-phase reset must not re-open the window to a stale replay.
     pub(crate) replay: Vec<u32>,
     /// Sequence-gap watcher for this shard's paired sender stream (armed only
-    /// when the stream's handshake carried a NACK table). Persists across
+    /// while a fleet is connected). Persists across
     /// stats resets for the same reason `replay` does.
     pub(crate) watch: SeqWatch,
     /// The code section this shard hashed last, and its digest.
@@ -278,12 +278,12 @@ impl ReceiverShard {
     /// Split the shard for one pass of the receive pipeline: the scratch
     /// buffer (frames are read into it and parsed by borrow) and a
     /// [`DrainCtx`] over everything else the stages touch. The replay filter
-    /// is handed over only when this shard's stream handshake carried a NACK
-    /// table: flows without the reliability layer keep their exact
-    /// pre-reliability semantics, including re-executing a slot a test
-    /// refills with the same sequence number.
+    /// is handed over only when a fleet is connected (the shard has a credit
+    /// return, and with it a NACK table): a host fed by bare senders keeps
+    /// the semantics it had before the reliability layer, including
+    /// re-executing a slot a test refills with the same sequence number.
     pub(crate) fn stages(&mut self) -> (&mut Vec<u8>, DrainCtx<'_>) {
-        let armed = self.nack_armed();
+        let armed = self.credit.is_some();
         let ctx = DrainCtx {
             core: self.core,
             bus: &mut self.bus,
@@ -296,12 +296,6 @@ impl ReceiverShard {
             num_shards: self.num_shards,
         };
         (&mut self.scratch, ctx)
-    }
-
-    /// Whether the receiver half of the reliability layer is armed for this
-    /// shard (its stream's handshake carried a NACK table).
-    pub(crate) fn nack_armed(&self) -> bool {
-        self.credit.as_ref().is_some_and(|c| c.nack_armed())
     }
 
     /// This shard's index.

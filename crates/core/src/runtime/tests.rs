@@ -1,14 +1,13 @@
-//! Runtime tests that need crate-private state: the credit handshake's
-//! geometry checks, a lane's posted-put bookkeeping, the retransmit
-//! watchdog's schedule, and the send pipeline's stages stepped one at a
-//! time. Everything reachable through the public API is pinned by the
+//! Runtime tests that need crate-private state: a lane's posted-put
+//! bookkeeping, the retransmit watchdog's schedule, and the send pipeline's
+//! stages stepped one at a time. Everything reachable through the public API is pinned by the
 //! workspace's root suites (`tests/`), which build on one shared rig.
 
-use twochains_fabric::{AccessFlags, FaultPlan, FaultSnapshot, SimFabric};
+use twochains_fabric::{FaultPlan, FaultSnapshot, SimFabric};
 use twochains_memsim::{SimTime, TestbedConfig};
 
 use super::fleet::{remember, Posted, Step};
-use super::{CreditHandshake, SenderFleet, SlotCtx, TwoChainsHost};
+use super::{SenderFleet, SlotCtx, TwoChainsHost};
 use crate::builtin::{benchmark_package, ssum_args, BuiltinJam};
 use crate::config::{InvocationMode, RuntimeConfig};
 
@@ -18,9 +17,7 @@ fn fleet_testbed(
     shards: usize,
     faults: Option<FaultPlan>,
 ) -> (TwoChainsHost, SenderFleet, impl Fn() -> FaultSnapshot) {
-    let mut cfg = RuntimeConfig::paper_default()
-        .with_shards(shards)
-        .with_sender_streams(shards);
+    let mut cfg = RuntimeConfig::paper_default().with_shards(shards);
     cfg.frame_capacity = 4096;
     cfg.completion_window = 64;
     let (fabric, a, b) = SimFabric::back_to_back(TestbedConfig::cluster2021());
@@ -35,66 +32,6 @@ fn fleet_testbed(
         SenderFleet::connect_fleet(&fabric, a, &mut host, benchmark_package().unwrap()).unwrap();
     let faulted = move || fabric.fault_counters(a, b).unwrap_or_default();
     (host, fleet, faulted)
-}
-
-#[test]
-fn install_credit_returns_validates_geometry() {
-    let mut cfg = RuntimeConfig::paper_default().with_shards(2);
-    cfg.frame_capacity = 4096;
-    let (fabric, a, b) = SimFabric::back_to_back(TestbedConfig::cluster2021());
-    let mut host = TwoChainsHost::new(&fabric, b, cfg).unwrap();
-    host.install_package(benchmark_package().unwrap()).unwrap();
-    let per_bank = host.config().mailboxes_per_bank;
-    let register = |len, flags| fabric.host(a).unwrap().register(len, flags).unwrap();
-    let region = register(256, AccessFlags::rw());
-    let hs = |stream: usize, streams: usize| CreditHandshake {
-        stream,
-        streams,
-        per_bank,
-        descriptor: region.descriptor(),
-        nack: None,
-    };
-    // Wrong handshake count: the closed pairing needs one per shard.
-    assert!(host
-        .install_credit_returns(&fabric, vec![hs(0, 2)])
-        .is_err());
-    // Stream geometry that does not match the shard count.
-    assert!(host
-        .install_credit_returns(&fabric, vec![hs(0, 3), hs(1, 3)])
-        .is_err());
-    // Duplicate stream.
-    assert!(host
-        .install_credit_returns(&fabric, vec![hs(0, 2), hs(0, 2)])
-        .is_err());
-    // Mismatched mailbox geometry.
-    let mut bad = hs(1, 2);
-    bad.per_bank = per_bank + 1;
-    assert!(host
-        .install_credit_returns(&fabric, vec![hs(0, 2), bad])
-        .is_err());
-    // A region too small for the stream's bank rows.
-    let mut small = hs(1, 2);
-    small.descriptor = register(8, AccessFlags::rw()).descriptor();
-    assert!(host
-        .install_credit_returns(&fabric, vec![hs(0, 2), small])
-        .is_err());
-    // Two streams over one region would clobber each other's token bytes.
-    assert!(host
-        .install_credit_returns(&fabric, vec![hs(0, 2), hs(1, 2)])
-        .is_err());
-    // A table the receiver cannot put into would only fail at drain time;
-    // install must catch it up front.
-    let mut unwritable = hs(1, 2);
-    unwritable.descriptor = register(256, AccessFlags::ro()).descriptor();
-    assert!(host
-        .install_credit_returns(&fabric, vec![hs(0, 2), unwritable])
-        .is_err());
-    // A well-formed pair — one disjoint writable region per stream — installs.
-    let mut other = hs(1, 2);
-    other.descriptor = register(256, AccessFlags::rw()).descriptor();
-    host.install_credit_returns(&fabric, vec![hs(0, 2), other])
-        .unwrap();
-    assert!(host.credit_path_installed());
 }
 
 // --- The send pipeline's stages, driven directly ------------------------------

@@ -36,18 +36,16 @@ fn main() {
     let mut server = TwoChainsHost::new(
         &fabric,
         server_id,
-        RuntimeConfig::paper_default()
-            .with_shards(num_shards)
-            .with_sender_streams(num_shards),
+        RuntimeConfig::paper_default().with_shards(num_shards),
     )
     .expect("server");
     server
         .install_package(benchmark_package().unwrap())
         .unwrap();
-    // The session handshake wires everything at once — per-stream mailbox
-    // targets, the receiver-resolved GOT image of every package element, the
-    // credit tables and NACK arming — or fails loudly listing every missing
-    // piece; a partially wired fleet cannot exist.
+    // One connect wires everything at once — one lane per server shard, its
+    // mailbox targets, the receiver-resolved GOT image of every package
+    // element, the credit and NACK tables — or fails loudly; a partially
+    // wired fleet cannot exist.
     let mut client = SenderFleet::connect_fleet(
         &fabric,
         client_id,

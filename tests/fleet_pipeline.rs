@@ -17,8 +17,8 @@
 //! drain threads over the lock-split receive path, and ordering bugs bite with
 //! optimizations on.
 //!
-//! The session around it is pinned here too: what the handshake hands each
-//! lane, what `connect_fleet` and `drive_pipeline` refuse, and that one lane's
+//! The session around it is pinned here too: what `connect_fleet` hands each
+//! lane, what it and `drive_pipeline` refuse, and that one lane's
 //! back-pressure never stalls another.
 
 mod support;
@@ -236,43 +236,6 @@ fn refusal(out: Result<usize, AmError>) -> String {
     }
 }
 
-#[test]
-fn session_handshake_partitions_banks_and_exports_gots() {
-    let FleetBed { host, .. } = fleet_testbed(fleet_config(2), None);
-    let session = host.session_handshake().unwrap();
-    assert_eq!(session.shards, 2);
-    let handshakes = session.streams;
-    assert_eq!(handshakes.len(), 2);
-    let total: usize = handshakes.iter().map(|h| h.targets.len()).sum();
-    assert_eq!(total, host.config().total_mailboxes());
-    for hs in &handshakes {
-        assert_eq!(hs.streams, 2);
-        assert!(!hs.targets.is_empty());
-        // Every target sits in a bank the stream owns, and the targets match
-        // what mailbox_target() hands out slot for slot.
-        for t in &hs.targets {
-            assert_eq!(t.bank % 2, hs.stream);
-            assert_eq!(host.mailbox_target(t.bank, t.slot).unwrap(), t.target);
-        }
-        // The receiver-resolved GOT image of every installed element,
-        // identical to the one-at-a-time `export_got`.
-        assert_eq!(hs.gots.len(), 5, "every builtin jam exported");
-        for (id, got) in &hs.gots {
-            assert_eq!(host.export_got(*id).unwrap(), *got);
-        }
-    }
-}
-
-#[test]
-fn handshake_without_package_is_rejected() {
-    let wire = wire();
-    let host = TwoChainsHost::new(&wire.fabric, wire.b, RuntimeConfig::paper_default()).unwrap();
-    assert!(matches!(
-        host.session_handshake(),
-        Err(AmError::InvalidConfig(_))
-    ));
-}
-
 /// Window of 1 and one put per frame: every send after a stream's first must
 /// harvest its own window. Lane 0 fills three rounds while lane 1 fills one;
 /// lane 0 stalls repeatedly, and lane 1 must never observe it.
@@ -388,15 +351,15 @@ fn drive_pipeline_propagates_a_payload_panic_instead_of_hanging() {
     );
 }
 
-/// A host whose streams do not match its shards, and that has no package,
-/// cannot export a session: one error names both. Fixing both connects.
+/// A host with no package cannot be connected to, and the error says so.
+/// With one, each lane is handed exactly the mailboxes of the banks its
+/// shard drains: its credit table answers for every one of them and refuses
+/// every other.
 #[test]
-fn connect_fleet_lists_everything_missing_in_one_error() {
+fn connect_fleet_refuses_a_host_without_a_package_and_partitions_the_banks() {
     let wire = wire();
-    let cfg = RuntimeConfig::paper_default()
-        .with_shards(2)
-        .with_sender_streams(1);
-    let mut host = TwoChainsHost::new(&wire.fabric, wire.b, cfg).unwrap();
+    let cfg = RuntimeConfig::paper_default().with_shards(2);
+    let mut host = TwoChainsHost::new(&wire.fabric, wire.b, cfg.clone()).unwrap();
     let err = SenderFleet::connect_fleet(
         &wire.fabric,
         wire.a,
@@ -405,24 +368,46 @@ fn connect_fleet_lists_everything_missing_in_one_error() {
     )
     .unwrap_err();
     let msg = err.to_string();
-    assert!(
-        msg.contains("connect_fleet cannot wire the session"),
-        "{msg}"
-    );
     assert!(msg.contains("no package installed"), "{msg}");
-    assert!(
-        msg.contains("sender_streams (1) != num_shards (2)"),
-        "{msg}"
-    );
-    let mut host = wire.host(
-        RuntimeConfig::paper_default()
-            .with_shards(2)
-            .with_sender_streams(2),
-    );
+    let mut host = wire.host(cfg);
     let fleet = wire.fleet(&mut host);
     assert_eq!(fleet.lane_count(), 2);
     assert!(
         host.credit_path_installed(),
         "connect_fleet always installs the credit path"
     );
+    let banks = host.banks();
+    for stream in 0..2 {
+        let lane = fleet.lane(stream).unwrap();
+        assert_eq!(lane.slots(), banks.total() / 2);
+        for (bank, slot, _) in banks.iter() {
+            let owned = bank % 2 == stream;
+            assert_eq!(
+                lane.credit_pending(bank, slot).is_ok(),
+                owned,
+                "lane {stream}, mailbox ({bank}, {slot})"
+            );
+        }
+    }
+}
+
+/// The lanes take their geometry from the banks the host built, not from
+/// its configuration, which can change after the banks exist.
+#[test]
+fn connect_fleet_reads_the_geometry_from_the_banks_not_the_config() {
+    let wire = wire();
+    let mut host = wire.host(RuntimeConfig::paper_default().with_shards(2));
+    host.config_mut().mailboxes_per_bank = 8;
+    let mut fleet = wire.fleet(&mut host);
+    let elem = host.builtin_id(BuiltinJam::IndirectPut).unwrap();
+    let out = drive_pipeline(
+        &mut host,
+        &mut fleet,
+        elem,
+        InvocationMode::Injected,
+        2,
+        &iput_payload,
+    )
+    .unwrap();
+    assert_eq!((out.drained, out.rejected), (2 * host.banks().total(), 0));
 }

@@ -19,9 +19,7 @@ use twochains::{spec, InvocationMode, RuntimeConfig, TwoChainsHost};
 const SHARDS: usize = 2;
 
 fn config() -> RuntimeConfig {
-    let mut cfg = RuntimeConfig::paper_default()
-        .with_shards(SHARDS)
-        .with_sender_streams(SHARDS);
+    let mut cfg = RuntimeConfig::paper_default().with_shards(SHARDS);
     cfg.banks = 4;
     cfg.mailboxes_per_bank = 4;
     cfg.frame_capacity = 4096;

@@ -378,9 +378,7 @@ fn run_scenario(cfg: RuntimeConfig) -> String {
 }
 
 fn base_config() -> RuntimeConfig {
-    RuntimeConfig::paper_default()
-        .with_shards(1)
-        .with_sender_streams(1)
+    RuntimeConfig::paper_default().with_shards(1)
 }
 
 fn assert_trace(name: &str, actual: &str, golden: &str) {

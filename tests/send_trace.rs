@@ -53,9 +53,7 @@ fn fnv(hash: &mut u64, bytes: &[u8]) {
 const FNV_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
 
 fn config(per_frame: bool, window: usize) -> RuntimeConfig {
-    let mut cfg = RuntimeConfig::paper_default()
-        .with_shards(LANES)
-        .with_sender_streams(LANES);
+    let mut cfg = RuntimeConfig::paper_default().with_shards(LANES);
     cfg.banks = BANKS;
     cfg.mailboxes_per_bank = PER_BANK;
     cfg.frame_capacity = CAPACITY;

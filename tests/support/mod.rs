@@ -77,9 +77,7 @@ pub fn testbed(cfg: RuntimeConfig) -> (TwoChainsHost, TwoChainsSender) {
 /// The fleet configuration: `shards` shards and as many lanes, 4 KiB
 /// mailboxes, and a completion window no lane can fill.
 pub fn fleet_config(shards: usize) -> RuntimeConfig {
-    let mut cfg = RuntimeConfig::paper_default()
-        .with_shards(shards)
-        .with_sender_streams(shards);
+    let mut cfg = RuntimeConfig::paper_default().with_shards(shards);
     cfg.frame_capacity = 4096;
     cfg.completion_window = cfg.total_mailboxes();
     cfg

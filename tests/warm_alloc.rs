@@ -115,9 +115,7 @@ fn counted<R>(f: impl FnOnce() -> R) -> (Heap, R) {
 /// 4 banks × 16 mailboxes of 16 KiB, one shard, one lane: the `warm_stream`
 /// testbed.
 fn build() -> (TwoChainsHost, SenderFleet) {
-    let mut cfg = RuntimeConfig::paper_default()
-        .with_shards(1)
-        .with_sender_streams(1);
+    let mut cfg = RuntimeConfig::paper_default().with_shards(1);
     cfg.frame_capacity = 16 * 1024;
     cfg.completion_window = cfg.total_mailboxes();
     let FleetBed { host, fleet, .. } = fleet_testbed(cfg, None);
