@@ -93,7 +93,7 @@ impl RuntimeConfig {
             completion_window: 256,
             aggregation_policy: AggregationPolicy::Adaptive,
             wait_mode: WaitMode::Polling,
-            security: SecurityPolicy::permissive(),
+            security: SecurityPolicy::Permissive,
             skip_execution: false,
         }
     }

@@ -27,16 +27,18 @@
 //! * **Sender fleet** ([`runtime`]) — the initiator side mirrors the split: a
 //!   [`SenderFleet`] runs one [`TwoChainsSender`] per stream (stream `s` fills
 //!   the banks shard `s` drains), each on its own endpoint with its own
-//!   template cache and its own completion window for flow control, and can fill
-//!   from one OS thread per lane concurrently with shard draining
-//!   ([`drive_pipeline`]).
+//!   template cache and its own completion window for flow control. A pipeline
+//!   run overlaps filling with shard draining, on one OS thread per lane and
+//!   per shard ([`drive_pipeline`]) or stepped on one thread in a seeded,
+//!   bit-reproducible order ([`step_pipeline`]).
 //! * **Remote linking** — jams reference receiver-side functionality only through
 //!   symbolic GOT slots; the receiver resolves them against its own loaded rieds
 //!   (per-process namespaces from `twochains-linker`) and shares the resolved GOT
 //!   image with senders out of band.
-//! * **Security policy knobs** ([`security`]) — the §V hardening options: refuse
-//!   sender-provided GOT images, read-only argument pages, separated code/data, and
-//!   an execute-permission bit on registered memory.
+//! * **Security policy presets** ([`security`]) — permissive, or every §V
+//!   hardening option at once: refuse sender-provided GOT images, read-only
+//!   argument pages, separated code/data, and an execute-permission bit on
+//!   registered memory.
 //! * **The paper's benchmark jams** ([`builtin`]) — *Server-Side Sum* and *Indirect
 //!   Put*, built from the same definitions into both injectable objects and the
 //!   Local Function library.
@@ -67,9 +69,9 @@ pub use frame::{
 };
 pub use mailbox::ReactiveMailbox;
 pub use runtime::{
-    drive_pipeline, spec, AmSendOutcome, BurstFrame, BurstOutcome, MessageSpec, PipelineFrame,
-    PipelineOutcome, ReceiveOutcome, ReceiverShard, SenderFleet, SenderLane, ShardDrain, SlotCtx,
-    TwoChainsHost, TwoChainsSender,
+    drive_pipeline, spec, step_pipeline, AmSendOutcome, BurstFrame, BurstOutcome, MessageSpec,
+    PipelineFrame, PipelineOutcome, ReceiveOutcome, ReceiverShard, SenderFleet, SenderLane,
+    ShardDrain, SlotCtx, TwoChainsHost, TwoChainsSender,
 };
 pub use security::SecurityPolicy;
 pub use stats::RuntimeStats;

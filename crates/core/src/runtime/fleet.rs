@@ -116,21 +116,28 @@
 //! | 6 retransmit | `SenderLane::retransmit` | live posted entries re-put byte-identically: the one a NACK names, or all of them |
 //!
 //! [`SenderLane::fill`] (the phased, deterministic schedule) is stages 1–4
-//! over every owned slot and a closing flush. [`drive_pipeline`] runs all six
-//! with fill and drain overlapping in wall clock: a lane's side of the run is
-//! a `LaneRun` whose `step()` never blocks — it reports `Progressed`,
-//! `Starved` or `Done` — so *waiting* is the driver's business. The whole
-//! reliability protocol is inside `step`: a starved step answers NACKs and
-//! runs the retransmit watchdog, whose deadlines count the stall episode's
-//! fruitless steps, so the sender side reads no clock. The OS-thread driver
-//! only yields or parks between starved steps (`run_lane`, the only place
-//! the sender side does either); a single-threaded driver can interleave
-//! lanes and shards in any order, on clean or lossy links, and reproduce a
-//! run bit for bit.
-//! Sender threads and shard-drain threads are coupled only by the one-sided
-//! credit path — no channels, no shared queues. As each frame retires, the
-//! drain thread puts the slot's next credit token into the paired lane's flag
-//! region, and the lane refills a slot the moment its token changes. Results
+//! over every owned slot and a closing flush. A pipeline run is all six with
+//! fill and drain overlapping, over one set of *parties*: one `LaneRun` per
+//! lane, then one `DrainRun` per shard (`parties`, after `check_paired`).
+//! Each party's `step()` never blocks — it reports `Progressed`, `Starved`
+//! or `Done` — so *waiting* is the driver's business. A lane's whole
+//! reliability protocol is inside its `step`: a starved step answers NACKs
+//! and runs the retransmit watchdog, whose deadlines count the stall
+//! episode's fruitless steps, so the sender side reads no clock. A drain's
+//! step is one `receive_burst`, with the frame quota and the give-up. Two
+//! drivers step the same parties:
+//!
+//! * [`drive_pipeline`] gives each party an OS thread and steps it to `Done`.
+//!   Only the thread side waits between starved steps (`run_party`, the one
+//!   place the pipeline yields or parks) and polls the abort flag.
+//! * [`step_pipeline`] steps them on the calling thread in the order a seeded
+//!   generator picks, on clean or lossy links, and reproduces a run bit for
+//!   bit.
+//!
+//! Lanes and drains are coupled only by the one-sided credit path — no
+//! channels, no shared queues. As each frame retires, the drain puts the
+//! slot's next credit token into the paired lane's flag region, and the lane
+//! refills a slot the moment its token changes. Under either driver, results
 //! and order-independent runtime counters are observationally equal to the
 //! sequential fill-then-drain schedule (pinned by `tests/fleet_pipeline.rs`);
 //! *time* counters are not comparable, because the pipelined drain polls its
@@ -868,27 +875,9 @@ impl SenderFleet {
         }
         Ok(())
     }
-
-    /// Start a pipeline run of `rounds` fills per slot: one steppable
-    /// [`LaneRun`] per lane.
-    pub(super) fn lane_runs<'a, F>(
-        &'a mut self,
-        elem: ElementId,
-        mode: InvocationMode,
-        rounds: usize,
-        make: &'a F,
-    ) -> AmResult<Vec<LaneRun<'a, F>>>
-    where
-        F: Fn(SlotCtx) -> (Vec<u8>, Vec<u8>),
-    {
-        self.lanes
-            .iter_mut()
-            .map(|lane| LaneRun::new(lane, elem, mode, rounds, make))
-            .collect()
-    }
 }
 
-/// One frame drained by [`drive_pipeline`], with the mailbox it came from so
+/// One frame a pipeline run drained, with the mailbox it came from so
 /// callers can attribute results (e.g. map a slot back to the key that was
 /// written there).
 #[derive(Debug, Clone, Copy)]
@@ -901,8 +890,8 @@ pub struct PipelineFrame {
     pub result: u64,
 }
 
-/// Outcome of one [`drive_pipeline`] run.
-#[derive(Debug, Clone)]
+/// Outcome of one [`drive_pipeline`] or [`step_pipeline`] run.
+#[derive(Debug, Clone, Default)]
 pub struct PipelineOutcome {
     /// Per-message outcomes, in per-shard drain order (shard-major). Order
     /// within a shard depends on the fill/drain interleave; compare results as
@@ -916,19 +905,23 @@ pub struct PipelineOutcome {
     /// `drained..=drained + rejected` brackets the offered frame count from
     /// both sides rather than summing to it exactly.
     pub rejected: usize,
+    /// Each shard's final drain clock, by shard index: where its last
+    /// non-empty burst finished, in shard-virtual time.
+    pub drained_at: Vec<SimTime>,
 }
 
-/// What one [`LaneRun::step`] did.
+/// What one step of a pipeline party ([`LaneRun`] or [`DrainRun`]) did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum Step {
-    /// Frames were posted or credits collected: step again.
+    /// Frames were posted, credits collected or frames drained: step again.
     Progressed,
-    /// No credit arrived: a fruitless step of a stall episode, which on an
-    /// armed lane answered NACKs and ran the watchdog. Waiting is the
-    /// caller's business: a thread yields or parks, a single-threaded driver
-    /// steps something else.
+    /// Nothing arrived: a lane's fruitless step of a stall episode (which on
+    /// an armed lane answered NACKs and ran the watchdog), or a drain's empty
+    /// scan. Waiting is the caller's business: a thread yields or parks, a
+    /// single-threaded driver steps something else.
     Starved,
-    /// Every frame is sent and, on an armed lane, every final credit is in.
+    /// Every frame is sent and, on an armed lane, every final credit is in;
+    /// or the drain has executed its quota, or given up on the rest.
     Done,
 }
 
@@ -1145,40 +1138,15 @@ fn watchdog_delay(fired: u32) -> u32 {
     cur.saturating_mul(WATCHDOG_BASE).min(WATCHDOG_CLAMP)
 }
 
-/// A sender thread's body: step the lane to completion. Between starved
-/// steps it bails out if the other side died, then yields for the first
-/// [`SPIN_SCANS`] fruitless steps of an episode (credits normally arrive
-/// within a burst) and parks after that, so a stalled lane on an
-/// oversubscribed host stops stealing quanta from the very drain threads it
-/// is waiting on.
-fn run_lane<F>(mut run: LaneRun<'_, F>, abort: &AtomicBool) -> AmResult<()>
-where
-    F: Fn(SlotCtx) -> (Vec<u8>, Vec<u8>),
-{
-    loop {
-        match run.step()? {
-            Step::Done => return Ok(()),
-            Step::Progressed => {}
-            Step::Starved => {
-                if abort.load(Ordering::Relaxed) {
-                    return Err(AmError::Exec(
-                        "pipeline aborted: a drain shard failed before returning all credits"
-                            .into(),
-                    ));
-                }
-                if run.fruitless < SPIN_SCANS {
-                    std::thread::yield_now();
-                } else {
-                    std::thread::sleep(PARK);
-                }
-            }
-        }
-    }
-}
+/// Empty scans a drain whose every outstanding frame is accounted for by a
+/// rejection takes before it retires the gap as lost.
+const GIVE_UP_SCANS: usize = 512;
 
-/// A drain thread's body: burst-drain `drain`'s banks until `want` frames
-/// executed. Credits for everything a burst retires are put back inside the
-/// burst engine itself, the moment each slot is clear.
+/// One shard's side of a pipeline run, the mirror of [`LaneRun`]: each
+/// [`step`](DrainRun::step) is one `receive_burst` from the clock the last
+/// non-empty one left, until `want` frames have executed. Credits for
+/// everything a burst retires are put back inside the burst engine itself,
+/// the moment each slot is clear.
 ///
 /// The quota counts *executed* frames only. A frame torn by an in-flight
 /// fault is rejected (its credit returns immediately), then usually comes
@@ -1188,45 +1156,144 @@ where
 /// retirement early when that recovery lands, stranding the final round's
 /// credits and starving the lane. When the tear hits the run's tail the lane
 /// may already have exited (no credit is owed), so once every outstanding
-/// frame is accounted for by a rejection, a bounded run of empty scans
-/// retires the gap as lost instead of spinning.
-fn drain_shard(
-    mut drain: ShardDrain<'_>,
+/// frame is accounted for by a rejection, [`GIVE_UP_SCANS`] empty scans
+/// retire the gap as lost instead of spinning.
+pub(super) struct DrainRun<'a> {
+    drain: ShardDrain<'a>,
     want: usize,
-    abort: &AtomicBool,
-) -> AmResult<(Vec<PipelineFrame>, usize)> {
-    const GIVE_UP_SCANS: usize = 512;
-    let mut results = Vec::with_capacity(want);
-    let mut rejected = 0usize;
-    let mut clock = SimTime::ZERO;
-    let mut idle_scans = 0usize;
-    while results.len() < want {
-        let out = drain.receive_burst(usize::MAX, clock)?;
-        if out.is_empty() {
-            if abort.load(Ordering::Relaxed) {
-                return Err(AmError::Exec(
-                    "pipeline aborted: a sender lane failed".into(),
-                ));
-            }
-            if results.len() + rejected >= want {
-                idle_scans += 1;
-                if idle_scans >= GIVE_UP_SCANS {
-                    break;
-                }
-            }
-            std::thread::yield_now();
-            continue;
+    results: Vec<PipelineFrame>,
+    rejected: usize,
+    /// The shard's drain clock: where its last non-empty burst finished.
+    drained_at: SimTime,
+    /// Empty scans since every outstanding frame was accounted for.
+    idle_scans: usize,
+}
+
+impl DrainRun<'_> {
+    /// Drain one burst, or report the quota met or given up on.
+    fn step(&mut self) -> AmResult<Step> {
+        if self.results.len() >= self.want || self.idle_scans >= GIVE_UP_SCANS {
+            return Ok(Step::Done);
         }
-        idle_scans = 0;
-        clock = out.drained_at;
-        results.extend(out.frames.iter().map(|f| PipelineFrame {
-            bank: f.bank,
-            slot: f.slot,
-            result: f.outcome.result,
-        }));
-        rejected += out.rejected.len();
+        let out = self.drain.receive_burst(usize::MAX, self.drained_at)?;
+        if out.is_empty() {
+            if self.results.len() + self.rejected >= self.want {
+                self.idle_scans += 1;
+            }
+            return Ok(Step::Starved);
+        }
+        self.idle_scans = 0;
+        self.drained_at = out.drained_at;
+        self.results
+            .extend(out.frames.iter().map(|f| PipelineFrame {
+                bank: f.bank,
+                slot: f.slot,
+                result: f.outcome.result,
+            }));
+        self.rejected += out.rejected.len();
+        Ok(Step::Progressed)
     }
-    Ok((results, rejected))
+}
+
+/// One party of a pipeline run: a lane's side or a shard's.
+pub(super) enum Party<'a, F> {
+    Lane(LaneRun<'a, F>),
+    Drain(DrainRun<'a>),
+}
+
+impl<F> Party<'_, F>
+where
+    F: Fn(SlotCtx) -> (Vec<u8>, Vec<u8>),
+{
+    fn step(&mut self) -> AmResult<Step> {
+        match self {
+            Party::Lane(run) => run.step(),
+            Party::Drain(run) => run.step(),
+        }
+    }
+}
+
+/// Every party of a run of `rounds` fills per slot, once the session is
+/// checked ([`SenderFleet::check_paired`]): one [`LaneRun`] per lane, then
+/// one [`DrainRun`] per shard owing its lane's `rounds` × slots frames. Both
+/// drivers step these; the seeded one picks them by this index.
+pub(super) fn parties<'a, F>(
+    host: &'a mut TwoChainsHost,
+    fleet: &'a mut SenderFleet,
+    elem: ElementId,
+    mode: InvocationMode,
+    rounds: usize,
+    make: &'a F,
+) -> AmResult<Vec<Party<'a, F>>>
+where
+    F: Fn(SlotCtx) -> (Vec<u8>, Vec<u8>),
+{
+    fleet.check_paired(host)?;
+    let wants: Vec<usize> = fleet.lanes.iter().map(|l| rounds * l.slots()).collect();
+    let mut parties = fleet
+        .lanes
+        .iter_mut()
+        .map(|lane| LaneRun::new(lane, elem, mode, rounds, make).map(Party::Lane))
+        .collect::<AmResult<Vec<_>>>()?;
+    parties.extend(
+        host.shard_drains()
+            .into_iter()
+            .zip(wants)
+            .map(|(drain, want)| {
+                Party::Drain(DrainRun {
+                    drain,
+                    want,
+                    results: Vec::with_capacity(want),
+                    rejected: 0,
+                    drained_at: SimTime::ZERO,
+                    idle_scans: 0,
+                })
+            }),
+    );
+    Ok(parties)
+}
+
+/// What the drains of a finished run report.
+fn outcome<F>(parties: Vec<Party<'_, F>>) -> PipelineOutcome {
+    let mut out = PipelineOutcome::default();
+    for party in parties {
+        if let Party::Drain(run) = party {
+            out.results.extend(run.results);
+            out.rejected += run.rejected;
+            out.drained_at.push(run.drained_at);
+        }
+    }
+    out.drained = out.results.len();
+    out
+}
+
+/// A pipeline thread's body: step `party` to `Done`. Between starved steps it
+/// bails out if the other side died, then waits: a lane yields for the first
+/// [`SPIN_SCANS`] fruitless steps of an episode (credits normally arrive
+/// within a burst) and parks after that, so a stalled lane on an
+/// oversubscribed host stops stealing quanta from the very drain threads it
+/// is waiting on; a drain yields.
+fn run_party<'a, F>(mut party: Party<'a, F>, abort: &AtomicBool) -> AmResult<Party<'a, F>>
+where
+    F: Fn(SlotCtx) -> (Vec<u8>, Vec<u8>),
+{
+    loop {
+        match (party.step()?, &party) {
+            (Step::Done, _) => return Ok(party),
+            (Step::Progressed, _) => {}
+            (Step::Starved, side) if abort.load(Ordering::Relaxed) => {
+                let failed = match side {
+                    Party::Lane(_) => "a drain shard failed before returning all credits",
+                    Party::Drain(_) => "a sender lane failed",
+                };
+                return Err(AmError::Exec(format!("pipeline aborted: {failed}")));
+            }
+            (Step::Starved, Party::Lane(run)) if run.fruitless >= SPIN_SCANS => {
+                std::thread::sleep(PARK)
+            }
+            (Step::Starved, _) => std::thread::yield_now(),
+        }
+    }
 }
 
 /// Run one pipeline thread's `body` with the abort flag armed against both
@@ -1254,12 +1321,12 @@ fn aborting<T>(abort: &AtomicBool, body: impl FnOnce() -> AmResult<T>) -> AmResu
 }
 
 /// Run `rounds` full fill+drain cycles with fill and drain overlapping in wall
-/// clock: one sender thread per lane, one drain thread per receiver shard,
-/// coupled *only* by the one-sided credit path — as each frame retires, the
-/// drain's burst engine puts the slot's next credit token into the paired
-/// lane's flag region ([`BankFlags`]), and the lane spins/parks on acquire
-/// loads of its own region until a refillable slot's token changes. No
-/// channels, no shared queues: flow control is fabric traffic, charged in
+/// clock: one thread per party (a sender thread per lane, a drain thread per
+/// receiver shard), coupled *only* by the one-sided credit path — as each
+/// frame retires, the drain's burst engine puts the slot's next credit token
+/// into the paired lane's flag region ([`BankFlags`]), and the lane spins/parks
+/// on acquire loads of its own region until a refillable slot's token changes.
+/// No channels, no shared queues: flow control is fabric traffic, charged in
 /// virtual time on both the drain core (posting) and the wire/DMA models.
 ///
 /// Requires `fleet.lane_count() == host.num_shards()` *and* the credit path
@@ -1280,51 +1347,35 @@ pub fn drive_pipeline<F>(
 where
     F: Fn(SlotCtx) -> (Vec<u8>, Vec<u8>) + Sync,
 {
-    fleet.check_paired(host)?;
-    let wants: Vec<usize> = fleet.lanes.iter().map(|l| rounds * l.slots()).collect();
-    let runs = fleet.lane_runs(elem, mode, rounds, make)?;
+    let parties = parties(host, fleet, elem, mode, rounds, make)?;
     let abort = &AtomicBool::new(false);
     std::thread::scope(|scope| {
-        let drains: Vec<_> = host
-            .shard_drains()
+        let threads: Vec<_> = parties
             .into_iter()
-            .map(|drain| {
-                let want = wants[drain.shard_id()];
-                scope.spawn(move || aborting(abort, || drain_shard(drain, want, abort)))
+            .map(|party| {
+                let panicked = match party {
+                    Party::Lane(_) => "sender lane thread panicked",
+                    Party::Drain(_) => "drain thread panicked",
+                };
+                let thread = scope.spawn(move || aborting(abort, || run_party(party, abort)));
+                (panicked, thread)
             })
             .collect();
-        let lanes: Vec<_> = runs
-            .into_iter()
-            .map(|run| scope.spawn(move || aborting(abort, || run_lane(run, abort))))
-            .collect();
-        // Join *both* sides before reporting: after an abort, one side holds
+        // Join *every* party before reporting: after an abort, one side holds
         // the root-cause error and the other holds only the secondary
         // "pipeline aborted: ..." it raised when released, and either side
         // may be the one that actually failed (a lane's send, or a drain's
         // dispatch/credit put).
         let mut errors: Vec<AmError> = Vec::new();
-        for h in lanes {
-            if let Err(e) = h.join().expect("sender lane thread panicked") {
-                errors.push(e);
-            }
-        }
-        let mut results = Vec::new();
-        let mut rejected = 0usize;
-        for h in drains {
-            match h.join().expect("drain thread panicked") {
-                Ok((r, rej)) => {
-                    results.extend(r);
-                    rejected += rej;
-                }
+        let mut finished = Vec::new();
+        for (panicked, thread) in threads {
+            match thread.join().expect(panicked) {
+                Ok(party) => finished.push(party),
                 Err(e) => errors.push(e),
             }
         }
         if errors.is_empty() {
-            return Ok(PipelineOutcome {
-                drained: results.len(),
-                results,
-                rejected,
-            });
+            return Ok(outcome(finished));
         }
         // Surface the root cause, not a released thread's abort notice (the
         // only errors prefixed "pipeline aborted" are the ones raised here on
@@ -1335,4 +1386,38 @@ where
             .unwrap_or(0);
         Err(errors.swap_remove(root))
     })
+}
+
+/// Run the pipeline [`drive_pipeline`] runs on the calling thread: the same
+/// parties, stepped one at a time in an order a linear congruential generator
+/// seeded with `seed` picks (a party already `Done` is skipped) — no thread,
+/// no sleep, no spin, no wall clock. One seed is one schedule: results,
+/// drain order, every clock and counter and, on a faulted link, every NACK
+/// and retransmit repeat exactly. It requires and refuses what
+/// `drive_pipeline` does, and `make` need not be `Sync`.
+pub fn step_pipeline<F>(
+    host: &mut TwoChainsHost,
+    fleet: &mut SenderFleet,
+    elem: ElementId,
+    mode: InvocationMode,
+    rounds: usize,
+    make: &F,
+    seed: u64,
+) -> AmResult<PipelineOutcome>
+where
+    F: Fn(SlotCtx) -> (Vec<u8>, Vec<u8>),
+{
+    let mut parties = parties(host, fleet, elem, mode, rounds, make)?;
+    let mut done = vec![false; parties.len()];
+    let mut lcg = seed;
+    while done.contains(&false) {
+        lcg = lcg
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let pick = (lcg >> 33) as usize % parties.len();
+        if !done[pick] {
+            done[pick] = parties[pick].step()? == Step::Done;
+        }
+    }
+    Ok(outcome(parties))
 }

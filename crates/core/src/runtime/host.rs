@@ -139,6 +139,7 @@ use crate::frame::{
     is_batch, BatchView, ChainArgMap, ChainDescriptor, FrameView, FRAME_HEADER_SIZE,
 };
 use crate::mailbox::MailboxTarget;
+use crate::security::SecurityPolicy;
 use crate::stats::RuntimeStats;
 
 /// Fixed receiver-side dispatch overhead for an Injected Function (frame parse +
@@ -1303,7 +1304,7 @@ impl HostCore {
             return Ok(done);
         }
         if injected
-            && self.config.security.require_execute_permission
+            && self.config.security == SecurityPolicy::Hardened
             && !self.mailbox_region.flags().remote_execute
         {
             return Err(AmError::PolicyViolation(
@@ -1320,13 +1321,13 @@ impl HostCore {
         let args = Section {
             base: base_addr + frame.args_offset() as u64,
             bytes: frame.args,
-            writable: !self.config.security.read_only_args,
+            writable: self.config.security == SecurityPolicy::Permissive,
             kind: SegmentKind::Args,
         };
         let usr = Section {
             base: base_addr + frame.usr_offset() as u64,
             bytes: frame.usr,
-            writable: !self.config.security.read_only_payload,
+            writable: self.config.security == SecurityPolicy::Permissive,
             kind: SegmentKind::Payload,
         };
         // The primary jam: the first call of the stage executor.
@@ -1575,7 +1576,7 @@ impl HostCore {
         handler_time: &mut SimTime,
     ) -> AmResult<Arc<GotImage>> {
         let elem_id = frame.header.elem_id;
-        if self.config.security.accept_sender_got {
+        if self.config.security == SecurityPolicy::Permissive {
             // Hash (and, on a candidate hit, compare) the sender-provided image in
             // place; like the code hash this streams the arrived bytes, so it is
             // charged as a read of the section wherever the frame landed.

@@ -14,8 +14,11 @@
 //! each with its own endpoint, sequence space, template cache and statistics,
 //! flow-controlled by the transmit window it keeps and thread-capable — the
 //! fleet can fill banks from one OS thread per lane while the receiver shards
-//! drain, up to the fully overlapped fill/drain pipeline of [`drive_pipeline`]
-//! (how it connects and the flow-control contract are documented on
+//! drain, up to the fully overlapped fill/drain pipeline. One set of pipeline
+//! parties (a steppable run per lane and per shard) has two drivers:
+//! [`drive_pipeline`] steps each on its own thread, [`step_pipeline`] steps
+//! them all on the calling thread in a seeded order that replays bit for bit
+//! (how the fleet connects and the flow-control contract are documented on
 //! [`SenderFleet`]).
 //!
 //! All methods take and return virtual [`SimTime`]s so a benchmark harness can drive
@@ -233,10 +236,11 @@
 //! lands in one contiguous mailbox span, never straddling banks); the oldest
 //! buffered frame has waited 2 µs of lane-virtual time (the latency
 //! watermark); and unconditionally at a burst boundary —
-//! `fill_all`/`drive_pipeline` never return with frames still buffered, so
-//! aggregation is invisible to the phased schedules. Both bounds are
-//! constants beside their one user in `fleet.rs`. A frame too large to share
-//! a container even alone is posted standalone, exactly as under `PerFrame`.
+//! `fill_all` and the pipeline drivers never return with frames still
+//! buffered, so aggregation is invisible to the phased schedules. Both bounds
+//! are constants beside their one user in `fleet.rs`. A frame too large to
+//! share a container even alone is posted standalone, exactly as under
+//! `PerFrame`.
 //!
 //! **Reliability contract.** Each inner frame retires individually — its own
 //! credit token, its own `SeqWatch` entry — so token conservation holds
@@ -271,7 +275,9 @@ mod spec;
 #[cfg(test)]
 mod tests;
 
-pub use fleet::{drive_pipeline, PipelineFrame, PipelineOutcome, SenderFleet, SenderLane, SlotCtx};
+pub use fleet::{
+    drive_pipeline, step_pipeline, PipelineFrame, PipelineOutcome, SenderFleet, SenderLane, SlotCtx,
+};
 pub use host::TwoChainsHost;
 pub use sender::TwoChainsSender;
 pub use shard::{ReceiverShard, ShardDrain};

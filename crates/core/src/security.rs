@@ -2,14 +2,14 @@
 //!
 //! The paper leans on the RKEY mechanism of the IBTA standard for its baseline
 //! protection and lists a set of runtime reconfigurations that harden function
-//! injection without large performance penalties. Each of them is a switch here, and
-//! the runtime enforces them on the receive path:
+//! injection without large performance penalties. The hardened preset enables
+//! all of them, and the runtime enforces them on the receive path:
 //!
 //! * **Refuse sender GOT** — "Do not accept GOT pointer indirection in the message
 //!   from a sender. Have the receiver insert the GOT pointer on message arrival from
-//!   a secure read-only location." When enabled, the receiver ignores the GOTP
-//!   section and re-resolves the jam's symbolic GOT against its own namespace,
-//!   paying a small per-message resolution cost.
+//!   a secure read-only location." The receiver ignores the GOTP section and
+//!   re-resolves the jam's symbolic GOT against its own namespace, paying a small
+//!   per-message resolution cost.
 //! * **Read-only arguments / separate data pages** — the ARGS and USR sections are
 //!   mapped read-only into the jam's address space so injected code cannot use them
 //!   as a writable staging area on an executable page.
@@ -18,57 +18,28 @@
 
 use twochains_memsim::SimTime;
 
-/// The hardening switches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SecurityPolicy {
-    /// Accept the GOT image carried in the message (fast path). When `false`, the
-    /// receiver resolves the GOT itself on arrival.
-    pub accept_sender_got: bool,
-    /// Map ARGS read-only for the executing jam.
-    pub read_only_args: bool,
-    /// Map the USR payload read-only for the executing jam (separate data handling).
-    pub read_only_payload: bool,
-    /// Require the mailbox region to have been registered with remote-execute
-    /// permission before running injected code out of it.
-    pub require_execute_permission: bool,
+/// The two presets: the paper's benchmark configuration or every §V
+/// hardening option at once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SecurityPolicy {
+    /// The paper's benchmark configuration: everything in one RWX mailbox,
+    /// the GOT image carried in the message accepted (fast path).
+    #[default]
+    Permissive,
+    /// All hardening options from §V: the receiver resolves the GOT itself,
+    /// ARGS and USR are mapped read-only, and injected code runs only out of
+    /// a mailbox region registered with remote-execute permission.
+    Hardened,
 }
 
 impl SecurityPolicy {
-    /// The paper's benchmark configuration: everything in one RWX mailbox, sender GOT
-    /// accepted.
-    pub fn permissive() -> Self {
-        SecurityPolicy {
-            accept_sender_got: true,
-            read_only_args: false,
-            read_only_payload: false,
-            require_execute_permission: false,
-        }
-    }
-
-    /// All hardening options from §V enabled.
-    pub fn hardened() -> Self {
-        SecurityPolicy {
-            accept_sender_got: false,
-            read_only_args: true,
-            read_only_payload: true,
-            require_execute_permission: true,
-        }
-    }
-
     /// Extra receiver-side cost this policy adds per injected message: GOT
     /// re-resolution when the sender's image is refused (a handful of hash lookups).
     pub fn per_message_overhead(&self, got_slots: usize) -> SimTime {
-        if self.accept_sender_got {
-            SimTime::ZERO
-        } else {
-            SimTime::from_ns((20 + 12 * got_slots as u64).min(400))
+        match self {
+            SecurityPolicy::Permissive => SimTime::ZERO,
+            SecurityPolicy::Hardened => SimTime::from_ns((20 + 12 * got_slots as u64).min(400)),
         }
-    }
-}
-
-impl Default for SecurityPolicy {
-    fn default() -> Self {
-        Self::permissive()
     }
 }
 
@@ -77,23 +48,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn presets() {
-        let p = SecurityPolicy::permissive();
-        assert!(p.accept_sender_got && !p.read_only_args && !p.require_execute_permission);
-        let h = SecurityPolicy::hardened();
-        assert!(!h.accept_sender_got && h.read_only_args && h.read_only_payload);
-        assert_eq!(SecurityPolicy::default(), SecurityPolicy::permissive());
-    }
-
-    #[test]
     fn hardened_pays_resolution_cost() {
+        assert_eq!(SecurityPolicy::default(), SecurityPolicy::Permissive);
         assert_eq!(
-            SecurityPolicy::permissive().per_message_overhead(4),
+            SecurityPolicy::Permissive.per_message_overhead(4),
             SimTime::ZERO
         );
-        let cost = SecurityPolicy::hardened().per_message_overhead(4);
+        let cost = SecurityPolicy::Hardened.per_message_overhead(4);
         assert!(cost > SimTime::ZERO && cost < SimTime::from_ns(500));
         // Cost grows with GOT size but is capped.
-        assert!(SecurityPolicy::hardened().per_message_overhead(100) <= SimTime::from_ns(400));
+        assert!(SecurityPolicy::Hardened.per_message_overhead(100) <= SimTime::from_ns(400));
     }
 }

@@ -232,8 +232,8 @@ fn observe(what: &str, cfg: RuntimeConfig, traffic: Traffic) -> Vec<(String, u64
 #[test]
 fn every_policy_combination_observes_the_same_run() {
     let presets = [
-        ("permissive", SecurityPolicy::permissive()),
-        ("hardened", SecurityPolicy::hardened()),
+        ("permissive", SecurityPolicy::Permissive),
+        ("hardened", SecurityPolicy::Hardened),
     ];
     for (preset, security) in presets {
         for shards in [1, 2] {

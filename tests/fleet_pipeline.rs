@@ -1,10 +1,12 @@
 //! Sender-fleet pipeline equivalence: the overlapped fill/drain pipeline
-//! (`drive_pipeline`: one sender thread per lane, one drain thread per shard,
-//! per-slot credits returned as one-sided puts into the lanes' sender-side
-//! credit tables) must be observationally equal to the
-//! sequential fill-then-drain baseline — same per-message results, same
-//! injection-cache statistics, same merged order-independent runtime counters —
-//! over arbitrary payload interleaves.
+//! (per-slot credits returned as one-sided puts into the lanes' sender-side
+//! credit tables), under both drivers of its parties — `drive_pipeline`, one
+//! thread per lane and per shard, and `step_pipeline`, one thread in a seeded
+//! order — must be observationally equal to the sequential fill-then-drain
+//! baseline — same per-message results, same injection-cache statistics,
+//! same merged order-independent runtime counters — over arbitrary payload
+//! interleaves. The stepped driver is also pinned bit for bit: one seed
+//! repeats every frame, clock and counter, on a clean link or a lossy one.
 //!
 //! What is *not* compared: virtual-time counters (`wait_time`, `exec_time`,
 //! cycles) and per-core cache statistics. The pipelined drain polls its banks
@@ -26,11 +28,12 @@ mod support;
 use proptest::prelude::*;
 
 use support::{fleet_config, fleet_testbed, iput_payload, mix, wire, FleetBed};
+use two_chains_suite::fabric::{FaultPlan, FaultSnapshot};
 use two_chains_suite::memsim::SimTime;
-use twochains::builtin::{benchmark_package, indirect_put_args, BuiltinJam};
+use twochains::builtin::{benchmark_package, indirect_put_args, ssum_args, BuiltinJam};
 use twochains::{
-    drive_pipeline, AmError, InvocationMode, RuntimeConfig, SenderFleet, SenderLane, SlotCtx,
-    TwoChainsHost, TwoChainsSender,
+    drive_pipeline, step_pipeline, AmError, InvocationMode, RuntimeConfig, SenderFleet, SenderLane,
+    SlotCtx, TwoChainsHost, TwoChainsSender,
 };
 
 const SHARDS: usize = 4;
@@ -108,34 +111,35 @@ fn run_sequential(seed: u64) -> (Vec<u64>, TwoChainsHost, SenderFleet) {
     (results, host, fleet)
 }
 
-/// The pipelined schedule: fill and drain overlapped, per-slot credit flow.
-fn run_pipelined(seed: u64) -> (Vec<u64>, TwoChainsHost, SenderFleet) {
+/// The pipelined schedule: fill and drain overlapped, per-slot credit flow,
+/// on threads (`drive_pipeline`) or, given a `schedule` seed, stepped on this
+/// thread (`step_pipeline`).
+fn run_pipelined(seed: u64, schedule: Option<u64>) -> (Vec<u64>, TwoChainsHost, SenderFleet) {
     let (mut host, mut fleet) = build();
     prime(&mut host, &mut fleet, seed);
     let elem = host.builtin_id(BuiltinJam::IndirectPut).unwrap();
-    let out = drive_pipeline(
-        &mut host,
-        &mut fleet,
-        elem,
-        InvocationMode::Injected,
-        ROUNDS,
-        &|ctx| payload_for(seed, ctx),
-    )
+    let (mode, make) = (InvocationMode::Injected, |ctx| payload_for(seed, ctx));
+    let out = match schedule {
+        None => drive_pipeline(&mut host, &mut fleet, elem, mode, ROUNDS, &make),
+        Some(schedule) => step_pipeline(&mut host, &mut fleet, elem, mode, ROUNDS, &make, schedule),
+    }
     .unwrap();
     assert_eq!(out.drained, ROUNDS * host.config().total_mailboxes());
     assert_eq!(out.rejected, 0);
     (out.results.iter().map(|f| f.result).collect(), host, fleet)
 }
 
-fn assert_observationally_equal(seed: u64) {
+/// The sequential schedule against one pipelined driver: the threaded one,
+/// or the stepped one under `schedule`.
+fn assert_observationally_equal(seed: u64, schedule: Option<u64>) {
     let (mut seq_results, seq_host, seq_fleet) = run_sequential(seed);
-    let (mut pipe_results, pipe_host, pipe_fleet) = run_pipelined(seed);
+    let (mut pipe_results, pipe_host, pipe_fleet) = run_pipelined(seed, schedule);
 
     // Same messages executed with the same outcomes (drain order within a
     // shard depends on the fill/drain race: compare as multisets).
     seq_results.sort_unstable();
     pipe_results.sort_unstable();
-    assert_eq!(seq_results, pipe_results);
+    assert_eq!(seq_results, pipe_results, "{schedule:?}");
 
     // Receiver-side order-independent counters match exactly.
     let (a, b) = (seq_host.stats(), pipe_host.stats());
@@ -198,19 +202,182 @@ fn assert_observationally_equal(seed: u64) {
 
 #[test]
 fn pipelined_fleet_matches_sequential_baseline() {
-    assert_observationally_equal(0x2C2C_2C2C);
+    assert_observationally_equal(0x2C2C_2C2C, None);
+    assert_observationally_equal(0x2C2C_2C2C, Some(0x2C2C_2C2C));
 }
 
 proptest! {
-    // Each case runs 8 threads over the full pipeline twice; keep the case
-    // count modest so the property stays a fast tier-1 test.
+    // Each case runs 8 threads over the full pipeline twice and steps it
+    // twice; keep the case count modest so the property stays a fast tier-1
+    // test.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// The equivalence holds over arbitrary payload interleaves, not just the
-    /// fixed seed above.
+    /// fixed seed above; the seed doubles as the stepped driver's schedule.
     #[test]
     fn pipelined_fleet_matches_sequential_baseline_for_any_seed(seed in any::<u64>()) {
-        assert_observationally_equal(seed);
+        assert_observationally_equal(seed, None);
+        assert_observationally_equal(seed, Some(seed));
+    }
+}
+
+/// A Server-Side Sum whose result is a pure function of the slot and round
+/// (unlike Indirect Put, whose bump-allocated result depends on the order of
+/// first probes — exactly what a schedule reshuffles).
+fn ssum_payload(ctx: SlotCtx) -> (Vec<u8>, Vec<u8>) {
+    let n = 1 + (ctx.bank * 16 + ctx.slot + ctx.round as usize) % 6;
+    let usr = (0..n as u32)
+        .flat_map(|i| (i * 7 + ctx.slot as u32 + 100 * ctx.round as u32).to_le_bytes())
+        .collect();
+    (ssum_args(n as u32), usr)
+}
+
+const STEPPED_ROUNDS: usize = 3;
+
+/// Everything one stepped pipeline run produced, in a form two runs can be
+/// compared by: per-shard frames in drain order, every clock, every counter,
+/// and what the link's faults did.
+#[derive(Debug, PartialEq)]
+struct SteppedRun {
+    frames: Vec<Vec<(usize, usize, u64)>>,
+    shard_clocks: Vec<SimTime>,
+    lane_clocks: Vec<SimTime>,
+    fleet_stats: String,
+    host_stats: String,
+    messages_sent: u64,
+    credits_returned: u64,
+    frames_retransmitted: u64,
+    faults: FaultSnapshot,
+}
+
+impl SteppedRun {
+    fn result_multiset(&self) -> Vec<u64> {
+        let mut results: Vec<u64> = self.frames.iter().flatten().map(|f| f.2).collect();
+        results.sort_unstable();
+        results
+    }
+}
+
+/// Two shards' pipeline stepped on this thread in the order `seed` picks,
+/// over a link under `faults`.
+fn stepped(seed: u64, faults: Option<FaultPlan>) -> SteppedRun {
+    let FleetBed {
+        wire,
+        mut host,
+        mut fleet,
+    } = fleet_testbed(fleet_config(2), faults);
+    let elem = host.builtin_id(BuiltinJam::ServerSideSum).unwrap();
+    let out = step_pipeline(
+        &mut host,
+        &mut fleet,
+        elem,
+        InvocationMode::Injected,
+        STEPPED_ROUNDS,
+        &ssum_payload,
+        seed,
+    )
+    .unwrap();
+    assert_eq!(out.rejected, 0);
+    let shards = out.drained_at.len();
+    let mut frames = vec![Vec::new(); shards];
+    for f in &out.results {
+        frames[f.bank % shards].push((f.bank, f.slot, f.result));
+    }
+    SteppedRun {
+        frames,
+        shard_clocks: out.drained_at,
+        lane_clocks: (0..fleet.lane_count())
+            .map(|s| fleet.lane(s).unwrap().clock())
+            .collect(),
+        fleet_stats: format!("{:?}", fleet.stats()),
+        host_stats: format!("{:?}", host.stats()),
+        messages_sent: fleet.stats().messages_sent,
+        credits_returned: host.stats().credits_returned,
+        frames_retransmitted: fleet.stats().frames_retransmitted,
+        faults: wire
+            .fabric
+            .fault_counters(wire.a, wire.b)
+            .unwrap_or_default(),
+    }
+}
+
+#[test]
+fn the_pipeline_stepped_on_one_thread_is_live_and_bit_reproducible() {
+    let first = stepped(0xC0FFEE, None);
+    assert_eq!(
+        first,
+        stepped(0xC0FFEE, None),
+        "one seed, one schedule: results, clocks and counters repeat exactly"
+    );
+    let other = stepped(0x5EED_0002, None);
+    assert_ne!(
+        first.frames, other.frames,
+        "another seed is another schedule"
+    );
+    assert_eq!(first.result_multiset(), other.result_multiset());
+
+    // On a lossy link the NACKs and the watchdog are steps too: each seed
+    // still repeats exactly, and every loss is repaired.
+    for seed in [0xC0FFEE, 0x5EED_0002] {
+        for plan in [
+            FaultPlan::drop_only(0.05, seed),
+            FaultPlan::mixed(0.05, seed),
+        ] {
+            let lossy = stepped(seed, Some(plan));
+            assert_eq!(lossy, stepped(seed, Some(plan)), "{plan:?}");
+            assert_eq!(lossy.result_multiset(), first.result_multiset(), "{plan:?}");
+            assert_eq!(lossy.messages_sent, first.messages_sent, "{plan:?}");
+            assert_ne!(
+                lossy.faults,
+                FaultSnapshot::default(),
+                "{plan:?} left the link clean"
+            );
+            assert!(
+                lossy.frames_retransmitted >= lossy.faults.dropped,
+                "{plan:?}: {} retransmits for {} drops",
+                lossy.frames_retransmitted,
+                lossy.faults.dropped
+            );
+        }
+    }
+
+    // The threaded driver steps the same parties: same multiset and sends,
+    // on a clean link the same credits, on a lossy one every drop repaired.
+    for plan in [None, Some(FaultPlan::drop_only(0.05, 0xC0FFEE))] {
+        let FleetBed {
+            wire,
+            mut host,
+            mut fleet,
+        } = fleet_testbed(fleet_config(2), plan);
+        let elem = host.builtin_id(BuiltinJam::ServerSideSum).unwrap();
+        let out = drive_pipeline(
+            &mut host,
+            &mut fleet,
+            elem,
+            InvocationMode::Injected,
+            STEPPED_ROUNDS,
+            &ssum_payload,
+        )
+        .unwrap();
+        let mut threaded: Vec<u64> = out.results.iter().map(|f| f.result).collect();
+        threaded.sort_unstable();
+        assert_eq!(first.result_multiset(), threaded, "{plan:?}");
+        assert_eq!(first.messages_sent, fleet.stats().messages_sent, "{plan:?}");
+        let dropped = wire
+            .fabric
+            .fault_counters(wire.a, wire.b)
+            .map_or(0, |f| f.dropped);
+        if plan.is_none() {
+            assert_eq!(out.rejected, 0);
+            assert_eq!(first.credits_returned, host.stats().credits_returned);
+        } else {
+            assert!(dropped > 0, "{plan:?} left the link clean");
+        }
+        assert!(
+            fleet.stats().frames_retransmitted >= dropped,
+            "{plan:?}: {} retransmits for {dropped} drops",
+            fleet.stats().frames_retransmitted
+        );
     }
 }
 

@@ -350,7 +350,7 @@ fn run_scenario(cfg: RuntimeConfig) -> String {
 
     // -- the hardened policy: GOT re-resolved locally (cold, then cached), and
     //    a frame the policy cannot vouch for is rejected ---------------------
-    rig.host.config_mut().security = SecurityPolicy::hardened();
+    rig.host.config_mut().security = SecurityPolicy::Hardened;
     let mut arrival = SimTime::ZERO;
     for slot in 0..2 {
         let msg = rig.ssum(Injected, 8);
@@ -358,7 +358,7 @@ fn run_scenario(cfg: RuntimeConfig) -> String {
     }
     arrival = arrival.max(rig.put(3, 2, &foreign(0x0100_0001)));
     rig.burst("hardened-burst", usize::MAX, arrival);
-    rig.host.config_mut().security = SecurityPolicy::permissive();
+    rig.host.config_mut().security = SecurityPolicy::Permissive;
     let at = rig.put(3, 2, &foreign(0x0100_0002));
     rig.receive("permissive-foreign", 3, 2, None, at);
 

@@ -542,14 +542,14 @@ fn a_forged_code_digest_does_not_hand_over_another_senders_image() {
     let (victim, attacker) = colliding_programs();
     assert_ne!(victim, attacker);
     assert_eq!(hash64_bytes(&attacker), hash64_bytes(&victim));
-    for security in [SecurityPolicy::permissive(), SecurityPolicy::hardened()] {
+    for security in [SecurityPolicy::Permissive, SecurityPolicy::Hardened] {
         let wire = wire();
         let mut host = wire.host(RuntimeConfig {
             security,
             ..RuntimeConfig::paper_default()
         });
         // A hardened host resolves the GOT of an installed element only.
-        let elem = if security.accept_sender_got {
+        let elem = if security == SecurityPolicy::Permissive {
             999
         } else {
             host.builtin_id(BuiltinJam::ServerSideSum).unwrap().0

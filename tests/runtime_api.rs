@@ -31,7 +31,7 @@ fn sum4(elem: ElementId) -> MessageSpec {
 
 fn hardened() -> RuntimeConfig {
     RuntimeConfig {
-        security: SecurityPolicy::hardened(),
+        security: SecurityPolicy::Hardened,
         ..RuntimeConfig::paper_default()
     }
 }
@@ -305,7 +305,7 @@ fn hardened_overhead_is_charged_on_every_message() {
     let outs = pump(&mut rx, &mut tx, id, 0, 3);
     let warm = outs[2].dispatch_time;
     assert_eq!(outs[1].dispatch_time, warm, "warm dispatch is steady");
-    let overhead = SecurityPolicy::hardened().per_message_overhead(1);
+    let overhead = SecurityPolicy::Hardened.per_message_overhead(1);
     assert!(overhead > SimTime::ZERO);
     assert!(
         warm > overhead,
