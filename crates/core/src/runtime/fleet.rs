@@ -132,7 +132,8 @@
 //!   place the pipeline yields or parks) and polls the abort flag.
 //! * [`step_pipeline`] steps them on the calling thread in the order a seeded
 //!   generator picks, on clean or lossy links, and reproduces a run bit for
-//!   bit.
+//!   bit. A run in which nothing moves any more fails there, where the
+//!   threads would wait forever.
 //!
 //! Lanes and drains are coupled only by the one-sided credit path — no
 //! channels, no shared queues. As each frame retires, the drain puts the
@@ -1142,6 +1143,15 @@ fn watchdog_delay(fired: u32) -> u32 {
 /// rejection takes before it retires the gap as lost.
 const GIVE_UP_SCANS: usize = 512;
 
+/// Starved steps in a row after which [`step_pipeline`] calls a run wedged,
+/// once every party still running has taken that many. A live run never
+/// gets there: a drain gives up after [`GIVE_UP_SCANS`] empty scans, and an
+/// armed lane fails loudly before its episode outlasts the watchdog's
+/// budget (the assertion below), so only a clean-link wedge, which no
+/// watchdog covers, trips it.
+const STALL_STEPS: u32 = 16_384;
+const _: () = assert!(STALL_STEPS > SPIN_SCANS + WATCHDOG_BASE + RETRY_BUDGET * WATCHDOG_CLAMP);
+
 /// One shard's side of a pipeline run, the mirror of [`LaneRun`]: each
 /// [`step`](DrainRun::step) is one `receive_burst` from the clock the last
 /// non-empty one left, until `want` frames have executed. Credits for
@@ -1211,6 +1221,21 @@ where
             Party::Drain(run) => run.step(),
         }
     }
+
+    /// What this party's thread reports: the message its panic propagates
+    /// with, and the failure on the other side that an abort releases it from.
+    fn side(&self) -> (&'static str, &'static str) {
+        match self {
+            Party::Lane(_) => ("sender lane thread panicked", "a drain shard failed"),
+            Party::Drain(_) => ("drain thread panicked", "a sender lane failed"),
+        }
+    }
+
+    /// Whether a starved thread of this party parks rather than yields: a
+    /// lane past the first [`SPIN_SCANS`] fruitless steps of an episode.
+    fn parks(&self) -> bool {
+        matches!(self, Party::Lane(run) if run.fruitless >= SPIN_SCANS)
+    }
 }
 
 /// Every party of a run of `rounds` fills per slot, once the session is
@@ -1235,21 +1260,16 @@ where
         .iter_mut()
         .map(|lane| LaneRun::new(lane, elem, mode, rounds, make).map(Party::Lane))
         .collect::<AmResult<Vec<_>>>()?;
-    parties.extend(
-        host.shard_drains()
-            .into_iter()
-            .zip(wants)
-            .map(|(drain, want)| {
-                Party::Drain(DrainRun {
-                    drain,
-                    want,
-                    results: Vec::with_capacity(want),
-                    rejected: 0,
-                    drained_at: SimTime::ZERO,
-                    idle_scans: 0,
-                })
-            }),
-    );
+    for (drain, want) in host.shard_drains().into_iter().zip(wants) {
+        parties.push(Party::Drain(DrainRun {
+            drain,
+            want,
+            results: Vec::with_capacity(want),
+            rejected: 0,
+            drained_at: SimTime::ZERO,
+            idle_scans: 0,
+        }));
+    }
     Ok(parties)
 }
 
@@ -1278,20 +1298,15 @@ where
     F: Fn(SlotCtx) -> (Vec<u8>, Vec<u8>),
 {
     loop {
-        match (party.step()?, &party) {
-            (Step::Done, _) => return Ok(party),
-            (Step::Progressed, _) => {}
-            (Step::Starved, side) if abort.load(Ordering::Relaxed) => {
-                let failed = match side {
-                    Party::Lane(_) => "a drain shard failed before returning all credits",
-                    Party::Drain(_) => "a sender lane failed",
-                };
+        match party.step()? {
+            Step::Done => return Ok(party),
+            Step::Progressed => {}
+            Step::Starved if abort.load(Ordering::Relaxed) => {
+                let failed = party.side().1;
                 return Err(AmError::Exec(format!("pipeline aborted: {failed}")));
             }
-            (Step::Starved, Party::Lane(run)) if run.fruitless >= SPIN_SCANS => {
-                std::thread::sleep(PARK)
-            }
-            (Step::Starved, _) => std::thread::yield_now(),
+            Step::Starved if party.parks() => std::thread::sleep(PARK),
+            Step::Starved => std::thread::yield_now(),
         }
     }
 }
@@ -1353,10 +1368,7 @@ where
         let threads: Vec<_> = parties
             .into_iter()
             .map(|party| {
-                let panicked = match party {
-                    Party::Lane(_) => "sender lane thread panicked",
-                    Party::Drain(_) => "drain thread panicked",
-                };
+                let panicked = party.side().0;
                 let thread = scope.spawn(move || aborting(abort, || run_party(party, abort)));
                 (panicked, thread)
             })
@@ -1394,7 +1406,10 @@ where
 /// no sleep, no spin, no wall clock. One seed is one schedule: results,
 /// drain order, every clock and counter and, on a faulted link, every NACK
 /// and retransmit repeat exactly. It requires and refuses what
-/// `drive_pipeline` does, and `make` need not be `Sync`.
+/// `drive_pipeline` does, and `make` need not be `Sync`. Where the threaded
+/// driver would wait forever, it fails: once every party still running has
+/// starved 16 384 steps in a row, the run is wedged and this returns
+/// [`AmError::Exec`].
 pub fn step_pipeline<F>(
     host: &mut TwoChainsHost,
     fleet: &mut SenderFleet,
@@ -1408,15 +1423,22 @@ where
     F: Fn(SlotCtx) -> (Vec<u8>, Vec<u8>),
 {
     let mut parties = parties(host, fleet, elem, mode, rounds, make)?;
-    let mut done = vec![false; parties.len()];
+    // Each party's starved steps in a row, or `None` once it is done.
+    let mut starved = vec![Some(0); parties.len()];
     let mut lcg = seed;
-    while done.contains(&false) {
+    while starved.iter().any(Option::is_some) {
         lcg = lcg
             .wrapping_mul(6_364_136_223_846_793_005)
             .wrapping_add(1_442_695_040_888_963_407);
         let pick = (lcg >> 33) as usize % parties.len();
-        if !done[pick] {
-            done[pick] = parties[pick].step()? == Step::Done;
+        let Some(steps) = starved[pick] else { continue };
+        starved[pick] = match parties[pick].step()? {
+            Step::Done => None,
+            Step::Progressed => Some(0),
+            Step::Starved => Some(steps + 1),
+        };
+        if starved.iter().flatten().all(|&n| n >= STALL_STEPS) && starved[pick].is_some() {
+            return Err(AmError::Exec("stepped pipeline made no progress".into()));
         }
     }
     Ok(outcome(parties))

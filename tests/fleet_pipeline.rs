@@ -6,7 +6,8 @@
 //! baseline — same per-message results, same injection-cache statistics,
 //! same merged order-independent runtime counters — over arbitrary payload
 //! interleaves. The stepped driver is also pinned bit for bit: one seed
-//! repeats every frame, clock and counter, on a clean link or a lossy one.
+//! repeats every frame, clock and counter, on a clean link or a lossy one,
+//! as the golden records them; and a run that stops moving fails there.
 //!
 //! What is *not* compared: virtual-time counters (`wait_time`, `exec_time`,
 //! cycles) and per-core cache statistics. The pipelined drain polls its banks
@@ -25,6 +26,9 @@
 
 mod support;
 
+use std::cell::RefCell;
+use std::fmt::Write;
+
 use proptest::prelude::*;
 
 use support::{fleet_config, fleet_testbed, iput_payload, mix, wire, FleetBed};
@@ -33,7 +37,7 @@ use two_chains_suite::memsim::SimTime;
 use twochains::builtin::{benchmark_package, indirect_put_args, ssum_args, BuiltinJam};
 use twochains::{
     drive_pipeline, step_pipeline, AmError, InvocationMode, RuntimeConfig, SenderFleet, SenderLane,
-    SlotCtx, TwoChainsHost, TwoChainsSender,
+    SlotCtx, TwoChainsHost, TwoChainsSender, FRAME_HEADER_SIZE,
 };
 
 const SHARDS: usize = 4;
@@ -301,8 +305,15 @@ fn stepped(seed: u64, faults: Option<FaultPlan>) -> SteppedRun {
     }
 }
 
+/// Every stepped run below, as `{seed:#x} {faults:?}` and then the run's
+/// `Debug`: two seeds, each on a clean link, `drop_only` and `mixed` at 5 %.
+/// A change that moves a schedule on purpose says so and pastes the trace
+/// the failing assertion prints.
+const GOLDEN_STEPPED: &str = include_str!("golden/stepped_pipeline.txt");
+
 #[test]
 fn the_pipeline_stepped_on_one_thread_is_live_and_bit_reproducible() {
+    let mut trace = String::new();
     let first = stepped(0xC0FFEE, None);
     assert_eq!(
         first,
@@ -318,12 +329,14 @@ fn the_pipeline_stepped_on_one_thread_is_live_and_bit_reproducible() {
 
     // On a lossy link the NACKs and the watchdog are steps too: each seed
     // still repeats exactly, and every loss is repaired.
-    for seed in [0xC0FFEE, 0x5EED_0002] {
+    for (seed, clean) in [(0xC0FFEE, &first), (0x5EED_0002, &other)] {
+        writeln!(trace, "{seed:#x} None\n{clean:?}").unwrap();
         for plan in [
             FaultPlan::drop_only(0.05, seed),
             FaultPlan::mixed(0.05, seed),
         ] {
             let lossy = stepped(seed, Some(plan));
+            writeln!(trace, "{seed:#x} {:?}\n{lossy:?}", Some(plan)).unwrap();
             assert_eq!(lossy, stepped(seed, Some(plan)), "{plan:?}");
             assert_eq!(lossy.result_multiset(), first.result_multiset(), "{plan:?}");
             assert_eq!(lossy.messages_sent, first.messages_sent, "{plan:?}");
@@ -340,6 +353,11 @@ fn the_pipeline_stepped_on_one_thread_is_live_and_bit_reproducible() {
             );
         }
     }
+    assert!(
+        trace == GOLDEN_STEPPED,
+        "the stepped schedules diverged from tests/golden/stepped_pipeline.txt.\n\
+         Full actual trace:\n{trace}"
+    );
 
     // The threaded driver steps the same parties: same multiset and sends,
     // on a clean link the same credits, on a lossy one every drop repaired.
@@ -379,6 +397,49 @@ fn the_pipeline_stepped_on_one_thread_is_live_and_bit_reproducible() {
             fleet.stats().frames_retransmitted
         );
     }
+}
+
+/// A clean link has no watchdog, so a run that can never finish waits
+/// forever on threads. Here every frame is wiped from its mailbox before a
+/// drain can see it: no credit comes back and no drain meets its quota. The
+/// stepped driver notices that nothing moves any more, and fails.
+#[test]
+fn a_wedged_stepped_pipeline_fails_instead_of_spinning() {
+    let FleetBed {
+        wire,
+        mut host,
+        mut fleet,
+    } = fleet_testbed(fleet_config(2), None);
+    let elem = host.builtin_id(BuiltinJam::ServerSideSum).unwrap();
+    let mailboxes: Vec<_> = host
+        .banks()
+        .iter()
+        .map(|(bank, slot, _)| host.mailbox_target(bank, slot).unwrap())
+        .collect();
+    let wiper = RefCell::new(wire.raw());
+    let wipe_then_make = |ctx| {
+        let mut ep = wiper.borrow_mut();
+        for mailbox in &mailboxes {
+            let zeros = [0; FRAME_HEADER_SIZE];
+            ep.put(SimTime::ZERO, &zeros, &mailbox.region, mailbox.offset)
+                .unwrap();
+        }
+        ssum_payload(ctx)
+    };
+    let err = step_pipeline(
+        &mut host,
+        &mut fleet,
+        elem,
+        InvocationMode::Injected,
+        1,
+        &wipe_then_make,
+        0xC0FFEE,
+    )
+    .unwrap_err();
+    assert!(
+        matches!(&err, AmError::Exec(msg) if msg.contains("made no progress")),
+        "{err}"
+    );
 }
 
 /// Drive one round of Indirect Puts from `fleet` into `host`.
