@@ -766,7 +766,7 @@ mod tests {
 
     #[test]
     fn iter_ready_reports_only_complete_frames_in_owned_banks() {
-        use crate::frame::{Frame, SIG_MAG};
+        use crate::frame::{signal_at, Frame, SIG_MAG};
         let r = MemoryRegion::new(0, 0x3000_0000, 4 * 2 * 2048, AccessFlags::rwx(), 4).unwrap();
         let b = MailboxBank::new(Arc::clone(&r), 4, 2, 2048).unwrap();
         assert_eq!(b.iter_ready(ShardMask::all()).count(), 0, "all empty");
@@ -777,7 +777,7 @@ mod tests {
         for (bank, slot) in [(0usize, 0usize), (1, 1), (2, 0)] {
             let offset = (bank * 2 + slot) * 2048;
             r.write(offset, &bytes).unwrap();
-            r.store_release_u8(offset + bytes.len() - 1, SIG_MAG)
+            r.store_release_u8(offset + signal_at(bytes.len()), SIG_MAG)
                 .unwrap();
         }
         let all: Vec<_> = b.iter_ready(ShardMask::all()).collect();
@@ -801,15 +801,14 @@ mod tests {
 
     #[test]
     fn iter_ready_skips_malformed_lengths() {
-        use crate::frame::{Frame, HDR_MAG};
+        use crate::frame::{header, Frame, HDR_MAG};
         let r = MemoryRegion::new(0, 0x3000_0000, 2 * 2048, AccessFlags::rwx(), 4).unwrap();
         let b = MailboxBank::new(Arc::clone(&r), 1, 2, 2048).unwrap();
         // Slot 0: header claims a frame far larger than the mailbox.
         let mut bytes = Frame::local(1, 0, vec![0; 20], vec![0; 4]).encode();
-        bytes[8..12].copy_from_slice(&1_000_000u32.to_le_bytes());
+        header::LEN.set(&mut bytes, 1_000_000);
         r.write(0, &bytes).unwrap();
-        r.store_release_u8(crate::frame::FRAME_HEADER_SIZE - 1, HDR_MAG)
-            .unwrap();
+        r.store_release_u8(header::HDR_MAG.at, HDR_MAG).unwrap();
         assert_eq!(
             b.iter_ready(ShardMask::all()).count(),
             0,

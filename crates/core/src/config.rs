@@ -8,6 +8,7 @@
 
 use twochains_memsim::WaitMode;
 
+use crate::frame::{batch_prefix, MIN_WIRE_LEN};
 use crate::security::SecurityPolicy;
 
 /// How an active message is invoked on the receiver (§IV-B of the paper).
@@ -147,13 +148,13 @@ impl RuntimeConfig {
 
     /// Validate the configuration.
     pub fn validate(&self) -> Result<(), String> {
-        if self.frame_capacity < crate::frame::FRAME_HEADER_SIZE + 1 {
-            return Err("frame capacity smaller than header".into());
+        if self.frame_capacity < MIN_WIRE_LEN {
+            return Err("frame capacity smaller than header + trailer".into());
         }
         if self.banks == 0 || self.mailboxes_per_bank == 0 {
             return Err("need at least one bank and one mailbox".into());
         }
-        if self.mailboxes_per_bank > 1 << 16 {
+        if self.mailboxes_per_bank as u64 > batch_prefix::SLOT.max() + 1 {
             return Err("a batch prefix's u16 slot names at most 65536 mailboxes a bank".into());
         }
         if self.num_shards == 0 {

@@ -18,17 +18,27 @@
 //! ARGS block, the one-integer frame is 64 bytes in Local mode and 1472 bytes in
 //! Injected mode — the exact sizes §VII-A quotes.
 //!
+//! ## The wire records
+//!
+//! Every byte the wire carries outside a section belongs to a field of one of four
+//! records, each declared once below as [`Field`]s that start where their
+//! predecessor ends: the [`header`], the [`trailer`], a container's
+//! [`batch_prefix`] and a chain's [`chain_stage`]. The encoders, both parsers and
+//! the mailbox's readiness peeks read their offsets there, and a field marked
+//! `reserved` is written zero and refused nonzero. `tests/golden/frame_wire.txt`
+//! renders the four records and a sample of each wire shape.
+//!
 //! ## Chain descriptors
 //!
 //! A frame may additionally carry a **chain descriptor**: an ordered list of up to
 //! [`CHAIN_MAX_STAGES`] continuation stages the receiver runs after the header's
 //! primary element, each an `(elem_id, arg-mapping)` pair resolved through the Local
-//! Function library. The descriptor rides in two previously reserved header bytes
-//! (byte 30: chain version, byte 31: continuation-stage count) plus one 8-byte record
-//! per stage between the header and the GOT image. Version 0 is the legacy layout —
-//! both bytes were always written as zero, so every pre-chain frame decodes as a
-//! chain-free version-0 frame and every version-0 frame claiming stages is rejected
-//! as corrupt.
+//! Function library. The descriptor rides in the header's
+//! [`header::CHAIN_VERSION`] and [`header::CHAIN_STAGES`] plus one [`chain_stage`]
+//! record per stage between the header and the GOT image. Version 0 is the legacy
+//! layout — both fields were always written as zero, so every pre-chain frame
+//! decodes as a chain-free version-0 frame and every version-0 frame claiming
+//! stages is rejected as corrupt.
 //!
 //! ## Multi-frame batch containers
 //!
@@ -39,57 +49,226 @@
 //! | OUTER HDR (36 B) | prefix + frame | prefix + frame | ... | TRAILER (4 B) |
 //! ```
 //!
-//! The outer header reuses the single-frame header shape so the receiver's mailbox
-//! readiness protocol ([`HDR_MAG`] at byte 35, total length at bytes 8–11, [`SIG_MAG`]
-//! as the final release-published byte) applies to a batch without modification. The
-//! three previously reserved header bytes disambiguate: byte 32 carries the batch
-//! format version ([`BATCH_VERSION`]; single frames always write 0 there), byte 33
-//! the inner-frame count, byte 34 stays reserved-zero. Each inner frame is a
-//! complete, independently valid wire frame — own header, own sequence number, own
-//! trailer — preceded by an 8-byte prefix (u32 LE frame length, u16 LE destination
-//! mailbox slot, 2 reserved zero bytes). The outer sequence number (bytes 4–7)
-//! echoes the *first* inner frame's, so one release header publishes the whole
-//! batch while per-inner-frame sequence numbers are preserved for the receiver's
-//! gap detection, replay suppression and per-frame credit retirement.
+//! The outer header is a frame header, so the receiver's mailbox readiness
+//! protocol ([`header::HDR_MAG`], then [`header::LEN`], then [`SIG_MAG`] as the
+//! final release-published byte) applies to a batch without modification. A
+//! nonzero [`header::BATCH_VERSION`] marks a container (single frames always write
+//! 0 there) and [`header::BATCH_COUNT`] counts its inner frames. Each inner frame
+//! is a complete, independently valid wire frame — own header, own sequence
+//! number, own trailer — behind a [`batch_prefix`] naming its length and
+//! destination mailbox slot. The outer sequence number echoes the *first* inner
+//! frame's, so one release header publishes the whole batch while per-inner-frame
+//! sequence numbers are preserved for the receiver's gap detection, replay
+//! suppression and per-frame credit retirement.
 
 use crate::error::{AmError, AmResult};
+
+/// Refuse bytes: every refusal in this module is a [`AmError::BadFrame`].
+fn bad<T>(why: impl Into<String>) -> AmResult<T> {
+    Err(AmError::BadFrame(why.into()))
+}
+
+/// One field of a wire record: `width` bytes (1 to 4, little-endian) at byte `at`
+/// of the record. A `reserved` field is written zero and refused nonzero.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Field {
+    /// Offset of the field's first byte within its record.
+    pub at: usize,
+    /// Width in bytes.
+    pub width: usize,
+    /// Always zero on the wire.
+    pub reserved: bool,
+}
+
+impl Field {
+    const fn first(width: usize) -> Field {
+        Field {
+            at: 0,
+            width,
+            reserved: false,
+        }
+    }
+
+    const fn then(self, width: usize) -> Field {
+        Field {
+            at: self.end(),
+            width,
+            reserved: false,
+        }
+    }
+
+    const fn then_reserved(self, width: usize) -> Field {
+        Field {
+            reserved: true,
+            ..self.then(width)
+        }
+    }
+
+    /// Where the field's successor starts.
+    pub(crate) const fn end(self) -> usize {
+        self.at + self.width
+    }
+
+    /// The largest value the field carries.
+    pub(crate) const fn max(self) -> u64 {
+        (1 << (8 * self.width)) - 1
+    }
+
+    /// The field's value in `record`.
+    #[inline]
+    pub fn get(self, record: &[u8]) -> u32 {
+        let mut le = [0u8; 4];
+        le[..self.width].copy_from_slice(&record[self.at..self.end()]);
+        u32::from_le_bytes(le)
+    }
+
+    /// Write the low `width` bytes of `value` into `record`.
+    #[inline]
+    pub fn set(self, record: &mut [u8], value: u32) {
+        record[self.at..self.end()].copy_from_slice(&value.to_le_bytes()[..self.width]);
+    }
+}
+
+/// A record's fields, named, in wire order.
+pub type Record = [(&'static str, Field)];
+
+/// The header every frame and container starts with.
+pub mod header {
+    use super::Field;
+
+    /// [`FRAME_MAGIC`](super::FRAME_MAGIC).
+    pub const MAGIC: Field = Field::first(4);
+    /// The sender's sequence number; a container's is its first inner frame's.
+    pub const SN: Field = MAGIC.then(4);
+    /// Total length on the wire, header and trailer included.
+    pub const LEN: Field = SN.then(4);
+    /// Package element ID of the active message.
+    pub const ELEM: Field = LEN.then(4);
+    /// Nonzero when the frame carries code (Injected Function).
+    pub const INJECTED: Field = ELEM.then(2);
+    /// GOT image length.
+    pub const GOT_LEN: Field = INJECTED.then(2);
+    /// Code section length.
+    pub const CODE_LEN: Field = GOT_LEN.then(4);
+    /// ARGS block length.
+    pub const ARGS_LEN: Field = CODE_LEN.then(2);
+    /// USR payload length.
+    pub const USR_LEN: Field = ARGS_LEN.then(4);
+    /// The four section lengths, in the order the sections follow the header.
+    pub const SECTION_LENS: [Field; 4] = [GOT_LEN, CODE_LEN, ARGS_LEN, USR_LEN];
+    /// Chain-descriptor version: 0, or [`CHAIN_VERSION`](super::CHAIN_VERSION).
+    pub const CHAIN_VERSION: Field = USR_LEN.then(1);
+    /// Number of chain-stage records after the header.
+    pub const CHAIN_STAGES: Field = CHAIN_VERSION.then(1);
+    /// Batch-container version: 0 in every single frame, or
+    /// [`BATCH_VERSION`](super::BATCH_VERSION).
+    pub const BATCH_VERSION: Field = CHAIN_STAGES.then(1);
+    /// A container's inner-frame count.
+    pub const BATCH_COUNT: Field = BATCH_VERSION.then(1);
+    /// Reserved.
+    pub const RESERVED: Field = BATCH_COUNT.then_reserved(1);
+    /// [`HDR_MAG`](super::HDR_MAG), the paper's `MAG`: the byte a receiver
+    /// waits on before it reads [`LEN`].
+    pub const HDR_MAG: Field = RESERVED.then(1);
+    /// The record.
+    pub const FIELDS: [(&str, Field); 15] = [
+        ("magic", MAGIC),
+        ("sn", SN),
+        ("len", LEN),
+        ("elem", ELEM),
+        ("injected", INJECTED),
+        ("got_len", GOT_LEN),
+        ("code_len", CODE_LEN),
+        ("args_len", ARGS_LEN),
+        ("usr_len", USR_LEN),
+        ("chain_version", CHAIN_VERSION),
+        ("chain_stages", CHAIN_STAGES),
+        ("batch_version", BATCH_VERSION),
+        ("batch_count", BATCH_COUNT),
+        ("reserved", RESERVED),
+        ("hdr_mag", HDR_MAG),
+    ];
+}
+
+/// The record every frame and container ends with.
+pub mod trailer {
+    use super::Field;
+
+    /// The low bytes of the header's sequence number.
+    pub const SN_ECHO: Field = Field::first(3);
+    /// [`SIG_MAG`](super::SIG_MAG), the frame's last byte, published with release.
+    pub const SIG_MAG: Field = SN_ECHO.then(1);
+    /// The record.
+    pub const FIELDS: [(&str, Field); 2] = [("sn_echo", SN_ECHO), ("sig_mag", SIG_MAG)];
+}
+
+/// The record in front of each inner frame of a batch container.
+pub mod batch_prefix {
+    use super::Field;
+
+    /// The inner frame's wire length.
+    pub const LEN: Field = Field::first(4);
+    /// The inner frame's destination mailbox slot within the container's bank.
+    pub const SLOT: Field = LEN.then(2);
+    /// Reserved.
+    pub const RESERVED: Field = SLOT.then_reserved(2);
+    /// The record.
+    pub const FIELDS: [(&str, Field); 3] = [("len", LEN), ("slot", SLOT), ("reserved", RESERVED)];
+}
+
+/// One continuation stage of a chain descriptor.
+pub mod chain_stage {
+    use super::Field;
+
+    /// Package element ID of the stage.
+    pub const ELEM: Field = Field::first(4);
+    /// The stage's [`ChainArgMap`](super::ChainArgMap).
+    pub const ARG_MAP: Field = ELEM.then(1);
+    /// Reserved.
+    pub const RESERVED: Field = ARG_MAP.then_reserved(3);
+    /// The record.
+    pub const FIELDS: [(&str, Field); 3] =
+        [("elem", ELEM), ("arg_map", ARG_MAP), ("reserved", RESERVED)];
+}
 
 /// Frame magic ("TCAM").
 pub const FRAME_MAGIC: u32 = 0x4D41_4354;
 /// Size of the fixed header.
-pub const FRAME_HEADER_SIZE: usize = 36;
+pub const FRAME_HEADER_SIZE: usize = header::HDR_MAG.end();
 /// Size of the trailer (sequence echo + signal magic).
-pub const FRAME_TRAILER_SIZE: usize = 4;
+pub const FRAME_TRAILER_SIZE: usize = trailer::SIG_MAG.end();
 /// The shortest thing the wire carries: a header and a trailer with nothing
-/// between. The one length floor — the mailbox's readiness poll, both parsers
-/// and the container builder refuse anything that declares less.
+/// between. The one length floor — the configuration, the mailbox, its
+/// readiness poll, both parsers and the container builder refuse anything less.
 pub(crate) const MIN_WIRE_LEN: usize = FRAME_HEADER_SIZE + FRAME_TRAILER_SIZE;
 /// Magic byte marking the end of the header (the paper's `MAG`).
 pub const HDR_MAG: u8 = 0xC3;
 /// Signal magic byte at the end of the frame (the paper's `SIG MAG`).
 pub const SIG_MAG: u8 = 0xA5;
-/// Current chain-descriptor wire version (header byte 30). Version 0 is the
-/// legacy chain-free layout.
+/// Current chain-descriptor wire version ([`header::CHAIN_VERSION`]). Version 0
+/// is the legacy chain-free layout.
 pub const CHAIN_VERSION: u8 = 1;
 /// Maximum number of continuation stages one frame can carry after its primary
 /// element.
 pub const CHAIN_MAX_STAGES: usize = 8;
-/// Wire size of one chain-stage record: elem_id (u32 LE), arg-map byte, 3
-/// reserved zero bytes.
-pub const CHAIN_STAGE_WIRE_SIZE: usize = 8;
-/// Current multi-frame batch-container version (header byte 32). Single frames
-/// always write 0 there, so a nonzero byte 32 unambiguously marks a container.
+/// Wire size of one [`chain_stage`] record.
+pub const CHAIN_STAGE_WIRE_SIZE: usize = chain_stage::RESERVED.end();
+/// Current multi-frame batch-container version ([`header::BATCH_VERSION`]).
 pub const BATCH_VERSION: u8 = 1;
-/// Wire size of the per-inner-frame prefix inside a batch container: frame
-/// length (u32 LE), destination mailbox slot (u16 LE), 2 reserved zero bytes.
-pub const BATCH_PREFIX_SIZE: usize = 8;
+/// Wire size of one [`batch_prefix`] record.
+pub const BATCH_PREFIX_SIZE: usize = batch_prefix::RESERVED.end();
 /// Maximum number of inner frames one batch container can carry (the count
-/// rides in the one-byte header field 33).
+/// rides in the one-byte [`header::BATCH_COUNT`]).
 pub const BATCH_MAX_FRAMES: usize = 255;
 /// Fixed wire overhead of a batch container beyond its inner frames' own bytes:
 /// the outer header plus the trailer (each inner frame additionally pays one
 /// [`BATCH_PREFIX_SIZE`] prefix).
-pub const BATCH_OVERHEAD: usize = FRAME_HEADER_SIZE + FRAME_TRAILER_SIZE;
+pub const BATCH_OVERHEAD: usize = MIN_WIRE_LEN;
+
+/// Offset of the signal byte of a frame or container of `len` bytes.
+pub(crate) const fn signal_at(len: usize) -> usize {
+    len + trailer::SIG_MAG.at - FRAME_TRAILER_SIZE
+}
 
 /// How a continuation stage receives its operand (its entry registers).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -107,7 +286,7 @@ pub enum ChainArgMap {
 }
 
 impl ChainArgMap {
-    fn from_wire(b: u8) -> Option<ChainArgMap> {
+    fn from_wire(b: u32) -> Option<ChainArgMap> {
         match b {
             0 => Some(ChainArgMap::Result),
             1 => Some(ChainArgMap::KeepArgs),
@@ -154,9 +333,9 @@ impl ChainDescriptor {
     /// [`CHAIN_MAX_STAGES`] stages is reached.
     pub fn push(&mut self, stage: ChainStage) -> AmResult<()> {
         if usize::from(self.len) >= CHAIN_MAX_STAGES {
-            return Err(AmError::BadFrame(format!(
+            return bad(format!(
                 "chain descriptor full: the wire format carries at most {CHAIN_MAX_STAGES} continuation stages"
-            )));
+            ));
         }
         self.stages[usize::from(self.len)] = stage;
         self.len += 1;
@@ -185,9 +364,10 @@ impl ChainDescriptor {
 
     fn encode_into(&self, out: &mut Vec<u8>) {
         for stage in self.stages() {
-            out.extend_from_slice(&stage.elem_id.to_le_bytes());
-            out.push(stage.map as u8);
-            out.extend_from_slice(&[0u8; 3]);
+            let mut record = [0u8; CHAIN_STAGE_WIRE_SIZE];
+            chain_stage::ELEM.set(&mut record, stage.elem_id);
+            chain_stage::ARG_MAP.set(&mut record, stage.map as u32);
+            out.extend_from_slice(&record);
         }
     }
 }
@@ -197,28 +377,25 @@ fn chain_wire_len(chain: Option<&ChainDescriptor>) -> usize {
     chain.map_or(0, ChainDescriptor::wire_len)
 }
 
-/// Decoded frame header.
+/// Wire length of a frame: header, chain records, the four sections, trailer.
+fn wire_len(chain: Option<&ChainDescriptor>, sections: [&[u8]; 4]) -> usize {
+    MIN_WIRE_LEN + chain_wire_len(chain) + sections.iter().map(|s| s.len()).sum::<usize>()
+}
+
+/// Decoded frame header: the fields that are not section lengths, which each
+/// section slice carries itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameHeader {
     /// Sequence number assigned by the sender.
     pub sn: u32,
-    /// Total frame length in bytes including header and trailer.
-    pub frame_len: u32,
     /// Package element ID of the active message.
     pub elem_id: u32,
     /// Whether the frame carries code (Injected Function).
     pub injected: bool,
-    /// GOT image length in bytes.
-    pub got_len: u16,
-    /// Code length in bytes.
-    pub code_len: u32,
-    /// ARGS block length in bytes.
-    pub args_len: u16,
-    /// USR payload length in bytes.
-    pub usr_len: u32,
 }
 
-/// A complete frame, section by section.
+/// A complete frame, section by section: the builder tests and benchmarks
+/// encode from. The receiver reads arrived bytes as a [`FrameView`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     /// Header fields.
@@ -239,7 +416,9 @@ pub struct Frame {
 impl Frame {
     /// Build a Local Function frame.
     pub fn local(sn: u32, elem_id: u32, args: Vec<u8>, usr: Vec<u8>) -> Frame {
-        Self::build(sn, elem_id, false, Vec::new(), Vec::new(), args, usr)
+        let mut frame = Self::injected(sn, elem_id, Vec::new(), Vec::new(), args, usr);
+        frame.header.injected = false;
+        frame
     }
 
     /// Build an Injected Function frame.
@@ -251,34 +430,11 @@ impl Frame {
         args: Vec<u8>,
         usr: Vec<u8>,
     ) -> Frame {
-        Self::build(sn, elem_id, true, got, code, args, usr)
-    }
-
-    fn build(
-        sn: u32,
-        elem_id: u32,
-        injected: bool,
-        got: Vec<u8>,
-        code: Vec<u8>,
-        args: Vec<u8>,
-        usr: Vec<u8>,
-    ) -> Frame {
-        let frame_len = (FRAME_HEADER_SIZE
-            + got.len()
-            + code.len()
-            + args.len()
-            + usr.len()
-            + FRAME_TRAILER_SIZE) as u32;
         Frame {
             header: FrameHeader {
                 sn,
-                frame_len,
                 elem_id,
-                injected,
-                got_len: got.len() as u16,
-                code_len: code.len() as u32,
-                args_len: args.len() as u16,
-                usr_len: usr.len() as u32,
+                injected: true,
             },
             chain: None,
             got,
@@ -288,43 +444,18 @@ impl Frame {
         }
     }
 
-    /// Attach a chain descriptor, upgrading the frame to the version-1 layout
-    /// and growing `frame_len` by the descriptor's wire size.
+    /// Attach a chain descriptor, upgrading the frame to the version-1 layout.
     pub fn with_chain(mut self, chain: ChainDescriptor) -> Frame {
-        let old = chain_wire_len(self.chain.as_ref());
-        self.header.frame_len = self.header.frame_len - old as u32 + chain.wire_len() as u32;
         self.chain = Some(chain);
         self
     }
 
     /// Total size of the frame on the wire.
     pub fn wire_size(&self) -> usize {
-        self.header.frame_len as usize
-    }
-
-    /// Byte offset of the GOT image within the frame.
-    pub fn got_offset(&self) -> usize {
-        FRAME_HEADER_SIZE + chain_wire_len(self.chain.as_ref())
-    }
-
-    /// Byte offset of the code section within the frame.
-    pub fn code_offset(&self) -> usize {
-        self.got_offset() + self.got.len()
-    }
-
-    /// Byte offset of the ARGS block within the frame.
-    pub fn args_offset(&self) -> usize {
-        self.code_offset() + self.code.len()
-    }
-
-    /// Byte offset of the USR payload within the frame.
-    pub fn usr_offset(&self) -> usize {
-        self.args_offset() + self.args.len()
-    }
-
-    /// Byte offset of the signal byte (the last byte of the frame).
-    pub fn signal_offset(&self) -> usize {
-        self.wire_size() - 1
+        wire_len(
+            self.chain.as_ref(),
+            [&self.got, &self.code, &self.args, &self.usr],
+        )
     }
 
     /// Encode the frame into wire bytes, ending with `SIG_MAG`.
@@ -349,50 +480,50 @@ impl Frame {
             &self.usr,
             out,
         );
-        debug_assert_eq!(out.len(), self.wire_size());
-    }
-
-    /// Decode wire bytes back into an owned frame, validating magics and lengths.
-    pub fn decode(bytes: &[u8]) -> AmResult<Frame> {
-        Ok(FrameView::parse(bytes)?.to_frame())
     }
 }
 
-/// Validate that section lengths fit the wire header's fixed-width fields (GOT and
-/// ARGS ride in `u16` fields, code and USR in `u32`). The sender calls this before
-/// encoding so an oversized section is a sender-side error instead of a silently
-/// truncated header the receiver would misattribute to a malformed wire frame.
+/// Validate that section lengths fit their header fields. The sender calls this
+/// before encoding so an oversized section is a sender-side error instead of a
+/// silently truncated header the receiver would misattribute to a malformed wire
+/// frame.
 pub(crate) fn validate_section_lens(
     got: &[u8],
     code: &[u8],
     args: &[u8],
     usr: &[u8],
 ) -> AmResult<()> {
-    if got.len() > u16::MAX as usize {
-        return Err(AmError::BadFrame(format!(
-            "GOT image of {} bytes exceeds the u16 wire field",
-            got.len()
-        )));
-    }
-    if args.len() > u16::MAX as usize {
-        return Err(AmError::BadFrame(format!(
-            "ARGS block of {} bytes exceeds the u16 wire field",
-            args.len()
-        )));
-    }
-    if code.len() > u32::MAX as usize {
-        return Err(AmError::BadFrame(format!(
-            "code section of {} bytes exceeds the u32 wire field",
-            code.len()
-        )));
-    }
-    if usr.len() > u32::MAX as usize {
-        return Err(AmError::BadFrame(format!(
-            "USR payload of {} bytes exceeds the u32 wire field",
-            usr.len()
-        )));
+    let names = ["GOT image", "code section", "ARGS block", "USR payload"];
+    for ((what, section), field) in names
+        .iter()
+        .zip([got, code, args, usr])
+        .zip(header::SECTION_LENS)
+    {
+        let (len, bits) = (section.len(), 8 * field.width);
+        if len as u64 > field.max() {
+            return bad(format!("{what} of {len} bytes overflows a u{bits} field"));
+        }
     }
     Ok(())
+}
+
+/// The one header writer: both magics, `sn` and `len` set, every other field
+/// zero for the caller to fill.
+fn header_record(sn: u32, len: usize) -> [u8; FRAME_HEADER_SIZE] {
+    let mut record = [0u8; FRAME_HEADER_SIZE];
+    header::MAGIC.set(&mut record, FRAME_MAGIC);
+    header::SN.set(&mut record, sn);
+    header::LEN.set(&mut record, len as u32);
+    header::HDR_MAG.set(&mut record, HDR_MAG.into());
+    record
+}
+
+/// The one trailer writer: `sn`'s echo, then [`SIG_MAG`].
+fn trailer_record(sn: u32) -> [u8; FRAME_TRAILER_SIZE] {
+    let mut record = [0u8; FRAME_TRAILER_SIZE];
+    trailer::SN_ECHO.set(&mut record, sn);
+    trailer::SIG_MAG.set(&mut record, SIG_MAG.into());
+    record
 }
 
 /// Encode one frame directly from its constituent sections into `out` (cleared
@@ -411,49 +542,79 @@ pub(crate) fn encode_wire_into(
     usr: &[u8],
     out: &mut Vec<u8>,
 ) {
-    let frame_len = (FRAME_HEADER_SIZE
-        + chain_wire_len(chain)
-        + got.len()
-        + code.len()
-        + args.len()
-        + usr.len()
-        + FRAME_TRAILER_SIZE) as u32;
-    out.clear();
-    out.reserve(frame_len as usize);
-    out.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
-    out.extend_from_slice(&sn.to_le_bytes());
-    out.extend_from_slice(&frame_len.to_le_bytes());
-    out.extend_from_slice(&elem_id.to_le_bytes());
-    out.extend_from_slice(&(injected as u16).to_le_bytes());
-    out.extend_from_slice(&(got.len() as u16).to_le_bytes());
-    out.extend_from_slice(&(code.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(args.len() as u16).to_le_bytes());
-    out.extend_from_slice(&(usr.len() as u32).to_le_bytes());
-    match chain {
-        Some(c) => {
-            out.push(CHAIN_VERSION);
-            out.push(c.len() as u8);
-        }
-        None => out.extend_from_slice(&[0u8; 2]),
+    let sections = [got, code, args, usr];
+    let len = wire_len(chain, sections);
+    let (version, stages) = chain.map_or((0, 0), |c| (CHAIN_VERSION, c.len()));
+    let mut record = header_record(sn, len);
+    header::ELEM.set(&mut record, elem_id);
+    header::INJECTED.set(&mut record, injected.into());
+    for (field, section) in header::SECTION_LENS.into_iter().zip(sections) {
+        field.set(&mut record, section.len() as u32);
     }
-    out.extend_from_slice(&[0u8; 3]);
-    out.push(HDR_MAG);
-    debug_assert_eq!(out.len(), FRAME_HEADER_SIZE);
+    header::CHAIN_VERSION.set(&mut record, version.into());
+    header::CHAIN_STAGES.set(&mut record, stages as u32);
+    out.clear();
+    out.reserve(len);
+    out.extend_from_slice(&record);
     if let Some(c) = chain {
         c.encode_into(out);
     }
-    out.extend_from_slice(got);
-    out.extend_from_slice(code);
-    out.extend_from_slice(args);
-    out.extend_from_slice(usr);
-    // Trailer: low 3 bytes of the sequence number, then the signal magic.
-    out.extend_from_slice(&sn.to_le_bytes()[..3]);
-    out.push(SIG_MAG);
-    debug_assert_eq!(out.len(), frame_len as usize);
+    for section in sections {
+        out.extend_from_slice(section);
+    }
+    out.extend_from_slice(&trailer_record(sn));
+    debug_assert_eq!(out.len(), len);
 }
 
-/// A validated frame whose sections borrow the receive buffer — the zero-copy
-/// counterpart of [`Frame::decode`].
+/// What both parsers check first: the length floor and both header magics.
+fn check_prologue(bytes: &[u8], what: &str) -> AmResult<()> {
+    if bytes.len() < MIN_WIRE_LEN {
+        return bad(format!("{what} too short: {} bytes", bytes.len()));
+    }
+    let magic = header::MAGIC.get(bytes);
+    if magic != FRAME_MAGIC {
+        return bad(format!("{what} has bad magic {magic:#010x}"));
+    }
+    if header::HDR_MAG.get(bytes) != u32::from(HDR_MAG) {
+        return bad(format!("{what} is missing its header magic byte"));
+    }
+    Ok(())
+}
+
+/// What both parsers check last: the trailer of the `len` bytes at the start of
+/// `bytes` ends in [`SIG_MAG`] and echoes `sn`.
+#[inline]
+fn check_trailer(bytes: &[u8], len: usize, sn: u32, what: &str) -> AmResult<()> {
+    let record = &bytes[len - FRAME_TRAILER_SIZE..len];
+    if trailer::SIG_MAG.get(record) != u32::from(SIG_MAG) {
+        return bad(format!("{what} missing signal magic"));
+    }
+    let echo = trailer::SN_ECHO.get(record);
+    let expected = sn & trailer::SN_ECHO.max() as u32;
+    if echo != expected {
+        // The echo is the primary forensic signal once reorder faults exist:
+        // carry both sides so a log line pinpoints which frame overwrote which.
+        return bad(format!(
+            "{what} sequence echo mismatch: header sn {sn} expects echo {expected:#08x}, trailer carries {echo:#08x}"
+        ));
+    }
+    Ok(())
+}
+
+/// Refuse a `record` laid out as `fields` whose reserved field is nonzero;
+/// `what` names the record in the error.
+fn check_reserved(record: &[u8], fields: &Record, what: impl FnOnce() -> String) -> AmResult<()> {
+    for &(name, field) in fields.iter().filter(|(_, field)| field.reserved) {
+        let bytes = &record[field.at..field.end()];
+        if bytes.iter().any(|&b| b != 0) {
+            let what = what();
+            return bad(format!("{what}: reserved `{name}` reads {bytes:02x?}"));
+        }
+    }
+    Ok(())
+}
+
+/// A validated frame whose sections borrow the receive buffer.
 ///
 /// The receiver's hot path parses arrived bytes into a `FrameView`, hashes the
 /// borrowed `code`/`got` slices to probe the injected-code cache, and copies only
@@ -479,146 +640,88 @@ pub struct FrameView<'a> {
 impl<'a> FrameView<'a> {
     /// Parse and validate wire bytes without copying any section.
     pub fn parse(bytes: &'a [u8]) -> AmResult<FrameView<'a>> {
-        if bytes.len() < MIN_WIRE_LEN {
-            return Err(AmError::BadFrame(format!(
-                "frame too short: {} bytes",
-                bytes.len()
-            )));
+        check_prologue(bytes, "frame")?;
+        let batch_version = header::BATCH_VERSION.get(bytes);
+        if batch_version != 0 {
+            return bad(format!(
+                "multi-frame batch container (version {batch_version}) passed to the single-frame parser"
+            ));
         }
-        let magic = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
-        if magic != FRAME_MAGIC {
-            return Err(AmError::BadFrame(format!("bad magic {magic:#010x}")));
-        }
-        if bytes[FRAME_HEADER_SIZE - 1] != HDR_MAG {
-            return Err(AmError::BadFrame("missing header magic byte".into()));
-        }
-        if bytes[32] != 0 {
-            return Err(AmError::BadFrame(format!(
-                "multi-frame batch container (version {}) passed to the single-frame parser",
-                bytes[32]
-            )));
-        }
-        let sn = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-        let frame_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
-        let elem_id = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
-        let injected = u16::from_le_bytes(bytes[16..18].try_into().unwrap()) != 0;
-        let got_len = u16::from_le_bytes(bytes[18..20].try_into().unwrap()) as usize;
-        let code_len = u32::from_le_bytes(bytes[20..24].try_into().unwrap()) as usize;
-        let args_len = u16::from_le_bytes(bytes[24..26].try_into().unwrap()) as usize;
-        let usr_len = u32::from_le_bytes(bytes[26..30].try_into().unwrap()) as usize;
-        let chain_version = bytes[30];
-        let chain_stage_count = bytes[31] as usize;
-        let chain_len = match chain_version {
-            // Legacy layout: both bytes were always written zero, so a
+        check_reserved(bytes, &header::FIELDS, || "header".into())?;
+        let field = |f: Field| f.get(bytes) as usize;
+        let sn = header::SN.get(bytes);
+        let frame_len = field(header::LEN);
+        let chain_version = header::CHAIN_VERSION.get(bytes);
+        let chain_stage_count = field(header::CHAIN_STAGES);
+        if chain_version == 0 && chain_stage_count != 0 {
+            // Legacy layout: both fields were always written zero, so a
             // version-0 frame claiming stages is corrupt, not old.
-            0 if chain_stage_count != 0 => {
-                return Err(AmError::BadFrame(format!(
-                    "version-0 frame claims {chain_stage_count} chain stages"
-                )));
-            }
-            0 => 0,
-            CHAIN_VERSION => {
-                if chain_stage_count > CHAIN_MAX_STAGES {
-                    return Err(AmError::BadFrame(format!(
-                        "chain descriptor claims {chain_stage_count} stages, wire maximum is {CHAIN_MAX_STAGES}"
-                    )));
-                }
-                chain_stage_count * CHAIN_STAGE_WIRE_SIZE
-            }
-            v => {
-                return Err(AmError::BadFrame(format!(
-                    "unknown chain version {v} (this receiver speaks up to {CHAIN_VERSION})"
-                )));
-            }
-        };
-        let expected = FRAME_HEADER_SIZE
-            .checked_add(chain_len)
-            .and_then(|n| n.checked_add(got_len))
-            .and_then(|n| n.checked_add(code_len))
-            .and_then(|n| n.checked_add(args_len))
-            .and_then(|n| n.checked_add(usr_len))
-            .and_then(|n| n.checked_add(FRAME_TRAILER_SIZE))
+            return bad(format!(
+                "version-0 frame claims {chain_stage_count} chain stages"
+            ));
+        }
+        if chain_version > u32::from(CHAIN_VERSION) {
+            return bad(format!(
+                "unknown chain version {chain_version} (this receiver speaks up to {CHAIN_VERSION})"
+            ));
+        }
+        if chain_stage_count > CHAIN_MAX_STAGES {
+            return bad(format!(
+                "chain descriptor claims {chain_stage_count} stages, wire maximum is {CHAIN_MAX_STAGES}"
+            ));
+        }
+        let chain_len = chain_stage_count * CHAIN_STAGE_WIRE_SIZE;
+        let sections = header::SECTION_LENS.map(field);
+        let expected = sections
+            .iter()
+            .try_fold(MIN_WIRE_LEN + chain_len, |n, &s| n.checked_add(s))
             .ok_or_else(|| AmError::BadFrame("section lengths overflow".into()))?;
         if frame_len != expected || bytes.len() < frame_len {
-            return Err(AmError::BadFrame(format!(
+            return bad(format!(
                 "inconsistent lengths: header says {frame_len}, sections say {expected}, buffer {}",
                 bytes.len()
-            )));
+            ));
         }
-        if bytes[frame_len - 1] != SIG_MAG {
-            return Err(AmError::BadFrame("missing signal magic".into()));
-        }
-        if bytes[frame_len - 4..frame_len - 1] != sn.to_le_bytes()[..3] {
-            // The echo is the primary forensic signal once reorder faults
-            // exist: carry both sides so a log line pinpoints which frame
-            // overwrote which.
-            let observed = u32::from_le_bytes([
-                bytes[frame_len - 4],
-                bytes[frame_len - 3],
-                bytes[frame_len - 2],
-                0,
-            ]);
-            return Err(AmError::BadFrame(format!(
-                "sequence echo mismatch: header sn {sn} expects echo {:#08x}, trailer carries {observed:#08x}",
-                sn & 0x00FF_FFFF
-            )));
-        }
+        check_trailer(bytes, frame_len, sn, "frame")?;
         let chain = if chain_version == 0 {
             None
         } else {
             let mut c = ChainDescriptor::new();
             for i in 0..chain_stage_count {
-                let off = FRAME_HEADER_SIZE + i * CHAIN_STAGE_WIRE_SIZE;
-                let stage_elem = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
-                let map = ChainArgMap::from_wire(bytes[off + 4]).ok_or_else(|| {
+                let at = FRAME_HEADER_SIZE + i * CHAIN_STAGE_WIRE_SIZE;
+                let record = &bytes[at..at + CHAIN_STAGE_WIRE_SIZE];
+                check_reserved(record, &chain_stage::FIELDS, || format!("chain stage {i}"))?;
+                let map_byte = chain_stage::ARG_MAP.get(record);
+                let map = ChainArgMap::from_wire(map_byte).ok_or_else(|| {
                     AmError::BadFrame(format!(
-                        "chain stage {i} carries unknown arg-map byte {:#04x}",
-                        bytes[off + 4]
+                        "chain stage {i} carries unknown arg-map byte {map_byte:#04x}"
                     ))
                 })?;
                 c.push(ChainStage {
-                    elem_id: stage_elem,
+                    elem_id: chain_stage::ELEM.get(record),
                     map,
                 })
                 .expect("stage count already bounded by CHAIN_MAX_STAGES");
             }
             Some(c)
         };
-        let mut pos = FRAME_HEADER_SIZE + chain_len;
-        let mut take = |n: usize| {
-            let s = &bytes[pos..pos + n];
-            pos += n;
-            s
-        };
+        // The lengths are checked against `frame_len` above: the splits hold.
+        let body = &bytes[FRAME_HEADER_SIZE + chain_len..frame_len - FRAME_TRAILER_SIZE];
+        let (got, rest) = body.split_at(sections[0]);
+        let (code, rest) = rest.split_at(sections[1]);
+        let (args, usr) = rest.split_at(sections[2]);
         Ok(FrameView {
             header: FrameHeader {
                 sn,
-                frame_len: frame_len as u32,
-                elem_id,
-                injected,
-                got_len: got_len as u16,
-                code_len: code_len as u32,
-                args_len: args_len as u16,
-                usr_len: usr_len as u32,
+                elem_id: header::ELEM.get(bytes),
+                injected: header::INJECTED.get(bytes) != 0,
             },
             chain,
-            got: take(got_len),
-            code: take(code_len),
-            args: take(args_len),
-            usr: take(usr_len),
+            got,
+            code,
+            args,
+            usr,
         })
-    }
-
-    /// Materialise an owned [`Frame`] (copies every section).
-    pub fn to_frame(&self) -> Frame {
-        Frame {
-            header: self.header,
-            chain: self.chain,
-            got: self.got.to_vec(),
-            code: self.code.to_vec(),
-            args: self.args.to_vec(),
-            usr: self.usr.to_vec(),
-        }
     }
 
     /// Byte offset of the GOT image within the frame.
@@ -642,14 +745,11 @@ impl<'a> FrameView<'a> {
     }
 }
 
-/// Whether `bytes` begin with a batch-container header: the outer shape of a
-/// frame header (magic + `HDR_MAG`) with a nonzero batch-version byte 32.
-/// Single frames always write byte 32 as zero, so detection is unambiguous.
+/// Whether `bytes` begin with a batch-container header: a frame header with a
+/// nonzero [`header::BATCH_VERSION`]. Single frames always write it zero, so
+/// detection is unambiguous.
 pub fn is_batch(bytes: &[u8]) -> bool {
-    bytes.len() >= FRAME_HEADER_SIZE
-        && u32::from_le_bytes(bytes[0..4].try_into().unwrap()) == FRAME_MAGIC
-        && bytes[FRAME_HEADER_SIZE - 1] == HDR_MAG
-        && bytes[32] != 0
+    check_prologue(bytes, "").is_ok() && header::BATCH_VERSION.get(bytes) != 0
 }
 
 /// Incremental builder for a multi-frame batch container.
@@ -681,11 +781,6 @@ impl FrameBatch {
         self.count == 0
     }
 
-    /// The batch sequence number: the first inner frame's.
-    pub fn first_sn(&self) -> Option<u32> {
-        self.first_sn
-    }
-
     /// Total container size on the wire if finished now.
     pub fn wire_size(&self) -> usize {
         BATCH_OVERHEAD + self.body.len()
@@ -702,28 +797,24 @@ impl FrameBatch {
     /// buffer is a sender-side error, not a wire frame the receiver rejects.
     pub fn push(&mut self, slot: u16, frame: &[u8]) -> AmResult<()> {
         if self.count >= BATCH_MAX_FRAMES {
-            return Err(AmError::BadFrame(format!(
+            return bad(format!(
                 "batch container full: the one-byte count field carries at most {BATCH_MAX_FRAMES} frames"
-            )));
-        }
-        if frame.len() < MIN_WIRE_LEN {
-            return Err(AmError::BadFrame(format!(
-                "inner frame of {} bytes is shorter than header + trailer",
-                frame.len()
-            )));
-        }
-        let magic = u32::from_le_bytes(frame[0..4].try_into().unwrap());
-        if magic != FRAME_MAGIC || frame[frame.len() - 1] != SIG_MAG {
-            return Err(AmError::BadFrame(
-                "inner frame is not a complete encoded wire frame".into(),
             ));
         }
-        let sn = u32::from_le_bytes(frame[4..8].try_into().unwrap());
-        self.first_sn.get_or_insert(sn);
-        self.body
-            .extend_from_slice(&(frame.len() as u32).to_le_bytes());
-        self.body.extend_from_slice(&slot.to_le_bytes());
-        self.body.extend_from_slice(&[0u8; 2]);
+        if frame.len() < MIN_WIRE_LEN {
+            return bad(format!(
+                "inner frame of {} bytes is shorter than header + trailer",
+                frame.len()
+            ));
+        }
+        if header::MAGIC.get(frame) != FRAME_MAGIC || frame[signal_at(frame.len())] != SIG_MAG {
+            return bad("inner frame is not a complete encoded wire frame");
+        }
+        self.first_sn.get_or_insert(header::SN.get(frame));
+        let mut prefix = [0u8; BATCH_PREFIX_SIZE];
+        batch_prefix::LEN.set(&mut prefix, frame.len() as u32);
+        batch_prefix::SLOT.set(&mut prefix, slot.into());
+        self.body.extend_from_slice(&prefix);
         self.body.extend_from_slice(frame);
         self.count += 1;
         Ok(())
@@ -736,24 +827,16 @@ impl FrameBatch {
         let sn = self
             .first_sn
             .ok_or_else(|| AmError::BadFrame("batch container holds no frames".into()))?;
-        let total = self.wire_size() as u32;
+        // The outer header routes nothing itself, it only publishes the batch.
+        let mut record = header_record(sn, self.wire_size());
+        header::BATCH_VERSION.set(&mut record, BATCH_VERSION.into());
+        header::BATCH_COUNT.set(&mut record, self.count as u32);
         out.clear();
-        out.reserve(total as usize);
-        out.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
-        out.extend_from_slice(&sn.to_le_bytes());
-        out.extend_from_slice(&total.to_le_bytes());
-        // elem_id / injected / section lengths / chain bytes: all zero — the
-        // outer header routes nothing itself, it only publishes the batch.
-        out.extend_from_slice(&[0u8; 20]);
-        out.push(BATCH_VERSION);
-        out.push(self.count as u8);
-        out.push(0);
-        out.push(HDR_MAG);
-        debug_assert_eq!(out.len(), FRAME_HEADER_SIZE);
+        out.reserve(self.wire_size());
+        out.extend_from_slice(&record);
         out.extend_from_slice(&self.body);
-        out.extend_from_slice(&sn.to_le_bytes()[..3]);
-        out.push(SIG_MAG);
-        debug_assert_eq!(out.len(), total as usize);
+        out.extend_from_slice(&trailer_record(sn));
+        debug_assert_eq!(out.len(), self.wire_size());
         Ok(())
     }
 
@@ -783,52 +866,27 @@ impl<'a> BatchView<'a> {
     /// frame's sequence number in the error — the forensic signal that names
     /// which message the cut landed on.
     pub fn parse(bytes: &'a [u8]) -> AmResult<BatchView<'a>> {
-        if bytes.len() < BATCH_OVERHEAD {
-            return Err(AmError::BadFrame(format!(
-                "batch container too short: {} bytes",
-                bytes.len()
-            )));
+        check_prologue(bytes, "batch container")?;
+        let version = header::BATCH_VERSION.get(bytes);
+        if version == 0 {
+            return bad("single frame passed to the batch-container parser");
         }
-        let magic = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
-        if magic != FRAME_MAGIC {
-            return Err(AmError::BadFrame(format!("bad batch magic {magic:#010x}")));
-        }
-        if bytes[FRAME_HEADER_SIZE - 1] != HDR_MAG {
-            return Err(AmError::BadFrame(
-                "batch container missing header magic byte".into(),
+        if version != u32::from(BATCH_VERSION) {
+            return bad(format!(
+                "unknown batch version {version} (this receiver speaks up to {BATCH_VERSION})"
             ));
         }
-        match bytes[32] {
-            0 => {
-                return Err(AmError::BadFrame(
-                    "single frame passed to the batch-container parser".into(),
-                ));
-            }
-            BATCH_VERSION => {}
-            v => {
-                return Err(AmError::BadFrame(format!(
-                    "unknown batch version {v} (this receiver speaks up to {BATCH_VERSION})"
-                )));
-            }
-        }
-        let count = bytes[33] as usize;
+        let count = header::BATCH_COUNT.get(bytes) as usize;
         if count == 0 {
-            return Err(AmError::BadFrame(
-                "batch container claims zero inner frames".into(),
-            ));
+            return bad("batch container claims zero inner frames");
         }
-        if bytes[34] != 0 {
-            return Err(AmError::BadFrame(format!(
-                "batch header reserved byte carries {:#04x}",
-                bytes[34]
-            )));
-        }
-        let sn = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-        let wire_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+        check_reserved(bytes, &header::FIELDS, || "batch header".into())?;
+        let sn = header::SN.get(bytes);
+        let wire_len = header::LEN.get(bytes) as usize;
         if wire_len < BATCH_OVERHEAD {
-            return Err(AmError::BadFrame(format!(
+            return bad(format!(
                 "batch header claims {wire_len} bytes, below the container minimum"
-            )));
+            ));
         }
         // Walk the inner frames against what actually arrived, not just the
         // declared length: a truncated container must name the frame the cut
@@ -840,23 +898,22 @@ impl<'a> BatchView<'a> {
         for i in 0..count {
             let start = pos + BATCH_PREFIX_SIZE;
             if start > body_end || start > avail {
-                return Err(AmError::BadFrame(format!(
+                return bad(format!(
                     "batch container truncated before inner frame {i}'s length prefix \
                      ({} of {wire_len} bytes present)",
                     avail.min(body_end)
-                )));
+                ));
             }
-            let flen = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-            let slot = u16::from_le_bytes(bytes[pos + 4..pos + 6].try_into().unwrap());
-            if bytes[pos + 6] != 0 || bytes[pos + 7] != 0 {
-                return Err(AmError::BadFrame(format!(
-                    "inner frame {i}'s prefix reserved bytes are nonzero"
-                )));
-            }
+            let prefix = &bytes[pos..start];
+            let flen = batch_prefix::LEN.get(prefix) as usize;
+            let slot = batch_prefix::SLOT.get(prefix) as u16;
+            check_reserved(prefix, &batch_prefix::FIELDS, || {
+                format!("inner frame {i}'s prefix")
+            })?;
             if flen < MIN_WIRE_LEN {
-                return Err(AmError::BadFrame(format!(
+                return bad(format!(
                     "inner frame {i} claims {flen} bytes, shorter than header + trailer"
-                )));
+                ));
             }
             let end = start
                 .checked_add(flen)
@@ -865,50 +922,41 @@ impl<'a> BatchView<'a> {
                 // The cut landed inside this frame. Echo its sequence number
                 // when its header made it across — that is the number the
                 // sender's retransmit machinery keys on.
-                let echo = (start + 8 <= avail)
-                    .then(|| u32::from_le_bytes(bytes[start + 4..start + 8].try_into().unwrap()));
-                return Err(AmError::BadFrame(match echo {
+                let echo =
+                    (start + header::SN.end() <= avail).then(|| header::SN.get(&bytes[start..]));
+                return bad(match echo {
                     Some(inner_sn) => format!(
                         "batch container truncated inside inner frame {i} (sn {inner_sn}): \
                          frame needs {flen} bytes, {} remain",
                         avail.min(body_end).saturating_sub(start)
                     ),
                     None => format!("batch container truncated inside inner frame {i}'s header"),
-                }));
+                });
             }
             let inner = &bytes[start..end];
-            let imagic = u32::from_le_bytes(inner[0..4].try_into().unwrap());
+            let imagic = header::MAGIC.get(inner);
             if imagic != FRAME_MAGIC {
-                return Err(AmError::BadFrame(format!(
-                    "inner frame {i} has bad magic {imagic:#010x}"
-                )));
+                return bad(format!("inner frame {i} has bad magic {imagic:#010x}"));
             }
             frames.push((slot, inner));
             pos = end;
         }
         if pos != body_end {
-            return Err(AmError::BadFrame(format!(
+            return bad(format!(
                 "batch length mismatch: header says {wire_len}, inner frames end at {pos}",
-            )));
+            ));
         }
         if wire_len > avail {
-            return Err(AmError::BadFrame(format!(
+            return bad(format!(
                 "batch container truncated before its trailer ({avail} of {wire_len} bytes)"
-            )));
+            ));
         }
-        if bytes[wire_len - 1] != SIG_MAG {
-            return Err(AmError::BadFrame("batch missing signal magic".into()));
-        }
-        if bytes[wire_len - 4..wire_len - 1] != sn.to_le_bytes()[..3] {
-            return Err(AmError::BadFrame(format!(
-                "batch sequence echo mismatch for sn {sn}"
-            )));
-        }
-        let first_sn = u32::from_le_bytes(frames[0].1[4..8].try_into().unwrap());
+        check_trailer(bytes, wire_len, sn, "batch container")?;
+        let first_sn = header::SN.get(frames[0].1);
         if first_sn != sn {
-            return Err(AmError::BadFrame(format!(
+            return bad(format!(
                 "batch header sn {sn} disagrees with first inner frame sn {first_sn}"
-            )));
+            ));
         }
         Ok(BatchView {
             sn,
@@ -926,6 +974,25 @@ impl<'a> BatchView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `bytes` parse, and into exactly `f`'s header, chain and sections.
+    fn assert_parses_to(bytes: &[u8], f: &Frame) {
+        let view = FrameView::parse(bytes).unwrap();
+        assert_eq!(view.header, f.header);
+        assert_eq!(view.chain, f.chain);
+        assert_eq!(view.got, &f.got[..]);
+        assert_eq!(view.code, &f.code[..]);
+        assert_eq!(view.args, &f.args[..]);
+        assert_eq!(view.usr, &f.usr[..]);
+    }
+
+    /// The parse error `bytes` meet.
+    fn rejection(bytes: &[u8]) -> String {
+        match FrameView::parse(bytes) {
+            Err(AmError::BadFrame(msg)) => msg,
+            other => panic!("corrupt frame accepted: {other:?}"),
+        }
+    }
 
     #[test]
     fn local_frame_size_matches_paper_one_integer_case() {
@@ -945,7 +1012,7 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_roundtrip() {
+    fn encode_parse_roundtrip() {
         let f = Frame::injected(
             7,
             3,
@@ -956,22 +1023,22 @@ mod tests {
         );
         let bytes = f.encode();
         assert_eq!(bytes.len(), f.wire_size());
-        assert_eq!(bytes[bytes.len() - 1], SIG_MAG);
-        assert_eq!(bytes[FRAME_HEADER_SIZE - 1], HDR_MAG);
-        let back = Frame::decode(&bytes).unwrap();
-        assert_eq!(back, f);
+        assert_eq!(bytes[signal_at(bytes.len())], SIG_MAG);
+        assert_eq!(bytes[header::HDR_MAG.at], HDR_MAG);
+        assert_parses_to(&bytes, &f);
     }
 
     #[test]
     fn section_offsets_partition_the_frame() {
         let f = Frame::injected(1, 1, vec![0; 16], vec![0; 64], vec![0; 20], vec![0; 8]);
-        assert_eq!(f.got_offset(), 36);
-        assert_eq!(f.code_offset(), 52);
-        assert_eq!(f.args_offset(), 116);
-        assert_eq!(f.usr_offset(), 136);
-        assert_eq!(f.signal_offset(), f.wire_size() - 1);
+        let bytes = f.encode();
+        let view = FrameView::parse(&bytes).unwrap();
+        assert_eq!(view.got_offset(), 36);
+        assert_eq!(view.code_offset(), 52);
+        assert_eq!(view.args_offset(), 116);
+        assert_eq!(view.usr_offset(), 136);
         assert_eq!(
-            f.usr_offset() + f.usr.len() + FRAME_TRAILER_SIZE,
+            view.usr_offset() + view.usr.len() + FRAME_TRAILER_SIZE,
             f.wire_size()
         );
     }
@@ -980,54 +1047,31 @@ mod tests {
     fn corrupted_frames_are_rejected() {
         let f = Frame::local(5, 1, vec![0; 20], vec![9; 16]);
         let good = f.encode();
+        let corrupt = |at: usize, value: u8| {
+            let mut bad = good.clone();
+            bad[at] = value;
+            rejection(&bad)
+        };
+        assert!(corrupt(header::MAGIC.at, 0).contains("bad magic"));
+        assert!(corrupt(header::HDR_MAG.at, 0).contains("header magic"));
+        assert!(corrupt(signal_at(good.len()), 0).contains("signal magic"));
+        assert!(corrupt(header::LEN.at, 0xFF).contains("inconsistent lengths"));
+        // The encoder writes the reserved byte zero; the parser holds it to that.
+        let msg = corrupt(header::RESERVED.at, 1);
+        assert!(msg.contains("header: reserved `reserved`"), "{msg}");
 
-        let mut bad = good.clone();
-        bad[0] ^= 0xFF;
+        // The corrupted header reads sn 5 ^ 0xFF = 0xFA; the trailer still
+        // echoes the original sn 5. Both values must be in the message — they
+        // are the debugging signal under reorder faults.
+        let msg = corrupt(header::SN.at, 5 ^ 0xFF);
+        assert!(msg.contains("sequence echo mismatch"), "{msg}");
         assert!(
-            matches!(Frame::decode(&bad), Err(AmError::BadFrame(_))),
-            "magic"
+            msg.contains("header sn 250"),
+            "expected value missing: {msg}"
         );
+        assert!(msg.contains("0x000005"), "observed echo missing: {msg}");
 
-        let mut bad = good.clone();
-        bad[FRAME_HEADER_SIZE - 1] = 0;
-        assert!(
-            matches!(Frame::decode(&bad), Err(AmError::BadFrame(_))),
-            "hdr mag"
-        );
-
-        let mut bad = good.clone();
-        let last = bad.len() - 1;
-        bad[last] = 0;
-        assert!(
-            matches!(Frame::decode(&bad), Err(AmError::BadFrame(_))),
-            "sig mag"
-        );
-
-        let mut bad = good.clone();
-        bad[8] = 0xFF; // frame_len
-        assert!(
-            matches!(Frame::decode(&bad), Err(AmError::BadFrame(_))),
-            "length"
-        );
-
-        let mut bad = good.clone();
-        bad[4] ^= 0xFF; // sn no longer matches trailer echo
-        match Frame::decode(&bad) {
-            Err(AmError::BadFrame(msg)) => {
-                // The corrupted header reads sn 5 ^ 0xFF = 0xFA; the trailer
-                // still echoes the original sn 5. Both values must be in the
-                // message — they are the debugging signal under reorder faults.
-                assert!(msg.contains("sequence echo mismatch"), "{msg}");
-                assert!(
-                    msg.contains("header sn 250"),
-                    "expected value missing: {msg}"
-                );
-                assert!(msg.contains("0x000005"), "observed echo missing: {msg}");
-            }
-            other => panic!("sn echo corruption not caught: {other:?}"),
-        }
-
-        assert!(Frame::decode(&good[..10]).is_err(), "short buffer");
+        assert!(FrameView::parse(&good[..10]).is_err(), "short buffer");
     }
 
     #[test]
@@ -1052,23 +1096,6 @@ mod tests {
             f.encode_into(&mut scratch);
         }
         assert_eq!(scratch.capacity(), cap);
-    }
-
-    #[test]
-    fn frame_view_borrows_sections_and_roundtrips() {
-        let f = Frame::injected(9, 5, vec![1; 16], vec![2; 64], vec![3; 20], vec![4; 32]);
-        let bytes = f.encode();
-        let view = FrameView::parse(&bytes).unwrap();
-        assert_eq!(view.header, f.header);
-        assert_eq!(view.got, &f.got[..]);
-        assert_eq!(view.code, &f.code[..]);
-        assert_eq!(view.args, &f.args[..]);
-        assert_eq!(view.usr, &f.usr[..]);
-        assert_eq!(view.got_offset(), f.got_offset());
-        assert_eq!(view.code_offset(), f.code_offset());
-        assert_eq!(view.args_offset(), f.args_offset());
-        assert_eq!(view.usr_offset(), f.usr_offset());
-        assert_eq!(view.to_frame(), f);
     }
 
     #[test]
@@ -1098,21 +1125,15 @@ mod tests {
         let chain = chain_of(&[11, 12, 13]);
         let f = Frame::injected(9, 10, vec![1; 16], vec![2; 64], vec![3; 20], vec![4; 8])
             .with_chain(chain);
-        assert_eq!(
-            f.got_offset(),
-            FRAME_HEADER_SIZE + 3 * CHAIN_STAGE_WIRE_SIZE
-        );
         let bytes = f.encode();
         assert_eq!(bytes.len(), f.wire_size());
-        assert_eq!(bytes[30], CHAIN_VERSION);
-        assert_eq!(bytes[31], 3);
-        let view = FrameView::parse(&bytes).unwrap();
-        assert_eq!(view.chain, Some(chain));
-        assert_eq!(view.got, &f.got[..]);
-        assert_eq!(view.args, &f.args[..]);
-        assert_eq!(view.usr, &f.usr[..]);
-        assert_eq!(view.got_offset(), f.got_offset());
-        assert_eq!(view.to_frame(), f);
+        assert_eq!(header::CHAIN_VERSION.get(&bytes), u32::from(CHAIN_VERSION));
+        assert_eq!(header::CHAIN_STAGES.get(&bytes), 3);
+        assert_parses_to(&bytes, &f);
+        assert_eq!(
+            FrameView::parse(&bytes).unwrap().got_offset(),
+            FRAME_HEADER_SIZE + 3 * CHAIN_STAGE_WIRE_SIZE
+        );
     }
 
     #[test]
@@ -1120,12 +1141,15 @@ mod tests {
         let base = Frame::local(5, 6, vec![0; 20], vec![0; 4]);
         let v1 = base.clone().with_chain(ChainDescriptor::new());
         // Same wire size — a zero-stage descriptor occupies no section bytes —
-        // but the version byte distinguishes the layouts and round-trips.
+        // but the version field distinguishes the layouts and round-trips.
         assert_eq!(v1.wire_size(), base.wire_size());
         let legacy_bytes = base.encode();
         let v1_bytes = v1.encode();
-        assert_eq!(legacy_bytes[30], 0);
-        assert_eq!(v1_bytes[30], CHAIN_VERSION);
+        assert_eq!(header::CHAIN_VERSION.get(&legacy_bytes), 0);
+        assert_eq!(
+            header::CHAIN_VERSION.get(&v1_bytes),
+            u32::from(CHAIN_VERSION)
+        );
         assert_eq!(FrameView::parse(&legacy_bytes).unwrap().chain, None);
         assert_eq!(
             FrameView::parse(&v1_bytes).unwrap().chain,
@@ -1164,48 +1188,30 @@ mod tests {
     fn corrupted_chain_fields_are_rejected() {
         let f = Frame::local(1, 2, vec![0; 20], vec![0; 4]).with_chain(chain_of(&[7]));
         let good = f.encode();
+        let corrupt = |field: Field, at: usize, value: u32| {
+            let mut bad = good.clone();
+            field.set(&mut bad[at..], value);
+            rejection(&bad)
+        };
+        let msg = corrupt(header::CHAIN_VERSION, 0, 0);
+        assert!(msg.contains("version-0 frame claims 1"), "{msg}");
+        let msg = corrupt(header::CHAIN_VERSION, 0, 9);
+        assert!(msg.contains("unknown chain version 9"), "{msg}");
+        let msg = corrupt(header::CHAIN_STAGES, 0, CHAIN_MAX_STAGES as u32 + 1);
+        assert!(msg.contains("wire maximum"), "{msg}");
+        // A stage count that disagrees with the header's length.
+        let msg = corrupt(header::CHAIN_STAGES, 0, 2);
+        assert!(msg.contains("inconsistent lengths"), "{msg}");
 
-        // Version-0 frame claiming stages.
-        let mut bad = good.clone();
-        bad[30] = 0;
-        assert!(
-            matches!(Frame::decode(&bad), Err(AmError::BadFrame(_))),
-            "v0 with stages"
-        );
-
-        // Unknown future version.
-        let mut bad = good.clone();
-        bad[30] = 9;
-        assert!(
-            matches!(Frame::decode(&bad), Err(AmError::BadFrame(_))),
-            "unknown version"
-        );
-
-        // Stage count past the wire ceiling.
-        let mut bad = good.clone();
-        bad[31] = CHAIN_MAX_STAGES as u8 + 1;
-        assert!(
-            matches!(Frame::decode(&bad), Err(AmError::BadFrame(_))),
-            "too many stages"
-        );
-
-        // Invalid arg-map byte inside the stage record.
-        let mut bad = good.clone();
-        bad[FRAME_HEADER_SIZE + 4] = 0x7F;
-        match Frame::decode(&bad) {
-            Err(AmError::BadFrame(msg)) => {
-                assert!(msg.contains("arg-map"), "{msg}")
-            }
-            other => panic!("bad arg-map byte not caught: {other:?}"),
+        let stage = FRAME_HEADER_SIZE;
+        let msg = corrupt(chain_stage::ARG_MAP, stage, 0x7F);
+        assert!(msg.contains("arg-map"), "{msg}");
+        // The encoder writes the stage's reserved bytes zero; the parser holds
+        // each of them to that.
+        for value in [1, 1 << 8, 1 << 16] {
+            let msg = corrupt(chain_stage::RESERVED, stage, value);
+            assert!(msg.contains("chain stage 0: reserved `reserved`"), "{msg}");
         }
-
-        // Stage count that disagrees with frame_len.
-        let mut bad = good.clone();
-        bad[31] = 2;
-        assert!(
-            matches!(Frame::decode(&bad), Err(AmError::BadFrame(_))),
-            "length mismatch"
-        );
     }
 
     fn sample_batch(sns: &[u32]) -> (Vec<u8>, Vec<Vec<u8>>) {
@@ -1227,14 +1233,13 @@ mod tests {
         let sns = [40u32, 41, 42, 43];
         let (wire, inners) = sample_batch(&sns);
         assert!(is_batch(&wire));
-        assert_eq!(wire[32], BATCH_VERSION);
-        assert_eq!(wire[33], 4);
-        assert_eq!(wire[FRAME_HEADER_SIZE - 1], HDR_MAG);
-        assert_eq!(wire[wire.len() - 1], SIG_MAG);
-        // The outer header satisfies the mailbox readiness protocol: length at
-        // bytes 8-11 covers the whole container.
-        let total = u32::from_le_bytes(wire[8..12].try_into().unwrap()) as usize;
-        assert_eq!(total, wire.len());
+        assert_eq!(header::BATCH_VERSION.get(&wire), u32::from(BATCH_VERSION));
+        assert_eq!(header::BATCH_COUNT.get(&wire), 4);
+        assert_eq!(wire[header::HDR_MAG.at], HDR_MAG);
+        assert_eq!(wire[signal_at(wire.len())], SIG_MAG);
+        // The outer header satisfies the mailbox readiness protocol: its
+        // length covers the whole container.
+        assert_eq!(header::LEN.get(&wire) as usize, wire.len());
         let view = BatchView::parse(&wire).unwrap();
         assert_eq!(view.sn, 40);
         assert_eq!(view.frames().len(), 4);
@@ -1256,12 +1261,8 @@ mod tests {
         ));
         // And a container fed to the single-frame parser is loudly refused.
         let (batch, _) = sample_batch(&[1, 2]);
-        match FrameView::parse(&batch) {
-            Err(AmError::BadFrame(msg)) => {
-                assert!(msg.contains("batch container"), "{msg}")
-            }
-            other => panic!("container accepted as a frame: {other:?}"),
-        }
+        let msg = rejection(&batch);
+        assert!(msg.contains("batch container"), "{msg}");
     }
 
     #[test]
@@ -1283,27 +1284,34 @@ mod tests {
     #[test]
     fn corrupted_batch_containers_are_rejected() {
         let (good, _) = sample_batch(&[5, 6]);
-
-        let mut bad = good.clone();
-        bad[32] = BATCH_VERSION + 1;
-        assert!(matches!(BatchView::parse(&bad), Err(AmError::BadFrame(_))));
-
-        let mut bad = good.clone();
-        bad[33] = 0; // zero frames
-        assert!(matches!(BatchView::parse(&bad), Err(AmError::BadFrame(_))));
-
-        let mut bad = good.clone();
-        bad[33] = 3; // count disagrees with the body
-        assert!(matches!(BatchView::parse(&bad), Err(AmError::BadFrame(_))));
-
-        let mut bad = good.clone();
-        let last = bad.len() - 1;
-        bad[last] = 0; // signal magic
-        assert!(matches!(BatchView::parse(&bad), Err(AmError::BadFrame(_))));
-
-        let mut bad = good.clone();
-        bad[4] ^= 0xFF; // outer sn no longer matches trailer echo / first inner
-        assert!(matches!(BatchView::parse(&bad), Err(AmError::BadFrame(_))));
+        let corrupt = |field: Field, at: usize, value: u32| {
+            let mut bad = good.clone();
+            field.set(&mut bad[at..], value);
+            match BatchView::parse(&bad) {
+                Err(AmError::BadFrame(msg)) => msg,
+                other => panic!("corrupt container accepted: {other:?}"),
+            }
+        };
+        let msg = corrupt(header::BATCH_VERSION, 0, u32::from(BATCH_VERSION) + 1);
+        assert!(msg.contains("unknown batch version"), "{msg}");
+        let msg = corrupt(header::BATCH_COUNT, 0, 0);
+        assert!(msg.contains("zero inner frames"), "{msg}");
+        // A count that disagrees with the body.
+        let msg = corrupt(header::BATCH_COUNT, 0, 3);
+        assert!(msg.contains("truncated"), "{msg}");
+        let msg = corrupt(header::RESERVED, 0, 1);
+        assert!(msg.contains("batch header: reserved"), "{msg}");
+        let msg = corrupt(batch_prefix::RESERVED, FRAME_HEADER_SIZE, 1 << 8);
+        assert!(msg.contains("inner frame 0's prefix"), "{msg}");
+        let msg = corrupt(trailer::SIG_MAG, good.len() - FRAME_TRAILER_SIZE, 0);
+        assert!(msg.contains("signal magic"), "{msg}");
+        // The outer sn no longer matches the trailer's echo: both values are
+        // in the message, as a single frame's are.
+        let msg = corrupt(header::SN, 0, 5 ^ 0xFF);
+        assert!(
+            msg.contains("header sn 250") && msg.contains("trailer carries 0x000005"),
+            "{msg}"
+        );
     }
 
     #[test]
@@ -1315,7 +1323,6 @@ mod tests {
         let f = Frame::local(1, 2, vec![0; 20], vec![0; 4]).encode();
         b.push(3, &f).unwrap();
         assert_eq!(b.len(), 1);
-        assert_eq!(b.first_sn(), Some(1));
         assert_eq!(b.wire_size(), BATCH_OVERHEAD + BATCH_PREFIX_SIZE + f.len());
         assert_eq!(
             b.wire_size_with(f.len()),

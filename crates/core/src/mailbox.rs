@@ -12,7 +12,7 @@ use std::sync::Arc;
 use twochains_fabric::{MemoryRegion, RegionDescriptor};
 
 use crate::error::{AmError, AmResult};
-use crate::frame::{FRAME_HEADER_SIZE, HDR_MAG, MIN_WIRE_LEN, SIG_MAG};
+use crate::frame::{header, signal_at, HDR_MAG, MIN_WIRE_LEN, SIG_MAG};
 
 /// Where a sender should aim a frame: the mailbox's region descriptor plus the
 /// mailbox's offset within it. This is what travels over the out-of-band bootstrap
@@ -51,7 +51,7 @@ impl ReactiveMailbox {
                 region.len()
             )));
         }
-        if capacity < FRAME_HEADER_SIZE + 8 {
+        if capacity < MIN_WIRE_LEN {
             return Err(AmError::InvalidConfig("mailbox capacity too small".into()));
         }
         Ok(ReactiveMailbox {
@@ -90,7 +90,8 @@ impl ReactiveMailbox {
                 capacity: self.capacity,
             });
         }
-        Ok(self.region.load_acquire_u8(self.offset + frame_len - 1)? == SIG_MAG)
+        let signal = self.offset + signal_at(frame_len);
+        Ok(self.region.load_acquire_u8(signal)? == SIG_MAG)
     }
 
     /// Check for a variable-size frame: wait on the header magic, read the length,
@@ -100,18 +101,19 @@ impl ReactiveMailbox {
     pub fn poll_variable(&self) -> AmResult<Option<usize>> {
         if self
             .region
-            .load_acquire_u8(self.offset + FRAME_HEADER_SIZE - 1)?
+            .load_acquire_u8(self.offset + header::HDR_MAG.at)?
             != HDR_MAG
         {
             return Ok(None);
         }
-        let frame_len = self.region.load_u32(self.offset + 8)? as usize;
+        let frame_len = self.region.load_u32(self.offset + header::LEN.at)? as usize;
         if frame_len < MIN_WIRE_LEN || frame_len > self.capacity {
             return Err(AmError::BadFrame(format!(
                 "frame length {frame_len} out of range"
             )));
         }
-        if self.region.load_acquire_u8(self.offset + frame_len - 1)? == SIG_MAG {
+        let signal = self.offset + signal_at(frame_len);
+        if self.region.load_acquire_u8(signal)? == SIG_MAG {
             Ok(Some(frame_len))
         } else {
             Ok(None)
@@ -137,9 +139,9 @@ impl ReactiveMailbox {
     /// header magic and the signal byte so the slot can be reused.
     pub fn clear(&self, frame_len: usize) -> AmResult<()> {
         self.region
-            .store_release_u8(self.offset + FRAME_HEADER_SIZE - 1, 0)?;
+            .store_release_u8(self.offset + header::HDR_MAG.at, 0)?;
         self.region
-            .store_release_u8(self.offset + frame_len - 1, 0)?;
+            .store_release_u8(self.offset + signal_at(frame_len), 0)?;
         Ok(())
     }
 }
@@ -147,7 +149,7 @@ impl ReactiveMailbox {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::Frame;
+    use crate::frame::{Frame, FrameView};
     use twochains_fabric::AccessFlags;
 
     fn region() -> Arc<MemoryRegion> {
@@ -159,7 +161,9 @@ mod tests {
         let r = region();
         assert!(ReactiveMailbox::new(Arc::clone(&r), 0, 4096).is_ok());
         assert!(ReactiveMailbox::new(Arc::clone(&r), 60 * 1024, 8 * 1024).is_err());
-        assert!(ReactiveMailbox::new(r, 0, 8).is_err());
+        // The floor is a header and a trailer: the shortest frame fits.
+        assert!(ReactiveMailbox::new(Arc::clone(&r), 0, MIN_WIRE_LEN).is_ok());
+        assert!(ReactiveMailbox::new(r, 0, MIN_WIRE_LEN - 1).is_err());
     }
 
     #[test]
@@ -171,10 +175,11 @@ mod tests {
         assert!(!mb.poll_fixed(bytes.len()).unwrap());
         // Simulate the NIC's write: payload then release of the final byte.
         r.write(1024, &bytes).unwrap();
-        r.store_release_u8(1024 + bytes.len() - 1, SIG_MAG).unwrap();
+        r.store_release_u8(1024 + signal_at(bytes.len()), SIG_MAG)
+            .unwrap();
         assert!(mb.poll_fixed(bytes.len()).unwrap());
-        let back = Frame::decode(&mb.read_frame(bytes.len()).unwrap()).unwrap();
-        assert_eq!(back, frame);
+        let back = mb.read_frame(bytes.len()).unwrap();
+        assert_eq!(FrameView::parse(&back).unwrap().usr, &frame.usr[..]);
         mb.clear(bytes.len()).unwrap();
         assert!(!mb.poll_fixed(bytes.len()).unwrap());
     }
@@ -187,7 +192,7 @@ mod tests {
         let frame = Frame::injected(2, 1, vec![0; 16], vec![0; 256], vec![0; 20], vec![1; 128]);
         let bytes = frame.encode();
         r.write(0, &bytes).unwrap();
-        r.store_release_u8(bytes.len() - 1, SIG_MAG).unwrap();
+        r.store_release_u8(signal_at(bytes.len()), SIG_MAG).unwrap();
         assert_eq!(mb.poll_variable().unwrap(), Some(bytes.len()));
         mb.clear(bytes.len()).unwrap();
         assert_eq!(mb.poll_variable().unwrap(), None);
@@ -199,10 +204,9 @@ mod tests {
         let mb = ReactiveMailbox::new(Arc::clone(&r), 0, 4096).unwrap();
         // Craft a header that claims a gigantic frame.
         let mut bytes = Frame::local(1, 0, vec![0; 20], vec![0; 4]).encode();
-        bytes[8..12].copy_from_slice(&(1_000_000u32).to_le_bytes());
+        header::LEN.set(&mut bytes, 1_000_000);
         r.write(0, &bytes).unwrap();
-        r.store_release_u8(crate::frame::FRAME_HEADER_SIZE - 1, HDR_MAG)
-            .unwrap();
+        r.store_release_u8(header::HDR_MAG.at, HDR_MAG).unwrap();
         assert!(matches!(mb.poll_variable(), Err(AmError::BadFrame(_))));
     }
 

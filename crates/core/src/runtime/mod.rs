@@ -215,15 +215,15 @@
 //!   default) — each lane accumulates spec-built frames per `(stream, bank)`
 //!   and posts one contiguous put per batch.
 //!
-//! **Wire format.** A container is a 36-byte outer header (frame magic; `sn` =
-//! the first inner frame's sequence number; `frame_len` = total container
-//! bytes; byte 32 = batch version, nonzero — the discriminant `is_batch`
-//! sniffs, since a plain frame keeps those bytes zero; byte 33 = inner-frame
-//! count, 1..=255), then per inner frame an 8-byte prefix (`u32` LE wire
-//! length, `u16` LE destination slot, 2 reserved zero bytes) followed by the
-//! complete, unmodified inner wire frame, and finally the standard 4-byte
-//! trailer (sn echo + signal magic) so the receiver's readiness scan is
-//! unchanged. See [`FrameBatch`](crate::frame::FrameBatch) and
+//! **Wire format.** A container is one frame header whose nonzero
+//! [`header::BATCH_VERSION`](crate::frame::header::BATCH_VERSION) is the
+//! discriminant `is_batch` sniffs (a plain frame keeps it zero), its sequence
+//! number the first inner frame's and its length the whole container's; then,
+//! per inner frame, a [`batch_prefix`](crate::frame::batch_prefix) naming its
+//! length and destination slot, followed by the complete, unmodified inner
+//! wire frame; and finally the standard [`trailer`](crate::frame::trailer), so
+//! the receiver's readiness scan is unchanged. The records are declared once in
+//! [`frame`](crate::frame). See [`FrameBatch`](crate::frame::FrameBatch) and
 //! [`BatchView`](crate::frame::BatchView); a container truncated mid-frame is
 //! rejected with an error naming the victim inner frame's sn.
 //!

@@ -6,8 +6,10 @@
 //! reserved-zero), and then three sample encodings field by field: a Local
 //! frame, a chained Injected frame and a three-frame batch container. Every
 //! field of a sample carries a distinct value, so two swapped fields change
-//! the text. The file is compared *exactly*; it is the statement of the
-//! layout that does not come from the encoder it checks.
+//! the text. The file was captured from offsets written out by hand in this
+//! test, before the records were declared once in `twochains::frame`; it is
+//! compared *exactly*, and it is the statement of the layout that does not
+//! come from the table it checks.
 //!
 //! A change that moves the wire format on purpose says so, and replaces the
 //! golden with the text the failing assertion prints.
@@ -15,99 +17,15 @@
 use std::fmt::Write as _;
 
 use twochains::frame::{
-    BatchView, FrameBatch, FrameView, BATCH_PREFIX_SIZE, CHAIN_STAGE_WIRE_SIZE, FRAME_TRAILER_SIZE,
+    batch_prefix, chain_stage, header, trailer, BatchView, FrameBatch, FrameView, Record,
+    BATCH_PREFIX_SIZE, CHAIN_STAGE_WIRE_SIZE, FRAME_TRAILER_SIZE,
 };
 use twochains::{ChainArgMap, ChainDescriptor, ChainStage, Frame, FRAME_HEADER_SIZE};
 
 const GOLDEN: &str = include_str!("golden/frame_wire.txt");
 
-/// One field of a wire record: `width` bytes at byte `at` of the record.
-#[derive(Clone, Copy)]
-struct Field {
-    at: usize,
-    width: usize,
-    reserved: bool,
-}
-
-impl Field {
-    /// The field's little-endian value in `record`.
-    fn get(self, record: &[u8]) -> u32 {
-        let mut le = [0u8; 4];
-        le[..self.width].copy_from_slice(&record[self.at..self.at + self.width]);
-        u32::from_le_bytes(le)
-    }
-}
-
-const fn f(at: usize, width: usize) -> Field {
-    Field {
-        at,
-        width,
-        reserved: false,
-    }
-}
-
-const fn zero(at: usize, width: usize) -> Field {
-    Field {
-        at,
-        width,
-        reserved: true,
-    }
-}
-
-mod header {
-    use super::{f, zero, Field};
-    pub const CHAIN_VERSION: Field = f(30, 1);
-    pub const CHAIN_STAGES: Field = f(31, 1);
-    pub const BATCH_COUNT: Field = f(33, 1);
-    pub const GOT_LEN: Field = f(18, 2);
-    pub const CODE_LEN: Field = f(20, 4);
-    pub const ARGS_LEN: Field = f(24, 2);
-    pub const USR_LEN: Field = f(26, 4);
-    pub const FIELDS: [(&str, Field); 15] = [
-        ("magic", f(0, 4)),
-        ("sn", f(4, 4)),
-        ("len", f(8, 4)),
-        ("elem", f(12, 4)),
-        ("injected", f(16, 2)),
-        ("got_len", GOT_LEN),
-        ("code_len", CODE_LEN),
-        ("args_len", ARGS_LEN),
-        ("usr_len", USR_LEN),
-        ("chain_version", CHAIN_VERSION),
-        ("chain_stages", CHAIN_STAGES),
-        ("batch_version", f(32, 1)),
-        ("batch_count", BATCH_COUNT),
-        ("reserved", zero(34, 1)),
-        ("hdr_mag", f(35, 1)),
-    ];
-}
-
-mod trailer {
-    use super::{f, Field};
-    pub const FIELDS: [(&str, Field); 2] = [("sn_echo", f(0, 3)), ("sig_mag", f(3, 1))];
-}
-
-mod batch_prefix {
-    use super::{f, zero, Field};
-    pub const LEN: Field = f(0, 4);
-    pub const FIELDS: [(&str, Field); 3] =
-        [("len", LEN), ("slot", f(4, 2)), ("reserved", zero(6, 2))];
-}
-
-mod chain_stage {
-    use super::{f, zero, Field};
-    pub const FIELDS: [(&str, Field); 3] = [
-        ("elem", f(0, 4)),
-        ("arg_map", f(4, 1)),
-        ("reserved", zero(5, 3)),
-    ];
-}
-
-/// A record's fields, named, in wire order.
-type Record = &'static [(&'static str, Field)];
-
 /// The four records, each with the size it must tile exactly.
-fn records() -> [(&'static str, usize, Record); 4] {
+fn records() -> [(&'static str, usize, &'static Record); 4] {
     [
         ("header", FRAME_HEADER_SIZE, &header::FIELDS),
         ("trailer", FRAME_TRAILER_SIZE, &trailer::FIELDS),
@@ -168,7 +86,7 @@ fn container() -> Vec<u8> {
 
 /// One line per field of the record at `bytes[at..]`: its name, offset
 /// within the sample, raw bytes and value.
-fn fields(out: &mut String, path: &str, bytes: &[u8], at: usize, record: &[(&str, Field)]) {
+fn fields(out: &mut String, path: &str, bytes: &[u8], at: usize, record: &Record) {
     for &(name, field) in record {
         let raw = &bytes[at + field.at..at + field.at + field.width];
         let value = field.get(&bytes[at..]);
@@ -198,12 +116,10 @@ fn frame(out: &mut String, path: &str, bytes: &[u8], at: usize) -> usize {
         fields(out, &record, bytes, pos, &chain_stage::FIELDS);
         pos += CHAIN_STAGE_WIRE_SIZE;
     }
-    for (name, len) in [
-        ("got", header::GOT_LEN),
-        ("code", header::CODE_LEN),
-        ("args", header::ARGS_LEN),
-        ("usr", header::USR_LEN),
-    ] {
+    for (name, len) in ["got", "code", "args", "usr"]
+        .into_iter()
+        .zip(header::SECTION_LENS)
+    {
         let len = len.get(h) as usize;
         writeln!(out, "{path}{name} @{pos} [{}]", hex(&bytes[pos..pos + len])).unwrap();
         pos += len;

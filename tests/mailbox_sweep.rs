@@ -40,7 +40,9 @@ use support::{fleet_testbed, FleetBed};
 use two_chains_suite::fabric::Endpoint;
 use two_chains_suite::memsim::SimTime;
 use twochains::builtin::{ssum_args, BuiltinJam};
-use twochains::frame::{is_batch, BatchView, FrameBatch, FrameView, HDR_MAG, SIG_MAG};
+use twochains::frame::{
+    header, is_batch, BatchView, FrameBatch, FrameView, FRAME_TRAILER_SIZE, HDR_MAG, SIG_MAG,
+};
 use twochains::{AmError, Frame, RuntimeConfig, SenderFleet, TwoChainsHost, FRAME_HEADER_SIZE};
 
 /// Field boundaries (0, 1, 2, `0xff`), the length floor from both sides
@@ -52,7 +54,7 @@ const VALUES: [u8; 11] = [
     0xff, HDR_MAG, SIG_MAG, 0x80, 0x7f, 0x28, 0x27, 0x24, 2, 1, 0,
 ];
 /// Header + trailer: the shortest length a frame can declare.
-const SHORTEST: usize = 40;
+const SHORTEST: usize = FRAME_HEADER_SIZE + FRAME_TRAILER_SIZE;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Class {
@@ -161,10 +163,10 @@ impl Rig {
                 credited: named,
             }
         };
-        if image[FRAME_HEADER_SIZE - 1] != HDR_MAG {
+        if image[header::HDR_MAG.at] != HDR_MAG {
             return (verdict(Class::Invisible, vec![]), vec![]);
         }
-        let declared = u32::from_le_bytes(image[8..12].try_into().unwrap()) as usize;
+        let declared = header::LEN.get(image) as usize;
         if !(SHORTEST..=self.host.config().frame_capacity).contains(&declared) {
             return (verdict(Class::Quarantined, vec![carrier]), vec![]);
         }
@@ -237,8 +239,8 @@ impl Rig {
         let after = self.host.stats();
 
         let mailbox = self.host.banks().mailbox(bank, carrier).unwrap();
-        let header = mailbox.read_frame(FRAME_HEADER_SIZE).unwrap();
-        let occupied = header[FRAME_HEADER_SIZE - 1] == HDR_MAG;
+        let head = mailbox.read_frame(FRAME_HEADER_SIZE).unwrap();
+        let occupied = head[header::HDR_MAG.at] == HDR_MAG;
         assert!(
             matches!(mailbox.poll_variable(), Ok(None)),
             "{what}: the slot neither polls empty nor waits for a signal byte"
@@ -405,7 +407,7 @@ fn a_header_declaring_less_than_header_and_trailer_is_quarantined() {
     for (slot, len) in (1..).zip([36u32, 37, 38, 39]) {
         let mut image = rig.sum_frame(1);
         assert_eq!(image.len(), 64);
-        image[8..12].copy_from_slice(&len.to_le_bytes());
+        header::LEN.set(&mut image, len);
         rig.land(0, slot, &image);
     }
     let out = rig.host.receive_burst(0, usize::MAX, rig.clock).unwrap();

@@ -12,7 +12,7 @@ use two_chains_suite::jamvm::{
 use two_chains_suite::linker::{JamObject, SymbolRef};
 use two_chains_suite::memsim::cycles::{WaitMode, WaitModel};
 use two_chains_suite::memsim::{AccessKind, CacheHierarchy, MemoryBus, SimTime, TestbedConfig};
-use twochains::frame::Frame;
+use twochains::frame::{Frame, FrameView};
 
 fn arb_instr() -> impl Strategy<Value = Instr> {
     prop_oneof![
@@ -48,7 +48,7 @@ proptest! {
         prop_assert_eq!(decoded.to_instrs(), program);
     }
 
-    /// Frames survive encode -> decode for arbitrary section contents.
+    /// Frames survive encode -> parse for arbitrary section contents.
     #[test]
     fn frames_roundtrip(
         sn in any::<u32>(),
@@ -64,8 +64,14 @@ proptest! {
         } else {
             Frame::local(sn, elem, args, usr)
         };
-        let decoded = Frame::decode(&frame.encode()).expect("frame decodes");
-        prop_assert_eq!(decoded, frame);
+        let wire = frame.encode();
+        let view = FrameView::parse(&wire).expect("frame parses");
+        prop_assert_eq!(view.header, frame.header);
+        prop_assert_eq!(view.chain, None);
+        prop_assert_eq!(
+            [view.got, view.code, view.args, view.usr],
+            [&frame.got[..], &frame.code[..], &frame.args[..], &frame.usr[..]]
+        );
     }
 
     /// Batch containers survive the wire for arbitrary inner-frame counts,
@@ -289,11 +295,13 @@ proptest! {
             frame = frame.with_chain(desc);
         }
         let wire = frame.encode();
-        let decoded = Frame::decode(&wire).expect("chained frame decodes");
-        prop_assert_eq!(&decoded, &frame);
+        let view = FrameView::parse(&wire).expect("chained frame parses");
+        prop_assert_eq!(view.header, frame.header);
+        prop_assert_eq!(view.chain, frame.chain);
+        prop_assert_eq!([view.args, view.usr], [&frame.args[..], &frame.usr[..]]);
         // None vs Some-with-zero-stages must not collapse into each other.
-        prop_assert_eq!(decoded.chain.is_some(), chained);
-        if let Some(desc) = decoded.chain {
+        prop_assert_eq!(view.chain.is_some(), chained);
+        if let Some(desc) = view.chain {
             prop_assert_eq!(desc.len(), stages.len());
             for (got, &(stage_elem, keep)) in desc.stages().iter().zip(&stages) {
                 prop_assert_eq!(got.elem_id, stage_elem);

@@ -12,6 +12,7 @@ use two_chains_suite::jamvm::{encode_program, GotImage, Instr, Reg};
 use two_chains_suite::linker::{Package, RiedBuilder};
 use two_chains_suite::memsim::SimTime;
 use twochains::builtin::{benchmark_package, indirect_put_args, ssum_args, BuiltinJam};
+use twochains::frame::FrameView;
 use twochains::{
     spec, AmError, AmResult, ElementId, Frame, InvocationMode, MessageSpec, ReceiveOutcome,
     RuntimeConfig, SecurityPolicy, TwoChainsHost, TwoChainsSender,
@@ -81,7 +82,15 @@ fn pump(
 fn encoded(tx: &mut TwoChainsSender, message: &MessageSpec) -> Frame {
     let mut wire = Vec::new();
     tx.encode_next(message, &mut wire).unwrap();
-    Frame::decode(&wire).unwrap()
+    let view = FrameView::parse(&wire).unwrap();
+    Frame {
+        header: view.header,
+        chain: view.chain,
+        got: view.got.to_vec(),
+        code: view.code.to_vec(),
+        args: view.args.to_vec(),
+        usr: view.usr.to_vec(),
+    }
 }
 
 /// Put forged `bytes` into mailbox (0, `slot`) raw; returns their arrival.
@@ -664,6 +673,34 @@ fn more_shards_than_cores_is_rejected() {
     cfg.banks = 5;
     let err = TwoChainsHost::new(&wire.fabric, wire.b, cfg).unwrap_err();
     assert!(matches!(&err, AmError::InvalidConfig(m) if m.contains("cores")));
+}
+
+/// One capacity floor: a mailbox holds at least a header and a trailer, the
+/// 40-byte frame with no sections. The configuration used to accept any
+/// capacity over the header alone, so 37 to 43 passed `validate` and then
+/// failed in the mailbox's own, stricter check, which refused 40 to 43
+/// although a frame fits them.
+#[test]
+fn a_mailbox_holds_header_and_trailer_and_the_config_refuses_less() {
+    let with_capacity = |bytes| {
+        let mut cfg = RuntimeConfig::paper_default();
+        cfg.frame_capacity = bytes;
+        cfg
+    };
+    let wire = wire();
+    assert!(with_capacity(39).validate().is_err());
+    let err = TwoChainsHost::new(&wire.fabric, wire.b, with_capacity(39)).unwrap_err();
+    assert!(
+        matches!(&err, AmError::InvalidConfig(m) if m.contains("header + trailer")),
+        "{err:?}"
+    );
+
+    let host = wire.host(with_capacity(40));
+    let shortest = Frame::local(1, 0, Vec::new(), Vec::new()).encode();
+    assert_eq!(shortest.len(), 40);
+    put(&mut wire.raw(), &host, 0, 0, SimTime::ZERO, &shortest);
+    let mailbox = host.banks().mailbox(0, 0).unwrap();
+    assert_eq!(mailbox.poll_variable().unwrap(), Some(40));
 }
 
 #[test]

@@ -16,6 +16,7 @@ use two_chains_suite::fabric::{Endpoint, FaultPlan, HostId, PutOutcome, SimFabri
 use two_chains_suite::jamvm::{encode_program, Instr, Reg};
 use two_chains_suite::memsim::{SimTime, TestbedConfig};
 use twochains::builtin::{benchmark_package, indirect_put_args, BuiltinJam};
+use twochains::frame::header;
 use twochains::{
     Frame, RuntimeConfig, SenderFleet, SlotCtx, TwoChainsHost, TwoChainsSender, FRAME_HEADER_SIZE,
 };
@@ -123,7 +124,7 @@ pub fn put(
 /// quarantines it.
 pub fn poisoned_header() -> Vec<u8> {
     let mut bytes = Frame::local(1, 0, vec![0; 20], vec![0; 4]).encode();
-    bytes[8..12].copy_from_slice(&1_000_000u32.to_le_bytes());
+    header::LEN.set(&mut bytes, 1_000_000);
     bytes.truncate(FRAME_HEADER_SIZE);
     bytes
 }
