@@ -63,11 +63,6 @@
 
 use crate::error::{AmError, AmResult};
 
-/// Refuse bytes: every refusal in this module is a [`AmError::BadFrame`].
-fn bad<T>(why: impl Into<String>) -> AmResult<T> {
-    Err(AmError::BadFrame(why.into()))
-}
-
 /// One field of a wire record: `width` bytes (1 to 4, little-endian) at byte `at`
 /// of the record. A `reserved` field is written zero and refused nonzero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -333,9 +328,9 @@ impl ChainDescriptor {
     /// [`CHAIN_MAX_STAGES`] stages is reached.
     pub fn push(&mut self, stage: ChainStage) -> AmResult<()> {
         if usize::from(self.len) >= CHAIN_MAX_STAGES {
-            return bad(format!(
+            return Err(AmError::BadFrame(format!(
                 "chain descriptor full: the wire format carries at most {CHAIN_MAX_STAGES} continuation stages"
-            ));
+            )));
         }
         self.stages[usize::from(self.len)] = stage;
         self.len += 1;
@@ -474,10 +469,7 @@ impl Frame {
             self.header.elem_id,
             self.header.injected,
             self.chain.as_ref(),
-            &self.got,
-            &self.code,
-            &self.args,
-            &self.usr,
+            [&self.got, &self.code, &self.args, &self.usr],
             out,
         );
     }
@@ -487,21 +479,14 @@ impl Frame {
 /// before encoding so an oversized section is a sender-side error instead of a
 /// silently truncated header the receiver would misattribute to a malformed wire
 /// frame.
-pub(crate) fn validate_section_lens(
-    got: &[u8],
-    code: &[u8],
-    args: &[u8],
-    usr: &[u8],
-) -> AmResult<()> {
+pub(crate) fn validate_section_lens(sections: [&[u8]; 4]) -> AmResult<()> {
     let names = ["GOT image", "code section", "ARGS block", "USR payload"];
-    for ((what, section), field) in names
-        .iter()
-        .zip([got, code, args, usr])
-        .zip(header::SECTION_LENS)
-    {
+    for ((what, section), field) in names.iter().zip(sections).zip(header::SECTION_LENS) {
         let (len, bits) = (section.len(), 8 * field.width);
         if len as u64 > field.max() {
-            return bad(format!("{what} of {len} bytes overflows a u{bits} field"));
+            return Err(AmError::BadFrame(format!(
+                "{what} of {len} bytes overflows a u{bits} field"
+            )));
         }
     }
     Ok(())
@@ -530,19 +515,14 @@ fn trailer_record(sn: u32) -> [u8; FRAME_TRAILER_SIZE] {
 /// first). [`Frame::encode_into`] and the sender's template fast path both funnel
 /// through this, so the wire bytes are identical whether a frame was materialised as
 /// a [`Frame`] or streamed from cached GOT/code slices.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn encode_wire_into(
     sn: u32,
     elem_id: u32,
     injected: bool,
     chain: Option<&ChainDescriptor>,
-    got: &[u8],
-    code: &[u8],
-    args: &[u8],
-    usr: &[u8],
+    sections: [&[u8]; 4],
     out: &mut Vec<u8>,
 ) {
-    let sections = [got, code, args, usr];
     let len = wire_len(chain, sections);
     let (version, stages) = chain.map_or((0, 0), |c| (CHAIN_VERSION, c.len()));
     let mut record = header_record(sn, len);
@@ -569,14 +549,21 @@ pub(crate) fn encode_wire_into(
 /// What both parsers check first: the length floor and both header magics.
 fn check_prologue(bytes: &[u8], what: &str) -> AmResult<()> {
     if bytes.len() < MIN_WIRE_LEN {
-        return bad(format!("{what} too short: {} bytes", bytes.len()));
+        return Err(AmError::BadFrame(format!(
+            "{what} too short: {} bytes",
+            bytes.len()
+        )));
     }
     let magic = header::MAGIC.get(bytes);
     if magic != FRAME_MAGIC {
-        return bad(format!("{what} has bad magic {magic:#010x}"));
+        return Err(AmError::BadFrame(format!(
+            "{what} has bad magic {magic:#010x}"
+        )));
     }
     if header::HDR_MAG.get(bytes) != u32::from(HDR_MAG) {
-        return bad(format!("{what} is missing its header magic byte"));
+        return Err(AmError::BadFrame(format!(
+            "{what} is missing its header magic byte"
+        )));
     }
     Ok(())
 }
@@ -587,16 +574,16 @@ fn check_prologue(bytes: &[u8], what: &str) -> AmResult<()> {
 fn check_trailer(bytes: &[u8], len: usize, sn: u32, what: &str) -> AmResult<()> {
     let record = &bytes[len - FRAME_TRAILER_SIZE..len];
     if trailer::SIG_MAG.get(record) != u32::from(SIG_MAG) {
-        return bad(format!("{what} missing signal magic"));
+        return Err(AmError::BadFrame(format!("{what} missing signal magic")));
     }
     let echo = trailer::SN_ECHO.get(record);
     let expected = sn & trailer::SN_ECHO.max() as u32;
     if echo != expected {
         // The echo is the primary forensic signal once reorder faults exist:
         // carry both sides so a log line pinpoints which frame overwrote which.
-        return bad(format!(
+        return Err(AmError::BadFrame(format!(
             "{what} sequence echo mismatch: header sn {sn} expects echo {expected:#08x}, trailer carries {echo:#08x}"
-        ));
+        )));
     }
     Ok(())
 }
@@ -608,7 +595,9 @@ fn check_reserved(record: &[u8], fields: &Record, what: impl FnOnce() -> String)
         let bytes = &record[field.at..field.end()];
         if bytes.iter().any(|&b| b != 0) {
             let what = what();
-            return bad(format!("{what}: reserved `{name}` reads {bytes:02x?}"));
+            return Err(AmError::BadFrame(format!(
+                "{what}: reserved `{name}` reads {bytes:02x?}"
+            )));
         }
     }
     Ok(())
@@ -643,9 +632,9 @@ impl<'a> FrameView<'a> {
         check_prologue(bytes, "frame")?;
         let batch_version = header::BATCH_VERSION.get(bytes);
         if batch_version != 0 {
-            return bad(format!(
+            return Err(AmError::BadFrame(format!(
                 "multi-frame batch container (version {batch_version}) passed to the single-frame parser"
-            ));
+            )));
         }
         check_reserved(bytes, &header::FIELDS, || "header".into())?;
         let field = |f: Field| f.get(bytes) as usize;
@@ -656,19 +645,19 @@ impl<'a> FrameView<'a> {
         if chain_version == 0 && chain_stage_count != 0 {
             // Legacy layout: both fields were always written zero, so a
             // version-0 frame claiming stages is corrupt, not old.
-            return bad(format!(
+            return Err(AmError::BadFrame(format!(
                 "version-0 frame claims {chain_stage_count} chain stages"
-            ));
+            )));
         }
         if chain_version > u32::from(CHAIN_VERSION) {
-            return bad(format!(
+            return Err(AmError::BadFrame(format!(
                 "unknown chain version {chain_version} (this receiver speaks up to {CHAIN_VERSION})"
-            ));
+            )));
         }
         if chain_stage_count > CHAIN_MAX_STAGES {
-            return bad(format!(
+            return Err(AmError::BadFrame(format!(
                 "chain descriptor claims {chain_stage_count} stages, wire maximum is {CHAIN_MAX_STAGES}"
-            ));
+            )));
         }
         let chain_len = chain_stage_count * CHAIN_STAGE_WIRE_SIZE;
         let sections = header::SECTION_LENS.map(field);
@@ -677,10 +666,10 @@ impl<'a> FrameView<'a> {
             .try_fold(MIN_WIRE_LEN + chain_len, |n, &s| n.checked_add(s))
             .ok_or_else(|| AmError::BadFrame("section lengths overflow".into()))?;
         if frame_len != expected || bytes.len() < frame_len {
-            return bad(format!(
+            return Err(AmError::BadFrame(format!(
                 "inconsistent lengths: header says {frame_len}, sections say {expected}, buffer {}",
                 bytes.len()
-            ));
+            )));
         }
         check_trailer(bytes, frame_len, sn, "frame")?;
         let chain = if chain_version == 0 {
@@ -797,18 +786,20 @@ impl FrameBatch {
     /// buffer is a sender-side error, not a wire frame the receiver rejects.
     pub fn push(&mut self, slot: u16, frame: &[u8]) -> AmResult<()> {
         if self.count >= BATCH_MAX_FRAMES {
-            return bad(format!(
+            return Err(AmError::BadFrame(format!(
                 "batch container full: the one-byte count field carries at most {BATCH_MAX_FRAMES} frames"
-            ));
+            )));
         }
         if frame.len() < MIN_WIRE_LEN {
-            return bad(format!(
+            return Err(AmError::BadFrame(format!(
                 "inner frame of {} bytes is shorter than header + trailer",
                 frame.len()
-            ));
+            )));
         }
         if header::MAGIC.get(frame) != FRAME_MAGIC || frame[signal_at(frame.len())] != SIG_MAG {
-            return bad("inner frame is not a complete encoded wire frame");
+            return Err(AmError::BadFrame(
+                "inner frame is not a complete encoded wire frame".into(),
+            ));
         }
         self.first_sn.get_or_insert(header::SN.get(frame));
         let mut prefix = [0u8; BATCH_PREFIX_SIZE];
@@ -869,24 +860,28 @@ impl<'a> BatchView<'a> {
         check_prologue(bytes, "batch container")?;
         let version = header::BATCH_VERSION.get(bytes);
         if version == 0 {
-            return bad("single frame passed to the batch-container parser");
+            return Err(AmError::BadFrame(
+                "single frame passed to the batch-container parser".into(),
+            ));
         }
         if version != u32::from(BATCH_VERSION) {
-            return bad(format!(
+            return Err(AmError::BadFrame(format!(
                 "unknown batch version {version} (this receiver speaks up to {BATCH_VERSION})"
-            ));
+            )));
         }
         let count = header::BATCH_COUNT.get(bytes) as usize;
         if count == 0 {
-            return bad("batch container claims zero inner frames");
+            return Err(AmError::BadFrame(
+                "batch container claims zero inner frames".into(),
+            ));
         }
         check_reserved(bytes, &header::FIELDS, || "batch header".into())?;
         let sn = header::SN.get(bytes);
         let wire_len = header::LEN.get(bytes) as usize;
         if wire_len < BATCH_OVERHEAD {
-            return bad(format!(
+            return Err(AmError::BadFrame(format!(
                 "batch header claims {wire_len} bytes, below the container minimum"
-            ));
+            )));
         }
         // Walk the inner frames against what actually arrived, not just the
         // declared length: a truncated container must name the frame the cut
@@ -898,11 +893,11 @@ impl<'a> BatchView<'a> {
         for i in 0..count {
             let start = pos + BATCH_PREFIX_SIZE;
             if start > body_end || start > avail {
-                return bad(format!(
+                return Err(AmError::BadFrame(format!(
                     "batch container truncated before inner frame {i}'s length prefix \
                      ({} of {wire_len} bytes present)",
                     avail.min(body_end)
-                ));
+                )));
             }
             let prefix = &bytes[pos..start];
             let flen = batch_prefix::LEN.get(prefix) as usize;
@@ -911,9 +906,9 @@ impl<'a> BatchView<'a> {
                 format!("inner frame {i}'s prefix")
             })?;
             if flen < MIN_WIRE_LEN {
-                return bad(format!(
+                return Err(AmError::BadFrame(format!(
                     "inner frame {i} claims {flen} bytes, shorter than header + trailer"
-                ));
+                )));
             }
             let end = start
                 .checked_add(flen)
@@ -924,39 +919,41 @@ impl<'a> BatchView<'a> {
                 // sender's retransmit machinery keys on.
                 let echo =
                     (start + header::SN.end() <= avail).then(|| header::SN.get(&bytes[start..]));
-                return bad(match echo {
+                return Err(AmError::BadFrame(match echo {
                     Some(inner_sn) => format!(
                         "batch container truncated inside inner frame {i} (sn {inner_sn}): \
                          frame needs {flen} bytes, {} remain",
                         avail.min(body_end).saturating_sub(start)
                     ),
                     None => format!("batch container truncated inside inner frame {i}'s header"),
-                });
+                }));
             }
             let inner = &bytes[start..end];
             let imagic = header::MAGIC.get(inner);
             if imagic != FRAME_MAGIC {
-                return bad(format!("inner frame {i} has bad magic {imagic:#010x}"));
+                return Err(AmError::BadFrame(format!(
+                    "inner frame {i} has bad magic {imagic:#010x}"
+                )));
             }
             frames.push((slot, inner));
             pos = end;
         }
         if pos != body_end {
-            return bad(format!(
+            return Err(AmError::BadFrame(format!(
                 "batch length mismatch: header says {wire_len}, inner frames end at {pos}",
-            ));
+            )));
         }
         if wire_len > avail {
-            return bad(format!(
+            return Err(AmError::BadFrame(format!(
                 "batch container truncated before its trailer ({avail} of {wire_len} bytes)"
-            ));
+            )));
         }
         check_trailer(bytes, wire_len, sn, "batch container")?;
         let first_sn = header::SN.get(frames[0].1);
         if first_sn != sn {
-            return bad(format!(
+            return Err(AmError::BadFrame(format!(
                 "batch header sn {sn} disagrees with first inner frame sn {first_sn}"
-            ));
+            )));
         }
         Ok(BatchView {
             sn,

@@ -179,7 +179,13 @@ mod tests {
             .unwrap();
         assert!(mb.poll_fixed(bytes.len()).unwrap());
         let back = mb.read_frame(bytes.len()).unwrap();
-        assert_eq!(FrameView::parse(&back).unwrap().usr, &frame.usr[..]);
+        // Every byte of the frame, header to trailer, and it parses back.
+        assert_eq!(back, bytes);
+        let view = FrameView::parse(&back).unwrap();
+        assert_eq!(
+            (view.header, view.args, view.usr),
+            (frame.header, &frame.args[..], &frame.usr[..])
+        );
         mb.clear(bytes.len()).unwrap();
         assert!(!mb.poll_fixed(bytes.len()).unwrap());
     }

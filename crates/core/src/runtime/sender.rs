@@ -150,20 +150,19 @@ impl TwoChainsSender {
     /// the stamped number.
     pub fn encode_next(&mut self, spec: &MessageSpec, buf: &mut Vec<u8>) -> AmResult<u32> {
         let (elem, args, usr) = (spec.elem(), spec.args_bytes(), spec.usr_bytes());
-        crate::frame::validate_section_lens(&[], &[], args, usr)?;
+        crate::frame::validate_section_lens([&[], &[], args, usr])?;
         let chain = spec.chain_descriptor()?;
         let sn = self.sn.wrapping_add(1);
-        match spec.invocation() {
-            InvocationMode::Local => {
-                encode_wire_into(sn, elem.0, false, chain.as_ref(), &[], &[], args, usr, buf);
-            }
+        let (injected, sections) = match spec.invocation() {
+            InvocationMode::Local => (false, [&[][..], &[], args, usr]),
             InvocationMode::Injected => {
                 let tpl = self.template(elem)?;
-                crate::frame::validate_section_lens(&tpl.got, &tpl.code, args, usr)?;
-                let (got, code) = (&tpl.got, &tpl.code);
-                encode_wire_into(sn, elem.0, true, chain.as_ref(), got, code, args, usr, buf);
+                let sections = [&tpl.got[..], &tpl.code[..], args, usr];
+                crate::frame::validate_section_lens(sections)?;
+                (true, sections)
             }
-        }
+        };
+        encode_wire_into(sn, elem.0, injected, chain.as_ref(), sections, buf);
         self.sn = sn;
         Ok(sn)
     }

@@ -298,7 +298,10 @@ proptest! {
         let view = FrameView::parse(&wire).expect("chained frame parses");
         prop_assert_eq!(view.header, frame.header);
         prop_assert_eq!(view.chain, frame.chain);
-        prop_assert_eq!([view.args, view.usr], [&frame.args[..], &frame.usr[..]]);
+        prop_assert_eq!(
+            [view.got, view.code, view.args, view.usr],
+            [&frame.got[..], &frame.code[..], &frame.args[..], &frame.usr[..]]
+        );
         // None vs Some-with-zero-stages must not collapse into each other.
         prop_assert_eq!(view.chain.is_some(), chained);
         if let Some(desc) = view.chain {
