@@ -1,6 +1,28 @@
 //! Runtime error types.
+//!
+//! Each variant names the layer that refuses, so a caller matches a rejection
+//! instead of parsing its text:
+//!
+//! - **Wire:** [`AmError::BadFrame`], every check on the arrived bytes — magic,
+//!   lengths, trailer echo, reserved fields, container framing, a torn header.
+//! - **Content:** [`AmError::Decode`], [`AmError::Verify`] and
+//!   [`AmError::GotImage`], an injected frame whose code or GOT the receiver
+//!   refuses to run; beside them [`AmError::UnknownElement`],
+//!   [`AmError::PolicyViolation`] and [`AmError::ChainStageFailed`], which
+//!   carries the stage's own rejection.
+//! - **Execution:** [`AmError::Exec`], a VM or address-space fault.
+//! - **Pipeline:** [`AmError::Wedged`], [`AmError::PipelineAborted`] and
+//!   [`AmError::RetryBudgetSpent`], a pipeline run that cannot finish.
+//! - **Setup and transport:** [`AmError::Fabric`], [`AmError::Link`],
+//!   [`AmError::FrameTooLarge`], [`AmError::UnknownElementName`] and
+//!   [`AmError::InvalidConfig`]; [`AmError::Empty`] is a poll that found
+//!   nothing.
 
 use std::fmt;
+
+use twochains_jamvm::VerifyError;
+
+use crate::runtime::RETRY_BUDGET;
 
 /// Result alias for runtime operations.
 pub type AmResult<T> = Result<T, AmError>;
@@ -21,7 +43,14 @@ pub enum AmError {
     },
     /// A received frame is malformed (bad magic, inconsistent lengths).
     BadFrame(String),
-    /// Execution of the jam failed.
+    /// An injected frame's code section does not decode (the decoder's text).
+    Decode(String),
+    /// An injected frame's program fails verification against its GOT — on a
+    /// cold and a warm cache alike.
+    Verify(VerifyError),
+    /// An injected frame's sender-provided GOT image does not parse.
+    GotImage,
+    /// Execution of the jam failed (a VM or address-space fault).
     Exec(String),
     /// No message is pending in the polled mailbox.
     Empty,
@@ -38,18 +67,24 @@ pub enum AmError {
     ChainStageFailed {
         /// 0-based index of the failing continuation stage.
         stage: usize,
-        /// What went wrong at that stage.
-        reason: String,
+        /// The stage's own rejection.
+        cause: Box<AmError>,
     },
     /// The security policy rejected the message.
     PolicyViolation(String),
-    /// Flow control: the target bank has no free mailboxes.
-    BankFull {
-        /// Index of the full bank.
-        bank: usize,
-    },
     /// The runtime was asked to do something it is not configured for.
     InvalidConfig(String),
+    /// A stepped pipeline made no progress: every party still running starved
+    /// for the stepper's stall bound in a row.
+    Wedged,
+    /// A pipeline party was released because another party failed; the run
+    /// reports that party's error instead.
+    PipelineAborted,
+    /// A sender lane spent its retransmit budget within one stall episode.
+    RetryBudgetSpent {
+        /// The lane's stream index.
+        lane: usize,
+    },
 }
 
 impl fmt::Display for AmError {
@@ -63,19 +98,32 @@ impl fmt::Display for AmError {
                     "frame of {needed} bytes exceeds mailbox capacity {capacity}"
                 )
             }
-            AmError::BadFrame(m) => write!(f, "malformed frame: {m}"),
+            AmError::BadFrame(m) | AmError::Decode(m) => write!(f, "malformed frame: {m}"),
+            AmError::Verify(e) => write!(f, "malformed frame: {e}"),
+            AmError::GotImage => write!(f, "malformed frame: bad GOT image"),
             AmError::Exec(m) => write!(f, "execution failed: {m}"),
             AmError::Empty => write!(f, "no message pending"),
             AmError::UnknownElement(id) => write!(f, "unknown package element id {id}"),
             AmError::UnknownElementName(name) => {
                 write!(f, "no element named {name:?} in the installed package")
             }
-            AmError::ChainStageFailed { stage, reason } => {
-                write!(f, "chain stage {stage} failed: {reason}")
+            AmError::ChainStageFailed { stage, cause } => {
+                write!(f, "chain stage {stage} failed: {cause}")
             }
             AmError::PolicyViolation(m) => write!(f, "security policy violation: {m}"),
-            AmError::BankFull { bank } => write!(f, "flow control: bank {bank} is full"),
             AmError::InvalidConfig(m) => write!(f, "invalid configuration: {m}"),
+            AmError::Wedged => write!(f, "execution failed: stepped pipeline made no progress"),
+            AmError::PipelineAborted => {
+                write!(
+                    f,
+                    "execution failed: pipeline aborted: another party failed"
+                )
+            }
+            AmError::RetryBudgetSpent { lane } => write!(
+                f,
+                "execution failed: lane {lane} exhausted its {RETRY_BUDGET}-retry reliability \
+                 budget: frames are being lost faster than the retransmit path can recover them"
+            ),
         }
     }
 }
@@ -123,13 +171,39 @@ mod tests {
         assert!(AmError::UnknownElementName("indirect_put".into())
             .to_string()
             .contains("indirect_put"));
-        assert!(AmError::BankFull { bank: 2 }.to_string().contains("bank 2"));
-        // A broken chain must name the stage that broke it.
+        // A broken chain names the stage that broke it, then the stage's own error.
         let e = AmError::ChainStageFailed {
             stage: 1,
-            reason: "unknown package element id 7".into(),
+            cause: Box::new(AmError::UnknownElement(7)),
         };
-        assert!(e.to_string().contains("chain stage 1"));
-        assert!(e.to_string().contains("element id 7"));
+        assert_eq!(
+            e.to_string(),
+            "chain stage 1 failed: unknown package element id 7"
+        );
+        // Content and pipeline variants keep the text their strings carried.
+        let e = AmError::Verify(twochains_jamvm::VerifyError::BadRegister { at: 3 });
+        assert_eq!(
+            e.to_string(),
+            "malformed frame: invalid register at instruction 3"
+        );
+        assert_eq!(
+            AmError::GotImage.to_string(),
+            "malformed frame: bad GOT image"
+        );
+        assert_eq!(
+            AmError::Wedged.to_string(),
+            "execution failed: stepped pipeline made no progress"
+        );
+        assert_eq!(
+            AmError::PipelineAborted.to_string(),
+            "execution failed: pipeline aborted: another party failed"
+        );
+        assert_eq!(
+            AmError::RetryBudgetSpent { lane: 2 }.to_string(),
+            "execution failed: lane 2 exhausted its 32-retry reliability budget: frames are \
+             being lost faster than the retransmit path can recover them"
+        );
+        // Every receive-path `AmResult` carries the error inline: keep it narrow.
+        assert_eq!(std::mem::size_of::<AmError>(), 32);
     }
 }

@@ -345,10 +345,7 @@ impl CreditReturn {
             // The span ends on `last`, a dirty slot, so the put's release
             // byte is a freshly minted token.
             let offset = BankFlags::offset_of(row, first, self.per_bank);
-            let out = self
-                .endpoint
-                .put(clock, &buf, &self.descriptor, offset)
-                .map_err(|e| AmError::Fabric(e.to_string()))?;
+            let out = self.endpoint.put(clock, &buf, &self.descriptor, offset)?;
             clock = out.sender_free;
             bytes += out.bytes as u64;
             puts += 1;
@@ -405,10 +402,7 @@ impl CreditReturn {
         }
         let token = BankFlags::token_for(self.drains[idx] - 1);
         let offset = BankFlags::offset_of(row, slot, self.per_bank);
-        let out = self
-            .endpoint
-            .put(now, &[token], &self.descriptor, offset)
-            .map_err(|e| AmError::Fabric(e.to_string()))?;
+        let out = self.endpoint.put(now, &[token], &self.descriptor, offset)?;
         Ok(CreditPutOutcome {
             sender_free: out.sender_free,
             bytes: out.bytes,
@@ -457,10 +451,7 @@ impl CreditReturn {
             let off = NackFlags::row_offset(row) - base;
             buf[off..off + 5].copy_from_slice(&nack.records[row]);
         }
-        let out = self
-            .endpoint
-            .put(now, &buf, &nack.descriptor, base)
-            .map_err(|e| AmError::Fabric(e.to_string()))?;
+        let out = self.endpoint.put(now, &buf, &nack.descriptor, base)?;
         Ok(CreditPutOutcome {
             sender_free: out.sender_free,
             bytes: out.bytes,

@@ -195,7 +195,7 @@ const WATCHDOG_CLAMP: u32 = 192;
 /// broken, not lossy, and stepping forever would deadlock the pipeline with
 /// no diagnosis. An episode that exhausts it has taken 6 144 fruitless
 /// steps: ≈ 0.5 s of a lane thread's parks on the host above.
-const RETRY_BUDGET: u32 = 32;
+pub(crate) const RETRY_BUDGET: u32 = 32;
 /// Software cost of harvesting one entry of a lane's transmit window: the
 /// per-completion bookkeeping the UCX-like baseline pays.
 const HARVEST_COST: SimTime = SimTime::from_ns(55);
@@ -1112,12 +1112,9 @@ where
             }
             if self.fruitless >= self.deadline {
                 if self.fired == RETRY_BUDGET {
-                    return Err(AmError::Exec(format!(
-                        "lane {} exhausted its {RETRY_BUDGET}-retry reliability budget: \
-                         frames are being lost faster than the retransmit path can \
-                         recover them",
-                        self.lane.stream
-                    )));
+                    return Err(AmError::RetryBudgetSpent {
+                        lane: self.lane.stream,
+                    });
                 }
                 self.fired += 1;
                 self.lane.retransmit(None)?;
@@ -1222,12 +1219,11 @@ where
         }
     }
 
-    /// What this party's thread reports: the message its panic propagates
-    /// with, and the failure on the other side that an abort releases it from.
-    fn side(&self) -> (&'static str, &'static str) {
+    /// The message this party's thread panic propagates with.
+    fn panic_text(&self) -> &'static str {
         match self {
-            Party::Lane(_) => ("sender lane thread panicked", "a drain shard failed"),
-            Party::Drain(_) => ("drain thread panicked", "a sender lane failed"),
+            Party::Lane(_) => "sender lane thread panicked",
+            Party::Drain(_) => "drain thread panicked",
         }
     }
 
@@ -1301,10 +1297,7 @@ where
         match party.step()? {
             Step::Done => return Ok(party),
             Step::Progressed => {}
-            Step::Starved if abort.load(Ordering::Relaxed) => {
-                let failed = party.side().1;
-                return Err(AmError::Exec(format!("pipeline aborted: {failed}")));
-            }
+            Step::Starved if abort.load(Ordering::Relaxed) => return Err(AmError::PipelineAborted),
             Step::Starved if party.parks() => std::thread::sleep(PARK),
             Step::Starved => std::thread::yield_now(),
         }
@@ -1368,15 +1361,15 @@ where
         let threads: Vec<_> = parties
             .into_iter()
             .map(|party| {
-                let panicked = party.side().0;
+                let panicked = party.panic_text();
                 let thread = scope.spawn(move || aborting(abort, || run_party(party, abort)));
                 (panicked, thread)
             })
             .collect();
         // Join *every* party before reporting: after an abort, one side holds
         // the root-cause error and the other holds only the secondary
-        // "pipeline aborted: ..." it raised when released, and either side
-        // may be the one that actually failed (a lane's send, or a drain's
+        // `PipelineAborted` it raised when released, and either side may be
+        // the one that actually failed (a lane's send, or a drain's
         // dispatch/credit put).
         let mut errors: Vec<AmError> = Vec::new();
         let mut finished = Vec::new();
@@ -1389,12 +1382,10 @@ where
         if errors.is_empty() {
             return Ok(outcome(finished));
         }
-        // Surface the root cause, not a released thread's abort notice (the
-        // only errors prefixed "pipeline aborted" are the ones raised here on
-        // the released side).
+        // Surface the root cause, not a released thread's abort notice.
         let root = errors
             .iter()
-            .position(|e| !matches!(e, AmError::Exec(m) if m.starts_with("pipeline aborted")))
+            .position(|e| !matches!(e, AmError::PipelineAborted))
             .unwrap_or(0);
         Err(errors.swap_remove(root))
     })
@@ -1409,7 +1400,7 @@ where
 /// `drive_pipeline` does, and `make` need not be `Sync`. Where the threaded
 /// driver would wait forever, it fails: once every party still running has
 /// starved 16 384 steps in a row, the run is wedged and this returns
-/// [`AmError::Exec`].
+/// [`AmError::Wedged`].
 pub fn step_pipeline<F>(
     host: &mut TwoChainsHost,
     fleet: &mut SenderFleet,
@@ -1438,7 +1429,7 @@ where
             Step::Starved => Some(steps + 1),
         };
         if starved.iter().flatten().all(|&n| n >= STALL_STEPS) && starved[pick].is_some() {
-            return Err(AmError::Exec("stepped pipeline made no progress".into()));
+            return Err(AmError::Wedged);
         }
     }
     Ok(outcome(parties))

@@ -1374,11 +1374,14 @@ impl HostCore {
     ) -> AmResult<()> {
         let ctx_base = CHAIN_CTX_BASE + ctx.core as u64 * CHAIN_CTX_STRIDE;
         for (idx, stage) in chain.stages().iter().enumerate() {
-            let fail = |reason: String| AmError::ChainStageFailed { stage: idx, reason };
+            let fail = |cause| AmError::ChainStageFailed {
+                stage: idx,
+                cause: Box::new(cause),
+            };
             let entry = self
                 .local_lib
                 .get(&stage.elem_id)
-                .ok_or_else(|| fail(AmError::UnknownElement(stage.elem_id).to_string()))?;
+                .ok_or_else(|| fail(AmError::UnknownElement(stage.elem_id)))?;
             // Per-stage dispatch: a function-pointer table lookup by element
             // id, exactly the Local Function dispatch cost.
             done.handler_time += LOCAL_DISPATCH;
@@ -1401,7 +1404,7 @@ impl HostCore {
             };
             let exec = self
                 .execute_stage(ctx, held, entry, &[args, usr, context], entry_regs)
-                .map_err(|e| fail(e.to_string()))?;
+                .map_err(fail)?;
             done.ran(ctx.stats, &exec);
             ctx.stats.local_executions += 1;
             ctx.stats.chain_stages_executed += 1;
@@ -1466,14 +1469,10 @@ impl HostCore {
         let (program, min_got_slots) = match cached {
             Some((program, min_got_slots)) => {
                 // Verification depends on the GOT size, which varies per message:
-                // the cached program must still fit inside *this* message's GOT,
-                // or a warm hit would execute a program the cold path rejects.
+                // the verifier's floor admits *this* message's GOT in O(1), and
+                // below it the verifier refuses with the error a cold cache gives.
                 if got.len() < min_got_slots {
-                    return Err(AmError::BadFrame(format!(
-                        "cached program references GOT slot {} but the message GOT has only {} slots",
-                        min_got_slots - 1,
-                        got.len()
-                    )));
+                    verify_with_floor(&program, got.len()).map_err(AmError::Verify)?;
                 }
                 ctx.stats.injected_code_cache_hits += 1;
                 (program, min_got_slots)
@@ -1491,11 +1490,11 @@ impl HostCore {
                     .bus
                     .access(ctx.core, code_base, code_len, AccessKind::Fetch);
                 let program =
-                    decode_program(frame.code).map_err(|e| AmError::BadFrame(e.to_string()))?;
+                    decode_program(frame.code).map_err(|e| AmError::Decode(e.to_string()))?;
                 // The verifier's pass also yields the smallest GOT this program
                 // verifies against: a message with another GOT re-checks it in O(1).
-                let min_got_slots = verify_with_floor(&program, got.len())
-                    .map_err(|e| AmError::BadFrame(e.to_string()))?;
+                let min_got_slots =
+                    verify_with_floor(&program, got.len()).map_err(AmError::Verify)?;
                 *handler_time += SimTime::from_ns_f64(
                     frame.code.len() as f64 * (DECODE_NS_PER_BYTE + VERIFY_NS_PER_BYTE),
                 );
@@ -1595,10 +1594,7 @@ impl HostCore {
             // Miss, or a 64-bit hash collision with different bytes: re-parse and
             // (re)place the entry.
             ctx.stats.got_cache_misses += 1;
-            let image = Arc::new(
-                GotImage::from_bytes(frame.got)
-                    .ok_or_else(|| AmError::BadFrame("bad GOT image".into()))?,
-            );
+            let image = Arc::new(GotImage::from_bytes(frame.got).ok_or(AmError::GotImage)?);
             *handler_time += SimTime::from_ns_f64(frame.got.len() as f64 * GOT_PARSE_NS_PER_BYTE);
             ctx.stats.got_cache_evictions += ctx.cache.store_sender_got(
                 key,

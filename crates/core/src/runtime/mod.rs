@@ -275,6 +275,7 @@ mod spec;
 #[cfg(test)]
 mod tests;
 
+pub(crate) use fleet::RETRY_BUDGET;
 pub use fleet::{
     drive_pipeline, step_pipeline, PipelineFrame, PipelineOutcome, SenderFleet, SenderLane, SlotCtx,
 };

@@ -34,8 +34,8 @@
 use twochains_linker::ElementId;
 
 use crate::config::InvocationMode;
-use crate::error::{AmError, AmResult};
-use crate::frame::{ChainArgMap, ChainDescriptor, ChainStage, CHAIN_MAX_STAGES};
+use crate::error::AmResult;
+use crate::frame::{ChainArgMap, ChainDescriptor, ChainStage};
 
 /// Start building a message for `elem` — the single construction path for
 /// every send. Defaults: [`InvocationMode::Injected`], empty ARGS and USR,
@@ -100,7 +100,8 @@ impl MessageSpec {
     /// (the previous stage's result registers become its operand). Adjust the
     /// mapping of the stage just appended with [`MessageSpec::map_result`].
     ///
-    /// The wire format carries at most [`CHAIN_MAX_STAGES`] stages; the
+    /// The wire format carries at most
+    /// [`CHAIN_MAX_STAGES`](crate::frame::CHAIN_MAX_STAGES) stages; the
     /// ceiling is enforced when the spec is sent, so over-building fails the
     /// send loudly instead of panicking mid-chain.
     pub fn then(mut self, elem: ElementId) -> Self {
@@ -157,22 +158,16 @@ impl MessageSpec {
     }
 
     /// Validate and materialise the chain descriptor this spec describes:
-    /// `None` for an unchained spec, an error past the wire ceiling of
-    /// [`CHAIN_MAX_STAGES`] stages.
+    /// `None` for an unchained spec, [`ChainDescriptor::push`]'s refusal past
+    /// the wire ceiling of [`CHAIN_MAX_STAGES`](crate::frame::CHAIN_MAX_STAGES)
+    /// stages.
     pub(crate) fn chain_descriptor(&self) -> AmResult<Option<ChainDescriptor>> {
         if self.stages.is_empty() {
             return Ok(None);
         }
-        if self.stages.len() > CHAIN_MAX_STAGES {
-            return Err(AmError::BadFrame(format!(
-                "spec chains {} continuation stages, the wire format carries at most \
-                 {CHAIN_MAX_STAGES}",
-                self.stages.len()
-            )));
-        }
         let mut c = ChainDescriptor::new();
         for stage in &self.stages {
-            c.push(*stage).expect("length checked above");
+            c.push(*stage)?;
         }
         Ok(Some(c))
     }
@@ -181,6 +176,7 @@ impl MessageSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::CHAIN_MAX_STAGES;
 
     #[test]
     fn builder_defaults_and_chaining() {
@@ -212,10 +208,17 @@ mod tests {
         for i in 0..CHAIN_MAX_STAGES as u32 + 1 {
             s = s.then(ElementId(10 + i));
         }
-        match s.chain_descriptor() {
-            Err(AmError::BadFrame(msg)) => assert!(msg.contains("at most"), "{msg}"),
-            other => panic!("over-long chain not refused: {other:?}"),
+        // The descriptor's own ceiling refuses the ninth stage.
+        let mut full = ChainDescriptor::new();
+        let stage = ChainStage {
+            elem_id: 10,
+            map: ChainArgMap::Result,
+        };
+        for _ in 0..CHAIN_MAX_STAGES {
+            full.push(stage).unwrap();
         }
+        let ninth = full.push(stage);
+        assert_eq!(s.chain_descriptor(), ninth.map(|()| None));
     }
 
     #[test]

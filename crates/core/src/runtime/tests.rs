@@ -10,6 +10,7 @@ use super::fleet::{parties, remember, Party, Posted, Step};
 use super::{SenderFleet, TwoChainsHost};
 use crate::builtin::{benchmark_package, ssum_args, BuiltinJam};
 use crate::config::{InvocationMode, RuntimeConfig};
+use crate::error::AmError;
 
 /// A host with `shards` shards and a fleet of as many lanes connected to it
 /// over a link under `faults`.
@@ -122,9 +123,5 @@ fn a_lane_that_hears_nothing_retries_on_its_schedule_then_fails_loudly() {
         .collect();
     assert_eq!(firings, expected);
     assert_eq!(fruitless + 1, 6_144, "the 33rd firing is the error");
-    assert!(
-        err.to_string()
-            .contains("exhausted its 32-retry reliability budget"),
-        "{err}"
-    );
+    assert_eq!(err, AmError::RetryBudgetSpent { lane: 0 });
 }

@@ -302,12 +302,9 @@ fn mid_chain_rejections_return_one_credit_under_adaptive_flushes() {
     assert_eq!(drained, total - 1);
     assert_eq!(rejected.len(), 1, "exactly the sabotaged frame");
     match &rejected[0].2 {
-        twochains::AmError::ChainStageFailed { stage, reason } => {
+        twochains::AmError::ChainStageFailed { stage, cause } => {
             assert_eq!(*stage, 0, "the first continuation stage is the culprit");
-            assert!(
-                reason.contains("unknown package element") && reason.contains("57005"),
-                "the reason names the element: {reason}"
-            );
+            assert_eq!(**cause, twochains::AmError::UnknownElement(0xDEAD));
         }
         other => panic!("expected ChainStageFailed, got {other:?}"),
     }

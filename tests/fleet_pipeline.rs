@@ -436,10 +436,43 @@ fn a_wedged_stepped_pipeline_fails_instead_of_spinning() {
         0xC0FFEE,
     )
     .unwrap_err();
-    assert!(
-        matches!(&err, AmError::Exec(msg) if msg.contains("made no progress")),
-        "{err}"
-    );
+    assert_eq!(err, AmError::Wedged);
+}
+
+/// Lane 1's second of eight rounds does not fit a mailbox. Every party still
+/// running, lane 0 among them, is released with `PipelineAborted`, and on
+/// threads any of them may stop first, yet the run reports the lane's own
+/// error; so does the stepped driver.
+#[test]
+fn a_failed_pipeline_reports_its_root_cause_not_a_released_party() {
+    let capacity = fleet_config(2).frame_capacity;
+    let make = |ctx: SlotCtx| {
+        let (args, usr) = ssum_payload(ctx);
+        if ctx.stream == 1 && ctx.round == 1 {
+            return (args, vec![0; capacity + 1]);
+        }
+        (args, usr)
+    };
+    let run = |seed: Option<u64>| {
+        let FleetBed {
+            mut host,
+            mut fleet,
+            ..
+        } = fleet_testbed(fleet_config(2), None);
+        let elem = host.builtin_id(BuiltinJam::ServerSideSum).unwrap();
+        let (host, fleet, mode) = (&mut host, &mut fleet, InvocationMode::Injected);
+        match seed {
+            None => drive_pipeline(host, fleet, elem, mode, 8, &make),
+            Some(seed) => step_pipeline(host, fleet, elem, mode, 8, &make, seed),
+        }
+        .unwrap_err()
+    };
+    for _ in 0..20 {
+        let err = run(None);
+        assert!(matches!(err, AmError::FrameTooLarge { .. }), "{err:?}");
+    }
+    let err = run(Some(0xC0FFEE));
+    assert!(matches!(err, AmError::FrameTooLarge { .. }), "{err:?}");
 }
 
 /// Drive one round of Indirect Puts from `fleet` into `host`.

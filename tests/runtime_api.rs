@@ -8,7 +8,7 @@ mod support;
 
 use support::{foreign_injected, ints, put, testbed, wire};
 use two_chains_suite::jamvm::isa::Width;
-use two_chains_suite::jamvm::{encode_program, GotImage, Instr, Reg};
+use two_chains_suite::jamvm::{encode_program, GotImage, Instr, Reg, VerifyError};
 use two_chains_suite::linker::{Package, RiedBuilder};
 use two_chains_suite::memsim::SimTime;
 use twochains::builtin::{benchmark_package, indirect_put_args, ssum_args, BuiltinJam};
@@ -339,7 +339,14 @@ fn warm_hit_with_too_small_got_is_rejected_before_execution() {
         .receive(0, 0, Some(bad.wire_size()), delivered, SimTime::ZERO)
         .unwrap_err();
     assert!(
-        matches!(&err, AmError::BadFrame(m) if m.contains("GOT")),
+        matches!(
+            err,
+            AmError::Verify(VerifyError::BadGotSlot {
+                slot: 0,
+                got_slots: 0,
+                ..
+            })
+        ),
         "expected a pre-execution GOT-size rejection, got {err:?}"
     );
     assert_eq!(rx.stats().executions, executions, "nothing executed");
@@ -376,11 +383,16 @@ fn a_cached_program_meeting_another_got_is_floor_checked_and_lowered_again() {
     let first = receive(own.header.sn, own.got.clone()).unwrap().result;
     assert_eq!(first, 2684497936, "the bucket address of key 2");
     let err = receive(own.header.sn + 1, Vec::new()).unwrap_err();
-    assert_eq!(
-        err,
-        AmError::BadFrame(
-            "cached program references GOT slot 0 but the message GOT has only 0 slots".into()
-        )
+    assert!(
+        matches!(
+            err,
+            AmError::Verify(VerifyError::BadGotSlot {
+                slot: 0,
+                got_slots: 0,
+                ..
+            })
+        ),
+        "{err:?}"
     );
     let third = receive(own.header.sn + 2, widened).unwrap().result;
     assert_eq!(third, first);
@@ -399,6 +411,46 @@ fn a_cached_program_meeting_another_got_is_floor_checked_and_lowered_again() {
     assert_eq!(stats.frames_rejected, 1);
 }
 
+/// One GOT-floor rule, one refusal: Indirect Put with an empty GOT is refused
+/// with the verifier's own error whether its program is cached or not.
+#[test]
+fn a_too_small_got_gets_the_same_refusal_warm_and_cold() {
+    let (mut rx, mut tx) = testbed(RuntimeConfig::paper_default());
+    let id = rx.builtin_id(BuiltinJam::IndirectPut).unwrap();
+    let own = encoded(
+        &mut tx,
+        &msg(id, Injected, &indirect_put_args(2, 4, 4), &ints(4)),
+    );
+    let mut receive = |rx: &mut TwoChainsHost, sn: u32, got: Vec<u8>| {
+        let frame = Frame::injected(
+            sn,
+            id.0,
+            got,
+            own.code.clone(),
+            own.args.clone(),
+            own.usr.clone(),
+        );
+        let delivered = forge(rx, &mut tx, 0, &frame.encode());
+        rx.receive(0, 0, Some(frame.wire_size()), delivered, SimTime::ZERO)
+    };
+    receive(&mut rx, own.header.sn, own.got.clone()).unwrap();
+    let warm = receive(&mut rx, own.header.sn + 1, Vec::new()).unwrap_err();
+    rx.invalidate_injection_caches();
+    let cold = receive(&mut rx, own.header.sn + 2, Vec::new()).unwrap_err();
+    assert_eq!(warm, cold);
+    assert!(
+        matches!(
+            warm,
+            AmError::Verify(VerifyError::BadGotSlot {
+                slot: 0,
+                got_slots: 0,
+                ..
+            })
+        ),
+        "{warm:?}"
+    );
+}
+
 #[test]
 fn malformed_injected_code_is_rejected_not_cached() {
     let (mut rx, mut tx) = testbed(RuntimeConfig::paper_default());
@@ -410,7 +462,7 @@ fn malformed_injected_code_is_rejected_not_cached() {
     let err = rx
         .receive(0, 0, Some(frame.wire_size()), delivered, SimTime::ZERO)
         .unwrap_err();
-    assert!(matches!(err, AmError::BadFrame(_)));
+    assert!(matches!(err, AmError::Decode(_)), "{err:?}");
     assert_eq!(rx.injected_cache_len(), 0, "garbage is not cached");
 }
 

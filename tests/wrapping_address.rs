@@ -33,7 +33,7 @@
 //! GOT slot holds a 56-bit payload and an extern index is 32 bits: the parser
 //! kept `v as u32`, so under the permissive policy a slot of `2^32 + k`
 //! called extern `k`, and two byte strings parsed to one image. Such a frame
-//! is now a `BadFrame`, retired alone with its credit.
+//! is now a `GotImage` rejection, retired alone with its credit.
 //!
 //! Nor may a jam reach ried state by address. A GOT `Data` slot resolves to
 //! the address a writable ried object has in the namespace, and no shard maps
@@ -545,8 +545,7 @@ fn receive_burst_rejects_a_got_image_it_would_have_truncated_and_executes_the_ne
     for (what, got, _) in non_canonical_gots() {
         assert_eq!(GotImage::from_bytes(&got), None, "{what}");
     }
-    let bad_got: fn(&AmError) -> bool =
-        |err| matches!(err, AmError::BadFrame(why) if why.contains("bad GOT image"));
+    let bad_got: fn(&AmError) -> bool = |err| matches!(err, AmError::GotImage);
     let non_canonical = non_canonical_gots()
         .into_iter()
         .map(|(what, got, program)| (what, got, program, bad_got));
@@ -554,7 +553,7 @@ fn receive_burst_rejects_a_got_image_it_would_have_truncated_and_executes_the_ne
 }
 
 fn names_an_invalid_register(err: &AmError) -> bool {
-    matches!(err, AmError::BadFrame(why) if why.contains("invalid register"))
+    matches!(err, AmError::Verify(VerifyError::BadRegister { .. }))
 }
 
 #[test]
