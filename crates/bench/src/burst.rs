@@ -49,7 +49,7 @@ use twochains::{
     drive_pipeline, AggregationPolicy, InvocationMode, RuntimeConfig, SenderFleet, ShardMask,
     SlotCtx, TwoChainsHost,
 };
-use twochains_fabric::{FaultPlan, LinkModel, SimFabric};
+use twochains_fabric::{link, FaultPlan, SimFabric};
 use twochains_linker::ElementId;
 use twochains_memsim::{SimTime, TestbedConfig};
 
@@ -330,9 +330,8 @@ fn run_modelled(shards: usize, rounds: usize, policy: AggregationPolicy) -> Mode
     // per multi-frame container.
     let puts = (sender.messages_sent - sender.batched_frames) + sender.batch_puts;
     // NIC posting is size-independent sender CPU per put (descriptor post +
-    // doorbell) on the sweep's link model — the same LinkModel behind
-    // `SimFabric::back_to_back`.
-    let posting_ns = LinkModel::connectx6_back_to_back().put_timing(1).sender_cpu;
+    // doorbell) on the link every endpoint of `SimFabric::back_to_back` uses.
+    let posting_ns = link::put_timing(1).sender_cpu;
     let round_ns = (fill_time + drain_time).as_ns();
     ModelRun {
         messages: rounds * total_slots,

@@ -7,7 +7,7 @@
 
 use twochains::builtin::BuiltinJam;
 use twochains::InvocationMode;
-use twochains_fabric::{LinkModel, UcxPutBaseline};
+use twochains_fabric::baseline;
 
 use crate::harness::{InjectionRate, PingPong, TestbedOptions};
 use crate::percentile::{median, summarize};
@@ -76,13 +76,12 @@ fn ints_for_frame(size: usize) -> usize {
 
 /// Fig. 5: AM put (without execution) latency vs UCX data put.
 pub fn fig5() -> FigureData {
-    let baseline = UcxPutBaseline::new(LinkModel::connectx6_back_to_back());
     let mut pp = PingPong::new(TestbedOptions::default().without_execution());
     let mut rows = Vec::new();
     for &size in &SSUM_SIZES {
         let n = ints_for_frame(size);
         let am = pp.run(BuiltinJam::ServerSideSum, InvocationMode::Local, n, 40);
-        let data_put_us = baseline.put_latency(size).as_us();
+        let data_put_us = baseline::put_latency(size).as_us();
         let am_us = am.median_us();
         let reduction = (data_put_us - am_us) / data_put_us * 100.0;
         rows.push(vec![
@@ -102,13 +101,12 @@ pub fn fig5() -> FigureData {
 
 /// Fig. 6: AM put bandwidth vs UCX data put bandwidth.
 pub fn fig6() -> FigureData {
-    let baseline = UcxPutBaseline::new(LinkModel::connectx6_back_to_back());
     let mut ir = InjectionRate::new(TestbedOptions::default().without_execution());
     let mut rows = Vec::new();
     for &size in &SSUM_SIZES {
         let n = ints_for_frame(size);
         let am = ir.run(BuiltinJam::ServerSideSum, InvocationMode::Local, n, 300);
-        let data_bw = baseline.bandwidth_mib_s(size);
+        let data_bw = baseline::bandwidth_mib_s(size);
         let am_bw = am.bandwidth_mib_s;
         let increase = (am_bw - data_bw) / data_bw * 100.0;
         rows.push(vec![

@@ -14,9 +14,10 @@
 //! - **Pipeline:** [`AmError::Wedged`], [`AmError::PipelineAborted`] and
 //!   [`AmError::RetryBudgetSpent`], a pipeline run that cannot finish.
 //! - **Setup and transport:** [`AmError::Fabric`], [`AmError::Link`],
-//!   [`AmError::FrameTooLarge`], [`AmError::UnknownElementName`] and
-//!   [`AmError::InvalidConfig`]; [`AmError::Empty`] is a poll that found
-//!   nothing.
+//!   [`AmError::FrameTooLarge`], [`AmError::Unsendable`] (a frame or container
+//!   the sender built that the wire format cannot carry),
+//!   [`AmError::UnknownElementName`] and [`AmError::InvalidConfig`];
+//!   [`AmError::Empty`] is a poll that found nothing.
 
 use std::fmt;
 
@@ -41,6 +42,10 @@ pub enum AmError {
         /// Mailbox capacity.
         capacity: usize,
     },
+    /// The sender built a frame or container the wire format cannot carry
+    /// (too many chain stages or inner frames, an empty container, an inner
+    /// frame that is not a complete encoded frame); nothing was sent.
+    Unsendable(String),
     /// A received frame is malformed (bad magic, inconsistent lengths).
     BadFrame(String),
     /// An injected frame's code section does not decode (the decoder's text).
@@ -98,6 +103,7 @@ impl fmt::Display for AmError {
                     "frame of {needed} bytes exceeds mailbox capacity {capacity}"
                 )
             }
+            AmError::Unsendable(m) => write!(f, "unsendable frame: {m}"),
             AmError::BadFrame(m) | AmError::Decode(m) => write!(f, "malformed frame: {m}"),
             AmError::Verify(e) => write!(f, "malformed frame: {e}"),
             AmError::GotImage => write!(f, "malformed frame: bad GOT image"),
@@ -189,6 +195,10 @@ mod tests {
         assert_eq!(
             AmError::GotImage.to_string(),
             "malformed frame: bad GOT image"
+        );
+        assert_eq!(
+            AmError::Unsendable("batch container holds no frames".into()).to_string(),
+            "unsendable frame: batch container holds no frames"
         );
         assert_eq!(
             AmError::Wedged.to_string(),

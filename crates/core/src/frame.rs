@@ -328,7 +328,7 @@ impl ChainDescriptor {
     /// [`CHAIN_MAX_STAGES`] stages is reached.
     pub fn push(&mut self, stage: ChainStage) -> AmResult<()> {
         if usize::from(self.len) >= CHAIN_MAX_STAGES {
-            return Err(AmError::BadFrame(format!(
+            return Err(AmError::Unsendable(format!(
                 "chain descriptor full: the wire format carries at most {CHAIN_MAX_STAGES} continuation stages"
             )));
         }
@@ -786,18 +786,18 @@ impl FrameBatch {
     /// buffer is a sender-side error, not a wire frame the receiver rejects.
     pub fn push(&mut self, slot: u16, frame: &[u8]) -> AmResult<()> {
         if self.count >= BATCH_MAX_FRAMES {
-            return Err(AmError::BadFrame(format!(
+            return Err(AmError::Unsendable(format!(
                 "batch container full: the one-byte count field carries at most {BATCH_MAX_FRAMES} frames"
             )));
         }
         if frame.len() < MIN_WIRE_LEN {
-            return Err(AmError::BadFrame(format!(
+            return Err(AmError::Unsendable(format!(
                 "inner frame of {} bytes is shorter than header + trailer",
                 frame.len()
             )));
         }
         if header::MAGIC.get(frame) != FRAME_MAGIC || frame[signal_at(frame.len())] != SIG_MAG {
-            return Err(AmError::BadFrame(
+            return Err(AmError::Unsendable(
                 "inner frame is not a complete encoded wire frame".into(),
             ));
         }
@@ -817,7 +817,7 @@ impl FrameBatch {
     pub fn finish_into(&self, out: &mut Vec<u8>) -> AmResult<()> {
         let sn = self
             .first_sn
-            .ok_or_else(|| AmError::BadFrame("batch container holds no frames".into()))?;
+            .ok_or_else(|| AmError::Unsendable("batch container holds no frames".into()))?;
         // The outer header routes nothing itself, it only publishes the batch.
         let mut record = header_record(sn, self.wire_size());
         header::BATCH_VERSION.set(&mut record, BATCH_VERSION.into());
@@ -1160,12 +1160,13 @@ mod tests {
         let mut chain = chain_of(&ids);
         assert_eq!(chain.len(), CHAIN_MAX_STAGES);
         assert!(
-            chain
-                .push(ChainStage {
+            matches!(
+                chain.push(ChainStage {
                     elem_id: 999,
                     map: ChainArgMap::KeepArgs,
-                })
-                .is_err(),
+                }),
+                Err(AmError::Unsendable(_))
+            ),
             "ninth stage must be refused"
         );
         let f = Frame::local(1, 2, vec![0; 20], vec![0; 4]).with_chain(chain);
@@ -1315,9 +1316,13 @@ mod tests {
     fn batch_builder_enforces_its_invariants() {
         let mut b = FrameBatch::new();
         let mut out = Vec::new();
-        assert!(b.finish_into(&mut out).is_err(), "empty batch");
-        assert!(b.push(0, &[0u8; 10]).is_err(), "short inner frame");
+        let unsendable = |r: AmResult<()>| matches!(r, Err(AmError::Unsendable(_)));
+        assert!(unsendable(b.finish_into(&mut out)), "empty batch");
+        assert!(unsendable(b.push(0, &[0u8; 10])), "short inner frame");
         let f = Frame::local(1, 2, vec![0; 20], vec![0; 4]).encode();
+        let mut torn = f.clone();
+        *torn.last_mut().unwrap() ^= 0xFF;
+        assert!(unsendable(b.push(0, &torn)), "no signal byte");
         b.push(3, &f).unwrap();
         assert_eq!(b.len(), 1);
         assert_eq!(b.wire_size(), BATCH_OVERHEAD + BATCH_PREFIX_SIZE + f.len());
@@ -1327,6 +1332,9 @@ mod tests {
         );
         b.clear();
         assert!(b.is_empty());
-        assert!(b.finish_into(&mut out).is_err(), "cleared batch is empty");
+        assert!(
+            unsendable(b.finish_into(&mut out)),
+            "cleared batch is empty"
+        );
     }
 }

@@ -92,8 +92,9 @@
 //! [`RuntimeConfig::completion_window`] bounds how many it may hold. A lane
 //! whose window is full waits (in lane-virtual time) until its oldest put is
 //! delivered, then harvests every entry delivered by then, oldest first and
-//! stopping at the first still in flight — 55 ns of software bookkeeping an
-//! entry, the UCX-like baseline's per-completion cost — before posting more
+//! stopping at the first still in flight — the cost model's `HARVEST_COST` of
+//! software bookkeeping an entry, the UCX-like baseline's per-completion cost —
+//! before posting more
 //! (counted in [`RuntimeStats::sends_backpressured`] /
 //! [`RuntimeStats::completions_harvested`]). No lane can reach another's
 //! window, so back-pressure pauses only the affected stream.
@@ -155,6 +156,7 @@ use std::time::Duration;
 
 use twochains_fabric::{AccessFlags, HostId, SimFabric};
 use twochains_linker::{ElementId, Package};
+use twochains_memsim::cost::HARVEST_COST;
 use twochains_memsim::{AccessKind, CoreBus, MemoryBus, SimTime};
 
 use super::spec::MessageSpec;
@@ -196,9 +198,6 @@ const WATCHDOG_CLAMP: u32 = 192;
 /// no diagnosis. An episode that exhausts it has taken 6 144 fruitless
 /// steps: ≈ 0.5 s of a lane thread's parks on the host above.
 pub(crate) const RETRY_BUDGET: u32 = 32;
-/// Software cost of harvesting one entry of a lane's transmit window: the
-/// per-completion bookkeeping the UCX-like baseline pays.
-const HARVEST_COST: SimTime = SimTime::from_ns(55);
 
 /// One mailbox a sender stream owns: its coordinates on the receiver and the
 /// target descriptor to aim the one-sided put at.

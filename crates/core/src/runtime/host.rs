@@ -43,6 +43,20 @@
 //! counts round once per frame (plus once for a container's prologue); and a
 //! container executes all its inner frames before any is retired.
 //!
+//! # What the model charges a message
+//!
+//! Every charge is a row of [`twochains_memsim::cost`]. A frame pays
+//! `INJECTED_DISPATCH` (frame parse + jump through the mailbox code pointer)
+//! or `LOCAL_DISPATCH` (frame parse + function-pointer table lookup by element
+//! ID; a chain's continuation stages pay it once each). An injected frame's
+//! software costs are per byte: the content hash (`HASH_NS_PER_BYTE`, the
+//! arrived bytes streamed at near line rate) and lowering
+//! (`RESOLVE_NS_PER_BYTE`) on every message whose image is not cached, decode
+//! and verify (`DECODE_NS_PER_BYTE`, `VERIFY_NS_PER_BYTE`) only when its code
+//! misses, GOT-image parsing (`GOT_PARSE_NS_PER_BYTE`) only when its GOT
+//! misses. On an image hit the receiver jumps straight to the cached image,
+//! which is the point of the fast path.
+//!
 //! # What a warm message costs the host
 //!
 //! The model charges a warm injected message a header read, two cache probes
@@ -122,7 +136,11 @@ use twochains_jamvm::{
     GotImage, ResolvedProgram, Segment, SegmentKind, ShardSpace, Vm, VmConfig,
 };
 use twochains_linker::{ElementId, LinkerNamespace, Package, Ried};
-use twochains_memsim::cycles::{WaitModel, WaitOutcome};
+use twochains_memsim::cost::{
+    DECODE_NS_PER_BYTE, GOT_PARSE_NS_PER_BYTE, HASH_NS_PER_BYTE, INJECTED_DISPATCH, LOCAL_DISPATCH,
+    RESOLVE_NS_PER_BYTE, VERIFY_NS_PER_BYTE,
+};
+use twochains_memsim::cycles::{self, WaitOutcome};
 use twochains_memsim::{
     AccessKind, CoreCacheStats, HierarchyStats, MemoryBus, MemoryStressor, SharedHierarchy, SimTime,
 };
@@ -141,35 +159,6 @@ use crate::frame::{
 use crate::mailbox::MailboxTarget;
 use crate::security::SecurityPolicy;
 use crate::stats::RuntimeStats;
-
-/// Fixed receiver-side dispatch overhead for an Injected Function (frame parse +
-/// jump through the mailbox code pointer).
-const INJECTED_DISPATCH: SimTime = SimTime::from_ns(28);
-/// Fixed receiver-side dispatch overhead for a Local Function (frame parse +
-/// function-pointer table lookup by element ID). A chain's continuation
-/// stages pay it once each.
-const LOCAL_DISPATCH: SimTime = SimTime::from_ns(18);
-
-/// Software cost models for the receiver's injected-dispatch path, in ns per byte.
-///
-/// The content hash and lowering are charged on every injected message whose
-/// image is not cached (the hash streams the arrived bytes at near line rate);
-/// decode and verify only when its code misses, GOT-image parsing only when its
-/// GOT misses. On an image hit the receiver jumps straight to the cached image,
-/// which is the point of the fast path.
-const HASH_NS_PER_BYTE: f64 = 0.01;
-/// Bytecode decode cost on a code-cache miss (~2 GB/s: byte-at-a-time opcode
-/// dispatch building the instruction vector).
-const DECODE_NS_PER_BYTE: f64 = 0.6;
-/// Verifier cost on a code-cache miss (~4 GB/s: register/branch/GOT-slot bound
-/// checks over the decoded program).
-const VERIFY_NS_PER_BYTE: f64 = 0.25;
-/// GOT image parse cost on a GOT-cache miss.
-const GOT_PARSE_NS_PER_BYTE: f64 = 0.05;
-/// Lowering cost when the image is not cached (walking the decoded program once
-/// to flatten operands, resolve GOT call sites, fuse pairs and lay out blocks —
-/// cheaper than the byte-at-a-time decode it follows).
-const RESOLVE_NS_PER_BYTE: f64 = 0.15;
 
 /// Base simulated address of the receiver's resolved-image slab area (the
 /// software code cache the threaded executor fetches from). Distinct from the
@@ -365,9 +354,6 @@ pub(crate) struct HostCore {
     /// L1/L2 live on each shard's `CoreBus`.
     hierarchy: Arc<SharedHierarchy>,
     config: RuntimeConfig,
-    /// Wait-model constants of the testbed (poll interval, WFE wake latency,
-    /// core frequency); `config.wait_mode` picks how the receiver waits.
-    wait_model: WaitModel,
     namespace: LinkerNamespace,
     /// `Arc`-shared read-only segments (rodata, read-only data exports), read
     /// by every shard without any lock. Rebuilt on package install/live update.
@@ -460,7 +446,6 @@ impl TwoChainsHost {
                 handle,
                 hierarchy,
                 config,
-                wait_model: WaitModel::cluster2021(),
                 namespace: LinkerNamespace::new(),
                 shared_ro,
                 package: None,
@@ -929,9 +914,7 @@ impl HostCore {
         arrival: SimTime,
         ready_since: SimTime,
     ) -> AmResult<ReceiveOutcome> {
-        let wait = self
-            .wait_model
-            .wait(self.config.wait_mode, arrival.saturating_sub(ready_since));
+        let wait = cycles::wait(self.config.wait_mode, arrival.saturating_sub(ready_since));
         let at = Slot {
             bank,
             slot,
@@ -1014,7 +997,7 @@ impl HostCore {
         // That one scan observes readiness for every frame at once: charge a
         // single zero-length wait (one poll boundary) instead of the per-message
         // wait the single-slot path pays.
-        let scan = self.wait_model.wait(self.config.wait_mode, SimTime::ZERO);
+        let scan = cycles::wait(self.config.wait_mode, SimTime::ZERO);
         shard.stats.wait_time += scan.elapsed;
         shard.stats.cycles.add_wait(scan.cycles);
         *clock += scan.elapsed;
@@ -1132,9 +1115,7 @@ impl HostCore {
             ctx.stats.exec_time += prologue;
             ctx.stats.wait_time += wait.elapsed;
             ctx.stats.cycles.add_wait(wait.cycles);
-            ctx.stats
-                .cycles
-                .add_work_time(prologue, self.wait_model.core_freq_ghz);
+            ctx.stats.cycles.add_work_time(prologue);
             let mut clock = detected_at + prologue;
             for (ix, &(dest, bytes)) in view.frames().iter().enumerate() {
                 let dest = dest as usize;
@@ -1230,9 +1211,7 @@ impl HostCore {
         ctx.stats.exec_time += dispatched.handler_time;
         ctx.stats.cycles.add_wait(wait.cycles);
         // One rounding per frame: cycles are charged on the whole handler time.
-        ctx.stats
-            .cycles
-            .add_work_time(dispatched.handler_time, self.wait_model.core_freq_ghz);
+        ctx.stats.cycles.add_work_time(dispatched.handler_time);
         if let Some(last) = ctx.replay_entry(per_bank, bank, slot) {
             *last = sn;
         }
@@ -1549,9 +1528,6 @@ impl HostCore {
             core: ctx.core,
             code_base: jam.code_base,
             fuel: 50_000_000,
-            freq_ghz: self.wait_model.core_freq_ghz,
-            ipc: 2.0,
-            extern_call_overhead: SimTime::from_ns(6),
             entry_regs,
         };
         held.place(&mut ctx.space.local, sections, ctx.spare_sections)

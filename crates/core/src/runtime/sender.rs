@@ -16,6 +16,7 @@ use std::sync::Arc;
 use twochains_fabric::Endpoint;
 use twochains_jamvm::GotImage;
 use twochains_linker::{ElementId, Package};
+use twochains_memsim::cost::{PACK_FIXED, PACK_NS_PER_BYTE};
 use twochains_memsim::SimTime;
 
 use super::spec::MessageSpec;
@@ -26,11 +27,6 @@ use crate::error::{AmError, AmResult};
 use crate::frame::{encode_wire_into, BATCH_OVERHEAD, BATCH_PREFIX_SIZE};
 use crate::mailbox::MailboxTarget;
 use crate::stats::RuntimeStats;
-
-/// Fixed packing cost per frame (the message packing routines of §III-A).
-const PACK_FIXED: SimTime = SimTime::from_ns(35);
-/// Per-byte packing cost, in nanoseconds.
-const PACK_NS_PER_BYTE: f64 = 0.002;
 
 /// A sender-side cached frame template for one element: the receiver-patched GOT
 /// image and the encoded code, captured once and memcpy'd into every later frame.
@@ -194,7 +190,7 @@ impl TwoChainsSender {
     }
 
     /// Post one encoded frame standalone, charged the §III-A packing cost of
-    /// one message.
+    /// one message ([`PACK_FIXED`] plus [`PACK_NS_PER_BYTE`] per byte).
     pub(crate) fn put_frame(
         &mut self,
         now: SimTime,

@@ -176,6 +176,7 @@ impl MessageSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::AmError;
     use crate::frame::CHAIN_MAX_STAGES;
 
     #[test]
@@ -218,6 +219,7 @@ mod tests {
             full.push(stage).unwrap();
         }
         let ninth = full.push(stage);
+        assert!(matches!(ninth, Err(AmError::Unsendable(_))), "{ninth:?}");
         assert_eq!(s.chain_descriptor(), ninth.map(|()| None));
     }
 

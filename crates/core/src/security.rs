@@ -16,6 +16,7 @@
 //! * **Require execute permission** — the registered mailbox region must carry the
 //!   proposed IBTA *execute* permission bit before injected code is run from it.
 
+use twochains_memsim::cost::{GOT_RESOLVE_CAP, GOT_RESOLVE_FIXED, GOT_RESOLVE_PER_SLOT};
 use twochains_memsim::SimTime;
 
 /// The two presets: the paper's benchmark configuration or every §V
@@ -34,11 +35,15 @@ pub enum SecurityPolicy {
 
 impl SecurityPolicy {
     /// Extra receiver-side cost this policy adds per injected message: GOT
-    /// re-resolution when the sender's image is refused (a handful of hash lookups).
+    /// re-resolution when the sender's image is refused (a handful of hash
+    /// lookups), [`GOT_RESOLVE_FIXED`] plus [`GOT_RESOLVE_PER_SLOT`] per slot, at
+    /// most [`GOT_RESOLVE_CAP`].
     pub fn per_message_overhead(&self, got_slots: usize) -> SimTime {
         match self {
             SecurityPolicy::Permissive => SimTime::ZERO,
-            SecurityPolicy::Hardened => SimTime::from_ns((20 + 12 * got_slots as u64).min(400)),
+            SecurityPolicy::Hardened => {
+                (GOT_RESOLVE_FIXED + GOT_RESOLVE_PER_SLOT * got_slots as u64).min(GOT_RESOLVE_CAP)
+            }
         }
     }
 }

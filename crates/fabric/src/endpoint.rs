@@ -31,7 +31,7 @@ use twochains_memsim::SimTime;
 use crate::error::{FabricError, FabricResult};
 use crate::fabric::HostState;
 use crate::fault::{DeferredPut, EndpointFaults, FaultAction};
-use crate::link::LinkModel;
+use crate::link;
 use crate::region::{MemoryRegion, RegionDescriptor};
 
 /// Timing outcome of a put.
@@ -51,7 +51,6 @@ pub struct PutOutcome {
 
 /// A one-sided communication endpoint from a source host to a destination host.
 pub struct Endpoint {
-    link: LinkModel,
     src: Arc<HostState>,
     dst: Arc<HostState>,
     /// Statistics: operations and bytes issued.
@@ -74,13 +73,11 @@ impl std::fmt::Debug for Endpoint {
 
 impl Endpoint {
     pub(crate) fn new(
-        link: LinkModel,
         src: Arc<HostState>,
         dst: Arc<HostState>,
         faults: Option<EndpointFaults>,
     ) -> Self {
         Endpoint {
-            link,
             src,
             dst,
             ops: 0,
@@ -95,11 +92,6 @@ impl Endpoint {
     /// machinery only when it can ever be needed.
     pub fn faults_enabled(&self) -> bool {
         self.faults.is_some()
-    }
-
-    /// The link model this endpoint uses.
-    pub fn link(&self) -> &LinkModel {
-        &self.link
     }
 
     /// Number of operations issued.
@@ -160,7 +152,7 @@ impl Endpoint {
             return Err(FabricError::InvalidArgument("empty put"));
         }
         let region = self.validate(desc, offset, data.len())?;
-        let timing = self.link.put_timing(data.len());
+        let timing = link::put_timing(data.len());
 
         // Sender CPU posts the work request, rings the doorbell.
         let sender_free = now + timing.sender_cpu;
@@ -447,7 +439,7 @@ mod tests {
         });
         let mut ep = fabric.endpoint(a, b).unwrap();
         let out = ep.put(SimTime::ZERO, &[9u8; 1024], &desc, 0).unwrap();
-        let gap = ep.link().put_timing(size).gap;
+        let gap = link::put_timing(size).gap;
         assert!(
             out.delivered >= gap * (2 * n) as u64,
             "the 51st put must queue behind 50 transmit gaps ({} < {})",
@@ -508,7 +500,7 @@ mod tests {
         let snap = fabric.fault_counters(a, b).unwrap();
         assert_eq!(snap.dropped, 1);
         // The tx pipeline was still consumed: a follow-up put queues behind it.
-        let timing = ep.link().put_timing(128);
+        let timing = link::put_timing(128);
         let next = ep.put(SimTime::ZERO, &[1u8; 128], &desc, 256).unwrap();
         assert!(next.delivered >= out.sender_free + timing.gap);
     }
@@ -632,7 +624,7 @@ mod tests {
             now = out.sender_free;
             last = out.delivered;
         }
-        let one = ep.link().put_timing(size);
+        let one = link::put_timing(size);
         let serial_estimate = one.one_way() + one.gap * 15;
         assert!(last.as_ns() < serial_estimate.as_ns() * 1.5);
         assert!(last > one.gap * 15);

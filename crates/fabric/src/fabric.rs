@@ -15,7 +15,6 @@ use twochains_memsim::{CoreBus, SharedHierarchy, TestbedConfig};
 use crate::endpoint::Endpoint;
 use crate::error::{FabricError, FabricResult};
 use crate::fault::{FaultHook, FaultPlan, FaultSnapshot};
-use crate::link::LinkModel;
 use crate::nic::NicModel;
 use crate::region::{MemoryRegion, RegionDescriptor};
 use crate::rkey::AccessFlags;
@@ -31,23 +30,8 @@ impl HostId {
     }
 }
 
-/// Fabric-wide configuration.
-#[derive(Debug, Clone)]
-pub struct FabricConfig {
-    /// Link/protocol timing model shared by every endpoint.
-    pub link: LinkModel,
-    /// Base simulated virtual address of the first registration on each host.
-    pub va_base: u64,
-}
-
-impl Default for FabricConfig {
-    fn default() -> Self {
-        FabricConfig {
-            link: LinkModel::connectx6_back_to_back(),
-            va_base: 0x0001_0000_0000,
-        }
-    }
-}
+/// Base simulated virtual address of the first registration on each host.
+const VA_BASE: u64 = 0x0001_0000_0000;
 
 /// Per-host state.
 pub(crate) struct HostState {
@@ -69,15 +53,15 @@ impl std::fmt::Debug for HostState {
 }
 
 impl HostState {
-    fn new(id: HostId, cfg: TestbedConfig, link: LinkModel, va_base: u64) -> Self {
+    fn new(id: HostId, cfg: TestbedConfig) -> Self {
         let hierarchy = Arc::new(SharedHierarchy::new(cfg));
-        let nic = NicModel::new(link, Arc::clone(&hierarchy));
+        let nic = NicModel::new(Arc::clone(&hierarchy));
         HostState {
             id,
             hierarchy,
             nic,
             regions: Mutex::new(Vec::new()),
-            va_cursor: Mutex::new(va_base),
+            va_cursor: Mutex::new(VA_BASE),
             nonce: AtomicU32::new(1),
         }
     }
@@ -122,9 +106,9 @@ impl HostState {
     }
 }
 
+#[derive(Default)]
 struct FabricInner {
     hosts: RwLock<Vec<Arc<HostState>>>,
-    config: FabricConfig,
     /// Fault plans keyed by directed link `(initiator, target)`. Endpoints
     /// capture the hook for their link at creation time (see [`crate::fault`]).
     faults: Mutex<HashMap<(usize, usize), Arc<FaultHook>>>,
@@ -145,20 +129,12 @@ impl std::fmt::Debug for SimFabric {
 }
 
 impl SimFabric {
-    /// Create an empty fabric.
-    pub fn new(config: FabricConfig) -> Self {
-        SimFabric {
-            inner: Arc::new(FabricInner {
-                hosts: RwLock::new(Vec::new()),
-                config,
-                faults: Mutex::new(HashMap::new()),
-            }),
-        }
-    }
-
-    /// Create a fabric with the default (paper-testbed) configuration.
+    /// Create an empty fabric. Every endpoint times its puts with the paper
+    /// testbed's link ([`crate::link`]).
     pub fn with_defaults() -> Self {
-        Self::new(FabricConfig::default())
+        SimFabric {
+            inner: Arc::default(),
+        }
     }
 
     /// Convenience: build the paper's two-server back-to-back testbed. Returns the
@@ -170,21 +146,11 @@ impl SimFabric {
         (fabric, a, b)
     }
 
-    /// The fabric configuration.
-    pub fn config(&self) -> &FabricConfig {
-        &self.inner.config
-    }
-
     /// Attach a new host with the given machine description. Returns its id.
     pub fn add_host(&self, cfg: TestbedConfig) -> HostId {
         let mut hosts = self.inner.hosts.write();
         let id = HostId(hosts.len());
-        let host = HostState::new(
-            id,
-            cfg,
-            self.inner.config.link.clone(),
-            self.inner.config.va_base,
-        );
+        let host = HostState::new(id, cfg);
         hosts.push(Arc::new(host));
         id
     }
@@ -230,12 +196,7 @@ impl SimFabric {
             .lock()
             .get(&(from.index(), to.index()))
             .map(|hook| hook.attach());
-        Ok(Endpoint::new(
-            self.inner.config.link.clone(),
-            src,
-            dst,
-            faults,
-        ))
+        Ok(Endpoint::new(src, dst, faults))
     }
 
     /// Install a seeded fault plan on the directed link `from -> to`. Only

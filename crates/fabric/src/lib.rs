@@ -17,10 +17,10 @@
 //! * **Delivery into the memory hierarchy**: the simulated NIC DMA engine either
 //!   stashes arriving cache lines into the destination LLC or writes them to DRAM,
 //!   by calling into `twochains-memsim` ([`nic`]).
-//! * **A timing model** ([`link::LinkModel`]) with LogGP-style overhead/gap terms,
-//!   PCIe and wire latency, and UCX-like protocol-threshold steps, calibrated to the
-//!   paper's small-message latency (~1 µs one-way) and 200 Gb/s line rate.
-//! * **A UCX-put baseline** ([`baseline::UcxPutBaseline`]) reproducing the software
+//! * **A timing model** ([`link`]) with LogGP-style overhead/gap terms, PCIe and
+//!   wire latency, and UCX-like protocol-threshold steps, its constants rows of
+//!   [`twochains_memsim::cost`] fitted to the paper's small-message latency.
+//! * **A UCX-put baseline** ([`baseline`]) reproducing the software
 //!   overhead of the standard `ucp_put` + completion-tracking path that Figs. 5–6 of
 //!   the paper compare against.
 //! * **Seeded fault injection** ([`fault`]): a per-directed-link
@@ -56,12 +56,11 @@ pub mod nic;
 pub mod region;
 pub mod rkey;
 
-pub use baseline::UcxPutBaseline;
 pub use endpoint::{Endpoint, PutOutcome};
 pub use error::{FabricError, FabricResult};
-pub use fabric::{FabricConfig, HostHandle, HostId, SimFabric};
+pub use fabric::{HostHandle, HostId, SimFabric};
 pub use fault::{FaultPlan, FaultSnapshot};
-pub use link::{LinkModel, LinkTiming, Protocol};
+pub use link::{LinkTiming, Protocol};
 pub use nic::NicModel;
 pub use region::{MemoryRegion, RegionDescriptor};
 pub use rkey::{AccessFlags, RKey};

@@ -14,16 +14,16 @@
 use parking_lot::Mutex;
 use std::sync::Arc;
 
+use twochains_memsim::cost::DMA_EXPOSED_TAIL;
 use twochains_memsim::{SharedHierarchy, SimTime};
 
-use crate::link::{LinkModel, LinkTiming};
+use crate::link::{self, LinkTiming};
 
 /// Per-host NIC state: transmit/receive serialization points. The stashing toggle
 /// for inbound DMA (the firmware toggle for the ConnectX-6 device in the paper's
 /// experiments) is the destination hierarchy's own: [`NicModel::stashing`] reads it.
 #[derive(Debug)]
 pub struct NicModel {
-    link: LinkModel,
     /// Time until which the transmit path is busy.
     tx_busy_until: Mutex<SimTime>,
     /// Time until which the receive/DMA path is busy.
@@ -36,18 +36,12 @@ pub struct NicModel {
 
 impl NicModel {
     /// Create a NIC attached to `hierarchy`, whose stashing setting is the NIC's.
-    pub fn new(link: LinkModel, hierarchy: Arc<SharedHierarchy>) -> Self {
+    pub fn new(hierarchy: Arc<SharedHierarchy>) -> Self {
         NicModel {
-            link,
             tx_busy_until: Mutex::new(SimTime::ZERO),
             rx_busy_until: Mutex::new(SimTime::ZERO),
             hierarchy,
         }
-    }
-
-    /// The link model used by this NIC.
-    pub fn link(&self) -> &LinkModel {
-        &self.link
     }
 
     /// Enable or disable LLC stashing for inbound traffic (the per-device low-level
@@ -81,18 +75,19 @@ impl NicModel {
     /// DMA work it took. This is called on the *receiving* NIC.
     ///
     /// The install engine (stash port or DRAM write path) is cut-through: it keeps up
-    /// with the line rate, so only the tail of the final cache line is exposed on the
-    /// latency path, and back-to-back messages are spaced by the smaller of the
-    /// install cost and the wire-serialization time.
+    /// with the line rate, so only the tail of the final cache line
+    /// ([`DMA_EXPOSED_TAIL`]) is exposed on the latency path, and back-to-back
+    /// messages are spaced by the smaller of the install cost and the
+    /// wire-serialization time.
     pub fn deliver(&self, arrival: SimTime, dst_addr: u64, len: usize) -> (SimTime, SimTime) {
         let mut busy = self.rx_busy_until.lock();
         let start = arrival.max(*busy);
         let dma_cost = self.hierarchy.dma_write(dst_addr, len);
         // Exposed tail: the last line's installation.
-        let tail = dma_cost.min(SimTime::from_ns(12));
+        let tail = dma_cost.min(DMA_EXPOSED_TAIL);
         let done = start + tail;
         // Throughput: the install engine is at least as fast as the wire.
-        let wire_equiv = self.link.wire_time(len);
+        let wire_equiv = link::wire_time(len);
         *busy = start + dma_cost.min(wire_equiv).max(tail);
         (done, dma_cost)
     }
@@ -107,7 +102,7 @@ mod tests {
         let mut cfg = TestbedConfig::tiny_for_tests();
         cfg.llc_stashing = stash;
         let h = Arc::new(SharedHierarchy::new(cfg));
-        NicModel::new(LinkModel::connectx6_back_to_back(), h)
+        NicModel::new(h)
     }
 
     #[test]
@@ -143,7 +138,7 @@ mod tests {
     #[test]
     fn tx_serialization_spaces_out_messages() {
         let n = nic(true);
-        let timing = n.link().put_timing(16 * 1024);
+        let timing = link::put_timing(16 * 1024);
         let now = SimTime::from_ns(100);
         let (s1, f1) = n.acquire_tx(now, &timing);
         let (s2, _f2) = n.acquire_tx(now, &timing);

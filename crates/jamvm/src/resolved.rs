@@ -89,13 +89,14 @@
 //! the current message resolved to, and any package reinstall or namespace
 //! change purges the cache wholesale.
 
+use twochains_memsim::cost::EXTERN_CALL_OVERHEAD;
 use twochains_memsim::{AccessKind, MemoryBus, SimTime};
 
 use crate::encode::Program;
 use crate::externs::{ExternCtx, ExternRef, ExternTable, GotImage};
 use crate::isa::{hash64, AluOp, Cond, Instr, Width, NUM_REGS};
 use crate::memory::JamSpace;
-use crate::vm::{alu, ExecError, ExecStats, Vm, VmConfig};
+use crate::vm::{alu, issue_cost, ExecError, ExecStats, Vm, VmConfig};
 
 /// Modelled size of one resolved op in the receiver's code cache. The resolved
 /// image is wider than the wire encoding (operands are flat, not packed) but
@@ -712,8 +713,7 @@ impl Vm {
             memory_time: SimTime::ZERO,
             fetch_time: SimTime::ZERO,
         };
-        let cycle = SimTime::from_cycles(1, cfg.freq_ghz);
-        let issue_cost = cycle * (1.0 / cfg.ipc);
+        let issue_cost = issue_cost();
         let ops = &resolved.ops;
         let charge_fetch = cfg.code_base != 0;
 
@@ -842,8 +842,8 @@ impl Vm {
                     stats.result = regs[0];
                     // Every retired instruction costs one issue slot and every
                     // extern call its overhead, whatever order they came in.
-                    stats.compute_time = issue_cost * stats.instructions
-                        + cfg.extern_call_overhead * stats.extern_calls;
+                    stats.compute_time =
+                        issue_cost * stats.instructions + EXTERN_CALL_OVERHEAD * stats.extern_calls;
                     return Ok(stats);
                 }
                 ResolvedOp::LoadAlu {

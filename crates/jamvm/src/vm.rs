@@ -14,6 +14,7 @@
 //! cost — which depends on where the code and data landed (LLC if the message was
 //! stashed, DRAM otherwise), reproducing the effect the paper measures.
 
+use twochains_memsim::cost::{CORE_FREQ_GHZ, EXTERN_CALL_OVERHEAD, INSTRS_PER_CYCLE};
 use twochains_memsim::{AccessKind, MemoryBus, SimTime};
 
 use crate::encode::encoded_size;
@@ -64,6 +65,14 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
+/// Issue time of one instruction: a core cycle at [`CORE_FREQ_GHZ`] over
+/// [`INSTRS_PER_CYCLE`] (the paper's cores are "modern superscalar"), charged on
+/// top of memory time. Each extern call adds [`EXTERN_CALL_OVERHEAD`] (call and
+/// return through the indirection).
+pub(crate) fn issue_cost() -> SimTime {
+    SimTime::from_cycles(1, CORE_FREQ_GHZ) * (1.0 / INSTRS_PER_CYCLE)
+}
+
 /// Per-execution configuration.
 #[derive(Debug, Clone)]
 pub struct VmConfig {
@@ -74,14 +83,6 @@ pub struct VmConfig {
     pub code_base: u64,
     /// Maximum number of instructions to retire before aborting.
     pub fuel: u64,
-    /// Core frequency in GHz (for converting per-instruction cycles to time).
-    pub freq_ghz: f64,
-    /// Average retired instructions per cycle for straight-line bytecode (the paper's
-    /// cores are "modern superscalar"; the interpreter charges 1/ipc cycles per
-    /// instruction on top of memory time).
-    pub ipc: f64,
-    /// Fixed overhead per extern call (call/return through the indirection).
-    pub extern_call_overhead: SimTime,
     /// Initial values for registers `r0..r2` — the jam entry convention (ARGS base,
     /// USR base, USR length) — so that a cached program runs as it is, whatever
     /// message it runs for.
@@ -94,9 +95,6 @@ impl Default for VmConfig {
             core: 0,
             code_base: 0,
             fuel: 10_000_000,
-            freq_ghz: 2.6,
-            ipc: 2.0,
-            extern_call_overhead: SimTime::from_ns(6),
             entry_regs: [0; 3],
         }
     }
@@ -166,8 +164,7 @@ impl Vm {
             offsets.push(acc);
             acc += encoded_size(i);
         }
-        let cycle = SimTime::from_cycles(1, cfg.freq_ghz);
-        let issue_cost = cycle * (1.0 / cfg.ipc);
+        let issue_cost = issue_cost();
 
         loop {
             if stats.instructions >= cfg.fuel {
@@ -253,7 +250,7 @@ impl Vm {
                 }
                 Instr::CallExtern { slot, nargs } => {
                     stats.extern_calls += 1;
-                    stats.compute_time += cfg.extern_call_overhead;
+                    stats.compute_time += EXTERN_CALL_OVERHEAD;
                     let idx = match got.get(slot as usize) {
                         ExternRef::Resolved(i) => i,
                         ExternRef::Unresolved => return Err(ExecError::UnresolvedGot { slot }),

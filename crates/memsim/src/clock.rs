@@ -2,7 +2,8 @@
 //!
 //! All latencies in the simulator are expressed as [`SimTime`], a picosecond-granular
 //! fixed-point duration/instant type. Picoseconds are used instead of nanoseconds so
-//! that per-instruction costs (a 2.6 GHz core retires one cycle every ~384 ps) do not
+//! that per-instruction costs (a core at [`CORE_FREQ_GHZ`](crate::cost::CORE_FREQ_GHZ)
+//! retires one cycle every few hundred ps) do not
 //! collapse to zero, and instead of floating point so that simulations stay exactly
 //! deterministic and additive regardless of accumulation order.
 

@@ -1,13 +1,16 @@
 //! Machine / testbed description.
 //!
-//! [`TestbedConfig`] collects every tunable of the simulated platform in one place.
-//! The default configuration, [`TestbedConfig::cluster2021`], reproduces the paper's
-//! evaluation testbed (§VI-C): a 4-core Arm server with 1 MiB private L2 per core,
-//! 1 MiB L3 shared per 2-core cluster, an 8 MiB shared LLC, DDR4-2666 DRAM, a 2.6 GHz
-//! core clock and a 1.6 GHz interconnect clock, an LLC-stashing-capable PCIe root
-//! complex, and toggleable hardware prefetchers.
+//! [`TestbedConfig`] describes the simulated platform's memory system: cache
+//! geometry, hit latencies, DRAM, prefetcher and stashing. The default
+//! configuration, [`TestbedConfig::cluster2021`], reproduces the paper's evaluation
+//! testbed (§VI-C): a 4-core Arm server with 1 MiB private L2 per core, 1 MiB L3
+//! shared per 2-core cluster, an 8 MiB shared LLC, DDR4-2666 DRAM, an
+//! LLC-stashing-capable PCIe root complex, and toggleable hardware prefetchers; its
+//! latencies and bandwidth are rows of [`crate::cost`]. The core clock is the
+//! table's [`CORE_FREQ_GHZ`](crate::cost::CORE_FREQ_GHZ) row, whatever the preset.
 
 use crate::clock::SimTime;
+use crate::cost;
 
 /// Cache line size used throughout the simulator (bytes).
 pub const CACHE_LINE: usize = 64;
@@ -80,8 +83,8 @@ pub struct CacheGeometry {
 
 /// Latencies charged for hits at each level and for control overheads.
 ///
-/// Values are typical for a modern Arm server part at the paper's clock rates; they
-/// are inputs to the model, not measurements, and can be overridden per experiment.
+/// The paper's testbed reads its values from [`crate::cost`]'s rows; the tiny test
+/// machine sets its own.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyConfig {
     /// L1 hit latency (also the lookup charge paid on an L1 miss).
@@ -103,9 +106,9 @@ pub struct LatencyConfig {
 /// DRAM device/channel parameters used by the contention model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramConfig {
-    /// Peak sustainable bandwidth of the memory system in GiB/s.
-    /// DDR4-2666 single channel peaks at ~21.3 GB/s; the paper's small servers are
-    /// modelled with one loaded channel's worth of realistic sustained bandwidth.
+    /// Peak sustainable bandwidth of the memory system in GiB/s
+    /// ([`DRAM_BANDWIDTH_GIB_S`](crate::cost::DRAM_BANDWIDTH_GIB_S) on the paper's
+    /// testbed: below the ~21.3 GB/s peak of one DDR4-2666 channel).
     pub bandwidth_gib_s: f64,
     /// Fraction of peak bandwidth consumed by background traffic when the
     /// memory stressor is active (0.0 = idle machine).
@@ -128,10 +131,6 @@ pub struct PrefetchConfig {
 /// Complete description of the simulated machine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TestbedConfig {
-    /// Core clock frequency in GHz.
-    pub core_freq_ghz: f64,
-    /// On-chip interconnect (mesh/CMN) clock frequency in GHz.
-    pub interconnect_freq_ghz: f64,
     /// Cache geometry.
     pub caches: CacheGeometry,
     /// Latency table.
@@ -142,17 +141,12 @@ pub struct TestbedConfig {
     pub prefetch: PrefetchConfig,
     /// Whether the PCIe root complex stashes inbound DMA traffic into the LLC.
     pub llc_stashing: bool,
-    /// Main memory capacity in bytes (16 GiB on the paper's servers). Only used for
-    /// sanity checks on simulated address ranges.
-    pub dram_capacity: usize,
 }
 
 impl TestbedConfig {
     /// The paper's evaluation platform (§VI-C), with stashing and prefetching enabled.
     pub fn cluster2021() -> Self {
         TestbedConfig {
-            core_freq_ghz: 2.6,
-            interconnect_freq_ghz: 1.6,
             caches: CacheGeometry {
                 l1: CacheLevelConfig::new(64 << 10, 4, CACHE_LINE),
                 l2: CacheLevelConfig::new(1 << 20, 8, CACHE_LINE),
@@ -162,16 +156,16 @@ impl TestbedConfig {
                 num_cores: 4,
             },
             latency: LatencyConfig {
-                l1_hit: SimTime::from_ns(1),
-                l2_hit: SimTime::from_ns(4),
-                l3_hit: SimTime::from_ns(12),
-                llc_hit: SimTime::from_ns(30),
-                dram: SimTime::from_ns(95),
-                writeback: SimTime::from_ns(8),
-                stash_install: SimTime::from_ns(6),
+                l1_hit: cost::L1_HIT,
+                l2_hit: cost::L2_HIT,
+                l3_hit: cost::L3_HIT,
+                llc_hit: cost::LLC_HIT,
+                dram: cost::DRAM_LATENCY,
+                writeback: cost::WRITEBACK,
+                stash_install: cost::STASH_INSTALL,
             },
             dram: DramConfig {
-                bandwidth_gib_s: 19.0,
+                bandwidth_gib_s: cost::DRAM_BANDWIDTH_GIB_S,
                 background_utilization: 0.0,
             },
             prefetch: PrefetchConfig {
@@ -181,7 +175,6 @@ impl TestbedConfig {
                 streams: 16,
             },
             llc_stashing: true,
-            dram_capacity: 16 << 30,
         }
     }
 
@@ -203,8 +196,6 @@ impl TestbedConfig {
     /// evictions and write-backs easy to trigger without touching megabytes of state.
     pub fn tiny_for_tests() -> Self {
         TestbedConfig {
-            core_freq_ghz: 1.0,
-            interconnect_freq_ghz: 1.0,
             caches: CacheGeometry {
                 l1: CacheLevelConfig::new(1024, 2, CACHE_LINE),
                 l2: CacheLevelConfig::new(4 * 1024, 2, CACHE_LINE),
@@ -233,18 +224,7 @@ impl TestbedConfig {
                 streams: 4,
             },
             llc_stashing: true,
-            dram_capacity: 1 << 30,
         }
-    }
-
-    /// Duration of one core clock cycle.
-    pub fn core_cycle(&self) -> SimTime {
-        SimTime::from_cycles(1, self.core_freq_ghz)
-    }
-
-    /// Duration of one interconnect clock cycle.
-    pub fn interconnect_cycle(&self) -> SimTime {
-        SimTime::from_cycles(1, self.interconnect_freq_ghz)
     }
 
     /// Which cluster a core belongs to.
@@ -279,11 +259,8 @@ mod tests {
         assert_eq!(c.caches.llc.capacity, 8 << 20);
         assert_eq!(c.caches.num_cores, 4);
         assert_eq!(c.caches.cores_per_cluster, 2);
-        assert_eq!(c.core_freq_ghz, 2.6);
-        assert_eq!(c.interconnect_freq_ghz, 1.6);
         assert!(c.llc_stashing);
         assert!(c.prefetch.enabled);
-        assert_eq!(c.dram_capacity, 16 << 30);
     }
 
     #[test]
@@ -318,12 +295,5 @@ mod tests {
         assert_eq!(c.cluster_of(2), 1);
         assert_eq!(c.cluster_of(3), 1);
         assert_eq!(c.num_clusters(), 2);
-    }
-
-    #[test]
-    fn cycle_durations_follow_clock_domains() {
-        let c = TestbedConfig::cluster2021();
-        assert!(c.core_cycle() < c.interconnect_cycle());
-        assert!((c.core_cycle().as_ns() - 1.0 / 2.6).abs() < 1e-3);
     }
 }

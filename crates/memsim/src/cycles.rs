@@ -14,8 +14,15 @@
 //!   (`LDXR`/`WFE`), and sleeps. Waking costs a small fixed latency (the event
 //!   signal propagating through the interconnect plus pipeline restart) and a small
 //!   fixed number of cycles. During the sleep the core retires (almost) nothing.
+//!
+//! The poll interval, the WFE wake latency and cycle costs and the core clock are
+//! rows of [`crate::cost`] ([`POLL_INTERVAL`], [`WFE_WAKE_LATENCY`],
+//! [`WFE_OVERHEAD_CYCLES`], [`WFE_RECHECK_CYCLES`], [`CORE_FREQ_GHZ`]).
 
 use crate::clock::SimTime;
+use crate::cost::{
+    CORE_FREQ_GHZ, POLL_INTERVAL, WFE_OVERHEAD_CYCLES, WFE_RECHECK_CYCLES, WFE_WAKE_LATENCY,
+};
 
 /// How the receiver waits for the mailbox signal word to change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -50,68 +57,31 @@ pub struct WaitOutcome {
     pub cycles: u64,
 }
 
-/// Parameters of the wait model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WaitModel {
-    /// Core frequency in GHz (cycles are charged at this rate while spinning).
-    pub core_freq_ghz: f64,
-    /// Polling loop granularity: the arrival is observed at the next poll boundary.
-    /// A tight acquire-load loop on a cached line turns around in a few cycles.
-    pub poll_interval: SimTime,
-    /// Extra wake-up latency paid by WFE (event signal + pipeline restart).
-    pub wfe_wake_latency: SimTime,
-    /// Cycles spent entering the WFE state (arming the monitor) and leaving it.
-    pub wfe_overhead_cycles: u64,
-    /// Cycles retired per wake-up while in WFE (spurious wake-up filtering, the
-    /// re-check of the signal word).
-    pub wfe_recheck_cycles: u64,
-}
-
-impl WaitModel {
-    /// Wait model for the paper's 2.6 GHz cores.
-    pub fn cluster2021() -> Self {
-        WaitModel {
-            core_freq_ghz: 2.6,
-            poll_interval: SimTime::from_ns(4),
-            wfe_wake_latency: SimTime::from_ns(14),
-            wfe_overhead_cycles: 40,
-            wfe_recheck_cycles: 24,
+/// Compute the outcome of waiting `wait` for a signal, under `mode`.
+pub fn wait(mode: WaitMode, wait: SimTime) -> WaitOutcome {
+    match mode {
+        WaitMode::Polling => {
+            // Round the observation up to the next poll boundary.
+            let interval = POLL_INTERVAL.as_ps().max(1);
+            let polls = wait.as_ps().div_ceil(interval);
+            let elapsed = SimTime::from_ps(polls.max(1) * interval);
+            let cycles = elapsed.to_cycles(CORE_FREQ_GHZ);
+            WaitOutcome { elapsed, cycles }
         }
-    }
-
-    /// Compute the outcome of waiting `wait` for a signal, under `mode`.
-    pub fn wait(&self, mode: WaitMode, wait: SimTime) -> WaitOutcome {
-        match mode {
-            WaitMode::Polling => {
-                // Round the observation up to the next poll boundary.
-                let interval = self.poll_interval.as_ps().max(1);
-                let polls = wait.as_ps().div_ceil(interval);
-                let elapsed = SimTime::from_ps(polls.max(1) * interval);
-                let cycles = elapsed.to_cycles(self.core_freq_ghz);
-                WaitOutcome { elapsed, cycles }
+        WaitMode::Wfe => {
+            // The core spins for up to one poll interval before arming WFE (this
+            // catches already-arrived messages with zero extra latency), then
+            // sleeps until the event fires.
+            if wait <= POLL_INTERVAL {
+                let elapsed = POLL_INTERVAL;
+                let cycles = elapsed.to_cycles(CORE_FREQ_GHZ);
+                return WaitOutcome { elapsed, cycles };
             }
-            WaitMode::Wfe => {
-                // The core spins for up to one poll interval before arming WFE (this
-                // catches already-arrived messages with zero extra latency), then
-                // sleeps until the event fires.
-                if wait <= self.poll_interval {
-                    let elapsed = self.poll_interval;
-                    let cycles = elapsed.to_cycles(self.core_freq_ghz);
-                    return WaitOutcome { elapsed, cycles };
-                }
-                let elapsed = wait + self.wfe_wake_latency;
-                let cycles = self.poll_interval.to_cycles(self.core_freq_ghz)
-                    + self.wfe_overhead_cycles
-                    + self.wfe_recheck_cycles;
-                WaitOutcome { elapsed, cycles }
-            }
+            let elapsed = wait + WFE_WAKE_LATENCY;
+            let cycles =
+                POLL_INTERVAL.to_cycles(CORE_FREQ_GHZ) + WFE_OVERHEAD_CYCLES + WFE_RECHECK_CYCLES;
+            WaitOutcome { elapsed, cycles }
         }
-    }
-}
-
-impl Default for WaitModel {
-    fn default() -> Self {
-        Self::cluster2021()
     }
 }
 
@@ -144,9 +114,9 @@ impl CycleCounter {
         self.total += cycles;
     }
 
-    /// Add cycles corresponding to a span of busy time at `freq_ghz`.
-    pub fn add_work_time(&mut self, t: SimTime, freq_ghz: f64) {
-        self.add_work(t.to_cycles(freq_ghz));
+    /// Add the cycles a span of busy time retires at [`CORE_FREQ_GHZ`].
+    pub fn add_work_time(&mut self, t: SimTime) {
+        self.add_work(t.to_cycles(CORE_FREQ_GHZ));
     }
 
     /// Total cycles retired.
@@ -178,9 +148,8 @@ mod tests {
 
     #[test]
     fn polling_burns_cycles_proportional_to_wait() {
-        let m = WaitModel::cluster2021();
-        let short = m.wait(WaitMode::Polling, SimTime::from_ns(100));
-        let long = m.wait(WaitMode::Polling, SimTime::from_us(10));
+        let short = wait(WaitMode::Polling, SimTime::from_ns(100));
+        let long = wait(WaitMode::Polling, SimTime::from_us(10));
         assert!(long.cycles > short.cycles * 50);
         // 10us at 2.6GHz = 26000 cycles
         assert!(long.cycles >= 26_000 && long.cycles <= 27_000);
@@ -188,9 +157,8 @@ mod tests {
 
     #[test]
     fn wfe_burns_roughly_constant_cycles() {
-        let m = WaitModel::cluster2021();
-        let short = m.wait(WaitMode::Wfe, SimTime::from_ns(500));
-        let long = m.wait(WaitMode::Wfe, SimTime::from_us(100));
+        let short = wait(WaitMode::Wfe, SimTime::from_ns(500));
+        let long = wait(WaitMode::Wfe, SimTime::from_us(100));
         assert_eq!(
             short.cycles, long.cycles,
             "WFE cycle cost should not grow with wait time"
@@ -200,10 +168,9 @@ mod tests {
 
     #[test]
     fn wfe_latency_penalty_is_small() {
-        let m = WaitModel::cluster2021();
-        let wait = SimTime::from_us(1);
-        let poll = m.wait(WaitMode::Polling, wait);
-        let wfe = m.wait(WaitMode::Wfe, wait);
+        let dt = SimTime::from_us(1);
+        let poll = wait(WaitMode::Polling, dt);
+        let wfe = wait(WaitMode::Wfe, dt);
         assert!(wfe.elapsed > poll.elapsed, "WFE pays a wake-up penalty");
         let penalty = (wfe.elapsed.as_ns() - poll.elapsed.as_ns()) / poll.elapsed.as_ns();
         assert!(penalty < 0.02, "penalty should be under 2%, got {penalty}");
@@ -214,10 +181,9 @@ mod tests {
         // For a ~1.5us one-way latency ping-pong, most of the receiver's time is
         // waiting; the paper reports 2.5x-3.8x total-cycle reduction. Check the wait
         // component alone gives a large factor.
-        let m = WaitModel::cluster2021();
-        let wait = SimTime::from_us_f64(1.5);
-        let poll = m.wait(WaitMode::Polling, wait);
-        let wfe = m.wait(WaitMode::Wfe, wait);
+        let dt = SimTime::from_us_f64(1.5);
+        let poll = wait(WaitMode::Polling, dt);
+        let wfe = wait(WaitMode::Wfe, dt);
         let factor = poll.cycles as f64 / wfe.cycles as f64;
         assert!(
             factor > 10.0,
@@ -227,12 +193,11 @@ mod tests {
 
     #[test]
     fn immediate_arrival_is_cheap_for_both() {
-        let m = WaitModel::cluster2021();
-        let p = m.wait(WaitMode::Polling, SimTime::ZERO);
-        let w = m.wait(WaitMode::Wfe, SimTime::ZERO);
-        assert!(p.elapsed <= m.poll_interval);
-        assert!(w.elapsed <= m.poll_interval);
-        assert!(w.cycles <= p.cycles + m.wfe_overhead_cycles);
+        let p = wait(WaitMode::Polling, SimTime::ZERO);
+        let w = wait(WaitMode::Wfe, SimTime::ZERO);
+        assert!(p.elapsed <= POLL_INTERVAL);
+        assert!(w.elapsed <= POLL_INTERVAL);
+        assert!(w.cycles <= p.cycles + WFE_OVERHEAD_CYCLES);
     }
 
     #[test]
@@ -240,14 +205,15 @@ mod tests {
         let mut c = CycleCounter::new();
         c.add_wait(100);
         c.add_work(40);
-        c.add_work_time(SimTime::from_ns(10), 2.0); // 20 cycles
+        c.add_work_time(SimTime::from_ns(10));
+        let busy = SimTime::from_ns(10).to_cycles(CORE_FREQ_GHZ);
         assert_eq!(c.waiting(), 100);
-        assert_eq!(c.working(), 60);
-        assert_eq!(c.total(), 160);
+        assert_eq!(c.working(), 40 + busy);
+        assert_eq!(c.total(), 140 + busy);
         let mut d = CycleCounter::new();
         d.add_wait(1);
         d.merge(&c);
-        assert_eq!(d.total(), 161);
+        assert_eq!(d.total(), 141 + busy);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! The paper's evaluation platform is a pair of Arm servers with a 4-core superscalar
 //! CPU (1 MiB private L2 per core, 1 MiB L3 per 2-core cluster, 8 MiB shared LLC),
-//! DDR4-2666 main memory, a 2.6 GHz core clock and a 1.6 GHz on-chip interconnect.
+//! DDR4-2666 main memory and the core clock of [`cost::CORE_FREQ_GHZ`].
 //! Crucially the platform supports *LLC stashing*: traffic arriving from the
 //! ConnectX-6 HCA through the PCIe root complex can be written directly into the last
 //! level cache instead of DRAM, and the hardware prefetchers can be toggled from user
@@ -23,8 +23,11 @@
 //!   gap at large message sizes in Figs. 9–10 of the paper).
 //! * [`stress::MemoryStressor`] — an at-capacity memory system model standing in for
 //!   `stress-ng --class vm --all 1` in the tail-latency experiments (Figs. 11–12).
-//! * [`cycles`] — core/interconnect clock domains and the Polling-vs-WFE cycle
-//!   accounting used by Figs. 13–14.
+//! * [`cycles`] — the Polling-vs-WFE cycle accounting used by Figs. 13–14.
+//! * [`cost`] — every modelled constant of the workspace, one row each with its
+//!   provenance: the core clock ([`cost::CORE_FREQ_GHZ`]), the testbed's hit
+//!   latencies, the link, NIC and UCX-baseline timings, and the runtime's
+//!   dispatch, packing and hardening costs.
 //! * [`clock::SimTime`] — the virtual-time base used everywhere.
 //!
 //! All benchmark numbers produced by the workspace are *virtual time* computed from
@@ -37,6 +40,7 @@
 pub mod cache;
 pub mod clock;
 pub mod config;
+pub mod cost;
 pub mod cycles;
 pub mod hierarchy;
 pub mod latency;

@@ -18,6 +18,10 @@
 //! reproducible bit-for-bit.
 
 use crate::clock::SimTime;
+use crate::cost::{
+    STRESS_BANDWIDTH_SHARE, STRESS_BURST_MAX_US, STRESS_BURST_MIN_US, STRESS_BURST_PROBABILITY,
+    STRESS_CONFLICT_MAX_NS, STRESS_JITTER_MAX_NS,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -57,31 +61,31 @@ impl MemoryStressor {
     /// The share of DRAM bandwidth the stressor occupies; feed this into
     /// [`crate::latency::DramModel::set_background_utilization`].
     pub fn bandwidth_share(&self) -> f64 {
-        // stress-ng vm class workers comfortably saturate ~70% of a small server's
-        // memory bandwidth; scale linearly with intensity.
-        0.70 * self.intensity
+        // stress-ng vm class workers occupy most of a small server's memory
+        // bandwidth; scale linearly with intensity.
+        STRESS_BANDWIDTH_SHARE * self.intensity
     }
 
     /// Sample the extra queueing delay a single DRAM access observes.
     ///
     /// The distribution is a two-component mixture:
-    /// * with high probability, a uniform "bank/row conflict" delay of up to ~60 ns
-    ///   scaled by intensity;
-    /// * with probability `0.002 * intensity` (about one access in 500 on the loaded
-    ///   system), a "burst collision" of 1–12 µs representing the access queuing
-    ///   behind a stressor page sweep or a reclaim stall.
+    /// * with high probability, a uniform "bank/row conflict" delay of up to
+    ///   [`STRESS_CONFLICT_MAX_NS`] scaled by intensity;
+    /// * with probability [`STRESS_BURST_PROBABILITY`] × intensity, a "burst
+    ///   collision" of [`STRESS_BURST_MIN_US`]–[`STRESS_BURST_MAX_US`] representing
+    ///   the access queuing behind a stressor page sweep or a reclaim stall.
     pub fn queueing_delay(&mut self) -> SimTime {
         if self.intensity <= 0.0 {
             return SimTime::ZERO;
         }
         self.samples += 1;
-        let burst_p = 0.002 * self.intensity;
+        let burst_p = STRESS_BURST_PROBABILITY * self.intensity;
         if self.rng.gen::<f64>() < burst_p {
             self.bursts += 1;
-            let us = self.rng.gen_range(1.0..12.0) * self.intensity;
+            let us = self.rng.gen_range(STRESS_BURST_MIN_US..STRESS_BURST_MAX_US) * self.intensity;
             SimTime::from_us_f64(us)
         } else {
-            let ns = self.rng.gen_range(0.0..60.0) * self.intensity;
+            let ns = self.rng.gen_range(0.0..STRESS_CONFLICT_MAX_NS) * self.intensity;
             SimTime::from_ns_f64(ns)
         }
     }
@@ -93,7 +97,7 @@ impl MemoryStressor {
         if self.intensity <= 0.0 {
             return SimTime::ZERO;
         }
-        let ns = self.rng.gen_range(0.0..150.0) * self.intensity;
+        let ns = self.rng.gen_range(0.0..STRESS_JITTER_MAX_NS) * self.intensity;
         SimTime::from_ns_f64(ns)
     }
 

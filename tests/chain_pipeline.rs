@@ -419,6 +419,6 @@ fn send_spec_refuses_overlong_chains() {
     }
     assert!(matches!(
         tx.send_spec(SimTime::ZERO, &overlong, &target),
-        Err(AmError::BadFrame(_))
+        Err(AmError::Unsendable(_))
     ));
 }

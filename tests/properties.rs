@@ -10,7 +10,10 @@ use two_chains_suite::jamvm::{
     Program, Reg, Segment, SegmentKind, Vm, VmConfig,
 };
 use two_chains_suite::linker::{JamObject, SymbolRef};
-use two_chains_suite::memsim::cycles::{WaitMode, WaitModel};
+use two_chains_suite::memsim::cost::{
+    POLL_INTERVAL, WFE_OVERHEAD_CYCLES, WFE_RECHECK_CYCLES, WFE_WAKE_LATENCY,
+};
+use two_chains_suite::memsim::cycles::{wait, WaitMode};
 use two_chains_suite::memsim::{AccessKind, CacheHierarchy, MemoryBus, SimTime, TestbedConfig};
 use twochains::frame::{Frame, FrameView};
 
@@ -397,12 +400,11 @@ proptest! {
     /// latency penalty is bounded by the wake-up cost.
     #[test]
     fn wfe_dominates_polling_in_cycles(wait_ns in 0u64..1_000_000) {
-        let m = WaitModel::cluster2021();
-        let wait = SimTime::from_ns(wait_ns);
-        let poll = m.wait(WaitMode::Polling, wait);
-        let wfe = m.wait(WaitMode::Wfe, wait);
-        prop_assert!(wfe.cycles <= poll.cycles + m.wfe_overhead_cycles + m.wfe_recheck_cycles);
-        prop_assert!(wfe.elapsed <= poll.elapsed + m.wfe_wake_latency + m.poll_interval);
+        let dt = SimTime::from_ns(wait_ns);
+        let poll = wait(WaitMode::Polling, dt);
+        let wfe = wait(WaitMode::Wfe, dt);
+        prop_assert!(wfe.cycles <= poll.cycles + WFE_OVERHEAD_CYCLES + WFE_RECHECK_CYCLES);
+        prop_assert!(wfe.elapsed <= poll.elapsed + WFE_WAKE_LATENCY + POLL_INTERVAL);
     }
 
     /// Sharded burst draining is observationally equivalent to sequential
