@@ -349,7 +349,7 @@ pub fn benchmark_package() -> AmResult<Package> {
 mod tests {
     use super::*;
     use twochains_jamvm::externs::ExternCtx;
-    use twochains_jamvm::{AddressSpace, Segment, SegmentKind, Vm, VmConfig};
+    use twochains_jamvm::{resolve, AddressSpace, Segment, SegmentKind, Vm, VmConfig};
     use twochains_linker::LinkerNamespace;
     use twochains_memsim::hierarchy::FlatMemory;
     use twochains_memsim::SimTime;
@@ -433,7 +433,7 @@ mod tests {
                 SegmentKind::Payload,
             ))
             .unwrap();
-        let program = obj.program().unwrap().to_instrs();
+        let image = resolve(&obj.program().unwrap(), &got);
         let mut bus = FlatMemory::free();
         // Entry convention: r0=args, r1=usr, r2=usr_len — seeded through the config
         // so the program runs as-is (no prologue, no branch-target rewrite).
@@ -441,7 +441,7 @@ mod tests {
             entry_regs: [args_base, usr_base, usr_len as u64],
             ..VmConfig::default()
         };
-        let stats = Vm::execute(&program, &got, ns.externs(), space, &mut bus, &cfg).unwrap();
+        let stats = Vm::execute_resolved(&image, ns.externs(), space, &mut bus, &cfg).unwrap();
         space.unmap("msg.args");
         space.unmap("msg.usr");
         stats.result

@@ -100,8 +100,9 @@
 //! host time (a load per four bytes, a block fetch per iteration), and with
 //! the types named the bus's private-hit path and the space's scalar read
 //! are inlined into that loop. Extern functions
-//! still get both as `dyn`. It is the only engine the receiver runs: the interpreter,
-//! `Vm::execute`, is the reference the differential suites compare it against.
+//! still get both as `dyn`. It is the only engine the workspace ships: the
+//! interpreter the differential suites compare it against is test-only
+//! (`twochains-oracle`).
 //!
 //! # What a cold message costs the host
 //!

@@ -21,7 +21,8 @@ use crate::isa::Instr;
 /// [`crate::verify()`] and [`crate::resolve`] visit only the instructions it
 /// holds. A program built in-process comes in through `Program::from` an
 /// instruction slice or vector; [`Program::to_instrs`] lays it out again,
-/// `Nop`s included, for the interpreter ([`crate::Vm::execute`]). Pcs are
+/// `Nop`s included, for an instruction-at-a-time reader such as the test-only
+/// interpreter of `twochains-oracle`. Pcs are
 /// `u32`s, as branch targets are: a frame's code length is a `u32` and an
 /// instruction is at least one byte.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

@@ -1,7 +1,7 @@
 //! # twochains-jamvm
 //!
-//! A small, position-independent register bytecode and interpreter that stands in for
-//! the native AArch64 function binaries the paper injects over the network.
+//! A small, position-independent register bytecode and its execution engine, standing
+//! in for the native AArch64 function binaries the paper injects over the network.
 //!
 //! ## Why a VM instead of native code
 //!
@@ -26,15 +26,13 @@
 //!   [`twochains_memsim::MemoryBus`], so the execution cost depends on whether the
 //!   message was stashed into the LLC or landed in DRAM.
 //!
-//! Two execution engines share those properties. The resolved executor
-//! ([`vm::Vm::execute_resolved`]) is the one the runtime runs: it executes a
-//! [`resolved`] image lowered once by [`resolve`] — flat pre-decoded operands, GOT
-//! indirections turned into direct extern references (with lazy errors preserved),
-//! fused superinstructions and block-batched instruction fetch. The interpreter
-//! ([`vm::Vm::execute`]) walks the decoded program instruction by instruction; it
-//! is not a runtime path but the reference engine the differential suites compare
-//! the resolved executor against, which pins the two observationally equal. See the
-//! [`resolved`] module docs for the lowering, timing and invalidation contracts.
+//! One engine executes jams: the resolved executor ([`vm::Vm::execute_resolved`]). It
+//! runs a [`resolved`] image lowered once by [`resolve`] — flat pre-decoded operands,
+//! GOT indirections turned into direct extern references (with lazy errors
+//! preserved), fused superinstructions and block-batched instruction fetch. The
+//! instruction-at-a-time interpreter it is compared against lives in the test-only
+//! `twochains-oracle` crate, with an ALU of its own. See the [`resolved`] module docs
+//! for the lowering, timing and invalidation contracts.
 //!
 //! The crate is deliberately free of any dependency on the fabric or the runtime: it
 //! knows nothing about messages, only about executing verified bytecode against an

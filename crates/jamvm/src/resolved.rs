@@ -1,13 +1,15 @@
 //! The resolved IR: a lowered, directly-executable form of a decoded program.
 //!
-//! The interpreter in [`crate::vm`] re-decodes operands, chases GOT indirections
-//! and charges the memory bus one instruction-fetch per retired instruction on
-//! every execution. That is the right model for the *first* execution of an
-//! injected program — but the injection cache already proves most executions are
-//! warm re-runs of bytes the receiver has seen before. Dynamic binary
-//! instrumentation systems answer the same problem by translating once into a
-//! code cache and re-executing the lowered form; [`resolve`] is that translation
-//! and [`Vm::execute_resolved`] is the threaded re-execution.
+//! An interpreter re-decodes operands, chases GOT indirections and charges the
+//! memory bus one instruction-fetch per retired instruction on every execution.
+//! The injection cache proves most executions are warm re-runs of bytes the
+//! receiver has seen before. Dynamic binary instrumentation systems answer the
+//! same problem by translating once into a code cache and re-executing the
+//! lowered form; [`resolve`] is that translation and [`Vm::execute_resolved`]
+//! is the threaded re-execution, the one engine the receiver runs. An
+//! instruction-at-a-time interpreter stays only as the reference the
+//! differential suites compare it against: `twochains-oracle`, a crate only
+//! tests depend on, which states the ISA's arithmetic a second time.
 //!
 //! ## What lowering does
 //!
@@ -19,8 +21,8 @@
 //!   [`ResolvedOp::CallDirect`] holding the extern-table index the GOT slot
 //!   resolved to. Slots that are unresolved or bound to data lower to
 //!   [`ResolvedOp::CallUnresolved`] / [`ResolvedOp::CallNotCallable`], which
-//!   raise the *same error the interpreter would* — but only if actually
-//!   reached, preserving lazy-error semantics.
+//!   raise the *same error the call would* — but only if actually reached,
+//!   preserving lazy-error semantics.
 //! * **Superinstruction fusion** — hot adjacent pairs fuse into one op slot:
 //!   load+ALU ([`ResolvedOp::LoadAlu`]), ALU+dependent-branch
 //!   ([`ResolvedOp::AluBranch`] / [`ResolvedOp::AluImmBranch`], the `sub; jnz`
@@ -29,7 +31,7 @@
 //!   a branch target, so every control-transfer destination stays an op
 //!   boundary. Fused ops retire both halves (two instructions, two issue
 //!   charges, fuel re-checked between the halves) so functional and accounting
-//!   behaviour match the interpreter exactly.
+//!   behaviour match an instruction-at-a-time execution exactly.
 //! * **Runs of `Nop`s as one op** — a run of padding lowers to one
 //!   [`ResolvedOp::Nops`], which retires the run's instructions at once.
 //! * **Block-batched fetch** — instruction-fetch is charged once per
@@ -66,13 +68,13 @@
 //!
 //! ## Timing contract
 //!
-//! Compute and data-memory time are charged identically to the interpreter.
-//! Compute time is a function of two counts — one issue slot per retired
-//! instruction, one call overhead per extern call, in integer picoseconds —
-//! so the executor keeps the counts and derives `compute_time` once, when the
+//! Compute and data-memory time are charged as an instruction-at-a-time
+//! execution charges them. Compute time is a function of two counts — one
+//! issue slot per retired instruction, one [`EXTERN_CALL_OVERHEAD`] per extern
+//! call, in integer picoseconds — so the executor keeps the counts and derives `compute_time` once, when the
 //! jam returns (an execution that ends in an error reports no times at all).
 //! Fetch time differs by construction: the resolved executor issues one fetch
-//! access per block *entry* where the interpreter issues one per *instruction*,
+//! access per block *entry* where an interpreter issues one per *instruction*,
 //! so on a uniform-cost bus `resolved.total_time()` is bounded above by the
 //! interpreter's total and below by the interpreter's compute + memory time.
 //! This is the documented block-batching tolerance the differential tests pin.
@@ -89,14 +91,14 @@
 //! the current message resolved to, and any package reinstall or namespace
 //! change purges the cache wholesale.
 
-use twochains_memsim::cost::EXTERN_CALL_OVERHEAD;
+use twochains_memsim::cost::{CORE_FREQ_GHZ, EXTERN_CALL_OVERHEAD, INSTRS_PER_CYCLE};
 use twochains_memsim::{AccessKind, MemoryBus, SimTime};
 
 use crate::encode::Program;
 use crate::externs::{ExternCtx, ExternRef, ExternTable, GotImage};
 use crate::isa::{hash64, AluOp, Cond, Instr, Width, NUM_REGS};
 use crate::memory::JamSpace;
-use crate::vm::{alu, issue_cost, ExecError, ExecStats, Vm, VmConfig};
+use crate::vm::{ExecError, ExecStats, Vm, VmConfig};
 
 /// Modelled size of one resolved op in the receiver's code cache. The resolved
 /// image is wider than the wire encoding (operands are flat, not packed) but
@@ -199,7 +201,7 @@ pub enum ResolvedOp {
         nargs: u8,
     },
     /// A `CallExtern` through an unresolved GOT slot: raises
-    /// [`ExecError::UnresolvedGot`] *if reached* (lazy, like the interpreter).
+    /// [`ExecError::UnresolvedGot`] *if reached* (lazily, as the call would).
     CallUnresolved {
         /// The offending slot, echoed in the error.
         slot: u16,
@@ -489,8 +491,7 @@ pub fn resolve(program: &Program, got: &GotImage) -> ResolvedProgram {
 
     // The ops were lowered carrying original targets: now that every target
     // has its op, patch the few that carry one. A target past the end
-    // (possible in an unverified program — the interpreter faults on it
-    // lazily) is mapped past the end of the ops, preserving its distance
+    // (possible in an unverified program — executing it faults lazily) is mapped past the end of the ops, preserving its distance
     // beyond the original end so the out-of-bounds error can name the
     // original pc.
     let resolved_len = ops.len() as u32;
@@ -669,6 +670,35 @@ fn lower_one(instr: &Instr, got: &GotImage) -> ResolvedOp {
     }
 }
 
+/// Issue time of one instruction: a core cycle at [`CORE_FREQ_GHZ`] over
+/// [`INSTRS_PER_CYCLE`] (the paper's cores are "modern superscalar"), charged on
+/// top of memory time. Each extern call adds [`EXTERN_CALL_OVERHEAD`] (call and
+/// return through the indirection).
+fn issue_cost() -> SimTime {
+    SimTime::from_cycles(1, CORE_FREQ_GHZ) * (1.0 / INSTRS_PER_CYCLE)
+}
+
+#[inline]
+fn alu(op: AluOp, a: u64, b: u64) -> u64 {
+    match op {
+        AluOp::Add => a.wrapping_add(b),
+        AluOp::Sub => a.wrapping_sub(b),
+        AluOp::Mul => a.wrapping_mul(b),
+        AluOp::And => a & b,
+        AluOp::Or => a | b,
+        AluOp::Xor => a ^ b,
+        AluOp::Shl => a.wrapping_shl((b & 63) as u32),
+        AluOp::Shr => a.wrapping_shr((b & 63) as u32),
+        AluOp::Rem => {
+            if b == 0 {
+                0
+            } else {
+                a % b
+            }
+        }
+    }
+}
+
 #[inline]
 fn branch_taken(cond: Cond, x: u64, y: u64) -> bool {
     match cond {
@@ -682,9 +712,9 @@ fn branch_taken(cond: Cond, x: u64, y: u64) -> bool {
 impl Vm {
     /// Execute a resolved image to completion.
     ///
-    /// Functionally equivalent to running [`Vm::execute`] over the program the
-    /// image was lowered from with the GOT it was lowered against: same
-    /// results, same memory effects, same errors (including lazy GOT-call
+    /// Functionally equivalent to running the program the image was lowered
+    /// from, one instruction at a time, with the GOT it was lowered against:
+    /// same results, same memory effects, same errors (including lazy GOT-call
     /// errors and out-of-bounds pcs reported in *original* pc terms), same
     /// fuel accounting. Compute and data-memory time are charged identically;
     /// fetch time is charged per straight-line-block entry against
@@ -1070,260 +1100,11 @@ mod tests {
     use super::*;
     use crate::asm::Assembler;
     use crate::isa::Reg;
-    use crate::memory::{AddressSpace, Segment, SegmentKind};
     use proptest::prelude::*;
-    use std::sync::Arc;
-    use twochains_memsim::hierarchy::FlatMemory;
 
     /// [`resolve`] over a program built in-process.
     fn lower(program: &[Instr], got: &GotImage) -> ResolvedProgram {
         resolve(&Program::from(program), got)
-    }
-
-    fn run_both(
-        program: &[Instr],
-        got: &GotImage,
-        externs: &ExternTable,
-    ) -> (
-        Result<ExecStats, ExecError>,
-        Result<ExecStats, ExecError>,
-        ResolvedProgram,
-    ) {
-        let cfg = VmConfig::default();
-        let mut space_a = AddressSpace::new();
-        let mut bus_a = FlatMemory::free();
-        let interp = Vm::execute(program, got, externs, &mut space_a, &mut bus_a, &cfg);
-        let resolved = lower(program, got);
-        let mut space_b = AddressSpace::new();
-        let mut bus_b = FlatMemory::free();
-        let res = Vm::execute_resolved(&resolved, externs, &mut space_b, &mut bus_b, &cfg);
-        (interp, res, resolved)
-    }
-
-    #[test]
-    fn mov_pairs_fuse_and_match_interpreter() {
-        let mut a = Assembler::new();
-        a.load_imm(Reg(1), 40)
-            .load_imm(Reg(2), 2)
-            .mov(Reg(3), Reg(1))
-            .mov(Reg(4), Reg(2))
-            .add(Reg(0), Reg(3), Reg(4))
-            .ret();
-        let prog = a.finish().unwrap();
-        let (interp, res, resolved) = run_both(&prog, &GotImage::default(), &ExternTable::new());
-        assert_eq!(resolved.superinstruction_count(), 1, "mov pair fused");
-        let (i, r) = (interp.unwrap(), res.unwrap());
-        assert_eq!(r.result, 42);
-        assert_eq!(r.result, i.result);
-        assert_eq!(r.instructions, i.instructions, "fused halves both retire");
-        assert_eq!(r.superinstructions, 1);
-        assert_eq!(i.superinstructions, 0);
-    }
-
-    #[test]
-    fn loop_with_fused_back_edge_matches_interpreter() {
-        // The ssum inner-loop idiom: load+add fuses, sub+jnz fuses.
-        let mut asm = Assembler::new();
-        asm.load_imm(Reg(1), 0x2000)
-            .load_imm(Reg(2), 16)
-            .load_imm(Reg(0), 0)
-            .label("loop")
-            .load(Width::B4, Reg(3), Reg(1), 0)
-            .add(Reg(0), Reg(0), Reg(3))
-            .add_imm(Reg(1), Reg(1), 4)
-            .alu_imm(AluOp::Sub, Reg(2), Reg(2), 1)
-            .jnz(Reg(2), "loop")
-            .ret();
-        let prog = asm.finish().unwrap();
-        let values: Vec<u8> = (1u32..=16).flat_map(|v| v.to_le_bytes()).collect();
-        let seg = Segment::new("usr", 0x2000, values, false, SegmentKind::Payload);
-
-        let cfg = VmConfig::default();
-        let mut space_a = AddressSpace::new();
-        space_a.map(seg.clone()).unwrap();
-        let mut bus_a = FlatMemory::free();
-        let got = GotImage::default();
-        let externs = ExternTable::new();
-        let interp = Vm::execute(&prog, &got, &externs, &mut space_a, &mut bus_a, &cfg).unwrap();
-
-        let resolved = lower(&prog, &got);
-        assert!(
-            resolved.superinstruction_count() >= 2,
-            "load+add and sub+jnz both fuse: {resolved:?}"
-        );
-        let mut space_b = AddressSpace::new();
-        space_b.map(seg).unwrap();
-        let mut bus_b = FlatMemory::free();
-        let res =
-            Vm::execute_resolved(&resolved, &externs, &mut space_b, &mut bus_b, &cfg).unwrap();
-        assert_eq!(res.result, (1..=16u64).sum::<u64>());
-        assert_eq!(res.result, interp.result);
-        assert_eq!(res.instructions, interp.instructions);
-        assert_eq!(res.compute_time, interp.compute_time);
-        assert_eq!(res.memory_time, interp.memory_time);
-        assert!(res.superinstructions as usize >= 16 * 2);
-    }
-
-    #[test]
-    fn branch_target_blocks_fusion() {
-        // The jump targets the second mov, so the pair must not fuse.
-        let mut a = Assembler::new();
-        a.load_imm(Reg(1), 7)
-            .jump("target")
-            .mov(Reg(2), Reg(1))
-            .label("target")
-            .mov(Reg(0), Reg(1))
-            .ret();
-        let prog = a.finish().unwrap();
-        let (interp, res, resolved) = run_both(&prog, &GotImage::default(), &ExternTable::new());
-        assert_eq!(resolved.superinstruction_count(), 0);
-        assert_eq!(res.unwrap().result, interp.unwrap().result);
-    }
-
-    #[test]
-    fn got_calls_lower_to_direct_and_lazy_errors() {
-        let mut externs = ExternTable::new();
-        let idx = externs.register("id", Arc::new(|_ctx, args: &[u64]| Ok(args[0] + 1)));
-        let mut got = GotImage::with_slots(3);
-        got.set(0, ExternRef::Resolved(idx));
-        got.set(2, ExternRef::Data(0x1234));
-
-        // Slot 0 resolves; the unresolved slot 1 and data slot 2 are never
-        // reached, so lowering must not fault eagerly.
-        let mut a = Assembler::new();
-        a.load_imm(Reg(0), 41)
-            .call_extern(0, 1)
-            .ret()
-            .call_extern(1, 0)
-            .call_extern(2, 0);
-        let prog = a.finish().unwrap();
-        let (interp, res, resolved) = run_both(&prog, &got, &externs);
-        assert!(matches!(resolved.ops[1], ResolvedOp::CallDirect { .. }));
-        let (i, r) = (interp.unwrap(), res.unwrap());
-        assert_eq!(r.result, 42);
-        assert_eq!(r.result, i.result);
-        assert_eq!(r.extern_calls, 1);
-
-        // Reaching the bad slots raises the interpreter's exact errors.
-        let mut a = Assembler::new();
-        a.call_extern(1, 0).ret();
-        let prog = a.finish().unwrap();
-        let (interp, res, _) = run_both(&prog, &got, &externs);
-        assert_eq!(res.unwrap_err(), interp.unwrap_err());
-
-        let mut a = Assembler::new();
-        a.call_extern(2, 0).ret();
-        let prog = a.finish().unwrap();
-        let (interp, res, _) = run_both(&prog, &got, &externs);
-        assert_eq!(res.unwrap_err(), ExecError::NotCallable { slot: 2 });
-        assert!(matches!(interp, Err(ExecError::NotCallable { slot: 2 })));
-    }
-
-    #[test]
-    fn oob_pc_reported_in_original_terms() {
-        // Fall off the end: the fused movs shrink the op vector, but the
-        // error must name the original pc (= original length).
-        let mut a = Assembler::new();
-        a.mov(Reg(1), Reg(2)).mov(Reg(3), Reg(4));
-        let prog = a.finish().unwrap();
-        let (interp, res, resolved) = run_both(&prog, &GotImage::default(), &ExternTable::new());
-        assert_eq!(resolved.len(), 1, "pair fused into one op");
-        assert_eq!(interp.unwrap_err(), ExecError::PcOutOfBounds { pc: 2 });
-        assert_eq!(res.unwrap_err(), ExecError::PcOutOfBounds { pc: 2 });
-
-        // A jump past the end reports the original target.
-        let prog = vec![Instr::Jump { target: 99 }];
-        let (interp, res, _) = run_both(&prog, &GotImage::default(), &ExternTable::new());
-        assert_eq!(interp.unwrap_err(), ExecError::PcOutOfBounds { pc: 99 });
-        assert_eq!(res.unwrap_err(), ExecError::PcOutOfBounds { pc: 99 });
-    }
-
-    #[test]
-    fn fuel_exhausts_identically_mid_pair() {
-        // An infinite fused-back-edge loop: both executors must run out of
-        // fuel rather than diverge, whatever the parity of the fuel budget.
-        let mut asm = Assembler::new();
-        asm.load_imm(Reg(1), 1)
-            .label("spin")
-            .alu_imm(AluOp::Add, Reg(1), Reg(1), 1)
-            .jnz(Reg(1), "spin")
-            .ret();
-        let prog = asm.finish().unwrap();
-        let got = GotImage::default();
-        let externs = ExternTable::new();
-        for fuel in [7u64, 8] {
-            let cfg = VmConfig {
-                fuel,
-                ..VmConfig::default()
-            };
-            let mut bus = FlatMemory::free();
-            let interp = Vm::execute(
-                &prog,
-                &got,
-                &externs,
-                &mut AddressSpace::new(),
-                &mut bus,
-                &cfg,
-            );
-            let resolved = lower(&prog, &got);
-            let mut bus = FlatMemory::free();
-            let res = Vm::execute_resolved(
-                &resolved,
-                &externs,
-                &mut AddressSpace::new(),
-                &mut bus,
-                &cfg,
-            );
-            assert_eq!(interp.unwrap_err(), ExecError::FuelExhausted);
-            assert_eq!(res.unwrap_err(), ExecError::FuelExhausted);
-        }
-    }
-
-    #[test]
-    fn block_batched_fetch_is_fewer_accesses_than_interpreter() {
-        let mut a = Assembler::new();
-        a.load_imm(Reg(1), 1)
-            .load_imm(Reg(2), 2)
-            .add(Reg(0), Reg(1), Reg(2))
-            .load_imm(Reg(3), 3)
-            .add(Reg(0), Reg(0), Reg(3))
-            .ret();
-        let prog = a.finish().unwrap();
-        let got = GotImage::default();
-        let externs = ExternTable::new();
-        let cfg = VmConfig {
-            code_base: 0x7000,
-            ..VmConfig::default()
-        };
-        let mut bus = FlatMemory::free();
-        bus.per_access = SimTime::from_ns(3);
-        let interp = Vm::execute(
-            &prog,
-            &got,
-            &externs,
-            &mut AddressSpace::new(),
-            &mut bus,
-            &cfg,
-        )
-        .unwrap();
-        let resolved = lower(&prog, &got);
-        let mut bus = FlatMemory::free();
-        bus.per_access = SimTime::from_ns(3);
-        let res = Vm::execute_resolved(
-            &resolved,
-            &externs,
-            &mut AddressSpace::new(),
-            &mut bus,
-            &cfg,
-        )
-        .unwrap();
-        // Straight-line program = one block = one fetch access.
-        assert_eq!(res.fetch_time, SimTime::from_ns(3));
-        assert!(res.fetch_time < interp.fetch_time);
-        assert_eq!(res.result, interp.result);
-        // The tolerance sandwich the differential suite pins.
-        assert!(interp.compute_time + interp.memory_time <= res.total_time());
-        assert!(res.total_time() <= interp.total_time());
     }
 
     #[test]
@@ -1464,10 +1245,42 @@ mod tests {
     }
 
     #[test]
-    fn empty_program_faults_at_pc_zero() {
-        let (interp, res, resolved) = run_both(&[], &GotImage::default(), &ExternTable::new());
-        assert!(resolved.is_empty());
-        assert_eq!(interp.unwrap_err(), ExecError::PcOutOfBounds { pc: 0 });
-        assert_eq!(res.unwrap_err(), ExecError::PcOutOfBounds { pc: 0 });
+    fn all_alu_ops_behave() {
+        assert_eq!(alu(AluOp::Add, u64::MAX, 1), 0, "wrapping add");
+        assert_eq!(alu(AluOp::Sub, 0, 1), u64::MAX, "wrapping sub");
+        assert_eq!(alu(AluOp::And, 0b1100, 0b1010), 0b1000);
+        assert_eq!(alu(AluOp::Or, 0b1100, 0b1010), 0b1110);
+        assert_eq!(alu(AluOp::Xor, 0b1100, 0b1010), 0b0110);
+        assert_eq!(alu(AluOp::Shl, 1, 65), 2, "shift amount masked to 6 bits");
+        assert_eq!(alu(AluOp::Shr, 8, 2), 2);
+        assert_eq!(alu(AluOp::Rem, 17, 5), 2);
+        assert_eq!(
+            alu(AluOp::Rem, 17, 0),
+            0,
+            "divide by zero yields zero, no trap"
+        );
+    }
+
+    #[test]
+    fn got_slots_lower_to_a_direct_call_and_lazy_error_ops() {
+        let mut got = GotImage::with_slots(3);
+        got.set(0, ExternRef::Resolved(7));
+        got.set(2, ExternRef::Data(0x1234));
+        let mut a = Assembler::new();
+        a.load_imm(Reg(0), 41)
+            .call_extern(0, 1)
+            .ret()
+            .call_extern(1, 0)
+            .call_extern(2, 0);
+        let resolved = lower(&a.finish().unwrap(), &got);
+        assert_eq!(
+            resolved.ops[1..],
+            [
+                ResolvedOp::CallDirect { index: 7, nargs: 1 },
+                ResolvedOp::Ret,
+                ResolvedOp::CallUnresolved { slot: 1 },
+                ResolvedOp::CallNotCallable { slot: 2 },
+            ]
+        );
     }
 }

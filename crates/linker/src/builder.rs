@@ -189,12 +189,11 @@ mod tests {
             "the paper's Indirect Put code footprint"
         );
         // The padded program still runs and produces the same result.
-        use twochains_jamvm::{AddressSpace, ExternTable, GotImage, Vm, VmConfig};
+        use twochains_jamvm::{resolve, AddressSpace, ExternTable, GotImage, Vm, VmConfig};
         use twochains_memsim::hierarchy::FlatMemory;
         let mut bus = FlatMemory::free();
-        let stats = Vm::execute(
-            &jam.program().unwrap().to_instrs(),
-            &GotImage::default(),
+        let stats = Vm::execute_resolved(
+            &resolve(&jam.program().unwrap(), &GotImage::default()),
             &ExternTable::new(),
             &mut AddressSpace::new(),
             &mut bus,

@@ -16,8 +16,10 @@
 //! * [`config::TestbedConfig`] — the machine description, with the paper's testbed as
 //!   the default ([`config::TestbedConfig::cluster2021`]).
 //! * [`cache::SetAssocCache`] — a generic set-associative LRU cache.
-//! * [`hierarchy::CacheHierarchy`] — L2 → L3 → LLC → DRAM lookup, write-back, the
-//!   *stash port* used by the simulated NIC, and hit/miss statistics.
+//! * [`sharded::SharedHierarchy`] and its per-core [`sharded::CoreBus`] — L1 → L2 →
+//!   L3 → LLC → DRAM lookup, write-back, the *stash port* used by the simulated NIC,
+//!   and hit/miss statistics ([`hierarchy::HierarchyStats`]), charged through the
+//!   [`hierarchy::MemoryBus`] trait.
 //! * [`prefetch::StridePrefetcher`] — a trainable stride prefetcher that hides DRAM
 //!   latency on long sequential footprints (this is what narrows the stash/non-stash
 //!   gap at large message sizes in Figs. 9–10 of the paper).
@@ -54,7 +56,7 @@ pub use config::{
     CacheGeometry, CacheLevelConfig, DramConfig, LatencyConfig, PrefetchConfig, TestbedConfig,
 };
 pub use cycles::{CycleCounter, WaitMode, WaitOutcome};
-pub use hierarchy::{CacheHierarchy, HierarchyStats, MemoryBus};
+pub use hierarchy::{HierarchyStats, MemoryBus};
 pub use latency::DramModel;
 pub use prefetch::StridePrefetcher;
 pub use sharded::{CoreBus, CoreCacheStats, SharedHierarchy};

@@ -6,15 +6,15 @@ mod support;
 use proptest::prelude::*;
 
 use two_chains_suite::jamvm::{
-    decode_program, encode_program, verify, AddressSpace, Assembler, ExternTable, GotImage, Instr,
-    Program, Reg, Segment, SegmentKind, Vm, VmConfig,
+    decode_program, encode_program, resolve, verify, AddressSpace, Assembler, ExternTable,
+    GotImage, Instr, Program, Reg, Segment, SegmentKind, Vm, VmConfig,
 };
 use two_chains_suite::linker::{JamObject, SymbolRef};
 use two_chains_suite::memsim::cost::{
     POLL_INTERVAL, WFE_OVERHEAD_CYCLES, WFE_RECHECK_CYCLES, WFE_WAKE_LATENCY,
 };
 use two_chains_suite::memsim::cycles::{wait, WaitMode};
-use two_chains_suite::memsim::{AccessKind, CacheHierarchy, MemoryBus, SimTime, TestbedConfig};
+use two_chains_suite::memsim::{AccessKind, MemoryBus, SharedHierarchy, SimTime, TestbedConfig};
 use twochains::frame::{Frame, FrameView};
 
 fn arb_instr() -> impl Strategy<Value = Instr> {
@@ -330,11 +330,13 @@ proptest! {
         for s in 0..4 {
             got.set(s, two_chains_suite::jamvm::ExternRef::Resolved(idx));
         }
-        prop_assert!(verify(&Program::from(&program[..]), got.len()).is_ok());
+        let program = Program::from(&program[..]);
+        prop_assert!(verify(&program, got.len()).is_ok());
+        let image = resolve(&program, &got);
         let mut space = AddressSpace::new();
         let mut bus = two_chains_suite::memsim::hierarchy::FlatMemory::free();
         let cfg = VmConfig { fuel: 100_000, ..VmConfig::default() };
-        let result = Vm::execute(&program, &got, &externs, &mut space, &mut bus, &cfg);
+        let result = Vm::execute_resolved(&image, &externs, &mut space, &mut bus, &cfg);
         prop_assert!(result.is_ok(), "execution failed: {:?}", result);
     }
 
@@ -388,7 +390,8 @@ proptest! {
     /// expensive than the first, whatever the address pattern.
     #[test]
     fn caches_never_make_repeat_accesses_slower(addrs in prop::collection::vec(0u64..1_000_000, 1..64)) {
-        let mut h = CacheHierarchy::new(TestbedConfig::tiny_for_tests());
+        let shared = std::sync::Arc::new(SharedHierarchy::new(TestbedConfig::tiny_for_tests()));
+        let mut h = shared.core_bus(0);
         for &addr in &addrs {
             let first = h.access(0, addr, 8, AccessKind::Read);
             let second = h.access(0, addr, 8, AccessKind::Read);

@@ -1,11 +1,12 @@
 //! Differential tests pinning resolved execution to the interpreter. Every
 //! dispatch in production rides the resolved path — the interpreter is only
-//! the reference it is compared against here — so a divergence here poisons
-//! everything downstream: CI runs this suite by name, ahead of the broad
-//! passes.
+//! the reference it is compared against here, and lives in the test-only
+//! `twochains-oracle` crate with an ALU and an issue cost of its own — so a
+//! divergence here poisons everything downstream: CI runs this suite by name,
+//! ahead of the broad passes.
 //!
 //! [`Vm::execute_resolved`] over `resolve(program, got)` must be
-//! observationally equal to [`Vm::execute`] over `(program, got)` for *any*
+//! observationally equal to [`interpret`] over `(program, got)` for *any*
 //! program — verified or garbage — in results, faults, instruction and
 //! extern-call accounting, and memory effects, with charged virtual time
 //! matching exactly in compute and data-memory and bounded by the documented
@@ -41,6 +42,7 @@ use two_chains_suite::memsim::hierarchy::FlatMemory;
 use two_chains_suite::memsim::SimTime;
 use twochains::builtin::{indirect_put_args, ssum_args, BuiltinJam};
 use twochains::{spec, Frame, RuntimeConfig, SecurityPolicy};
+use twochains_oracle::interpret;
 
 const HEAP_BASE: u64 = 0x5000;
 const HEAP_SIZE: usize = 256;
@@ -241,7 +243,7 @@ fn run_interpreted(program: &[Instr], cfg: &VmConfig) -> (Observed, AddressSpace
     let (externs, got) = fixture();
     let mut space = space();
     let mut bus = uniform_bus();
-    let out = Vm::execute(program, &got, &externs, &mut space, &mut bus, cfg);
+    let out = interpret(program, &got, &externs, &mut space, &mut bus, cfg);
     (out, space)
 }
 

@@ -54,6 +54,7 @@ use two_chains_suite::memsim::hierarchy::FlatMemory;
 use two_chains_suite::memsim::{CoreCacheStats, SharedHierarchy, SimTime, TestbedConfig};
 use twochains::builtin::benchmark_rieds;
 use twochains::{AmError, RuntimeConfig};
+use twochains_oracle::interpret;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -137,7 +138,7 @@ fn both_engines_fault_on_a_range_that_wraps_the_address_space() {
                 SegmentKind::Heap,
             ))
             .unwrap();
-        let interpreted = Vm::execute(&program, &got, &externs, &mut space, &mut bus, &cfg);
+        let interpreted = interpret(&program, &got, &externs, &mut space, &mut bus, &cfg);
         assert!(
             matches!(interpreted, Err(ExecError::Fault(_))),
             "{what}, interpreted: {interpreted:?}"
@@ -204,7 +205,7 @@ fn both_engines_fault_on_an_oversized_copy_before_charging_it() {
         let image = resolve(&Program::from(&program[..]), &got);
 
         let mut counting = FlatMemory::free();
-        let interpreted = Vm::execute(&program, &got, &externs, &mut space, &mut counting, &cfg);
+        let interpreted = interpret(&program, &got, &externs, &mut space, &mut counting, &cfg);
         assert!(
             matches!(&interpreted, Err(ExecError::Fault(why)) if why.contains("unmapped")),
             "{what}, interpreted: {interpreted:?}"
@@ -213,7 +214,7 @@ fn both_engines_fault_on_an_oversized_copy_before_charging_it() {
         assert_eq!(resolved, interpreted, "{what}");
         assert_eq!(counting.accesses, 0, "{what}: charged a copy that faulted");
 
-        let on_core = Vm::execute(&program, &got, &externs, &mut space, &mut core_bus, &cfg);
+        let on_core = interpret(&program, &got, &externs, &mut space, &mut core_bus, &cfg);
         assert_eq!(on_core, interpreted, "{what}");
         let on_core = Vm::execute_resolved(&image, &externs, &mut space, &mut core_bus, &cfg);
         assert_eq!(on_core, interpreted, "{what}");
@@ -454,7 +455,7 @@ fn every_register_field_of_every_form_is_range_checked() {
                     let mut space = AddressSpace::new();
                     let mut bus = FlatMemory::free();
                     let interpreted =
-                        Vm::execute(&program, &got, &externs, &mut space, &mut bus, &cfg);
+                        interpret(&program, &got, &externs, &mut space, &mut bus, &cfg);
                     let image = resolve(&decoded, &got);
                     let resolved =
                         Vm::execute_resolved(&image, &externs, &mut space, &mut bus, &cfg);
