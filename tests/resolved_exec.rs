@@ -51,15 +51,11 @@ fn arb_width() -> impl Strategy<Value = Width> {
     prop_oneof![Just(Width::B1), Just(Width::B4), Just(Width::B8)]
 }
 
+/// Every ALU op, from the list that declares them. `AluImm`'s `0..64`
+/// immediates reach shift amounts of 32–63, and the small `LoadImm`s reach a
+/// remainder by zero.
 fn arb_alu_op() -> impl Strategy<Value = AluOp> {
-    prop_oneof![
-        Just(AluOp::Add),
-        Just(AluOp::Sub),
-        Just(AluOp::Mul),
-        Just(AluOp::And),
-        Just(AluOp::Or),
-        Just(AluOp::Xor),
-    ]
+    (0..AluOp::ALL.len()).prop_map(|i| AluOp::ALL[i])
 }
 
 fn arb_cond() -> impl Strategy<Value = Cond> {
