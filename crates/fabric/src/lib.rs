@@ -60,7 +60,7 @@ pub use endpoint::{Endpoint, PutOutcome};
 pub use error::{FabricError, FabricResult};
 pub use fabric::{HostHandle, HostId, SimFabric};
 pub use fault::{FaultPlan, FaultSnapshot};
-pub use link::{LinkTiming, Protocol};
+pub use link::LinkTiming;
 pub use nic::NicModel;
 pub use region::{MemoryRegion, RegionDescriptor};
 pub use rkey::{AccessFlags, RKey};

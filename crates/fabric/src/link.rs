@@ -19,30 +19,14 @@
 use twochains_memsim::cost::{
     DELIVERY, DOORBELL, EAGER_PENALTY, EAGER_THRESHOLD, FRAGMENT_PENALTY, FRAGMENT_THRESHOLD,
     LINE_RATE_GBPS, LINK_EFFICIENCY, PCIE_READ, POST_OVERHEAD, RENDEZVOUS_THRESHOLD,
-    SHORT_INLINE_MAX, THRESHOLD_WINDOW, WIRE_LATENCY,
+    THRESHOLD_WINDOW, WIRE_LATENCY,
 };
 use twochains_memsim::SimTime;
 
-/// The protocol (code path) the transport selects for a given message size. Mirrors
-/// the UCX short / bcopy (eager copy-based) / zcopy (registered eager) / rendezvous
-/// ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Protocol {
-    /// Tiny messages inlined into the work request.
-    Short,
-    /// Eager, copy-based send through a bounce buffer.
-    Bcopy,
-    /// Eager zero-copy from registered memory.
-    Zcopy,
-    /// Rendezvous (RTS/CTS) for very large transfers.
-    Rendezvous,
-}
-
-// The ladder ascends: short inline, then the two penalised boundaries (their
-// windows disjoint), then rendezvous.
+// The boundaries ascend: the two penalised ones (their windows disjoint), then
+// rendezvous.
 const _: () = assert!(
-    SHORT_INLINE_MAX < EAGER_THRESHOLD
-        && EAGER_THRESHOLD + THRESHOLD_WINDOW <= FRAGMENT_THRESHOLD
+    EAGER_THRESHOLD + THRESHOLD_WINDOW <= FRAGMENT_THRESHOLD
         && FRAGMENT_THRESHOLD + THRESHOLD_WINDOW <= RENDEZVOUS_THRESHOLD
 );
 
@@ -79,21 +63,6 @@ pub fn effective_bytes_per_ns() -> f64 {
 /// Pure serialization time of `size` bytes on the wire.
 pub fn wire_time(size: usize) -> SimTime {
     SimTime::from_ns_f64(size as f64 / effective_bytes_per_ns())
-}
-
-/// Which protocol a message of `size` bytes selects: crossing
-/// [`EAGER_THRESHOLD`] keeps the copy-based eager path, crossing
-/// [`FRAGMENT_THRESHOLD`] switches to zero-copy.
-pub fn protocol(size: usize) -> Protocol {
-    if size >= RENDEZVOUS_THRESHOLD {
-        Protocol::Rendezvous
-    } else if size > FRAGMENT_THRESHOLD {
-        Protocol::Zcopy
-    } else if size > SHORT_INLINE_MAX {
-        Protocol::Bcopy
-    } else {
-        Protocol::Short
-    }
 }
 
 /// The "just crossed a threshold" penalty for a message of `size` bytes: one
@@ -163,15 +132,6 @@ mod tests {
     }
 
     #[test]
-    fn protocol_ladder() {
-        assert_eq!(protocol(32), Protocol::Short);
-        assert_eq!(protocol(1024), Protocol::Bcopy);
-        assert_eq!(protocol(2000), Protocol::Bcopy);
-        assert_eq!(protocol(4096), Protocol::Zcopy);
-        assert_eq!(protocol(128 * 1024), Protocol::Rendezvous);
-    }
-
-    #[test]
     fn threshold_penalty_applies_just_past_the_boundary() {
         assert_eq!(threshold_penalty(1400), SimTime::ZERO);
         assert!(
@@ -225,8 +185,6 @@ mod tests {
     fn rendezvous_adds_a_control_round_trip() {
         let below = put_timing(RENDEZVOUS_THRESHOLD - 1);
         let above = put_timing(RENDEZVOUS_THRESHOLD);
-        assert_eq!(protocol(RENDEZVOUS_THRESHOLD - 1), Protocol::Zcopy);
-        assert_eq!(protocol(RENDEZVOUS_THRESHOLD), Protocol::Rendezvous);
         assert!(above.network > below.network + SimTime::from_ns(500));
     }
 }
