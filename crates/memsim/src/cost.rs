@@ -171,7 +171,7 @@ cost_model! {
     /// Longest scheduler jitter (TLB shootdowns and the like) on a loaded machine's wake-up.
     STRESS_JITTER_MAX_NS: f64 = 150.0 => "ns", assumed;
 
-    // The back-to-back ConnectX-6 link (`twochains_fabric::link`) and its UCX-like protocol ladder.
+    // The back-to-back ConnectX-6 link (`twochains_fabric::link`) and its UCX-like protocol thresholds.
     /// Sender software overhead to build and post a work request.
     POST_OVERHEAD: SimTime = ns(90) => "ns", fitted "Fig. 5, one-way latency ≈1 µs at 256 B rising to a few µs at 32 KiB";
     /// MMIO doorbell write reaching the HCA.
@@ -198,8 +198,6 @@ cost_model! {
     THRESHOLD_WINDOW: usize = 32 => "B", assumed;
     /// Size from which the rendezvous protocol adds a control round trip.
     RENDEZVOUS_THRESHOLD: usize = 64 * 1024 => "B", assumed;
-    /// Largest message inlined into the work request.
-    SHORT_INLINE_MAX: usize = 92 => "B", assumed;
     /// The exposed tail of a cut-through DMA install: the last line's installation.
     DMA_EXPOSED_TAIL: SimTime = ns(12) => "ns", assumed;
 
