@@ -18,7 +18,7 @@
 //!   serialization with magic/version words ([`object`]).
 //! * [`ried::Ried`] — a loadable interface library: named extern functions
 //!   (receiver-side Rust closures standing in for the shared library's code) and
-//!   named data objects (heaps/tables) with an optional auto-init hook.
+//!   named data objects (heaps/tables) with their initial contents.
 //! * [`namespace::LinkerNamespace`] — the per-process dynamic linker: load rieds,
 //!   `dlsym` by name, resolve a jam's symbolic GOT into a concrete
 //!   [`twochains_jamvm::GotImage`] for this process ("remote linking").

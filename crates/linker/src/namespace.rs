@@ -112,9 +112,6 @@ impl LinkerNamespace {
             );
         }
         self.loaded.insert(ried.name().to_string(), ried.version());
-        if let Some(hook) = ried.init_hook() {
-            hook(ried.name());
-        }
         Ok(())
     }
 

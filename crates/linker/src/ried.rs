@@ -8,15 +8,15 @@
 //!   VM's [`twochains_jamvm::externs::ExternCtx`]) that injected code reaches through GOT-resolved
 //!   `CallExtern`; these stand in for the shared library's native code, and
 //! * **data exports** — named heap objects (tables, arrays, counters) that are mapped
-//!   into the jam address space as segments, with an initial size/contents, and
-//! * an optional **auto-init hook** run when the ried is loaded into a namespace
-//!   (the paper's rieds are "loaded and auto-initialized in Two-Chains packages").
+//!   into the jam address space as segments, with an initial size/contents.
+//!
+//! The paper's rieds are "loaded and auto-initialized in Two-Chains packages"; here
+//! loading one binds its exports and initializing it is mapping each data object with
+//! its initial contents.
 //!
 //! Rieds are constructed programmatically with [`RiedBuilder`]; the real system would
 //! `dlopen` an actual shared object, which is precisely the part a memory-safe
 //! reproduction replaces.
-
-use std::sync::Arc;
 
 use twochains_jamvm::externs::ExternFn;
 use twochains_jamvm::SegmentKind;
@@ -34,16 +34,12 @@ pub struct RiedDataExport {
     pub kind: SegmentKind,
 }
 
-/// Init hook signature: receives the ried's name; used to prime data or log loading.
-pub type RiedInitHook = Arc<dyn Fn(&str) + Send + Sync>;
-
 /// A loadable interface library.
 #[derive(Clone)]
 pub struct Ried {
     name: String,
     functions: Vec<(String, ExternFn)>,
     data: Vec<RiedDataExport>,
-    init: Option<RiedInitHook>,
     version: u32,
 }
 
@@ -89,11 +85,6 @@ impl Ried {
         &self.data
     }
 
-    /// The auto-init hook, if any.
-    pub fn init_hook(&self) -> Option<&RiedInitHook> {
-        self.init.as_ref()
-    }
-
     /// Names of every symbol (functions and data) this ried exports.
     pub fn exported_symbols(&self) -> Vec<String> {
         self.functions
@@ -117,7 +108,6 @@ impl RiedBuilder {
                 name: name.to_string(),
                 functions: Vec::new(),
                 data: Vec::new(),
-                init: None,
                 version: 1,
             },
         }
@@ -161,12 +151,6 @@ impl RiedBuilder {
         self
     }
 
-    /// Attach an auto-init hook.
-    pub fn on_load(mut self, hook: RiedInitHook) -> Self {
-        self.ried.init = Some(hook);
-        self
-    }
-
     /// Finish building.
     pub fn build(self) -> Ried {
         self.ried
@@ -176,7 +160,7 @@ impl RiedBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn builder_collects_exports() {
@@ -197,20 +181,6 @@ mod tests {
         assert!(ried.data()[0].writable);
         assert!(!ried.data()[1].writable);
         assert_eq!(ried.data()[0].init.len(), 4096);
-    }
-
-    #[test]
-    fn init_hook_runs_when_invoked() {
-        let count = Arc::new(AtomicUsize::new(0));
-        let c2 = Arc::clone(&count);
-        let ried = RiedBuilder::new("ried_counter")
-            .on_load(Arc::new(move |_name| {
-                c2.fetch_add(1, Ordering::SeqCst);
-            }))
-            .build();
-        assert!(ried.init_hook().is_some());
-        (ried.init_hook().unwrap())(ried.name());
-        assert_eq!(count.load(Ordering::SeqCst), 1);
     }
 
     #[test]
