@@ -362,6 +362,63 @@ fn a_run_of_nops_retires_as_its_instructions_would() {
     );
 }
 
+/// Every ALU op on every pair of edge operands — zero, shift amounts either
+/// side of 32 and 64, the top bit, all ones — in the four shapes the engine
+/// lowers: `Alu` and `AluImm`, each alone and fused with the branch that
+/// reads its result. The result register carries the value to the
+/// comparison, which a random program's ALU results seldom reach.
+#[test]
+fn every_alu_op_agrees_on_edge_operands() {
+    const EDGES: [u64; 12] = [
+        0,
+        1,
+        2,
+        31,
+        32,
+        33,
+        63,
+        64,
+        65,
+        1 << 63,
+        u64::MAX,
+        0x0123_4567_89AB_CDEF,
+    ];
+    let load = |r, imm| Instr::LoadImm { dst: Reg(r), imm };
+    let to_ret = |target| Instr::Branch {
+        cond: Cond::Zero,
+        a: Reg(0),
+        b: Reg(0),
+        target,
+    };
+    for &op in AluOp::ALL {
+        for a in EDGES {
+            for b in EDGES {
+                let alu = Instr::Alu {
+                    op,
+                    dst: Reg(0),
+                    a: Reg(1),
+                    b: Reg(2),
+                };
+                let alu_imm = Instr::AluImm {
+                    op,
+                    dst: Reg(0),
+                    src: Reg(1),
+                    imm: b,
+                };
+                for program in [
+                    vec![load(1, a), load(2, b), alu, Instr::Ret],
+                    vec![load(1, a), alu_imm, Instr::Ret],
+                    vec![load(1, a), load(2, b), alu, to_ret(4), Instr::Ret],
+                    vec![load(1, a), alu_imm, to_ret(3), Instr::Ret],
+                ] {
+                    let ran = assert_engines_agree(&program, &config());
+                    assert!(ran.is_ok(), "{op:?} {a:#x} {b:#x}: {ran:?}");
+                }
+            }
+        }
+    }
+}
+
 /// A hand-built program hitting every fusion shape, pinned so the generator
 /// can never silently stop covering superinstructions: mov+mov (argument
 /// shuffle), load+ALU, and the `sub; jnz` loop back-edge (AluImm+Branch).
