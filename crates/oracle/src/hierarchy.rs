@@ -14,7 +14,7 @@
 
 use std::collections::HashSet;
 
-use twochains_memsim::cache::{AccessKind, CacheStats, SetAssocCache};
+use twochains_memsim::cache::{AccessKind, SetAssocCache};
 use twochains_memsim::{
     DramModel, HierarchyStats, MemoryBus, MemoryStressor, SimTime, StridePrefetcher, TestbedConfig,
 };
@@ -70,27 +70,9 @@ impl CacheHierarchy {
         }
     }
 
-    /// The machine description this hierarchy models.
-    pub fn config(&self) -> &TestbedConfig {
-        &self.cfg
-    }
-
-    /// Whether inbound DMA is stashed into the LLC.
-    pub fn stashing_enabled(&self) -> bool {
-        self.cfg.llc_stashing
-    }
-
     /// Toggle LLC stashing (the paper's firmware knob).
     pub fn set_stashing(&mut self, enabled: bool) {
         self.cfg.llc_stashing = enabled;
-    }
-
-    /// Toggle the hardware prefetcher (the paper's kernel knob).
-    pub fn set_prefetching(&mut self, enabled: bool) {
-        self.cfg.prefetch.enabled = enabled;
-        for p in &mut self.prefetchers {
-            *p = StridePrefetcher::new(self.cfg.prefetch);
-        }
     }
 
     /// Attach (or detach, with `None`) a memory stressor. The stressor both consumes
@@ -107,15 +89,6 @@ impl CacheHierarchy {
     /// Whether a stressor is currently attached.
     pub fn stressed(&self) -> bool {
         self.stressor.is_some()
-    }
-
-    /// Per-message software-visible jitter from the loaded system (scheduler noise);
-    /// zero when no stressor is attached.
-    pub fn scheduler_jitter(&mut self) -> SimTime {
-        match &mut self.stressor {
-            Some(s) => s.scheduler_jitter(),
-            None => SimTime::ZERO,
-        }
     }
 
     /// Aggregated statistics.
@@ -155,16 +128,6 @@ impl CacheHierarchy {
         }
         self.prefetched.clear();
         self.stats = HierarchyStats::default();
-    }
-
-    /// LLC statistics (used by tests to check stash behaviour).
-    pub fn llc_stats(&self) -> CacheStats {
-        self.llc.stats()
-    }
-
-    /// Line size in bytes.
-    pub fn line_size(&self) -> usize {
-        self.line_size
     }
 
     #[inline]
@@ -337,11 +300,6 @@ impl CacheHierarchy {
             self.l2[core].access_line(line, AccessKind::Read);
             self.l1[core].access_line(line, AccessKind::Read);
         }
-    }
-
-    /// Check whether the line containing `addr` currently resides in the LLC.
-    pub fn llc_contains(&self, addr: u64) -> bool {
-        self.llc.contains(addr)
     }
 }
 
