@@ -93,8 +93,8 @@ pub struct ExecStats {
     pub instructions: u64,
     /// Number of extern calls made.
     pub extern_calls: u64,
-    /// Fused superinstructions retired: each fused pair the resolved image
-    /// holds counts once per execution of it.
+    /// Fused superinstructions retired, a fused pair counting once each time
+    /// it runs (its two halves count in `instructions`).
     pub superinstructions: u64,
     /// Time spent in instruction issue/ALU work.
     pub compute_time: SimTime,
