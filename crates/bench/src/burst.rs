@@ -46,8 +46,8 @@ use std::time::Instant;
 
 use twochains::builtin::{benchmark_package, indirect_put_args, BuiltinJam};
 use twochains::{
-    drive_pipeline, AggregationPolicy, InvocationMode, RuntimeConfig, SenderFleet, ShardMask,
-    SlotCtx, TwoChainsHost,
+    drive_pipeline, AggregationPolicy, InvocationMode, RuntimeConfig, SenderFleet, SlotCtx,
+    TwoChainsHost,
 };
 use twochains_fabric::{link, FaultPlan, SimFabric};
 use twochains_linker::ElementId;
@@ -232,27 +232,11 @@ fn fill_round(
     round: u64,
 ) -> Vec<SimTime> {
     let per_bank = host.config().mailboxes_per_bank;
-    let horizons = fleet
+    fleet
         .fill_all(elem, InvocationMode::Injected, round, &|ctx| {
             payload(ctx, per_bank)
         })
-        .expect("fill");
-    // Every frame must now be visible to the burst scan — the same iter_ready
-    // the drain uses, so the bench never re-derives (bank, slot) indexing.
-    // Under the default adaptive aggregation only the *carrier* slot of each
-    // container reads ready (the inner frames unbatch during the drain), so
-    // the slot-exact census only holds for the per-frame wire behaviour;
-    // full coverage is proven by the `drained == total_slots` assert every
-    // measurement makes after its drain.
-    if host.config().aggregation_policy == AggregationPolicy::PerFrame {
-        debug_assert_eq!(
-            host.banks().iter_ready(ShardMask::all()).count(),
-            host.config().total_mailboxes()
-        );
-    } else {
-        debug_assert!(host.banks().iter_ready(ShardMask::all()).count() > 0);
-    }
-    horizons
+        .expect("fill")
 }
 
 /// One policy's deterministic modelled measurement (see [`run_modelled`]).

@@ -1,11 +1,11 @@
 //! Mailbox banks and sender-side flow control (§VI-A2).
 //!
 //! For the injection-rate benchmark the receiver exposes M banks of N mailboxes. The
-//! sender keeps one credit flag per bank in its own registered memory: it may send up
-//! to N messages into a bank, after which it must wait for the receiver to set that
-//! bank's flag (with a one-sided put back to the sender) before reusing the bank.
-//! This keeps flow control entirely outside the hot reactive-mailbox path, unlike the
-//! UCX baseline whose per-message flow control Figs. 5–6 measure.
+//! sender keeps one credit token per mailbox slot in its own registered memory
+//! ([`BankFlags`]): it may refill a slot once the receiver has written that slot's
+//! next token (with a one-sided put back to the sender, coalesced per row of
+//! slots). This keeps flow control entirely outside the hot reactive-mailbox path,
+//! unlike the UCX baseline whose per-message flow control Figs. 5–6 measure.
 
 use std::sync::Arc;
 
@@ -16,8 +16,8 @@ use crate::mailbox::ReactiveMailbox;
 
 /// Which banks a receiver shard owns: bank `b` belongs to shard `shard` iff
 /// `b % num_shards == shard`. This is the single definition of the deterministic
-/// ownership map — the runtime's `receive`/`receive_burst`, the bank iteration
-/// helper and the bench drain driver all route through it, so no two shards ever
+/// ownership map — the runtime's `receive`/`receive_burst`, the burst scan
+/// and the bench drain driver all route through it, so no two shards ever
 /// poll (let alone drain) the same mailbox.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardMask {
@@ -154,39 +154,18 @@ impl MailboxBank {
             .map(move |(i, m)| (i / self.per_bank, i % self.per_bank, m))
     }
 
-    /// One *non-mutating* scan over the banks `mask` owns, yielding every slot
-    /// holding a complete frame as `(bank, slot, frame_len)` — the read-only
-    /// readiness view used by monitoring and the bench driver's sanity checks.
-    ///
-    /// Readiness (and the frame length) comes from the variable-frame two-step
-    /// protocol ([`ReactiveMailbox::poll_variable`]): the header magic is checked,
-    /// the length read, and the signal byte confirmed. Slots that are empty, still
-    /// being written, or whose header declares an out-of-range length are skipped
-    /// and left untouched. The drain path itself uses
-    /// [`MailboxBank::scan_burst`], which applies the same readiness test but
-    /// additionally quarantines the malformed slots it walks past; keep the two
-    /// in lockstep if the readiness protocol ever changes.
-    pub fn iter_ready(&self, mask: ShardMask) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
-        self.iter().filter_map(move |(bank, slot, mailbox)| {
-            if !mask.owns(bank) {
-                return None;
-            }
-            match mailbox.poll_variable() {
-                Ok(Some(frame_len)) => Some((bank, slot, frame_len)),
-                Ok(None) | Err(_) => None,
-            }
-        })
-    }
-
-    /// The burst scan: one poll pass over the banks `mask` owns, partitioning the
-    /// slots into up to `max_frames` *ready* frames (`(bank, slot, frame_len)`)
-    /// and quarantined *poisoned* slots — slots whose header magic is set but
-    /// whose declared length is out of range ([`ReactiveMailbox::poll_variable`]
-    /// errors). A poisoned slot is invisible to [`MailboxBank::iter_ready`], so
-    /// without quarantining it here a burst-only receiver would never reclaim it —
-    /// a one-put denial of service per slot; its header magic is cleared (making
-    /// the slot reusable) and it is reported as `(bank, slot, error)`. Each owned
-    /// slot is polled exactly once per scan.
+    /// The burst scan — the receiver's one readiness scan: one poll pass over
+    /// the banks `mask` owns, partitioning the slots into up to `max_frames`
+    /// *ready* frames (`(bank, slot, frame_len)`) and quarantined *poisoned*
+    /// slots. Readiness (and the frame length) comes from the variable-frame
+    /// two-step protocol ([`ReactiveMailbox::poll_variable`]): the header magic
+    /// is checked, the length read, and the signal byte confirmed; empty and
+    /// half-written slots are left untouched. A poisoned slot is one whose
+    /// header magic is set but whose declared length is out of range (the poll
+    /// errors): it is never ready, so without quarantining it here a receiver
+    /// would never reclaim it — a one-put denial of service per slot; its
+    /// header magic is cleared (making the slot reusable) and it is reported as
+    /// `(bank, slot, error)`. Each owned slot is polled exactly once per scan.
     #[allow(clippy::type_complexity)]
     pub fn scan_burst(
         &self,
@@ -765,11 +744,12 @@ mod tests {
     }
 
     #[test]
-    fn iter_ready_reports_only_complete_frames_in_owned_banks() {
+    fn scan_burst_reports_only_complete_frames_in_owned_banks() {
         use crate::frame::{signal_at, Frame, SIG_MAG};
         let r = MemoryRegion::new(0, 0x3000_0000, 4 * 2 * 2048, AccessFlags::rwx(), 4).unwrap();
         let b = MailboxBank::new(Arc::clone(&r), 4, 2, 2048).unwrap();
-        assert_eq!(b.iter_ready(ShardMask::all()).count(), 0, "all empty");
+        let ready = |mask| b.scan_burst(mask, usize::MAX).0;
+        assert!(ready(ShardMask::all()).is_empty(), "all empty");
 
         // Land complete frames in (0,0), (1,1) and (2,0) by writing the encoded
         // bytes and releasing the signal byte, as the simulated NIC does.
@@ -780,27 +760,23 @@ mod tests {
             r.store_release_u8(offset + signal_at(bytes.len()), SIG_MAG)
                 .unwrap();
         }
-        let all: Vec<_> = b.iter_ready(ShardMask::all()).collect();
+        let len = bytes.len();
         assert_eq!(
-            all,
-            vec![
-                (0, 0, bytes.len()),
-                (1, 1, bytes.len()),
-                (2, 0, bytes.len())
-            ]
+            ready(ShardMask::all()),
+            vec![(0, 0, len), (1, 1, len), (2, 0, len)]
         );
         // A two-shard split partitions the ready set by bank parity.
-        let shard0: Vec<_> = b.iter_ready(ShardMask::new(0, 2)).collect();
-        let shard1: Vec<_> = b.iter_ready(ShardMask::new(1, 2)).collect();
-        assert_eq!(shard0, vec![(0, 0, bytes.len()), (2, 0, bytes.len())]);
-        assert_eq!(shard1, vec![(1, 1, bytes.len())]);
+        assert_eq!(ready(ShardMask::new(0, 2)), vec![(0, 0, len), (2, 0, len)]);
+        assert_eq!(ready(ShardMask::new(1, 2)), vec![(1, 1, len)]);
+        // `max_frames` caps what one scan reports, in scan order.
+        assert_eq!(b.scan_burst(ShardMask::all(), 1).0, vec![(0, 0, len)]);
         // Draining a slot removes it from the next scan.
-        b.mailbox(0, 0).unwrap().clear(bytes.len()).unwrap();
-        assert_eq!(b.iter_ready(ShardMask::new(0, 2)).count(), 1);
+        b.mailbox(0, 0).unwrap().clear(len).unwrap();
+        assert_eq!(ready(ShardMask::new(0, 2)), vec![(2, 0, len)]);
     }
 
     #[test]
-    fn iter_ready_skips_malformed_lengths() {
+    fn scan_burst_quarantines_malformed_lengths_instead_of_reporting_them() {
         use crate::frame::{header, Frame, HDR_MAG};
         let r = MemoryRegion::new(0, 0x3000_0000, 2 * 2048, AccessFlags::rwx(), 4).unwrap();
         let b = MailboxBank::new(Arc::clone(&r), 1, 2, 2048).unwrap();
@@ -809,18 +785,15 @@ mod tests {
         header::LEN.set(&mut bytes, 1_000_000);
         r.write(0, &bytes).unwrap();
         r.store_release_u8(header::HDR_MAG.at, HDR_MAG).unwrap();
-        assert_eq!(
-            b.iter_ready(ShardMask::all()).count(),
-            0,
-            "a malformed slot must not stall or appear in the scan"
-        );
-        // The quarantine sweep reclaims it (and reports the reason); afterwards
-        // the slot polls as empty instead of erroring forever.
-        let (_, poisoned) = b.scan_burst(ShardMask::all(), 0);
+        // The scan reclaims it (and reports the reason) instead of reporting
+        // it ready; afterwards the slot polls as empty instead of erroring
+        // forever.
+        let (ready, poisoned) = b.scan_burst(ShardMask::all(), usize::MAX);
+        assert!(ready.is_empty(), "a malformed slot is never ready");
         assert_eq!(poisoned.len(), 1);
         assert_eq!((poisoned[0].0, poisoned[0].1), (0, 0));
         assert!(matches!(poisoned[0].2, AmError::BadFrame(_)));
         assert!(b.mailbox(0, 0).unwrap().poll_variable().unwrap().is_none());
-        assert!(b.scan_burst(ShardMask::all(), 0).1.is_empty());
+        assert_eq!(b.scan_burst(ShardMask::all(), usize::MAX), (vec![], vec![]));
     }
 }

@@ -349,7 +349,7 @@ pub fn benchmark_package() -> AmResult<Package> {
 mod tests {
     use super::*;
     use twochains_jamvm::externs::ExternCtx;
-    use twochains_jamvm::{resolve, AddressSpace, Segment, SegmentKind, Vm, VmConfig};
+    use twochains_jamvm::{resolve, AddressSpace, Segment, Vm, VmConfig};
     use twochains_linker::LinkerNamespace;
     use twochains_memsim::hierarchy::FlatMemory;
     use twochains_memsim::SimTime;
@@ -362,7 +362,7 @@ mod tests {
         let mut space = AddressSpace::new();
         for o in ns.data_objects() {
             space
-                .map(Segment::new(&o.name, o.addr, o.init, o.writable, o.kind))
+                .map(Segment::new(&o.name, o.addr, o.init, true))
                 .unwrap();
         }
         (ns, space)
@@ -416,22 +416,10 @@ mod tests {
         let usr_base = 0x9000_1000u64;
         let usr_len = usr.len();
         space
-            .map(Segment::new(
-                "msg.args",
-                args_base,
-                args,
-                false,
-                SegmentKind::Args,
-            ))
+            .map(Segment::new("msg.args", args_base, args, false))
             .unwrap();
         space
-            .map(Segment::new(
-                "msg.usr",
-                usr_base,
-                usr,
-                false,
-                SegmentKind::Payload,
-            ))
+            .map(Segment::new("msg.usr", usr_base, usr, false))
             .unwrap();
         let image = resolve(&obj.program().unwrap(), &got);
         let mut bus = FlatMemory::free();

@@ -2,9 +2,8 @@
 //!
 //! The configuration picks geometry, waiting, aggregation, security and
 //! whether to execute at all — not a memory discipline. That one is fixed:
-//! every receiver shard executes against an address space of its own, its
-//! private instances of the writable ried objects over a read-only base all
-//! shards share without a lock.
+//! every receiver shard executes against an address space of its own, with
+//! its private instance of every ried data object.
 
 use twochains_memsim::WaitMode;
 

@@ -64,16 +64,17 @@
 //! observing an interior token races only with its own slot's refill, which
 //! the value-compare protocol tolerates by construction.
 //!
-//! # Why the flush counters live outside [`RuntimeStats`](crate::RuntimeStats)
+//! # What must survive a stats reset
 //!
-//! The per-slot drain counts, the pending set and the lifetime flush totals
-//! all live in [`CreditReturn`], not in the resettable stats: a stats reset
-//! between benchmark phases must not restart the token sequence (a repeated
-//! token is an invisible credit) and must not orphan pending tokens (a
-//! zeroed pending set is a lost credit). The resettable
-//! `credit_flushes`/`credit_flush_bytes`/`credit_flush_max_span` counters in
-//! `RuntimeStats` are the *observability* view, folded in per flush by the
-//! host; the engine's own state is deliberately immune to them.
+//! The flush engine keeps two things in [`CreditReturn`], not in the
+//! resettable [`RuntimeStats`](crate::RuntimeStats): the per-slot drain
+//! counts (`drains`) and the pending set (`pending`). A stats reset between
+//! benchmark phases must not restart the token sequence (a repeated token is
+//! an invisible credit) and must not orphan pending tokens (a zeroed pending
+//! set is a lost credit). What the flushes did is counted once, in
+//! `RuntimeStats`' `credit_flushes`/`credit_flush_bytes`/`credit_flush_max_span`,
+//! folded in per flush by the host from each [`FlushOutcome`]; a reset
+//! zeroes those and touches nothing here.
 
 use twochains_fabric::{Endpoint, RegionDescriptor};
 use twochains_memsim::SimTime;
@@ -113,12 +114,6 @@ pub(crate) struct CreditReturn {
     /// The paired sender lane's completion window: the credits it can have
     /// outstanding, so the most this shard may withhold.
     window: usize,
-    /// Lifetime flush totals (flush puts, wire bytes, largest span), outside
-    /// the resettable stats — see the module docs. The per-flush deltas the
-    /// host folds into `RuntimeStats` come from [`FlushOutcome`].
-    lifetime_flushes: u64,
-    lifetime_flush_bytes: u64,
-    lifetime_flush_max_span: u64,
     /// EWMA of the virtual-time interval between token mints, in nanoseconds
     /// (0.0 until the second mint). In the closed fill/drain loop the retire
     /// interval *is* the observable proxy for the sender's credit-acquire
@@ -197,9 +192,6 @@ impl CreditReturn {
             pending: vec![false; rows * per_bank],
             pending_total: 0,
             window,
-            lifetime_flushes: 0,
-            lifetime_flush_bytes: 0,
-            lifetime_flush_max_span: 0,
             ewma_retire_gap_ns: 0.0,
             last_mint: None,
             nack: NackReturn {
@@ -220,16 +212,6 @@ impl CreditReturn {
     /// How many mailboxes the stream owns (rows × `per_bank`).
     pub(crate) fn slots(&self) -> usize {
         self.drains.len()
-    }
-
-    /// Lifetime flush totals `(flush puts, wire bytes, largest span)` —
-    /// cumulative since construction, immune to stats resets (module docs).
-    pub(crate) fn lifetime_flush_totals(&self) -> (u64, u64, u64) {
-        (
-            self.lifetime_flushes,
-            self.lifetime_flush_bytes,
-            self.lifetime_flush_max_span,
-        )
     }
 
     /// Mint the next credit token for (`bank`, `slot`) at drain-virtual time
@@ -352,9 +334,6 @@ impl CreditReturn {
             max_span = max_span.max(buf.len() as u64);
         }
         debug_assert_eq!(self.pending_total, 0, "flush must drain every row");
-        self.lifetime_flushes += puts;
-        self.lifetime_flush_bytes += bytes;
-        self.lifetime_flush_max_span = self.lifetime_flush_max_span.max(max_span);
         Ok(Some(FlushOutcome {
             sender_free: clock,
             bytes,
@@ -609,7 +588,6 @@ mod tests {
         // slot 0's were published, each by its own put.
         assert!(flags.try_acquire(0, 0).unwrap() && flags.try_acquire(0, 1).unwrap());
         assert!(!flags.try_acquire(0, 0).unwrap());
-        assert_eq!(credit.lifetime_flush_totals(), (2, 3, 2));
     }
 
     #[test]

@@ -3,17 +3,16 @@
 //!
 //! The pipeline lives on [`HostCore`] and takes `&self` plus one
 //! `&mut ReceiverShard`: everything shared is either read-mostly (namespace,
-//! Local Function library, banks, config, the `Arc`-shared read-only segment
-//! base) or behind its own fine-grained synchronisation (striped cache levels,
-//! the injection caches), so any number of shards can run it concurrently.
-//! Simulated memory is charged through the shard's own per-core bus (private
-//! L1/L2, no lock on a private hit), and every
-//! execution runs against the shard's own address space — its private
-//! instances of the writable ried objects over the lock-free, `Arc`-shared
-//! read-only base — with no address-space lock at all. There is no
-//! process-global writable instance: a jam reaches ried state only through
-//! its GOT, the only instruction that consults the GOT is `CallExtern`, and
-//! both engines refuse a `Data` slot there as not callable.
+//! Local Function library, banks, config) or behind its own fine-grained
+//! synchronisation (striped cache levels, the injection caches), so any
+//! number of shards can run it concurrently. Simulated memory is charged
+//! through the shard's own per-core bus (private L1/L2, no lock on a private
+//! hit), and every execution runs against the shard's own address space —
+//! the frame's sections and its private instance of every ried data object —
+//! with no lock at all. There is no process-global instance: a jam reaches
+//! ried state only through its GOT, the only instruction that consults the
+//! GOT is `CallExtern`, and the engine refuses a `Data` slot there as not
+//! callable.
 //!
 //! # The receive pipeline
 //!
@@ -95,7 +94,7 @@
 //! than the stage's jam.
 //!
 //! The run itself is `Vm::execute_resolved` compiled against the types it
-//! is handed — the shard's `CoreBus` and its `ShardSpace` — not against two
+//! is handed — the shard's `CoreBus` and its `AddressSpace` — not against two
 //! trait objects: a jam's loop is where a payload-sized message spends its
 //! host time (a load per four bytes, a block fetch per iteration), and with
 //! the types named the bus's private-hit path and the space's scalar read
@@ -134,7 +133,7 @@ use twochains_fabric::{
 use twochains_jamvm::memory::MemFault;
 use twochains_jamvm::{
     decode_program, hash64, hash64_bytes, resolve, verify_with_floor, AddressSpace, ExecStats,
-    GotImage, ResolvedProgram, Segment, SegmentKind, ShardSpace, Vm, VmConfig,
+    GotImage, ResolvedProgram, Segment, Vm, VmConfig,
 };
 use twochains_linker::{ElementId, LinkerNamespace, Package, Ried};
 use twochains_memsim::cost::{
@@ -273,7 +272,6 @@ struct Section<'a> {
     base: u64,
     bytes: &'a [u8],
     writable: bool,
-    kind: SegmentKind,
 }
 
 /// The names a stage's sections are mapped under, in the order it lists
@@ -287,14 +285,13 @@ impl Section<'_> {
     /// nothing of the section the spare last held can be read through the
     /// new one.
     fn segment(&self, name: &str, spare: Option<Segment>) -> Segment {
-        let mut seg = spare.unwrap_or_else(|| Segment::new("", 0, Vec::new(), false, self.kind));
+        let mut seg = spare.unwrap_or_else(|| Segment::new("", 0, Vec::new(), false));
         seg.name.clear();
         seg.name.push_str(name);
         seg.base = self.base;
         seg.data.clear();
         seg.data.extend_from_slice(self.bytes);
         seg.writable = self.writable;
-        seg.kind = self.kind;
         seg
     }
 }
@@ -356,9 +353,6 @@ pub(crate) struct HostCore {
     hierarchy: Arc<SharedHierarchy>,
     config: RuntimeConfig,
     namespace: LinkerNamespace,
-    /// `Arc`-shared read-only segments (rodata, read-only data exports), read
-    /// by every shard without any lock. Rebuilt on package install/live update.
-    shared_ro: Arc<AddressSpace>,
     package: Option<Package>,
     local_lib: HashMap<u32, StageImage>,
     mailbox_region: Arc<MemoryRegion>,
@@ -423,32 +417,27 @@ impl TwoChainsHost {
             config.frame_capacity,
         )?;
         let cache = Arc::new(InjectionCache::new());
-        let shared_ro = Arc::new(AddressSpace::new());
         let shards = (0..config.num_shards)
             .map(|i| {
                 // Shard i drains on core i, with that core's private L1/L2
                 // bus (shard count <= core count was checked above, so no two
                 // shards alias a core's bus or invalidation inbox).
                 let core = i % num_cores;
-                let space = ShardSpace::new(Arc::clone(&shared_ro))
-                    .map_err(|e| AmError::InvalidConfig(e.to_string()))?;
-                Ok(ReceiverShard::new(
+                ReceiverShard::new(
                     i,
                     config.num_shards,
                     core,
                     hierarchy.core_bus(core),
-                    space,
                     Arc::clone(&cache),
-                ))
+                )
             })
-            .collect::<AmResult<Vec<_>>>()?;
+            .collect();
         Ok(TwoChainsHost {
             core: HostCore {
                 handle,
                 hierarchy,
                 config,
                 namespace: LinkerNamespace::new(),
-                shared_ro,
                 package: None,
                 local_lib: HashMap::new(),
                 mailbox_region,
@@ -568,27 +557,14 @@ impl TwoChainsHost {
         Ok(())
     }
 
-    /// Propagate the namespace's data objects into every shard's view: the
-    /// `Arc`-shared read-only base (rebuilt from scratch — its contents never
-    /// change after publication), and each shard's private instances of the
-    /// writable objects (created on first sight, existing shard state kept
-    /// across live updates).
+    /// Give every shard its private instance of each of the namespace's data
+    /// objects: created on first sight, existing shard state kept across live
+    /// updates.
     fn sync_spaces(&mut self) -> AmResult<()> {
         let objects = self.core.namespace.data_objects();
-        let mut ro = AddressSpace::new();
-        for o in objects.iter().filter(|o| !o.writable) {
-            ro.map(Segment::new(&o.name, o.addr, o.init.clone(), false, o.kind))
-                .map_err(|e| AmError::Exec(e.to_string()))?;
-        }
-        let ro = Arc::new(ro);
-        self.core.shared_ro = Arc::clone(&ro);
         for shard in &mut self.shards {
-            shard
-                .space
-                .set_shared_ro(Arc::clone(&ro))
-                .map_err(|e| AmError::Exec(e.to_string()))?;
-            for o in objects.iter().filter(|o| o.writable) {
-                if shard.space.local.segment(&o.name).is_some() {
+            for o in &objects {
+                if shard.space.segment(&o.name).is_some() {
                     continue;
                 }
                 let offset = o.addr - LinkerNamespace::DATA_BASE;
@@ -603,8 +579,7 @@ impl TwoChainsHost {
                     + offset;
                 shard
                     .space
-                    .local
-                    .map(Segment::new(&o.name, base, o.init.clone(), true, o.kind))
+                    .map(Segment::new(&o.name, base, o.init.clone(), true))
                     .map_err(|e| AmError::Exec(e.to_string()))?;
             }
         }
@@ -759,28 +734,15 @@ impl TwoChainsHost {
             .and_then(|s| s.credit.as_ref().map(|c| c.descriptor()))
     }
 
-    /// Shard `shard`'s lifetime credit-flush totals `(flush puts, wire bytes,
-    /// largest span)` — cumulative since the credit path was installed and
-    /// deliberately immune to [`TwoChainsHost::reset_stats`] (the flush
-    /// engine's state must survive benchmark-phase resets; see
-    /// `CreditReturn::lifetime_flush_totals`). `None` when the credit path
-    /// is not installed.
-    pub fn credit_flush_lifetime(&self, shard: usize) -> Option<(u64, u64, u64)> {
-        self.shards
-            .get(shard)
-            .and_then(|s| s.credit.as_ref().map(CreditReturn::lifetime_flush_totals))
-    }
-
     /// The receiver's mailbox banks.
     pub fn banks(&self) -> &MailboxBank {
         &self.core.banks
     }
 
-    /// Read `shard`'s private instance of a writable ried object, or a
-    /// read-only one from the shared base (for tests and examples that verify
-    /// server-side effects, e.g. the Server-Side Sum result array). Each shard
-    /// holds its own instance of every writable object, and a message writes
-    /// the instance of the shard that drains it.
+    /// Read `shard`'s private instance of a ried data object (for tests and
+    /// examples that verify server-side effects, e.g. the Server-Side Sum
+    /// result array). Each shard holds its own instance of every object, and
+    /// a message writes the instance of the shard that drains it.
     pub fn read_shard_data(
         &self,
         shard: usize,
@@ -794,9 +756,7 @@ impl TwoChainsHost {
             .ok_or_else(|| AmError::InvalidConfig(format!("no shard {shard}")))?;
         let seg = s
             .space
-            .local
             .segment(symbol)
-            .or_else(|| s.space.shared_ro().segment(symbol))
             .ok_or_else(|| AmError::Link(format!("no data symbol {symbol} in shard {shard}")))?;
         seg.data
             .get(offset..offset + len)
@@ -805,7 +765,7 @@ impl TwoChainsHost {
     }
 
     /// Names of the segments mapped in `shard`'s own space, in mapping
-    /// order: the writable ried objects the shard instances. A frame's
+    /// order: the ried data objects the shard instances. A frame's
     /// sections are mapped only while it is dispatched, so they never show
     /// here.
     pub fn mapped_segments(&self, shard: usize) -> AmResult<Vec<String>> {
@@ -814,7 +774,6 @@ impl TwoChainsHost {
             .get(shard)
             .ok_or_else(|| AmError::InvalidConfig(format!("no shard {shard}")))?;
         Ok(s.space
-            .local
             .segment_names()
             .into_iter()
             .map(str::to_owned)
@@ -1249,7 +1208,7 @@ impl HostCore {
     ) -> AmResult<DispatchedFrame> {
         let mut held = Placed::default();
         let done = self.run_stages(ctx, frame, base_addr, &mut held);
-        held.unmap(&mut ctx.space.local, ctx.spare_sections);
+        held.unmap(ctx.space, ctx.spare_sections);
         done
     }
 
@@ -1302,13 +1261,11 @@ impl HostCore {
             base: base_addr + frame.args_offset() as u64,
             bytes: frame.args,
             writable: self.config.security == SecurityPolicy::Permissive,
-            kind: SegmentKind::Args,
         };
         let usr = Section {
             base: base_addr + frame.usr_offset() as u64,
             bytes: frame.usr,
             writable: self.config.security == SecurityPolicy::Permissive,
-            kind: SegmentKind::Payload,
         };
         // The primary jam: the first call of the stage executor.
         let exec = self.execute_stage(
@@ -1372,7 +1329,6 @@ impl HostCore {
                 base: ctx_base,
                 bytes: &cell,
                 writable: true,
-                kind: SegmentKind::Args,
             };
             // Entry-register contract (see `runtime` module docs): the
             // default Result map hands the stage the context cell where a
@@ -1512,11 +1468,10 @@ impl HostCore {
 
     /// The execute stage: give the shard's own space a fresh copy of each of
     /// `sections` and run `jam`'s image with `entry_regs`, with no lock at
-    /// all — reads of ried rodata go through the `Arc`-shared read-only base,
-    /// writes land in the shard's private instances. What `held`, the
-    /// frame's [`Placed`], already holds is refilled in place and the rest is
-    /// mapped (in the shard's spare segments); the sections outlive the stage
-    /// and are unmapped when the frame's dispatch returns.
+    /// all: ried data reads and writes land in the shard's private instances.
+    /// What `held`, the frame's [`Placed`], already holds is refilled in place
+    /// and the rest is mapped (in the shard's spare segments); the sections
+    /// outlive the stage and are unmapped when the frame's dispatch returns.
     fn execute_stage(
         &self,
         ctx: &mut DrainCtx<'_>,
@@ -1531,7 +1486,7 @@ impl HostCore {
             fuel: 50_000_000,
             entry_regs,
         };
-        held.place(&mut ctx.space.local, sections, ctx.spare_sections)
+        held.place(ctx.space, sections, ctx.spare_sections)
             .map_err(|e| AmError::Exec(e.to_string()))?;
         Vm::execute_resolved(
             &jam.image,

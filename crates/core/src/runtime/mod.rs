@@ -41,21 +41,19 @@
 //!      scratch buffer    scratch buffer                     scratch buffer
 //!      RuntimeStats      RuntimeStats                       RuntimeStats
 //!      CoreBus (L1/L2)   CoreBus (L1/L2)                    CoreBus (L1/L2)
-//!      ShardSpace        ShardSpace                         ShardSpace
+//!      AddressSpace      AddressSpace                       AddressSpace
 //!            │   probe / insert (one short lock per operation)    │
 //!            └───────────────▶ Arc<InjectionCache> ◀──────────────┘
 //!                  injected code · sender GOTs · resolved GOTs
 //!                  (segmented-LRU eviction, hit/miss/evict counters)
 //!            ──────────────────────────────────────────────────────
 //!            shared read-mostly: linker namespace, Local Function
-//!            library, installed package, runtime config, and the
-//!            Arc-shared read-only segment base (lock-free reads)
+//!            library, installed package, runtime config
 //!            shared striped: L3/LLC/DRAM simulation (per-stripe locks,
 //!            reached only on private L1/L2 misses)
 //!            per shard, no lock: every execution runs in the shard's own
-//!            ShardSpace — its instances of the writable ried objects
-//!            over the shared read-only base; no writable ried state is
-//!            shared between shards
+//!            AddressSpace — its instance of every ried data object; no
+//!            ried state is shared between shards
 //! ```
 //!
 //! * `injection_cache` (crate-internal module) — owns the three content-addressed

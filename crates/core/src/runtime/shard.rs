@@ -4,9 +4,8 @@
 //! path: its own scratch buffer (frames are parsed by borrow, never copied), its
 //! own [`RuntimeStats`], its own **per-core cache bus** (the private L1/L2 the
 //! shard's drain thread charges through, lock-free), its own **address space**
-//! (per-message ARGS/USR plus its private instances of the writable ried
-//! objects, over the read-only base every shard shares — every execution runs
-//! here, with no lock), and an `Arc` handle to the shared
+//! (per-message ARGS/USR plus its private instance of every ried data object
+//! — every execution runs here, with no lock), and an `Arc` handle to the shared
 //! [`InjectionCache`](super::injection_cache::InjectionCache). Everything heavy —
 //! the linker namespace, the Local Function library, the mailbox banks — stays
 //! in the host and is reached read-mostly, so shards never contend on
@@ -27,7 +26,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use twochains_jamvm::{hash64_bytes, Segment, ShardSpace};
+use twochains_jamvm::{hash64_bytes, AddressSpace, Segment};
 use twochains_memsim::{CoreBus, SimTime};
 
 use super::credit::CreditReturn;
@@ -50,9 +49,9 @@ pub struct ReceiverShard {
     /// This core's private L1/L2 over the host's shared cache levels. Owned
     /// outright: a private-cache hit charges zero locks.
     pub(crate) bus: CoreBus,
-    /// Shard-local execution view: per-message ARGS/USR and per-shard writable
-    /// ried instances over the `Arc`-shared read-only base.
-    pub(crate) space: ShardSpace,
+    /// The shard's own address space: per-message ARGS/USR and the shard's
+    /// instance of every ried data object.
+    pub(crate) space: AddressSpace,
     pub(crate) cache: Arc<InjectionCache>,
     /// Persistent receive buffer: frames are read into it and parsed by borrow.
     pub(crate) scratch: Vec<u8>,
@@ -124,7 +123,7 @@ impl CodeDigest {
 pub(crate) struct DrainCtx<'s> {
     pub(crate) core: usize,
     pub(crate) bus: &'s mut CoreBus,
-    pub(crate) space: &'s mut ShardSpace,
+    pub(crate) space: &'s mut AddressSpace,
     pub(crate) cache: &'s InjectionCache,
     pub(crate) stats: &'s mut RuntimeStats,
     pub(crate) code_digest: &'s mut CodeDigest,
@@ -254,7 +253,6 @@ impl ReceiverShard {
         num_shards: usize,
         core: usize,
         bus: CoreBus,
-        space: ShardSpace,
         cache: Arc<InjectionCache>,
     ) -> Self {
         ReceiverShard {
@@ -262,7 +260,7 @@ impl ReceiverShard {
             num_shards,
             core,
             bus,
-            space,
+            space: AddressSpace::new(),
             cache,
             scratch: Vec::new(),
             stats: RuntimeStats::new(),
@@ -352,7 +350,6 @@ impl ShardDrain<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use twochains_jamvm::AddressSpace;
     use twochains_memsim::{SharedHierarchy, TestbedConfig};
 
     /// The whole point of `ShardDrain` is that it can cross a thread boundary:
@@ -433,8 +430,7 @@ mod tests {
     fn shard_mask_matches_ownership_map() {
         let cache = Arc::new(InjectionCache::new());
         let hierarchy = Arc::new(SharedHierarchy::new(TestbedConfig::tiny_for_tests()));
-        let space = ShardSpace::new(Arc::new(AddressSpace::new())).unwrap();
-        let shard = ReceiverShard::new(1, 4, 1, hierarchy.core_bus(1), space, cache);
+        let shard = ReceiverShard::new(1, 4, 1, hierarchy.core_bus(1), cache);
         assert_eq!(shard.shard_id(), 1);
         assert_eq!(shard.core(), 1);
         assert!(shard.mask().owns(5));

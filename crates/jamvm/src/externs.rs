@@ -251,20 +251,14 @@ impl ExternTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::{AddressSpace, Segment, SegmentKind};
+    use crate::memory::{AddressSpace, Segment};
     use proptest::prelude::*;
     use twochains_memsim::hierarchy::FlatMemory;
 
     fn ctx_parts() -> (AddressSpace, FlatMemory) {
         let mut space = AddressSpace::new();
         space
-            .map(Segment::new(
-                "heap",
-                0x1000,
-                vec![0; 256],
-                true,
-                SegmentKind::Heap,
-            ))
+            .map(Segment::new("heap", 0x1000, vec![0; 256], true))
             .unwrap();
         (space, FlatMemory::free())
     }

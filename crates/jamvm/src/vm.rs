@@ -2,9 +2,9 @@
 //! [`ExecError`] out.
 //!
 //! The engine is [`Vm::execute_resolved`] (in [`crate::resolved`]): it runs a
-//! program lowered once by [`crate::resolve`] against a [`crate::JamSpace`] (a
-//! plain [`crate::memory::AddressSpace`] or a per-shard
-//! [`crate::memory::ShardSpace`] view) and an [`crate::ExternTable`], charging
+//! program lowered once by [`crate::resolve`] against a [`crate::JamSpace`]
+//! (in the receiver, the shard's [`crate::memory::AddressSpace`]) and an
+//! [`crate::ExternTable`], charging
 //! every instruction fetch and every data access to the supplied
 //! [`twochains_memsim::MemoryBus`]. The returned [`ExecStats`] carry both the
 //! functional result (the value left in `r0`) and the virtual time the

@@ -12,7 +12,7 @@
 //!   the message-size arithmetic of Figs. 7–8 depends on),
 //! * records the same program as the locally invocable variant (the Local Function
 //!   library "generated ... from the same source"), and
-//! * assigns element IDs and generates the package header.
+//! * assigns element IDs.
 
 use twochains_jamvm::{encode_program, encoded_size, Instr};
 
@@ -31,8 +31,6 @@ pub struct JamDefinition {
     pub program: Vec<Instr>,
     /// Symbolic GOT (external references, in slot order).
     pub got: Vec<SymbolRef>,
-    /// Read-only data to ship with the jam.
-    pub rodata: Vec<u8>,
     /// Size of the fixed ARGS block the jam expects.
     pub args_size: usize,
     /// If set, pad `.text` with `Nop`s to exactly this many bytes.
@@ -46,7 +44,6 @@ impl JamDefinition {
             name: name.to_string(),
             program,
             got: Vec::new(),
-            rodata: Vec::new(),
             args_size: 0,
             pad_text_to: None,
         }
@@ -138,7 +135,7 @@ impl PackageBuilder {
                 None => def.program,
             };
             let text = encode_program(&program);
-            let obj = JamObject::new(&def.name, text, def.rodata, def.got, def.args_size)?;
+            let obj = JamObject::new(&def.name, text, def.got, def.args_size)?;
             pkg.add(PackageElement::Jam(obj))?;
         }
         Ok(pkg)
@@ -171,11 +168,10 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(pkg.len(), 2);
-        let (id, _) = pkg.element_by_name("jam_sum").unwrap();
+        let id = pkg.id_of("jam_sum").unwrap();
         let jam = pkg.jam(id).unwrap();
         assert_eq!(jam.args_size, 16);
         assert!(jam.code_size() > 0);
-        assert!(pkg.generate_header().contains("ELEM_JAM_SUM"));
     }
 
     #[test]

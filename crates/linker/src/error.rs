@@ -1,4 +1,4 @@
-//! Linking and object-format errors.
+//! Linking errors.
 
 use std::fmt;
 
@@ -9,8 +9,6 @@ pub enum LinkError {
     UnresolvedSymbol(String),
     /// A symbol was defined by more than one loaded ried with conflicting kinds.
     SymbolKindMismatch(String),
-    /// The object blob has a bad magic number or unsupported version.
-    BadObjectFormat(String),
     /// The object's bytecode failed verification.
     VerifyFailed(String),
     /// The object's bytecode could not be decoded.
@@ -28,7 +26,6 @@ impl fmt::Display for LinkError {
         match self {
             LinkError::UnresolvedSymbol(s) => write!(f, "unresolved symbol: {s}"),
             LinkError::SymbolKindMismatch(s) => write!(f, "symbol kind mismatch: {s}"),
-            LinkError::BadObjectFormat(s) => write!(f, "bad object format: {s}"),
             LinkError::VerifyFailed(s) => write!(f, "bytecode verification failed: {s}"),
             LinkError::DecodeFailed(s) => write!(f, "bytecode decode failed: {s}"),
             LinkError::NoSuchElement(s) => write!(f, "no such package element: {s}"),
@@ -49,9 +46,9 @@ mod tests {
         assert!(LinkError::UnresolvedSymbol("tbl_put".into())
             .to_string()
             .contains("tbl_put"));
-        assert!(LinkError::BadObjectFormat("magic".into())
+        assert!(LinkError::DecodeFailed("opcode".into())
             .to_string()
-            .contains("magic"));
+            .contains("opcode"));
         let e: Box<dyn std::error::Error> = Box::new(LinkError::NoSuchElement("x".into()));
         assert!(e.to_string().contains("x"));
     }

@@ -1,6 +1,6 @@
 //! # twochains-linker
 //!
-//! The remote-linking substrate: an ELF-like relocatable object format for jams, the
+//! The remote-linking substrate: an ELF-like relocatable object for jams, the
 //! ried (Relocatable Interface Distribution) shared-library abstraction, per-process
 //! dynamic-linker namespaces, packages, and the build toolchain.
 //!
@@ -13,17 +13,17 @@
 //!
 //! This crate reproduces that pipeline over the jam VM:
 //!
-//! * [`object::JamObject`] — the relocatable object: encoded `.text`, `.rodata`, a
-//!   *symbolic* GOT (slot → symbol name), and a fixed ARGS-block size; binary
-//!   serialization with magic/version words ([`object`]).
+//! * [`object::JamObject`] — the relocatable object: encoded `.text`, a
+//!   *symbolic* GOT (slot → symbol name), and a fixed ARGS-block size.
 //! * [`ried::Ried`] — a loadable interface library: named extern functions
 //!   (receiver-side Rust closures standing in for the shared library's code) and
-//!   named data objects (heaps/tables) with their initial contents.
+//!   named data objects (heaps/tables) with their initial contents, each
+//!   instanced privately by every receiver shard.
 //! * [`namespace::LinkerNamespace`] — the per-process dynamic linker: load rieds,
 //!   `dlsym` by name, resolve a jam's symbolic GOT into a concrete
 //!   [`twochains_jamvm::GotImage`] for this process ("remote linking").
 //! * [`package::Package`] / [`builder::PackageBuilder`] — the build toolchain:
-//!   element IDs and names, header generation, and the dual build of every jam as an
+//!   element IDs and names, and the dual build of every jam as an
 //!   injectable object *and* a locally invocable program (the paper's Local Function
 //!   variant comes "from the same source").
 

@@ -7,7 +7,7 @@
 //! bindings — so the same jam can do different things on different receivers, which
 //! is exactly the function-overloading-per-process behaviour the paper advertises.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use twochains_jamvm::{ExternRef, ExternTable, GotImage};
 
@@ -27,9 +27,6 @@ pub enum Resolution {
 #[derive(Debug, Clone)]
 struct DataBinding {
     addr: u64,
-    size: usize,
-    writable: bool,
-    kind: twochains_jamvm::SegmentKind,
     init: Vec<u8>,
 }
 
@@ -37,7 +34,7 @@ struct DataBinding {
 pub struct LinkerNamespace {
     externs: ExternTable,
     data: HashMap<String, DataBinding>,
-    loaded: HashMap<String, u32>,
+    loaded: HashSet<String>,
     data_cursor: u64,
 }
 
@@ -66,7 +63,7 @@ impl LinkerNamespace {
         LinkerNamespace {
             externs: ExternTable::new(),
             data: HashMap::new(),
-            loaded: HashMap::new(),
+            loaded: HashSet::new(),
             data_cursor: Self::DATA_BASE,
         }
     }
@@ -78,7 +75,7 @@ impl LinkerNamespace {
     /// therefore already-resolved GOT images, keep working — the live-update story)
     /// and data objects keep their addresses and current contents.
     pub fn load_ried(&mut self, ried: &Ried, replace: bool) -> Result<(), LinkError> {
-        if self.loaded.contains_key(ried.name()) && !replace {
+        if self.loaded.contains(ried.name()) && !replace {
             return Err(LinkError::AlreadyLoaded(ried.name().to_string()));
         }
         for (name, f) in ried.functions() {
@@ -87,11 +84,11 @@ impl LinkerNamespace {
         for d in ried.data() {
             if let Some(existing) = self.data.get(&d.name) {
                 // Keep address and live contents across reloads; size cannot change.
-                if existing.size != d.init.len() {
+                if existing.init.len() != d.init.len() {
                     return Err(LinkError::SymbolKindMismatch(format!(
                         "data object {} resized across reload ({} -> {})",
                         d.name,
-                        existing.size,
+                        existing.init.len(),
                         d.init.len()
                     )));
                 }
@@ -104,26 +101,12 @@ impl LinkerNamespace {
                 d.name.clone(),
                 DataBinding {
                     addr,
-                    size: d.init.len(),
-                    writable: d.writable,
-                    kind: d.kind,
                     init: d.init.clone(),
                 },
             );
         }
-        self.loaded.insert(ried.name().to_string(), ried.version());
+        self.loaded.insert(ried.name().to_string());
         Ok(())
-    }
-
-    /// Names and versions of loaded rieds.
-    pub fn loaded_rieds(&self) -> Vec<(String, u32)> {
-        let mut v: Vec<_> = self
-            .loaded
-            .iter()
-            .map(|(k, &ver)| (k.clone(), ver))
-            .collect();
-        v.sort();
-        v
     }
 
     /// The extern table (needed by the VM at execution time).
@@ -168,9 +151,8 @@ impl LinkerNamespace {
     }
 
     /// Every data object bound in this namespace, in address order, with its
-    /// *initial* contents. The sharded receive path uses this to build the
-    /// `Arc`-shared read-only base (non-writable objects) and each shard's
-    /// instances of the writable objects.
+    /// *initial* contents. The sharded receive path maps each shard's private
+    /// instance of every object from these.
     pub fn data_objects(&self) -> Vec<DataObject> {
         let mut out: Vec<DataObject> = self
             .data
@@ -179,8 +161,6 @@ impl LinkerNamespace {
                 name: name.clone(),
                 addr: d.addr,
                 init: d.init.clone(),
-                writable: d.writable,
-                kind: d.kind,
             })
             .collect();
         out.sort_by_key(|d| d.addr);
@@ -198,10 +178,6 @@ pub struct DataObject {
     pub addr: u64,
     /// Initial contents (a fresh copy, not the live mapped state).
     pub init: Vec<u8>,
-    /// Whether jams may store to the object.
-    pub writable: bool,
-    /// Segment classification.
-    pub kind: twochains_jamvm::SegmentKind,
 }
 
 #[cfg(test)]
@@ -233,7 +209,6 @@ mod tests {
             matches!(ns.dlsym("table.base"), Some(Resolution::Data(a)) if a >= LinkerNamespace::DATA_BASE)
         );
         assert!(ns.dlsym("missing").is_none());
-        assert_eq!(ns.loaded_rieds(), vec![("ried_table".to_string(), 1)]);
     }
 
     #[test]
@@ -258,7 +233,6 @@ mod tests {
         let addr_before = ns.data_addr("table.base").unwrap();
         // Reload with a new implementation of table.get.
         let v2 = RiedBuilder::new("ried_table")
-            .version(2)
             .export_fn("table.put", Arc::new(|_ctx, _| Ok(1)))
             .export_fn("table.get", Arc::new(|_ctx, _| Ok(99)))
             .export_heap("table.base", 8192)
@@ -270,7 +244,6 @@ mod tests {
         };
         assert_eq!(idx_before, idx_after);
         assert_eq!(addr_before, ns.data_addr("table.base").unwrap());
-        assert_eq!(ns.loaded_rieds(), vec![("ried_table".to_string(), 2)]);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! A package contains elements; each has a unique element ID and element name within
 //! the package" (§IV-A). The build tools take a list of jam/ried sources, produce
 //! shared objects, and generate a package header that programs include to refer to
-//! elements by ID. Here the header generation produces a Rust-flavoured constant
-//! listing instead of a C header, but it plays the same role.
+//! elements by ID. Here a program asks the package instead: [`Package::id_of`]
+//! maps an element name to its ID.
 
 use std::collections::HashMap;
 
@@ -34,11 +34,6 @@ impl PackageElement {
             PackageElement::Jam(j) => &j.name,
             PackageElement::Ried(r) => r.name(),
         }
-    }
-
-    /// Whether this element is a jam.
-    pub fn is_jam(&self) -> bool {
-        matches!(self, PackageElement::Jam(_))
     }
 }
 
@@ -96,15 +91,6 @@ impl Package {
             .ok_or_else(|| LinkError::NoSuchElement(format!("id {}", id.0)))
     }
 
-    /// Look an element up by name.
-    pub fn element_by_name(&self, name: &str) -> Result<(ElementId, &PackageElement), LinkError> {
-        let id = *self
-            .by_name
-            .get(name)
-            .ok_or_else(|| LinkError::NoSuchElement(name.to_string()))?;
-        Ok((id, &self.elements[id.0 as usize]))
-    }
-
     /// The ID of a named element.
     pub fn id_of(&self, name: &str) -> Option<ElementId> {
         self.by_name.get(name).copied()
@@ -143,31 +129,6 @@ impl Package {
                 _ => None,
             })
     }
-
-    /// Generate the package "header": a constant listing of element IDs by name, the
-    /// analogue of the generated C header a program includes after installing the
-    /// package.
-    pub fn generate_header(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "// Generated package header for `{}`\n",
-            self.name
-        ));
-        out.push_str(&format!(
-            "pub const PACKAGE_NAME: &str = \"{}\";\n",
-            self.name
-        ));
-        for (i, e) in self.elements.iter().enumerate() {
-            let const_name = e
-                .name()
-                .to_uppercase()
-                .chars()
-                .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-                .collect::<String>();
-            out.push_str(&format!("pub const ELEM_{const_name}: u32 = {i};\n"));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -180,14 +141,7 @@ mod tests {
     fn jam(name: &str) -> JamObject {
         let mut a = Assembler::new();
         a.load_imm(Reg(0), 1).call_extern(0, 0).ret();
-        JamObject::from_program(
-            name,
-            &a.finish().unwrap(),
-            vec![],
-            vec![SymbolRef::func("f")],
-            8,
-        )
-        .unwrap()
+        JamObject::from_program(name, &a.finish().unwrap(), vec![SymbolRef::func("f")], 8).unwrap()
     }
 
     fn package() -> Package {
@@ -223,10 +177,9 @@ mod tests {
         let p = package();
         assert!(p.element(ElementId(0)).unwrap().name() == "ried_array");
         assert!(p.element(ElementId(9)).is_err());
-        let (id, e) = p.element_by_name("jam_ssum").unwrap();
+        let id = p.id_of("jam_ssum").unwrap();
         assert_eq!(id, ElementId(1));
-        assert!(e.is_jam());
-        assert!(p.element_by_name("nope").is_err());
+        assert!(matches!(p.element(id).unwrap(), PackageElement::Jam(j) if j.name == "jam_ssum"));
     }
 
     #[test]
@@ -239,16 +192,6 @@ mod tests {
         ));
         assert_eq!(p.jams().count(), 2);
         assert_eq!(p.rieds().count(), 1);
-    }
-
-    #[test]
-    fn header_generation_lists_elements() {
-        let p = package();
-        let h = p.generate_header();
-        assert!(h.contains("PACKAGE_NAME"));
-        assert!(h.contains("ELEM_JAM_SSUM: u32 = 1"));
-        assert!(h.contains("ELEM_JAM_INDIRECT_PUT: u32 = 2"));
-        assert!(h.contains("ELEM_RIED_ARRAY: u32 = 0"));
     }
 
     #[test]

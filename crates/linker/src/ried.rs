@@ -19,19 +19,15 @@
 //! reproduction replaces.
 
 use twochains_jamvm::externs::ExternFn;
-use twochains_jamvm::SegmentKind;
 
-/// A named data object exported by a ried.
+/// A named data object exported by a ried. Every one is writable, and each
+/// receiver shard maps an instance of its own.
 #[derive(Debug, Clone)]
 pub struct RiedDataExport {
     /// Canonical symbol name (e.g. `"array.base"`).
     pub name: String,
     /// Initial contents; its length is the object's size.
     pub init: Vec<u8>,
-    /// Whether jams may write to it.
-    pub writable: bool,
-    /// Segment classification when mapped.
-    pub kind: SegmentKind,
 }
 
 /// A loadable interface library.
@@ -40,14 +36,12 @@ pub struct Ried {
     name: String,
     functions: Vec<(String, ExternFn)>,
     data: Vec<RiedDataExport>,
-    version: u32,
 }
 
 impl std::fmt::Debug for Ried {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ried")
             .field("name", &self.name)
-            .field("version", &self.version)
             .field(
                 "functions",
                 &self
@@ -70,11 +64,6 @@ impl Ried {
         &self.name
     }
 
-    /// The ried's version (bumped by rebuilds; used by live-update examples).
-    pub fn version(&self) -> u32 {
-        self.version
-    }
-
     /// Exported functions, in declaration order.
     pub fn functions(&self) -> &[(String, ExternFn)] {
         &self.functions
@@ -83,15 +72,6 @@ impl Ried {
     /// Exported data objects.
     pub fn data(&self) -> &[RiedDataExport] {
         &self.data
-    }
-
-    /// Names of every symbol (functions and data) this ried exports.
-    pub fn exported_symbols(&self) -> Vec<String> {
-        self.functions
-            .iter()
-            .map(|(n, _)| n.clone())
-            .chain(self.data.iter().map(|d| d.name.clone()))
-            .collect()
     }
 }
 
@@ -108,15 +88,8 @@ impl RiedBuilder {
                 name: name.to_string(),
                 functions: Vec::new(),
                 data: Vec::new(),
-                version: 1,
             },
         }
-    }
-
-    /// Set the version.
-    pub fn version(mut self, v: u32) -> Self {
-        self.ried.version = v;
-        self
     }
 
     /// Export a function under `name`.
@@ -130,23 +103,6 @@ impl RiedBuilder {
         self.ried.data.push(RiedDataExport {
             name: name.to_string(),
             init: vec![0u8; size],
-            writable: true,
-            kind: SegmentKind::Heap,
-        });
-        self
-    }
-
-    /// Export a data object with explicit initial contents.
-    pub fn export_data(mut self, name: &str, init: Vec<u8>, writable: bool) -> Self {
-        self.ried.data.push(RiedDataExport {
-            name: name.to_string(),
-            init,
-            writable,
-            kind: if writable {
-                SegmentKind::Heap
-            } else {
-                SegmentKind::Rodata
-            },
         });
         self
     }
@@ -165,22 +121,17 @@ mod tests {
     #[test]
     fn builder_collects_exports() {
         let ried = RiedBuilder::new("ried_array")
-            .version(3)
             .export_fn("array.append", Arc::new(|_ctx, _args| Ok(0)))
             .export_heap("array.base", 4096)
-            .export_data("array.magic", vec![1, 2, 3], false)
+            .export_heap("array.count", 8)
             .build();
         assert_eq!(ried.name(), "ried_array");
-        assert_eq!(ried.version(), 3);
         assert_eq!(ried.functions().len(), 1);
+        assert_eq!(ried.functions()[0].0, "array.append");
         assert_eq!(ried.data().len(), 2);
-        assert_eq!(
-            ried.exported_symbols(),
-            vec!["array.append", "array.base", "array.magic"]
-        );
-        assert!(ried.data()[0].writable);
-        assert!(!ried.data()[1].writable);
-        assert_eq!(ried.data()[0].init.len(), 4096);
+        assert_eq!(ried.data()[0].name, "array.base");
+        assert_eq!(ried.data()[0].init, vec![0; 4096]);
+        assert_eq!(ried.data()[1].init.len(), 8);
     }
 
     #[test]

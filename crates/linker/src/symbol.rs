@@ -50,36 +50,6 @@ impl SymbolRef {
             && !self.name.chars().any(|c| c.is_whitespace())
             && self.name.len() <= 255
     }
-
-    /// Serialize to bytes: kind byte + u16 length + name bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(3 + self.name.len());
-        out.push(match self.kind {
-            SymbolKind::Function => 0,
-            SymbolKind::Data => 1,
-        });
-        out.extend_from_slice(&(self.name.len() as u16).to_le_bytes());
-        out.extend_from_slice(self.name.as_bytes());
-        out
-    }
-
-    /// Deserialize from bytes; returns the symbol and the number of bytes consumed.
-    pub fn from_bytes(bytes: &[u8]) -> Option<(Self, usize)> {
-        if bytes.len() < 3 {
-            return None;
-        }
-        let kind = match bytes[0] {
-            0 => SymbolKind::Function,
-            1 => SymbolKind::Data,
-            _ => return None,
-        };
-        let len = u16::from_le_bytes([bytes[1], bytes[2]]) as usize;
-        if bytes.len() < 3 + len {
-            return None;
-        }
-        let name = String::from_utf8(bytes[3..3 + len].to_vec()).ok()?;
-        Some((SymbolRef { name, kind }, 3 + len))
-    }
 }
 
 impl fmt::Display for SymbolRef {
@@ -112,40 +82,5 @@ mod tests {
         assert!(!SymbolRef::func("has space").is_valid());
         assert!(!SymbolRef::func("ünïcode").is_valid());
         assert!(!SymbolRef::func(&"x".repeat(300)).is_valid());
-    }
-
-    #[test]
-    fn byte_roundtrip() {
-        for sym in [
-            SymbolRef::func("memcpy_to_heap"),
-            SymbolRef::data("array.base"),
-        ] {
-            let bytes = sym.to_bytes();
-            let (back, used) = SymbolRef::from_bytes(&bytes).unwrap();
-            assert_eq!(back, sym);
-            assert_eq!(used, bytes.len());
-        }
-        // Trailing data is fine; consumed length tells the caller where to continue.
-        let mut bytes = SymbolRef::func("a").to_bytes();
-        bytes.extend_from_slice(b"junk");
-        let (_, used) = SymbolRef::from_bytes(&bytes).unwrap();
-        assert_eq!(used, 4);
-    }
-
-    #[test]
-    fn malformed_bytes_rejected() {
-        assert!(SymbolRef::from_bytes(&[]).is_none());
-        assert!(
-            SymbolRef::from_bytes(&[9, 1, 0, b'x']).is_none(),
-            "bad kind"
-        );
-        assert!(
-            SymbolRef::from_bytes(&[0, 10, 0, b'x']).is_none(),
-            "length exceeds buffer"
-        );
-        assert!(
-            SymbolRef::from_bytes(&[0, 2, 0, 0xFF, 0xFE]).is_none(),
-            "invalid utf8"
-        );
     }
 }

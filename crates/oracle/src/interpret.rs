@@ -194,7 +194,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use twochains_jamvm::isa::{Reg, Width};
-    use twochains_jamvm::{AddressSpace, Assembler, Segment, SegmentKind};
+    use twochains_jamvm::{AddressSpace, Assembler, Segment};
     use twochains_memsim::hierarchy::FlatMemory;
 
     fn run(
@@ -233,13 +233,7 @@ mod tests {
         let mut space = AddressSpace::new();
         let values: Vec<u8> = (1u32..=16).flat_map(|v| v.to_le_bytes()).collect();
         space
-            .map(Segment::new(
-                "usr",
-                0x2000,
-                values,
-                false,
-                SegmentKind::Payload,
-            ))
+            .map(Segment::new("usr", 0x2000, values, false))
             .unwrap();
 
         let mut a = Assembler::new();
@@ -264,22 +258,10 @@ mod tests {
     fn memcpy_and_store_write_into_heap() {
         let mut space = AddressSpace::new();
         space
-            .map(Segment::new(
-                "usr",
-                0x2000,
-                vec![9u8; 64],
-                false,
-                SegmentKind::Payload,
-            ))
+            .map(Segment::new("usr", 0x2000, vec![9u8; 64], false))
             .unwrap();
         space
-            .map(Segment::new(
-                "heap",
-                0x8000,
-                vec![0u8; 128],
-                true,
-                SegmentKind::Heap,
-            ))
+            .map(Segment::new("heap", 0x8000, vec![0u8; 128], true))
             .unwrap();
         let mut a = Assembler::new();
         a.load_imm(Reg(1), 0x8000)
@@ -452,7 +434,7 @@ mod against_resolved {
     use std::sync::Arc;
     use twochains_jamvm::isa::{Reg, Width};
     use twochains_jamvm::{
-        resolve, AddressSpace, Assembler, Program, ResolvedProgram, Segment, SegmentKind, Vm,
+        resolve, AddressSpace, Assembler, Program, ResolvedProgram, Segment, Vm,
     };
     use twochains_memsim::hierarchy::FlatMemory;
 
@@ -517,7 +499,7 @@ mod against_resolved {
             .ret();
         let prog = asm.finish().unwrap();
         let values: Vec<u8> = (1u32..=16).flat_map(|v| v.to_le_bytes()).collect();
-        let seg = Segment::new("usr", 0x2000, values, false, SegmentKind::Payload);
+        let seg = Segment::new("usr", 0x2000, values, false);
 
         let cfg = VmConfig::default();
         let mut space_a = AddressSpace::new();

@@ -52,7 +52,6 @@ fn main() {
 
     // Hot-reload ried_array: the new `array.append` clamps stored values to 1000.
     let v2 = RiedBuilder::new("ried_array")
-        .version(2)
         .export_heap("array.base", 8 + ARRAY_SLOTS * 8)
         .export_fn(
             "array.append",

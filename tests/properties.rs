@@ -6,10 +6,9 @@ mod support;
 use proptest::prelude::*;
 
 use two_chains_suite::jamvm::{
-    decode_program, encode_program, resolve, verify, AddressSpace, Assembler, ExternTable,
-    GotImage, Instr, Program, Reg, Segment, SegmentKind, Vm, VmConfig,
+    decode_program, encode_program, resolve, verify, AddressSpace, ExternTable, GotImage, Instr,
+    Program, Reg, Segment, Vm, VmConfig,
 };
-use two_chains_suite::linker::{JamObject, SymbolRef};
 use two_chains_suite::memsim::cost::{
     POLL_INTERVAL, WFE_OVERHEAD_CYCLES, WFE_RECHECK_CYCLES, WFE_WAKE_LATENCY,
 };
@@ -340,31 +339,6 @@ proptest! {
         prop_assert!(result.is_ok(), "execution failed: {:?}", result);
     }
 
-    /// Jam objects survive serialization for arbitrary rodata / args sizes.
-    #[test]
-    fn jam_objects_roundtrip(
-        rodata in prop::collection::vec(any::<u8>(), 0..256),
-        args_size in 0usize..256,
-        pad in 0usize..64,
-    ) {
-        let mut a = Assembler::new();
-        a.load_imm(Reg(0), 7).call_extern(0, 1);
-        for _ in 0..pad {
-            a.nop();
-        }
-        a.ret();
-        let obj = JamObject::from_program(
-            "jam_prop",
-            &a.finish().unwrap(),
-            rodata,
-            vec![SymbolRef::func("f")],
-            args_size,
-        )
-        .unwrap();
-        let back = JamObject::from_bytes(&obj.to_bytes()).unwrap();
-        prop_assert_eq!(back, obj);
-    }
-
     /// The Server-Side Sum jam computes the same sum the host computes, for any
     /// payload, via the full runtime path.
     #[test]
@@ -513,8 +487,8 @@ proptest! {
     #[test]
     fn segments_are_isolated(data in prop::collection::vec(any::<u8>(), 1..128), offset in 0usize..64) {
         let mut space = AddressSpace::new();
-        space.map(Segment::new("a", 0x1000, vec![0xAA; 256], true, SegmentKind::Heap)).unwrap();
-        space.map(Segment::new("b", 0x2000, vec![0xBB; 256], true, SegmentKind::Heap)).unwrap();
+        space.map(Segment::new("a", 0x1000, vec![0xAA; 256], true)).unwrap();
+        space.map(Segment::new("b", 0x2000, vec![0xBB; 256], true)).unwrap();
         let len = data.len().min(256 - offset);
         space.write(0x1000 + offset as u64, &data[..len]).unwrap();
         let b = space.segment("b").unwrap();

@@ -18,7 +18,11 @@
 //! shapes, one arm per field draws from the field's whole range (targets,
 //! offsets, GOT slots, up to 16 extern arguments); register fields stay in
 //! `0..16`, because an engine indexes its register file before any check and
-//! a wider field is the verifier's to refuse.
+//! a wider field is the verifier's to refuse. A generated program starts by
+//! loading generated values into the registers the entry convention leaves
+//! zero, and every `Ret` in it is preceded by a fold of all sixteen registers
+//! into `r0`, so a wrong value in any register reaches the result the engines
+//! are compared on.
 //!
 //! At runtime level, the resolved-image cache must hand a frame only an image
 //! lowered from that frame's own code: a warm host computes what a host
@@ -36,7 +40,7 @@ use two_chains_suite::jamvm::{
     encode_program, hash64_bytes,
     isa::{AluOp, Cond, Width},
     resolve, AddressSpace, ExecError, ExecStats, ExternRef, ExternTable, GotImage, Instr, Program,
-    Reg, Segment, SegmentKind, Vm, VmConfig,
+    Reg, Segment, Vm, VmConfig,
 };
 use two_chains_suite::memsim::hierarchy::FlatMemory;
 use two_chains_suite::memsim::SimTime;
@@ -193,7 +197,6 @@ fn space() -> AddressSpace {
             HEAP_BASE,
             (0..HEAP_SIZE as u32).map(|i| i as u8).collect(),
             true,
-            SegmentKind::Heap,
         ))
         .unwrap();
     space
@@ -225,12 +228,40 @@ fn uniform_bus() -> FlatMemory {
 
 /// Programs of `pieces` generated pieces, each an instruction or — one piece
 /// in eight — a run of 2–300 `Nop`s, so that a block spans many image lines
-/// and generated branches land inside runs.
+/// and generated branches land inside runs. The program first loads a
+/// generated value into each of `r3..r16`, which would otherwise start at
+/// zero, where most ALU ops agree whatever their operand rule; and every `Ret`
+/// is preceded by [`fold_registers`], so a value any register holds reaches
+/// the result the engines are compared on.
 fn arb_program(pieces: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Instr>> {
     let one = || arb_instr().prop_map(|instr| vec![instr]);
     let nops = (2usize..301).prop_map(|n| vec![Instr::Nop; n]);
     let piece = prop_oneof![one(), one(), one(), one(), one(), one(), one(), nops];
-    prop::collection::vec(piece, pieces).prop_map(|pieces| pieces.concat())
+    let seeds = prop::collection::vec(any::<u64>(), 13..14);
+    (seeds, prop::collection::vec(piece, pieces)).prop_map(|(seeds, pieces)| {
+        let seeded = (3..)
+            .zip(seeds)
+            .map(|(r, imm)| Instr::LoadImm { dst: Reg(r), imm });
+        let body = pieces.concat().into_iter().flat_map(|instr| match instr {
+            Instr::Ret => fold_registers(),
+            other => vec![other],
+        });
+        seeded.chain(body).collect()
+    })
+}
+
+/// `r0 ^= r1 ^ r2 ^ ... ^ r15`, then `Ret`: without it, a register a
+/// program computed but did not leave in `r0` or store is compared nowhere.
+fn fold_registers() -> Vec<Instr> {
+    (1..16)
+        .map(|r| Instr::Alu {
+            op: AluOp::Xor,
+            dst: Reg(0),
+            a: Reg(0),
+            b: Reg(r),
+        })
+        .chain([Instr::Ret])
+        .collect()
 }
 
 type Observed = Result<ExecStats, ExecError>;

@@ -47,7 +47,7 @@ use support::{fleet_testbed, foreign_injected, put, returns_77, FleetBed};
 use two_chains_suite::jamvm::isa::{AluOp, Cond, Width};
 use two_chains_suite::jamvm::{
     decode_program, encode_program, resolve, verify, AddressSpace, Assembler, ExecError, ExternRef,
-    ExternTable, GotImage, Instr, Program, Reg, Segment, SegmentKind, VerifyError, Vm, VmConfig,
+    ExternTable, GotImage, Instr, Program, Reg, Segment, VerifyError, Vm, VmConfig,
 };
 use two_chains_suite::linker::LinkerNamespace;
 use two_chains_suite::memsim::hierarchy::FlatMemory;
@@ -130,13 +130,7 @@ fn both_engines_fault_on_a_range_that_wraps_the_address_space() {
     for (what, program) in wrapping_programs() {
         let mut space = AddressSpace::new();
         space
-            .map(Segment::new(
-                "heap",
-                HEAP_BASE,
-                vec![7; 64],
-                true,
-                SegmentKind::Heap,
-            ))
+            .map(Segment::new("heap", HEAP_BASE, vec![7; 64], true))
             .unwrap();
         let interpreted = interpret(&program, &got, &externs, &mut space, &mut bus, &cfg);
         assert!(
@@ -194,13 +188,7 @@ fn both_engines_fault_on_an_oversized_copy_before_charging_it() {
     for (what, program) in oversized_copies() {
         let mut space = AddressSpace::new();
         space
-            .map(Segment::new(
-                "heap",
-                HEAP_BASE,
-                heap.clone(),
-                true,
-                SegmentKind::Heap,
-            ))
+            .map(Segment::new("heap", HEAP_BASE, heap.clone(), true))
             .unwrap();
         let image = resolve(&Program::from(&program[..]), &got);
 
