@@ -2,7 +2,7 @@
 //!
 //! For the injection-rate benchmark the receiver exposes M banks of N mailboxes. The
 //! sender keeps one credit token per mailbox slot in its own registered memory
-//! ([`BankFlags`]): it may refill a slot once the receiver has written that slot's
+//! (`BankFlags`): it may refill a slot once the receiver has written that slot's
 //! next token (with a one-sided put back to the sender, coalesced per row of
 //! slots). This keeps flow control entirely outside the hot reactive-mailbox path,
 //! unlike the UCX baseline whose per-message flow control Figs. 5–6 measure.
@@ -20,7 +20,7 @@ use crate::mailbox::ReactiveMailbox;
 /// and the bench drain driver all route through it, so no two shards ever
 /// poll (let alone drain) the same mailbox.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardMask {
+pub(crate) struct ShardMask {
     /// The shard index (`< num_shards`).
     pub shard: usize,
     /// Total number of shards.
@@ -36,28 +36,23 @@ impl ShardMask {
         }
     }
 
-    /// The mask selecting every bank (the single-shard view).
-    pub fn all() -> Self {
-        Self::new(0, 1)
-    }
-
     /// The shard that owns `bank` under a `num_shards`-way split — the one
     /// formula every ownership check delegates to.
-    pub fn owner_of(bank: usize, num_shards: usize) -> usize {
+    pub(crate) fn owner_of(bank: usize, num_shards: usize) -> usize {
         bank % num_shards.max(1)
     }
 
     /// The row of `bank` in its owner's per-shard tables (credit tokens, NACK
     /// rows, replay filter): the owner sees every `num_shards`-th bank, so its
     /// `k`-th bank is row `k` — the inverse of [`ShardMask::owner_of`].
-    pub fn row_of(bank: usize, num_shards: usize) -> usize {
+    pub(crate) fn row_of(bank: usize, num_shards: usize) -> usize {
         bank / num_shards.max(1)
     }
 
     /// How many of `banks` banks shard `shard` of `num_shards` owns — the
     /// number of rows its tables hold: one past the [`ShardMask::row_of`] of
     /// its last bank, none for a shard past the banks.
-    pub fn rows_owned(shard: usize, num_shards: usize, banks: usize) -> usize {
+    pub(crate) fn rows_owned(shard: usize, num_shards: usize, banks: usize) -> usize {
         (0..banks)
             .filter(|&b| Self::owner_of(b, num_shards) == shard)
             .count()
@@ -167,7 +162,7 @@ impl MailboxBank {
     /// header magic is cleared (making the slot reusable) and it is reported as
     /// `(bank, slot, error)`. Each owned slot is polled exactly once per scan.
     #[allow(clippy::type_complexity)]
-    pub fn scan_burst(
+    pub(crate) fn scan_burst(
         &self,
         mask: ShardMask,
         max_frames: usize,
@@ -232,7 +227,7 @@ impl MailboxBank {
 /// receiver did before issuing the credit (in particular the slot's mailbox
 /// clear), which is the ordering the refill relies on.
 #[derive(Debug, Clone)]
-pub struct BankFlags {
+pub(crate) struct BankFlags {
     region: Arc<MemoryRegion>,
     banks: usize,
     per_bank: usize,
@@ -244,18 +239,18 @@ pub struct BankFlags {
 impl BankFlags {
     /// Bytes one bank's token row occupies (slot tokens padded up to whole
     /// 8-byte words).
-    pub fn row_stride(per_bank: usize) -> usize {
+    pub(crate) fn row_stride(per_bank: usize) -> usize {
         per_bank.div_ceil(8) * 8
     }
 
     /// Bytes a whole table of `banks` rows occupies.
-    pub fn table_len(banks: usize, per_bank: usize) -> usize {
+    pub(crate) fn table_len(banks: usize, per_bank: usize) -> usize {
         banks * Self::row_stride(per_bank)
     }
 
     /// The token the k-th drain of a slot writes (`drains` counted from 0).
     /// Never 0 (the fresh-region value), and adjacent drains always differ.
-    pub fn token_for(drains: u64) -> u8 {
+    pub(crate) fn token_for(drains: u64) -> u8 {
         (drains % 255) as u8 + 1
     }
 
@@ -263,7 +258,7 @@ impl BankFlags {
     /// single layout definition shared by the sender-side reader
     /// ([`BankFlags::slot_offset`]) and the receiver-side credit put, so the
     /// two ends of the wire can never disagree about where a token lives.
-    pub fn offset_of(row: usize, slot: usize, per_bank: usize) -> usize {
+    pub(crate) fn offset_of(row: usize, slot: usize, per_bank: usize) -> usize {
         row * Self::row_stride(per_bank) + slot
     }
 
@@ -308,19 +303,9 @@ impl BankFlags {
         self.region.descriptor()
     }
 
-    /// Number of bank rows.
-    pub fn banks(&self) -> usize {
-        self.banks
-    }
-
-    /// Slot tokens per bank row.
-    pub fn per_bank(&self) -> usize {
-        self.per_bank
-    }
-
     /// Byte offset of (`row`, `slot`)'s token within the region — the target
     /// of the receiver's credit put.
-    pub fn slot_offset(&self, row: usize, slot: usize) -> AmResult<usize> {
+    pub(crate) fn slot_offset(&self, row: usize, slot: usize) -> AmResult<usize> {
         if row >= self.banks || slot >= self.per_bank {
             return Err(AmError::InvalidConfig(format!(
                 "no credit slot ({row}, {slot}) in a {}x{} table",
@@ -332,7 +317,7 @@ impl BankFlags {
 
     /// Simulated virtual address of (`row`, `slot`)'s token byte (what a
     /// sender core's poll of the table reads, for cache-cost charging).
-    pub fn slot_addr(&self, row: usize, slot: usize) -> AmResult<u64> {
+    pub(crate) fn slot_addr(&self, row: usize, slot: usize) -> AmResult<u64> {
         Ok(self.region.addr_of(self.slot_offset(row, slot)?))
     }
 
@@ -345,7 +330,7 @@ impl BankFlags {
     /// Consume one pending credit for (`row`, `slot`): an acquire load of the
     /// token byte, compared against the last token consumed. Returns whether a
     /// credit was there (and is now spent).
-    pub fn try_acquire(&mut self, row: usize, slot: usize) -> AmResult<bool> {
+    pub(crate) fn try_acquire(&mut self, row: usize, slot: usize) -> AmResult<bool> {
         let offset = self.slot_offset(row, slot)?;
         let token = self.region.load_acquire_u8(offset)?;
         let seen = &mut self.last_seen[row * self.per_bank + slot];
@@ -389,7 +374,7 @@ impl BankFlags {
 /// acceleration, the sender's timeout watchdog is the backstop that guarantees
 /// progress — and it keeps the table a fixed 8 bytes per bank row.
 #[derive(Debug, Clone)]
-pub struct NackFlags {
+pub(crate) struct NackFlags {
     region: Arc<MemoryRegion>,
     rows: usize,
     /// Token last consumed per row; a report is pending iff the region's
@@ -399,22 +384,22 @@ pub struct NackFlags {
 
 impl NackFlags {
     /// Bytes one row occupies: u32 sn + token byte, padded to a word.
-    pub const ROW_STRIDE: usize = 8;
+    pub(crate) const ROW_STRIDE: usize = 8;
 
     /// Bytes a whole table of `rows` rows occupies.
-    pub fn table_len(rows: usize) -> usize {
+    pub(crate) fn table_len(rows: usize) -> usize {
         rows * Self::ROW_STRIDE
     }
 
     /// Byte offset of `row`'s record — shared by the sender-side reader and
     /// the receiver-side NACK put.
-    pub fn row_offset(row: usize) -> usize {
+    pub(crate) fn row_offset(row: usize) -> usize {
         row * Self::ROW_STRIDE
     }
 
     /// The 5-byte wire record of one NACK: missing sn, then the token whose
     /// release publication makes the sn visible.
-    pub fn record_for(missing_sn: u32, token: u8) -> [u8; 5] {
+    pub(crate) fn record_for(missing_sn: u32, token: u8) -> [u8; 5] {
         let sn = missing_sn.to_le_bytes();
         [sn[0], sn[1], sn[2], sn[3], token]
     }
@@ -455,7 +440,7 @@ impl NackFlags {
 
     /// Simulated virtual address of `row`'s token byte (for cache-cost
     /// charging of the sender's poll).
-    pub fn row_addr(&self, row: usize) -> AmResult<u64> {
+    pub(crate) fn row_addr(&self, row: usize) -> AmResult<u64> {
         if row >= self.rows {
             return Err(AmError::InvalidConfig(format!(
                 "no NACK row {row} in a {}-row table",
@@ -529,8 +514,8 @@ mod tests {
     fn credit_tokens_roundtrip_through_the_table() {
         let r = region(64);
         let mut flags = BankFlags::new(Arc::clone(&r), 2, 3).unwrap();
-        assert_eq!(flags.banks(), 2);
-        assert_eq!(flags.per_bank(), 3);
+        assert_eq!(flags.banks, 2);
+        assert_eq!(flags.per_bank, 3);
         // Fresh table: nothing pending anywhere.
         for row in 0..2 {
             for slot in 0..3 {
@@ -706,7 +691,7 @@ mod tests {
             assert_eq!(owners, 1, "bank {bank} must have exactly one owner");
             assert!(masks[bank % 3].owns(bank));
         }
-        assert!(ShardMask::all().owns(7));
+        assert!(ShardMask::new(0, 1).owns(7));
         // A zero shard count degrades to the all-banks view instead of dividing by
         // zero.
         assert!(ShardMask::new(0, 0).owns(5));
@@ -749,7 +734,7 @@ mod tests {
         let r = MemoryRegion::new(0, 0x3000_0000, 4 * 2 * 2048, AccessFlags::rwx(), 4).unwrap();
         let b = MailboxBank::new(Arc::clone(&r), 4, 2, 2048).unwrap();
         let ready = |mask| b.scan_burst(mask, usize::MAX).0;
-        assert!(ready(ShardMask::all()).is_empty(), "all empty");
+        assert!(ready(ShardMask::new(0, 1)).is_empty(), "all empty");
 
         // Land complete frames in (0,0), (1,1) and (2,0) by writing the encoded
         // bytes and releasing the signal byte, as the simulated NIC does.
@@ -762,14 +747,14 @@ mod tests {
         }
         let len = bytes.len();
         assert_eq!(
-            ready(ShardMask::all()),
+            ready(ShardMask::new(0, 1)),
             vec![(0, 0, len), (1, 1, len), (2, 0, len)]
         );
         // A two-shard split partitions the ready set by bank parity.
         assert_eq!(ready(ShardMask::new(0, 2)), vec![(0, 0, len), (2, 0, len)]);
         assert_eq!(ready(ShardMask::new(1, 2)), vec![(1, 1, len)]);
         // `max_frames` caps what one scan reports, in scan order.
-        assert_eq!(b.scan_burst(ShardMask::all(), 1).0, vec![(0, 0, len)]);
+        assert_eq!(b.scan_burst(ShardMask::new(0, 1), 1).0, vec![(0, 0, len)]);
         // Draining a slot removes it from the next scan.
         b.mailbox(0, 0).unwrap().clear(len).unwrap();
         assert_eq!(ready(ShardMask::new(0, 2)), vec![(2, 0, len)]);
@@ -788,12 +773,15 @@ mod tests {
         // The scan reclaims it (and reports the reason) instead of reporting
         // it ready; afterwards the slot polls as empty instead of erroring
         // forever.
-        let (ready, poisoned) = b.scan_burst(ShardMask::all(), usize::MAX);
+        let (ready, poisoned) = b.scan_burst(ShardMask::new(0, 1), usize::MAX);
         assert!(ready.is_empty(), "a malformed slot is never ready");
         assert_eq!(poisoned.len(), 1);
         assert_eq!((poisoned[0].0, poisoned[0].1), (0, 0));
         assert!(matches!(poisoned[0].2, AmError::BadFrame(_)));
         assert!(b.mailbox(0, 0).unwrap().poll_variable().unwrap().is_none());
-        assert_eq!(b.scan_burst(ShardMask::all(), usize::MAX), (vec![], vec![]));
+        assert_eq!(
+            b.scan_burst(ShardMask::new(0, 1), usize::MAX),
+            (vec![], vec![])
+        );
     }
 }

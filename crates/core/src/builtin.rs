@@ -27,21 +27,21 @@ use twochains_linker::{JamDefinition, Package, PackageBuilder, Ried, RiedBuilder
 use crate::error::{AmError, AmResult};
 
 /// Size of the fixed ARGS block both benchmark jams use (key, count, element size).
-pub const ARGS_SIZE: usize = 20;
+pub(crate) const ARGS_SIZE: usize = 20;
 /// Bytes of code + GOT the Indirect Put jam ships (matches the paper).
-pub const INDIRECT_PUT_SHIPPED_BYTES: usize = 1408;
+pub(crate) const INDIRECT_PUT_SHIPPED_BYTES: usize = 1408;
 /// Bytes of code + GOT the Server-Side Sum jam ships.
-pub const SERVER_SIDE_SUM_SHIPPED_BYTES: usize = 256;
+pub(crate) const SERVER_SIDE_SUM_SHIPPED_BYTES: usize = 256;
 /// Bytes of code + GOT each graph-analytics stage jam ships. The stages are
 /// deliberately tiny (one load, one extern call): the point of chaining them
 /// is amortising the *dispatch*, not the code.
-pub const GRAPH_STAGE_SHIPPED_BYTES: usize = 128;
+pub(crate) const GRAPH_STAGE_SHIPPED_BYTES: usize = 128;
 /// Size of the ARGS block the graph stages use (one little-endian u64 operand).
-pub const GRAPH_ARGS_SIZE: usize = 8;
+pub(crate) const GRAPH_ARGS_SIZE: usize = 8;
 /// Number of hash buckets in the benchmark table ried.
 pub const TABLE_BUCKETS: usize = 4096;
 /// Size of the table payload heap.
-pub const TABLE_DATA_BYTES: usize = 1 << 20;
+pub(crate) const TABLE_DATA_BYTES: usize = 1 << 20;
 /// Size of the result array exported by `ried_array` (slots of 8 bytes).
 pub const ARRAY_SLOTS: usize = 8192;
 
@@ -182,7 +182,7 @@ fn graph_stage_program() -> Vec<twochains_jamvm::Instr> {
 /// functions of the lookup→filter→aggregate chain. `graph.add` returns the
 /// stage's *contribution*, not the running total, so per-message results are
 /// independent of drain order; the heap itself is the aggregate oracle.
-pub fn ried_graph() -> Ried {
+pub(crate) fn ried_graph() -> Ried {
     RiedBuilder::new("ried_graph")
         .export_heap("graph.accum", 16)
         .export_fn(

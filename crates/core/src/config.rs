@@ -98,12 +98,6 @@ impl RuntimeConfig {
         }
     }
 
-    /// Same configuration but with WFE-assisted waiting (Figs. 13–14).
-    pub fn with_wfe(mut self) -> Self {
-        self.wait_mode = WaitMode::Wfe;
-        self
-    }
-
     /// Same configuration but skipping execution (Figs. 5–6).
     pub fn without_execution(mut self) -> Self {
         self.skip_execution = true;
@@ -195,10 +189,6 @@ mod tests {
 
     #[test]
     fn builders_flip_knobs() {
-        assert_eq!(
-            RuntimeConfig::paper_default().with_wfe().wait_mode,
-            WaitMode::Wfe
-        );
         assert!(
             RuntimeConfig::paper_default()
                 .without_execution()

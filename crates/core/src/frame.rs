@@ -52,7 +52,7 @@
 //! The outer header is a frame header, so the receiver's mailbox readiness
 //! protocol ([`header::HDR_MAG`], then [`header::LEN`], then [`SIG_MAG`] as the
 //! final release-published byte) applies to a batch without modification. A
-//! nonzero [`header::BATCH_VERSION`] marks a container (single frames always write
+//! nonzero `header::BATCH_VERSION` marks a container (single frames always write
 //! 0 there) and [`header::BATCH_COUNT`] counts its inner frames. Each inner frame
 //! is a complete, independently valid wire frame — own header, own sequence
 //! number, own trailer — behind a [`batch_prefix`] naming its length and
@@ -132,23 +132,23 @@ pub mod header {
     use super::Field;
 
     /// [`FRAME_MAGIC`](super::FRAME_MAGIC).
-    pub const MAGIC: Field = Field::first(4);
+    pub(crate) const MAGIC: Field = Field::first(4);
     /// The sender's sequence number; a container's is its first inner frame's.
-    pub const SN: Field = MAGIC.then(4);
+    pub(crate) const SN: Field = MAGIC.then(4);
     /// Total length on the wire, header and trailer included.
     pub const LEN: Field = SN.then(4);
     /// Package element ID of the active message.
-    pub const ELEM: Field = LEN.then(4);
+    pub(crate) const ELEM: Field = LEN.then(4);
     /// Nonzero when the frame carries code (Injected Function).
-    pub const INJECTED: Field = ELEM.then(2);
+    pub(crate) const INJECTED: Field = ELEM.then(2);
     /// GOT image length.
-    pub const GOT_LEN: Field = INJECTED.then(2);
+    pub(crate) const GOT_LEN: Field = INJECTED.then(2);
     /// Code section length.
-    pub const CODE_LEN: Field = GOT_LEN.then(4);
+    pub(crate) const CODE_LEN: Field = GOT_LEN.then(4);
     /// ARGS block length.
-    pub const ARGS_LEN: Field = CODE_LEN.then(2);
+    pub(crate) const ARGS_LEN: Field = CODE_LEN.then(2);
     /// USR payload length.
-    pub const USR_LEN: Field = ARGS_LEN.then(4);
+    pub(crate) const USR_LEN: Field = ARGS_LEN.then(4);
     /// The four section lengths, in the order the sections follow the header.
     pub const SECTION_LENS: [Field; 4] = [GOT_LEN, CODE_LEN, ARGS_LEN, USR_LEN];
     /// Chain-descriptor version: 0, or [`CHAIN_VERSION`](super::CHAIN_VERSION).
@@ -157,11 +157,11 @@ pub mod header {
     pub const CHAIN_STAGES: Field = CHAIN_VERSION.then(1);
     /// Batch-container version: 0 in every single frame, or
     /// [`BATCH_VERSION`](super::BATCH_VERSION).
-    pub const BATCH_VERSION: Field = CHAIN_STAGES.then(1);
+    pub(crate) const BATCH_VERSION: Field = CHAIN_STAGES.then(1);
     /// A container's inner-frame count.
     pub const BATCH_COUNT: Field = BATCH_VERSION.then(1);
     /// Reserved.
-    pub const RESERVED: Field = BATCH_COUNT.then_reserved(1);
+    pub(crate) const RESERVED: Field = BATCH_COUNT.then_reserved(1);
     /// [`HDR_MAG`](super::HDR_MAG), the paper's `MAG`: the byte a receiver
     /// waits on before it reads [`LEN`].
     pub const HDR_MAG: Field = RESERVED.then(1);
@@ -190,7 +190,7 @@ pub mod trailer {
     use super::Field;
 
     /// The low bytes of the header's sequence number.
-    pub const SN_ECHO: Field = Field::first(3);
+    pub(crate) const SN_ECHO: Field = Field::first(3);
     /// [`SIG_MAG`](super::SIG_MAG), the frame's last byte, published with release.
     pub const SIG_MAG: Field = SN_ECHO.then(1);
     /// The record.
@@ -204,9 +204,9 @@ pub mod batch_prefix {
     /// The inner frame's wire length.
     pub const LEN: Field = Field::first(4);
     /// The inner frame's destination mailbox slot within the container's bank.
-    pub const SLOT: Field = LEN.then(2);
+    pub(crate) const SLOT: Field = LEN.then(2);
     /// Reserved.
-    pub const RESERVED: Field = SLOT.then_reserved(2);
+    pub(crate) const RESERVED: Field = SLOT.then_reserved(2);
     /// The record.
     pub const FIELDS: [(&str, Field); 3] = [("len", LEN), ("slot", SLOT), ("reserved", RESERVED)];
 }
@@ -216,18 +216,18 @@ pub mod chain_stage {
     use super::Field;
 
     /// Package element ID of the stage.
-    pub const ELEM: Field = Field::first(4);
+    pub(crate) const ELEM: Field = Field::first(4);
     /// The stage's [`ChainArgMap`](super::ChainArgMap).
-    pub const ARG_MAP: Field = ELEM.then(1);
+    pub(crate) const ARG_MAP: Field = ELEM.then(1);
     /// Reserved.
-    pub const RESERVED: Field = ARG_MAP.then_reserved(3);
+    pub(crate) const RESERVED: Field = ARG_MAP.then_reserved(3);
     /// The record.
     pub const FIELDS: [(&str, Field); 3] =
         [("elem", ELEM), ("arg_map", ARG_MAP), ("reserved", RESERVED)];
 }
 
 /// Frame magic ("TCAM").
-pub const FRAME_MAGIC: u32 = 0x4D41_4354;
+pub(crate) const FRAME_MAGIC: u32 = 0x4D41_4354;
 /// Size of the fixed header.
 pub const FRAME_HEADER_SIZE: usize = header::HDR_MAG.end();
 /// Size of the trailer (sequence echo + signal magic).
@@ -249,12 +249,12 @@ pub const CHAIN_MAX_STAGES: usize = 8;
 /// Wire size of one [`chain_stage`] record.
 pub const CHAIN_STAGE_WIRE_SIZE: usize = chain_stage::RESERVED.end();
 /// Current multi-frame batch-container version ([`header::BATCH_VERSION`]).
-pub const BATCH_VERSION: u8 = 1;
+pub(crate) const BATCH_VERSION: u8 = 1;
 /// Wire size of one [`batch_prefix`] record.
 pub const BATCH_PREFIX_SIZE: usize = batch_prefix::RESERVED.end();
 /// Maximum number of inner frames one batch container can carry (the count
 /// rides in the one-byte [`header::BATCH_COUNT`]).
-pub const BATCH_MAX_FRAMES: usize = 255;
+pub(crate) const BATCH_MAX_FRAMES: usize = 255;
 /// Fixed wire overhead of a batch container beyond its inner frames' own bytes:
 /// the outer header plus the trailer (each inner frame additionally pays one
 /// [`BATCH_PREFIX_SIZE`] prefix).
@@ -714,28 +714,28 @@ impl<'a> FrameView<'a> {
     }
 
     /// Byte offset of the GOT image within the frame.
-    pub fn got_offset(&self) -> usize {
+    pub(crate) fn got_offset(&self) -> usize {
         FRAME_HEADER_SIZE + chain_wire_len(self.chain.as_ref())
     }
 
     /// Byte offset of the code section within the frame.
-    pub fn code_offset(&self) -> usize {
+    pub(crate) fn code_offset(&self) -> usize {
         self.got_offset() + self.got.len()
     }
 
     /// Byte offset of the ARGS block within the frame.
-    pub fn args_offset(&self) -> usize {
+    pub(crate) fn args_offset(&self) -> usize {
         self.code_offset() + self.code.len()
     }
 
     /// Byte offset of the USR payload within the frame.
-    pub fn usr_offset(&self) -> usize {
+    pub(crate) fn usr_offset(&self) -> usize {
         self.args_offset() + self.args.len()
     }
 }
 
 /// Whether `bytes` begin with a batch-container header: a frame header with a
-/// nonzero [`header::BATCH_VERSION`]. Single frames always write it zero, so
+/// nonzero `header::BATCH_VERSION`. Single frames always write it zero, so
 /// detection is unambiguous.
 pub fn is_batch(bytes: &[u8]) -> bool {
     check_prologue(bytes, "").is_ok() && header::BATCH_VERSION.get(bytes) != 0
@@ -776,7 +776,7 @@ impl FrameBatch {
     }
 
     /// Container size if a frame of `frame_len` bytes were pushed next.
-    pub fn wire_size_with(&self, frame_len: usize) -> usize {
+    pub(crate) fn wire_size_with(&self, frame_len: usize) -> usize {
         self.wire_size() + BATCH_PREFIX_SIZE + frame_len
     }
 

@@ -59,7 +59,7 @@ pub mod runtime;
 pub mod security;
 pub mod stats;
 
-pub use bank::{BankFlags, MailboxBank, NackFlags, ShardMask};
+pub use bank::MailboxBank;
 pub use builtin::{benchmark_package, benchmark_rieds, BuiltinJam};
 pub use config::{AggregationPolicy, InvocationMode, RuntimeConfig};
 pub use error::{AmError, AmResult};
@@ -70,8 +70,8 @@ pub use frame::{
 pub use mailbox::ReactiveMailbox;
 pub use runtime::{
     drive_pipeline, spec, step_pipeline, AmSendOutcome, BurstFrame, BurstOutcome, MessageSpec,
-    PipelineFrame, PipelineOutcome, ReceiveOutcome, ReceiverShard, SenderFleet, SenderLane,
-    ShardDrain, SlotCtx, TwoChainsHost, TwoChainsSender,
+    PipelineFrame, PipelineOutcome, ReceiveOutcome, SenderFleet, SenderLane, ShardDrain, SlotCtx,
+    TwoChainsHost, TwoChainsSender,
 };
 pub use security::SecurityPolicy;
 pub use stats::RuntimeStats;

@@ -83,7 +83,7 @@ impl ReactiveMailbox {
 
     /// Check for a complete fixed-size frame of `frame_len` bytes: a single acquire
     /// load of the signal byte.
-    pub fn poll_fixed(&self, frame_len: usize) -> AmResult<bool> {
+    pub(crate) fn poll_fixed(&self, frame_len: usize) -> AmResult<bool> {
         if frame_len > self.capacity {
             return Err(AmError::FrameTooLarge {
                 needed: frame_len,
@@ -129,7 +129,7 @@ impl ReactiveMailbox {
     /// exactly `frame_len`), reusing its capacity. The receiver's hot path keeps one
     /// scratch buffer alive across messages, so steady-state receives neither
     /// allocate nor zero-fill: `read_into` overwrites the whole range.
-    pub fn read_frame_into(&self, frame_len: usize, out: &mut Vec<u8>) -> AmResult<()> {
+    pub(crate) fn read_frame_into(&self, frame_len: usize, out: &mut Vec<u8>) -> AmResult<()> {
         out.resize(frame_len, 0);
         self.region.read_into(self.offset, out)?;
         Ok(())

@@ -275,7 +275,7 @@ struct OpenBatch {
 
 /// One stream's complete sender context: its own [`TwoChainsSender`] (endpoint,
 /// sequence space, template cache, statistics), the mailbox targets it owns,
-/// its [`BankFlags`] credit table (the flag region the receiver's credit puts
+/// its `BankFlags` credit table (the flag region the receiver's credit puts
 /// land in, registered in this sender's address space), its transmit window
 /// (the delivery times of its unharvested puts), the core bus its credit
 /// polls are charged through, and its private virtual clock.
@@ -366,7 +366,7 @@ impl SenderLane {
             .credit_pending(ShardMask::row_of(t.bank, self.streams), t.slot)
     }
 
-    /// Snapshot the credit table, discarding stale credits ([`BankFlags::sync`]),
+    /// Snapshot the credit table, discarding stale credits (`BankFlags::sync`),
     /// and likewise the NACK table (a gap report aimed at an earlier run's
     /// frames must not trigger a retransmit now). A pipeline run starts with
     /// this: credits earned by earlier phased schedules (which consume none)
@@ -1331,7 +1331,7 @@ fn aborting<T>(abort: &AtomicBool, body: impl FnOnce() -> AmResult<T>) -> AmResu
 /// clock: one thread per party (a sender thread per lane, a drain thread per
 /// receiver shard), coupled *only* by the one-sided credit path — as each
 /// frame retires, the drain's burst engine puts the slot's next credit token
-/// into the paired lane's flag region ([`BankFlags`]), and the lane spins/parks
+/// into the paired lane's flag region (`BankFlags`), and the lane spins/parks
 /// on acquire loads of its own region until a refillable slot's token changes.
 /// No channels, no shared queues: flow control is fabric traffic, charged in
 /// virtual time on both the drain core (posting) and the wire/DMA models.

@@ -812,7 +812,7 @@ impl TwoChainsHost {
     }
 
     /// Drain up to `max_frames` frames that are ready in the banks owned by shard
-    /// `shard`, in one scan ([`MailboxBank::scan_burst`]). The scan's poll is
+    /// `shard`, in one scan (`MailboxBank::scan_burst`). The scan's poll is
     /// charged once for the whole burst; the drained frames are then processed
     /// back-to-back in shard-virtual time starting at `now`. Frames that fail
     /// dispatch (malformed code, policy rejection, ...) are dropped — their slot is

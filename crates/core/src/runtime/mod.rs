@@ -60,11 +60,11 @@
 //!   caches behind one lock, with the segmented-LRU eviction policy documented in
 //!   its header. Invalidation (package reinstall, live update) is a single shared
 //!   operation, immediately visible to every shard.
-//! * [`ReceiverShard`] — the per-shard context: scratch buffer, statistics, `Arc`
+//! * `ReceiverShard` — the per-shard context: scratch buffer, statistics, `Arc`
 //!   handle to the cache, and its slice of the deterministic `bank % num_shards`
 //!   ownership map, so shards never contend on a mailbox.
 //! * [`TwoChainsHost::receive_burst`] — drains every ready slot in a shard's banks
-//!   in one scan ([`MailboxBank::scan_burst`](crate::bank::MailboxBank::scan_burst)),
+//!   in one scan (`MailboxBank::scan_burst`),
 //!   amortising the poll: the scan's wait is charged once per burst instead of per
 //!   message, and poisoned slots are quarantined in the same pass.
 //!   [`TwoChainsHost::receive`] is the single-frame case of the same engine, with
@@ -132,7 +132,7 @@
 //!   re-resolves locally. Hits reuse an `Arc<GotImage>`; no per-message slot vector
 //!   is built. [`RuntimeStats::got_cache_hits`]/`_misses` count the split.
 //! * *Borrowed frame parsing* — arrived bytes land in the shard's persistent scratch
-//!   buffer ([`ReactiveMailbox::read_frame_into`](crate::mailbox::ReactiveMailbox::read_frame_into))
+//!   buffer (`ReactiveMailbox::read_frame_into`)
 //!   and are parsed as a [`FrameView`](crate::frame::FrameView) whose sections
 //!   borrow that buffer. Only ARGS and USR are copied out (the jam may mutate
 //!   them), into the buffers of segments the shard unmapped earlier; GOT and
@@ -214,7 +214,7 @@
 //!   and posts one contiguous put per batch.
 //!
 //! **Wire format.** A container is one frame header whose nonzero
-//! [`header::BATCH_VERSION`](crate::frame::header::BATCH_VERSION) is the
+//! `header::BATCH_VERSION` is the
 //! discriminant `is_batch` sniffs (a plain frame keeps it zero), its sequence
 //! number the first inner frame's and its length the whole container's; then,
 //! per inner frame, a [`batch_prefix`](crate::frame::batch_prefix) naming its
@@ -228,7 +228,7 @@
 //! **Flush policy.** An adaptive lane flushes its open batch when any of
 //! these trips: the batch holds eight frames (the fill bound — the wire
 //! format itself carries up to
-//! [`BATCH_MAX_FRAMES`](crate::frame::BATCH_MAX_FRAMES)); appending the next
+//! `BATCH_MAX_FRAMES`); appending the next
 //! frame would exceed the destination mailbox capacity
 //! (`frame_capacity`); the next frame targets a *different bank* (a container
 //! lands in one contiguous mailbox span, never straddling banks); the oldest
@@ -279,7 +279,7 @@ pub use fleet::{
 };
 pub use host::TwoChainsHost;
 pub use sender::TwoChainsSender;
-pub use shard::{ReceiverShard, ShardDrain};
+pub use shard::ShardDrain;
 pub use spec::{spec, MessageSpec};
 
 use twochains_fabric::PutOutcome;

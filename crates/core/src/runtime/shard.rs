@@ -41,7 +41,7 @@ use crate::stats::RuntimeStats;
 /// bus, shard-local address space, shared-cache handle and the shard's slice of
 /// the bank ownership map.
 #[derive(Debug)]
-pub struct ReceiverShard {
+pub(crate) struct ReceiverShard {
     pub(crate) shard_id: usize,
     pub(crate) num_shards: usize,
     /// The core this shard drains on (`shard_id % num_cores`).
@@ -296,24 +296,9 @@ impl ReceiverShard {
         (&mut self.scratch, ctx)
     }
 
-    /// This shard's index.
-    pub fn shard_id(&self) -> usize {
-        self.shard_id
-    }
-
-    /// The core this shard drains on.
-    pub fn core(&self) -> usize {
-        self.core
-    }
-
     /// The bank-ownership mask of this shard (`bank % num_shards == shard_id`).
     pub fn mask(&self) -> ShardMask {
         ShardMask::new(self.shard_id, self.num_shards)
-    }
-
-    /// Statistics accumulated by receives routed through this shard.
-    pub fn stats(&self) -> &RuntimeStats {
-        &self.stats
     }
 }
 
@@ -339,11 +324,6 @@ impl ShardDrain<'_> {
     /// this shard.
     pub fn receive_burst(&mut self, max_frames: usize, now: SimTime) -> AmResult<BurstOutcome> {
         self.core.receive_burst(self.shard, max_frames, now)
-    }
-
-    /// Statistics accumulated by this shard so far.
-    pub fn stats(&self) -> &RuntimeStats {
-        &self.shard.stats
     }
 }
 
@@ -431,8 +411,8 @@ mod tests {
         let cache = Arc::new(InjectionCache::new());
         let hierarchy = Arc::new(SharedHierarchy::new(TestbedConfig::tiny_for_tests()));
         let shard = ReceiverShard::new(1, 4, 1, hierarchy.core_bus(1), cache);
-        assert_eq!(shard.shard_id(), 1);
-        assert_eq!(shard.core(), 1);
+        assert_eq!(shard.shard_id, 1);
+        assert_eq!(shard.core, 1);
         assert!(shard.mask().owns(5));
         assert!(!shard.mask().owns(4));
     }

@@ -22,7 +22,6 @@
 //!     .then(ElementId(4))
 //!     .then(ElementId(5))
 //!     .map_result(ChainArgMap::Result);
-//! assert_eq!(chained.stage_ids(), vec![4, 5]);
 //! # let _ = single;
 //! ```
 //!
@@ -137,24 +136,18 @@ impl MessageSpec {
     }
 
     /// The fixed argument block.
-    pub fn args_bytes(&self) -> &[u8] {
+    pub(crate) fn args_bytes(&self) -> &[u8] {
         &self.args
     }
 
     /// The user payload.
-    pub fn usr_bytes(&self) -> &[u8] {
+    pub(crate) fn usr_bytes(&self) -> &[u8] {
         &self.usr
     }
 
     /// Whether the spec carries continuation stages.
     pub fn is_chained(&self) -> bool {
         !self.stages.is_empty()
-    }
-
-    /// Element ids of the continuation stages, in execution order
-    /// (introspection for tests and examples).
-    pub fn stage_ids(&self) -> Vec<u32> {
-        self.stages.iter().map(|s| s.elem_id).collect()
     }
 
     /// Validate and materialise the chain descriptor this spec describes:
@@ -197,8 +190,9 @@ mod tests {
         assert_eq!(s.invocation(), InvocationMode::Local);
         assert_eq!(s.args_bytes(), &[1, 2]);
         assert_eq!(s.usr_bytes(), &[3]);
-        assert_eq!(s.stage_ids(), vec![2, 3]);
         let desc = s.chain_descriptor().unwrap().unwrap();
+        assert_eq!(desc.stages()[0].elem_id, 2);
+        assert_eq!(desc.stages()[1].elem_id, 3);
         assert_eq!(desc.stages()[0].map, ChainArgMap::Result);
         assert_eq!(desc.stages()[1].map, ChainArgMap::KeepArgs);
     }

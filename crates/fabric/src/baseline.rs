@@ -46,7 +46,7 @@ pub fn put_latency(size: usize) -> SimTime {
 
 /// Minimum inter-message gap in a streaming (bandwidth / message-rate) test:
 /// the software per-message cost or the wire serialization, whichever is larger.
-pub fn stream_gap(size: usize) -> SimTime {
+pub(crate) fn stream_gap(size: usize) -> SimTime {
     let wire_gap = link::put_timing(size).gap;
     let software_gap = UCX_STREAM_OVERHEAD + bcopy_time(size);
     wire_gap.max(software_gap)
@@ -57,11 +57,6 @@ pub fn bandwidth_mib_s(size: usize) -> f64 {
     let gap = stream_gap(size);
     let bytes_per_ns = size as f64 / gap.as_ns();
     bytes_per_ns * 1e9 / (1024.0 * 1024.0)
-}
-
-/// Streaming message rate in messages/s for messages of `size` bytes.
-pub fn message_rate(size: usize) -> f64 {
-    1e9 / stream_gap(size).as_ns()
 }
 
 #[cfg(test)]
@@ -98,13 +93,6 @@ mod tests {
         // Order of magnitude check against the paper's Fig. 6 (10^3..10^4 MB/s band).
         assert!(bw_small > 100.0 && bw_small < 2_000.0, "got {bw_small}");
         assert!(bw_large > 3_000.0 && bw_large < 20_000.0, "got {bw_large}");
-    }
-
-    #[test]
-    fn message_rate_is_inverse_of_gap() {
-        let rate = message_rate(1024);
-        let gap = stream_gap(1024);
-        assert!((rate * gap.as_ns() / 1e9 - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! endpoint per sender thread over the same [`SimFabric`](crate::fabric::SimFabric).
 //! Puts issued concurrently from different endpoints of the same source host
 //! still serialize on that host's transmit pipeline
-//! ([`NicModel::acquire_tx`](crate::nic::NicModel::acquire_tx)) in virtual
+//! (`NicModel::acquire_tx`) in virtual
 //! time — overlapped puts are charged the wire contention they would really
 //! cost, never a free ride.
 //!
@@ -44,7 +44,7 @@ pub struct PutOutcome {
     pub delivered: SimTime,
     /// DMA-engine time spent installing the data (stash or DRAM path); already
     /// included in `delivered`, broken out for statistics.
-    pub dma_cost: SimTime,
+    pub(crate) dma_cost: SimTime,
     /// Number of payload bytes moved.
     pub bytes: usize,
 }
@@ -314,7 +314,7 @@ mod tests {
             .register(4096, AccessFlags::rwx())
             .unwrap();
         let mut desc = dst_region.descriptor();
-        desc.rkey = RKey(desc.rkey.raw() ^ 0xFFFF);
+        desc.rkey = RKey(desc.rkey.0 ^ 0xFFFF);
         let mut ep = fabric.endpoint(a, b).unwrap();
         let err = ep.put(SimTime::ZERO, b"x", &desc, 0).unwrap_err();
         assert!(matches!(err, FabricError::InvalidRkey { .. }));
@@ -323,11 +323,13 @@ mod tests {
     #[test]
     fn put_to_readonly_region_is_rejected() {
         let (fabric, a, b) = setup();
-        let dst_region = fabric
-            .host(b)
-            .unwrap()
-            .register(4096, AccessFlags::ro())
-            .unwrap();
+        let read_only = AccessFlags {
+            remote_write: false,
+            remote_atomic: false,
+            remote_execute: false,
+            ..AccessFlags::rw()
+        };
+        let dst_region = fabric.host(b).unwrap().register(4096, read_only).unwrap();
         let desc = dst_region.descriptor();
         let mut ep = fabric.endpoint(a, b).unwrap();
         assert!(matches!(

@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// Result alias for fabric operations.
-pub type FabricResult<T> = Result<T, FabricError>;
+pub(crate) type FabricResult<T> = Result<T, FabricError>;
 
 /// Errors surfaced by the simulated fabric. These mirror the failure modes of a real
 /// RDMA stack: bad keys and permission violations are rejected "at the hardware

@@ -99,11 +99,6 @@ impl HostState {
         }
         Err(FabricError::NoSuchRegion(addr as u32))
     }
-
-    /// Drop a registration (deregister the memory).
-    pub(crate) fn deregister(&self, region: &Arc<MemoryRegion>) {
-        self.regions.lock().retain(|r| !Arc::ptr_eq(r, region));
-    }
 }
 
 #[derive(Default)]
@@ -131,7 +126,7 @@ impl std::fmt::Debug for SimFabric {
 impl SimFabric {
     /// Create an empty fabric. Every endpoint times its puts with the paper
     /// testbed's link ([`crate::link`]).
-    pub fn with_defaults() -> Self {
+    pub(crate) fn with_defaults() -> Self {
         SimFabric {
             inner: Arc::default(),
         }
@@ -147,17 +142,12 @@ impl SimFabric {
     }
 
     /// Attach a new host with the given machine description. Returns its id.
-    pub fn add_host(&self, cfg: TestbedConfig) -> HostId {
+    pub(crate) fn add_host(&self, cfg: TestbedConfig) -> HostId {
         let mut hosts = self.inner.hosts.write();
         let id = HostId(hosts.len());
         let host = HostState::new(id, cfg);
         hosts.push(Arc::new(host));
         id
-    }
-
-    /// Number of hosts attached.
-    pub fn num_hosts(&self) -> usize {
-        self.inner.hosts.read().len()
     }
 
     pub(crate) fn host_state(&self, id: HostId) -> FabricResult<Arc<HostState>> {
@@ -266,11 +256,6 @@ impl HostHandle {
         self.state.register(len, flags)
     }
 
-    /// Deregister a previously registered region.
-    pub fn deregister(&self, region: &Arc<MemoryRegion>) {
-        self.state.deregister(region)
-    }
-
     /// Look up the region containing a descriptor's range (e.g. to read a mailbox the
     /// host owns locally).
     pub fn find_region(&self, desc: &RegionDescriptor) -> FabricResult<Arc<MemoryRegion>> {
@@ -318,10 +303,10 @@ mod tests {
     #[test]
     fn back_to_back_builds_two_hosts() {
         let (fabric, a, b) = SimFabric::back_to_back(TestbedConfig::tiny_for_tests());
-        assert_eq!(fabric.num_hosts(), 2);
         assert_ne!(a, b);
         assert!(fabric.host(a).is_ok());
         assert!(fabric.host(b).is_ok());
+        assert!(fabric.host(HostId(2)).is_err(), "exactly two hosts");
         assert!(fabric.host(HostId(7)).is_err());
     }
 
@@ -344,8 +329,6 @@ mod tests {
         let r = host.register(1024, AccessFlags::rwx()).unwrap();
         let found = host.find_region(&r.descriptor()).unwrap();
         assert!(Arc::ptr_eq(&found, &r));
-        host.deregister(&r);
-        assert!(host.find_region(&r.descriptor()).is_err());
     }
 
     #[test]
@@ -370,7 +353,7 @@ mod tests {
         let ids: Vec<_> = (0..4)
             .map(|_| fabric.add_host(TestbedConfig::tiny_for_tests()))
             .collect();
-        assert_eq!(fabric.num_hosts(), 4);
+        assert!(fabric.host(HostId(3)).is_ok() && fabric.host(HostId(4)).is_err());
         // all-to-all endpoints work
         for &x in &ids {
             for &y in &ids {

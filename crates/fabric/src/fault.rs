@@ -47,7 +47,7 @@ pub struct FaultPlan {
     /// Probability a put is delivered twice (the copy arrives late).
     pub duplicate: f64,
     /// Probability a put swaps delivery order with the next one on its endpoint.
-    pub reorder: f64,
+    pub(crate) reorder: f64,
     /// Seed for the deterministic PRNG; every endpoint of the link derives its
     /// own stream from this seed and its creation index.
     pub seed: u64,
@@ -92,7 +92,7 @@ pub struct FaultSnapshot {
     /// Puts held back to swap with their successor.
     pub reordered: u64,
     /// Deferred deliveries (duplicate copies and held originals) that landed.
-    pub redelivered: u64,
+    pub(crate) redelivered: u64,
 }
 
 /// The shared, per-link half of the fault machinery: the plan, the aggregate

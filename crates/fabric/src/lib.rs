@@ -57,12 +57,11 @@ pub mod region;
 pub mod rkey;
 
 pub use endpoint::{Endpoint, PutOutcome};
-pub use error::{FabricError, FabricResult};
+pub use error::FabricError;
 pub use fabric::{HostHandle, HostId, SimFabric};
 pub use fault::{FaultPlan, FaultSnapshot};
 pub use link::LinkTiming;
-pub use nic::NicModel;
 pub use region::{MemoryRegion, RegionDescriptor};
-pub use rkey::{AccessFlags, RKey};
+pub use rkey::AccessFlags;
 
 pub use twochains_memsim::SimTime;

@@ -39,7 +39,7 @@ pub struct LinkTiming {
     /// Time from the doorbell ringing until the last byte has been delivered into the
     /// destination memory system (PCIe + wire + DMA), excluding the DMA engine's
     /// cache-installation cost which the memory hierarchy charges separately.
-    pub network: SimTime,
+    pub(crate) network: SimTime,
     /// Minimum spacing between successive messages of this size on the wire
     /// (the LogGP "gap"); determines streaming bandwidth / message rate.
     pub gap: SimTime,
@@ -47,7 +47,7 @@ pub struct LinkTiming {
 
 impl LinkTiming {
     /// Total one-way latency contribution of the link (sender CPU + network).
-    pub fn one_way(&self) -> SimTime {
+    pub(crate) fn one_way(&self) -> SimTime {
         self.sender_cpu + self.network
     }
 }
@@ -55,19 +55,19 @@ impl LinkTiming {
 /// Effective single-stream bandwidth in bytes per nanosecond: the line rate
 /// scaled by the achievable fraction of it (protocol/framing efficiency and the
 /// small servers' PCIe slot).
-pub fn effective_bytes_per_ns() -> f64 {
+pub(crate) fn effective_bytes_per_ns() -> f64 {
     // Gb/s -> bytes/ns: eight bits a byte.
     LINE_RATE_GBPS / 8.0 * LINK_EFFICIENCY
 }
 
 /// Pure serialization time of `size` bytes on the wire.
-pub fn wire_time(size: usize) -> SimTime {
+pub(crate) fn wire_time(size: usize) -> SimTime {
     SimTime::from_ns_f64(size as f64 / effective_bytes_per_ns())
 }
 
 /// The "just crossed a threshold" penalty for a message of `size` bytes: one
 /// in `[threshold, threshold + THRESHOLD_WINDOW)` of either boundary pays it.
-pub fn threshold_penalty(size: usize) -> SimTime {
+pub(crate) fn threshold_penalty(size: usize) -> SimTime {
     if (EAGER_THRESHOLD..EAGER_THRESHOLD + THRESHOLD_WINDOW).contains(&size) {
         EAGER_PENALTY
     } else if (FRAGMENT_THRESHOLD..FRAGMENT_THRESHOLD + THRESHOLD_WINDOW).contains(&size) {

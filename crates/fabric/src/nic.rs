@@ -23,7 +23,7 @@ use crate::link::{self, LinkTiming};
 /// for inbound DMA (the firmware toggle for the ConnectX-6 device in the paper's
 /// experiments) is the destination hierarchy's own: [`NicModel::stashing`] reads it.
 #[derive(Debug)]
-pub struct NicModel {
+pub(crate) struct NicModel {
     /// Time until which the transmit path is busy.
     tx_busy_until: Mutex<SimTime>,
     /// Time until which the receive/DMA path is busy.
@@ -55,14 +55,9 @@ impl NicModel {
         self.hierarchy.stashing_enabled()
     }
 
-    /// The destination memory hierarchy (shared with the host's compute side).
-    pub fn hierarchy(&self) -> &Arc<SharedHierarchy> {
-        &self.hierarchy
-    }
-
     /// Account for the transmit side of a put posted at `now` on the *sending* NIC:
     /// returns (time the wire transfer starts, time the tx path frees up).
-    pub fn acquire_tx(&self, now: SimTime, timing: &LinkTiming) -> (SimTime, SimTime) {
+    pub(crate) fn acquire_tx(&self, now: SimTime, timing: &LinkTiming) -> (SimTime, SimTime) {
         let mut busy = self.tx_busy_until.lock();
         let start = now.max(*busy);
         let free = start + timing.gap;
@@ -79,7 +74,12 @@ impl NicModel {
     /// ([`DMA_EXPOSED_TAIL`]) is exposed on the latency path, and back-to-back
     /// messages are spaced by the smaller of the install cost and the
     /// wire-serialization time.
-    pub fn deliver(&self, arrival: SimTime, dst_addr: u64, len: usize) -> (SimTime, SimTime) {
+    pub(crate) fn deliver(
+        &self,
+        arrival: SimTime,
+        dst_addr: u64,
+        len: usize,
+    ) -> (SimTime, SimTime) {
         let mut busy = self.rx_busy_until.lock();
         let start = arrival.max(*busy);
         let dma_cost = self.hierarchy.dma_write(dst_addr, len);
@@ -116,9 +116,9 @@ mod tests {
         let n = nic(true);
         n.set_stashing(false);
         assert!(!n.stashing());
-        assert!(!n.hierarchy().stashing_enabled());
+        assert!(!n.hierarchy.stashing_enabled());
         n.set_stashing(true);
-        assert!(n.hierarchy().stashing_enabled());
+        assert!(n.hierarchy.stashing_enabled());
     }
 
     #[test]
@@ -127,11 +127,11 @@ mod tests {
         // public: the NIC keeps no copy that could disagree with the path
         // deliveries actually take.
         let n = nic(true);
-        n.hierarchy().set_stashing(false);
+        n.hierarchy.set_stashing(false);
         n.deliver(SimTime::ZERO, 0x8000, 256);
-        assert_eq!(n.hierarchy().stats().dma_dram_lines, 4);
+        assert_eq!(n.hierarchy.stats().dma_dram_lines, 4);
         assert!(!n.stashing(), "deliveries took the DRAM path");
-        n.hierarchy().set_stashing(true);
+        n.hierarchy.set_stashing(true);
         assert!(n.stashing());
     }
 
@@ -153,16 +153,16 @@ mod tests {
         let (done, cost) = n.deliver(SimTime::from_ns(500), 0x8000, 256);
         assert!(done >= SimTime::from_ns(500));
         assert!(cost > SimTime::ZERO);
-        assert!(n.hierarchy().llc_contains(0x8000));
-        assert_eq!(n.hierarchy().stats().stashed_lines, 4);
+        assert!(n.hierarchy.llc_contains(0x8000));
+        assert_eq!(n.hierarchy.stats().stashed_lines, 4);
     }
 
     #[test]
     fn delivery_without_stash_goes_to_dram() {
         let n = nic(false);
         n.deliver(SimTime::ZERO, 0x8000, 256);
-        assert!(!n.hierarchy().llc_contains(0x8000));
-        assert_eq!(n.hierarchy().stats().dma_dram_lines, 4);
+        assert!(!n.hierarchy.llc_contains(0x8000));
+        assert_eq!(n.hierarchy.stats().dma_dram_lines, 4);
     }
 
     #[test]

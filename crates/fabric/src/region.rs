@@ -2,7 +2,7 @@
 //!
 //! A [`MemoryRegion`] is the simulated analogue of memory pinned and registered with
 //! an InfiniBand HCA for one-sided remote access: a contiguous buffer with a base
-//! "virtual address" in the owning host's simulated address space, an [`RKey`]
+//! "virtual address" in the owning host's simulated address space, an `RKey`
 //! guarding remote access, and permission bits.
 //!
 //! ## Ordering protocol
@@ -53,7 +53,7 @@ pub struct RegionDescriptor {
     /// Length in bytes.
     pub len: usize,
     /// Remote access key.
-    pub rkey: RKey,
+    pub(crate) rkey: RKey,
     /// Permissions granted to remote peers.
     pub flags: AccessFlags,
 }
@@ -130,7 +130,7 @@ impl MemoryRegion {
     }
 
     /// The remote key guarding this region.
-    pub fn rkey(&self) -> RKey {
+    pub(crate) fn rkey(&self) -> RKey {
         self.rkey
     }
 

@@ -11,16 +11,16 @@
 use crate::error::{FabricError, FabricResult};
 
 /// Permission bits attached to a registered region. All four bits derive the
-/// region's [`RKey`]; a put, the only remote access the fabric posts, checks
+/// region's `RKey`; a put, the only remote access the fabric posts, checks
 /// `remote_write`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AccessFlags {
     /// Remote read (RDMA get) allowed.
-    pub remote_read: bool,
+    pub(crate) remote_read: bool,
     /// Remote write (RDMA put) allowed.
-    pub remote_write: bool,
+    pub(crate) remote_write: bool,
     /// Remote atomics allowed.
-    pub remote_atomic: bool,
+    pub(crate) remote_atomic: bool,
     /// Remote *execute* allowed — the paper's proposed IBTA extension: the region may
     /// hold injected function code that the receiver will run.
     pub remote_execute: bool,
@@ -49,32 +49,12 @@ impl AccessFlags {
         }
     }
 
-    /// Read-only.
-    pub const fn ro() -> Self {
-        AccessFlags {
-            remote_read: true,
-            remote_write: false,
-            remote_atomic: false,
-            remote_execute: false,
-        }
-    }
-
     /// Encode to a compact bitmask (bit0=read, bit1=write, bit2=atomic, bit3=execute).
     pub fn bits(self) -> u32 {
         (self.remote_read as u32)
             | (self.remote_write as u32) << 1
             | (self.remote_atomic as u32) << 2
             | (self.remote_execute as u32) << 3
-    }
-
-    /// Decode from the bitmask produced by [`AccessFlags::bits`].
-    pub fn from_bits(bits: u32) -> Self {
-        AccessFlags {
-            remote_read: bits & 1 != 0,
-            remote_write: bits & 2 != 0,
-            remote_atomic: bits & 4 != 0,
-            remote_execute: bits & 8 != 0,
-        }
     }
 }
 
@@ -85,12 +65,12 @@ impl AccessFlags {
 /// unguessable-in-practice but deterministic given the nonce — which keeps
 /// simulations reproducible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct RKey(pub u32);
+pub(crate) struct RKey(pub(crate) u32);
 
 impl RKey {
     /// Generate a key for a registration. `nonce` plays the role of the HCA's
     /// internal key counter.
-    pub fn generate(base_addr: u64, len: usize, flags: AccessFlags, nonce: u32) -> Self {
+    pub(crate) fn generate(base_addr: u64, len: usize, flags: AccessFlags, nonce: u32) -> Self {
         // A small mixing function (xorshift-multiply) over the inputs; this is not a
         // cryptographic MAC, mirroring the (known-weak, see ReDMArk) IBTA scheme.
         let mut x = base_addr
@@ -103,11 +83,6 @@ impl RKey {
         x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
         x ^= x >> 32;
         RKey((x as u32) ^ ((x >> 32) as u32))
-    }
-
-    /// Raw key value.
-    pub fn raw(self) -> u32 {
-        self.0
     }
 
     /// Validate a presented key against the expected one, as the HCA does on every
@@ -130,12 +105,16 @@ mod tests {
     #[test]
     fn flags_roundtrip_through_bits() {
         for bits in 0..16u32 {
-            let f = AccessFlags::from_bits(bits);
+            let f = AccessFlags {
+                remote_read: bits & 1 != 0,
+                remote_write: bits & 2 != 0,
+                remote_atomic: bits & 4 != 0,
+                remote_execute: bits & 8 != 0,
+            };
             assert_eq!(f.bits(), bits);
         }
         assert_eq!(AccessFlags::rwx().bits(), 0b1111);
         assert_eq!(AccessFlags::rw().bits(), 0b0111);
-        assert_eq!(AccessFlags::ro().bits(), 0b0001);
     }
 
     #[test]
@@ -169,12 +148,10 @@ mod tests {
     fn validation_accepts_only_exact_key() {
         let k = RKey::generate(0x4000, 64, AccessFlags::rw(), 1);
         assert!(k.validate(k).is_ok());
-        let wrong = RKey(k.raw().wrapping_add(1));
+        let wrong = RKey(k.0.wrapping_add(1));
         assert_eq!(
             k.validate(wrong),
-            Err(FabricError::InvalidRkey {
-                presented: wrong.raw()
-            })
+            Err(FabricError::InvalidRkey { presented: wrong.0 })
         );
     }
 }

@@ -182,11 +182,6 @@ impl Assembler {
         self.push(Instr::Hash { dst, src })
     }
 
-    /// No-op.
-    pub fn nop(&mut self) -> &mut Self {
-        self.push(Instr::Nop)
-    }
-
     /// Return.
     pub fn ret(&mut self) -> &mut Self {
         self.push(Instr::Ret)
@@ -235,7 +230,7 @@ mod tests {
             .alu_imm(AluOp::Sub, Reg(0), Reg(0), 1)
             .jnz(Reg(0), "loop")
             .jump("end")
-            .nop()
+            .push(Instr::Nop)
             .label("end")
             .ret();
         let prog = a.finish().unwrap();
@@ -254,7 +249,7 @@ mod tests {
     #[test]
     fn duplicate_label_is_an_error() {
         let mut a = Assembler::new();
-        a.label("x").nop().label("x").ret();
+        a.label("x").push(Instr::Nop).label("x").ret();
         assert_eq!(a.finish(), Err(AsmError::DuplicateLabel("x".into())));
     }
 

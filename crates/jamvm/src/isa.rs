@@ -46,19 +46,6 @@ pub const NUM_REGS: usize = 16;
 pub struct Reg(pub u8);
 
 impl Reg {
-    /// First argument / return value register.
-    pub const R0: Reg = Reg(0);
-    /// Second argument register.
-    pub const R1: Reg = Reg(1);
-    /// Third argument register.
-    pub const R2: Reg = Reg(2);
-    /// Fourth argument register.
-    pub const R3: Reg = Reg(3);
-    /// Fifth argument register.
-    pub const R4: Reg = Reg(4);
-    /// Sixth argument register.
-    pub const R5: Reg = Reg(5);
-
     /// Whether the register index is valid.
     pub fn is_valid(self) -> bool {
         (self.0 as usize) < NUM_REGS

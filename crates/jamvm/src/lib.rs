@@ -55,6 +55,6 @@ pub use encode::{decode_program, encode_program, encoded_size, Program};
 pub use externs::{ExternRef, ExternTable, GotImage};
 pub use isa::{hash64, hash64_bytes, Instr, Reg};
 pub use memory::{AddressSpace, JamSpace, Segment, SegmentMeta};
-pub use resolved::{resolve, ResolvedOp, ResolvedProgram, RESOLVED_OP_BYTES};
+pub use resolved::{resolve, ResolvedProgram};
 pub use verify::{verify, verify_with_floor, VerifyError};
 pub use vm::{ExecError, ExecStats, Vm, VmConfig};

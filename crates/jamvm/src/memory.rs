@@ -194,11 +194,6 @@ impl AddressSpace {
         self.segments.iter().find(|s| s.name == name)
     }
 
-    /// Mutably borrow a segment by name.
-    pub fn segment_mut(&mut self, name: &str) -> Option<&mut Segment> {
-        self.segments.iter_mut().find(|s| s.name == name)
-    }
-
     /// Names of all mapped segments.
     pub fn segment_names(&self) -> Vec<&str> {
         self.segments.iter().map(|s| s.name.as_str()).collect()
@@ -518,12 +513,12 @@ mod tests {
             for (i, name) in names.iter().enumerate() {
                 let base = 0x1000 * (i as u64 + 1);
                 if i == gone {
-                    assert!(s.segment(name).is_none() && s.segment_mut(name).is_none());
+                    assert!(s.segment(name).is_none());
                     assert!(matches!(s.read(base, 1), Err(MemFault::Unmapped { .. })));
                     continue;
                 }
                 assert_eq!(s.segment(name).unwrap().base, base, "{name} after {gone}");
-                s.segment_mut(name).unwrap().data[0] = 0xF0 | i as u8;
+                s.write(base, &[0xF0 | i as u8]).unwrap();
                 assert_eq!(s.read(base, 2).unwrap(), [0xF0 | i as u8, i as u8]);
             }
             // The name is free again and lands behind the others.

@@ -13,27 +13,27 @@
 //!
 //! ## What lowering does
 //!
-//! * **Flat fixed-width operands** — every [`ResolvedOp`] carries pre-decoded
+//! * **Flat fixed-width operands** — every `ResolvedOp` carries pre-decoded
 //!   register indices and immediates; the executor never re-inspects encoded
 //!   operand forms. The resolved image is modelled at a fixed
-//!   [`RESOLVED_OP_BYTES`] per op for fetch charging.
+//!   `RESOLVED_OP_BYTES` per op for fetch charging.
 //! * **GOT indirections resolved** — `CallExtern { slot }` becomes
-//!   [`ResolvedOp::CallDirect`] holding the extern-table index the GOT slot
+//!   `ResolvedOp::CallDirect` holding the extern-table index the GOT slot
 //!   resolved to. Slots that are unresolved or bound to data lower to
-//!   [`ResolvedOp::CallUnresolved`] / [`ResolvedOp::CallNotCallable`], which
+//!   `ResolvedOp::CallUnresolved` / `ResolvedOp::CallNotCallable`, which
 //!   raise the *same error the call would* — but only if actually reached,
 //!   preserving lazy-error semantics.
 //! * **Superinstruction fusion** — hot adjacent pairs fuse into one op slot:
-//!   load+ALU ([`ResolvedOp::LoadAlu`]), ALU+dependent-branch
-//!   ([`ResolvedOp::AluBranch`] / [`ResolvedOp::AluImmBranch`], the `sub; jnz`
-//!   loop back-edge idiom) and mov+mov ([`ResolvedOp::MovMov`], the argument
+//!   load+ALU (`ResolvedOp::LoadAlu`), ALU+dependent-branch
+//!   (`ResolvedOp::AluBranch` / `ResolvedOp::AluImmBranch`, the `sub; jnz`
+//!   loop back-edge idiom) and mov+mov (`ResolvedOp::MovMov`, the argument
 //!   shuffle prologue idiom). A pair is only fused when its second half is not
 //!   a branch target, so every control-transfer destination stays an op
 //!   boundary. Fused ops retire both halves (two instructions, two issue
 //!   charges, fuel re-checked between the halves) so functional and accounting
 //!   behaviour match an instruction-at-a-time execution exactly.
 //! * **Runs of `Nop`s as one op** — a run of padding lowers to one
-//!   [`ResolvedOp::Nops`], which retires the run's instructions at once.
+//!   `ResolvedOp::Nops`, which retires the run's instructions at once.
 //! * **Block-batched fetch** — instruction-fetch is charged once per
 //!   *straight-line block* entry (one bus access spanning the block's bytes in
 //!   the resolved image) instead of once per instruction. Block leaders are the
@@ -49,14 +49,14 @@
 //! two instructions, so [`resolve`] never visits a `Nop`: it makes two passes
 //! over the program's other instructions and three allocations. The first
 //! pass collects the in-bounds branch targets into a sorted list. The second
-//! fuses, lowers each gap to one [`ResolvedOp::Nops`] and closes each block as
+//! fuses, lowers each gap to one `ResolvedOp::Nops` and closes each block as
 //! the next one's leader appears, pairing each target with the op it lands
 //! on; the few ops that carry a target are then patched from that list. A run
 //! stops in front of a target inside it, so a jump into the padding finds an
 //! op there and a `Nop` that is a target leads a block.
 //!
 //! What the run form never changes is the modelled image. Its size is one
-//! [`RESOLVED_OP_BYTES`] op per lowered instruction or fused pair, a run
+//! `RESOLVED_OP_BYTES` op per lowered instruction or fused pair, a run
 //! counting each of its instructions, and that is what the slab write and
 //! every fetch address are computed from: each op keeps its position in that
 //! *materialised* image beside its block span, so a block entry fetches the
@@ -104,12 +104,12 @@ use crate::vm::{ExecError, ExecStats, Vm, VmConfig};
 /// image is wider than the wire encoding (operands are flat, not packed) but
 /// every op is the same width, which is what lets fetch spans be computed per
 /// block instead of per instruction.
-pub const RESOLVED_OP_BYTES: usize = 16;
+pub(crate) const RESOLVED_OP_BYTES: usize = 16;
 
 /// One op of the resolved IR. Operands are pre-decoded register indices and
 /// immediates; calls carry the extern-table index the GOT slot resolved to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResolvedOp {
+pub(crate) enum ResolvedOp {
     /// `dst = imm`.
     LoadImm {
         /// Destination register index.
@@ -390,7 +390,7 @@ impl ResolvedProgram {
         self.ops.iter().filter(|o| o.is_fused()).count()
     }
 
-    /// Modelled byte size of the resolved image — [`RESOLVED_OP_BYTES`] per
+    /// Modelled byte size of the resolved image — `RESOLVED_OP_BYTES` per
     /// lowered instruction or fused pair, a run of `Nop`s counting each of its
     /// instructions: the span the runtime installs at the image's code base
     /// and the executor charges fetches against.

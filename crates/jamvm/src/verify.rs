@@ -193,7 +193,7 @@ mod oracle {
             | Instr::AluImm { dst, .. }
             | Instr::Load { dst, .. }
             | Instr::Hash { dst, .. } => Some(dst),
-            Instr::CallExtern { .. } => Some(Reg::R0),
+            Instr::CallExtern { .. } => Some(Reg(0)),
             _ => None,
         }
     }

@@ -32,9 +32,9 @@ pub struct JamDefinition {
     /// Symbolic GOT (external references, in slot order).
     pub got: Vec<SymbolRef>,
     /// Size of the fixed ARGS block the jam expects.
-    pub args_size: usize,
+    pub(crate) args_size: usize,
     /// If set, pad `.text` with `Nop`s to exactly this many bytes.
-    pub pad_text_to: Option<usize>,
+    pub(crate) pad_text_to: Option<usize>,
 }
 
 impl JamDefinition {

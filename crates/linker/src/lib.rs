@@ -43,5 +43,5 @@ pub use error::LinkError;
 pub use namespace::{DataObject, LinkerNamespace};
 pub use object::JamObject;
 pub use package::{ElementId, Package, PackageElement};
-pub use ried::{Ried, RiedBuilder, RiedDataExport};
-pub use symbol::{SymbolKind, SymbolRef};
+pub use ried::{Ried, RiedBuilder};
+pub use symbol::SymbolRef;

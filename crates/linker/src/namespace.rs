@@ -17,7 +17,7 @@ use crate::symbol::{SymbolKind, SymbolRef};
 
 /// Result of looking a symbol up in a namespace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Resolution {
+pub(crate) enum Resolution {
     /// A function, identified by its extern-table index.
     Function(u32),
     /// A data object, identified by its simulated base address.
@@ -115,7 +115,7 @@ impl LinkerNamespace {
     }
 
     /// Look a symbol up by name.
-    pub fn dlsym(&self, name: &str) -> Option<Resolution> {
+    pub(crate) fn dlsym(&self, name: &str) -> Option<Resolution> {
         if let Some(idx) = self.externs.index_of(name) {
             return Some(Resolution::Function(idx));
         }

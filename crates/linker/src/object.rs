@@ -7,7 +7,7 @@
 //! the jam expects. Objects live in a [`Package`](crate::Package) in memory; no
 //! serialized form exists, because a receiver installs the package it is handed.
 
-use twochains_jamvm::{decode_program, encode_program, verify, Instr, Program};
+use twochains_jamvm::{decode_program, verify, Program};
 
 use crate::error::LinkError;
 use crate::symbol::SymbolRef;
@@ -22,7 +22,7 @@ pub struct JamObject {
     /// Symbolic GOT: slot *i* of the shipped GOT image resolves `got[i]`.
     pub got: Vec<SymbolRef>,
     /// Size in bytes of the fixed ARGS block this jam expects in the frame.
-    pub args_size: usize,
+    pub(crate) args_size: usize,
 }
 
 impl JamObject {
@@ -42,16 +42,6 @@ impl JamObject {
             got,
             args_size,
         })
-    }
-
-    /// Construct from decoded instructions (encodes them for you).
-    pub fn from_program(
-        name: &str,
-        program: &[Instr],
-        got: Vec<SymbolRef>,
-        args_size: usize,
-    ) -> Result<Self, LinkError> {
-        Self::new(name, encode_program(program), got, args_size)
     }
 
     /// Decode the `.text` back into instructions.
@@ -75,18 +65,18 @@ impl JamObject {
 mod tests {
     use super::*;
     use crate::symbol::SymbolRef;
-    use twochains_jamvm::{Assembler, Reg};
+    use twochains_jamvm::{encode_program, Assembler, Reg};
 
-    fn simple_program() -> Vec<Instr> {
+    fn simple_text() -> Vec<u8> {
         let mut a = Assembler::new();
         a.load_imm(Reg(0), 5).call_extern(0, 1).ret();
-        a.finish().unwrap()
+        encode_program(&a.finish().unwrap())
     }
 
     fn object() -> JamObject {
-        JamObject::from_program(
+        JamObject::new(
             "jam_test",
-            &simple_program(),
+            simple_text(),
             vec![SymbolRef::func("scale")],
             16,
         )
@@ -96,7 +86,7 @@ mod tests {
     #[test]
     fn construction_verifies_bytecode() {
         // Referencing GOT slot 0 with an empty GOT must fail verification.
-        let err = JamObject::from_program("bad", &simple_program(), vec![], 0).unwrap_err();
+        let err = JamObject::new("bad", simple_text(), vec![], 0).unwrap_err();
         assert!(matches!(err, LinkError::VerifyFailed(_)));
         // Garbage text must fail decoding.
         let err = JamObject::new("bad", vec![0xFF, 0xFF], vec![], 0).unwrap_err();

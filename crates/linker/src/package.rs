@@ -136,12 +136,13 @@ mod tests {
     use super::*;
     use crate::ried::RiedBuilder;
     use crate::symbol::SymbolRef;
-    use twochains_jamvm::{Assembler, Reg};
+    use twochains_jamvm::{encode_program, Assembler, Reg};
 
     fn jam(name: &str) -> JamObject {
         let mut a = Assembler::new();
         a.load_imm(Reg(0), 1).call_extern(0, 0).ret();
-        JamObject::from_program(name, &a.finish().unwrap(), vec![SymbolRef::func("f")], 8).unwrap()
+        let text = encode_program(&a.finish().unwrap());
+        JamObject::new(name, text, vec![SymbolRef::func("f")], 8).unwrap()
     }
 
     fn package() -> Package {

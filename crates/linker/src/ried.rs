@@ -23,7 +23,7 @@ use twochains_jamvm::externs::ExternFn;
 /// A named data object exported by a ried. Every one is writable, and each
 /// receiver shard maps an instance of its own.
 #[derive(Debug, Clone)]
-pub struct RiedDataExport {
+pub(crate) struct RiedDataExport {
     /// Canonical symbol name (e.g. `"array.base"`).
     pub name: String,
     /// Initial contents; its length is the object's size.
@@ -70,7 +70,7 @@ impl Ried {
     }
 
     /// Exported data objects.
-    pub fn data(&self) -> &[RiedDataExport] {
+    pub(crate) fn data(&self) -> &[RiedDataExport] {
         &self.data
     }
 }

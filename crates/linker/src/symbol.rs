@@ -10,7 +10,7 @@ use std::fmt;
 
 /// Whether a symbol names code or data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SymbolKind {
+pub(crate) enum SymbolKind {
     /// A callable function (reached with `CallExtern`).
     Function,
     /// A data object (its resolved address is placed in the GOT slot).
@@ -23,7 +23,7 @@ pub struct SymbolRef {
     /// Canonical symbol name, e.g. `"ried_table.put"`.
     pub name: String,
     /// Expected kind.
-    pub kind: SymbolKind,
+    pub(crate) kind: SymbolKind,
 }
 
 impl SymbolRef {

@@ -21,7 +21,7 @@ pub enum AccessKind {
 
 impl AccessKind {
     /// True for accesses that mark the line dirty.
-    pub fn is_write(self) -> bool {
+    pub(crate) fn is_write(self) -> bool {
         matches!(self, AccessKind::Write)
     }
 }
@@ -57,23 +57,6 @@ pub struct CacheStats {
     pub stashed_lines: u64,
 }
 
-impl CacheStats {
-    /// Total accesses observed.
-    pub fn accesses(&self) -> u64 {
-        self.hits + self.misses
-    }
-
-    /// Hit rate in \[0,1\]; 0 if no accesses.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.accesses();
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// A set-associative, write-back, write-allocate cache model (tags only).
 ///
 /// Way `w` of set `s` is index `s * ways_per_set + w` of three parallel arrays, so a
@@ -85,7 +68,7 @@ impl CacheStats {
 /// stripes' held-above flag) in the byte that holds the dirty bit, so that reading
 /// or writing it right after a touch of the same way costs no memory access of its
 /// own. A fill leaves its way unmarked and an eviction clears the mark; between the
-/// two only [`SetAssocCache::set_marked`] changes it, on the slot that the `*_slot`
+/// two only `SetAssocCache::set_marked` changes it, on the slot that the `*_slot`
 /// form of an operation reports.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
@@ -175,7 +158,7 @@ impl SetAssocCache {
     }
 
     /// [`SetAssocCache::contains`] by pre-computed line index.
-    pub fn contains_line(&self, line: u64) -> bool {
+    pub(crate) fn contains_line(&self, line: u64) -> bool {
         self.tags[self.set_of(line)].contains(&line)
     }
 
@@ -250,7 +233,7 @@ impl SetAssocCache {
 
     /// [`SetAssocCache::access_line`], also reporting the slot that holds `line` now.
     #[inline(always)]
-    pub fn access_line_slot(&mut self, line: u64, kind: AccessKind) -> (FillOutcome, usize) {
+    pub(crate) fn access_line_slot(&mut self, line: u64, kind: AccessKind) -> (FillOutcome, usize) {
         let (out, slot) = self.touch(line, kind.is_write());
         if out.hit {
             self.stats.hits += 1;
@@ -274,7 +257,7 @@ impl SetAssocCache {
     /// [`SetAssocCache::stash_line`], also reporting whether the line was already
     /// tracked (`hit`) and the slot that holds it now.
     #[inline]
-    pub fn stash_line_slot(&mut self, line: u64) -> (FillOutcome, usize) {
+    pub(crate) fn stash_line_slot(&mut self, line: u64) -> (FillOutcome, usize) {
         self.stats.stashed_lines += 1;
         self.touch(line, true)
     }
@@ -286,14 +269,14 @@ impl SetAssocCache {
 
     /// Drop `line` (a pre-computed line index) if present; reports whether it was
     /// dirty, or `None` if the cache did not hold it.
-    pub fn evict_line(&mut self, line: u64) -> Option<bool> {
+    pub(crate) fn evict_line(&mut self, line: u64) -> Option<bool> {
         self.evict_line_marked(line).map(|(dirty, _)| dirty)
     }
 
     /// [`SetAssocCache::evict_line`], also reporting whether the way the line just
     /// left was marked.
     #[inline]
-    pub fn evict_line_marked(&mut self, line: u64) -> Option<(bool, bool)> {
+    pub(crate) fn evict_line_marked(&mut self, line: u64) -> Option<(bool, bool)> {
         let set = self.set_of(line);
         let way = self.tags[set.clone()].iter().position(|&t| t == line)?;
         let idx = set.start + way;
@@ -304,13 +287,13 @@ impl SetAssocCache {
 
     /// Whether the way at `slot` is marked.
     #[inline]
-    pub fn marked(&self, slot: usize) -> bool {
+    pub(crate) fn marked(&self, slot: usize) -> bool {
         self.bits[slot] & MARKED != 0
     }
 
     /// Mark or unmark the way at `slot`, which holds a line.
     #[inline]
-    pub fn set_marked(&mut self, slot: usize, marked: bool) {
+    pub(crate) fn set_marked(&mut self, slot: usize, marked: bool) {
         debug_assert_ne!(self.tags[slot], EMPTY, "marking an empty way");
         if marked {
             self.bits[slot] |= MARKED;
@@ -327,11 +310,6 @@ impl SetAssocCache {
             assert!(t != EMPTY || bits == 0, "an empty way keeps no state");
             (t != EMPTY).then_some((t, bits & MARKED != 0))
         })
-    }
-
-    /// Number of valid lines currently resident (for tests and introspection).
-    pub fn resident_lines(&self) -> usize {
-        self.tags.iter().filter(|&&t| t != EMPTY).count()
     }
 
     /// Line size in bytes.
@@ -447,7 +425,7 @@ mod tests {
             assert_eq!(c.stash_line(b), None);
             assert!(!c.contains_line(e));
             assert!(c.contains_line(0) && c.contains_line(2), "{sets} sets");
-            assert_eq!(c.resident_lines(), 5);
+            assert_eq!(c.slots().flatten().count(), 5);
         }
     }
 
@@ -456,22 +434,10 @@ mod tests {
         let mut c = small_cache();
         c.access(0, AccessKind::Read);
         c.reset_stats();
-        assert_eq!(c.stats().accesses(), 0);
+        assert_eq!(c.stats(), CacheStats::default());
         assert!(c.contains(0));
         c.clear();
         assert!(!c.contains(0));
-    }
-
-    #[test]
-    fn hit_rate_math() {
-        let mut c = small_cache();
-        c.access(0, AccessKind::Read);
-        c.access(0, AccessKind::Read);
-        c.access(0, AccessKind::Read);
-        c.access(64, AccessKind::Read);
-        let s = c.stats();
-        assert_eq!(s.accesses(), 4);
-        assert!((s.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -480,8 +446,7 @@ mod tests {
         for i in 0..32u64 {
             c.access(i * 64, AccessKind::Read);
         }
-        assert!(c.resident_lines() <= 8);
-        assert_eq!(c.resident_lines(), 8);
+        assert_eq!(c.slots().flatten().count(), 8);
     }
 
     /// The cache as one list of `(tag, stamp, dirty)` per set, valid lines only:
@@ -638,7 +603,6 @@ mod tests {
                     for (l, mark) in held {
                         assert_eq!(mark, marked.contains(&l), "{what}: mark of {l}");
                     }
-                    assert_eq!(cache.resident_lines(), naive.resident_lines(), "{what}");
                     assert_eq!(cache.stats(), naive.stats, "{what}");
                 }
                 assert!(

@@ -51,7 +51,7 @@ impl SimTime {
     }
 
     /// Construct from fractional microseconds.
-    pub fn from_us_f64(us: f64) -> Self {
+    pub(crate) fn from_us_f64(us: f64) -> Self {
         Self::from_ns_f64(us * 1_000.0)
     }
 
@@ -111,7 +111,7 @@ impl SimTime {
 
     /// Convert this duration into a number of clock cycles at `freq_ghz` (rounded up,
     /// so that any non-zero wait costs at least one cycle).
-    pub fn to_cycles(self, freq_ghz: f64) -> u64 {
+    pub(crate) fn to_cycles(self, freq_ghz: f64) -> u64 {
         if self.0 == 0 {
             return 0;
         }

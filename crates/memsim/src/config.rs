@@ -13,7 +13,7 @@ use crate::clock::SimTime;
 use crate::cost;
 
 /// Cache line size used throughout the simulator (bytes).
-pub const CACHE_LINE: usize = 64;
+pub(crate) const CACHE_LINE: usize = 64;
 
 /// Geometry of a single cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,7 +21,7 @@ pub struct CacheLevelConfig {
     /// Total capacity in bytes.
     pub capacity: usize,
     /// Associativity (number of ways per set).
-    pub ways: usize,
+    pub(crate) ways: usize,
     /// Line size in bytes.
     pub line_size: usize,
 }
@@ -48,7 +48,7 @@ impl CacheLevelConfig {
     }
 
     /// Number of sets in this cache.
-    pub fn sets(&self) -> usize {
+    pub(crate) fn sets(&self) -> usize {
         self.capacity / (self.ways * self.line_size)
     }
 
@@ -76,7 +76,7 @@ pub struct CacheGeometry {
     /// Chip-wide shared last level cache (the stash target).
     pub llc: CacheLevelConfig,
     /// Number of cores sharing one L3 slice.
-    pub cores_per_cluster: usize,
+    pub(crate) cores_per_cluster: usize,
     /// Number of cores in the package.
     pub num_cores: usize,
 }
@@ -109,10 +109,10 @@ pub struct DramConfig {
     /// Peak sustainable bandwidth of the memory system in GiB/s
     /// ([`DRAM_BANDWIDTH_GIB_S`](crate::cost::DRAM_BANDWIDTH_GIB_S) on the paper's
     /// testbed: below the ~21.3 GB/s peak of one DDR4-2666 channel).
-    pub bandwidth_gib_s: f64,
+    pub(crate) bandwidth_gib_s: f64,
     /// Fraction of peak bandwidth consumed by background traffic when the
     /// memory stressor is active (0.0 = idle machine).
-    pub background_utilization: f64,
+    pub(crate) background_utilization: f64,
 }
 
 /// Hardware prefetcher parameters.
@@ -121,9 +121,9 @@ pub struct PrefetchConfig {
     /// Master enable (the paper's firmware/kernel toggle).
     pub enabled: bool,
     /// Number of consecutive-line misses required before the stream is trained.
-    pub train_threshold: usize,
+    pub(crate) train_threshold: usize,
     /// Number of lines fetched ahead once trained.
-    pub degree: usize,
+    pub(crate) degree: usize,
     /// Maximum number of concurrently tracked streams.
     pub streams: usize,
 }
@@ -176,20 +176,6 @@ impl TestbedConfig {
             },
             llc_stashing: true,
         }
-    }
-
-    /// The same platform with LLC stashing disabled (the paper's "Nonstash" runs).
-    pub fn cluster2021_nonstash() -> Self {
-        let mut c = Self::cluster2021();
-        c.llc_stashing = false;
-        c
-    }
-
-    /// The same platform with the hardware prefetcher disabled.
-    pub fn cluster2021_no_prefetch() -> Self {
-        let mut c = Self::cluster2021();
-        c.prefetch.enabled = false;
-        c
     }
 
     /// A deliberately tiny machine used by unit and property tests: small caches make
@@ -274,17 +260,6 @@ mod tests {
     #[should_panic(expected = "not divisible")]
     fn bad_geometry_is_rejected() {
         let _ = CacheLevelConfig::new(1000, 3, 64);
-    }
-
-    #[test]
-    fn variant_configs_flip_single_knobs() {
-        assert!(!TestbedConfig::cluster2021_nonstash().llc_stashing);
-        assert!(!TestbedConfig::cluster2021_no_prefetch().prefetch.enabled);
-        // and they leave everything else alone
-        assert_eq!(
-            TestbedConfig::cluster2021_nonstash().caches,
-            TestbedConfig::cluster2021().caches
-        );
     }
 
     #[test]

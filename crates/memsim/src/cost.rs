@@ -10,11 +10,13 @@
 //! * **assumed** — a plausible value for the paper's hardware that nothing in
 //!   the paper pins down.
 //!
-//! The list generates one `pub const` per row, which every model layer reads
+//! The list generates one constant per row, which every model layer reads
 //! instead of a literal of its own, and [`rows`], which walks the table in
-//! declaration order. `tests/golden/cost_model.txt` holds the table as
-//! [`Row`]'s `Display` renders it, written by hand from the sources before the
-//! constants were gathered here.
+//! declaration order. A row is `pub` when another crate reads it and
+//! `pub(crate)` when only this crate's testbed and stressor do.
+//! `tests/golden/cost_model.txt` holds the table as [`Row`]'s `Display`
+//! renders it, written by hand from the sources before the constants were
+//! gathered here.
 //!
 //! The testbed's cache geometry stays in [`crate::config::TestbedConfig`],
 //! whose [`cluster2021`](crate::config::TestbedConfig::cluster2021) preset
@@ -28,7 +30,7 @@ use crate::clock::SimTime;
 
 /// Where a row's value comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Provenance {
+pub(crate) enum Provenance {
     /// Stated by the paper.
     Paper {
         /// Section or figure.
@@ -62,7 +64,7 @@ pub struct Row {
     /// The unit the value is written in.
     pub unit: &'static str,
     /// Where the value comes from.
-    pub provenance: Provenance,
+    pub(crate) provenance: Provenance,
 }
 
 impl fmt::Display for Row {
@@ -75,7 +77,7 @@ impl fmt::Display for Row {
     }
 }
 
-/// Declares the table: one row per line, `NAME: type = value => "unit",
+/// Declares the table: one row per line, `vis NAME: type = value => "unit",
 /// provenance;` with the provenance `paper "§" "quote"`, `fitted "figure"` or
 /// `assumed`, under a doc line saying what the constant charges.
 macro_rules! cost_model {
@@ -97,12 +99,12 @@ macro_rules! cost_model {
     (@value $ty:ident $v:expr) => {
         $v as f64
     };
-    ($($(#[doc = $doc:literal])* $name:ident: $ty:ident = $value:expr => $unit:literal, $kind:ident $($arg:literal)*;)*) => {
+    ($($(#[doc = $doc:literal])* $vis:vis $name:ident: $ty:ident = $value:expr => $unit:literal, $kind:ident $($arg:literal)*;)*) => {
         $(
             $(#[doc = $doc])*
             ///
             #[doc = concat!("In ", $unit, "; ", stringify!($kind) $(, " — ", $arg)*, ".")]
-            pub const $name: $ty = $value;
+            $vis const $name: $ty = $value;
         )*
 
         /// Every row of the table, in declaration order.
@@ -125,123 +127,123 @@ const fn ns(ns: u64) -> SimTime {
 cost_model! {
     // The receiving core: its clock, the Polling/WFE wait (`cycles`) and the jam VM's issue rate.
     /// Core clock: cycles are charged at this rate, spinning or working.
-    CORE_FREQ_GHZ: f64 = 2.6 => "GHz", paper "§VI-C" "a 2.6 GHz core clock";
+    pub CORE_FREQ_GHZ: f64 = 2.6 => "GHz", paper "§VI-C" "a 2.6 GHz core clock";
     /// Polling granularity: a tight acquire-load loop on a cached line turns around in a few cycles.
-    POLL_INTERVAL: SimTime = ns(4) => "ns", assumed;
+    pub POLL_INTERVAL: SimTime = ns(4) => "ns", assumed;
     /// Extra wake-up latency WFE pays: the event signal, then the pipeline restart.
-    WFE_WAKE_LATENCY: SimTime = ns(14) => "ns", assumed;
+    pub WFE_WAKE_LATENCY: SimTime = ns(14) => "ns", assumed;
     /// Cycles spent entering the WFE state (arming the monitor) and leaving it.
-    WFE_OVERHEAD_CYCLES: u64 = 40 => "cycles", assumed;
+    pub WFE_OVERHEAD_CYCLES: u64 = 40 => "cycles", assumed;
     /// Cycles retired per WFE wake-up: spurious wake-up filtering, the re-check of the signal word.
-    WFE_RECHECK_CYCLES: u64 = 24 => "cycles", assumed;
+    pub WFE_RECHECK_CYCLES: u64 = 24 => "cycles", assumed;
     /// Instructions the paper's "modern superscalar" core retires per cycle on straight-line jam code.
-    INSTRS_PER_CYCLE: f64 = 2.0 => "instr/cycle", assumed;
+    pub INSTRS_PER_CYCLE: f64 = 2.0 => "instr/cycle", assumed;
     /// Fixed cost of one extern call: call and return through the GOT indirection.
-    EXTERN_CALL_OVERHEAD: SimTime = ns(6) => "ns", assumed;
+    pub EXTERN_CALL_OVERHEAD: SimTime = ns(6) => "ns", assumed;
 
     // The memory system of `TestbedConfig::cluster2021`: typical of an Arm server part at the paper's clock.
     /// L1 hit latency (also the lookup charge paid on an L1 miss).
-    L1_HIT: SimTime = ns(1) => "ns", assumed;
+    pub(crate) L1_HIT: SimTime = ns(1) => "ns", assumed;
     /// L2 hit latency.
-    L2_HIT: SimTime = ns(4) => "ns", assumed;
+    pub(crate) L2_HIT: SimTime = ns(4) => "ns", assumed;
     /// L3 (cluster cache) hit latency.
-    L3_HIT: SimTime = ns(12) => "ns", assumed;
+    pub(crate) L3_HIT: SimTime = ns(12) => "ns", assumed;
     /// LLC hit latency, the interconnect hop included.
-    LLC_HIT: SimTime = ns(30) => "ns", assumed;
+    pub(crate) LLC_HIT: SimTime = ns(30) => "ns", assumed;
     /// DRAM access latency on an idle memory system (row-buffer mix averaged).
-    DRAM_LATENCY: SimTime = ns(95) => "ns", assumed;
+    pub(crate) DRAM_LATENCY: SimTime = ns(95) => "ns", assumed;
     /// A dirty line's write-back on eviction.
-    WRITEBACK: SimTime = ns(8) => "ns", assumed;
+    pub(crate) WRITEBACK: SimTime = ns(8) => "ns", assumed;
     /// Installing a stashed line into the LLC, paid by the DMA engine, not the core.
-    STASH_INSTALL: SimTime = ns(6) => "ns", assumed;
+    pub(crate) STASH_INSTALL: SimTime = ns(6) => "ns", assumed;
     /// Sustained DRAM bandwidth: one loaded DDR4-2666 channel, below its ~21.3 GB/s peak.
-    DRAM_BANDWIDTH_GIB_S: f64 = 19.0 => "GiB/s", assumed;
+    pub(crate) DRAM_BANDWIDTH_GIB_S: f64 = 19.0 => "GiB/s", assumed;
 
     // The `stress-ng --class vm` stand-in (`stress`), at full intensity.
     /// Share of DRAM bandwidth the stressor's vm workers occupy.
-    STRESS_BANDWIDTH_SHARE: f64 = 0.70 => "share", assumed;
+    pub(crate) STRESS_BANDWIDTH_SHARE: f64 = 0.70 => "share", assumed;
     /// Chance that a DRAM access queues behind a page sweep or reclaim stall (one in 500).
-    STRESS_BURST_PROBABILITY: f64 = 0.002 => "1/access", assumed;
+    pub(crate) STRESS_BURST_PROBABILITY: f64 = 0.002 => "1/access", assumed;
     /// Shortest burst collision.
-    STRESS_BURST_MIN_US: f64 = 1.0 => "µs", assumed;
+    pub(crate) STRESS_BURST_MIN_US: f64 = 1.0 => "µs", assumed;
     /// Longest burst collision.
-    STRESS_BURST_MAX_US: f64 = 12.0 => "µs", assumed;
+    pub(crate) STRESS_BURST_MAX_US: f64 = 12.0 => "µs", assumed;
     /// Longest bank/row-conflict delay of an access that misses the bursts.
-    STRESS_CONFLICT_MAX_NS: f64 = 60.0 => "ns", assumed;
+    pub(crate) STRESS_CONFLICT_MAX_NS: f64 = 60.0 => "ns", assumed;
     /// Longest scheduler jitter (TLB shootdowns and the like) on a loaded machine's wake-up.
-    STRESS_JITTER_MAX_NS: f64 = 150.0 => "ns", assumed;
+    pub(crate) STRESS_JITTER_MAX_NS: f64 = 150.0 => "ns", assumed;
 
     // The back-to-back ConnectX-6 link (`twochains_fabric::link`) and its UCX-like protocol thresholds.
     /// Sender software overhead to build and post a work request.
-    POST_OVERHEAD: SimTime = ns(90) => "ns", fitted "Fig. 5, one-way latency ≈1 µs at 256 B rising to a few µs at 32 KiB";
+    pub POST_OVERHEAD: SimTime = ns(90) => "ns", fitted "Fig. 5, one-way latency ≈1 µs at 256 B rising to a few µs at 32 KiB";
     /// MMIO doorbell write reaching the HCA.
-    DOORBELL: SimTime = ns(150) => "ns", fitted "Fig. 5, one-way latency ≈1 µs at 256 B rising to a few µs at 32 KiB";
+    pub DOORBELL: SimTime = ns(150) => "ns", fitted "Fig. 5, one-way latency ≈1 µs at 256 B rising to a few µs at 32 KiB";
     /// HCA descriptor and payload fetch over PCIe on the sending side.
-    PCIE_READ: SimTime = ns(200) => "ns", fitted "Fig. 5, one-way latency ≈1 µs at 256 B rising to a few µs at 32 KiB";
+    pub PCIE_READ: SimTime = ns(200) => "ns", fitted "Fig. 5, one-way latency ≈1 µs at 256 B rising to a few µs at 32 KiB";
     /// Cable propagation and switchless port-to-port forwarding.
-    WIRE_LATENCY: SimTime = ns(300) => "ns", fitted "Fig. 5, one-way latency ≈1 µs at 256 B rising to a few µs at 32 KiB";
+    pub WIRE_LATENCY: SimTime = ns(300) => "ns", fitted "Fig. 5, one-way latency ≈1 µs at 256 B rising to a few µs at 32 KiB";
     /// Receiver-side PCIe write and delivery.
-    DELIVERY: SimTime = ns(250) => "ns", fitted "Fig. 5, one-way latency ≈1 µs at 256 B rising to a few µs at 32 KiB";
+    pub DELIVERY: SimTime = ns(250) => "ns", fitted "Fig. 5, one-way latency ≈1 µs at 256 B rising to a few µs at 32 KiB";
     /// Line rate of the ConnectX-6 HCAs.
-    LINE_RATE_GBPS: f64 = 200.0 => "Gb/s", paper "§VI-C" "ConnectX-6 200 Gb/s InfiniBand HCAs connected back-to-back";
+    pub LINE_RATE_GBPS: f64 = 200.0 => "Gb/s", paper "§VI-C" "ConnectX-6 200 Gb/s InfiniBand HCAs connected back-to-back";
     /// Share of the line rate one stream achieves end to end (framing, the small servers' PCIe slot).
-    LINK_EFFICIENCY: f64 = 0.55 => "share", fitted "Fig. 5, one-way latency ≈1 µs at 256 B rising to a few µs at 32 KiB";
+    pub LINK_EFFICIENCY: f64 = 0.55 => "share", fitted "Fig. 5, one-way latency ≈1 µs at 256 B rising to a few µs at 32 KiB";
     /// Eager-short to bcopy switch: the Injected frame for a handful of integers (≈1.5 KiB) lands just above it.
-    EAGER_THRESHOLD: usize = 1498 => "B", fitted "Fig. 7, the Injected curve's step at 8 integers";
+    pub EAGER_THRESHOLD: usize = 1498 => "B", fitted "Fig. 7, the Injected curve's step at 8 integers";
     /// Extra latency just above [`EAGER_THRESHOLD`] ("a slight performance degradation", §VII-A).
-    EAGER_PENALTY: SimTime = ns(90) => "ns", assumed;
+    pub EAGER_PENALTY: SimTime = ns(90) => "ns", assumed;
     /// Bcopy fragmentation boundary: the ≈2.5 KiB Injected frame for 256 integers lands just above it.
-    FRAGMENT_THRESHOLD: usize = 2490 => "B", fitted "Fig. 7, the Injected curve's step at 256 integers";
+    pub FRAGMENT_THRESHOLD: usize = 2490 => "B", fitted "Fig. 7, the Injected curve's step at 256 integers";
     /// Extra latency just above [`FRAGMENT_THRESHOLD`].
-    FRAGMENT_PENALTY: SimTime = ns(110) => "ns", assumed;
+    pub FRAGMENT_PENALTY: SimTime = ns(110) => "ns", assumed;
     /// Width of the penalised window above each protocol threshold.
-    THRESHOLD_WINDOW: usize = 32 => "B", assumed;
+    pub THRESHOLD_WINDOW: usize = 32 => "B", assumed;
     /// Size from which the rendezvous protocol adds a control round trip.
-    RENDEZVOUS_THRESHOLD: usize = 64 * 1024 => "B", assumed;
+    pub RENDEZVOUS_THRESHOLD: usize = 64 * 1024 => "B", assumed;
     /// The exposed tail of a cut-through DMA install: the last line's installation.
-    DMA_EXPOSED_TAIL: SimTime = ns(12) => "ns", assumed;
+    pub DMA_EXPOSED_TAIL: SimTime = ns(12) => "ns", assumed;
 
     // The plain UCX put that Figs. 5–6 compare against (`twochains_fabric::baseline`): a tuned UCX's overheads.
     /// Per-operation library bookkeeping on the latency path.
-    UCX_LATENCY_OVERHEAD: SimTime = ns(90) => "ns", assumed;
+    pub UCX_LATENCY_OVERHEAD: SimTime = ns(90) => "ns", assumed;
     /// Per-operation flow-control and completion-harvest cost on the streaming path.
-    UCX_STREAM_OVERHEAD: SimTime = ns(600) => "ns", fitted "Fig. 6, Two-Chains streams 1.79x-4.48x the UCX put's bandwidth";
+    pub UCX_STREAM_OVERHEAD: SimTime = ns(600) => "ns", fitted "Fig. 6, Two-Chains streams 1.79x-4.48x the UCX put's bandwidth";
     /// Send-side bounce-buffer copy bandwidth for bcopy-eligible sizes.
-    UCX_BCOPY_BYTES_PER_NS: f64 = 7.0 => "B/ns", assumed;
+    pub UCX_BCOPY_BYTES_PER_NS: f64 = 7.0 => "B/ns", assumed;
     /// Largest size that takes the copy-based eager path.
-    UCX_BCOPY_MAX: usize = 8192 => "B", assumed;
+    pub UCX_BCOPY_MAX: usize = 8192 => "B", assumed;
     /// Share of the bounce copy exposed on the latency path; the rest overlaps the DMA read.
-    UCX_BCOPY_EXPOSED: f64 = 0.08 => "share", assumed;
+    pub UCX_BCOPY_EXPOSED: f64 = 0.08 => "share", assumed;
 
     // The receiver's dispatch path (`twochains::runtime::host`).
     /// Injected Function dispatch: frame parse and the jump through the mailbox code pointer.
-    INJECTED_DISPATCH: SimTime = ns(28) => "ns", assumed;
+    pub INJECTED_DISPATCH: SimTime = ns(28) => "ns", assumed;
     /// Local Function dispatch: frame parse and the element's function-pointer lookup, per chain stage.
-    LOCAL_DISPATCH: SimTime = ns(18) => "ns", assumed;
+    pub LOCAL_DISPATCH: SimTime = ns(18) => "ns", assumed;
     /// Content hash of an uncached injected image: the arrived bytes streamed at near line rate.
-    HASH_NS_PER_BYTE: f64 = 0.01 => "ns/B", assumed;
+    pub HASH_NS_PER_BYTE: f64 = 0.01 => "ns/B", assumed;
     /// Decode on a code-cache miss (~2 GB/s: byte-at-a-time opcode dispatch).
-    DECODE_NS_PER_BYTE: f64 = 0.6 => "ns/B", assumed;
+    pub DECODE_NS_PER_BYTE: f64 = 0.6 => "ns/B", assumed;
     /// Verify on a code-cache miss (~4 GB/s: register, branch and GOT-slot bound checks).
-    VERIFY_NS_PER_BYTE: f64 = 0.25 => "ns/B", assumed;
+    pub VERIFY_NS_PER_BYTE: f64 = 0.25 => "ns/B", assumed;
     /// GOT image parse on a GOT-cache miss.
-    GOT_PARSE_NS_PER_BYTE: f64 = 0.05 => "ns/B", assumed;
+    pub GOT_PARSE_NS_PER_BYTE: f64 = 0.05 => "ns/B", assumed;
     /// Lowering an uncached image: one walk of the decoded program, cheaper than the decode before it.
-    RESOLVE_NS_PER_BYTE: f64 = 0.15 => "ns/B", assumed;
+    pub RESOLVE_NS_PER_BYTE: f64 = 0.15 => "ns/B", assumed;
 
     // The sender: §III-A's message packing and the transmit-window harvest.
     /// Packing cost per frame (the message packing routines of §III-A).
-    PACK_FIXED: SimTime = ns(35) => "ns", assumed;
+    pub PACK_FIXED: SimTime = ns(35) => "ns", assumed;
     /// Packing cost per byte.
-    PACK_NS_PER_BYTE: f64 = 0.002 => "ns/B", assumed;
+    pub PACK_NS_PER_BYTE: f64 = 0.002 => "ns/B", assumed;
     /// Harvesting one transmit-window entry: the per-completion bookkeeping the UCX-like baseline pays.
-    HARVEST_COST: SimTime = ns(55) => "ns", assumed;
+    pub HARVEST_COST: SimTime = ns(55) => "ns", assumed;
 
     // The hardened policy's GOT re-resolution (`twochains::security`): a handful of hash lookups.
     /// Fixed part of the per-message re-resolution.
-    GOT_RESOLVE_FIXED: SimTime = ns(20) => "ns", assumed;
+    pub GOT_RESOLVE_FIXED: SimTime = ns(20) => "ns", assumed;
     /// Re-resolution cost per GOT slot.
-    GOT_RESOLVE_PER_SLOT: SimTime = ns(12) => "ns", assumed;
+    pub GOT_RESOLVE_PER_SLOT: SimTime = ns(12) => "ns", assumed;
     /// Ceiling of the per-message re-resolution.
-    GOT_RESOLVE_CAP: SimTime = ns(400) => "ns", assumed;
+    pub GOT_RESOLVE_CAP: SimTime = ns(400) => "ns", assumed;
 }

@@ -54,11 +54,6 @@ impl DramModel {
         self.recompute();
     }
 
-    /// The currently effective background utilization.
-    pub fn background_utilization(&self) -> f64 {
-        self.cfg.background_utilization
-    }
-
     /// Latency of fetching one cache line from DRAM. `stressor` (if any) contributes
     /// heavy-tailed queueing jitter on top of the deterministic component.
     pub fn line_access(&mut self, stressor: Option<&mut MemoryStressor>) -> SimTime {
@@ -80,16 +75,6 @@ impl DramModel {
     /// Number of line accesses (reads + write-backs) charged so far.
     pub fn accesses(&self) -> u64 {
         self.accesses
-    }
-
-    /// Base (idle, uncontended) latency.
-    pub fn base_latency(&self) -> SimTime {
-        self.base_latency
-    }
-
-    /// Per-line transfer time at the currently effective bandwidth.
-    pub fn line_transfer(&self) -> SimTime {
-        self.line_transfer
     }
 }
 
@@ -123,27 +108,31 @@ mod tests {
         m.set_background_utilization(0.8);
         let loaded = m.line_access(None);
         assert!(loaded > idle, "loaded {loaded} should exceed idle {idle}");
-        // 5x less bandwidth -> transfer component roughly 5x larger.
-        assert!(m.line_transfer() > SimTime::from_ns(10));
+        // 5x less bandwidth -> transfer component (all a write-back pays) roughly 5x larger.
+        assert!(m.writeback() > SimTime::from_ns(10));
     }
 
     #[test]
     fn utilization_is_clamped() {
         let mut m = model();
+        let idle = m.writeback();
+        m.set_background_utilization(0.95);
+        let ceiling = m.writeback();
         m.set_background_utilization(2.0);
-        assert!(m.background_utilization() <= 0.95);
+        assert_eq!(m.writeback(), ceiling);
         m.set_background_utilization(-1.0);
-        assert_eq!(m.background_utilization(), 0.0);
+        assert_eq!(m.writeback(), idle);
     }
 
     #[test]
     fn stressor_adds_jitter() {
         let mut m = model();
         let mut s = MemoryStressor::new(42, 1.0);
+        let idle = m.line_access(None);
         let mut saw_extra = false;
         for _ in 0..200 {
             let with = m.line_access(Some(&mut s));
-            if with > m.base_latency() + m.line_transfer() {
+            if with > idle {
                 saw_extra = true;
             }
         }

@@ -37,7 +37,6 @@ pub struct StridePrefetcher {
     cfg: PrefetchConfig,
     streams: VecDeque<Stream>,
     issued: u64,
-    useful: u64,
 }
 
 impl StridePrefetcher {
@@ -48,24 +47,12 @@ impl StridePrefetcher {
             cfg,
             streams: VecDeque::new(),
             issued: 0,
-            useful: 0,
         }
     }
 
     /// Total prefetches issued.
     pub fn issued(&self) -> u64 {
         self.issued
-    }
-
-    /// Prefetches that were later hit by a demand access (usefulness accounting is
-    /// done by the hierarchy calling [`StridePrefetcher::record_useful`]).
-    pub fn useful(&self) -> u64 {
-        self.useful
-    }
-
-    /// Record that a demand access hit a line that was brought in by a prefetch.
-    pub fn record_useful(&mut self) {
-        self.useful += 1;
     }
 
     /// Observe a demand access to `line` (line index, not byte address) that missed
@@ -230,14 +217,6 @@ mod tests {
             p.observe_miss(base * 10_000);
         }
         assert!(p.streams.len() <= 4);
-    }
-
-    #[test]
-    fn usefulness_counter() {
-        let mut p = StridePrefetcher::new(cfg(true));
-        p.record_useful();
-        p.record_useful();
-        assert_eq!(p.useful(), 2);
     }
 
     #[test]

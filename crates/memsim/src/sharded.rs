@@ -16,8 +16,8 @@
 //!   core's invalidation-inbox flag (see "The private-hit path").
 //! * [`SharedHierarchy`] — the shared outer levels. The per-cluster L3 slices
 //!   each sit behind their own mutex, the LLC is split into
-//!   [`LLC_STRIPES`] lock stripes selected by line index, and the DRAM model is
-//!   striped into [`DRAM_CHANNELS`] independently locked channels keyed by line
+//!   `LLC_STRIPES` lock stripes selected by line index, and the DRAM model is
+//!   striped into `DRAM_CHANNELS` independently locked channels keyed by line
 //!   address (`line % DRAM_CHANNELS`), modelling a multi-channel part. Misses
 //!   from different cores only contend when they genuinely collide on the same
 //!   stripe or channel.
@@ -45,7 +45,7 @@
 //! invalidate the (shared) decoded-program caches directly, and the per-core
 //! *hardware* state follows through the inbox on the next access. An inbox counts
 //! every *delivered* line, held or not, and once the count passes
-//! [`INVAL_INBOX_LIMIT`] it degrades to a full private-cache flush — correct, just
+//! `INVAL_INBOX_LIMIT` it degrades to a full private-cache flush — correct, just
 //! conservatively slow. The count and the flag are the unfiltered model's on
 //! purpose: where an inbox overflows, and when a core drains it, are part of the
 //! model.
@@ -156,7 +156,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::cache::{AccessKind, CacheStats, FillOutcome, SetAssocCache};
+use crate::cache::{AccessKind, FillOutcome, SetAssocCache};
 use crate::clock::SimTime;
 use crate::config::TestbedConfig;
 use crate::hierarchy::{HierarchyStats, MemoryBus};
@@ -165,7 +165,7 @@ use crate::prefetch::StridePrefetcher;
 use crate::stress::MemoryStressor;
 
 /// Number of lock stripes the shared LLC is split into.
-pub const LLC_STRIPES: usize = 8;
+pub(crate) const LLC_STRIPES: usize = 8;
 
 /// Number of independently locked DRAM channels at the bottom of the shared
 /// levels. Line `l` is served by channel `l % DRAM_CHANNELS` (consecutive
@@ -175,11 +175,11 @@ pub const LLC_STRIPES: usize = 8;
 /// per-access *cost* is identical to the single-model monolithic hierarchy —
 /// the split removes lock contention, not latency (pinned by the oracle
 /// crate's parity tests).
-pub const DRAM_CHANNELS: usize = 4;
+pub(crate) const DRAM_CHANNELS: usize = 4;
 
 /// Past this many pending line invalidations a core's inbox degrades to a full
 /// private-cache flush (bounded memory, conservative correctness).
-pub const INVAL_INBOX_LIMIT: usize = 4096;
+pub(crate) const INVAL_INBOX_LIMIT: usize = 4096;
 
 /// Private-cache counters owned (lock-free) by one [`CoreBus`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -536,7 +536,7 @@ impl SharedHierarchy {
     }
 
     /// Whether the prefetcher is currently enabled.
-    pub fn prefetching_enabled(&self) -> bool {
+    pub(crate) fn prefetching_enabled(&self) -> bool {
         self.prefetch_enabled.load(Ordering::Relaxed)
     }
 
@@ -672,19 +672,6 @@ impl SharedHierarchy {
             inbox.flag.store(true, Ordering::Release);
         }
         self.reset_stats();
-    }
-
-    /// Aggregate LLC statistics across the stripes (stash-behaviour tests).
-    pub fn llc_stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for stripe in &self.llc {
-            let s = stripe.lock().cache.stats();
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.writebacks += s.writebacks;
-            total.stashed_lines += s.stashed_lines;
-        }
-        total
     }
 
     /// Check whether the line containing `addr` currently resides in the LLC.
@@ -1036,7 +1023,6 @@ impl CoreBus {
         // Prefetcher training happens core-locally; installs go to the stripes.
         if out.prefetch_hit {
             self.stats.prefetch_hits += 1;
-            self.prefetcher.record_useful();
             // Keep the stream trained, exactly like the monolithic model.
             let issued = self.prefetcher.observe_miss(line);
             if !issued.is_empty() {
@@ -1096,6 +1082,7 @@ impl MemoryBus for CoreBus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheStats;
     use crate::config::CacheLevelConfig;
     use rand::prelude::*;
 
@@ -1516,7 +1503,7 @@ mod tests {
         buses: &[CoreBus],
     ) -> (
         HierarchyStats,
-        CacheStats,
+        Vec<CacheStats>,
         u64,
         Vec<CoreCacheStats>,
         Vec<bool>,
@@ -1526,7 +1513,7 @@ mod tests {
             .collect();
         (
             sh.stats(),
-            sh.llc_stats(),
+            sh.llc.iter().map(|s| s.lock().cache.stats()).collect(),
             sh.dram_model_accesses(),
             buses.iter().map(CoreBus::stats).collect(),
             resident,

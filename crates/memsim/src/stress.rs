@@ -53,11 +53,6 @@ impl MemoryStressor {
         Self::new(seed, 1.0)
     }
 
-    /// The configured intensity.
-    pub fn intensity(&self) -> f64 {
-        self.intensity
-    }
-
     /// The share of DRAM bandwidth the stressor occupies; feed this into
     /// [`crate::latency::DramModel::set_background_utilization`].
     pub fn bandwidth_share(&self) -> f64 {
@@ -74,7 +69,7 @@ impl MemoryStressor {
     /// * with probability [`STRESS_BURST_PROBABILITY`] × intensity, a "burst
     ///   collision" of [`STRESS_BURST_MIN_US`]–[`STRESS_BURST_MAX_US`] representing
     ///   the access queuing behind a stressor page sweep or a reclaim stall.
-    pub fn queueing_delay(&mut self) -> SimTime {
+    pub(crate) fn queueing_delay(&mut self) -> SimTime {
         if self.intensity <= 0.0 {
             return SimTime::ZERO;
         }
@@ -185,7 +180,8 @@ mod tests {
 
     #[test]
     fn intensity_is_clamped() {
-        assert_eq!(MemoryStressor::new(0, 9.0).intensity(), 1.0);
-        assert_eq!(MemoryStressor::new(0, -2.0).intensity(), 0.0);
+        let full = MemoryStressor::fully_loaded(0).bandwidth_share();
+        assert_eq!(MemoryStressor::new(0, 9.0).bandwidth_share(), full);
+        assert_eq!(MemoryStressor::new(0, -2.0).bandwidth_share(), 0.0);
     }
 }

@@ -189,7 +189,6 @@ impl CacheHierarchy {
             self.stats.llc_hits += 1;
             if self.prefetched.remove(&line) {
                 self.stats.prefetch_hits += 1;
-                self.prefetchers[core].record_useful();
                 // Keep the stream trained: real prefetchers observe the demand
                 // stream, so hitting a prefetched line extends the lookahead instead
                 // of letting the stream go cold after `degree` lines.

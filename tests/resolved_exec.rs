@@ -22,7 +22,9 @@
 //! loading generated values into the registers the entry convention leaves
 //! zero, and every `Ret` in it is preceded by a fold of all sixteen registers
 //! into `r0`, so a wrong value in any register reaches the result the engines
-//! are compared on.
+//! are compared on. Most such programs still end in an error, where only the
+//! error and the heap are compared; one more property draws straight-line
+//! programs over the forms that cannot fault, so every case compares a result.
 //!
 //! At runtime level, the resolved-image cache must hand a frame only an image
 //! lowered from that frame's own code: a warm host computes what a host
@@ -250,6 +252,44 @@ fn arb_program(pieces: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Inst
     })
 }
 
+/// Straight-line programs over the five forms that cannot fault — `LoadImm`,
+/// `Mov`, `Alu`, `AluImm` and `Hash`, with all nine ALU ops — seeded as
+/// [`arb_program`]'s are and closed by [`fold_registers`]. Every one returns,
+/// so every case compares a result, where most of `arb_program`'s end in an
+/// error and compare only that and the heap. Small `LoadImm`s put zeros and
+/// shift amounts of 32–63 in registers; `AluImm`'s `0..64` immediates reach
+/// both as well.
+fn arb_straight_line() -> impl Strategy<Value = Vec<Instr>> {
+    let reg = || (0u8..16).prop_map(Reg);
+    let instr = prop_oneof![
+        (reg(), any::<u64>()).prop_map(|(dst, imm)| Instr::LoadImm { dst, imm }),
+        (reg(), 0u64..64).prop_map(|(dst, imm)| Instr::LoadImm { dst, imm }),
+        (reg(), reg()).prop_map(|(dst, src)| Instr::Mov { dst, src }),
+        (arb_alu_op(), reg(), reg(), reg()).prop_map(|(op, dst, a, b)| Instr::Alu {
+            op,
+            dst,
+            a,
+            b
+        }),
+        (arb_alu_op(), reg(), reg(), 0u64..64).prop_map(|(op, dst, src, imm)| Instr::AluImm {
+            op,
+            dst,
+            src,
+            imm
+        }),
+        (reg(), reg()).prop_map(|(dst, src)| Instr::Hash { dst, src }),
+    ];
+    let seeds = prop::collection::vec(any::<u64>(), 13..14);
+    (seeds, prop::collection::vec(instr, 1..80)).prop_map(|(seeds, body)| {
+        (3..)
+            .zip(seeds)
+            .map(|(r, imm)| Instr::LoadImm { dst: Reg(r), imm })
+            .chain(body)
+            .chain(fold_registers())
+            .collect()
+    })
+}
+
 /// `r0 ^= r1 ^ r2 ^ ... ^ r15`, then `Ret`: without it, a register a
 /// program computed but did not leave in `r0` or store is compared nowhere.
 fn fold_registers() -> Vec<Instr> {
@@ -351,6 +391,14 @@ proptest! {
         fuel in 1u64..600,
     ) {
         let _ = assert_engines_agree(&program, &VmConfig { fuel, ..config() });
+    }
+
+    /// Programs that cannot fault: both engines return, with one result.
+    #[test]
+    fn straight_line_programs_return_one_result_on_both_engines(
+        program in arb_straight_line(),
+    ) {
+        prop_assert!(assert_engines_agree(&program, &config()).is_ok());
     }
 
     /// Lowering is deterministic and re-execution of one image is stable:
